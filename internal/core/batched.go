@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"math/bits"
-	"runtime/pprof"
 	"strconv"
-	"sync"
 
 	"parapll/internal/graph"
 	"parapll/internal/pll"
@@ -108,19 +105,10 @@ func (b Batched) Run(g *graph.Graph, mgr task.Manager, store LabelStore, cfg Run
 		idCommit = tr.Intern("batch commit", "roots", "added", "worker")
 	}
 	perWorker := make([]int64, mgr.Workers())
-	var wg sync.WaitGroup
-	for w := 0; w < mgr.Workers(); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			labels := pprof.Labels("phase", phase, "worker", strconv.Itoa(w))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				bw := newBatchWorker(g, b.batchSize())
-				bw.run(mgr, store, cfg, w, perWorker, idAcquire, idPropagate, idCommit)
-			})
-		}(w)
-	}
-	wg.Wait()
+	runPool(mgr.Workers(), phase, func(w int) {
+		bw := newBatchWorker(g, b.batchSize())
+		bw.run(mgr, store, cfg, w, perWorker, idAcquire, idPropagate, idCommit)
+	})
 	return perWorker
 }
 

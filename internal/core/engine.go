@@ -86,19 +86,50 @@ func (PerRoot) Run(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunCo
 		idAppend = tr.Intern("label append", "labels")
 	}
 	perWorker := make([]int64, mgr.Workers())
+	runPool(mgr.Workers(), phase, func(w int) {
+		runWorker(g, mgr, store, cfg, w, perWorker, idAcquire, idDijkstra, idAppend)
+	})
+	return perWorker
+}
+
+// runPool runs fn(w) on `workers` goroutines, each under pprof labels
+// (phase, worker) so CPU profiles segment by phase and worker, and
+// returns once all have finished.
+func runPool(workers int, phase string, fn func(w int)) {
 	var wg sync.WaitGroup
-	for w := 0; w < mgr.Workers(); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			labels := pprof.Labels("phase", phase, "worker", strconv.Itoa(w))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				runWorker(g, mgr, store, cfg, w, perWorker, idAcquire, idDijkstra, idAppend)
-			})
+			pprof.Do(context.Background(), labels, func(context.Context) { fn(w) })
 		}(w)
 	}
 	wg.Wait()
-	return perWorker
+}
+
+// RunRoots is the task-manager/worker scaffolding for per-root builds
+// whose labels do not fit the Engine seam (directed's in/out label sets,
+// pathidx's parent table): it drains the computing sequence ord through
+// `threads` worker goroutines (<= 0 means GOMAXPROCS) under policy.
+// newWorker runs once on each worker's goroutine and returns what that
+// worker does with every root it claims, so per-worker scratch lives in
+// the returned closure. Panics unless ord is a permutation of [0,n).
+func RunRoots(n int, ord []graph.Vertex, threads int, policy Policy, newWorker func(w int) func(r graph.Vertex)) {
+	if err := graph.CheckOrder(ord, n); err != nil {
+		panic("core: Order must be a permutation of the vertices: " + err.Error())
+	}
+	mgr := newManager(ord, &Options{Threads: threads, Policy: policy})
+	runPool(mgr.Workers(), "build", func(w int) {
+		visit := newWorker(w)
+		for {
+			r, _, ok := mgr.Next(w)
+			if !ok {
+				return
+			}
+			visit(r)
+		}
+	})
 }
 
 // runWorker is one per-root worker's loop. buf is nil unless tracing was
@@ -112,15 +143,16 @@ func runWorker(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig
 		tr.SetThreadName(w, "worker "+strconv.Itoa(w))
 	}
 	var appendNs int64
-	appendFn := func(u graph.Vertex, e label.Entry) { view.Append(u, e.Hub, e.D) }
+	appendFn := func(u, _ graph.Vertex, e label.Entry) { view.Append(u, e.Hub, e.D) }
 	if buf != nil {
-		appendFn = func(u graph.Vertex, e label.Entry) {
+		appendFn = func(u, _ graph.Vertex, e label.Entry) {
 			a0 := tr.Now()
 			view.Append(u, e.Hub, e.D)
 			appendNs += tr.Now() - a0
 		}
 	}
-	ps := pll.NewSearcher(g, cfg.LazyHeap)
+	snapshot, neighbors := view.Snapshot, g.Neighbors
+	ps := pll.NewSearcher(g.NumVertices(), cfg.LazyHeap)
 	for {
 		t0 := tr.Now()
 		r, pos, ok := mgr.Next(w)
@@ -132,7 +164,7 @@ func runWorker(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig
 			buf.Span(idAcquire, t0, d0, uint64(w))
 			appendNs = 0
 		}
-		added, pruned := ps.Run(r, view.Snapshot, appendFn)
+		added, pruned := ps.Run(pll.Seed{Hub: r, Start: r}, snapshot(r), neighbors, snapshot, appendFn)
 		if buf != nil {
 			d1 := tr.Now()
 			buf.Span(idDijkstra, d0, d1, uint64(r), uint64(added), uint64(pruned), uint64(w))

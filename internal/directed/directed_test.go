@@ -106,13 +106,29 @@ func TestDirectedCycleShortcut(t *testing.T) {
 	}
 }
 
-func TestDirectedOrderValidation(t *testing.T) {
+// badOrders are computing sequences over 3 vertices that are not
+// permutations; the duplicate would silently drop root 2.
+var badOrders = map[string][]graph.Vertex{
+	"short":        {0},
+	"duplicate":    {0, 0, 1},
+	"out-of-range": {0, 1, 3},
+}
+
+func expectOrderPanic(t *testing.T, name string, build func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Errorf("%s: build accepted corrupt order", name)
 		}
 	}()
-	Build(FromArcs(3, nil), Options{Order: []graph.Vertex{0}})
+	build()
+}
+
+func TestDirectedOrderValidation(t *testing.T) {
+	g := FromArcs(3, []Arc{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1}})
+	for name, ord := range badOrders {
+		expectOrderPanic(t, name, func() { Build(g, Options{Order: ord}) })
+	}
 }
 
 func TestDirectedDegreeOrder(t *testing.T) {
@@ -173,22 +189,11 @@ func TestBuildParallelExact(t *testing.T) {
 	}
 }
 
-func TestBuildParallelSingleThreadMatchesSerial(t *testing.T) {
-	g := randomDigraph(rand.New(rand.NewSource(1004)), 40, 160)
-	serial := Build(g, Options{})
-	par := BuildParallel(g, ParallelOptions{Threads: 1})
-	if serial.NumEntries() != par.NumEntries() {
-		t.Fatalf("1-thread parallel entries %d != serial %d", par.NumEntries(), serial.NumEntries())
-	}
-}
-
 func TestBuildParallelOrderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BuildParallel(FromArcs(3, nil), ParallelOptions{Order: []graph.Vertex{0}})
+	g := FromArcs(3, []Arc{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1}})
+	for name, ord := range badOrders {
+		expectOrderPanic(t, name, func() { BuildParallel(g, ParallelOptions{Threads: 2, Order: ord}) })
+	}
 }
 
 func TestDirectedPruningShrinksIndex(t *testing.T) {

@@ -1,11 +1,8 @@
 package directed
 
 import (
-	"sort"
-
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/vheap"
 )
 
 // Index is a directed 2-hop cover: per vertex, a hub-sorted in-label
@@ -21,145 +18,17 @@ type Options struct {
 	Order []graph.Vertex
 }
 
-// Build indexes a directed graph serially: per root, one forward and one
-// backward pruned Dijkstra.
+// Build indexes a directed graph serially: BuildParallel at one thread,
+// where the task manager hands out the roots in computing-sequence order.
 func Build(g *Digraph, opt Options) *Index {
-	n := g.NumVertices()
-	ord := opt.Order
-	if ord == nil {
-		ord = DegreeOrder(g)
-	} else if len(ord) != n {
-		panic("directed: Order must be a permutation of the vertices")
-	}
-	x := &Index{
-		in:  make([][]label.Entry, n),
-		out: make([][]label.Entry, n),
-	}
-	dist := make([]graph.Dist, n)
-	tmp := make([]graph.Dist, n)
-	for i := 0; i < n; i++ {
-		dist[i] = graph.Inf
-		tmp[i] = graph.Inf
-	}
-	h := vheap.NewIndexed(n)
-	var touched, hubs []graph.Vertex
-
-	// search runs one pruned Dijkstra from r. Forward direction expands
-	// out-arcs and labels Lin(u) with (r, d(r→u)), pruning when the
-	// cover already answers r→u; backward expands in-arcs and labels
-	// Lout(u) with (r, d(u→r)).
-	search := func(r graph.Vertex, forward bool) {
-		// Scatter the root's own labels for the prune query:
-		// forward prune of (r→u) needs min over h ∈ Lout(r)∩Lin(u);
-		// backward prune of (u→r) needs min over h ∈ Lout(u)∩Lin(r).
-		var rootSide []label.Entry
-		if forward {
-			rootSide = x.out[r]
-		} else {
-			rootSide = x.in[r]
-		}
-		for _, e := range rootSide {
-			if e.D < tmp[e.Hub] {
-				tmp[e.Hub] = e.D
-			}
-			hubs = append(hubs, e.Hub)
-		}
-		dist[r] = 0
-		touched = append(touched, r)
-		h.Reset()
-		h.Push(r, 0)
-		for h.Len() > 0 {
-			u, d := h.Pop()
-			var uSide []label.Entry
-			if forward {
-				uSide = x.in[u]
-			} else {
-				uSide = x.out[u]
-			}
-			covered := false
-			for _, e := range uSide {
-				if t := tmp[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-			if forward {
-				x.in[u] = append(x.in[u], label.Entry{Hub: r, D: d})
-			} else {
-				x.out[u] = append(x.out[u], label.Entry{Hub: r, D: d})
-			}
-			var ns []graph.Vertex
-			var ws []graph.Dist
-			if forward {
-				ns, ws = g.Out(u)
-			} else {
-				ns, ws = g.In(u)
-			}
-			for i, v := range ns {
-				nd := graph.AddDist(d, ws[i])
-				if nd < dist[v] {
-					if dist[v] == graph.Inf {
-						touched = append(touched, v)
-					}
-					dist[v] = nd
-					h.Push(v, nd)
-				}
-			}
-		}
-		for _, t := range touched {
-			dist[t] = graph.Inf
-		}
-		touched = touched[:0]
-		for _, hb := range hubs {
-			tmp[hb] = graph.Inf
-		}
-		hubs = hubs[:0]
-	}
-
-	for _, r := range ord {
-		search(r, true)
-		search(r, false)
-	}
-	// Sort label lists by hub for merge-join queries.
-	for v := 0; v < n; v++ {
-		sortEntries(x.in[v])
-		sortEntries(x.out[v])
-	}
-	return x
-}
-
-func sortEntries(l []label.Entry) {
-	sort.Slice(l, func(i, j int) bool { return l[i].Hub < l[j].Hub })
+	return BuildParallel(g, ParallelOptions{Threads: 1, Order: opt.Order})
 }
 
 // Query returns the exact directed distance d(s→t), graph.Inf when t is
 // unreachable from s. Note Query(s,t) and Query(t,s) generally differ.
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	if s == t {
-		return 0
-	}
-	a := x.out[s] // hubs s reaches
-	b := x.in[t]  // hubs reaching t
-	best := graph.Inf
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-			}
-			i++
-			j++
-		}
-	}
-	return best
+	d, _ := x.QueryWithHub(s, t)
+	return d
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
@@ -169,27 +38,8 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	if s == t {
 		return 0, s
 	}
-	a := x.out[s]
-	b := x.in[t]
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-				hub = a[i].Hub
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
+	// Hubs s reaches, met with hubs reaching t.
+	return label.MergeEntries(x.out[s], x.in[t])
 }
 
 // QueryBatch answers many directed (s,t) pairs in parallel (threads <= 0

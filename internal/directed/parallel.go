@@ -1,14 +1,10 @@
 package directed
 
 import (
-	"runtime"
-	"sync"
-
 	"parapll/internal/core"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/task"
-	"parapll/internal/vheap"
+	"parapll/internal/pll"
 )
 
 // ParallelOptions configures a parallel directed build.
@@ -32,140 +28,29 @@ func BuildParallel(g *Digraph, opt ParallelOptions) *Index {
 	ord := opt.Order
 	if ord == nil {
 		ord = DegreeOrder(g)
-	} else if len(ord) != n {
-		panic("directed: Order must be a permutation of the vertices")
 	}
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	var mgr task.Manager
-	if opt.Policy == core.Dynamic {
-		mgr = task.NewDynamic(ord, threads, 1)
-	} else {
-		mgr = task.NewStatic(ord, threads)
-	}
-	inStore := label.NewStore(n)
-	outStore := label.NewStore(n)
+	in, out := label.NewStore(n), label.NewStore(n)
+	addIn := func(u, _ graph.Vertex, e label.Entry) { in.Append(u, e.Hub, e.D) }
+	addOut := func(u, _ graph.Vertex, e label.Entry) { out.Append(u, e.Hub, e.D) }
+	core.RunRoots(n, ord, opt.Threads, opt.Policy, func(int) func(graph.Vertex) {
+		ps := pll.NewSearcher(n, false)
+		return func(r graph.Vertex) {
+			seed := pll.Seed{Hub: r, Start: r}
+			// Forward over out-arcs: r→u is covered when some hub sits in
+			// Lout(r) ∩ Lin(u); survivors get (r, d(r→u)) in Lin(u).
+			ps.Run(seed, out.Snapshot(r), g.Out, in.Snapshot, addIn)
+			// Backward over in-arcs: u→r is covered via Lout(u) ∩ Lin(r);
+			// survivors get (r, d(u→r)) in Lout(u).
+			ps.Run(seed, in.Snapshot(r), g.In, out.Snapshot, addOut)
+		}
+	})
 
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ps := newParSearcher(g)
-			for {
-				r, _, ok := mgr.Next(w)
-				if !ok {
-					return
-				}
-				// Forward: prune via Lout(r) x Lin(u), label Lin.
-				ps.run(r, true, outStore, inStore)
-				// Backward: prune via Lin(r) x Lout(u), label Lout.
-				ps.run(r, false, inStore, outStore)
-			}
-		}(w)
-	}
-	wg.Wait()
-
+	// Hub-sort each list for the merge-join query (concurrent workers
+	// append out of rank order).
 	x := &Index{in: make([][]label.Entry, n), out: make([][]label.Entry, n)}
-	for v := 0; v < n; v++ {
-		x.in[v] = dedupSorted(inStore.Snapshot(graph.Vertex(v)))
-		x.out[v] = dedupSorted(outStore.Snapshot(graph.Vertex(v)))
+	for v := graph.Vertex(0); int(v) < n; v++ {
+		x.in[v] = label.SortDedupe(in.Snapshot(v))
+		x.out[v] = label.SortDedupe(out.Snapshot(v))
 	}
 	return x
-}
-
-// dedupSorted copies, hub-sorts and min-dedupes one label list.
-func dedupSorted(snap []label.Entry) []label.Entry {
-	lists := [][]label.Entry{snap}
-	// Reuse the canonical finalizer for a single row.
-	idx := label.NewIndexFromLists(lists)
-	defer runtime.KeepAlive(idx)
-	hubs, dists := idx.Label(0)
-	out := make([]label.Entry, len(hubs))
-	for i := range hubs {
-		out[i] = label.Entry{Hub: hubs[i], D: dists[i]}
-	}
-	return out
-}
-
-// parSearcher is the per-worker scratch for directed pruned Dijkstra.
-type parSearcher struct {
-	g       *Digraph
-	dist    []graph.Dist
-	tmp     []graph.Dist
-	touched []graph.Vertex
-	hubs    []graph.Vertex
-	heap    *vheap.Indexed
-}
-
-func newParSearcher(g *Digraph) *parSearcher {
-	n := g.NumVertices()
-	ps := &parSearcher{
-		g:    g,
-		dist: make([]graph.Dist, n),
-		tmp:  make([]graph.Dist, n),
-		heap: vheap.NewIndexed(n),
-	}
-	for i := 0; i < n; i++ {
-		ps.dist[i] = graph.Inf
-		ps.tmp[i] = graph.Inf
-	}
-	return ps
-}
-
-// run executes one pruned Dijkstra from r. rootStore holds the root-side
-// labels for the prune query; sideStore is where new labels land (and
-// whose per-vertex lists feed the other half of the prune query).
-func (ps *parSearcher) run(r graph.Vertex, forward bool, rootStore, sideStore *label.Store) {
-	for _, e := range rootStore.Snapshot(r) {
-		if e.D < ps.tmp[e.Hub] {
-			ps.tmp[e.Hub] = e.D
-		}
-		ps.hubs = append(ps.hubs, e.Hub)
-	}
-	ps.dist[r] = 0
-	ps.touched = append(ps.touched, r)
-	ps.heap.Reset()
-	ps.heap.Push(r, 0)
-	for ps.heap.Len() > 0 {
-		u, d := ps.heap.Pop()
-		covered := false
-		for _, e := range sideStore.Snapshot(u) {
-			if t := ps.tmp[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
-				covered = true
-				break
-			}
-		}
-		if covered {
-			continue
-		}
-		sideStore.Append(u, r, d)
-		var ns []graph.Vertex
-		var ws []graph.Dist
-		if forward {
-			ns, ws = ps.g.Out(u)
-		} else {
-			ns, ws = ps.g.In(u)
-		}
-		for i, v := range ns {
-			nd := graph.AddDist(d, ws[i])
-			if nd < ps.dist[v] {
-				if ps.dist[v] == graph.Inf {
-					ps.touched = append(ps.touched, v)
-				}
-				ps.dist[v] = nd
-				ps.heap.Push(v, nd)
-			}
-		}
-	}
-	for _, t := range ps.touched {
-		ps.dist[t] = graph.Inf
-	}
-	ps.touched = ps.touched[:0]
-	for _, h := range ps.hubs {
-		ps.tmp[h] = graph.Inf
-	}
-	ps.hubs = ps.hubs[:0]
 }

@@ -22,13 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/pll"
-	"parapll/internal/vheap"
 )
 
 // Sentinel errors classifying InsertEdge failures, so callers fronting
@@ -48,10 +48,12 @@ var (
 	ErrBatchInFlight = errors.New("QueryBatch in flight")
 )
 
-// halfEdge is one direction of an inserted edge.
-type halfEdge struct {
-	to graph.Vertex
-	w  graph.Dist
+// adjRow is one vertex's adjacency in the (neighbors, weights) shape
+// graph.Graph.Neighbors returns, so the search kernel relaxes base and
+// inserted edges in one loop.
+type adjRow struct {
+	ns []graph.Vertex
+	ws []graph.Dist
 }
 
 // Index is a mutable 2-hop index over a growing graph.
@@ -66,16 +68,14 @@ type halfEdge struct {
 // synchronization mechanism — a racing insert that slips past it is
 // still a data race.
 type Index struct {
-	base  *graph.Graph
-	extra [][]halfEdge    // inserted adjacency, per vertex
+	base *graph.Graph
+	// grown[v] is v's base row followed by its inserted edges; it stays
+	// empty, and the base row current, until v's first insertion.
+	grown []adjRow
 	lists [][]label.Entry // hub-sorted label lists
 	// Scratch for resumed searches — owned by InsertEdge only; queries
-	// must never read or write these.
-	dist    []graph.Dist
-	tmp     []graph.Dist
-	touched []graph.Vertex
-	hubs    []graph.Vertex
-	heap    *vheap.Indexed
+	// must never read or write it.
+	ps *pll.Searcher
 
 	batches atomic.Int32 // in-flight QueryBatch calls
 }
@@ -103,11 +103,9 @@ func FromIndex(g *graph.Graph, idx *label.Index) *Index {
 	}
 	x := &Index{
 		base:  g,
-		extra: make([][]halfEdge, n),
+		grown: make([]adjRow, n),
 		lists: make([][]label.Entry, n),
-		dist:  make([]graph.Dist, n),
-		tmp:   make([]graph.Dist, n),
-		heap:  vheap.NewIndexed(n),
+		ps:    pll.NewSearcher(n, false),
 	}
 	for v := 0; v < n; v++ {
 		hubs, dists := idx.Label(graph.Vertex(v))
@@ -116,8 +114,6 @@ func FromIndex(g *graph.Graph, idx *label.Index) *Index {
 			row[i] = label.Entry{Hub: hubs[i], D: dists[i]}
 		}
 		x.lists[v] = row
-		x.dist[v] = graph.Inf
-		x.tmp[v] = graph.Inf
 	}
 	return x
 }
@@ -146,40 +142,18 @@ func (x *Index) NumEntries() int64 {
 	return total
 }
 
-// neighbors visits all current neighbors of v (base graph + insertions).
-func (x *Index) neighbors(v graph.Vertex, visit func(u graph.Vertex, w graph.Dist)) {
-	ns, ws := x.base.Neighbors(v)
-	for i, u := range ns {
-		visit(u, ws[i])
+// neighbors returns v's current adjacency (base graph + insertions).
+func (x *Index) neighbors(v graph.Vertex) ([]graph.Vertex, []graph.Dist) {
+	if r := x.grown[v]; r.ns != nil {
+		return r.ns, r.ws
 	}
-	for _, e := range x.extra[v] {
-		visit(e.to, e.w)
-	}
+	return x.base.Neighbors(v)
 }
 
 // Query returns the exact current distance between s and t.
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	if s == t {
-		return 0
-	}
-	a, b := x.lists[s], x.lists[t]
-	best := graph.Inf
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-			}
-			i++
-			j++
-		}
-	}
-	return best
+	d, _ := x.QueryWithHub(s, t)
+	return d
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
@@ -189,26 +163,7 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	if s == t {
 		return 0, s
 	}
-	a, b := x.lists[s], x.lists[t]
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best = d
-				hub = a[i].Hub
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
+	return label.MergeEntries(x.lists[s], x.lists[t])
 }
 
 // QueryBatch answers many (s,t) pairs in parallel (threads <= 0 means
@@ -254,22 +209,46 @@ func (x *Index) InsertEdge(u, v graph.Vertex, w graph.Dist) error {
 	if err := x.CheckInsert(u, v, w); err != nil {
 		return err
 	}
-	x.extra[u] = append(x.extra[u], halfEdge{to: v, w: w})
-	x.extra[v] = append(x.extra[v], halfEdge{to: u, w: w})
-
-	// Resume searches from the hubs of both endpoints. Copy the hub
-	// list first: resumed searches mutate x.lists[u].
-	resume := func(endpoint, seed graph.Vertex) {
-		entries := make([]label.Entry, len(x.lists[endpoint]))
-		copy(entries, x.lists[endpoint])
-		for _, e := range entries {
-			x.resumeFrom(e.Hub, seed, graph.AddDist(e.D, w))
-		}
-	}
-	resume(u, v)
-	resume(v, u)
+	x.addHalfEdge(u, v, w)
+	x.addHalfEdge(v, u, w)
+	x.resume(u, v, w)
+	x.resume(v, u, w)
 	return nil
 }
+
+func (x *Index) addHalfEdge(from, to graph.Vertex, w graph.Dist) {
+	r := &x.grown[from]
+	if r.ns == nil {
+		// First insertion at from: copy the base row out of the graph's
+		// shared CSR storage before appending to it.
+		ns, ws := x.base.Neighbors(from)
+		r.ns, r.ws = slices.Clone(ns), slices.Clone(ws)
+	}
+	r.ns, r.ws = append(r.ns, to), append(r.ws, w)
+}
+
+// resume continues, for every hub h of L(endpoint), h's pruned Dijkstra
+// across the new edge: the frontier reopens at seed (the edge's other
+// end) with tentative distance d(h,endpoint)+w, a real path length, and
+// the search installs or tightens exactly the labels the insertion
+// invalidated.
+func (x *Index) resume(endpoint, seed graph.Vertex, w graph.Dist) {
+	// Clone: resumed searches rewrite x.lists[endpoint].
+	for _, e := range slices.Clone(x.lists[endpoint]) {
+		d0 := graph.AddDist(e.D, w)
+		if d0 == graph.Inf {
+			continue
+		}
+		// Fast reject: if the seed's pair with h is already covered this
+		// tightly, nothing downstream can improve either.
+		if pos, ok := x.entryFor(seed, e.Hub); ok && x.lists[seed][pos].D <= d0 {
+			continue
+		}
+		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, x.lists[e.Hub], x.neighbors, x.list, x.install)
+	}
+}
+
+func (x *Index) list(v graph.Vertex) []label.Entry { return x.lists[v] }
 
 // entryFor returns the position of hub h in v's sorted list, or the
 // insertion point with found=false.
@@ -279,76 +258,12 @@ func (x *Index) entryFor(v, h graph.Vertex) (pos int, found bool) {
 	return pos, pos < len(l) && l[pos].Hub == h
 }
 
-// resumeFrom continues hub h's pruned Dijkstra with the frontier seeded
-// at vertex `seed` with tentative distance d0 (a real path length from
-// h through the new edge).
-func (x *Index) resumeFrom(h, seed graph.Vertex, d0 graph.Dist) {
-	if d0 == graph.Inf {
-		return
+// install is the settle hook of a resumed search: add the label e at u,
+// or tighten u's existing entry for the same hub.
+func (x *Index) install(u, _ graph.Vertex, e label.Entry) {
+	if pos, found := x.entryFor(u, e.Hub); found {
+		x.lists[u][pos].D = e.D
+	} else {
+		x.lists[u] = slices.Insert(x.lists[u], pos, e)
 	}
-	// Fast reject: if the seed's pair with h is already covered this
-	// tightly, nothing downstream can improve either.
-	if pos, ok := x.entryFor(seed, h); ok && x.lists[seed][pos].D <= d0 {
-		return
-	}
-	// Scatter L(h) for the prune test.
-	for _, e := range x.lists[h] {
-		if e.D < x.tmp[e.Hub] {
-			x.tmp[e.Hub] = e.D
-		}
-		x.hubs = append(x.hubs, e.Hub)
-	}
-	x.heap.Reset()
-	x.dist[seed] = d0
-	x.touched = append(x.touched, seed)
-	x.heap.Push(seed, d0)
-	for x.heap.Len() > 0 {
-		cur, d := x.heap.Pop()
-		if x.prunedAt(cur, d) {
-			continue
-		}
-		// Install or tighten the label (h, d) at cur.
-		pos, found := x.entryFor(cur, h)
-		if found {
-			x.lists[cur][pos].D = d
-		} else {
-			l := x.lists[cur]
-			l = append(l, label.Entry{})
-			copy(l[pos+1:], l[pos:])
-			l[pos] = label.Entry{Hub: h, D: d}
-			x.lists[cur] = l
-		}
-		x.neighbors(cur, func(nb graph.Vertex, w graph.Dist) {
-			nd := graph.AddDist(d, w)
-			if nd < x.dist[nb] {
-				if x.dist[nb] == graph.Inf {
-					x.touched = append(x.touched, nb)
-				}
-				x.dist[nb] = nd
-				x.heap.Push(nb, nd)
-			}
-		})
-	}
-	for _, t := range x.touched {
-		x.dist[t] = graph.Inf
-	}
-	x.touched = x.touched[:0]
-	for _, hb := range x.hubs {
-		x.tmp[hb] = graph.Inf
-	}
-	x.hubs = x.hubs[:0]
-}
-
-// prunedAt reports whether the pair (h, cur) at distance d is already
-// covered at least as well by the current labels (including cur's own
-// entry for h).
-func (x *Index) prunedAt(cur graph.Vertex, d graph.Dist) bool {
-	for _, e := range x.lists[cur] {
-		if t := x.tmp[e.Hub]; t != graph.Inf {
-			if graph.AddDist(t, e.D) <= d {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"parapll/internal/gen"
@@ -109,6 +110,26 @@ func TestConnectComponents(t *testing.T) {
 	if d := x.Query(0, 5); d != 2+3+7+4+5 {
 		t.Fatalf("bridged distance = %d, want 21", d)
 	}
+}
+
+// TestInsertDoesNotWriteBaseGraph: a vertex's first insertion appends to
+// a copy of its base adjacency row. An isolated vertex is the sharp case:
+// its empty row still points into the graph's shared storage, where an
+// in-place append would overwrite a neighbor of the next vertex.
+func TestInsertDoesNotWriteBaseGraph(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{U: 1, V: 2, W: 3}, {U: 2, V: 3, W: 4}})
+	before := g.Edges()
+	x := Build(g, pll.Options{})
+	inserts := []graph.Edge{{U: 0, V: 3, W: 1}, {U: 0, V: 1, W: 9}, {U: 2, V: 0, W: 2}}
+	for _, e := range inserts {
+		if err := x.InsertEdge(e.U, e.V, e.W); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(g.Edges(), before) {
+		t.Fatalf("base graph changed under inserts: %v, was %v", g.Edges(), before)
+	}
+	checkAllPairs(t, graph.FromEdges(4, append(before, inserts...)), x)
 }
 
 func TestParallelEdgeInsertions(t *testing.T) {

@@ -78,7 +78,7 @@ func (x *Index) QueryExplain(s, t graph.Vertex) Explain {
 
 	ah, ad := x.hubs[slo:shi], x.dists[slo:shi]
 	bh, bd := x.hubs[tlo:thi], x.dists[tlo:thi]
-	// Mirror of mergeRuns' dispatch: shorter run first, then empty /
+	// Mirror of MergeRuns' dispatch: shorter run first, then empty /
 	// gallop / linear.
 	if len(ah) > len(bh) {
 		ah, bh = bh, ah

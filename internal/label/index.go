@@ -83,24 +83,31 @@ func NewIndex(s *Store) *Index {
 func NewIndexFromLists(lists [][]Entry) *Index {
 	sorted := make([][]Entry, len(lists))
 	for v, l := range lists {
-		list := make([]Entry, len(l))
-		copy(list, l)
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Hub != list[j].Hub {
-				return list[i].Hub < list[j].Hub
-			}
-			return list[i].D < list[j].D
-		})
-		out := list[:0]
-		for _, e := range list {
-			if len(out) > 0 && out[len(out)-1].Hub == e.Hub {
-				continue
-			}
-			out = append(out, e)
-		}
-		sorted[v] = out
+		sorted[v] = SortDedupe(l)
 	}
 	return fromLists(sorted)
+}
+
+// SortDedupe returns a copy of one label list sorted by hub with
+// duplicate hubs collapsed to their minimum distance — the strictly
+// hub-increasing form every merge kernel requires.
+func SortDedupe(l []Entry) []Entry {
+	list := make([]Entry, len(l))
+	copy(list, l)
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].Hub != list[j].Hub {
+			return list[i].Hub < list[j].Hub
+		}
+		return list[i].D < list[j].D
+	})
+	out := list[:0]
+	for _, e := range list {
+		if len(out) > 0 && out[len(out)-1].Hub == e.Hub {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 func fromLists(lists [][]Entry) *Index {
@@ -220,7 +227,7 @@ func (x *Index) queryNoPin(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	slo, shi := x.off[s], x.off[s+1]
 	//parapll:vet-ignore mmapkeepalive the caller pins x right after the call (QueryWithHub)
 	tlo, thi := x.off[t], x.off[t+1]
-	return mergeRuns(x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi])
+	return MergeRuns(x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi])
 }
 
 // Query returns the shortest-path distance between s and t, or graph.Inf

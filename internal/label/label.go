@@ -24,6 +24,32 @@ type Entry struct {
 	D   graph.Dist
 }
 
+// MergeEntries is the QUERY minimum for array-of-structs label lists (the
+// mutable dynamic lists, the directed in/out lists): the smallest
+// a[i].D + b[j].D over common hubs of two strictly hub-increasing lists
+// and the hub achieving it, (graph.Inf, -1) when they share none. The
+// flat Index serves the same query from its struct-of-arrays runs through
+// MergeRuns.
+func MergeEntries(a, b []Entry) (graph.Dist, graph.Vertex) {
+	best, hub := graph.Inf, graph.Vertex(-1)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].Hub < b[j].Hub:
+			i++
+		case a[i].Hub > b[j].Hub:
+			j++
+		default:
+			if d := graph.AddDist(a[i].D, b[j].D); d < best {
+				best, hub = d, a[i].Hub
+			}
+			i++
+			j++
+		}
+	}
+	return best, hub
+}
+
 // slab is an immutable snapshot of one vertex's label list. The backing
 // array is shared across snapshots: an append writes the next array slot
 // (never touched by any published snapshot) and publishes a longer header.

@@ -28,14 +28,14 @@ import (
 // that pass mapping-aliased runs keep the owner reachable across the
 // call (Query pins per call, QueryBatch pins once per chunk).
 
-// gallopRatio is the length asymmetry at which mergeRuns switches from
+// gallopRatio is the length asymmetry at which MergeRuns switches from
 // the linear walk to galloping probes over the longer run. 8 is the
 // conventional crossover (TimSort uses 7): below it the probe's branch
 // mispredictions cost more than the skipped comparisons save.
 const gallopRatio = 8
 
 // queryDistAt is the distance-only kernel behind Query and QueryBatch —
-// the overwhelmingly common call shape. It duplicates mergeRuns'
+// the overwhelmingly common call shape. It duplicates MergeRuns'
 // dispatch and loops minus the meeting-hub bookkeeping: dropping the
 // hub store and the second return value is worth measurable
 // nanoseconds on a loop this hot (QueryWithHub keeps the tracking
@@ -135,11 +135,11 @@ func gallopDist(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []grap
 	return best
 }
 
-// mergeRuns returns the minimum distance over common hubs of the two
+// MergeRuns returns the minimum distance over common hubs of the two
 // runs and the hub achieving it (graph.Inf, -1 when the runs intersect
 // nowhere). Both runs must be strictly increasing in hub id — the
 // Index invariant established by NewIndexFromLists and the readers.
-func mergeRuns(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) (graph.Dist, graph.Vertex) {
+func MergeRuns(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) (graph.Dist, graph.Vertex) {
 	// Intersection is symmetric: put the shorter run first so the
 	// gallop always iterates the short side.
 	if len(ah) > len(bh) {

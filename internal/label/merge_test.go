@@ -8,7 +8,7 @@ import (
 	"parapll/internal/graph"
 )
 
-// refMerge is the obviously-correct reference for mergeRuns: intersect
+// refMerge is the obviously-correct reference for MergeRuns: intersect
 // via a map, scan the (sorted) b run so ties resolve to the smallest
 // hub, exactly as the kernel's strict < update does.
 func refMerge(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) (graph.Dist, graph.Vertex) {
@@ -54,7 +54,7 @@ func randRun(r *rand.Rand, n, hubSpace int) ([]graph.Vertex, []graph.Dist) {
 
 // runIndex packs two label runs into a 2-vertex index so tests can
 // drive the offset-addressed distance kernel (queryDistAt, via Query)
-// with the same arbitrary runs they feed mergeRuns.
+// with the same arbitrary runs they feed MergeRuns.
 func runIndex(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) *Index {
 	la := make([]Entry, len(ah))
 	for i := range ah {
@@ -76,16 +76,16 @@ func TestMergeRunsMatchesReference(t *testing.T) {
 		{10, 79},  // just under the gallop ratio: linear
 		{10, 80},  // exactly at the ratio: gallop
 		{64, 64},  // symmetric linear
-		{200, 31}, // longer run first: mergeRuns must swap
+		{200, 31}, // longer run first: MergeRuns must swap
 	}
 	for _, sz := range sizes {
 		for trial := 0; trial < 50; trial++ {
 			ah, ad := randRun(r, sz[0], 400)
 			bh, bd := randRun(r, sz[1], 400)
 			wantD, wantH := refMerge(ah, ad, bh, bd)
-			gotD, gotH := mergeRuns(ah, ad, bh, bd)
+			gotD, gotH := MergeRuns(ah, ad, bh, bd)
 			if gotD != wantD || gotH != wantH {
-				t.Fatalf("sizes %v trial %d: mergeRuns = (%d,%d), want (%d,%d)\nah=%v\nbh=%v",
+				t.Fatalf("sizes %v trial %d: MergeRuns = (%d,%d), want (%d,%d)\nah=%v\nbh=%v",
 					sz, trial, gotD, gotH, wantD, wantH, ah, bh)
 			}
 			// The distance-only kernel must agree with the tracking one.
@@ -104,7 +104,7 @@ func TestMergeRunsEqualStretch(t *testing.T) {
 	hubs, ad := randRun(r, 128, 128)
 	_, bd := randRun(r, 128, 128)
 	wantD, wantH := refMerge(hubs, ad, hubs, bd)
-	gotD, gotH := mergeRuns(hubs, ad, hubs, bd)
+	gotD, gotH := MergeRuns(hubs, ad, hubs, bd)
 	if gotD != wantD || gotH != wantH {
 		t.Fatalf("equal runs: got (%d,%d), want (%d,%d)", gotD, gotH, wantD, wantH)
 	}
@@ -116,7 +116,7 @@ func TestMergeRunsSaturation(t *testing.T) {
 	ad := []graph.Dist{graph.Inf - 1, 5}
 	bh := []graph.Vertex{1, 3}
 	bd := []graph.Dist{graph.Inf - 1, 5}
-	d, h := mergeRuns(ah, ad, bh, bd)
+	d, h := MergeRuns(ah, ad, bh, bd)
 	if d != graph.Inf || h != -1 {
 		t.Fatalf("saturating merge = (%d,%d), want (Inf,-1)", d, h)
 	}
@@ -129,7 +129,7 @@ func TestMergeRunsDisjoint(t *testing.T) {
 	ah := []graph.Vertex{0, 2, 4}
 	bh := []graph.Vertex{1, 3, 5}
 	ds := []graph.Dist{1, 1, 1}
-	if d, h := mergeRuns(ah, ds, bh, ds); d != graph.Inf || h != -1 {
+	if d, h := MergeRuns(ah, ds, bh, ds); d != graph.Inf || h != -1 {
 		t.Fatalf("disjoint merge = (%d,%d), want (Inf,-1)", d, h)
 	}
 }

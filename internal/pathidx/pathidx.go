@@ -13,15 +13,12 @@
 package pathidx
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"parapll/internal/core"
 	"parapll/internal/graph"
-	"parapll/internal/task"
-	"parapll/internal/vheap"
+	"parapll/internal/label"
+	"parapll/internal/pll"
 )
 
 // Entry is one path-augmented 2-hop label.
@@ -49,194 +46,45 @@ type Index struct {
 	parents []graph.Vertex
 }
 
-// pstore is the concurrent label store for path entries: the same
-// published-length design as label.Store (lock-free reads, per-vertex
-// mutex-guarded appends), specialized to the wider Entry.
-type pstore struct {
-	labels []atomic.Pointer[pslab]
-	mu     []sync.Mutex
-}
-
-type pslab struct{ entries []Entry }
-
-func newPStore(n int) *pstore {
-	s := &pstore{
-		labels: make([]atomic.Pointer[pslab], n),
-		mu:     make([]sync.Mutex, n),
-	}
-	empty := &pslab{}
-	for i := range s.labels {
-		s.labels[i].Store(empty)
-	}
-	return s
-}
-
-func (s *pstore) snapshot(v graph.Vertex) []Entry { return s.labels[v].Load().entries }
-
-func (s *pstore) append(v graph.Vertex, e Entry) {
-	s.mu[v].Lock()
-	old := s.labels[v].Load().entries
-	var next []Entry
-	if cap(old) > len(old) {
-		next = old[:len(old)+1]
-		next[len(old)] = e
-	} else {
-		next = make([]Entry, len(old)+1, 2*len(old)+4)
-		copy(next, old)
-		next[len(old)] = e
-	}
-	s.labels[v].Store(&pslab{entries: next})
-	s.mu[v].Unlock()
-}
-
 // Build constructs a path-augmented index (parallel, like core.Build).
+// Distances go to a label.Store exactly as in core; predecessors go to a
+// second store of the same shape whose entry (h, p) in row u means "u's
+// predecessor on the path from hub h is vertex p" — the D field carries
+// a vertex id there. Each (u, h) pair is settled by exactly one search,
+// so after hub-sorting the two rows of u line up entry for entry.
 func Build(g *graph.Graph, opt Options) *Index {
 	n := g.NumVertices()
 	ord := opt.Order
 	if ord == nil {
 		ord = graph.DegreeOrder(g)
-	} else if len(ord) != n {
-		panic("pathidx: Order must be a permutation of the vertices")
 	}
-	threads := opt.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
+	dists, parents := label.NewStore(n), label.NewStore(n)
+	settle := func(u, pred graph.Vertex, e label.Entry) {
+		dists.Append(u, e.Hub, e.D)
+		parents.Append(u, e.Hub, graph.Dist(pred))
 	}
-	var mgr task.Manager
-	if opt.Policy == core.Dynamic {
-		mgr = task.NewDynamic(ord, threads, 1)
-	} else {
-		mgr = task.NewStatic(ord, threads)
-	}
-	store := newPStore(n)
-	var wg sync.WaitGroup
-	for w := 0; w < threads; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ps := newSearcher(g)
-			for {
-				r, _, ok := mgr.Next(w)
-				if !ok {
-					return
-				}
-				ps.run(r, store)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return finalize(store, n)
-}
+	core.RunRoots(n, ord, opt.Threads, opt.Policy, func(int) func(graph.Vertex) {
+		ps := pll.NewSearcher(n, false)
+		return func(r graph.Vertex) {
+			ps.Run(pll.Seed{Hub: r, Start: r}, dists.Snapshot(r), g.Neighbors, dists.Snapshot, settle)
+		}
+	})
 
-// searcher is the per-worker pruned Dijkstra with parent tracking.
-type searcher struct {
-	g       *graph.Graph
-	dist    []graph.Dist
-	parent  []graph.Vertex
-	tmp     []graph.Dist
-	touched []graph.Vertex
-	hubs    []graph.Vertex
-	heap    *vheap.Indexed
-}
-
-func newSearcher(g *graph.Graph) *searcher {
-	n := g.NumVertices()
-	ps := &searcher{
-		g:      g,
-		dist:   make([]graph.Dist, n),
-		parent: make([]graph.Vertex, n),
-		tmp:    make([]graph.Dist, n),
-		heap:   vheap.NewIndexed(n),
+	total := dists.TotalEntries()
+	x := &Index{
+		off:     make([]int64, 1, n+1),
+		hubs:    make([]graph.Vertex, 0, total),
+		dists:   make([]graph.Dist, 0, total),
+		parents: make([]graph.Vertex, 0, total),
 	}
-	for i := 0; i < n; i++ {
-		ps.dist[i] = graph.Inf
-		ps.tmp[i] = graph.Inf
-	}
-	return ps
-}
-
-func (ps *searcher) run(r graph.Vertex, store *pstore) {
-	for _, e := range store.snapshot(r) {
-		if e.D < ps.tmp[e.Hub] {
-			ps.tmp[e.Hub] = e.D
+	for v := graph.Vertex(0); int(v) < n; v++ {
+		par := label.SortDedupe(parents.Snapshot(v))
+		for i, e := range label.SortDedupe(dists.Snapshot(v)) {
+			x.hubs = append(x.hubs, e.Hub)
+			x.dists = append(x.dists, e.D)
+			x.parents = append(x.parents, graph.Vertex(par[i].D))
 		}
-		ps.hubs = append(ps.hubs, e.Hub)
-	}
-	ps.dist[r] = 0
-	ps.parent[r] = r
-	ps.touched = append(ps.touched, r)
-	ps.heap.Reset()
-	ps.heap.Push(r, 0)
-	for ps.heap.Len() > 0 {
-		u, d := ps.heap.Pop()
-		covered := false
-		for _, e := range store.snapshot(u) {
-			if t := ps.tmp[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
-				covered = true
-				break
-			}
-		}
-		if covered {
-			continue
-		}
-		store.append(u, Entry{Hub: r, D: d, Parent: ps.parent[u]})
-		ns, ws := ps.g.Neighbors(u)
-		for i, v := range ns {
-			nd := graph.AddDist(d, ws[i])
-			if nd < ps.dist[v] {
-				if ps.dist[v] == graph.Inf {
-					ps.touched = append(ps.touched, v)
-				}
-				ps.dist[v] = nd
-				ps.parent[v] = u
-				ps.heap.Push(v, nd)
-			}
-		}
-	}
-	for _, v := range ps.touched {
-		ps.dist[v] = graph.Inf
-	}
-	ps.touched = ps.touched[:0]
-	for _, h := range ps.hubs {
-		ps.tmp[h] = graph.Inf
-	}
-	ps.hubs = ps.hubs[:0]
-}
-
-func finalize(store *pstore, n int) *Index {
-	x := &Index{off: make([]int64, n+1)}
-	lists := make([][]Entry, n)
-	total := 0
-	for v := 0; v < n; v++ {
-		snap := store.snapshot(graph.Vertex(v))
-		list := make([]Entry, len(snap))
-		copy(list, snap)
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Hub != list[j].Hub {
-				return list[i].Hub < list[j].Hub
-			}
-			return list[i].D < list[j].D
-		})
-		out := list[:0]
-		for _, e := range list {
-			if len(out) > 0 && out[len(out)-1].Hub == e.Hub {
-				continue
-			}
-			out = append(out, e)
-		}
-		lists[v] = out
-		total += len(out)
-		x.off[v+1] = int64(total)
-	}
-	x.hubs = make([]graph.Vertex, total)
-	x.dists = make([]graph.Dist, total)
-	x.parents = make([]graph.Vertex, total)
-	pos := 0
-	for _, l := range lists {
-		for _, e := range l {
-			x.hubs[pos], x.dists[pos], x.parents[pos] = e.Hub, e.D, e.Parent
-			pos++
-		}
+		x.off = append(x.off, int64(len(x.hubs)))
 	}
 	return x
 }
@@ -266,42 +114,20 @@ func (x *Index) entryFor(v, hub graph.Vertex) (Entry, bool) {
 // Query returns the exact distance between s and t (graph.Inf if
 // disconnected).
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	d, _ := x.queryHub(s, t)
+	d, _ := x.QueryWithHub(s, t)
 	return d
-}
-
-func (x *Index) queryHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	if s == t {
-		return 0, s
-	}
-	sh, sd := x.label(s)
-	th, td := x.label(t)
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(sh) && j < len(th) {
-		switch {
-		case sh[i] < th[j]:
-			i++
-		case sh[i] > th[j]:
-			j++
-		default:
-			if d := graph.AddDist(sd[i], td[j]); d < best {
-				best = d
-				hub = sh[i]
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
 // minimum; hub is -1 for disconnected pairs, and (0, s) is returned
 // for s == t.
 func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	return x.queryHub(s, t)
+	if s == t {
+		return 0, s
+	}
+	sh, sd := x.label(s)
+	th, td := x.label(t)
+	return label.MergeRuns(sh, sd, th, td)
 }
 
 // QueryBatch answers many (s,t) pairs in parallel (threads <= 0 means
@@ -318,7 +144,7 @@ func (x *Index) Path(s, t graph.Vertex) ([]graph.Vertex, graph.Dist) {
 	if s == t {
 		return []graph.Vertex{s}, 0
 	}
-	d, hub := x.queryHub(s, t)
+	d, hub := x.QueryWithHub(s, t)
 	if hub < 0 {
 		return nil, graph.Inf
 	}

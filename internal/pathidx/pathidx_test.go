@@ -129,13 +129,21 @@ func TestEntryFor(t *testing.T) {
 }
 
 func TestBadOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g := graph.FromEdges(3, nil)
-	Build(g, Options{Order: []graph.Vertex{0}})
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
+	for name, ord := range map[string][]graph.Vertex{
+		"short":        {0},
+		"duplicate":    {0, 0, 1}, // would silently drop root 2 and answer Inf
+		"out-of-range": {0, 1, 3},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Build accepted corrupt order %v", name, ord)
+				}
+			}()
+			Build(g, Options{Order: ord})
+		}()
+	}
 }
 
 func TestIndexCounters(t *testing.T) {

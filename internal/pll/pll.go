@@ -74,10 +74,11 @@ func Build(g *graph.Graph, opt Options) *label.Index {
 	}
 
 	labels := make([][]label.Entry, n)
-	ps := NewSearcher(g, opt.LazyHeap)
+	ps := NewSearcher(n, opt.LazyHeap)
+	get := func(u graph.Vertex) []label.Entry { return labels[u] }
+	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	for k, r := range ord {
-		added, pruned := ps.Run(r, func(u graph.Vertex) []label.Entry { return labels[u] },
-			func(u graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) })
+		added, pruned := ps.Run(Seed{Hub: r, Start: r}, labels[r], g.Neighbors, get, add)
 		if opt.Trace != nil {
 			opt.Trace.AddedPerRoot[k] = added
 			opt.Trace.PrunedPerRoot[k] = pruned
@@ -87,18 +88,30 @@ func Build(g *graph.Graph, opt Options) *label.Index {
 	return label.NewIndexFromLists(labels)
 }
 
-// Searcher holds the reusable per-search scratch state for Pruned
-// Dijkstra: a tentative-distance array with a touched list (reset in time
-// proportional to the search, not n), the root's hub-distance scatter
-// array for O(|L(u)|) prune queries, and the priority queue.
+// Seed says where one pruned search starts: the frontier opens at Start
+// with tentative distance D0 from Hub. A full Pruned Dijkstra from root r
+// is Seed{Hub: r, Start: r}; the dynamic index resumes hub h's search
+// across a new edge {u,v} with Seed{h, v, d(h,u)+w}.
+type Seed struct {
+	Hub, Start graph.Vertex
+	D0         graph.Dist
+}
+
+// Searcher is the repository's one Pruned Dijkstra (paper Algorithm 1's
+// inner loop). It owns only the reusable per-search scratch: a
+// tentative-distance and predecessor array with a touched list (reset in
+// time proportional to the search, not n), the hub's distance scatter
+// array for O(|L(u)|) prune queries, and the priority queue. What is
+// searched arrives per Run as closures, so one scratch serves any
+// adjacency (undirected, forward/backward arcs, a growing overlay) and
+// any label representation; see DESIGN.md "Pruned search kernel".
 //
-// A Searcher is not safe for concurrent use; parallel indexers (the
-// ParaPLL core and cluster packages) give each worker its own Searcher
-// over a shared label store.
+// A Searcher is not safe for concurrent use; parallel indexers give each
+// worker its own Searcher over a shared label store.
 type Searcher struct {
-	g       *graph.Graph
 	dist    []graph.Dist
-	tmp     []graph.Dist // tmp[h] = dist from current root to hub h, via L(root)
+	pred    []graph.Vertex // pred[v] = vertex whose relaxation set dist[v]
+	tmp     []graph.Dist   // tmp[h] = dist from the seed's hub to hub h, via its labels
 	touched []graph.Vertex
 	hubs    []graph.Vertex // hubs scattered into tmp, for reset
 	heap    *vheap.Indexed
@@ -112,11 +125,13 @@ type Searcher struct {
 // Run. Used for projected-speedup accounting.
 func (ps *Searcher) LastWork() int64 { return ps.work }
 
-func NewSearcher(g *graph.Graph, useLazy bool) *Searcher {
-	n := g.NumVertices()
+// NewSearcher returns scratch for searches over vertices [0,n). useLazy
+// swaps the indexed 4-ary heap for the lazy-deletion binary heap
+// (ablation).
+func NewSearcher(n int, useLazy bool) *Searcher {
 	ps := &Searcher{
-		g:       g,
 		dist:    make([]graph.Dist, n),
+		pred:    make([]graph.Vertex, n),
 		tmp:     make([]graph.Dist, n),
 		useLazy: useLazy,
 	}
@@ -132,35 +147,45 @@ func NewSearcher(g *graph.Graph, useLazy bool) *Searcher {
 	return ps
 }
 
-// Run executes one Pruned Dijkstra from root r. getLabel fetches the
-// current label list of a vertex (a snapshot is fine: seeing fewer labels
-// only weakens pruning, never correctness — Proposition 1); addLabel
-// appends a new entry (r, d) to it. It returns how many labels were added
-// and how many settled vertices were pruned.
+// Run executes one pruned search from seed and returns how many vertices
+// it settled and how many popped vertices it pruned.
+//
+//   - hubLabels is the hub-side half of the prune query, L(seed.Hub); it
+//     is read once, before the first pop.
+//   - adj returns a vertex's neighbor and weight rows (not retained).
+//   - getLabel returns the vertex-side half of the prune query for a
+//     popped vertex. A stale snapshot is fine: seeing fewer labels only
+//     weakens pruning, never correctness (Proposition 1).
+//   - settle commits the label (seed.Hub, d) at a popped vertex u the
+//     cover does not already answer; pred is the vertex u was reached
+//     from (u itself at seed.Start). settle runs before u is expanded
+//     and may rewrite u's label list.
 func (ps *Searcher) Run(
-	r graph.Vertex,
+	seed Seed,
+	hubLabels []label.Entry,
+	adj func(graph.Vertex) ([]graph.Vertex, []graph.Dist),
 	getLabel func(graph.Vertex) []label.Entry,
-	addLabel func(graph.Vertex, label.Entry),
+	settle func(u, pred graph.Vertex, e label.Entry),
 ) (added, pruned int64) {
 	ps.work = 0
-	// Scatter the root's current labels: tmp[h] = d(h, r). Every prune
-	// query below is then one scan of L(u).
-	rootLabels := getLabel(r)
-	for _, e := range rootLabels {
+	// Scatter the hub's labels: tmp[h] = d(h, hub). Every prune query
+	// below is then one scan of L(u).
+	for _, e := range hubLabels {
 		if e.D < ps.tmp[e.Hub] {
 			ps.tmp[e.Hub] = e.D
 		}
 		ps.hubs = append(ps.hubs, e.Hub)
 	}
 
-	ps.dist[r] = 0
-	ps.touched = append(ps.touched, r)
+	ps.dist[seed.Start] = seed.D0
+	ps.pred[seed.Start] = seed.Start
+	ps.touched = append(ps.touched, seed.Start)
 	if ps.useLazy {
 		ps.lazy.Reset()
-		ps.lazy.Push(r, 0)
+		ps.lazy.Push(seed.Start, seed.D0)
 	} else {
 		ps.heap.Reset()
-		ps.heap.Push(r, 0)
+		ps.heap.Push(seed.Start, seed.D0)
 	}
 
 	for {
@@ -183,17 +208,17 @@ func (ps *Searcher) Run(
 
 		ps.work++ // settled pop
 
-		// Prune test: QUERY(r, u) over existing labels ≤ D[u]?
+		// Prune test: QUERY(hub, u) over existing labels ≤ D[u]?
 		lbl := getLabel(u)
 		ps.work += int64(len(lbl))
 		if CoveredBy(lbl, ps.tmp, d) {
 			pruned++
 			continue
 		}
-		addLabel(u, label.Entry{Hub: r, D: d})
+		settle(u, ps.pred[u], label.Entry{Hub: seed.Hub, D: d})
 		added++
 
-		ns, ws := ps.g.Neighbors(u)
+		ns, ws := adj(u)
 		ps.work += int64(len(ns))
 		for i, v := range ns {
 			nd := graph.AddDist(d, ws[i])
@@ -202,6 +227,7 @@ func (ps *Searcher) Run(
 					ps.touched = append(ps.touched, v)
 				}
 				ps.dist[v] = nd
+				ps.pred[v] = u
 				if ps.useLazy {
 					ps.lazy.Push(v, nd)
 				} else {
@@ -227,7 +253,7 @@ func (ps *Searcher) Run(
 // i.e. the 2-hop cover already answers the pair at least as well. tmp is
 // the querying root's hub-distance scatter array (tmp[h] = d(root, h),
 // graph.Inf when h is not one of the root's hubs). This is the PLL prune
-// test shared by the per-root searcher and core's batched engine.
+// test shared by the Searcher and core's batched engine.
 func CoveredBy(labels []label.Entry, tmp []graph.Dist, d graph.Dist) bool {
 	for _, e := range labels {
 		if t := tmp[e.Hub]; t != graph.Inf {

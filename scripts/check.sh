@@ -81,7 +81,14 @@ cross_failed=0
 for target in darwin/arm64 windows/amd64 linux/arm64; do
     os=${target%/*}
     arch=${target#*/}
-    if GOOS="$os" GOARCH="$arch" go build ./... ; then
+    pkgs=./...
+    if [ "$os" = windows ]; then
+        # The repository benchmark drives real processes through unix
+        # process groups, signals and rusage; it has no windows build.
+        pkgs=$(go list ./... | grep -v '^parapll/benchmark$')
+    fi
+    # shellcheck disable=SC2086 # pkgs is a word list
+    if GOOS="$os" GOARCH="$arch" go build $pkgs ; then
         echo "   $target: ok"
     else
         echo "   $target: FAILED" >&2
@@ -136,6 +143,14 @@ fi
 echo "== build-engine smoke (cross-engine equivalence at tiny scale)"
 SCALE=0.02 DATASETS=Wiki-Vote OUT="$tracedir/BENCH_build_smoke.json" \
     scripts/bench_build.sh >/dev/null
+
+# Repository-benchmark smoke: BENCHMARK.json's four workloads (build,
+# serve_point, serve_batch, living_mixed) through the real binaries at
+# scale 0.05. The benchmark refuses to report on a wrong answer, an
+# abnormal child exit or a leftover process, so this is an end-to-end
+# correctness gate, not a timing one. Writes only under .bench_build/.
+echo "== benchmark smoke (benchmark/run.sh -smoke: four workloads, answers checked)"
+bash benchmark/run.sh -smoke
 
 # Opt-in: full build-engine benchmark (writes BENCH_build.json); enable
 # with BUILD_BENCH=1 scripts/check.sh
