@@ -183,9 +183,9 @@ func TestSyncFrameRejectsInfDistance(t *testing.T) {
 	for _, d := range []uint64{uint64(graph.Inf), uint64(graph.Inf) + 1, 1 << 40} {
 		frame := []byte{syncFormatVersion, 0, 0, 0} // zero trace words
 		frame = binary.AppendUvarint(frame, 1)      // one update
-		frame = binary.AppendUvarint(frame, 3) // v = 3
-		frame = binary.AppendUvarint(frame, 1) // one entry
-		frame = binary.AppendUvarint(frame, 2) // hub = 2
+		frame = binary.AppendUvarint(frame, 3)      // v = 3
+		frame = binary.AppendUvarint(frame, 1)      // one entry
+		frame = binary.AppendUvarint(frame, 2)      // hub = 2
 		frame = binary.AppendUvarint(frame, d)
 		if _, _, err := decodeFrame(frame, 10); err == nil {
 			t.Errorf("d=%d accepted", d)

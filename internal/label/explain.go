@@ -33,7 +33,7 @@ import (
 type Explain struct {
 	S         graph.Vertex `json:"s"`
 	T         graph.Vertex `json:"t"`
-	Dist      graph.Dist   `json:"-"` // graph.Inf when unreachable; wire encodings re-encode it
+	Dist      graph.Dist   `json:"-"`           // graph.Inf when unreachable; wire encodings re-encode it
 	Hub       graph.Vertex `json:"meeting_hub"` // -1 when disconnected
 	Reachable bool         `json:"reachable"`
 

@@ -6,7 +6,9 @@
 // Endpoints:
 //
 //	GET  /query?s=A&t=B   → {"s":A,"t":B,"dist":D,"reachable":true}
-//	POST /batch           ← {"pairs":[[s,t],...]}
+//	POST /batch           ← {"pairs":[[s,t],...]} and nothing else: one
+//	                        member, pairs of two non-negative integers,
+//	                        at most 100 000 of them in at most 8 MiB
 //	                      → {"dists":[...]} (-1 encodes unreachable)
 //	GET  /path?s=A&t=B    → {"path":[...],"dist":D} (404 if no path index)
 //	GET  /knn?s=A&k=N     → k closest vertices with exact distances
@@ -27,6 +29,10 @@
 // Every endpoint enforces its method (405 otherwise) and is wrapped in
 // the same instrumentation middleware, so /metrics always reflects the
 // full request stream, including rejected requests.
+//
+// /query and /batch are decoded and encoded by the codec in wire.go, not
+// by reflection; every other endpoint and every error reply goes through
+// encoding/json (DESIGN.md "Request path").
 //
 // # Snapshot model
 //
@@ -531,6 +537,11 @@ type statusWriter struct {
 	cache  int8 // cacheNone / cacheMiss / cacheHit
 }
 
+// statusWriters recycles the middleware's wrapper: a handler is done
+// with its ResponseWriter when it returns, so the next request can have
+// the same one.
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
+
 // noteCache annotates the in-flight request's slow-log entry with the
 // distance-cache outcome. w is the middleware's statusWriter on the
 // serving path; anything else (a bare ResponseWriter in a unit test) is
@@ -570,8 +581,8 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		s.inflight.Inc()
-		defer s.inflight.Dec()
-		sw := &statusWriter{ResponseWriter: w}
+		sw := statusWriters.Get().(*statusWriter)
+		*sw = statusWriter{ResponseWriter: w}
 		start := time.Now()
 		if r.Method != method {
 			writeErr(sw, http.StatusMethodNotAllowed, fmt.Errorf("%s only", method))
@@ -579,20 +590,23 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 			s.invoke(h, sw, r, spanName)
 		}
 		elapsed := time.Since(start)
+		s.inflight.Dec() // not deferred: invoke lets no handler panic through
 		latency.Observe(elapsed.Microseconds())
 		if windowed {
 			if qw := s.queryWindow.Load(); qw != nil {
 				qw.Observe(elapsed.Microseconds())
 			}
 		}
-		if sw.status >= 400 {
+		status, gen, cache := sw.status, sw.gen, sw.cache
+		sw.ResponseWriter = nil
+		statusWriters.Put(sw)
+		if status >= 400 {
 			errorsC.Inc()
 		}
-		status := sw.status
 		if status == 0 {
 			status = http.StatusOK // handler wrote the body without WriteHeader
 		}
-		s.slow.Observe(r.Method, path, r.URL.RawQuery, status, sw.gen, sw.cache, start, elapsed)
+		s.slow.Observe(r.Method, path, r.URL.RawQuery, status, gen, cache, start, elapsed)
 		if tr := s.tracer.Load(); tr.Sample() {
 			lane := trace.TIDRequestBase + int(s.traceLane.Add(1)%requestLanes)
 			id := tr.Intern(spanName, "status")
@@ -643,7 +657,7 @@ func (s *Server) handleSnap(path, method string, h func(sn *snapshot, w http.Res
 }
 
 func vertexParam(sn *snapshot, r *http.Request, name string) (graph.Vertex, error) {
-	raw := r.URL.Query().Get(name)
+	raw := queryParam(r.URL.RawQuery, name)
 	if raw == "" {
 		return 0, fmt.Errorf("missing parameter %q", name)
 	}
@@ -658,7 +672,7 @@ func vertexParam(sn *snapshot, r *http.Request, name string) (graph.Vertex, erro
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
@@ -667,14 +681,7 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// queryResponse is the /query reply.
-type queryResponse struct {
-	S         graph.Vertex `json:"s"`
-	T         graph.Vertex `json:"t"`
-	Dist      int64        `json:"dist"` // -1 when unreachable
-	Reachable bool         `json:"reachable"`
-}
-
+// encodeDist is a distance as the wire carries it: -1 when unreachable.
 func encodeDist(d graph.Dist) int64 {
 	if d == graph.Inf {
 		return -1
@@ -703,58 +710,46 @@ func (s *Server) handleQuery(sn *snapshot, w http.ResponseWriter, r *http.Reques
 	} else {
 		d = sn.ora.Query(src, dst)
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		S: src, T: dst, Dist: encodeDist(d), Reachable: d != graph.Inf,
-	})
-}
-
-// batchRequest / batchResponse are the /batch wire types.
-type batchRequest struct {
-	Pairs [][2]graph.Vertex `json:"pairs"`
-}
-type batchResponse struct {
-	Dists []int64 `json:"dists"`
+	b := getWireBuf()
+	b.out = appendQueryReply(b.out[:0], src, dst, d)
+	writeReply(w, b.out)
+	putWireBuf(b)
 }
 
 const (
 	maxBatch = 100000
-	// maxBatchBytes bounds the /batch request body before JSON decoding
-	// starts: a maxBatch-pair payload of maximal vertex ids is ~2 MiB, so
-	// 8 MiB leaves headroom without letting a client stream gigabytes
-	// into the decoder.
+	// maxBatchBytes bounds the /batch request body: a maxBatch-pair
+	// payload of maximal vertex ids is ~2 MiB, so 8 MiB leaves headroom
+	// without letting a client stream gigabytes into the decoder.
 	maxBatchBytes = 8 << 20
 )
 
+// handleBatch serves POST /batch: {"pairs":[[s,t],...]} in, {"dists":[...]}
+// out in the same order, -1 for unreachable (see pairDecoder for exactly
+// which bodies are accepted).
 func (s *Server) handleBatch(sn *snapshot, w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBytes)
-	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	b := getWireBuf()
+	defer putWireBuf(b)
+	pairs, err := b.decodePairs(http.MaxBytesReader(w, r.Body, maxBatchBytes), maxBatch)
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeErr(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", maxBatchBytes))
 			return
 		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %v", err))
-		return
-	}
-	if len(req.Pairs) > maxBatch {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(req.Pairs), maxBatch))
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	n := sn.ora.NumVertices()
-	for i, p := range req.Pairs {
-		if int(p[0]) < 0 || int(p[0]) >= n || int(p[1]) < 0 || int(p[1]) >= n {
+	for i, p := range pairs {
+		if int(p[0]) >= n || int(p[1]) >= n { // the decoder admits no negative id
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("pair %d out of range", i))
 			return
 		}
 	}
-	dists := sn.ora.QueryBatch(req.Pairs, int(s.batchThreads.Load()))
-	out := batchResponse{Dists: make([]int64, len(dists))}
-	for i, d := range dists {
-		out.Dists[i] = encodeDist(d)
-	}
-	writeJSON(w, http.StatusOK, out)
+	b.out = appendBatchReply(b.out[:0], sn.ora.QueryBatch(pairs, int(s.batchThreads.Load())))
+	writeReply(w, b.out)
 }
 
 // pathResponse is the /path reply.
@@ -803,7 +798,7 @@ func (s *Server) handleKNN(sn *snapshot, w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	kRaw := r.URL.Query().Get("k")
+	kRaw := queryParam(r.URL.RawQuery, "k")
 	k, err := strconv.Atoi(kRaw)
 	if err != nil || k < 1 || k > maxK {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q (want 1..%d)", kRaw, maxK))
@@ -1062,7 +1057,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sec := 5.0
-	if raw := r.URL.Query().Get("sec"); raw != "" {
+	if raw := queryParam(r.URL.RawQuery, "sec"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)
 		// !(v > 0) instead of v <= 0: ParseFloat("nan", 64) succeeds, and
 		// NaN compares false to everything — `v <= 0` would wave it

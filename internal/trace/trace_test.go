@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"os"
 	"encoding/json"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repo-wide checks: the tier-1 command (build + full tests) plus static
-# vetting (go vet and the custom parapll-vet suite), a race-detector
+# Repo-wide checks: the tier-1 command (build + full tests) plus gofmt,
+# static vetting (go vet and the custom parapll-vet suite), a race-detector
 # pass over the short suite, a fuzz smoke on the wire decoders, and a
 # cross-compile sweep. Run before every PR:
 #   scripts/check.sh
@@ -16,6 +16,14 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+echo "== gofmt -l . (any file listed is unformatted)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    printf '%s\n' "$unformatted" >&2
+    echo "check.sh: the files above need gofmt -w" >&2
+    exit 1
+fi
 
 echo "== go vet ./..."
 go vet ./...
@@ -53,6 +61,7 @@ echo "== fuzz smoke (${FUZZTIME} per target)"
 go test -fuzz=FuzzDecodeFrame -fuzztime="$FUZZTIME" -run '^$' ./internal/cluster/
 go test -fuzz=FuzzOpenPIDM -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
 go test -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" -run '^$' ./internal/wal/
+go test -fuzz=FuzzBatchDecode -fuzztime="$FUZZTIME" -run '^$' ./internal/server/
 
 # Crash-recovery smoke: the living-graph durability contract end to
 # end through the real binary — serve with -wal, acknowledge updates,
