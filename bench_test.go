@@ -7,6 +7,7 @@ package parapll_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 
 	"parapll"
@@ -150,6 +151,40 @@ func BenchmarkBuildSerialVsParallel(b *testing.B) {
 		}
 	})
 }
+
+// benchBuild times the `build` workload's own job in process — per-root
+// engine, two threads, dynamic policy, degree order, finalize included —
+// and reports it per label entry, so
+//
+//	go test -run '^$' -bench 'BuildP2P|BuildRoad' -cpuprofile cpu.out .
+//
+// reproduces the build profile without a profiling flag on the binary.
+func benchBuild(b *testing.B, dataset string, scale float64) {
+	g, err := parapll.GenerateDataset(dataset, scale)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := core.Options{Threads: 2, Policy: core.Dynamic, Order: order.Degree(g)}
+	var entries int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries += core.Build(g, opt).NumEntries()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(entries), "allocs/entry")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(entries), "B/entry")
+}
+
+// BenchmarkBuildP2P is the repository benchmark's p2p build (Gnutella
+// at scale 0.35: n ≈ 3.8 k, LN ≈ 245).
+func BenchmarkBuildP2P(b *testing.B) { benchBuild(b, "Gnutella", 0.35) }
+
+// BenchmarkBuildRoad is its road build (RI-USA at scale 0.07).
+func BenchmarkBuildRoad(b *testing.B) { benchBuild(b, "RI-USA", 0.07) }
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 

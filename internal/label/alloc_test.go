@@ -1,6 +1,6 @@
 //go:build !race
 
-// AllocsPerRun is meaningless under the race detector (its
+// Allocation gates. AllocsPerRun is meaningless under the race detector (its
 // instrumentation allocates), mirroring internal/bench's gating.
 
 package label
@@ -38,5 +38,19 @@ func TestQueryAllocsZero(t *testing.T) {
 		allocSinkDist, allocSinkHub = x.QueryWithHub(3, 41)
 	}); a != 0 {
 		t.Fatalf("QueryWithHub allocates %.1f/op, want 0", a)
+	}
+}
+
+// TestStoreAppendZeroAllocs: an append into a list with a free slot
+// writes the slot and publishes the length, nothing else.
+func TestStoreAppendZeroAllocs(t *testing.T) {
+	s := NewStore(1)
+	const runs = 500
+	s.BulkAppend(0, make([]Entry, runs+2)) // leaves as many slots free
+	if allocs := testing.AllocsPerRun(runs, func() { s.Append(0, 1, 1) }); allocs != 0 {
+		t.Fatalf("non-growing Append allocates %.2f times", allocs)
+	}
+	if s.Len(0) != 2*runs+3 {
+		t.Fatalf("Len = %d after %d appends", s.Len(0), runs+1)
 	}
 }

@@ -1,6 +1,7 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -67,25 +68,47 @@ func (x *Index) Close() error {
 }
 
 // NewIndex finalizes a Store into an Index: every label list is sorted by
-// hub id and duplicate hubs are collapsed to their minimum distance.
+// hub id and duplicate hubs are collapsed to their minimum distance. The
+// store is read, not consumed; it must be quiescent (no appends racing
+// the finalize).
 func NewIndex(s *Store) *Index {
-	n := s.NumVertices()
-	lists := make([][]Entry, n)
-	for v := 0; v < n; v++ {
-		lists[v] = s.Snapshot(graph.Vertex(v))
-	}
-	return NewIndexFromLists(lists)
+	return finalize(s.NumVertices(), s.TotalEntries(), func(v int) []Entry { return s.Snapshot(graph.Vertex(v)) })
 }
 
 // NewIndexFromLists finalizes per-vertex label lists (as built by the
 // serial PLL, which needs no concurrent Store) into an Index. Each list is
 // sorted by hub and deduplicated to its minimum distance, like NewIndex.
 func NewIndexFromLists(lists [][]Entry) *Index {
-	sorted := make([][]Entry, len(lists))
-	for v, l := range lists {
-		sorted[v] = SortDedupe(l)
+	var total int64
+	for _, l := range lists {
+		total += int64(len(l))
 	}
-	return fromLists(sorted)
+	return finalize(len(lists), total, func(v int) []Entry { return lists[v] })
+}
+
+// finalize streams n label lists holding total entries into the flat
+// arrays: each list is copied into one reused scratch buffer, sorted and
+// deduplicated there and written to its final position, so beside the
+// source lists only the result is ever live. The arrays are sized for
+// total and trimmed by the (few) duplicates dropped.
+func finalize(n int, total int64, list func(v int) []Entry) *Index {
+	idx := &Index{
+		off:   make([]int64, n+1),
+		hubs:  make([]graph.Vertex, total),
+		dists: make([]graph.Dist, total),
+	}
+	var scratch []Entry
+	pos := 0
+	for v := 0; v < n; v++ {
+		scratch = append(scratch[:0], list(v)...)
+		for _, e := range sortDedupe(scratch) {
+			idx.hubs[pos], idx.dists[pos] = e.Hub, e.D
+			pos++
+		}
+		idx.off[v+1] = int64(pos)
+	}
+	idx.hubs, idx.dists = idx.hubs[:pos:pos], idx.dists[:pos:pos]
+	return idx
 }
 
 // SortDedupe returns a copy of one label list sorted by hub with
@@ -94,11 +117,17 @@ func NewIndexFromLists(lists [][]Entry) *Index {
 func SortDedupe(l []Entry) []Entry {
 	list := make([]Entry, len(l))
 	copy(list, l)
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Hub != list[j].Hub {
-			return list[i].Hub < list[j].Hub
+	return sortDedupe(list)
+}
+
+// sortDedupe is SortDedupe in place: it reorders list and returns the
+// deduplicated prefix.
+func sortDedupe(list []Entry) []Entry {
+	slices.SortFunc(list, func(a, b Entry) int {
+		if c := cmp.Compare(a.Hub, b.Hub); c != 0 {
+			return c
 		}
-		return list[i].D < list[j].D
+		return cmp.Compare(a.D, b.D)
 	})
 	out := list[:0]
 	for _, e := range list {
@@ -108,27 +137,6 @@ func SortDedupe(l []Entry) []Entry {
 		out = append(out, e)
 	}
 	return out
-}
-
-func fromLists(lists [][]Entry) *Index {
-	n := len(lists)
-	idx := &Index{off: make([]int64, n+1)}
-	total := 0
-	for v, l := range lists {
-		total += len(l)
-		idx.off[v+1] = int64(total)
-	}
-	idx.hubs = make([]graph.Vertex, total)
-	idx.dists = make([]graph.Dist, total)
-	pos := 0
-	for _, l := range lists {
-		for _, e := range l {
-			idx.hubs[pos] = e.Hub
-			idx.dists[pos] = e.D
-			pos++
-		}
-	}
-	return idx
 }
 
 // Equal reports whether two indexes hold identical label data

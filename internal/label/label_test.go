@@ -118,6 +118,86 @@ func TestStoreConcurrent(t *testing.T) {
 	}
 }
 
+// TestStoreReaderHammer is the published-length contract under -race:
+// while one writer per vertex grows its list through every reallocation
+// (single appends and bulk appends of mixed sizes, so growth lands at
+// varied offsets), readers must see lengths that never shrink and, below
+// any length they were shown, exactly the entries written — never a
+// slot from an outgrown array, never one not yet filled. Many short
+// lists rather than a few long ones: the orderings at stake are the
+// first allocation and each regrowth, and a reader has to be caught
+// between its two loads to tell (scripts/check.sh repeats this 20 times).
+func TestStoreReaderHammer(t *testing.T) {
+	const vertices, perVertex, readers = 512, 100, 3
+	entry := func(v graph.Vertex, i int) Entry {
+		return Entry{Hub: graph.Vertex(i), D: graph.Dist(int(v)*perVertex + i)}
+	}
+	s := NewStore(vertices)
+	var writers, readerWG sync.WaitGroup
+	stop := make(chan struct{})
+	for rdr := 0; rdr < readers; rdr++ {
+		readerWG.Add(1)
+		go func() {
+			defer readerWG.Done()
+			var last [vertices]int
+			for done := false; !done; {
+				select {
+				case <-stop:
+					done = true // one more full pass over the final state
+				default:
+				}
+				for v := graph.Vertex(0); v < vertices; v++ {
+					snap := s.Snapshot(v)
+					if len(snap) < last[v] {
+						t.Errorf("L(%d) shrank from %d to %d", v, last[v], len(snap))
+						return
+					}
+					last[v] = len(snap)
+					for i, e := range snap {
+						if e != entry(v, i) {
+							t.Errorf("L(%d)[%d] = %v at length %d, want %v", v, i, e, len(snap), entry(v, i))
+							return
+						}
+					}
+				}
+			}
+			for v, n := range last {
+				if n != perVertex {
+					t.Errorf("final pass saw %d entries in L(%d), want %d", n, v, perVertex)
+				}
+			}
+		}()
+	}
+	for v := graph.Vertex(0); v < vertices; v++ {
+		writers.Add(1)
+		go func(v graph.Vertex) {
+			defer writers.Done()
+			r := rand.New(rand.NewSource(int64(v)))
+			for i := 0; i < perVertex; {
+				k := min(r.Intn(9), perVertex-i) // 0: a single Append
+				if k == 0 {
+					e := entry(v, i)
+					s.Append(v, e.Hub, e.D)
+					i++
+					continue
+				}
+				bulk := make([]Entry, k)
+				for j := range bulk {
+					bulk[j] = entry(v, i+j)
+				}
+				s.BulkAppend(v, bulk)
+				i += k
+			}
+		}(v)
+	}
+	writers.Wait()
+	close(stop)
+	readerWG.Wait()
+	if s.TotalEntries() != vertices*perVertex {
+		t.Fatalf("total = %d, want %d", s.TotalEntries(), vertices*perVertex)
+	}
+}
+
 func TestIndexSortsAndDedupes(t *testing.T) {
 	s := NewStore(2)
 	// Out-of-order appends with a duplicate hub (keep min dist).

@@ -1,7 +1,6 @@
 package label
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -105,31 +104,47 @@ func (m *mapping) close() error {
 	return nil
 }
 
+// pidmBlock is the size of the buffer WriteMmap encodes sections
+// through: large enough that the per-block checksum and write calls
+// vanish beside the encoding, small enough to stay in L2.
+const pidmBlock = 64 << 10
+
+// writeLE writes vals to w as little-endian words of their own width,
+// one block at a time.
+func writeLE[T ~int32 | ~uint32 | ~int64](w io.Writer, block []byte, vals []T) error {
+	size := int(unsafe.Sizeof(T(0)))
+	for len(vals) > 0 {
+		k := min(len(vals), len(block)/size)
+		for i, v := range vals[:k] {
+			if size == 8 {
+				binary.LittleEndian.PutUint64(block[8*i:], uint64(v))
+			} else {
+				binary.LittleEndian.PutUint32(block[4*i:], uint32(v))
+			}
+		}
+		if _, err := w.Write(block[:size*k]); err != nil {
+			return err
+		}
+		vals = vals[k:]
+	}
+	return nil
+}
+
 // WriteMmap serializes the index in the mmap-native PIDM format. Two
-// passes: one to checksum the sections (the header precedes them in the
-// file), one to emit.
+// passes over the sections, both through one reused block: one into the
+// checksums (the header precedes the sections in the file), one into w.
 func (x *Index) WriteMmap(w io.Writer) error {
 	defer runtime.KeepAlive(x) // the arrays may alias a finalizer-managed mapping
 	n := x.NumVertices()
 	total := x.NumEntries()
 	offSec, hubsSec, distsSec, _ := mmapLayout(n, total)
 
-	crcOff := crc32.NewIEEE()
-	crcHubs := crc32.NewIEEE()
-	crcDists := crc32.NewIEEE()
-	var buf [8]byte
-	for _, o := range x.off {
-		binary.LittleEndian.PutUint64(buf[:], uint64(o))
-		crcOff.Write(buf[:8])
-	}
-	for _, h := range x.hubs {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(h))
-		crcHubs.Write(buf[:4])
-	}
-	for _, d := range x.dists {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(d))
-		crcDists.Write(buf[:4])
-	}
+	block := make([]byte, pidmBlock)
+	crcOff, crcHubs, crcDists := crc32.NewIEEE(), crc32.NewIEEE(), crc32.NewIEEE()
+	// A hash.Hash's Write never fails.
+	_ = writeLE(crcOff, block, x.off)
+	_ = writeLE(crcHubs, block, x.hubs)
+	_ = writeLE(crcDists, block, x.dists)
 
 	hdr := make([]byte, mmapHeaderSize)
 	copy(hdr[0:4], mmapMagic)
@@ -144,35 +159,22 @@ func (x *Index) WriteMmap(w io.Writer) error {
 	binary.LittleEndian.PutUint32(hdr[56:60], crcDists.Sum32())
 	binary.LittleEndian.PutUint32(hdr[60:64], crc32.ChecksumIEEE(hdr[0:60]))
 
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(hdr); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	for _, o := range x.off {
-		binary.LittleEndian.PutUint64(buf[:], uint64(o))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return err
-		}
-	}
-	if err := writePad(bw, hubsSec-(offSec+uint64(n+1)*8)); err != nil {
+	if err := writeLE(w, block, x.off); err != nil {
 		return err
 	}
-	for _, h := range x.hubs {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(h))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	if err := writePad(bw, distsSec-(hubsSec+uint64(total)*4)); err != nil {
+	if err := writePad(w, hubsSec-(offSec+uint64(n+1)*8)); err != nil {
 		return err
 	}
-	for _, d := range x.dists {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(d))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
+	if err := writeLE(w, block, x.hubs); err != nil {
+		return err
 	}
-	return bw.Flush()
+	if err := writePad(w, distsSec-(hubsSec+uint64(total)*4)); err != nil {
+		return err
+	}
+	return writeLE(w, block, x.dists)
 }
 
 func writePad(w io.Writer, n uint64) error {

@@ -2,7 +2,9 @@ package label
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -357,5 +359,54 @@ func BenchmarkOpenMmap(b *testing.B) {
 			b.Fatal(err)
 		}
 		y.Close()
+	}
+}
+
+// writeMmapWordwise lays the PIDM file out in memory one word at a time,
+// straight from the format comment — the reference the block encoder in
+// WriteMmap must match byte for byte.
+func writeMmapWordwise(x *Index) []byte {
+	n, total := x.NumVertices(), x.NumEntries()
+	offSec, hubsSec, distsSec, size := mmapLayout(n, total)
+	out := make([]byte, size)
+	binary.LittleEndian.PutUint64(out[8:16], uint64(n))
+	binary.LittleEndian.PutUint64(out[16:24], uint64(total))
+	binary.LittleEndian.PutUint64(out[24:32], offSec)
+	binary.LittleEndian.PutUint64(out[32:40], hubsSec)
+	binary.LittleEndian.PutUint64(out[40:48], distsSec)
+	copy(out[0:4], mmapMagic)
+	binary.LittleEndian.PutUint32(out[4:8], mmapVersion)
+	for i, o := range x.off {
+		binary.LittleEndian.PutUint64(out[offSec+uint64(i)*8:], uint64(o))
+	}
+	for i, h := range x.hubs {
+		binary.LittleEndian.PutUint32(out[hubsSec+uint64(i)*4:], uint32(h))
+	}
+	for i, d := range x.dists {
+		binary.LittleEndian.PutUint32(out[distsSec+uint64(i)*4:], uint32(d))
+	}
+	binary.LittleEndian.PutUint32(out[48:52], crc32.ChecksumIEEE(out[offSec:offSec+uint64(n+1)*8]))
+	binary.LittleEndian.PutUint32(out[52:56], crc32.ChecksumIEEE(out[hubsSec:hubsSec+uint64(total)*4]))
+	binary.LittleEndian.PutUint32(out[56:60], crc32.ChecksumIEEE(out[distsSec:]))
+	binary.LittleEndian.PutUint32(out[60:64], crc32.ChecksumIEEE(out[0:60]))
+	return out
+}
+
+// TestWriteMmapBytesUnchanged pins the PIDM writer's output: equal to
+// the wordwise reference on indexes whose sections are empty, shorter
+// than one encoding block and several blocks long, and, for the long
+// one, equal to the SHA-256 the pre-block writer produced.
+func TestWriteMmapBytesUnchanged(t *testing.T) {
+	big := randomIndex(9, 3*pidmBlock/8, 12) // off section spans three blocks, hubs and dists more
+	for name, x := range map[string]*Index{
+		"empty": NewIndex(NewStore(0)), "no-labels": NewIndex(NewStore(7)), "small": mmapTestIndex(), "big": big,
+	} {
+		if got := pidmBytes(t, x); !bytes.Equal(got, writeMmapWordwise(x)) {
+			t.Errorf("%s: WriteMmap differs from the wordwise reference", name)
+		}
+	}
+	const want = "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"
+	if got := fmt.Sprintf("%x", sha256.Sum256(pidmBytes(t, big))); got != want {
+		t.Errorf("big fixture hashes to %s, want %s", got, want)
 	}
 }

@@ -253,13 +253,25 @@ func (ps *Searcher) Run(
 // i.e. the 2-hop cover already answers the pair at least as well. tmp is
 // the querying root's hub-distance scatter array (tmp[h] = d(root, h),
 // graph.Inf when h is not one of the root's hubs). This is the PLL prune
-// test shared by the Searcher and core's batched engine.
+// test shared by the Searcher and core's batched engine, and half of a
+// build's CPU time, so the scan is one predictable branch per entry:
+// for finite d the 64-bit sum decides exactly what
+// t != Inf && AddDist(t, e.D) <= d decides — an Inf operand alone makes
+// the sum at least 2³²-1 > d, and a sum AddDist would have saturated
+// is at least 2³²-1 as well.
 func CoveredBy(labels []label.Entry, tmp []graph.Dist, d graph.Dist) bool {
-	for _, e := range labels {
-		if t := tmp[e.Hub]; t != graph.Inf {
-			if graph.AddDist(t, e.D) <= d {
+	if d == graph.Inf {
+		// Saturated sums count as ≤ Inf: any hub the root knows covers.
+		for _, e := range labels {
+			if tmp[e.Hub] != graph.Inf {
 				return true
 			}
+		}
+		return false
+	}
+	for _, e := range labels {
+		if uint64(tmp[e.Hub])+uint64(e.D) <= uint64(d) {
+			return true
 		}
 	}
 	return false

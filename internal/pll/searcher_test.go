@@ -99,3 +99,57 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// coveredByReference is the prune predicate as Algorithm 1 states it,
+// with the saturating add: the branch-per-case form CoveredBy's 64-bit
+// scan replaced and must keep deciding exactly like.
+func coveredByReference(labels []label.Entry, tmp []graph.Dist, d graph.Dist) bool {
+	for _, e := range labels {
+		if t := tmp[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
+			return true
+		}
+	}
+	return false
+}
+
+// TestCoveredByMatchesReference drives the scan and the reference over
+// random labels and scatter arrays drawn from the values where 32-bit
+// arithmetic goes wrong — Inf on either side, Inf-1, halves whose sum
+// wraps — and over every boundary d, including Inf.
+func TestCoveredByMatchesReference(t *testing.T) {
+	const inf = graph.Inf
+	edge := []graph.Dist{0, 1, 2, 7, inf / 2, inf/2 + 1, inf - 2, inf - 1, inf}
+	r := rand.New(rand.NewSource(17))
+	pick := func() graph.Dist {
+		if r.Intn(4) == 0 {
+			return graph.Dist(r.Uint32())
+		}
+		return edge[r.Intn(len(edge))]
+	}
+	const hubs = 8
+	covered := 0
+	for trial := 0; trial < 200000; trial++ {
+		tmp := make([]graph.Dist, hubs)
+		for h := range tmp {
+			tmp[h] = inf // most hubs are not the root's
+			if r.Intn(3) == 0 {
+				tmp[h] = pick()
+			}
+		}
+		labels := make([]label.Entry, r.Intn(4))
+		for i := range labels {
+			labels[i] = label.Entry{Hub: graph.Vertex(r.Intn(hubs)), D: pick()}
+		}
+		d := pick()
+		got, want := CoveredBy(labels, tmp, d), coveredByReference(labels, tmp, d)
+		if got != want {
+			t.Fatalf("CoveredBy(%v, tmp=%v, d=%d) = %v, reference says %v", labels, tmp, d, got, want)
+		}
+		if got {
+			covered++
+		}
+	}
+	if covered < 10000 || covered > 190000 {
+		t.Fatalf("%d of 200000 trials covered: the generator no longer exercises both outcomes", covered)
+	}
+}

@@ -13,14 +13,22 @@
 // Each thread lane (a build worker, the sync pipeline, a server request
 // lane) records into its own bounded ring buffer of fixed-width slots.
 // Emission is lock-free: a slot index is claimed with one atomic add,
-// the slot's sequence word is zeroed (invalidating it for readers), the
+// the slot's sequence word is swapped from its current value to a busy
+// mark (taking the slot from readers and from every other writer), the
 // payload words are stored atomically, and the sequence word is
 // published last. Readers (the exporter, which may run concurrently
 // with emission during a live capture) load the sequence word, load the
-// payload, and re-load the sequence word — a changed or zero sequence
-// means the slot was mid-write and is skipped. Every access is atomic,
-// so the protocol is race-detector-clean, and a torn slot can be
-// detected but never observed.
+// payload, and re-load the sequence word — a changed, busy or zero
+// sequence means the slot was mid-write and is skipped. Every access is
+// atomic, so the protocol is race-detector-clean, and a torn slot can
+// be detected but never observed.
+//
+// The swap is what makes a lane safe to share. Claims a whole ring
+// apart map to the same slot, and on a shared lane a writer can stall
+// long enough for the others to lap it; a plain store of the busy mark
+// would let both fill the slot at once and publish a mix. Whoever loses
+// the swap, or finds a newer event already in the slot, gives its event
+// up — the ring was going to overwrite one of the two anyway.
 //
 // A full ring wraps: the newest event overwrites the oldest and a drop
 // counter records the loss, so tracing never blocks or allocates on the
@@ -81,8 +89,9 @@ const (
 const defaultCapacity = 1 << 14
 
 // slot is one ring entry. All words are atomic so concurrent readers
-// are race-free; seq is zero while a write is in progress and unique
-// (claim index + 1) once published. The struct must never be copied.
+// are race-free; seq is zero until first written, slotBusy while a
+// write is in progress and unique (claim index + 1) once published. The
+// struct must never be copied.
 type slot struct {
 	seq  atomic.Uint64
 	meta atomic.Uint64 // kind<<56 | nargs<<48 | name
@@ -90,6 +99,10 @@ type slot struct {
 	dur  atomic.Int64
 	a    [4]atomic.Uint64
 }
+
+// slotBusy marks a slot whose payload a writer is filling. No claim
+// index reaches it.
+const slotBusy = ^uint64(0)
 
 // Buf is one thread lane's ring buffer. Multiple goroutines may emit
 // into one Buf (slot claims are atomic), though per-goroutine lanes
@@ -312,7 +325,12 @@ func (b *Buf) emit(kind Kind, name ID, ts, dur int64, args ...uint64) {
 		b.drops.Add(1)
 	}
 	s := &b.slots[i&uint64(len(b.slots)-1)]
-	s.seq.Store(0)
+	// Take the slot unless a writer a lap ahead holds it (busy) or has
+	// already published into it (a newer sequence); either way this
+	// event is the one the wrap loses, and the claim above counted it.
+	if cur := s.seq.Load(); cur > i || !s.seq.CompareAndSwap(cur, slotBusy) {
+		return
+	}
 	s.meta.Store(uint64(kind)<<56 | uint64(len(args))<<48 | uint64(name))
 	s.ts.Store(ts)
 	s.dur.Store(dur)
@@ -381,7 +399,7 @@ func (b *Buf) collect(names []nameDef, out []Event) []Event {
 		s := &b.slots[i]
 		for attempt := 0; attempt < 2; attempt++ {
 			seq := s.seq.Load()
-			if seq == 0 {
+			if seq == 0 || seq == slotBusy {
 				break
 			}
 			meta := s.meta.Load()

@@ -50,6 +50,12 @@ fi
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
+# The two lock-free structures whose ordering bugs need an interleaving
+# an instruction wide (a lapped trace-ring writer, a label list regrown
+# between a reader's two loads): one pass rarely hits it, twenty do.
+echo "== go test -race -count=20 (trace ring, label store)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore' ./internal/trace ./internal/label
+
 echo "== go test ./... (tier-1)"
 go test ./...
 
