@@ -186,6 +186,56 @@ func BenchmarkBuildP2P(b *testing.B) { benchBuild(b, "Gnutella", 0.35) }
 // BenchmarkBuildRoad is its road build (RI-USA at scale 0.07).
 func BenchmarkBuildRoad(b *testing.B) { benchBuild(b, "RI-USA", 0.07) }
 
+// BenchmarkQueryKernel times the four shapes the one merge kernel is
+// instantiated in, on the two build-benchmark graphs (1-thread builds,
+// so the labels are the same run to run and side to side):
+//
+//	go test -run '^$' -bench QueryKernel -count 6 .
+//
+// on a parent and a change checkout is the parity table for any kernel
+// edit. One Batch2000x2 op is a whole 2000-pair QueryBatch on two
+// goroutines; its allocs/op are the result slice and the fan-out, not
+// the kernel's.
+func BenchmarkQueryKernel(b *testing.B) {
+	for _, ds := range []struct {
+		name, dataset string
+		scale         float64
+	}{{"P2P", "Gnutella", 0.35}, {"Road", "RI-USA", 0.07}} {
+		g, err := parapll.GenerateDataset(ds.dataset, ds.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := core.Build(g, core.Options{Threads: 1, Order: order.Degree(g)})
+		n := g.NumVertices()
+		r := gen.NewRNG(18)
+		pairs := make([][2]graph.Vertex, 2000)
+		for i := range pairs {
+			pairs[i] = [2]graph.Vertex{graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n))}
+		}
+		perPair := func(name string, query func(s, t graph.Vertex)) {
+			b.Run(ds.name+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p := pairs[i%len(pairs)]
+					query(p[0], p[1])
+				}
+			})
+		}
+		perPair("Query", func(s, t graph.Vertex) { kernelSink = x.Query(s, t) })
+		perPair("WithHub", func(s, t graph.Vertex) { kernelSink, _ = x.QueryWithHub(s, t) })
+		perPair("Explain", func(s, t graph.Vertex) { kernelSink = x.QueryExplain(s, t).Dist })
+		b.Run(ds.name+"/Batch2000x2", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kernelSink = x.QueryBatch(pairs, 2)[0]
+			}
+		})
+	}
+}
+
+// kernelSink keeps BenchmarkQueryKernel's calls from being optimised away.
+var kernelSink graph.Dist
+
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationStore compares the lock-free published-length label

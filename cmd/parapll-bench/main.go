@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3,table4,table5,fig5,fig6,fig7,query,ablations,sync,load,trace,serve,build,update,all")
+		exp      = flag.String("exp", "all", "experiment: table3,table4,table5,fig5,fig6,fig7,query,ablations,sync,load,trace,build,update,all")
 		scale    = flag.Float64("scale", 0.02, "dataset scale in (0,1]; 1.0 = paper-scale (slow!)")
 		datasets = flag.String("datasets", "", "comma-separated dataset filter (default: all)")
 		threads  = flag.String("threads", "1,2,4,6,8,10,12", "thread sweep for tables 3-4")
@@ -31,7 +31,7 @@ func main() {
 		fig7n    = flag.Int("fig7nodes", 6, "cluster size for figure 7")
 		perNode  = flag.Int("threads-per-node", 2, "threads per simulated cluster node")
 		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
-		jsonPath = flag.String("json", "", "write the sync/load/trace/serve/build/update experiments' raw records as JSON to this file")
+		jsonPath = flag.String("json", "", "write the sync/load/trace/build/update experiments' raw records as JSON to this file")
 		batch    = flag.Int("batch", 0, "build experiment's batched-engine roots per frontier (0 = default)")
 	)
 	flag.Parse()
@@ -58,7 +58,6 @@ func main() {
 	var syncResults []bench.SyncResult
 	var loadResults []bench.LoadResult
 	var traceResults []bench.TraceResult
-	var serveResults []bench.ServeResult
 	var buildResults []bench.BuildResult
 	var updateResults []bench.UpdateResult
 	all := []runner{
@@ -92,14 +91,6 @@ func main() {
 				return nil, err
 			}
 			traceResults = append(traceResults, results...)
-			return table, nil
-		}},
-		{"serve", func() (*bench.Table, error) {
-			table, results, err := bench.RunServe(cfg, maxOf(cfg.Threads))
-			if err != nil {
-				return nil, err
-			}
-			serveResults = append(serveResults, results...)
 			return table, nil
 		}},
 		{"build", func() (*bench.Table, error) {
@@ -161,15 +152,15 @@ func main() {
 		kinds := 0
 		for _, nonEmpty := range []bool{
 			len(syncResults) > 0, len(loadResults) > 0,
-			len(traceResults) > 0, len(serveResults) > 0,
-			len(buildResults) > 0, len(updateResults) > 0,
+			len(traceResults) > 0, len(buildResults) > 0,
+			len(updateResults) > 0,
 		} {
 			if nonEmpty {
 				kinds++
 			}
 		}
 		if kinds == 0 {
-			fatalf("-json requires the sync, load, trace, serve, build or update experiment (-exp sync/load/trace/serve/build/update or -exp all)")
+			fatalf("-json requires the sync, load, trace, build or update experiment (-exp sync/load/trace/build/update or -exp all)")
 		}
 		jf, err := os.Create(*jsonPath)
 		if err != nil {
@@ -186,8 +177,6 @@ func main() {
 			err = bench.WriteLoadJSON(jf, loadResults)
 		case kinds == 1 && len(traceResults) > 0:
 			err = bench.WriteTraceJSON(jf, traceResults)
-		case kinds == 1 && len(serveResults) > 0:
-			err = bench.WriteServeJSON(jf, serveResults)
 		case kinds == 1 && len(buildResults) > 0:
 			err = bench.WriteBuildJSON(jf, buildResults)
 		case kinds == 1:
@@ -204,9 +193,6 @@ func main() {
 			}
 			if len(traceResults) > 0 {
 				out["trace"] = traceResults
-			}
-			if len(serveResults) > 0 {
-				out["serve"] = serveResults
 			}
 			if len(buildResults) > 0 {
 				out["build"] = buildResults

@@ -12,7 +12,8 @@ import (
 // mapping, so holding one of the slices does NOT keep the mapping alive —
 // only a reference to the owning index does. Every function that
 // dereferences the arrays (directly, through a local alias, or through
-// the slices returned by the Label method) must therefore pin the owner
+// the slices returned by the Label or runs methods) must therefore pin
+// the owner
 // with runtime.KeepAlive after its last dereference — a deferred
 // KeepAlive always counts — or a precise GC may collect the index
 // mid-read, run the mapping finalizer, and unmap the pages under the
@@ -33,8 +34,10 @@ var MmapKeepAlive = &Analyzer{
 // mmapOwnerFields is the structural signature of the owner type.
 var mmapOwnerFields = map[string]bool{"off": true, "hubs": true, "dists": true}
 
-// mmapAliasMethods are owner methods whose results alias the mapping.
-var mmapAliasMethods = map[string]bool{"Label": true}
+// mmapAliasMethods are owner methods whose results alias the mapping:
+// the exported Label and the query ramp runs, which cuts both runs of a
+// pair for the merge kernel.
+var mmapAliasMethods = map[string]bool{"Label": true, "runs": true}
 
 // isMmapOwner reports whether t (through one pointer) is a struct with
 // the off/hubs/dists arrays and the mm mapping field.

@@ -164,3 +164,34 @@ func chunkPinOK(x *Index, pairs [][2]Vertex, out []Dist) {
 	}
 	runtime.KeepAlive(x)
 }
+
+// --- The one generic kernel: label.merge is a single function
+// specialised by a zero-size mode type, fed by the inlinable runs ramp.
+// The ramp pins its own offset reads; each instantiation's caller must
+// still pin across the kernel's reads of the returned runs.
+
+type distOnly [0]struct{}
+
+func merge[M ~[0]struct{} | ~[1]struct{}](ah []Vertex, ad []Dist, bh []Vertex, bd []Dist) Dist {
+	var m M
+	return kernel(ah, ad, bh, bd) + Dist(len(m))
+}
+
+func (x *Index) runs(s, t Vertex) ([]Vertex, []Dist, []Vertex, []Dist) {
+	slo, shi := x.off[s], x.off[s+1]
+	tlo, thi := x.off[t], x.off[t+1]
+	runtime.KeepAlive(x)
+	return x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi]
+}
+
+func genericKernelOK(x *Index, s, t Vertex) Dist {
+	ah, ad, bh, bd := x.runs(s, t)
+	d := merge[distOnly](ah, ad, bh, bd)
+	runtime.KeepAlive(x)
+	return d
+}
+
+func genericKernelBad(x *Index, s, t Vertex) Dist {
+	ah, ad, bh, bd := x.runs(s, t)
+	return merge[distOnly](ah, ad, bh, bd) // want `dereferences mmap-aliased bd without runtime.KeepAlive\(x\)`
+}

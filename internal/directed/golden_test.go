@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"parapll/internal/graph"
 	"parapll/internal/label"
 )
 
@@ -16,8 +17,15 @@ import (
 func TestIndexBytesGolden(t *testing.T) {
 	x := Build(randomDigraph(rand.New(rand.NewSource(32)), 300, 1500), Options{})
 	h := sha256.New()
-	for _, side := range [][][]label.Entry{x.in, x.out} {
-		for _, list := range side {
+	// The stream the hash was recorded over: per side (in, then out) and
+	// vertex, the list length, then its (hub, d) pairs.
+	for _, side := range []*label.Index{x.in, x.out} {
+		for v := 0; v < side.NumVertices(); v++ {
+			hubs, dists := side.Label(graph.Vertex(v))
+			list := make([]label.Entry, len(hubs))
+			for i := range hubs {
+				list[i] = label.Entry{Hub: hubs[i], D: dists[i]}
+			}
 			if err := binary.Write(h, binary.LittleEndian, int64(len(list))); err != nil {
 				t.Fatal(err)
 			}

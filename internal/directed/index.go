@@ -1,15 +1,19 @@
 package directed
 
 import (
+	"runtime"
+
 	"parapll/internal/graph"
 	"parapll/internal/label"
 )
 
 // Index is a directed 2-hop cover: per vertex, a hub-sorted in-label
-// list (hubs reaching it) and out-label list (hubs it reaches).
+// run (hubs reaching it) and out-label run (hubs it reaches), each side
+// one flat label.Index so a query is the same merge kernel the
+// undirected index runs.
 type Index struct {
-	in  [][]label.Entry
-	out [][]label.Entry
+	in  *label.Index
+	out *label.Index
 }
 
 // Options configures a directed build.
@@ -39,7 +43,11 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 		return 0, s
 	}
 	// Hubs s reaches, met with hubs reaching t.
-	return label.MergeEntries(x.out[s], x.in[t])
+	oh, od := x.out.Label(s)
+	ih, id := x.in.Label(t)
+	d, hub := label.MergeRuns(oh, od, ih, id)
+	runtime.KeepAlive(x) // Label's contract, though both sides are heap-backed
+	return d, hub
 }
 
 // QueryBatch answers many directed (s,t) pairs in parallel (threads <= 0
@@ -50,21 +58,16 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 }
 
 // NumVertices returns the number of labeled vertices.
-func (x *Index) NumVertices() int { return len(x.in) }
+func (x *Index) NumVertices() int { return x.in.NumVertices() }
 
 // NumEntries returns the total number of in+out label entries.
-func (x *Index) NumEntries() int64 {
-	var total int64
-	for v := range x.in {
-		total += int64(len(x.in[v]) + len(x.out[v]))
-	}
-	return total
-}
+func (x *Index) NumEntries() int64 { return x.in.NumEntries() + x.out.NumEntries() }
 
 // AvgLabelSize returns mean (in+out) entries per vertex.
 func (x *Index) AvgLabelSize() float64 {
-	if len(x.in) == 0 {
+	n := x.NumVertices()
+	if n == 0 {
 		return 0
 	}
-	return float64(x.NumEntries()) / float64(len(x.in))
+	return float64(x.NumEntries()) / float64(n)
 }

@@ -45,12 +45,7 @@ func BuildParallel(g *Digraph, opt ParallelOptions) *Index {
 		}
 	})
 
-	// Hub-sort each list for the merge-join query (concurrent workers
-	// append out of rank order).
-	x := &Index{in: make([][]label.Entry, n), out: make([][]label.Entry, n)}
-	for v := graph.Vertex(0); int(v) < n; v++ {
-		x.in[v] = label.SortDedupe(in.Snapshot(v))
-		x.out[v] = label.SortDedupe(out.Snapshot(v))
-	}
-	return x
+	// Finalizing hub-sorts each list for the merge-join query
+	// (concurrent workers append out of rank order).
+	return &Index{in: label.NewIndex(in), out: label.NewIndex(out)}
 }

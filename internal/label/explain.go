@@ -7,16 +7,10 @@ import (
 	"parapll/internal/graph"
 )
 
-// explain.go is the instrumented *cold-path sibling* of the merge.go
-// query kernel: same dispatch, same loops, same answers, plus counters
-// that attribute where a query's work went. It exists for diagnostics
-// (`/debug/explain`, `parapll-query -explain`) and deliberately does
-// NOT share code with the hot kernel — folding counters into merge.go
-// would tax the multiply-by-millions path, and an explain that runs a
-// *different* algorithm would lie about costs. The equivalence tests
-// in explain_test.go hold the two in lockstep: any change to merge.go's
-// dispatch or loops must be mirrored here or the randomized comparison
-// fails.
+// explain.go is the diagnostics face of the merge.go kernel: QueryExplain
+// runs the very loops Query runs — merge instantiated with the counting
+// mode — so the counters attribute the work the serving path does, not
+// the work of a look-alike (`/debug/explain`, `parapll-query -explain`).
 
 // Explain is the cost-attribution record for one query. Counters are
 // defined by the kernel's actual work:
@@ -59,9 +53,9 @@ type Explain struct {
 
 // QueryExplain answers exactly like Query/QueryWithHub — same distance,
 // same meeting hub, same out-of-range panic — while recording the cost
-// breakdown. It is a cold path: it allocates (the returned struct is
-// by-value but the timing call may) and must never be used on the
-// serving hot path.
+// breakdown. It allocates nothing, but it reads the clock twice and
+// bumps a counter per kernel step: diagnostics only, never the serving
+// hot path.
 func (x *Index) QueryExplain(s, t graph.Vertex) Explain {
 	x.checkPair(s, t)
 	ex := Explain{S: s, T: t, Hub: -1, Dist: graph.Inf}
@@ -71,121 +65,12 @@ func (x *Index) QueryExplain(s, t graph.Vertex) Explain {
 		ex.TLabelLen = ex.SLabelLen
 		return ex
 	}
-	slo, shi := x.off[s], x.off[s+1]
-	tlo, thi := x.off[t], x.off[t+1]
-	ex.SLabelLen = int(shi - slo)
-	ex.TLabelLen = int(thi - tlo)
-
-	ah, ad := x.hubs[slo:shi], x.dists[slo:shi]
-	bh, bd := x.hubs[tlo:thi], x.dists[tlo:thi]
-	// Mirror of MergeRuns' dispatch: shorter run first, then empty /
-	// gallop / linear.
-	if len(ah) > len(bh) {
-		ah, bh = bh, ah
-		ad, bd = bd, ad
-		ex.Swapped = true
-	}
+	ah, ad, bh, bd := x.runs(s, t)
+	ex.SLabelLen, ex.TLabelLen = len(ah), len(bh)
 	t0 := time.Now()
-	switch {
-	case len(ah) == 0:
-		ex.Algo = "empty"
-	case len(bh) >= gallopRatio*len(ah):
-		ex.Algo = "gallop"
-		ex.Dist, ex.Hub = gallopMergeExplain(ah, ad, bh, bd, &ex)
-	default:
-		ex.Algo = "linear"
-		ex.Dist, ex.Hub = linearMergeExplain(ah, ad, bh, bd, &ex)
-	}
+	ex.Dist, ex.Hub = merge[counting](ah, ad, bh, bd, &ex)
 	ex.MergeNanos = time.Since(t0).Nanoseconds()
 	ex.Reachable = ex.Dist != graph.Inf
 	runtime.KeepAlive(x) // the runs alias x's possibly-mmap'd arrays
 	return ex
-}
-
-// linearMergeExplain is linearMerge with counters (see merge.go).
-func linearMergeExplain(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist, ex *Explain) (graph.Dist, graph.Vertex) {
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	na, nb := len(ah), len(bh)
-	i, j := 0, 0
-	for i < na && j < nb {
-		a, b := ah[i], bh[j]
-		ex.HubsProbed++
-		if a < b {
-			i++
-			ex.LinearSteps++
-			continue
-		}
-		if a > b {
-			j++
-			ex.LinearSteps++
-			continue
-		}
-		for {
-			ex.CommonHubs++
-			if d := graph.AddDist(ad[i], bd[j]); d < best {
-				best = d
-				hub = a
-			}
-			i++
-			j++
-			ex.LinearSteps += 2
-			if i >= na || j >= nb {
-				return best, hub
-			}
-			a, b = ah[i], bh[j]
-			ex.HubsProbed++
-			if a != b {
-				break
-			}
-		}
-	}
-	return best, hub
-}
-
-// gallopMergeExplain is gallopMerge with counters (see merge.go).
-func gallopMergeExplain(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist, ex *Explain) (graph.Dist, graph.Vertex) {
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	nb := len(bh)
-	j := 0
-	for i := 0; i < len(ah); i++ {
-		target := ah[i]
-		ex.HubsProbed++
-		lo, step := j, 1
-		for lo+step < nb && bh[lo+step] < target {
-			lo += step
-			step <<= 1
-			ex.GallopProbes++
-		}
-		hi := lo + step
-		if hi > nb {
-			hi = nb
-		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			ex.BinarySteps++
-			if bh[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= nb {
-			break
-		}
-		j = lo
-		if bh[j] == target {
-			ex.CommonHubs++
-			if d := graph.AddDist(ad[i], bd[j]); d < best {
-				best = d
-				hub = target
-			}
-			j++
-			if j >= nb {
-				break
-			}
-		}
-	}
-	return best, hub
 }

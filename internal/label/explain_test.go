@@ -7,10 +7,12 @@ import (
 	"parapll/internal/graph"
 )
 
-// TestExplainMatchesQueryRandomized is the lockstep contract between
-// explain.go and merge.go: over randomized indexes (including strongly
-// asymmetric labels that trigger the gallop path) QueryExplain must
-// return exactly Query's distance and QueryWithHub's meeting hub.
+// TestExplainMatchesQueryRandomized runs the three instantiations of
+// merge side by side on whole indexes: over randomized label sets
+// (including strongly asymmetric ones that trigger the gallop) the
+// counting mode must return exactly the distance-only mode's distance
+// and the with-hub mode's meeting hub, and its counters must be
+// consistent with the strategy it reports.
 func TestExplainMatchesQueryRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {

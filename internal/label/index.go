@@ -222,20 +222,16 @@ func checkPairSlow(s, t graph.Vertex, n int) {
 	}
 }
 
-// queryNoPin is the pin-free merge behind QueryWithHub. The caller MUST
-// keep x reachable (runtime.KeepAlive after the call, or a live capture
-// spanning it) — the kernel reads slices aliasing x's possibly-mmap'd
-// arrays and does not pin them itself. (Query and QueryBatch spell the
-// equivalent distance-only ramp out inline and pin in their own frames.)
-func (x *Index) queryNoPin(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	x.checkPair(s, t)
-	if s == t {
-		return 0, s
-	}
+// runs cuts the label runs of s and t out of the flat arrays — the ramp
+// every query shape shares, small enough to inline into each. The pin
+// here covers the offset reads only: the returned slices alias x's
+// possibly-mmap'd arrays, so the caller pins x again after its last
+// read of them (the same contract as Label).
+func (x *Index) runs(s, t graph.Vertex) (ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) {
 	slo, shi := x.off[s], x.off[s+1]
-	//parapll:vet-ignore mmapkeepalive the caller pins x right after the call (QueryWithHub)
 	tlo, thi := x.off[t], x.off[t+1]
-	return MergeRuns(x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi])
+	runtime.KeepAlive(x)
+	return x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi]
 }
 
 // Query returns the shortest-path distance between s and t, or graph.Inf
@@ -244,17 +240,13 @@ func (x *Index) queryNoPin(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 // asymmetric label lists via the galloping merge. It allocates nothing.
 // Out-of-range ids panic with a descriptive message (consistently —
 // including when s == t).
-//
-// The distance-only path is written out here (rather than sharing
-// queryNoPin) so the whole pre-kernel ramp — bounds check, self-pair
-// shortcut, offset loads — inlines into this frame and the query costs
-// exactly one call (the register-addressed queryDistAt kernel).
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 	x.checkPair(s, t)
 	if s == t {
 		return 0
 	}
-	d := x.queryDistAt(x.off[s], x.off[s+1], x.off[t], x.off[t+1])
+	ah, ad, bh, bd := x.runs(s, t)
+	d, _ := merge[distOnly](ah, ad, bh, bd, nil)
 	runtime.KeepAlive(x) // the merge reads slices aliasing x's mapping
 	return d
 }
@@ -264,7 +256,12 @@ func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 // the pair is disconnected; for s == t it returns (0, s). Out-of-range
 // ids panic exactly as in Query.
 func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	d, hub := x.queryNoPin(s, t)
+	x.checkPair(s, t)
+	if s == t {
+		return 0, s
+	}
+	ah, ad, bh, bd := x.runs(s, t)
+	d, hub := merge[withHub](ah, ad, bh, bd, nil)
 	runtime.KeepAlive(x)
 	return d, hub
 }
@@ -274,13 +271,10 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 // concurrent queries need no synchronization; this exists because batch
 // distance jobs (closeness ranking, distance matrices, /batch requests)
 // are the common production query shape. Each worker runs whole
-// cache-line-aligned chunks through the pin-free kernel and pins the
-// index once per chunk, not once per pair.
+// cache-line-aligned chunks through the kernel and pins the index once
+// per chunk, not once per pair.
 func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 	return graph.BatchQueryChunks(len(pairs), threads, func(out []graph.Dist, lo, hi int) {
-		// The per-pair ramp is spelled out (not a shared helper) for the
-		// same reason as in Query: everything up to the queryDistAt call
-		// inlines, so a pair costs one call.
 		for i := lo; i < hi; i++ {
 			s, t := pairs[i][0], pairs[i][1]
 			x.checkPair(s, t)
@@ -288,7 +282,8 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 				out[i] = 0
 				continue
 			}
-			out[i] = x.queryDistAt(x.off[s], x.off[s+1], x.off[t], x.off[t+1])
+			ah, ad, bh, bd := x.runs(s, t)
+			out[i], _ = merge[distOnly](ah, ad, bh, bd, nil)
 		}
 		// One pin covers every merge above: x stays reachable through
 		// this closure until the KeepAlive executes.

@@ -1,15 +1,13 @@
 package label
 
-import (
-	"runtime"
+import "parapll/internal/graph"
 
-	"parapll/internal/graph"
-)
-
-// merge.go is the serving-side QUERY(s,t,L) kernel: the minimum of
-// sd[i]+td[j] over common hubs of two hub-sorted label runs. This is
-// the multiply-by-millions inner loop, so it gets two specializations
-// the plain two-pointer walk lacks:
+// merge.go is the QUERY(s,t,L) kernel: the minimum of sd[i]+td[j] over
+// common hubs of two hub-sorted label runs. It is written once — merge —
+// and every serving shape (distance only, distance + meeting hub,
+// distance + hub + cost counters) is an instantiation of it. This is the
+// multiply-by-millions inner loop, so it gets two specializations the
+// plain two-pointer walk lacks:
 //
 //   - an unrolled equal-hub fast path: the highest-ranked hubs appear
 //     in almost every label list, so the two runs typically open with a
@@ -26,221 +24,185 @@ import (
 // The kernel is allocation-free and reads only within the given slice
 // bounds. It deliberately does NOT pin an mmap-backed owner: callers
 // that pass mapping-aliased runs keep the owner reachable across the
-// call (Query pins per call, QueryBatch pins once per chunk).
+// call (Query, QueryWithHub and QueryExplain pin per call, QueryBatch
+// pins once per chunk).
 
-// gallopRatio is the length asymmetry at which MergeRuns switches from
-// the linear walk to galloping probes over the longer run. 8 is the
+// gallopRatio is the length asymmetry at which merge switches from the
+// linear walk to galloping probes over the longer run. 8 is the
 // conventional crossover (TimSort uses 7): below it the probe's branch
 // mispredictions cost more than the skipped comparisons save.
 const gallopRatio = 8
 
-// queryDistAt is the distance-only kernel behind Query and QueryBatch —
-// the overwhelmingly common call shape. It duplicates MergeRuns'
-// dispatch and loops minus the meeting-hub bookkeeping: dropping the
-// hub store and the second return value is worth measurable
-// nanoseconds on a loop this hot (QueryWithHub keeps the tracking
-// variant below). It is addressed by offsets into the index arrays
-// rather than pre-cut slices for the same reason: four slice-header
-// arguments are twelve words — three of them spill to the stack at
-// every call under the register ABI — where the receiver plus four
-// offsets all arrive in registers, and the runs are cut here in the
-// callee's own frame. The single exit ends with a pin of the receiver,
-// so the kernel satisfies the mmap memory model on its own (the pin is
-// a free liveness marker, not an instruction). Runs must be strictly
-// hub-increasing; no allocation.
-func (x *Index) queryDistAt(slo, shi, tlo, thi int64) graph.Dist {
-	ah, ad, bh, bd := x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi]
+// mode says, at compile time, what merge records beyond the distance.
+// It is carried by an array *length*: the three types have distinct
+// shapes, so the compiler stencils merge once per mode with len(m) a
+// constant, and every `if len(m) >= 1` below is either unconditional or
+// gone — the distance-only instantiation contains no hub store and no
+// counter. A probe interface or a func value would not do that: methods
+// on a type parameter are dictionary calls in Go 1.24 and cost the
+// single query +55 % when tried.
+type mode interface{ distOnly | withHub | counting }
+
+type (
+	distOnly [0]struct{} // Query, QueryBatch
+	withHub  [1]struct{} // QueryWithHub, MergeRuns: also the meeting hub
+	counting [2]struct{} // QueryExplain: also ex's dispatch and work counters
+)
+
+// merge returns the minimum distance over common hubs of the two runs
+// and — from withHub up — the hub achieving it (graph.Inf, -1 when the
+// runs intersect nowhere; -1 always under distOnly). Both runs must be
+// strictly increasing in hub id — the Index invariant established by
+// finalize and the readers. ex is written only under counting and may
+// be nil otherwise.
+func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist, ex *Explain) (graph.Dist, graph.Vertex) {
+	var m M
+	// Intersection is symmetric: put the shorter run first so the
+	// gallop always iterates the short side.
 	if len(ah) > len(bh) {
 		ah, bh = bh, ah
 		ad, bd = bd, ad
+		if len(m) == 2 {
+			ex.Swapped = true
+		}
 	}
 	best := graph.Inf
+	hub := graph.Vertex(-1)
+	na, nb := len(ah), len(bh)
 	switch {
-	case len(ah) == 0:
+	case na == 0:
 		// no common hubs possible; best stays Inf
-	case len(bh) >= gallopRatio*len(ah):
-		best = gallopDist(ah, ad, bh, bd)
+		if len(m) == 2 {
+			ex.Algo = "empty"
+		}
+
+	case nb >= gallopRatio*na:
+		// Gallop: iterate the short run and locate each of its hubs in
+		// the long run with an exponential probe from the previous
+		// position followed by a binary search over the probed window.
+		if len(m) == 2 {
+			ex.Algo = "gallop"
+		}
+		j := 0
+		for i := 0; i < na; i++ {
+			target := ah[i]
+			if len(m) == 2 {
+				ex.HubsProbed++
+			}
+			// Exponential probe: find a window (lo, lo+step] known to
+			// bracket the first element >= target.
+			lo, step := j, 1
+			for lo+step < nb && bh[lo+step] < target {
+				lo += step
+				step <<= 1
+				if len(m) == 2 {
+					ex.GallopProbes++
+				}
+			}
+			hi := lo + step
+			if hi > nb {
+				hi = nb
+			}
+			// Binary search for the first index in [lo, hi) with hub >= target.
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if len(m) == 2 {
+					ex.BinarySteps++
+				}
+				if bh[mid] < target {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if lo >= nb {
+				break // the long run is exhausted: no more partners exist
+			}
+			j = lo
+			if bh[j] == target {
+				if len(m) == 2 {
+					ex.CommonHubs++
+				}
+				if d := graph.AddDist(ad[i], bd[j]); d < best {
+					best = d
+					if len(m) >= 1 {
+						hub = target
+					}
+				}
+				j++
+				if j >= nb {
+					break
+				}
+			}
+		}
+
 	default:
-		na, nb := len(ah), len(bh)
+		// Linear: the two-pointer walk with the equal-hub stretch
+		// unrolled into its own tight loop.
+		if len(m) == 2 {
+			ex.Algo = "linear"
+		}
 		i, j := 0, 0
-	scan:
+	walk:
 		for i < na && j < nb {
 			a, b := ah[i], bh[j]
+			if len(m) == 2 {
+				ex.HubsProbed++
+			}
+			// Plain compare-and-branch dispatch: label runs advance in long
+			// predictable stretches, so branches are almost always predicted;
+			// a conditional-move lowering would chain every iteration through
+			// the compare's data dependency instead.
 			if a < b {
 				i++
+				if len(m) == 2 {
+					ex.LinearSteps++
+				}
 				continue
 			}
 			if a > b {
 				j++
+				if len(m) == 2 {
+					ex.LinearSteps++
+				}
 				continue
 			}
+			// Equal-hub fast path: consume the whole matching stretch without
+			// re-testing the three-way dispatch.
 			for {
+				if len(m) == 2 {
+					ex.CommonHubs++
+					ex.LinearSteps += 2
+				}
 				if d := graph.AddDist(ad[i], bd[j]); d < best {
 					best = d
+					if len(m) >= 1 {
+						hub = a
+					}
 				}
 				i++
 				j++
 				if i >= na || j >= nb {
-					break scan
+					break walk
 				}
 				a, b = ah[i], bh[j]
+				if len(m) == 2 {
+					ex.HubsProbed++
+				}
 				if a != b {
 					break
 				}
 			}
 		}
 	}
-	runtime.KeepAlive(x) // the runs alias x's possibly-mmap'd arrays
-	return best
+	return best, hub
 }
 
-// gallopDist is gallopMerge without hub tracking (see queryDistAt).
-func gallopDist(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) graph.Dist {
-	best := graph.Inf
-	nb := len(bh)
-	j := 0
-	for i := 0; i < len(ah); i++ {
-		target := ah[i]
-		lo, step := j, 1
-		for lo+step < nb && bh[lo+step] < target {
-			lo += step
-			step <<= 1
-		}
-		hi := lo + step
-		if hi > nb {
-			hi = nb
-		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if bh[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= nb {
-			break
-		}
-		j = lo
-		if bh[j] == target {
-			if d := graph.AddDist(ad[i], bd[j]); d < best {
-				best = d
-			}
-			j++
-			if j >= nb {
-				break
-			}
-		}
-	}
-	return best
-}
-
-// MergeRuns returns the minimum distance over common hubs of the two
-// runs and the hub achieving it (graph.Inf, -1 when the runs intersect
-// nowhere). Both runs must be strictly increasing in hub id — the
-// Index invariant established by NewIndexFromLists and the readers.
+// MergeRuns is the kernel for callers that hold their own hub-sorted
+// struct-of-arrays runs (pathidx, directed): the minimum distance over
+// common hubs and the hub achieving it, (graph.Inf, -1) when the runs
+// share none. Runs that alias a mapped Index must be pinned by the
+// caller across the call.
 func MergeRuns(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) (graph.Dist, graph.Vertex) {
-	// Intersection is symmetric: put the shorter run first so the
-	// gallop always iterates the short side.
-	if len(ah) > len(bh) {
-		ah, bh = bh, ah
-		ad, bd = bd, ad
-	}
-	if len(ah) == 0 {
-		return graph.Inf, -1
-	}
-	if len(bh) >= gallopRatio*len(ah) {
-		return gallopMerge(ah, ad, bh, bd)
-	}
-	return linearMerge(ah, ad, bh, bd)
-}
-
-// linearMerge is the two-pointer walk with the equal-hub stretch
-// unrolled into its own tight loop.
-func linearMerge(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) (graph.Dist, graph.Vertex) {
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	na, nb := len(ah), len(bh)
-	i, j := 0, 0
-	for i < na && j < nb {
-		a, b := ah[i], bh[j]
-		// Plain compare-and-branch dispatch: label runs advance in long
-		// predictable stretches, so branches are almost always predicted;
-		// a conditional-move lowering would chain every iteration through
-		// the compare's data dependency instead.
-		if a < b {
-			i++
-			continue
-		}
-		if a > b {
-			j++
-			continue
-		}
-		// Equal-hub fast path: consume the whole matching stretch without
-		// re-testing the three-way dispatch.
-		for {
-			if d := graph.AddDist(ad[i], bd[j]); d < best {
-				best = d
-				hub = a
-			}
-			i++
-			j++
-			if i >= na || j >= nb {
-				return best, hub
-			}
-			a, b = ah[i], bh[j]
-			if a != b {
-				break
-			}
-		}
-	}
-	return best, hub
-}
-
-// gallopMerge iterates the short run and locates each of its hubs in
-// the long run with an exponential probe from the previous position
-// followed by a binary search over the probed window.
-func gallopMerge(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) (graph.Dist, graph.Vertex) {
-	best := graph.Inf
-	hub := graph.Vertex(-1)
-	nb := len(bh)
-	j := 0
-	for i := 0; i < len(ah); i++ {
-		target := ah[i]
-		// Exponential probe: find a window (lo, lo+step] known to
-		// bracket the first element >= target.
-		lo, step := j, 1
-		for lo+step < nb && bh[lo+step] < target {
-			lo += step
-			step <<= 1
-		}
-		hi := lo + step
-		if hi > nb {
-			hi = nb
-		}
-		// Binary search for the first index in [lo, hi) with hub >= target.
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if bh[mid] < target {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo >= nb {
-			break // the long run is exhausted: no more partners exist
-		}
-		j = lo
-		if bh[j] == target {
-			if d := graph.AddDist(ad[i], bd[j]); d < best {
-				best = d
-				hub = target
-			}
-			j++
-			if j >= nb {
-				break
-			}
-		}
-	}
-	return best, hub
+	return merge[withHub](ah, ad, bh, bd, nil)
 }

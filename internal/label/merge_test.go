@@ -52,8 +52,8 @@ func randRun(r *rand.Rand, n, hubSpace int) ([]graph.Vertex, []graph.Dist) {
 	return hubs, dists
 }
 
-// runIndex packs two label runs into a 2-vertex index so tests can
-// drive the offset-addressed distance kernel (queryDistAt, via Query)
+// runIndex packs two label runs into a 2-vertex index (vertex 0 and
+// vertex 1) so tests can drive the Index instantiations of the kernel
 // with the same arbitrary runs they feed MergeRuns.
 func runIndex(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) *Index {
 	la := make([]Entry, len(ah))
@@ -67,31 +67,62 @@ func runIndex(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.
 	return NewIndexFromLists([][]Entry{la, lb})
 }
 
+// TestMergeRunsMatchesReference is the one table every instantiation of
+// merge answers to: the same runs go through MergeRuns, Query,
+// QueryWithHub, QueryBatch and QueryExplain, and all must agree with
+// refMerge on distance and (where the shape reports one) meeting hub.
 func TestMergeRunsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	sizes := [][2]int{
-		{0, 0}, {0, 50}, {3, 3}, {1, 1},
-		{1, 100},  // maximal asymmetry: gallop
-		{5, 200},  // gallop
-		{10, 79},  // just under the gallop ratio: linear
-		{10, 80},  // exactly at the ratio: gallop
-		{64, 64},  // symmetric linear
-		{200, 31}, // longer run first: MergeRuns must swap
+	sizes := []struct {
+		na, nb   int
+		saturate bool // every other distance sits within 2 of Inf
+	}{
+		{na: 0, nb: 0}, {na: 0, nb: 50}, {na: 50, nb: 0}, // empty on either side
+		{na: 3, nb: 3}, {na: 1, nb: 1},
+		{na: 1, nb: 100},                 // maximal asymmetry: gallop
+		{na: 5, nb: 200},                 // gallop
+		{na: 10, nb: 79},                 // long == 8*short-1, just under the ratio: linear
+		{na: 10, nb: 80},                 // long == 8*short, exactly at the ratio: gallop
+		{na: 56, nb: 7},                  // at the ratio with the longer run first: swap, then gallop
+		{na: 55, nb: 7},                  // one under it, longer first: swap, then linear
+		{na: 64, nb: 64},                 // symmetric linear
+		{na: 200, nb: 31},                // longer run first: merge must swap
+		{na: 40, nb: 40, saturate: true}, // linear walk over sums that clamp to Inf
+		{na: 4, nb: 120, saturate: true}, // gallop over them
+		{na: 0, nb: 9, saturate: true},
 	}
 	for _, sz := range sizes {
 		for trial := 0; trial < 50; trial++ {
-			ah, ad := randRun(r, sz[0], 400)
-			bh, bd := randRun(r, sz[1], 400)
-			wantD, wantH := refMerge(ah, ad, bh, bd)
-			gotD, gotH := MergeRuns(ah, ad, bh, bd)
-			if gotD != wantD || gotH != wantH {
-				t.Fatalf("sizes %v trial %d: MergeRuns = (%d,%d), want (%d,%d)\nah=%v\nbh=%v",
-					sz, trial, gotD, gotH, wantD, wantH, ah, bh)
+			ah, ad := randRun(r, sz.na, 400)
+			bh, bd := randRun(r, sz.nb, 400)
+			if sz.saturate {
+				for i := 0; i < len(ad); i += 2 {
+					ad[i] = graph.Inf - graph.Dist(r.Intn(3))
+				}
+				for i := r.Intn(2); i < len(bd); i += 2 {
+					bd[i] = graph.Inf - graph.Dist(r.Intn(3))
+				}
 			}
-			// The distance-only kernel must agree with the tracking one.
-			if gotD := runIndex(ah, ad, bh, bd).Query(0, 1); gotD != wantD {
-				t.Fatalf("sizes %v trial %d: dist kernel = %d, want %d\nah=%v\nbh=%v",
-					sz, trial, gotD, wantD, ah, bh)
+			wantD, wantH := refMerge(ah, ad, bh, bd)
+			check := func(shape string, gotD graph.Dist, gotH graph.Vertex) {
+				t.Helper()
+				if gotD != wantD || gotH != wantH {
+					t.Fatalf("sizes %+v trial %d: %s = (%d,%d), want (%d,%d)\nah=%v\nbh=%v",
+						sz, trial, shape, gotD, gotH, wantD, wantH, ah, bh)
+				}
+			}
+			d, h := MergeRuns(ah, ad, bh, bd)
+			check("MergeRuns", d, h)
+			x := runIndex(ah, ad, bh, bd)
+			check("Query", x.Query(0, 1), wantH) // distance-only: no hub to compare
+			d, h = x.QueryWithHub(0, 1)
+			check("QueryWithHub", d, h)
+			check("QueryBatch", x.QueryBatch([][2]graph.Vertex{{0, 1}}, 1)[0], wantH)
+			ex := x.QueryExplain(0, 1)
+			check("QueryExplain", ex.Dist, ex.Hub)
+			if ex.SLabelLen != len(ah) || ex.TLabelLen != len(bh) || ex.Swapped != (len(ah) > len(bh)) {
+				t.Fatalf("sizes %+v trial %d: explain saw lens %d/%d swapped=%v for runs of %d/%d",
+					sz, trial, ex.SLabelLen, ex.TLabelLen, ex.Swapped, len(ah), len(bh))
 			}
 		}
 	}

@@ -139,17 +139,6 @@ if [ "${TRACE_BENCH:-0}" = "1" ]; then
     scripts/bench_trace.sh
 fi
 
-# Opt-in: serving hot-path benchmark (writes BENCH_serve.json); enable
-# with SERVE_BENCH=1 scripts/check.sh. The small-scale run doubles as a
-# correctness smoke: the bench itself fails if the merge kernel's batch
-# output diverges from the pre-kernel baseline. (Timing-quality runs
-# use the script's own larger default scale; here the small scale keeps
-# the check fast.)
-if [ "${SERVE_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_serve.sh"
-    SCALE="${SCALE:-0.02}" scripts/bench_serve.sh
-fi
-
 # Build-engine smoke: a tiny-scale run of the build benchmark, whose
 # built-in cross-engine query check turns this red if the batched
 # engine's answers ever drift from per-root. Always on (fast at this
