@@ -7,6 +7,7 @@ package parapll_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 
@@ -186,16 +187,22 @@ func BenchmarkBuildP2P(b *testing.B) { benchBuild(b, "Gnutella", 0.35) }
 // BenchmarkBuildRoad is its road build (RI-USA at scale 0.07).
 func BenchmarkBuildRoad(b *testing.B) { benchBuild(b, "RI-USA", 0.07) }
 
-// BenchmarkQueryKernel times the four shapes the one merge kernel is
-// instantiated in, on the two build-benchmark graphs (1-thread builds,
-// so the labels are the same run to run and side to side):
+// BenchmarkQueryKernel is the in-process table for the two QUERY
+// kernels: the per-pair merge (Query, WithHub, Explain) and the batch
+// scatter-and-scan (QueryBatch), on the two build-benchmark graphs
+// (1-thread builds, so the labels are the same run to run and side to
+// side) and on two synthetic indexes over a 2^20 id space, where the
+// batch kernel's 4 MB dense array no longer sits in L1/L2:
 //
 //	go test -run '^$' -bench QueryKernel -count 6 .
 //
 // on a parent and a change checkout is the parity table for any kernel
-// edit. One Batch2000x2 op is a whole 2000-pair QueryBatch on two
-// goroutines; its allocs/op are the result slice and the fan-out, not
-// the kernel's.
+// edit. One Batch2000xT op is a whole 2000-pair QueryBatch on T
+// goroutines — uniform pairs, or sources drawn from 512 or 32 vertices
+// in random order — and one Batch4 op a 4-pair batch, the benchmark's
+// small /batch; their allocs/op are the result slice and the fan-out.
+// Batch1 is a lone pair through the batch kernel (pooled scratch, plus
+// the result slice Query does not have).
 func BenchmarkQueryKernel(b *testing.B) {
 	for _, ds := range []struct {
 		name, dataset string
@@ -206,31 +213,116 @@ func BenchmarkQueryKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 		x := core.Build(g, core.Options{Threads: 1, Order: order.Degree(g)})
-		n := g.NumVertices()
-		r := gen.NewRNG(18)
+		vs := make([]graph.Vertex, g.NumVertices())
+		for v := range vs {
+			vs[v] = graph.Vertex(v)
+		}
+		kernelRows(b, ds.name, x, vs, true)
+	}
+	for _, hubs := range []string{"zipf", "uniform"} {
+		x, labelled := synthIndex(hubs == "zipf")
+		kernelRows(b, "Synth-"+hubs, x, labelled, false)
+	}
+}
+
+// kernelRows runs BenchmarkQueryKernel's rows on one index with query
+// endpoints drawn from vs; the short form keeps to Query and the
+// single-thread batches.
+func kernelRows(b *testing.B, name string, x *label.Index, vs []graph.Vertex, full bool) {
+	r := gen.NewRNG(18)
+	pick := func(from []graph.Vertex) graph.Vertex { return from[r.Intn(len(from))] }
+	draw := func(sources []graph.Vertex) [][2]graph.Vertex {
 		pairs := make([][2]graph.Vertex, 2000)
 		for i := range pairs {
-			pairs[i] = [2]graph.Vertex{graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n))}
+			pairs[i] = [2]graph.Vertex{pick(sources), pick(vs)}
 		}
-		perPair := func(name string, query func(s, t graph.Vertex)) {
-			b.Run(ds.name+"/"+name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					query(p[0], p[1])
-				}
-			})
-		}
-		perPair("Query", func(s, t graph.Vertex) { kernelSink = x.Query(s, t) })
-		perPair("WithHub", func(s, t graph.Vertex) { kernelSink, _ = x.QueryWithHub(s, t) })
-		perPair("Explain", func(s, t graph.Vertex) { kernelSink = x.QueryExplain(s, t).Dist })
-		b.Run(ds.name+"/Batch2000x2", func(b *testing.B) {
+		return pairs
+	}
+	pairs := draw(vs)
+	src512, src32 := make([]graph.Vertex, 512), make([]graph.Vertex, 32)
+	for i := range src512 {
+		src512[i] = pick(vs)
+	}
+	copy(src32, src512)
+	shapes := []struct {
+		name  string
+		pairs [][2]graph.Vertex
+	}{{"uniform", pairs}, {"src512", draw(src512)}, {"src32", draw(src32)}}
+
+	perPair := func(shape string, query func(s, t graph.Vertex)) {
+		b.Run(name+"/"+shape, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				kernelSink = x.QueryBatch(pairs, 2)[0]
+				p := pairs[i%len(pairs)]
+				query(p[0], p[1])
 			}
 		})
 	}
+	perPair("Query", func(s, t graph.Vertex) { kernelSink = x.Query(s, t) })
+	if full {
+		perPair("WithHub", func(s, t graph.Vertex) { kernelSink, _ = x.QueryWithHub(s, t) })
+		perPair("Explain", func(s, t graph.Vertex) { kernelSink = x.QueryExplain(s, t).Dist })
+	}
+	perPair("Batch1", func(s, t graph.Vertex) { kernelSink = x.QueryBatch([][2]graph.Vertex{{s, t}}, 1)[0] })
+	b.Run(name+"/Batch4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % (len(pairs) / 4) * 4
+			kernelSink = x.QueryBatch(pairs[k:k+4], 1)[0]
+		}
+	})
+	for threads := 1; threads <= 2; threads++ {
+		if threads == 2 && !full {
+			break
+		}
+		for _, sh := range shapes {
+			b.Run(fmt.Sprintf("%s/Batch2000x%d/%s", name, threads, sh.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					kernelSink = x.QueryBatch(sh.pairs, threads)[0]
+				}
+			})
+		}
+	}
+}
+
+// synthIndex builds an index no graph produced, to price the batch
+// kernel's dense array when it is 4 MB instead of 15 KB: 2^20 vertices,
+// 4000 of them labelled with 250 hubs each. With zipf the hubs are drawn
+// with probability ~1/rank from a popular set of 2^16 ids scattered over
+// the id space — the shape PLL produces, a few hubs in nearly every
+// label; without, uniformly from all 2^20 ids, which no PLL ordering
+// produces and which makes every scatter and every probe a cache miss.
+// It returns the index and its labelled vertices.
+func synthIndex(zipf bool) (*label.Index, []graph.Vertex) {
+	const (
+		n        = 1 << 20
+		labelled = 4000
+		ln       = 250
+		popular  = 1 << 16
+	)
+	r := gen.NewRNG(19)
+	perm := r.Perm(n)
+	lists := make([][]label.Entry, n)
+	vs := make([]graph.Vertex, labelled)
+	for i := range vs {
+		vs[i] = graph.Vertex(perm[n-1-i]) // the far end of perm: disjoint from the popular set
+		seen := make(map[int]bool, ln)
+		list := make([]label.Entry, 0, ln)
+		for len(list) < ln {
+			h := r.Intn(n)
+			if zipf {
+				// Log-uniform rank: P(rank) ~ 1/rank over [1, popular].
+				h = perm[int(math.Pow(popular, r.Float64()))-1]
+			}
+			if !seen[h] {
+				seen[h] = true
+				list = append(list, label.Entry{Hub: graph.Vertex(h), D: graph.Dist(1 + r.Intn(1000))})
+			}
+		}
+		lists[vs[i]] = list
+	}
+	return label.NewIndexFromLists(lists), vs
 }
 
 // kernelSink keeps BenchmarkQueryKernel's calls from being optimised away.

@@ -73,3 +73,51 @@ func TestBatchQueryMatchesDirect(t *testing.T) {
 		t.Fatal("empty batch returned results")
 	}
 }
+
+func TestChunksRunPanicReachesCaller(t *testing.T) {
+	// A panic on a worker goroutine must come out of Run on the calling
+	// one (a bare goroutine's panic ends the process), the other workers
+	// must stop claiming chunks, and Run must not return before they do.
+	const n = 64 * batchChunkAlign
+	plan := PlanChunks(n, 4)
+	if plan.Inline() {
+		t.Fatal("plan of 64 cache lines on 4 threads is inline")
+	}
+	var started, finished atomic.Int32
+	func() {
+		defer func() {
+			if p := recover(); p != "chunk 0 failed" {
+				t.Fatalf("recovered %v, want the worker's panic value", p)
+			}
+		}()
+		plan.Run(func(lo, hi int) {
+			started.Add(1)
+			defer finished.Add(1)
+			if lo == 0 {
+				panic("chunk 0 failed")
+			}
+		})
+		t.Fatal("Run returned normally")
+	}()
+	if started.Load() != finished.Load() {
+		t.Fatalf("Run unwound with %d chunks started and %d finished", started.Load(), finished.Load())
+	}
+	if int(started.Load()) == plan.count {
+		t.Logf("all %d chunks ran before the failure was seen (legal, but the stop flag went unexercised)", plan.count)
+	}
+	// The same through the exported batch engine, whose callers recover.
+	pairs := make([][2]Vertex, n)
+	pairs[n/2] = [2]Vertex{7, 0}
+	defer func() {
+		if p := recover(); p != "bad pair" {
+			t.Fatalf("BatchQuery: recovered %v, want the query's panic value", p)
+		}
+	}()
+	BatchQuery(func(s, _ Vertex) Dist {
+		if s == 7 {
+			panic("bad pair")
+		}
+		return 0
+	}, pairs, 4)
+	t.Fatal("BatchQuery returned normally")
+}

@@ -47,6 +47,19 @@ func TestQueryAllocsZero(t *testing.T) {
 	}
 }
 
+// TestQueryBatchAllocsOne: a batch that fits one chunk allocates its
+// result slice and nothing else — sort keys and the dense hub array come
+// from the index's pool, and the inline path builds no closure.
+func TestQueryBatchAllocsOne(t *testing.T) {
+	x := batchTestIndex(rand.New(rand.NewSource(11)), 64)
+	pairs4 := [][2]graph.Vertex{{3, 41}, {9, 2}, {3, 7}, {60, 60}}
+	var out []graph.Dist
+	if a := testing.AllocsPerRun(200, func() { out = x.QueryBatch(pairs4, 1) }); a > 1 {
+		t.Fatalf("QueryBatch(4 pairs, 1) allocates %.1f/op, want <= 1", a)
+	}
+	allocSinkDist = out[0]
+}
+
 // TestStoreAppendZeroAllocs: an append into a list with a free slot
 // writes the slot and publishes the length, nothing else.
 func TestStoreAppendZeroAllocs(t *testing.T) {

@@ -87,8 +87,9 @@ func TestExplainMatchesQueryRandomized(t *testing.T) {
 // hand-built shapes.
 func TestExplainDispatch(t *testing.T) {
 	// Vertex 0: one hub {0}; vertex 1: hubs {0..9} (ratio 10 >= 8 -> gallop);
-	// vertex 2: hubs {0,1,2} (ratio 3 -> linear); vertex 3: empty.
-	s := NewStore(4)
+	// vertex 2: hubs {0,1,2} (ratio 3 -> linear); vertex 3: empty, as are
+	// 4..9, which exist because every hub id is a vertex.
+	s := NewStore(10)
 	s.Append(0, 0, 5)
 	for h := 0; h < 10; h++ {
 		s.Append(1, graph.Vertex(h), graph.Dist(h+1))

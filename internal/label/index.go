@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"parapll/internal/graph"
 )
@@ -15,6 +16,15 @@ import (
 // distance query is a single merge-intersection of two sorted runs —
 // exactly the paper's QUERY(s,t,L) = min over common hubs u of
 // σ(P(u,s)) + σ(P(u,t)).
+//
+// Invariant: every hub id is a vertex of the index, 0 <= hub <
+// NumVertices(). finalize (NewIndex, NewIndexFromLists) panics on a list
+// that breaks it and the stream readers reject such a file, each while
+// making the one pass over the entries it makes anyway. Open does not
+// look — that is its point — so a damaged PIDM file can carry a foreign
+// hub id past it: Query then merges it like any other number, and
+// QueryBatch, whose dense scratch is sized by NumVertices(), panics on
+// its bounds-checked index (and drops that scratch).
 //
 // The arrays either live on the heap (built or stream-decoded indexes)
 // or alias a read-only file mapping (Open); queries are identical
@@ -35,6 +45,11 @@ type Index struct {
 
 	format string   // Format* constant; "" means FormatMemory
 	mm     *mapping // non-nil when the arrays alias a file (see Open)
+
+	// scratch pools *batchScratch for QueryBatch and its workers: a
+	// sync.Pool, so it holds about one per concurrently running worker
+	// and the collector takes back what a quiet period leaves idle.
+	scratch sync.Pool
 }
 
 // Format reports where this index came from: FormatMemory for indexes
@@ -90,7 +105,8 @@ func NewIndexFromLists(lists [][]Entry) *Index {
 // arrays: each list is copied into one reused scratch buffer, sorted and
 // deduplicated there and written to its final position, so beside the
 // source lists only the result is ever live. The arrays are sized for
-// total and trimmed by the (few) duplicates dropped.
+// total and trimmed by the (few) duplicates dropped. A hub outside
+// [0,n) is a builder's bug and panics (the Index invariant).
 func finalize(n int, total int64, list func(v int) []Entry) *Index {
 	idx := &Index{
 		off:   make([]int64, n+1),
@@ -102,6 +118,9 @@ func finalize(n int, total int64, list func(v int) []Entry) *Index {
 	for v := 0; v < n; v++ {
 		scratch = append(scratch[:0], list(v)...)
 		for _, e := range sortDedupe(scratch) {
+			if uint(e.Hub) >= uint(n) {
+				panic(fmt.Sprintf("label: vertex %d has hub %d outside [0,%d)", v, e.Hub, n))
+			}
 			idx.hubs[pos], idx.dists[pos] = e.Hub, e.D
 			pos++
 		}
@@ -264,31 +283,6 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	d, hub := merge[withHub](ah, ad, bh, bd, nil)
 	runtime.KeepAlive(x)
 	return d, hub
-}
-
-// QueryBatch answers many (s,t) pairs, fanning out over `threads`
-// goroutines (<= 0 means GOMAXPROCS). The index is immutable, so
-// concurrent queries need no synchronization; this exists because batch
-// distance jobs (closeness ranking, distance matrices, /batch requests)
-// are the common production query shape. Each worker runs whole
-// cache-line-aligned chunks through the kernel and pins the index once
-// per chunk, not once per pair.
-func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
-	return graph.BatchQueryChunks(len(pairs), threads, func(out []graph.Dist, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s, t := pairs[i][0], pairs[i][1]
-			x.checkPair(s, t)
-			if s == t {
-				out[i] = 0
-				continue
-			}
-			ah, ad, bh, bd := x.runs(s, t)
-			out[i], _ = merge[distOnly](ah, ad, bh, bd, nil)
-		}
-		// One pin covers every merge above: x stays reachable through
-		// this closure until the KeepAlive executes.
-		runtime.KeepAlive(x)
-	})
 }
 
 // Remap translates an index built in a relabeled id space back to the

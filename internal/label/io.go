@@ -96,7 +96,11 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		if _, err := io.ReadFull(tr, buf[:]); err != nil {
 			return nil, err
 		}
-		x.hubs[i] = graph.Vertex(binary.LittleEndian.Uint32(buf[0:4]))
+		hv := binary.LittleEndian.Uint32(buf[0:4])
+		if hv >= uint32(n) {
+			return nil, fmt.Errorf("label: entry %d: hub %d out of range", i, hv)
+		}
+		x.hubs[i] = graph.Vertex(hv)
 		dv := binary.LittleEndian.Uint32(buf[4:8])
 		if dv >= uint32(graph.Inf) {
 			return nil, fmt.Errorf("label: entry %d: distance overflow", i)

@@ -52,25 +52,33 @@ func randRun(r *rand.Rand, n, hubSpace int) ([]graph.Vertex, []graph.Dist) {
 	return hubs, dists
 }
 
-// runIndex packs two label runs into a 2-vertex index (vertex 0 and
-// vertex 1) so tests can drive the Index instantiations of the kernel
-// with the same arbitrary runs they feed MergeRuns.
+// runIndex packs two label runs into an index as the labels of vertex 0
+// and vertex 1, so tests can drive the Index instantiations of the
+// kernel with the same arbitrary runs they feed MergeRuns. Every hub id
+// must be a vertex (the Index invariant), so the index has as many
+// further, unlabelled vertices as the largest hub needs.
 func runIndex(ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) *Index {
+	n := 2
 	la := make([]Entry, len(ah))
 	for i := range ah {
 		la[i] = Entry{Hub: ah[i], D: ad[i]}
+		n = max(n, int(ah[i])+1)
 	}
 	lb := make([]Entry, len(bh))
 	for i := range bh {
 		lb[i] = Entry{Hub: bh[i], D: bd[i]}
+		n = max(n, int(bh[i])+1)
 	}
-	return NewIndexFromLists([][]Entry{la, lb})
+	lists := make([][]Entry, n)
+	lists[0], lists[1] = la, lb
+	return NewIndexFromLists(lists)
 }
 
 // TestMergeRunsMatchesReference is the one table every instantiation of
-// merge answers to: the same runs go through MergeRuns, Query,
-// QueryWithHub, QueryBatch and QueryExplain, and all must agree with
-// refMerge on distance and (where the shape reports one) meeting hub.
+// merge answers to, and the batch kernel beside them: the same runs go
+// through MergeRuns, Query, QueryWithHub, QueryExplain and QueryBatch,
+// and all must agree with refMerge on distance and (where the shape
+// reports one) meeting hub.
 func TestMergeRunsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	sizes := []struct {

@@ -347,8 +347,8 @@ func openMapping(mm *mapping) (*Index, error) {
 
 // readPIDMStream heap-loads a PIDM file from a reader (the ReadAny
 // path). Unlike Open it has already paid for reading every byte, so it
-// also verifies the section checksums, matching the guarantees of the
-// PIDX/PIDC stream readers.
+// also verifies the section checksums and the hub range, matching the
+// guarantees of the PIDX/PIDC stream readers.
 func readPIDMStream(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -366,7 +366,23 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := x.checkHubs(); err != nil {
+		return nil, err
+	}
 	return x, nil
+}
+
+// checkHubs is the O(entries) half of the Index invariant that Open
+// skips: every hub id names a vertex.
+func (x *Index) checkHubs() error {
+	defer runtime.KeepAlive(x)
+	n := x.NumVertices()
+	for i, hub := range x.hubs {
+		if uint(hub) >= uint(n) {
+			return fmt.Errorf("label: pidm: entry %d: hub %d out of range", i, hub)
+		}
+	}
+	return nil
 }
 
 // Verify re-checksums the section payloads of an mmap-backed index

@@ -128,18 +128,24 @@ type batchBuf struct {
 
 var batchScratch = sync.Pool{New: func() any { return new(batchBuf) }}
 
-// QueryBatch serves each pair from the cache and fans only the misses
-// out to the inner oracle's batch path, so a warm batch costs map
-// probes instead of merges. Miss bookkeeping reuses pooled scratch —
-// steady state allocates only the result slice.
+// QueryBatch serves each pair from the cache and forwards only the
+// misses, as one batch, to the inner oracle's batch path — so a warm
+// batch costs map probes instead of label scans, and the misses are what
+// the inner kernel gets to group by source. Miss bookkeeping reuses
+// pooled scratch, and a batch with no hit at all (the cold, uniform
+// case) returns the inner oracle's result slice as its own: steady state
+// allocates one result slice there, two when hits and misses mix.
 func (o *Cached) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
-	out := make([]graph.Dist, len(pairs))
+	var out []graph.Dist // made at the first hit
 	buf := batchScratch.Get().(*batchBuf)
 	missIdx := buf.idx[:0]
 	missPairs := buf.pairs[:0]
 	for i, p := range pairs {
 		cs, ct := o.canon(p[0], p[1])
 		if d, ok := o.cache.Get(o.gen, cs, ct); ok {
+			if out == nil {
+				out = make([]graph.Dist, len(pairs))
+			}
 			out[i] = d
 		} else {
 			missIdx = append(missIdx, i)
@@ -148,10 +154,16 @@ func (o *Cached) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 	}
 	if len(missIdx) > 0 {
 		md := o.inner.QueryBatch(missPairs, threads)
-		for k, i := range missIdx {
-			out[i] = md[k]
-			cs, ct := o.canon(missPairs[k][0], missPairs[k][1])
+		for k, p := range missPairs {
+			cs, ct := o.canon(p[0], p[1])
 			o.cache.Put(o.gen, cs, ct, md[k])
+		}
+		if out == nil {
+			out = md // every pair missed: md is already in pairs' order
+		} else {
+			for k, i := range missIdx {
+				out[i] = md[k]
+			}
 		}
 	}
 	buf.idx, buf.pairs = missIdx[:0], missPairs[:0]

@@ -52,9 +52,10 @@ go test -race -short ./...
 
 # The two lock-free structures whose ordering bugs need an interleaving
 # an instruction wide (a lapped trace-ring writer, a label list regrown
-# between a reader's two loads): one pass rarely hits it, twenty do.
-echo "== go test -race -count=20 (trace ring, label store)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore' ./internal/trace ./internal/label
+# between a reader's two loads), and the batch kernel's pooled scratch
+# under concurrent QueryBatch calls: one pass rarely hits it, twenty do.
+echo "== go test -race -count=20 (trace ring, label store, batch scratch pool)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent' ./internal/trace ./internal/label
 
 echo "== go test ./... (tier-1)"
 go test ./...
