@@ -406,24 +406,6 @@ func BenchmarkAblationChunk(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRelabel compares the direct build against the
-// rank-relabeled build (hub ids become small dense ints — locality and
-// compression win, at the cost of two relabeling passes).
-func BenchmarkAblationRelabel(b *testing.B) {
-	g := gen.ChungLu(2000, 8000, 2.2, 26)
-	opt := core.Options{Threads: 4, Policy: core.Dynamic}
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Build(g, opt)
-		}
-	})
-	b.Run("rank-relabeled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.BuildRelabeled(g, opt)
-		}
-	})
-}
-
 // BenchmarkAblationPartition compares inter-node partition strategies by
 // per-node work skew on a simulated 4-node cluster (the paper fixes
 // round-robin; blocks concentrate hub roots on node 0).

@@ -1,6 +1,10 @@
 // parapll-bench regenerates the paper's evaluation: Tables 3–5, Figures
-// 5–7 and the introduction's query-latency comparison, on the synthetic
-// stand-in datasets at a configurable scale.
+// 5–7, the introduction's query-latency comparison, the design
+// ablations, and the sync-pipeline table that accompanies Figure 7 /
+// Table 5 (blocking vs overlapped synchronization per sync count), on
+// the synthetic stand-in datasets at a configurable scale. Timings of
+// the shipped binaries (build, serving, living graph) are benchmark/'s
+// job, not this tool's.
 //
 // Usage:
 //
@@ -10,7 +14,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +25,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3,table4,table5,fig5,fig6,fig7,query,ablations,sync,load,trace,build,update,all")
+		exp      = flag.String("exp", "all", "experiment: table3,table4,table5,fig5,fig6,fig7,query,ablations,sync,all")
 		scale    = flag.Float64("scale", 0.02, "dataset scale in (0,1]; 1.0 = paper-scale (slow!)")
 		datasets = flag.String("datasets", "", "comma-separated dataset filter (default: all)")
 		threads  = flag.String("threads", "1,2,4,6,8,10,12", "thread sweep for tables 3-4")
@@ -31,8 +34,6 @@ func main() {
 		fig7n    = flag.Int("fig7nodes", 6, "cluster size for figure 7")
 		perNode  = flag.Int("threads-per-node", 2, "threads per simulated cluster node")
 		csvPath  = flag.String("csv", "", "also write results as CSV to this file")
-		jsonPath = flag.String("json", "", "write the sync/load/trace/build/update experiments' raw records as JSON to this file")
-		batch    = flag.Int("batch", 0, "build experiment's batched-engine roots per frontier (0 = default)")
 	)
 	flag.Parse()
 
@@ -55,11 +56,6 @@ func main() {
 		name string
 		run  func() (*bench.Table, error)
 	}
-	var syncResults []bench.SyncResult
-	var loadResults []bench.LoadResult
-	var traceResults []bench.TraceResult
-	var buildResults []bench.BuildResult
-	var updateResults []bench.UpdateResult
 	all := []runner{
 		{"table3", func() (*bench.Table, error) { return bench.RunTable3(cfg) }},
 		{"table4", func() (*bench.Table, error) { return bench.RunTable4(cfg) }},
@@ -70,44 +66,8 @@ func main() {
 		{"query", func() (*bench.Table, error) { return bench.RunQueryComparison(cfg, maxOf(cfg.Threads)) }},
 		{"ablations", func() (*bench.Table, error) { return bench.RunAblations(cfg, maxOf(cfg.Threads)) }},
 		{"sync", func() (*bench.Table, error) {
-			table, results, err := bench.RunSync(cfg, *fig7n, *perNode)
-			if err != nil {
-				return nil, err
-			}
-			syncResults = append(syncResults, results...)
-			return table, nil
-		}},
-		{"load", func() (*bench.Table, error) {
-			table, results, err := bench.RunLoad(cfg)
-			if err != nil {
-				return nil, err
-			}
-			loadResults = append(loadResults, results...)
-			return table, nil
-		}},
-		{"trace", func() (*bench.Table, error) {
-			table, results, err := bench.RunTrace(cfg, maxOf(cfg.Threads))
-			if err != nil {
-				return nil, err
-			}
-			traceResults = append(traceResults, results...)
-			return table, nil
-		}},
-		{"build", func() (*bench.Table, error) {
-			table, results, err := bench.RunBuild(cfg, maxOf(cfg.Threads), *batch)
-			if err != nil {
-				return nil, err
-			}
-			buildResults = append(buildResults, results...)
-			return table, nil
-		}},
-		{"update", func() (*bench.Table, error) {
-			table, results, err := bench.RunUpdate(cfg, maxOf(cfg.Threads))
-			if err != nil {
-				return nil, err
-			}
-			updateResults = append(updateResults, results...)
-			return table, nil
+			table, _, err := bench.RunSync(cfg, *fig7n, *perNode)
+			return table, err
 		}},
 	}
 	var selected []runner
@@ -146,64 +106,6 @@ func main() {
 			if err := table.WriteCSV(csvFile); err != nil {
 				fatalf("csv %s: %v", r.name, err)
 			}
-		}
-	}
-	if *jsonPath != "" {
-		kinds := 0
-		for _, nonEmpty := range []bool{
-			len(syncResults) > 0, len(loadResults) > 0,
-			len(traceResults) > 0, len(buildResults) > 0,
-			len(updateResults) > 0,
-		} {
-			if nonEmpty {
-				kinds++
-			}
-		}
-		if kinds == 0 {
-			fatalf("-json requires the sync, load, trace, build or update experiment (-exp sync/load/trace/build/update or -exp all)")
-		}
-		jf, err := os.Create(*jsonPath)
-		if err != nil {
-			fatalf("creating %s: %v", *jsonPath, err)
-		}
-		defer jf.Close()
-		// Single-experiment runs keep their legacy BENCH_<exp>.json shape
-		// (a bare array) so existing tooling keeps parsing; mixed runs get
-		// a keyed object.
-		switch {
-		case kinds == 1 && len(syncResults) > 0:
-			err = bench.WriteSyncJSON(jf, syncResults)
-		case kinds == 1 && len(loadResults) > 0:
-			err = bench.WriteLoadJSON(jf, loadResults)
-		case kinds == 1 && len(traceResults) > 0:
-			err = bench.WriteTraceJSON(jf, traceResults)
-		case kinds == 1 && len(buildResults) > 0:
-			err = bench.WriteBuildJSON(jf, buildResults)
-		case kinds == 1:
-			err = bench.WriteUpdateJSON(jf, updateResults)
-		default:
-			enc := json.NewEncoder(jf)
-			enc.SetIndent("", "  ")
-			out := map[string]any{}
-			if len(syncResults) > 0 {
-				out["sync"] = syncResults
-			}
-			if len(loadResults) > 0 {
-				out["load"] = loadResults
-			}
-			if len(traceResults) > 0 {
-				out["trace"] = traceResults
-			}
-			if len(buildResults) > 0 {
-				out["build"] = buildResults
-			}
-			if len(updateResults) > 0 {
-				out["update"] = updateResults
-			}
-			err = enc.Encode(out)
-		}
-		if err != nil {
-			fatalf("json: %v", err)
 		}
 	}
 }

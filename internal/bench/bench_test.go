@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -207,17 +206,6 @@ func TestRunSync(t *testing.T) {
 	}
 	if !overlapSeen[false] || !overlapSeen[true] {
 		t.Fatal("missing blocking or overlapped results")
-	}
-	var buf bytes.Buffer
-	if err := WriteSyncJSON(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	var back []SyncResult
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("BENCH_sync.json does not round-trip: %v", err)
-	}
-	if len(back) != len(results) || back[0] != results[0] {
-		t.Fatal("JSON round-trip lost data")
 	}
 }
 

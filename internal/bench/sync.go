@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"parapll/internal/cluster"
@@ -13,38 +11,35 @@ import (
 
 // SyncResult is one sync-pipeline measurement: a full cluster build on
 // the in-process transport at a given sync count, blocking or
-// overlapped. scripts/bench_sync.sh serializes these to BENCH_sync.json
-// so the pipeline's throughput and compression are tracked over time.
+// overlapped.
 type SyncResult struct {
-	Dataset string `json:"dataset"`
-	Nodes   int    `json:"nodes"`
+	Dataset string
 	// SyncCount is the paper's c for this run.
-	SyncCount int  `json:"sync_count"`
-	Overlap   bool `json:"overlap"`
+	SyncCount int
+	Overlap   bool
 	// WallSeconds is the end-to-end RunLocal time (all nodes, one host).
-	WallSeconds float64 `json:"wall_seconds"`
-	// CompSeconds / CommSeconds / FinalizeSeconds are maxima over nodes.
-	// CommSeconds is the *exposed* communication cost — in overlapped
-	// mode, the part the overlap failed to hide.
-	CompSeconds     float64 `json:"comp_seconds_max"`
-	CommSeconds     float64 `json:"exposed_comm_seconds_max"`
-	FinalizeSeconds float64 `json:"finalize_seconds_max"`
+	WallSeconds float64
+	// CompSeconds / CommSeconds are maxima over nodes. CommSeconds is
+	// the *exposed* communication cost — in overlapped mode, the part
+	// the overlap failed to hide.
+	CompSeconds float64
+	CommSeconds float64
 	// UpdatesSent / WireBytes / RawBytes sum over all nodes and rounds.
 	// Compression = RawBytes / WireBytes (raw = 12 B fixed per update).
-	UpdatesSent int64   `json:"updates_sent"`
-	WireBytes   int64   `json:"wire_bytes_sent"`
-	RawBytes    int64   `json:"raw_bytes_sent"`
-	Compression float64 `json:"compression_ratio"`
+	UpdatesSent int64
+	WireBytes   int64
+	RawBytes    int64
+	Compression float64
 	// Entries / AvgLabel describe the final index (identical on every
 	// node); redundancy from delayed or overlapped sync shows up here.
-	Entries  int64   `json:"index_entries"`
-	AvgLabel float64 `json:"avg_label_size"`
+	Entries  int64
+	AvgLabel float64
 }
 
 // RunSync benchmarks the cluster sync pipeline: for every dataset and
 // sync count in cfg, a blocking and an overlapped build on a simulated
 // `nodes`-node cluster. Returns the rendered table plus the raw
-// records for JSON output.
+// records behind its rows.
 func RunSync(cfg Config, nodes, threadsPerNode int) (*Table, []SyncResult, error) {
 	recs, err := cfg.recipes()
 	if err != nil {
@@ -94,7 +89,6 @@ func measureSync(g *graph.Graph, name string, nodes, threads, c int, overlap boo
 	}
 	res := SyncResult{
 		Dataset:     name,
-		Nodes:       nodes,
 		SyncCount:   c,
 		Overlap:     overlap,
 		WallSeconds: wall.Seconds(),
@@ -107,9 +101,6 @@ func measureSync(g *graph.Graph, name string, nodes, threads, c int, overlap boo
 		}
 		if v := s.CommTime.Seconds(); v > res.CommSeconds {
 			res.CommSeconds = v
-		}
-		if v := s.FinalizeTime.Seconds(); v > res.FinalizeSeconds {
-			res.FinalizeSeconds = v
 		}
 		res.UpdatesSent += totalUpdates(s)
 		res.WireBytes += s.BytesSent
@@ -127,12 +118,4 @@ func totalUpdates(s *cluster.Stats) int64 {
 		n += r.UpdatesSent
 	}
 	return n
-}
-
-// WriteSyncJSON serializes sync results as indented JSON (the
-// BENCH_sync.json format).
-func WriteSyncJSON(w io.Writer, results []SyncResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(results)
 }

@@ -308,37 +308,6 @@ func RunWorkers(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfi
 	return PerRoot{}.Run(g, mgr, store, cfg)
 }
 
-// BuildRelabeled is Build with the rank-relabeling optimization most
-// production PLL codebases apply: the graph is renumbered so that
-// computing-sequence position i becomes vertex id i, the index is built
-// over the renumbered graph (hub ids are then small dense ints with
-// hot hubs packed together — better cache locality and tighter varint
-// encoding), and the result is mapped back to the original ids. The
-// returned index answers queries identically to Build's.
-func BuildRelabeled(g *graph.Graph, opt Options) *label.Index {
-	ord := opt.Order
-	if ord == nil {
-		ord = graph.DegreeOrder(g)
-	} else if err := graph.CheckOrder(ord, g.NumVertices()); err != nil {
-		panic("core: Order must be a permutation of the vertices: " + err.Error())
-	}
-	// perm[old] = new: sequence position becomes the id.
-	n := g.NumVertices()
-	perm := make([]graph.Vertex, n)
-	for pos, v := range ord {
-		perm[v] = graph.Vertex(pos)
-	}
-	relabeled := g.Relabel(perm)
-	identity := make([]graph.Vertex, n)
-	for i := range identity {
-		identity[i] = graph.Vertex(i)
-	}
-	inner := opt
-	inner.Order = identity
-	idx := Build(relabeled, inner)
-	return idx.Remap(ord) // newToOld: relabeled id i was ord[i]
-}
-
 // RWLockedStore is the ablation store: one global RWMutex, snapshot
 // copies under read lock. It answers "was the published-length lock-free
 // store worth the complexity?" in the ablation benches.

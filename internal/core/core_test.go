@@ -196,41 +196,6 @@ func TestRWLockedStoreAblation(t *testing.T) {
 	}
 }
 
-func TestBuildRelabeledAnswersExactly(t *testing.T) {
-	r := rand.New(rand.NewSource(210))
-	for trial := 0; trial < 4; trial++ {
-		g := randomGraph(r, 50, 100)
-		x := BuildRelabeled(g, Options{Threads: 3, Policy: Dynamic})
-		checkAllPairs(t, g, x)
-	}
-}
-
-func TestBuildRelabeledSerialIdentical(t *testing.T) {
-	// With one thread the relabeled build must produce the exact same
-	// label set as the direct build (same searches, same pruning, only
-	// the id space differs during construction).
-	r := rand.New(rand.NewSource(211))
-	g := randomGraph(r, 60, 120)
-	direct := Build(g, Options{Threads: 1})
-	relab := BuildRelabeled(g, Options{Threads: 1})
-	if direct.NumEntries() != relab.NumEntries() {
-		t.Fatalf("relabeled build has %d entries, direct %d", relab.NumEntries(), direct.NumEntries())
-	}
-	for v := graph.Vertex(0); int(v) < g.NumVertices(); v++ {
-		dh, dd := direct.Label(v)
-		rh, rd := relab.Label(v)
-		if len(dh) != len(rh) {
-			t.Fatalf("vertex %d: label sizes differ (%d vs %d)", v, len(dh), len(rh))
-		}
-		for i := range dh {
-			if dh[i] != rh[i] || dd[i] != rd[i] {
-				t.Fatalf("vertex %d entry %d differs: (%d,%d) vs (%d,%d)",
-					v, i, dh[i], dd[i], rh[i], rd[i])
-			}
-		}
-	}
-}
-
 func TestBuildStatsAccounting(t *testing.T) {
 	r := rand.New(rand.NewSource(209))
 	g := randomGraph(r, 60, 120)

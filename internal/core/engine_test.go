@@ -8,6 +8,7 @@ import (
 	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
+	"parapll/internal/order"
 	"parapll/internal/pll"
 	"parapll/internal/sssp"
 )
@@ -293,7 +294,8 @@ func TestBatchSizeClamp(t *testing.T) {
 }
 
 // TestBatchedRealisticShapes runs the batched engine on the small road
-// and power-law recipes, mirroring TestOnRealisticShapes.
+// and power-law recipes under the default degree order and a sampled-ψ
+// order, mirroring TestOnRealisticShapes.
 func TestBatchedRealisticShapes(t *testing.T) {
 	for _, name := range []string{"DE-USA", "Wiki-Vote"} {
 		rec, err := gen.FindRecipe(name)
@@ -301,15 +303,20 @@ func TestBatchedRealisticShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := rec.Generate(0.01)
-		r := rand.New(rand.NewSource(3))
-		x := Build(g, Options{Threads: 4, Policy: Dynamic, Engine: Batched{BatchSize: 16}})
-		for q := 0; q < 8; q++ {
-			s := graph.Vertex(r.Intn(g.NumVertices()))
-			want := sssp.Dijkstra(g, s)
-			for probe := 0; probe < 20; probe++ {
-				u := graph.Vertex(r.Intn(g.NumVertices()))
-				if got := x.Query(s, u); got != want[u] {
-					t.Fatalf("%s: query(%d,%d) = %d, want %d", name, s, u, got, want[u])
+		for ordName, ord := range map[string][]graph.Vertex{
+			"degree": nil,
+			"psi":    order.PsiSample(g, 8, 42),
+		} {
+			r := rand.New(rand.NewSource(3))
+			x := Build(g, Options{Threads: 4, Policy: Dynamic, Engine: Batched{BatchSize: 16}, Order: ord})
+			for q := 0; q < 8; q++ {
+				s := graph.Vertex(r.Intn(g.NumVertices()))
+				want := sssp.Dijkstra(g, s)
+				for probe := 0; probe < 20; probe++ {
+					u := graph.Vertex(r.Intn(g.NumVertices()))
+					if got := x.Query(s, u); got != want[u] {
+						t.Fatalf("%s/%s: query(%d,%d) = %d, want %d", name, ordName, s, u, got, want[u])
+					}
 				}
 			}
 		}

@@ -209,18 +209,3 @@ func NormalizeEdges(n int, edges []Edge) []Edge {
 	}
 	return out
 }
-
-// Relabel returns a copy of g with vertices renamed through perm, where
-// perm[old] = new. perm must be a permutation of [0,n).
-func (g *Graph) Relabel(perm []Vertex) *Graph {
-	n := g.NumVertices()
-	if len(perm) != n {
-		panic("graph: Relabel permutation has wrong length")
-	}
-	edges := g.Edges()
-	for i := range edges {
-		edges[i].U = perm[edges[i].U]
-		edges[i].V = perm[edges[i].V]
-	}
-	return FromEdges(n, edges)
-}

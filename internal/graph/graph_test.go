@@ -180,18 +180,6 @@ func TestAdjacencySorted(t *testing.T) {
 	}
 }
 
-func TestRelabel(t *testing.T) {
-	g := triangle()
-	perm := []Vertex{2, 0, 1} // old 0 -> new 2, etc.
-	h := g.Relabel(perm)
-	if w, ok := h.HasEdge(2, 0); !ok || w != 5 { // was {0,1,5}
-		t.Errorf("relabeled edge {2,0}: w=%d ok=%v", w, ok)
-	}
-	if w, ok := h.HasEdge(0, 1); !ok || w != 7 { // was {1,2,7}
-		t.Errorf("relabeled edge {0,1}: w=%d ok=%v", w, ok)
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	// Two triangles and an isolated vertex.
 	g := FromEdges(7, []Edge{

@@ -285,34 +285,6 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	return d, hub
 }
 
-// Remap translates an index built in a relabeled id space back to the
-// original ids: newToOld[i] is the original id of relabeled vertex i.
-// Row v of the result is row newToOld⁻¹(v) of x with every hub h
-// replaced by newToOld[h], re-sorted. Used by the rank-relabeled build
-// optimization.
-func (x *Index) Remap(newToOld []graph.Vertex) *Index {
-	n := x.NumVertices()
-	if len(newToOld) != n {
-		panic("label: Remap mapping has wrong length")
-	}
-	oldToNew := make([]graph.Vertex, n)
-	for newID, oldID := range newToOld {
-		oldToNew[oldID] = graph.Vertex(newID)
-	}
-	lists := make([][]Entry, n)
-	for oldV := 0; oldV < n; oldV++ {
-		newV := oldToNew[oldV]
-		hubs, dists := x.Label(newV)
-		row := make([]Entry, len(hubs))
-		for i, h := range hubs {
-			row[i] = Entry{Hub: newToOld[h], D: dists[i]}
-		}
-		lists[oldV] = row
-	}
-	runtime.KeepAlive(x)
-	return NewIndexFromLists(lists)
-}
-
 // LabelSizeHistogram returns counts of vertices by label-list length,
 // as parallel (size, count) slices sorted by size.
 func (x *Index) LabelSizeHistogram() (sizes []int, counts []int) {

@@ -288,38 +288,6 @@ func TestLabelSizeHistogram(t *testing.T) {
 	}
 }
 
-func TestIndexRemap(t *testing.T) {
-	s := NewStore(3)
-	// Index in "new" id space: new0 was old2, new1 was old0, new2 was old1.
-	s.Append(0, 1, 10) // L(new0) = {(new1,10)}
-	s.Append(2, 0, 20) // L(new2) = {(new0,20)}
-	x := NewIndex(s)
-	newToOld := []graph.Vertex{2, 0, 1}
-	y := x.Remap(newToOld)
-	// old2 (= new0) must have hub old0 (= new1) at 10.
-	hubs, dists := y.Label(2)
-	if len(hubs) != 1 || hubs[0] != 0 || dists[0] != 10 {
-		t.Fatalf("L(old2) = %v %v, want [(0,10)]", hubs, dists)
-	}
-	// old1 (= new2) must have hub old2 (= new0) at 20.
-	hubs, dists = y.Label(1)
-	if len(hubs) != 1 || hubs[0] != 2 || dists[0] != 20 {
-		t.Fatalf("L(old1) = %v %v, want [(2,20)]", hubs, dists)
-	}
-	if y.NumEntries() != x.NumEntries() {
-		t.Fatal("Remap changed entry count")
-	}
-}
-
-func TestIndexRemapValidatesLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewIndex(NewStore(3)).Remap([]graph.Vertex{0})
-}
-
 func TestIndexIORoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	s := NewStore(50)

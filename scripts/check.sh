@@ -1,8 +1,13 @@
 #!/bin/sh
-# Repo-wide checks: the tier-1 command (build + full tests) plus gofmt,
-# static vetting (go vet and the custom parapll-vet suite), a race-detector
-# pass over the short suite, a fuzz smoke on the wire decoders, and a
-# cross-compile sweep. Run before every PR:
+# Repo-wide checks, in order: go build, gofmt, go vet, the custom
+# parapll-vet suite, the short suite under the race detector, a
+# -count=20 race pass over the lock-free structures, the tier-1 command
+# (go test ./...), a fuzz smoke on the four wire decoders, the
+# crash-recovery and flight-recorder e2e tests by name, a cross-compile
+# sweep, a trace smoke through parapll-index / parapll-trace, and the
+# repository benchmark's smoke (benchmark/run.sh -smoke). FUZZTIME (per
+# fuzz target, default 5s) is the only environment knob. Run before
+# every PR:
 #   scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -126,29 +131,6 @@ go run ./cmd/parapll-index -graph "$tracedir/wiki-vote.bin" -out "$tracedir/g.id
     -threads 4 -trace "$tracedir/build.json"
 go run ./cmd/parapll-trace check "$tracedir/build.json"
 
-# Opt-in: sync-pipeline benchmark (writes BENCH_sync.json). Slowish, so
-# off by default; enable with SYNC_BENCH=1 scripts/check.sh
-if [ "${SYNC_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_sync.sh"
-    scripts/bench_sync.sh
-fi
-
-# Opt-in: tracing-overhead benchmark (writes BENCH_trace.json); enable
-# with TRACE_BENCH=1 scripts/check.sh
-if [ "${TRACE_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_trace.sh"
-    scripts/bench_trace.sh
-fi
-
-# Build-engine smoke: a tiny-scale run of the build benchmark, whose
-# built-in cross-engine query check turns this red if the batched
-# engine's answers ever drift from per-root. Always on (fast at this
-# scale); the JSON goes to a temp dir so the committed trajectory only
-# changes via the opt-in below.
-echo "== build-engine smoke (cross-engine equivalence at tiny scale)"
-SCALE=0.02 DATASETS=Wiki-Vote OUT="$tracedir/BENCH_build_smoke.json" \
-    scripts/bench_build.sh >/dev/null
-
 # Repository-benchmark smoke: BENCHMARK.json's four workloads (build,
 # serve_point, serve_batch, living_mixed) through the real binaries at
 # scale 0.05. The benchmark refuses to report on a wrong answer, an
@@ -156,20 +138,5 @@ SCALE=0.02 DATASETS=Wiki-Vote OUT="$tracedir/BENCH_build_smoke.json" \
 # correctness gate, not a timing one. Writes only under .bench_build/.
 echo "== benchmark smoke (benchmark/run.sh -smoke: four workloads, answers checked)"
 bash benchmark/run.sh -smoke
-
-# Opt-in: full build-engine benchmark (writes BENCH_build.json); enable
-# with BUILD_BENCH=1 scripts/check.sh
-if [ "${BUILD_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_build.sh"
-    scripts/bench_build.sh
-fi
-
-# Opt-in: living-graph update benchmark (writes BENCH_update.json) —
-# durable insert throughput, WAL replay, fold/rebuild compaction walls
-# and publish windows; enable with UPDATE_BENCH=1 scripts/check.sh
-if [ "${UPDATE_BENCH:-0}" = "1" ]; then
-    echo "== scripts/bench_update.sh"
-    scripts/bench_update.sh
-fi
 
 echo "all checks passed"
