@@ -122,9 +122,10 @@ func main() {
 	if err != nil {
 		fatalf("saving index: %v", err)
 	}
-	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f) -> %s\n",
+	k, density := idx.Head()
+	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),
-		idx.NumEntries(), idx.AvgLabelSize(), *out)
+		idx.NumEntries(), idx.AvgLabelSize(), k, density, *out)
 }
 
 // logProgress samples prog every 2s and prints roots done, roots/sec

@@ -321,8 +321,23 @@ func main() {
 
 	fmt.Printf("listening on http://%s  (pprof=%v); index loading in background, poll /readyz\n",
 		*addr, *pprofOn)
-	if err := http.ListenAndServe(*addr, handler); err != nil {
+	if err := newHTTPServer(*addr, handler).ListenAndServe(); err != nil {
 		fatalf("%v", err)
+	}
+}
+
+// newHTTPServer is the listener's configuration: a connection that has
+// not finished sending a request's header after 5 s, or a kept-alive one
+// that has been silent for 2 min, is closed, so a slow or stalled client
+// holds a goroutine and a descriptor only that long. No read or write
+// deadline on bodies: /debug/pprof/profile and a large /batch take as
+// long as they take.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 }
 

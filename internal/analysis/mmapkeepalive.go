@@ -8,19 +8,19 @@ import (
 )
 
 // MmapKeepAlive enforces the label.Index memory model from PR 3: the
-// off/hubs/dists arrays of a finalizer-managed index may alias a file
-// mapping, so holding one of the slices does NOT keep the mapping alive —
-// only a reference to the owning index does. Every function that
-// dereferences the arrays (directly, through a local alias, or through
-// the slices returned by the Label or runs methods) must therefore pin
-// the owner
+// off/hubs/dists tail arrays and the headHubs/head matrix of a
+// finalizer-managed index may alias a file mapping, so holding one of the
+// slices does NOT keep the mapping alive — only a reference to the
+// owning index does. Every function that dereferences the arrays
+// (directly, through a local alias, or through the slices returned by
+// the Label, tail or row methods) must therefore pin the owner
 // with runtime.KeepAlive after its last dereference — a deferred
 // KeepAlive always counts — or a precise GC may collect the index
 // mid-read, run the mapping finalizer, and unmap the pages under the
 // running query (use-after-munmap).
 //
-// The owner type is recognized structurally: a struct with off, hubs and
-// dists slice fields plus an mm mapping field (label.Index; pathidx.Index
+// The owner type is recognized structurally: a struct with the five
+// array fields plus an mm mapping field (label.Index; pathidx.Index
 // lacks mm and is exempt — it is always heap-backed). Functions that
 // allocate the owner themselves (composite literal) are exempt: a
 // just-built owner cannot have a registered finalizer while the
@@ -31,16 +31,18 @@ var MmapKeepAlive = &Analyzer{
 	Run:  runMmapKeepAlive,
 }
 
-// mmapOwnerFields is the structural signature of the owner type.
-var mmapOwnerFields = map[string]bool{"off": true, "hubs": true, "dists": true}
+// mmapOwnerFields is the structural signature of the owner type: the
+// arrays that may alias the mapping.
+var mmapOwnerFields = map[string]bool{"off": true, "hubs": true, "dists": true, "headHubs": true, "head": true}
 
 // mmapAliasMethods are owner methods whose results alias the mapping:
-// the exported Label and the query ramp runs, which cuts both runs of a
-// pair for the merge kernel.
-var mmapAliasMethods = map[string]bool{"Label": true, "runs": true}
+// the exported Label (the stored run itself when the index has no head)
+// and the query ramp — tail, which cuts a vertex's run for the merge
+// kernel, and row, which cuts its head row for the dense scan.
+var mmapAliasMethods = map[string]bool{"Label": true, "tail": true, "row": true}
 
 // isMmapOwner reports whether t (through one pointer) is a struct with
-// the off/hubs/dists arrays and the mm mapping field.
+// the five arrays and the mm mapping field.
 func isMmapOwner(t types.Type) bool {
 	s := namedOrPtrStruct(t)
 	if s == nil {
@@ -192,6 +194,13 @@ func checkMmapFunc(pass *Pass, fd *ast.FuncDecl) {
 		if id, ok := e.(*ast.Ident); ok {
 			if root, ok := taint[info.ObjectOf(id)]; ok {
 				return root, id.Name, true
+			}
+		}
+		// An alias read where it is made, never named: range x.row(v),
+		// rowMin(x.row(s), x.row(t)).
+		if call, ok := e.(*ast.CallExpr); ok {
+			if root, ok := aliasMethodCall(call); ok {
+				return root, types.ExprString(e), true
 			}
 		}
 		return nil, "", false

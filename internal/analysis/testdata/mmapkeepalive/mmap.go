@@ -1,6 +1,6 @@
 // Package mmaptest is the mmapkeepalive golden-test corpus: a stand-in
-// for label.Index with the structural owner signature (off/hubs/dists
-// slices plus the mm mapping field).
+// for label.Index with the structural owner signature (the off/hubs/dists
+// tail arrays, the headHubs/head matrix, plus the mm mapping field).
 package mmaptest
 
 import "runtime"
@@ -11,10 +11,12 @@ type Dist = uint32
 type mapping struct{ data []byte }
 
 type Index struct {
-	off   []int64
-	hubs  []Vertex
-	dists []Dist
-	mm    *mapping
+	off      []int64
+	hubs     []Vertex
+	dists    []Dist
+	headHubs []Vertex
+	head     []Dist
+	mm       *mapping
 }
 
 // Label returns aliases into the mapping; the deref of off is pinned.
@@ -26,9 +28,11 @@ func (x *Index) Label(v Vertex) ([]Vertex, []Dist) {
 
 // heapIndex has the array fields but no mm: always heap-backed, exempt.
 type heapIndex struct {
-	off   []int64
-	hubs  []Vertex
-	dists []Dist
+	off      []int64
+	hubs     []Vertex
+	dists    []Dist
+	headHubs []Vertex
+	head     []Dist
 }
 
 func heapOK(h *heapIndex) Dist {
@@ -166,7 +170,7 @@ func chunkPinOK(x *Index, pairs [][2]Vertex, out []Dist) {
 }
 
 // --- The one generic kernel: label.merge is a single function
-// specialised by a zero-size mode type, fed by the inlinable runs ramp.
+// specialised by a zero-size mode type, fed by the inlinable tail ramp.
 // The ramp pins its own offset reads; each instantiation's caller must
 // still pin across the kernel's reads of the returned runs.
 
@@ -177,21 +181,73 @@ func merge[M ~[0]struct{} | ~[1]struct{}](ah []Vertex, ad []Dist, bh []Vertex, b
 	return kernel(ah, ad, bh, bd) + Dist(len(m))
 }
 
-func (x *Index) runs(s, t Vertex) ([]Vertex, []Dist, []Vertex, []Dist) {
-	slo, shi := x.off[s], x.off[s+1]
-	tlo, thi := x.off[t], x.off[t+1]
+func (x *Index) tail(v Vertex) ([]Vertex, []Dist) {
+	lo, hi := x.off[v], x.off[v+1]
 	runtime.KeepAlive(x)
-	return x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi]
+	return x.hubs[lo:hi], x.dists[lo:hi]
 }
 
 func genericKernelOK(x *Index, s, t Vertex) Dist {
-	ah, ad, bh, bd := x.runs(s, t)
+	ah, ad := x.tail(s)
+	bh, bd := x.tail(t)
 	d := merge[distOnly](ah, ad, bh, bd)
 	runtime.KeepAlive(x)
 	return d
 }
 
 func genericKernelBad(x *Index, s, t Vertex) Dist {
-	ah, ad, bh, bd := x.runs(s, t)
+	ah, ad := x.tail(s)
+	bh, bd := x.tail(t)
 	return merge[distOnly](ah, ad, bh, bd) // want `dereferences mmap-aliased bd without runtime.KeepAlive\(x\)`
+}
+
+// --- The dense head: row cuts K contiguous distances out of the n x K
+// matrix without reading one (slicing is a header copy), so it pins
+// nothing itself; whoever reads the row — the scan kernel's caller, or a
+// loop over it — must, exactly as for a tail run.
+
+func (x *Index) row(v Vertex) []Dist {
+	k := len(x.headHubs)
+	return x.head[int(v)*k:][:k]
+}
+
+func rowMin(a, b []Dist) Dist {
+	best := ^Dist(0)
+	for c, d := range a {
+		best = min(best, d+b[c])
+	}
+	return best
+}
+
+func headScanOK(x *Index, s, t Vertex) Dist {
+	d := rowMin(x.row(s), x.row(t))
+	hs := x.row(s)
+	d += rowMin(hs, x.row(t))
+	runtime.KeepAlive(x)
+	return d
+}
+
+// headRowBad: an unpinned read of a mapped head row is a use after
+// munmap waiting for a GC cycle.
+func headRowBad(x *Index, v Vertex) int {
+	size := 0
+	for _, d := range x.row(v) { // want `dereferences mmap-aliased x.row\(v\) without runtime.KeepAlive\(x\)`
+		if d != ^Dist(0) {
+			size++
+		}
+	}
+	return size
+}
+
+func headRowAliasBad(x *Index, s, t Vertex) Dist {
+	hs, ht := x.row(s), x.row(t)
+	return rowMin(hs, ht) // want `dereferences mmap-aliased ht without runtime.KeepAlive\(x\)`
+}
+
+func headHubsBad(x *Index, col int) Vertex {
+	return x.headHubs[col] // want `dereferences mmap-aliased x.headHubs without runtime.KeepAlive`
+}
+
+func headDirectBad(x *Index) Dist {
+	return x.head[0] // want `dereferences mmap-aliased x.head without runtime.KeepAlive`
 }

@@ -269,7 +269,7 @@ func TestOverlappedSupersetInvariant(t *testing.T) {
 				}
 			}
 			for v := 0; v < idxs[0].NumVertices(); v++ {
-				hubs, dists := idxs[0].Label(graph.Vertex(v))
+				hubs, dists := idxs[0].Label(graph.Vertex(v), nil, nil)
 				for i, h := range hubs {
 					if truth := serial.Query(h, graph.Vertex(v)); dists[i] < truth {
 						t.Fatalf("trial %d overlap=%v: label (%d,%d)=%d underestimates true distance %d",

@@ -129,7 +129,7 @@ func TestBatchedNoUnderestimates(t *testing.T) {
 		// its queries are the ground-truth distances.
 		serial := pll.Build(g, pll.Options{})
 		for v := graph.Vertex(0); int(v) < g.NumVertices(); v++ {
-			hubs, dists := x.Label(v)
+			hubs, dists := x.Label(v, nil, nil)
 			for i, h := range hubs {
 				if want := serial.Query(graph.Vertex(h), v); dists[i] < want {
 					t.Fatalf("label (%d, hub %d) = %d underestimates true distance %d", v, h, dists[i], want)

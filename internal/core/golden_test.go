@@ -11,13 +11,17 @@ import (
 )
 
 // TestIndexBytesGolden pins the deterministic builds — serial PLL and
-// both engines at one thread, which all emit the same index — to the
-// PIDM bytes recorded before the label store, the prune scan and the
-// finalize were rewritten, on a p2p and a road shape.
+// both engines at one thread, which all emit the same index — on a p2p
+// and a road shape, to two hashes. pidx is of the PIDX stream, a
+// vertex's whole label in hub order, recorded (at the parent commit)
+// before PIDM had a head: the labels are the ones every build since the
+// label store, prune scan and finalize rewrites has produced. pidm is of
+// the version 2 PIDM bytes, recorded when the head arrived: where the
+// finalize puts each entry.
 func TestIndexBytesGolden(t *testing.T) {
-	for dataset, want := range map[string]string{
-		"Gnutella": "1ac9bf038389e6a3f6c60580d97f7bfa2a61c73962f4c1db30107738754ff72f",
-		"RI-USA":   "7087867f3b63b17d67f7d22172878e316409490a380d1a0ca4f5a072af2d0e85",
+	for dataset, want := range map[string]struct{ pidx, pidm string }{
+		"Gnutella": {"10b08a6878d39cea9f5506f75855445d2e892c6a18c453d864d9e3677dda1102", "11b3358bcf5258beaea8ec1495b02c5714f0ad37077e9a1b86fdf1aee1a609e7"},
+		"RI-USA":   {"36b58f3503fac56d8e913a566ec01a0daa7a02458212e6ab4f78537c613131e1", "b3e46945e20bcba27ee30f34778c746b8a96716d53859f9493583d6eaa64dcfd"},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {
@@ -30,12 +34,18 @@ func TestIndexBytesGolden(t *testing.T) {
 			"Build/batched/1": Build(g, Options{Threads: 1, Engine: Batched{}}),
 			"Build/dynamic/1": Build(g, Options{Threads: 1, Policy: Dynamic}),
 		} {
-			h := sha256.New()
-			if err := x.WriteMmap(h); err != nil {
+			pidx, pidm := sha256.New(), sha256.New()
+			if err := x.Write(pidx); err != nil {
 				t.Fatal(err)
 			}
-			if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-				t.Errorf("%s %s: index of %d entries hashes to %s, want %s", dataset, name, x.NumEntries(), got, want)
+			if err := x.WriteMmap(pidm); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", pidx.Sum(nil)); got != want.pidx {
+				t.Errorf("%s %s: labels (%d entries) hash to %s as PIDX, want %s", dataset, name, x.NumEntries(), got, want.pidx)
+			}
+			if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != want.pidm {
+				t.Errorf("%s %s: index of %d entries hashes to %s as PIDM, want %s", dataset, name, x.NumEntries(), got, want.pidm)
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	// vertex, the list length, then its (hub, d) pairs.
 	for _, side := range []*label.Index{x.in, x.out} {
 		for v := 0; v < side.NumVertices(); v++ {
-			hubs, dists := side.Label(graph.Vertex(v))
+			hubs, dists := side.Label(graph.Vertex(v), nil, nil)
 			list := make([]label.Entry, len(hubs))
 			for i := range hubs {
 				list[i] = label.Entry{Hub: hubs[i], D: dists[i]}

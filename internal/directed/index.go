@@ -9,8 +9,9 @@ import (
 
 // Index is a directed 2-hop cover: per vertex, a hub-sorted in-label
 // run (hubs reaching it) and out-label run (hubs it reaches), each side
-// one flat label.Index so a query is the same merge kernel the
-// undirected index runs.
+// one label.Index so a query is the same merge kernel the undirected
+// index runs. Both sides are Flat: a query meets an out-label with an
+// in-label, and a dense head only lines up the rows of one index.
 type Index struct {
 	in  *label.Index
 	out *label.Index
@@ -43,8 +44,8 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 		return 0, s
 	}
 	// Hubs s reaches, met with hubs reaching t.
-	oh, od := x.out.Label(s)
-	ih, id := x.in.Label(t)
+	oh, od := x.out.Label(s, nil, nil)
+	ih, id := x.in.Label(t, nil, nil)
 	d, hub := label.MergeRuns(oh, od, ih, id)
 	runtime.KeepAlive(x) // Label's contract, though both sides are heap-backed
 	return d, hub

@@ -47,5 +47,5 @@ func BuildParallel(g *Digraph, opt ParallelOptions) *Index {
 
 	// Finalizing hub-sorts each list for the merge-join query
 	// (concurrent workers append out of rank order).
-	return &Index{in: label.NewIndex(in), out: label.NewIndex(out)}
+	return &Index{in: label.NewIndex(in).Flat(), out: label.NewIndex(out).Flat()}
 }

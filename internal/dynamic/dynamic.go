@@ -107,8 +107,10 @@ func FromIndex(g *graph.Graph, idx *label.Index) *Index {
 		lists: make([][]label.Entry, n),
 		ps:    pll.NewSearcher(n, false),
 	}
+	var hubs []graph.Vertex
+	var dists []graph.Dist
 	for v := 0; v < n; v++ {
-		hubs, dists := idx.Label(graph.Vertex(v))
+		hubs, dists = idx.Label(graph.Vertex(v), hubs, dists)
 		row := make([]label.Entry, len(hubs))
 		for i := range hubs {
 			row[i] = label.Entry{Hub: hubs[i], D: dists[i]}

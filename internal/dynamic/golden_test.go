@@ -11,9 +11,10 @@ import (
 )
 
 // TestIndexBytesGolden pins the label lists after a serial build and a
-// run of insertions to the bytes recorded before the prune scan and the
-// finalize were rewritten: resumed searches must prune exactly as
-// before, and ToIndex must lay the lists out exactly as before.
+// run of insertions: resumed searches must prune exactly as before —
+// the PIDX hash, of whole labels in hub order, was recorded (at the
+// parent commit) before PIDM had a head — and ToIndex must lay the lists
+// out as it did when the head arrived, the version 2 PIDM hash.
 func TestIndexBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const n = 300
@@ -27,12 +28,19 @@ func TestIndexBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h := sha256.New()
-	if err := x.ToIndex().WriteMmap(h); err != nil {
+	pidx, pidm := sha256.New(), sha256.New()
+	if err := x.ToIndex().Write(pidx); err != nil {
 		t.Fatal(err)
 	}
-	const want = "7978eae48c0bc54ff0a901351a1c4c1683389049f4cee175ca83457c580c7738"
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-		t.Fatalf("index of %d entries hashes to %s, want %s", x.NumEntries(), got, want)
+	if err := x.ToIndex().WriteMmap(pidm); err != nil {
+		t.Fatal(err)
+	}
+	const wantPIDX = "6b0db95f4b05529f67079ae5258dc8d5737b4b702102d1df68c40e8ce43d8752"
+	if got := fmt.Sprintf("%x", pidx.Sum(nil)); got != wantPIDX {
+		t.Fatalf("labels (%d entries) hash to %s as PIDX, want %s", x.NumEntries(), got, wantPIDX)
+	}
+	const wantPIDM = "505b7bfa1d21ab2509160a5dda7d5d7b8730eae417c2459307ae17caa244d444"
+	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
+		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}
 }

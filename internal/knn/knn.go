@@ -46,8 +46,10 @@ func New(x *label.Index) *Index {
 	defer runtime.KeepAlive(x)
 	n := x.NumVertices()
 	counts := make([]int64, n+1)
+	var hubs []graph.Vertex
+	var dists []graph.Dist
 	for v := 0; v < n; v++ {
-		hubs, _ := x.Label(graph.Vertex(v))
+		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
 		for _, h := range hubs {
 			counts[h+1]++
 		}
@@ -62,7 +64,7 @@ func New(x *label.Index) *Index {
 	cursor := make([]int64, n)
 	copy(cursor, inv.invOff[:n])
 	for v := 0; v < n; v++ {
-		hubs, dists := x.Label(graph.Vertex(v))
+		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
 		for i, h := range hubs {
 			inv.invV[cursor[h]] = graph.Vertex(v)
 			inv.invD[cursor[h]] = dists[i]
@@ -149,7 +151,7 @@ func (h *mergeHeap) pop() cursorItem {
 // the k-NN merge machinery but stops once the frontier passes radius.
 func (inv *Index) Within(s graph.Vertex, radius graph.Dist) []Result {
 	defer runtime.KeepAlive(inv) // pins inv.idx's mapping while sHubs/sDists are read
-	sHubs, sDists := inv.idx.Label(s)
+	sHubs, sDists := inv.idx.Label(s, nil, nil)
 	var h mergeHeap
 	for i, hub := range sHubs {
 		lo, hi := inv.invOff[hub], inv.invOff[hub+1]
@@ -201,7 +203,7 @@ func (inv *Index) Query(s graph.Vertex, k int) []Result {
 		return nil
 	}
 	defer runtime.KeepAlive(inv) // pins inv.idx's mapping while sHubs/sDists are read
-	sHubs, sDists := inv.idx.Label(s)
+	sHubs, sDists := inv.idx.Label(s, nil, nil)
 	var h mergeHeap
 	bases := make([]graph.Dist, len(sHubs))
 	streams := make([]int64, len(sHubs)) // stream i reads hub sHubs[i]

@@ -29,8 +29,8 @@ func TestQueryAllocsZero(t *testing.T) {
 		}
 	}
 	x := NewIndex(s)
-	ah, ad := x.Label(3)
-	bh, bd := x.Label(41)
+	ah, ad := x.Label(3, nil, nil)
+	bh, bd := x.Label(41, nil, nil)
 
 	for _, c := range []struct {
 		shape string

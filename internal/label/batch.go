@@ -11,15 +11,17 @@ import (
 // two sorted runs (merge.go) because nobody owns memory to do better; a
 // batch has workers, and a worker can own an array. So the batch kernel
 // is the prune test of the build (pll.CoveredBy) turned into a minimum:
-// scatter L(s) into a dense array indexed by hub id once per distinct
-// source, then every target of that source is one forward pass over L(t)
-// — no three-way compare, so nothing for the branch predictor to miss.
+// scatter the tail of L(s) into a dense array indexed by hub id once per
+// distinct source, then every target of that source is one forward pass
+// over the tail of L(t) — no three-way compare, so nothing for the branch
+// predictor to miss. The head needs no scatter at all: its rows are
+// already aligned column by column (rowMin).
 
 // batchScratch is what one QueryBatch call or one of its workers borrows
 // from its Index for the duration.
 type batchScratch struct {
-	// hub is the dense hub array: hub[h] = d(s,h) for the hubs of the
-	// source s being served, graph.Inf everywhere else — and graph.Inf
+	// hub is the dense hub array: hub[h] = d(s,h) for the tail hubs of
+	// the source s being served, graph.Inf everywhere else — and graph.Inf
 	// everywhere whenever the scratch is not inside scan. 4 bytes per
 	// vertex; made on first use, so a caller that only sorts never pays.
 	hub []graph.Dist
@@ -53,10 +55,10 @@ func (sc *batchScratch) hubArray(n int) []graph.Dist {
 // immutable, so concurrent batches need no synchronization. This is the
 // common production query shape (closeness ranking, distance matrices,
 // /batch requests), and it is cheaper per pair than Query: the pairs are
-// ordered by source once, each worker scatters a source's label into
-// its own dense array once per run of equal sources, and each target is
-// then a single branch-free scan (see scan). Out-of-range ids panic as
-// in Query, before any pair is answered.
+// ordered by source once, each worker scatters a source's tail into its
+// own dense array once per run of equal sources, and each target is then
+// two branch-free scans, one of its tail and one of the head rows (see
+// scan). Out-of-range ids panic as in Query, before any pair is answered.
 //
 // A batch that fits one chunk runs on the caller and allocates only its
 // result. Each worker holds 4·NumVertices() bytes of pooled scratch.
@@ -103,7 +105,8 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 // damaged index file can hold — it is not, and the caller must drop it.
 func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 	cur := graph.Vertex(-1)
-	var sh []graph.Vertex // hubs of L(cur), the entries of hub now set
+	var sh []graph.Vertex // hubs of tail(cur), the entries of hub now set
+	var srow []graph.Dist // head row of cur
 	for ki, k := range keys {
 		i, s := uint64(uint32(k)), graph.Vertex(k>>32)
 		t := pairs[i][1]
@@ -116,14 +119,14 @@ func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 				hub[h] = graph.Inf
 			}
 			var sd []graph.Dist
-			sh, sd = x.Label(s)
+			sh, sd = x.tail(s)
 			for j, h := range sh {
 				hub[h] = sd[j]
 			}
-			cur = s
+			srow, cur = x.row(s), s
 		}
-		th, td := x.Label(t)
-		keys[ki] = i<<32 | uint64(minOver(hub, th, td))
+		th, td := x.tail(t)
+		keys[ki] = i<<32 | uint64(min(minOver(hub, th, td), rowMin(srow, x.row(t))))
 	}
 	for _, h := range sh {
 		hub[h] = graph.Inf

@@ -3,7 +3,6 @@ package label
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"strings"
 	"sync"
@@ -208,7 +207,7 @@ func TestQueryBatchOutOfRangeRecoverable(t *testing.T) {
 }
 
 // damagedPIDM returns the PIDM bytes of x with the first hub of vertex
-// v's label replaced by bad, and every checksum recomputed to match: the
+// v's tail replaced by bad, and every checksum recomputed to match: the
 // file a bit flip before the CRCs were taken, or a foreign writer, leaves
 // behind. Nothing in the container is wrong; one hub id is not a vertex.
 func damagedPIDM(t *testing.T, x *Index, v graph.Vertex, bad uint32) []byte {
@@ -218,10 +217,8 @@ func damagedPIDM(t *testing.T, x *Index, v graph.Vertex, bad uint32) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[h.hubsSec+uint64(x.off[v])*4:], bad)
-	hubs := data[h.hubsSec : h.hubsSec+uint64(h.total)*4]
-	binary.LittleEndian.PutUint32(data[52:56], crc32.ChecksumIEEE(hubs))
-	binary.LittleEndian.PutUint32(data[60:64], crc32.ChecksumIEEE(data[0:60]))
+	binary.LittleEndian.PutUint32(data[h.lo[secHubs]+uint64(x.off[v])*4:], bad)
+	resealPIDM(t, data)
 	return data
 }
 
@@ -279,7 +276,8 @@ func TestQueryBatchDamagedHub(t *testing.T) {
 	}
 }
 
-// TestFinalizeRejectsForeignHub: the Index invariant hub < n is checked
+// TestFinalizeRejectsForeignHub: the Index invariant — hub < n, distance
+// below Inf, which in a head slot would read as "no entry" — is checked
 // where an index is built.
 func TestFinalizeRejectsForeignHub(t *testing.T) {
 	for _, hub := range []graph.Vertex{2, -1} {
@@ -287,4 +285,7 @@ func TestFinalizeRejectsForeignHub(t *testing.T) {
 			NewIndexFromLists([][]Entry{{{Hub: 0, D: 1}}, {{Hub: hub, D: 1}}})
 		})
 	}
+	mustPanicContaining(t, "infinite distance to hub 1", func() {
+		NewIndexFromLists([][]Entry{{{Hub: 0, D: 1}}, {{Hub: 1, D: graph.Inf}}})
+	})
 }

@@ -42,8 +42,10 @@ func (x *Index) WriteCompact(w io.Writer) error {
 		_, err := mw.Write(buf[:n])
 		return err
 	}
+	var hubs []graph.Vertex
+	var dists []graph.Dist
 	for v := 0; v < x.NumVertices(); v++ {
-		hubs, dists := x.Label(graph.Vertex(v))
+		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
 		if err := putUvarint(uint64(len(hubs))); err != nil {
 			return err
 		}
@@ -90,7 +92,8 @@ func ReadCompact(r io.Reader) (*Index, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("label: corrupt vertex count")
 	}
-	x := &Index{off: make([]int64, n+1), format: FormatCompact}
+	off := make([]int64, n+1)
+	var entries []Entry
 	for v := 0; v < n; v++ {
 		count, err := binary.ReadUvarint(tr)
 		if err != nil {
@@ -103,7 +106,7 @@ func ReadCompact(r io.Reader) (*Index, error) {
 				return nil, err
 			}
 			hub := prev + 1 + int64(dh)
-			if hub >= int64(n) {
+			if uint64(hub) >= uint64(n) { // a delta past 2^63 wraps negative
 				return nil, fmt.Errorf("label: vertex %d: hub %d out of range", v, hub)
 			}
 			prev = hub
@@ -114,10 +117,9 @@ func ReadCompact(r io.Reader) (*Index, error) {
 			if d >= uint64(graph.Inf) {
 				return nil, fmt.Errorf("label: vertex %d: distance overflow", v)
 			}
-			x.hubs = append(x.hubs, graph.Vertex(hub))
-			x.dists = append(x.dists, graph.Dist(d))
+			entries = append(entries, Entry{Hub: graph.Vertex(hub), D: graph.Dist(d)})
 		}
-		x.off[v+1] = int64(len(x.hubs))
+		off[v+1] = int64(len(entries))
 	}
 	want := crc.Sum32()
 	var sum [4]byte
@@ -127,7 +129,7 @@ func ReadCompact(r io.Reader) (*Index, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
 		return nil, fmt.Errorf("label: compact checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	return x, nil
+	return finalizeDecoded(off, entries, FormatCompact), nil
 }
 
 // teeByteReader is an io.ByteReader + io.Reader that mirrors all read

@@ -31,16 +31,23 @@ func seedPIDMFiles(tb testing.TB) [][]byte {
 		files = append(files, buf.Bytes())
 	}
 	// Truncations and a bad magic: the parser's first hurdles.
-	if whole := files[len(files)-1]; len(whole) > 8 {
-		files = append(files, whole[:8], whole[:len(whole)-1])
-	}
+	whole := files[len(files)-1]
+	files = append(files, whole[:8], whole[:len(whole)-1])
 	files = append(files, []byte("PIDXnope"), []byte{})
-	return files
+	// The files above are version 2, the last whole one with a head
+	// column; these are the same labels as version 1 wrote them, and a
+	// version 2 file whose head is every entry it has.
+	files = append(files, pidmV1Bytes(NewIndexFromLists(lists[2])))
+	var buf bytes.Buffer
+	if err := NewIndexFromLists([][]Entry{{{Hub: 0, D: 0}, {Hub: 1, D: 2}}, {{Hub: 0, D: 2}, {Hub: 1, D: 0}}}).WriteMmap(&buf); err != nil {
+		tb.Fatalf("WriteMmap: %v", err)
+	}
+	return append(files, buf.Bytes())
 }
 
 // FuzzOpenPIDM drives the PIDM header/section parser (the same
 // parsePIDM/checksumPIDM/slicePIDM pipeline Open runs against a mapped
-// file) with arbitrary bytes. It must never panic, and any file it
+// file, of either version) with arbitrary bytes. It must never panic, and any file it
 // accepts must produce a structurally sound index: consistent label
 // rows and panic-free queries over every vertex.
 func FuzzOpenPIDM(f *testing.F) {
@@ -61,7 +68,7 @@ func FuzzOpenPIDM(f *testing.F) {
 			t.Fatalf("accepted index with %d entries", got)
 		}
 		for v := 0; v < n; v++ {
-			hubs, dists := x.Label(graph.Vertex(v))
+			hubs, dists := x.Label(graph.Vertex(v), nil, nil)
 			if len(hubs) != len(dists) {
 				t.Fatalf("vertex %d: %d hubs vs %d dists", v, len(hubs), len(dists))
 			}
@@ -71,6 +78,9 @@ func FuzzOpenPIDM(f *testing.F) {
 			// symmetric queries must agree on the shared label set.
 			_ = x.Query(0, graph.Vertex(n-1))
 			_ = x.Query(graph.Vertex(n-1), 0)
+			// The stream reader has checked every hub id, so the batch
+			// kernel's dense array is safe to index too.
+			_ = x.QueryBatch([][2]graph.Vertex{{0, graph.Vertex(n - 1)}, {graph.Vertex(n - 1), 0}}, 1)
 		}
 	})
 }

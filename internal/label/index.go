@@ -11,20 +11,35 @@ import (
 	"parapll/internal/graph"
 )
 
-// Index is the immutable, query-optimized form of a label set. Per-vertex
-// entries are stored in one flat, hub-sorted, deduplicated array, so a
-// distance query is a single merge-intersection of two sorted runs —
-// exactly the paper's QUERY(s,t,L) = min over common hubs u of
-// σ(P(u,s)) + σ(P(u,t)).
+// Index is the immutable, query-optimized form of a label set: a 2-hop
+// cover answering the paper's QUERY(s,t,L) = min over common hubs u of
+// σ(P(u,s)) + σ(P(u,t)). A label L(v) is stored in two parts.
+//
+// The head is a dense n × K matrix of distances, one column per head hub:
+// a hub that appears in more than half the labels (PLL's first roots
+// reach almost every vertex) costs 4 bytes a vertex as a column and 8 an
+// appearance as a (hub, distance) pair, so exactly those hubs become
+// columns. The rule is the byte-optimal set; it needs no order, no
+// tuning, and picks K = 0 where no hub is that common. A vertex that
+// lacks a head hub holds graph.Inf in its slot, and the head's share of
+// a query is one branch-free pass over two contiguous rows (rowMin).
+//
+// The tail is everything else, per vertex one flat, hub-sorted,
+// deduplicated run of (hub, distance) pairs, and its share of a query is
+// a merge-intersection of two sorted runs (merge.go). No tail entry
+// names a head hub.
 //
 // Invariant: every hub id is a vertex of the index, 0 <= hub <
-// NumVertices(). finalize (NewIndex, NewIndexFromLists) panics on a list
-// that breaks it and the stream readers reject such a file, each while
-// making the one pass over the entries it makes anyway. Open does not
-// look — that is its point — so a damaged PIDM file can carry a foreign
-// hub id past it: Query then merges it like any other number, and
-// QueryBatch, whose dense scratch is sized by NumVertices(), panics on
-// its bounds-checked index (and drops that scratch).
+// NumVertices(), and every stored distance is below graph.Inf. finalize
+// (NewIndex, NewIndexFromLists) panics on a list that breaks it and the
+// stream readers reject such a file, each while making the passes over
+// the entries it makes anyway. Open does not look at the entries — that
+// is its point — so a damaged PIDM file can carry a foreign tail hub id
+// past it: Query then merges it like any other number, and QueryBatch,
+// whose dense scratch is sized by NumVertices(), panics on its
+// bounds-checked index (and drops that scratch). The head has no
+// per-entry hub id to damage: Open checks the K column ids, and a
+// flipped head byte is a wrong distance, which Verify's checksum names.
 //
 // The arrays either live on the heap (built or stream-decoded indexes)
 // or alias a read-only file mapping (Open); queries are identical
@@ -39,9 +54,14 @@ import (
 // this package that retains the slices returned by Label must keep the
 // Index reachable the same way for as long as it reads them.
 type Index struct {
-	off   []int64        // len n+1
-	hubs  []graph.Vertex // flat, sorted by hub within each vertex run
+	off   []int64        // len n+1: tail run of v is [off[v], off[v+1])
+	hubs  []graph.Vertex // tail, flat, sorted by hub within each vertex run
 	dists []graph.Dist
+
+	headHubs []graph.Vertex // the K head hubs, ascending
+	head     []graph.Dist   // n × K row-major: head[v*K+c] = d(headHubs[c], v), or graph.Inf
+
+	total int64 // label entries: finite head slots + tail entries
 
 	format string   // Format* constant; "" means FormatMemory
 	mm     *mapping // non-nil when the arrays alias a file (see Open)
@@ -83,50 +103,108 @@ func (x *Index) Close() error {
 }
 
 // NewIndex finalizes a Store into an Index: every label list is sorted by
-// hub id and duplicate hubs are collapsed to their minimum distance. The
-// store is read, not consumed; it must be quiescent (no appends racing
-// the finalize).
+// hub id, duplicate hubs are collapsed to their minimum distance, and the
+// hubs common enough to pay for a column move to the head. The store is
+// read, not consumed; it must be quiescent (no appends racing the
+// finalize).
 func NewIndex(s *Store) *Index {
-	return finalize(s.NumVertices(), s.TotalEntries(), func(v int) []Entry { return s.Snapshot(graph.Vertex(v)) })
+	return finalize(s.NumVertices(), func(v int) []Entry { return s.Snapshot(graph.Vertex(v)) }, true)
 }
 
 // NewIndexFromLists finalizes per-vertex label lists (as built by the
-// serial PLL, which needs no concurrent Store) into an Index. Each list is
-// sorted by hub and deduplicated to its minimum distance, like NewIndex.
+// serial PLL, which needs no concurrent Store) into an Index, exactly as
+// NewIndex does.
 func NewIndexFromLists(lists [][]Entry) *Index {
-	var total int64
-	for _, l := range lists {
-		total += int64(len(l))
-	}
-	return finalize(len(lists), total, func(v int) []Entry { return lists[v] })
+	return finalize(len(lists), func(v int) []Entry { return lists[v] }, true)
 }
 
-// finalize streams n label lists holding total entries into the flat
-// arrays: each list is copied into one reused scratch buffer, sorted and
-// deduplicated there and written to its final position, so beside the
-// source lists only the result is ever live. The arrays are sized for
-// total and trimmed by the (few) duplicates dropped. A hub outside
-// [0,n) is a builder's bug and panics (the Index invariant).
-func finalize(n int, total int64, list func(v int) []Entry) *Index {
-	idx := &Index{
-		off:   make([]int64, n+1),
-		hubs:  make([]graph.Vertex, total),
-		dists: make([]graph.Dist, total),
+// Flat returns an index over the same labels with an empty head — x
+// itself when it has none. It is for callers that merge a label of one
+// index against a label of another (directed's L_out(s) ∩ L_in(t)), which
+// two heads with different columns cannot serve, and it is the baseline
+// the head is measured against.
+func (x *Index) Flat() *Index {
+	if len(x.headHubs) == 0 {
+		return x
 	}
+	var hubs []graph.Vertex
+	var dists []graph.Dist
+	var entries []Entry
+	flat := finalize(x.NumVertices(), func(v int) []Entry {
+		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
+		entries = entries[:0]
+		for i, h := range hubs {
+			entries = append(entries, Entry{Hub: h, D: dists[i]})
+		}
+		return entries
+	}, false)
+	runtime.KeepAlive(x)
+	return flat
+}
+
+// finalize streams n label lists into the arrays in two passes. The
+// first counts the labels each hub appears in (a duplicate within one
+// list once), which fixes the head columns — every hub in more than n/2
+// labels when withHead is set — and the exact size of every array. The
+// second copies each list into one reused scratch buffer, sorts and
+// deduplicates it there and deals its entries to the head row or the
+// tail run, so beside the source lists only the result is ever live. A
+// hub outside [0,n) or a distance of graph.Inf is a builder's bug and
+// panics (the Index invariant). list(v) may reuse its result's storage
+// between calls.
+func finalize(n int, list func(v int) []Entry, withHead bool) *Index {
+	count := make([]int32, n) // labels holding the hub
+	seen := make([]int32, n)  // seen[h] == v+1: h already counted for v
+	var total int64
+	for v := 0; v < n; v++ {
+		mark := int32(v + 1)
+		for _, e := range list(v) {
+			if uint(e.Hub) >= uint(n) {
+				panic(fmt.Sprintf("label: vertex %d has hub %d outside [0,%d)", v, e.Hub, n))
+			}
+			if e.D == graph.Inf {
+				panic(fmt.Sprintf("label: vertex %d has an infinite distance to hub %d", v, e.Hub))
+			}
+			if seen[e.Hub] != mark {
+				seen[e.Hub] = mark
+				count[e.Hub]++
+				total++
+			}
+		}
+	}
+	// col[h] is h's head column, -1 for a tail hub; it takes over seen.
+	idx := &Index{off: make([]int64, n+1), total: total}
+	col, tail := seen, total
+	for h := range col {
+		col[h] = -1
+		if withHead && 2*int(count[h]) > n {
+			col[h] = int32(len(idx.headHubs))
+			idx.headHubs = append(idx.headHubs, graph.Vertex(h))
+			tail -= int64(count[h])
+		}
+	}
+	k := len(idx.headHubs)
+	idx.head = make([]graph.Dist, n*k)
+	idx.hubs = make([]graph.Vertex, tail)
+	idx.dists = make([]graph.Dist, tail)
 	var scratch []Entry
 	pos := 0
 	for v := 0; v < n; v++ {
 		scratch = append(scratch[:0], list(v)...)
+		row := idx.head[v*k:][:k]
+		for c := range row {
+			row[c] = graph.Inf
+		}
 		for _, e := range sortDedupe(scratch) {
-			if uint(e.Hub) >= uint(n) {
-				panic(fmt.Sprintf("label: vertex %d has hub %d outside [0,%d)", v, e.Hub, n))
+			if c := col[e.Hub]; c >= 0 {
+				row[c] = e.D
+				continue
 			}
 			idx.hubs[pos], idx.dists[pos] = e.Hub, e.D
 			pos++
 		}
 		idx.off[v+1] = int64(pos)
 	}
-	idx.hubs, idx.dists = idx.hubs[:pos:pos], idx.dists[:pos:pos]
 	return idx
 }
 
@@ -158,28 +236,35 @@ func sortDedupe(list []Entry) []Entry {
 	return out
 }
 
-// Equal reports whether two indexes hold identical label data
-// (offsets, hubs and distances), regardless of storage backing (heap or
-// mmap) and origin format. This is the invariant the cross-format
-// round-trip tests assert.
+// Equal reports whether two indexes hold identical labels — the same
+// (hub, distance) pairs for every vertex — regardless of storage backing
+// (heap or mmap), origin format and where each keeps the split between
+// head and tail. This is the invariant the cross-format round-trip tests
+// assert.
 func (x *Index) Equal(y *Index) bool {
-	eq := slices.Equal(x.off, y.off) &&
-		slices.Equal(x.hubs, y.hubs) &&
-		slices.Equal(x.dists, y.dists)
-	runtime.KeepAlive(x)
-	runtime.KeepAlive(y)
-	return eq
+	defer runtime.KeepAlive(x)
+	defer runtime.KeepAlive(y)
+	if x.NumVertices() != y.NumVertices() || x.total != y.total {
+		return false
+	}
+	var xh, yh []graph.Vertex
+	var xd, yd []graph.Dist
+	for v := 0; v < x.NumVertices(); v++ {
+		xh, xd = x.Label(graph.Vertex(v), xh, xd)
+		yh, yd = y.Label(graph.Vertex(v), yh, yd)
+		if !slices.Equal(xh, yh) || !slices.Equal(xd, yd) {
+			return false
+		}
+	}
+	return true
 }
 
 // NumVertices returns the number of labeled vertices.
 func (x *Index) NumVertices() int { return len(x.off) - 1 }
 
-// NumEntries returns the total number of label entries.
-func (x *Index) NumEntries() int64 {
-	total := x.off[len(x.off)-1]
-	runtime.KeepAlive(x) // x.off may alias a finalizer-managed mapping
-	return total
-}
+// NumEntries returns the total number of label entries, wherever they
+// are stored: finite head slots plus tail entries.
+func (x *Index) NumEntries() int64 { return x.total }
 
 // AvgLabelSize returns the mean entries per vertex — the paper's LN metric
 // reported in Tables 3–5.
@@ -191,27 +276,60 @@ func (x *Index) AvgLabelSize() float64 {
 	return float64(x.NumEntries()) / float64(n)
 }
 
+// Head returns the number of head columns K and the share of the n × K
+// head slots that hold an entry (0 when K is 0).
+func (x *Index) Head() (k int, density float64) {
+	k = len(x.headHubs)
+	if len(x.head) == 0 {
+		return k, 0
+	}
+	return k, float64(x.total-int64(len(x.hubs))) / float64(len(x.head))
+}
+
 // MemoryBytes returns the in-memory footprint of the index's arrays
-// (offsets + hubs + distances). The paper reports this linear-in-(n·LN)
-// quantity peaking at 2.2 GB in its evaluation.
+// (offsets, tail hubs and distances, head). The paper reports this
+// linear-in-(n·LN) quantity peaking at 2.2 GB in its evaluation.
 func (x *Index) MemoryBytes() int64 {
-	return int64(len(x.off))*8 + int64(len(x.hubs))*4 + int64(len(x.dists))*4
+	return int64(len(x.off))*8 + int64(len(x.hubs)+len(x.dists)+len(x.headHubs)+len(x.head))*4
 }
 
 // LabelSize returns |L(v)|.
 func (x *Index) LabelSize(v graph.Vertex) int {
 	size := int(x.off[v+1] - x.off[v])
+	for _, d := range x.row(v) {
+		if d != graph.Inf {
+			size++
+		}
+	}
 	runtime.KeepAlive(x)
 	return size
 }
 
-// Label returns v's entries (hub-sorted). The slices alias internal
-// storage and must not be modified; for a possibly mmap-backed index
-// the caller must also keep x reachable (runtime.KeepAlive) for as long
-// as it reads them — see the Index memory-model comment.
-func (x *Index) Label(v graph.Vertex) ([]graph.Vertex, []graph.Dist) {
-	lo, hi := x.off[v], x.off[v+1]
-	hubs, dists := x.hubs[lo:hi], x.dists[lo:hi]
+// Label returns v's entries, hub-sorted. An index without a head returns
+// its stored run; otherwise the head row's entries and the tail run are
+// interleaved into hubs[:0] and dists[:0], which a caller walking many
+// labels passes back in to reuse. Either way the result is read-only,
+// and for a possibly mmap-backed index the caller must keep x reachable
+// (runtime.KeepAlive) for as long as it reads it — see the Index
+// memory-model comment.
+func (x *Index) Label(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
+	th, td := x.tail(v)
+	if len(x.headHubs) == 0 {
+		return th, td
+	}
+	hubs, dists = hubs[:0], dists[:0]
+	j := 0
+	for c, d := range x.row(v) {
+		if d == graph.Inf {
+			continue
+		}
+		h := x.headHubs[c]
+		for ; j < len(th) && th[j] < h; j++ {
+			hubs, dists = append(hubs, th[j]), append(dists, td[j])
+		}
+		hubs, dists = append(hubs, h), append(dists, d)
+	}
+	hubs, dists = append(hubs, th[j:]...), append(dists, td[j:]...)
 	runtime.KeepAlive(x)
 	return hubs, dists
 }
@@ -241,46 +359,111 @@ func checkPairSlow(s, t graph.Vertex, n int) {
 	}
 }
 
-// runs cuts the label runs of s and t out of the flat arrays — the ramp
+// tail cuts v's tail run out of the flat arrays; with row, the ramp
 // every query shape shares, small enough to inline into each. The pin
 // here covers the offset reads only: the returned slices alias x's
 // possibly-mmap'd arrays, so the caller pins x again after its last
 // read of them (the same contract as Label).
-func (x *Index) runs(s, t graph.Vertex) (ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist) {
-	slo, shi := x.off[s], x.off[s+1]
-	tlo, thi := x.off[t], x.off[t+1]
+func (x *Index) tail(v graph.Vertex) ([]graph.Vertex, []graph.Dist) {
+	lo, hi := x.off[v], x.off[v+1]
 	runtime.KeepAlive(x)
-	return x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi]
+	return x.hubs[lo:hi], x.dists[lo:hi]
+}
+
+// row cuts v's head row: K distances, zero-length when the index has no
+// head. It reads no element, so it pins nothing; the caller pins x after
+// its last read of the row, as for tail.
+func (x *Index) row(v graph.Vertex) []graph.Dist {
+	k := len(x.headHubs)
+	return x.head[int(v)*k:][:k]
+}
+
+// rowMin is the head's share of QUERY(s,t,L): min over c of a[c] + b[c]
+// for two head rows, saturating at graph.Inf. The sum is taken in 64
+// bits, which makes it the AddDist minimum: a slot either vertex lacks
+// holds Inf and contributes at least Inf, as does any sum AddDist would
+// have saturated (minOver's argument, batch.go). The loop has no
+// data-dependent branch — min compiles to a conditional move — and no
+// hub ids to compare: the columns line up by construction. Two
+// accumulators, because with contiguous loads the one chain of compare
+// and conditional move is what a single one waits on: 235 -> 185 ns at
+// K = 210 (minOver's loads are gathers, and there a second one bought
+// nothing).
+func rowMin(a, b []graph.Dist) graph.Dist {
+	b = b[:len(a)]
+	even, odd := uint64(graph.Inf), uint64(graph.Inf)
+	c := 0
+	for ; c+1 < len(a); c += 2 {
+		even = min(even, uint64(a[c])+uint64(b[c]))
+		odd = min(odd, uint64(a[c+1])+uint64(b[c+1]))
+	}
+	if c < len(a) {
+		even = min(even, uint64(a[c])+uint64(b[c]))
+	}
+	return graph.Dist(min(even, odd))
+}
+
+// rowArgMin is rowMin that also reports the first column achieving the
+// minimum, -1 when it is graph.Inf.
+func rowArgMin(a, b []graph.Dist) (graph.Dist, int) {
+	b = b[:len(a)]
+	best, col := uint64(graph.Inf), -1
+	for c, d := range a {
+		if sum := uint64(d) + uint64(b[c]); sum < best {
+			best, col = sum, c
+		}
+	}
+	return graph.Dist(best), col
+}
+
+// meet folds the head's answer (rowArgMin) into the tail's (merge): the
+// smaller distance, and between equal distances the smaller hub id —
+// the hub one merge over the two full labels would have kept.
+func (x *Index) meet(hd graph.Dist, col int, d graph.Dist, hub graph.Vertex) (graph.Dist, graph.Vertex) {
+	if col < 0 {
+		return d, hub
+	}
+	if h := x.headHubs[col]; hd < d || hd == d && h < hub {
+		d, hub = hd, h
+	}
+	runtime.KeepAlive(x)
+	return d, hub
 }
 
 // Query returns the shortest-path distance between s and t, or graph.Inf
-// if no common hub covers the pair (disconnected). Complexity is
-// O(|L(s)| + |L(t)|), dropping to O(min·log(max/min)) for strongly
-// asymmetric label lists via the galloping merge. It allocates nothing.
-// Out-of-range ids panic with a descriptive message (consistently —
-// including when s == t).
+// if no common hub covers the pair (disconnected). Complexity is O(K)
+// for the head plus O(|tail(s)| + |tail(t)|) for the merge, dropping to
+// O(min·log(max/min)) for strongly asymmetric tails via the galloping
+// merge. It allocates nothing. Out-of-range ids panic with a descriptive
+// message (consistently — including when s == t).
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 	x.checkPair(s, t)
 	if s == t {
 		return 0
 	}
-	ah, ad, bh, bd := x.runs(s, t)
+	ah, ad := x.tail(s)
+	bh, bd := x.tail(t)
 	d, _ := merge[distOnly](ah, ad, bh, bd, nil)
-	runtime.KeepAlive(x) // the merge reads slices aliasing x's mapping
+	d = min(d, rowMin(x.row(s), x.row(t)))
+	runtime.KeepAlive(x) // both kernels read slices aliasing x's mapping
 	return d
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
-// minimum (useful for path reconstruction and diagnostics). hub is -1 when
-// the pair is disconnected; for s == t it returns (0, s). Out-of-range
-// ids panic exactly as in Query.
+// minimum (useful for path reconstruction and diagnostics): the smallest
+// hub id among those that do. hub is -1 when the pair is disconnected;
+// for s == t it returns (0, s). Out-of-range ids panic exactly as in
+// Query.
 func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	x.checkPair(s, t)
 	if s == t {
 		return 0, s
 	}
-	ah, ad, bh, bd := x.runs(s, t)
+	ah, ad := x.tail(s)
+	bh, bd := x.tail(t)
 	d, hub := merge[withHub](ah, ad, bh, bd, nil)
+	hd, col := rowArgMin(x.row(s), x.row(t))
+	d, hub = x.meet(hd, col, d, hub)
 	runtime.KeepAlive(x)
 	return d, hub
 }

@@ -33,18 +33,29 @@ func (x *Index) Write(w io.Writer) error {
 	if _, err := mw.Write(hdr[:]); err != nil {
 		return err
 	}
+	// The file holds whole labels: offsets that count head entries too,
+	// then each vertex's (hub, distance) pairs in hub order.
 	var buf [8]byte
-	for _, o := range x.off {
-		binary.LittleEndian.PutUint64(buf[:], uint64(o))
+	var off int64
+	for v := -1; v < x.NumVertices(); v++ {
+		if v >= 0 {
+			off += int64(x.LabelSize(graph.Vertex(v)))
+		}
+		binary.LittleEndian.PutUint64(buf[:], uint64(off))
 		if _, err := mw.Write(buf[:]); err != nil {
 			return err
 		}
 	}
-	for i := range x.hubs {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(x.hubs[i]))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(x.dists[i]))
-		if _, err := mw.Write(buf[:]); err != nil {
-			return err
+	var hubs []graph.Vertex
+	var dists []graph.Dist
+	for v := 0; v < x.NumVertices(); v++ {
+		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
+		for i, h := range hubs {
+			binary.LittleEndian.PutUint32(buf[0:4], uint32(h))
+			binary.LittleEndian.PutUint32(buf[4:8], uint32(dists[i]))
+			if _, err := mw.Write(buf[:]); err != nil {
+				return err
+			}
 		}
 	}
 	binary.LittleEndian.PutUint32(buf[0:4], crc.Sum32())
@@ -79,20 +90,16 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if n < 0 || total < 0 {
 		return nil, fmt.Errorf("label: corrupt header (n=%d, total=%d)", n, total)
 	}
-	x := &Index{
-		off:    make([]int64, n+1),
-		hubs:   make([]graph.Vertex, total),
-		dists:  make([]graph.Dist, total),
-		format: FormatFixed,
-	}
+	off := make([]int64, n+1)
+	entries := make([]Entry, total)
 	var buf [8]byte
-	for i := range x.off {
+	for i := range off {
 		if _, err := io.ReadFull(tr, buf[:]); err != nil {
 			return nil, err
 		}
-		x.off[i] = int64(binary.LittleEndian.Uint64(buf[:]))
+		off[i] = int64(binary.LittleEndian.Uint64(buf[:]))
 	}
-	for i := int64(0); i < total; i++ {
+	for i := range entries {
 		if _, err := io.ReadFull(tr, buf[:]); err != nil {
 			return nil, err
 		}
@@ -100,12 +107,11 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		if hv >= uint32(n) {
 			return nil, fmt.Errorf("label: entry %d: hub %d out of range", i, hv)
 		}
-		x.hubs[i] = graph.Vertex(hv)
 		dv := binary.LittleEndian.Uint32(buf[4:8])
 		if dv >= uint32(graph.Inf) {
 			return nil, fmt.Errorf("label: entry %d: distance overflow", i)
 		}
-		x.dists[i] = graph.Dist(dv)
+		entries[i] = Entry{Hub: graph.Vertex(hv), D: graph.Dist(dv)}
 	}
 	want := crc.Sum32()
 	if _, err := io.ReadFull(br, buf[0:4]); err != nil {
@@ -114,13 +120,22 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if got := binary.LittleEndian.Uint32(buf[0:4]); got != want {
 		return nil, fmt.Errorf("label: checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	if x.off[0] != 0 || x.off[n] != total {
+	if off[0] != 0 || off[n] != total {
 		return nil, fmt.Errorf("label: corrupt offsets")
 	}
 	for i := 0; i < n; i++ {
-		if x.off[i] > x.off[i+1] {
+		if off[i] > off[i+1] {
 			return nil, fmt.Errorf("label: offsets not monotone at %d", i)
 		}
 	}
-	return x, nil
+	return finalizeDecoded(off, entries, FormatFixed), nil
+}
+
+// finalizeDecoded is how a stream reader ends: the whole labels it
+// decoded (label v is entries[off[v]:off[v+1]]) go through the finalize
+// a build ends in, so the index has the head its labels earn.
+func finalizeDecoded(off []int64, entries []Entry, format string) *Index {
+	x := finalize(len(off)-1, func(v int) []Entry { return entries[off[v]:off[v+1]] }, true)
+	x.format = format
+	return x
 }

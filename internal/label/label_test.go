@@ -206,7 +206,7 @@ func TestIndexSortsAndDedupes(t *testing.T) {
 	s.Append(0, 1, 50)
 	s.Append(0, 0, 35)
 	x := NewIndex(s)
-	hubs, dists := x.Label(0)
+	hubs, dists := x.Label(0, nil, nil)
 	if !reflect.DeepEqual(hubs, []graph.Vertex{0, 1}) {
 		t.Fatalf("hubs = %v, want [0 1]", hubs)
 	}

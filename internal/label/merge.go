@@ -3,7 +3,9 @@ package label
 import "parapll/internal/graph"
 
 // merge.go is the QUERY(s,t,L) kernel for a lone pair: the minimum of
-// sd[i]+td[j] over common hubs of two hub-sorted label runs. It is
+// sd[i]+td[j] over common hubs of two hub-sorted label runs — for an
+// Index the two tails, since the hubs in more than half the labels have
+// left for the dense head and its own loop (rowMin, index.go). It is
 // written once — merge — and every per-pair serving shape (distance
 // only, distance + meeting hub, distance + hub + cost counters) is an
 // instantiation of it; a batch of pairs has scratch memory to spend and
@@ -11,11 +13,12 @@ import "parapll/internal/graph"
 // inner loop, so it gets two specializations the plain two-pointer walk
 // lacks:
 //
-//   - an unrolled equal-hub fast path: the highest-ranked hubs appear
-//     in almost every label list, so the two runs typically open with a
-//     long stretch of identical hub ids. The unrolled loop consumes
-//     such a stretch with one compare per pair instead of re-entering
-//     the three-way dispatch each iteration.
+//   - an unrolled equal-hub fast path: high-ranked hubs appear in many
+//     label lists, so two runs often share a stretch of identical hub
+//     ids (always, for the whole labels directed and pathidx pass to
+//     MergeRuns). The unrolled loop consumes such a stretch with one
+//     compare per pair instead of re-entering the three-way dispatch
+//     each iteration.
 //
 //   - galloping probes for asymmetric runs: when one run is >=
 //     gallopRatio x longer, walking it linearly inspects mostly
@@ -151,10 +154,11 @@ func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []g
 				ex.HubsProbed++
 			}
 			// Plain compare-and-branch dispatch. What it costs was measured
-			// (BenchmarkQueryKernel, 2.1 GHz Xeon, 2000 uniform pairs): on
-			// the p2p index 2.7-3.0 us for 444 probed hubs of which 110 are
-			// common, ~13 cycles a step; on the road index 0.82-0.93 us for
-			// 194 probed, 126 common, ~9.5. Both are several times a
+			// on whole labels, before the head took the commonest hubs
+			// (BenchmarkQueryKernel's -flat rows, 2.1 GHz Xeon, 2000 uniform
+			// pairs): on the p2p index 2.7-3.0 us for 444 probed hubs of
+			// which 110 are common, ~13 cycles a step; on the road index
+			// 0.82-0.93 us for 194 probed, 126 common, ~9.5. Both are several times a
 			// predicted branch: which run advances is a coin toss wherever
 			// the two labels interleave, and p2p labels interleave most. A
 			// conditional-move lowering would not fix that — it chains every

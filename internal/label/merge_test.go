@@ -83,7 +83,7 @@ func TestMergeRunsMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	sizes := []struct {
 		na, nb   int
-		saturate bool // every other distance sits within 2 of Inf
+		saturate bool // every other distance sits within 3 of Inf, none on it: an index stores no Inf
 	}{
 		{na: 0, nb: 0}, {na: 0, nb: 50}, {na: 50, nb: 0}, // empty on either side
 		{na: 3, nb: 3}, {na: 1, nb: 1},
@@ -105,10 +105,10 @@ func TestMergeRunsMatchesReference(t *testing.T) {
 			bh, bd := randRun(r, sz.nb, 400)
 			if sz.saturate {
 				for i := 0; i < len(ad); i += 2 {
-					ad[i] = graph.Inf - graph.Dist(r.Intn(3))
+					ad[i] = graph.Inf - 1 - graph.Dist(r.Intn(3))
 				}
 				for i := r.Intn(2); i < len(bd); i += 2 {
-					bd[i] = graph.Inf - graph.Dist(r.Intn(3))
+					bd[i] = graph.Inf - 1 - graph.Dist(r.Intn(3))
 				}
 			}
 			wantD, wantH := refMerge(ah, ad, bh, bd)

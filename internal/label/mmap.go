@@ -12,32 +12,38 @@ import (
 	"parapll/internal/graph"
 )
 
-// Mmap-native on-disk index format ("PIDM"): the three arrays of Index
-// (off, hubs, dists) laid out verbatim, little-endian, each in its own
-// 64-byte-aligned section, behind a fixed 64-byte header. Opening the
-// file is O(1): validate the header, map the file, and alias the
-// sections in place — no per-entry decode, no second copy of the index
-// in memory. The label array IS the product artifact; the file IS the
-// serving state.
+// Mmap-native on-disk index format ("PIDM"): the five arrays of Index
+// (off, headHubs, head, hubs, dists) laid out verbatim, little-endian,
+// each in its own 64-byte-aligned section, behind a fixed header. Opening
+// the file is O(1) in the entries: validate the header, map the file,
+// and alias the sections in place — no per-entry decode, no second copy
+// of the index in memory. The label array IS the product artifact; the
+// file IS the serving state.
 //
-// Layout (all integers little-endian):
+// Version 2 layout (all integers little-endian), what WriteMmap emits:
 //
-//	[0:4)    magic "PIDM"
-//	[4:8)    version (1)
-//	[8:16)   n       — vertex count
-//	[16:24)  total   — entry count
-//	[24:32)  byte offset of the off   section ((n+1) × int64)
-//	[32:40)  byte offset of the hubs  section (total × int32)
-//	[40:48)  byte offset of the dists section (total × uint32)
-//	[48:52)  CRC32 (IEEE) of the off section
-//	[52:56)  CRC32 of the hubs section
-//	[56:60)  CRC32 of the dists section
-//	[60:64)  CRC32 of header bytes [0:60)
+//	[0:4)     magic "PIDM"
+//	[4:8)     version (2)
+//	[8:16)    n       — vertex count
+//	[16:24)   total   — label entries: finite head slots + tail entries
+//	[24:32)   tail    — tail entries
+//	[32:40)   K       — head columns
+//	[40:80)   byte offsets of the five sections, in file order:
+//	          off ((n+1) × int64), headHubs (K × int32),
+//	          head (n·K × uint32), hubs (tail × int32), dists (tail × uint32)
+//	[80:100)  CRC32 (IEEE) of each section, same order
+//	[100:124) zero
+//	[124:128) CRC32 of header bytes [0:124)
 //
-// Sections follow in order, each padded to a 64-byte boundary
+// Sections follow in that order, each padded to a 64-byte boundary
 // (cache-line, and divides the page size, so section starts stay
 // aligned for any element type). The file ends exactly at the end of
 // the dists section.
+//
+// Version 1 had no head and a 64-byte header: n, total, the offsets of
+// off, hubs and dists at [24:48), their CRCs at [48:60) and the header
+// CRC at [60:64). It reads as K = 0 — two empty sections — through the
+// same layout, checksum and slicing code.
 //
 // Open validates the header checksum and the structural invariants but
 // deliberately does NOT re-checksum the sections — that would page in
@@ -46,16 +52,29 @@ import (
 // ReadAny always verifies (it has read every byte anyway).
 
 const (
-	mmapMagic      = "PIDM"
-	mmapVersion    = 1
-	mmapHeaderSize = 64
-	mmapAlign      = 64
+	mmapMagic    = "PIDM"
+	mmapVersion  = 2
+	mmapHeaderV1 = 64 // also the least any PIDM file holds
+	mmapHeaderV2 = 128
+	mmapAlign    = 64
 
-	// maxMmapEntries bounds the entry count so section arithmetic can
-	// never overflow uint64 (and a corrupt header cannot make us map
-	// absurd lengths).
+	// maxMmapEntries bounds the tail entry count and the head slot count
+	// so section arithmetic can never overflow uint64 (and a corrupt
+	// header cannot make us map absurd lengths).
 	maxMmapEntries = int64(1) << 48
 )
+
+// The sections, in file order.
+const (
+	secOff = iota
+	secHeadHubs
+	secHead
+	secHubs
+	secDists
+	numSections
+)
+
+var sectionNames = [numSections]string{"off", "headHubs", "head", "hubs", "dists"}
 
 // hostLittleEndian reports whether this machine stores integers
 // little-endian — the precondition for aliasing PIDM sections in place.
@@ -67,14 +86,23 @@ var hostLittleEndian = func() bool {
 
 func alignUp(x uint64) uint64 { return (x + mmapAlign - 1) &^ (mmapAlign - 1) }
 
-// mmapLayout returns the byte offsets of the three sections and the
-// total file size for an index with n vertices and total entries.
-func mmapLayout(n int, total int64) (offSec, hubsSec, distsSec, size uint64) {
-	offSec = mmapHeaderSize
-	hubsSec = alignUp(offSec + uint64(n+1)*8)
-	distsSec = alignUp(hubsSec + uint64(total)*4)
-	size = distsSec + uint64(total)*4
-	return
+// mmapLayout returns the byte offset and length of each section and the
+// total file size for an index with n vertices, k head columns and tail
+// tail entries behind a header of hdr bytes.
+func mmapLayout(hdr, n, k int, tail int64) (lo, size [numSections]uint64, fileSize uint64) {
+	size = [numSections]uint64{
+		secOff:      uint64(n+1) * 8,
+		secHeadHubs: uint64(k) * 4,
+		secHead:     uint64(n) * uint64(k) * 4,
+		secHubs:     uint64(tail) * 4,
+		secDists:    uint64(tail) * 4,
+	}
+	end := uint64(hdr)
+	for i := range lo {
+		lo[i] = alignUp(end)
+		end = lo[i] + size[i]
+	}
+	return lo, size, end
 }
 
 // mapping owns the backing bytes of an mmap-opened index: a real
@@ -135,64 +163,64 @@ func writeLE[T ~int32 | ~uint32 | ~int64](w io.Writer, block []byte, vals []T) e
 // checksums (the header precedes the sections in the file), one into w.
 func (x *Index) WriteMmap(w io.Writer) error {
 	defer runtime.KeepAlive(x) // the arrays may alias a finalizer-managed mapping
-	n := x.NumVertices()
-	total := x.NumEntries()
-	offSec, hubsSec, distsSec, _ := mmapLayout(n, total)
+	n, k, tail := x.NumVertices(), len(x.headHubs), int64(len(x.hubs))
+	lo, size, _ := mmapLayout(mmapHeaderV2, n, k, tail)
 
 	block := make([]byte, pidmBlock)
-	crcOff, crcHubs, crcDists := crc32.NewIEEE(), crc32.NewIEEE(), crc32.NewIEEE()
-	// A hash.Hash's Write never fails.
-	_ = writeLE(crcOff, block, x.off)
-	_ = writeLE(crcHubs, block, x.hubs)
-	_ = writeLE(crcDists, block, x.dists)
+	section := func(w io.Writer, i int) error {
+		switch i {
+		case secOff:
+			return writeLE(w, block, x.off)
+		case secHeadHubs:
+			return writeLE(w, block, x.headHubs)
+		case secHead:
+			return writeLE(w, block, x.head)
+		case secHubs:
+			return writeLE(w, block, x.hubs)
+		default:
+			return writeLE(w, block, x.dists)
+		}
+	}
 
-	hdr := make([]byte, mmapHeaderSize)
+	hdr := make([]byte, mmapHeaderV2)
 	copy(hdr[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(total))
-	binary.LittleEndian.PutUint64(hdr[24:32], offSec)
-	binary.LittleEndian.PutUint64(hdr[32:40], hubsSec)
-	binary.LittleEndian.PutUint64(hdr[40:48], distsSec)
-	binary.LittleEndian.PutUint32(hdr[48:52], crcOff.Sum32())
-	binary.LittleEndian.PutUint32(hdr[52:56], crcHubs.Sum32())
-	binary.LittleEndian.PutUint32(hdr[56:60], crcDists.Sum32())
-	binary.LittleEndian.PutUint32(hdr[60:64], crc32.ChecksumIEEE(hdr[0:60]))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(x.total))
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(tail))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(k))
+	for i := 0; i < numSections; i++ {
+		crc := crc32.NewIEEE()
+		_ = section(crc, i) // a hash.Hash's Write never fails
+		binary.LittleEndian.PutUint64(hdr[40+8*i:], lo[i])
+		binary.LittleEndian.PutUint32(hdr[80+4*i:], crc.Sum32())
+	}
+	binary.LittleEndian.PutUint32(hdr[124:128], crc32.ChecksumIEEE(hdr[0:124]))
 
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	if err := writeLE(w, block, x.off); err != nil {
-		return err
+	end := uint64(mmapHeaderV2)
+	for i := 0; i < numSections; i++ {
+		var zero [mmapAlign]byte
+		if _, err := w.Write(zero[:lo[i]-end]); err != nil {
+			return err
+		}
+		if err := section(w, i); err != nil {
+			return err
+		}
+		end = lo[i] + size[i]
 	}
-	if err := writePad(w, hubsSec-(offSec+uint64(n+1)*8)); err != nil {
-		return err
-	}
-	if err := writeLE(w, block, x.hubs); err != nil {
-		return err
-	}
-	if err := writePad(w, distsSec-(hubsSec+uint64(total)*4)); err != nil {
-		return err
-	}
-	return writeLE(w, block, x.dists)
+	return nil
 }
 
-func writePad(w io.Writer, n uint64) error {
-	var zero [mmapAlign]byte
-	_, err := w.Write(zero[:n])
-	return err
-}
-
-// pidmHeader is the parsed, validated PIDM header.
+// pidmHeader is the parsed, validated PIDM header of either version.
 type pidmHeader struct {
-	n        int
-	total    int64
-	offSec   uint64
-	hubsSec  uint64
-	distsSec uint64
-	crcOff   uint32
-	crcHubs  uint32
-	crcDists uint32
+	n, k     int
+	total    int64 // label entries, head slots included
+	tail     int64 // tail entries
+	lo, size [numSections]uint64
+	crc      [numSections]uint32
 }
 
 // parsePIDM validates the container: magic, version, header checksum,
@@ -200,110 +228,140 @@ type pidmHeader struct {
 // does not touch the section payloads.
 func parsePIDM(data []byte) (pidmHeader, error) {
 	var h pidmHeader
-	if len(data) < mmapHeaderSize {
+	if len(data) < mmapHeaderV1 {
 		return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
 	}
 	if string(data[0:4]) != mmapMagic {
 		return h, fmt.Errorf("label: pidm: bad magic %q", data[0:4])
 	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != mmapVersion {
+	// Where each version keeps what: its header size, the sections whose
+	// offset and CRC it stores (the rest are empty), and where.
+	hdr, stored, offAt, crcAt := mmapHeaderV2, []int{secOff, secHeadHubs, secHead, secHubs, secDists}, 40, 80
+	switch v := binary.LittleEndian.Uint32(data[4:8]); v {
+	case 1:
+		hdr, stored, offAt, crcAt = mmapHeaderV1, []int{secOff, secHubs, secDists}, 24, 48
+	case mmapVersion:
+		if len(data) < hdr {
+			return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
+		}
+	default:
 		return h, fmt.Errorf("label: pidm: unsupported version %d", v)
 	}
-	if got, want := binary.LittleEndian.Uint32(data[60:64]), crc32.ChecksumIEEE(data[0:60]); got != want {
+	if got, want := binary.LittleEndian.Uint32(data[hdr-4:hdr]), crc32.ChecksumIEEE(data[0:hdr-4]); got != want {
 		return h, fmt.Errorf("label: pidm: header checksum mismatch: file %08x, computed %08x", got, want)
 	}
 	n := binary.LittleEndian.Uint64(data[8:16])
 	total := binary.LittleEndian.Uint64(data[16:24])
+	tail, k := total, uint64(0)
+	if hdr == mmapHeaderV2 {
+		tail = binary.LittleEndian.Uint64(data[24:32])
+		k = binary.LittleEndian.Uint64(data[32:40])
+	}
 	if n > math.MaxInt32 {
 		return h, fmt.Errorf("label: pidm: vertex count %d overflows", n)
 	}
-	if total > uint64(maxMmapEntries) {
-		return h, fmt.Errorf("label: pidm: entry count %d overflows", total)
+	if tail > uint64(maxMmapEntries) {
+		return h, fmt.Errorf("label: pidm: entry count %d overflows", tail)
 	}
-	h.n = int(n)
-	h.total = int64(total)
-	h.offSec = binary.LittleEndian.Uint64(data[24:32])
-	h.hubsSec = binary.LittleEndian.Uint64(data[32:40])
-	h.distsSec = binary.LittleEndian.Uint64(data[40:48])
-	if h.offSec%mmapAlign != 0 || h.hubsSec%mmapAlign != 0 || h.distsSec%mmapAlign != 0 {
-		return h, fmt.Errorf("label: pidm: misaligned section offset (%d/%d/%d)", h.offSec, h.hubsSec, h.distsSec)
+	if k > n || n*k > uint64(maxMmapEntries) {
+		return h, fmt.Errorf("label: pidm: %d head columns for %d vertices", k, n)
 	}
-	wantOff, wantHubs, wantDists, wantSize := mmapLayout(h.n, h.total)
-	if h.offSec != wantOff || h.hubsSec != wantHubs || h.distsSec != wantDists {
-		return h, fmt.Errorf("label: pidm: section offsets inconsistent with counts")
+	if total < tail || total > tail+n*k {
+		return h, fmt.Errorf("label: pidm: %d entries cannot be %d tail entries and %d head slots", total, tail, n*k)
 	}
-	if uint64(len(data)) != wantSize {
-		return h, fmt.Errorf("label: pidm: file is %d bytes, layout needs %d (truncated section?)", len(data), wantSize)
+	h.n, h.k, h.total, h.tail = int(n), int(k), int64(total), int64(tail)
+	var size uint64
+	h.lo, h.size, size = mmapLayout(hdr, h.n, h.k, h.tail)
+	for j, i := range stored {
+		lo := binary.LittleEndian.Uint64(data[offAt+8*j:])
+		if lo%mmapAlign != 0 {
+			return h, fmt.Errorf("label: pidm: misaligned %s section offset %d", sectionNames[i], lo)
+		}
+		if lo != h.lo[i] {
+			return h, fmt.Errorf("label: pidm: %s section offset inconsistent with counts", sectionNames[i])
+		}
+		h.crc[i] = binary.LittleEndian.Uint32(data[crcAt+4*j:])
 	}
-	h.crcOff = binary.LittleEndian.Uint32(data[48:52])
-	h.crcHubs = binary.LittleEndian.Uint32(data[52:56])
-	h.crcDists = binary.LittleEndian.Uint32(data[56:60])
+	if uint64(len(data)) != size {
+		return h, fmt.Errorf("label: pidm: file is %d bytes, layout needs %d (truncated section?)", len(data), size)
+	}
 	return h, nil
 }
 
-// checksumPIDM re-checksums the three sections against the header — the
-// O(bytes) integrity check Open skips and Verify/ReadAny perform.
+// checksumPIDM re-checksums the sections against the header — the
+// O(bytes) integrity check Open skips and Verify/ReadAny perform. (The
+// sections a version 1 header has no CRC for are empty, and so is
+// theirs: zero.)
 func checksumPIDM(data []byte, h pidmHeader) error {
-	check := func(name string, lo, size uint64, want uint32) error {
-		if got := crc32.ChecksumIEEE(data[lo : lo+size]); got != want {
-			return fmt.Errorf("label: pidm: %s section checksum mismatch: file %08x, computed %08x", name, want, got)
+	for i, want := range h.crc {
+		if got := crc32.ChecksumIEEE(data[h.lo[i] : h.lo[i]+h.size[i]]); got != want {
+			return fmt.Errorf("label: pidm: %s section checksum mismatch: file %08x, computed %08x", sectionNames[i], want, got)
 		}
+	}
+	return nil
+}
+
+// sectionOf returns section i of the validated container as count
+// words: aliased in place when alias is set, decoded into fresh memory
+// otherwise.
+func sectionOf[T ~int32 | ~uint32 | ~int64](data []byte, h pidmHeader, i int, alias bool) []T {
+	count := h.size[i] / uint64(unsafe.Sizeof(T(0)))
+	if count == 0 {
 		return nil
 	}
-	if err := check("off", h.offSec, uint64(h.n+1)*8, h.crcOff); err != nil {
-		return err
+	if alias {
+		return unsafe.Slice((*T)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(data)), h.lo[i])), count)
 	}
-	if err := check("hubs", h.hubsSec, uint64(h.total)*4, h.crcHubs); err != nil {
-		return err
+	out := make([]T, count)
+	for j := range out {
+		if unsafe.Sizeof(T(0)) == 8 {
+			out[j] = T(binary.LittleEndian.Uint64(data[h.lo[i]+uint64(j)*8:]))
+		} else {
+			out[j] = T(binary.LittleEndian.Uint32(data[h.lo[i]+uint64(j)*4:]))
+		}
 	}
-	return check("dists", h.distsSec, uint64(h.total)*4, h.crcDists)
+	return out
 }
 
 // slicePIDM builds an Index over the validated container. On
 // little-endian hosts with a sufficiently aligned base it aliases the
 // sections in place (zero-copy); otherwise it decodes into fresh
-// slices. Either way the offset invariants are checked (O(n), touches
-// only the off section) so corrupt offsets cannot panic queries later.
-func slicePIDM(data []byte, h pidmHeader) (x *Index, aliased bool, err error) {
-	x = &Index{format: FormatMmap}
-	base := unsafe.Pointer(unsafe.SliceData(data))
-	if hostLittleEndian && uintptr(base)%8 == 0 {
-		x.off = unsafe.Slice((*int64)(unsafe.Add(base, h.offSec)), h.n+1)
-		if h.total > 0 {
-			x.hubs = unsafe.Slice((*graph.Vertex)(unsafe.Add(base, h.hubsSec)), h.total)
-			x.dists = unsafe.Slice((*graph.Dist)(unsafe.Add(base, h.distsSec)), h.total)
-		}
-		aliased = true
-	} else {
-		x.off = make([]int64, h.n+1)
-		for i := range x.off {
-			x.off[i] = int64(binary.LittleEndian.Uint64(data[h.offSec+uint64(i)*8:]))
-		}
-		x.hubs = make([]graph.Vertex, h.total)
-		x.dists = make([]graph.Dist, h.total)
-		for i := int64(0); i < h.total; i++ {
-			x.hubs[i] = graph.Vertex(binary.LittleEndian.Uint32(data[h.hubsSec+uint64(i)*4:]))
-			dv := binary.LittleEndian.Uint32(data[h.distsSec+uint64(i)*4:])
-			if dv >= uint32(graph.Inf) {
-				return nil, false, fmt.Errorf("label: pidm: entry %d: distance overflow", i)
-			}
-			x.dists[i] = graph.Dist(dv)
-		}
+// slices. Either way the offset invariants (O(n), touches only the off
+// section) and the head columns (O(K)) are checked, so neither corrupt
+// offsets nor a corrupt column id can panic queries later.
+func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
+	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
+	x := &Index{
+		off:      sectionOf[int64](data, h, secOff, alias),
+		headHubs: sectionOf[graph.Vertex](data, h, secHeadHubs, alias),
+		head:     sectionOf[graph.Dist](data, h, secHead, alias),
+		hubs:     sectionOf[graph.Vertex](data, h, secHubs, alias),
+		dists:    sectionOf[graph.Dist](data, h, secDists, alias),
+		total:    h.total,
+		format:   FormatMmap,
 	}
-	if x.off[0] != 0 || x.off[h.n] != h.total {
-		return nil, false, fmt.Errorf("label: pidm: corrupt offsets")
+	if x.off[0] != 0 || x.off[h.n] != h.tail {
+		return nil, fmt.Errorf("label: pidm: corrupt offsets")
 	}
 	for i := 0; i < h.n; i++ {
 		if x.off[i] > x.off[i+1] {
-			return nil, false, fmt.Errorf("label: pidm: offsets not monotone at %d", i)
+			return nil, fmt.Errorf("label: pidm: offsets not monotone at %d", i)
 		}
 	}
-	return x, aliased, nil
+	prev := graph.Vertex(-1)
+	for c, hub := range x.headHubs {
+		if hub <= prev || int(hub) >= h.n {
+			return nil, fmt.Errorf("label: pidm: head column %d: hub %d out of order or out of range", c, hub)
+		}
+		prev = hub
+	}
+	return x, nil
 }
 
-// Open maps the PIDM index file at path and returns an Index whose
-// arrays alias the mapping: no per-entry decode, no heap copy, start-up
-// cost independent of index size (pages fault in on first touch). The
+// Open maps the PIDM index file at path (either version) and returns an
+// Index whose arrays alias the mapping: no per-entry decode, no heap
+// copy, start-up cost independent of the entry count (pages fault in on
+// first touch; the offsets and the K head column ids are read). The
 // header checksum and structural invariants are validated; the section
 // checksums are NOT (that would read every byte) — call Verify for the
 // full integrity check.
@@ -334,7 +392,7 @@ func openMapping(mm *mapping) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, _, err := slicePIDM(mm.data, h)
+	x, err := slicePIDM(mm.data, h)
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +405,7 @@ func openMapping(mm *mapping) (*Index, error) {
 
 // readPIDMStream heap-loads a PIDM file from a reader (the ReadAny
 // path). Unlike Open it has already paid for reading every byte, so it
-// also verifies the section checksums and the hub range, matching the
+// also verifies the section checksums and the entries, matching the
 // guarantees of the PIDX/PIDC stream readers.
 func readPIDMStream(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
@@ -366,27 +424,52 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := x.checkHubs(); err != nil {
+	if err := x.checkEntries(true); err != nil {
 		return nil, err
 	}
 	return x, nil
 }
 
-// checkHubs is the O(entries) half of the Index invariant that Open
-// skips: every hub id names a vertex.
-func (x *Index) checkHubs() error {
+// checkEntries is the O(entries) half of the Index invariant that Open
+// skips: no tail entry names a head hub, and the header's entry count is
+// what the sections hold. With strict set it is also what the PIDX and
+// PIDC readers reject: a tail hub id that names no vertex, a tail
+// distance of graph.Inf.
+func (x *Index) checkEntries(strict bool) error {
 	defer runtime.KeepAlive(x)
 	n := x.NumVertices()
+	isHead := make([]bool, n)
+	for _, hub := range x.headHubs {
+		isHead[hub] = true
+	}
 	for i, hub := range x.hubs {
 		if uint(hub) >= uint(n) {
-			return fmt.Errorf("label: pidm: entry %d: hub %d out of range", i, hub)
+			if strict {
+				return fmt.Errorf("label: pidm: entry %d: hub %d out of range", i, hub)
+			}
+		} else if isHead[hub] {
+			return fmt.Errorf("label: pidm: entry %d: hub %d is a head column", i, hub)
 		}
+		if strict && x.dists[i] == graph.Inf {
+			return fmt.Errorf("label: pidm: entry %d: distance overflow", i)
+		}
+	}
+	held := int64(len(x.hubs))
+	for _, d := range x.head {
+		if d != graph.Inf {
+			held++
+		}
+	}
+	if held != x.total {
+		return fmt.Errorf("label: pidm: header counts %d entries, sections hold %d", x.total, held)
 	}
 	return nil
 }
 
-// Verify re-checksums the section payloads of an mmap-backed index
-// against the header CRCs — the integrity check Open defers. It pages
+// Verify is the integrity check Open defers, for an mmap-backed index:
+// it re-checksums the section payloads against the header CRCs and
+// checks the entries against the head (checkEntries; a tail hub id that
+// is no vertex is not its business — see the Index invariant). It pages
 // in the whole file. For heap-decoded indexes (stream readers verify on
 // read; built indexes have nothing on disk) it is a no-op.
 func (x *Index) Verify() error {
@@ -398,5 +481,8 @@ func (x *Index) Verify() error {
 	if err != nil {
 		return err
 	}
-	return checksumPIDM(x.mm.data, h)
+	if err := checksumPIDM(x.mm.data, h); err != nil {
+		return err
+	}
+	return x.checkEntries(false)
 }

@@ -17,10 +17,11 @@ import (
 )
 
 // mmapTestIndex builds a small index with a mix of list lengths,
-// including an empty list, through the public finalizer.
+// including an empty list, through the public finalizer: hubs 0 and 1
+// are head columns, hubs 2 and 3 stay in the tails.
 func mmapTestIndex() *Index {
 	return NewIndexFromLists([][]Entry{
-		{{Hub: 0, D: 0}, {Hub: 2, D: 7}},
+		{{Hub: 0, D: 0}, {Hub: 1, D: 3}, {Hub: 2, D: 7}},
 		{{Hub: 0, D: 3}, {Hub: 1, D: 0}},
 		{}, // isolated vertex
 		{{Hub: 0, D: 12}, {Hub: 1, D: 9}, {Hub: 3, D: 0}},
@@ -100,11 +101,106 @@ func TestMmapEmptyIndex(t *testing.T) {
 // fixHeaderCRC recomputes the header checksum after a deliberate header
 // mutation, so the test reaches the validation step it is aiming at.
 func fixHeaderCRC(data []byte) {
-	binary.LittleEndian.PutUint32(data[60:64], crc32.ChecksumIEEE(data[0:60]))
+	end := mmapHeaderV2
+	if binary.LittleEndian.Uint32(data[4:8]) == 1 {
+		end = mmapHeaderV1
+	}
+	binary.LittleEndian.PutUint32(data[end-4:], crc32.ChecksumIEEE(data[:end-4]))
+}
+
+// resealPIDM recomputes every checksum of a version 2 file after a
+// deliberate mutation, so that only the entries are wrong: the file a
+// bit flip before the CRCs were taken, or a foreign writer, leaves behind.
+func resealPIDM(t *testing.T, data []byte) {
+	t.Helper()
+	fixHeaderCRC(data)
+	h, err := parsePIDM(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range h.lo {
+		binary.LittleEndian.PutUint32(data[80+4*i:], crc32.ChecksumIEEE(data[h.lo[i]:h.lo[i]+h.size[i]]))
+	}
+	fixHeaderCRC(data)
+}
+
+// TestVerifyChecksEntriesAgainstHead: a file whose container and
+// checksums are in order but whose entries contradict its head opens —
+// Open reads no entry — and is caught by Verify and by the stream reader.
+func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
+	base := pidmBytes(t, mmapTestIndex()) // head columns 0 and 1; tail entries (v0: hub 2), (v3: hub 3)
+	h, err := parsePIDM(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		mutate  func(d []byte)
+		wantErr string
+		verify  bool // Verify rejects it too, not only the stream reader
+	}{
+		{"tail entry names a head hub", func(d []byte) {
+			binary.LittleEndian.PutUint32(d[h.lo[secHubs]:], 1)
+		}, "hub 1 is a head column", true},
+		{"one entry more than the sections hold", func(d []byte) {
+			binary.LittleEndian.PutUint64(d[16:24], uint64(h.total)+1)
+		}, "header counts 9 entries, sections hold 8", true},
+		{"head slot emptied", func(d []byte) {
+			binary.LittleEndian.PutUint32(d[h.lo[secHead]:], uint32(graph.Inf))
+		}, "header counts 8 entries, sections hold 7", true},
+		{"infinite tail distance", func(d []byte) {
+			binary.LittleEndian.PutUint32(d[h.lo[secDists]:], uint32(graph.Inf))
+		}, "distance overflow", false},
+		{"tail hub that is no vertex", func(d []byte) {
+			binary.LittleEndian.PutUint32(d[h.lo[secHubs]+4:], 4)
+		}, "hub 4 out of range", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Clone(base)
+			tc.mutate(data)
+			resealPIDM(t, data)
+			x, err := Open(writeTemp(t, data))
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer x.Close()
+			if err := x.Verify(); tc.verify && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("Verify: %v, want %q", err, tc.wantErr)
+			} else if !tc.verify && err != nil {
+				t.Fatalf("Verify: %v, want nil (the checksums agree and the head is consistent)", err)
+			}
+			if _, err := ReadAny(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("ReadAny: %v, want %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestOpenDecodesWhereItCannotAlias: a container whose base address is
+// not 8-byte aligned (or a big-endian host) cannot be aliased in place;
+// the sections are decoded into fresh slices instead, and the index is
+// the same one.
+func TestOpenDecodesWhereItCannotAlias(t *testing.T) {
+	want := batchTestIndex(rand.New(rand.NewSource(43)), 90)
+	file := pidmBytes(t, want)
+	for _, data := range [][]byte{file, pidmV1Bytes(want)} {
+		shifted := append(make([]byte, 1, len(data)+1), data...)[1:] // base % 8 == 1
+		x, err := openMapping(&mapping{data: shifted})
+		if err != nil {
+			t.Fatalf("openMapping: %v", err)
+		}
+		copy(shifted, make([]byte, len(shifted))) // zero the container: an alias would see it
+		if !x.Equal(want) {
+			t.Fatal("decoded index differs from the one written, or still aliases its container")
+		}
+	}
 }
 
 func TestMmapCorruptFrames(t *testing.T) {
 	base := pidmBytes(t, mmapTestIndex())
+	if k, _ := mmapTestIndex().Head(); k != 2 {
+		t.Fatalf("fixture has %d head columns; the head cases below assume hubs 0 and 1", k)
+	}
 	cases := []struct {
 		name    string
 		mutate  func(data []byte) []byte
@@ -125,32 +221,63 @@ func TestMmapCorruptFrames(t *testing.T) {
 			return d
 		}, "vertex count"},
 		{"entry count overflow", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[16:24], uint64(maxMmapEntries)+1)
+			binary.LittleEndian.PutUint64(d[24:32], uint64(maxMmapEntries)+1)
 			fixHeaderCRC(d)
 			return d
 		}, "entry count"},
 		{"misaligned section offset", func(d []byte) []byte {
-			v := binary.LittleEndian.Uint64(d[32:40])
-			binary.LittleEndian.PutUint64(d[32:40], v+4)
+			v := binary.LittleEndian.Uint64(d[64:72]) // the hubs section
+			binary.LittleEndian.PutUint64(d[64:72], v+4)
 			fixHeaderCRC(d)
 			return d
 		}, "misaligned"},
 		{"inconsistent section offset", func(d []byte) []byte {
-			v := binary.LittleEndian.Uint64(d[32:40])
-			binary.LittleEndian.PutUint64(d[32:40], v+mmapAlign)
+			v := binary.LittleEndian.Uint64(d[64:72])
+			binary.LittleEndian.PutUint64(d[64:72], v+mmapAlign)
 			fixHeaderCRC(d)
 			return d
 		}, "inconsistent"},
 		{"truncated section", func(d []byte) []byte { return d[:len(d)-8] }, "truncated section"},
 		{"offset zero broken", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[mmapHeaderSize:], 1)
+			binary.LittleEndian.PutUint64(d[mmapHeaderV2:], 1)
 			return d
 		}, "corrupt offsets"},
 		{"offsets not monotone", func(d []byte) []byte {
 			// off[1] jumps past off[2]; off[0] and off[n] stay valid.
-			binary.LittleEndian.PutUint64(d[mmapHeaderSize+8:], 1<<40)
+			binary.LittleEndian.PutUint64(d[mmapHeaderV2+8:], 1<<40)
 			return d
 		}, "not monotone"},
+		{"more head columns than vertices", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[32:40], 9)
+			fixHeaderCRC(d)
+			return d
+		}, "head columns"},
+		{"head slot count overflow", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[8:16], math.MaxInt32)
+			binary.LittleEndian.PutUint64(d[32:40], math.MaxInt32)
+			fixHeaderCRC(d)
+			return d
+		}, "head columns"},
+		{"entries the sections cannot hold", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[16:24], 100)
+			fixHeaderCRC(d)
+			return d
+		}, "entries cannot be"},
+		{"fewer entries than the tail", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[16:24], 1)
+			fixHeaderCRC(d)
+			return d
+		}, "entries cannot be"},
+		{"head column out of range", func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[binary.LittleEndian.Uint64(d[48:56]):], 4)
+			return d
+		}, "head column 0"},
+		{"head columns out of order", func(d []byte) []byte {
+			hh := binary.LittleEndian.Uint64(d[48:56])
+			binary.LittleEndian.PutUint32(d[hh:], 1)
+			binary.LittleEndian.PutUint32(d[hh+4:], 0)
+			return d
+		}, "head column 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -186,7 +313,7 @@ func TestMmapSectionCorruptionDeferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[h.hubsSec] ^= 0xff
+	data[h.lo[secHubs]] ^= 0xff
 
 	y, err := Open(writeTemp(t, data))
 	if err != nil {
@@ -366,47 +493,139 @@ func BenchmarkOpenMmap(b *testing.B) {
 // straight from the format comment — the reference the block encoder in
 // WriteMmap must match byte for byte.
 func writeMmapWordwise(x *Index) []byte {
-	n, total := x.NumVertices(), x.NumEntries()
-	offSec, hubsSec, distsSec, size := mmapLayout(n, total)
-	out := make([]byte, size)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(out[16:24], uint64(total))
-	binary.LittleEndian.PutUint64(out[24:32], offSec)
-	binary.LittleEndian.PutUint64(out[32:40], hubsSec)
-	binary.LittleEndian.PutUint64(out[40:48], distsSec)
+	n, k, tail := x.NumVertices(), len(x.headHubs), int64(len(x.hubs))
+	lo, size, fileSize := mmapLayout(mmapHeaderV2, n, k, tail)
+	out := make([]byte, fileSize)
 	copy(out[0:4], mmapMagic)
-	binary.LittleEndian.PutUint32(out[4:8], mmapVersion)
+	binary.LittleEndian.PutUint32(out[4:8], 2)
+	binary.LittleEndian.PutUint64(out[8:16], uint64(n))
+	binary.LittleEndian.PutUint64(out[16:24], uint64(x.NumEntries()))
+	binary.LittleEndian.PutUint64(out[24:32], uint64(tail))
+	binary.LittleEndian.PutUint64(out[32:40], uint64(k))
 	for i, o := range x.off {
-		binary.LittleEndian.PutUint64(out[offSec+uint64(i)*8:], uint64(o))
+		binary.LittleEndian.PutUint64(out[lo[secOff]+uint64(i)*8:], uint64(o))
+	}
+	for i, h := range x.headHubs {
+		binary.LittleEndian.PutUint32(out[lo[secHeadHubs]+uint64(i)*4:], uint32(h))
+	}
+	for i, d := range x.head {
+		binary.LittleEndian.PutUint32(out[lo[secHead]+uint64(i)*4:], uint32(d))
 	}
 	for i, h := range x.hubs {
-		binary.LittleEndian.PutUint32(out[hubsSec+uint64(i)*4:], uint32(h))
+		binary.LittleEndian.PutUint32(out[lo[secHubs]+uint64(i)*4:], uint32(h))
 	}
 	for i, d := range x.dists {
-		binary.LittleEndian.PutUint32(out[distsSec+uint64(i)*4:], uint32(d))
+		binary.LittleEndian.PutUint32(out[lo[secDists]+uint64(i)*4:], uint32(d))
 	}
-	binary.LittleEndian.PutUint32(out[48:52], crc32.ChecksumIEEE(out[offSec:offSec+uint64(n+1)*8]))
-	binary.LittleEndian.PutUint32(out[52:56], crc32.ChecksumIEEE(out[hubsSec:hubsSec+uint64(total)*4]))
-	binary.LittleEndian.PutUint32(out[56:60], crc32.ChecksumIEEE(out[distsSec:]))
+	for i := range lo {
+		binary.LittleEndian.PutUint64(out[40+8*i:], lo[i])
+		binary.LittleEndian.PutUint32(out[80+4*i:], crc32.ChecksumIEEE(out[lo[i]:lo[i]+size[i]]))
+	}
+	binary.LittleEndian.PutUint32(out[124:128], crc32.ChecksumIEEE(out[0:124]))
+	return out
+}
+
+// pidmV1Bytes hand-builds the version 1 PIDM file of x's labels — the
+// format every file written before the head existed is in: a 64-byte
+// header and the off, hubs and dists sections of the whole labels.
+func pidmV1Bytes(x *Index) []byte {
+	x = x.Flat()
+	n, total := x.NumVertices(), x.NumEntries()
+	lo, size, fileSize := mmapLayout(mmapHeaderV1, n, 0, total)
+	out := make([]byte, fileSize)
+	copy(out[0:4], mmapMagic)
+	binary.LittleEndian.PutUint32(out[4:8], 1)
+	binary.LittleEndian.PutUint64(out[8:16], uint64(n))
+	binary.LittleEndian.PutUint64(out[16:24], uint64(total))
+	for i, o := range x.off {
+		binary.LittleEndian.PutUint64(out[lo[secOff]+uint64(i)*8:], uint64(o))
+	}
+	for i, h := range x.hubs {
+		binary.LittleEndian.PutUint32(out[lo[secHubs]+uint64(i)*4:], uint32(h))
+		binary.LittleEndian.PutUint32(out[lo[secDists]+uint64(i)*4:], uint32(x.dists[i]))
+	}
+	for j, i := range []int{secOff, secHubs, secDists} {
+		binary.LittleEndian.PutUint64(out[24+8*j:], lo[i])
+		binary.LittleEndian.PutUint32(out[48+4*j:], crc32.ChecksumIEEE(out[lo[i]:lo[i]+size[i]]))
+	}
 	binary.LittleEndian.PutUint32(out[60:64], crc32.ChecksumIEEE(out[0:60]))
 	return out
 }
 
 // TestWriteMmapBytesUnchanged pins the PIDM writer's output: equal to
 // the wordwise reference on indexes whose sections are empty, shorter
-// than one encoding block and several blocks long, and, for the long
-// one, equal to the SHA-256 the pre-block writer produced.
+// than one encoding block and several blocks long, with a head and
+// without; for the long one, equal to the SHA-256 recorded when the
+// format became version 2 — and, as a version 1 file, to the one the
+// version 1 writer produced, so the labels under the new bytes are the
+// old ones.
 func TestWriteMmapBytesUnchanged(t *testing.T) {
 	big := randomIndex(9, 3*pidmBlock/8, 12) // off section spans three blocks, hubs and dists more
 	for name, x := range map[string]*Index{
 		"empty": NewIndex(NewStore(0)), "no-labels": NewIndex(NewStore(7)), "small": mmapTestIndex(), "big": big,
+		"batch-shaped": batchTestIndex(rand.New(rand.NewSource(3)), 3*pidmBlock/8),
 	} {
 		if got := pidmBytes(t, x); !bytes.Equal(got, writeMmapWordwise(x)) {
 			t.Errorf("%s: WriteMmap differs from the wordwise reference", name)
 		}
 	}
-	const want = "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"
+	const wantV1 = "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"
+	if got := fmt.Sprintf("%x", sha256.Sum256(pidmV1Bytes(big))); got != wantV1 {
+		t.Errorf("big fixture as a version 1 file hashes to %s, want %s", got, wantV1)
+	}
+	const want = "8dfd7640b82be2fa8cc5bc1afe30ad9e51c6a76337e0402f3dcfdcb956ac9450"
 	if got := fmt.Sprintf("%x", sha256.Sum256(pidmBytes(t, big))); got != want {
 		t.Errorf("big fixture hashes to %s, want %s", got, want)
+	}
+}
+
+// TestOpenVersion1 opens a file in the format every PIDM written before
+// the head existed is in: it maps, verifies, reads as K = 0 and is Equal
+// to — and answers as — the version 2 file of the same labels, which in
+// turn is what rewriting it produces.
+func TestOpenVersion1(t *testing.T) {
+	x := batchTestIndex(rand.New(rand.NewSource(41)), 150)
+	if k, _ := x.Head(); k == 0 {
+		t.Fatal("fixture has no head: nothing to compare a headless file with")
+	}
+	old, err := Open(writeTemp(t, pidmV1Bytes(x)))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer old.Close()
+	if err := old.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if k, density := old.Head(); k != 0 || density != 0 {
+		t.Fatalf("version 1 file opened with head K=%d density %g", k, density)
+	}
+	if !old.Equal(x) || !x.Equal(old) || old.NumEntries() != x.NumEntries() || old.AvgLabelSize() != x.AvgLabelSize() {
+		t.Fatal("version 1 file does not hold the labels it was built from")
+	}
+	for s := 0; s < 150; s++ {
+		for u := 0; u < 150; u += 7 {
+			gd, gh := old.QueryWithHub(graph.Vertex(s), graph.Vertex(u))
+			wd, wh := x.QueryWithHub(graph.Vertex(s), graph.Vertex(u))
+			if gd != wd || gh != wh || old.Query(graph.Vertex(s), graph.Vertex(u)) != wd {
+				t.Fatalf("(%d,%d): version 1 file answers (%d,%d), the built index (%d,%d)", s, u, gd, gh, wd, wh)
+			}
+		}
+	}
+	// Reading it as a stream finalizes nothing either, and rewriting that
+	// through the logical formats lands on the version 2 bytes.
+	streamed, err := ReadAny(bytes.NewReader(pidmV1Bytes(x)))
+	if err != nil {
+		t.Fatalf("ReadAny: %v", err)
+	}
+	var pidx bytes.Buffer
+	if err := streamed.Write(&pidx); err != nil {
+		t.Fatal(err)
+	}
+	reheaded, err := ReadAny(&pidx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(pidmBytes(t, reheaded), pidmBytes(t, x)) {
+		t.Fatal("version 1 -> PIDX -> PIDM differs from the version 2 file of the same labels")
 	}
 }

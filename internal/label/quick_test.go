@@ -30,8 +30,8 @@ func bruteQuery(x *Index, s, t graph.Vertex) graph.Dist {
 	if s == t {
 		return 0
 	}
-	sh, sd := x.Label(s)
-	th, td := x.Label(t)
+	sh, sd := x.Label(s, nil, nil)
+	th, td := x.Label(t, nil, nil)
 	best := graph.Inf
 	for i, h1 := range sh {
 		for j, h2 := range th {
@@ -65,7 +65,7 @@ func TestQuickIndexInvariants(t *testing.T) {
 		// Offsets monotone, hubs sorted strictly within each vertex.
 		var total int64
 		for v := 0; v < n; v++ {
-			hubs, _ := x.Label(graph.Vertex(v))
+			hubs, _ := x.Label(graph.Vertex(v), nil, nil)
 			for i := 1; i < len(hubs); i++ {
 				if hubs[i-1] >= hubs[i] {
 					return false
@@ -140,7 +140,7 @@ func TestQuickDedupeKeepsMin(t *testing.T) {
 			}
 		}
 		x := NewIndex(s)
-		_, dists := x.Label(0)
+		_, dists := x.Label(0, nil, nil)
 		return len(dists) == 1 && dists[0] == min
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -172,7 +172,7 @@ func TestSerialLabelDistancesExact(t *testing.T) {
 			truth[s] = sssp.Dijkstra(g, graph.Vertex(s))
 		}
 		for v := graph.Vertex(0); int(v) < g.NumVertices(); v++ {
-			hubs, dists := x.Label(v)
+			hubs, dists := x.Label(v, nil, nil)
 			for i, h := range hubs {
 				if dists[i] != truth[h][v] {
 					t.Fatalf("label (%d in L(%d)) records %d, true dist %d",

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,13 +19,17 @@ import (
 )
 
 // TestBatchOnDamagedIndex serves a PIDM file whose header is valid and
-// one of whose hub ids is not a vertex: label.Open does not read the
-// sections and the server never calls Verify, so the file is published.
-// A /batch that touches the damaged label makes the batch kernel index
-// its dense array out of range — on the request's goroutine for a small
-// batch, on a fan-out worker for a large one. Either way the panic must
-// arrive at the request's barrier: 500, http.panics_total, and a server
-// that answers the next request.
+// one of whose tail hub ids is not a vertex: label.Open does not read
+// the entries and the server never calls Verify, so the file is
+// published. A /batch that touches the damaged label makes the batch
+// kernel index its dense array out of range — on the request's goroutine
+// for a small batch, on a fan-out worker for a large one. Either way the
+// panic must arrive at the request's barrier: 500, http.panics_total,
+// and a server that answers the next request.
+//
+// The head cannot do that: it has no per-entry hub id. A flipped head
+// byte is a wrong distance that Verify names, and /query and /batch over
+// it answer 200.
 func TestBatchOnDamagedIndex(t *testing.T) {
 	const n = 80
 	r := rand.New(rand.NewSource(41))
@@ -36,26 +41,61 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(n)), V: graph.Vertex(r.Intn(n)), W: graph.Dist(1 + r.Intn(9))})
 	}
 	good := pll.Build(graph.FromEdges(n, edges), pll.Options{})
-	if good.LabelSize(0) == 0 {
-		t.Fatal("vertex 0 has no label to damage")
+	if k, _ := good.Head(); k == 0 {
+		t.Fatal("the index has no head to damage")
 	}
 
 	var file bytes.Buffer
 	if err := good.WriteMmap(&file); err != nil {
 		t.Fatal(err)
 	}
-	data := file.Bytes()
-	hubsSec := binary.LittleEndian.Uint64(data[32:40]) // PIDM header: offset of the hubs section
-	binary.LittleEndian.PutUint32(data[hubsSec:], n+9) // entry 0 is the first hub of L(0)
-	path := filepath.Join(t.TempDir(), "damaged.midx")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	// PIDM header: the section offsets, in file order, start at byte 40.
+	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[40+8*i:]) }
+	offSec, headSec, hubsSec := section(0), section(2), section(3)
+	open := func(name string, damage func(data []byte)) *label.Index {
+		data := bytes.Clone(file.Bytes())
+		damage(data)
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		x, err := label.Open(path)
+		if err != nil {
+			t.Fatalf("Open rejected a file with a valid header: %v", err)
+		}
+		t.Cleanup(func() { x.Close() })
+		return x
 	}
-	damaged, err := label.Open(path)
-	if err != nil {
-		t.Fatalf("Open rejected a file with a valid header: %v", err)
+
+	flipped := open("flipped.midx", func(data []byte) { data[headSec+1] ^= 0x40 }) // d(head hub 0, vertex 0), 2^14 off
+	if err := flipped.Verify(); err == nil || !strings.Contains(err.Error(), "head section checksum") {
+		t.Fatalf("Verify of a flipped head byte: %v, want the head section's checksum named", err)
 	}
-	defer damaged.Close()
+	fs := serverLikeBinary(flipped)
+	for _, pairs := range []int{4, 900} {
+		if rec := postBatch(fs, manyPairs(pairs)); rec.Code != http.StatusOK {
+			t.Fatalf("%d-pair batch over the flipped head byte: status %d body %q", pairs, rec.Code, rec.Body.String())
+		}
+	}
+	for v := 0; v < n; v++ {
+		rec := httptest.NewRecorder()
+		fs.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/query?s=0&t=%d", v), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/query?s=0&t=%d over the flipped head byte: status %d body %q", v, rec.Code, rec.Body.String())
+		}
+	}
+	if got := fs.Registry().Snapshot().Counters["http.panics_total"]; got != 0 {
+		t.Fatalf("http.panics_total = %d over the flipped head byte", got)
+	}
+
+	// Tail entry 0 is the first hub of the first vertex whose tail is not
+	// empty; the pairs below call it vertex 0, which it is.
+	damaged := open("damaged.midx", func(data []byte) {
+		if binary.LittleEndian.Uint64(data[offSec+8:]) == 0 {
+			t.Fatal("vertex 0 has no tail entry to damage")
+		}
+		binary.LittleEndian.PutUint32(data[hubsSec:], n+9)
+	})
 
 	s := serverLikeBinary(damaged)
 	s.SetBatchThreads(2)

@@ -816,6 +816,8 @@ type statsResponse struct {
 	Vertices     int           `json:"vertices"`
 	Entries      int64         `json:"entries"`
 	AvgLabelSize float64       `json:"avg_label_size"`
+	Head         int           `json:"head"`         // dense head columns K (label.Index.Head)
+	HeadDensity  float64       `json:"head_density"` // share of the n x K head slots holding an entry
 	HasPathIndex bool          `json:"has_path_index"`
 	Generation   uint64        `json:"generation"`
 	Format       string        `json:"format"`
@@ -828,10 +830,13 @@ type statsResponse struct {
 }
 
 func (s *Server) statsPayload(sn *snapshot) statsResponse {
+	k, density := sn.idx.Head()
 	resp := statsResponse{
 		Vertices:     sn.idx.NumVertices(),
 		Entries:      sn.idx.NumEntries(),
 		AvgLabelSize: sn.idx.AvgLabelSize(),
+		Head:         k,
+		HeadDensity:  density,
 		HasPathIndex: sn.pidx != nil,
 		Generation:   sn.gen,
 		Format:       sn.idx.Format(),
@@ -1112,8 +1117,9 @@ type explainResponse struct {
 
 // handleDebugExplain serves GET /debug/explain?s=A&t=B: the same lookup
 // /query answers, but through the instrumented cold-path sibling of the
-// merge kernel — label lengths, hubs probed, galloping vs. linear
-// steps, the meeting hub, and the nanosecond cost, with the cache's
+// lone-pair kernel — label lengths, head slots scanned, tail hubs
+// probed, galloping vs. linear steps, the meeting hub, and the
+// nanosecond cost, with the cache's
 // view of the pair alongside. The hot kernel is never involved.
 func (s *Server) handleDebugExplain(sn *snapshot, w http.ResponseWriter, r *http.Request) {
 	src, err := vertexParam(sn, r, "s")
