@@ -26,8 +26,9 @@
 // /debug/pprof/ (opt-in: profiling endpoints leak internals and cost
 // CPU, so they stay off unless asked for).
 //
-// Serving flags: -cache-entries bounds the (s,t) distance LRU cache
-// (generation-keyed, so a /reload hot-swap can never serve distances
+// Serving flags: -cache-entries bounds the (s,t) distance cache
+// (4-way set-associative, so N is rounded down to a multiple of 4;
+// generation-keyed, so a /reload hot-swap can never serve distances
 // from the previous graph; 0 disables); -batch-threads caps the
 // goroutine fan-out of one /batch request.
 //
@@ -93,7 +94,7 @@ func main() {
 		traceOut   = flag.String("trace", "", "on SIGINT/SIGTERM, write the recorded request timeline here as Chrome trace-event JSON")
 		traceRate  = flag.Int64("trace-sample", 0, "record request spans for 1 in N requests (0 = tracing off, 1 = every request); also arms GET /debug/trace")
 		slowMS     = flag.Int64("slow-ms", 100, "log requests slower than this to GET /debug/slow (0 disables)")
-		cacheEnts  = flag.Int("cache-entries", 65536, "bound of the (s,t) distance LRU cache, positive and negative answers (0 disables)")
+		cacheEnts  = flag.Int("cache-entries", 65536, "bound of the (s,t) distance cache, positive and negative answers, rounded down to a multiple of 4 (0 disables)")
 		batchThr   = flag.Int("batch-threads", 0, "goroutine fan-out per /batch request (0 = min(4, GOMAXPROCS))")
 		walDir     = flag.String("wal", "", "living-graph mode: directory for the edge-update WAL and compaction checkpoints (needs -graph; enables POST /update)")
 		compactN   = flag.Int("compact-every", 0, "living-graph mode: background-compact once the WAL holds this many records (0 = only on restart)")

@@ -376,7 +376,8 @@ func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist
 // Update durably inserts the undirected edge {u,v,w}: validate, append
 // + fsync to the WAL, repair the live index — in that order, so every
 // acknowledged insert survives kill -9 and every logged record is
-// applicable on replay. Validation failures wrap dynamic.ErrInvalid.
+// applicable on replay. Validation failures wrap dynamic.ErrInvalid; a
+// log that can no longer make a record durable, wal.ErrFailed.
 func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
 	var tr *trace.Tracer
 	var t0 int64

@@ -69,26 +69,12 @@ func (o *Cached) query(s, t graph.Vertex) (graph.Dist, bool) {
 // Query returns the exact distance, from cache when possible. Both
 // reachable distances and graph.Inf are cached (negative caching).
 func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
-	if o.opt.Tracer != nil {
-		if tr := o.opt.Tracer(); tr.Sample() {
-			t0 := tr.Now()
-			d, hit := o.query(s, t)
-			var h uint64
-			if hit {
-				h = 1
-			}
-			tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
-			return d
-		}
-	}
-	d, _ := o.query(s, t)
+	d, _ := o.QueryNote(s, t)
 	return d
 }
 
-// QueryNote is Query plus a hit report: it answers identically
-// (including the per-query trace sampling) and additionally returns
-// whether the answer came from the cache. The serving layer uses it to
-// attribute slow-log entries; the plain Query stays the hot-path shape.
+// QueryNote is Query plus a hit report: whether the answer came from
+// the cache. The serving layer uses it to attribute slow-log entries.
 func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
 	if o.opt.Tracer != nil {
 		if tr := o.opt.Tracer(); tr.Sample() {
@@ -106,7 +92,7 @@ func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
 }
 
 // Peek reports the cached answer for (s,t) under this wrapper's
-// generation without disturbing LRU order or counters (see Cache.Peek).
+// generation without disturbing recency or counters (see Cache.Peek).
 // Pair canonicalization matches Query's.
 func (o *Cached) Peek(s, t graph.Vertex) (graph.Dist, bool) {
 	cs, ct := o.canon(s, t)
@@ -130,11 +116,13 @@ var batchScratch = sync.Pool{New: func() any { return new(batchBuf) }}
 
 // QueryBatch serves each pair from the cache and forwards only the
 // misses, as one batch, to the inner oracle's batch path — so a warm
-// batch costs map probes instead of label scans, and the misses are what
-// the inner kernel gets to group by source. Miss bookkeeping reuses
-// pooled scratch, and a batch with no hit at all (the cold, uniform
-// case) returns the inner oracle's result slice as its own: steady state
-// allocates one result slice there, two when hits and misses mix.
+// batch costs set probes instead of label scans, and the misses are what
+// the inner kernel gets to group by source. Hits, misses and evictions
+// reach the metric sinks once per batch, not once per pair. Miss
+// bookkeeping reuses pooled scratch, and a batch with no hit at all (the
+// cold, uniform case) returns the inner oracle's result slice as its
+// own: steady state allocates one result slice there, two when hits and
+// misses mix.
 func (o *Cached) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 	var out []graph.Dist // made at the first hit
 	buf := batchScratch.Get().(*batchBuf)
@@ -142,7 +130,7 @@ func (o *Cached) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 	missPairs := buf.pairs[:0]
 	for i, p := range pairs {
 		cs, ct := o.canon(p[0], p[1])
-		if d, ok := o.cache.Get(o.gen, cs, ct); ok {
+		if d, ok := o.cache.get(o.gen, cs, ct, true); ok {
 			if out == nil {
 				out = make([]graph.Dist, len(pairs))
 			}
@@ -152,11 +140,14 @@ func (o *Cached) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 			missPairs = append(missPairs, p)
 		}
 	}
+	evictions := 0
 	if len(missIdx) > 0 {
 		md := o.inner.QueryBatch(missPairs, threads)
 		for k, p := range missPairs {
 			cs, ct := o.canon(p[0], p[1])
-			o.cache.Put(o.gen, cs, ct, md[k])
+			if o.cache.put(o.gen, cs, ct, md[k]) {
+				evictions++
+			}
 		}
 		if out == nil {
 			out = md // every pair missed: md is already in pairs' order
@@ -166,6 +157,9 @@ func (o *Cached) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 			}
 		}
 	}
+	add(o.cache.hitC, len(pairs)-len(missIdx))
+	add(o.cache.missC, len(missIdx))
+	add(o.cache.evictC, evictions)
 	buf.idx, buf.pairs = missIdx[:0], missPairs[:0]
 	batchScratch.Put(buf)
 	return out

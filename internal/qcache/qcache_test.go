@@ -61,8 +61,7 @@ func TestCacheGenerationKeying(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	// entries=1 forces a single shard with capacity 1: any second key
-	// evicts the first.
+	// entries=1 is one set of one slot: any second key evicts the first.
 	c := New(1)
 	if c.Capacity() != 1 {
 		t.Fatalf("Capacity = %d, want 1", c.Capacity())
@@ -80,29 +79,27 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-func TestShardLRUOrder(t *testing.T) {
-	// Shard-level check of the intrusive list: a Get refreshes recency,
-	// so the untouched entry is the one evicted at capacity.
-	sh := &shard{m: make(map[key]int32), cap: 2, head: -1, tail: -1}
-	k1 := key{gen: 1, s: 0, t: 1}
-	k2 := key{gen: 1, s: 0, t: 2}
-	k3 := key{gen: 1, s: 0, t: 3}
-	sh.put(k1, 10)
-	sh.put(k2, 20)
-	if _, ok := sh.get(k1); !ok { // k1 is now most recent
-		t.Fatal("k1 missing")
+func TestSetRecency(t *testing.T) {
+	// Per-set recency: a Get moves its slot to the front, so of two
+	// entries of one full set the touched one outlives the untouched one.
+	c := New(ways) // one set: every key collides
+	for i := graph.Vertex(1); i <= ways; i++ {
+		c.Put(1, 0, i, graph.Dist(10*i))
 	}
-	if evicted := sh.put(k3, 30); !evicted {
-		t.Fatal("no eviction at capacity")
+	if _, ok := c.Get(1, 0, 1); !ok { // the oldest is now the most recent
+		t.Fatal("(0,1) missing")
 	}
-	if _, ok := sh.get(k2); ok {
-		t.Fatal("LRU entry k2 survived; recency not updated by get")
+	c.Put(1, 0, 9, 90)
+	if _, ok := c.Peek(1, 0, 2); ok {
+		t.Fatal("least recent entry (0,2) survived; recency not updated by Get")
 	}
-	if d, ok := sh.get(k1); !ok || d != 10 {
-		t.Fatalf("k1 = (%d,%v), want (10,true)", d, ok)
+	for _, u := range []graph.Vertex{1, 3, 4, 9} {
+		if d, ok := c.Peek(1, 0, u); !ok || d != graph.Dist(10*u) {
+			t.Fatalf("(0,%d) = (%d,%v), want (%d,true)", u, d, ok, 10*u)
+		}
 	}
-	if d, ok := sh.get(k3); !ok || d != 30 {
-		t.Fatalf("k3 = (%d,%v), want (30,true)", d, ok)
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != ways {
+		t.Fatalf("stats = %+v, want 1 eviction and a full set", st)
 	}
 }
 
@@ -119,7 +116,7 @@ func TestCacheFillStaysBounded(t *testing.T) {
 
 func TestCacheConcurrent(t *testing.T) {
 	// Hammered under -race by check.sh: concurrent Get/Put over a small
-	// keyspace forces shard contention, eviction and LRU churn at once.
+	// keyspace forces stripe contention, eviction and recency churn at once.
 	c := New(256)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -53,14 +53,28 @@ var benchIndex = sync.OnceValue(func() *label.Index {
 // serverLikeBinary serves idx the way cmd/parapll-server's defaults do:
 // distance cache of 65 536 entries, default batch fan-out.
 func serverLikeBinary(idx *label.Index) *Server {
+	return serverWithCache(idx, 65536)
+}
+
+func serverWithCache(idx *label.Index, entries int) *Server {
 	s := NewPending(nil)
-	s.SetCacheEntries(65536)
+	s.SetCacheEntries(entries)
 	s.Publish(idx, nil, "")
 	return s
 }
 
+// cacheRows runs a handler benchmark twice: as "cache=default" behind
+// the binary's cache and as "cache=0" behind none — the difference is
+// what the cache costs a stream it cannot help.
+func cacheRows(b *testing.B, run func(b *testing.B, s *Server)) {
+	b.Run("cache=default", func(b *testing.B) { run(b, serverLikeBinary(benchIndex())) })
+	b.Run("cache=0", func(b *testing.B) { run(b, serverWithCache(benchIndex(), 0)) })
+}
+
 // beyondCache is how many distinct uniform pairs a benchmark cycles
-// through: more than twice the cache, so the LRU never holds the next one.
+// through: more than twice the cache, so an LRU never holds the next
+// one (the set-associative table still holds some 3 % of them, in the
+// sets that fewer than five of these pairs fall into).
 const beyondCache = 140000
 
 func batchBody(rng *rand.Rand, n, pairs int) []byte {
@@ -79,7 +93,10 @@ func batchBody(rng *rand.Rand, n, pairs int) []byte {
 }
 
 func BenchmarkHandleQuery(b *testing.B) {
-	s := serverLikeBinary(benchIndex())
+	cacheRows(b, benchHandleQuery)
+}
+
+func benchHandleQuery(b *testing.B, s *Server) {
 	n := benchIndex().NumVertices()
 	rng := rand.New(rand.NewSource(1))
 	queries := make([]string, beyondCache)
@@ -103,29 +120,32 @@ func BenchmarkHandleQuery(b *testing.B) {
 func BenchmarkHandleBatch(b *testing.B) {
 	for _, size := range []int{4, 2000} {
 		b.Run(strconv.Itoa(size), func(b *testing.B) {
-			s := serverLikeBinary(benchIndex())
-			n := benchIndex().NumVertices()
-			rng := rand.New(rand.NewSource(1))
-			bodies := make([][]byte, beyondCache/size)
-			for i := range bodies {
-				bodies[i] = batchBody(rng, n, size)
-			}
-			body := &replayBody{}
-			r := httptest.NewRequest("POST", "/batch", nil)
-			w := newNullWriter()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := bodies[i%len(bodies)]
-				body.Reset(p)
-				r.Body = body // the handler wraps it in a MaxBytesReader
-				r.ContentLength = int64(len(p))
-				w.status = 0
-				s.ServeHTTP(w, r)
-				if w.status != http.StatusOK {
-					b.Fatalf("status %d", w.status)
-				}
-			}
+			cacheRows(b, func(b *testing.B, s *Server) { benchHandleBatch(b, s, size) })
 		})
+	}
+}
+
+func benchHandleBatch(b *testing.B, s *Server, size int) {
+	n := benchIndex().NumVertices()
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, beyondCache/size)
+	for i := range bodies {
+		bodies[i] = batchBody(rng, n, size)
+	}
+	body := &replayBody{}
+	r := httptest.NewRequest("POST", "/batch", nil)
+	w := newNullWriter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := bodies[i%len(bodies)]
+		body.Reset(p)
+		r.Body = body // the handler wraps it in a MaxBytesReader
+		r.ContentLength = int64(len(p))
+		w.status = 0
+		s.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d", w.status)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"parapll/internal/metrics"
 	"parapll/internal/pathidx"
 	"parapll/internal/sssp"
+	"parapll/internal/wal"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -138,6 +139,45 @@ func TestUpdateValidation(t *testing.T) {
 		if code, out := postUpdate(t, ts.URL, c.u, c.v, c.w); code != c.code {
 			t.Errorf("update(%d,%d,%d) = %d (%v), want %d", c.u, c.v, c.w, code, out, c.code)
 		}
+	}
+}
+
+// failedLogUpdater is a pipeline whose WAL has failed: Update returns
+// what compact.Pipeline.Update returns once wal.Log.Append has seen a
+// write or fsync error (wal's TestFailedSyncPoisonsLog produces the
+// real one).
+type failedLogUpdater struct{ *compact.Pipeline }
+
+func (failedLogUpdater) Update(u, v graph.Vertex, w graph.Dist) error {
+	return fmt.Errorf("compact: durable append failed, insert not applied: %w",
+		fmt.Errorf("%w: fsync of wal.log: invalid argument", wal.ErrFailed))
+}
+
+// TestUpdateOnFailedLog: an insert the log can no longer make durable
+// is the server's fault and not for ever - 503, not 500 - and is not
+// applied; reads keep being served.
+func TestUpdateOnFailedLog(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}})
+	pipe, err := compact.Open(compact.Options{Dir: t.TempDir(), Graph: g})
+	if err != nil {
+		t.Fatalf("compact.Open: %v", err)
+	}
+	t.Cleanup(func() { pipe.Close() })
+	s := NewPending(metrics.NewRegistry())
+	s.SetUpdater(failedLogUpdater{pipe})
+	idx, err := fileio.LoadIndex(pipe.IndexPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Publish(idx, nil, pipe.IndexPath())
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	if code, out := postUpdate(t, ts.URL, 0, 3, 1); code != http.StatusServiceUnavailable {
+		t.Fatalf("/update on a failed log = %d (%v), want 503", code, out)
+	}
+	var q queryResponse
+	if code := getJSON(t, ts.URL+"/query?s=0&t=2", &q); code != http.StatusOK || q.Dist != 7 {
+		t.Fatalf("/query after the refused insert = %d, dist %d; want 200, 7", code, q.Dist)
 	}
 }
 

@@ -86,6 +86,7 @@ import (
 	"parapll/internal/pathidx"
 	"parapll/internal/qcache"
 	"parapll/internal/trace"
+	"parapll/internal/wal"
 )
 
 // snapshot is one immutable generation of serving state. All fields are
@@ -330,7 +331,9 @@ func (s *Server) SetBatchThreads(n int) {
 func (s *Server) BatchThreads() int { return int(s.batchThreads.Load()) }
 
 // SetCacheEntries bounds the (s,t) distance cache fronting every
-// snapshot published afterwards; entries <= 0 disables caching. Hit,
+// snapshot published afterwards; entries <= 0 disables caching. The
+// cache holds at most entries answers, fewer when qcache.New rounds
+// down (/stats cache.capacity reports the real bound). Hit,
 // miss and eviction counts are recorded in this server's registry as
 // cache.hits / cache.misses / cache.evictions. Call before the first
 // Publish — snapshots already published keep serving uncached.
@@ -888,7 +891,8 @@ type updateResponse struct {
 // through the living-graph pipeline. The pipeline acknowledges only
 // after the WAL fsync, so a 200 here means the edge survives kill -9.
 // Without -wal the endpoint answers 412; invalid edges 400; an insert
-// that raced a batch window 409 (retryable).
+// that raced a batch window 409 (retryable); any insert once a write or
+// fsync of the log has failed 503, until a restart.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	up := s.Updater()
 	if up == nil {
@@ -925,6 +929,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 		case errors.Is(err, dynamic.ErrBatchInFlight):
 			writeErr(w, http.StatusConflict, err)
+		case errors.Is(err, wal.ErrFailed):
+			writeErr(w, http.StatusServiceUnavailable, err)
 		default:
 			writeErr(w, http.StatusInternalServerError, err)
 		}
@@ -1100,7 +1106,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 type explainCache struct {
 	Hit bool `json:"hit"`
 	// Dist is the cached answer when Hit (same encoding as /query). The
-	// probe is a Peek: it never disturbs LRU order or hit/miss counters,
+	// probe is a Peek: it never disturbs recency or hit/miss counters,
 	// so explaining a pair does not perturb the cache it is explaining.
 	Dist int64 `json:"dist,omitempty"`
 }

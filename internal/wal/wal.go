@@ -34,6 +34,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -127,6 +128,15 @@ func Replay(data []byte) (ups []Update, consumed int) {
 	return ups, consumed
 }
 
+// ErrFailed is wrapped by the Append whose write or fsync failed and by
+// every Append after it. What reached the disk is then unknown — a
+// record can sit in the file, or in the page cache, that the in-memory
+// mirror does not hold — so the log takes no record after it: one
+// appended behind a torn copy of it would be acknowledged and then
+// truncated away by the next replay. Restarting heals through Open's
+// torn-tail path.
+var ErrFailed = errors.New("wal: log failed, restart to recover")
+
 // Log is an append-only edge-update log bound to one file. All methods
 // are safe for concurrent use, but the intended discipline is the
 // pipeline's: a single writer appends, truncation happens inside the
@@ -138,6 +148,9 @@ type Log struct {
 	f     *os.File
 	ups   []Update
 	bytes int64
+	// failed is the first write or fsync error (wrapping ErrFailed);
+	// once set, Append returns it without touching the file.
+	failed error
 
 	// syncObs, when set, is called with the duration of each successful
 	// Append fsync — the living-graph pipeline's durability latency, and
@@ -227,7 +240,7 @@ func truncateTo(path string, n int64) error {
 // the record is durable, so an acknowledged insert survives kill -9.
 // Updates the in-memory mirror only on success: a failed or partial
 // write leaves a torn tail for the next Open to truncate, never a
-// phantom in-memory record.
+// phantom in-memory record — and fails the log for good (ErrFailed).
 func (l *Log) Append(u, v graph.Vertex, w graph.Dist) error {
 	if u == v || int32(u) < 0 || int32(v) < 0 {
 		return fmt.Errorf("wal: invalid edge {%d,%d}", u, v)
@@ -242,12 +255,17 @@ func (l *Log) Append(u, v graph.Vertex, w graph.Dist) error {
 	if l.f == nil {
 		return fmt.Errorf("wal: log is closed")
 	}
+	if l.failed != nil {
+		return l.failed
+	}
 	if _, err := l.f.Write(rec[:]); err != nil {
-		return fmt.Errorf("wal: appending to %s: %w", l.path, err)
+		l.failed = fmt.Errorf("%w: appending to %s: %w", ErrFailed, l.path, err)
+		return l.failed
 	}
 	t0 := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync of %s: %w", l.path, err)
+		l.failed = fmt.Errorf("%w: fsync of %s: %w", ErrFailed, l.path, err)
+		return l.failed
 	}
 	if l.syncObs != nil {
 		l.syncObs(time.Since(t0))

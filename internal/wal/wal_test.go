@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -268,5 +270,65 @@ func TestReplayIdempotentAfterReopen(t *testing.T) {
 	}
 	if !bytes.Equal(first, second) {
 		t.Fatal("reopen changed the log bytes")
+	}
+}
+
+// TestFailedSyncPoisonsLog: a record whose write succeeds and whose
+// fsync fails may or may not be on disk, and the in-memory mirror does
+// not hold it; an append acknowledged after it could be truncated away
+// behind a torn copy of it. So the log fails for good: that Append and
+// every later one wrap ErrFailed, the later ones without writing, and
+// reopening the file replays exactly what was acknowledged. The fault
+// is real: the log's handle is swapped for the write end of a pipe,
+// which takes the write and answers the fsync with EINVAL.
+func TestFailedSyncPoisonsLog(t *testing.T) {
+	l, path := openEmpty(t)
+	acked := []Update{{U: 0, V: 1, W: 7}, {U: 3, V: 2, W: 1}}
+	for _, up := range acked {
+		if err := l.Append(up.U, up.V, up.W); err != nil {
+			t.Fatalf("Append(%v): %v", up, err)
+		}
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	l.mu.Lock()
+	file := l.f
+	l.f = pw
+	l.mu.Unlock()
+	defer file.Close()
+
+	first := l.Append(4, 5, 9)
+	if !errors.Is(first, ErrFailed) {
+		t.Fatalf("Append with a failing fsync = %v, want an error wrapping ErrFailed", first)
+	}
+	second := l.Append(6, 7, 2)
+	if !errors.Is(second, ErrFailed) {
+		t.Fatalf("Append on the failed log = %v, want an error wrapping ErrFailed", second)
+	}
+	if l.Len() != len(acked) || l.Bytes() != int64(HeaderSize+RecordSize*len(acked)) {
+		t.Fatalf("failed appends moved the mirror: Len %d, Bytes %d", l.Len(), l.Bytes())
+	}
+	if err := l.Close(); err != nil { // closes the pipe's write end
+		t.Fatal(err)
+	}
+	written, err := io.ReadAll(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec [RecordSize]byte
+	encodeRecord(rec[:], Update{U: 4, V: 5, W: 9})
+	if !bytes.Equal(written, rec[:]) {
+		t.Fatalf("the handle received %d bytes, want only the first failed record's %d", len(written), RecordSize)
+	}
+
+	_, ups, err := Open(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if len(ups) != len(acked) || ups[0] != acked[0] || ups[1] != acked[1] {
+		t.Fatalf("reopen replayed %v, want the acknowledged %v", ups, acked)
 	}
 }

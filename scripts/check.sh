@@ -1,13 +1,13 @@
 #!/bin/sh
 # Repo-wide checks, in order: go build, gofmt, go vet, the custom
 # parapll-vet suite, the short suite under the race detector, a
-# -count=20 race pass over the lock-free structures, the tier-1 command
-# (go test ./...), a fuzz smoke on the four wire decoders, the
-# crash-recovery and flight-recorder e2e tests by name, a cross-compile
-# sweep, a trace smoke through parapll-index / parapll-trace, and the
-# repository benchmark's smoke (benchmark/run.sh -smoke). FUZZTIME (per
-# fuzz target, default 5s) is the only environment knob. Run before
-# every PR:
+# -count=20 race pass over the lock-free structures and the distance
+# cache, the tier-1 command (go test ./...), a fuzz smoke on the four
+# wire decoders, the crash-recovery and flight-recorder e2e tests by
+# name, a cross-compile sweep, a trace smoke through parapll-index /
+# parapll-trace, and the repository benchmark's smoke (benchmark/run.sh
+# -smoke). FUZZTIME (per fuzz target, default 5s) is the only
+# environment knob. Run before every PR:
 #   scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
@@ -59,8 +59,12 @@ go test -race -short ./...
 # an instruction wide (a lapped trace-ring writer, a label list regrown
 # between a reader's two loads), and the batch kernel's pooled scratch
 # under concurrent QueryBatch calls: one pass rarely hits it, twenty do.
-echo "== go test -race -count=20 (trace ring, label store, batch scratch pool)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent' ./internal/trace ./internal/label
+# The distance cache rides along: its striped table under concurrent
+# Get/Put, and under readers that query while generations are swapped
+# across the slot tag's wrap point.
+echo "== go test -race -count=20 (trace ring, label store, batch scratch pool, distance cache)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying' \
+    ./internal/trace ./internal/label ./internal/qcache
 
 echo "== go test ./... (tier-1)"
 go test ./...
