@@ -202,11 +202,12 @@ func BenchmarkBuildRoad(b *testing.B) { benchBuild(b, "RI-USA", 0.07) }
 // in random order — and one Batch4 op a 4-pair batch, the benchmark's
 // small /batch; their allocs/op are the result slice and the fan-out.
 // Batch1 is a lone pair through the batch kernel (pooled scratch, plus
-// the result slice Query does not have). Each -flat row is the row above
-// it on the same labels finalized with an empty head (Index.Flat): what
-// the dense head buys, side by side in one run. On the synthetic
-// indexes no hub is in half of the 2^20 labels, the head is empty, and
-// the two rows are one index: a tie by construction.
+// the result slice Query does not have). Each -nomid row is the row
+// above it on the same labels finalized with a head and no bitmap tier
+// (Index.HeadOnly), each -flat row with every entry in the tail
+// (Index.Flat): what each tier buys, side by side in one run. On the
+// synthetic indexes no hub is in a 32nd of the 2^20 labels, both tiers
+// are empty, and the three rows are one layout: a tie by construction.
 func BenchmarkQueryKernel(b *testing.B) {
 	for _, ds := range []struct {
 		name, dataset string
@@ -222,11 +223,13 @@ func BenchmarkQueryKernel(b *testing.B) {
 			vs[v] = graph.Vertex(v)
 		}
 		kernelRows(b, ds.name, x, vs, true)
+		kernelRows(b, ds.name+"-nomid", x.HeadOnly(), vs, true)
 		kernelRows(b, ds.name+"-flat", x.Flat(), vs, false)
 	}
 	for _, hubs := range []string{"zipf", "uniform"} {
 		x, labelled := synthIndex(hubs == "zipf")
 		kernelRows(b, "Synth-"+hubs, x, labelled, false)
+		kernelRows(b, "Synth-"+hubs+"-nomid", x.HeadOnly(), labelled, false)
 		kernelRows(b, "Synth-"+hubs+"-flat", x.Flat(), labelled, false)
 	}
 }

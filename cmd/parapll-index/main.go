@@ -123,9 +123,10 @@ func main() {
 		fatalf("saving index: %v", err)
 	}
 	k, density := idx.Head()
-	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f) -> %s\n",
+	k2, midDensity := idx.Mid()
+	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),
-		idx.NumEntries(), idx.AvgLabelSize(), k, density, *out)
+		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, *out)
 }
 
 // logProgress samples prog every 2s and prints roots done, roots/sec

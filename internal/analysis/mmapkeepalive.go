@@ -8,18 +8,19 @@ import (
 )
 
 // MmapKeepAlive enforces the label.Index memory model from PR 3: the
-// off/hubs/dists tail arrays and the headHubs/head matrix of a
-// finalizer-managed index may alias a file mapping, so holding one of the
-// slices does NOT keep the mapping alive — only a reference to the
-// owning index does. Every function that dereferences the arrays
-// (directly, through a local alias, or through the slices returned by
-// the Label, tail or row methods) must therefore pin the owner
+// off/hubs/dists tail arrays, the headHubs/head matrix and the
+// midHubs/midBits/midOff/midDists bitmap tier of a finalizer-managed
+// index may alias a file mapping, so holding one of the slices does NOT
+// keep the mapping alive — only a reference to the owning index does.
+// Every function that dereferences the arrays (directly, through a local
+// alias, or through the slices returned by the Label, tail, row or mid
+// methods) must therefore pin the owner
 // with runtime.KeepAlive after its last dereference — a deferred
 // KeepAlive always counts — or a precise GC may collect the index
 // mid-read, run the mapping finalizer, and unmap the pages under the
 // running query (use-after-munmap).
 //
-// The owner type is recognized structurally: a struct with the five
+// The owner type is recognized structurally: a struct with the nine
 // array fields plus an mm mapping field (label.Index; pathidx.Index
 // lacks mm and is exempt — it is always heap-backed). Functions that
 // allocate the owner themselves (composite literal) are exempt: a
@@ -33,16 +34,20 @@ var MmapKeepAlive = &Analyzer{
 
 // mmapOwnerFields is the structural signature of the owner type: the
 // arrays that may alias the mapping.
-var mmapOwnerFields = map[string]bool{"off": true, "hubs": true, "dists": true, "headHubs": true, "head": true}
+var mmapOwnerFields = map[string]bool{
+	"off": true, "hubs": true, "dists": true, "headHubs": true, "head": true,
+	"midHubs": true, "midBits": true, "midOff": true, "midDists": true,
+}
 
 // mmapAliasMethods are owner methods whose results alias the mapping:
-// the exported Label (the stored run itself when the index has no head)
-// and the query ramp — tail, which cuts a vertex's run for the merge
-// kernel, and row, which cuts its head row for the dense scan.
-var mmapAliasMethods = map[string]bool{"Label": true, "tail": true, "row": true}
+// the exported Label (the stored run itself when the index has no
+// columns) and the query ramp — tail, which cuts a vertex's run for the
+// merge kernel, row, which cuts its head row for the dense scan, and
+// mid, which cuts its bitmap row and packed distances for the rank scan.
+var mmapAliasMethods = map[string]bool{"Label": true, "tail": true, "row": true, "mid": true}
 
 // isMmapOwner reports whether t (through one pointer) is a struct with
-// the five arrays and the mm mapping field.
+// the nine arrays and the mm mapping field.
 func isMmapOwner(t types.Type) bool {
 	s := namedOrPtrStruct(t)
 	if s == nil {

@@ -1,6 +1,7 @@
 // Package mmaptest is the mmapkeepalive golden-test corpus: a stand-in
 // for label.Index with the structural owner signature (the off/hubs/dists
-// tail arrays, the headHubs/head matrix, plus the mm mapping field).
+// tail arrays, the headHubs/head matrix, the midHubs/midBits/midOff/
+// midDists bitmap tier, plus the mm mapping field).
 package mmaptest
 
 import "runtime"
@@ -16,6 +17,10 @@ type Index struct {
 	dists    []Dist
 	headHubs []Vertex
 	head     []Dist
+	midHubs  []Vertex
+	midBits  []uint64
+	midOff   []int64
+	midDists []Dist
 	mm       *mapping
 }
 
@@ -33,6 +38,10 @@ type heapIndex struct {
 	dists    []Dist
 	headHubs []Vertex
 	head     []Dist
+	midHubs  []Vertex
+	midBits  []uint64
+	midOff   []int64
+	midDists []Dist
 }
 
 func heapOK(h *heapIndex) Dist {
@@ -250,4 +259,67 @@ func headHubsBad(x *Index, col int) Vertex {
 
 func headDirectBad(x *Index) Dist {
 	return x.head[0] // want `dereferences mmap-aliased x.head without runtime.KeepAlive`
+}
+
+// --- The bitmap tier: mid cuts a vertex's W bitmap words and the packed
+// distances of its set bits. It reads two offsets, which it pins itself;
+// the words and the run are read by the caller's kernel, which pins
+// after its last read of either.
+
+func (x *Index) mid(v Vertex) ([]uint64, []Dist) {
+	w := (len(x.midHubs) + 63) >> 6
+	lo, hi := x.midOff[v], x.midOff[v+1]
+	runtime.KeepAlive(x)
+	return x.midBits[int(v)*w:][:w], x.midDists[lo:hi]
+}
+
+func midMin(ab []uint64, ad []Dist, bb []uint64, bd []Dist) Dist {
+	best := ^Dist(0)
+	for w, a := range ab {
+		if a&bb[w] != 0 {
+			best = min(best, ad[0]+bd[0])
+		}
+	}
+	return best
+}
+
+func midScanOK(x *Index, s, t Vertex) Dist {
+	sb, sd := x.mid(s)
+	tb, td := x.mid(t)
+	d := midMin(sb, sd, tb, td)
+	runtime.KeepAlive(x)
+	return d
+}
+
+// midRowBad: a range over an un-pinned bit row.
+func midRowBad(x *Index, v Vertex) int {
+	words, _ := x.mid(v)
+	set := 0
+	for _, word := range words { // want `dereferences mmap-aliased words without runtime.KeepAlive\(x\)`
+		if word != 0 {
+			set++
+		}
+	}
+	return set
+}
+
+// midRunAfterPinBad: the packed run is read after the last use of x —
+// the pin covers the bit rows and not the distance that follows it.
+func midRunAfterPinBad(x *Index, s, t Vertex) Dist {
+	sb, sd := x.mid(s)
+	tb, _ := x.mid(t)
+	hit := sb[0]&tb[0] != 0
+	runtime.KeepAlive(x)
+	if hit {
+		return sd[0] // want `does not cover the exit`
+	}
+	return 0
+}
+
+func midHubsBad(x *Index, col int) Vertex {
+	return x.midHubs[col] // want `dereferences mmap-aliased x.midHubs without runtime.KeepAlive`
+}
+
+func midBitsDirectBad(x *Index, v Vertex) uint64 {
+	return x.midBits[v] // want `dereferences mmap-aliased x.midBits without runtime.KeepAlive`
 }

@@ -179,6 +179,9 @@ type Stats struct {
 	LastCompactUnixNano int64  `json:"last_compaction_unix_nano"`
 	LastCompactMode     string `json:"last_compaction_mode,omitempty"`
 	LastSwapNanos       int64  `json:"last_swap_nanos,omitempty"`
+	// WALFailed is why the log takes no more records (wal.Log.Err), empty
+	// while it does. Only a restart clears it.
+	WALFailed string `json:"wal_failed,omitempty"`
 }
 
 // Pipeline is the living-graph serving surface. It implements
@@ -425,10 +428,16 @@ func (p *Pipeline) insertLocked(u, v graph.Vertex, w graph.Dist) error {
 // index onto it. Small backlogs (<= FoldLimit) snapshot the live
 // repaired lists; larger ones rebuild from scratch with the build
 // engine, off the serving path. Returns a zero-Mode Report when the
-// WAL is empty. Safe to call concurrently; compactions serialize.
+// WAL is empty, and wal.ErrFailed, before it builds or writes anything,
+// when the WAL has failed: a log that can take no appends and cannot be
+// truncated would have every compaction fold the same records again.
+// Safe to call concurrently; compactions serialize.
 func (p *Pipeline) Compact() (Report, error) {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
+	if err := p.log.Err(); err != nil {
+		return Report{}, fmt.Errorf("compact: not compacting: %w", err)
+	}
 	p.compacting.Store(true)
 	p.compactSince.Store(time.Now().UnixNano())
 	defer func() {
@@ -554,6 +563,9 @@ func (p *Pipeline) Stats() Stats {
 	}
 	if m := p.lastMode.Load(); m != nil {
 		s.LastCompactMode = *m
+	}
+	if err := p.log.Err(); err != nil {
+		s.WALFailed = err.Error()
 	}
 	return s
 }

@@ -15,30 +15,26 @@ import (
 var allocSinkDist graph.Dist
 var allocSinkHub graph.Vertex
 
-// TestQueryAllocsZero holds every instantiation of the merge kernel at
-// zero allocations per call. For QueryExplain that is the claim that &ex
-// does not escape through the generic call: the counting mode writes its
-// counters into the caller's frame.
+// TestQueryAllocsZero holds every instantiation of the merge kernel and
+// of midMin at zero allocations per call, on an index with all three
+// tiers. For QueryExplain that is the claim that &ex does not escape
+// through the generic calls: the counting mode writes its counters into
+// the caller's frame.
 func TestQueryAllocsZero(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const n = 64
-	s := NewStore(n)
-	for v := 0; v < n; v++ {
-		for k := 0; k < 24; k++ {
-			s.Append(graph.Vertex(v), graph.Vertex(r.Intn(n)), graph.Dist(r.Intn(1000)+1))
-		}
+	x := tieredTestIndex(rand.New(rand.NewSource(7)), 400)
+	if ex := x.QueryExplain(5, 41); ex.HeadSlots == 0 || ex.MidHits == 0 || ex.HubsProbed == 0 {
+		t.Fatalf("the pair does not reach all three kernels: %+v", ex)
 	}
-	x := NewIndex(s)
-	ah, ad := x.Label(3, nil, nil)
+	ah, ad := x.Label(5, nil, nil)
 	bh, bd := x.Label(41, nil, nil)
 
 	for _, c := range []struct {
 		shape string
 		call  func()
 	}{
-		{"Query", func() { allocSinkDist = x.Query(3, 41) }},
-		{"QueryWithHub", func() { allocSinkDist, allocSinkHub = x.QueryWithHub(3, 41) }},
-		{"QueryExplain", func() { allocSinkDist = x.QueryExplain(3, 41).Dist }},
+		{"Query", func() { allocSinkDist = x.Query(5, 41) }},
+		{"QueryWithHub", func() { allocSinkDist, allocSinkHub = x.QueryWithHub(5, 41) }},
+		{"QueryExplain", func() { allocSinkDist = x.QueryExplain(5, 41).Dist }},
 		{"MergeRuns", func() { allocSinkDist, allocSinkHub = MergeRuns(ah, ad, bh, bd) }},
 	} {
 		if a := testing.AllocsPerRun(200, c.call); a != 0 {
@@ -51,8 +47,8 @@ func TestQueryAllocsZero(t *testing.T) {
 // result slice and nothing else — sort keys and the dense hub array come
 // from the index's pool, and the inline path builds no closure.
 func TestQueryBatchAllocsOne(t *testing.T) {
-	x := batchTestIndex(rand.New(rand.NewSource(11)), 64)
-	pairs4 := [][2]graph.Vertex{{3, 41}, {9, 2}, {3, 7}, {60, 60}}
+	x := tieredTestIndex(rand.New(rand.NewSource(11)), 400)
+	pairs4 := [][2]graph.Vertex{{5, 41}, {9, 2}, {5, 7}, {60, 60}}
 	var out []graph.Dist
 	if a := testing.AllocsPerRun(200, func() { out = x.QueryBatch(pairs4, 1) }); a > 1 {
 		t.Fatalf("QueryBatch(4 pairs, 1) allocates %.1f/op, want <= 1", a)

@@ -15,7 +15,10 @@ import (
 // distinct source, then every target of that source is one forward pass
 // over the tail of L(t) — no three-way compare, so nothing for the branch
 // predictor to miss. The head needs no scatter at all: its rows are
-// already aligned column by column (rowMin).
+// already aligned column by column (rowMin); nor does the middle tier,
+// whose bitmap rows line up word by word (midMin) — expanding a source's
+// bit row into a dense array was tried and costs more than the ranks it
+// saves at the few targets a source has in a batch.
 
 // batchScratch is what one QueryBatch call or one of its workers borrows
 // from its Index for the duration.
@@ -57,8 +60,9 @@ func (sc *batchScratch) hubArray(n int) []graph.Dist {
 // /batch requests), and it is cheaper per pair than Query: the pairs are
 // ordered by source once, each worker scatters a source's tail into its
 // own dense array once per run of equal sources, and each target is then
-// two branch-free scans, one of its tail and one of the head rows (see
-// scan). Out-of-range ids panic as in Query, before any pair is answered.
+// two branch-free scans, one of its tail and one of the head rows, and
+// one pass over the bitmap rows (see scan). Out-of-range ids panic as in
+// Query, before any pair is answered.
 //
 // A batch that fits one chunk runs on the caller and allocates only its
 // result. Each worker holds 4·NumVertices() bytes of pooled scratch.
@@ -107,6 +111,8 @@ func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 	cur := graph.Vertex(-1)
 	var sh []graph.Vertex // hubs of tail(cur), the entries of hub now set
 	var srow []graph.Dist // head row of cur
+	var sbits []uint64    // bitmap row of cur
+	var smid []graph.Dist // and its packed distances
 	for ki, k := range keys {
 		i, s := uint64(uint32(k)), graph.Vertex(k>>32)
 		t := pairs[i][1]
@@ -123,10 +129,13 @@ func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 			for j, h := range sh {
 				hub[h] = sd[j]
 			}
+			sbits, smid = x.mid(s)
 			srow, cur = x.row(s), s
 		}
 		th, td := x.tail(t)
-		keys[ki] = i<<32 | uint64(min(minOver(hub, th, td), rowMin(srow, x.row(t))))
+		tbits, tmid := x.mid(t)
+		md, _ := midMin[distOnly](sbits, smid, tbits, tmid, nil)
+		keys[ki] = i<<32 | uint64(min(minOver(hub, th, td), md, rowMin(srow, x.row(t))))
 	}
 	for _, h := range sh {
 		hub[h] = graph.Inf

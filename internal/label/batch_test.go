@@ -36,6 +36,37 @@ func batchTestIndex(r *rand.Rand, n int) *Index {
 	return NewIndexFromLists(lists)
 }
 
+// tieredTestIndex builds an index with all three tiers at any n from a
+// few hundred up: hubs 0..5 in four labels of five (head columns), hubs
+// 6..75 in about one of seven (70 mid columns, so a bitmap row is two
+// words and the second has spare bits), six hubs a label drawn from the
+// rest of the id space (tail entries, but for the few that chance makes
+// common enough for a column) — and batchTestIndex's hard cases, empty
+// labels and distances that saturate.
+func tieredTestIndex(r *rand.Rand, n int) *Index {
+	lists := make([][]Entry, n)
+	dist := func() graph.Dist {
+		if r.Intn(9) == 0 {
+			return graph.Inf - 1 - graph.Dist(r.Intn(3))
+		}
+		return graph.Dist(r.Intn(5000))
+	}
+	for v := range lists {
+		if v%17 == 3 {
+			continue
+		}
+		for h := 0; h < 76; h++ {
+			if h < 6 && r.Intn(5) > 0 || h >= 6 && r.Intn(7) == 0 {
+				lists[v] = append(lists[v], Entry{Hub: graph.Vertex(h), D: dist()})
+			}
+		}
+		for k := 0; k < 6; k++ {
+			lists[v] = append(lists[v], Entry{Hub: graph.Vertex(76 + r.Intn(n-76)), D: dist()})
+		}
+	}
+	return NewIndexFromLists(lists)
+}
+
 // openCopy round-trips x through a PIDM file and Open, so the same
 // labels are served from a file mapping.
 func openCopy(t *testing.T, x *Index) *Index {
@@ -67,13 +98,14 @@ func drainScratch(t *testing.T, x *Index) {
 }
 
 // TestQueryBatchMatchesQuery is the batch kernel's differential test
-// against the merge kernel on the same index, heap-built and mapped:
-// every batch shape, size and thread count must answer each pair exactly
-// as Query does, at the caller's position, and leave the scratch at rest.
+// against the lone-pair kernels on the same index, heap-built, mapped
+// and flat (so that the scatter carries whole labels): every batch
+// shape, size and thread count must answer each pair exactly as Query
+// does, at the caller's position, and leave the scratch at rest.
 func TestQueryBatchMatchesQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	const n = 400
-	built := batchTestIndex(r, n)
+	built := tieredTestIndex(r, n)
 	vertex := func() graph.Vertex { return graph.Vertex(r.Intn(n)) }
 	shapes := map[string]func(i int) [2]graph.Vertex{
 		"uniform":   func(int) [2]graph.Vertex { return [2]graph.Vertex{vertex(), vertex()} },
@@ -90,7 +122,7 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 	for _, backing := range []struct {
 		name string
 		x    *Index
-	}{{"heap", built}, {"mmap", openCopy(t, built)}} {
+	}{{"heap", built}, {"mmap", openCopy(t, built)}, {"flat", built.Flat()}} {
 		for shape, pair := range shapes {
 			// Below one chunk, at the chunk-alignment edges, and many chunks.
 			for _, size := range []int{1, 4, 15, 16, 17, 100, 2000, 5003} {
@@ -129,10 +161,13 @@ func TestQueryBatchMatchesQuery(t *testing.T) {
 // stands between the kernel and the check.
 func TestScanRestoresScratch(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	const n = 200
-	x := batchTestIndex(r, n)
+	const n = 400
+	x := tieredTestIndex(r, n)
 	hub := new(batchScratch).hubArray(n)
 	for trial := 0; trial < 20; trial++ {
+		if trial == 10 {
+			x = x.Flat() // every entry goes through the array
+		}
 		keys := make([]uint64, 1+r.Intn(300))
 		pairs := make([][2]graph.Vertex, len(keys))
 		for i := range keys {
@@ -159,8 +194,8 @@ func TestScanRestoresScratch(t *testing.T) {
 // -race; scripts/check.sh runs it with -count=20.
 func TestQueryBatchConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
-	const n = 300
-	x := openCopy(t, batchTestIndex(r, n))
+	const n = 400
+	x := openCopy(t, tieredTestIndex(r, n))
 	pairs := make([][2]graph.Vertex, 1200)
 	want := make([]graph.Dist, len(pairs))
 	for i := range pairs {
@@ -228,8 +263,8 @@ func damagedPIDM(t *testing.T, x *Index, v graph.Vertex, bad uint32) []byte {
 // it and must fail loudly, recoverably, and without poisoning the pool.
 func TestQueryBatchDamagedHub(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
-	const n, victim = 120, 40
-	good := batchTestIndex(r, n)
+	const n, victim = 400, 40
+	good := tieredTestIndex(r, n) // at this n some hubs stay tail hubs
 	data := damagedPIDM(t, good, victim, n+7)
 
 	if _, err := ReadAny(strings.NewReader(string(data))); err == nil || !strings.Contains(err.Error(), "out of range") {

@@ -8,17 +8,19 @@ import (
 )
 
 // explain.go is the diagnostics face of the lone-pair kernel: QueryExplain
-// runs the very loops QueryWithHub runs — the head scan, and merge
-// instantiated with the counting mode — so the counters attribute the
-// work the serving path does, not the work of a look-alike
+// runs the very loops QueryWithHub runs — the head scan, and midMin and
+// merge instantiated with the counting mode — so the counters attribute
+// the work the serving path does, not the work of a look-alike
 // (`/debug/explain`, `parapll-query -explain`).
 
 // Explain is the cost-attribution record for one query. Counters are
 // defined by the kernel's actual work:
 //
 //   - HeadSlots: head columns scanned — the index's K for every pair but
-//     s == t, whatever the two labels hold. The counters below are the
-//     tail merge's and never include these.
+//     s == t, whatever the two labels hold.
+//   - MidWords / MidHits: bitmap words ANDed — the index's W, likewise —
+//     and the columns set in both rows, each ranked in both and summed.
+//     The counters below are the tail merge's and include neither tier's.
 //   - HubsProbed: hub ids inspected — three-way dispatch iterations plus
 //     equal-stretch pairs in the linear walk; short-run hubs located in
 //     the gallop.
@@ -35,20 +37,23 @@ type Explain struct {
 	Hub       graph.Vertex `json:"meeting_hub"` // -1 when disconnected
 	Reachable bool         `json:"reachable"`
 
-	// SLabelLen and TLabelLen count whole labels, head entries included.
+	// SLabelLen and TLabelLen count whole labels, head and mid entries
+	// included.
 	SLabelLen int `json:"s_label_len"`
 	TLabelLen int `json:"t_label_len"`
 
 	// Algo is the strategy the dispatch chose for the tail merge: "self"
 	// (s == t, no work at all), "empty" (a tail run is empty: the head
-	// alone answers), "linear" (two-pointer walk) or "gallop" (length
-	// ratio >= 8 — probe the long run).
+	// and the middle tier answer), "linear" (two-pointer walk) or
+	// "gallop" (length ratio >= 8 — probe the long run).
 	Algo string `json:"algo"`
 	// Swapped reports that the merge iterated t's tail as the short
 	// run (the kernel always puts the shorter run first).
 	Swapped bool `json:"swapped"`
 
 	HeadSlots    int `json:"head_slots"`
+	MidWords     int `json:"mid_words"`
+	MidHits      int `json:"mid_hits"`
 	HubsProbed   int `json:"hubs_probed"`
 	CommonHubs   int `json:"common_hubs"`
 	LinearSteps  int `json:"linear_steps"`
@@ -75,12 +80,16 @@ func (x *Index) QueryExplain(s, t graph.Vertex) Explain {
 	ah, ad := x.tail(s)
 	bh, bd := x.tail(t)
 	hs, ht := x.row(s), x.row(t)
+	sb, sd := x.mid(s)
+	tb, td := x.mid(t)
 	ex.SLabelLen, ex.TLabelLen = x.LabelSize(s), x.LabelSize(t)
-	ex.HeadSlots = len(hs)
+	ex.HeadSlots, ex.MidWords = len(hs), len(sb)
 	t0 := time.Now()
 	d, hub := merge[counting](ah, ad, bh, bd, &ex)
-	hd, col := rowArgMin(hs, ht)
-	ex.Dist, ex.Hub = x.meet(hd, col, d, hub)
+	md, mc := midMin[counting](sb, sd, tb, td, &ex)
+	d, hub = meet(x.midHubs, md, mc, d, hub)
+	hd, hc := rowArgMin(hs, ht)
+	ex.Dist, ex.Hub = meet(x.headHubs, hd, hc, d, hub)
 	ex.MergeNanos = time.Since(t0).Nanoseconds()
 	ex.Reachable = ex.Dist != graph.Inf
 	runtime.KeepAlive(x) // the runs and rows alias x's possibly-mmap'd arrays

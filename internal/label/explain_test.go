@@ -8,11 +8,13 @@ import (
 )
 
 // TestExplainMatchesQueryRandomized runs the three instantiations of
-// merge side by side on whole indexes: over randomized label sets
-// (including strongly asymmetric ones that trigger the gallop) the
-// counting mode must return exactly the distance-only mode's distance
-// and the with-hub mode's meeting hub, and its counters must be
-// consistent with the strategy it reports.
+// merge and of midMin side by side on whole indexes: over randomized
+// label sets (including strongly asymmetric ones that trigger the
+// gallop) the counting mode must return exactly the distance-only mode's
+// distance and the with-hub mode's meeting hub, and its counters must be
+// consistent with the strategy it reports. At these sizes every hub
+// earns a column, so each label set is taken twice: as finalized, where
+// the column tiers answer, and flat, where the merge does.
 func TestExplainMatchesQueryRandomized(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
@@ -31,8 +33,13 @@ func TestExplainMatchesQueryRandomized(t *testing.T) {
 				s.Append(graph.Vertex(v), graph.Vertex(r.Intn(n)), graph.Dist(r.Intn(1000)+1))
 			}
 		}
-		x := NewIndex(s)
-		for q := 0; q < 200; q++ {
+		tiered := NewIndex(s)
+		flat := tiered.Flat()
+		for q := 0; q < 400; q++ {
+			x := tiered
+			if q%2 == 1 {
+				x = flat
+			}
 			a := graph.Vertex(r.Intn(n))
 			b := graph.Vertex(r.Intn(n))
 			wantD := x.Query(a, b)
@@ -52,11 +59,12 @@ func TestExplainMatchesQueryRandomized(t *testing.T) {
 				t.Fatalf("(%d,%d): label lens %d/%d, want %d/%d",
 					a, b, ex.SLabelLen, ex.TLabelLen, x.LabelSize(a), x.LabelSize(b))
 			}
-			// The strategy is chosen for the tails: what the head holds of
-			// either label is scanned, not merged.
+			// The strategy is chosen for the tails: what the head and the
+			// middle tier hold of either label is scanned, not merged.
 			sTail, tTail := int(x.off[a+1]-x.off[a]), int(x.off[b+1]-x.off[b])
-			if a != b && ex.HeadSlots != len(x.headHubs) {
-				t.Fatalf("(%d,%d): %d head slots scanned, the head has %d columns", a, b, ex.HeadSlots, len(x.headHubs))
+			if a != b && (ex.HeadSlots != len(x.headHubs) || ex.MidWords != midWords(len(x.midHubs))) {
+				t.Fatalf("(%d,%d): %d head slots and %d bitmap words scanned, the index has %d head and %d mid columns",
+					a, b, ex.HeadSlots, ex.MidWords, len(x.headHubs), len(x.midHubs))
 			}
 			switch ex.Algo {
 			case "self":
@@ -90,8 +98,10 @@ func TestExplainMatchesQueryRandomized(t *testing.T) {
 func TestExplainDispatch(t *testing.T) {
 	// Vertex 0: one hub {0}; vertex 1: hubs {0..9} (ratio 10 >= 8 -> gallop);
 	// vertex 2: hubs {0,1,2} (ratio 3 -> linear); vertex 3: empty, as are
-	// 4..9, which exist because every hub id is a vertex.
-	s := NewStore(10)
+	// 4..95, which exist so that a hub in three labels is in no more than
+	// a 32nd of them: every entry is a tail entry, and the dispatch is
+	// the whole query.
+	s := NewStore(96)
 	s.Append(0, 0, 5)
 	for h := 0; h < 10; h++ {
 		s.Append(1, graph.Vertex(h), graph.Dist(h+1))
@@ -100,6 +110,9 @@ func TestExplainDispatch(t *testing.T) {
 		s.Append(2, graph.Vertex(h), graph.Dist(h+1))
 	}
 	x := NewIndex(s)
+	if len(x.headHubs)+len(x.midHubs) != 0 {
+		t.Fatalf("fixture has %d head and %d mid columns, want every entry in the tail", len(x.headHubs), len(x.midHubs))
+	}
 
 	ex := x.QueryExplain(0, 1)
 	if ex.Algo != "gallop" || !ex.Reachable || ex.Dist != 6 || ex.Hub != 0 {

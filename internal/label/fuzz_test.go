@@ -23,26 +23,40 @@ func seedPIDMFiles(tb testing.TB) [][]byte {
 	}
 	var files [][]byte
 	for _, l := range lists {
-		x := NewIndexFromLists(l)
-		var buf bytes.Buffer
-		if err := x.WriteMmap(&buf); err != nil {
-			tb.Fatalf("WriteMmap: %v", err)
-		}
-		files = append(files, buf.Bytes())
+		files = append(files, pidmBytes(tb, NewIndexFromLists(l)))
 	}
 	// Truncations and a bad magic: the parser's first hurdles.
 	whole := files[len(files)-1]
 	files = append(files, whole[:8], whole[:len(whole)-1])
 	files = append(files, []byte("PIDXnope"), []byte{})
-	// The files above are version 2, the last whole one with a head
-	// column; these are the same labels as version 1 wrote them, and a
-	// version 2 file whose head is every entry it has.
-	files = append(files, pidmV1Bytes(NewIndexFromLists(lists[2])))
-	var buf bytes.Buffer
-	if err := NewIndexFromLists([][]Entry{{{Hub: 0, D: 0}, {Hub: 1, D: 2}}, {{Hub: 0, D: 2}, {Hub: 1, D: 0}}}).WriteMmap(&buf); err != nil {
-		tb.Fatalf("WriteMmap: %v", err)
+	// The files above are version 3, the last whole one with a head
+	// column and, at three vertices, every other hub a mid column; these
+	// are the same labels as version 1 wrote them, and a file whose head
+	// is every entry it has.
+	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 1))
+	files = append(files, pidmBytes(tb, NewIndexFromLists([][]Entry{{{Hub: 0, D: 0}, {Hub: 1, D: 2}}, {{Hub: 0, D: 2}, {Hub: 1, D: 0}}})))
+	// The middle tier's seeds: the same labels as version 2 wrote them
+	// (a head, no bitmap); a file whose every entry is a mid entry; and
+	// one with 65 mid columns, so a bitmap row is two words and the
+	// second all spare bits but one.
+	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 2))
+	for _, k2 := range []int{3, 65} {
+		files = append(files, pidmBytes(tb, midOnlyIndex(k2)))
 	}
-	return append(files, buf.Bytes())
+	return files
+}
+
+// midOnlyIndex builds an index of 2·k2 + 2 vertices with exactly k2 mid
+// columns and nothing else: hub h < k2 is in every fourth label — more
+// than a 32nd of them, fewer than half.
+func midOnlyIndex(k2 int) *Index {
+	lists := make([][]Entry, 2*k2+2)
+	for v := range lists {
+		for h := v % 4; h < k2; h += 4 {
+			lists[v] = append(lists[v], Entry{Hub: graph.Vertex(h), D: graph.Dist(1 + (h+v)%9)})
+		}
+	}
+	return NewIndexFromLists(lists)
 }
 
 // FuzzOpenPIDM drives the PIDM header/section parser (the same

@@ -13,8 +13,10 @@ import (
 // TestExplainCountersGolden pins what the kernel counts, not just what
 // it answers: the sums of every Explain counter and the Algo/Swapped
 // histogram over 2000 seeded pairs on a generated power-law graph,
-// recorded when the dense head took the commonest hubs out of the merge
-// (dist is the sum the merge alone gave before it). The benchmark's
+// recorded when the bitmap tier took the hubs in more than a 32nd of the
+// labels out of the merge (head is what it was when the dense head took
+// the commonest, dist the sum the merge alone gave before either). The
+// benchmark's
 // label.hubs_probed_per_query and label.gallop_frac are derived from
 // these, so a kernel edit that moves where a counter is bumped fails
 // here instead of drifting a per-layer row.
@@ -23,12 +25,14 @@ func TestExplainCountersGolden(t *testing.T) {
 	x := pll.Build(g, pll.Options{})
 	n := g.NumVertices()
 	r := rand.New(rand.NewSource(18))
-	var headSlots, hubsProbed, commonHubs, linearSteps, gallopProbes, binarySteps int
+	var headSlots, midWords, midHits, hubsProbed, commonHubs, linearSteps, gallopProbes, binarySteps int
 	var distSum uint64
 	hist := map[string]int{}
 	for q := 0; q < 2000; q++ {
 		ex := x.QueryExplain(graph.Vertex(r.Intn(n)), graph.Vertex(r.Intn(n)))
 		headSlots += ex.HeadSlots
+		midWords += ex.MidWords
+		midHits += ex.MidHits
 		hubsProbed += ex.HubsProbed
 		commonHubs += ex.CommonHubs
 		linearSteps += ex.LinearSteps
@@ -43,10 +47,10 @@ func TestExplainCountersGolden(t *testing.T) {
 		}
 		hist[key]++
 	}
-	got := fmt.Sprintf("head=%d probed=%d common=%d linear=%d gallop=%d binary=%d dist=%d hist=%v",
-		headSlots, hubsProbed, commonHubs, linearSteps, gallopProbes, binarySteps, distSum, hist)
-	const want = "head=13986 probed=50314 common=5270 linear=51457 gallop=642 binary=501 dist=17414 " +
-		"hist=map[empty:5 empty/swapped:10 gallop:90 gallop/swapped:78 linear:995 linear/swapped:820 self:2]"
+	got := fmt.Sprintf("head=%d words=%d hits=%d probed=%d common=%d linear=%d gallop=%d binary=%d dist=%d hist=%v",
+		headSlots, midWords, midHits, hubsProbed, commonHubs, linearSteps, gallopProbes, binarySteps, distSum, hist)
+	const want = "head=13986 words=3996 hits=5195 probed=11292 common=75 linear=11214 gallop=231 binary=160 dist=17414 " +
+		"hist=map[empty:109 empty/swapped:99 gallop:52 gallop/swapped:44 linear:976 linear/swapped:718 self:2]"
 	if got != want {
 		t.Fatalf("counters over 2000 pairs:\n got %s\nwant %s", got, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parapll/internal/core"
@@ -44,9 +45,11 @@ func refQuery(x *label.Index, s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 }
 
 // checkAgainstReference asserts that every query shape of x, and of the
-// same labels without a head, answers every pair as refQuery does, and as
-// Dijkstra on g does when there is a graph; and that x survives PIDX ->
-// PIDC -> PIDM -> Open with its labels, its counts and its answers.
+// same labels with every entry in the tail, answers every pair as
+// refQuery does, and as Dijkstra on g does when there is a graph; and
+// that x survives PIDX -> PIDC -> PIDM -> Open with its labels, its
+// counts, its tiers and its answers. Past 200 vertices it takes every
+// seventh source.
 func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.Graph) {
 	t.Helper()
 	n := x.NumVertices()
@@ -56,6 +59,9 @@ func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.G
 	var entries int64
 	for s := 0; s < n; s++ {
 		entries += int64(x.LabelSize(graph.Vertex(s)))
+		if n > 200 && s%7 != 0 {
+			continue
+		}
 		var exact []graph.Dist
 		if g != nil {
 			exact = sssp.Dijkstra(g, graph.Vertex(s))
@@ -77,9 +83,10 @@ func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.G
 	for _, side := range []struct {
 		name string
 		x    *label.Index
-	}{{"head", x}, {"flat", x.Flat()}, {"reopened", opened}} {
-		if k, _ := side.x.Head(); side.name == "flat" && k != 0 {
-			t.Fatalf("%s: Flat left %d head columns", name, k)
+	}{{"tiered", x}, {"flat", x.Flat()}, {"reopened", opened}} {
+		k, _ := side.x.Head()
+		if k2, _ := side.x.Mid(); side.name == "flat" && k+k2 != 0 {
+			t.Fatalf("%s: Flat left %d head and %d mid columns", name, k, k2)
 		}
 		if !side.x.Equal(x) || side.x.NumEntries() != entries {
 			t.Fatalf("%s/%s: not the labels it was made from", name, side.name)
@@ -95,7 +102,7 @@ func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.G
 				t.Fatalf("%s/%s: QueryExplain%v = (%d,%d), want (%d,%d)", name, side.name, p, ex.Dist, ex.Hub, want[i], wantHub[i])
 			}
 		}
-		for _, threads := range []int{1, 3} {
+		for _, threads := range []int{1, 2} {
 			for i, d := range side.x.QueryBatch(pairs, threads) {
 				if d != want[i] {
 					t.Fatalf("%s/%s: QueryBatch(%d threads)%v = %d, want %d", name, side.name, threads, pairs[i], d, want[i])
@@ -144,26 +151,34 @@ func roundTrip(t *testing.T, name string, x *label.Index) *label.Index {
 	if err := opened.Verify(); err != nil {
 		t.Fatalf("%s: Verify: %v", name, err)
 	}
-	xk, xd := x.Head()
-	if k, d := opened.Head(); k != xk || d != xd {
-		t.Fatalf("%s: head K=%d density %g went through the formats and came back K=%d density %g", name, xk, xd, k, d)
+	if got, want := tiersOf(opened), tiersOf(x); got != want {
+		t.Fatalf("%s: %s went through the formats and came back %s", name, want, got)
 	}
 	return opened
 }
 
-// TestHeadMatchesReferenceOnRandomGraphs: on random weighted graphs,
-// under every ordering and thread count (parallel builds add redundant
-// entries, so the labels differ run to run; the answers may not), the
-// dense head and the tail merge together answer exactly as one merge
-// over the whole labels, and as Dijkstra.
+// tiersOf describes an index's two column tiers.
+func tiersOf(x *label.Index) string {
+	k, hd := x.Head()
+	k2, md := x.Mid()
+	return fmt.Sprintf("K=%d density %g, K2=%d density %g", k, hd, k2, md)
+}
+
+// TestHeadMatchesReferenceOnRandomGraphs is the three-tier test: on
+// random weighted graphs, under every ordering and thread count (parallel
+// builds add redundant entries, so the labels differ run to run; the
+// answers may not), Label hands back exactly the lists the build
+// appended, sorted and deduplicated, wherever finalize put each entry —
+// and the dense head, the bitmap tier and the tail merge together answer
+// exactly as one merge over the whole labels, and as Dijkstra.
 func TestHeadMatchesReferenceOnRandomGraphs(t *testing.T) {
 	graphs := map[string]*graph.Graph{
-		"sparse":   gen.ErdosRenyi(70, 90, 3), // several components
-		"dense":    gen.ErdosRenyi(60, 400, 4),
-		"powerlaw": gen.ChungLu(90, 300, 2.2, 5),
-		"grid":     gen.RoadGrid(8, 9, 140, 6),
+		"sparse":   gen.ErdosRenyi(130, 170, 3), // several components
+		"dense":    gen.ErdosRenyi(100, 700, 4),
+		"powerlaw": gen.ChungLu(150, 500, 2.2, 5),
+		"grid":     gen.RoadGrid(11, 12, 260, 6),
 	}
-	withHead := 0
+	threeTiers := 0
 	for gname, g := range graphs {
 		orders := map[string][]graph.Vertex{
 			"degree": order.Degree(g),
@@ -172,26 +187,109 @@ func TestHeadMatchesReferenceOnRandomGraphs(t *testing.T) {
 		}
 		for oname, ord := range orders {
 			for _, threads := range []int{1, 2, 8} {
-				x := core.Build(g, core.Options{Threads: threads, Policy: core.Dynamic, Order: ord})
-				if k, _ := x.Head(); k > 0 {
-					withHead++
+				name := fmt.Sprintf("%s/%s/%d", gname, oname, threads)
+				store := label.NewStore(g.NumVertices())
+				core.BuildInto(g, store, core.Options{Threads: threads, Policy: core.Dynamic, Order: ord})
+				x := label.NewIndex(store)
+				var hubs []graph.Vertex
+				var dists []graph.Dist
+				for v := 0; v < g.NumVertices(); v++ {
+					hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
+					list := label.SortDedupe(store.Snapshot(graph.Vertex(v)))
+					if len(list) != len(hubs) || len(list) != x.LabelSize(graph.Vertex(v)) {
+						t.Fatalf("%s: Label(%d) has %d entries, LabelSize %d, the build appended %d", name, v, len(hubs), x.LabelSize(graph.Vertex(v)), len(list))
+					}
+					for i, e := range list {
+						if hubs[i] != e.Hub || dists[i] != e.D {
+							t.Fatalf("%s: Label(%d)[%d] = (%d,%d), the build appended (%d,%d)", name, v, i, hubs[i], dists[i], e.Hub, e.D)
+						}
+					}
 				}
-				checkAgainstReference(t, fmt.Sprintf("%s/%s/%d", gname, oname, threads), x, g)
+				k, _ := x.Head()
+				k2, _ := x.Mid()
+				if k > 0 && k2 > 0 && tailEntries(x) > 0 {
+					threeTiers++
+				}
+				checkAgainstReference(t, name, x, g)
 			}
 		}
 	}
-	if withHead == 0 {
-		t.Fatal("no build produced a head: the dense kernel went untested")
+	if threeTiers < 30 {
+		t.Fatalf("%d of 36 builds filled all three tiers: the kernels' meeting went mostly untested", threeTiers)
 	}
 }
 
-// TestHeadEdgeCases forces the shapes the column rule turns on: a head
-// that is the whole index, no head at all, labels that share no hub, and
-// the two smallest indexes there are.
-func TestHeadEdgeCases(t *testing.T) {
-	head := func(x *label.Index) int { k, _ := x.Head(); return k }
+// tailEntries counts the entries of x that are in neither column tier.
+func tailEntries(x *label.Index) int64 {
+	n := float64(x.NumVertices())
+	k, hd := x.Head()
+	k2, md := x.Mid()
+	return x.NumEntries() - int64(n*float64(k)*hd+0.5) - int64(n*float64(k2)*md+0.5)
+}
 
-	// A star: the centre is in every label, every leaf only in its own.
+// lists96 builds 96 labels around three hubs: a in every label (a head
+// column), b in those of the vertices below 10 and of s and t (a mid
+// column: more than 96/32 labels), c in those of s and t alone (a tail
+// hub), s = 90, t = 91, every distance to them d[0], d[1], d[2].
+func lists96(a, b, c graph.Vertex, d [3]graph.Dist) [][]label.Entry {
+	lists := make([][]label.Entry, 96)
+	for v := range lists {
+		lists[v] = append(lists[v], label.Entry{Hub: a, D: d[0]})
+		if v < 10 || v == 90 || v == 91 {
+			lists[v] = append(lists[v], label.Entry{Hub: b, D: d[1]})
+		}
+		if v == 90 || v == 91 {
+			lists[v] = append(lists[v], label.Entry{Hub: c, D: d[2]})
+		}
+	}
+	return lists
+}
+
+// TestMeetingHubAcrossTiers pins the tie rule where it is hardest to
+// keep: the three tiers each find a hub at the same distance, and
+// QueryWithHub and QueryExplain must name the smallest id whichever tier
+// holds it — and a strictly nearer hub whatever its id.
+func TestMeetingHubAcrossTiers(t *testing.T) {
+	ids := []graph.Vertex{20, 40, 60}
+	for _, perm := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		a, b, c := ids[perm[0]], ids[perm[1]], ids[perm[2]]
+		x := label.NewIndexFromLists(lists96(a, b, c, [3]graph.Dist{5, 5, 5}))
+		if got := tiersOf(x); !strings.HasPrefix(got, "K=1 density 1, K2=1 ") || tailEntries(x) != 2 {
+			t.Fatalf("head %d mid %d tail %d: %s and %d tail entries, want one column each and two", a, b, c, got, tailEntries(x))
+		}
+		if d, hub := x.QueryWithHub(90, 91); d != 10 || hub != 20 {
+			t.Fatalf("head %d mid %d tail %d, all at 10: QueryWithHub = (%d,%d), want (10,20)", a, b, c, d, hub)
+		}
+		if ex := x.QueryExplain(91, 90); ex.Dist != 10 || ex.Hub != 20 || ex.HeadSlots != 1 || ex.MidWords != 1 || ex.MidHits != 1 || ex.CommonHubs != 1 {
+			t.Fatalf("head %d mid %d tail %d, all at 10: QueryExplain = %+v", a, b, c, ex)
+		}
+		for near, want := range []graph.Vertex{a, b, c} {
+			d := [3]graph.Dist{5, 5, 5}
+			d[near] = 4
+			x := label.NewIndexFromLists(lists96(a, b, c, d))
+			if got, hub := x.QueryWithHub(90, 91); got != 8 || hub != want || x.Query(90, 91) != 8 {
+				t.Fatalf("head %d mid %d tail %d, %d nearer: QueryWithHub = (%d,%d), want (8,%d)", a, b, c, want, got, hub, want)
+			}
+		}
+		checkAgainstReference(t, fmt.Sprintf("tie %v", perm), x, nil)
+	}
+}
+
+// TestHeadEdgeCases forces the shapes the two column rules turn on: a
+// tier that is the whole index, no columns at all, a bitmap row that
+// ends on a word boundary and one that spills a single column into the
+// next word, rows with every bit set and with none, labels that share no
+// hub, and the two smallest indexes there are.
+func TestHeadEdgeCases(t *testing.T) {
+	columns := func(x *label.Index) (k, k2 int) {
+		k, _ = x.Head()
+		k2, _ = x.Mid()
+		return k, k2
+	}
+
+	// A star: the centre is in every label, every leaf only in its own —
+	// which among 10 labels is more than a 32nd of them, as any hub is
+	// below 32 vertices: no tail entry, and the merge never runs.
 	const leaves = 9
 	var spokes []graph.Edge
 	for v := 1; v <= leaves; v++ {
@@ -199,13 +297,15 @@ func TestHeadEdgeCases(t *testing.T) {
 	}
 	star := graph.FromEdges(leaves+1, spokes)
 	x := core.Build(star, core.Options{Threads: 1})
-	if head(x) != 1 {
-		t.Fatalf("star: %d head columns, want the centre alone", head(x))
+	if k, k2 := columns(x); k != 1 || k2 != leaves || tailEntries(x) != 0 {
+		t.Fatalf("star: K=%d K2=%d and %d tail entries, want the centre, the leaves and none", k, k2, tailEntries(x))
+	}
+	if ex := x.QueryExplain(2, 5); ex.Algo != "empty" || ex.HubsProbed != 0 || ex.MidWords != 1 || ex.MidHits != 0 || ex.Dist != 7 {
+		t.Fatalf("star: explain %+v, want an empty tail merge and the centre's answer", ex)
 	}
 	checkAgainstReference(t, "star", x, star)
 
-	// Every label the same three hubs: the head covers everything and
-	// every tail is empty, so the merge never runs.
+	// Every label the same three hubs: the head covers everything.
 	full := make([][]label.Entry, 7)
 	for v := range full {
 		for h := 0; h < 3; h++ {
@@ -216,33 +316,79 @@ func TestHeadEdgeCases(t *testing.T) {
 	if k, density := x.Head(); k != 3 || density != 1 || x.NumEntries() != 21 {
 		t.Fatalf("all-head: K=%d density %g entries %d, want 3, 1, 21", k, density, x.NumEntries())
 	}
-	if ex := x.QueryExplain(2, 5); ex.Algo != "empty" || ex.HeadSlots != 3 || ex.HubsProbed != 0 || !ex.Reachable || ex.SLabelLen != 3 {
+	if ex := x.QueryExplain(2, 5); ex.Algo != "empty" || ex.HeadSlots != 3 || ex.MidWords != 0 || ex.HubsProbed != 0 || !ex.Reachable || ex.SLabelLen != 3 {
 		t.Fatalf("all-head: explain %+v, want an empty tail merge behind 3 head slots", ex)
 	}
 	checkAgainstReference(t, "all-head", x, nil)
 
-	// No hub in more than half the labels: a perfect matching, and the
-	// uniform synthetic shape, hubs drawn evenly from the whole id space.
+	// Only bit columns, 64 of them — a row is exactly one full word — and
+	// 65, where it is two and the second holds one column.
+	for _, k2 := range []int{64, 65} {
+		x = label.MidOnlyIndex(k2)
+		if k, got := columns(x); k != 0 || got != k2 || tailEntries(x) != 0 {
+			t.Fatalf("K2=%d: K=%d K2=%d and %d tail entries, want bit columns alone", k2, k, got, tailEntries(x))
+		}
+		if ex := x.QueryExplain(0, 4); ex.MidWords != (k2+63)/64 || ex.MidHits != (k2+3)/4 {
+			t.Fatalf("K2=%d: explain %+v, want every fourth column common to vertices 0 and 4", k2, ex)
+		}
+		checkAgainstReference(t, fmt.Sprintf("K2=%d", k2), x, nil)
+	}
+
+	// Ten bit columns that the first 20 of 100 vertices have every one of
+	// and the rest none of: those hold a chain of tail hubs instead.
+	rows := make([][]label.Entry, 100)
+	for v := range rows {
+		for h := 0; v < 20 && h < 10; h++ {
+			rows[v] = append(rows[v], label.Entry{Hub: graph.Vertex(h), D: graph.Dist(1 + (v+h)%7)})
+		}
+		if v >= 20 {
+			rows[v] = append(rows[v], label.Entry{Hub: graph.Vertex(v), D: 0})
+		}
+		if v >= 21 {
+			rows[v] = append(rows[v], label.Entry{Hub: graph.Vertex(v - 1), D: 3})
+		}
+	}
+	x = label.NewIndexFromLists(rows)
+	if k, k2 := columns(x); k != 0 || k2 != 10 || x.LabelSize(5) != 10 || tailEntries(x) != 159 {
+		t.Fatalf("all-or-none rows: K=%d K2=%d, |L(5)| = %d, %d tail entries; want 0, 10, 10, 159", k, k2, x.LabelSize(5), tailEntries(x))
+	}
+	if ex := x.QueryExplain(3, 17); ex.MidHits != 10 || ex.Algo != "empty" {
+		t.Fatalf("all-or-none rows: full row against full row: %+v", ex)
+	}
+	if ex := x.QueryExplain(3, 50); ex.MidHits != 0 || ex.Reachable {
+		t.Fatalf("all-or-none rows: full row against empty row: %+v", ex)
+	}
+	if ex := x.QueryExplain(50, 51); ex.MidHits != 0 || ex.Dist != 3 || ex.Hub != 50 {
+		t.Fatalf("all-or-none rows: empty row against empty row: %+v", ex)
+	}
+	checkAgainstReference(t, "all-or-none rows", x, nil)
+
+	// No hub in more than a 32nd of the labels: a perfect matching on 64
+	// vertices, and the uniform synthetic shape, hubs drawn evenly from
+	// the whole id space. K = K2 = 0 runs the same kernels over nothing.
 	var matching []graph.Edge
-	for v := 0; v < 12; v += 2 {
+	for v := 0; v < 64; v += 2 {
 		matching = append(matching, graph.Edge{U: graph.Vertex(v), V: graph.Vertex(v + 1), W: 4})
 	}
-	pairsGraph := graph.FromEdges(12, matching)
+	pairsGraph := graph.FromEdges(64, matching)
 	x = core.Build(pairsGraph, core.Options{Threads: 2})
-	if head(x) != 0 {
-		t.Fatalf("matching: %d head columns, want none", head(x))
+	if k, k2 := columns(x); k != 0 || k2 != 0 {
+		t.Fatalf("matching: K=%d K2=%d, want no column", k, k2)
+	}
+	if ex := x.QueryExplain(0, 1); ex.HeadSlots != 0 || ex.MidWords != 0 || ex.Dist != 4 {
+		t.Fatalf("matching: explain %+v, want the tail merge alone", ex)
 	}
 	checkAgainstReference(t, "matching", x, pairsGraph)
 	r := gen.NewRNG(11)
-	uniform := make([][]label.Entry, 40)
+	uniform := make([][]label.Entry, 640)
 	for v := range uniform {
-		for k := 0; k < 12; k++ {
-			uniform[v] = append(uniform[v], label.Entry{Hub: graph.Vertex(r.Intn(40)), D: graph.Dist(1 + r.Intn(50))})
+		for k := 0; k < 8; k++ {
+			uniform[v] = append(uniform[v], label.Entry{Hub: graph.Vertex(r.Intn(640)), D: graph.Dist(1 + r.Intn(50))})
 		}
 	}
 	x = label.NewIndexFromLists(uniform)
-	if head(x) != 0 {
-		t.Fatalf("uniform: %d head columns, want none", head(x))
+	if k, k2 := columns(x); k != 0 || k2 != 0 {
+		t.Fatalf("uniform: K=%d K2=%d, want no column", k, k2)
 	}
 	checkAgainstReference(t, "uniform", x, nil)
 
@@ -258,7 +404,7 @@ func TestHeadEdgeCases(t *testing.T) {
 	}
 	split := graph.FromEdges(20, parts)
 	x = core.Build(split, core.Options{Threads: 1})
-	if head(x) == 0 {
+	if k, _ := columns(x); k == 0 {
 		t.Fatal("two components: no head column, so no Inf + Inf to saturate")
 	}
 	if d := x.Query(15, 16); d != 4 {
@@ -282,36 +428,56 @@ func TestHeadEdgeCases(t *testing.T) {
 
 // TestLabelCountsIncludeTheHead: the counts the paper reports do not
 // care where an entry is stored. LabelSize, its histogram, NumEntries
-// and AvgLabelSize of an index with a head equal those of the same
-// labels without one, and MemoryBytes counts the head's n x K slots.
+// and AvgLabelSize of an index with a head and a middle tier equal those
+// of the same labels with neither, and MemoryBytes counts the head's
+// n x K slots and the bitmap's n x W words.
 func TestLabelCountsIncludeTheHead(t *testing.T) {
-	g := gen.ChungLu(300, 1200, 2.2, 13)
+	const n = 300
+	g := gen.ChungLu(n, 1200, 2.2, 13)
 	x := core.Build(g, core.Options{Threads: 1})
-	flat := x.Flat()
+	flat, headOnly := x.Flat(), x.HeadOnly()
 	k, density := x.Head()
 	if k == 0 || density <= 0.5 || density > 1 {
 		t.Fatalf("head K=%d density %g: every column holds more than half its slots by the rule that chose it", k, density)
 	}
-	if x.NumEntries() != flat.NumEntries() || x.AvgLabelSize() != flat.AvgLabelSize() {
-		t.Fatalf("entries %d LN %g with the head, %d and %g without", x.NumEntries(), x.AvgLabelSize(), flat.NumEntries(), flat.AvgLabelSize())
+	k2, midDensity := x.Mid()
+	if k2 == 0 || midDensity <= 1.0/32 || midDensity > 0.5 {
+		t.Fatalf("mid K2=%d density %g: every column has more than a 32nd and at most half of its bits set by the rule that chose it", k2, midDensity)
 	}
-	for v := 0; v < 300; v++ {
+	if hk, hd := headOnly.Head(); hk != k || hd != density {
+		t.Fatalf("HeadOnly has head K=%d density %g, the tiered index K=%d density %g", hk, hd, k, density)
+	}
+	if hk2, _ := headOnly.Mid(); hk2 != 0 || !headOnly.Equal(x) {
+		t.Fatalf("HeadOnly has %d mid columns or other labels", hk2)
+	}
+	if x.NumEntries() != flat.NumEntries() || x.AvgLabelSize() != flat.AvgLabelSize() {
+		t.Fatalf("entries %d LN %g with the tiers, %d and %g without", x.NumEntries(), x.AvgLabelSize(), flat.NumEntries(), flat.AvgLabelSize())
+	}
+	for v := 0; v < n; v++ {
 		if a, b := x.LabelSize(graph.Vertex(v)), flat.LabelSize(graph.Vertex(v)); a != b {
-			t.Fatalf("LabelSize(%d) = %d with the head, %d without", v, a, b)
+			t.Fatalf("LabelSize(%d) = %d with the tiers, %d without", v, a, b)
 		}
 	}
 	xs, xc := x.LabelSizeHistogram()
 	fs, fc := flat.LabelSizeHistogram()
 	if fmt.Sprint(xs, xc) != fmt.Sprint(fs, fc) {
-		t.Fatalf("histogram %v %v with the head, %v %v without", xs, xc, fs, fc)
+		t.Fatalf("histogram %v %v with the tiers, %v %v without", xs, xc, fs, fc)
 	}
-	// Offsets are the same size either way; each head entry is 4 bytes
-	// where it was 8, each empty head slot 4 where it was nothing.
-	n, held := int64(300), int64(float64(300*k)*density+0.5)
-	if got, want := x.MemoryBytes(), flat.MemoryBytes()-8*held+4*n*int64(k)+4*int64(k); got != want {
-		t.Fatalf("MemoryBytes = %d, want %d (flat %d, K=%d, %d head entries)", got, want, flat.MemoryBytes(), k, held)
+	// Offsets are the same size either way. Each head entry is 4 bytes
+	// where it was 8, each empty head slot 4 where it was nothing; each
+	// mid entry is 4 bytes where it was 8, and the tier costs a bitmap,
+	// a second offset array and its column ids.
+	held := int64(float64(n*k)*density + 0.5)
+	midHeld := int64(float64(n*k2)*midDensity + 0.5)
+	wantHead := flat.MemoryBytes() - 8*held + 4*n*int64(k) + 4*int64(k)
+	if got := headOnly.MemoryBytes(); got != wantHead {
+		t.Fatalf("MemoryBytes = %d with a head alone, want %d (flat %d, K=%d, %d head entries)", got, wantHead, flat.MemoryBytes(), k, held)
 	}
-	if x.MemoryBytes() >= flat.MemoryBytes() {
-		t.Fatalf("the head costs %d bytes where the flat index costs %d: the rule picks only columns that pay", x.MemoryBytes(), flat.MemoryBytes())
+	want := wantHead - 4*midHeld + 8*n*int64((k2+63)/64) + 8*(n+1) + 4*int64(k2)
+	if got := x.MemoryBytes(); got != want {
+		t.Fatalf("MemoryBytes = %d, want %d (head only %d, K2=%d, %d mid entries)", got, want, wantHead, k2, midHeld)
+	}
+	if !(x.MemoryBytes() < headOnly.MemoryBytes() && headOnly.MemoryBytes() < flat.MemoryBytes()) {
+		t.Fatalf("%d bytes tiered, %d with a head alone, %d flat: each rule picks only columns that pay", x.MemoryBytes(), headOnly.MemoryBytes(), flat.MemoryBytes())
 	}
 }

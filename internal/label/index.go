@@ -3,6 +3,7 @@ package label
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -13,21 +14,31 @@ import (
 
 // Index is the immutable, query-optimized form of a label set: a 2-hop
 // cover answering the paper's QUERY(s,t,L) = min over common hubs u of
-// σ(P(u,s)) + σ(P(u,t)). A label L(v) is stored in two parts.
+// σ(P(u,s)) + σ(P(u,t)). A label L(v) is stored in three parts, and
+// which part holds an entry depends only on how many labels its hub is
+// in; the rule of each tier is the byte-optimal one, needs no order and
+// no tuning, and picks no hub at all where none is that common.
 //
 // The head is a dense n × K matrix of distances, one column per head hub:
 // a hub that appears in more than half the labels (PLL's first roots
 // reach almost every vertex) costs 4 bytes a vertex as a column and 8 an
 // appearance as a (hub, distance) pair, so exactly those hubs become
-// columns. The rule is the byte-optimal set; it needs no order, no
-// tuning, and picks K = 0 where no hub is that common. A vertex that
-// lacks a head hub holds graph.Inf in its slot, and the head's share of
-// a query is one branch-free pass over two contiguous rows (rowMin).
+// columns. A vertex that lacks a head hub holds graph.Inf in its slot,
+// and the head's share of a query is one branch-free pass over two
+// contiguous rows (rowMin).
+//
+// The middle tier is a bitmap: a hub in more than n/32 labels (and not
+// in the head) becomes bit column c of an n × W matrix of 64-bit words,
+// W = ceil(K2/64), and the distances of a vertex's set bits are packed
+// behind it in column order. A column costs n/8 bytes of bitmap and
+// saves the 4-byte hub id of every entry it takes, which is where n/32
+// comes from. Its share of a query ANDs two bitmap rows and ranks each
+// common bit in both by a popcount of the bits below it (midMin, mid.go).
 //
 // The tail is everything else, per vertex one flat, hub-sorted,
 // deduplicated run of (hub, distance) pairs, and its share of a query is
 // a merge-intersection of two sorted runs (merge.go). No tail entry
-// names a head hub.
+// names a head or mid hub.
 //
 // Invariant: every hub id is a vertex of the index, 0 <= hub <
 // NumVertices(), and every stored distance is below graph.Inf. finalize
@@ -40,6 +51,11 @@ import (
 // bounds-checked index (and drops that scratch). The head has no
 // per-entry hub id to damage: Open checks the K column ids, and a
 // flipped head byte is a wrong distance, which Verify's checksum names.
+// Nor has the middle tier: Open checks the K2 column ids and that the
+// packed runs tile midDists, so every run is a slice inside its section;
+// a flipped bitmap bit shifts the ranks behind it, which is a wrong
+// distance or — a rank past the end of its run — the panic of a
+// bounds-checked index, never a read outside the run.
 //
 // The arrays either live on the heap (built or stream-decoded indexes)
 // or alias a read-only file mapping (Open); queries are identical
@@ -61,7 +77,12 @@ type Index struct {
 	headHubs []graph.Vertex // the K head hubs, ascending
 	head     []graph.Dist   // n × K row-major: head[v*K+c] = d(headHubs[c], v), or graph.Inf
 
-	total int64 // label entries: finite head slots + tail entries
+	midHubs  []graph.Vertex // the K2 mid hubs, ascending
+	midBits  []uint64       // n × W row-major, W = ceil(K2/64): bit c of row v set iff midHubs[c] ∈ L(v)
+	midOff   []int64        // len n+1, nil when K2 = 0: mid run of v is midDists[midOff[v]:midOff[v+1]]
+	midDists []graph.Dist   // the distances of the set bits, row by row in column order
+
+	total int64 // label entries: finite head slots + set mid bits + tail entries
 
 	format string   // Format* constant; "" means FormatMemory
 	mm     *mapping // non-nil when the arrays alias a file (see Open)
@@ -104,55 +125,75 @@ func (x *Index) Close() error {
 
 // NewIndex finalizes a Store into an Index: every label list is sorted by
 // hub id, duplicate hubs are collapsed to their minimum distance, and the
-// hubs common enough to pay for a column move to the head. The store is
-// read, not consumed; it must be quiescent (no appends racing the
-// finalize).
+// hubs common enough to pay for a column move to the head or the middle
+// tier. The store is read, not consumed; it must be quiescent (no appends
+// racing the finalize).
 func NewIndex(s *Store) *Index {
-	return finalize(s.NumVertices(), func(v int) []Entry { return s.Snapshot(graph.Vertex(v)) }, true)
+	return finalize(s.NumVertices(), func(v int) []Entry { return s.Snapshot(graph.Vertex(v)) }, allTiers)
 }
 
 // NewIndexFromLists finalizes per-vertex label lists (as built by the
 // serial PLL, which needs no concurrent Store) into an Index, exactly as
 // NewIndex does.
 func NewIndexFromLists(lists [][]Entry) *Index {
-	return finalize(len(lists), func(v int) []Entry { return lists[v] }, true)
+	return finalize(len(lists), func(v int) []Entry { return lists[v] }, allTiers)
 }
 
-// Flat returns an index over the same labels with an empty head — x
-// itself when it has none. It is for callers that merge a label of one
-// index against a label of another (directed's L_out(s) ∩ L_in(t)), which
-// two heads with different columns cannot serve, and it is the baseline
-// the head is measured against.
-func (x *Index) Flat() *Index {
-	if len(x.headHubs) == 0 {
+// Flat returns an index over the same labels with every entry in the
+// tail — x itself when it has neither head nor middle tier. It is for
+// callers that merge a label of one index against a label of another
+// (directed's L_out(s) ∩ L_in(t)), which two sets of columns cannot
+// serve, and it is the baseline the tiers are measured against.
+func (x *Index) Flat() *Index { return x.relayout(tailOnly) }
+
+// HeadOnly returns an index over the same labels with a head and no
+// middle tier: the baseline the bitmap tier is measured against
+// (BenchmarkQueryKernel's -nomid rows).
+func (x *Index) HeadOnly() *Index { return x.relayout(headAndTail) }
+
+// relayout finalizes x's labels again under another choice of tiers.
+func (x *Index) relayout(use tiers) *Index {
+	if use == tailOnly && len(x.headHubs) == 0 && len(x.midHubs) == 0 {
 		return x
 	}
 	var hubs []graph.Vertex
 	var dists []graph.Dist
 	var entries []Entry
-	flat := finalize(x.NumVertices(), func(v int) []Entry {
+	y := finalize(x.NumVertices(), func(v int) []Entry {
 		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
 		entries = entries[:0]
 		for i, h := range hubs {
 			entries = append(entries, Entry{Hub: h, D: dists[i]})
 		}
 		return entries
-	}, false)
+	}, use)
 	runtime.KeepAlive(x)
-	return flat
+	return y
 }
+
+// tiers says which of the two column tiers finalize may fill. Every
+// index a build or a reader produces has allTiers; the others exist for
+// Flat and HeadOnly.
+type tiers int
+
+const (
+	tailOnly tiers = iota
+	headAndTail
+	allTiers
+)
 
 // finalize streams n label lists into the arrays in two passes. The
 // first counts the labels each hub appears in (a duplicate within one
-// list once), which fixes the head columns — every hub in more than n/2
-// labels when withHead is set — and the exact size of every array. The
-// second copies each list into one reused scratch buffer, sorts and
-// deduplicates it there and deals its entries to the head row or the
-// tail run, so beside the source lists only the result is ever live. A
-// hub outside [0,n) or a distance of graph.Inf is a builder's bug and
-// panics (the Index invariant). list(v) may reuse its result's storage
-// between calls.
-func finalize(n int, list func(v int) []Entry, withHead bool) *Index {
+// list once), which fixes the columns — every hub in more than n/2
+// labels goes to the head, every other hub in more than n/32 to the
+// middle tier, as far as use allows — and the exact size of every array.
+// The second copies each list into one reused scratch buffer, sorts and
+// deduplicates it there and deals its entries to the head row, the
+// bitmap row and its packed run, or the tail run, so beside the source
+// lists only the result is ever live. A hub outside [0,n) or a distance
+// of graph.Inf is a builder's bug and panics (the Index invariant).
+// list(v) may reuse its result's storage between calls.
+func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 	count := make([]int32, n) // labels holding the hub
 	seen := make([]int32, n)  // seen[h] == v+1: h already counted for v
 	var total int64
@@ -172,41 +213,68 @@ func finalize(n int, list func(v int) []Entry, withHead bool) *Index {
 			}
 		}
 	}
-	// col[h] is h's head column, -1 for a tail hub; it takes over seen.
+	// slot[h] is where h's entries go: its head column c as c, its mid
+	// column c as -2-c, -1 for the tail; it takes over seen.
 	idx := &Index{off: make([]int64, n+1), total: total}
-	col, tail := seen, total
-	for h := range col {
-		col[h] = -1
-		if withHead && 2*int(count[h]) > n {
-			col[h] = int32(len(idx.headHubs))
+	slot, tail, mid := seen, total, int64(0)
+	for h := range slot {
+		slot[h] = -1
+		switch c := int64(count[h]); {
+		case use >= headAndTail && 2*c > int64(n):
+			slot[h] = int32(len(idx.headHubs))
 			idx.headHubs = append(idx.headHubs, graph.Vertex(h))
-			tail -= int64(count[h])
+			tail -= c
+		case use == allTiers && 32*c > int64(n):
+			slot[h] = int32(-2 - len(idx.midHubs))
+			idx.midHubs = append(idx.midHubs, graph.Vertex(h))
+			tail -= c
+			mid += c
 		}
 	}
-	k := len(idx.headHubs)
+	k, w := len(idx.headHubs), midWords(len(idx.midHubs))
 	idx.head = make([]graph.Dist, n*k)
 	idx.hubs = make([]graph.Vertex, tail)
 	idx.dists = make([]graph.Dist, tail)
+	if w > 0 {
+		idx.midBits = make([]uint64, n*w)
+		idx.midOff = make([]int64, n+1)
+		idx.midDists = make([]graph.Dist, mid)
+	}
 	var scratch []Entry
-	pos := 0
+	pos, mpos := 0, 0
 	for v := 0; v < n; v++ {
 		scratch = append(scratch[:0], list(v)...)
 		row := idx.head[v*k:][:k]
 		for c := range row {
 			row[c] = graph.Inf
 		}
+		words := idx.midBits[v*w:][:w]
+		// Entries come in hub order and columns were numbered in hub
+		// order, so a vertex's mid distances land in column order.
 		for _, e := range sortDedupe(scratch) {
-			if c := col[e.Hub]; c >= 0 {
+			switch c := slot[e.Hub]; {
+			case c >= 0:
 				row[c] = e.D
-				continue
+			case c == -1:
+				idx.hubs[pos], idx.dists[pos] = e.Hub, e.D
+				pos++
+			default:
+				c = -2 - c
+				words[c>>6] |= 1 << uint(c&63)
+				idx.midDists[mpos] = e.D
+				mpos++
 			}
-			idx.hubs[pos], idx.dists[pos] = e.Hub, e.D
-			pos++
 		}
 		idx.off[v+1] = int64(pos)
+		if w > 0 {
+			idx.midOff[v+1] = int64(mpos)
+		}
 	}
 	return idx
 }
+
+// midWords returns W, the 64-bit words in one bitmap row of k2 columns.
+func midWords(k2 int) int { return (k2 + 63) >> 6 }
 
 // SortDedupe returns a copy of one label list sorted by hub with
 // duplicate hubs collapsed to their minimum distance — the strictly
@@ -263,7 +331,7 @@ func (x *Index) Equal(y *Index) bool {
 func (x *Index) NumVertices() int { return len(x.off) - 1 }
 
 // NumEntries returns the total number of label entries, wherever they
-// are stored: finite head slots plus tail entries.
+// are stored: finite head slots, set mid bits and tail entries.
 func (x *Index) NumEntries() int64 { return x.total }
 
 // AvgLabelSize returns the mean entries per vertex — the paper's LN metric
@@ -283,19 +351,32 @@ func (x *Index) Head() (k int, density float64) {
 	if len(x.head) == 0 {
 		return k, 0
 	}
-	return k, float64(x.total-int64(len(x.hubs))) / float64(len(x.head))
+	return k, float64(x.total-int64(len(x.hubs)+len(x.midDists))) / float64(len(x.head))
+}
+
+// Mid returns the number of bitmap columns K2 and the share of the
+// n × K2 bits that are set (0 when K2 is 0).
+func (x *Index) Mid() (k2 int, density float64) {
+	k2 = len(x.midHubs)
+	if k2 == 0 || x.NumVertices() == 0 {
+		return k2, 0
+	}
+	return k2, float64(len(x.midDists)) / (float64(x.NumVertices()) * float64(k2))
 }
 
 // MemoryBytes returns the in-memory footprint of the index's arrays
-// (offsets, tail hubs and distances, head). The paper reports this
-// linear-in-(n·LN) quantity peaking at 2.2 GB in its evaluation.
+// (offsets, tail hubs and distances, head, bitmap and packed mid
+// distances). The paper reports this linear-in-(n·LN) quantity peaking
+// at 2.2 GB in its evaluation.
 func (x *Index) MemoryBytes() int64 {
-	return int64(len(x.off))*8 + int64(len(x.hubs)+len(x.dists)+len(x.headHubs)+len(x.head))*4
+	return int64(len(x.off)+len(x.midOff)+len(x.midBits))*8 +
+		int64(len(x.hubs)+len(x.dists)+len(x.headHubs)+len(x.head)+len(x.midHubs)+len(x.midDists))*4
 }
 
 // LabelSize returns |L(v)|.
 func (x *Index) LabelSize(v graph.Vertex) int {
-	size := int(x.off[v+1] - x.off[v])
+	_, md := x.mid(v)
+	size := int(x.off[v+1]-x.off[v]) + len(md)
 	for _, d := range x.row(v) {
 		if d != graph.Inf {
 			size++
@@ -305,31 +386,55 @@ func (x *Index) LabelSize(v graph.Vertex) int {
 	return size
 }
 
-// Label returns v's entries, hub-sorted. An index without a head returns
-// its stored run; otherwise the head row's entries and the tail run are
-// interleaved into hubs[:0] and dists[:0], which a caller walking many
-// labels passes back in to reuse. Either way the result is read-only,
-// and for a possibly mmap-backed index the caller must keep x reachable
+// Label returns v's entries, hub-sorted. An index with every entry in
+// the tail returns its stored run; otherwise the bitmap row's entries and
+// the tail run are interleaved into hubs[:0] and dists[:0], which a
+// caller walking many labels passes back in to reuse, and the head row's
+// are merged in from the back. Either way the result is read-only, and
+// for a possibly mmap-backed index the caller must keep x reachable
 // (runtime.KeepAlive) for as long as it reads it — see the Index
 // memory-model comment.
 func (x *Index) Label(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
 	th, td := x.tail(v)
-	if len(x.headHubs) == 0 {
+	if len(x.headHubs) == 0 && len(x.midHubs) == 0 {
 		return th, td
 	}
 	hubs, dists = hubs[:0], dists[:0]
-	j := 0
-	for c, d := range x.row(v) {
-		if d == graph.Inf {
+	words, md := x.mid(v)
+	j, rank := 0, 0
+	for w, word := range words {
+		for ; word != 0; word &= word - 1 {
+			h := x.midHubs[w<<6+bits.TrailingZeros64(word)]
+			for ; j < len(th) && th[j] < h; j++ {
+				hubs, dists = append(hubs, th[j]), append(dists, td[j])
+			}
+			hubs, dists = append(hubs, h), append(dists, md[rank])
+			rank++
+		}
+	}
+	hubs, dists = append(hubs, th[j:]...), append(dists, td[j:]...)
+
+	row := x.row(v)
+	held := 0
+	for _, d := range row {
+		if d != graph.Inf {
+			held++
+		}
+	}
+	i := len(hubs) - 1 // last entry not yet moved to its final place
+	hubs, dists = append(hubs, make([]graph.Vertex, held)...), append(dists, make([]graph.Dist, held)...)
+	// o is the slot to fill next; o - i head entries are still to place.
+	for c, o := len(row)-1, len(hubs)-1; o > i; c-- {
+		if row[c] == graph.Inf {
 			continue
 		}
 		h := x.headHubs[c]
-		for ; j < len(th) && th[j] < h; j++ {
-			hubs, dists = append(hubs, th[j]), append(dists, td[j])
+		for ; i >= 0 && hubs[i] > h; i, o = i-1, o-1 {
+			hubs[o], dists[o] = hubs[i], dists[i]
 		}
-		hubs, dists = append(hubs, h), append(dists, d)
+		hubs[o], dists[o] = h, row[c]
+		o--
 	}
-	hubs, dists = append(hubs, th[j:]...), append(dists, td[j:]...)
 	runtime.KeepAlive(x)
 	return hubs, dists
 }
@@ -378,6 +483,19 @@ func (x *Index) row(v graph.Vertex) []graph.Dist {
 	return x.head[int(v)*k:][:k]
 }
 
+// mid cuts v's bitmap row — W words — and the packed distances of its
+// set bits, both zero-length when the index has no middle tier. As with
+// tail, the pin covers the offset reads only.
+func (x *Index) mid(v graph.Vertex) ([]uint64, []graph.Dist) {
+	w := midWords(len(x.midHubs))
+	if w == 0 {
+		return nil, nil
+	}
+	lo, hi := x.midOff[v], x.midOff[v+1]
+	runtime.KeepAlive(x)
+	return x.midBits[int(v)*w:][:w], x.midDists[lo:hi]
+}
+
 // rowMin is the head's share of QUERY(s,t,L): min over c of a[c] + b[c]
 // for two head rows, saturating at graph.Inf. The sum is taken in 64
 // bits, which makes it the AddDist minimum: a slot either vertex lacks
@@ -416,23 +534,24 @@ func rowArgMin(a, b []graph.Dist) (graph.Dist, int) {
 	return graph.Dist(best), col
 }
 
-// meet folds the head's answer (rowArgMin) into the tail's (merge): the
-// smaller distance, and between equal distances the smaller hub id —
-// the hub one merge over the two full labels would have kept.
-func (x *Index) meet(hd graph.Dist, col int, d graph.Dist, hub graph.Vertex) (graph.Dist, graph.Vertex) {
+// meet folds a column tier's answer — a distance and the column of cols
+// achieving it, -1 for none — into the answer so far: the smaller
+// distance, and between equal distances the smaller hub id — the hub one
+// merge over the two full labels would have kept.
+func meet(cols []graph.Vertex, cd graph.Dist, col int, d graph.Dist, hub graph.Vertex) (graph.Dist, graph.Vertex) {
 	if col < 0 {
 		return d, hub
 	}
-	if h := x.headHubs[col]; hd < d || hd == d && h < hub {
-		d, hub = hd, h
+	if h := cols[col]; cd < d || cd == d && h < hub {
+		return cd, h
 	}
-	runtime.KeepAlive(x)
 	return d, hub
 }
 
 // Query returns the shortest-path distance between s and t, or graph.Inf
 // if no common hub covers the pair (disconnected). Complexity is O(K)
-// for the head plus O(|tail(s)| + |tail(t)|) for the merge, dropping to
+// for the head, O(W) words plus a rank per common bit for the middle
+// tier, and O(|tail(s)| + |tail(t)|) for the merge, dropping to
 // O(min·log(max/min)) for strongly asymmetric tails via the galloping
 // merge. It allocates nothing. Out-of-range ids panic with a descriptive
 // message (consistently — including when s == t).
@@ -444,8 +563,11 @@ func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 	ah, ad := x.tail(s)
 	bh, bd := x.tail(t)
 	d, _ := merge[distOnly](ah, ad, bh, bd, nil)
-	d = min(d, rowMin(x.row(s), x.row(t)))
-	runtime.KeepAlive(x) // both kernels read slices aliasing x's mapping
+	sb, sd := x.mid(s)
+	tb, td := x.mid(t)
+	md, _ := midMin[distOnly](sb, sd, tb, td, nil)
+	d = min(d, md, rowMin(x.row(s), x.row(t)))
+	runtime.KeepAlive(x) // the three kernels read slices aliasing x's mapping
 	return d
 }
 
@@ -462,8 +584,12 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	ah, ad := x.tail(s)
 	bh, bd := x.tail(t)
 	d, hub := merge[withHub](ah, ad, bh, bd, nil)
-	hd, col := rowArgMin(x.row(s), x.row(t))
-	d, hub = x.meet(hd, col, d, hub)
+	sb, sd := x.mid(s)
+	tb, td := x.mid(t)
+	md, mc := midMin[withHub](sb, sd, tb, td, nil)
+	d, hub = meet(x.midHubs, md, mc, d, hub)
+	hd, hc := rowArgMin(x.row(s), x.row(t))
+	d, hub = meet(x.headHubs, hd, hc, d, hub)
 	runtime.KeepAlive(x)
 	return d, hub
 }

@@ -133,9 +133,9 @@ func ReadIndex(r io.Reader) (*Index, error) {
 
 // finalizeDecoded is how a stream reader ends: the whole labels it
 // decoded (label v is entries[off[v]:off[v+1]]) go through the finalize
-// a build ends in, so the index has the head its labels earn.
+// a build ends in, so the index has the tiers its labels earn.
 func finalizeDecoded(off []int64, entries []Entry, format string) *Index {
-	x := finalize(len(off)-1, func(v int) []Entry { return entries[off[v]:off[v+1]] }, true)
+	x := finalize(len(off)-1, func(v int) []Entry { return entries[off[v]:off[v+1]] }, allTiers)
 	x.format = format
 	return x
 }

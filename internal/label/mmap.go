@@ -6,44 +6,55 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"unsafe"
 
 	"parapll/internal/graph"
 )
 
-// Mmap-native on-disk index format ("PIDM"): the five arrays of Index
-// (off, headHubs, head, hubs, dists) laid out verbatim, little-endian,
-// each in its own 64-byte-aligned section, behind a fixed header. Opening
+// Mmap-native on-disk index format ("PIDM"): the nine arrays of Index
+// laid out verbatim, little-endian, each in its own 64-byte-aligned
+// section, behind a fixed header — first the four that Open reads (the
+// two offset arrays, the two lists of column ids), so that what it
+// touches is one prefix of the file, then the five it does not. Opening
 // the file is O(1) in the entries: validate the header, map the file,
 // and alias the sections in place — no per-entry decode, no second copy
 // of the index in memory. The label array IS the product artifact; the
 // file IS the serving state.
 //
-// Version 2 layout (all integers little-endian), what WriteMmap emits:
+// Version 3 layout (all integers little-endian), what WriteMmap emits:
 //
 //	[0:4)     magic "PIDM"
-//	[4:8)     version (2)
+//	[4:8)     version (3)
 //	[8:16)    n       — vertex count
-//	[16:24)   total   — label entries: finite head slots + tail entries
+//	[16:24)   total   — label entries: finite head slots + set mid bits + tail entries
 //	[24:32)   tail    — tail entries
 //	[32:40)   K       — head columns
-//	[40:80)   byte offsets of the five sections, in file order:
-//	          off ((n+1) × int64), headHubs (K × int32),
-//	          head (n·K × uint32), hubs (tail × int32), dists (tail × uint32)
-//	[80:100)  CRC32 (IEEE) of each section, same order
-//	[100:124) zero
-//	[124:128) CRC32 of header bytes [0:124)
+//	[40:48)   K2      — mid (bitmap) columns; W = ceil(K2/64) words a row
+//	[48:56)   mid     — mid entries: set bits, packed distances
+//	[56:128)  byte offsets of the nine sections, in file order:
+//	          off ((n+1) × int64), midOff ((n+1) × int64, empty when K2 = 0),
+//	          headHubs (K × int32), midHubs (K2 × int32),
+//	          head (n·K × uint32), midBits (n·W × uint64), midDists (mid × uint32),
+//	          hubs (tail × int32), dists (tail × uint32)
+//	[128:164) CRC32 (IEEE) of each section, same order
+//	[164:188) zero
+//	[188:192) CRC32 of header bytes [0:188)
 //
 // Sections follow in that order, each padded to a 64-byte boundary
 // (cache-line, and divides the page size, so section starts stay
 // aligned for any element type). The file ends exactly at the end of
 // the dists section.
 //
-// Version 1 had no head and a 64-byte header: n, total, the offsets of
-// off, hubs and dists at [24:48), their CRCs at [48:60) and the header
-// CRC at [60:64). It reads as K = 0 — two empty sections — through the
-// same layout, checksum and slicing code.
+// Every version has this shape — counts from byte 8, then the offsets of
+// the sections it stores, then their CRCs, then zeros up to a header CRC
+// in the last four bytes — and differs in what it counts and stores
+// (pidmVersions). Version 2 had no middle tier and a 128-byte header: n,
+// total, tail, K and the five sections off, headHubs, head, hubs, dists.
+// Version 1 had no head either and a 64-byte header: n, total and the
+// three sections off, hubs, dists. They read as K2 = 0 and K = K2 = 0 —
+// empty sections — through the same layout, checksum and slicing code.
 //
 // Open validates the header checksum and the structural invariants but
 // deliberately does NOT re-checksum the sections — that would page in
@@ -52,29 +63,45 @@ import (
 // ReadAny always verifies (it has read every byte anyway).
 
 const (
-	mmapMagic    = "PIDM"
-	mmapVersion  = 2
-	mmapHeaderV1 = 64 // also the least any PIDM file holds
-	mmapHeaderV2 = 128
-	mmapAlign    = 64
+	mmapMagic   = "PIDM"
+	mmapVersion = 3
+	mmapMinSize = 64 // the version 1 header: the least any PIDM file holds
+	mmapAlign   = 64
 
-	// maxMmapEntries bounds the tail entry count and the head slot count
-	// so section arithmetic can never overflow uint64 (and a corrupt
-	// header cannot make us map absurd lengths).
+	// maxMmapEntries bounds the tail and mid entry counts, the head slot
+	// count and the bitmap word count so section arithmetic can never
+	// overflow uint64 (and a corrupt header cannot make us map absurd
+	// lengths).
 	maxMmapEntries = int64(1) << 48
 )
 
 // The sections, in file order.
 const (
 	secOff = iota
+	secMidOff
 	secHeadHubs
+	secMidHubs
 	secHead
+	secMidBits
+	secMidDists
 	secHubs
 	secDists
 	numSections
 )
 
-var sectionNames = [numSections]string{"off", "headHubs", "head", "hubs", "dists"}
+var sectionNames = [numSections]string{"off", "midOff", "headHubs", "midHubs", "head", "midBits", "midDists", "hubs", "dists"}
+
+// pidmVersions says, per format version, how long the header is, how many
+// of the counts n, total, tail, K, K2, mid it carries from byte 8 on, and
+// which sections it stores an offset and a CRC for (the rest are empty).
+var pidmVersions = map[uint32]struct {
+	hdr, counts int
+	stored      []int
+}{
+	1: {64, 2, []int{secOff, secHubs, secDists}},
+	2: {128, 4, []int{secOff, secHeadHubs, secHead, secHubs, secDists}},
+	3: {192, 6, []int{secOff, secMidOff, secHeadHubs, secMidHubs, secHead, secMidBits, secMidDists, secHubs, secDists}},
+}
 
 // hostLittleEndian reports whether this machine stores integers
 // little-endian — the precondition for aliasing PIDM sections in place.
@@ -87,15 +114,22 @@ var hostLittleEndian = func() bool {
 func alignUp(x uint64) uint64 { return (x + mmapAlign - 1) &^ (mmapAlign - 1) }
 
 // mmapLayout returns the byte offset and length of each section and the
-// total file size for an index with n vertices, k head columns and tail
-// tail entries behind a header of hdr bytes.
-func mmapLayout(hdr, n, k int, tail int64) (lo, size [numSections]uint64, fileSize uint64) {
+// total file size for an index with n vertices, k head columns, k2 mid
+// columns holding mid entries and tail tail entries behind a header of
+// hdr bytes.
+func mmapLayout(hdr, n, k, k2 int, mid, tail int64) (lo, size [numSections]uint64, fileSize uint64) {
 	size = [numSections]uint64{
 		secOff:      uint64(n+1) * 8,
 		secHeadHubs: uint64(k) * 4,
 		secHead:     uint64(n) * uint64(k) * 4,
+		secMidHubs:  uint64(k2) * 4,
+		secMidBits:  uint64(n) * uint64(midWords(k2)) * 8,
+		secMidDists: uint64(mid) * 4,
 		secHubs:     uint64(tail) * 4,
 		secDists:    uint64(tail) * 4,
+	}
+	if k2 > 0 {
+		size[secMidOff] = uint64(n+1) * 8
 	}
 	end := uint64(hdr)
 	for i := range lo {
@@ -139,7 +173,7 @@ const pidmBlock = 64 << 10
 
 // writeLE writes vals to w as little-endian words of their own width,
 // one block at a time.
-func writeLE[T ~int32 | ~uint32 | ~int64](w io.Writer, block []byte, vals []T) error {
+func writeLE[T ~int32 | ~uint32 | ~int64 | ~uint64](w io.Writer, block []byte, vals []T) error {
 	size := int(unsafe.Sizeof(T(0)))
 	for len(vals) > 0 {
 		k := min(len(vals), len(block)/size)
@@ -163,50 +197,50 @@ func writeLE[T ~int32 | ~uint32 | ~int64](w io.Writer, block []byte, vals []T) e
 // checksums (the header precedes the sections in the file), one into w.
 func (x *Index) WriteMmap(w io.Writer) error {
 	defer runtime.KeepAlive(x) // the arrays may alias a finalizer-managed mapping
-	n, k, tail := x.NumVertices(), len(x.headHubs), int64(len(x.hubs))
-	lo, size, _ := mmapLayout(mmapHeaderV2, n, k, tail)
+	ver := pidmVersions[mmapVersion]
+	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
+	mid, tail := int64(len(x.midDists)), int64(len(x.hubs))
+	lo, size, _ := mmapLayout(ver.hdr, n, k, k2, mid, tail)
 
 	block := make([]byte, pidmBlock)
-	section := func(w io.Writer, i int) error {
-		switch i {
-		case secOff:
-			return writeLE(w, block, x.off)
-		case secHeadHubs:
-			return writeLE(w, block, x.headHubs)
-		case secHead:
-			return writeLE(w, block, x.head)
-		case secHubs:
-			return writeLE(w, block, x.hubs)
-		default:
-			return writeLE(w, block, x.dists)
-		}
+	section := [numSections]func(w io.Writer) error{
+		secOff:      func(w io.Writer) error { return writeLE(w, block, x.off) },
+		secMidOff:   func(w io.Writer) error { return writeLE(w, block, x.midOff) },
+		secHeadHubs: func(w io.Writer) error { return writeLE(w, block, x.headHubs) },
+		secMidHubs:  func(w io.Writer) error { return writeLE(w, block, x.midHubs) },
+		secHead:     func(w io.Writer) error { return writeLE(w, block, x.head) },
+		secMidBits:  func(w io.Writer) error { return writeLE(w, block, x.midBits) },
+		secMidDists: func(w io.Writer) error { return writeLE(w, block, x.midDists) },
+		secHubs:     func(w io.Writer) error { return writeLE(w, block, x.hubs) },
+		secDists:    func(w io.Writer) error { return writeLE(w, block, x.dists) },
 	}
 
-	hdr := make([]byte, mmapHeaderV2)
+	hdr := make([]byte, ver.hdr)
 	copy(hdr[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(x.total))
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(tail))
-	binary.LittleEndian.PutUint64(hdr[32:40], uint64(k))
+	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), mid} {
+		binary.LittleEndian.PutUint64(hdr[8+8*i:], uint64(c))
+	}
+	offAt := 8 + 8*ver.counts
+	crcAt := offAt + 8*numSections
 	for i := 0; i < numSections; i++ {
 		crc := crc32.NewIEEE()
-		_ = section(crc, i) // a hash.Hash's Write never fails
-		binary.LittleEndian.PutUint64(hdr[40+8*i:], lo[i])
-		binary.LittleEndian.PutUint32(hdr[80+4*i:], crc.Sum32())
+		_ = section[i](crc) // a hash.Hash's Write never fails
+		binary.LittleEndian.PutUint64(hdr[offAt+8*i:], lo[i])
+		binary.LittleEndian.PutUint32(hdr[crcAt+4*i:], crc.Sum32())
 	}
-	binary.LittleEndian.PutUint32(hdr[124:128], crc32.ChecksumIEEE(hdr[0:124]))
+	binary.LittleEndian.PutUint32(hdr[ver.hdr-4:], crc32.ChecksumIEEE(hdr[:ver.hdr-4]))
 
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	end := uint64(mmapHeaderV2)
+	end := uint64(ver.hdr)
 	for i := 0; i < numSections; i++ {
 		var zero [mmapAlign]byte
 		if _, err := w.Write(zero[:lo[i]-end]); err != nil {
 			return err
 		}
-		if err := section(w, i); err != nil {
+		if err := section[i](w); err != nil {
 			return err
 		}
 		end = lo[i] + size[i]
@@ -214,11 +248,12 @@ func (x *Index) WriteMmap(w io.Writer) error {
 	return nil
 }
 
-// pidmHeader is the parsed, validated PIDM header of either version.
+// pidmHeader is the parsed, validated PIDM header of any version.
 type pidmHeader struct {
-	n, k     int
-	total    int64 // label entries, head slots included
+	n, k, k2 int
+	total    int64 // label entries, head slots and mid bits included
 	tail     int64 // tail entries
+	mid      int64 // mid entries
 	lo, size [numSections]uint64
 	crc      [numSections]uint32
 }
@@ -228,35 +263,34 @@ type pidmHeader struct {
 // does not touch the section payloads.
 func parsePIDM(data []byte) (pidmHeader, error) {
 	var h pidmHeader
-	if len(data) < mmapHeaderV1 {
+	if len(data) < mmapMinSize {
 		return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
 	}
 	if string(data[0:4]) != mmapMagic {
 		return h, fmt.Errorf("label: pidm: bad magic %q", data[0:4])
 	}
-	// Where each version keeps what: its header size, the sections whose
-	// offset and CRC it stores (the rest are empty), and where.
-	hdr, stored, offAt, crcAt := mmapHeaderV2, []int{secOff, secHeadHubs, secHead, secHubs, secDists}, 40, 80
-	switch v := binary.LittleEndian.Uint32(data[4:8]); v {
-	case 1:
-		hdr, stored, offAt, crcAt = mmapHeaderV1, []int{secOff, secHubs, secDists}, 24, 48
-	case mmapVersion:
-		if len(data) < hdr {
-			return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
-		}
-	default:
+	v := binary.LittleEndian.Uint32(data[4:8])
+	ver, ok := pidmVersions[v]
+	if !ok {
 		return h, fmt.Errorf("label: pidm: unsupported version %d", v)
+	}
+	hdr := ver.hdr
+	if len(data) < hdr {
+		return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
 	}
 	if got, want := binary.LittleEndian.Uint32(data[hdr-4:hdr]), crc32.ChecksumIEEE(data[0:hdr-4]); got != want {
 		return h, fmt.Errorf("label: pidm: header checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	n := binary.LittleEndian.Uint64(data[8:16])
-	total := binary.LittleEndian.Uint64(data[16:24])
-	tail, k := total, uint64(0)
-	if hdr == mmapHeaderV2 {
-		tail = binary.LittleEndian.Uint64(data[24:32])
-		k = binary.LittleEndian.Uint64(data[32:40])
+	// n, total, tail, K, K2, mid; what a version does not count is zero,
+	// and before the head every entry was a tail entry.
+	var counts [6]uint64
+	for i := 0; i < ver.counts; i++ {
+		counts[i] = binary.LittleEndian.Uint64(data[8+8*i:])
 	}
+	if ver.counts == 2 {
+		counts[2] = counts[1]
+	}
+	n, total, tail, k, k2, mid := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5]
 	if n > math.MaxInt32 {
 		return h, fmt.Errorf("label: pidm: vertex count %d overflows", n)
 	}
@@ -266,13 +300,18 @@ func parsePIDM(data []byte) (pidmHeader, error) {
 	if k > n || n*k > uint64(maxMmapEntries) {
 		return h, fmt.Errorf("label: pidm: %d head columns for %d vertices", k, n)
 	}
-	if total < tail || total > tail+n*k {
-		return h, fmt.Errorf("label: pidm: %d entries cannot be %d tail entries and %d head slots", total, tail, n*k)
+	if k2 > n-k || n*uint64(midWords(int(k2))) > uint64(maxMmapEntries) || mid > n*k2 {
+		return h, fmt.Errorf("label: pidm: %d mid columns holding %d entries for %d vertices beside %d head columns", k2, mid, n, k)
 	}
-	h.n, h.k, h.total, h.tail = int(n), int(k), int64(total), int64(tail)
+	if total < tail+mid || total > tail+mid+n*k {
+		return h, fmt.Errorf("label: pidm: %d entries cannot be %d tail entries, %d mid entries and %d head slots", total, tail, mid, n*k)
+	}
+	h.n, h.k, h.k2, h.total, h.tail, h.mid = int(n), int(k), int(k2), int64(total), int64(tail), int64(mid)
 	var size uint64
-	h.lo, h.size, size = mmapLayout(hdr, h.n, h.k, h.tail)
-	for j, i := range stored {
+	h.lo, h.size, size = mmapLayout(hdr, h.n, h.k, h.k2, h.mid, h.tail)
+	offAt := 8 + 8*ver.counts
+	crcAt := offAt + 8*len(ver.stored)
+	for j, i := range ver.stored {
 		lo := binary.LittleEndian.Uint64(data[offAt+8*j:])
 		if lo%mmapAlign != 0 {
 			return h, fmt.Errorf("label: pidm: misaligned %s section offset %d", sectionNames[i], lo)
@@ -290,8 +329,8 @@ func parsePIDM(data []byte) (pidmHeader, error) {
 
 // checksumPIDM re-checksums the sections against the header — the
 // O(bytes) integrity check Open skips and Verify/ReadAny perform. (The
-// sections a version 1 header has no CRC for are empty, and so is
-// theirs: zero.)
+// sections an older header has no CRC for are empty, and so is theirs:
+// zero.)
 func checksumPIDM(data []byte, h pidmHeader) error {
 	for i, want := range h.crc {
 		if got := crc32.ChecksumIEEE(data[h.lo[i] : h.lo[i]+h.size[i]]); got != want {
@@ -304,7 +343,7 @@ func checksumPIDM(data []byte, h pidmHeader) error {
 // sectionOf returns section i of the validated container as count
 // words: aliased in place when alias is set, decoded into fresh memory
 // otherwise.
-func sectionOf[T ~int32 | ~uint32 | ~int64](data []byte, h pidmHeader, i int, alias bool) []T {
+func sectionOf[T ~int32 | ~uint32 | ~int64 | ~uint64](data []byte, h pidmHeader, i int, alias bool) []T {
 	count := h.size[i] / uint64(unsafe.Sizeof(T(0)))
 	if count == 0 {
 		return nil
@@ -326,36 +365,78 @@ func sectionOf[T ~int32 | ~uint32 | ~int64](data []byte, h pidmHeader, i int, al
 // slicePIDM builds an Index over the validated container. On
 // little-endian hosts with a sufficiently aligned base it aliases the
 // sections in place (zero-copy); otherwise it decodes into fresh
-// slices. Either way the offset invariants (O(n), touches only the off
-// section) and the head columns (O(K)) are checked, so neither corrupt
-// offsets nor a corrupt column id can panic queries later.
+// slices. Either way the offset invariants of the tail and of the
+// middle tier (O(n), touches only the off and midOff sections) and the
+// column ids of both tiers (O(K + K2)) are checked, so neither corrupt
+// offsets nor a corrupt column id can panic queries later or send one
+// outside its section.
 func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
 	x := &Index{
 		off:      sectionOf[int64](data, h, secOff, alias),
 		headHubs: sectionOf[graph.Vertex](data, h, secHeadHubs, alias),
 		head:     sectionOf[graph.Dist](data, h, secHead, alias),
+		midHubs:  sectionOf[graph.Vertex](data, h, secMidHubs, alias),
+		midBits:  sectionOf[uint64](data, h, secMidBits, alias),
+		midOff:   sectionOf[int64](data, h, secMidOff, alias),
+		midDists: sectionOf[graph.Dist](data, h, secMidDists, alias),
 		hubs:     sectionOf[graph.Vertex](data, h, secHubs, alias),
 		dists:    sectionOf[graph.Dist](data, h, secDists, alias),
 		total:    h.total,
 		format:   FormatMmap,
 	}
-	if x.off[0] != 0 || x.off[h.n] != h.tail {
-		return nil, fmt.Errorf("label: pidm: corrupt offsets")
+	if err := checkOffsets("offsets", x.off, h.tail); err != nil {
+		return nil, err
 	}
-	for i := 0; i < h.n; i++ {
-		if x.off[i] > x.off[i+1] {
-			return nil, fmt.Errorf("label: pidm: offsets not monotone at %d", i)
+	if h.k2 > 0 {
+		if err := checkOffsets("mid offsets", x.midOff, h.mid); err != nil {
+			return nil, err
 		}
 	}
+	if err := checkColumns("head", x.headHubs, h.n); err != nil {
+		return nil, err
+	}
+	if err := checkColumns("mid", x.midHubs, h.n); err != nil {
+		return nil, err
+	}
+	for i, j := 0, 0; i < len(x.headHubs) && j < len(x.midHubs); {
+		switch a, b := x.headHubs[i], x.midHubs[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			return nil, fmt.Errorf("label: pidm: hub %d is head column %d and mid column %d", a, i, j)
+		}
+	}
+	return x, nil
+}
+
+// checkOffsets checks that off tiles [0, end) with one run a vertex.
+func checkOffsets(what string, off []int64, end int64) error {
+	if off[0] != 0 || off[len(off)-1] != end {
+		return fmt.Errorf("label: pidm: corrupt %s", what)
+	}
+	prev := int64(0)
+	for i, o := range off {
+		if o < prev {
+			return fmt.Errorf("label: pidm: %s not monotone at %d", what, i-1)
+		}
+		prev = o
+	}
+	return nil
+}
+
+// checkColumns checks that a tier's column ids are vertices, ascending.
+func checkColumns(tier string, cols []graph.Vertex, n int) error {
 	prev := graph.Vertex(-1)
-	for c, hub := range x.headHubs {
-		if hub <= prev || int(hub) >= h.n {
-			return nil, fmt.Errorf("label: pidm: head column %d: hub %d out of order or out of range", c, hub)
+	for c, hub := range cols {
+		if hub <= prev || int(hub) >= n {
+			return fmt.Errorf("label: pidm: %s column %d: hub %d out of order or out of range", tier, c, hub)
 		}
 		prev = hub
 	}
-	return x, nil
+	return nil
 }
 
 // Open maps the PIDM index file at path (either version) and returns an
@@ -431,30 +512,61 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 }
 
 // checkEntries is the O(entries) half of the Index invariant that Open
-// skips: no tail entry names a head hub, and the header's entry count is
-// what the sections hold. With strict set it is also what the PIDX and
-// PIDC readers reject: a tail hub id that names no vertex, a tail
-// distance of graph.Inf.
+// skips: no tail entry names a head or mid hub, every bitmap row has as
+// many bits set as its packed run has distances and none at or above
+// column K2, and the header's entry count is what the sections hold.
+// With strict set it is also what the PIDX and PIDC readers reject: a
+// tail hub id that names no vertex, a tail or mid distance of graph.Inf.
 func (x *Index) checkEntries(strict bool) error {
 	defer runtime.KeepAlive(x)
 	n := x.NumVertices()
-	isHead := make([]bool, n)
+	tier := make([]uint8, n) // 1: the hub is a head column, 2: a mid column
 	for _, hub := range x.headHubs {
-		isHead[hub] = true
+		tier[hub] = 1
+	}
+	for _, hub := range x.midHubs {
+		tier[hub] = 2
 	}
 	for i, hub := range x.hubs {
 		if uint(hub) >= uint(n) {
 			if strict {
 				return fmt.Errorf("label: pidm: entry %d: hub %d out of range", i, hub)
 			}
-		} else if isHead[hub] {
-			return fmt.Errorf("label: pidm: entry %d: hub %d is a head column", i, hub)
+		} else if t := tier[hub]; t != 0 {
+			return fmt.Errorf("label: pidm: entry %d: hub %d is a %s column", i, hub, [...]string{1: "head", 2: "mid"}[t])
 		}
 		if strict && x.dists[i] == graph.Inf {
 			return fmt.Errorf("label: pidm: entry %d: distance overflow", i)
 		}
 	}
-	held := int64(len(x.hubs))
+	held := int64(len(x.hubs) + len(x.midDists))
+	if k2 := len(x.midHubs); k2 > 0 {
+		w := midWords(k2)
+		var spare uint64 // the bits of a row's last word that are no column
+		if r := uint(k2) & 63; r != 0 {
+			spare = ^uint64(0) << r
+		}
+		for v := 0; v < n; v++ {
+			row := x.midBits[v*w:][:w]
+			set := 0
+			for _, word := range row {
+				set += bits.OnesCount64(word)
+			}
+			if run := x.midOff[v+1] - x.midOff[v]; int64(set) != run {
+				return fmt.Errorf("label: pidm: vertex %d: %d bits set in its bitmap row, %d packed distances", v, set, run)
+			}
+			if row[w-1]&spare != 0 {
+				return fmt.Errorf("label: pidm: vertex %d: bitmap bit set at or above column %d", v, k2)
+			}
+		}
+		if strict {
+			for i, d := range x.midDists {
+				if d == graph.Inf {
+					return fmt.Errorf("label: pidm: mid entry %d: distance overflow", i)
+				}
+			}
+		}
+	}
 	for _, d := range x.head {
 		if d != graph.Inf {
 			held++
@@ -468,10 +580,11 @@ func (x *Index) checkEntries(strict bool) error {
 
 // Verify is the integrity check Open defers, for an mmap-backed index:
 // it re-checksums the section payloads against the header CRCs and
-// checks the entries against the head (checkEntries; a tail hub id that
-// is no vertex is not its business — see the Index invariant). It pages
-// in the whole file. For heap-decoded indexes (stream readers verify on
-// read; built indexes have nothing on disk) it is a no-op.
+// checks the entries against the two column tiers (checkEntries; a tail
+// hub id that is no vertex is not its business — see the Index
+// invariant). It pages in the whole file. For heap-decoded indexes
+// (stream readers verify on read; built indexes have nothing on disk) it
+// is a no-op.
 func (x *Index) Verify() error {
 	defer runtime.KeepAlive(x) // keep the mapping alive through the checksum scan
 	if x.mm == nil || x.mm.data == nil {

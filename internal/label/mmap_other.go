@@ -24,7 +24,7 @@ func mapFile(path string) (*mapping, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < mmapHeaderV1 {
+	if size < mmapMinSize {
 		return nil, fmt.Errorf("label: %s: %d bytes is too small for a pidm index", path, size)
 	}
 	if size != int64(int(size)) {

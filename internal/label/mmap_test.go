@@ -16,20 +16,46 @@ import (
 	"parapll/internal/graph"
 )
 
-// mmapTestIndex builds a small index with a mix of list lengths,
-// including an empty list, through the public finalizer: hubs 0 and 1
-// are head columns, hubs 2 and 3 stay in the tails.
+// mmapTestIndex builds a small index with all three tiers and a mix of
+// list lengths, including an empty list, through the public finalizer:
+// of its 40 vertices' labels hubs 0 and 1 are in more than half (head
+// columns), hubs 2 and 3 in more than a 32nd (mid columns; more than one
+// label, that is), and every other hub in one label, its own, which
+// leaves it in the tails. Vertex 0 has one entry in each tier's first
+// slot: head column 0, mid column 0, tail entry 0.
 func mmapTestIndex() *Index {
-	return NewIndexFromLists([][]Entry{
-		{{Hub: 0, D: 0}, {Hub: 1, D: 3}, {Hub: 2, D: 7}},
-		{{Hub: 0, D: 3}, {Hub: 1, D: 0}},
-		{}, // isolated vertex
-		{{Hub: 0, D: 12}, {Hub: 1, D: 9}, {Hub: 3, D: 0}},
-	})
+	lists := make([][]Entry, 40)
+	for v := range lists {
+		if v == 7 {
+			continue // isolated vertex
+		}
+		lists[v] = append(lists[v], Entry{Hub: 0, D: graph.Dist(3 * v)})
+		if v%9 != 8 {
+			lists[v] = append(lists[v], Entry{Hub: 1, D: graph.Dist(v + 2)})
+		}
+		if v%3 == 0 {
+			lists[v] = append(lists[v], Entry{Hub: 2, D: graph.Dist(7 + v)})
+		}
+		if v%5 == 3 {
+			lists[v] = append(lists[v], Entry{Hub: 3, D: graph.Dist(9 + v/2)})
+		}
+		if v%4 == 0 {
+			lists[v] = append(lists[v], Entry{Hub: graph.Vertex(4 + v/2), D: graph.Dist(v)})
+		}
+	}
+	return NewIndexFromLists(lists)
 }
 
+// Where the version 3 header keeps count i (n, total, tail, K, K2, mid)
+// and the offset and CRC of section sec.
+func countAt(i int) int { return 8 + 8*i }
+func offAt(sec int) int { return 56 + 8*sec }
+func crcAt(sec int) int { return 128 + 4*sec }
+
+const headerV3 = 192
+
 // pidmBytes serializes x in the PIDM format.
-func pidmBytes(t *testing.T, x *Index) []byte {
+func pidmBytes(t testing.TB, x *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := x.WriteMmap(&buf); err != nil {
@@ -101,14 +127,14 @@ func TestMmapEmptyIndex(t *testing.T) {
 // fixHeaderCRC recomputes the header checksum after a deliberate header
 // mutation, so the test reaches the validation step it is aiming at.
 func fixHeaderCRC(data []byte) {
-	end := mmapHeaderV2
-	if binary.LittleEndian.Uint32(data[4:8]) == 1 {
-		end = mmapHeaderV1
+	end := headerV3
+	if v, ok := pidmVersions[binary.LittleEndian.Uint32(data[4:8])]; ok {
+		end = v.hdr
 	}
 	binary.LittleEndian.PutUint32(data[end-4:], crc32.ChecksumIEEE(data[:end-4]))
 }
 
-// resealPIDM recomputes every checksum of a version 2 file after a
+// resealPIDM recomputes every checksum of a version 3 file after a
 // deliberate mutation, so that only the entries are wrong: the file a
 // bit flip before the CRCs were taken, or a foreign writer, leaves behind.
 func resealPIDM(t *testing.T, data []byte) {
@@ -119,19 +145,23 @@ func resealPIDM(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	for i := range h.lo {
-		binary.LittleEndian.PutUint32(data[80+4*i:], crc32.ChecksumIEEE(data[h.lo[i]:h.lo[i]+h.size[i]]))
+		binary.LittleEndian.PutUint32(data[crcAt(i):], crc32.ChecksumIEEE(data[h.lo[i]:h.lo[i]+h.size[i]]))
 	}
 	fixHeaderCRC(data)
 }
 
 // TestVerifyChecksEntriesAgainstHead: a file whose container and
-// checksums are in order but whose entries contradict its head opens —
-// Open reads no entry — and is caught by Verify and by the stream reader.
+// checksums are in order but whose entries contradict its head or its
+// middle tier opens — Open reads no entry — and is caught by Verify and
+// by the stream reader.
 func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
-	base := pidmBytes(t, mmapTestIndex()) // head columns 0 and 1; tail entries (v0: hub 2), (v3: hub 3)
+	base := pidmBytes(t, mmapTestIndex()) // head columns 0 and 1, mid columns 2 and 3; tail entry 0 is (v0: hub 4)
 	h, err := parsePIDM(base)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h.k != 2 || h.k2 != 2 || h.tail == 0 || h.total != 106 {
+		t.Fatalf("fixture has K=%d K2=%d tail=%d total=%d; the cases below assume 2, 2, some and 106", h.k, h.k2, h.tail, h.total)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -142,18 +172,33 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 		{"tail entry names a head hub", func(d []byte) {
 			binary.LittleEndian.PutUint32(d[h.lo[secHubs]:], 1)
 		}, "hub 1 is a head column", true},
+		{"tail entry names a mid hub", func(d []byte) {
+			binary.LittleEndian.PutUint32(d[h.lo[secHubs]:], 3)
+		}, "hub 3 is a mid column", true},
 		{"one entry more than the sections hold", func(d []byte) {
-			binary.LittleEndian.PutUint64(d[16:24], uint64(h.total)+1)
-		}, "header counts 9 entries, sections hold 8", true},
+			binary.LittleEndian.PutUint64(d[countAt(1):], uint64(h.total)+1)
+		}, "header counts 107 entries, sections hold 106", true},
 		{"head slot emptied", func(d []byte) {
 			binary.LittleEndian.PutUint32(d[h.lo[secHead]:], uint32(graph.Inf))
-		}, "header counts 8 entries, sections hold 7", true},
+		}, "header counts 106 entries, sections hold 105", true},
+		{"bitmap bit cleared", func(d []byte) {
+			d[h.lo[secMidBits]] &^= 1 // vertex 0 no longer has hub 2; its packed run still has the distance
+		}, "vertex 0: 0 bits set in its bitmap row, 1 packed distances", true},
+		{"bitmap bit set", func(d []byte) {
+			d[h.lo[secMidBits]+8] |= 2 // vertex 1 gains hub 3 and no distance to it
+		}, "vertex 1: 1 bits set in its bitmap row, 0 packed distances", true},
+		{"bitmap bit moved past the last column", func(d []byte) {
+			d[h.lo[secMidBits]] ^= 1 | 1<<2 // as many bits as distances, one of them column 2 of 2
+		}, "vertex 0: bitmap bit set at or above column 2", true},
 		{"infinite tail distance", func(d []byte) {
 			binary.LittleEndian.PutUint32(d[h.lo[secDists]:], uint32(graph.Inf))
 		}, "distance overflow", false},
+		{"infinite mid distance", func(d []byte) {
+			binary.LittleEndian.PutUint32(d[h.lo[secMidDists]+4:], uint32(graph.Inf))
+		}, "mid entry 1: distance overflow", false},
 		{"tail hub that is no vertex", func(d []byte) {
-			binary.LittleEndian.PutUint32(d[h.lo[secHubs]+4:], 4)
-		}, "hub 4 out of range", false},
+			binary.LittleEndian.PutUint32(d[h.lo[secHubs]+4:], 40)
+		}, "hub 40 out of range", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := bytes.Clone(base)
@@ -167,7 +212,7 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 			if err := x.Verify(); tc.verify && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 				t.Fatalf("Verify: %v, want %q", err, tc.wantErr)
 			} else if !tc.verify && err != nil {
-				t.Fatalf("Verify: %v, want nil (the checksums agree and the head is consistent)", err)
+				t.Fatalf("Verify: %v, want nil (the checksums agree and the tiers are consistent)", err)
 			}
 			if _, err := ReadAny(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("ReadAny: %v, want %q", err, tc.wantErr)
@@ -178,28 +223,42 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 
 // TestOpenDecodesWhereItCannotAlias: a container whose base address is
 // not 8-byte aligned (or a big-endian host) cannot be aliased in place;
-// the sections are decoded into fresh slices instead, and the index is
-// the same one.
+// the sections — the bitmap's 64-bit words among them — are decoded into
+// fresh slices instead, and the index is the same one.
 func TestOpenDecodesWhereItCannotAlias(t *testing.T) {
-	want := batchTestIndex(rand.New(rand.NewSource(43)), 90)
-	file := pidmBytes(t, want)
-	for _, data := range [][]byte{file, pidmV1Bytes(want)} {
+	want := tieredTestIndex(rand.New(rand.NewSource(43)), 400)
+	if k2, _ := want.Mid(); k2 <= 64 {
+		t.Fatalf("fixture has %d mid columns: a bitmap row of one word cannot show a word decoded out of place", k2)
+	}
+	for version := 1; version <= 3; version++ {
+		data := handBuiltPIDM(want, version)
 		shifted := append(make([]byte, 1, len(data)+1), data...)[1:] // base % 8 == 1
 		x, err := openMapping(&mapping{data: shifted})
 		if err != nil {
-			t.Fatalf("openMapping: %v", err)
+			t.Fatalf("version %d: openMapping: %v", version, err)
 		}
 		copy(shifted, make([]byte, len(shifted))) // zero the container: an alias would see it
 		if !x.Equal(want) {
-			t.Fatal("decoded index differs from the one written, or still aliases its container")
+			t.Fatalf("version %d: decoded index differs from the one written, or still aliases its container", version)
 		}
 	}
 }
 
 func TestMmapCorruptFrames(t *testing.T) {
 	base := pidmBytes(t, mmapTestIndex())
-	if k, _ := mmapTestIndex().Head(); k != 2 {
-		t.Fatalf("fixture has %d head columns; the head cases below assume hubs 0 and 1", k)
+	h, err := parsePIDM(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.k != 2 || h.k2 != 2 {
+		t.Fatalf("fixture has K=%d K2=%d; the column cases below assume head hubs 0 and 1, mid hubs 2 and 3", h.k, h.k2)
+	}
+	putCount := func(i int, v uint64) func(d []byte) []byte {
+		return func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[countAt(i):], v)
+			fixHeaderCRC(d)
+			return d
+		}
 	}
 	cases := []struct {
 		name    string
@@ -208,6 +267,7 @@ func TestMmapCorruptFrames(t *testing.T) {
 	}{
 		// mapFile's own size guard may fire before parsePIDM's.
 		{"truncated header", func(d []byte) []byte { return d[:32] }, "too small|truncated header"},
+		{"header cut inside version 3's", func(d []byte) []byte { return d[:128] }, "truncated header"},
 		{"bad magic", func(d []byte) []byte { d[0] = 'X'; return d }, "bad magic"},
 		{"bad version", func(d []byte) []byte {
 			binary.LittleEndian.PutUint32(d[4:8], 99)
@@ -215,69 +275,72 @@ func TestMmapCorruptFrames(t *testing.T) {
 			return d
 		}, "unsupported version"},
 		{"header checksum", func(d []byte) []byte { d[9] ^= 0xff; return d }, "header checksum"},
-		{"vertex count overflow", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[8:16], math.MaxInt32+1)
-			fixHeaderCRC(d)
-			return d
-		}, "vertex count"},
-		{"entry count overflow", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[24:32], uint64(maxMmapEntries)+1)
-			fixHeaderCRC(d)
-			return d
-		}, "entry count"},
+		{"vertex count overflow", putCount(0, math.MaxInt32+1), "vertex count"},
+		{"entry count overflow", putCount(2, uint64(maxMmapEntries)+1), "entry count"},
 		{"misaligned section offset", func(d []byte) []byte {
-			v := binary.LittleEndian.Uint64(d[64:72]) // the hubs section
-			binary.LittleEndian.PutUint64(d[64:72], v+4)
+			v := binary.LittleEndian.Uint64(d[offAt(secHubs):])
+			binary.LittleEndian.PutUint64(d[offAt(secHubs):], v+4)
 			fixHeaderCRC(d)
 			return d
 		}, "misaligned"},
 		{"inconsistent section offset", func(d []byte) []byte {
-			v := binary.LittleEndian.Uint64(d[64:72])
-			binary.LittleEndian.PutUint64(d[64:72], v+mmapAlign)
+			v := binary.LittleEndian.Uint64(d[offAt(secHubs):])
+			binary.LittleEndian.PutUint64(d[offAt(secHubs):], v+mmapAlign)
 			fixHeaderCRC(d)
 			return d
 		}, "inconsistent"},
 		{"truncated section", func(d []byte) []byte { return d[:len(d)-8] }, "truncated section"},
 		{"offset zero broken", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[mmapHeaderV2:], 1)
+			binary.LittleEndian.PutUint64(d[h.lo[secOff]:], 1)
 			return d
 		}, "corrupt offsets"},
 		{"offsets not monotone", func(d []byte) []byte {
 			// off[1] jumps past off[2]; off[0] and off[n] stay valid.
-			binary.LittleEndian.PutUint64(d[mmapHeaderV2+8:], 1<<40)
+			binary.LittleEndian.PutUint64(d[h.lo[secOff]+8:], 1<<40)
 			return d
-		}, "not monotone"},
-		{"more head columns than vertices", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[32:40], 9)
-			fixHeaderCRC(d)
-			return d
-		}, "head columns"},
+		}, "offsets not monotone"},
+		{"more head columns than vertices", putCount(3, 41), "head columns"},
 		{"head slot count overflow", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[8:16], math.MaxInt32)
-			binary.LittleEndian.PutUint64(d[32:40], math.MaxInt32)
-			fixHeaderCRC(d)
-			return d
+			binary.LittleEndian.PutUint64(d[countAt(0):], math.MaxInt32)
+			return putCount(3, math.MaxInt32)(d)
 		}, "head columns"},
-		{"entries the sections cannot hold", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[16:24], 100)
-			fixHeaderCRC(d)
-			return d
-		}, "entries cannot be"},
-		{"fewer entries than the tail", func(d []byte) []byte {
-			binary.LittleEndian.PutUint64(d[16:24], 1)
-			fixHeaderCRC(d)
-			return d
-		}, "entries cannot be"},
+		{"more columns than vertices", putCount(4, 39), "mid columns"},
+		{"more mid entries than bits", putCount(5, 81), "mid columns"},
+		{"bitmap word count overflow", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[countAt(0):], math.MaxInt32)
+			return putCount(4, math.MaxInt32-2)(d)
+		}, "mid columns"},
+		{"entries the sections cannot hold", putCount(1, 200), "entries cannot be"},
+		{"fewer entries than the tail", putCount(1, 31), "entries cannot be"},
 		{"head column out of range", func(d []byte) []byte {
-			binary.LittleEndian.PutUint32(d[binary.LittleEndian.Uint64(d[48:56]):], 4)
+			binary.LittleEndian.PutUint32(d[h.lo[secHeadHubs]:], 40)
 			return d
 		}, "head column 0"},
 		{"head columns out of order", func(d []byte) []byte {
-			hh := binary.LittleEndian.Uint64(d[48:56])
-			binary.LittleEndian.PutUint32(d[hh:], 1)
-			binary.LittleEndian.PutUint32(d[hh+4:], 0)
+			binary.LittleEndian.PutUint32(d[h.lo[secHeadHubs]:], 1)
+			binary.LittleEndian.PutUint32(d[h.lo[secHeadHubs]+4:], 0)
 			return d
 		}, "head column 1"},
+		{"mid column out of range", func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[h.lo[secMidHubs]+4:], 40)
+			return d
+		}, "mid column 1"},
+		{"mid column repeated", func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[h.lo[secMidHubs]+4:], 2)
+			return d
+		}, "mid column 1"},
+		{"column id in head and mid", func(d []byte) []byte {
+			binary.LittleEndian.PutUint32(d[h.lo[secMidHubs]:], 1)
+			return d
+		}, "hub 1 is head column 1 and mid column 0"},
+		{"mid offsets not monotone", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[h.lo[secMidOff]+8:], 1<<40)
+			return d
+		}, "mid offsets not monotone"},
+		{"mid offsets end short of the distances", func(d []byte) []byte {
+			binary.LittleEndian.PutUint64(d[h.lo[secMidOff]+8*40:], uint64(h.mid)-1)
+			return d
+		}, "corrupt mid offsets"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -291,6 +354,58 @@ func TestMmapCorruptFrames(t *testing.T) {
 				t.Fatal("ReadAny accepted corrupt file")
 			}
 		})
+	}
+}
+
+// TestFlippedBitmapBitIsContained: a bit flipped in a bitmap row of a
+// file Open accepted (it reads no row) shifts the ranks behind it. Every
+// query shape over the damaged vertex then answers something or panics
+// on a bounds-checked index — the recoverable kind a server turns into a
+// 500 — and pairs clear of it answer as before.
+func TestFlippedBitmapBitIsContained(t *testing.T) {
+	good := tieredTestIndex(rand.New(rand.NewSource(47)), 400)
+	const victim = 11
+	data := pidmBytes(t, good)
+	h, err := parsePIDM(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := uint64(midWords(h.k2))
+	if h.k2%64 == 0 {
+		t.Fatalf("fixture has %d mid columns: no spare bit in a row's last word", h.k2)
+	}
+	for _, bit := range []uint64{0, 64*w - 1} { // the column every other is ranked behind; a bit that is no column
+		damaged := bytes.Clone(data)
+		damaged[h.lo[secMidBits]+victim*8*w+bit/8] ^= 1 << (bit % 8)
+		x, err := Open(writeTemp(t, damaged))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if err := x.Verify(); err == nil || !strings.Contains(err.Error(), "midBits section checksum") {
+			t.Fatalf("Verify: %v, want the midBits section's checksum named", err)
+		}
+		contained := func(what string, f func()) {
+			defer func() {
+				if p := recover(); p != nil {
+					if err, ok := p.(error); !ok || !strings.Contains(err.Error(), "out of range") {
+						t.Fatalf("bit %d: %s panicked with %v, want a bounds-check runtime error", bit, what, p)
+					}
+				}
+			}()
+			f()
+		}
+		for u := 0; u < 400; u++ {
+			p := [2]graph.Vertex{victim, graph.Vertex(u)}
+			contained("Query", func() { x.Query(p[0], p[1]) })
+			contained("QueryWithHub", func() { x.QueryWithHub(p[1], p[0]) })
+			contained("QueryExplain", func() { x.QueryExplain(p[0], p[1]) })
+			contained("QueryBatch", func() { x.QueryBatch([][2]graph.Vertex{p, {p[1], p[0]}}, 1) })
+			contained("Label", func() { x.Label(victim, nil, nil) })
+			if s, u := graph.Vertex(u), graph.Vertex((u*7+1)%400); s != victim && u != victim && x.Query(s, u) != good.Query(s, u) {
+				t.Fatalf("bit %d: (%d,%d), clear of the damaged row, answers %d, want %d", bit, s, u, x.Query(s, u), good.Query(s, u))
+			}
+		}
+		x.Close()
 	}
 }
 
@@ -489,106 +604,127 @@ func BenchmarkOpenMmap(b *testing.B) {
 	}
 }
 
-// writeMmapWordwise lays the PIDM file out in memory one word at a time,
-// straight from the format comment — the reference the block encoder in
-// WriteMmap must match byte for byte.
-func writeMmapWordwise(x *Index) []byte {
-	n, k, tail := x.NumVertices(), len(x.headHubs), int64(len(x.hubs))
-	lo, size, fileSize := mmapLayout(mmapHeaderV2, n, k, tail)
+// handBuiltPIDM lays the PIDM file of x's labels out in memory one word
+// at a time, straight from the format comment, as each version of the
+// format has it: version 3 with x's own tiers — the reference the block
+// encoder in WriteMmap must match byte for byte — version 2 with a head
+// and no middle tier behind a 128-byte header, version 1 with neither
+// behind a 64-byte one, as every file written before the tier existed.
+func handBuiltPIDM(x *Index, version int) []byte {
+	hdr, stored := 192, []int{secOff, secMidOff, secHeadHubs, secMidHubs, secHead, secMidBits, secMidDists, secHubs, secDists}
+	switch version {
+	case 1:
+		x, hdr, stored = x.Flat(), 64, []int{secOff, secHubs, secDists}
+	case 2:
+		x, hdr, stored = x.HeadOnly(), 128, []int{secOff, secHeadHubs, secHead, secHubs, secDists}
+	}
+	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
+	mid, tail := int64(len(x.midDists)), int64(len(x.hubs))
+	counts := []int64{int64(n), x.NumEntries(), tail, int64(k), int64(k2), mid}[:(hdr-64)/32+2] // 2, 4 or 6 of them
+	lo, size, fileSize := mmapLayout(hdr, n, k, k2, mid, tail)
 	out := make([]byte, fileSize)
 	copy(out[0:4], mmapMagic)
-	binary.LittleEndian.PutUint32(out[4:8], 2)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(out[16:24], uint64(x.NumEntries()))
-	binary.LittleEndian.PutUint64(out[24:32], uint64(tail))
-	binary.LittleEndian.PutUint64(out[32:40], uint64(k))
+	binary.LittleEndian.PutUint32(out[4:8], uint32(version))
+	for i, c := range counts {
+		binary.LittleEndian.PutUint64(out[8+8*i:], uint64(c))
+	}
+	put64 := func(sec, i int, v uint64) { binary.LittleEndian.PutUint64(out[lo[sec]+uint64(i)*8:], v) }
+	put32 := func(sec, i int, v uint32) { binary.LittleEndian.PutUint32(out[lo[sec]+uint64(i)*4:], v) }
 	for i, o := range x.off {
-		binary.LittleEndian.PutUint64(out[lo[secOff]+uint64(i)*8:], uint64(o))
+		put64(secOff, i, uint64(o))
 	}
 	for i, h := range x.headHubs {
-		binary.LittleEndian.PutUint32(out[lo[secHeadHubs]+uint64(i)*4:], uint32(h))
+		put32(secHeadHubs, i, uint32(h))
 	}
 	for i, d := range x.head {
-		binary.LittleEndian.PutUint32(out[lo[secHead]+uint64(i)*4:], uint32(d))
+		put32(secHead, i, uint32(d))
+	}
+	for i, h := range x.midHubs {
+		put32(secMidHubs, i, uint32(h))
+	}
+	for i, w := range x.midBits {
+		put64(secMidBits, i, w)
+	}
+	for i, o := range x.midOff {
+		put64(secMidOff, i, uint64(o))
+	}
+	for i, d := range x.midDists {
+		put32(secMidDists, i, uint32(d))
 	}
 	for i, h := range x.hubs {
-		binary.LittleEndian.PutUint32(out[lo[secHubs]+uint64(i)*4:], uint32(h))
+		put32(secHubs, i, uint32(h))
 	}
 	for i, d := range x.dists {
-		binary.LittleEndian.PutUint32(out[lo[secDists]+uint64(i)*4:], uint32(d))
+		put32(secDists, i, uint32(d))
 	}
-	for i := range lo {
-		binary.LittleEndian.PutUint64(out[40+8*i:], lo[i])
-		binary.LittleEndian.PutUint32(out[80+4*i:], crc32.ChecksumIEEE(out[lo[i]:lo[i]+size[i]]))
+	offsets := 8 + 8*len(counts)
+	crcs := offsets + 8*len(stored)
+	for j, sec := range stored {
+		binary.LittleEndian.PutUint64(out[offsets+8*j:], lo[sec])
+		binary.LittleEndian.PutUint32(out[crcs+4*j:], crc32.ChecksumIEEE(out[lo[sec]:lo[sec]+size[sec]]))
 	}
-	binary.LittleEndian.PutUint32(out[124:128], crc32.ChecksumIEEE(out[0:124]))
-	return out
-}
-
-// pidmV1Bytes hand-builds the version 1 PIDM file of x's labels — the
-// format every file written before the head existed is in: a 64-byte
-// header and the off, hubs and dists sections of the whole labels.
-func pidmV1Bytes(x *Index) []byte {
-	x = x.Flat()
-	n, total := x.NumVertices(), x.NumEntries()
-	lo, size, fileSize := mmapLayout(mmapHeaderV1, n, 0, total)
-	out := make([]byte, fileSize)
-	copy(out[0:4], mmapMagic)
-	binary.LittleEndian.PutUint32(out[4:8], 1)
-	binary.LittleEndian.PutUint64(out[8:16], uint64(n))
-	binary.LittleEndian.PutUint64(out[16:24], uint64(total))
-	for i, o := range x.off {
-		binary.LittleEndian.PutUint64(out[lo[secOff]+uint64(i)*8:], uint64(o))
-	}
-	for i, h := range x.hubs {
-		binary.LittleEndian.PutUint32(out[lo[secHubs]+uint64(i)*4:], uint32(h))
-		binary.LittleEndian.PutUint32(out[lo[secDists]+uint64(i)*4:], uint32(x.dists[i]))
-	}
-	for j, i := range []int{secOff, secHubs, secDists} {
-		binary.LittleEndian.PutUint64(out[24+8*j:], lo[i])
-		binary.LittleEndian.PutUint32(out[48+4*j:], crc32.ChecksumIEEE(out[lo[i]:lo[i]+size[i]]))
-	}
-	binary.LittleEndian.PutUint32(out[60:64], crc32.ChecksumIEEE(out[0:60]))
+	binary.LittleEndian.PutUint32(out[hdr-4:], crc32.ChecksumIEEE(out[:hdr-4]))
 	return out
 }
 
 // TestWriteMmapBytesUnchanged pins the PIDM writer's output: equal to
 // the wordwise reference on indexes whose sections are empty, shorter
-// than one encoding block and several blocks long, with a head and
-// without; for the long one, equal to the SHA-256 recorded when the
-// format became version 2 — and, as a version 1 file, to the one the
-// version 1 writer produced, so the labels under the new bytes are the
-// old ones.
+// than one encoding block and several blocks long, with all three tiers,
+// with a head alone and with neither; for the long one, equal to the
+// SHA-256 recorded when the format became version 3 — and, as a version
+// 2 and as a version 1 file, to the ones those writers produced, so the
+// labels under the new bytes are the old ones.
 func TestWriteMmapBytesUnchanged(t *testing.T) {
 	big := randomIndex(9, 3*pidmBlock/8, 12) // off section spans three blocks, hubs and dists more
 	for name, x := range map[string]*Index{
 		"empty": NewIndex(NewStore(0)), "no-labels": NewIndex(NewStore(7)), "small": mmapTestIndex(), "big": big,
 		"batch-shaped": batchTestIndex(rand.New(rand.NewSource(3)), 3*pidmBlock/8),
+		"tiered":       tieredTestIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8),
 	} {
-		if got := pidmBytes(t, x); !bytes.Equal(got, writeMmapWordwise(x)) {
+		if got := pidmBytes(t, x); !bytes.Equal(got, handBuiltPIDM(x, 3)) {
 			t.Errorf("%s: WriteMmap differs from the wordwise reference", name)
 		}
 	}
-	const wantV1 = "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"
-	if got := fmt.Sprintf("%x", sha256.Sum256(pidmV1Bytes(big))); got != wantV1 {
-		t.Errorf("big fixture as a version 1 file hashes to %s, want %s", got, wantV1)
+	tiered := tieredTestIndex(rand.New(rand.NewSource(5)), 3000)
+	if k, _ := tiered.Head(); k == 0 {
+		t.Fatal("the pinned fixture has no head")
 	}
-	const want = "8dfd7640b82be2fa8cc5bc1afe30ad9e51c6a76337e0402f3dcfdcb956ac9450"
-	if got := fmt.Sprintf("%x", sha256.Sum256(pidmBytes(t, big))); got != want {
-		t.Errorf("big fixture hashes to %s, want %s", got, want)
+	if k2, _ := tiered.Mid(); k2 <= 64 {
+		t.Fatalf("the pinned fixture has %d mid columns, want more than a word of them", k2)
+	}
+	for _, pin := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"big fixture as a version 1 file", handBuiltPIDM(big, 1), "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"},
+		{"big fixture as a version 2 file", handBuiltPIDM(big, 2), "8dfd7640b82be2fa8cc5bc1afe30ad9e51c6a76337e0402f3dcfdcb956ac9450"},
+		{"big fixture", pidmBytes(t, big), "835dbe12824c2c24d2cbf263c461e31ec81b07b0da74578c114edee22a93172e"},
+		{"tiered fixture", pidmBytes(t, tiered), "0ac471b85c71de3bee21c6c4402238bacc8f661b2b2c250b15c043294ef28c38"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(pin.data)); got != pin.want {
+			t.Errorf("%s hashes to %s, want %s", pin.name, got, pin.want)
+		}
 	}
 }
 
-// TestOpenVersion1 opens a file in the format every PIDM written before
-// the head existed is in: it maps, verifies, reads as K = 0 and is Equal
-// to — and answers as — the version 2 file of the same labels, which in
-// turn is what rewriting it produces.
-func TestOpenVersion1(t *testing.T) {
-	x := batchTestIndex(rand.New(rand.NewSource(41)), 150)
-	if k, _ := x.Head(); k == 0 {
-		t.Fatal("fixture has no head: nothing to compare a headless file with")
+// TestOpenOlderVersions opens files in the two formats PIDM files were
+// written in before the middle tier existed — version 1 without a head,
+// version 2 with one: each maps, verifies, reads as K2 = 0 (and K = 0)
+// and is Equal to — and answers as — the version 3 file of the same
+// labels, which in turn is what rewriting it produces.
+func TestOpenVersion1(t *testing.T) { testOpenOlderVersion(t, 1) }
+func TestOpenVersion2(t *testing.T) { testOpenOlderVersion(t, 2) }
+
+func testOpenOlderVersion(t *testing.T, version int) {
+	const n = 400
+	x := tieredTestIndex(rand.New(rand.NewSource(41)), n)
+	xk, _ := x.Head()
+	if k2, _ := x.Mid(); xk == 0 || k2 == 0 {
+		t.Fatal("fixture lacks a tier: nothing to compare an older file with")
 	}
-	old, err := Open(writeTemp(t, pidmV1Bytes(x)))
+	file := handBuiltPIDM(x, version)
+	old, err := Open(writeTemp(t, file))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -596,36 +732,68 @@ func TestOpenVersion1(t *testing.T) {
 	if err := old.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if k, density := old.Head(); k != 0 || density != 0 {
-		t.Fatalf("version 1 file opened with head K=%d density %g", k, density)
+	wantK := 0
+	if version == 2 {
+		wantK = xk
+	}
+	if k, _ := old.Head(); k != wantK {
+		t.Fatalf("version %d file opened with head K=%d, want %d", version, k, wantK)
+	}
+	if k2, density := old.Mid(); k2 != 0 || density != 0 {
+		t.Fatalf("version %d file opened with K2=%d density %g", version, k2, density)
 	}
 	if !old.Equal(x) || !x.Equal(old) || old.NumEntries() != x.NumEntries() || old.AvgLabelSize() != x.AvgLabelSize() {
-		t.Fatal("version 1 file does not hold the labels it was built from")
+		t.Fatalf("version %d file does not hold the labels it was built from", version)
 	}
-	for s := 0; s < 150; s++ {
-		for u := 0; u < 150; u += 7 {
+	var pairs [][2]graph.Vertex
+	for s := 0; s < n; s++ {
+		for u := 0; u < n; u += 7 {
 			gd, gh := old.QueryWithHub(graph.Vertex(s), graph.Vertex(u))
 			wd, wh := x.QueryWithHub(graph.Vertex(s), graph.Vertex(u))
 			if gd != wd || gh != wh || old.Query(graph.Vertex(s), graph.Vertex(u)) != wd {
-				t.Fatalf("(%d,%d): version 1 file answers (%d,%d), the built index (%d,%d)", s, u, gd, gh, wd, wh)
+				t.Fatalf("(%d,%d): version %d file answers (%d,%d), the built index (%d,%d)", s, u, version, gd, gh, wd, wh)
 			}
+			pairs = append(pairs, [2]graph.Vertex{graph.Vertex(s), graph.Vertex(u)})
 		}
 	}
+	for i, d := range old.QueryBatch(pairs, 2) {
+		if want := x.Query(pairs[i][0], pairs[i][1]); d != want {
+			t.Fatalf("%v: version %d file's batch answers %d, the built index %d", pairs[i], version, d, want)
+		}
+	}
+	// Saved again as it was opened it is a version 3 file of the same
+	// labels in the old layout.
+	resaved := pidmBytes(t, old)
+	if v := binary.LittleEndian.Uint32(resaved[4:8]); v != 3 {
+		t.Fatalf("a version %d file saved again is version %d, want 3", version, v)
+	}
+	again, err := Open(writeTemp(t, resaved))
+	if err != nil {
+		t.Fatalf("Open of the re-saved file: %v", err)
+	}
+	defer again.Close()
+	if err := again.Verify(); err != nil || !again.Equal(x) {
+		t.Fatalf("version %d file opened and saved as version 3: Verify %v, Equal %v", version, err, again.Equal(x))
+	}
 	// Reading it as a stream finalizes nothing either, and rewriting that
-	// through the logical formats lands on the version 2 bytes.
-	streamed, err := ReadAny(bytes.NewReader(pidmV1Bytes(x)))
+	// through the logical formats lands on the version 3 bytes of a fresh
+	// build: the tiers come back with the next finalize.
+	streamed, err := ReadAny(bytes.NewReader(file))
 	if err != nil {
 		t.Fatalf("ReadAny: %v", err)
+	}
+	if k2, _ := streamed.Mid(); k2 != 0 {
+		t.Fatalf("streaming a version %d file gave it %d mid columns", version, k2)
 	}
 	var pidx bytes.Buffer
 	if err := streamed.Write(&pidx); err != nil {
 		t.Fatal(err)
 	}
-	reheaded, err := ReadAny(&pidx)
+	retiered, err := ReadAny(&pidx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(pidmBytes(t, reheaded), pidmBytes(t, x)) {
-		t.Fatal("version 1 -> PIDX -> PIDM differs from the version 2 file of the same labels")
+	if !retiered.Equal(x) || !bytes.Equal(pidmBytes(t, retiered), pidmBytes(t, x)) {
+		t.Fatalf("version %d -> PIDX -> PIDM differs from the version 3 file of the same labels", version)
 	}
 }

@@ -29,9 +29,13 @@ import (
 //
 // The head cannot do that: it has no per-entry hub id. A flipped head
 // byte is a wrong distance that Verify names, and /query and /batch over
-// it answer 200.
+// it answer 200. The middle tier stands between the two: a flipped
+// bitmap bit shifts the ranks behind it in one vertex's packed run, so a
+// request over that vertex answers 200 with a wrong distance or, when a
+// rank falls off the end of the run, 500 — and every request clear of it
+// is answered as before.
 func TestBatchOnDamagedIndex(t *testing.T) {
-	const n = 80
+	const n = 400 // enough vertices that a hub in a dozen labels stays a tail hub
 	r := rand.New(rand.NewSource(41))
 	edges := make([]graph.Edge, 0, 3*n)
 	for v := 1; v < n; v++ {
@@ -41,17 +45,26 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(n)), V: graph.Vertex(r.Intn(n)), W: graph.Dist(1 + r.Intn(9))})
 	}
 	good := pll.Build(graph.FromEdges(n, edges), pll.Options{})
-	if k, _ := good.Head(); k == 0 {
-		t.Fatal("the index has no head to damage")
+	k, _ := good.Head()
+	k2, _ := good.Mid()
+	if k == 0 || k2 == 0 {
+		t.Fatalf("the index has %d head and %d mid columns: a tier with nothing to damage", k, k2)
 	}
 
 	var file bytes.Buffer
 	if err := good.WriteMmap(&file); err != nil {
 		t.Fatal(err)
 	}
-	// PIDM header: the section offsets, in file order, start at byte 40.
-	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[40+8*i:]) }
-	offSec, headSec, hubsSec := section(0), section(2), section(3)
+	// PIDM version 3 header: the nine section offsets, in file order
+	// (off, midOff, headHubs, midHubs, head, midBits, midDists, hubs,
+	// dists), start at byte 56.
+	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[56+8*i:]) }
+	offSec, headSec, midBitsSec, hubsSec := section(0), section(4), section(5), section(7)
+	// The victim is the first vertex with a tail entry, which is entry 0.
+	victim := 0
+	for binary.LittleEndian.Uint64(file.Bytes()[offSec+8*uint64(victim+1):]) == 0 {
+		victim++
+	}
 	open := func(name string, damage func(data []byte)) *label.Index {
 		data := bytes.Clone(file.Bytes())
 		damage(data)
@@ -66,6 +79,11 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		t.Cleanup(func() { x.Close() })
 		return x
 	}
+	query := func(s *Server, u, v int) int {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/query?s=%d&t=%d", u, v), nil))
+		return rec.Code
+	}
 
 	flipped := open("flipped.midx", func(data []byte) { data[headSec+1] ^= 0x40 }) // d(head hub 0, vertex 0), 2^14 off
 	if err := flipped.Verify(); err == nil || !strings.Contains(err.Error(), "head section checksum") {
@@ -78,36 +96,24 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		}
 	}
 	for v := 0; v < n; v++ {
-		rec := httptest.NewRecorder()
-		fs.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/query?s=0&t=%d", v), nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("/query?s=0&t=%d over the flipped head byte: status %d body %q", v, rec.Code, rec.Body.String())
+		if code := query(fs, 0, v); code != http.StatusOK {
+			t.Fatalf("/query?s=0&t=%d over the flipped head byte: status %d", v, code)
 		}
 	}
 	if got := fs.Registry().Snapshot().Counters["http.panics_total"]; got != 0 {
 		t.Fatalf("http.panics_total = %d over the flipped head byte", got)
 	}
 
-	// Tail entry 0 is the first hub of the first vertex whose tail is not
-	// empty; the pairs below call it vertex 0, which it is.
-	damaged := open("damaged.midx", func(data []byte) {
-		if binary.LittleEndian.Uint64(data[offSec+8:]) == 0 {
-			t.Fatal("vertex 0 has no tail entry to damage")
-		}
-		binary.LittleEndian.PutUint32(data[hubsSec:], n+9)
-	})
-
-	s := serverLikeBinary(damaged)
-	s.SetBatchThreads(2)
-	body := func(pairs int, avoid0 bool) string {
+	body := func(pairs int, avoid bool) string {
 		var b strings.Builder
 		b.WriteString(`{"pairs":[`)
 		for i := 0; i < pairs; i++ {
 			u, v := r.Intn(n), r.Intn(n)
-			if avoid0 {
-				u, v = 1+r.Intn(n-1), 1+r.Intn(n-1)
-			} else if i == pairs/2 {
-				v = 0
+			for avoid && (u == victim || v == victim) {
+				u, v = r.Intn(n), r.Intn(n)
+			}
+			if !avoid && i == pairs/2 {
+				v = victim
 			}
 			if i > 0 {
 				b.WriteByte(',')
@@ -117,22 +123,14 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		b.WriteString("]}")
 		return b.String()
 	}
-	panics := func() int64 { return s.Registry().Snapshot().Counters["http.panics_total"] }
-
-	for i, pairs := range []int{4, 900} { // one chunk on the request's goroutine; many on two workers
-		rec := postBatch(s, body(pairs, false))
-		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "index out of range") {
-			t.Fatalf("%d-pair batch over the damaged label: status %d body %q, want 500 naming the index panic",
-				pairs, rec.Code, rec.Body.String())
-		}
-		if got := panics(); got != int64(i+1) {
-			t.Fatalf("http.panics_total = %d after %d panicking batches", got, i+1)
-		}
-		// The next request is served, by the same kernel and the same pool.
+	// served asks s a batch that stays clear of the victim and holds the
+	// reply to the undamaged index.
+	served := func(s *Server, pairs int, after string) {
+		t.Helper()
 		ask := body(pairs, true)
-		rec = postBatch(s, ask)
+		rec := postBatch(s, ask)
 		if rec.Code != http.StatusOK {
-			t.Fatalf("batch after the panic: status %d body %q", rec.Code, rec.Body.String())
+			t.Fatalf("batch after %s: status %d body %q", after, rec.Code, rec.Body.String())
 		}
 		var req struct{ Pairs [][2]graph.Vertex }
 		var resp batchResponse
@@ -144,8 +142,50 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		}
 		for k, p := range req.Pairs {
 			if want := int64(good.Query(p[0], p[1])); resp.Dists[k] != want {
-				t.Fatalf("after the panic: pair %v = %d, want %d", p, resp.Dists[k], want)
+				t.Fatalf("after %s: pair %v = %d, want %d", after, p, resp.Dists[k], want)
 			}
 		}
+	}
+
+	// The victim's first bitmap bit: set, its run is one distance short
+	// of its row and the last rank falls off it; cleared, every rank
+	// reads the distance before its own.
+	w := uint64(k2+63) / 64
+	bitFlipped := open("bitflipped.midx", func(data []byte) { data[midBitsSec+uint64(victim)*8*w] ^= 1 })
+	if err := bitFlipped.Verify(); err == nil || !strings.Contains(err.Error(), "midBits section checksum") {
+		t.Fatalf("Verify of a flipped bitmap bit: %v, want the midBits section's checksum named", err)
+	}
+	bs := serverLikeBinary(bitFlipped)
+	bs.SetBatchThreads(2)
+	answered := map[int]int{}
+	for v := 0; v < n; v++ {
+		answered[query(bs, victim, v)]++
+	}
+	for _, pairs := range []int{4, 900} {
+		answered[postBatch(bs, body(pairs, false)).Code]++
+		served(bs, pairs, "a batch over the flipped bitmap bit")
+	}
+	if answered[http.StatusOK]+answered[http.StatusInternalServerError] != n+2 {
+		t.Fatalf("requests over the flipped bitmap bit were answered %v, want only 200s and 500s", answered)
+	}
+	if got := bs.Registry().Snapshot().Counters["http.panics_total"]; got != int64(answered[http.StatusInternalServerError]) {
+		t.Fatalf("http.panics_total = %d beside %d replies of 500", got, answered[http.StatusInternalServerError])
+	}
+
+	damaged := open("damaged.midx", func(data []byte) { binary.LittleEndian.PutUint32(data[hubsSec:], n+9) })
+	s := serverLikeBinary(damaged)
+	s.SetBatchThreads(2)
+	panics := func() int64 { return s.Registry().Snapshot().Counters["http.panics_total"] }
+	for i, pairs := range []int{4, 900} { // one chunk on the request's goroutine; many on two workers
+		rec := postBatch(s, body(pairs, false))
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "index out of range") {
+			t.Fatalf("%d-pair batch over the damaged label: status %d body %q, want 500 naming the index panic",
+				pairs, rec.Code, rec.Body.String())
+		}
+		if got := panics(); got != int64(i+1) {
+			t.Fatalf("http.panics_total = %d after %d panicking batches", got, i+1)
+		}
+		// The next request is served, by the same kernel and the same pool.
+		served(s, pairs, "the panic")
 	}
 }

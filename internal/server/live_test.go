@@ -143,19 +143,26 @@ func TestUpdateValidation(t *testing.T) {
 }
 
 // failedLogUpdater is a pipeline whose WAL has failed: Update returns
-// what compact.Pipeline.Update returns once wal.Log.Append has seen a
-// write or fsync error (wal's TestFailedSyncPoisonsLog produces the
-// real one).
+// and Stats reports what compact.Pipeline's do once wal.Log.Append has
+// seen a write or fsync error (wal's TestFailedSyncPoisonsLog and
+// compact's TestCompactOnFailedLog produce the real one).
 type failedLogUpdater struct{ *compact.Pipeline }
 
+var errLogFailed = fmt.Errorf("%w: fsync of wal.log: invalid argument", wal.ErrFailed)
+
 func (failedLogUpdater) Update(u, v graph.Vertex, w graph.Dist) error {
-	return fmt.Errorf("compact: durable append failed, insert not applied: %w",
-		fmt.Errorf("%w: fsync of wal.log: invalid argument", wal.ErrFailed))
+	return fmt.Errorf("compact: durable append failed, insert not applied: %w", errLogFailed)
+}
+
+func (f failedLogUpdater) Stats() compact.Stats {
+	st := f.Pipeline.Stats()
+	st.WALFailed = errLogFailed.Error()
+	return st
 }
 
 // TestUpdateOnFailedLog: an insert the log can no longer make durable
 // is the server's fault and not for ever - 503, not 500 - and is not
-// applied; reads keep being served.
+// applied; /readyz and /stats say why; reads keep being served.
 func TestUpdateOnFailedLog(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}})
 	pipe, err := compact.Open(compact.Options{Dir: t.TempDir(), Graph: g})
@@ -164,7 +171,7 @@ func TestUpdateOnFailedLog(t *testing.T) {
 	}
 	t.Cleanup(func() { pipe.Close() })
 	s := NewPending(metrics.NewRegistry())
-	s.SetUpdater(failedLogUpdater{pipe})
+	s.SetUpdater(pipe)
 	idx, err := fileio.LoadIndex(pipe.IndexPath())
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +179,23 @@ func TestUpdateOnFailedLog(t *testing.T) {
 	s.Publish(idx, nil, pipe.IndexPath())
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
+	var ready map[string]any
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusOK {
+		t.Fatalf("/readyz on the healthy pipeline = %d (%v), want 200", code, ready)
+	}
+	s.SetUpdater(failedLogUpdater{pipe})
 	if code, out := postUpdate(t, ts.URL, 0, 3, 1); code != http.StatusServiceUnavailable {
 		t.Fatalf("/update on a failed log = %d (%v), want 503", code, out)
+	}
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusServiceUnavailable ||
+		ready["status"] != "wal failed" || ready["reason"] != errLogFailed.Error() {
+		t.Fatalf("/readyz on a failed log = %d %v, want 503, \"wal failed\" and the reason", code, ready)
+	}
+	var stats struct {
+		Wal *compact.Stats `json:"wal"`
+	}
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK || stats.Wal == nil || stats.Wal.WALFailed != errLogFailed.Error() {
+		t.Fatalf("/stats on a failed log = %d, wal %+v; want 200 and wal_failed set", code, stats.Wal)
 	}
 	var q queryResponse
 	if code := getJSON(t, ts.URL+"/query?s=0&t=2", &q); code != http.StatusOK || q.Dist != 7 {

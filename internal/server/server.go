@@ -20,7 +20,9 @@
 //	                      → swaps in a freshly loaded index (409 if a
 //	                        reload is already running; see Reload)
 //	GET  /readyz          → 200 once an index is published, 503 while
-//	                        the initial load/build is still running
+//	                        the initial load/build is still running and,
+//	                        with -wal, once the log has failed (reads are
+//	                        still served; the reply says why)
 //	GET  /healthz         → {"status":"ok"} liveness probe
 //	GET  /metrics         → metrics.Snapshot JSON: per-endpoint request
 //	                        and error counts, latency histograms, and an
@@ -821,6 +823,8 @@ type statsResponse struct {
 	AvgLabelSize float64       `json:"avg_label_size"`
 	Head         int           `json:"head"`         // dense head columns K (label.Index.Head)
 	HeadDensity  float64       `json:"head_density"` // share of the n x K head slots holding an entry
+	Mid          int           `json:"mid"`          // bitmap columns K2 (label.Index.Mid)
+	MidDensity   float64       `json:"mid_density"`  // share of the n x K2 bits that are set
 	HasPathIndex bool          `json:"has_path_index"`
 	Generation   uint64        `json:"generation"`
 	Format       string        `json:"format"`
@@ -834,12 +838,15 @@ type statsResponse struct {
 
 func (s *Server) statsPayload(sn *snapshot) statsResponse {
 	k, density := sn.idx.Head()
+	k2, midDensity := sn.idx.Mid()
 	resp := statsResponse{
 		Vertices:     sn.idx.NumVertices(),
 		Entries:      sn.idx.NumEntries(),
 		AvgLabelSize: sn.idx.AvgLabelSize(),
 		Head:         k,
 		HeadDensity:  density,
+		Mid:          k2,
+		MidDensity:   midDensity,
 		HasPathIndex: sn.pidx != nil,
 		Generation:   sn.gen,
 		Format:       sn.idx.Format(),
@@ -1013,6 +1020,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if sn == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "loading"})
 		return
+	}
+	// A living graph whose log has failed still answers reads, but takes
+	// no update until it is restarted: not ready, and this is why.
+	if up := s.Updater(); up != nil {
+		if reason := up.Stats().WALFailed; reason != "" {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "wal failed", "reason": reason})
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ready", "generation": sn.gen})
 }

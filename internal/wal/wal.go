@@ -129,12 +129,13 @@ func Replay(data []byte) (ups []Update, consumed int) {
 }
 
 // ErrFailed is wrapped by the Append whose write or fsync failed and by
-// every Append after it. What reached the disk is then unknown — a
-// record can sit in the file, or in the page cache, that the in-memory
-// mirror does not hold — so the log takes no record after it: one
-// appended behind a torn copy of it would be acknowledged and then
-// truncated away by the next replay. Restarting heals through Open's
-// torn-tail path.
+// every Append and TruncateFront after it. What reached the disk is then
+// unknown — a record can sit in the file, or in the page cache, that the
+// in-memory mirror does not hold — so the log takes no record after it:
+// one appended behind a torn copy of it would be acknowledged and then
+// truncated away by the next replay. Nor is the file rewritten from the
+// mirror: the handle that failed stays the only one the log ever had,
+// and the file stays what the next Open's torn-tail path heals.
 var ErrFailed = errors.New("wal: log failed, restart to recover")
 
 // Log is an append-only edge-update log bound to one file. All methods
@@ -149,7 +150,8 @@ type Log struct {
 	ups   []Update
 	bytes int64
 	// failed is the first write or fsync error (wrapping ErrFailed);
-	// once set, Append returns it without touching the file.
+	// once set, Append and TruncateFront return it without touching the
+	// file.
 	failed error
 
 	// syncObs, when set, is called with the duration of each successful
@@ -275,6 +277,14 @@ func (l *Log) Append(u, v graph.Vertex, w graph.Dist) error {
 	return nil
 }
 
+// Err returns the error that failed the log (it wraps ErrFailed), nil
+// while the log takes appends.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.failed
+}
+
 // Len returns the number of durable records.
 func (l *Log) Len() int {
 	l.mu.Lock()
@@ -308,10 +318,13 @@ func (l *Log) Updates() []Update {
 // directory-fsync discipline as every other artifact in the repo, so a
 // crash mid-truncation leaves either the old log (records replay
 // idempotently on top of the new checkpoint) or the new one, never a
-// mangled hybrid.
+// mangled hybrid. A failed log is left alone (ErrFailed).
 func (l *Log) TruncateFront(n int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
 	if n <= 0 {
 		return nil
 	}

@@ -277,8 +277,10 @@ func TestReplayIdempotentAfterReopen(t *testing.T) {
 // fsync fails may or may not be on disk, and the in-memory mirror does
 // not hold it; an append acknowledged after it could be truncated away
 // behind a torn copy of it. So the log fails for good: that Append and
-// every later one wrap ErrFailed, the later ones without writing, and
-// reopening the file replays exactly what was acknowledged. The fault
+// every later one wrap ErrFailed, the later ones without writing; Err
+// reports the first failure; TruncateFront leaves the file and the
+// handle alone; and reopening the file replays exactly what was
+// acknowledged. The fault
 // is real: the log's handle is swapped for the write end of a pipe,
 // which takes the write and answers the fsync with EINVAL.
 func TestFailedSyncPoisonsLog(t *testing.T) {
@@ -288,6 +290,9 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 		if err := l.Append(up.U, up.V, up.W); err != nil {
 			t.Fatalf("Append(%v): %v", up, err)
 		}
+	}
+	if err := l.Err(); err != nil {
+		t.Fatalf("Err() of a healthy log = %v", err)
 	}
 	pr, pw, err := os.Pipe()
 	if err != nil {
@@ -310,6 +315,29 @@ func TestFailedSyncPoisonsLog(t *testing.T) {
 	}
 	if l.Len() != len(acked) || l.Bytes() != int64(HeaderSize+RecordSize*len(acked)) {
 		t.Fatalf("failed appends moved the mirror: Len %d, Bytes %d", l.Len(), l.Bytes())
+	}
+	if err := l.Err(); err != first {
+		t.Fatalf("Err() = %v, want the first failure %v", err, first)
+	}
+	// A failed log is not rewritten from the mirror either: the file and
+	// the handle stay as the failure left them.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.TruncateFront(1); !errors.Is(err, ErrFailed) {
+		t.Fatalf("TruncateFront on the failed log = %v, want an error wrapping ErrFailed", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	handle := l.f
+	l.mu.Unlock()
+	if !bytes.Equal(before, after) || handle != pw || l.Len() != len(acked) {
+		t.Fatalf("TruncateFront on the failed log touched it: file %d -> %d bytes, handle swapped %v, Len %d",
+			len(before), len(after), handle != pw, l.Len())
 	}
 	if err := l.Close(); err != nil { // closes the pipe's write end
 		t.Fatal(err)
