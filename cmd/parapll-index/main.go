@@ -124,9 +124,9 @@ func main() {
 	}
 	k, density := idx.Head()
 	k2, midDensity := idx.Mid()
-	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f) -> %s\n",
+	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),
-		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, *out)
+		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, idx.DistBytes(), *out)
 }
 
 // logProgress samples prog every 2s and prints roots done, roots/sec

@@ -1,7 +1,8 @@
 // Package mmaptest is the mmapkeepalive golden-test corpus: a stand-in
-// for label.Index with the structural owner signature (the off/hubs/dists
-// tail arrays, the headHubs/head matrix, the midHubs/midBits/midOff/
-// midDists bitmap tier, plus the mm mapping field).
+// for label.Index with the structural owner signature (the off/hubs tail
+// arrays, the headHubs column ids, the midHubs/midBits/midOff bitmap
+// tier, plus the mm mapping field) holding the head/midDists/dists
+// distance arrays at one of several widths.
 package mmaptest
 
 import "runtime"
@@ -11,16 +12,24 @@ type Dist = uint32
 
 type mapping struct{ data []byte }
 
+type distance interface{ ~uint8 | ~uint32 }
+
+type arrays[D distance] struct {
+	head     []D
+	midDists []D
+	dists    []D
+}
+
 type Index struct {
 	off      []int64
 	hubs     []Vertex
-	dists    []Dist
 	headHubs []Vertex
-	head     []Dist
 	midHubs  []Vertex
 	midBits  []uint64
 	midOff   []int64
-	midDists []Dist
+	w        int
+	a8       arrays[uint8]
+	a32      arrays[Dist]
 	mm       *mapping
 }
 
@@ -28,29 +37,64 @@ type Index struct {
 func (x *Index) Label(v Vertex) ([]Vertex, []Dist) {
 	defer runtime.KeepAlive(x)
 	lo, hi := x.off[v], x.off[v+1]
-	return x.hubs[lo:hi], x.dists[lo:hi]
+	return x.hubs[lo:hi], x.a32.dists[lo:hi]
 }
 
 // heapIndex has the array fields but no mm: always heap-backed, exempt.
 type heapIndex struct {
 	off      []int64
 	hubs     []Vertex
-	dists    []Dist
 	headHubs []Vertex
-	head     []Dist
 	midHubs  []Vertex
 	midBits  []uint64
 	midOff   []int64
-	midDists []Dist
+	a32      arrays[Dist]
 }
 
-func heapOK(h *heapIndex) Dist {
-	return h.dists[0]
+func heapOK(h *heapIndex) Vertex {
+	return h.hubs[0]
 }
 
 func deferOK(x *Index) Dist {
 	defer runtime.KeepAlive(x)
-	return x.dists[0]
+	return x.a32.dists[0]
+}
+
+// --- The distance arrays live in a struct inside the owner, one per
+// width. A pointer to it points into the owner: beside an owner
+// parameter it is an alias of that owner, and the pin names the owner;
+// alone it is what the pin names.
+
+func arraysParamOK[D distance](x *Index, a *arrays[D]) D {
+	d := a.dists[0]
+	runtime.KeepAlive(x)
+	return d
+}
+
+func arraysParamBad[D distance](x *Index, a *arrays[D]) D {
+	return a.head[0] // want `dereferences mmap-aliased a.head without runtime.KeepAlive\(x\)`
+}
+
+func arraysAloneOK[D distance](a *arrays[D]) D {
+	defer runtime.KeepAlive(a)
+	return a.midDists[0]
+}
+
+func arraysAloneBad[D distance](a *arrays[D]) D {
+	return a.midDists[0] // want `dereferences mmap-aliased a.midDists without runtime.KeepAlive\(a\)`
+}
+
+func arraysLocalBad(x *Index) uint8 {
+	a := &x.a8
+	return a.dists[0] // want `dereferences mmap-aliased a.dists without runtime.KeepAlive\(x\)`
+}
+
+// storeOK: a function that stores into an owner's arrays is building
+// it, and a mapping is read-only: that owner is on the heap.
+func storeOK[D distance](x *Index, a *arrays[D], d D) {
+	for i := range x.hubs {
+		x.hubs[i], a.dists[i] = Vertex(i), d
+	}
 }
 
 func pinAfterOK(x *Index) int64 {
@@ -63,16 +107,16 @@ func pinAfterOK(x *Index) int64 {
 }
 
 func lenOnlyOK(x *Index) int {
-	return len(x.off) + cap(x.dists) // slice headers only: no pin needed
+	return len(x.off) + cap(x.a32.dists) // slice headers only: no pin needed
 }
 
 func freshOK() Dist {
-	x := &Index{off: []int64{0, 1}, hubs: []Vertex{0}, dists: []Dist{7}}
-	return x.dists[0] // just allocated: no finalizer can be registered yet
+	x := &Index{off: []int64{0, 1}, hubs: []Vertex{0}, a32: arrays[Dist]{dists: []Dist{7}}}
+	return x.a32.dists[0] // just allocated: no finalizer can be registered yet
 }
 
 func directBad(x *Index) Dist {
-	return x.dists[0] // want `dereferences mmap-aliased x.dists without runtime.KeepAlive`
+	return x.a32.dists[0] // want `dereferences mmap-aliased x.a32.dists without runtime.KeepAlive\(x\)`
 }
 
 func aliasBad(x *Index) Vertex {
@@ -100,14 +144,14 @@ func labelAliasOK(x *Index, v Vertex) Dist {
 }
 
 func wrongOrderBad(x *Index) Dist {
-	d := x.dists[0]
+	d := x.a32.dists[0]
 	runtime.KeepAlive(x)
-	return d + x.dists[1] // want `does not cover the exit`
+	return d + x.a32.dists[1] // want `does not cover the exit`
 }
 
 func ignoredOK(x *Index) Dist {
 	//parapll:vet-ignore mmapkeepalive caller pins the index for the full call
-	return x.dists[0]
+	return x.a32.dists[0]
 }
 
 // --- Merge-kernel-shaped cases: the query hot path slices the owner's
@@ -139,7 +183,7 @@ func kernel(ah []Vertex, ad []Dist, bh []Vertex, bd []Dist) Dist {
 func kernelCallOK(x *Index, s, t Vertex) Dist {
 	slo, shi := x.off[s], x.off[s+1]
 	tlo, thi := x.off[t], x.off[t+1]
-	d := kernel(x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi])
+	d := kernel(x.hubs[slo:shi], x.a32.dists[slo:shi], x.hubs[tlo:thi], x.a32.dists[tlo:thi])
 	runtime.KeepAlive(x)
 	return d
 }
@@ -148,7 +192,7 @@ func kernelCallOK(x *Index, s, t Vertex) Dist {
 // feeding the kernel must still be covered.
 func kernelCallBad(x *Index, s, t Vertex) Dist {
 	slo, shi := x.off[s], x.off[s+1] // want `dereferences mmap-aliased x.off without runtime.KeepAlive`
-	return kernel(x.hubs[slo:shi], x.dists[slo:shi], x.hubs[:0], x.dists[:0])
+	return kernel(x.hubs[slo:shi], x.a32.dists[slo:shi], x.hubs[:0], x.a32.dists[:0])
 }
 
 // gallopBad: a binary-probe loop over the owner's hub array — the
@@ -173,13 +217,14 @@ func chunkPinOK(x *Index, pairs [][2]Vertex, out []Dist) {
 	for i, p := range pairs {
 		slo, shi := x.off[p[0]], x.off[p[0]+1]
 		tlo, thi := x.off[p[1]], x.off[p[1]+1]
-		out[i] = kernel(x.hubs[slo:shi], x.dists[slo:shi], x.hubs[tlo:thi], x.dists[tlo:thi])
+		out[i] = kernel(x.hubs[slo:shi], x.a32.dists[slo:shi], x.hubs[tlo:thi], x.a32.dists[tlo:thi])
 	}
 	runtime.KeepAlive(x)
 }
 
 // --- The one generic kernel: label.merge is a single function
-// specialised by a zero-size mode type, fed by the inlinable tail ramp.
+// specialised by a zero-size mode type, fed by the inlinable tail ramp,
+// a function of the owner and its distance arrays.
 // The ramp pins its own offset reads; each instantiation's caller must
 // still pin across the kernel's reads of the returned runs.
 
@@ -190,23 +235,23 @@ func merge[M ~[0]struct{} | ~[1]struct{}](ah []Vertex, ad []Dist, bh []Vertex, b
 	return kernel(ah, ad, bh, bd) + Dist(len(m))
 }
 
-func (x *Index) tail(v Vertex) ([]Vertex, []Dist) {
+func tail(x *Index, a *arrays[Dist], v Vertex) ([]Vertex, []Dist) {
 	lo, hi := x.off[v], x.off[v+1]
 	runtime.KeepAlive(x)
-	return x.hubs[lo:hi], x.dists[lo:hi]
+	return x.hubs[lo:hi], a.dists[lo:hi]
 }
 
 func genericKernelOK(x *Index, s, t Vertex) Dist {
-	ah, ad := x.tail(s)
-	bh, bd := x.tail(t)
+	ah, ad := tail(x, &x.a32, s)
+	bh, bd := tail(x, &x.a32, t)
 	d := merge[distOnly](ah, ad, bh, bd)
 	runtime.KeepAlive(x)
 	return d
 }
 
-func genericKernelBad(x *Index, s, t Vertex) Dist {
-	ah, ad := x.tail(s)
-	bh, bd := x.tail(t)
+func genericKernelBad(x *Index, a *arrays[Dist], s, t Vertex) Dist {
+	ah, ad := tail(x, a, s)
+	bh, bd := tail(x, a, t)
 	return merge[distOnly](ah, ad, bh, bd) // want `dereferences mmap-aliased bd without runtime.KeepAlive\(x\)`
 }
 
@@ -215,9 +260,9 @@ func genericKernelBad(x *Index, s, t Vertex) Dist {
 // nothing itself; whoever reads the row — the scan kernel's caller, or a
 // loop over it — must, exactly as for a tail run.
 
-func (x *Index) row(v Vertex) []Dist {
+func row(x *Index, a *arrays[Dist], v Vertex) []Dist {
 	k := len(x.headHubs)
-	return x.head[int(v)*k:][:k]
+	return a.head[int(v)*k:][:k]
 }
 
 func rowMin(a, b []Dist) Dist {
@@ -229,9 +274,9 @@ func rowMin(a, b []Dist) Dist {
 }
 
 func headScanOK(x *Index, s, t Vertex) Dist {
-	d := rowMin(x.row(s), x.row(t))
-	hs := x.row(s)
-	d += rowMin(hs, x.row(t))
+	d := rowMin(row(x, &x.a32, s), row(x, &x.a32, t))
+	hs := row(x, &x.a32, s)
+	d += rowMin(hs, row(x, &x.a32, t))
 	runtime.KeepAlive(x)
 	return d
 }
@@ -240,7 +285,7 @@ func headScanOK(x *Index, s, t Vertex) Dist {
 // munmap waiting for a GC cycle.
 func headRowBad(x *Index, v Vertex) int {
 	size := 0
-	for _, d := range x.row(v) { // want `dereferences mmap-aliased x.row\(v\) without runtime.KeepAlive\(x\)`
+	for _, d := range row(x, &x.a32, v) { // want `dereferences mmap-aliased row\(x, &x.a32, v\) without runtime.KeepAlive\(x\)`
 		if d != ^Dist(0) {
 			size++
 		}
@@ -249,7 +294,7 @@ func headRowBad(x *Index, v Vertex) int {
 }
 
 func headRowAliasBad(x *Index, s, t Vertex) Dist {
-	hs, ht := x.row(s), x.row(t)
+	hs, ht := row(x, &x.a32, s), row(x, &x.a32, t)
 	return rowMin(hs, ht) // want `dereferences mmap-aliased ht without runtime.KeepAlive\(x\)`
 }
 
@@ -258,7 +303,7 @@ func headHubsBad(x *Index, col int) Vertex {
 }
 
 func headDirectBad(x *Index) Dist {
-	return x.head[0] // want `dereferences mmap-aliased x.head without runtime.KeepAlive`
+	return x.a32.head[0] // want `dereferences mmap-aliased x.a32.head without runtime.KeepAlive`
 }
 
 // --- The bitmap tier: mid cuts a vertex's W bitmap words and the packed
@@ -266,11 +311,11 @@ func headDirectBad(x *Index) Dist {
 // the words and the run are read by the caller's kernel, which pins
 // after its last read of either.
 
-func (x *Index) mid(v Vertex) ([]uint64, []Dist) {
+func mid(x *Index, a *arrays[Dist], v Vertex) ([]uint64, []Dist) {
 	w := (len(x.midHubs) + 63) >> 6
 	lo, hi := x.midOff[v], x.midOff[v+1]
 	runtime.KeepAlive(x)
-	return x.midBits[int(v)*w:][:w], x.midDists[lo:hi]
+	return x.midBits[int(v)*w:][:w], a.midDists[lo:hi]
 }
 
 func midMin(ab []uint64, ad []Dist, bb []uint64, bd []Dist) Dist {
@@ -284,8 +329,8 @@ func midMin(ab []uint64, ad []Dist, bb []uint64, bd []Dist) Dist {
 }
 
 func midScanOK(x *Index, s, t Vertex) Dist {
-	sb, sd := x.mid(s)
-	tb, td := x.mid(t)
+	sb, sd := mid(x, &x.a32, s)
+	tb, td := mid(x, &x.a32, t)
 	d := midMin(sb, sd, tb, td)
 	runtime.KeepAlive(x)
 	return d
@@ -293,7 +338,7 @@ func midScanOK(x *Index, s, t Vertex) Dist {
 
 // midRowBad: a range over an un-pinned bit row.
 func midRowBad(x *Index, v Vertex) int {
-	words, _ := x.mid(v)
+	words, _ := mid(x, &x.a32, v)
 	set := 0
 	for _, word := range words { // want `dereferences mmap-aliased words without runtime.KeepAlive\(x\)`
 		if word != 0 {
@@ -306,8 +351,8 @@ func midRowBad(x *Index, v Vertex) int {
 // midRunAfterPinBad: the packed run is read after the last use of x —
 // the pin covers the bit rows and not the distance that follows it.
 func midRunAfterPinBad(x *Index, s, t Vertex) Dist {
-	sb, sd := x.mid(s)
-	tb, _ := x.mid(t)
+	sb, sd := mid(x, &x.a32, s)
+	tb, _ := mid(x, &x.a32, t)
 	hit := sb[0]&tb[0] != 0
 	runtime.KeepAlive(x)
 	if hit {

@@ -13,8 +13,19 @@ import (
 // on the benchmark's own p2p graph, which is not connected: a pair across
 // components must come back Inf from a kernel whose dense array holds Inf
 // for "no such hub", and every other pair must match Dijkstra exactly,
-// whether the batch has 32 sources, 512, or one pair per source.
+// whether the batch has 32 sources, 512, or one pair per source — with
+// the graph's own weights, which fit a 1-byte distance, and with the
+// same weights scaled into a 2-byte and into a 4-byte one.
 func TestQueryBatchAgainstDijkstra(t *testing.T) {
+	for _, tc := range []struct {
+		factor graph.Dist
+		width  int
+	}{{1, 1}, {300, 2}, {100_000, 4}} {
+		testQueryBatchAgainstDijkstra(t, tc.factor, tc.width)
+	}
+}
+
+func testQueryBatchAgainstDijkstra(t *testing.T, factor graph.Dist, width int) {
 	scale := 0.35 // the benchmark's: n = 3807, LN ~245, 5 components
 	if testing.Short() {
 		scale = 0.12 // n = 1305, 4 components: the race pass's size
@@ -23,13 +34,21 @@ func TestQueryBatchAgainstDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rec.Generate(scale)
+	unit := rec.Generate(scale)
+	edges := unit.Edges()
+	for i := range edges {
+		edges[i].W *= factor
+	}
+	g := graph.FromEdges(unit.NumVertices(), edges)
 	n := g.NumVertices()
 	comp, k := graph.ConnectedComponents(g)
 	if k < 2 {
 		t.Fatalf("Gnutella@%v is connected: no pair across components to ask for", scale)
 	}
 	x := Build(g, Options{Threads: 2})
+	if x.DistBytes() != width {
+		t.Fatalf("weights x%d: %d-byte distances, want %d", factor, x.DistBytes(), width)
+	}
 
 	// 512 sources, the first of them one vertex from each component.
 	r := rand.New(rand.NewSource(35))
@@ -75,12 +94,12 @@ func TestQueryBatchAgainstDijkstra(t *testing.T) {
 			}
 		}
 		if unreachable == 0 {
-			t.Fatalf("%s: no pair across components was drawn", batch.name)
+			t.Fatalf("weights x%d %s: no pair across components was drawn", factor, batch.name)
 		}
 		for _, threads := range []int{1, 2, 8} {
 			for i, d := range x.QueryBatch(pairs, threads) {
 				if want := truth[pairs[i][0]][pairs[i][1]]; d != want {
-					t.Fatalf("%s threads=%d: pair %d %v = %d, Dijkstra says %d", batch.name, threads, i, pairs[i], d, want)
+					t.Fatalf("weights x%d %s threads=%d: pair %d %v = %d, Dijkstra says %d", factor, batch.name, threads, i, pairs[i], d, want)
 				}
 			}
 		}

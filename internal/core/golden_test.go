@@ -16,12 +16,12 @@ import (
 // vertex's whole label in hub order, recorded (at the parent commit)
 // before PIDM had a head: the labels are the ones every build since the
 // label store, prune scan and finalize rewrites has produced. pidm is of
-// the version 3 PIDM bytes, recorded when the bitmap tier arrived: where
-// the finalize puts each entry.
+// the version 4 PIDM bytes, recorded when distances got a width: where
+// the finalize puts each entry, and in how many bytes.
 func TestIndexBytesGolden(t *testing.T) {
 	for dataset, want := range map[string]struct{ pidx, pidm string }{
-		"Gnutella": {"10b08a6878d39cea9f5506f75855445d2e892c6a18c453d864d9e3677dda1102", "021ad32d29741f98b569e528926955077bd1be9ff4f445ee313bb91b30d89b19"},
-		"RI-USA":   {"36b58f3503fac56d8e913a566ec01a0daa7a02458212e6ab4f78537c613131e1", "8d80a5e03991939a4833b5a03d645cb290d6c738fd666baaec8298b6f4cb9306"},
+		"Gnutella": {"10b08a6878d39cea9f5506f75855445d2e892c6a18c453d864d9e3677dda1102", "2f2ad2ecbfdf3423f53c9b6c2c47a63018470abdcbf1c1b02761f90e8077f19e"},
+		"RI-USA":   {"36b58f3503fac56d8e913a566ec01a0daa7a02458212e6ab4f78537c613131e1", "e33f514858a72f6941962fe0d0ab54ff4f61a5795b718d06a71ac04764e28156"},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {

@@ -41,6 +41,34 @@ func checkAllPairs(t *testing.T, cur *graph.Graph, x *Index) {
 	}
 }
 
+// TestFromIndexOfANarrowIndex: an index whose distances fit one byte
+// comes back from FromIndex and ToIndex with the labels it went in with,
+// at the width they earn again — and after an insert that joins a vertex
+// on by an edge longer than that width holds, at the next one, exact.
+func TestFromIndexOfANarrowIndex(t *testing.T) {
+	const n = 120
+	r := rand.New(rand.NewSource(21))
+	g := graph.FromEdges(n+1, randomGraph(r, n, 200).Edges()) // vertex n is isolated
+	built := pll.Build(g, pll.Options{})
+	if built.DistBytes() != 1 {
+		t.Fatalf("fixture has %d-byte distances, want 1", built.DistBytes())
+	}
+	x := FromIndex(g, built)
+	if back := x.ToIndex(); !back.Equal(built) || back.DistBytes() != 1 {
+		t.Fatalf("FromIndex then ToIndex: Equal %v, %d-byte distances", back.Equal(built), back.DistBytes())
+	}
+	if err := x.InsertEdge(0, n, 5000); err != nil {
+		t.Fatal(err)
+	}
+	cur := withEdge(g, graph.Edge{U: 0, V: n, W: 5000})
+	checkAllPairs(t, cur, x)
+	wide := x.ToIndex()
+	if wide.DistBytes() != 2 {
+		t.Fatalf("after a 5000-unit edge: %d-byte distances, want 2", wide.DistBytes())
+	}
+	checkAllPairs(t, cur, FromIndex(cur, wide))
+}
+
 // withEdge returns cur plus one more edge.
 func withEdge(cur *graph.Graph, e graph.Edge) *graph.Graph {
 	return graph.FromEdges(cur.NumVertices(), append(cur.Edges(), e))

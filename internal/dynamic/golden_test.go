@@ -14,7 +14,7 @@ import (
 // run of insertions: resumed searches must prune exactly as before —
 // the PIDX hash, of whole labels in hub order, was recorded (at the
 // parent commit) before PIDM had a head — and ToIndex must lay the lists
-// out as it did when the bitmap tier arrived, the version 3 PIDM hash.
+// out as it did when distances got a width, the version 4 PIDM hash.
 func TestIndexBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const n = 300
@@ -39,7 +39,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	if got := fmt.Sprintf("%x", pidx.Sum(nil)); got != wantPIDX {
 		t.Fatalf("labels (%d entries) hash to %s as PIDX, want %s", x.NumEntries(), got, wantPIDX)
 	}
-	const wantPIDM = "9ed99318f22bb7b6782fbf41c1af989bee11752da873ddea1e21b325908d7330"
+	const wantPIDM = "9c01cd87595d8a708eacc713294fada169c9a18a094bb2ec7f2204cfdfe2de60"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}

@@ -26,7 +26,8 @@ type batchScratch struct {
 	// hub is the dense hub array: hub[h] = d(s,h) for the tail hubs of
 	// the source s being served, graph.Inf everywhere else — and graph.Inf
 	// everywhere whenever the scratch is not inside scan. 4 bytes per
-	// vertex; made on first use, so a caller that only sorts never pays.
+	// vertex whatever the index's distance width; made on first use, so
+	// a caller that only sorts never pays.
 	hub []graph.Dist
 	// keys are the sort keys of the call holding this scratch.
 	keys []uint64
@@ -108,11 +109,22 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 // again on return; if scan panics — a hub id outside [0,n), which only a
 // damaged index file can hold — it is not, and the caller must drop it.
 func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
+	switch x.w {
+	case 1:
+		scan(x, &x.a8, pairs, keys, hub)
+	case 2:
+		scan(x, &x.a16, pairs, keys, hub)
+	default:
+		scan(x, &x.a32, pairs, keys, hub)
+	}
+}
+
+func scan[D distance](x *Index, a *arrays[D], pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 	cur := graph.Vertex(-1)
 	var sh []graph.Vertex // hubs of tail(cur), the entries of hub now set
-	var srow []graph.Dist // head row of cur
+	var srow []D          // head row of cur
 	var sbits []uint64    // bitmap row of cur
-	var smid []graph.Dist // and its packed distances
+	var smid []D          // and its packed distances
 	for ki, k := range keys {
 		i, s := uint64(uint32(k)), graph.Vertex(k>>32)
 		t := pairs[i][1]
@@ -124,18 +136,18 @@ func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 			for _, h := range sh {
 				hub[h] = graph.Inf
 			}
-			var sd []graph.Dist
-			sh, sd = x.tail(s)
+			var sd []D
+			sh, sd = tail(x, a, s)
 			for j, h := range sh {
-				hub[h] = sd[j]
+				hub[h] = graph.Dist(sd[j])
 			}
-			sbits, smid = x.mid(s)
-			srow, cur = x.row(s), s
+			sbits, smid = mid(x, a, s)
+			srow, cur = row(x, a, s), s
 		}
-		th, td := x.tail(t)
-		tbits, tmid := x.mid(t)
+		th, td := tail(x, a, t)
+		tbits, tmid := mid(x, a, t)
 		md, _ := midMin[distOnly](sbits, smid, tbits, tmid, nil)
-		keys[ki] = i<<32 | uint64(min(minOver(hub, th, td), md, rowMin(srow, x.row(t))))
+		keys[ki] = i<<32 | uint64(min(minOver(hub, th, td), md, rowMin(srow, row(x, a, t))))
 	}
 	for _, h := range sh {
 		hub[h] = graph.Inf
@@ -146,14 +158,15 @@ func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 
 // minOver returns min over j of hub[hubs[j]] + dists[j], saturating at
 // graph.Inf. The sum is taken in 64 bits, which is what makes it equal
-// to the merge's AddDist minimum over common hubs: a hub the source does
-// not have contributes at least Inf, and so does any sum AddDist would
-// have saturated (the argument of pll.CoveredBy). The loop has no
+// to the merge's minimum over common hubs: a hub the source does not
+// have contributes at least Inf — hub is 4 bytes wide at every width of
+// dists — and so does any sum of two 4-byte distances that reaches it
+// (the argument of pll.CoveredBy). The loop has no
 // data-dependent branch: min compiles to a conditional move. (A second
 // accumulator bought nothing, in cache or out: the loop waits on its
 // loads.) The index into hub stays bounds-checked — that check is the
 // only thing between a damaged file's hub id and someone else's memory.
-func minOver(hub []graph.Dist, hubs []graph.Vertex, dists []graph.Dist) graph.Dist {
+func minOver[D distance](hub []graph.Dist, hubs []graph.Vertex, dists []D) graph.Dist {
 	dists = dists[:len(hubs)]
 	best := uint64(graph.Inf)
 	for j, h := range hubs {

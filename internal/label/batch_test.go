@@ -44,13 +44,24 @@ func batchTestIndex(r *rand.Rand, n int) *Index {
 // common enough for a column) — and batchTestIndex's hard cases, empty
 // labels and distances that saturate.
 func tieredTestIndex(r *rand.Rand, n int) *Index {
-	lists := make([][]Entry, n)
-	dist := func() graph.Dist {
+	return NewIndexFromLists(tieredLists(r, n, func() graph.Dist {
 		if r.Intn(9) == 0 {
 			return graph.Inf - 1 - graph.Dist(r.Intn(3))
 		}
 		return graph.Dist(r.Intn(5000))
-	}
+	}))
+}
+
+// narrowTieredIndex is tieredTestIndex with every distance in [0, dmax]
+// and dmax among them, so that dmax alone decides the distance width.
+func narrowTieredIndex(r *rand.Rand, n int, dmax graph.Dist) *Index {
+	lists := tieredLists(r, n, func() graph.Dist { return graph.Dist(r.Int63n(int64(dmax) + 1)) })
+	lists[0][0].D = dmax
+	return NewIndexFromLists(lists)
+}
+
+func tieredLists(r *rand.Rand, n int, dist func() graph.Dist) [][]Entry {
+	lists := make([][]Entry, n)
 	for v := range lists {
 		if v%17 == 3 {
 			continue
@@ -64,7 +75,7 @@ func tieredTestIndex(r *rand.Rand, n int) *Index {
 			lists[v] = append(lists[v], Entry{Hub: graph.Vertex(76 + r.Intn(n-76)), D: dist()})
 		}
 	}
-	return NewIndexFromLists(lists)
+	return lists
 }
 
 // openCopy round-trips x through a PIDM file and Open, so the same

@@ -1,15 +1,14 @@
 package label
 
 import (
-	"runtime"
 	"time"
 
 	"parapll/internal/graph"
 )
 
 // explain.go is the diagnostics face of the lone-pair kernel: QueryExplain
-// runs the very loops QueryWithHub runs — the head scan, and midMin and
-// merge instantiated with the counting mode — so the counters attribute
+// runs the very function QueryWithHub runs — pair, its midMin and merge
+// instantiated with the counting mode — so the counters attribute
 // the work the serving path does, not the work of a look-alike
 // (`/debug/explain`, `parapll-query -explain`).
 
@@ -77,21 +76,11 @@ func (x *Index) QueryExplain(s, t graph.Vertex) Explain {
 		ex.TLabelLen = ex.SLabelLen
 		return ex
 	}
-	ah, ad := x.tail(s)
-	bh, bd := x.tail(t)
-	hs, ht := x.row(s), x.row(t)
-	sb, sd := x.mid(s)
-	tb, td := x.mid(t)
 	ex.SLabelLen, ex.TLabelLen = x.LabelSize(s), x.LabelSize(t)
-	ex.HeadSlots, ex.MidWords = len(hs), len(sb)
+	ex.HeadSlots, ex.MidWords = len(x.headHubs), midWords(len(x.midHubs))
 	t0 := time.Now()
-	d, hub := merge[counting](ah, ad, bh, bd, &ex)
-	md, mc := midMin[counting](sb, sd, tb, td, &ex)
-	d, hub = meet(x.midHubs, md, mc, d, hub)
-	hd, hc := rowArgMin(hs, ht)
-	ex.Dist, ex.Hub = meet(x.headHubs, hd, hc, d, hub)
+	ex.Dist, ex.Hub = query[counting](x, s, t, &ex)
 	ex.MergeNanos = time.Since(t0).Nanoseconds()
 	ex.Reachable = ex.Dist != graph.Inf
-	runtime.KeepAlive(x) // the runs and rows alias x's possibly-mmap'd arrays
 	return ex
 }

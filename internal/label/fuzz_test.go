@@ -2,6 +2,7 @@ package label
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -29,10 +30,10 @@ func seedPIDMFiles(tb testing.TB) [][]byte {
 	whole := files[len(files)-1]
 	files = append(files, whole[:8], whole[:len(whole)-1])
 	files = append(files, []byte("PIDXnope"), []byte{})
-	// The files above are version 3, the last whole one with a head
-	// column and, at three vertices, every other hub a mid column; these
-	// are the same labels as version 1 wrote them, and a file whose head
-	// is every entry it has.
+	// The files above are version 4 at 1 byte a distance, the last whole
+	// one with a head column and, at three vertices, every other hub a
+	// mid column; these are the same labels as version 1 wrote them, and
+	// a file whose head is every entry it has.
 	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 1))
 	files = append(files, pidmBytes(tb, NewIndexFromLists([][]Entry{{{Hub: 0, D: 0}, {Hub: 1, D: 2}}, {{Hub: 0, D: 2}, {Hub: 1, D: 0}}})))
 	// The middle tier's seeds: the same labels as version 2 wrote them
@@ -42,6 +43,14 @@ func seedPIDMFiles(tb testing.TB) [][]byte {
 	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 2))
 	for _, k2 := range []int{3, 65} {
 		files = append(files, pidmBytes(tb, midOnlyIndex(k2)))
+	}
+	// The widths' seeds: the same labels as version 3 wrote them, every
+	// distance 4 bytes, and with one distance that needs 2 bytes and one
+	// that needs 4.
+	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 3))
+	for _, far := range []graph.Dist{300, 70_000} {
+		lists[2][2][0].D = far
+		files = append(files, pidmBytes(tb, NewIndexFromLists(lists[2])))
 	}
 	return files
 }
@@ -61,9 +70,9 @@ func midOnlyIndex(k2 int) *Index {
 
 // FuzzOpenPIDM drives the PIDM header/section parser (the same
 // parsePIDM/checksumPIDM/slicePIDM pipeline Open runs against a mapped
-// file, of either version) with arbitrary bytes. It must never panic, and any file it
-// accepts must produce a structurally sound index: consistent label
-// rows and panic-free queries over every vertex.
+// file, of any version and distance width) with arbitrary bytes. It must
+// never panic, and any file it accepts must produce a structurally sound
+// index: consistent label rows and panic-free queries over every vertex.
 func FuzzOpenPIDM(f *testing.F) {
 	for _, data := range seedPIDMFiles(f) {
 		f.Add(data)
@@ -97,6 +106,23 @@ func FuzzOpenPIDM(f *testing.F) {
 			_ = x.QueryBatch([][2]graph.Vertex{{0, graph.Vertex(n - 1)}, {graph.Vertex(n - 1), 0}}, 1)
 		}
 	})
+}
+
+// TestFuzzSeedsCoverVersionsAndWidths: the seeds hold a sound file of
+// every version the parser reads and, of the one it writes, at every
+// distance width.
+func TestFuzzSeedsCoverVersionsAndWidths(t *testing.T) {
+	seen := map[[2]int]bool{}
+	for _, data := range seedPIDMFiles(t) {
+		if h, err := parsePIDM(data); err == nil {
+			seen[[2]int{int(binary.LittleEndian.Uint32(data[4:8])), h.width}] = true
+		}
+	}
+	for _, want := range [][2]int{{1, 4}, {2, 4}, {3, 4}, {4, 1}, {4, 2}, {4, 4}} {
+		if !seen[want] {
+			t.Errorf("no sound seed of version %d with %d-byte distances", want[0], want[1])
+		}
+	}
 }
 
 // TestRegenFuzzCorpus writes the seed PIDM files as go-fuzz corpus

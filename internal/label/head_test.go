@@ -102,7 +102,7 @@ func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.G
 				t.Fatalf("%s/%s: QueryExplain%v = (%d,%d), want (%d,%d)", name, side.name, p, ex.Dist, ex.Hub, want[i], wantHub[i])
 			}
 		}
-		for _, threads := range []int{1, 2} {
+		for _, threads := range []int{1, 2, 8} {
 			for i, d := range side.x.QueryBatch(pairs, threads) {
 				if d != want[i] {
 					t.Fatalf("%s/%s: QueryBatch(%d threads)%v = %d, want %d", name, side.name, threads, pairs[i], d, want[i])
@@ -157,11 +157,20 @@ func roundTrip(t *testing.T, name string, x *label.Index) *label.Index {
 	return opened
 }
 
-// tiersOf describes an index's two column tiers.
+// tiersOf describes an index's two column tiers and its distance width.
 func tiersOf(x *label.Index) string {
 	k, hd := x.Head()
 	k2, md := x.Mid()
-	return fmt.Sprintf("K=%d density %g, K2=%d density %g", k, hd, k2, md)
+	return fmt.Sprintf("K=%d density %g, K2=%d density %g, %d-byte distances", k, hd, k2, md, x.DistBytes())
+}
+
+// scaled returns g with every weight multiplied by factor.
+func scaled(g *graph.Graph, factor graph.Dist) *graph.Graph {
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].W *= factor
+	}
+	return graph.FromEdges(g.NumVertices(), edges)
 }
 
 // TestHeadMatchesReferenceOnRandomGraphs is the three-tier test: on
@@ -170,7 +179,9 @@ func tiersOf(x *label.Index) string {
 // answers may not), Label hands back exactly the lists the build
 // appended, sorted and deduplicated, wherever finalize put each entry —
 // and the dense head, the bitmap tier and the tail merge together answer
-// exactly as one merge over the whole labels, and as Dijkstra.
+// exactly as one merge over the whole labels, and as Dijkstra. Each graph
+// comes at three scales of its weights, which is the same labels at each
+// of the three distance widths.
 func TestHeadMatchesReferenceOnRandomGraphs(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"sparse":   gen.ErdosRenyi(130, 170, 3), // several components
@@ -179,43 +190,51 @@ func TestHeadMatchesReferenceOnRandomGraphs(t *testing.T) {
 		"grid":     gen.RoadGrid(11, 12, 260, 6),
 	}
 	threeTiers := 0
-	for gname, g := range graphs {
-		orders := map[string][]graph.Vertex{
-			"degree": order.Degree(g),
-			"psi":    order.PsiSample(g, 4, 7),
-			"random": order.Random(g, 8),
-		}
-		for oname, ord := range orders {
-			for _, threads := range []int{1, 2, 8} {
-				name := fmt.Sprintf("%s/%s/%d", gname, oname, threads)
-				store := label.NewStore(g.NumVertices())
-				core.BuildInto(g, store, core.Options{Threads: threads, Policy: core.Dynamic, Order: ord})
-				x := label.NewIndex(store)
-				var hubs []graph.Vertex
-				var dists []graph.Dist
-				for v := 0; v < g.NumVertices(); v++ {
-					hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
-					list := label.SortDedupe(store.Snapshot(graph.Vertex(v)))
-					if len(list) != len(hubs) || len(list) != x.LabelSize(graph.Vertex(v)) {
-						t.Fatalf("%s: Label(%d) has %d entries, LabelSize %d, the build appended %d", name, v, len(hubs), x.LabelSize(graph.Vertex(v)), len(list))
-					}
-					for i, e := range list {
-						if hubs[i] != e.Hub || dists[i] != e.D {
-							t.Fatalf("%s: Label(%d)[%d] = (%d,%d), the build appended (%d,%d)", name, v, i, hubs[i], dists[i], e.Hub, e.D)
+	widths := map[int]int{}
+	for gname, unit := range graphs {
+		for _, scale := range []graph.Dist{1, 300, 100_000} {
+			g := scaled(unit, scale)
+			orders := map[string][]graph.Vertex{
+				"degree": order.Degree(g),
+				"psi":    order.PsiSample(g, 4, 7),
+				"random": order.Random(g, 8),
+			}
+			for oname, ord := range orders {
+				for _, threads := range []int{1, 2, 8} {
+					name := fmt.Sprintf("%s x%d/%s/%d", gname, scale, oname, threads)
+					store := label.NewStore(g.NumVertices())
+					core.BuildInto(g, store, core.Options{Threads: threads, Policy: core.Dynamic, Order: ord})
+					x := label.NewIndex(store)
+					var hubs []graph.Vertex
+					var dists []graph.Dist
+					for v := 0; v < g.NumVertices(); v++ {
+						hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
+						list := label.SortDedupe(store.Snapshot(graph.Vertex(v)))
+						if len(list) != len(hubs) || len(list) != x.LabelSize(graph.Vertex(v)) {
+							t.Fatalf("%s: Label(%d) has %d entries, LabelSize %d, the build appended %d", name, v, len(hubs), x.LabelSize(graph.Vertex(v)), len(list))
+						}
+						for i, e := range list {
+							if hubs[i] != e.Hub || dists[i] != e.D {
+								t.Fatalf("%s: Label(%d)[%d] = (%d,%d), the build appended (%d,%d)", name, v, i, hubs[i], dists[i], e.Hub, e.D)
+							}
 						}
 					}
+					k, _ := x.Head()
+					k2, _ := x.Mid()
+					if k > 0 && k2 > 0 && tailEntries(x) > 0 {
+						threeTiers++
+					}
+					widths[x.DistBytes()]++
+					checkAgainstReference(t, name, x, g)
 				}
-				k, _ := x.Head()
-				k2, _ := x.Mid()
-				if k > 0 && k2 > 0 && tailEntries(x) > 0 {
-					threeTiers++
-				}
-				checkAgainstReference(t, name, x, g)
 			}
 		}
 	}
-	if threeTiers < 30 {
-		t.Fatalf("%d of 36 builds filled all three tiers: the kernels' meeting went mostly untested", threeTiers)
+	if threeTiers < 90 {
+		t.Fatalf("%d of 108 builds filled all three tiers: the kernels' meeting went mostly untested", threeTiers)
+	}
+	if widths[1] < 27 || widths[2] < 27 || widths[4] < 27 {
+		t.Fatalf("builds by distance width: %v; want at least 27 of the 108 at each of 1, 2 and 4 bytes", widths)
 	}
 }
 
@@ -225,6 +244,117 @@ func tailEntries(x *label.Index) int64 {
 	k, hd := x.Head()
 	k2, md := x.Mid()
 	return x.NumEntries() - int64(n*float64(k)*hd+0.5) - int64(n*float64(k2)*md+0.5)
+}
+
+// TestDistanceWidthBoundaries: the largest distance in the labels alone
+// picks the width — 1 byte while 2·dmax stays below 0xFF, 2 while it
+// stays below 0xFFFF — and on either side of both boundaries every query
+// shape answers as a merge of the []Entry lists themselves: the sum
+// 2·dmax, one below the all-ones value that marks an empty head slot,
+// is a distance; a pair whose only common hub one side lacks (all-ones +
+// finite) and a pair of vertices with no label at all (all-ones +
+// all-ones) are graph.Inf.
+func TestDistanceWidthBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		dmax  graph.Dist
+		width int
+	}{{126, 1}, {127, 1}, {128, 2}, {32766, 2}, {32767, 2}, {32768, 4}} {
+		// Hub 0 is in 80 of 96 labels (a head column), at distance dmax
+		// from vertices 10-12; hub 1 in 15 (a mid column); hubs 40 and 41
+		// in two each (tail entries); vertices 91-95 have no label.
+		lists := make([][]label.Entry, 96)
+		for v := range lists {
+			if v < 80 {
+				d := graph.Dist(v)
+				if v >= 10 && v <= 12 {
+					d = tc.dmax
+				}
+				lists[v] = append(lists[v], label.Entry{Hub: 0, D: d})
+			}
+			if v < 10 || v >= 85 && v < 90 {
+				lists[v] = append(lists[v], label.Entry{Hub: 1, D: tc.dmax - graph.Dist(v%7)})
+			}
+		}
+		lists[0] = append(lists[0], label.Entry{Hub: 40, D: 3})
+		lists[1] = append(lists[1], label.Entry{Hub: 40, D: 4})
+		lists[2] = append(lists[2], label.Entry{Hub: 41, D: 5})
+		lists[90] = append(lists[90], label.Entry{Hub: 41, D: tc.dmax})
+		x := label.NewIndexFromLists(lists)
+		name := fmt.Sprintf("dmax=%d", tc.dmax)
+		if x.DistBytes() != tc.width {
+			t.Fatalf("%s: %d-byte distances, want %d", name, x.DistBytes(), tc.width)
+		}
+		if got := tiersOf(x); !strings.HasPrefix(got, "K=1 ") || !strings.Contains(got, "K2=1 ") || tailEntries(x) != 4 {
+			t.Fatalf("%s: %s and %d tail entries, want one column each and four", name, got, tailEntries(x))
+		}
+		for _, want := range []struct {
+			s, t graph.Vertex
+			d    graph.Dist
+		}{
+			{10, 11, 2 * tc.dmax},  // head hub 0, the largest sum there is
+			{2, 90, tc.dmax + 5},   // tail hub 41
+			{85, 3, 2*tc.dmax - 4}, // mid hub 1; 85 has an empty head slot
+			{85, 20, graph.Inf},    // 85 lacks hub 0, 20 lacks hub 1
+			{91, 5, graph.Inf},     // no label on one side
+			{91, 92, graph.Inf},    // nor on the other
+		} {
+			if d, _ := label.MergeEntries(label.SortDedupe(lists[want.s]), label.SortDedupe(lists[want.t])); d != want.d {
+				t.Fatalf("%s: the lists of %d and %d merge to %d, the case was built for %d", name, want.s, want.t, d, want.d)
+			}
+			if d := x.Query(want.s, want.t); d != want.d {
+				t.Fatalf("%s: Query(%d,%d) = %d, want %d", name, want.s, want.t, d, want.d)
+			}
+		}
+		var hubs []graph.Vertex
+		var dists []graph.Dist
+		for v, list := range lists {
+			hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
+			for i, e := range label.SortDedupe(list) {
+				if i >= len(hubs) || hubs[i] != e.Hub || dists[i] != e.D {
+					t.Fatalf("%s: Label(%d) = %v %v, the list was %v", name, v, hubs, dists, list)
+				}
+			}
+		}
+		checkAgainstReference(t, name, x, nil)
+	}
+}
+
+// TestFlatOfANarrowIndex: Flat is the one layout whose Label hands out
+// the stored runs, which are []graph.Dist, so it keeps 4-byte distances
+// whatever the labels hold — of a tiered index and of one that has no
+// column to lose, which at a narrow width is not its own Flat.
+func TestFlatOfANarrowIndex(t *testing.T) {
+	uniform := make([][]label.Entry, 640) // every hub in one label in 64: no column
+	for v := range uniform {
+		for j := 0; j < 10; j++ {
+			uniform[v] = append(uniform[v], label.Entry{Hub: graph.Vertex((v + 64*j) % 640), D: graph.Dist(1 + j)})
+		}
+	}
+	for name, x := range map[string]*label.Index{
+		"tiered":     core.Build(gen.ChungLu(300, 1200, 2.2, 13), core.Options{Threads: 1}),
+		"no columns": label.NewIndexFromLists(uniform),
+	} {
+		flat := x.Flat()
+		k, _ := flat.Head()
+		k2, _ := flat.Mid()
+		if x.DistBytes() != 1 || flat.DistBytes() != 4 || k+k2 != 0 || !flat.Equal(x) {
+			t.Fatalf("%s: %d-byte distances, Flat has %d-byte ones and %d columns, Equal %v; want 1, 4, 0, true", name, x.DistBytes(), flat.DistBytes(), k+k2, flat.Equal(x))
+		}
+		if flat.Flat() != flat {
+			t.Fatalf("%s: Flat of a flat index is another index", name)
+		}
+		buf := make([]graph.Dist, 0, 64)
+		for v := 0; v < x.NumVertices(); v++ {
+			_, mine := flat.Label(graph.Vertex(v), nil, buf)
+			_, again := flat.Label(graph.Vertex(v), nil, nil)
+			if len(mine) > 0 && (&mine[0] != &again[0] || &mine[0] == &buf[:1][0]) {
+				t.Fatalf("%s: Label(%d) of the flat index copies the run it could alias", name, v)
+			}
+			if _, copied := x.Label(graph.Vertex(v), nil, buf); len(copied) > 0 && &copied[0] != &buf[:1][0] {
+				t.Fatalf("%s: Label(%d) of the narrow index did not widen into the caller's buffer", name, v)
+			}
+		}
+	}
 }
 
 // lists96 builds 96 labels around three hubs: a in every label (a head
@@ -463,13 +593,18 @@ func TestLabelCountsIncludeTheHead(t *testing.T) {
 	if fmt.Sprint(xs, xc) != fmt.Sprint(fs, fc) {
 		t.Fatalf("histogram %v %v with the tiers, %v %v without", xs, xc, fs, fc)
 	}
-	// Offsets are the same size either way. Each head entry is 4 bytes
-	// where it was 8, each empty head slot 4 where it was nothing; each
-	// mid entry is 4 bytes where it was 8, and the tier costs a bitmap,
-	// a second offset array and its column ids.
+	// Offsets are the same size either way, and Flat keeps every distance
+	// at 4 bytes. With w bytes a distance, each head entry is w bytes
+	// where it was 8, each empty head slot w where it was nothing, each
+	// tail entry 4+w; each mid entry is w bytes where it was 4+w, and the
+	// tier costs a bitmap, a second offset array and its column ids.
+	w := int64(x.DistBytes())
+	if w == 4 || headOnly.DistBytes() != int(w) || flat.DistBytes() != 4 {
+		t.Fatalf("distances are %d bytes tiered, %d with a head alone, %d flat; want the same narrow width twice, then 4", w, headOnly.DistBytes(), flat.DistBytes())
+	}
 	held := int64(float64(n*k)*density + 0.5)
 	midHeld := int64(float64(n*k2)*midDensity + 0.5)
-	wantHead := flat.MemoryBytes() - 8*held + 4*n*int64(k) + 4*int64(k)
+	wantHead := flat.MemoryBytes() - 8*held - (4-w)*(x.NumEntries()-held) + w*n*int64(k) + 4*int64(k)
 	if got := headOnly.MemoryBytes(); got != wantHead {
 		t.Fatalf("MemoryBytes = %d with a head alone, want %d (flat %d, K=%d, %d head entries)", got, wantHead, flat.MemoryBytes(), k, held)
 	}

@@ -22,10 +22,10 @@ import (
 // The head is a dense n × K matrix of distances, one column per head hub:
 // a hub that appears in more than half the labels (PLL's first roots
 // reach almost every vertex) costs 4 bytes a vertex as a column and 8 an
-// appearance as a (hub, distance) pair, so exactly those hubs become
-// columns. A vertex that lacks a head hub holds graph.Inf in its slot,
-// and the head's share of a query is one branch-free pass over two
-// contiguous rows (rowMin).
+// appearance as a (hub, distance) pair, at 4 bytes a distance, so exactly
+// those hubs become columns. A vertex that lacks a head hub holds the
+// all-ones value of the distance width in its slot, and the head's share
+// of a query is one branch-free pass over two contiguous rows (rowMin).
 //
 // The middle tier is a bitmap: a hub in more than n/32 labels (and not
 // in the head) becomes bit column c of an n × W matrix of 64-bit words,
@@ -40,8 +40,21 @@ import (
 // a merge-intersection of two sorted runs (merge.go). No tail entry
 // names a head or mid hub.
 //
+// All three tiers store distances at one width, which finalize picks
+// from the largest distance dmax any label holds: 1 byte if 2·dmax <
+// 0xFF, else 2 if 2·dmax < 0xFFFF, else 4. The factor 2 is the whole
+// correctness argument: the width's all-ones value marks an absent head
+// slot, the sum over a hub both vertices hold is at most 2·dmax, below
+// it, and a sum with an absent slot is at least it. So the kernels keep
+// their branch-free 64-bit sums and only map a minimum at or above the
+// all-ones value to graph.Inf at the end (clamp); at 4 bytes that value
+// is graph.Inf and this is saturating addition. One width per index, not
+// per tier or per vertex: a sum crosses two labels and needs one
+// sentinel on both sides.
+//
 // Invariant: every hub id is a vertex of the index, 0 <= hub <
-// NumVertices(), and every stored distance is below graph.Inf. finalize
+// NumVertices(), and every stored distance is at most what its width
+// admits (maxDist), which is below graph.Inf. finalize
 // (NewIndex, NewIndexFromLists) panics on a list that breaks it and the
 // stream readers reject such a file, each while making the passes over
 // the entries it makes anyway. Open does not look at the entries — that
@@ -70,19 +83,23 @@ import (
 // this package that retains the slices returned by Label must keep the
 // Index reachable the same way for as long as it reads them.
 type Index struct {
-	off   []int64        // len n+1: tail run of v is [off[v], off[v+1])
-	hubs  []graph.Vertex // tail, flat, sorted by hub within each vertex run
-	dists []graph.Dist
+	off  []int64        // len n+1: tail run of v is [off[v], off[v+1])
+	hubs []graph.Vertex // tail, flat, sorted by hub within each vertex run
 
 	headHubs []graph.Vertex // the K head hubs, ascending
-	head     []graph.Dist   // n × K row-major: head[v*K+c] = d(headHubs[c], v), or graph.Inf
 
-	midHubs  []graph.Vertex // the K2 mid hubs, ascending
-	midBits  []uint64       // n × W row-major, W = ceil(K2/64): bit c of row v set iff midHubs[c] ∈ L(v)
-	midOff   []int64        // len n+1, nil when K2 = 0: mid run of v is midDists[midOff[v]:midOff[v+1]]
-	midDists []graph.Dist   // the distances of the set bits, row by row in column order
+	midHubs []graph.Vertex // the K2 mid hubs, ascending
+	midBits []uint64       // n × W row-major, W = ceil(K2/64): bit c of row v set iff midHubs[c] ∈ L(v)
+	midOff  []int64        // len n+1, nil when K2 = 0: mid run of v is midDists[midOff[v]:midOff[v+1]]
+
+	// The distances, in the one of the three whose width is w bytes.
+	w   int
+	a8  arrays[uint8]
+	a16 arrays[uint16]
+	a32 arrays[graph.Dist]
 
 	total int64 // label entries: finite head slots + set mid bits + tail entries
+	mids  int64 // of them mid entries: len(midDists)
 
 	format string   // Format* constant; "" means FormatMemory
 	mm     *mapping // non-nil when the arrays alias a file (see Open)
@@ -91,6 +108,35 @@ type Index struct {
 	// sync.Pool, so it holds about one per concurrently running worker
 	// and the collector takes back what a quiet period leaves idle.
 	scratch sync.Pool
+}
+
+// distance is the set of types a stored distance has.
+type distance interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// arrays holds an index's distances at width D.
+type arrays[D distance] struct {
+	head     []D // n × K row-major: head[v*K+c] = d(headHubs[c], v), or ^D(0)
+	midDists []D // the distances of the set mid bits, row by row in column order
+	dists    []D // tail, beside hubs
+}
+
+// maxDist is the largest distance an index of width D stores: no sum of
+// two reaches the all-ones value — but at 4 bytes, where that is
+// graph.Inf and such a sum is unreachable by definition, all below it.
+func maxDist[D distance]() uint64 {
+	if ones := uint64(^D(0)); ones < uint64(graph.Inf) {
+		return (ones - 1) / 2
+	}
+	return uint64(graph.Inf) - 1
+}
+
+// clamp turns a kernel's 64-bit minimum into its answer: at or above the
+// all-ones value of the width it met an absent slot, or nothing at all.
+func clamp[D distance](best uint64) graph.Dist {
+	if best >= uint64(^D(0)) {
+		return graph.Inf
+	}
+	return graph.Dist(best)
 }
 
 // Format reports where this index came from: FormatMemory for indexes
@@ -140,10 +186,11 @@ func NewIndexFromLists(lists [][]Entry) *Index {
 }
 
 // Flat returns an index over the same labels with every entry in the
-// tail — x itself when it has neither head nor middle tier. It is for
-// callers that merge a label of one index against a label of another
-// (directed's L_out(s) ∩ L_in(t)), which two sets of columns cannot
-// serve, and it is the baseline the tiers are measured against.
+// tail and every distance at 4 bytes, so that Label returns the stored
+// runs — x itself when it is such an index. It is for callers that merge
+// a label of one index against a label of another (directed's L_out(s) ∩
+// L_in(t)), which two sets of columns or two widths cannot serve, and it
+// is the baseline the tiers are measured against.
 func (x *Index) Flat() *Index { return x.relayout(tailOnly) }
 
 // HeadOnly returns an index over the same labels with a head and no
@@ -151,9 +198,15 @@ func (x *Index) Flat() *Index { return x.relayout(tailOnly) }
 // (BenchmarkQueryKernel's -nomid rows).
 func (x *Index) HeadOnly() *Index { return x.relayout(headAndTail) }
 
+// Wide returns an index over the same labels in all three tiers with
+// 4-byte distances whatever they are: the baseline the narrow widths are
+// measured against (BenchmarkQueryKernel's -wide rows), and the arrays
+// every PIDM version before 4 stored.
+func (x *Index) Wide() *Index { return x.relayout(allTiersWide) }
+
 // relayout finalizes x's labels again under another choice of tiers.
 func (x *Index) relayout(use tiers) *Index {
-	if use == tailOnly && len(x.headHubs) == 0 && len(x.midHubs) == 0 {
+	if use == tailOnly && len(x.headHubs) == 0 && len(x.midHubs) == 0 && x.w == 4 {
 		return x
 	}
 	var hubs []graph.Vertex
@@ -171,32 +224,32 @@ func (x *Index) relayout(use tiers) *Index {
 	return y
 }
 
-// tiers says which of the two column tiers finalize may fill. Every
-// index a build or a reader produces has allTiers; the others exist for
-// Flat and HeadOnly.
+// tiers says which of the two column tiers finalize may fill, and
+// whether it may narrow the distances. Every index a build or a reader
+// produces has allTiers; the others exist for Flat, HeadOnly and Wide.
 type tiers int
 
 const (
-	tailOnly tiers = iota
+	tailOnly tiers = iota // at 4 bytes: Label aliases the runs
 	headAndTail
 	allTiers
+	allTiersWide // at 4 bytes
 )
 
 // finalize streams n label lists into the arrays in two passes. The
 // first counts the labels each hub appears in (a duplicate within one
-// list once), which fixes the columns — every hub in more than n/2
-// labels goes to the head, every other hub in more than n/32 to the
-// middle tier, as far as use allows — and the exact size of every array.
-// The second copies each list into one reused scratch buffer, sorts and
-// deduplicates it there and deals its entries to the head row, the
-// bitmap row and its packed run, or the tail run, so beside the source
-// lists only the result is ever live. A hub outside [0,n) or a distance
-// of graph.Inf is a builder's bug and panics (the Index invariant).
-// list(v) may reuse its result's storage between calls.
+// list once) and takes the largest distance, which fixes the columns —
+// every hub in more than n/2 labels goes to the head, every other hub in
+// more than n/32 to the middle tier, as far as use allows — the exact
+// size of every array and the width of a distance (see Index). The
+// second is deal. A hub outside [0,n) or a distance of graph.Inf is a
+// builder's bug and panics (the Index invariant). list(v) may reuse its
+// result's storage between calls.
 func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 	count := make([]int32, n) // labels holding the hub
 	seen := make([]int32, n)  // seen[h] == v+1: h already counted for v
 	var total int64
+	var dmax graph.Dist
 	for v := 0; v < n; v++ {
 		mark := int32(v + 1)
 		for _, e := range list(v) {
@@ -206,6 +259,7 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 			if e.D == graph.Inf {
 				panic(fmt.Sprintf("label: vertex %d has an infinite distance to hub %d", v, e.Hub))
 			}
+			dmax = max(dmax, e.D)
 			if seen[e.Hub] != mark {
 				seen[e.Hub] = mark
 				count[e.Hub]++
@@ -216,7 +270,7 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 	// slot[h] is where h's entries go: its head column c as c, its mid
 	// column c as -2-c, -1 for the tail; it takes over seen.
 	idx := &Index{off: make([]int64, n+1), total: total}
-	slot, tail, mid := seen, total, int64(0)
+	slot, tail := seen, total
 	for h := range slot {
 		slot[h] = -1
 		switch c := int64(count[h]); {
@@ -224,29 +278,49 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 			slot[h] = int32(len(idx.headHubs))
 			idx.headHubs = append(idx.headHubs, graph.Vertex(h))
 			tail -= c
-		case use == allTiers && 32*c > int64(n):
+		case use >= allTiers && 32*c > int64(n):
 			slot[h] = int32(-2 - len(idx.midHubs))
 			idx.midHubs = append(idx.midHubs, graph.Vertex(h))
 			tail -= c
-			mid += c
+			idx.mids += c
 		}
 	}
-	k, w := len(idx.headHubs), midWords(len(idx.midHubs))
-	idx.head = make([]graph.Dist, n*k)
 	idx.hubs = make([]graph.Vertex, tail)
-	idx.dists = make([]graph.Dist, tail)
-	if w > 0 {
+	if w := midWords(len(idx.midHubs)); w > 0 {
 		idx.midBits = make([]uint64, n*w)
 		idx.midOff = make([]int64, n+1)
-		idx.midDists = make([]graph.Dist, mid)
 	}
+	switch {
+	case use == tailOnly || use == allTiersWide || uint64(dmax) > maxDist[uint16]():
+		idx.w = 4
+		deal(idx, &idx.a32, list, slot)
+	case uint64(dmax) > maxDist[uint8]():
+		idx.w = 2
+		deal(idx, &idx.a16, list, slot)
+	default:
+		idx.w = 1
+		deal(idx, &idx.a8, list, slot)
+	}
+	return idx
+}
+
+// deal is finalize's second pass, at the width its first one chose: it
+// copies each list into one reused scratch buffer, sorts and
+// deduplicates it there and deals its entries to the head row, the
+// bitmap row and its packed run, or the tail run, so beside the source
+// lists only the result is ever live.
+func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot []int32) {
+	n, k, w := idx.NumVertices(), len(idx.headHubs), midWords(len(idx.midHubs))
+	a.head = make([]D, n*k)
+	a.midDists = make([]D, idx.mids)
+	a.dists = make([]D, len(idx.hubs))
 	var scratch []Entry
 	pos, mpos := 0, 0
 	for v := 0; v < n; v++ {
 		scratch = append(scratch[:0], list(v)...)
-		row := idx.head[v*k:][:k]
+		row := a.head[v*k:][:k]
 		for c := range row {
-			row[c] = graph.Inf
+			row[c] = ^D(0)
 		}
 		words := idx.midBits[v*w:][:w]
 		// Entries come in hub order and columns were numbered in hub
@@ -254,14 +328,14 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 		for _, e := range sortDedupe(scratch) {
 			switch c := slot[e.Hub]; {
 			case c >= 0:
-				row[c] = e.D
+				row[c] = D(e.D)
 			case c == -1:
-				idx.hubs[pos], idx.dists[pos] = e.Hub, e.D
+				idx.hubs[pos], a.dists[pos] = e.Hub, D(e.D)
 				pos++
 			default:
 				c = -2 - c
 				words[c>>6] |= 1 << uint(c&63)
-				idx.midDists[mpos] = e.D
+				a.midDists[mpos] = D(e.D)
 				mpos++
 			}
 		}
@@ -270,7 +344,6 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 			idx.midOff[v+1] = int64(mpos)
 		}
 	}
-	return idx
 }
 
 // midWords returns W, the 64-bit words in one bitmap row of k2 columns.
@@ -348,10 +421,10 @@ func (x *Index) AvgLabelSize() float64 {
 // head slots that hold an entry (0 when K is 0).
 func (x *Index) Head() (k int, density float64) {
 	k = len(x.headHubs)
-	if len(x.head) == 0 {
-		return k, 0
+	if slots := x.NumVertices() * k; slots != 0 {
+		density = float64(x.total-int64(len(x.hubs))-x.mids) / float64(slots)
 	}
-	return k, float64(x.total-int64(len(x.hubs)+len(x.midDists))) / float64(len(x.head))
+	return k, density
 }
 
 // Mid returns the number of bitmap columns K2 and the share of the
@@ -361,24 +434,40 @@ func (x *Index) Mid() (k2 int, density float64) {
 	if k2 == 0 || x.NumVertices() == 0 {
 		return k2, 0
 	}
-	return k2, float64(len(x.midDists)) / (float64(x.NumVertices()) * float64(k2))
+	return k2, float64(x.mids) / (float64(x.NumVertices()) * float64(k2))
 }
+
+// DistBytes returns the width of a stored distance: 1, 2 or 4 bytes,
+// fixed by the largest distance in the labels (see Index).
+func (x *Index) DistBytes() int { return x.w }
 
 // MemoryBytes returns the in-memory footprint of the index's arrays
 // (offsets, tail hubs and distances, head, bitmap and packed mid
 // distances). The paper reports this linear-in-(n·LN) quantity peaking
 // at 2.2 GB in its evaluation.
 func (x *Index) MemoryBytes() int64 {
+	slots := int64(x.NumVertices()) * int64(len(x.headHubs))
 	return int64(len(x.off)+len(x.midOff)+len(x.midBits))*8 +
-		int64(len(x.hubs)+len(x.dists)+len(x.headHubs)+len(x.head)+len(x.midHubs)+len(x.midDists))*4
+		int64(len(x.hubs)+len(x.headHubs)+len(x.midHubs))*4 +
+		(slots+x.mids+int64(len(x.hubs)))*int64(x.w)
 }
 
 // LabelSize returns |L(v)|.
 func (x *Index) LabelSize(v graph.Vertex) int {
-	_, md := x.mid(v)
+	switch x.w {
+	case 1:
+		return labelSize(x, &x.a8, v)
+	case 2:
+		return labelSize(x, &x.a16, v)
+	}
+	return labelSize(x, &x.a32, v)
+}
+
+func labelSize[D distance](x *Index, a *arrays[D], v graph.Vertex) int {
+	_, md := mid(x, a, v)
 	size := int(x.off[v+1]-x.off[v]) + len(md)
-	for _, d := range x.row(v) {
-		if d != graph.Inf {
+	for _, d := range row(x, a, v) {
+		if d != ^D(0) {
 			size++
 		}
 	}
@@ -387,52 +476,64 @@ func (x *Index) LabelSize(v graph.Vertex) int {
 }
 
 // Label returns v's entries, hub-sorted. An index with every entry in
-// the tail returns its stored run; otherwise the bitmap row's entries and
-// the tail run are interleaved into hubs[:0] and dists[:0], which a
-// caller walking many labels passes back in to reuse, and the head row's
-// are merged in from the back. Either way the result is read-only, and
-// for a possibly mmap-backed index the caller must keep x reachable
-// (runtime.KeepAlive) for as long as it reads it — see the Index
-// memory-model comment.
+// the tail at 4 bytes (Flat) returns its stored run; otherwise the bitmap
+// row's entries and the tail run are interleaved into hubs[:0] and
+// dists[:0], which a caller walking many labels passes back in to reuse,
+// and the head row's are merged in from the back. Either way the result
+// is read-only, and for a possibly mmap-backed index the caller must keep
+// x reachable (runtime.KeepAlive) for as long as it reads it — see the
+// Index memory-model comment.
 func (x *Index) Label(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
-	th, td := x.tail(v)
-	if len(x.headHubs) == 0 && len(x.midHubs) == 0 {
-		return th, td
+	switch {
+	case x.w == 1:
+		return label(x, &x.a8, v, hubs, dists)
+	case x.w == 2:
+		return label(x, &x.a16, v, hubs, dists)
+	case len(x.headHubs) == 0 && len(x.midHubs) == 0:
+		return tail(x, &x.a32, v)
 	}
+	return label(x, &x.a32, v, hubs, dists)
+}
+
+func label[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
+	th, td := tail(x, a, v)
 	hubs, dists = hubs[:0], dists[:0]
-	words, md := x.mid(v)
+	words, md := mid(x, a, v)
 	j, rank := 0, 0
 	for w, word := range words {
 		for ; word != 0; word &= word - 1 {
 			h := x.midHubs[w<<6+bits.TrailingZeros64(word)]
 			for ; j < len(th) && th[j] < h; j++ {
-				hubs, dists = append(hubs, th[j]), append(dists, td[j])
+				hubs, dists = append(hubs, th[j]), append(dists, graph.Dist(td[j]))
 			}
-			hubs, dists = append(hubs, h), append(dists, md[rank])
+			hubs, dists = append(hubs, h), append(dists, graph.Dist(md[rank]))
 			rank++
 		}
 	}
-	hubs, dists = append(hubs, th[j:]...), append(dists, td[j:]...)
+	hubs = append(hubs, th[j:]...)
+	for _, d := range td[j:] {
+		dists = append(dists, graph.Dist(d))
+	}
 
-	row := x.row(v)
+	hr := row(x, a, v)
 	held := 0
-	for _, d := range row {
-		if d != graph.Inf {
+	for _, d := range hr {
+		if d != ^D(0) {
 			held++
 		}
 	}
 	i := len(hubs) - 1 // last entry not yet moved to its final place
 	hubs, dists = append(hubs, make([]graph.Vertex, held)...), append(dists, make([]graph.Dist, held)...)
 	// o is the slot to fill next; o - i head entries are still to place.
-	for c, o := len(row)-1, len(hubs)-1; o > i; c-- {
-		if row[c] == graph.Inf {
+	for c, o := len(hr)-1, len(hubs)-1; o > i; c-- {
+		if hr[c] == ^D(0) {
 			continue
 		}
 		h := x.headHubs[c]
 		for ; i >= 0 && hubs[i] > h; i, o = i-1, o-1 {
 			hubs[o], dists[o] = hubs[i], dists[i]
 		}
-		hubs[o], dists[o] = h, row[c]
+		hubs[o], dists[o] = h, graph.Dist(hr[c])
 		o--
 	}
 	runtime.KeepAlive(x)
@@ -464,52 +565,51 @@ func checkPairSlow(s, t graph.Vertex, n int) {
 	}
 }
 
-// tail cuts v's tail run out of the flat arrays; with row, the ramp
-// every query shape shares, small enough to inline into each. The pin
-// here covers the offset reads only: the returned slices alias x's
+// tail cuts v's tail run out of the flat arrays; with row and mid, the
+// ramp every query shape shares, small enough to inline into each. The
+// pin here covers the offset reads only: the returned slices alias x's
 // possibly-mmap'd arrays, so the caller pins x again after its last
 // read of them (the same contract as Label).
-func (x *Index) tail(v graph.Vertex) ([]graph.Vertex, []graph.Dist) {
+func tail[D distance](x *Index, a *arrays[D], v graph.Vertex) ([]graph.Vertex, []D) {
 	lo, hi := x.off[v], x.off[v+1]
 	runtime.KeepAlive(x)
-	return x.hubs[lo:hi], x.dists[lo:hi]
+	return x.hubs[lo:hi], a.dists[lo:hi]
 }
 
 // row cuts v's head row: K distances, zero-length when the index has no
 // head. It reads no element, so it pins nothing; the caller pins x after
 // its last read of the row, as for tail.
-func (x *Index) row(v graph.Vertex) []graph.Dist {
+func row[D distance](x *Index, a *arrays[D], v graph.Vertex) []D {
 	k := len(x.headHubs)
-	return x.head[int(v)*k:][:k]
+	return a.head[int(v)*k:][:k]
 }
 
 // mid cuts v's bitmap row — W words — and the packed distances of its
 // set bits, both zero-length when the index has no middle tier. As with
 // tail, the pin covers the offset reads only.
-func (x *Index) mid(v graph.Vertex) ([]uint64, []graph.Dist) {
+func mid[D distance](x *Index, a *arrays[D], v graph.Vertex) ([]uint64, []D) {
 	w := midWords(len(x.midHubs))
 	if w == 0 {
 		return nil, nil
 	}
 	lo, hi := x.midOff[v], x.midOff[v+1]
 	runtime.KeepAlive(x)
-	return x.midBits[int(v)*w:][:w], x.midDists[lo:hi]
+	return x.midBits[int(v)*w:][:w], a.midDists[lo:hi]
 }
 
 // rowMin is the head's share of QUERY(s,t,L): min over c of a[c] + b[c]
-// for two head rows, saturating at graph.Inf. The sum is taken in 64
-// bits, which makes it the AddDist minimum: a slot either vertex lacks
-// holds Inf and contributes at least Inf, as does any sum AddDist would
-// have saturated (minOver's argument, batch.go). The loop has no
-// data-dependent branch — min compiles to a conditional move — and no
-// hub ids to compare: the columns line up by construction. Two
-// accumulators, because with contiguous loads the one chain of compare
-// and conditional move is what a single one waits on: 235 -> 185 ns at
-// K = 210 (minOver's loads are gathers, and there a second one bought
-// nothing).
-func rowMin(a, b []graph.Dist) graph.Dist {
+// for two head rows, graph.Inf when no column is held by both. The sum
+// is taken in 64 bits and clamped once at the end (see Index): a slot
+// either vertex lacks holds the all-ones value and contributes at least
+// that. The loop has no data-dependent branch — min compiles to a
+// conditional move — and no hub ids to compare: the columns line up by
+// construction. Two accumulators, because with contiguous loads the one
+// chain of compare and conditional move is what a single one waits on:
+// 235 -> 185 ns at K = 210 (minOver's loads are gathers, and there a
+// second one bought nothing).
+func rowMin[D distance](a, b []D) graph.Dist {
 	b = b[:len(a)]
-	even, odd := uint64(graph.Inf), uint64(graph.Inf)
+	even, odd := uint64(^D(0)), uint64(^D(0))
 	c := 0
 	for ; c+1 < len(a); c += 2 {
 		even = min(even, uint64(a[c])+uint64(b[c]))
@@ -518,20 +618,20 @@ func rowMin(a, b []graph.Dist) graph.Dist {
 	if c < len(a) {
 		even = min(even, uint64(a[c])+uint64(b[c]))
 	}
-	return graph.Dist(min(even, odd))
+	return clamp[D](min(even, odd))
 }
 
 // rowArgMin is rowMin that also reports the first column achieving the
 // minimum, -1 when it is graph.Inf.
-func rowArgMin(a, b []graph.Dist) (graph.Dist, int) {
+func rowArgMin[D distance](a, b []D) (graph.Dist, int) {
 	b = b[:len(a)]
-	best, col := uint64(graph.Inf), -1
+	best, col := uint64(^D(0)), -1
 	for c, d := range a {
 		if sum := uint64(d) + uint64(b[c]); sum < best {
 			best, col = sum, c
 		}
 	}
-	return graph.Dist(best), col
+	return clamp[D](best), col
 }
 
 // meet folds a column tier's answer — a distance and the column of cols
@@ -560,14 +660,7 @@ func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 	if s == t {
 		return 0
 	}
-	ah, ad := x.tail(s)
-	bh, bd := x.tail(t)
-	d, _ := merge[distOnly](ah, ad, bh, bd, nil)
-	sb, sd := x.mid(s)
-	tb, td := x.mid(t)
-	md, _ := midMin[distOnly](sb, sd, tb, td, nil)
-	d = min(d, md, rowMin(x.row(s), x.row(t)))
-	runtime.KeepAlive(x) // the three kernels read slices aliasing x's mapping
+	d, _ := query[distOnly](x, s, t, nil)
 	return d
 }
 
@@ -581,16 +674,41 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	if s == t {
 		return 0, s
 	}
-	ah, ad := x.tail(s)
-	bh, bd := x.tail(t)
-	d, hub := merge[withHub](ah, ad, bh, bd, nil)
-	sb, sd := x.mid(s)
-	tb, td := x.mid(t)
-	md, mc := midMin[withHub](sb, sd, tb, td, nil)
-	d, hub = meet(x.midHubs, md, mc, d, hub)
-	hd, hc := rowArgMin(x.row(s), x.row(t))
-	d, hub = meet(x.headHubs, hd, hc, d, hub)
-	runtime.KeepAlive(x)
+	return query[withHub](x, s, t, nil)
+}
+
+// query answers one pair of distinct vertices in mode M: the one place a
+// lone pair is dispatched on the index's distance width.
+func query[M mode](x *Index, s, t graph.Vertex, ex *Explain) (graph.Dist, graph.Vertex) {
+	switch x.w {
+	case 1:
+		return pair[M](x, &x.a8, s, t, ex)
+	case 2:
+		return pair[M](x, &x.a16, s, t, ex)
+	}
+	return pair[M](x, &x.a32, s, t, ex)
+}
+
+// pair is QUERY(s,t,L) over the three tiers: the merge of the two tails,
+// the rank scan of the two bitmap rows and the scan of the two head
+// rows, and between equal distances the smaller hub id (meet). ex is
+// written only under counting and may be nil otherwise.
+func pair[M mode, D distance](x *Index, a *arrays[D], s, t graph.Vertex, ex *Explain) (graph.Dist, graph.Vertex) {
+	var m M
+	ah, ad := tail(x, a, s)
+	bh, bd := tail(x, a, t)
+	d, hub := merge[M](ah, ad, bh, bd, ex)
+	sb, sd := mid(x, a, s)
+	tb, td := mid(x, a, t)
+	md, mc := midMin[M](sb, sd, tb, td, ex)
+	if len(m) == 0 {
+		d = min(d, md, rowMin(row(x, a, s), row(x, a, t)))
+	} else {
+		d, hub = meet(x.midHubs, md, mc, d, hub)
+		hd, hc := rowArgMin(row(x, a, s), row(x, a, t))
+		d, hub = meet(x.headHubs, hd, hc, d, hub)
+	}
+	runtime.KeepAlive(x) // the three kernels read slices aliasing x's mapping
 	return d, hub
 }
 

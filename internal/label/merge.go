@@ -57,9 +57,10 @@ type (
 // and — from withHub up — the hub achieving it (graph.Inf, -1 when the
 // runs intersect nowhere; -1 always under distOnly). Both runs must be
 // strictly increasing in hub id — the Index invariant established by
-// finalize and the readers. ex is written only under counting and may
-// be nil otherwise.
-func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []graph.Dist, ex *Explain) (graph.Dist, graph.Vertex) {
+// finalize and the readers. Sums are taken in 64 bits and clamped at the
+// end, like every kernel's (see Index). ex is written only under
+// counting and may be nil otherwise.
+func merge[M mode, D distance](ah []graph.Vertex, ad []D, bh []graph.Vertex, bd []D, ex *Explain) (graph.Dist, graph.Vertex) {
 	var m M
 	// Intersection is symmetric: put the shorter run first so the
 	// gallop always iterates the short side.
@@ -70,7 +71,7 @@ func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []g
 			ex.Swapped = true
 		}
 	}
-	best := graph.Inf
+	best := uint64(^D(0))
 	hub := graph.Vertex(-1)
 	na, nb := len(ah), len(bh)
 	switch {
@@ -127,7 +128,7 @@ func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []g
 				if len(m) == 2 {
 					ex.CommonHubs++
 				}
-				if d := graph.AddDist(ad[i], bd[j]); d < best {
+				if d := uint64(ad[i]) + uint64(bd[j]); d < best {
 					best = d
 					if len(m) >= 1 {
 						hub = target
@@ -186,7 +187,7 @@ func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []g
 					ex.CommonHubs++
 					ex.LinearSteps += 2
 				}
-				if d := graph.AddDist(ad[i], bd[j]); d < best {
+				if d := uint64(ad[i]) + uint64(bd[j]); d < best {
 					best = d
 					if len(m) >= 1 {
 						hub = a
@@ -207,7 +208,7 @@ func merge[M mode](ah []graph.Vertex, ad []graph.Dist, bh []graph.Vertex, bd []g
 			}
 		}
 	}
-	return best, hub
+	return clamp[D](best), hub
 }
 
 // MergeRuns is the kernel for callers that hold their own hub-sorted

@@ -22,16 +22,16 @@ import (
 // index that is 13 words and ~20 common columns a pair where the merge
 // made ~250 three-way compares over the same entries.
 //
-// The sum is taken in 64 bits, as in rowMin. Both runs are indexed
-// bounds-checked, which is the kernel's whole defence against a damaged
-// file: a row with more set bits than its run has entries cannot read
-// past the run. Like merge it pins nothing; callers keep the owner of
-// mapping-aliased rows reachable across the call. ex is written only
+// The sum is taken in 64 bits and clamped, as in rowMin. Both runs are
+// indexed bounds-checked, which is the kernel's whole defence against a
+// damaged file: a row with more set bits than its run has entries cannot
+// read past the run. Like merge it pins nothing; callers keep the owner
+// of mapping-aliased rows reachable across the call. ex is written only
 // under counting and may be nil otherwise.
-func midMin[M mode](ab []uint64, ad []graph.Dist, bb []uint64, bd []graph.Dist, ex *Explain) (graph.Dist, int) {
+func midMin[M mode, D distance](ab []uint64, ad []D, bb []uint64, bd []D, ex *Explain) (graph.Dist, int) {
 	var m M
 	bb = bb[:len(ab)]
-	best, col := uint64(graph.Inf), -1
+	best, col := uint64(^D(0)), -1
 	ra, rb := 0, 0 // set bits in the words before w, per row
 	for w, a := range ab {
 		b := bb[w]
@@ -50,5 +50,5 @@ func midMin[M mode](ab []uint64, ad []graph.Dist, bb []uint64, bd []graph.Dist, 
 		ra += bits.OnesCount64(a)
 		rb += bits.OnesCount64(b)
 	}
-	return graph.Dist(best), col
+	return clamp[D](best), col
 }

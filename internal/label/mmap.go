@@ -23,23 +23,25 @@ import (
 // of the index in memory. The label array IS the product artifact; the
 // file IS the serving state.
 //
-// Version 3 layout (all integers little-endian), what WriteMmap emits:
+// Version 4 layout (all integers little-endian), what WriteMmap emits:
 //
 //	[0:4)     magic "PIDM"
-//	[4:8)     version (3)
+//	[4:8)     version (4)
 //	[8:16)    n       — vertex count
-//	[16:24)   total   — label entries: finite head slots + set mid bits + tail entries
+//	[16:24)   total   — label entries: held head slots + set mid bits + tail entries
 //	[24:32)   tail    — tail entries
 //	[32:40)   K       — head columns
 //	[40:48)   K2      — mid (bitmap) columns; W = ceil(K2/64) words a row
 //	[48:56)   mid     — mid entries: set bits, packed distances
-//	[56:128)  byte offsets of the nine sections, in file order:
+//	[56:64)   width   — bytes a stored distance: 1, 2 or 4 (see Index); an
+//	          empty head slot holds the width's all-ones value
+//	[64:136)  byte offsets of the nine sections, in file order:
 //	          off ((n+1) × int64), midOff ((n+1) × int64, empty when K2 = 0),
 //	          headHubs (K × int32), midHubs (K2 × int32),
-//	          head (n·K × uint32), midBits (n·W × uint64), midDists (mid × uint32),
-//	          hubs (tail × int32), dists (tail × uint32)
-//	[128:164) CRC32 (IEEE) of each section, same order
-//	[164:188) zero
+//	          head (n·K × width), midBits (n·W × uint64), midDists (mid × width),
+//	          hubs (tail × int32), dists (tail × width)
+//	[136:172) CRC32 (IEEE) of each section, same order
+//	[172:188) zero
 //	[188:192) CRC32 of header bytes [0:188)
 //
 // Sections follow in that order, each padded to a 64-byte boundary
@@ -53,8 +55,9 @@ import (
 // (pidmVersions). Version 2 had no middle tier and a 128-byte header: n,
 // total, tail, K and the five sections off, headHubs, head, hubs, dists.
 // Version 1 had no head either and a 64-byte header: n, total and the
-// three sections off, hubs, dists. They read as K2 = 0 and K = K2 = 0 —
-// empty sections — through the same layout, checksum and slicing code.
+// three sections off, hubs, dists. They read as width 4, K2 = 0 and
+// K = K2 = 0 — empty sections — through the same layout, checksum and
+// slicing code.
 //
 // Open validates the header checksum and the structural invariants but
 // deliberately does NOT re-checksum the sections — that would page in
@@ -64,7 +67,7 @@ import (
 
 const (
 	mmapMagic   = "PIDM"
-	mmapVersion = 3
+	mmapVersion = 4
 	mmapMinSize = 64 // the version 1 header: the least any PIDM file holds
 	mmapAlign   = 64
 
@@ -92,16 +95,20 @@ const (
 var sectionNames = [numSections]string{"off", "midOff", "headHubs", "midHubs", "head", "midBits", "midDists", "hubs", "dists"}
 
 // pidmVersions says, per format version, how long the header is, how many
-// of the counts n, total, tail, K, K2, mid it carries from byte 8 on, and
-// which sections it stores an offset and a CRC for (the rest are empty).
+// of the counts n, total, tail, K, K2, mid, width it carries from byte 8
+// on, and which sections it stores an offset and a CRC for (the rest are
+// empty).
 var pidmVersions = map[uint32]struct {
 	hdr, counts int
 	stored      []int
 }{
 	1: {64, 2, []int{secOff, secHubs, secDists}},
 	2: {128, 4, []int{secOff, secHeadHubs, secHead, secHubs, secDists}},
-	3: {192, 6, []int{secOff, secMidOff, secHeadHubs, secMidHubs, secHead, secMidBits, secMidDists, secHubs, secDists}},
+	3: {192, 6, allSections},
+	4: {192, 7, allSections},
 }
+
+var allSections = []int{secOff, secMidOff, secHeadHubs, secMidHubs, secHead, secMidBits, secMidDists, secHubs, secDists}
 
 // hostLittleEndian reports whether this machine stores integers
 // little-endian — the precondition for aliasing PIDM sections in place.
@@ -115,18 +122,18 @@ func alignUp(x uint64) uint64 { return (x + mmapAlign - 1) &^ (mmapAlign - 1) }
 
 // mmapLayout returns the byte offset and length of each section and the
 // total file size for an index with n vertices, k head columns, k2 mid
-// columns holding mid entries and tail tail entries behind a header of
-// hdr bytes.
-func mmapLayout(hdr, n, k, k2 int, mid, tail int64) (lo, size [numSections]uint64, fileSize uint64) {
+// columns holding mid entries and tail tail entries, a distance width
+// bytes, behind a header of hdr bytes.
+func mmapLayout(hdr, n, k, k2 int, mid, tail int64, width int) (lo, size [numSections]uint64, fileSize uint64) {
 	size = [numSections]uint64{
 		secOff:      uint64(n+1) * 8,
 		secHeadHubs: uint64(k) * 4,
-		secHead:     uint64(n) * uint64(k) * 4,
+		secHead:     uint64(n) * uint64(k) * uint64(width),
 		secMidHubs:  uint64(k2) * 4,
 		secMidBits:  uint64(n) * uint64(midWords(k2)) * 8,
-		secMidDists: uint64(mid) * 4,
+		secMidDists: uint64(mid) * uint64(width),
 		secHubs:     uint64(tail) * 4,
-		secDists:    uint64(tail) * 4,
+		secDists:    uint64(tail) * uint64(width),
 	}
 	if k2 > 0 {
 		size[secMidOff] = uint64(n+1) * 8
@@ -171,17 +178,27 @@ func (m *mapping) close() error {
 // vanish beside the encoding, small enough to stay in L2.
 const pidmBlock = 64 << 10
 
+// word is what a section is an array of.
+type word interface {
+	~uint8 | ~uint16 | ~int32 | ~uint32 | ~int64 | ~uint64
+}
+
 // writeLE writes vals to w as little-endian words of their own width,
 // one block at a time.
-func writeLE[T ~int32 | ~uint32 | ~int64 | ~uint64](w io.Writer, block []byte, vals []T) error {
+func writeLE[T word](w io.Writer, block []byte, vals []T) error {
 	size := int(unsafe.Sizeof(T(0)))
 	for len(vals) > 0 {
 		k := min(len(vals), len(block)/size)
 		for i, v := range vals[:k] {
-			if size == 8 {
+			switch size {
+			case 8:
 				binary.LittleEndian.PutUint64(block[8*i:], uint64(v))
-			} else {
+			case 4:
 				binary.LittleEndian.PutUint32(block[4*i:], uint32(v))
+			case 2:
+				binary.LittleEndian.PutUint16(block[2*i:], uint16(v))
+			default:
+				block[i] = byte(v)
 			}
 		}
 		if _, err := w.Write(block[:size*k]); err != nil {
@@ -196,11 +213,21 @@ func writeLE[T ~int32 | ~uint32 | ~int64 | ~uint64](w io.Writer, block []byte, v
 // passes over the sections, both through one reused block: one into the
 // checksums (the header precedes the sections in the file), one into w.
 func (x *Index) WriteMmap(w io.Writer) error {
+	switch x.w {
+	case 1:
+		return writePIDM(x, &x.a8, w)
+	case 2:
+		return writePIDM(x, &x.a16, w)
+	}
+	return writePIDM(x, &x.a32, w)
+}
+
+func writePIDM[D distance](x *Index, a *arrays[D], w io.Writer) error {
 	defer runtime.KeepAlive(x) // the arrays may alias a finalizer-managed mapping
 	ver := pidmVersions[mmapVersion]
 	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
-	mid, tail := int64(len(x.midDists)), int64(len(x.hubs))
-	lo, size, _ := mmapLayout(ver.hdr, n, k, k2, mid, tail)
+	tail := int64(len(x.hubs))
+	lo, size, _ := mmapLayout(ver.hdr, n, k, k2, x.mids, tail, x.w)
 
 	block := make([]byte, pidmBlock)
 	section := [numSections]func(w io.Writer) error{
@@ -208,17 +235,17 @@ func (x *Index) WriteMmap(w io.Writer) error {
 		secMidOff:   func(w io.Writer) error { return writeLE(w, block, x.midOff) },
 		secHeadHubs: func(w io.Writer) error { return writeLE(w, block, x.headHubs) },
 		secMidHubs:  func(w io.Writer) error { return writeLE(w, block, x.midHubs) },
-		secHead:     func(w io.Writer) error { return writeLE(w, block, x.head) },
+		secHead:     func(w io.Writer) error { return writeLE(w, block, a.head) },
 		secMidBits:  func(w io.Writer) error { return writeLE(w, block, x.midBits) },
-		secMidDists: func(w io.Writer) error { return writeLE(w, block, x.midDists) },
+		secMidDists: func(w io.Writer) error { return writeLE(w, block, a.midDists) },
 		secHubs:     func(w io.Writer) error { return writeLE(w, block, x.hubs) },
-		secDists:    func(w io.Writer) error { return writeLE(w, block, x.dists) },
+		secDists:    func(w io.Writer) error { return writeLE(w, block, a.dists) },
 	}
 
 	hdr := make([]byte, ver.hdr)
 	copy(hdr[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
-	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), mid} {
+	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), x.mids, int64(x.w)} {
 		binary.LittleEndian.PutUint64(hdr[8+8*i:], uint64(c))
 	}
 	offAt := 8 + 8*ver.counts
@@ -251,6 +278,7 @@ func (x *Index) WriteMmap(w io.Writer) error {
 // pidmHeader is the parsed, validated PIDM header of any version.
 type pidmHeader struct {
 	n, k, k2 int
+	width    int   // bytes a stored distance
 	total    int64 // label entries, head slots and mid bits included
 	tail     int64 // tail entries
 	mid      int64 // mid entries
@@ -259,8 +287,8 @@ type pidmHeader struct {
 }
 
 // parsePIDM validates the container: magic, version, header checksum,
-// overflow-safe counts, section alignment and exact file extent. It
-// does not touch the section payloads.
+// overflow-safe counts, distance width, section alignment and exact file
+// extent. It does not touch the section payloads.
 func parsePIDM(data []byte) (pidmHeader, error) {
 	var h pidmHeader
 	if len(data) < mmapMinSize {
@@ -281,16 +309,20 @@ func parsePIDM(data []byte) (pidmHeader, error) {
 	if got, want := binary.LittleEndian.Uint32(data[hdr-4:hdr]), crc32.ChecksumIEEE(data[0:hdr-4]); got != want {
 		return h, fmt.Errorf("label: pidm: header checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	// n, total, tail, K, K2, mid; what a version does not count is zero,
-	// and before the head every entry was a tail entry.
-	var counts [6]uint64
+	// n, total, tail, K, K2, mid, width; what a version does not count is
+	// zero, but before the head every entry was a tail entry and before
+	// the width every distance was 4 bytes.
+	counts := [7]uint64{6: 4}
 	for i := 0; i < ver.counts; i++ {
 		counts[i] = binary.LittleEndian.Uint64(data[8+8*i:])
 	}
 	if ver.counts == 2 {
 		counts[2] = counts[1]
 	}
-	n, total, tail, k, k2, mid := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5]
+	n, total, tail, k, k2, mid, width := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5], counts[6]
+	if width != 1 && width != 2 && width != 4 {
+		return h, fmt.Errorf("label: pidm: distance width %d, want 1, 2 or 4", width)
+	}
 	if n > math.MaxInt32 {
 		return h, fmt.Errorf("label: pidm: vertex count %d overflows", n)
 	}
@@ -306,9 +338,9 @@ func parsePIDM(data []byte) (pidmHeader, error) {
 	if total < tail+mid || total > tail+mid+n*k {
 		return h, fmt.Errorf("label: pidm: %d entries cannot be %d tail entries, %d mid entries and %d head slots", total, tail, mid, n*k)
 	}
-	h.n, h.k, h.k2, h.total, h.tail, h.mid = int(n), int(k), int(k2), int64(total), int64(tail), int64(mid)
+	h.n, h.k, h.k2, h.width, h.total, h.tail, h.mid = int(n), int(k), int(k2), int(width), int64(total), int64(tail), int64(mid)
 	var size uint64
-	h.lo, h.size, size = mmapLayout(hdr, h.n, h.k, h.k2, h.mid, h.tail)
+	h.lo, h.size, size = mmapLayout(hdr, h.n, h.k, h.k2, h.mid, h.tail, h.width)
 	offAt := 8 + 8*ver.counts
 	crcAt := offAt + 8*len(ver.stored)
 	for j, i := range ver.stored {
@@ -343,8 +375,9 @@ func checksumPIDM(data []byte, h pidmHeader) error {
 // sectionOf returns section i of the validated container as count
 // words: aliased in place when alias is set, decoded into fresh memory
 // otherwise.
-func sectionOf[T ~int32 | ~uint32 | ~int64 | ~uint64](data []byte, h pidmHeader, i int, alias bool) []T {
-	count := h.size[i] / uint64(unsafe.Sizeof(T(0)))
+func sectionOf[T word](data []byte, h pidmHeader, i int, alias bool) []T {
+	size := uint64(unsafe.Sizeof(T(0)))
+	count := h.size[i] / size
 	if count == 0 {
 		return nil
 	}
@@ -353,13 +386,22 @@ func sectionOf[T ~int32 | ~uint32 | ~int64 | ~uint64](data []byte, h pidmHeader,
 	}
 	out := make([]T, count)
 	for j := range out {
-		if unsafe.Sizeof(T(0)) == 8 {
-			out[j] = T(binary.LittleEndian.Uint64(data[h.lo[i]+uint64(j)*8:]))
-		} else {
-			out[j] = T(binary.LittleEndian.Uint32(data[h.lo[i]+uint64(j)*4:]))
+		var v uint64
+		for _, b := range data[h.lo[i]+uint64(j)*size:][:size] {
+			v = v>>8 | uint64(b)<<56
 		}
+		out[j] = T(v >> (64 - 8*size))
 	}
 	return out
+}
+
+// arraysOf returns the three sections of distances at the width D.
+func arraysOf[D distance](data []byte, h pidmHeader, alias bool) arrays[D] {
+	return arrays[D]{
+		head:     sectionOf[D](data, h, secHead, alias),
+		midDists: sectionOf[D](data, h, secMidDists, alias),
+		dists:    sectionOf[D](data, h, secDists, alias),
+	}
 }
 
 // slicePIDM builds an Index over the validated container. On
@@ -375,23 +417,25 @@ func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
 	x := &Index{
 		off:      sectionOf[int64](data, h, secOff, alias),
 		headHubs: sectionOf[graph.Vertex](data, h, secHeadHubs, alias),
-		head:     sectionOf[graph.Dist](data, h, secHead, alias),
 		midHubs:  sectionOf[graph.Vertex](data, h, secMidHubs, alias),
 		midBits:  sectionOf[uint64](data, h, secMidBits, alias),
 		midOff:   sectionOf[int64](data, h, secMidOff, alias),
-		midDists: sectionOf[graph.Dist](data, h, secMidDists, alias),
 		hubs:     sectionOf[graph.Vertex](data, h, secHubs, alias),
-		dists:    sectionOf[graph.Dist](data, h, secDists, alias),
+		w:        h.width,
 		total:    h.total,
+		mids:     h.mid,
 		format:   FormatMmap,
 	}
-	if err := checkOffsets("offsets", x.off, h.tail); err != nil {
-		return nil, err
+	switch x.w {
+	case 1:
+		x.a8 = arraysOf[uint8](data, h, alias)
+	case 2:
+		x.a16 = arraysOf[uint16](data, h, alias)
+	default:
+		x.a32 = arraysOf[graph.Dist](data, h, alias)
 	}
-	if h.k2 > 0 {
-		if err := checkOffsets("mid offsets", x.midOff, h.mid); err != nil {
-			return nil, err
-		}
+	if err := checkOffsets(x.off, x.midOff, h.tail, h.mid); err != nil {
+		return nil, err
 	}
 	if err := checkColumns("head", x.headHubs, h.n); err != nil {
 		return nil, err
@@ -412,17 +456,30 @@ func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
 	return x, nil
 }
 
-// checkOffsets checks that off tiles [0, end) with one run a vertex.
-func checkOffsets(what string, off []int64, end int64) error {
-	if off[0] != 0 || off[len(off)-1] != end {
-		return fmt.Errorf("label: pidm: corrupt %s", what)
+// checkOffsets checks that off tiles [0, end) with one run a vertex, and
+// midOff, which an index without a middle tier lacks, [0, midEnd) — in
+// one pass over both, which Open waits for less than for two.
+func checkOffsets(off, midOff []int64, end, midEnd int64) error {
+	if midOff == nil {
+		midOff, midEnd = off, end
 	}
-	prev := int64(0)
+	midOff = midOff[:len(off)]
+	if off[0] != 0 || off[len(off)-1] != end {
+		return fmt.Errorf("label: pidm: corrupt offsets")
+	}
+	if midOff[0] != 0 || midOff[len(off)-1] != midEnd {
+		return fmt.Errorf("label: pidm: corrupt mid offsets")
+	}
+	var prev, mprev int64
 	for i, o := range off {
+		m := midOff[i]
 		if o < prev {
-			return fmt.Errorf("label: pidm: %s not monotone at %d", what, i-1)
+			return fmt.Errorf("label: pidm: offsets not monotone at %d", i-1)
 		}
-		prev = o
+		if m < mprev {
+			return fmt.Errorf("label: pidm: mid offsets not monotone at %d", i-1)
+		}
+		prev, mprev = o, m
 	}
 	return nil
 }
@@ -516,10 +573,21 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 // many bits set as its packed run has distances and none at or above
 // column K2, and the header's entry count is what the sections hold.
 // With strict set it is also what the PIDX and PIDC readers reject: a
-// tail hub id that names no vertex, a tail or mid distance of graph.Inf.
+// tail hub id that names no vertex, and a distance above maxDist — 2·d
+// would reach the width's all-ones value, or in a tail or mid run is it.
 func (x *Index) checkEntries(strict bool) error {
+	switch x.w {
+	case 1:
+		return checkEntries(x, &x.a8, strict)
+	case 2:
+		return checkEntries(x, &x.a16, strict)
+	}
+	return checkEntries(x, &x.a32, strict)
+}
+
+func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
 	defer runtime.KeepAlive(x)
-	n := x.NumVertices()
+	n, limit := x.NumVertices(), maxDist[D]()
 	tier := make([]uint8, n) // 1: the hub is a head column, 2: a mid column
 	for _, hub := range x.headHubs {
 		tier[hub] = 1
@@ -535,11 +603,11 @@ func (x *Index) checkEntries(strict bool) error {
 		} else if t := tier[hub]; t != 0 {
 			return fmt.Errorf("label: pidm: entry %d: hub %d is a %s column", i, hub, [...]string{1: "head", 2: "mid"}[t])
 		}
-		if strict && x.dists[i] == graph.Inf {
+		if strict && uint64(a.dists[i]) > limit {
 			return fmt.Errorf("label: pidm: entry %d: distance overflow", i)
 		}
 	}
-	held := int64(len(x.hubs) + len(x.midDists))
+	held := int64(len(x.hubs)) + x.mids
 	if k2 := len(x.midHubs); k2 > 0 {
 		w := midWords(k2)
 		var spare uint64 // the bits of a row's last word that are no column
@@ -560,16 +628,23 @@ func (x *Index) checkEntries(strict bool) error {
 			}
 		}
 		if strict {
-			for i, d := range x.midDists {
-				if d == graph.Inf {
+			for i, d := range a.midDists {
+				if uint64(d) > limit {
 					return fmt.Errorf("label: pidm: mid entry %d: distance overflow", i)
 				}
 			}
 		}
 	}
-	for _, d := range x.head {
-		if d != graph.Inf {
+	for _, d := range a.head { // branch-free: three slots in ten are empty, in no order
+		if d != ^D(0) {
 			held++
+		}
+	}
+	if strict {
+		for i, d := range a.head {
+			if d != ^D(0) && uint64(d) > limit {
+				return fmt.Errorf("label: pidm: head slot %d: distance overflow", i)
+			}
 		}
 	}
 	if held != x.total {

@@ -46,13 +46,13 @@ func mmapTestIndex() *Index {
 	return NewIndexFromLists(lists)
 }
 
-// Where the version 3 header keeps count i (n, total, tail, K, K2, mid)
-// and the offset and CRC of section sec.
+// Where the version 4 header keeps count i (n, total, tail, K, K2, mid,
+// width) and the offset and CRC of section sec.
 func countAt(i int) int { return 8 + 8*i }
-func offAt(sec int) int { return 56 + 8*sec }
-func crcAt(sec int) int { return 128 + 4*sec }
+func offAt(sec int) int { return 64 + 8*sec }
+func crcAt(sec int) int { return 136 + 4*sec }
 
-const headerV3 = 192
+const headerV4 = 192
 
 // pidmBytes serializes x in the PIDM format.
 func pidmBytes(t testing.TB, x *Index) []byte {
@@ -127,14 +127,14 @@ func TestMmapEmptyIndex(t *testing.T) {
 // fixHeaderCRC recomputes the header checksum after a deliberate header
 // mutation, so the test reaches the validation step it is aiming at.
 func fixHeaderCRC(data []byte) {
-	end := headerV3
+	end := headerV4
 	if v, ok := pidmVersions[binary.LittleEndian.Uint32(data[4:8])]; ok {
 		end = v.hdr
 	}
 	binary.LittleEndian.PutUint32(data[end-4:], crc32.ChecksumIEEE(data[:end-4]))
 }
 
-// resealPIDM recomputes every checksum of a version 3 file after a
+// resealPIDM recomputes every checksum of a version 4 file after a
 // deliberate mutation, so that only the entries are wrong: the file a
 // bit flip before the CRCs were taken, or a foreign writer, leaves behind.
 func resealPIDM(t *testing.T, data []byte) {
@@ -160,8 +160,8 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.k != 2 || h.k2 != 2 || h.tail == 0 || h.total != 106 {
-		t.Fatalf("fixture has K=%d K2=%d tail=%d total=%d; the cases below assume 2, 2, some and 106", h.k, h.k2, h.tail, h.total)
+	if h.k != 2 || h.k2 != 2 || h.tail == 0 || h.total != 106 || h.width != 1 {
+		t.Fatalf("fixture has K=%d K2=%d tail=%d total=%d width=%d; the cases below assume 2, 2, some, 106 and 1", h.k, h.k2, h.tail, h.total, h.width)
 	}
 	for _, tc := range []struct {
 		name    string
@@ -179,7 +179,7 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 			binary.LittleEndian.PutUint64(d[countAt(1):], uint64(h.total)+1)
 		}, "header counts 107 entries, sections hold 106", true},
 		{"head slot emptied", func(d []byte) {
-			binary.LittleEndian.PutUint32(d[h.lo[secHead]:], uint32(graph.Inf))
+			d[h.lo[secHead]] = 0xFF
 		}, "header counts 106 entries, sections hold 105", true},
 		{"bitmap bit cleared", func(d []byte) {
 			d[h.lo[secMidBits]] &^= 1 // vertex 0 no longer has hub 2; its packed run still has the distance
@@ -191,11 +191,22 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 			d[h.lo[secMidBits]] ^= 1 | 1<<2 // as many bits as distances, one of them column 2 of 2
 		}, "vertex 0: bitmap bit set at or above column 2", true},
 		{"infinite tail distance", func(d []byte) {
-			binary.LittleEndian.PutUint32(d[h.lo[secDists]:], uint32(graph.Inf))
-		}, "distance overflow", false},
+			d[h.lo[secDists]] = 0xFF
+		}, "entry 0: distance overflow", false},
 		{"infinite mid distance", func(d []byte) {
-			binary.LittleEndian.PutUint32(d[h.lo[secMidDists]+4:], uint32(graph.Inf))
+			d[h.lo[secMidDists]+1] = 0xFF
 		}, "mid entry 1: distance overflow", false},
+		// 2·128 reaches the 1-byte sentinel: a sum of two such distances
+		// would read as an empty slot.
+		{"tail distance the width does not admit", func(d []byte) {
+			d[h.lo[secDists]+1] = 128
+		}, "entry 1: distance overflow", false},
+		{"mid distance the width does not admit", func(d []byte) {
+			d[h.lo[secMidDists]] = 128
+		}, "mid entry 0: distance overflow", false},
+		{"head distance the width does not admit", func(d []byte) {
+			d[h.lo[secHead]+1] = 128
+		}, "head slot 1: distance overflow", false},
 		{"tail hub that is no vertex", func(d []byte) {
 			binary.LittleEndian.PutUint32(d[h.lo[secHubs]+4:], 40)
 		}, "hub 40 out of range", false},
@@ -223,23 +234,34 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 
 // TestOpenDecodesWhereItCannotAlias: a container whose base address is
 // not 8-byte aligned (or a big-endian host) cannot be aliased in place;
-// the sections — the bitmap's 64-bit words among them — are decoded into
-// fresh slices instead, and the index is the same one.
+// the sections — the bitmap's 64-bit words and the 1- and 2-byte
+// distances among them — are decoded into fresh slices instead, and the
+// index is the same one.
 func TestOpenDecodesWhereItCannotAlias(t *testing.T) {
-	want := tieredTestIndex(rand.New(rand.NewSource(43)), 400)
-	if k2, _ := want.Mid(); k2 <= 64 {
+	wide := tieredTestIndex(rand.New(rand.NewSource(43)), 400)
+	if k2, _ := wide.Mid(); k2 <= 64 {
 		t.Fatalf("fixture has %d mid columns: a bitmap row of one word cannot show a word decoded out of place", k2)
 	}
-	for version := 1; version <= 3; version++ {
-		data := handBuiltPIDM(want, version)
+	files := map[string][]byte{}
+	for version := 1; version <= 4; version++ {
+		files[fmt.Sprintf("version %d", version)] = handBuiltPIDM(wide, version)
+	}
+	for _, dmax := range []graph.Dist{127, 32767} {
+		files[fmt.Sprintf("dmax %d", dmax)] = pidmBytes(t, narrowTieredIndex(rand.New(rand.NewSource(43)), 400, dmax))
+	}
+	for name, data := range files {
+		want, err := openMapping(&mapping{data: bytes.Clone(data)})
+		if err != nil {
+			t.Fatalf("%s: openMapping: %v", name, err)
+		}
 		shifted := append(make([]byte, 1, len(data)+1), data...)[1:] // base % 8 == 1
 		x, err := openMapping(&mapping{data: shifted})
 		if err != nil {
-			t.Fatalf("version %d: openMapping: %v", version, err)
+			t.Fatalf("%s: openMapping, shifted: %v", name, err)
 		}
 		copy(shifted, make([]byte, len(shifted))) // zero the container: an alias would see it
-		if !x.Equal(want) {
-			t.Fatalf("version %d: decoded index differs from the one written, or still aliases its container", version)
+		if !x.Equal(want) || x.DistBytes() != want.DistBytes() {
+			t.Fatalf("%s: decoded index differs from the one written, or still aliases its container", name)
 		}
 	}
 }
@@ -276,6 +298,9 @@ func TestMmapCorruptFrames(t *testing.T) {
 		}, "unsupported version"},
 		{"header checksum", func(d []byte) []byte { d[9] ^= 0xff; return d }, "header checksum"},
 		{"vertex count overflow", putCount(0, math.MaxInt32+1), "vertex count"},
+		{"distance width that is none", putCount(6, 3), "distance width 3"},
+		{"distance width of zero", putCount(6, 0), "distance width 0"},
+		{"distance width the sections were not written at", putCount(6, 2), "section offset inconsistent|truncated section"},
 		{"entry count overflow", putCount(2, uint64(maxMmapEntries)+1), "entry count"},
 		{"misaligned section offset", func(d []byte) []byte {
 			v := binary.LittleEndian.Uint64(d[offAt(secHubs):])
@@ -577,6 +602,9 @@ func TestCrossFormatEquivalence(t *testing.T) {
 	}
 }
 
+// BenchmarkOpenMmap times Open on an index with tails alone and on one
+// with the benchmark's p2p vertex count and all three tiers, whose second
+// offset array Open also walks.
 func BenchmarkOpenMmap(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	lists := make([][]Entry, 2000)
@@ -585,43 +613,54 @@ func BenchmarkOpenMmap(b *testing.B) {
 			lists[v] = append(lists[v], Entry{Hub: graph.Vertex(r.Intn(2000)), D: graph.Dist(r.Intn(1000))})
 		}
 	}
-	x := NewIndexFromLists(lists)
-	var buf bytes.Buffer
-	if err := x.WriteMmap(&buf); err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "x.midx")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		y, err := Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		y.Close()
+	for name, x := range map[string]*Index{"tails": NewIndexFromLists(lists), "tiered": narrowTieredIndex(r, 3807, 25)} {
+		b.Run(name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "x.midx")
+			if err := os.WriteFile(path, pidmBytes(b, x), 0o644); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				y, err := Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				y.Close()
+			}
+		})
 	}
 }
 
 // handBuiltPIDM lays the PIDM file of x's labels out in memory one word
 // at a time, straight from the format comment, as each version of the
-// format has it: version 3 with x's own tiers — the reference the block
-// encoder in WriteMmap must match byte for byte — version 2 with a head
-// and no middle tier behind a 128-byte header, version 1 with neither
-// behind a 64-byte one, as every file written before the tier existed.
+// format has it: version 4 with x's own tiers and distance width — the
+// reference the block encoder in WriteMmap must match byte for byte —
+// version 3 with every distance 4 bytes, version 2 with a head and no
+// middle tier behind a 128-byte header, version 1 with neither behind a
+// 64-byte one, as every file written before the tier existed.
 func handBuiltPIDM(x *Index, version int) []byte {
-	hdr, stored := 192, []int{secOff, secMidOff, secHeadHubs, secMidHubs, secHead, secMidBits, secMidDists, secHubs, secDists}
+	hdr, stored, width := 192, allSections, 4
 	switch version {
 	case 1:
 		x, hdr, stored = x.Flat(), 64, []int{secOff, secHubs, secDists}
 	case 2:
 		x, hdr, stored = x.HeadOnly(), 128, []int{secOff, secHeadHubs, secHead, secHubs, secDists}
+	case 4:
+		width = x.w
+	}
+	var head, mids, dists []uint32
+	switch x.w {
+	case 1:
+		head, mids, dists = distWords(&x.a8, width)
+	case 2:
+		head, mids, dists = distWords(&x.a16, width)
+	default:
+		head, mids, dists = distWords(&x.a32, width)
 	}
 	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
-	mid, tail := int64(len(x.midDists)), int64(len(x.hubs))
-	counts := []int64{int64(n), x.NumEntries(), tail, int64(k), int64(k2), mid}[:(hdr-64)/32+2] // 2, 4 or 6 of them
-	lo, size, fileSize := mmapLayout(hdr, n, k, k2, mid, tail)
+	mid, tail := int64(len(mids)), int64(len(x.hubs))
+	counts := []int64{int64(n), x.NumEntries(), tail, int64(k), int64(k2), mid, int64(width)}[:[...]int{1: 2, 2: 4, 3: 6, 4: 7}[version]]
+	lo, size, fileSize := mmapLayout(hdr, n, k, k2, mid, tail, width)
 	out := make([]byte, fileSize)
 	copy(out[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(out[4:8], uint32(version))
@@ -630,14 +669,24 @@ func handBuiltPIDM(x *Index, version int) []byte {
 	}
 	put64 := func(sec, i int, v uint64) { binary.LittleEndian.PutUint64(out[lo[sec]+uint64(i)*8:], v) }
 	put32 := func(sec, i int, v uint32) { binary.LittleEndian.PutUint32(out[lo[sec]+uint64(i)*4:], v) }
+	putDist := func(sec, i int, v uint32) {
+		switch at := out[lo[sec]+uint64(i*width):]; width {
+		case 1:
+			at[0] = uint8(v)
+		case 2:
+			binary.LittleEndian.PutUint16(at, uint16(v))
+		default:
+			binary.LittleEndian.PutUint32(at, v)
+		}
+	}
 	for i, o := range x.off {
 		put64(secOff, i, uint64(o))
 	}
 	for i, h := range x.headHubs {
 		put32(secHeadHubs, i, uint32(h))
 	}
-	for i, d := range x.head {
-		put32(secHead, i, uint32(d))
+	for i, d := range head {
+		putDist(secHead, i, d)
 	}
 	for i, h := range x.midHubs {
 		put32(secMidHubs, i, uint32(h))
@@ -648,14 +697,14 @@ func handBuiltPIDM(x *Index, version int) []byte {
 	for i, o := range x.midOff {
 		put64(secMidOff, i, uint64(o))
 	}
-	for i, d := range x.midDists {
-		put32(secMidDists, i, uint32(d))
+	for i, d := range mids {
+		putDist(secMidDists, i, d)
 	}
 	for i, h := range x.hubs {
 		put32(secHubs, i, uint32(h))
 	}
-	for i, d := range x.dists {
-		put32(secDists, i, uint32(d))
+	for i, d := range dists {
+		putDist(secDists, i, d)
 	}
 	offsets := 8 + 8*len(counts)
 	crcs := offsets + 8*len(stored)
@@ -667,21 +716,39 @@ func handBuiltPIDM(x *Index, version int) []byte {
 	return out
 }
 
+// distWords returns the three arrays of a as the values a file that
+// stores distances at width bytes holds: a's own, or, widened, with the
+// all-ones value of the wider width in the empty head slots.
+func distWords[D distance](a *arrays[D], width int) (head, mids, dists []uint32) {
+	conv := func(in []D) []uint32 {
+		out := make([]uint32, len(in))
+		for i, d := range in {
+			if out[i] = uint32(d); d == ^D(0) {
+				out[i] = uint32(1)<<(8*width) - 1
+			}
+		}
+		return out
+	}
+	return conv(a.head), conv(a.midDists), conv(a.dists)
+}
+
 // TestWriteMmapBytesUnchanged pins the PIDM writer's output: equal to
 // the wordwise reference on indexes whose sections are empty, shorter
 // than one encoding block and several blocks long, with all three tiers,
-// with a head alone and with neither; for the long one, equal to the
-// SHA-256 recorded when the format became version 3 — and, as a version
-// 2 and as a version 1 file, to the ones those writers produced, so the
-// labels under the new bytes are the old ones.
+// with a head alone and with neither, at every distance width; for the
+// long ones, equal to the SHA-256 recorded when the format became
+// version 4 — and, as a version 3, 2 and 1 file, to the ones those
+// writers produced, so the labels under the new bytes are the old ones.
 func TestWriteMmapBytesUnchanged(t *testing.T) {
 	big := randomIndex(9, 3*pidmBlock/8, 12) // off section spans three blocks, hubs and dists more
 	for name, x := range map[string]*Index{
 		"empty": NewIndex(NewStore(0)), "no-labels": NewIndex(NewStore(7)), "small": mmapTestIndex(), "big": big,
 		"batch-shaped": batchTestIndex(rand.New(rand.NewSource(3)), 3*pidmBlock/8),
 		"tiered":       tieredTestIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8),
+		"tiered-1B":    narrowTieredIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8, 127),
+		"tiered-2B":    narrowTieredIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8, 32767),
 	} {
-		if got := pidmBytes(t, x); !bytes.Equal(got, handBuiltPIDM(x, 3)) {
+		if got := pidmBytes(t, x); !bytes.Equal(got, handBuiltPIDM(x, 4)) {
 			t.Errorf("%s: WriteMmap differs from the wordwise reference", name)
 		}
 	}
@@ -699,8 +766,12 @@ func TestWriteMmapBytesUnchanged(t *testing.T) {
 	}{
 		{"big fixture as a version 1 file", handBuiltPIDM(big, 1), "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"},
 		{"big fixture as a version 2 file", handBuiltPIDM(big, 2), "8dfd7640b82be2fa8cc5bc1afe30ad9e51c6a76337e0402f3dcfdcb956ac9450"},
-		{"big fixture", pidmBytes(t, big), "835dbe12824c2c24d2cbf263c461e31ec81b07b0da74578c114edee22a93172e"},
-		{"tiered fixture", pidmBytes(t, tiered), "0ac471b85c71de3bee21c6c4402238bacc8f661b2b2c250b15c043294ef28c38"},
+		{"big fixture as a version 3 file", handBuiltPIDM(big, 3), "835dbe12824c2c24d2cbf263c461e31ec81b07b0da74578c114edee22a93172e"},
+		{"tiered fixture as a version 3 file", handBuiltPIDM(tiered, 3), "0ac471b85c71de3bee21c6c4402238bacc8f661b2b2c250b15c043294ef28c38"},
+		{"big fixture", pidmBytes(t, big), "7d1d029d2274eb79c4e2fe2bbc96157aa69f42bd5db4b8caa7012416765b9055"},
+		{"tiered fixture", pidmBytes(t, tiered), "1576f1d1454109d3f2af21f8246ccead701520c1ba9e5deb15da04d568a5b42f"},
+		{"tiered fixture at 1 byte", pidmBytes(t, narrowTieredIndex(rand.New(rand.NewSource(5)), 3000, 127)), "dfaad6c6511820b86a066a75cc16564e84196588bf57a5d09c8731697bb00346"},
+		{"tiered fixture at 2 bytes", pidmBytes(t, narrowTieredIndex(rand.New(rand.NewSource(5)), 3000, 32767)), "5a9f90a5e939d302acfc039c55ad11e7fe309267e9012dc824577452c0136dd8"},
 	} {
 		if got := fmt.Sprintf("%x", sha256.Sum256(pin.data)); got != pin.want {
 			t.Errorf("%s hashes to %s, want %s", pin.name, got, pin.want)
@@ -708,20 +779,23 @@ func TestWriteMmapBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestOpenOlderVersions opens files in the two formats PIDM files were
-// written in before the middle tier existed — version 1 without a head,
-// version 2 with one: each maps, verifies, reads as K2 = 0 (and K = 0)
-// and is Equal to — and answers as — the version 3 file of the same
-// labels, which in turn is what rewriting it produces.
+// TestOpenOlderVersions opens files in the three formats PIDM files were
+// written in before distances had a width — version 1 without a head,
+// version 2 with one, version 3 with all three tiers: each maps,
+// verifies, reads at 4 bytes a distance with the tiers it stored and is
+// Equal to — and answers as — the version 4 file of the same labels,
+// which in turn is what rewriting it through a finalize produces.
 func TestOpenVersion1(t *testing.T) { testOpenOlderVersion(t, 1) }
 func TestOpenVersion2(t *testing.T) { testOpenOlderVersion(t, 2) }
+func TestOpenVersion3(t *testing.T) { testOpenOlderVersion(t, 3) }
 
 func testOpenOlderVersion(t *testing.T, version int) {
 	const n = 400
-	x := tieredTestIndex(rand.New(rand.NewSource(41)), n)
+	x := narrowTieredIndex(rand.New(rand.NewSource(41)), n, 127)
 	xk, _ := x.Head()
-	if k2, _ := x.Mid(); xk == 0 || k2 == 0 {
-		t.Fatal("fixture lacks a tier: nothing to compare an older file with")
+	xk2, _ := x.Mid()
+	if xk == 0 || xk2 == 0 || x.DistBytes() == 4 {
+		t.Fatal("fixture lacks a tier or is 4 bytes wide: nothing to compare an older file with")
 	}
 	file := handBuiltPIDM(x, version)
 	old, err := Open(writeTemp(t, file))
@@ -732,15 +806,15 @@ func testOpenOlderVersion(t *testing.T, version int) {
 	if err := old.Verify(); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	wantK := 0
-	if version == 2 {
-		wantK = xk
-	}
+	wantK, wantK2 := [...]int{1: 0, 2: xk, 3: xk}[version], [...]int{1: 0, 2: 0, 3: xk2}[version]
 	if k, _ := old.Head(); k != wantK {
 		t.Fatalf("version %d file opened with head K=%d, want %d", version, k, wantK)
 	}
-	if k2, density := old.Mid(); k2 != 0 || density != 0 {
-		t.Fatalf("version %d file opened with K2=%d density %g", version, k2, density)
+	if k2, density := old.Mid(); k2 != wantK2 || (k2 == 0) != (density == 0) {
+		t.Fatalf("version %d file opened with K2=%d density %g, want K2=%d", version, k2, density, wantK2)
+	}
+	if old.DistBytes() != 4 {
+		t.Fatalf("version %d file opened with %d-byte distances", version, old.DistBytes())
 	}
 	if !old.Equal(x) || !x.Equal(old) || old.NumEntries() != x.NumEntries() || old.AvgLabelSize() != x.AvgLabelSize() {
 		t.Fatalf("version %d file does not hold the labels it was built from", version)
@@ -761,11 +835,11 @@ func testOpenOlderVersion(t *testing.T, version int) {
 			t.Fatalf("%v: version %d file's batch answers %d, the built index %d", pairs[i], version, d, want)
 		}
 	}
-	// Saved again as it was opened it is a version 3 file of the same
-	// labels in the old layout.
+	// Saved again as it was opened it is a version 4 file of the same
+	// labels in the old layout, 4 bytes a distance.
 	resaved := pidmBytes(t, old)
-	if v := binary.LittleEndian.Uint32(resaved[4:8]); v != 3 {
-		t.Fatalf("a version %d file saved again is version %d, want 3", version, v)
+	if v := binary.LittleEndian.Uint32(resaved[4:8]); v != 4 {
+		t.Fatalf("a version %d file saved again is version %d, want 4", version, v)
 	}
 	again, err := Open(writeTemp(t, resaved))
 	if err != nil {
@@ -773,17 +847,20 @@ func testOpenOlderVersion(t *testing.T, version int) {
 	}
 	defer again.Close()
 	if err := again.Verify(); err != nil || !again.Equal(x) {
-		t.Fatalf("version %d file opened and saved as version 3: Verify %v, Equal %v", version, err, again.Equal(x))
+		t.Fatalf("version %d file opened and saved as version 4: Verify %v, Equal %v", version, err, again.Equal(x))
+	}
+	if again.DistBytes() != 4 {
+		t.Fatalf("re-saved file opened with %d-byte distances", again.DistBytes())
 	}
 	// Reading it as a stream finalizes nothing either, and rewriting that
-	// through the logical formats lands on the version 3 bytes of a fresh
-	// build: the tiers come back with the next finalize.
+	// through the logical formats lands on the version 4 bytes of a fresh
+	// build: the tiers and the width come back with the next finalize.
 	streamed, err := ReadAny(bytes.NewReader(file))
 	if err != nil {
 		t.Fatalf("ReadAny: %v", err)
 	}
-	if k2, _ := streamed.Mid(); k2 != 0 {
-		t.Fatalf("streaming a version %d file gave it %d mid columns", version, k2)
+	if k2, _ := streamed.Mid(); k2 != wantK2 || streamed.DistBytes() != 4 {
+		t.Fatalf("streaming a version %d file gave it %d mid columns and %d-byte distances", version, k2, streamed.DistBytes())
 	}
 	var pidx bytes.Buffer
 	if err := streamed.Write(&pidx); err != nil {
@@ -794,6 +871,6 @@ func testOpenOlderVersion(t *testing.T, version int) {
 		t.Fatal(err)
 	}
 	if !retiered.Equal(x) || !bytes.Equal(pidmBytes(t, retiered), pidmBytes(t, x)) {
-		t.Fatalf("version %d -> PIDX -> PIDM differs from the version 3 file of the same labels", version)
+		t.Fatalf("version %d -> PIDX -> PIDM differs from the version 4 file of the same labels", version)
 	}
 }

@@ -55,10 +55,10 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 	if err := good.WriteMmap(&file); err != nil {
 		t.Fatal(err)
 	}
-	// PIDM version 3 header: the nine section offsets, in file order
+	// PIDM version 4 header: the nine section offsets, in file order
 	// (off, midOff, headHubs, midHubs, head, midBits, midDists, hubs,
-	// dists), start at byte 56.
-	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[56+8*i:]) }
+	// dists), start at byte 64.
+	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[64+8*i:]) }
 	offSec, headSec, midBitsSec, hubsSec := section(0), section(4), section(5), section(7)
 	// The victim is the first vertex with a tail entry, which is entry 0.
 	victim := 0
@@ -85,7 +85,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		return rec.Code
 	}
 
-	flipped := open("flipped.midx", func(data []byte) { data[headSec+1] ^= 0x40 }) // d(head hub 0, vertex 0), 2^14 off
+	flipped := open("flipped.midx", func(data []byte) { data[headSec] ^= 0x40 }) // d(head hub 0, vertex 0), 64 off at a byte a distance
 	if err := flipped.Verify(); err == nil || !strings.Contains(err.Error(), "head section checksum") {
 		t.Fatalf("Verify of a flipped head byte: %v, want the head section's checksum named", err)
 	}

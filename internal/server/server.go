@@ -825,6 +825,7 @@ type statsResponse struct {
 	HeadDensity  float64       `json:"head_density"` // share of the n x K head slots holding an entry
 	Mid          int           `json:"mid"`          // bitmap columns K2 (label.Index.Mid)
 	MidDensity   float64       `json:"mid_density"`  // share of the n x K2 bits that are set
+	DistBytes    int           `json:"dist_bytes"`   // bytes a stored distance: 1, 2 or 4 (label.Index.DistBytes)
 	HasPathIndex bool          `json:"has_path_index"`
 	Generation   uint64        `json:"generation"`
 	Format       string        `json:"format"`
@@ -847,6 +848,7 @@ func (s *Server) statsPayload(sn *snapshot) statsResponse {
 		HeadDensity:  density,
 		Mid:          k2,
 		MidDensity:   midDensity,
+		DistBytes:    sn.idx.DistBytes(),
 		HasPathIndex: sn.pidx != nil,
 		Generation:   sn.gen,
 		Format:       sn.idx.Format(),
