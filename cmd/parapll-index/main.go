@@ -6,7 +6,6 @@
 //
 //	parapll-index -graph data/skitter.bin -out skitter.idx -threads 12 -policy dynamic
 //	parapll-index -graph g.txt -out g.idx -serial
-//	parapll-index -graph g.bin -out g.idx -format mmap    # zero-copy serving format
 //	parapll-index -graph g.bin -out g.idx -engine batched # vertex-centric batched engine
 //	parapll-index -graph g.bin -out g.idx -v              # live roots/s + ETA
 //	parapll-index -graph g.bin -out g.idx -trace t.json   # build timeline (Perfetto)
@@ -32,7 +31,7 @@ func main() {
 		engine    = flag.String("engine", "perroot", "build engine: perroot (one pruned Dijkstra per root) or batched (vertex-centric root batches)")
 		batch     = flag.Int("batch", 0, "batched engine's roots per frontier, 1-64 (0 = default 8)")
 		serial    = flag.Bool("serial", false, "use the serial weighted PLL baseline")
-		format    = flag.String("format", "auto", "index file format: fixed, compact, mmap, or auto (by -out extension)")
+		format    = flag.String("format", parapll.FormatMmap, "index file format: mmap (PIDM, the only one)")
 		verbose   = flag.Bool("v", false, "report live progress (roots/sec, ETA) every 2s on stderr")
 		tracePath = flag.String("trace", "", "record a build timeline and write Chrome trace-event JSON here (open in chrome://tracing or Perfetto)")
 	)
@@ -43,10 +42,8 @@ func main() {
 	if *serial && *tracePath != "" {
 		fatalf("-trace instruments the parallel engine; drop -serial")
 	}
-	switch *format {
-	case "auto", parapll.FormatFixed, parapll.FormatCompact, parapll.FormatMmap:
-	default:
-		fatalf("unknown format %q (want fixed, compact, mmap or auto)", *format)
+	if *format != parapll.FormatMmap {
+		fatalf("unknown format %q (want %s)", *format, parapll.FormatMmap)
 	}
 
 	g, err := parapll.LoadGraph(*graphPath)
@@ -114,12 +111,7 @@ func main() {
 		fmt.Printf("trace: %d events (%d dropped) -> %s\n", len(tr.Events()), tr.Drops(), *tracePath)
 	}
 
-	if *format == "auto" {
-		err = parapll.SaveIndex(*out, idx)
-	} else {
-		err = parapll.SaveIndexAs(*out, idx, *format)
-	}
-	if err != nil {
+	if err := parapll.SaveIndex(*out, idx); err != nil {
 		fatalf("saving index: %v", err)
 	}
 	k, density := idx.Head()

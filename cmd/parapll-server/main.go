@@ -11,8 +11,7 @@
 //
 // Usage:
 //
-//	parapll-server -index g.idx -addr :8080
-//	parapll-server -index g.midx -addr :8080           # mmap: O(1) open
+//	parapll-server -index g.idx -addr :8080            # maps it: O(1) open
 //	parapll-server -graph g.bin -addr :8080            # index on startup
 //	parapll-server -graph g.bin -paths -addr :8080     # also serve /path
 //	parapll-server -index g.idx -pprof -addr :8080     # + /debug/pprof/

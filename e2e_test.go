@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func TestEndToEndCLI(t *testing.T) {
 	}
 	graphPath := filepath.Join(dir, "gnutella.bin")
 
-	// Stage 1: index.
-	idxPath := filepath.Join(dir, "gnutella.cidx") // compact format via extension
+	// Stage 1: index, with no -format: the one format, PIDM.
+	idxPath := filepath.Join(dir, "gnutella.idx")
 	out = run("parapll-index", "-graph", graphPath, "-out", idxPath, "-threads", "2", "-policy", "dynamic")
 	if !strings.Contains(out, "indexed") {
 		t.Fatalf("index output unexpected: %s", out)
@@ -63,18 +64,22 @@ func TestEndToEndCLI(t *testing.T) {
 		t.Fatalf("index file missing: %v", err)
 	}
 
-	// Stage 2: query + verify against Dijkstra.
+	// Stage 2: query + verify against Dijkstra, through a mapping.
 	out = run("parapll-query", "-index", idxPath, "-pair", "0,5", "-random", "200")
 	if !strings.Contains(out, "d(0,5)") || !strings.Contains(out, "random queries") {
 		t.Fatalf("query output unexpected: %s", out)
+	}
+	if banner := "format=mmap mmap=true"; runtime.GOOS != "windows" && !strings.Contains(out, banner) {
+		t.Fatalf("query banner lacks %q: %s", banner, out)
 	}
 	out = run("parapll-query", "-index", idxPath, "-graph", graphPath, "-verify", "5")
 	if !strings.Contains(out, "all exact") {
 		t.Fatalf("verify output unexpected: %s", out)
 	}
 
-	// An mmap-native copy of the same index, for the hot-reload leg.
-	midxPath := filepath.Join(dir, "gnutella.midx")
+	// A second index of the same graph, -format named as the benchmark
+	// names it, for the hot-reload leg.
+	midxPath := filepath.Join(dir, "gnutella-v2.idx")
 	out = run("parapll-index", "-graph", graphPath, "-out", midxPath, "-format", "mmap", "-threads", "2")
 	if !strings.Contains(out, "indexed") {
 		t.Fatalf("mmap index output unexpected: %s", out)
@@ -126,8 +131,8 @@ func TestEndToEndCLI(t *testing.T) {
 		t.Fatalf("server response unexpected: %s", body)
 	}
 
-	// Hot-swap to the mmap artifact without restarting, then confirm the
-	// new generation is serving it zero-copy.
+	// Hot-swap to the second artifact without restarting, then confirm the
+	// new generation is serving it from its file.
 	resp, err := http.Post("http://127.0.0.1:18941/reload", "application/json",
 		strings.NewReader(`{"path":"`+midxPath+`"}`))
 	if err != nil {

@@ -15,8 +15,8 @@ import (
 
 // Sync wire format (version 2). A frame carries one node's
 // pending-update list for one round, sorted by (vertex, hub) and
-// delta-encoded with uvarints — the same idiom as the compact on-disk
-// index format (label.WriteCompact), applied to the inter-node wire:
+// delta-encoded with uvarints: sorted hub ids are small gaps apart, and
+// most distances are small too:
 //
 //	byte    version (2)
 //	uvarint rank   (sender's rank — trace word)

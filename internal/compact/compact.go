@@ -282,7 +282,7 @@ func Open(opt Options) (*Pipeline, error) {
 		}
 	}
 	if _, err := os.Stat(ipath); err != nil {
-		if err := fileio.SaveIndexAs(ipath, idx, label.FormatMmap); err != nil {
+		if err := fileio.SaveIndex(ipath, idx); err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint index: %w", err)
 		}
 	}
@@ -494,7 +494,7 @@ func (p *Pipeline) Compact() (Report, error) {
 	if err := fileio.SaveGraph(filepath.Join(p.dir, GraphFile), g2); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint graph: %w", err)
 	}
-	if err := fileio.SaveIndexAs(filepath.Join(p.dir, IndexFile), idx, label.FormatMmap); err != nil {
+	if err := fileio.SaveIndex(filepath.Join(p.dir, IndexFile), idx); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint index: %w", err)
 	}
 	saveTime := time.Since(tSave)

@@ -2,19 +2,23 @@ package dynamic
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
 	"parapll/internal/graph"
+	"parapll/internal/label"
 	"parapll/internal/pll"
 )
 
 // TestIndexBytesGolden pins the label lists after a serial build and a
 // run of insertions: resumed searches must prune exactly as before —
-// the PIDX hash, of whole labels in hub order, was recorded (at the
-// parent commit) before PIDM had a head — and ToIndex must lay the lists
-// out as it did when distances got a width, the version 4 PIDM hash.
+// the labels' hash (labelsHash), of whole labels in hub order, was
+// recorded (at the parent commit) before PIDM had a head — and ToIndex
+// must lay the lists out as it did when distances got a width, the
+// version 4 PIDM hash.
 func TestIndexBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const n = 300
@@ -28,19 +32,44 @@ func TestIndexBytesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pidx, pidm := sha256.New(), sha256.New()
-	if err := x.ToIndex().Write(pidx); err != nil {
-		t.Fatal(err)
-	}
+	pidm := sha256.New()
 	if err := x.ToIndex().WriteMmap(pidm); err != nil {
 		t.Fatal(err)
 	}
-	const wantPIDX = "6b0db95f4b05529f67079ae5258dc8d5737b4b702102d1df68c40e8ce43d8752"
-	if got := fmt.Sprintf("%x", pidx.Sum(nil)); got != wantPIDX {
-		t.Fatalf("labels (%d entries) hash to %s as PIDX, want %s", x.NumEntries(), got, wantPIDX)
+	const wantLabels = "6b0db95f4b05529f67079ae5258dc8d5737b4b702102d1df68c40e8ce43d8752"
+	if got := labelsHash(x.ToIndex()); got != wantLabels {
+		t.Fatalf("labels (%d entries) hash to %s, want %s", x.NumEntries(), got, wantLabels)
 	}
 	const wantPIDM = "9c01cd87595d8a708eacc713294fada169c9a18a094bb2ec7f2204cfdfe2de60"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}
+}
+
+// labelsHash is the SHA-256 of x's labels laid out as the retired
+// fixed-width index format wrote them, so the hash recorded from that
+// writer still pins them: its magic and version 1, n, the entry count,
+// n+1 running label sizes as uint64s, every label's (hub, distance) pairs
+// in hub order as uint32s, and a CRC-32 of all that. (core's golden test
+// has the same helper.)
+func labelsHash(x *label.Index) string {
+	le := binary.LittleEndian
+	n := x.NumVertices()
+	b := le.AppendUint32([]byte{'P', 'I', 'D', 'X'}, 1)
+	b = le.AppendUint64(le.AppendUint32(b, uint32(n)), uint64(x.NumEntries()))
+	b = le.AppendUint64(b, 0)
+	var off uint64
+	for v := 0; v < n; v++ {
+		off += uint64(x.LabelSize(graph.Vertex(v)))
+		b = le.AppendUint64(b, off)
+	}
+	var hubs []graph.Vertex
+	var dists []graph.Dist
+	for v := 0; v < n; v++ {
+		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
+		for i, h := range hubs {
+			b = le.AppendUint32(le.AppendUint32(b, uint32(h)), uint32(dists[i]))
+		}
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(le.AppendUint32(b, crc32.ChecksumIEEE(b))))
 }

@@ -1,9 +1,10 @@
 // Package fileio persists graphs and 2-hop indexes to disk for the
 // two-stage workflow: cmd/parapll-gen writes graphs, cmd/parapll-index
-// reads a graph and writes an index, cmd/parapll-query and
-// cmd/parapll-server map the index back. All writes are atomic and
-// durable (temp file + fsync + rename + directory fsync) so a crash
-// mid-save can never leave a truncated or missing artifact behind.
+// reads a graph and writes an index (PIDM, the one index format),
+// cmd/parapll-query and cmd/parapll-server map the index back. All
+// writes are atomic and durable (temp file + fsync + rename + directory
+// fsync) so a crash mid-save can never leave a truncated or missing
+// artifact behind.
 package fileio
 
 import (
@@ -102,54 +103,26 @@ func isTextGraph(path string) bool {
 	return strings.HasSuffix(path, ".txt") || strings.HasSuffix(path, ".edges")
 }
 
-// FormatForPath returns the index format SaveIndex picks for path by
-// extension: ".cidx" selects the compact varint-delta encoding, ".midx"
-// the mmap-native format, anything else fixed-width.
-func FormatForPath(path string) string {
-	switch {
-	case strings.HasSuffix(path, ".cidx"):
-		return label.FormatCompact
-	case strings.HasSuffix(path, ".midx"):
-		return label.FormatMmap
-	default:
-		return label.FormatFixed
-	}
-}
-
-// SaveIndex writes a finalized 2-hop index to path in the format
-// FormatForPath picks from the extension.
+// SaveIndex writes a finalized 2-hop index to path as a PIDM file,
+// whatever the extension.
 func SaveIndex(path string, x *label.Index) error {
-	return SaveIndexAs(path, x, FormatForPath(path))
+	return WriteAtomic(path, func(f *os.File) error { return x.WriteMmap(f) })
 }
 
-// SaveIndexAs writes the index in an explicit format: label.FormatFixed
-// (checksummed fixed-width), label.FormatCompact (varint-delta, 2–4x
-// smaller), or label.FormatMmap (section-aligned, opens zero-copy via
-// LoadIndex/label.Open). Loading always sniffs the content, so any
-// format may live under any extension.
+// SaveIndexAs is SaveIndex for callers that name the format:
+// label.FormatMmap is the only one, and any other name is an error.
 func SaveIndexAs(path string, x *label.Index, format string) error {
-	var write func(*os.File) error
-	switch format {
-	case label.FormatFixed:
-		write = func(f *os.File) error { return x.Write(f) }
-	case label.FormatCompact:
-		write = func(f *os.File) error { return x.WriteCompact(f) }
-	case label.FormatMmap:
-		write = func(f *os.File) error { return x.WriteMmap(f) }
-	default:
-		return fmt.Errorf("fileio: unknown index format %q (want %s, %s or %s)",
-			format, label.FormatFixed, label.FormatCompact, label.FormatMmap)
+	if format != label.FormatMmap {
+		return fmt.Errorf("fileio: unknown index format %q (want %s)", format, label.FormatMmap)
 	}
-	return WriteAtomic(path, write)
+	return SaveIndex(path, x)
 }
 
-// LoadIndex reads an index written by SaveIndex in any format,
-// dispatching on the file's magic bytes rather than its extension.
-// Mmap-native files open zero-copy (label.Open): O(1) start-up with the
-// arrays aliasing the page cache. The other formats heap-decode with
-// full checksum verification.
+// LoadIndex opens an index written by SaveIndex zero-copy (label.Open):
+// O(1) start-up with the arrays aliasing the page cache. A file of a
+// retired format is refused with an error that names it.
 func LoadIndex(path string) (*label.Index, error) {
-	x, err := label.OpenAny(path)
+	x, err := label.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("fileio: %s: %w", path, err)
 	}

@@ -1,9 +1,11 @@
 package fileio
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"parapll/internal/graph"
@@ -68,44 +70,39 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompactIndexExtension: the extensions that once picked a format
+// (".cidx" compact, ".midx" mmap) pick nothing now — SaveIndex writes the
+// same PIDM bytes under every name, and SaveIndexAs knows one format.
 func TestCompactIndexExtension(t *testing.T) {
 	dir := t.TempDir()
-	g := testGraph()
-	x := pll.Build(g, pll.Options{})
-	fixed := filepath.Join(dir, "g.idx")
-	compact := filepath.Join(dir, "g.cidx")
-	if err := SaveIndex(fixed, x); err != nil {
+	x := pll.Build(testGraph(), pll.Options{})
+	var files [][]byte
+	for _, name := range []string{"g.idx", "g.cidx", "g.midx"} {
+		path := filepath.Join(dir, name)
+		if err := SaveIndex(path, x); err != nil {
+			t.Fatal(err)
+		}
+		y, err := LoadIndex(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !x.Equal(y) || y.Format() != label.FormatMmap {
+			t.Fatalf("%s: loaded %s, Equal %v", name, y.Format(), x.Equal(y))
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, data)
+	}
+	if !bytes.Equal(files[0], files[1]) || !bytes.Equal(files[0], files[2]) || string(files[0][:4]) != "PIDM" {
+		t.Fatal("the extension changed what SaveIndex wrote")
+	}
+	if err := SaveIndexAs(filepath.Join(dir, "g.idx"), x, "compact"); err == nil {
+		t.Fatal("SaveIndexAs accepted a format that is gone")
+	}
+	if err := SaveIndexAs(filepath.Join(dir, "g.idx"), x, label.FormatMmap); err != nil {
 		t.Fatal(err)
-	}
-	if err := SaveIndex(compact, x); err != nil {
-		t.Fatal(err)
-	}
-	y, err := LoadIndex(compact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !x.Equal(y) {
-		t.Fatal("compact extension round trip changed index")
-	}
-	fi, _ := os.Stat(fixed)
-	ci, _ := os.Stat(compact)
-	if ci.Size() >= fi.Size() {
-		t.Fatalf("compact file %d bytes >= fixed %d bytes", ci.Size(), fi.Size())
-	}
-	// Loading dispatches on content, not extension: a fixed-format file
-	// renamed to .cidx must load transparently (the pre-ReadAny format
-	// gap), not misparse.
-	renamed := filepath.Join(dir, "renamed.cidx")
-	data, _ := os.ReadFile(fixed)
-	if err := os.WriteFile(renamed, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	z, err := LoadIndex(renamed)
-	if err != nil {
-		t.Fatalf("fixed payload under .cidx: %v", err)
-	}
-	if !x.Equal(z) {
-		t.Fatal("fixed payload under .cidx loaded wrong")
 	}
 }
 
@@ -126,6 +123,14 @@ func TestLoadCorruptIndex(t *testing.T) {
 	}
 	if _, err := LoadIndex(path); err == nil {
 		t.Fatal("corrupt index accepted")
+	}
+	// A PIDM version 3 header: a file of a retired format, named as one.
+	old := append([]byte("PIDM\x03\x00\x00\x00"), make([]byte, 184)...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(path); err == nil || !strings.Contains(err.Error(), "PIDM version 3") || !strings.Contains(err.Error(), "rebuild it with parapll-index") {
+		t.Fatalf("LoadIndex of a version 3 file: %v", err)
 	}
 }
 

@@ -278,7 +278,7 @@ func TestQueryBatchDamagedHub(t *testing.T) {
 	good := tieredTestIndex(r, n) // at this n some hubs stay tail hubs
 	data := damagedPIDM(t, good, victim, n+7)
 
-	if _, err := ReadAny(strings.NewReader(string(data))); err == nil || !strings.Contains(err.Error(), "out of range") {
+	if _, err := readPIDMStream(strings.NewReader(string(data))); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("stream reader accepted a hub outside [0,n): err = %v", err)
 	}
 	x, err := Open(writeTemp(t, data))

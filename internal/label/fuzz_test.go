@@ -2,7 +2,6 @@ package label
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,28 +25,30 @@ func seedPIDMFiles(tb testing.TB) [][]byte {
 	for _, l := range lists {
 		files = append(files, pidmBytes(tb, NewIndexFromLists(l)))
 	}
-	// Truncations and a bad magic: the parser's first hurdles.
+	// Truncations, a bad magic and the retired formats: the parser's
+	// first hurdles.
 	whole := files[len(files)-1]
 	files = append(files, whole[:8], whole[:len(whole)-1])
-	files = append(files, []byte("PIDXnope"), []byte{})
-	// The files above are version 4 at 1 byte a distance, the last whole
-	// one with a head column and, at three vertices, every other hub a
-	// mid column; these are the same labels as version 1 wrote them, and
-	// a file whose head is every entry it has.
-	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 1))
+	files = append(files, []byte("JUNK1234"), []byte{})
+	for _, r := range retiredFiles {
+		files = append(files, r.data)
+	}
+	// The files above are at 1 byte a distance, the last whole one with a
+	// head column and, at three vertices, every other hub a mid column;
+	// these are the same labels with neither tier (and so 4 bytes a
+	// distance), and a file whose head is every entry it has.
+	files = append(files, pidmBytes(tb, NewIndexFromLists(lists[2]).Flat()))
 	files = append(files, pidmBytes(tb, NewIndexFromLists([][]Entry{{{Hub: 0, D: 0}, {Hub: 1, D: 2}}, {{Hub: 0, D: 2}, {Hub: 1, D: 0}}})))
-	// The middle tier's seeds: the same labels as version 2 wrote them
-	// (a head, no bitmap); a file whose every entry is a mid entry; and
-	// one with 65 mid columns, so a bitmap row is two words and the
-	// second all spare bits but one.
-	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 2))
+	// The middle tier's seeds: the same labels with a head and no bitmap;
+	// a file whose every entry is a mid entry; and one with 65 mid
+	// columns, so a bitmap row is two words and the second all spare bits
+	// but one.
+	files = append(files, pidmBytes(tb, NewIndexFromLists(lists[2]).HeadOnly()))
 	for _, k2 := range []int{3, 65} {
 		files = append(files, pidmBytes(tb, midOnlyIndex(k2)))
 	}
-	// The widths' seeds: the same labels as version 3 wrote them, every
-	// distance 4 bytes, and with one distance that needs 2 bytes and one
-	// that needs 4.
-	files = append(files, handBuiltPIDM(NewIndexFromLists(lists[2]), 3))
+	// The widths' seeds: the same labels with one distance that needs 2
+	// bytes and one that needs 4.
 	for _, far := range []graph.Dist{300, 70_000} {
 		lists[2][2][0].D = far
 		files = append(files, pidmBytes(tb, NewIndexFromLists(lists[2])))
@@ -70,7 +71,7 @@ func midOnlyIndex(k2 int) *Index {
 
 // FuzzOpenPIDM drives the PIDM header/section parser (the same
 // parsePIDM/checksumPIDM/slicePIDM pipeline Open runs against a mapped
-// file, of any version and distance width) with arbitrary bytes. It must
+// file, at any distance width) with arbitrary bytes. It must
 // never panic, and any file it accepts must produce a structurally sound
 // index: consistent label rows and panic-free queries over every vertex.
 func FuzzOpenPIDM(f *testing.F) {
@@ -108,19 +109,18 @@ func FuzzOpenPIDM(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedsCoverVersionsAndWidths: the seeds hold a sound file of
-// every version the parser reads and, of the one it writes, at every
-// distance width.
+// TestFuzzSeedsCoverVersionsAndWidths: the seeds hold a sound file at
+// every distance width.
 func TestFuzzSeedsCoverVersionsAndWidths(t *testing.T) {
-	seen := map[[2]int]bool{}
+	seen := map[int]bool{}
 	for _, data := range seedPIDMFiles(t) {
 		if h, err := parsePIDM(data); err == nil {
-			seen[[2]int{int(binary.LittleEndian.Uint32(data[4:8])), h.width}] = true
+			seen[h.width] = true
 		}
 	}
-	for _, want := range [][2]int{{1, 4}, {2, 4}, {3, 4}, {4, 1}, {4, 2}, {4, 4}} {
-		if !seen[want] {
-			t.Errorf("no sound seed of version %d with %d-byte distances", want[0], want[1])
+	for _, width := range []int{1, 2, 4} {
+		if !seen[width] {
+			t.Errorf("no sound seed with %d-byte distances", width)
 		}
 	}
 }

@@ -47,9 +47,9 @@ func refQuery(x *label.Index, s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 // checkAgainstReference asserts that every query shape of x, and of the
 // same labels with every entry in the tail, answers every pair as
 // refQuery does, and as Dijkstra on g does when there is a graph; and
-// that x survives PIDX -> PIDC -> PIDM -> Open with its labels, its
-// counts, its tiers and its answers. Past 200 vertices it takes every
-// seventh source.
+// that x survives a PIDM file and Open with its labels, its counts, its
+// tiers and its answers. Past 200 vertices it takes every seventh
+// source.
 func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.Graph) {
 	t.Helper()
 	n := x.NumVertices()
@@ -112,34 +112,14 @@ func checkAgainstReference(t *testing.T, name string, x *label.Index, g *graph.G
 	}
 }
 
-// roundTrip sends x through every format in turn — PIDX, then PIDC, then
-// a PIDM file — and returns the mapped result, verified.
+// roundTrip writes x to a PIDM file and returns it opened, verified.
 func roundTrip(t *testing.T, name string, x *label.Index) *label.Index {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
+	if err := x.WriteMmap(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := label.ReadAny(&buf)
-	if err != nil {
-		t.Fatalf("%s: reading PIDX: %v", name, err)
-	}
-	buf.Reset()
-	if err := fixed.WriteCompact(&buf); err != nil {
-		t.Fatal(err)
-	}
-	compact, err := label.ReadAny(&buf)
-	if err != nil {
-		t.Fatalf("%s: reading PIDC: %v", name, err)
-	}
-	if !fixed.Equal(x) || !compact.Equal(x) {
-		t.Fatalf("%s: a stream format changed the labels", name)
-	}
-	buf.Reset()
-	if err := compact.WriteMmap(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "x.midx")
+	path := filepath.Join(t.TempDir(), "x.idx")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +132,7 @@ func roundTrip(t *testing.T, name string, x *label.Index) *label.Index {
 		t.Fatalf("%s: Verify: %v", name, err)
 	}
 	if got, want := tiersOf(opened), tiersOf(x); got != want {
-		t.Fatalf("%s: %s went through the formats and came back %s", name, want, got)
+		t.Fatalf("%s: %s went through a file and came back %s", name, want, got)
 	}
 	return opened
 }

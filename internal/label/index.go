@@ -56,7 +56,7 @@ import (
 // NumVertices(), and every stored distance is at most what its width
 // admits (maxDist), which is below graph.Inf. finalize
 // (NewIndex, NewIndexFromLists) panics on a list that breaks it and the
-// stream readers reject such a file, each while making the passes over
+// stream reader rejects such a file, each while making the passes over
 // the entries it makes anyway. Open does not look at the entries — that
 // is its point — so a damaged PIDM file can carry a foreign tail hub id
 // past it: Query then merges it like any other number, and QueryBatch,
@@ -101,8 +101,7 @@ type Index struct {
 	total int64 // label entries: finite head slots + set mid bits + tail entries
 	mids  int64 // of them mid entries: len(midDists)
 
-	format string   // Format* constant; "" means FormatMemory
-	mm     *mapping // non-nil when the arrays alias a file (see Open)
+	mm *mapping // non-nil when the index was read from a file (see Open)
 
 	// scratch pools *batchScratch for QueryBatch and its workers: a
 	// sync.Pool, so it holds about one per concurrently running worker
@@ -139,19 +138,27 @@ func clamp[D distance](best uint64) graph.Dist {
 	return graph.Dist(best)
 }
 
-// Format reports where this index came from: FormatMemory for indexes
-// built in process, else the on-disk format it was loaded from
-// (FormatFixed, FormatCompact or FormatMmap).
+// What Index.Format reports, and the one name fileio.SaveIndexAs and
+// parapll-index -format accept.
+const (
+	// FormatMmap is the index file format, PIDM (see mmap.go).
+	FormatMmap = "mmap"
+	// FormatMemory marks an index built in process, never deserialized.
+	FormatMemory = "memory"
+)
+
+// Format reports where this index came from: FormatMmap for one read
+// from a file, FormatMemory for one built in process.
 func (x *Index) Format() string {
-	if x.format == "" {
-		return FormatMemory
+	if x.mm != nil {
+		return FormatMmap
 	}
-	return x.format
+	return FormatMemory
 }
 
 // Mapped reports whether the index arrays alias a live file mapping
 // (true zero-copy — only on unix; the non-unix Open fallback and the
-// stream readers are heap-backed).
+// stream reader are heap-backed).
 func (x *Index) Mapped() bool { return x.mm != nil && x.mm.mapped }
 
 // Close releases the file mapping backing an Open'd index. The index
@@ -200,8 +207,7 @@ func (x *Index) HeadOnly() *Index { return x.relayout(headAndTail) }
 
 // Wide returns an index over the same labels in all three tiers with
 // 4-byte distances whatever they are: the baseline the narrow widths are
-// measured against (BenchmarkQueryKernel's -wide rows), and the arrays
-// every PIDM version before 4 stored.
+// measured against (BenchmarkQueryKernel's -wide rows).
 func (x *Index) Wide() *Index { return x.relayout(allTiersWide) }
 
 // relayout finalizes x's labels again under another choice of tiers.
@@ -379,9 +385,8 @@ func sortDedupe(list []Entry) []Entry {
 
 // Equal reports whether two indexes hold identical labels — the same
 // (hub, distance) pairs for every vertex — regardless of storage backing
-// (heap or mmap), origin format and where each keeps the split between
-// head and tail. This is the invariant the cross-format round-trip tests
-// assert.
+// (heap or mmap), origin and where each keeps the split between the
+// tiers. This is the invariant the round-trip tests assert.
 func (x *Index) Equal(y *Index) bool {
 	defer runtime.KeepAlive(x)
 	defer runtime.KeepAlive(y)

@@ -295,11 +295,7 @@ func TestIndexIORoundTrip(t *testing.T) {
 		s.Append(graph.Vertex(r.Intn(50)), graph.Vertex(r.Intn(50)), graph.Dist(r.Intn(1000)))
 	}
 	x := NewIndex(s)
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := ReadIndex(&buf)
+	y, err := readPIDMStream(bytes.NewReader(pidmBytes(t, x)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,20 +307,19 @@ func TestIndexIORoundTrip(t *testing.T) {
 func TestIndexIOCorruption(t *testing.T) {
 	s := NewStore(3)
 	s.Append(0, 1, 2)
-	x := NewIndex(s)
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
+	b := pidmBytes(t, NewIndex(s))
+	h, err := parsePIDM(b)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	b[len(b)-6] ^= 0x55
-	if _, err := ReadIndex(bytes.NewReader(b)); err == nil {
+	b[h.lo[secOff]+8] ^= 0x55
+	if _, err := readPIDMStream(bytes.NewReader(b)); err == nil {
 		t.Fatal("corrupted index accepted")
 	}
-	if _, err := ReadIndex(bytes.NewReader([]byte("XXXX"))); err == nil {
+	if _, err := readPIDMStream(bytes.NewReader([]byte("XXXX"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	if _, err := ReadIndex(bytes.NewReader(nil)); err == nil {
+	if _, err := readPIDMStream(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 }

@@ -13,17 +13,17 @@ import (
 	"parapll/internal/graph"
 )
 
-// Mmap-native on-disk index format ("PIDM"): the nine arrays of Index
-// laid out verbatim, little-endian, each in its own 64-byte-aligned
-// section, behind a fixed header — first the four that Open reads (the
-// two offset arrays, the two lists of column ids), so that what it
-// touches is one prefix of the file, then the five it does not. Opening
-// the file is O(1) in the entries: validate the header, map the file,
-// and alias the sections in place — no per-entry decode, no second copy
-// of the index in memory. The label array IS the product artifact; the
-// file IS the serving state.
+// The index file format ("PIDM"), the one every tool writes and reads:
+// the nine arrays of Index laid out verbatim, little-endian, each in its
+// own 64-byte-aligned section, behind a fixed header — first the four
+// that Open reads (the two offset arrays, the two lists of column ids),
+// so that what it touches is one prefix of the file, then the five it
+// does not. Opening the file is O(1) in the entries: validate the
+// header, map the file, and alias the sections in place — no per-entry
+// decode, no second copy of the index in memory. The label array IS the
+// product artifact; the file IS the serving state.
 //
-// Version 4 layout (all integers little-endian), what WriteMmap emits:
+// Version 4 layout (all integers little-endian):
 //
 //	[0:4)     magic "PIDM"
 //	[4:8)     version (4)
@@ -49,27 +49,25 @@ import (
 // aligned for any element type). The file ends exactly at the end of
 // the dists section.
 //
-// Every version has this shape — counts from byte 8, then the offsets of
-// the sections it stores, then their CRCs, then zeros up to a header CRC
-// in the last four bytes — and differs in what it counts and stores
-// (pidmVersions). Version 2 had no middle tier and a 128-byte header: n,
-// total, tail, K and the five sections off, headHubs, head, hubs, dists.
-// Version 1 had no head either and a 64-byte header: n, total and the
-// three sections off, hubs, dists. They read as width 4, K2 = 0 and
-// K = K2 = 0 — empty sections — through the same layout, checksum and
-// slicing code.
-//
 // Open validates the header checksum and the structural invariants but
 // deliberately does NOT re-checksum the sections — that would page in
 // the whole file and make open time O(bytes), defeating the point.
-// Verify does the full check on demand; the stream reader used by
-// ReadAny always verifies (it has read every byte anyway).
+// Verify does the full check on demand; the stream reader
+// (readPIDMStream) always verifies (it has read every byte anyway).
+//
+// A file of a format this one replaced is refused by name (retired).
 
 const (
 	mmapMagic   = "PIDM"
 	mmapVersion = 4
-	mmapMinSize = 64 // the version 1 header: the least any PIDM file holds
+	mmapHeader  = 192 // the header's bytes: the least a PIDM file holds
 	mmapAlign   = 64
+
+	// Where the header keeps the seven counts (n, total, tail, K, K2,
+	// mid, width), the nine section offsets and their nine CRCs.
+	hdrCounts  = 8
+	hdrOffsets = hdrCounts + 8*7
+	hdrCRCs    = hdrOffsets + 8*numSections
 
 	// maxMmapEntries bounds the tail and mid entry counts, the head slot
 	// count and the bitmap word count so section arithmetic can never
@@ -94,22 +92,6 @@ const (
 
 var sectionNames = [numSections]string{"off", "midOff", "headHubs", "midHubs", "head", "midBits", "midDists", "hubs", "dists"}
 
-// pidmVersions says, per format version, how long the header is, how many
-// of the counts n, total, tail, K, K2, mid, width it carries from byte 8
-// on, and which sections it stores an offset and a CRC for (the rest are
-// empty).
-var pidmVersions = map[uint32]struct {
-	hdr, counts int
-	stored      []int
-}{
-	1: {64, 2, []int{secOff, secHubs, secDists}},
-	2: {128, 4, []int{secOff, secHeadHubs, secHead, secHubs, secDists}},
-	3: {192, 6, allSections},
-	4: {192, 7, allSections},
-}
-
-var allSections = []int{secOff, secMidOff, secHeadHubs, secMidHubs, secHead, secMidBits, secMidDists, secHubs, secDists}
-
 // hostLittleEndian reports whether this machine stores integers
 // little-endian — the precondition for aliasing PIDM sections in place.
 // Big-endian hosts fall back to an eager decode of the same bytes.
@@ -123,8 +105,8 @@ func alignUp(x uint64) uint64 { return (x + mmapAlign - 1) &^ (mmapAlign - 1) }
 // mmapLayout returns the byte offset and length of each section and the
 // total file size for an index with n vertices, k head columns, k2 mid
 // columns holding mid entries and tail tail entries, a distance width
-// bytes, behind a header of hdr bytes.
-func mmapLayout(hdr, n, k, k2 int, mid, tail int64, width int) (lo, size [numSections]uint64, fileSize uint64) {
+// bytes.
+func mmapLayout(n, k, k2 int, mid, tail int64, width int) (lo, size [numSections]uint64, fileSize uint64) {
 	size = [numSections]uint64{
 		secOff:      uint64(n+1) * 8,
 		secHeadHubs: uint64(k) * 4,
@@ -138,7 +120,7 @@ func mmapLayout(hdr, n, k, k2 int, mid, tail int64, width int) (lo, size [numSec
 	if k2 > 0 {
 		size[secMidOff] = uint64(n+1) * 8
 	}
-	end := uint64(hdr)
+	end := uint64(mmapHeader)
 	for i := range lo {
 		lo[i] = alignUp(end)
 		end = lo[i] + size[i]
@@ -224,10 +206,9 @@ func (x *Index) WriteMmap(w io.Writer) error {
 
 func writePIDM[D distance](x *Index, a *arrays[D], w io.Writer) error {
 	defer runtime.KeepAlive(x) // the arrays may alias a finalizer-managed mapping
-	ver := pidmVersions[mmapVersion]
 	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
 	tail := int64(len(x.hubs))
-	lo, size, _ := mmapLayout(ver.hdr, n, k, k2, x.mids, tail, x.w)
+	lo, size, _ := mmapLayout(n, k, k2, x.mids, tail, x.w)
 
 	block := make([]byte, pidmBlock)
 	section := [numSections]func(w io.Writer) error{
@@ -242,26 +223,24 @@ func writePIDM[D distance](x *Index, a *arrays[D], w io.Writer) error {
 		secDists:    func(w io.Writer) error { return writeLE(w, block, a.dists) },
 	}
 
-	hdr := make([]byte, ver.hdr)
+	var hdr [mmapHeader]byte
 	copy(hdr[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
 	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), x.mids, int64(x.w)} {
-		binary.LittleEndian.PutUint64(hdr[8+8*i:], uint64(c))
+		binary.LittleEndian.PutUint64(hdr[hdrCounts+8*i:], uint64(c))
 	}
-	offAt := 8 + 8*ver.counts
-	crcAt := offAt + 8*numSections
 	for i := 0; i < numSections; i++ {
 		crc := crc32.NewIEEE()
 		_ = section[i](crc) // a hash.Hash's Write never fails
-		binary.LittleEndian.PutUint64(hdr[offAt+8*i:], lo[i])
-		binary.LittleEndian.PutUint32(hdr[crcAt+4*i:], crc.Sum32())
+		binary.LittleEndian.PutUint64(hdr[hdrOffsets+8*i:], lo[i])
+		binary.LittleEndian.PutUint32(hdr[hdrCRCs+4*i:], crc.Sum32())
 	}
-	binary.LittleEndian.PutUint32(hdr[ver.hdr-4:], crc32.ChecksumIEEE(hdr[:ver.hdr-4]))
+	binary.LittleEndian.PutUint32(hdr[mmapHeader-4:], crc32.ChecksumIEEE(hdr[:mmapHeader-4]))
 
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	end := uint64(ver.hdr)
+	end := uint64(mmapHeader)
 	for i := 0; i < numSections; i++ {
 		var zero [mmapAlign]byte
 		if _, err := w.Write(zero[:lo[i]-end]); err != nil {
@@ -275,7 +254,7 @@ func writePIDM[D distance](x *Index, a *arrays[D], w io.Writer) error {
 	return nil
 }
 
-// pidmHeader is the parsed, validated PIDM header of any version.
+// pidmHeader is the parsed, validated PIDM header.
 type pidmHeader struct {
 	n, k, k2 int
 	width    int   // bytes a stored distance
@@ -291,33 +270,24 @@ type pidmHeader struct {
 // extent. It does not touch the section payloads.
 func parsePIDM(data []byte) (pidmHeader, error) {
 	var h pidmHeader
-	if len(data) < mmapMinSize {
+	if what := retired(data); what != "" {
+		return h, fmt.Errorf("label: %s, a format this build no longer reads: rebuild it with parapll-index", what)
+	}
+	if len(data) < mmapHeader {
 		return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
 	}
 	if string(data[0:4]) != mmapMagic {
 		return h, fmt.Errorf("label: pidm: bad magic %q", data[0:4])
 	}
-	v := binary.LittleEndian.Uint32(data[4:8])
-	ver, ok := pidmVersions[v]
-	if !ok {
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != mmapVersion {
 		return h, fmt.Errorf("label: pidm: unsupported version %d", v)
 	}
-	hdr := ver.hdr
-	if len(data) < hdr {
-		return h, fmt.Errorf("label: pidm: truncated header (%d bytes)", len(data))
-	}
-	if got, want := binary.LittleEndian.Uint32(data[hdr-4:hdr]), crc32.ChecksumIEEE(data[0:hdr-4]); got != want {
+	if got, want := binary.LittleEndian.Uint32(data[mmapHeader-4:mmapHeader]), crc32.ChecksumIEEE(data[0:mmapHeader-4]); got != want {
 		return h, fmt.Errorf("label: pidm: header checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	// n, total, tail, K, K2, mid, width; what a version does not count is
-	// zero, but before the head every entry was a tail entry and before
-	// the width every distance was 4 bytes.
-	counts := [7]uint64{6: 4}
-	for i := 0; i < ver.counts; i++ {
-		counts[i] = binary.LittleEndian.Uint64(data[8+8*i:])
-	}
-	if ver.counts == 2 {
-		counts[2] = counts[1]
+	var counts [7]uint64 // n, total, tail, K, K2, mid, width
+	for i := range counts {
+		counts[i] = binary.LittleEndian.Uint64(data[hdrCounts+8*i:])
 	}
 	n, total, tail, k, k2, mid, width := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5], counts[6]
 	if width != 1 && width != 2 && width != 4 {
@@ -340,18 +310,16 @@ func parsePIDM(data []byte) (pidmHeader, error) {
 	}
 	h.n, h.k, h.k2, h.width, h.total, h.tail, h.mid = int(n), int(k), int(k2), int(width), int64(total), int64(tail), int64(mid)
 	var size uint64
-	h.lo, h.size, size = mmapLayout(hdr, h.n, h.k, h.k2, h.mid, h.tail, h.width)
-	offAt := 8 + 8*ver.counts
-	crcAt := offAt + 8*len(ver.stored)
-	for j, i := range ver.stored {
-		lo := binary.LittleEndian.Uint64(data[offAt+8*j:])
+	h.lo, h.size, size = mmapLayout(h.n, h.k, h.k2, h.mid, h.tail, h.width)
+	for i := range h.lo {
+		lo := binary.LittleEndian.Uint64(data[hdrOffsets+8*i:])
 		if lo%mmapAlign != 0 {
 			return h, fmt.Errorf("label: pidm: misaligned %s section offset %d", sectionNames[i], lo)
 		}
 		if lo != h.lo[i] {
 			return h, fmt.Errorf("label: pidm: %s section offset inconsistent with counts", sectionNames[i])
 		}
-		h.crc[i] = binary.LittleEndian.Uint32(data[crcAt+4*j:])
+		h.crc[i] = binary.LittleEndian.Uint32(data[hdrCRCs+4*i:])
 	}
 	if uint64(len(data)) != size {
 		return h, fmt.Errorf("label: pidm: file is %d bytes, layout needs %d (truncated section?)", len(data), size)
@@ -359,10 +327,29 @@ func parsePIDM(data []byte) (pidmHeader, error) {
 	return h, nil
 }
 
+// retired says what data is when it is an index file of a format PIDM
+// version 4 replaced, by its magic and for PIDM its version: "" when it
+// is not one.
+func retired(data []byte) string {
+	if len(data) < 8 {
+		return ""
+	}
+	switch string(data[0:4]) {
+	case "PIDX":
+		return "a PIDX (fixed-width) index"
+	case "PIDC":
+		return "a PIDC (compact) index"
+	case mmapMagic:
+		if v := binary.LittleEndian.Uint32(data[4:8]); v >= 1 && v < mmapVersion {
+			return fmt.Sprintf("a PIDM version %d index", v)
+		}
+	}
+	return ""
+}
+
 // checksumPIDM re-checksums the sections against the header — the
-// O(bytes) integrity check Open skips and Verify/ReadAny perform. (The
-// sections an older header has no CRC for are empty, and so is theirs:
-// zero.)
+// O(bytes) integrity check Open skips and Verify and readPIDMStream
+// perform.
 func checksumPIDM(data []byte, h pidmHeader) error {
 	for i, want := range h.crc {
 		if got := crc32.ChecksumIEEE(data[h.lo[i] : h.lo[i]+h.size[i]]); got != want {
@@ -424,7 +411,6 @@ func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
 		w:        h.width,
 		total:    h.total,
 		mids:     h.mid,
-		format:   FormatMmap,
 	}
 	switch x.w {
 	case 1:
@@ -496,7 +482,7 @@ func checkColumns(tier string, cols []graph.Vertex, n int) error {
 	return nil
 }
 
-// Open maps the PIDM index file at path (either version) and returns an
+// Open maps the PIDM index file at path and returns an
 // Index whose arrays alias the mapping: no per-entry decode, no heap
 // copy, start-up cost independent of the entry count (pages fault in on
 // first touch; the offsets and the K head column ids are read). The
@@ -523,6 +509,18 @@ func Open(path string) (*Index, error) {
 	return x, nil
 }
 
+// shortFile is mapFile's error for a file of size bytes, fewer than a
+// PIDM header holds: the one parsePIDM gives its bytes, which names a
+// retired format.
+func shortFile(r io.Reader, size int64) error {
+	data := make([]byte, size)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return fmt.Errorf("label: reading a %d-byte index: %w", size, err)
+	}
+	_, err := parsePIDM(data)
+	return err
+}
+
 // openMapping validates and slices an already-materialized container,
 // transferring ownership of mm to the returned Index on success.
 func openMapping(mm *mapping) (*Index, error) {
@@ -541,10 +539,10 @@ func openMapping(mm *mapping) (*Index, error) {
 	return x, nil
 }
 
-// readPIDMStream heap-loads a PIDM file from a reader (the ReadAny
-// path). Unlike Open it has already paid for reading every byte, so it
-// also verifies the section checksums and the entries, matching the
-// guarantees of the PIDX/PIDC stream readers.
+// readPIDMStream heap-loads a PIDM file from a reader: the verifying
+// reader FuzzOpenPIDM drives. Unlike Open it has already paid for
+// reading every byte, so it also verifies the section checksums and
+// every entry (checkEntries, strict).
 func readPIDMStream(r io.Reader) (*Index, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -572,9 +570,9 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 // skips: no tail entry names a head or mid hub, every bitmap row has as
 // many bits set as its packed run has distances and none at or above
 // column K2, and the header's entry count is what the sections hold.
-// With strict set it is also what the PIDX and PIDC readers reject: a
-// tail hub id that names no vertex, and a distance above maxDist — 2·d
-// would reach the width's all-ones value, or in a tail or mid run is it.
+// With strict set (the stream reader) it also rejects a tail hub id that
+// names no vertex, and a distance above maxDist — 2·d would reach the
+// width's all-ones value, or in a tail or mid run is it.
 func (x *Index) checkEntries(strict bool) error {
 	switch x.w {
 	case 1:
@@ -657,9 +655,8 @@ func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
 // it re-checksums the section payloads against the header CRCs and
 // checks the entries against the two column tiers (checkEntries; a tail
 // hub id that is no vertex is not its business — see the Index
-// invariant). It pages in the whole file. For heap-decoded indexes
-// (stream readers verify on read; built indexes have nothing on disk) it
-// is a no-op.
+// invariant). It pages in the whole file. For a built index, which has
+// nothing on disk, it is a no-op.
 func (x *Index) Verify() error {
 	defer runtime.KeepAlive(x) // keep the mapping alive through the checksum scan
 	if x.mm == nil || x.mm.data == nil {

@@ -24,8 +24,8 @@ func mapFile(path string) (*mapping, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if size < mmapMinSize {
-		return nil, fmt.Errorf("label: %s: %d bytes is too small for a pidm index", path, size)
+	if size < mmapHeader {
+		return nil, shortFile(f, size)
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("label: %s: too large to load on this platform", path)

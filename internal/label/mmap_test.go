@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,13 +47,25 @@ func mmapTestIndex() *Index {
 	return NewIndexFromLists(lists)
 }
 
-// Where the version 4 header keeps count i (n, total, tail, K, K2, mid,
-// width) and the offset and CRC of section sec.
+// randomIndex builds an index over n vertices, each with up to perVertex
+// entries of random hubs at random distances below 100 000.
+func randomIndex(seed int64, n, perVertex int) *Index {
+	r := rand.New(rand.NewSource(seed))
+	s := NewStore(n)
+	for v := 0; v < n; v++ {
+		k := r.Intn(perVertex + 1)
+		for j := 0; j < k; j++ {
+			s.Append(graph.Vertex(v), graph.Vertex(r.Intn(n)), graph.Dist(r.Intn(100000)))
+		}
+	}
+	return NewIndex(s)
+}
+
+// Where the header keeps count i (n, total, tail, K, K2, mid, width) and
+// the offset and CRC of section sec.
 func countAt(i int) int { return 8 + 8*i }
 func offAt(sec int) int { return 64 + 8*sec }
 func crcAt(sec int) int { return 136 + 4*sec }
-
-const headerV4 = 192
 
 // pidmBytes serializes x in the PIDM format.
 func pidmBytes(t testing.TB, x *Index) []byte {
@@ -66,7 +79,7 @@ func pidmBytes(t testing.TB, x *Index) []byte {
 
 func writeTemp(t *testing.T, data []byte) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.midx")
+	path := filepath.Join(t.TempDir(), "x.idx")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +97,11 @@ func TestMmapRoundTrip(t *testing.T) {
 	if !x.Equal(y) {
 		t.Fatal("mmap round trip changed index")
 	}
-	if y.Format() != FormatMmap {
-		t.Fatalf("Format() = %q, want %q", y.Format(), FormatMmap)
+	if x.Format() != FormatMemory || y.Format() != FormatMmap {
+		t.Fatalf("Format() = %q built, %q opened; want %q, %q", x.Format(), y.Format(), FormatMemory, FormatMmap)
+	}
+	if runtime.GOOS != "windows" && !y.Mapped() { // unix maps; the fallback reads into the heap
+		t.Fatal("Open did not map the file")
 	}
 	n := x.NumVertices()
 	for s := 0; s < n; s++ {
@@ -127,14 +143,10 @@ func TestMmapEmptyIndex(t *testing.T) {
 // fixHeaderCRC recomputes the header checksum after a deliberate header
 // mutation, so the test reaches the validation step it is aiming at.
 func fixHeaderCRC(data []byte) {
-	end := headerV4
-	if v, ok := pidmVersions[binary.LittleEndian.Uint32(data[4:8])]; ok {
-		end = v.hdr
-	}
-	binary.LittleEndian.PutUint32(data[end-4:], crc32.ChecksumIEEE(data[:end-4]))
+	binary.LittleEndian.PutUint32(data[mmapHeader-4:], crc32.ChecksumIEEE(data[:mmapHeader-4]))
 }
 
-// resealPIDM recomputes every checksum of a version 4 file after a
+// resealPIDM recomputes every checksum of a PIDM file after a
 // deliberate mutation, so that only the entries are wrong: the file a
 // bit flip before the CRCs were taken, or a foreign writer, leaves behind.
 func resealPIDM(t *testing.T, data []byte) {
@@ -225,8 +237,8 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 			} else if !tc.verify && err != nil {
 				t.Fatalf("Verify: %v, want nil (the checksums agree and the tiers are consistent)", err)
 			}
-			if _, err := ReadAny(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("ReadAny: %v, want %q", err, tc.wantErr)
+			if _, err := readPIDMStream(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("readPIDMStream: %v, want %q", err, tc.wantErr)
 			}
 		})
 	}
@@ -242,9 +254,8 @@ func TestOpenDecodesWhereItCannotAlias(t *testing.T) {
 	if k2, _ := wide.Mid(); k2 <= 64 {
 		t.Fatalf("fixture has %d mid columns: a bitmap row of one word cannot show a word decoded out of place", k2)
 	}
-	files := map[string][]byte{}
-	for version := 1; version <= 4; version++ {
-		files[fmt.Sprintf("version %d", version)] = handBuiltPIDM(wide, version)
+	files := map[string][]byte{
+		"all tiers": pidmBytes(t, wide), "head alone": pidmBytes(t, wide.HeadOnly()), "tails alone": pidmBytes(t, wide.Flat()),
 	}
 	for _, dmax := range []graph.Dist{127, 32767} {
 		files[fmt.Sprintf("dmax %d", dmax)] = pidmBytes(t, narrowTieredIndex(rand.New(rand.NewSource(43)), 400, dmax))
@@ -287,8 +298,7 @@ func TestMmapCorruptFrames(t *testing.T) {
 		mutate  func(data []byte) []byte
 		wantErr string
 	}{
-		// mapFile's own size guard may fire before parsePIDM's.
-		{"truncated header", func(d []byte) []byte { return d[:32] }, "too small|truncated header"},
+		{"truncated header", func(d []byte) []byte { return d[:32] }, "truncated header"},
 		{"header cut inside version 3's", func(d []byte) []byte { return d[:128] }, "truncated header"},
 		{"bad magic", func(d []byte) []byte { d[0] = 'X'; return d }, "bad magic"},
 		{"bad version", func(d []byte) []byte {
@@ -375,8 +385,8 @@ func TestMmapCorruptFrames(t *testing.T) {
 			} else if !containsAny(err.Error(), strings.Split(tc.wantErr, "|")) {
 				t.Fatalf("Open error %q does not mention %q", err, tc.wantErr)
 			}
-			if _, err := ReadAny(bytes.NewReader(data)); err == nil {
-				t.Fatal("ReadAny accepted corrupt file")
+			if _, err := readPIDMStream(bytes.NewReader(data)); err == nil {
+				t.Fatal("readPIDMStream accepted corrupt file")
 			}
 		})
 	}
@@ -465,95 +475,84 @@ func TestMmapSectionCorruptionDeferred(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "hubs section checksum") {
 		t.Fatalf("Verify error %q does not name the hubs section", err)
 	}
-	if _, err := ReadAny(bytes.NewReader(data)); err == nil {
-		t.Fatal("ReadAny missed flipped section byte")
+	if _, err := readPIDMStream(bytes.NewReader(data)); err == nil {
+		t.Fatal("readPIDMStream missed flipped section byte")
 	}
 }
 
-func TestReadAnySniffsAllFormats(t *testing.T) {
-	x := mmapTestIndex()
-	writers := map[string]func(*Index, *bytes.Buffer) error{
-		FormatFixed:   func(x *Index, b *bytes.Buffer) error { return x.Write(b) },
-		FormatCompact: func(x *Index, b *bytes.Buffer) error { return x.WriteCompact(b) },
-		FormatMmap:    func(x *Index, b *bytes.Buffer) error { return x.WriteMmap(b) },
-	}
-	for format, write := range writers {
-		var buf bytes.Buffer
-		if err := write(x, &buf); err != nil {
-			t.Fatalf("%s: write: %v", format, err)
-		}
-		y, err := ReadAny(&buf)
-		if err != nil {
-			t.Fatalf("%s: ReadAny: %v", format, err)
-		}
-		if !x.Equal(y) {
-			t.Fatalf("%s: ReadAny changed index", format)
-		}
-		if y.Format() != format {
-			t.Fatalf("%s: Format() = %q", format, y.Format())
-		}
-	}
-	if _, err := ReadAny(bytes.NewReader([]byte("what is this"))); err == nil {
-		t.Fatal("ReadAny accepted junk")
-	}
-	if _, err := ReadAny(bytes.NewReader(nil)); err == nil {
-		t.Fatal("ReadAny accepted empty input")
-	}
+// retiredFiles is one empty index in each format PIDM version 4
+// replaced, as its writer laid it out — magic, version, zero counts and
+// offsets, and no checksum to speak of — and what the error says it is.
+// All but the last are shorter than a PIDM header.
+var retiredFiles = []struct {
+	what string
+	data []byte
+}{
+	{"a PIDX (fixed-width) index", retiredFile("PIDX", 1, 32)},
+	{"a PIDC (compact) index", retiredFile("PIDC", 1, 20)},
+	{"a PIDM version 1 index", retiredFile(mmapMagic, 1, 72)},
+	{"a PIDM version 2 index", retiredFile(mmapMagic, 2, 136)},
+	{"a PIDM version 3 index", retiredFile(mmapMagic, 3, 200)},
 }
 
+func retiredFile(magic string, version uint32, size int) []byte {
+	data := make([]byte, size)
+	copy(data, magic)
+	binary.LittleEndian.PutUint32(data[4:], version)
+	return data
+}
+
+// TestOpenAnyZeroCopyOnlyForPIDM: Open goes by a file's content, not its
+// name. A PIDM file under any extension opens as a mapping; a file of a
+// retired heap format under a PIDM name is refused, not loaded.
 func TestOpenAnyZeroCopyOnlyForPIDM(t *testing.T) {
 	x := mmapTestIndex()
 	dir := t.TempDir()
-	for _, format := range []string{FormatFixed, FormatCompact, FormatMmap} {
-		var buf bytes.Buffer
-		var err error
-		switch format {
-		case FormatFixed:
-			err = x.Write(&buf)
-		case FormatCompact:
-			err = x.WriteCompact(&buf)
-		case FormatMmap:
-			err = x.WriteMmap(&buf)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Deliberately mismatched extension: dispatch is by content.
-		path := filepath.Join(dir, format+".whatever")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		y, err := OpenAny(path)
-		if err != nil {
-			t.Fatalf("%s: OpenAny: %v", format, err)
-		}
-		if !x.Equal(y) {
-			t.Fatalf("%s: OpenAny changed index", format)
-		}
-		if format == FormatMmap && !y.Mapped() && mappedExpected() {
-			t.Fatal("PIDM file did not open as a mapping")
-		}
-		if format != FormatMmap && y.Mapped() {
-			t.Fatalf("%s: heap format claims to be mapped", format)
-		}
-		y.Close()
+	path := filepath.Join(dir, "pidm.whatever")
+	if err := os.WriteFile(path, pidmBytes(t, x), 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// mappedExpected reports whether this platform's Open produces a real
-// OS mapping (the !unix fallback heap-loads instead).
-func mappedExpected() bool {
-	mm, err := mapFile("/dev/null")
+	y, err := Open(path)
 	if err != nil {
-		return false
+		t.Fatalf("Open: %v", err)
 	}
-	defer mm.close()
-	return mm.mapped
+	if !x.Equal(y) {
+		t.Fatal("Open changed index")
+	}
+	if runtime.GOOS != "windows" && !y.Mapped() { // unix maps; the fallback reads into the heap
+		t.Fatal("PIDM file did not open as a mapping")
+	}
+	y.Close()
+	for _, tc := range retiredFiles {
+		path := filepath.Join(dir, "retired.pidm")
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if y, err := Open(path); y != nil || err == nil {
+			t.Fatalf("%s under a PIDM name: Open = %v, %v; want it refused", tc.what, y, err)
+		}
+	}
 }
 
-// TestCrossFormatEquivalence is the property test behind the "any
-// format may live under any extension" contract: random indexes round
-// trip through all three formats and answer identically.
+// TestOpenNamesRetiredFormats: Open and the stream reader refuse a file
+// of a retired format with an error that says what it is and how to get
+// a file they read.
+func TestOpenNamesRetiredFormats(t *testing.T) {
+	for _, tc := range retiredFiles {
+		stream, err := readPIDMStream(bytes.NewReader(tc.data))
+		if stream != nil || err == nil || !strings.Contains(err.Error(), tc.what) {
+			t.Fatalf("%s: readPIDMStream: %v, want it named", tc.what, err)
+		}
+		x, err := Open(writeTemp(t, tc.data))
+		if x != nil || err == nil || !strings.Contains(err.Error(), tc.what+", a format this build no longer reads: rebuild it with parapll-index") {
+			t.Fatalf("%s: Open: %v, want it named and the way out", tc.what, err)
+		}
+	}
+}
+
+// TestCrossFormatEquivalence: random indexes answer identically built in
+// process (FormatMemory) and read back from their PIDM bytes (FormatMmap)
+// by either reader, stream and mapped.
 func TestCrossFormatEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -568,24 +567,19 @@ func TestCrossFormatEquivalence(t *testing.T) {
 			}
 		}
 		x := NewIndexFromLists(lists)
-
-		var fixed, compact, mm bytes.Buffer
-		if err := x.Write(&fixed); err != nil {
-			t.Fatal(err)
+		data := pidmBytes(t, x)
+		streamed, err := readPIDMStream(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := x.WriteCompact(&compact); err != nil {
-			t.Fatal(err)
+		mapped, err := Open(writeTemp(t, data))
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := x.WriteMmap(&mm); err != nil {
-			t.Fatal(err)
-		}
-		ys := make([]*Index, 0, 3)
-		for _, buf := range []*bytes.Buffer{&fixed, &compact, &mm} {
-			y, err := ReadAny(buf)
-			if err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-			ys = append(ys, y)
+		defer mapped.Close()
+		ys := []*Index{streamed, mapped}
+		if x.Format() != FormatMemory || streamed.Format() != FormatMmap || mapped.Format() != FormatMmap {
+			t.Fatalf("trial %d: formats %q built, %q streamed, %q mapped", trial, x.Format(), streamed.Format(), mapped.Format())
 		}
 		for probe := 0; probe < 50; probe++ {
 			s := graph.Vertex(r.Intn(n))
@@ -594,8 +588,8 @@ func TestCrossFormatEquivalence(t *testing.T) {
 			for i, y := range ys {
 				gd, gh := y.QueryWithHub(s, u)
 				if gd != wd || gh != wh {
-					t.Fatalf("trial %d format %d: QueryWithHub(%d,%d) = (%d,%d), want (%d,%d)",
-						trial, i, s, u, gd, gh, wd, wh)
+					t.Fatalf("trial %d, %s: QueryWithHub(%d,%d) = (%d,%d), want (%d,%d)",
+						trial, [...]string{"streamed", "mapped"}[i], s, u, gd, gh, wd, wh)
 				}
 			}
 		}
@@ -631,41 +625,28 @@ func BenchmarkOpenMmap(b *testing.B) {
 	}
 }
 
-// handBuiltPIDM lays the PIDM file of x's labels out in memory one word
-// at a time, straight from the format comment, as each version of the
-// format has it: version 4 with x's own tiers and distance width — the
-// reference the block encoder in WriteMmap must match byte for byte —
-// version 3 with every distance 4 bytes, version 2 with a head and no
-// middle tier behind a 128-byte header, version 1 with neither behind a
-// 64-byte one, as every file written before the tier existed.
-func handBuiltPIDM(x *Index, version int) []byte {
-	hdr, stored, width := 192, allSections, 4
-	switch version {
-	case 1:
-		x, hdr, stored = x.Flat(), 64, []int{secOff, secHubs, secDists}
-	case 2:
-		x, hdr, stored = x.HeadOnly(), 128, []int{secOff, secHeadHubs, secHead, secHubs, secDists}
-	case 4:
-		width = x.w
-	}
+// handBuiltPIDM lays the PIDM file of x out in memory one word at a
+// time, straight from the format comment: the reference the block
+// encoder in WriteMmap must match byte for byte.
+func handBuiltPIDM(x *Index) []byte {
 	var head, mids, dists []uint32
 	switch x.w {
 	case 1:
-		head, mids, dists = distWords(&x.a8, width)
+		head, mids, dists = distWords(&x.a8)
 	case 2:
-		head, mids, dists = distWords(&x.a16, width)
+		head, mids, dists = distWords(&x.a16)
 	default:
-		head, mids, dists = distWords(&x.a32, width)
+		head, mids, dists = distWords(&x.a32)
 	}
-	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
+	n, k, k2, width := x.NumVertices(), len(x.headHubs), len(x.midHubs), x.w
 	mid, tail := int64(len(mids)), int64(len(x.hubs))
-	counts := []int64{int64(n), x.NumEntries(), tail, int64(k), int64(k2), mid, int64(width)}[:[...]int{1: 2, 2: 4, 3: 6, 4: 7}[version]]
-	lo, size, fileSize := mmapLayout(hdr, n, k, k2, mid, tail, width)
+	counts := []int64{int64(n), x.NumEntries(), tail, int64(k), int64(k2), mid, int64(width)}
+	lo, size, fileSize := mmapLayout(n, k, k2, mid, tail, width)
 	out := make([]byte, fileSize)
 	copy(out[0:4], mmapMagic)
-	binary.LittleEndian.PutUint32(out[4:8], uint32(version))
+	binary.LittleEndian.PutUint32(out[4:8], 4)
 	for i, c := range counts {
-		binary.LittleEndian.PutUint64(out[8+8*i:], uint64(c))
+		binary.LittleEndian.PutUint64(out[countAt(i):], uint64(c))
 	}
 	put64 := func(sec, i int, v uint64) { binary.LittleEndian.PutUint64(out[lo[sec]+uint64(i)*8:], v) }
 	put32 := func(sec, i int, v uint32) { binary.LittleEndian.PutUint32(out[lo[sec]+uint64(i)*4:], v) }
@@ -706,26 +687,20 @@ func handBuiltPIDM(x *Index, version int) []byte {
 	for i, d := range dists {
 		putDist(secDists, i, d)
 	}
-	offsets := 8 + 8*len(counts)
-	crcs := offsets + 8*len(stored)
-	for j, sec := range stored {
-		binary.LittleEndian.PutUint64(out[offsets+8*j:], lo[sec])
-		binary.LittleEndian.PutUint32(out[crcs+4*j:], crc32.ChecksumIEEE(out[lo[sec]:lo[sec]+size[sec]]))
+	for sec := range lo {
+		binary.LittleEndian.PutUint64(out[offAt(sec):], lo[sec])
+		binary.LittleEndian.PutUint32(out[crcAt(sec):], crc32.ChecksumIEEE(out[lo[sec]:lo[sec]+size[sec]]))
 	}
-	binary.LittleEndian.PutUint32(out[hdr-4:], crc32.ChecksumIEEE(out[:hdr-4]))
+	binary.LittleEndian.PutUint32(out[188:], crc32.ChecksumIEEE(out[:188]))
 	return out
 }
 
-// distWords returns the three arrays of a as the values a file that
-// stores distances at width bytes holds: a's own, or, widened, with the
-// all-ones value of the wider width in the empty head slots.
-func distWords[D distance](a *arrays[D], width int) (head, mids, dists []uint32) {
+// distWords returns the three arrays of a as words.
+func distWords[D distance](a *arrays[D]) (head, mids, dists []uint32) {
 	conv := func(in []D) []uint32 {
 		out := make([]uint32, len(in))
 		for i, d := range in {
-			if out[i] = uint32(d); d == ^D(0) {
-				out[i] = uint32(1)<<(8*width) - 1
-			}
+			out[i] = uint32(d)
 		}
 		return out
 	}
@@ -737,8 +712,7 @@ func distWords[D distance](a *arrays[D], width int) (head, mids, dists []uint32)
 // than one encoding block and several blocks long, with all three tiers,
 // with a head alone and with neither, at every distance width; for the
 // long ones, equal to the SHA-256 recorded when the format became
-// version 4 — and, as a version 3, 2 and 1 file, to the ones those
-// writers produced, so the labels under the new bytes are the old ones.
+// version 4.
 func TestWriteMmapBytesUnchanged(t *testing.T) {
 	big := randomIndex(9, 3*pidmBlock/8, 12) // off section spans three blocks, hubs and dists more
 	for name, x := range map[string]*Index{
@@ -747,8 +721,10 @@ func TestWriteMmapBytesUnchanged(t *testing.T) {
 		"tiered":       tieredTestIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8),
 		"tiered-1B":    narrowTieredIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8, 127),
 		"tiered-2B":    narrowTieredIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8, 32767),
+		"head alone":   tieredTestIndex(rand.New(rand.NewSource(5)), 3*pidmBlock/8).HeadOnly(),
+		"tails alone":  big.Flat(),
 	} {
-		if got := pidmBytes(t, x); !bytes.Equal(got, handBuiltPIDM(x, 4)) {
+		if got := pidmBytes(t, x); !bytes.Equal(got, handBuiltPIDM(x)) {
 			t.Errorf("%s: WriteMmap differs from the wordwise reference", name)
 		}
 	}
@@ -764,10 +740,6 @@ func TestWriteMmapBytesUnchanged(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"big fixture as a version 1 file", handBuiltPIDM(big, 1), "f3632900fef5fa94646f83b528dff80643da5df0c8eb74862a4f6af144cdc115"},
-		{"big fixture as a version 2 file", handBuiltPIDM(big, 2), "8dfd7640b82be2fa8cc5bc1afe30ad9e51c6a76337e0402f3dcfdcb956ac9450"},
-		{"big fixture as a version 3 file", handBuiltPIDM(big, 3), "835dbe12824c2c24d2cbf263c461e31ec81b07b0da74578c114edee22a93172e"},
-		{"tiered fixture as a version 3 file", handBuiltPIDM(tiered, 3), "0ac471b85c71de3bee21c6c4402238bacc8f661b2b2c250b15c043294ef28c38"},
 		{"big fixture", pidmBytes(t, big), "7d1d029d2274eb79c4e2fe2bbc96157aa69f42bd5db4b8caa7012416765b9055"},
 		{"tiered fixture", pidmBytes(t, tiered), "1576f1d1454109d3f2af21f8246ccead701520c1ba9e5deb15da04d568a5b42f"},
 		{"tiered fixture at 1 byte", pidmBytes(t, narrowTieredIndex(rand.New(rand.NewSource(5)), 3000, 127)), "dfaad6c6511820b86a066a75cc16564e84196588bf57a5d09c8731697bb00346"},
@@ -776,101 +748,5 @@ func TestWriteMmapBytesUnchanged(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(pin.data)); got != pin.want {
 			t.Errorf("%s hashes to %s, want %s", pin.name, got, pin.want)
 		}
-	}
-}
-
-// TestOpenOlderVersions opens files in the three formats PIDM files were
-// written in before distances had a width — version 1 without a head,
-// version 2 with one, version 3 with all three tiers: each maps,
-// verifies, reads at 4 bytes a distance with the tiers it stored and is
-// Equal to — and answers as — the version 4 file of the same labels,
-// which in turn is what rewriting it through a finalize produces.
-func TestOpenVersion1(t *testing.T) { testOpenOlderVersion(t, 1) }
-func TestOpenVersion2(t *testing.T) { testOpenOlderVersion(t, 2) }
-func TestOpenVersion3(t *testing.T) { testOpenOlderVersion(t, 3) }
-
-func testOpenOlderVersion(t *testing.T, version int) {
-	const n = 400
-	x := narrowTieredIndex(rand.New(rand.NewSource(41)), n, 127)
-	xk, _ := x.Head()
-	xk2, _ := x.Mid()
-	if xk == 0 || xk2 == 0 || x.DistBytes() == 4 {
-		t.Fatal("fixture lacks a tier or is 4 bytes wide: nothing to compare an older file with")
-	}
-	file := handBuiltPIDM(x, version)
-	old, err := Open(writeTemp(t, file))
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer old.Close()
-	if err := old.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	wantK, wantK2 := [...]int{1: 0, 2: xk, 3: xk}[version], [...]int{1: 0, 2: 0, 3: xk2}[version]
-	if k, _ := old.Head(); k != wantK {
-		t.Fatalf("version %d file opened with head K=%d, want %d", version, k, wantK)
-	}
-	if k2, density := old.Mid(); k2 != wantK2 || (k2 == 0) != (density == 0) {
-		t.Fatalf("version %d file opened with K2=%d density %g, want K2=%d", version, k2, density, wantK2)
-	}
-	if old.DistBytes() != 4 {
-		t.Fatalf("version %d file opened with %d-byte distances", version, old.DistBytes())
-	}
-	if !old.Equal(x) || !x.Equal(old) || old.NumEntries() != x.NumEntries() || old.AvgLabelSize() != x.AvgLabelSize() {
-		t.Fatalf("version %d file does not hold the labels it was built from", version)
-	}
-	var pairs [][2]graph.Vertex
-	for s := 0; s < n; s++ {
-		for u := 0; u < n; u += 7 {
-			gd, gh := old.QueryWithHub(graph.Vertex(s), graph.Vertex(u))
-			wd, wh := x.QueryWithHub(graph.Vertex(s), graph.Vertex(u))
-			if gd != wd || gh != wh || old.Query(graph.Vertex(s), graph.Vertex(u)) != wd {
-				t.Fatalf("(%d,%d): version %d file answers (%d,%d), the built index (%d,%d)", s, u, version, gd, gh, wd, wh)
-			}
-			pairs = append(pairs, [2]graph.Vertex{graph.Vertex(s), graph.Vertex(u)})
-		}
-	}
-	for i, d := range old.QueryBatch(pairs, 2) {
-		if want := x.Query(pairs[i][0], pairs[i][1]); d != want {
-			t.Fatalf("%v: version %d file's batch answers %d, the built index %d", pairs[i], version, d, want)
-		}
-	}
-	// Saved again as it was opened it is a version 4 file of the same
-	// labels in the old layout, 4 bytes a distance.
-	resaved := pidmBytes(t, old)
-	if v := binary.LittleEndian.Uint32(resaved[4:8]); v != 4 {
-		t.Fatalf("a version %d file saved again is version %d, want 4", version, v)
-	}
-	again, err := Open(writeTemp(t, resaved))
-	if err != nil {
-		t.Fatalf("Open of the re-saved file: %v", err)
-	}
-	defer again.Close()
-	if err := again.Verify(); err != nil || !again.Equal(x) {
-		t.Fatalf("version %d file opened and saved as version 4: Verify %v, Equal %v", version, err, again.Equal(x))
-	}
-	if again.DistBytes() != 4 {
-		t.Fatalf("re-saved file opened with %d-byte distances", again.DistBytes())
-	}
-	// Reading it as a stream finalizes nothing either, and rewriting that
-	// through the logical formats lands on the version 4 bytes of a fresh
-	// build: the tiers and the width come back with the next finalize.
-	streamed, err := ReadAny(bytes.NewReader(file))
-	if err != nil {
-		t.Fatalf("ReadAny: %v", err)
-	}
-	if k2, _ := streamed.Mid(); k2 != wantK2 || streamed.DistBytes() != 4 {
-		t.Fatalf("streaming a version %d file gave it %d mid columns and %d-byte distances", version, k2, streamed.DistBytes())
-	}
-	var pidx bytes.Buffer
-	if err := streamed.Write(&pidx); err != nil {
-		t.Fatal(err)
-	}
-	retiered, err := ReadAny(&pidx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !retiered.Equal(x) || !bytes.Equal(pidmBytes(t, retiered), pidmBytes(t, x)) {
-		t.Fatalf("version %d -> PIDX -> PIDM differs from the version 4 file of the same labels", version)
 	}
 }

@@ -80,44 +80,38 @@ func TestQuickIndexInvariants(t *testing.T) {
 	}
 }
 
+// TestQuickCompactRoundTrip: an index at the narrowest distance width
+// its labels allow comes back from its PIDM bytes, through the stream
+// reader, the same and at the same width.
 func TestQuickCompactRoundTrip(t *testing.T) {
 	f := func(nRaw uint8, triples [][3]uint32) bool {
 		n := int(nRaw%40) + 1
 		x := arbitraryIndex(n, triples)
 		var buf bytes.Buffer
-		if err := x.WriteCompact(&buf); err != nil {
+		if err := x.WriteMmap(&buf); err != nil {
 			return false
 		}
-		y, err := ReadCompact(&buf)
-		if err != nil {
-			return false
-		}
-		if x.NumEntries() == 0 {
-			return y.NumEntries() == 0 && y.NumVertices() == x.NumVertices()
-		}
-		return x.Equal(y)
+		y, err := readPIDMStream(&buf)
+		return err == nil && x.Equal(y) && y.DistBytes() == x.DistBytes()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestQuickFixedRoundTrip: the same index held at the fixed 4-byte width
+// comes back from its PIDM bytes, through the mapped reader, the same
+// and still at 4 bytes.
 func TestQuickFixedRoundTrip(t *testing.T) {
 	f := func(nRaw uint8, triples [][3]uint32) bool {
 		n := int(nRaw%40) + 1
-		x := arbitraryIndex(n, triples)
+		x := arbitraryIndex(n, triples).Wide()
 		var buf bytes.Buffer
-		if err := x.Write(&buf); err != nil {
+		if err := x.WriteMmap(&buf); err != nil {
 			return false
 		}
-		y, err := ReadIndex(&buf)
-		if err != nil {
-			return false
-		}
-		if x.NumEntries() == 0 {
-			return y.NumEntries() == 0 && y.NumVertices() == x.NumVertices()
-		}
-		return x.Equal(y)
+		y, err := openMapping(&mapping{data: buf.Bytes()})
+		return err == nil && x.Equal(y) && y.DistBytes() == 4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -399,6 +402,76 @@ func TestConnectTCPValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
+}
+
+// TestRootFailureReleasesPeers: a root whose bootstrap fails — here on a
+// hello from a rank that does not exist — hangs up on the ranks it had
+// already accepted, so a legitimate rank waiting on it for the address
+// book gets an error at once instead of waiting for ever.
+func TestRootFailureReleasesPeers(t *testing.T) {
+	root, err := netListenProbe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootErr := make(chan error, 1)
+	go func() {
+		c, err := ConnectTCP(0, 3, root, "")
+		if err == nil {
+			c.Close()
+		}
+		rootErr <- err
+	}()
+
+	// Rank 1 reaches the root through a relay, so the test knows its
+	// connection is queued at the root before the bad one is.
+	relay, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+	peerErr := make(chan error, 1)
+	go func() {
+		c, err := ConnectTCP(1, 3, relay.Addr().String(), "")
+		if err == nil {
+			c.Close()
+		}
+		peerErr <- err
+	}()
+	in, err := relay.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	out, err := dialRetry(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	go func() { io.Copy(out, in); out.Close() }()
+	go func() { io.Copy(in, out); in.Close() }()
+
+	bad, err := net.Dial("tcp", root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	var hello [4]byte
+	binary.LittleEndian.PutUint32(hello[:], 7)
+	if err := writeFrame(bad, tagHello, hello[:]); err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case err := <-peerErr:
+		if err == nil {
+			t.Fatal("rank 1 joined a cluster whose root failed")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank 1 still waits for the book of a root that failed")
+	}
+	if err := <-rootErr; err == nil || !strings.Contains(err.Error(), "rank 7") {
+		t.Fatalf("root: %v, want the bad hello named", err)
+	}
 }
 
 func TestSendRankRange(t *testing.T) {

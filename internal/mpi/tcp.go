@@ -20,8 +20,10 @@ import (
 // every rank the full address book over the same connections, which stay
 // open as the permanent rank↔0 links. Finally rank i dials rank j's
 // listener for every 0 < j < i (identifying itself with a rank header),
-// completing the mesh. Messages are length-prefixed frames:
-// [u32 len][u32 tag][payload].
+// completing the mesh. Every bootstrap read and accept has the setup
+// deadline, and a rank whose bootstrap fails closes every connection it
+// made or accepted, so no rank waits on one that gave up. Messages are
+// length-prefixed frames: [u32 len][u32 tag][payload].
 
 const (
 	tcpMaxFrame      = 1 << 30
@@ -137,11 +139,13 @@ func ConnectTCP(rank, size int, rootAddr, bindAddr string) (Comm, error) {
 		c.Close()
 		return nil, err
 	}
-	// Start one reader per peer connection.
+	// Start one reader per peer connection, with no deadline: the
+	// bootstrap's ended with it.
 	for r, p := range c.peers {
 		if p == nil {
 			continue
 		}
+		p.conn.SetDeadline(time.Time{})
 		c.readers.Add(1)
 		go c.readLoop(r, p.conn)
 	}
@@ -157,7 +161,6 @@ func (c *tcpComm) bootstrapRoot(rootAddr string) error {
 	deadline := time.Now().Add(tcpSetupDeadline)
 	book := make([]string, c.size)
 	book[0] = rootAddr
-	conns := make([]net.Conn, c.size)
 	for got := 0; got < c.size-1; got++ {
 		if tl, ok := ln.(*net.TCPListener); ok {
 			tl.SetDeadline(deadline)
@@ -166,25 +169,27 @@ func (c *tcpComm) bootstrapRoot(rootAddr string) error {
 		if err != nil {
 			return fmt.Errorf("mpi: root accept: %w", err)
 		}
+		conn.SetDeadline(deadline)
 		tag, data, err := readFrame(conn)
 		if err != nil || tag != tagHello || len(data) < 4 {
 			conn.Close()
 			return fmt.Errorf("mpi: bad hello (tag %d): %v", tag, err)
 		}
 		r := int(binary.LittleEndian.Uint32(data[0:4]))
-		if r <= 0 || r >= c.size || conns[r] != nil {
+		if r <= 0 || r >= c.size || c.peers[r] != nil {
 			conn.Close()
 			return fmt.Errorf("mpi: hello from invalid or duplicate rank %d", r)
 		}
 		book[r] = string(data[4:])
-		conns[r] = conn
+		// A peer from here on: should the bootstrap fail, Close hangs up
+		// on it and the rank behind it stops waiting for the book.
+		c.peers[r] = &tcpPeer{conn: conn}
 	}
 	payload := []byte(strings.Join(book, "\n"))
 	for r := 1; r < c.size; r++ {
-		if err := writeFrame(conns[r], tagBook, payload); err != nil {
+		if err := writeFrame(c.peers[r].conn, tagBook, payload); err != nil {
 			return fmt.Errorf("mpi: send book to %d: %w", r, err)
 		}
-		c.peers[r] = &tcpPeer{conn: conns[r]}
 	}
 	return nil
 }
@@ -199,6 +204,8 @@ func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
 	if err != nil {
 		return fmt.Errorf("mpi: dial root: %w", err)
 	}
+	c.peers[0] = &tcpPeer{conn: conn0}
+	conn0.SetDeadline(time.Now().Add(tcpSetupDeadline))
 	hello := make([]byte, 4+len(ln.Addr().String()))
 	binary.LittleEndian.PutUint32(hello[0:4], uint32(c.rank))
 	copy(hello[4:], ln.Addr().String())
@@ -213,19 +220,18 @@ func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
 	if len(book) != c.size {
 		return fmt.Errorf("mpi: book has %d entries, want %d", len(book), c.size)
 	}
-	c.peers[0] = &tcpPeer{conn: conn0}
 	// Dial every lower non-root rank.
 	for j := 1; j < c.rank; j++ {
 		conn, err := dialRetry(book[j])
 		if err != nil {
 			return fmt.Errorf("mpi: dial rank %d at %s: %w", j, book[j], err)
 		}
+		c.peers[j] = &tcpPeer{conn: conn}
 		var id [4]byte
 		binary.LittleEndian.PutUint32(id[:], uint32(c.rank))
 		if err := writeFrame(conn, tagMeshHello, id[:]); err != nil {
 			return fmt.Errorf("mpi: mesh hello to %d: %w", j, err)
 		}
-		c.peers[j] = &tcpPeer{conn: conn}
 	}
 	// Accept every higher rank.
 	deadline := time.Now().Add(tcpSetupDeadline)
@@ -237,6 +243,7 @@ func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
 		if err != nil {
 			return fmt.Errorf("mpi: accept mesh: %w", err)
 		}
+		conn.SetDeadline(deadline)
 		tag, data, err := readFrame(conn)
 		if err != nil || tag != tagMeshHello || len(data) != 4 {
 			conn.Close()

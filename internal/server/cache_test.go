@@ -96,34 +96,29 @@ func TestCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
-// weightedLineIndex saves a line graph 0-1-...-(n-1) with edge weight w,
-// so d(0, n-1) = (n-1)*w distinguishes artifacts of identical shape.
-func saveWeightedLineIndex(t *testing.T, dir string, n int, w graph.Dist, format string) string {
-	t.Helper()
+// weightedLineIndex builds a line graph 0-1-...-(n-1) with edge weight
+// w, so d(0, n-1) = (n-1)*w distinguishes indexes of identical shape.
+func weightedLineIndex(n int, w graph.Dist) *label.Index {
 	edges := make([]graph.Edge, n-1)
 	for i := range edges {
 		edges[i] = graph.Edge{U: graph.Vertex(i), V: graph.Vertex(i + 1), W: w}
 	}
-	x := pll.Build(graph.FromEdges(n, edges), pll.Options{})
-	path := filepath.Join(dir, fmt.Sprintf("line%d-w%d.%s.idx", n, w, format))
-	if err := fileio.SaveIndexAs(path, x, format); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return pll.Build(graph.FromEdges(n, edges), pll.Options{})
 }
 
 // TestCacheReloadNeverStale is the correctness crux of the distance
 // cache: a /reload hot-swap bumps the snapshot generation, and because
 // cache keys include the generation, a post-swap query must never be
-// answered from a pre-swap entry. Two artifacts share vertex ids but
-// differ in edge weight, so d(0,5) names the artifact that answered:
-// serving the other artifact's distance is exactly the staleness bug.
-// Run under -race this also hammers cache Put/Get against the swap.
+// answered from a pre-swap entry. Two indexes share vertex ids but
+// differ in edge weight, so d(0,5) names the one that answered: serving
+// the other's distance is exactly the staleness bug. One is built in
+// process and Published (heap), the other a file /reload maps. Run under
+// -race this also hammers cache Put/Get against the swap.
 func TestCacheReloadNeverStale(t *testing.T) {
-	dir := t.TempDir()
-	pathA := saveWeightedLineIndex(t, dir, 6, 1, label.FormatFixed) // d(0,5) = 5
-	pathB := saveWeightedLineIndex(t, dir, 6, 2, label.FormatMmap)  // d(0,5) = 10
-	want := map[string]int64{pathA: 5, pathB: 10}
+	path := filepath.Join(t.TempDir(), "line6-w2.idx")
+	if err := fileio.SaveIndex(path, weightedLineIndex(6, 2)); err != nil { // d(0,5) = 10
+		t.Fatal(err)
+	}
 
 	s := NewPending(nil)
 	s.SetCacheEntries(4096)
@@ -131,11 +126,7 @@ func TestCacheReloadNeverStale(t *testing.T) {
 		idx, err := fileio.LoadIndex(p)
 		return idx, nil, err
 	})
-	first, err := fileio.LoadIndex(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(first, nil, pathA)
+	s.Publish(weightedLineIndex(6, 1), nil, "") // d(0,5) = 5
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -172,23 +163,26 @@ func TestCacheReloadNeverStale(t *testing.T) {
 		}()
 	}
 
-	// Foreground: swap between the artifacts and assert — immediately
-	// after each swap, with the cache fully warm on the old generation —
-	// that the probe pair answers from the new artifact.
-	paths := []string{pathB, pathA}
+	// Foreground: swap between the two and assert — immediately after
+	// each swap, with the cache fully warm on the old generation — that
+	// the probe pair answers from the new one.
 	for i := 0; i < 30; i++ {
-		p := paths[i%2]
-		if code, _ := postReload(t, ts.URL, p); code != http.StatusOK {
-			t.Fatalf("reload %d: status %d", i, code)
+		want := int64(10)
+		if i%2 == 0 {
+			if code, _ := postReload(t, ts.URL, path); code != http.StatusOK {
+				t.Fatalf("reload %d: status %d", i, code)
+			}
+		} else {
+			s.Publish(weightedLineIndex(6, 1), nil, "")
+			want = 5
 		}
 		for rep := 0; rep < 3; rep++ { // repeat: hit the fresh generation's cache too
 			var q queryResponse
 			if code := getJSON(t, ts.URL+"/query?s=0&t=5", &q); code != http.StatusOK {
-				t.Fatalf("query after reload %d: status %d", i, code)
+				t.Fatalf("query after swap %d: status %d", i, code)
 			}
-			if q.Dist != want[p] {
-				t.Fatalf("STALE CACHE after reload %d to %s: d(0,5) = %d, want %d",
-					i, p, q.Dist, want[p])
+			if q.Dist != want {
+				t.Fatalf("STALE CACHE after swap %d: d(0,5) = %d, want %d", i, q.Dist, want)
 			}
 		}
 	}

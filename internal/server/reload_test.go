@@ -7,7 +7,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,11 +31,13 @@ func lineGraph(n int) *graph.Graph {
 	return graph.FromEdges(n, edges)
 }
 
-func saveLineIndex(t *testing.T, dir string, n int, format string) string {
+// saveLineIndex writes lineGraph(n)'s index to a file in dir, which the
+// loader maps: a heap-backed snapshot is one Published from a build.
+func saveLineIndex(t *testing.T, dir string, n int) string {
 	t.Helper()
 	x := pll.Build(lineGraph(n), pll.Options{})
-	path := filepath.Join(dir, fmt.Sprintf("line%d.%s.idx", n, format))
-	if err := fileio.SaveIndexAs(path, x, format); err != nil {
+	path := filepath.Join(dir, fmt.Sprintf("line%d.idx", n))
+	if err := fileio.SaveIndex(path, x); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -99,24 +103,24 @@ func postReload(t *testing.T, url, path string) (int, reloadResponse) {
 
 func TestReloadEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	small := saveLineIndex(t, dir, 4, label.FormatFixed)
-	big := saveLineIndex(t, dir, 9, label.FormatMmap)
+	big := saveLineIndex(t, dir, 9)
 
 	s := NewPending(nil)
 	s.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
 		idx, err := fileio.LoadIndex(path)
 		return idx, nil, err
 	})
-	first, err := fileio.LoadIndex(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(first, nil, small)
+	s.Publish(pll.Build(lineGraph(4), pll.Options{}), nil, "")
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
-	// Reload onto a different artifact: generation bumps, stats flip to
-	// the new index (size and format prove the swap happened).
+	// Reload from the built (heap) index onto a file (mapped): generation
+	// bumps, stats flip to the new index (size and format prove the swap
+	// happened).
+	var st statsResponse
+	if c := getJSON(t, ts.URL+"/stats", &st); c != http.StatusOK || st.Format != label.FormatMemory {
+		t.Fatalf("stats before reload: status %d, %+v", c, st)
+	}
 	code, out := postReload(t, ts.URL, big)
 	if code != http.StatusOK {
 		t.Fatalf("reload: status %d", code)
@@ -124,7 +128,6 @@ func TestReloadEndpoint(t *testing.T) {
 	if out.Generation != 2 || out.Vertices != 9 || out.Format != label.FormatMmap {
 		t.Fatalf("reload response = %+v", out)
 	}
-	var st statsResponse
 	if c := getJSON(t, ts.URL+"/stats", &st); c != http.StatusOK {
 		t.Fatalf("stats: status %d", c)
 	}
@@ -142,13 +145,23 @@ func TestReloadEndpoint(t *testing.T) {
 		t.Fatalf("empty reload: status %d, %+v", code, out)
 	}
 
-	// A loader failure must keep the old snapshot serving.
-	code, _ = postReload(t, ts.URL, filepath.Join(dir, "missing.idx"))
-	if code != http.StatusInternalServerError {
-		t.Fatalf("reload of missing file: status %d, want 500", code)
+	// A loader failure must keep the old snapshot serving — a missing
+	// file, and a file of a retired format (a PIDM version 3 header).
+	retired := filepath.Join(dir, "v3.idx")
+	if err := os.WriteFile(retired, append([]byte("PIDM\x03\x00\x00\x00"), make([]byte, 184)...), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if c := getJSON(t, ts.URL+"/query?s=0&t=8", &q); c != http.StatusOK || q.Dist != 8 {
-		t.Fatalf("query after failed reload: status %d dist %d", c, q.Dist)
+	for _, bad := range []string{filepath.Join(dir, "missing.idx"), retired} {
+		code, _ = postReload(t, ts.URL, bad)
+		if code != http.StatusInternalServerError {
+			t.Fatalf("reload of %s: status %d, want 500", bad, code)
+		}
+		if c := getJSON(t, ts.URL+"/query?s=0&t=8", &q); c != http.StatusOK || q.Dist != 8 {
+			t.Fatalf("query after failed reload of %s: status %d dist %d", bad, c, q.Dist)
+		}
+	}
+	if got := s.ReloadFailures().Value(); got != 2 {
+		t.Fatalf("reload failures = %d, want 2", got)
 	}
 }
 
@@ -158,8 +171,8 @@ func TestReloadEndpoint(t *testing.T) {
 // (or panic) from a path index validated against another graph.
 func TestReloadPathIndexCarryOver(t *testing.T) {
 	dir := t.TempDir()
-	a := saveLineIndex(t, dir, 6, label.FormatFixed)
-	b := saveLineIndex(t, dir, 9, label.FormatMmap)
+	a := saveLineIndex(t, dir, 6)
+	b := saveLineIndex(t, dir, 9)
 
 	s := NewPending(nil)
 	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
@@ -203,7 +216,7 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 // tiny, so an oversized body is rejected before it is buffered.
 func TestReloadBodyTooLarge(t *testing.T) {
 	dir := t.TempDir()
-	path := saveLineIndex(t, dir, 4, label.FormatFixed)
+	path := saveLineIndex(t, dir, 4)
 	s := NewPending(nil)
 	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
 		idx, err := fileio.LoadIndex(p)
@@ -237,7 +250,7 @@ func TestReloadWithoutLoader(t *testing.T) {
 
 func TestReloadBusy(t *testing.T) {
 	dir := t.TempDir()
-	path := saveLineIndex(t, dir, 4, label.FormatFixed)
+	path := saveLineIndex(t, dir, 4)
 	block := make(chan struct{})
 	entered := make(chan struct{})
 	s := NewPending(nil)
@@ -268,8 +281,8 @@ func TestReloadBusy(t *testing.T) {
 // from the new index, not a stale pin of the old one.
 func TestReloadRebuildsKNN(t *testing.T) {
 	dir := t.TempDir()
-	small := saveLineIndex(t, dir, 3, label.FormatFixed)
-	big := saveLineIndex(t, dir, 8, label.FormatFixed)
+	small := saveLineIndex(t, dir, 3)
+	big := saveLineIndex(t, dir, 8)
 
 	s := NewPending(nil)
 	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
@@ -311,26 +324,24 @@ func TestReloadRebuildsKNN(t *testing.T) {
 }
 
 // TestHotReloadHammer swaps snapshots while queries and batches are in
-// flight. Every response must be a 200 answering consistently from
-// whichever snapshot it started on; run under -race this also proves
-// the swap itself is data-race-free.
+// flight, alternating mapped files (/reload) with indexes built in
+// process (Publish), so every swap trades a heap snapshot for a mapping
+// or back and a dropped mapping's finalizer runs under live queries.
+// Every response must be a 200 answering consistently from whichever
+// snapshot it started on; run under -race this also proves the swap
+// itself is data-race-free.
 func TestHotReloadHammer(t *testing.T) {
 	dir := t.TempDir()
-	paths := []string{
-		saveLineIndex(t, dir, 6, label.FormatFixed),
-		saveLineIndex(t, dir, 6, label.FormatCompact),
-		saveLineIndex(t, dir, 6, label.FormatMmap),
+	paths := []string{saveLineIndex(t, dir, 6), filepath.Join(dir, "copy.idx")}
+	if err := fileio.SaveIndex(paths[1], pll.Build(lineGraph(6), pll.Options{})); err != nil {
+		t.Fatal(err)
 	}
 	s := NewPending(nil)
 	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
 		idx, err := fileio.LoadIndex(p)
 		return idx, nil, err
 	})
-	first, err := fileio.LoadIndex(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(first, nil, paths[0])
+	s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -397,7 +408,12 @@ func TestHotReloadHammer(t *testing.T) {
 	}
 
 	for i := 0; i < reloads; i++ {
-		code, _ := postReload(t, ts.URL, paths[i%len(paths)])
+		if i%3 == 2 {
+			s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
+			runtime.GC() // let the dropped mapping's finalizer run while queries are in flight
+			continue
+		}
+		code, _ := postReload(t, ts.URL, paths[i%3])
 		// Reloads are serialized by postReload itself here, so 409 never
 		// fires; anything but 200 is a bug.
 		if code != http.StatusOK {

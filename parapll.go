@@ -346,31 +346,15 @@ func LoadGraph(path string) (*Graph, error) { return fileio.LoadGraph(path) }
 // index for a zero-copy mmap one) without touching call sites.
 type Oracle = oracle.Oracle
 
-// Index file formats accepted by SaveIndexAs. Loading never needs a
-// format name: LoadIndex sniffs the file's magic bytes.
-const (
-	// FormatFixed is the checksummed fixed-width encoding (default).
-	FormatFixed = label.FormatFixed
-	// FormatCompact is the varint-delta encoding, 2–4x smaller on disk.
-	FormatCompact = label.FormatCompact
-	// FormatMmap is the section-aligned mmap-native encoding: LoadIndex
-	// opens it zero-copy in O(1), with the label arrays aliasing the
-	// page cache instead of being decoded onto the heap.
-	FormatMmap = label.FormatMmap
-)
+// FormatMmap names the index file format, PIDM: LoadIndex opens it
+// zero-copy in O(1), with the label arrays aliasing the page cache
+// instead of being decoded onto the heap.
+const FormatMmap = label.FormatMmap
 
-// SaveIndex / LoadIndex persist finalized indexes. SaveIndex picks the
-// format from the extension (".cidx" compact, ".midx" mmap-native,
-// fixed otherwise); LoadIndex dispatches on file content, so any format
-// loads from any path, and mmap-native files open zero-copy.
+// SaveIndex / LoadIndex persist finalized indexes as PIDM files under
+// any extension; LoadIndex maps them zero-copy.
 func SaveIndex(path string, x *Index) error { return fileio.SaveIndex(path, x) }
 func LoadIndex(path string) (*Index, error) { return fileio.LoadIndex(path) }
-
-// SaveIndexAs persists an index in an explicit format (FormatFixed,
-// FormatCompact or FormatMmap), regardless of extension.
-func SaveIndexAs(path string, x *Index, format string) error {
-	return fileio.SaveIndexAs(path, x, format)
-}
 
 // GenerateDataset synthesizes one of the paper's Table-2 datasets by name
 // (e.g. "Skitter") at the given scale in (0,1]. The generated graph
