@@ -17,8 +17,8 @@ import (
 //     A (including through callees, and including re-acquiring A while
 //     A is held), two goroutines can each hold one lock and wait
 //     forever for the other. The pipeline's documented order is
-//     compactMu → Pipeline.mu → wal.Log.mu; this analyzer is what
-//     keeps that ordering a fact rather than a comment.
+//     compactMu → Pipeline.mu (the writer mutex; queries take no lock)
+//     → wal.Log.mu; this analyzer keeps that order a fact.
 //
 //  2. Blocking calls under a write lock. lockedblocking flags blocking
 //     operations lexically inside a critical section; lockorder

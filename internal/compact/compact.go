@@ -13,12 +13,12 @@
 //	index.midx the last compacted index, exact for graph.bin
 //
 // and two in-memory pieces: the checkpoint graph and a dynamic.Index
-// that is the checkpoint index repaired by every WAL record (the live
-// overlay). The invariant, held at every instant including across kill
-// -9: checkpoint index + full WAL replay = exact index for checkpoint
-// graph + WAL edges. Open reconstructs exactly that, so an
-// acknowledged update is never lost and a queried distance is never
-// wrong after recovery.
+// whose base is index.midx, mapped, and whose delta is every WAL
+// record's repair (the live overlay). The invariant, held at every
+// instant including across kill -9: checkpoint index + full WAL replay
+// = exact index for checkpoint graph + WAL edges. Open reconstructs
+// exactly that, so an acknowledged update is never lost and a queried
+// distance is never wrong after recovery.
 //
 // # Update path
 //
@@ -31,28 +31,25 @@
 // # Compaction
 //
 // When the WAL holds n records, Compact folds them into the graph and
-// produces a fresh exact index two ways: for small n (<= FoldLimit) it
-// snapshots the live repaired lists (dynamic.ToIndex) under the write
-// lock — O(index) with zero search work; for large n it rebuilds from
-// scratch with the pluggable build engine off the serving path. Either
-// way the new artifact pair is saved (graph.bin first, then
-// index.midx, both through the atomic temp+fsync+rename discipline),
-// a fresh dynamic index is warmed off-lock, and a short write-locked
-// swap replays the records that arrived mid-compaction, publishes the
-// new index, and truncates the folded prefix off the WAL. Every crash
-// window in that sequence leaves a (checkpoint, WAL) pair whose replay
-// is exact — a stale index beside a newer graph only overestimates,
-// and the untruncated WAL replay repairs precisely those pairs.
+// makes a fresh exact index: for n <= FoldLimit it freezes the live
+// labels under the writer mutex (dynamic.Freeze) and finalizes them
+// outside it, with zero search work; for larger n the build engine
+// rebuilds. The pair is saved (graph.bin first, then index.midx, each by
+// atomic temp+fsync+rename), index.midx is mapped as the next live
+// index's base, and a short swap replays the records that arrived
+// mid-compaction, publishes the new index and truncates the folded
+// prefix off the WAL. Every crash window in that sequence leaves a
+// (checkpoint, WAL) pair whose replay is exact — a stale index beside a
+// newer graph only overestimates, and the untruncated WAL replay repairs
+// precisely those pairs.
 //
 // # Concurrency
 //
-// dynamic.Index is single-writer; the Pipeline turns it into a safe
-// concurrent surface with one RWMutex: queries take the read lock,
-// Update and the compaction swap take the write lock. QueryBatch under
-// the read lock means dynamic's batch tripwire can never fire through
-// this wrapper. Compactions themselves are serialized by a separate
-// mutex and do all expensive work (fold, rebuild, artifact writes)
-// outside both.
+// Queries take no lock: they load the live dynamic.Index, which serves
+// lock-free readers beside its one writer, from an atomic pointer. The
+// writer mutex serializes Update, the fold point and the swap;
+// compactMu, taken first, serializes compactions, whose expensive work
+// (fold, rebuild, artifact writes) runs outside the writer mutex.
 package compact
 
 import (
@@ -80,9 +77,8 @@ const (
 	IndexFile = "index.midx"
 )
 
-// DefaultFoldLimit is the update count up to which compaction snapshots
-// the live repaired lists instead of rebuilding. Folding is O(index
-// size) and holds the write lock for the copy, so it must stay small;
+// DefaultFoldLimit is the update count up to which compaction folds the
+// live repaired labels instead of rebuilding. A fold is O(index size);
 // past it a from-scratch engine build off the serving path wins.
 const DefaultFoldLimit = 64
 
@@ -95,9 +91,8 @@ type Options struct {
 	// yet (first boot). Required.
 	Graph *graph.Graph
 	// Index, when non-nil, seeds the first boot (no checkpoint on disk)
-	// with an already-built index for Graph instead of paying a build in
-	// Open. Ignored once a checkpoint exists — the checkpoint pair is
-	// newer by construction.
+	// with an already-built index for Graph instead of a build in Open; a
+	// checkpoint, newer by construction, supersedes it.
 	Index *label.Index
 	// CompactEvery triggers a background compaction whenever the WAL
 	// reaches this many records; <= 0 means compaction runs only when
@@ -111,52 +106,38 @@ type Options struct {
 	Threads int
 	// Engine selects the rebuild algorithm; nil means core.PerRoot.
 	Engine core.Engine
-	// Tracer, when non-nil, is consulted per operation; sampled updates
-	// emit wal.append spans on trace.TIDWAL and every compaction emits
-	// a compact.run span on trace.TIDCompact. Returning nil means
-	// tracing is off for that operation.
+	// Tracer, when non-nil, is consulted per operation (nil: tracing is
+	// off for it); sampled updates emit wal.append spans on trace.TIDWAL
+	// and every compaction a compact.run span on trace.TIDCompact.
 	Tracer func() *trace.Tracer
 	// OnPublish, when non-nil, is called after every completed
 	// compaction, outside all pipeline locks — the server uses it to
 	// bump its snapshot generation and metrics.
 	OnPublish func(Report)
 	// OnFsync, when non-nil, receives the duration of every WAL append
-	// fsync (wired to wal.Log.SetSyncObserver). It runs inside the WAL's
-	// critical section and must be cheap — the anomaly watchdog feeds it
-	// into a windowed latency histogram.
+	// fsync (wal.Log.SetSyncObserver), inside the WAL's critical section,
+	// so it must be cheap: the watchdog feeds a latency histogram.
 	OnFsync func(elapsed time.Duration)
-	// Logf, when non-nil, receives progress lines (compaction start,
-	// mode, timings, failures).
+	// Logf, when non-nil, receives progress lines and failures.
 	Logf func(format string, args ...any)
-}
-
-func (o *Options) foldLimit() int {
-	if o.FoldLimit == 0 {
-		return DefaultFoldLimit
-	}
-	if o.FoldLimit < 0 {
-		return 0
-	}
-	return o.FoldLimit
 }
 
 // Report describes one completed compaction.
 type Report struct {
-	// Mode is "fold" (live-list snapshot) or "rebuild" (engine build).
+	// Mode is "fold" (live labels finalized) or "rebuild" (engine build).
 	Mode string
 	// Folded is how many WAL records the checkpoint absorbed.
 	Folded int
-	// Tail is how many records arrived mid-compaction and were replayed
-	// during the swap.
+	// Tail is how many records arrived mid-compaction, replayed in the swap.
 	Tail int
-	// BuildTime covers producing the new exact index (snapshot or
-	// engine build, including the graph fold).
+	// BuildTime covers producing the new exact index (fold or engine
+	// build, including the graph fold).
 	BuildTime time.Duration
-	// SaveTime covers writing graph.bin and index.midx.
+	// SaveTime covers writing graph.bin and index.midx and mapping it.
 	SaveTime time.Duration
-	// SwapTime is the write-locked publish window — tail replay, index
-	// swap and WAL truncation; the pipeline's publish-to-visible
-	// latency.
+	// SwapTime is the publish window under the writer mutex — tail
+	// replay, index swap and WAL truncation; the pipeline's
+	// publish-to-visible latency.
 	SwapTime time.Duration
 	// Generation is the pipeline's compaction count after this run.
 	Generation uint64
@@ -171,35 +152,34 @@ type Stats struct {
 	Compactions  uint64 `json:"compactions_total"`
 	Compacting   bool   `json:"compacting"`
 	CompactEvery int    `json:"compact_every"`
-	// CompactingSinceUnixNano is the start time of the compaction in
-	// flight, 0 when none is running — the watchdog's stalled-compaction
-	// signal.
+	// CompactingSinceUnixNano is when the compaction in flight started, 0
+	// when none runs — the watchdog's stalled-compaction signal.
 	CompactingSinceUnixNano int64 `json:"compacting_since_unix_nano,omitempty"`
 	// LastCompactUnixNano is 0 until the first compaction completes.
 	LastCompactUnixNano int64  `json:"last_compaction_unix_nano"`
 	LastCompactMode     string `json:"last_compaction_mode,omitempty"`
 	LastSwapNanos       int64  `json:"last_swap_nanos,omitempty"`
+	// DeltaEntries is the live index's delta size: it climbs between
+	// compactions and falls to the tail's at each swap.
+	DeltaEntries int64 `json:"delta_entries"`
 	// WALFailed is why the log takes no more records (wal.Log.Err), empty
 	// while it does. Only a restart clears it.
 	WALFailed string `json:"wal_failed,omitempty"`
 }
 
 // Pipeline is the living-graph serving surface. It implements
-// oracle.Oracle (queries under a read lock) plus Update (durable edge
-// insert) and Compact (checkpoint roll). Create with Open, release
-// with Close.
+// oracle.Oracle (lock-free queries) plus Update (durable edge insert)
+// and Compact (checkpoint roll). Create with Open, release with Close.
 type Pipeline struct {
-	opt    Options
-	dir    string
-	log    *wal.Log
-	engine core.Engine
+	opt Options
+	log *wal.Log
 
-	mu       sync.RWMutex // queries RLock; Update and the swap Lock
-	live     *dynamic.Index
+	mu       sync.Mutex                    // the writer mutex: Update, the fold point and the swap
+	cur      *dynamic.Index                // the index inserts go to; under mu
+	live     atomic.Pointer[dynamic.Index] // cur, for queries
 	curGraph *graph.Graph
 
-	compactMu    sync.Mutex // serializes whole compactions
-	compacting   atomic.Bool
+	compactMu    sync.Mutex   // serializes whole compactions
 	compactSince atomic.Int64 // start of the in-flight compaction; 0 when idle
 	updates      atomic.Uint64
 	compactions  atomic.Uint64
@@ -224,16 +204,14 @@ func Open(opt Options) (*Pipeline, error) {
 	if opt.Graph == nil {
 		return nil, fmt.Errorf("compact: Options.Graph is required")
 	}
+	if opt.Index != nil && opt.Index.NumVertices() != opt.Graph.NumVertices() {
+		return nil, fmt.Errorf("compact: Options.Index covers %d vertices, Options.Graph has %d", opt.Index.NumVertices(), opt.Graph.NumVertices())
+	}
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("compact: creating %s: %w", opt.Dir, err)
 	}
-	engine := opt.Engine
-	if engine == nil {
-		engine = core.PerRoot{}
-	}
-	logf := opt.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	if opt.Logf == nil {
+		opt.Logf = func(string, ...any) {}
 	}
 
 	// Checkpoint graph: the folded one on disk supersedes the boot graph
@@ -252,26 +230,6 @@ func Open(opt Options) (*Pipeline, error) {
 		g = cg
 	}
 
-	// Checkpoint index. A stale index beside a newer graph.bin (crash
-	// between the two saves) only overestimates, and the still-full WAL
-	// replay below repairs exactly those pairs — so any surviving pair
-	// of files is safe to resume from.
-	var idx *label.Index
-	ipath := filepath.Join(opt.Dir, IndexFile)
-	switch _, err := os.Stat(ipath); {
-	case err == nil:
-		if idx, err = fileio.LoadIndex(ipath); err != nil {
-			return nil, fmt.Errorf("compact: loading checkpoint index: %w", err)
-		}
-	case opt.Index != nil && g == opt.Graph:
-		idx = opt.Index
-	default:
-		logf("compact: no checkpoint index, building from %d vertices / %d edges", g.NumVertices(), g.NumEdges())
-		idx = core.Build(g, core.Options{Threads: opt.Threads, Engine: engine})
-	}
-	if idx.NumVertices() != g.NumVertices() {
-		return nil, fmt.Errorf("compact: checkpoint index covers %d vertices, graph has %d", idx.NumVertices(), g.NumVertices())
-	}
 	// First boot: persist whatever checkpoint piece is missing, so the
 	// next restart resumes in O(artifact) instead of rebuilding, and the
 	// serving layer can always publish Dir/index.midx as its snapshot
@@ -281,10 +239,27 @@ func Open(opt Options) (*Pipeline, error) {
 			return nil, fmt.Errorf("compact: saving initial checkpoint graph: %w", err)
 		}
 	}
+	ipath := filepath.Join(opt.Dir, IndexFile)
 	if _, err := os.Stat(ipath); err != nil {
+		idx := opt.Index
+		if idx == nil || g != opt.Graph {
+			opt.Logf("compact: no checkpoint index, building from %d vertices / %d edges", g.NumVertices(), g.NumEdges())
+			idx = core.Build(g, core.Options{Threads: opt.Threads, Engine: opt.Engine})
+		}
 		if err := fileio.SaveIndex(ipath, idx); err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint index: %w", err)
 		}
+	}
+	// The checkpoint index, mapped, is the live index's base. A stale one
+	// beside a newer graph.bin (crash between the two saves) only
+	// overestimates, and the still-full WAL replay below repairs exactly
+	// those pairs — so any surviving pair of files is safe to resume from.
+	base, err := fileio.LoadIndex(ipath)
+	if err != nil {
+		return nil, fmt.Errorf("compact: loading checkpoint index: %w", err)
+	}
+	if base.NumVertices() != g.NumVertices() {
+		return nil, fmt.Errorf("compact: checkpoint index covers %d vertices, graph has %d", base.NumVertices(), g.NumVertices())
 	}
 
 	log, ups, err := wal.Open(filepath.Join(opt.Dir, WALFile))
@@ -294,7 +269,7 @@ func Open(opt Options) (*Pipeline, error) {
 	if opt.OnFsync != nil {
 		log.SetSyncObserver(opt.OnFsync)
 	}
-	live := dynamic.FromIndex(g, idx)
+	live := dynamic.FromIndex(g, base)
 	for i, up := range ups {
 		if err := live.InsertEdge(up.U, up.V, up.W); err != nil {
 			log.Close()
@@ -302,21 +277,19 @@ func Open(opt Options) (*Pipeline, error) {
 		}
 	}
 	if len(ups) > 0 {
-		logf("compact: replayed %d WAL records", len(ups))
+		opt.Logf("compact: replayed %d WAL records", len(ups))
 	}
 
 	p := &Pipeline{
 		opt:      opt,
-		dir:      opt.Dir,
 		log:      log,
-		engine:   engine,
-		live:     live,
+		cur:      live,
 		curGraph: g,
 		kickC:    make(chan struct{}, 1),
 		stopC:    make(chan struct{}),
 		doneC:    make(chan struct{}),
 	}
-	p.opt.Logf = logf
+	p.live.Store(live)
 	go p.loop()
 	return p, nil
 }
@@ -338,42 +311,21 @@ func (p *Pipeline) loop() {
 	}
 }
 
-// kick requests a background compaction without blocking.
-func (p *Pipeline) kick() {
-	select {
-	case p.kickC <- struct{}{}:
-	default:
-	}
-}
-
-// NumVertices implements oracle.Oracle.
-func (p *Pipeline) NumVertices() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.live.NumVertices()
-}
+// NumVertices implements oracle.Oracle: the boot graph's, as every
+// checkpoint keeps them.
+func (p *Pipeline) NumVertices() int { return p.opt.Graph.NumVertices() }
 
 // Query implements oracle.Oracle.
-func (p *Pipeline) Query(s, t graph.Vertex) graph.Dist {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.live.Query(s, t)
-}
+func (p *Pipeline) Query(s, t graph.Vertex) graph.Dist { return p.live.Load().Query(s, t) }
 
 // QueryWithHub implements oracle.Oracle.
 func (p *Pipeline) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.live.QueryWithHub(s, t)
+	return p.live.Load().QueryWithHub(s, t)
 }
 
-// QueryBatch implements oracle.Oracle. The whole batch runs under the
-// read lock, so it can never interleave with an insert — dynamic's
-// batch tripwire is structurally unreachable through the Pipeline.
+// QueryBatch implements oracle.Oracle, all of it on the index it loads.
 func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.live.QueryBatch(pairs, threads)
+	return p.live.Load().QueryBatch(pairs, threads)
 }
 
 // Update durably inserts the undirected edge {u,v,w}: validate, append
@@ -404,29 +356,32 @@ func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
 	}
 	p.updates.Add(1)
 	if p.opt.CompactEvery > 0 && pending >= p.opt.CompactEvery {
-		p.kick()
+		select { // kick a background compaction, unless one is queued
+		case p.kickC <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }
 
 func (p *Pipeline) insertLocked(u, v graph.Vertex, w graph.Dist) error {
-	if err := p.live.CheckInsert(u, v, w); err != nil {
+	if err := p.cur.CheckInsert(u, v, w); err != nil {
 		return err
 	}
 	if err := p.log.Append(u, v, w); err != nil {
 		return fmt.Errorf("compact: durable append failed, insert not applied: %w", err)
 	}
-	if err := p.live.InsertEdge(u, v, w); err != nil {
-		// CheckInsert passed and the write lock excludes batches, so
-		// this is unreachable; the logged record replays harmlessly.
+	if err := p.cur.InsertEdge(u, v, w); err != nil {
+		// CheckInsert passed, so this is unreachable; the logged record
+		// replays harmlessly.
 		return fmt.Errorf("compact: logged but failed to apply: %w", err)
 	}
 	return nil
 }
 
 // Compact folds the WAL into a fresh checkpoint and rolls the serving
-// index onto it. Small backlogs (<= FoldLimit) snapshot the live
-// repaired lists; larger ones rebuild from scratch with the build
+// index onto it. Small backlogs (<= FoldLimit) finalize the live
+// repaired labels; larger ones rebuild from scratch with the build
 // engine, off the serving path. Returns a zero-Mode Report when the
 // WAL is empty, and wal.ErrFailed, before it builds or writes anything,
 // when the WAL has failed: a log that can take no appends and cannot be
@@ -438,12 +393,8 @@ func (p *Pipeline) Compact() (Report, error) {
 	if err := p.log.Err(); err != nil {
 		return Report{}, fmt.Errorf("compact: not compacting: %w", err)
 	}
-	p.compacting.Store(true)
 	p.compactSince.Store(time.Now().UnixNano())
-	defer func() {
-		p.compactSince.Store(0)
-		p.compacting.Store(false)
-	}()
+	defer p.compactSince.Store(0)
 
 	var tr *trace.Tracer
 	var tr0 int64
@@ -455,9 +406,8 @@ func (p *Pipeline) Compact() (Report, error) {
 		}
 	}
 
-	// Phase 1 (write-locked): fix the fold point n; in fold mode also
-	// snapshot the live lists, which are exact for checkpoint+ups[:n]
-	// because appends only happen under the same lock.
+	// Phase 1 (writer mutex): fix the fold point n and, to fold, freeze
+	// the live labels: exact for checkpoint+ups[:n], as inserts hold mu.
 	tBuild := time.Now()
 	p.mu.Lock()
 	n := p.log.Len()
@@ -466,45 +416,50 @@ func (p *Pipeline) Compact() (Report, error) {
 		return Report{}, nil
 	}
 	ups := p.log.Updates()[:n]
-	fold := n <= p.opt.foldLimit()
-	var idx *label.Index
+	fold := n <= p.opt.FoldLimit || p.opt.FoldLimit == 0 && n <= DefaultFoldLimit
+	var finalize func() *label.Index
 	if fold {
-		idx = p.live.ToIndex()
+		finalize = p.cur.Freeze()
 	}
 	p.mu.Unlock()
 
-	// Phase 2 (unlocked): fold the graph; rebuild if the backlog was
-	// too large to snapshot. curGraph is only written under compactMu,
-	// which we hold.
+	// Phase 2 (unlocked): fold the graph, and the labels or a rebuild.
+	// curGraph is only written under compactMu, which we hold.
 	edges := p.curGraph.Edges()
 	for _, up := range ups {
 		edges = append(edges, graph.Edge{U: up.U, V: up.V, W: up.W})
 	}
 	g2 := graph.FromEdges(p.curGraph.NumVertices(), edges)
+	var idx *label.Index
 	mode := "fold"
-	if !fold {
+	if fold {
+		idx = finalize()
+	} else {
 		mode = "rebuild"
-		idx = core.Build(g2, core.Options{Threads: p.opt.Threads, Engine: p.engine})
+		idx = core.Build(g2, core.Options{Threads: p.opt.Threads, Engine: p.opt.Engine})
 	}
 	buildTime := time.Since(tBuild)
 
-	// Phase 3 (unlocked): persist the pair, graph first. Each write is
-	// atomic; see Open for why every crash interleaving stays safe.
+	// Phase 3 (unlocked): persist the pair, graph first, each write atomic
+	// (see Open for why every crash interleaving is safe); map the index.
 	tSave := time.Now()
-	if err := fileio.SaveGraph(filepath.Join(p.dir, GraphFile), g2); err != nil {
+	ipath := filepath.Join(p.opt.Dir, IndexFile)
+	if err := fileio.SaveGraph(filepath.Join(p.opt.Dir, GraphFile), g2); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint graph: %w", err)
 	}
-	if err := fileio.SaveIndex(filepath.Join(p.dir, IndexFile), idx); err != nil {
+	if err := fileio.SaveIndex(ipath, idx); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint index: %w", err)
 	}
+	base, err := fileio.LoadIndex(ipath)
+	if err != nil {
+		return Report{}, fmt.Errorf("compact: mapping checkpoint index: %w", err)
+	}
 	saveTime := time.Since(tSave)
+	next := dynamic.FromIndex(g2, base)
 
-	// Phase 4 (unlocked): warm the replacement dynamic index.
-	next := dynamic.FromIndex(g2, idx)
-
-	// Phase 5 (write-locked): replay what arrived mid-compaction, swap,
-	// drop the folded prefix. If truncation fails the swap stands — the
-	// over-long WAL replays idempotently on the new checkpoint.
+	// Phase 4 (writer mutex): replay what arrived mid-compaction, swap,
+	// drop the folded prefix. A failed truncation leaves the swap: the
+	// longer WAL replays idempotently on the new checkpoint.
 	tSwap := time.Now()
 	p.mu.Lock()
 	tail := p.log.Updates()[n:]
@@ -514,8 +469,8 @@ func (p *Pipeline) Compact() (Report, error) {
 			return Report{}, fmt.Errorf("compact: replaying mid-compaction record (%d,%d,%d): %w", up.U, up.V, up.W, err)
 		}
 	}
-	p.live = next
-	p.curGraph = g2
+	p.cur, p.curGraph = next, g2
+	p.live.Store(next)
 	truncErr := p.log.TruncateFront(n)
 	p.mu.Unlock()
 	swapTime := time.Since(tSwap)
@@ -550,16 +505,18 @@ func (p *Pipeline) Compact() (Report, error) {
 
 // Stats snapshots the pipeline's observable state.
 func (p *Pipeline) Stats() Stats {
+	since := p.compactSince.Load()
 	s := Stats{
 		WALRecords:              p.log.Len(),
 		WALBytes:                p.log.Bytes(),
 		Updates:                 p.updates.Load(),
 		Compactions:             p.compactions.Load(),
-		Compacting:              p.compacting.Load(),
+		Compacting:              since != 0,
 		CompactEvery:            p.opt.CompactEvery,
-		CompactingSinceUnixNano: p.compactSince.Load(),
+		CompactingSinceUnixNano: since,
 		LastCompactUnixNano:     p.lastCompact.Load(),
 		LastSwapNanos:           p.lastSwap.Load(),
+		DeltaEntries:            p.live.Load().DeltaEntries(),
 	}
 	if m := p.lastMode.Load(); m != nil {
 		s.LastCompactMode = *m
@@ -576,10 +533,7 @@ func (p *Pipeline) Generation() uint64 { return p.compactions.Load() }
 // IndexPath returns the checkpoint index artifact's path. The file
 // exists from Open onward and is atomically replaced by compactions —
 // the path a serving layer hands to its /reload machinery.
-func (p *Pipeline) IndexPath() string { return filepath.Join(p.dir, IndexFile) }
-
-// GraphPath returns the checkpoint graph artifact's path.
-func (p *Pipeline) GraphPath() string { return filepath.Join(p.dir, GraphFile) }
+func (p *Pipeline) IndexPath() string { return filepath.Join(p.opt.Dir, IndexFile) }
 
 // Close stops the background compactor and releases the WAL. It does
 // not run a final compaction — the WAL is the durable state.
@@ -590,18 +544,15 @@ func (p *Pipeline) Close() error {
 		close(p.stopC)
 	}
 	<-p.doneC
-	// A compaction in flight when stop fired still holds compactMu;
-	// wait for it so the WAL handle is not yanked mid-truncation.
+	// Wait out a compaction in flight: it may be truncating the WAL.
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
 	return p.log.Close()
 }
 
-// InsertEdge implements oracle.Updatable as an alias for Update, so
-// the Pipeline drops into any seam that accepts a dynamic.Index.
+// InsertEdge implements oracle.Updatable as an alias for Update.
 func (p *Pipeline) InsertEdge(u, v graph.Vertex, w graph.Dist) error {
 	return p.Update(u, v, w)
 }
 
-// The Pipeline is itself an updatable oracle.
 var _ oracle.Updatable = (*Pipeline)(nil)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"parapll/internal/core"
 	"parapll/internal/dynamic"
 	"parapll/internal/graph"
 	"parapll/internal/sssp"
@@ -290,5 +291,14 @@ func TestOpenRejectsMismatchedGraph(t *testing.T) {
 	other := randomGraph(r, 7, 3)
 	if _, err := Open(Options{Dir: dir, Graph: other}); err == nil {
 		t.Fatal("Open paired a checkpoint with a different graph")
+	}
+	// A seed index for another graph is refused before it is persisted
+	// as the checkpoint the next Open would map.
+	fresh := t.TempDir()
+	if _, err := Open(Options{Dir: fresh, Graph: base, Index: core.Build(other, core.Options{Threads: 1})}); err == nil {
+		t.Fatal("Open took a seed index for a different graph")
+	}
+	if _, err := os.Stat(filepath.Join(fresh, IndexFile)); !os.IsNotExist(err) {
+		t.Fatalf("the refused seed was written as %s: %v", IndexFile, err)
 	}
 }

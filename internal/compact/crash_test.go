@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -196,14 +197,52 @@ func TestCrashAfterCompactionBoundaries(t *testing.T) {
 	}
 }
 
+// TestOldBaseOutlivesItsFile: a live index taken before a compaction
+// keeps answering from the checkpoint file it mapped after two
+// compactions have each renamed a new index.midx over that file — the
+// mapping outlives the name, and the index pins it. Every answer lies
+// between the final and the initial distance, and none faults.
+func TestOldBaseOutlivesItsFile(t *testing.T) {
+	r := rand.New(rand.NewSource(96))
+	const n = 40
+	base := randomGraph(r, n, 50)
+	ups := randomInserts(r, n, 12)
+	final := applied(base, ups)
+	p, err := Open(Options{Dir: t.TempDir(), Graph: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	old := p.live.Load()
+	for _, batch := range [][]wal.Update{ups[:6], ups[6:]} {
+		for _, up := range batch {
+			if err := p.Update(up.U, up.V, up.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	for s := graph.Vertex(0); int(s) < n; s++ {
+		initD, finalD := sssp.Dijkstra(base, s), sssp.Dijkstra(final, s)
+		for u := graph.Vertex(0); int(u) < n; u++ {
+			if d := old.Query(s, u); d < finalD[u] || d > initD[u] {
+				t.Fatalf("old index: d(%d,%d) = %d, want within [%d, %d]", s, u, d, finalD[u], initD[u])
+			}
+		}
+	}
+	checkAllPairs(t, final, p)
+}
+
 // TestHammerCompactionUnderQueries runs concurrent readers against a
 // pipeline absorbing inserts and background compactions. Because edge
-// inserts only shorten distances and every write-locked transition
-// leaves the index exact, each reader must observe, per pair, a
-// monotone non-increasing distance sequence sandwiched between the
-// final and initial true distances — never a stale regression and
-// never an underestimate. Run under -race this also proves the
-// RWMutex discipline sound.
+// inserts only shorten distances and every swap leaves the index exact,
+// each reader must observe, per pair, a monotone non-increasing distance
+// sequence sandwiched between the final and initial true distances —
+// never a stale regression and never an underestimate. Run under -race
+// this also proves the lock-free read path sound.
 func TestHammerCompactionUnderQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
 	const n = 60

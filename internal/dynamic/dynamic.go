@@ -14,6 +14,11 @@
 // resumed searches install the new exact covers (the same argument as
 // the paper's Proposition 1 — stale labels are merely redundant).
 //
+// L(v) is a base label, from an immutable label.Index (it may be a
+// mapped file), merged with a delta run of the entries resumed searches
+// installed at v — each below the base entry for its hub, as a search
+// settles v only where the cover answers worse and L(h) holds (h, 0).
+//
 // Deletions are not supported; they invalidate labels downward, which
 // the 2-hop framework cannot repair locally.
 package dynamic
@@ -23,7 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"parapll/internal/graph"
@@ -31,22 +35,10 @@ import (
 	"parapll/internal/pll"
 )
 
-// Sentinel errors classifying InsertEdge failures, so callers fronting
-// untrusted input (the HTTP /update endpoint, WAL replay) can map them
-// to the right response without string matching.
-var (
-	// ErrInvalid marks a structurally invalid insert: a self loop, an
-	// endpoint outside [0,n), or a weight outside (0, Inf). Zero weights
-	// are rejected alongside Inf because the durable update log frames
-	// weights as strictly positive — an edge of length 0 would make its
-	// endpoints metrically indistinguishable and cannot round-trip
-	// through the WAL.
-	ErrInvalid = errors.New("invalid edge insert")
-	// ErrBatchInFlight means the insert raced a QueryBatch (see the
-	// Index concurrency contract); the caller should drain batches and
-	// retry.
-	ErrBatchInFlight = errors.New("QueryBatch in flight")
-)
+// ErrInvalid marks a structurally invalid insert: a self loop, an
+// endpoint outside [0,n), or a weight outside (0, Inf) (the WAL frames
+// weights as positive: a 0 edge would merge its endpoints' distances).
+var ErrInvalid = errors.New("invalid edge insert")
 
 // adjRow is one vertex's adjacency in the (neighbors, weights) shape
 // graph.Graph.Neighbors returns, so the search kernel relaxes base and
@@ -56,28 +48,39 @@ type adjRow struct {
 	ws []graph.Dist
 }
 
+// run is one vertex's delta, hub-sorted; once published, never written.
+type run struct {
+	hubs  []graph.Vertex
+	dists []graph.Dist
+}
+
+var noRun run // the run of every vertex no insert has reached
+
 // Index is a mutable 2-hop index over a growing graph.
 //
-// Concurrency contract: queries (Query, QueryWithHub, QueryBatch) only
-// read the label lists and never touch the insertion scratch below, so
-// any number may run concurrently with each other — but none may
-// overlap an InsertEdge, which rewrites the lists in place. The
-// batches counter makes the batch half of that contract enforceable:
-// InsertEdge refuses to run while a QueryBatch is in flight. The check
-// is a best-effort tripwire for a contract violation, not a
-// synchronization mechanism — a racing insert that slips past it is
-// still a data race.
+// Concurrency contract: queries take no lock and may run beside one
+// InsertEdge; the caller serializes inserts. An insert copies each run
+// it installs into once and stores the copies when it is done, so a
+// racing query sees some runs before it and others after: every entry a
+// real path length, a newer run no worse on any hub than the older one.
+// Its answer lies between the distances after and before the insert,
+// and no later query answers more.
 type Index struct {
-	base *graph.Graph
-	// grown[v] is v's base row followed by its inserted edges; it stays
-	// empty, and the base row current, until v's first insertion.
-	grown []adjRow
-	lists [][]label.Entry // hub-sorted label lists
-	// Scratch for resumed searches — owned by InsertEdge only; queries
-	// must never read or write it.
-	ps *pll.Searcher
+	g       *graph.Graph
+	base    *label.Index
+	delta   []atomic.Pointer[run] // published runs
+	added   atomic.Int64          // delta entries
+	shadows atomic.Int64          // of them, ones for a hub the base label holds
 
-	batches atomic.Int32 // in-flight QueryBatch calls
+	// InsertEdge's own: grown[v] is v's row once an edge was inserted
+	// there, own[v] the copy of v's run the insert writes.
+	grown []adjRow
+	own   []*run
+	dirty []graph.Vertex // the vertices with an own run
+	ps    *pll.Searcher
+	ends  scratch        // L(endpoint), whose hubs resume reopens
+	hub   graph.Vertex   // the hub of the search running
+	one   [1]label.Entry // the label Run is handed, by hub and prune test
 }
 
 // Build constructs the mutable index from an initial graph with the
@@ -86,104 +89,135 @@ func Build(g *graph.Graph, opt pll.Options) *Index {
 	return FromIndex(g, pll.Build(g, opt))
 }
 
-// FromIndex wraps an already-built finalized index over g as a mutable
-// dynamic index — the seam the living-graph pipeline uses to resume
-// from a compacted checkpoint artifact instead of paying a full PLL
-// build on every restart. The label lists are deep-copied (idx may be
-// mmap-backed and owned by a finalizer; the dynamic index must own
-// heap memory it can rewrite in place), so idx is free to be closed or
-// collected afterwards. Panics if idx does not cover exactly g's
-// vertices — pairing an artifact with the wrong graph is a programming
-// error no insert could ever repair.
+// FromIndex wraps a finalized index over g, which becomes the base and
+// may be mmap-backed. Panics if idx does not cover exactly g's vertices:
+// pairing an artifact with the wrong graph is a programming error.
 func FromIndex(g *graph.Graph, idx *label.Index) *Index {
-	defer runtime.KeepAlive(idx)
 	n := g.NumVertices()
 	if idx.NumVertices() != n {
 		panic(fmt.Sprintf("dynamic: index covers %d vertices, graph has %d", idx.NumVertices(), n))
 	}
-	x := &Index{
-		base:  g,
-		grown: make([]adjRow, n),
-		lists: make([][]label.Entry, n),
-		ps:    pll.NewSearcher(n, false),
-	}
-	var hubs []graph.Vertex
-	var dists []graph.Dist
-	for v := 0; v < n; v++ {
-		hubs, dists = idx.Label(graph.Vertex(v), hubs, dists)
-		row := make([]label.Entry, len(hubs))
-		for i := range hubs {
-			row[i] = label.Entry{Hub: hubs[i], D: dists[i]}
-		}
-		x.lists[v] = row
+	x := &Index{g: g, base: idx, delta: make([]atomic.Pointer[run], n),
+		grown: make([]adjRow, n), own: make([]*run, n), ps: pll.NewSearcher(n, false)}
+	for v := range x.delta {
+		x.delta[v].Store(&noRun)
 	}
 	return x
 }
 
-// ToIndex snapshots the current label lists into a finalized immutable
-// label.Index — the incremental-fold path of compaction, which reuses
-// the repaired lists instead of rebuilding from scratch. The result is
-// exact for queries (the lists may carry stale overestimate entries
-// for pairs already covered by a better hub; the QUERY minimum ignores
-// them, per the paper's Proposition 1). The caller must hold the same
-// exclusive access an InsertEdge needs: ToIndex reads every list, and
-// a concurrent insert rewrites them in place.
-func (x *Index) ToIndex() *label.Index {
-	return label.NewIndexFromLists(x.lists)
+// Freeze loads every run (under the exclusion that serializes inserts:
+// the labels of whole ones) and returns what finalizes them, the base
+// streamed through label.NewIndexFunc with the runs merged in, beside
+// later inserts. Stale overestimates stay, harmless per Proposition 1.
+func (x *Index) Freeze() func() *label.Index {
+	runs := make([]*run, len(x.delta))
+	for v := range runs {
+		runs[v] = x.delta[v].Load()
+	}
+	return func() *label.Index {
+		var s scratch
+		return label.NewIndexFunc(len(runs), func(v int) []label.Entry {
+			return s.union(x.base, graph.Vertex(v), runs[v])
+		})
+	}
+}
+
+// ToIndex finalizes the labels as they stand (see Freeze).
+func (x *Index) ToIndex() *label.Index { return x.Freeze()() }
+
+// scratch holds the buffers one label union is built in.
+type scratch struct {
+	hubs  []graph.Vertex
+	dists []graph.Dist
+	out   []label.Entry
+}
+
+// union returns L(v), base(v) with r merged in, hub-sorted in s.out.
+func (s *scratch) union(base *label.Index, v graph.Vertex, r *run) []label.Entry {
+	hubs, dists := base.Label(v, s.hubs, s.dists)
+	rh, rd := r.hubs, r.dists
+	out := slices.Grow(s.out[:0], len(hubs)+len(rh))
+	for i, h := range hubs {
+		for ; len(rh) > 0 && rh[0] < h; rh, rd = rh[1:], rd[1:] {
+			out = append(out, label.Entry{Hub: rh[0], D: rd[0]})
+		}
+		d := dists[i]
+		if len(rh) > 0 && rh[0] == h {
+			d, rh, rd = rd[0], rh[1:], rd[1:]
+		}
+		out = append(out, label.Entry{Hub: h, D: d})
+	}
+	for i, h := range rh {
+		out = append(out, label.Entry{Hub: h, D: rd[i]})
+	}
+	runtime.KeepAlive(base)
+	s.hubs, s.dists, s.out = hubs, dists, out
+	return out
 }
 
 // NumVertices returns the number of vertices (fixed at Build time).
 func (x *Index) NumVertices() int { return x.base.NumVertices() }
 
 // NumEntries returns the current number of label entries.
-func (x *Index) NumEntries() int64 {
-	var total int64
-	for _, l := range x.lists {
-		total += int64(len(l))
-	}
-	return total
-}
+func (x *Index) NumEntries() int64 { return x.base.NumEntries() + x.added.Load() - x.shadows.Load() }
+
+// DeltaEntries returns the number of entries in the delta runs.
+func (x *Index) DeltaEntries() int64 { return x.added.Load() }
 
 // neighbors returns v's current adjacency (base graph + insertions).
 func (x *Index) neighbors(v graph.Vertex) ([]graph.Vertex, []graph.Dist) {
 	if r := x.grown[v]; r.ns != nil {
 		return r.ns, r.ws
 	}
-	return x.base.Neighbors(v)
+	return x.g.Neighbors(v)
 }
 
 // Query returns the exact current distance between s and t.
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	d, _ := x.QueryWithHub(s, t)
+	d := x.base.Query(s, t)
+	d, _ = x.withDelta(s, t, x.delta[s].Load(), x.delta[t].Load(), d, -1)
 	return d
 }
 
-// QueryWithHub is Query but also reports the meeting hub achieving the
-// minimum; hub is -1 for disconnected pairs, and (0, s) is returned
-// for s == t.
+// QueryWithHub is Query plus the smallest meeting hub achieving it; hub
+// is -1 for disconnected pairs, and (0, s) is returned for s == t.
 func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	if s == t {
-		return 0, s
-	}
-	return label.MergeEntries(x.lists[s], x.lists[t])
+	d, hub := x.base.QueryWithHub(s, t)
+	return x.withDelta(s, t, x.delta[s].Load(), x.delta[t].Load(), d, hub)
 }
 
-// QueryBatch answers many (s,t) pairs in parallel (threads <= 0 means
-// GOMAXPROCS). Queries only read the label lists, so a batch is safe as
-// long as no InsertEdge runs concurrently — the same single-writer
-// contract as Query itself, and the one InsertEdge enforces via the
-// in-flight counter.
+// withDelta meets the base kernel's (d, hub) with the merge of runs a
+// and b of s and t and each run against the other side's base label: one
+// merge of the union labels, as a shadowed base entry loses to its run
+// entry.
+func (x *Index) withDelta(s, t graph.Vertex, a, b *run, d graph.Dist, hub graph.Vertex) (graph.Dist, graph.Vertex) {
+	if s == t || len(a.hubs)+len(b.hubs) == 0 {
+		return d, hub
+	}
+	md, mh := label.MergeRuns(a.hubs, a.dists, b.hubs, b.dists)
+	d, hub = meet(d, hub, md, mh)
+	md, mh = x.base.MergeRun(t, a.hubs, a.dists)
+	d, hub = meet(d, hub, md, mh)
+	md, mh = x.base.MergeRun(s, b.hubs, b.dists)
+	return meet(d, hub, md, mh)
+}
+
+// meet keeps the smaller distance, and between equal ones the smaller hub.
+func meet(d graph.Dist, hub graph.Vertex, d2 graph.Dist, hub2 graph.Vertex) (graph.Dist, graph.Vertex) {
+	if d2 < d || d2 == d && hub2 < hub {
+		return d2, hub2
+	}
+	return d, hub
+}
+
+// QueryBatch answers many pairs in parallel (threads <= 0: GOMAXPROCS).
 func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
-	x.batches.Add(1)
-	defer x.batches.Add(-1)
 	return graph.BatchQuery(x.Query, pairs, threads)
 }
 
-// CheckInsert validates the edge {u,v,w} against the structural rules
-// InsertEdge enforces, without mutating anything. Errors wrap
-// ErrInvalid. The living-graph pipeline calls this before logging the
-// update durably, so a record that reaches the WAL is always one the
-// index will accept on apply and on crash replay.
+// CheckInsert applies InsertEdge's structural rules to {u,v,w} without
+// mutating anything; errors wrap ErrInvalid. The living-graph pipeline
+// calls it before logging an update, so every logged record applies.
 func (x *Index) CheckInsert(u, v graph.Vertex, w graph.Dist) error {
 	n := x.NumVertices()
 	if u == v {
@@ -199,15 +233,9 @@ func (x *Index) CheckInsert(u, v graph.Vertex, w graph.Dist) error {
 }
 
 // InsertEdge adds the undirected edge {u,v} with weight w and repairs
-// the index. Inserting a parallel edge no lighter than an existing one
-// is a no-op for distances but still recorded in the overlay. Self
-// loops, out-of-range endpoints and weights outside (0, Inf) are
-// rejected (ErrInvalid), as is an insert while a QueryBatch is in
-// flight (ErrBatchInFlight; see the Index concurrency contract).
+// the index; a parallel edge no lighter than an existing one changes no
+// distance. Edges CheckInsert refuses are rejected (ErrInvalid).
 func (x *Index) InsertEdge(u, v graph.Vertex, w graph.Dist) error {
-	if x.batches.Load() != 0 {
-		return fmt.Errorf("dynamic: InsertEdge while a QueryBatch is in flight (queries read the label lists the insert mutates; drain batches first): %w", ErrBatchInFlight)
-	}
 	if err := x.CheckInsert(u, v, w); err != nil {
 		return err
 	}
@@ -215,57 +243,76 @@ func (x *Index) InsertEdge(u, v graph.Vertex, w graph.Dist) error {
 	x.addHalfEdge(v, u, w)
 	x.resume(u, v, w)
 	x.resume(v, u, w)
+	for _, y := range x.dirty {
+		x.delta[y].Store(x.own[y])
+		x.own[y] = nil
+	}
+	x.dirty = x.dirty[:0]
 	return nil
 }
 
+// addHalfEdge appends to a copy of from's row: the base row lives in the
+// graph's shared CSR storage.
 func (x *Index) addHalfEdge(from, to graph.Vertex, w graph.Dist) {
-	r := &x.grown[from]
-	if r.ns == nil {
-		// First insertion at from: copy the base row out of the graph's
-		// shared CSR storage before appending to it.
-		ns, ws := x.base.Neighbors(from)
-		r.ns, r.ws = slices.Clone(ns), slices.Clone(ws)
-	}
-	r.ns, r.ws = append(r.ns, to), append(r.ws, w)
+	ns, ws := x.neighbors(from)
+	x.grown[from] = adjRow{append(slices.Clip(ns), to), append(slices.Clip(ws), w)}
 }
 
 // resume continues, for every hub h of L(endpoint), h's pruned Dijkstra
 // across the new edge: the frontier reopens at seed (the edge's other
-// end) with tentative distance d(h,endpoint)+w, a real path length, and
-// the search installs or tightens exactly the labels the insertion
-// invalidated.
+// end) at d(h,endpoint)+w, a real path length, and the search installs
+// or tightens exactly the labels the insertion invalidated.
 func (x *Index) resume(endpoint, seed graph.Vertex, w graph.Dist) {
-	// Clone: resumed searches rewrite x.lists[endpoint].
-	for _, e := range slices.Clone(x.lists[endpoint]) {
+	for _, e := range x.ends.union(x.base, endpoint, x.run(endpoint)) {
 		d0 := graph.AddDist(e.D, w)
 		if d0 == graph.Inf {
 			continue
 		}
-		// Fast reject: if the seed's pair with h is already covered this
-		// tightly, nothing downstream can improve either.
-		if pos, ok := x.entryFor(seed, e.Hub); ok && x.lists[seed][pos].D <= d0 {
+		// Fast reject, for Run's first prune test: the seed's base entry
+		// for h already covers d0, and a run entry would be below it.
+		if d, _ := x.base.MergeRun(seed, []graph.Vertex{e.Hub}, []graph.Dist{0}); d <= d0 {
 			continue
 		}
-		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, x.lists[e.Hub], x.neighbors, x.list, x.install)
+		x.hub, x.one[0] = e.Hub, label.Entry{Hub: e.Hub, D: 0}
+		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, x.one[:], x.neighbors, x.cover, x.install)
 	}
 }
 
-func (x *Index) list(v graph.Vertex) []label.Entry { return x.lists[v] }
+// run returns v's run as the writer sees it: this insert's copy if any.
+func (x *Index) run(v graph.Vertex) *run {
+	if r := x.own[v]; r != nil {
+		return r
+	}
+	return x.delta[v].Load()
+}
 
-// entryFor returns the position of hub h in v's sorted list, or the
-// insertion point with found=false.
-func (x *Index) entryFor(v, h graph.Vertex) (pos int, found bool) {
-	l := x.lists[v]
-	pos = sort.Search(len(l), func(i int) bool { return l[i].Hub >= h })
-	return pos, pos < len(l) && l[pos].Hub == h
+// cover is the prune test's view of L(u): the entry (hub, QUERY(hub, u))
+// over the writer's labels, whose sum with the hub's own (hub, 0) is
+// what a scan of L(u) against all of L(hub) would find.
+func (x *Index) cover(u graph.Vertex) []label.Entry {
+	d := x.base.Query(x.hub, u)
+	x.one[0].D, _ = x.withDelta(x.hub, u, x.run(x.hub), x.run(u), d, -1)
+	return x.one[:]
 }
 
 // install is the settle hook of a resumed search: add the label e at u,
-// or tighten u's existing entry for the same hub.
+// or tighten u's entry for its hub, in this insert's copy of u's run.
 func (x *Index) install(u, _ graph.Vertex, e label.Entry) {
-	if pos, found := x.entryFor(u, e.Hub); found {
-		x.lists[u][pos].D = e.D
-	} else {
-		x.lists[u] = slices.Insert(x.lists[u], pos, e)
+	r := x.own[u]
+	if r == nil {
+		pub := x.delta[u].Load()
+		n := len(pub.hubs) + 4 // room for a few installs
+		r = &run{append(make([]graph.Vertex, 0, n), pub.hubs...), append(make([]graph.Dist, 0, n), pub.dists...)}
+		x.own[u], x.dirty = r, append(x.dirty, u)
+	}
+	i, found := slices.BinarySearch(r.hubs, e.Hub)
+	if found {
+		r.dists[i] = e.D
+		return
+	}
+	r.hubs, r.dists = slices.Insert(r.hubs, i, e.Hub), slices.Insert(r.dists, i, e.D)
+	x.added.Add(1)
+	if d, _ := x.base.MergeRun(u, []graph.Vertex{e.Hub}, []graph.Dist{0}); d != graph.Inf {
+		x.shadows.Add(1)
 	}
 }

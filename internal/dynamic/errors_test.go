@@ -3,15 +3,13 @@ package dynamic
 // Error-path and long-sequence invariant tests for InsertEdge, written
 // against the contracts the living-graph pipeline leans on: rejected
 // inserts wrap ErrInvalid and leave the index untouched (so a record
-// that reaches the WAL always replays cleanly), the batch gate wraps
-// ErrBatchInFlight, and a frozen ToIndex snapshot only ever
-// overestimates as the live index keeps absorbing edges (the superset
-// invariant compaction's crash windows depend on).
+// that reaches the WAL always replays cleanly), and a frozen ToIndex
+// snapshot only ever overestimates as the live index keeps absorbing
+// edges (the superset invariant compaction's crash windows depend on).
 
 import (
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"parapll/internal/graph"
@@ -46,9 +44,6 @@ func TestInsertErrorPathsWrapErrInvalid(t *testing.T) {
 		if !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: error %v does not wrap ErrInvalid", c.name, err)
 		}
-		if errors.Is(err, ErrBatchInFlight) {
-			t.Errorf("%s: validation error claims a batch conflict: %v", c.name, err)
-		}
 		// CheckInsert must agree with InsertEdge case by case.
 		if cerr := x.CheckInsert(c.u, c.v, c.w); cerr == nil {
 			t.Errorf("%s: CheckInsert accepted what InsertEdge rejected", c.name)
@@ -67,66 +62,6 @@ func TestInsertErrorPathsWrapErrInvalid(t *testing.T) {
 	}
 	if got := x.Query(0, 2); got != 1 {
 		t.Fatalf("query(0,2) = %d after inserting weight-1 edge", got)
-	}
-}
-
-func TestInsertDuringBatchReturnsErrBatchInFlight(t *testing.T) {
-	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
-	x := Build(g, pll.Options{})
-
-	// Deterministic half: hold the gate open by hand (the counter is
-	// exactly what QueryBatch increments) and watch the insert bounce.
-	x.batches.Add(1)
-	err := x.InsertEdge(0, 2, 1)
-	if !errors.Is(err, ErrBatchInFlight) {
-		t.Fatalf("insert under open batch gate: %v, want ErrBatchInFlight", err)
-	}
-	if errors.Is(err, ErrInvalid) {
-		t.Fatalf("batch conflict misreported as validation error: %v", err)
-	}
-	x.batches.Add(-1)
-	if err := x.InsertEdge(0, 2, 1); err != nil {
-		t.Fatalf("insert after gate closed: %v", err)
-	}
-
-	// Concurrent half (meaningful under -race): batches and inserts
-	// hammer the same index; every insert outcome must be success or
-	// ErrBatchInFlight, never a data race or a bogus ErrInvalid.
-	pairs := [][2]graph.Vertex{{0, 1}, {1, 2}, {0, 2}}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					x.QueryBatch(pairs, 2)
-				}
-			}
-		}()
-	}
-	accepted := 0
-	for i := 0; i < 200; i++ {
-		err := x.InsertEdge(0, 1, graph.Dist(200-i))
-		switch {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrBatchInFlight):
-		default:
-			t.Errorf("unexpected insert error: %v", err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if accepted == 0 {
-		t.Log("no insert slipped between batches (legal, just unlikely)")
-	}
-	if got := x.Query(0, 2); got == graph.Inf {
-		t.Fatal("index broken after concurrent batches")
 	}
 }
 

@@ -278,7 +278,9 @@ func TestDistanceWidthBoundaries(t *testing.T) {
 			{91, 5, graph.Inf},     // no label on one side
 			{91, 92, graph.Inf},    // nor on the other
 		} {
-			if d, _ := label.MergeEntries(label.SortDedupe(lists[want.s]), label.SortDedupe(lists[want.t])); d != want.d {
+			ah, ad := label.Runs(lists[want.s])
+			bh, bd := label.Runs(lists[want.t])
+			if d, _ := label.RefMerge(ah, ad, bh, bd); d != want.d {
 				t.Fatalf("%s: the lists of %d and %d merge to %d, the case was built for %d", name, want.s, want.t, d, want.d)
 			}
 			if d := x.Query(want.s, want.t); d != want.d {

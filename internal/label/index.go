@@ -103,6 +103,9 @@ type Index struct {
 
 	mm *mapping // non-nil when the index was read from a file (see Open)
 
+	cols     []int32 // MergeRun's hub-to-column map (columns)
+	colsOnce sync.Once
+
 	// scratch pools *batchScratch for QueryBatch and its workers: a
 	// sync.Pool, so it holds about one per concurrently running worker
 	// and the collector takes back what a quiet period leaves idle.
@@ -189,7 +192,13 @@ func NewIndex(s *Store) *Index {
 // serial PLL, which needs no concurrent Store) into an Index, exactly as
 // NewIndex does.
 func NewIndexFromLists(lists [][]Entry) *Index {
-	return finalize(len(lists), func(v int) []Entry { return lists[v] }, allTiers)
+	return NewIndexFunc(len(lists), func(v int) []Entry { return lists[v] })
+}
+
+// NewIndexFunc is NewIndexFromLists over lists made on demand: each of two
+// passes calls list(v) for v in order, and list may reuse its storage.
+func NewIndexFunc(n int, list func(v int) []Entry) *Index {
+	return finalize(n, list, allTiers)
 }
 
 // Flat returns an index over the same labels with every entry in the
@@ -543,6 +552,69 @@ func label[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vert
 	}
 	runtime.KeepAlive(x)
 	return hubs, dists
+}
+
+// MergeRun is MergeRuns of a strictly hub-increasing run, each hub a
+// vertex of the index, against L(v): each hub is looked up where finalize
+// put it — head column, bitmap bit ranked by popcounts, tail entry by
+// binary search — at a cost per hub of the run, whatever L(v)'s length.
+func (x *Index) MergeRun(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex) {
+	switch x.w {
+	case 1:
+		return mergeRun(x, &x.a8, v, hubs, dists)
+	case 2:
+		return mergeRun(x, &x.a16, v, hubs, dists)
+	}
+	return mergeRun(x, &x.a32, v, hubs, dists)
+}
+
+func mergeRun[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex) {
+	th, td := tail(x, a, v)
+	words, md := mid(x, a, v)
+	hr := row(x, a, v)
+	cols := x.columns()
+	best, hub := uint64(graph.Inf), graph.Vertex(-1)
+	w0, below := 0, 0 // set bits in words[:w0]; mid columns rise along the run
+	for i, h := range hubs {
+		d := ^D(0) // absent, as an empty head slot
+		switch c := int(cols[h]); {
+		case c > 0:
+			d = hr[c-1]
+		case c < 0:
+			c = -1 - c
+			for ; w0 < c>>6; w0++ {
+				below += bits.OnesCount64(words[w0])
+			}
+			if bit := uint64(1) << (c & 63); words[w0]&bit != 0 {
+				d = md[below+bits.OnesCount64(words[w0]&(bit-1))]
+			}
+		default:
+			if j, ok := slices.BinarySearch(th, h); ok {
+				d = td[j]
+			}
+		}
+		if sum := uint64(dists[i]) + uint64(d); d != ^D(0) && sum < best {
+			best, hub = sum, h
+		}
+	}
+	runtime.KeepAlive(x)
+	return graph.Dist(best), hub
+}
+
+// columns returns, per hub, the column finalize gave it — head column c
+// as c+1, mid column c as -1-c, 0 in the tails — built on first use.
+func (x *Index) columns() []int32 {
+	x.colsOnce.Do(func() {
+		x.cols = make([]int32, x.NumVertices())
+		for c, h := range x.headHubs {
+			x.cols[h] = int32(c + 1)
+		}
+		for c, h := range x.midHubs {
+			x.cols[h] = int32(-1 - c)
+		}
+	})
+	runtime.KeepAlive(x)
+	return x.cols
 }
 
 // checkPair validates a query pair, panicking with a descriptive

@@ -25,36 +25,6 @@ type Entry struct {
 	D   graph.Dist
 }
 
-// MergeEntries is the QUERY minimum for array-of-structs label lists: the
-// smallest a[i].D + b[j].D over common hubs of two strictly
-// hub-increasing lists and the hub achieving it, (graph.Inf, -1) when
-// they share none. Its one caller is dynamic, whose living lists are the
-// build-side []Entry that pll.Searcher reads; every finalized index
-// (label, pathidx, directed) goes through the struct-of-arrays kernel in
-// merge.go instead. The two cannot share a loop body: reading "the hub at
-// i" from either layout needs a per-element accessor call, which is what
-// cost merge +55 % when tried. This copy goes when the living layout
-// changes (ROADMAP 1b/1c).
-func MergeEntries(a, b []Entry) (graph.Dist, graph.Vertex) {
-	best, hub := graph.Inf, graph.Vertex(-1)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].Hub < b[j].Hub:
-			i++
-		case a[i].Hub > b[j].Hub:
-			j++
-		default:
-			if d := graph.AddDist(a[i].D, b[j].D); d < best {
-				best, hub = d, a[i].Hub
-			}
-			i++
-			j++
-		}
-	}
-	return best, hub
-}
-
 // list is one vertex's label list: the append mutex, the published
 // length and the backing array side by side, so a prune query's
 // Snapshot touches one cache line before the entries themselves.

@@ -1,7 +1,9 @@
 package label
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,6 +133,64 @@ func TestMergeRunsMatchesReference(t *testing.T) {
 			if ex.SLabelLen != len(ah) || ex.TLabelLen != len(bh) || ex.Swapped != (len(ah) > len(bh)) {
 				t.Fatalf("sizes %+v trial %d: explain saw lens %d/%d swapped=%v for runs of %d/%d",
 					sz, trial, ex.SLabelLen, ex.TLabelLen, ex.Swapped, len(ah), len(bh))
+			}
+		}
+	}
+}
+
+// TestMergeRunFindsEveryTier: MergeRun looks each hub of a run up in the
+// tier finalize put it in — a head column, a bitmap bit, a tail entry —
+// and skips a hub L(v) lacks, be it a head hub with an empty slot, a mid
+// hub with a clear bit or a hub with no column; at each width, built and
+// mapped, every lone hub and every longer run answers as refMerge over
+// the whole label, down to the smallest hub among ties.
+func TestMergeRunFindsEveryTier(t *testing.T) {
+	for _, tc := range []struct {
+		dmax  graph.Dist
+		width int
+	}{{100, 1}, {20000, 2}, {3000000, 4}} {
+		r := rand.New(rand.NewSource(int64(tc.dmax)))
+		built := narrowTieredIndex(r, 300, tc.dmax)
+		for _, x := range []*Index{built, openCopy(t, built)} {
+			name := fmt.Sprintf("dmax=%d mapped=%v", tc.dmax, x.Mapped())
+			if x.DistBytes() != tc.width || len(x.headHubs) == 0 || len(x.midHubs) == 0 || len(x.hubs) == 0 {
+				t.Fatalf("%s: %d-byte distances, K=%d K2=%d, %d tail entries; want %d bytes and all three tiers",
+					name, x.DistBytes(), len(x.headHubs), len(x.midHubs), len(x.hubs), tc.width)
+			}
+			seen := map[string]int{}
+			for v := graph.Vertex(0); int(v) < x.NumVertices(); v += 7 {
+				lh, ld := x.Label(v, nil, nil)
+				check := func(what string, hubs []graph.Vertex, dists []graph.Dist) {
+					t.Helper()
+					wantD, wantH := refMerge(hubs, dists, lh, ld)
+					if d, h := x.MergeRun(v, hubs, dists); d != wantD || h != wantH {
+						t.Fatalf("%s: MergeRun(%d, %s %v) = (%d,%d), want (%d,%d)", name, v, what, hubs, d, h, wantD, wantH)
+					}
+				}
+				for h := graph.Vertex(0); int(h) < x.NumVertices(); h++ {
+					tier := "tail"
+					if _, ok := slices.BinarySearch(x.headHubs, h); ok {
+						tier = "head"
+					} else if _, ok := slices.BinarySearch(x.midHubs, h); ok {
+						tier = "mid"
+					}
+					if _, ok := slices.BinarySearch(lh, h); !ok {
+						tier += " absent"
+					}
+					seen[tier]++
+					check(tier, []graph.Vertex{h}, []graph.Dist{graph.Dist(r.Intn(1000))})
+				}
+				hubs, dists := randRun(r, 60, x.NumVertices())
+				for i := range dists {
+					dists[i] %= 8 // ties between hubs
+				}
+				check("run", hubs, dists)
+				check("empty run", nil, nil)
+			}
+			for _, tier := range []string{"head", "head absent", "mid", "mid absent", "tail", "tail absent"} {
+				if seen[tier] == 0 {
+					t.Fatalf("%s: no %s hub probed", name, tier)
+				}
 			}
 		}
 	}

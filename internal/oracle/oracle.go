@@ -19,8 +19,8 @@ import (
 
 // Oracle answers exact point-to-point distance queries over a fixed
 // vertex set [0, NumVertices). Implementations are safe for concurrent
-// queries (dynamic.Index additionally requires that no InsertEdge runs
-// while queries are in flight). Out-of-range ids panic — uniformly,
+// queries (and dynamic.Index for queries beside one InsertEdge at a
+// time). Out-of-range ids panic — uniformly,
 // including for s == t (label.Index documents a descriptive message);
 // callers fronting untrusted input must validate against NumVertices
 // first, as the HTTP server and CLIs do.
@@ -45,9 +45,9 @@ type Oracle interface {
 // with an error (dynamic.ErrInvalid's contract: self loops,
 // out-of-range endpoints, weights outside (0, Inf)) and must leave the
 // index exact for the enlarged edge set on success. Implementations
-// define their own query/insert concurrency contract; dynamic.Index is
-// single-writer, which the compact.Pipeline wrapper turns into a
-// reader/writer-locked surface safe for concurrent HTTP traffic.
+// define their own query/insert concurrency contract; dynamic.Index
+// serves lock-free queries beside one writer, and the compact.Pipeline
+// wrapper serializes its writers, so any mix of calls is safe.
 type Updatable interface {
 	Oracle
 	InsertEdge(u, v graph.Vertex, w graph.Dist) error

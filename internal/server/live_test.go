@@ -229,8 +229,15 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
 		t.Fatalf("/stats = %d", code)
 	}
-	if stats.Wal == nil || stats.Wal.WALRecords != 3 {
-		t.Fatalf("stats.wal = %+v, want 3 records", stats.Wal)
+	// Edges heavier than the paths they parallel install nothing.
+	if stats.Wal == nil || stats.Wal.WALRecords != 3 || stats.Wal.DeltaEntries != 0 {
+		t.Fatalf("stats.wal = %+v, want 3 records and an empty delta", stats.Wal)
+	}
+	if code, _ := postUpdate(t, ts.URL, 4, 5, 1); code != http.StatusOK { // reaches isolated 5
+		t.Fatal("update {4,5} rejected")
+	}
+	if getJSON(t, ts.URL+"/stats", &stats); stats.Wal.DeltaEntries == 0 {
+		t.Fatalf("stats.wal = %+v after joining vertex 5 on, want delta entries", stats.Wal)
 	}
 	var m map[string]interface{}
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
@@ -240,8 +247,9 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 	if !ok {
 		t.Fatalf("metrics have no gauges: %v", m)
 	}
-	if gauges["wal.records"].(float64) != 3 {
-		t.Fatalf("wal.records gauge = %v, want 3", gauges["wal.records"])
+	if gauges["wal.records"].(float64) != 4 || gauges["compact.delta_entries"].(float64) != float64(stats.Wal.DeltaEntries) {
+		t.Fatalf("wal.records / compact.delta_entries gauges = %v / %v, want 4 / %d",
+			gauges["wal.records"], gauges["compact.delta_entries"], stats.Wal.DeltaEntries)
 	}
 	if _, err := pipe.Compact(); err != nil {
 		t.Fatal(err)
@@ -250,7 +258,7 @@ func TestStatsAndMetricsExposeWAL(t *testing.T) {
 		t.Fatal("re-scrape failed")
 	}
 	gauges = m["gauges"].(map[string]interface{})
-	if gauges["wal.records"].(float64) != 0 || gauges["compact.generation"].(float64) != 1 {
+	if gauges["wal.records"].(float64) != 0 || gauges["compact.generation"].(float64) != 1 || gauges["compact.delta_entries"].(float64) != 0 {
 		t.Fatalf("post-compaction gauges = %v", gauges)
 	}
 }

@@ -61,10 +61,12 @@ go test -race -short ./...
 # under concurrent QueryBatch calls: one pass rarely hits it, twenty do.
 # The distance cache rides along: its striped table under concurrent
 # Get/Put, and under readers that query while generations are swapped
-# across the slot tag's wrap point.
-echo "== go test -race -count=20 (trace ring, label store, batch scratch pool, distance cache)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying' \
-    ./internal/trace ./internal/label ./internal/qcache
+# across the slot tag's wrap point. So do the living graph's lock-free
+# reads: queries beside copy-on-write delta runs being published, and
+# beside compactions swapping the live index.
+echo "== go test -race -count=20 (trace ring, label store, batch scratch pool, distance cache, living-graph readers)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries' \
+    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact
 
 echo "== go test ./... (tier-1)"
 go test ./...
