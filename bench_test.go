@@ -18,7 +18,6 @@ import (
 	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/landmark"
 	"parapll/internal/order"
 	"parapll/internal/pll"
 	"parapll/internal/sssp"
@@ -362,22 +361,6 @@ func BenchmarkAblationStore(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationHeap compares the indexed 4-ary decrease-key heap
-// against lazy-deletion binary heap inside the pruned Dijkstra.
-func BenchmarkAblationHeap(b *testing.B) {
-	g := gen.ChungLu(2000, 8000, 2.2, 18)
-	b.Run("indexed-4ary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pll.Build(g, pll.Options{})
-		}
-	})
-	b.Run("lazy-binary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pll.Build(g, pll.Options{LazyHeap: true})
-		}
-	})
-}
-
 // BenchmarkAblationOrder compares computing-sequence policies by the
 // index size they produce (reported as entries/op) and their build time.
 func BenchmarkAblationOrder(b *testing.B) {
@@ -448,48 +431,6 @@ func BenchmarkAblationPartition(b *testing.B) {
 			b.ReportMetric(skew, "work-skew") // 1.0 = perfectly balanced
 		})
 	}
-}
-
-// BenchmarkLandmarkVsPLL compares the approximate landmark baseline
-// (the paper's [18]) against the exact 2-hop index: build time, query
-// time, and (for landmarks) the mean relative overestimate.
-func BenchmarkLandmarkVsPLL(b *testing.B) {
-	g := gen.ChungLu(2000, 8000, 2.2, 25)
-	n := g.NumVertices()
-	b.Run("build/pll", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Build(g, core.Options{Threads: 4, Policy: core.Dynamic})
-		}
-	})
-	b.Run("build/landmark-16", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			landmark.Build(g, landmark.Options{K: 16, Strategy: landmark.SelectDegree})
-		}
-	})
-	idx := core.Build(g, core.Options{Threads: 4, Policy: core.Dynamic})
-	lm := landmark.Build(g, landmark.Options{K: 16, Strategy: landmark.SelectDegree})
-	b.Run("query/pll", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			idx.Query(graph.Vertex(i%n), graph.Vertex((i*31)%n))
-		}
-	})
-	b.Run("query/landmark-16", func(b *testing.B) {
-		var overestimate, count float64
-		for i := 0; i < b.N; i++ {
-			s, t := graph.Vertex(i%n), graph.Vertex((i*31)%n)
-			approx := lm.Upper(s, t)
-			if i < 1000 { // bound the exactness audit
-				exact := idx.Query(s, t)
-				if exact != graph.Inf && exact > 0 {
-					overestimate += float64(approx-exact) / float64(exact)
-					count++
-				}
-			}
-		}
-		if count > 0 {
-			b.ReportMetric(overestimate/count, "rel-err")
-		}
-	})
 }
 
 // BenchmarkAblationPruneQuery compares the hub-scatter prune query used

@@ -9,7 +9,6 @@ import (
 	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/landmark"
 	"parapll/internal/order"
 	"parapll/internal/pll"
 	"parapll/internal/stats"
@@ -19,11 +18,9 @@ import (
 // power-law and one road graph scaled by cfg.Scale:
 //
 //   - label store: lock-free published-length vs. global RWMutex
-//   - heap: indexed 4-ary decrease-key vs. lazy binary
 //   - ordering: degree vs. ψ-sampling vs. random (by index size)
 //   - dynamic chunk size: 1 vs. 8 vs. 64
 //   - inter-node partition: round-robin vs. blocks vs. random (by work skew)
-//   - exact PLL vs. approximate 16-landmark index (build time, size)
 func RunAblations(cfg Config, threads int) (*Table, error) {
 	t := &Table{
 		Title:  "Ablations: each design choice vs its alternative (time in seconds; see metric column)",
@@ -54,14 +51,6 @@ func RunAblations(cfg Config, threads int) (*Table, error) {
 			idx = store.Finalize()
 		})
 		t.AddRow(rec.Name, "store", "rwmutex", stats.FormatDuration(rwmutex),
-			"entries", fmt.Sprint(idx.NumEntries()))
-
-		// Heap ablation (serial, isolating the queue cost).
-		indexed := timed(func() { idx = pll.Build(g, pll.Options{Order: ord}) })
-		t.AddRow(rec.Name, "heap", "indexed-4ary", stats.FormatDuration(indexed),
-			"entries", fmt.Sprint(idx.NumEntries()))
-		lazy := timed(func() { idx = pll.Build(g, pll.Options{Order: ord, LazyHeap: true}) })
-		t.AddRow(rec.Name, "heap", "lazy-binary", stats.FormatDuration(lazy),
 			"entries", fmt.Sprint(idx.NumEntries()))
 
 		// Ordering ablation (index size is the quantity that matters).
@@ -116,36 +105,6 @@ func RunAblations(cfg Config, threads int) (*Table, error) {
 			t.AddRow(rec.Name, "partition", p.String(), stats.FormatDuration(d),
 				"work-skew", fmt.Sprintf("%.2f", skew))
 		}
-
-		// Exact index vs approximate landmarks.
-		dPLL := timed(func() {
-			idx = core.Build(g, core.Options{Threads: threads, Policy: core.Dynamic, Order: ord})
-		})
-		t.AddRow(rec.Name, "exactness", "parapll-exact", stats.FormatDuration(dPLL),
-			"entries", fmt.Sprint(idx.NumEntries()))
-		var lm *landmark.Index
-		dLM := timed(func() {
-			lm = landmark.Build(g, landmark.Options{K: 16, Strategy: landmark.SelectDegree, Threads: threads})
-		})
-		// Mean relative overestimate of the landmark upper bound.
-		rng := gen.NewRNG(7)
-		var relErr float64
-		var count int
-		n := g.NumVertices()
-		for i := 0; i < 500; i++ {
-			s, u := graph.Vertex(rng.Intn(n)), graph.Vertex(rng.Intn(n))
-			exact := idx.Query(s, u)
-			approx := lm.Upper(s, u)
-			if exact != graph.Inf && exact > 0 {
-				relErr += float64(approx-exact) / float64(exact)
-				count++
-			}
-		}
-		if count > 0 {
-			relErr /= float64(count)
-		}
-		t.AddRow(rec.Name, "exactness", "landmark-16-approx", stats.FormatDuration(dLM),
-			"mean-rel-overestimate", fmt.Sprintf("%.3f", relErr))
 	}
 	return t, nil
 }

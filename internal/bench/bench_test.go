@@ -270,7 +270,7 @@ func TestRunAblations(t *testing.T) {
 		seen[row[1]]++
 		parseFloatCell(t, table, 0, 3) // seconds parse
 	}
-	for _, want := range []string{"store", "heap", "order", "chunk", "partition", "exactness"} {
+	for _, want := range []string{"store", "order", "chunk", "partition"} {
 		if seen[want] < 2 {
 			t.Errorf("ablation %q appears %d times, want >= 2", want, seen[want])
 		}

@@ -79,8 +79,6 @@ type Options struct {
 	Partition Partition
 	// Seed feeds PartitionRandom. Every node must pass the same seed.
 	Seed uint64
-	// LazyHeap switches workers to the lazy binary heap.
-	LazyHeap bool
 	// Progress, when non-nil, receives this node's live build counters
 	// (roots done, labels added, work) for concurrent sampling.
 	Progress *core.Progress
@@ -274,7 +272,6 @@ func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 			// recording stores attribute appends root-by-root, which the
 			// batched engine's deferred commit would break.
 			for _, w := range (core.PerRoot{}).Run(g, mgr, store, core.RunConfig{
-				LazyHeap: opt.LazyHeap,
 				Progress: opt.Progress,
 				Tracer:   opt.Tracer,
 				Phase:    fmt.Sprintf("cluster-seg-%d", seg),

@@ -83,8 +83,6 @@ type Options struct {
 	// (Figure 6). Safe because each position is claimed by exactly one
 	// worker.
 	Trace *pll.Trace
-	// LazyHeap switches workers to the lazy binary heap (ablation).
-	LazyHeap bool
 	// Progress, when non-nil, receives live build counters (roots done,
 	// labels added, work performed) that other goroutines may sample
 	// concurrently. Updates cost a few atomic adds per completed root —
@@ -253,7 +251,6 @@ func BuildInto(g *graph.Graph, store LabelStore, opt Options) *BuildStats {
 	}
 	return &BuildStats{PerWorkerWork: eng.Run(g, mgr, store, RunConfig{
 		Trace:    opt.Trace,
-		LazyHeap: opt.LazyHeap,
 		Progress: opt.Progress,
 		Tracer:   opt.Tracer,
 	})}
@@ -273,16 +270,13 @@ func newManager(ord []graph.Vertex, opt *Options) task.Manager {
 	}
 }
 
-// RunConfig bundles RunWorkers' optional instrumentation and ablation
-// switches so call sites name what they set. The zero value is a plain
-// uninstrumented run.
+// RunConfig bundles RunWorkers' optional instrumentation so call sites
+// name what they set. The zero value is a plain uninstrumented run.
 type RunConfig struct {
 	// Trace receives per-sequence-position label counts (Figure 6); its
 	// slices must be at least as long as the largest sequence position
 	// the manager hands out. May be nil.
 	Trace *pll.Trace
-	// LazyHeap switches workers to the lazy binary heap (ablation).
-	LazyHeap bool
 	// Progress, when non-nil, is updated once per completed root.
 	Progress *Progress
 	// Tracer, when non-nil and enabled, records timeline spans: one

@@ -171,13 +171,6 @@ func TestChunkedDynamic(t *testing.T) {
 	checkAllPairs(t, g, x)
 }
 
-func TestLazyHeapWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(206))
-	g := randomGraph(r, 50, 100)
-	x := Build(g, Options{Threads: 4, Policy: Dynamic, LazyHeap: true})
-	checkAllPairs(t, g, x)
-}
-
 func TestDefaultThreads(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(207)), 30, 60)
 	x := Build(g, Options{}) // Threads <= 0: GOMAXPROCS

@@ -152,7 +152,7 @@ func runWorker(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig
 		}
 	}
 	snapshot, neighbors := view.Snapshot, g.Neighbors
-	ps := pll.NewSearcher(g.NumVertices(), cfg.LazyHeap)
+	ps := pll.NewSearcher(g.NumVertices())
 	for {
 		t0 := tr.Now()
 		r, pos, ok := mgr.Next(w)

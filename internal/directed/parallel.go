@@ -33,7 +33,7 @@ func BuildParallel(g *Digraph, opt ParallelOptions) *Index {
 	addIn := func(u, _ graph.Vertex, e label.Entry) { in.Append(u, e.Hub, e.D) }
 	addOut := func(u, _ graph.Vertex, e label.Entry) { out.Append(u, e.Hub, e.D) }
 	core.RunRoots(n, ord, opt.Threads, opt.Policy, func(int) func(graph.Vertex) {
-		ps := pll.NewSearcher(n, false)
+		ps := pll.NewSearcher(n)
 		return func(r graph.Vertex) {
 			seed := pll.Seed{Hub: r, Start: r}
 			// Forward over out-arcs: r→u is covered when some hub sits in

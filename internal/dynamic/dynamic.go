@@ -98,7 +98,7 @@ func FromIndex(g *graph.Graph, idx *label.Index) *Index {
 		panic(fmt.Sprintf("dynamic: index covers %d vertices, graph has %d", idx.NumVertices(), n))
 	}
 	x := &Index{g: g, base: idx, delta: make([]atomic.Pointer[run], n),
-		grown: make([]adjRow, n), own: make([]*run, n), ps: pll.NewSearcher(n, false)}
+		grown: make([]adjRow, n), own: make([]*run, n), ps: pll.NewSearcher(n)}
 	for v := range x.delta {
 		x.delta[v].Store(&noRun)
 	}

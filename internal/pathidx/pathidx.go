@@ -64,7 +64,7 @@ func Build(g *graph.Graph, opt Options) *Index {
 		parents.Append(u, e.Hub, graph.Dist(pred))
 	}
 	core.RunRoots(n, ord, opt.Threads, opt.Policy, func(int) func(graph.Vertex) {
-		ps := pll.NewSearcher(n, false)
+		ps := pll.NewSearcher(n)
 		return func(r graph.Vertex) {
 			ps.Run(pll.Seed{Hub: r, Start: r}, dists.Snapshot(r), g.Neighbors, dists.Snapshot, settle)
 		}

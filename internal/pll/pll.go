@@ -1,7 +1,7 @@
 // Package pll implements the serial weighted Pruned Landmark Labeling
 // baseline — the paper's "weighted serial version" (§4.1, Algorithm 1) that
-// every ParaPLL speedup in Tables 3–5 is measured against — plus the
-// original unweighted pruned-BFS PLL of Akiba et al. for comparison.
+// every ParaPLL speedup in Tables 3–5 is measured against — and Searcher,
+// the one pruned Dijkstra every index kind in the repository runs.
 //
 // Indexing runs one Pruned Dijkstra per vertex in a chosen order. The
 // search from root r is pruned at any vertex u whose distance is already
@@ -55,9 +55,6 @@ type Options struct {
 	Order []graph.Vertex
 	// Trace, when non-nil, is filled with per-root instrumentation.
 	Trace *Trace
-	// LazyHeap switches the inner Dijkstra from the indexed 4-ary heap
-	// with decrease-key to a lazy-deletion binary heap (ablation).
-	LazyHeap bool
 }
 
 // Build indexes g serially and returns the finalized 2-hop index.
@@ -74,7 +71,7 @@ func Build(g *graph.Graph, opt Options) *label.Index {
 	}
 
 	labels := make([][]label.Entry, n)
-	ps := NewSearcher(n, opt.LazyHeap)
+	ps := NewSearcher(n)
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
 	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	for k, r := range ord {
@@ -115,8 +112,6 @@ type Searcher struct {
 	touched []graph.Vertex
 	hubs    []graph.Vertex // hubs scattered into tmp, for reset
 	heap    *vheap.Indexed
-	lazy    *vheap.Lazy
-	useLazy bool
 	work    int64 // ops in the most recent Run: pops + relaxations + label scans
 }
 
@@ -125,24 +120,17 @@ type Searcher struct {
 // Run. Used for projected-speedup accounting.
 func (ps *Searcher) LastWork() int64 { return ps.work }
 
-// NewSearcher returns scratch for searches over vertices [0,n). useLazy
-// swaps the indexed 4-ary heap for the lazy-deletion binary heap
-// (ablation).
-func NewSearcher(n int, useLazy bool) *Searcher {
+// NewSearcher returns scratch for searches over vertices [0,n).
+func NewSearcher(n int) *Searcher {
 	ps := &Searcher{
-		dist:    make([]graph.Dist, n),
-		pred:    make([]graph.Vertex, n),
-		tmp:     make([]graph.Dist, n),
-		useLazy: useLazy,
+		dist: make([]graph.Dist, n),
+		pred: make([]graph.Vertex, n),
+		tmp:  make([]graph.Dist, n),
+		heap: vheap.NewIndexed(n),
 	}
 	for i := 0; i < n; i++ {
 		ps.dist[i] = graph.Inf
 		ps.tmp[i] = graph.Inf
-	}
-	if useLazy {
-		ps.lazy = &vheap.Lazy{}
-	} else {
-		ps.heap = vheap.NewIndexed(n)
 	}
 	return ps
 }
@@ -180,32 +168,11 @@ func (ps *Searcher) Run(
 	ps.dist[seed.Start] = seed.D0
 	ps.pred[seed.Start] = seed.Start
 	ps.touched = append(ps.touched, seed.Start)
-	if ps.useLazy {
-		ps.lazy.Reset()
-		ps.lazy.Push(seed.Start, seed.D0)
-	} else {
-		ps.heap.Reset()
-		ps.heap.Push(seed.Start, seed.D0)
-	}
+	ps.heap.Reset()
+	ps.heap.Push(seed.Start, seed.D0)
 
-	for {
-		var u graph.Vertex
-		var d graph.Dist
-		if ps.useLazy {
-			if ps.lazy.Len() == 0 {
-				break
-			}
-			u, d = ps.lazy.Pop()
-			if d > ps.dist[u] {
-				continue // stale lazy entry
-			}
-		} else {
-			if ps.heap.Len() == 0 {
-				break
-			}
-			u, d = ps.heap.Pop()
-		}
-
+	for ps.heap.Len() > 0 {
+		u, d := ps.heap.Pop()
 		ps.work++ // settled pop
 
 		// Prune test: QUERY(hub, u) over existing labels ≤ D[u]?
@@ -228,11 +195,7 @@ func (ps *Searcher) Run(
 				}
 				ps.dist[v] = nd
 				ps.pred[v] = u
-				if ps.useLazy {
-					ps.lazy.Push(v, nd)
-				} else {
-					ps.heap.Push(v, nd)
-				}
+				ps.heap.Push(v, nd)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package pll
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"parapll/internal/gen"
@@ -52,18 +51,6 @@ func TestBuildCorrectRandom(t *testing.T) {
 		g := randomGraph(r, 10+r.Intn(50), 60)
 		x := Build(g, Options{})
 		checkAllPairs(t, g, x.Query)
-	}
-}
-
-func TestBuildLazyHeapMatchesIndexed(t *testing.T) {
-	r := rand.New(rand.NewSource(101))
-	for trial := 0; trial < 6; trial++ {
-		g := randomGraph(r, 40, 80)
-		a := Build(g, Options{})
-		b := Build(g, Options{LazyHeap: true})
-		if !reflect.DeepEqual(a, b) {
-			t.Fatal("lazy-heap build differs from indexed-heap build")
-		}
 	}
 }
 
@@ -193,11 +180,21 @@ func TestBuildEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// unitWeights returns a copy of g whose every edge weighs 1, the graph a
+// hop-count index is built over.
+func unitWeights(g *graph.Graph) *graph.Graph {
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].W = 1
+	}
+	return graph.FromEdges(g.NumVertices(), edges)
+}
+
 func TestBuildUnweightedHopCounts(t *testing.T) {
 	r := rand.New(rand.NewSource(104))
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(r, 10+r.Intn(40), 50)
-		x := BuildUnweighted(g, Options{})
+		x := Build(unitWeights(g), Options{})
 		n := g.NumVertices()
 		for s := graph.Vertex(0); int(s) < n; s++ {
 			want := sssp.BFS(g, s)
@@ -210,34 +207,12 @@ func TestBuildUnweightedHopCounts(t *testing.T) {
 	}
 }
 
-func TestBuildUnweightedTrace(t *testing.T) {
-	g := gen.ErdosRenyi(100, 300, 5)
-	var tr Trace
-	x := BuildUnweighted(g, Options{Trace: &tr})
-	var sum int64
-	for _, a := range tr.AddedPerRoot {
-		sum += a
-	}
-	if sum != x.NumEntries() {
-		t.Fatalf("trace sum %d != entries %d", sum, x.NumEntries())
-	}
-}
-
-func TestBuildUnweightedOrderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	BuildUnweighted(graph.FromEdges(3, nil), Options{Order: []graph.Vertex{0}})
-}
-
 func TestWeightedVsUnweightedDiffer(t *testing.T) {
 	// On a weighted triangle where the heavy direct edge is not the
 	// shortest path, hop count and distance must disagree.
 	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 10}, {U: 1, V: 2, W: 10}, {U: 0, V: 2, W: 100}})
 	w := Build(g, Options{})
-	u := BuildUnweighted(g, Options{})
+	u := Build(unitWeights(g), Options{})
 	if w.Query(0, 2) != 20 {
 		t.Fatalf("weighted d(0,2) = %d, want 20", w.Query(0, 2))
 	}

@@ -51,13 +51,11 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 		}
 		return log
 	}
-	for _, lazy := range []bool{false, true} {
-		shared := NewSearcher(n, lazy)
-		got := replay(func() *Searcher { return shared })
-		want := replay(func() *Searcher { return NewSearcher(n, lazy) })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("lazy=%v: a reused Searcher diverged from fresh Searchers (%d vs %d log rows)", lazy, len(got), len(want))
-		}
+	shared := NewSearcher(n)
+	got := replay(func() *Searcher { return shared })
+	want := replay(func() *Searcher { return NewSearcher(n) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("a reused Searcher diverged from fresh Searchers (%d vs %d log rows)", len(got), len(want))
 	}
 }
 
@@ -69,7 +67,7 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(111)), 200, 400)
 	n := g.NumVertices()
 	labels := make([][]label.Entry, n)
-	ps := NewSearcher(n, false)
+	ps := NewSearcher(n)
 	adj := g.Neighbors
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
 	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }

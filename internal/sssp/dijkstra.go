@@ -1,10 +1,10 @@
 // Package sssp implements the classic shortest-path baselines the paper
-// compares against or builds on: Dijkstra (with either heap flavor),
-// bidirectional Dijkstra for point-to-point queries, Bellman–Ford,
-// Floyd–Warshall, BFS for unweighted hop counts, and a parallel
-// Δ-stepping implementation. These serve as the index-free query
-// baseline from the paper's introduction and as ground truth in every
-// correctness test of the PLL index.
+// compares against or builds on: Dijkstra, bidirectional Dijkstra for
+// point-to-point queries, Bellman–Ford, Floyd–Warshall and BFS for
+// unweighted hop counts. These serve as the index-free query baseline from
+// the paper's introduction and as ground truth in every correctness test of
+// the PLL index; Bellman–Ford and Floyd–Warshall exist so that Dijkstra
+// itself is checked against solvers built differently.
 package sssp
 
 import (
@@ -25,35 +25,6 @@ func Dijkstra(g *graph.Graph, s graph.Vertex) []graph.Dist {
 	h.Push(s, 0)
 	for h.Len() > 0 {
 		u, d := h.Pop()
-		ns, ws := g.Neighbors(u)
-		for i, v := range ns {
-			nd := graph.AddDist(d, ws[i])
-			if nd < dist[v] {
-				dist[v] = nd
-				h.Push(v, nd)
-			}
-		}
-	}
-	return dist
-}
-
-// DijkstraLazy is Dijkstra with a lazy-deletion binary heap (the strategy
-// most PLL codebases use); results are identical to Dijkstra. It exists so
-// the heap choice can be benchmarked as an ablation.
-func DijkstraLazy(g *graph.Graph, s graph.Vertex) []graph.Dist {
-	n := g.NumVertices()
-	dist := make([]graph.Dist, n)
-	for i := range dist {
-		dist[i] = graph.Inf
-	}
-	dist[s] = 0
-	var h vheap.Lazy
-	h.Push(s, 0)
-	for h.Len() > 0 {
-		u, d := h.Pop()
-		if d > dist[u] {
-			continue // stale entry
-		}
 		ns, ws := g.Neighbors(u)
 		for i, v := range ns {
 			nd := graph.AddDist(d, ws[i])

@@ -86,17 +86,9 @@ func TestAllAlgorithmsAgree(t *testing.T) {
 		fw := FloydWarshall(g)
 		for _, s := range []graph.Vertex{0, graph.Vertex(n / 2), graph.Vertex(n - 1)} {
 			dj := Dijkstra(g, s)
-			lz := DijkstraLazy(g, s)
 			bf := BellmanFord(g, s)
-			ds := DeltaStepping(g, s, 13, 4)
-			if !reflect.DeepEqual(dj, lz) {
-				t.Fatalf("trial %d: lazy Dijkstra differs", trial)
-			}
 			if !reflect.DeepEqual(dj, bf) {
 				t.Fatalf("trial %d: Bellman–Ford differs\n dj=%v\n bf=%v", trial, dj, bf)
-			}
-			if !reflect.DeepEqual(dj, ds) {
-				t.Fatalf("trial %d: Δ-stepping differs\n dj=%v\n ds=%v", trial, dj, ds)
 			}
 			if !reflect.DeepEqual(dj, fw[s]) {
 				t.Fatalf("trial %d: Floyd–Warshall differs", trial)
@@ -156,34 +148,8 @@ func TestBFSUnreachable(t *testing.T) {
 	}
 }
 
-func TestDeltaSteppingParams(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	g := randomGraph(r, 60, 180)
-	want := Dijkstra(g, 0)
-	for _, delta := range []graph.Dist{1, 5, 50, 1000} {
-		for _, workers := range []int{1, 2, 8} {
-			if got := DeltaStepping(g, 0, delta, workers); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Δ=%d workers=%d differs from Dijkstra", delta, workers)
-			}
-		}
-	}
-	// workers <= 0 means GOMAXPROCS.
-	if got := DeltaStepping(g, 0, 10, 0); !reflect.DeepEqual(got, want) {
-		t.Fatal("workers=0 (auto) differs from Dijkstra")
-	}
-}
-
-func TestDeltaSteppingZeroDeltaPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	DeltaStepping(line(1), 0, 0, 1)
-}
-
 func TestOnRealisticDatasets(t *testing.T) {
-	// Cross-check Dijkstra vs Δ-stepping on scaled-down Table 2 graphs of
+	// Cross-check Dijkstra vs Bellman–Ford on scaled-down Table 2 graphs of
 	// different families (power-law and road).
 	for _, name := range []string{"Wiki-Vote", "DE-USA"} {
 		rec, err := gen.FindRecipe(name)
@@ -191,10 +157,8 @@ func TestOnRealisticDatasets(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := rec.Generate(0.02)
-		dj := Dijkstra(g, 0)
-		ds := DeltaStepping(g, 0, 32, 4)
-		if !reflect.DeepEqual(dj, ds) {
-			t.Fatalf("%s: Δ-stepping differs from Dijkstra", name)
+		if !reflect.DeepEqual(Dijkstra(g, 0), BellmanFord(g, 0)) {
+			t.Fatalf("%s: Bellman–Ford differs from Dijkstra", name)
 		}
 	}
 }
@@ -205,23 +169,5 @@ func BenchmarkDijkstra(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Dijkstra(g, graph.Vertex(i%g.NumVertices()))
-	}
-}
-
-func BenchmarkDijkstraLazy(b *testing.B) {
-	rec, _ := gen.FindRecipe("Epinions")
-	g := rec.Generate(0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DijkstraLazy(g, graph.Vertex(i%g.NumVertices()))
-	}
-}
-
-func BenchmarkDeltaStepping(b *testing.B) {
-	rec, _ := gen.FindRecipe("Epinions")
-	g := rec.Generate(0.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DeltaStepping(g, graph.Vertex(i%g.NumVertices()), 25, 0)
 	}
 }

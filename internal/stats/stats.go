@@ -32,20 +32,6 @@ func CDF(xs []int64) []float64 {
 	return out
 }
 
-// PrefixForFraction returns the smallest k such that the first k values of
-// xs accumulate at least frac of the total (e.g. "90% of labels are added
-// within the first 100 searches"). It returns len(xs) when the total is 0
-// and frac > 0.
-func PrefixForFraction(xs []int64, frac float64) int {
-	cdf := CDF(xs)
-	for i, c := range cdf {
-		if c >= frac {
-			return i + 1
-		}
-	}
-	return len(xs)
-}
-
 // Summary describes a sample of float64 observations.
 type Summary struct {
 	N      int

@@ -54,19 +54,6 @@ func TestCDFProperties(t *testing.T) {
 	}
 }
 
-func TestPrefixForFraction(t *testing.T) {
-	xs := []int64{90, 5, 5}
-	if k := PrefixForFraction(xs, 0.9); k != 1 {
-		t.Fatalf("k = %d, want 1", k)
-	}
-	if k := PrefixForFraction(xs, 0.95); k != 2 {
-		t.Fatalf("k = %d, want 2", k)
-	}
-	if k := PrefixForFraction([]int64{0, 0}, 0.5); k != 2 {
-		t.Fatalf("zero-total k = %d, want len", k)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if s.N != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {

@@ -1,17 +1,14 @@
-// Package vheap provides the priority queues used by every Dijkstra variant
+// Package vheap provides the priority queue used by every Dijkstra variant
 // in this repository (the paper's Algorithm 1 stores frontier vertices in a
 // priority queue; enqueue/dequeue cost the O(log n) factor in its complexity
 // analysis).
 //
-// Two implementations are provided so the choice can be benchmarked as an
-// ablation:
-//
-//   - Indexed: a 4-ary min-heap with DecreaseKey, one slot per vertex.
-//     4-ary beats binary for Dijkstra because sift-down dominates and a
-//     wider node halves the tree height at the cost of three extra
-//     comparisons that stay in one cache line.
-//   - Lazy: a plain binary heap of (vertex, dist) pairs with duplicate
-//     insertion and deletion-on-pop, the strategy most PLL codebases use.
+// Indexed is a 4-ary min-heap with DecreaseKey, one slot per vertex. 4-ary
+// beats binary for Dijkstra because sift-down dominates and a wider node
+// halves the tree height at the cost of three extra comparisons that stay
+// in one cache line. A lazy-deletion binary heap (duplicate pushes, stale
+// entries skipped on pop) was measured against it inside the pruned
+// Dijkstra and never won, so it is not kept (DESIGN.md, "Heap").
 package vheap
 
 import "parapll/internal/graph"
@@ -148,62 +145,3 @@ func (h *Indexed) siftDown(i int) {
 		i = best
 	}
 }
-
-// Lazy is a binary min-heap of (vertex, dist) pairs allowing duplicates.
-// Callers detect and skip stale pops by comparing the popped distance with
-// their own tentative-distance array, the standard "lazy deletion" Dijkstra
-// idiom. The zero value is ready to use.
-type Lazy struct {
-	item []lazyItem
-}
-
-type lazyItem struct {
-	d graph.Dist
-	v graph.Vertex
-}
-
-// Len returns the number of queued entries (including stale duplicates).
-func (h *Lazy) Len() int { return len(h.item) }
-
-// Push inserts (v, d).
-func (h *Lazy) Push(v graph.Vertex, d graph.Dist) {
-	h.item = append(h.item, lazyItem{d: d, v: v})
-	i := len(h.item) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.item[parent].d <= h.item[i].d {
-			break
-		}
-		h.item[parent], h.item[i] = h.item[i], h.item[parent]
-		i = parent
-	}
-}
-
-// Pop removes and returns an entry with the minimum distance. It panics on
-// an empty heap.
-func (h *Lazy) Pop() (graph.Vertex, graph.Dist) {
-	top := h.item[0]
-	last := len(h.item) - 1
-	h.item[0] = h.item[last]
-	h.item = h.item[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= last {
-			break
-		}
-		c := l
-		if r < last && h.item[r].d < h.item[l].d {
-			c = r
-		}
-		if h.item[i].d <= h.item[c].d {
-			break
-		}
-		h.item[i], h.item[c] = h.item[c], h.item[i]
-		i = c
-	}
-	return top.v, top.d
-}
-
-// Reset empties the heap, retaining capacity.
-func (h *Lazy) Reset() { h.item = h.item[:0] }

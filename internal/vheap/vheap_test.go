@@ -1,33 +1,12 @@
 package vheap
 
 import (
-	"container/heap"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"parapll/internal/graph"
 )
-
-// refHeap is a container/heap reference implementation used as the oracle
-// in property tests.
-type refItem struct {
-	v graph.Vertex
-	d graph.Dist
-}
-type refHeap []refItem
-
-func (h refHeap) Len() int            { return len(h) }
-func (h refHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refItem)) }
-func (h *refHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
 
 func TestIndexedBasic(t *testing.T) {
 	h := NewIndexed(10)
@@ -108,9 +87,9 @@ func TestIndexedReset(t *testing.T) {
 	}
 }
 
-// TestIndexedAgainstReference drives the indexed heap and a container/heap
-// oracle with the same random operation sequence, including decrease-keys,
-// and checks every pop agrees on distance.
+// TestIndexedAgainstReference drives the indexed heap and a map of each
+// vertex's best key with the same random operation sequence, including
+// decrease-keys, and checks every pop agrees on distance.
 func TestIndexedAgainstReference(t *testing.T) {
 	const n = 200
 	r := rand.New(rand.NewSource(42))
@@ -158,53 +137,6 @@ func TestIndexedAgainstReference(t *testing.T) {
 	}
 }
 
-func TestLazyAgainstReference(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 20; trial++ {
-		var h Lazy
-		ref := &refHeap{}
-		for op := 0; op < 500; op++ {
-			if r.Intn(2) == 0 || h.Len() == 0 {
-				v := graph.Vertex(r.Intn(100))
-				d := graph.Dist(r.Intn(10000))
-				h.Push(v, d)
-				heap.Push(ref, refItem{v: v, d: d})
-			} else {
-				_, d := h.Pop()
-				want := heap.Pop(ref).(refItem)
-				if d != want.d {
-					t.Fatalf("lazy pop %d, reference %d", d, want.d)
-				}
-			}
-		}
-	}
-}
-
-func TestLazyDuplicates(t *testing.T) {
-	var h Lazy
-	h.Push(7, 30)
-	h.Push(7, 10)
-	h.Push(7, 20)
-	if h.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 (duplicates allowed)", h.Len())
-	}
-	for i, want := range []graph.Dist{10, 20, 30} {
-		v, d := h.Pop()
-		if v != 7 || d != want {
-			t.Fatalf("pop %d: got (%d,%d), want (7,%d)", i, v, d, want)
-		}
-	}
-}
-
-func TestLazyReset(t *testing.T) {
-	var h Lazy
-	h.Push(1, 1)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatal("Reset did not empty lazy heap")
-	}
-}
-
 func TestIndexedPopEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -212,16 +144,6 @@ func TestIndexedPopEmptyPanics(t *testing.T) {
 		}
 	}()
 	NewIndexed(1).Pop()
-}
-
-func TestLazyPopEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on empty Pop")
-		}
-	}()
-	var h Lazy
-	h.Pop()
 }
 
 func BenchmarkIndexedPushPop(b *testing.B) {
@@ -232,20 +154,6 @@ func BenchmarkIndexedPushPop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 1024; j++ {
 			h.Push(graph.Vertex(r.Intn(n)), graph.Dist(r.Intn(1<<20)))
-		}
-		for h.Len() > 0 {
-			h.Pop()
-		}
-	}
-}
-
-func BenchmarkLazyPushPop(b *testing.B) {
-	var h Lazy
-	r := rand.New(rand.NewSource(5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 1024; j++ {
-			h.Push(graph.Vertex(r.Intn(1<<16)), graph.Dist(r.Intn(1<<20)))
 		}
 		for h.Len() > 0 {
 			h.Pop()

@@ -214,16 +214,15 @@ type KNNResult = knn.Result
 // distances in output-sensitive time.
 func NewKNN(x *Index) *KNNIndex { return knn.New(x) }
 
-// HopIndex is an unweighted (hop-count) index with a bit-parallel first
-// layer — the original PLL of Akiba et al. that ParaPLL generalizes.
-type HopIndex = pll.BPIndex
-
-// BuildUnweighted constructs a hop-count index, ignoring edge weights:
-// nBPRoots bit-parallel BFS roots (0 disables the optimization; 16 is a
-// good default on power-law graphs) followed by pruned BFSes. Queries
-// return the number of edges on a shortest path.
-func BuildUnweighted(g *Graph, nBPRoots int, opt Options) *HopIndex {
-	return pll.BuildUnweightedBP(g, nBPRoots, pll.Options{Order: computeOrder(g, opt.Order, opt.Seed)})
+// BuildUnweighted constructs a hop-count index, ignoring edge weights: it
+// is Build over a copy of g whose every edge weighs 1, so queries return
+// the number of edges on a shortest path.
+func BuildUnweighted(g *Graph, opt Options) *Index {
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].W = 1
+	}
+	return Build(NewGraph(g.NumVertices(), edges), opt)
 }
 
 // BuildPathIndex constructs a path-augmented index: like Build, but each

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parapll"
+	"parapll/internal/sssp"
 )
 
 func lineGraph() *parapll.Graph {
@@ -177,32 +178,29 @@ func TestNewKNN(t *testing.T) {
 	}
 }
 
+// TestBuildUnweighted holds the hop-count index to BFS on every pair of a
+// weighted graph, serially and in parallel; some pair must differ from its
+// weighted distance, or the weights were not ignored.
 func TestBuildUnweighted(t *testing.T) {
 	g, err := parapll.GenerateDataset("Wiki-Vote", 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop := parapll.BuildUnweighted(g, 4, parapll.Options{})
-	r := rand.New(rand.NewSource(3))
 	n := g.NumVertices()
-	// Oracle: the weighted index over the same topology with unit weights
-	// answers hop counts.
-	edges := make([]parapll.Edge, 0)
-	for v := parapll.Vertex(0); int(v) < n; v++ {
-		ns, _ := g.Neighbors(v)
-		for _, u := range ns {
-			if v < u {
-				edges = append(edges, parapll.Edge{U: v, V: u, W: 1})
+	for _, threads := range []int{1, 2} {
+		hop := parapll.BuildUnweighted(g, parapll.Options{Threads: threads})
+		differs := false
+		for s := parapll.Vertex(0); int(s) < n; s++ {
+			want, weighted := sssp.BFS(g, s), parapll.Dijkstra(g, s)
+			for u := parapll.Vertex(0); int(u) < n; u++ {
+				if got := hop.Query(s, u); got != want[u] {
+					t.Fatalf("threads=%d: hop(%d,%d) = %d, BFS says %d", threads, s, u, got, want[u])
+				}
+				differs = differs || want[u] != weighted[u]
 			}
 		}
-	}
-	ug := parapll.NewGraph(n, edges)
-	want := parapll.Build(ug, parapll.Options{Threads: 2})
-	for q := 0; q < 200; q++ {
-		s := parapll.Vertex(r.Intn(n))
-		u := parapll.Vertex(r.Intn(n))
-		if got := hop.Query(s, u); got != want.Query(s, u) {
-			t.Fatalf("hop(%d,%d) = %d, want %d", s, u, got, want.Query(s, u))
+		if !differs {
+			t.Fatalf("threads=%d: every hop count equals its weighted distance", threads)
 		}
 	}
 }

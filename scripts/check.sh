@@ -1,6 +1,8 @@
 #!/bin/sh
 # Repo-wide checks, in order: go build, gofmt, go vet, the custom
-# parapll-vet suite, the short suite under the race detector, a
+# parapll-vet suite, the internal-importers check (every package under
+# internal/ is imported by some other package, tests included), the
+# short suite under the race detector, a
 # -count=20 race pass over the lock-free structures and the distance
 # cache, the tier-1 command (go test ./...), a fuzz smoke on the four
 # wire decoders, the crash-recovery and flight-recorder e2e tests by
@@ -50,6 +52,19 @@ if [ "${GITHUB_ACTIONS:-}" = "true" ]; then
     [ "$vet_status" -eq 0 ]
 else
     go run ./cmd/parapll-vet ./...
+fi
+
+# A package under internal/ that no other package imports - not even
+# from a test - is code nothing runs or checks. go list names every
+# package's Imports, TestImports and XTestImports; an external test
+# package importing its own package does not count.
+echo "== internal importers (a package under internal/ nothing else imports)"
+importers='{{$p := .ImportPath}}{{range .Imports}}{{if ne . $p}}{{println .}}{{end}}{{end}}{{range .TestImports}}{{if ne . $p}}{{println .}}{{end}}{{end}}{{range .XTestImports}}{{if ne . $p}}{{println .}}{{end}}{{end}}'
+imported=$(go list -f "$importers" ./... | sort -u)
+if orphans=$(go list ./internal/... | grep -vxF "$imported"); then
+    printf '%s\n' "$orphans" >&2
+    echo "check.sh: no other package imports the packages above; delete them or use them" >&2
+    exit 1
 fi
 
 echo "== go test -race -short ./..."
