@@ -1,20 +1,17 @@
 // Package analysis is the repo's custom static-analysis suite: a small,
 // dependency-free framework in the mold of golang.org/x/tools/go/analysis
-// (which this module deliberately does not depend on) plus the eight
+// (which this module deliberately does not depend on) plus the seven
 // analyzers that turn the repo's convention-documented invariants into
 // machine-checked ones.
 //
-// Four are AST-local:
+// Three are AST-local:
 //
 //   - mmapkeepalive: every reader of a finalizer-managed mmap array must
 //     pin the owning index with runtime.KeepAlive after its last
-//     dereference (the PR-3 use-after-munmap class).
+//     dereference (the use-after-munmap class).
 //   - atomicfield: a field or slice accessed through sync/atomic anywhere
 //     must be accessed through sync/atomic everywhere, and structs
 //     embedding typed atomics must not be copied by value.
-//   - lockedblocking: no channel operations, mpi collectives or Waits
-//     while a sync.Mutex/RWMutex is held in the cluster/mpi/task and
-//     compact/wal/server packages (the cluster deadlock class).
 //   - infguard: a decoded distance must be bounds-checked against
 //     graph.Inf before being stored into a label structure (the hostile
 //     wire-frame class).
@@ -24,7 +21,8 @@
 //
 //   - lockorder: persistent mutexes are acquired in one global order —
 //     no cycles, no re-acquisition, no transitively blocking call while
-//     a write lock is held.
+//     a write lock is held — and no channel operation, mpi call or Wait
+//     runs while any mutex is held (the cluster deadlock class).
 //   - snapgen: atomic.Pointer snapshots load once per scope (even
 //     through helpers), and cache generation arguments are live and
 //     match the snapshot published in the same scope.
@@ -61,8 +59,27 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
+	// Packages gates the analyzer to packages whose import path contains
+	// one of these elements; empty means every package. RunAnalyzers
+	// skips the passes outside it.
+	Packages []string
 	// Run executes the check over one package.
 	Run func(*Pass) error
+}
+
+// Applies reports whether the analyzer checks the package at pkgPath:
+// the gate RunAnalyzers applies per pass, and the one program-wide
+// computations apply per function.
+func (a *Analyzer) Applies(pkgPath string) bool {
+	if len(a.Packages) == 0 {
+		return true
+	}
+	for _, p := range a.Packages {
+		if strings.Contains(pkgPath, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -104,12 +121,12 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// All returns the full analyzer suite in a stable order: the four
-// AST-local analyzers from PR 4, then the four interprocedural ones
-// built on the call-graph/summary layer (interproc.go).
+// All returns the full analyzer suite in a stable order: the three
+// AST-local analyzers, then the four interprocedural ones built on the
+// call-graph/summary layer (interproc.go).
 func All() []*Analyzer {
 	return []*Analyzer{
-		MmapKeepAlive, AtomicField, LockedBlocking, InfGuard,
+		MmapKeepAlive, AtomicField, InfGuard,
 		LockOrder, SnapGen, GoroLife, Durability,
 	}
 }
@@ -204,6 +221,9 @@ func RunAnalyzersVerbose(pkgs []*Package, analyzers []*Analyzer) ([]Finding, []I
 		ignores, records := collectIgnores(pkg, &findings)
 		allRecords = append(allRecords, records...)
 		for _, a := range analyzers {
+			if !a.Applies(pkg.Path) {
+				continue
+			}
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,

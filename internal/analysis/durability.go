@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Durability machine-checks the WAL/checkpoint contract from PR 8 on
@@ -35,25 +34,12 @@ import (
 var Durability = &Analyzer{
 	Name: "durability",
 	Doc:  "WAL/checkpoint paths check Sync/Close/WriteAtomic errors and never apply in-memory state before the durable write",
-	Run:  runDurability,
-}
-
-// durabilityPackages gates the analyzer to the durable-state tree.
-var durabilityPackages = []string{"internal/wal", "internal/compact", "internal/fileio"}
-
-func durabilityApplies(pkgPath string) bool {
-	for _, p := range durabilityPackages {
-		if strings.Contains(pkgPath, p) {
-			return true
-		}
-	}
-	return false
+	// The durable-state tree.
+	Packages: []string{"internal/wal", "internal/compact", "internal/fileio"},
+	Run:      runDurability,
 }
 
 func runDurability(pass *Pass) error {
-	if pass.Prog == nil || !durabilityApplies(pass.PkgPath) {
-		return nil
-	}
 	syncTypes := pass.Prog.Cached("durability.syncTypes", func() interface{} {
 		return collectSyncTypes(pass.Prog)
 	}).(map[*types.Named]bool)

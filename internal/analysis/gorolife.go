@@ -1,9 +1,5 @@
 package analysis
 
-import (
-	"strings"
-)
-
 // GoroLife flags fire-and-forget goroutines in the long-running tree.
 // The server, the compaction pipeline and the mpi transport all own
 // goroutines that must be stoppable: a goroutine with no reachable
@@ -24,26 +20,12 @@ import (
 var GoroLife = &Analyzer{
 	Name: "gorolife",
 	Doc:  "goroutines in server/compact/mpi must reach a shutdown primitive (done channel, context, WaitGroup)",
-	Run:  runGoroLife,
-}
-
-// goroLifePackages gates the analyzer to the trees that own long-lived
-// goroutines.
-var goroLifePackages = []string{"internal/server", "internal/compact", "internal/mpi"}
-
-func goroLifeApplies(pkgPath string) bool {
-	for _, p := range goroLifePackages {
-		if strings.Contains(pkgPath, p) {
-			return true
-		}
-	}
-	return false
+	// The trees that own long-lived goroutines.
+	Packages: []string{"internal/server", "internal/compact", "internal/mpi"},
+	Run:      runGoroLife,
 }
 
 func runGoroLife(pass *Pass) error {
-	if pass.Prog == nil || !goroLifeApplies(pass.PkgPath) {
-		return nil
-	}
 	for _, fn := range pass.Prog.Funcs {
 		if fn.Pkg.Path != pass.PkgPath {
 			continue

@@ -8,25 +8,6 @@ import (
 	"testing"
 )
 
-func TestLockedBlockingApplies(t *testing.T) {
-	for path, want := range map[string]bool{
-		"parapll/internal/cluster": true,
-		"parapll/internal/mpi":     true,
-		"parapll/internal/task":    true,
-		"parapll/internal/trace":   true,
-		"parapll/internal/label":   false,
-		"parapll/internal/server":  true,
-		"parapll/internal/compact": true,
-		"parapll/internal/wal":     true,
-		"parapll/internal/graph":   false,
-		"test/internal/mpi/fake":   true,
-	} {
-		if got := lockedBlockingApplies(path); got != want {
-			t.Errorf("lockedBlockingApplies(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
 // parseOnly builds a comment-bearing Package without type-checking,
 // which is all collectIgnores needs.
 func parseOnly(t *testing.T, src string) *Package {

@@ -32,7 +32,9 @@
 // caller to another component's critical section and is exempt. This is
 // what lets compact.Compact call the build engines — which fan out
 // workers and wg.Wait() on a local WaitGroup — while holding compactMu
-// without a lockorder false positive.
+// without a lockorder false positive. Every blocking operation, local
+// operand or not, is also kept as a direct site of its function, which
+// lockorder checks against the locks held lexically around it.
 package analysis
 
 import (
@@ -41,6 +43,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // EdgeKind classifies how a call edge transfers control.
@@ -164,6 +167,10 @@ type FuncInfo struct {
 
 	applySites []applySite
 	loads      []ptrLoad
+	// blocks maps each blocking operation lexically in this body (channel
+	// send or receive, range over a channel, select without default,
+	// Wait, mpi call), whatever its operand, to its description.
+	blocks map[ast.Node]string
 }
 
 // DirectLoads returns the atomic.Pointer Load sites lexically inside
@@ -381,18 +388,18 @@ func (w *ipWalker) walk() {
 			// as part of the select — selectStmt already accounted for it.
 			if x.Op == token.ARROW && !w.selectComm[x] {
 				w.info.Facts.Lifecycle = true
-				w.blocking(x.Pos(), x.X, "channel receive")
+				w.site(x, "channel receive", w.external(x.X))
 			}
 		case *ast.SendStmt:
 			if !w.selectComm[x] {
 				w.info.Facts.Lifecycle = true
-				w.blocking(x.Pos(), x.Chan, "channel send")
+				w.site(x, "channel send", w.external(x.Chan))
 			}
 		case *ast.RangeStmt:
 			if tv, ok := w.pkg.Info.Types[x.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
 					w.info.Facts.Lifecycle = true
-					w.blocking(x.X.Pos(), x.X, "channel receive (range)")
+					w.site(x.X, "channel receive (range)", w.external(x.X))
 				}
 			}
 		case *ast.SelectStmt:
@@ -407,11 +414,12 @@ func (w *ipWalker) walk() {
 	})
 }
 
-// selectStmt marks blocking for selects with no default clause whose
-// channels are not all function-local. Every clause's comm op is
-// registered in selectComm so the generic send/receive cases skip it:
-// the select, not the op, decides whether control blocks (pre-order
-// traversal guarantees this runs before the comm ops are visited).
+// selectStmt records a select with no default clause as a blocking
+// site, external unless its channels are all function-local. Every
+// clause's comm op is registered in selectComm so the generic
+// send/receive cases skip it: the select, not the op, decides whether
+// control blocks (pre-order traversal guarantees this runs before the
+// comm ops are visited).
 func (w *ipWalker) selectStmt(sel *ast.SelectStmt) {
 	hasDefault := false
 	external := false
@@ -444,8 +452,8 @@ func (w *ipWalker) selectStmt(sel *ast.SelectStmt) {
 			})
 		}
 	}
-	if external && !hasDefault {
-		w.setBlocking(sel.Pos(), "select without default")
+	if !hasDefault {
+		w.site(sel, "select without default", external)
 	}
 }
 
@@ -522,7 +530,7 @@ func (w *ipWalker) callFacts(call *ast.CallExpr, fn *types.Func) {
 	}
 
 	// Mutex acquisitions on persistent (field / package-var) mutexes.
-	if isSyncMutex(recvType) {
+	if isSync(recvType, "Mutex", "RWMutex") {
 		switch name {
 		case "Lock", "TryLock", "RLock", "TryRLock":
 			if obj := persistentTarget(w.pkg.Info, sel.X); obj != nil {
@@ -560,12 +568,8 @@ func (w *ipWalker) callFacts(call *ast.CallExpr, fn *types.Func) {
 	}
 
 	// Lifecycle primitives.
-	if isWaitGroup(recvType) {
+	if isSync(recvType, "WaitGroup") {
 		w.info.Facts.Lifecycle = true
-		if name == "Wait" && w.external(sel.X) {
-			w.setBlocking(call.Pos(), "Wait call "+types.ExprString(call.Fun))
-		}
-		return
 	}
 	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
 		switch name {
@@ -574,16 +578,42 @@ func (w *ipWalker) callFacts(call *ast.CallExpr, fn *types.Func) {
 		}
 	}
 
-	// Blocking waits and mpi traffic.
-	if name == "Wait" && !isSyncCond(recvType) {
-		if w.external(sel.X) {
-			w.setBlocking(call.Pos(), "Wait call "+types.ExprString(call.Fun))
-		}
+	// Blocking waits and mpi traffic. Cond.Wait releases its lock while
+	// blocked: the sanctioned pattern, not a site.
+	if name == "Wait" && !isSync(recvType, "Cond") {
+		w.site(call, "Wait call "+types.ExprString(call.Fun), w.external(sel.X))
 		return
 	}
 	if mpiBlockingCalls[name] && isMpiCarrier(w.pkg.Info, sel) {
-		w.setBlocking(call.Pos(), "mpi call "+types.ExprString(call.Fun))
+		w.site(call, "mpi call "+types.ExprString(call.Fun), true)
 	}
+}
+
+// mpiBlockingCalls are the method names treated as synchronous MPI
+// traffic when invoked on an mpi-declared type.
+var mpiBlockingCalls = map[string]bool{
+	"Barrier": true, "Bcast": true, "Gather": true, "Allgather": true,
+	"AllreduceInt64": true, "IAllgather": true, "Send": true, "Recv": true,
+}
+
+// isMpiCarrier reports whether the method selection is on a type that
+// carries MPI traffic: declared in an mpi package, or one of the
+// conventional World/Comm/Request names.
+func isMpiCarrier(info *types.Info, sel *ast.SelectorExpr) bool {
+	fn, _ := info.ObjectOf(sel.Sel).(*types.Func)
+	if fn == nil {
+		return false
+	}
+	if fn.Pkg() != nil && strings.Contains(fn.Pkg().Path(), "mpi") {
+		return true
+	}
+	if named := receiverNamed(fn); named != nil {
+		switch named.Obj().Name() {
+		case "World", "Comm", "Request":
+			return true
+		}
+	}
+	return false
 }
 
 // methodValue records an EdgeRef for a method value that is not the
@@ -626,16 +656,16 @@ func (w *ipWalker) addEdge(callee *FuncInfo, kind EdgeKind, pos token.Pos, iface
 	w.info.Edges = append(w.info.Edges, CallEdge{Callee: callee, Kind: kind, Pos: pos, Iface: iface})
 }
 
-// blocking marks an external blocking fact for a channel operand.
-func (w *ipWalker) blocking(pos token.Pos, operand ast.Expr, desc string) {
-	if w.external(operand) {
-		w.setBlocking(pos, desc)
+// site records a direct blocking operation at n. It becomes the
+// Blocking fact only when external: when its operand can couple this
+// function to another goroutine.
+func (w *ipWalker) site(n ast.Node, desc string, external bool) {
+	if w.info.blocks == nil {
+		w.info.blocks = make(map[ast.Node]string)
 	}
-}
-
-func (w *ipWalker) setBlocking(pos token.Pos, desc string) {
-	if !w.info.Facts.Blocking.IsValid() {
-		w.info.Facts.Blocking = pos
+	w.info.blocks[n] = desc
+	if external && !w.info.Facts.Blocking.IsValid() {
+		w.info.Facts.Blocking = n.Pos()
 		w.info.Facts.BlockingDesc = desc
 	}
 }
@@ -693,8 +723,9 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return ok
 }
 
-// isWaitGroup reports whether t (through one pointer) is sync.WaitGroup.
-func isWaitGroup(t types.Type) bool {
+// isSync reports whether t (through one pointer) is one of the named
+// types of package sync: isSync(t, "Mutex", "RWMutex") for a mutex.
+func isSync(t types.Type, names ...string) bool {
 	if t == nil {
 		return false
 	}
@@ -706,7 +737,15 @@ func isWaitGroup(t types.Type) bool {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	for _, name := range names {
+		if obj.Name() == name {
+			return true
+		}
+	}
+	return false
 }
 
 // resolve propagates facts bottom-up to a fixed point. Phase A handles

@@ -9,53 +9,56 @@ import (
 	"strings"
 )
 
-// LockOrder builds the lock-acquisition graph of the concurrency-heavy
-// tree — which persistent mutex is acquired while which other is held,
-// both directly and through calls — and flags two things:
+// LockOrder checks the mutexes of the concurrency-heavy tree with one
+// lexical walk per function — source order, flow-insensitive: a
+// Lock/RLock/TryLock/TryRLock marks a mutex held until the matching
+// unlock in the same function, a deferred unlock holds it to the end,
+// and a function literal (a go or defer body, a callback) starts with
+// nothing held — and flags three things:
 //
-//  1. Cycles. If one path acquires A then B and another acquires B then
-//     A (including through callees, and including re-acquiring A while
-//     A is held), two goroutines can each hold one lock and wait
-//     forever for the other. The pipeline's documented order is
-//     compactMu → Pipeline.mu (the writer mutex; queries take no lock)
-//     → wal.Log.mu; this analyzer keeps that order a fact.
+//  1. Lock-order cycles. Every persistent mutex acquired, directly or
+//     through a callee, while another is held is an edge of one
+//     program-wide graph. If one path acquires A then B and another B
+//     then A (or re-acquires A while holding it), two goroutines can
+//     each hold one lock and wait forever for the other. The pipeline's
+//     documented order is compactMu → Pipeline.mu (the writer mutex;
+//     queries take no lock) → wal.Log.mu; this keeps that order a fact.
 //
-//  2. Blocking calls under a write lock. lockedblocking flags blocking
-//     operations lexically inside a critical section; lockorder
-//     generalizes it through calls: invoking a function whose summary
-//     says it (transitively) blocks on another goroutine — a channel
-//     op, a Wait on a shared object, mpi traffic — while holding a
-//     write lock stalls every reader and writer of that lock for as
-//     long as the peer takes. Blocking on function-local channels and
-//     WaitGroups is exempt (see interproc.go), which is exactly why
-//     compact.Compact may run the fan-out/fan-in build engines under
-//     compactMu.
+//  2. Blocking calls under a write lock. Calling a function whose
+//     summary says it (transitively) blocks on another goroutine — a
+//     channel op, a Wait on a shared object, mpi traffic — while a
+//     persistent mutex is write-locked stalls every reader and writer of
+//     that lock for as long as the peer takes. Blocking on
+//     function-local channels and WaitGroups is exempt (see
+//     interproc.go), which is exactly why compact.Compact may run the
+//     fan-out/fan-in build engines under compactMu. Under a read lock
+//     the call is allowed: readers do not starve each other.
 //
-// Only persistent mutexes (struct fields, package-level vars) take part:
-// a local mutex cannot be contended across call paths that don't share
-// it. Calls through plain function variables (e.g. the OnPublish
-// callback) are not resolved — a documented hole shared with the rest
-// of the interprocedural layer.
+//  3. Blocking operations under any lock. A channel send or receive
+//     (range included), a select without a default clause, an mpi
+//     collective or point-to-point call, or a Wait inside a critical
+//     section — read or write lock, local or persistent mutex, any
+//     operand. A rank that blocks there can deadlock against a peer
+//     that needs the same lock to make the matching call, and the
+//     runtime cannot detect it: every rank still has runnable
+//     goroutines. sync.Cond.Wait releases its lock while blocked and is
+//     exempt, as is a select with a default clause (it cannot block).
+//
+// Only persistent mutexes (struct fields, package-level vars) take part
+// in 1 and 2: a local mutex cannot be contended across call paths that
+// don't share it. Calls through plain function variables (e.g. the
+// OnPublish callback) are not resolved — a documented hole shared with
+// the rest of the interprocedural layer.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "lock-acquisition graph over compact/server/qcache/wal: no cycles, no blocking calls under a write lock",
-	Run:  runLockOrder,
-}
-
-// lockOrderPackages gates the analyzer to the tree whose mutexes
-// actually nest across package boundaries.
-var lockOrderPackages = []string{
-	"internal/compact", "internal/server", "internal/qcache", "internal/wal",
-	"internal/cluster", "internal/mpi", "internal/task", "internal/trace",
-}
-
-func lockOrderApplies(pkgPath string) bool {
-	for _, p := range lockOrderPackages {
-		if strings.Contains(pkgPath, p) {
-			return true
-		}
-	}
-	return false
+	Doc:  "lock-acquisition graph over cluster/mpi/task/trace/compact/wal/server/qcache: no cycles, no blocking call under a write lock, no channel op, mpi call or Wait under any lock",
+	// The tree whose mutexes nest across package boundaries and whose
+	// ranks and pipelines wait on each other.
+	Packages: []string{
+		"internal/cluster", "internal/mpi", "internal/task", "internal/trace",
+		"internal/compact", "internal/wal", "internal/server", "internal/qcache",
+	},
+	Run: runLockOrder,
 }
 
 // lockEdge is one observed "acquired to while holding from" pair.
@@ -82,11 +85,8 @@ type lockOrderResult struct {
 }
 
 func runLockOrder(pass *Pass) error {
-	if pass.Prog == nil || !lockOrderApplies(pass.PkgPath) {
-		return nil
-	}
 	res := pass.Prog.Cached("lockorder", func() interface{} {
-		return computeLockOrder(pass.Prog)
+		return computeLockOrder(pass.Prog, pass.Analyzer)
 	}).(*lockOrderResult)
 	for _, f := range res.findings {
 		if f.pkgPath == pass.PkgPath {
@@ -96,16 +96,16 @@ func runLockOrder(pass *Pass) error {
 	return nil
 }
 
-// computeLockOrder walks every function of every gated package once,
-// accumulating lock edges and under-write-lock blocking findings, then
-// runs cycle detection over the whole edge set.
-func computeLockOrder(prog *Program) *lockOrderResult {
+// computeLockOrder walks every function of every package a applies to
+// once, accumulating lock edges and blocking findings, then runs cycle
+// detection over the whole edge set.
+func computeLockOrder(prog *Program, a *Analyzer) *lockOrderResult {
 	res := &lockOrderResult{}
 	edges := make(map[[2]types.Object]*lockEdge)
 	var edgeOrder [][2]types.Object
 
 	for _, fn := range prog.Funcs {
-		if fn.Body == nil || !lockOrderApplies(fn.Pkg.Path) {
+		if fn.Body == nil || !a.Applies(fn.Pkg.Path) {
 			continue
 		}
 		w := &lockOrderWalker{
@@ -121,17 +121,19 @@ func computeLockOrder(prog *Program) *lockOrderResult {
 	return res
 }
 
-// lockHeld is one currently held persistent mutex in the lexical scan.
+// lockHeld is one currently held mutex in the lexical scan.
 type lockHeld struct {
 	label string
 	pos   token.Pos
 	write bool
+	// persistent marks a struct field or package-level var: only those
+	// take part in the order graph and the blocking-call rule.
+	persistent bool
 }
 
-// lockOrderWalker performs the same lexical (source-order,
-// flow-insensitive) lock tracking as lockedblocking, but records
-// acquisition edges and consults callee summaries instead of flagging
-// direct blocking ops.
+// lockOrderWalker carries the lexical lock state through one function
+// body: it records acquisition edges and checks callee summaries and
+// the body's direct blocking sites against the locks held.
 type lockOrderWalker struct {
 	prog *Program
 	fn   *FuncInfo
@@ -161,39 +163,67 @@ func (w *lockOrderWalker) walk() {
 		case *ast.CallExpr:
 			w.call(x)
 		}
+		if op, ok := w.fn.blocks[n]; ok {
+			w.blocked(n.Pos(), op)
+		}
 		return true
 	})
+}
+
+// blocked reports a direct blocking site while any mutex is held,
+// naming the earliest acquisition still held.
+func (w *lockOrderWalker) blocked(pos token.Pos, op string) {
+	var first lockHeld
+	for _, h := range w.held {
+		if !first.pos.IsValid() || h.pos < first.pos {
+			first = h
+		}
+	}
+	if first.pos.IsValid() {
+		w.report(pos, "%s while holding %s (locked at %s): a peer needing the lock cannot make the matching call",
+			op, first.label, w.fn.Pkg.Fset.Position(first.pos))
+	}
+}
+
+func (w *lockOrderWalker) report(pos token.Pos, format string, args ...interface{}) {
+	w.res.findings = append(w.res.findings, lockOrderFinding{pkgPath: w.fn.Pkg.Path, pos: pos, msg: fmt.Sprintf(format, args...)})
+}
+
+// mutexCall tracks a Lock/Unlock-family call on the mutex sel.X, keyed
+// by its field or package var, else by the variable it hangs off.
+func (w *lockOrderWalker) mutexCall(call *ast.CallExpr, sel *ast.SelectorExpr) {
+	info := w.fn.Pkg.Info
+	obj := persistentTarget(info, sel.X)
+	persistent := obj != nil
+	if !persistent {
+		obj = rootObject(info, sel.X)
+	}
+	if obj == nil {
+		return
+	}
+	switch name := sel.Sel.Name; name {
+	case "Lock", "TryLock", "RLock", "TryRLock":
+		// A Try* acquisition counts as held from here: the repo's Try
+		// users return early on failure.
+		label := types.ExprString(sel.X)
+		for heldObj, h := range w.held {
+			if persistent && h.persistent {
+				w.addEdge(heldObj, obj, h.label, label, call.Pos())
+			}
+		}
+		w.held[obj] = lockHeld{label: label, pos: call.Pos(), write: name == "Lock" || name == "TryLock", persistent: persistent}
+	case "Unlock", "RUnlock":
+		if !w.deferUnlock[call] {
+			delete(w.held, obj)
+		}
+	}
 }
 
 func (w *lockOrderWalker) call(call *ast.CallExpr) {
 	info := w.fn.Pkg.Info
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		var recvType types.Type
-		if tv, ok := info.Types[sel.X]; ok {
-			recvType = tv.Type
-		}
-		if isSyncMutex(recvType) {
-			name := sel.Sel.Name
-			obj := persistentTarget(info, sel.X)
-			switch name {
-			case "Lock", "TryLock", "RLock", "TryRLock":
-				if obj == nil {
-					return // local mutex: no cross-path identity
-				}
-				label := types.ExprString(sel.X)
-				for heldObj, h := range w.held {
-					w.addEdge(heldObj, obj, h.label, label, call.Pos())
-				}
-				w.held[obj] = lockHeld{
-					label: label,
-					pos:   call.Pos(),
-					write: name == "Lock" || name == "TryLock",
-				}
-			case "Unlock", "RUnlock":
-				if obj != nil && !w.deferUnlock[call] {
-					delete(w.held, obj)
-				}
-			}
+		if tv, ok := info.Types[sel.X]; ok && isSync(tv.Type, "Mutex", "RWMutex") {
+			w.mutexCall(call, sel)
 			return
 		}
 	}
@@ -222,19 +252,17 @@ func (w *lockOrderWalker) call(call *ast.CallExpr) {
 		for _, obj := range acquired {
 			label := obj.Name() + " (via " + t.Name + ")"
 			for heldObj, h := range w.held {
-				w.addEdge(heldObj, obj, h.label, label, call.Pos())
+				if h.persistent {
+					w.addEdge(heldObj, obj, h.label, label, call.Pos())
+				}
 			}
 		}
 		// Blocking callee under a write lock.
 		if t.Facts.Blocking.IsValid() {
 			for _, h := range w.held {
-				if h.write {
-					w.res.findings = append(w.res.findings, lockOrderFinding{
-						pkgPath: w.fn.Pkg.Path,
-						pos:     call.Pos(),
-						msg: fmt.Sprintf("call to %s can block (%s) while %s is write-locked (at %s): every contender stalls until the peer acts",
-							t.Name, t.Facts.BlockingDesc, h.label, w.fn.Pkg.Fset.Position(h.pos)),
-					})
+				if h.write && h.persistent {
+					w.report(call.Pos(), "call to %s can block (%s) while %s is write-locked (at %s): every contender stalls until the peer acts",
+						t.Name, t.Facts.BlockingDesc, h.label, w.fn.Pkg.Fset.Position(h.pos))
 					break
 				}
 			}

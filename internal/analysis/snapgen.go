@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // SnapGen enforces the snapshot-generation discipline of the serving
@@ -32,25 +31,12 @@ import (
 var SnapGen = &Analyzer{
 	Name: "snapgen",
 	Doc:  "atomic.Pointer snapshots load once per scope; cache generation arguments are live and match the published snapshot",
-	Run:  runSnapGen,
-}
-
-// snapGenPackages gates the analyzer to the snapshot/cache tree.
-var snapGenPackages = []string{"internal/server", "internal/qcache", "internal/compact"}
-
-func snapGenApplies(pkgPath string) bool {
-	for _, p := range snapGenPackages {
-		if strings.Contains(pkgPath, p) {
-			return true
-		}
-	}
-	return false
+	// The snapshot/cache tree.
+	Packages: []string{"internal/server", "internal/qcache", "internal/compact"},
+	Run:      runSnapGen,
 }
 
 func runSnapGen(pass *Pass) error {
-	if pass.Prog == nil || !snapGenApplies(pass.PkgPath) {
-		return nil
-	}
 	for _, fn := range pass.Prog.Funcs {
 		if fn.Pkg.Path != pass.PkgPath || fn.Body == nil {
 			continue

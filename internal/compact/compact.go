@@ -104,8 +104,6 @@ type Options struct {
 	// Threads is the rebuild parallelism (as core.Options.Threads;
 	// <= 0 means GOMAXPROCS).
 	Threads int
-	// Engine selects the rebuild algorithm; nil means core.PerRoot.
-	Engine core.Engine
 	// Tracer, when non-nil, is consulted per operation (nil: tracing is
 	// off for it); sampled updates emit wal.append spans on trace.TIDWAL
 	// and every compaction a compact.run span on trace.TIDCompact.
@@ -244,7 +242,7 @@ func Open(opt Options) (*Pipeline, error) {
 		idx := opt.Index
 		if idx == nil || g != opt.Graph {
 			opt.Logf("compact: no checkpoint index, building from %d vertices / %d edges", g.NumVertices(), g.NumEdges())
-			idx = core.Build(g, core.Options{Threads: opt.Threads, Engine: opt.Engine})
+			idx = core.Build(g, core.Options{Threads: opt.Threads})
 		}
 		if err := fileio.SaveIndex(ipath, idx); err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint index: %w", err)
@@ -436,7 +434,7 @@ func (p *Pipeline) Compact() (Report, error) {
 		idx = finalize()
 	} else {
 		mode = "rebuild"
-		idx = core.Build(g2, core.Options{Threads: p.opt.Threads, Engine: p.opt.Engine})
+		idx = core.Build(g2, core.Options{Threads: p.opt.Threads})
 	}
 	buildTime := time.Since(tBuild)
 

@@ -109,9 +109,9 @@ func runPool(workers int, phase string, fn func(w int)) {
 }
 
 // RunRoots is the task-manager/worker scaffolding for per-root builds
-// whose labels do not fit the Engine seam (directed's in/out label sets,
-// pathidx's parent table): it drains the computing sequence ord through
-// `threads` worker goroutines (<= 0 means GOMAXPROCS) under policy.
+// whose labels do not fit the Engine seam (pathidx's parent table): it
+// drains the computing sequence ord through `threads` worker goroutines
+// (<= 0 means GOMAXPROCS) under policy.
 // newWorker runs once on each worker's goroutine and returns what that
 // worker does with every root it claims, so per-worker scratch lives in
 // the returned closure. Panics unless ord is a permutation of [0,n).

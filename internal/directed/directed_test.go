@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"parapll/internal/core"
 	"parapll/internal/graph"
 )
 
@@ -162,37 +161,6 @@ func TestDirectedStats(t *testing.T) {
 	empty := Build(FromArcs(0, nil), Options{})
 	if empty.AvgLabelSize() != 0 {
 		t.Fatal("empty index stats wrong")
-	}
-}
-
-// TestBuildParallelExact: the parallel directed build answers every
-// ordered pair exactly, for both policies and several thread counts.
-func TestBuildParallelExact(t *testing.T) {
-	r := rand.New(rand.NewSource(1003))
-	for trial := 0; trial < 5; trial++ {
-		n := 10 + r.Intn(40)
-		g := randomDigraph(r, n, 4*n)
-		for _, policy := range []core.Policy{core.Static, core.Dynamic} {
-			for _, threads := range []int{1, 3, 8} {
-				x := BuildParallel(g, ParallelOptions{Threads: threads, Policy: policy})
-				for s := graph.Vertex(0); int(s) < n; s++ {
-					want := Dijkstra(g, s)
-					for u := graph.Vertex(0); int(u) < n; u++ {
-						if got := x.Query(s, u); got != want[u] {
-							t.Fatalf("trial %d %v/%d: query(%d->%d) = %d, want %d",
-								trial, policy, threads, s, u, got, want[u])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestBuildParallelOrderValidation(t *testing.T) {
-	g := FromArcs(3, []Arc{{From: 0, To: 1, W: 1}, {From: 1, To: 2, W: 1}})
-	for name, ord := range badOrders {
-		expectOrderPanic(t, name, func() { BuildParallel(g, ParallelOptions{Threads: 2, Order: ord}) })
 	}
 }
 

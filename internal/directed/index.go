@@ -5,6 +5,7 @@ import (
 
 	"parapll/internal/graph"
 	"parapll/internal/label"
+	"parapll/internal/pll"
 )
 
 // Index is a directed 2-hop cover: per vertex, a hub-sorted in-label
@@ -23,10 +24,35 @@ type Options struct {
 	Order []graph.Vertex
 }
 
-// Build indexes a directed graph serially: BuildParallel at one thread,
-// where the task manager hands out the roots in computing-sequence order.
+// Build indexes a directed graph serially, root by root in the
+// computing sequence, against the in/out labels built so far. Panics
+// unless the order is a permutation of the vertices.
 func Build(g *Digraph, opt Options) *Index {
-	return BuildParallel(g, ParallelOptions{Threads: 1, Order: opt.Order})
+	n := g.NumVertices()
+	ord := opt.Order
+	if ord == nil {
+		ord = DegreeOrder(g)
+	}
+	if err := graph.CheckOrder(ord, n); err != nil {
+		panic("directed: Order must be a permutation of the vertices: " + err.Error())
+	}
+	in, out := make([][]label.Entry, n), make([][]label.Entry, n)
+	getIn := func(u graph.Vertex) []label.Entry { return in[u] }
+	getOut := func(u graph.Vertex) []label.Entry { return out[u] }
+	addIn := func(u, _ graph.Vertex, e label.Entry) { in[u] = append(in[u], e) }
+	addOut := func(u, _ graph.Vertex, e label.Entry) { out[u] = append(out[u], e) }
+	ps := pll.NewSearcher(n)
+	for _, r := range ord {
+		seed := pll.Seed{Hub: r, Start: r}
+		// Forward over out-arcs: r→u is covered when some hub sits in
+		// Lout(r) ∩ Lin(u); survivors get (r, d(r→u)) in Lin(u).
+		ps.Run(seed, out[r], g.Out, getIn, addIn)
+		// Backward over in-arcs: u→r is covered via Lout(u) ∩ Lin(r);
+		// survivors get (r, d(u→r)) in Lout(u).
+		ps.Run(seed, in[r], g.In, getOut, addOut)
+	}
+	// Finalizing hub-sorts each list for the merge-join query.
+	return &Index{in: label.NewIndexFromLists(in).Flat(), out: label.NewIndexFromLists(out).Flat()}
 }
 
 // Query returns the exact directed distance d(s→t), graph.Inf when t is
