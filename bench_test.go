@@ -342,8 +342,9 @@ var kernelSink graph.Dist
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationStore compares the lock-free published-length label
-// store against the global-RWMutex alternative under parallel indexing.
+// BenchmarkAblationStore compares the label store — lock-free lists with
+// a published length, and the build-time head — against the
+// global-RWMutex store of plain lists under parallel indexing.
 func BenchmarkAblationStore(b *testing.B) {
 	g := gen.ChungLu(2000, 8000, 2.2, 17)
 	opt := core.Options{Threads: 4, Policy: core.Dynamic}

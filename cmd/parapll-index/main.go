@@ -94,10 +94,11 @@ func main() {
 		stopLog = logProgress(prog, t0)
 	}
 	var idx *parapll.Index
+	var stats *parapll.BuildStats
 	if *serial {
 		idx = parapll.BuildSerial(g, opt)
 	} else {
-		idx = parapll.Build(g, opt)
+		idx, stats = parapll.BuildWithStats(g, opt)
 	}
 	if stopLog != nil {
 		stopLog()
@@ -116,9 +117,14 @@ func main() {
 	}
 	k, density := idx.Head()
 	k2, midDensity := idx.Mid()
-	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB) -> %s\n",
+	built := ""
+	if stats != nil {
+		bk, fill := stats.Head()
+		built = fmt.Sprintf("; build head=%d fill %.2f", bk, fill)
+	}
+	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB%s) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),
-		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, idx.DistBytes(), *out)
+		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, idx.DistBytes(), built, *out)
 }
 
 // logProgress samples prog every 2s and prints roots done, roots/sec

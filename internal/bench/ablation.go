@@ -17,7 +17,8 @@ import (
 // RunAblations measures the design choices DESIGN.md calls out, on one
 // power-law and one road graph scaled by cfg.Scale:
 //
-//   - label store: lock-free published-length vs. global RWMutex
+//   - label store: lock-free lists and a build-time head vs. global
+//     RWMutex lists
 //   - ordering: degree vs. ψ-sampling vs. random (by index size)
 //   - dynamic chunk size: 1 vs. 8 vs. 64
 //   - inter-node partition: round-robin vs. blocks vs. random (by work skew)

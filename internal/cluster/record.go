@@ -86,6 +86,11 @@ type workerRecorder struct {
 	pl    *pendingList
 }
 
+// Label implements core.LabelStore.
+func (wr *workerRecorder) Label(v graph.Vertex) label.Label {
+	return wr.store.Label(v)
+}
+
 // Snapshot implements core.LabelStore.
 func (wr *workerRecorder) Snapshot(v graph.Vertex) []label.Entry {
 	return wr.store.Snapshot(v)

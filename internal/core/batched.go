@@ -5,7 +5,7 @@ import (
 	"strconv"
 
 	"parapll/internal/graph"
-	"parapll/internal/pll"
+	"parapll/internal/label"
 	"parapll/internal/task"
 	"parapll/internal/trace"
 )
@@ -27,7 +27,7 @@ import (
 // edges for every root separately.
 //
 // The prune test during propagation is exactly the per-root engine's
-// CoveredBy against the growing shared index, with the same
+// label.Probe test against the growing shared index, with the same
 // Proposition-1 justification: a stale snapshot only weakens pruning.
 // A settled distance can exceed the true distance when a shorter path
 // ran through a pruned vertex; the per-root engine has the identical
@@ -124,14 +124,16 @@ func (it bucketItem) slot() int            { return int(it & 63) }
 
 // batchWorker is one worker's reusable frontier state. All arrays are
 // reset in time proportional to the batch's reach (touched vertices and
-// scattered hubs), never O(n·B), so cheap tail batches stay cheap.
+// scattered hubs), never O(n·B), so cheap tail batches stay cheap. Each
+// slot holds two n-sized arrays, its distance column and its probe's
+// scatter array.
 type batchWorker struct {
 	g *graph.Graph
 	n int
 	B int // row stride; batches may be smaller while ramping
 
-	dist []graph.Dist // dist[u*B+i]: tentative d(roots[i], u); Inf when unreached
-	scat []graph.Dist // scat[i*n+h]: d(roots[i], hub h) per L(roots[i]); Inf otherwise
+	dist   []graph.Dist   // dist[u*B+i]: tentative d(roots[i], u); Inf when unreached
+	probes []*label.Probe // probes[i]: roots[i]'s side of the prune test
 
 	buckets   [][]bucketItem // Dial queue, circular over distance mod len
 	spare     []bucketItem   // recycled bucket backing array
@@ -146,7 +148,6 @@ type batchWorker struct {
 	seen    []bool         // seen[u]: u is on touched
 	touched []graph.Vertex // vertices with any finite dist this batch
 
-	scatHubs [][]graph.Vertex     // per-slot scattered hubs, for O(reach) reset
 	roots    []graph.Vertex       // current batch
 	poss     []int                // global sequence positions of roots
 	slotWork []int64              // per-slot work ops (settles + relaxations + label scans)
@@ -177,13 +178,12 @@ func newBatchWorker(g *graph.Graph, B int) *batchWorker {
 		n:        n,
 		B:        B,
 		dist:     make([]graph.Dist, n*B),
-		scat:     make([]graph.Dist, B*n),
 		buckets:  make([][]bucketItem, nb),
 		pend:     make([]uint64, n),
 		cov:      make([]uint64, n),
 		seen:     make([]bool, n),
 		slotOf:   make(map[graph.Vertex]int, B),
-		scatHubs: make([][]graph.Vertex, B),
+		probes:   make([]*label.Probe, B),
 		roots:    make([]graph.Vertex, B),
 		poss:     make([]int, B),
 		slotWork: make([]int64, B),
@@ -191,8 +191,8 @@ func newBatchWorker(g *graph.Graph, B int) *batchWorker {
 	for i := range bw.dist {
 		bw.dist[i] = graph.Inf
 	}
-	for i := range bw.scat {
-		bw.scat[i] = graph.Inf
+	for i := range bw.probes {
+		bw.probes[i] = label.NewProbe(n)
 	}
 	return bw
 }
@@ -234,27 +234,6 @@ func (bw *batchWorker) run(mgr task.Manager, store LabelStore, cfg RunConfig, w 
 		}
 		bw.reset(k)
 	}
-}
-
-// scatter (re)builds slot i's hub-distance scatter row from a fresh
-// snapshot of L(roots[i]) and returns the snapshot length scanned.
-func (bw *batchWorker) scatter(view LabelStore, i int) int {
-	base := i * bw.n
-	for _, h := range bw.scatHubs[i] {
-		bw.scat[base+int(h)] = graph.Inf
-	}
-	bw.scatHubs[i] = bw.scatHubs[i][:0]
-	lbl := view.Snapshot(bw.roots[i])
-	for _, e := range lbl {
-		s := base + int(e.Hub)
-		if e.D < bw.scat[s] {
-			if bw.scat[s] == graph.Inf {
-				bw.scatHubs[i] = append(bw.scatHubs[i], e.Hub)
-			}
-			bw.scat[s] = e.D
-		}
-	}
-	return len(lbl)
 }
 
 // push queues (v, slot) at distance d. Pushes beyond the circular
@@ -306,7 +285,7 @@ func (bw *batchWorker) propagate(view LabelStore, k int) int {
 	B := bw.B
 	bw.wbase = 0
 	for i := 0; i < k; i++ {
-		bw.slotWork[i] = int64(bw.scatter(view, i))
+		bw.slotWork[i] = int64(bw.probes[i].Set(view.Label(bw.roots[i])))
 		r := bw.roots[i]
 		bw.dist[int(r)*B+i] = 0
 		if !bw.seen[r] {
@@ -363,8 +342,8 @@ func (bw *batchWorker) settleBucket(view LabelStore, items []bucketItem, d graph
 		var survivors uint64
 		for mm := m; mm != 0; mm &= mm - 1 {
 			i := bits.TrailingZeros64(mm)
-			bw.slotWork[i] += int64(len(lbl)) + 1
-			if pll.CoveredBy(lbl, bw.scat[i*bw.n:(i+1)*bw.n], d) {
+			bw.slotWork[i] += int64(bw.probes[i].Width()+len(lbl)) + 1
+			if bw.probes[i].Covers(u, lbl, d) {
 				continue
 			}
 			survivors |= 1 << i
@@ -459,9 +438,9 @@ func (bw *batchWorker) commit(view LabelStore, cfg RunConfig, k int, perWorker [
 }
 
 // reset clears the batch's footprint in O(reach): distance rows, cov
-// and added-here masks of touched vertices, their seen marks, every
-// slot's scatter row, and the peer-certificate tracking. The buckets
-// and far list drained during propagation.
+// and added-here masks of touched vertices, their seen marks, and the
+// peer-certificate tracking. The buckets and far list drained during
+// propagation; each slot's probe clears itself at its next Set.
 func (bw *batchWorker) reset(k int) {
 	B := bw.B
 	for _, u := range bw.touched {
@@ -475,11 +454,6 @@ func (bw *batchWorker) reset(k int) {
 	}
 	bw.touched = bw.touched[:0]
 	for i := 0; i < k; i++ {
-		base := i * bw.n
-		for _, h := range bw.scatHubs[i] {
-			bw.scat[base+int(h)] = graph.Inf
-		}
-		bw.scatHubs[i] = bw.scatHubs[i][:0]
 		bw.slotWork[i] = 0
 		bw.peerAt[i] = 0
 		delete(bw.slotOf, bw.roots[i])

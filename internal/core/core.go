@@ -52,8 +52,37 @@ func (p Policy) String() string {
 // default is the lock-free-read label.Store; RWLockedStore exists as an
 // ablation to quantify that design choice.
 type LabelStore interface {
+	// Label is L(v) as the hub side of a search reads it.
+	Label(v graph.Vertex) label.Label
+	// Snapshot is L(v) as a prune test reads it, beside the head row the
+	// search's label.Probe reads itself: the entries outside the head.
 	Snapshot(v graph.Vertex) []label.Entry
 	Append(v, hub graph.Vertex, d graph.Dist)
+}
+
+// headStore is a LabelStore that keeps the first roots' labels as dense
+// columns (label.Store.UseHead). BuildInto hands it the order, and tells
+// it where in the order each root is before a worker searches it.
+type headStore interface {
+	UseHead(ord []graph.Vertex)
+	BeginRoot(pos int)
+	Head() (k int, fill float64)
+}
+
+// headManager is the task manager of a build into a headStore: it calls
+// BeginRoot for every root it hands out.
+type headManager struct {
+	task.Manager
+	store headStore
+}
+
+// Next implements task.Manager.
+func (m headManager) Next(w int) (graph.Vertex, int, bool) {
+	r, pos, ok := m.Manager.Next(w)
+	if ok {
+		m.store.BeginRoot(pos)
+	}
+	return r, pos, ok
 }
 
 // PerWorkerStore is an optional LabelStore extension. A store that
@@ -193,6 +222,17 @@ type BuildStats struct {
 	// PerWorkerWork[w] is the work (heap pops + relaxations + label
 	// scans) worker w performed.
 	PerWorkerWork []int64
+
+	head headStore // the store, when it kept a build-time head
+}
+
+// Head returns the number of columns the build-time head opened and the
+// share of their cells that hold an entry: (0, 0) for a store without one.
+func (s *BuildStats) Head() (k int, fill float64) {
+	if s.head == nil {
+		return 0, 0
+	}
+	return s.head.Head()
 }
 
 // TotalWork sums the per-worker work.
@@ -227,8 +267,8 @@ func BuildWithStats(g *graph.Graph, opt Options) (*label.Index, *BuildStats) {
 }
 
 // BuildInto runs the parallel indexing into the provided store without
-// finalizing it, returning the work accounting. The cluster package uses
-// this to interleave local indexing with inter-node synchronization.
+// finalizing it, returning the work accounting. A store that can keep a
+// build-time head (label.Store) gets one for the order.
 func BuildInto(g *graph.Graph, store LabelStore, opt Options) *BuildStats {
 	ord := opt.Order
 	if ord == nil {
@@ -237,6 +277,11 @@ func BuildInto(g *graph.Graph, store LabelStore, opt Options) *BuildStats {
 		panic("core: Order must be a permutation of the vertices: " + err.Error())
 	}
 	mgr := newManager(ord, &opt)
+	hs, _ := store.(headStore)
+	if hs != nil {
+		hs.UseHead(ord)
+		mgr = headManager{mgr, hs}
+	}
 	if opt.Trace != nil {
 		opt.Trace.AddedPerRoot = make([]int64, len(ord))
 		opt.Trace.PrunedPerRoot = make([]int64, len(ord))
@@ -253,7 +298,7 @@ func BuildInto(g *graph.Graph, store LabelStore, opt Options) *BuildStats {
 		Trace:    opt.Trace,
 		Progress: opt.Progress,
 		Tracer:   opt.Tracer,
-	})}
+	}), head: hs}
 }
 
 func newManager(ord []graph.Vertex, opt *Options) task.Manager {
@@ -323,6 +368,11 @@ func (s *RWLockedStore) Snapshot(v graph.Vertex) []label.Entry {
 	copy(out, s.lists[v])
 	s.mu.RUnlock()
 	return out
+}
+
+// Label implements LabelStore: a copy of the list, and no head.
+func (s *RWLockedStore) Label(v graph.Vertex) label.Label {
+	return label.Label{Rest: s.Snapshot(v)}
 }
 
 // Append implements LabelStore under the write lock.

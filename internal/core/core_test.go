@@ -72,10 +72,11 @@ func TestCorrectWithRaceDetector(t *testing.T) {
 }
 
 // hidingStore wraps a label.Store but adversarially hides a random suffix
-// of every snapshot, simulating arbitrarily delayed label visibility — the
-// exact situation Proposition 1 covers (a thread may miss labels other
-// threads are writing, or a cluster node may not have synchronized yet).
-// Hiding labels weakens pruning but must never break query correctness.
+// of every list it reads, and half the time a search's whole head row,
+// simulating arbitrarily delayed label visibility — the exact situation
+// Proposition 1 covers (a thread may miss labels other threads are
+// writing, or a cluster node may not have synchronized yet). Hiding
+// labels weakens pruning but must never break query correctness.
 type hidingStore struct {
 	*label.Store
 	r *rand.Rand
@@ -83,10 +84,16 @@ type hidingStore struct {
 
 func (h *hidingStore) Snapshot(v graph.Vertex) []label.Entry {
 	snap := h.Store.Snapshot(v)
-	if len(snap) == 0 {
-		return snap
-	}
 	return snap[:h.r.Intn(len(snap)+1)]
+}
+
+func (h *hidingStore) Label(v graph.Vertex) label.Label {
+	l := h.Store.Label(v)
+	if h.r.Intn(2) == 0 {
+		l = label.Label{Rest: l.Rest}
+	}
+	l.Rest = l.Rest[:h.r.Intn(len(l.Rest)+1)]
+	return l
 }
 
 // TestDelayedVisibilityCorrect is the paper's Proposition 1 in its

@@ -164,7 +164,7 @@ func runWorker(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig
 			buf.Span(idAcquire, t0, d0, uint64(w))
 			appendNs = 0
 		}
-		added, pruned := ps.Run(pll.Seed{Hub: r, Start: r}, snapshot(r), neighbors, snapshot, appendFn)
+		added, pruned := ps.Run(pll.Seed{Hub: r, Start: r}, view.Label(r), neighbors, snapshot, appendFn)
 		if buf != nil {
 			d1 := tr.Now()
 			buf.Span(idDijkstra, d0, d1, uint64(r), uint64(added), uint64(pruned), uint64(w))

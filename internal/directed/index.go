@@ -46,10 +46,10 @@ func Build(g *Digraph, opt Options) *Index {
 		seed := pll.Seed{Hub: r, Start: r}
 		// Forward over out-arcs: r→u is covered when some hub sits in
 		// Lout(r) ∩ Lin(u); survivors get (r, d(r→u)) in Lin(u).
-		ps.Run(seed, out[r], g.Out, getIn, addIn)
+		ps.Run(seed, label.Label{Rest: out[r]}, g.Out, getIn, addIn)
 		// Backward over in-arcs: u→r is covered via Lout(u) ∩ Lin(r);
 		// survivors get (r, d(u→r)) in Lout(u).
-		ps.Run(seed, in[r], g.In, getOut, addOut)
+		ps.Run(seed, label.Label{Rest: in[r]}, g.In, getOut, addOut)
 	}
 	// Finalizing hub-sorts each list for the merge-join query.
 	return &Index{in: label.NewIndexFromLists(in).Flat(), out: label.NewIndexFromLists(out).Flat()}

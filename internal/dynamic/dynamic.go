@@ -274,7 +274,7 @@ func (x *Index) resume(endpoint, seed graph.Vertex, w graph.Dist) {
 			continue
 		}
 		x.hub, x.one[0] = e.Hub, label.Entry{Hub: e.Hub, D: 0}
-		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, x.one[:], x.neighbors, x.cover, x.install)
+		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, label.Label{Rest: x.one[:]}, x.neighbors, x.cover, x.install)
 	}
 }
 

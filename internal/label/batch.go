@@ -10,7 +10,7 @@ import (
 // batch.go is the batch form of QUERY(s,t,L). A lone pair has to merge
 // two sorted runs (merge.go) because nobody owns memory to do better; a
 // batch has workers, and a worker can own an array. So the batch kernel
-// is the prune test of the build (pll.CoveredBy) turned into a minimum:
+// is the prune test of the build (Probe.Covers) turned into a minimum:
 // scatter the tail of L(s) into a dense array indexed by hub id once per
 // distinct source, then every target of that source is one forward pass
 // over the tail of L(t) — no three-way compare, so nothing for the branch
@@ -161,7 +161,7 @@ func scan[D distance](x *Index, a *arrays[D], pairs [][2]graph.Vertex, keys []ui
 // to the merge's minimum over common hubs: a hub the source does not
 // have contributes at least Inf — hub is 4 bytes wide at every width of
 // dists — and so does any sum of two 4-byte distances that reaches it
-// (the argument of pll.CoveredBy). The loop has no
+// (the argument of Probe.Covers). The loop has no
 // data-dependent branch: min compiles to a conditional move. (A second
 // accumulator bought nothing, in cache or out: the loop waits on its
 // loads.) The index into hub stays bounds-checked — that check is the

@@ -8,6 +8,9 @@ var MidOnlyIndex = midOnlyIndex
 // RefMerge is refMerge for the external test package.
 var RefMerge = refMerge
 
+// Entries is entries for the external test package.
+func (s *Store) Entries(v graph.Vertex, dst []Entry) []Entry { return s.entries(v, dst) }
+
 // Runs splits a label list into the sorted, deduplicated hub and
 // distance runs refMerge and MergeRun take.
 func Runs(l []Entry) ([]graph.Vertex, []graph.Dist) {

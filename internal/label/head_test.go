@@ -189,7 +189,7 @@ func TestHeadMatchesReferenceOnRandomGraphs(t *testing.T) {
 					var dists []graph.Dist
 					for v := 0; v < g.NumVertices(); v++ {
 						hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
-						list := label.SortDedupe(store.Snapshot(graph.Vertex(v)))
+						list := label.SortDedupe(store.Entries(graph.Vertex(v), nil))
 						if len(list) != len(hubs) || len(list) != x.LabelSize(graph.Vertex(v)) {
 							t.Fatalf("%s: Label(%d) has %d entries, LabelSize %d, the build appended %d", name, v, len(hubs), x.LabelSize(graph.Vertex(v)), len(list))
 						}

@@ -182,10 +182,16 @@ func (x *Index) Close() error {
 // NewIndex finalizes a Store into an Index: every label list is sorted by
 // hub id, duplicate hubs are collapsed to their minimum distance, and the
 // hubs common enough to pay for a column move to the head or the middle
-// tier. The store is read, not consumed; it must be quiescent (no appends
+// tier. Each label streams to finalize as the store's head cells then its
+// list; finalize's tier rules are its own, whatever the store's head
+// held. The store is read, not consumed; it must be quiescent (no appends
 // racing the finalize).
 func NewIndex(s *Store) *Index {
-	return finalize(s.NumVertices(), func(v int) []Entry { return s.Snapshot(graph.Vertex(v)) }, allTiers)
+	var buf []Entry
+	return finalize(s.NumVertices(), func(v int) []Entry {
+		buf = s.entries(graph.Vertex(v), buf[:0])
+		return buf
+	}, allTiers)
 }
 
 // NewIndexFromLists finalizes per-vertex label lists (as built by the

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"parapll/internal/graph"
@@ -195,6 +196,123 @@ func TestStoreReaderHammer(t *testing.T) {
 	readerWG.Wait()
 	if s.TotalEntries() != vertices*perVertex {
 		t.Fatalf("total = %d, want %d", s.TotalEntries(), vertices*perVertex)
+	}
+}
+
+// TestStoreHeadHammer is the build-time head's contract under -race:
+// writers claim roots in order, open their columns (BeginRoot) and lower
+// each cell in steps, then append a larger distance once more, while
+// readers copy hub rows (Probe.Set) and run the prune test against other
+// vertices' rows (Probe.Covers). Every cell a reader is shown must be a
+// distance a writer stored there — never a torn value — and no larger
+// than what that reader saw there before. The roots of the fourth block
+// write a quarter of the vertices, so the head refuses a fifth and the
+// last roots' entries go to the lists. At the end every written (vertex,
+// hub) holds its smallest distance (scripts/check.sh repeats this 20
+// times).
+func TestStoreHeadHammer(t *testing.T) {
+	const n, writers, readers, steps, step = 5 * headBlock, 4, 3, 3, 1 << 13
+	base := func(v, c int) graph.Dist { return graph.Dist(1 + (v*131+c*17)%4096) }
+	writes := func(v, c int) bool { // which vertices the root at position c labels
+		switch c / headBlock {
+		case 3:
+			return v%4 == 0
+		case 4:
+			return v%8 == 0
+		}
+		return true
+	}
+	r := rand.New(rand.NewSource(29))
+	ord := make([]graph.Vertex, n)
+	for i, v := range r.Perm(n) {
+		ord[i] = graph.Vertex(v)
+	}
+	s := NewStore(n)
+	s.UseHead(ord)
+
+	var next atomic.Int64
+	var writerWG, readerWG sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writerWG.Add(1)
+		go func() {
+			defer writerWG.Done()
+			for c := int(next.Add(1) - 1); c < n; c = int(next.Add(1) - 1) {
+				s.BeginRoot(c)
+				for k := steps; k >= -1; k-- {
+					extra := k * step
+					if k < 0 {
+						extra = step // a late, larger distance: it must not raise a cell
+					}
+					for v := 0; v < n; v++ {
+						if writes(v, c) {
+							s.Append(graph.Vertex(v), ord[c], base(v, c)+graph.Dist(extra))
+						}
+					}
+				}
+			}
+		}()
+	}
+	for rdr := 0; rdr < readers; rdr++ {
+		readerWG.Add(1)
+		go func(seed int64) {
+			defer readerWG.Done()
+			r := rand.New(rand.NewSource(seed))
+			p := NewProbe(n)
+			last := make([]graph.Dist, n*n) // last[v*n+c]: the smallest distance seen in cell (v, c)
+			for i := range last {
+				last[i] = graph.Inf
+			}
+			for done := false; !done; {
+				select {
+				case <-stop:
+					done = true
+				default:
+				}
+				v := r.Intn(n)
+				p.Set(s.Label(graph.Vertex(v)))
+				for c, d := range p.row {
+					was := &last[v*n+c]
+					switch {
+					case d == graph.Inf && *was == graph.Inf:
+					case d == graph.Inf || d > *was:
+						t.Errorf("cell (%d, %d) rose from %d to %d", v, c, *was, d)
+						return
+					case d < base(v, c) || (d-base(v, c))%step != 0 || d > base(v, c)+steps*step || !writes(v, c):
+						t.Errorf("cell (%d, %d) holds %d, which no writer stored", v, c, d)
+						return
+					}
+					*was = d
+				}
+				u := graph.Vertex(r.Intn(n))
+				p.Covers(u, s.Snapshot(u), graph.Dist(r.Intn(2*step)))
+			}
+		}(int64(rdr))
+	}
+	writerWG.Wait()
+	close(stop)
+	readerWG.Wait()
+
+	if k, _ := s.Head(); k != 4*headBlock {
+		t.Logf("the head opened %d columns (%d when no writer lags a block behind)", k, 4*headBlock)
+	}
+	var total int64
+	for v := 0; v < n; v++ {
+		held := map[graph.Vertex]graph.Dist{}
+		for _, e := range s.Entries(graph.Vertex(v), nil) {
+			if d, ok := held[e.Hub]; !ok || e.D < d {
+				held[e.Hub] = e.D
+			}
+		}
+		for c := 0; c < n; c++ {
+			if d, ok := held[ord[c]]; writes(v, c) != ok || ok && d != base(v, c) {
+				t.Fatalf("L(%d) holds (%d, %d, %v) for the root at %d, want its smallest distance %d", v, ord[c], d, ok, c, base(v, c))
+			}
+		}
+		total += int64(s.Len(graph.Vertex(v)))
+	}
+	if total != s.TotalEntries() {
+		t.Fatalf("lengths sum to %d, TotalEntries is %d", total, s.TotalEntries())
 	}
 }
 

@@ -66,7 +66,7 @@ func Build(g *graph.Graph, opt Options) *Index {
 	core.RunRoots(n, ord, opt.Threads, opt.Policy, func(int) func(graph.Vertex) {
 		ps := pll.NewSearcher(n)
 		return func(r graph.Vertex) {
-			ps.Run(pll.Seed{Hub: r, Start: r}, dists.Snapshot(r), g.Neighbors, dists.Snapshot, settle)
+			ps.Run(pll.Seed{Hub: r, Start: r}, dists.Label(r), g.Neighbors, dists.Snapshot, settle)
 		}
 	})
 

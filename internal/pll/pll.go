@@ -75,7 +75,7 @@ func Build(g *graph.Graph, opt Options) *label.Index {
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
 	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	for k, r := range ord {
-		added, pruned := ps.Run(Seed{Hub: r, Start: r}, labels[r], g.Neighbors, get, add)
+		added, pruned := ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: labels[r]}, g.Neighbors, get, add)
 		if opt.Trace != nil {
 			opt.Trace.AddedPerRoot[k] = added
 			opt.Trace.PrunedPerRoot[k] = pruned
@@ -97,8 +97,8 @@ type Seed struct {
 // Searcher is the repository's one Pruned Dijkstra (paper Algorithm 1's
 // inner loop). It owns only the reusable per-search scratch: a
 // tentative-distance and predecessor array with a touched list (reset in
-// time proportional to the search, not n), the hub's distance scatter
-// array for O(|L(u)|) prune queries, and the priority queue. What is
+// time proportional to the search, not n), the hub's side of the prune
+// test (label.Probe), and the priority queue. What is
 // searched arrives per Run as closures, so one scratch serves any
 // adjacency (undirected, forward/backward arcs, a growing overlay) and
 // any label representation; see DESIGN.md "Pruned search kernel".
@@ -108,29 +108,27 @@ type Seed struct {
 type Searcher struct {
 	dist    []graph.Dist
 	pred    []graph.Vertex // pred[v] = vertex whose relaxation set dist[v]
-	tmp     []graph.Dist   // tmp[h] = dist from the seed's hub to hub h, via its labels
+	probe   *label.Probe   // the seed's hub's side of the prune test
 	touched []graph.Vertex
-	hubs    []graph.Vertex // hubs scattered into tmp, for reset
 	heap    *vheap.Indexed
 	work    int64 // ops in the most recent Run: pops + relaxations + label scans
 }
 
 // LastWork returns the machine-independent work measure (heap pops, edge
-// relaxations, label entries scanned in prune queries) of the most recent
-// Run. Used for projected-speedup accounting.
+// relaxations, label entries and head cells scanned in prune queries) of
+// the most recent Run. Used for projected-speedup accounting.
 func (ps *Searcher) LastWork() int64 { return ps.work }
 
 // NewSearcher returns scratch for searches over vertices [0,n).
 func NewSearcher(n int) *Searcher {
 	ps := &Searcher{
-		dist: make([]graph.Dist, n),
-		pred: make([]graph.Vertex, n),
-		tmp:  make([]graph.Dist, n),
-		heap: vheap.NewIndexed(n),
+		dist:  make([]graph.Dist, n),
+		pred:  make([]graph.Vertex, n),
+		probe: label.NewProbe(n),
+		heap:  vheap.NewIndexed(n),
 	}
 	for i := 0; i < n; i++ {
 		ps.dist[i] = graph.Inf
-		ps.tmp[i] = graph.Inf
 	}
 	return ps
 }
@@ -138,32 +136,27 @@ func NewSearcher(n int) *Searcher {
 // Run executes one pruned search from seed and returns how many vertices
 // it settled and how many popped vertices it pruned.
 //
-//   - hubLabels is the hub-side half of the prune query, L(seed.Hub); it
-//     is read once, before the first pop.
+//   - hub is the hub-side half of the prune query, L(seed.Hub); it is
+//     read once, before the first pop.
 //   - adj returns a vertex's neighbor and weight rows (not retained).
 //   - getLabel returns the vertex-side half of the prune query for a
-//     popped vertex. A stale snapshot is fine: seeing fewer labels only
-//     weakens pruning, never correctness (Proposition 1).
+//     popped vertex: its entries outside the build-time head, whose row
+//     the probe reads itself (label.Probe.Covers). A stale snapshot is
+//     fine: seeing fewer labels only weakens pruning, never correctness
+//     (Proposition 1).
 //   - settle commits the label (seed.Hub, d) at a popped vertex u the
 //     cover does not already answer; pred is the vertex u was reached
 //     from (u itself at seed.Start). settle runs before u is expanded
 //     and may rewrite u's label list.
 func (ps *Searcher) Run(
 	seed Seed,
-	hubLabels []label.Entry,
+	hub label.Label,
 	adj func(graph.Vertex) ([]graph.Vertex, []graph.Dist),
 	getLabel func(graph.Vertex) []label.Entry,
 	settle func(u, pred graph.Vertex, e label.Entry),
 ) (added, pruned int64) {
 	ps.work = 0
-	// Scatter the hub's labels: tmp[h] = d(h, hub). Every prune query
-	// below is then one scan of L(u).
-	for _, e := range hubLabels {
-		if e.D < ps.tmp[e.Hub] {
-			ps.tmp[e.Hub] = e.D
-		}
-		ps.hubs = append(ps.hubs, e.Hub)
-	}
+	ps.probe.Set(hub)
 
 	ps.dist[seed.Start] = seed.D0
 	ps.pred[seed.Start] = seed.Start
@@ -177,8 +170,8 @@ func (ps *Searcher) Run(
 
 		// Prune test: QUERY(hub, u) over existing labels ≤ D[u]?
 		lbl := getLabel(u)
-		ps.work += int64(len(lbl))
-		if CoveredBy(lbl, ps.tmp, d) {
+		ps.work += int64(ps.probe.Width() + len(lbl))
+		if ps.probe.Covers(u, lbl, d) {
 			pruned++
 			continue
 		}
@@ -205,37 +198,5 @@ func (ps *Searcher) Run(
 		ps.dist[v] = graph.Inf
 	}
 	ps.touched = ps.touched[:0]
-	for _, h := range ps.hubs {
-		ps.tmp[h] = graph.Inf
-	}
-	ps.hubs = ps.hubs[:0]
 	return added, pruned
-}
-
-// CoveredBy reports whether some hub h in labels has tmp[h] + d(h,u) ≤ d,
-// i.e. the 2-hop cover already answers the pair at least as well. tmp is
-// the querying root's hub-distance scatter array (tmp[h] = d(root, h),
-// graph.Inf when h is not one of the root's hubs). This is the PLL prune
-// test shared by the Searcher and core's batched engine, and half of a
-// build's CPU time, so the scan is one predictable branch per entry:
-// for finite d the 64-bit sum decides exactly what
-// t != Inf && AddDist(t, e.D) <= d decides — an Inf operand alone makes
-// the sum at least 2³²-1 > d, and a sum AddDist would have saturated
-// is at least 2³²-1 as well.
-func CoveredBy(labels []label.Entry, tmp []graph.Dist, d graph.Dist) bool {
-	if d == graph.Inf {
-		// Saturated sums count as ≤ Inf: any hub the root knows covers.
-		for _, e := range labels {
-			if tmp[e.Hub] != graph.Inf {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range labels {
-		if uint64(tmp[e.Hub])+uint64(e.D) <= uint64(d) {
-			return true
-		}
-	}
-	return false
 }

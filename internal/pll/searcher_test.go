@@ -3,6 +3,7 @@ package pll
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parapll/internal/graph"
@@ -41,7 +42,7 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 		for _, s := range script {
 			l := labels[s.view]
 			ps := next()
-			added, pruned := ps.Run(s.seed, l[s.seed.Hub], views[s.view].Neighbors,
+			added, pruned := ps.Run(s.seed, label.Label{Rest: l[s.seed.Hub]}, views[s.view].Neighbors,
 				func(u graph.Vertex) []label.Entry { return l[u] },
 				func(u, pred graph.Vertex, e label.Entry) {
 					l[u] = append(l[u], e)
@@ -72,7 +73,7 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
 	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	for r := graph.Vertex(0); int(r) < n; r++ {
-		ps.Run(Seed{Hub: r, Start: r}, labels[r], adj, get, add)
+		ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: labels[r]}, adj, get, add)
 	}
 
 	var settled int64
@@ -86,7 +87,7 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 		settled = 0
 		allocs := testing.AllocsPerRun(10, func() {
 			for r := graph.Vertex(0); int(r) < n; r++ {
-				ps.Run(Seed{Hub: r, Start: r}, tc.view(r), adj, tc.view, count)
+				ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: tc.view(r)}, adj, tc.view, count)
 			}
 		})
 		if allocs != 0 {
@@ -99,21 +100,28 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 }
 
 // coveredByReference is the prune predicate as Algorithm 1 states it,
-// with the saturating add: the branch-per-case form CoveredBy's 64-bit
-// scan replaced and must keep deciding exactly like.
-func coveredByReference(labels []label.Entry, tmp []graph.Dist, d graph.Dist) bool {
+// with the saturating add, over a whole label list: rootD[h] is d(root,
+// h), graph.Inf when h is not one of the root's hubs. label.Probe's head
+// pass and 64-bit scan replaced it and must keep deciding exactly like
+// it.
+func coveredByReference(labels []label.Entry, rootD []graph.Dist, d graph.Dist) bool {
 	for _, e := range labels {
-		if t := tmp[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
+		if t := rootD[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
 			return true
 		}
 	}
 	return false
 }
 
-// TestCoveredByMatchesReference drives the scan and the reference over
-// random labels and scatter arrays drawn from the values where 32-bit
-// arithmetic goes wrong — Inf on either side, Inf-1, halves whose sum
-// wraps — and over every boundary d, including Inf.
+// TestCoveredByMatchesReference drives label.Probe's test and the
+// reference over random labels in a store with a build-time head, so
+// that some hubs are head columns and the rest list entries, with
+// distances drawn from the values where 32-bit arithmetic goes wrong —
+// Inf on either side, Inf-1, halves whose sum wraps — and over every
+// boundary d, including Inf. A list entry may hold Inf on either side:
+// the living graph's prune test hands the kernel (hub, QUERY(hub, u)),
+// which is Inf when u is unreachable. A head cell holding Inf is an
+// empty cell, so what is appended to a head column is finite.
 func TestCoveredByMatchesReference(t *testing.T) {
 	const inf = graph.Inf
 	edge := []graph.Dist{0, 1, 2, 7, inf / 2, inf/2 + 1, inf - 2, inf - 1, inf}
@@ -124,30 +132,67 @@ func TestCoveredByMatchesReference(t *testing.T) {
 		}
 		return edge[r.Intn(len(edge))]
 	}
-	const hubs = 8
-	covered := 0
+	// Each store serves perStore trials, each with its own two vertices
+	// (L(root) and L(v) are the two sides); hubs are the first of the
+	// order, so the first block holds some of them and the lists the rest.
+	const n, hubs, perStore = 400, 96, 200
+	probe := label.NewProbe(n)
+	var s *label.Store
+	var ord []graph.Vertex
+	headCols := 0
+	// draw is a distance for hub h's entry: finite in a head column.
+	draw := func(h graph.Vertex) graph.Dist {
+		if slices.Index(ord[:headCols], h) >= 0 {
+			return min(pick(), inf-1)
+		}
+		return pick()
+	}
+	covered, viaHead := 0, 0
 	for trial := 0; trial < 200000; trial++ {
-		tmp := make([]graph.Dist, hubs)
-		for h := range tmp {
-			tmp[h] = inf // most hubs are not the root's
-			if r.Intn(3) == 0 {
-				tmp[h] = pick()
+		if trial%perStore == 0 {
+			ord = make([]graph.Vertex, n)
+			for i, h := range r.Perm(n) {
+				ord[i] = graph.Vertex(h)
+			}
+			s = label.NewStore(n)
+			s.UseHead(ord)
+			s.BeginRoot(0)
+			if headCols, _ = s.Head(); headCols >= hubs {
+				t.Fatalf("the head's first block has %d columns: every one of the %d hubs is in it", headCols, hubs)
 			}
 		}
-		labels := make([]label.Entry, r.Intn(4))
+		root, v := graph.Vertex(2*(trial%perStore)), graph.Vertex(2*(trial%perStore)+1)
+		rootD := make([]graph.Dist, n)
+		for h := range rootD {
+			rootD[h] = inf // most hubs are not the root's
+		}
+		for _, h := range ord[:hubs] {
+			if r.Intn(3) == 0 {
+				rootD[h] = draw(h)
+				s.Append(root, h, rootD[h])
+			}
+		}
+		labels := make([]label.Entry, r.Intn(5))
 		for i := range labels {
-			labels[i] = label.Entry{Hub: graph.Vertex(r.Intn(hubs)), D: pick()}
+			h := ord[r.Intn(hubs)]
+			labels[i] = label.Entry{Hub: h, D: draw(h)}
+			s.Append(v, h, labels[i].D)
 		}
 		d := pick()
-		got, want := CoveredBy(labels, tmp, d), coveredByReference(labels, tmp, d)
+		probe.Set(s.Label(root))
+		rest := s.Snapshot(v)
+		got, want := probe.Covers(v, rest, d), coveredByReference(labels, rootD, d)
 		if got != want {
-			t.Fatalf("CoveredBy(%v, tmp=%v, d=%d) = %v, reference says %v", labels, tmp, d, got, want)
+			t.Fatalf("Covers(%v, d=%d) = %v, reference over %v says %v", rest, d, got, labels, want)
 		}
 		if got {
 			covered++
+			if !probe.Covers(v, nil, d) {
+				viaHead++
+			}
 		}
 	}
-	if covered < 10000 || covered > 190000 {
-		t.Fatalf("%d of 200000 trials covered: the generator no longer exercises both outcomes", covered)
+	if covered < 10000 || covered > 190000 || viaHead < 5000 {
+		t.Fatalf("%d of 200000 trials covered, %d only through the head: the generator no longer exercises every outcome", covered, viaHead)
 	}
 }

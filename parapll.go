@@ -181,11 +181,21 @@ func NewGraph(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 // intra-node ParaPLL). It panics on an unknown Options.Engine name,
 // matching the package's treatment of invalid orders.
 func Build(g *Graph, opt Options) *Index {
+	idx, _ := BuildWithStats(g, opt)
+	return idx
+}
+
+// BuildStats is the accounting of one Build: per-worker work, and the
+// build-time head the label store kept (Head).
+type BuildStats = core.BuildStats
+
+// BuildWithStats is Build plus its accounting.
+func BuildWithStats(g *Graph, opt Options) (*Index, *BuildStats) {
 	eng, err := core.EngineByName(opt.Engine, opt.BatchSize)
 	if err != nil {
 		panic("parapll: " + err.Error())
 	}
-	return core.Build(g, core.Options{
+	return core.BuildWithStats(g, core.Options{
 		Threads:  opt.Threads,
 		Policy:   opt.Policy,
 		Order:    computeOrder(g, opt.Order, opt.Seed),

@@ -70,16 +70,18 @@ fi
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
-# The two lock-free structures whose ordering bugs need an interleaving
-# an instruction wide (a lapped trace-ring writer, a label list regrown
-# between a reader's two loads), and the batch kernel's pooled scratch
-# under concurrent QueryBatch calls: one pass rarely hits it, twenty do.
+# The lock-free structures whose ordering bugs need an interleaving an
+# instruction wide (a lapped trace-ring writer, a label list regrown
+# between a reader's two loads, a label store head block opened or a
+# cell lowered beside a reader's prune test), and the batch kernel's
+# pooled scratch under concurrent QueryBatch calls: one pass rarely hits
+# it, twenty do.
 # The distance cache rides along: its striped table under concurrent
 # Get/Put, and under readers that query while generations are swapped
 # across the slot tag's wrap point. So do the living graph's lock-free
 # reads: queries beside copy-on-write delta runs being published, and
 # beside compactions swapping the live index.
-echo "== go test -race -count=20 (trace ring, label store, batch scratch pool, distance cache, living-graph readers)"
+echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers)"
 go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact
 
