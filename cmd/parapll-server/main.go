@@ -49,7 +49,7 @@
 //
 // Diagnostics flags: -flight DIR arms the always-on flight recorder —
 // a bounded spool of self-contained incident bundles (recent trace,
-// metrics, goroutine/heap profiles, /stats, WAL state) written on
+// metrics, goroutine/heap profiles, /stats with its WAL section) written on
 // GET /debug/bundle, on any handler panic, on SIGQUIT, and on every SLO
 // breach; -flight-keep / -flight-gap-ms / -flight-trace-sec bound the
 // spool, the auto-capture rate, and the trace window. -slo-window-ms
@@ -76,7 +76,6 @@ import (
 	"parapll/internal/core"
 	"parapll/internal/fileio"
 	"parapll/internal/flight"
-	"parapll/internal/label"
 	"parapll/internal/metrics"
 	"parapll/internal/pathidx"
 	"parapll/internal/server"
@@ -125,15 +124,7 @@ func main() {
 		*cacheEnts = 0
 	}
 
-	srv := server.NewPending(metrics.NewRegistry())
-	srv.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(path)
-		return idx, nil, err // nil pidx: a reload keeps the current path index
-	})
-	srv.SlowQueries().SetThreshold(time.Duration(*slowMS) * time.Millisecond)
-	srv.SetCacheEntries(*cacheEnts) // before the first Publish: snapshots wrap at publish time
-	srv.SetBatchThreads(*batchThr)
-
+	reg := metrics.NewRegistry()
 	var tr *parapll.Tracer
 	if *traceRate > 0 || *traceOut != "" {
 		tr = parapll.NewTracer(0, 0)
@@ -143,7 +134,6 @@ func main() {
 		}
 		// With only -trace, the tracer stays disabled until a
 		// GET /debug/trace capture turns it on for its window.
-		srv.SetTracer(tr)
 	}
 	if *traceOut != "" {
 		term := make(chan os.Signal, 1)
@@ -166,15 +156,21 @@ func main() {
 		}()
 	}
 
+	// The recorder's and the watchdog's sources read srv and wd, which
+	// are built after them; nothing calls a source before the signal
+	// handlers and the listener start, below.
+	var (
+		srv *server.Server
+		rec *flight.Recorder
+		wd  *flight.Watchdog
+	)
 	// Flight recorder: bundles are only as good as the trace they embed,
 	// so -flight with no tracer arms one recording every request.
-	var rec *flight.Recorder
 	if *flightDir != "" {
 		if tr == nil {
 			tr = parapll.NewTracer(0, 0)
 			tr.SetSample(1)
 			tr.Enable()
-			srv.SetTracer(tr)
 		}
 		var err error
 		rec, err = flight.New(flight.Options{
@@ -183,19 +179,10 @@ func main() {
 			MinGap:      time.Duration(*flightGapMS) * time.Millisecond,
 			TraceWindow: time.Duration(*flightTraceSec) * time.Second,
 		}, flight.Sources{
-			Tracer:   srv.Tracer,
-			Registry: srv.Registry(),
-			Stats:    srv.StatsPayload,
-			WAL: func() any {
-				up := srv.Updater()
-				if up == nil {
-					return nil
-				}
-				st := up.Stats()
-				return &st
-			},
+			Tracer:   tr,
+			Registry: reg,
+			Stats:    func() any { return srv.StatsPayload() },
 			Health: func() any {
-				wd := srv.Watchdog()
 				if wd == nil {
 					return nil
 				}
@@ -205,42 +192,24 @@ func main() {
 		if err != nil {
 			fatalf("arming flight recorder: %v", err)
 		}
-		srv.SetFlight(rec)
-		// SIGQUIT = "dump evidence and die": the bundle carries the same
-		// goroutine stacks the default handler would print, plus the
-		// trace/metrics context the stacks alone lack.
-		quit := make(chan os.Signal, 1)
-		signal.Notify(quit, syscall.SIGQUIT)
-		go func() {
-			<-quit
-			path, err := rec.Trigger("sigquit")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "parapll-server: SIGQUIT flight capture: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "parapll-server: SIGQUIT: flight bundle -> %s\n", path)
-			os.Exit(2)
-		}()
-		fmt.Printf("flight recorder armed: spool %s (keep %d)\n", *flightDir, *flightKeep)
 	}
 
 	// Anomaly watchdog: windowed SLO verdicts at /debug/health, slo.*
 	// gauges on /metrics, and (with -flight) a rate-limited capture on
 	// every breach.
-	var fsyncWin *metrics.WindowedHistogram
+	var qwin, fsyncWin *metrics.WindowedHistogram
+	var rules []string
 	if *sloWindowMS > 0 {
-		var rules []string
-		wd := flight.NewWatchdog(flight.WatchdogOptions{
+		wd = flight.NewWatchdog(flight.WatchdogOptions{
 			Window:   time.Duration(*sloWindowMS) * time.Millisecond,
-			Registry: srv.Registry(),
+			Registry: reg,
 			Recorder: rec,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
 			},
 		})
 		if *sloQueryP99US > 0 {
-			qwin := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
-			srv.SetQueryLatencyWindow(qwin)
+			qwin = metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
 			wd.AddLatencyRule("query_p99", "us", qwin, 0.99, *sloQueryP99US, 1)
 			rules = append(rules, fmt.Sprintf("query p99 > %dus", *sloQueryP99US))
 		}
@@ -265,9 +234,45 @@ func main() {
 			})
 			rules = append(rules, fmt.Sprintf("compact > %dms", deadline))
 		}
+	}
+
+	slow := time.Duration(*slowMS) * time.Millisecond
+	if slow == 0 {
+		slow = -1 // -slow-ms 0 disables the log; a zero Options field means its default
+	}
+	srv = server.NewPending(&server.Options{
+		Registry:      reg,
+		Loader:        fileio.LoadIndex,
+		BatchThreads:  *batchThr,
+		SlowThreshold: slow,
+		Tracer:        tr,
+		Flight:        rec,
+		Watchdog:      wd,
+		QueryWindow:   qwin,
+	})
+	srv.SetCacheEntries(*cacheEnts) // before the first Publish: snapshots wrap at publish time
+
+	if rec != nil {
+		// SIGQUIT = "dump evidence and die": the bundle carries the same
+		// goroutine stacks the default handler would print, plus the
+		// trace/metrics context the stacks alone lack.
+		quit := make(chan os.Signal, 1)
+		signal.Notify(quit, syscall.SIGQUIT)
+		go func() {
+			<-quit
+			path, err := rec.Trigger("sigquit")
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "parapll-server: SIGQUIT flight capture: %v\n", err)
+				os.Exit(2)
+			}
+			fmt.Fprintf(os.Stderr, "parapll-server: SIGQUIT: flight bundle -> %s\n", path)
+			os.Exit(2)
+		}()
+		fmt.Printf("flight recorder armed: spool %s (keep %d)\n", *flightDir, *flightKeep)
+	}
+	if wd != nil {
 		wd.AddCounterRule("reload_failures", srv.ReloadFailures(), 0)
 		rules = append(rules, "any reload failure")
-		srv.SetWatchdog(wd)
 		wd.Start()
 		fmt.Printf("watchdog armed: window %dms (%s)\n",
 			*sloWindowMS, strings.Join(rules, ", "))
@@ -277,12 +282,12 @@ func main() {
 	// /metrics) is up from the first moment.
 	go func() {
 		if *walDir != "" {
-			var onFsync func(time.Duration)
+			opt := compact.Options{Dir: *walDir, CompactEvery: *compactN, Threads: *compactThr, Tracer: tr}
 			if fsyncWin != nil {
-				win := fsyncWin
-				onFsync = func(d time.Duration) { win.Observe(d.Microseconds()) }
+				win := fsyncWin // feeds the watchdog's wal_fsync_p99 window
+				opt.OnFsync = func(d time.Duration) { win.Observe(d.Microseconds()) }
 			}
-			prepareLive(srv, *walDir, *indexPath, *graphPath, *compactN, *compactThr, onFsync)
+			prepareLive(srv, opt, *indexPath, *graphPath)
 			return
 		}
 		idx, pidx, source := prepare(*indexPath, *graphPath, *paths, *threads)
@@ -342,60 +347,52 @@ func newHTTPServer(addr string, handler http.Handler) *http.Server {
 }
 
 // prepareLive boots the living-graph pipeline: open (or create) the
-// WAL directory's checkpoint + log, replay pending updates, install the
-// pipeline as the server's updater, and publish the checkpoint artifact
-// as the first snapshot. Compactions publish their fresh artifact back
-// through the server's /reload machinery, so the generation counter
-// advances exactly once per checkpoint roll.
-func prepareLive(srv *server.Server, walDir, indexPath, graphPath string, compactEvery, compactThreads int, onFsync func(time.Duration)) {
+// WAL directory's checkpoint + log, replay pending updates, and publish
+// the checkpoint artifact as the first snapshot, carrying the pipeline
+// as its updater. Compactions publish their fresh artifact back through
+// the server's /reload machinery, so the generation counter advances
+// exactly once per checkpoint roll. opt holds the flag-driven fields;
+// the graph, the seed index and the callbacks are filled in here.
+func prepareLive(srv *server.Server, opt compact.Options, indexPath, graphPath string) {
 	g, err := parapll.LoadGraph(graphPath)
 	if err != nil {
 		fatalf("loading graph: %v", err)
 	}
-	var seed *label.Index
+	opt.Graph = g
 	if indexPath != "" {
-		if seed, err = fileio.LoadIndex(indexPath); err != nil {
+		if opt.Index, err = fileio.LoadIndex(indexPath); err != nil {
 			fatalf("loading index: %v", err)
 		}
 	}
 	var pipe *compact.Pipeline
+	opt.OnPublish = func(rep compact.Report) {
+		gen, err := srv.Reload(pipe.IndexPath())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "parapll-server: publishing compacted checkpoint: %v\n", err)
+			return
+		}
+		fmt.Printf("compaction published: generation %d (%s of %d records, swap %s)\n",
+			gen, rep.Mode, rep.Folded, rep.SwapTime.Round(time.Microsecond))
+	}
+	opt.Logf = func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
+	}
 	t0 := time.Now()
-	pipe, err = compact.Open(compact.Options{
-		Dir:          walDir,
-		Graph:        g,
-		Index:        seed,
-		CompactEvery: compactEvery,
-		Threads:      compactThreads,
-		Tracer:       srv.Tracer,
-		OnFsync:      onFsync, // feeds the watchdog's wal_fsync_p99 window
-		OnPublish: func(rep compact.Report) {
-			gen, err := srv.Reload(pipe.IndexPath())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "parapll-server: publishing compacted checkpoint: %v\n", err)
-				return
-			}
-			fmt.Printf("compaction published: generation %d (%s of %d records, swap %s)\n",
-				gen, rep.Mode, rep.Folded, rep.SwapTime.Round(time.Microsecond))
-		},
-		Logf: func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, "parapll-server: "+format+"\n", args...)
-		},
-	})
+	pipe, err = compact.Open(opt)
 	if err != nil {
 		fatalf("opening living-graph pipeline: %v", err)
 	}
-	srv.SetUpdater(pipe) // before Publish: snapshots must query the pipeline
 	idx, err := fileio.LoadIndex(pipe.IndexPath())
 	if err != nil {
 		fatalf("loading checkpoint index: %v", err)
 	}
-	gen := srv.Publish(idx, nil, pipe.IndexPath())
+	gen := srv.PublishLive(pipe, idx, pipe.IndexPath())
 	st := pipe.Stats()
 	fmt.Printf("ready (living-graph): generation %d  (n=%d, wal=%d records, compact-every=%d) in %.2fs\n",
-		gen, idx.NumVertices(), st.WALRecords, compactEvery, time.Since(t0).Seconds())
+		gen, idx.NumVertices(), st.WALRecords, opt.CompactEvery, time.Since(t0).Seconds())
 	// A WAL already past the threshold (accumulated while down) should
 	// not wait for the next insert to fold.
-	if compactEvery > 0 && st.WALRecords >= compactEvery {
+	if opt.CompactEvery > 0 && st.WALRecords >= opt.CompactEvery {
 		go func() {
 			if _, err := pipe.Compact(); err != nil {
 				fmt.Fprintf(os.Stderr, "parapll-server: boot compaction: %v\n", err)

@@ -161,9 +161,9 @@ func TestSummaryStability(t *testing.T) {
 }
 
 // TestInterprocRepoSeams loads the real module and asserts the two
-// seams the analyzers depend on: the compaction pipeline's InsertEdge
-// both locks and syncs, and core.Engine dispatch resolves to the
-// concrete engines.
+// seams the analyzers depend on: the compaction pipeline's Update both
+// locks and syncs, and core.Engine dispatch resolves to the concrete
+// engines.
 func TestInterprocRepoSeams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis skipped in -short")
@@ -174,24 +174,24 @@ func TestInterprocRepoSeams(t *testing.T) {
 	}
 	prog := analysis.BuildProgram(pkgs)
 
-	var insert *analysis.FuncInfo
+	var update *analysis.FuncInfo
 	for _, f := range prog.Funcs {
-		if f.Name == "(*Pipeline).InsertEdge" && strings.HasSuffix(f.Pkg.Path, "internal/compact") {
-			insert = f
+		if f.Name == "(*Pipeline).Update" && strings.HasSuffix(f.Pkg.Path, "internal/compact") {
+			update = f
 		}
 	}
-	if insert == nil {
-		t.Fatal("(*Pipeline).InsertEdge not found in internal/compact")
+	if update == nil {
+		t.Fatal("(*Pipeline).Update not found in internal/compact")
 	}
 	lockNames := make(map[string]bool)
-	for obj := range insert.Facts.Acquires {
+	for obj := range update.Facts.Acquires {
 		lockNames[obj.Name()] = true
 	}
 	if !lockNames["mu"] {
-		t.Errorf("InsertEdge must acquire the pipeline mutex; summary has %v", lockNames)
+		t.Errorf("Update must acquire the pipeline mutex; summary has %v", lockNames)
 	}
-	if !insert.Facts.Syncs {
-		t.Error("InsertEdge appends to the WAL, which fsyncs; Syncs not set")
+	if !update.Facts.Syncs {
+		t.Error("Update appends to the WAL, which fsyncs; Syncs not set")
 	}
 
 	var core *analysis.Package

@@ -65,7 +65,6 @@ import (
 	"parapll/internal/fileio"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/oracle"
 	"parapll/internal/trace"
 	"parapll/internal/wal"
 )
@@ -104,10 +103,10 @@ type Options struct {
 	// Threads is the rebuild parallelism (as core.Options.Threads;
 	// <= 0 means GOMAXPROCS).
 	Threads int
-	// Tracer, when non-nil, is consulted per operation (nil: tracing is
-	// off for it); sampled updates emit wal.append spans on trace.TIDWAL
-	// and every compaction a compact.run span on trace.TIDCompact.
-	Tracer func() *trace.Tracer
+	// Tracer, when non-nil, records a wal.append span on trace.TIDWAL for
+	// each sampled update and a compact.run span on trace.TIDCompact for
+	// every compaction while it is enabled.
+	Tracer *trace.Tracer
 	// OnPublish, when non-nil, is called after every completed
 	// compaction, outside all pipeline locks — the server uses it to
 	// bump its snapshot generation and metrics.
@@ -332,14 +331,11 @@ func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist
 // applicable on replay. Validation failures wrap dynamic.ErrInvalid; a
 // log that can no longer make a record durable, wal.ErrFailed.
 func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
-	var tr *trace.Tracer
+	var tr *trace.Tracer // non-nil when this update is sampled
 	var t0 int64
-	if p.opt.Tracer != nil {
-		if tr = p.opt.Tracer(); tr.Sample() {
-			t0 = tr.Now()
-		} else {
-			tr = nil
-		}
+	if p.opt.Tracer.Sample() {
+		tr = p.opt.Tracer
+		t0 = tr.Now()
 	}
 	p.mu.Lock()
 	err := p.insertLocked(u, v, w)
@@ -394,14 +390,11 @@ func (p *Pipeline) Compact() (Report, error) {
 	p.compactSince.Store(time.Now().UnixNano())
 	defer p.compactSince.Store(0)
 
-	var tr *trace.Tracer
+	var tr *trace.Tracer // non-nil when tracing is on
 	var tr0 int64
-	if p.opt.Tracer != nil {
-		if tr = p.opt.Tracer(); tr.Enabled() {
-			tr0 = tr.Now()
-		} else {
-			tr = nil
-		}
+	if p.opt.Tracer.Enabled() {
+		tr = p.opt.Tracer
+		tr0 = tr.Now()
 	}
 
 	// Phase 1 (writer mutex): fix the fold point n and, to fold, freeze
@@ -547,10 +540,3 @@ func (p *Pipeline) Close() error {
 	defer p.compactMu.Unlock()
 	return p.log.Close()
 }
-
-// InsertEdge implements oracle.Updatable as an alias for Update.
-func (p *Pipeline) InsertEdge(u, v graph.Vertex, w graph.Dist) error {
-	return p.Update(u, v, w)
-}
-
-var _ oracle.Updatable = (*Pipeline)(nil)

@@ -19,7 +19,7 @@
 // trace without the process that wrote it.
 //
 // Lock order: Recorder.mu is held across a capture, which may call
-// the Health/Stats/WAL source closures; those may take the watchdog's
+// the Health/Stats source closures; those may take the watchdog's
 // or server's internal locks. Nothing takes Recorder.mu while holding
 // those locks (the watchdog triggers captures only after releasing its
 // own mutex), so the order recorder → watchdog/server is acyclic.
@@ -48,16 +48,15 @@ import (
 // interfaces on the server) so flight has no dependency on the serving
 // layer and each subsystem plugs in exactly the state it owns.
 type Sources struct {
-	// Tracer returns the live tracer (nil when tracing is off); the
-	// bundle embeds the ring's last TraceWindow of events.
-	Tracer func() *trace.Tracer
+	// Tracer is the live tracer (nil when tracing is off); the bundle
+	// embeds the ring's last TraceWindow of events while it is enabled.
+	Tracer *trace.Tracer
 	// Registry is snapshotted into the bundle and sampled into the
 	// rolling metric ring.
 	Registry *metrics.Registry
-	// Stats returns the serving layer's /stats payload.
+	// Stats returns the serving layer's /stats payload, which carries
+	// the WAL and compaction state in living-graph mode.
 	Stats func() any
-	// WAL returns WAL + compaction state (e.g. compact.Stats).
-	WAL func() any
 	// Health returns the watchdog's verdict report.
 	Health func() any
 }
@@ -142,13 +141,12 @@ type Bundle struct {
 	MetricRing []MetricSample  `json:"metric_ring,omitempty"`
 	Errors     []ErrorRecord   `json:"errors"`
 	Stats      any             `json:"stats,omitempty"`
-	WAL        any             `json:"wal,omitempty"`
 	Health     any             `json:"health,omitempty"`
 	Goroutines string          `json:"goroutine_profile,omitempty"`
 	Heap       string          `json:"heap_profile,omitempty"`
 }
 
-// ParseBundle decodes a bundle file's bytes. Stats/WAL/Health/Metrics
+// ParseBundle decodes a bundle file's bytes. Stats/Health/Metrics
 // decode as generic JSON values; Trace keeps its raw bytes for
 // trace.CheckCapture.
 func ParseBundle(data []byte) (*Bundle, error) {
@@ -332,14 +330,12 @@ func (r *Recorder) buildLocked(reason string) *Bundle {
 		MetricRing: r.samplesLocked(),
 		Errors:     r.errorsLocked(),
 	}
-	if r.src.Tracer != nil {
-		if tr := r.src.Tracer(); tr.Enabled() {
-			since := tr.Now() - r.opt.TraceWindow.Nanoseconds()
-			if data, err := tr.Capture(since); err == nil {
-				b.Trace = data
-			} else {
-				b.TraceError = err.Error()
-			}
+	if tr := r.src.Tracer; tr.Enabled() {
+		since := tr.Now() - r.opt.TraceWindow.Nanoseconds()
+		if data, err := tr.Capture(since); err == nil {
+			b.Trace = data
+		} else {
+			b.TraceError = err.Error()
 		}
 	}
 	if r.src.Registry != nil {
@@ -347,9 +343,6 @@ func (r *Recorder) buildLocked(reason string) *Bundle {
 	}
 	if r.src.Stats != nil {
 		b.Stats = r.src.Stats()
-	}
-	if r.src.WAL != nil {
-		b.WAL = r.src.WAL()
 	}
 	if r.src.Health != nil {
 		b.Health = r.src.Health()

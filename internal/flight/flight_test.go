@@ -34,11 +34,12 @@ func TestRecorderBundleRoundTrip(t *testing.T) {
 	reg.Counter("http.requests.query").Add(3)
 	tr := testTracer(t)
 	rec, err := New(Options{Dir: t.TempDir()}, Sources{
-		Tracer:   func() *trace.Tracer { return tr },
+		Tracer:   tr,
 		Registry: reg,
-		Stats:    func() any { return map[string]int{"vertices": 5} },
-		WAL:      func() any { return map[string]int{"wal_records": 2} },
-		Health:   func() any { return map[string]string{"status": "ok"} },
+		Stats: func() any {
+			return map[string]any{"vertices": 5, "wal": map[string]int{"wal_records": 2}}
+		},
+		Health: func() any { return map[string]string{"status": "ok"} },
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -78,8 +79,13 @@ func TestRecorderBundleRoundTrip(t *testing.T) {
 	if len(b.MetricRing) != 1 || b.MetricRing[0].Counters["http.requests.query"] != 3 {
 		t.Fatalf("metric ring = %+v", b.MetricRing)
 	}
-	if b.Stats == nil || b.WAL == nil || b.Health == nil {
-		t.Fatalf("missing source payloads: stats=%v wal=%v health=%v", b.Stats, b.WAL, b.Health)
+	if b.Health == nil {
+		t.Fatal("missing health payload")
+	}
+	// The WAL state rides in the stats payload, as /stats carries it.
+	stats, _ := b.Stats.(map[string]any)
+	if wal, _ := stats["wal"].(map[string]any); stats["vertices"] != 5.0 || wal["wal_records"] != 2.0 {
+		t.Fatalf("stats payload = %v, want vertices 5 and wal.wal_records 2", b.Stats)
 	}
 	if !strings.Contains(b.Goroutines, "goroutine") {
 		t.Fatal("bundle has no goroutine profile")

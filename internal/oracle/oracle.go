@@ -38,21 +38,6 @@ type Oracle interface {
 	QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist
 }
 
-// Updatable is an Oracle whose underlying graph accepts edge
-// insertions while queries keep running against the repaired index —
-// the seam the living-graph pipeline (WAL logging, background
-// compaction) is built behind. InsertEdge must reject invalid edges
-// with an error (dynamic.ErrInvalid's contract: self loops,
-// out-of-range endpoints, weights outside (0, Inf)) and must leave the
-// index exact for the enlarged edge set on success. Implementations
-// define their own query/insert concurrency contract; dynamic.Index
-// serves lock-free queries beside one writer, and the compact.Pipeline
-// wrapper serializes its writers, so any mix of calls is safe.
-type Updatable interface {
-	Oracle
-	InsertEdge(u, v graph.Vertex, w graph.Dist) error
-}
-
 // Every index implementation must satisfy the interface; a missing or
 // drifted method is a compile error here, not a runtime surprise.
 var (
@@ -60,6 +45,4 @@ var (
 	_ Oracle = (*directed.Index)(nil)
 	_ Oracle = (*dynamic.Index)(nil)
 	_ Oracle = (*pathidx.Index)(nil)
-
-	_ Updatable = (*dynamic.Index)(nil)
 )

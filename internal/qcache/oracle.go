@@ -16,8 +16,7 @@ type Options struct {
 	Symmetric bool
 	// Tracer, when non-nil, is consulted per query; sampled queries emit
 	// a qcache.query span (arg hit=0/1) on the trace.TIDCache lane.
-	// Returning nil means tracing is off for that query.
-	Tracer func() *trace.Tracer
+	Tracer *trace.Tracer
 }
 
 // Cached wraps an oracle with a generation-keyed distance cache. It
@@ -76,17 +75,15 @@ func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
 // QueryNote is Query plus a hit report: whether the answer came from
 // the cache. The serving layer uses it to attribute slow-log entries.
 func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
-	if o.opt.Tracer != nil {
-		if tr := o.opt.Tracer(); tr.Sample() {
-			t0 := tr.Now()
-			d, hit := o.query(s, t)
-			var h uint64
-			if hit {
-				h = 1
-			}
-			tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
-			return d, hit
+	if tr := o.opt.Tracer; tr.Sample() {
+		t0 := tr.Now()
+		d, hit := o.query(s, t)
+		var h uint64
+		if hit {
+			h = 1
 		}
+		tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
+		return d, hit
 	}
 	return o.query(s, t) //parapll:vet-ignore snapgen the traced branch above returns: one of the two calls runs
 }

@@ -155,8 +155,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 	if err := bitFlipped.Verify(); err == nil || !strings.Contains(err.Error(), "midBits section checksum") {
 		t.Fatalf("Verify of a flipped bitmap bit: %v, want the midBits section's checksum named", err)
 	}
-	bs := serverLikeBinary(bitFlipped)
-	bs.SetBatchThreads(2)
+	bs := serverWithCache(bitFlipped, 65536, &Options{BatchThreads: 2})
 	answered := map[int]int{}
 	for v := 0; v < n; v++ {
 		answered[query(bs, victim, v)]++
@@ -173,8 +172,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 	}
 
 	damaged := open("damaged.midx", func(data []byte) { binary.LittleEndian.PutUint32(data[hubsSec:], n+9) })
-	s := serverLikeBinary(damaged)
-	s.SetBatchThreads(2)
+	s := serverWithCache(damaged, 65536, &Options{BatchThreads: 2})
 	panics := func() int64 { return s.Registry().Snapshot().Counters["http.panics_total"] }
 	for i, pairs := range []int{4, 900} { // one chunk on the request's goroutine; many on two workers
 		rec := postBatch(s, body(pairs, false))

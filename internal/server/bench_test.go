@@ -53,11 +53,11 @@ var benchIndex = sync.OnceValue(func() *label.Index {
 // serverLikeBinary serves idx the way cmd/parapll-server's defaults do:
 // distance cache of 65 536 entries, default batch fan-out.
 func serverLikeBinary(idx *label.Index) *Server {
-	return serverWithCache(idx, 65536)
+	return serverWithCache(idx, 65536, nil)
 }
 
-func serverWithCache(idx *label.Index, entries int) *Server {
-	s := NewPending(nil)
+func serverWithCache(idx *label.Index, entries int, o *Options) *Server {
+	s := NewPending(o)
 	s.SetCacheEntries(entries)
 	s.Publish(idx, nil, "")
 	return s
@@ -68,7 +68,7 @@ func serverWithCache(idx *label.Index, entries int) *Server {
 // what the cache costs a stream it cannot help.
 func cacheRows(b *testing.B, run func(b *testing.B, s *Server)) {
 	b.Run("cache=default", func(b *testing.B) { run(b, serverLikeBinary(benchIndex())) })
-	b.Run("cache=0", func(b *testing.B) { run(b, serverWithCache(benchIndex(), 0)) })
+	b.Run("cache=0", func(b *testing.B) { run(b, serverWithCache(benchIndex(), 0, nil)) })
 }
 
 // beyondCache is how many distinct uniform pairs a benchmark cycles

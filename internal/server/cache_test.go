@@ -16,26 +16,26 @@ import (
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/metrics"
-	"parapll/internal/pathidx"
 	"parapll/internal/pll"
 )
 
-func TestBatchThreadsDefaultAndSetter(t *testing.T) {
-	s := NewPending(nil)
+func TestBatchThreadsOption(t *testing.T) {
 	want := 4
 	if p := runtime.GOMAXPROCS(0); p < want {
 		want = p
 	}
-	if got := s.BatchThreads(); got != want {
-		t.Fatalf("default BatchThreads = %d, want %d", got, want)
-	}
-	s.SetBatchThreads(9)
-	if got := s.BatchThreads(); got != 9 {
-		t.Fatalf("BatchThreads after set = %d, want 9", got)
-	}
-	s.SetBatchThreads(0) // restore default
-	if got := s.BatchThreads(); got != want {
-		t.Fatalf("BatchThreads after reset = %d, want %d", got, want)
+	for _, c := range []struct {
+		o    *Options
+		want int
+	}{
+		{nil, want},
+		{&Options{BatchThreads: 9}, 9},
+		{&Options{}, want},
+		{&Options{BatchThreads: -1}, want},
+	} {
+		if got := NewPending(c.o).opt.BatchThreads; got != c.want {
+			t.Errorf("batch threads with %+v = %d, want %d", c.o, got, c.want)
+		}
 	}
 }
 
@@ -120,12 +120,8 @@ func TestCacheReloadNeverStale(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := NewPending(nil)
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	s.SetCacheEntries(4096)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
 	s.Publish(weightedLineIndex(6, 1), nil, "") // d(0,5) = 5
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -198,18 +194,15 @@ func TestCacheReloadNeverStale(t *testing.T) {
 
 func TestBatchUsesConfiguredThreads(t *testing.T) {
 	// Behavioral smoke: /batch answers identically for 1 and many
-	// configured threads, and the setting is visible while serving.
-	s := NewPending(nil)
-	s.SetCacheEntries(256)
-	s.Publish(pll.Build(lineGraph(40), pll.Options{}), nil, "")
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-
+	// configured threads.
+	idx := pll.Build(lineGraph(40), pll.Options{})
 	pairs := make([][2]graph.Vertex, 100)
 	for i := range pairs {
 		pairs[i] = [2]graph.Vertex{graph.Vertex(i % 40), graph.Vertex((i * 7) % 40)}
 	}
-	run := func() []int64 {
+	run := func(threads int) []int64 {
+		ts := httptest.NewServer(serverWithCache(idx, 256, &Options{BatchThreads: threads}))
+		defer ts.Close()
 		body, _ := json.Marshal(batchRequest{Pairs: pairs})
 		resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -222,10 +215,8 @@ func TestBatchUsesConfiguredThreads(t *testing.T) {
 		}
 		return b.Dists
 	}
-	s.SetBatchThreads(1)
-	one := run()
-	s.SetBatchThreads(8)
-	eight := run()
+	one := run(1)
+	eight := run(8)
 	for i := range one {
 		if one[i] != eight[i] {
 			t.Fatalf("pair %d: threads=1 gives %d, threads=8 gives %d", i, one[i], eight[i])

@@ -17,20 +17,13 @@ import (
 	"parapll/internal/trace"
 )
 
-// testDiagServer builds a server over the usual 5-vertex test graph,
-// optionally fronted by the distance cache, returning the pieces tests
-// poke at directly.
-func testDiagServer(t *testing.T, cacheEntries int) (*Server, *httptest.Server, *label.Index) {
+// testDiagServer builds a server configured by o over the usual
+// 5-vertex test graph, optionally fronted by the distance cache,
+// returning the pieces tests poke at directly.
+func testDiagServer(t *testing.T, cacheEntries int, o *Options) (*Server, *httptest.Server, *label.Index) {
 	t.Helper()
-	g := graph.FromEdges(5, []graph.Edge{
-		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5},
-	}) // vertex 4 isolated
-	idx := pll.Build(g, pll.Options{})
-	s := NewPending(nil)
-	if cacheEntries > 0 {
-		s.SetCacheEntries(cacheEntries)
-	}
-	s.Publish(idx, nil, "")
+	idx := pll.Build(testGraph(), pll.Options{})
+	s := serverWithCache(idx, cacheEntries, o)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts, idx
@@ -61,7 +54,7 @@ type explainWire struct {
 // hub QueryWithHub reports, validates input, and carries the cache's
 // undisturbed view of the pair.
 func TestDebugExplainEndpoint(t *testing.T) {
-	s, ts, idx := testDiagServer(t, 1<<10)
+	s, ts, idx := testDiagServer(t, 1<<10, nil)
 
 	for src := 0; src < 5; src++ {
 		for dst := 0; dst < 5; dst++ {
@@ -112,7 +105,7 @@ func TestDebugExplainEndpoint(t *testing.T) {
 // TestDebugExplainNoCache: without a distance cache the reply simply
 // omits the cache section.
 func TestDebugExplainNoCache(t *testing.T) {
-	_, ts, _ := testDiagServer(t, 0)
+	_, ts, _ := testDiagServer(t, 0, nil)
 	var ex explainWire
 	if code := getJSON(t, ts.URL+"/debug/explain?s=0&t=2", &ex); code != 200 {
 		t.Fatalf("status %d", code)
@@ -125,15 +118,16 @@ func TestDebugExplainNoCache(t *testing.T) {
 // TestDebugHealthEndpoint: 412 until a watchdog is armed, then the
 // verdict report.
 func TestDebugHealthEndpoint(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
+	_, ts, _ := testDiagServer(t, 0, nil)
 	if code := getJSON(t, ts.URL+"/debug/health", new(map[string]string)); code != http.StatusPreconditionFailed {
 		t.Fatalf("no-watchdog status %d, want 412", code)
 	}
 
-	wd := flight.NewWatchdog(flight.WatchdogOptions{BreachAfter: 1, ClearAfter: 1, Registry: s.Registry()})
+	reg := metrics.NewRegistry()
+	wd := flight.NewWatchdog(flight.WatchdogOptions{BreachAfter: 1, ClearAfter: 1, Registry: reg})
 	h := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 4)
 	wd.AddLatencyRule("query_p99", "us", h, 0.99, 1000, 1)
-	s.SetWatchdog(wd)
+	_, ts, _ = testDiagServer(t, 0, &Options{Registry: reg, Watchdog: wd})
 
 	h.Observe(100_000)
 	wd.Tick()
@@ -150,23 +144,24 @@ func TestDebugHealthEndpoint(t *testing.T) {
 // manual trigger streams a parseable bundle that also lands in the
 // spool, with embedded trace and server stats.
 func TestDebugBundleEndpoint(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
+	_, ts, _ := testDiagServer(t, 0, nil)
 	if code := getJSON(t, ts.URL+"/debug/bundle", new(map[string]string)); code != http.StatusPreconditionFailed {
 		t.Fatalf("no-recorder status %d, want 412", code)
 	}
 
 	tr := trace.New(1, 1<<12)
 	tr.Enable()
-	s.SetTracer(tr)
+	reg := metrics.NewRegistry()
+	var s *Server // the recorder's Stats source reads the server built after it
 	rec, err := flight.New(flight.Options{Dir: t.TempDir()}, flight.Sources{
-		Tracer:   s.Tracer,
-		Registry: s.Registry(),
-		Stats:    s.StatsPayload,
+		Tracer:   tr,
+		Registry: reg,
+		Stats:    func() any { return s.StatsPayload() },
 	})
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
 	}
-	s.SetFlight(rec)
+	s, ts, _ = testDiagServer(t, 0, &Options{Registry: reg, Tracer: tr, Flight: rec})
 
 	var q queryResponse
 	getJSON(t, ts.URL+"/query?s=0&t=3", &q) // put a span in the ring
@@ -205,12 +200,12 @@ func TestDebugBundleEndpoint(t *testing.T) {
 // dead connection), increments the panic counter, and dumps a flight
 // bundle tagged with the endpoint — bypassing the auto-capture gap.
 func TestPanicRecoveryMiddleware(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
-	rec, err := flight.New(flight.Options{Dir: t.TempDir(), MinGap: time.Hour}, flight.Sources{Registry: s.Registry()})
+	reg := metrics.NewRegistry()
+	rec, err := flight.New(flight.Options{Dir: t.TempDir(), MinGap: time.Hour}, flight.Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
 	}
-	s.SetFlight(rec)
+	s, ts, _ := testDiagServer(t, 0, &Options{Registry: reg, Flight: rec})
 	s.handle("/boom", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
@@ -255,8 +250,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // snapshot generation and the cache hit/miss bit (miss first, then hit
 // on the repeat), and /stats entries carry generation only.
 func TestSlowLogAnnotations(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 1<<10)
-	s.SlowQueries().SetThreshold(time.Nanosecond) // everything is slow
+	s, ts, _ := testDiagServer(t, 1<<10, &Options{SlowThreshold: time.Nanosecond}) // everything is slow
 
 	var q queryResponse
 	getJSON(t, ts.URL+"/query?s=0&t=3", &q)
@@ -295,9 +289,8 @@ func TestSlowLogAnnotations(t *testing.T) {
 // TestQueryWindowMiddleware: /query and /batch latencies land in the
 // installed windowed histogram; admin endpoints do not.
 func TestQueryWindowMiddleware(t *testing.T) {
-	s, ts, _ := testDiagServer(t, 0)
 	h := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 4)
-	s.SetQueryLatencyWindow(h)
+	_, ts, _ := testDiagServer(t, 0, &Options{QueryWindow: h})
 
 	var q queryResponse
 	getJSON(t, ts.URL+"/query?s=0&t=3", &q)

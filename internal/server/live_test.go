@@ -7,6 +7,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,9 +17,6 @@ import (
 	"parapll/internal/compact"
 	"parapll/internal/fileio"
 	"parapll/internal/graph"
-	"parapll/internal/label"
-	"parapll/internal/metrics"
-	"parapll/internal/pathidx"
 	"parapll/internal/sssp"
 	"parapll/internal/wal"
 )
@@ -42,11 +40,7 @@ func liveServer(t *testing.T, compactEvery int) (*httptest.Server, *Server, *com
 	g := graph.FromEdges(6, []graph.Edge{
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5}, {U: 3, V: 4, W: 2},
 	}) // vertex 5 isolated
-	s := NewPending(metrics.NewRegistry())
-	s.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
-		i, err := fileio.LoadIndex(path)
-		return i, nil, err
-	})
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	var pipe *compact.Pipeline
 	pipe, err := compact.Open(compact.Options{
 		Dir: t.TempDir(), Graph: g, CompactEvery: compactEvery,
@@ -60,12 +54,11 @@ func liveServer(t *testing.T, compactEvery int) (*httptest.Server, *Server, *com
 		t.Fatalf("compact.Open: %v", err)
 	}
 	t.Cleanup(func() { pipe.Close() })
-	s.SetUpdater(pipe)
 	idx, err := fileio.LoadIndex(pipe.IndexPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Publish(idx, nil, pipe.IndexPath())
+	s.PublishLive(pipe, idx, pipe.IndexPath())
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return ts, s, pipe, g
@@ -170,20 +163,19 @@ func TestUpdateOnFailedLog(t *testing.T) {
 		t.Fatalf("compact.Open: %v", err)
 	}
 	t.Cleanup(func() { pipe.Close() })
-	s := NewPending(metrics.NewRegistry())
-	s.SetUpdater(pipe)
+	s := NewPending(nil)
 	idx, err := fileio.LoadIndex(pipe.IndexPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Publish(idx, nil, pipe.IndexPath())
+	s.PublishLive(pipe, idx, pipe.IndexPath())
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	var ready map[string]any
 	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusOK {
 		t.Fatalf("/readyz on the healthy pipeline = %d (%v), want 200", code, ready)
 	}
-	s.SetUpdater(failedLogUpdater{pipe})
+	s.PublishLive(failedLogUpdater{pipe}, idx, pipe.IndexPath())
 	if code, out := postUpdate(t, ts.URL, 0, 3, 1); code != http.StatusServiceUnavailable {
 		t.Fatalf("/update on a failed log = %d (%v), want 503", code, out)
 	}
@@ -203,16 +195,66 @@ func TestUpdateOnFailedLog(t *testing.T) {
 	}
 }
 
-func TestUpdateWithoutPipeline(t *testing.T) {
-	ts, _ := testServer(t, false)
-	body := bytes.NewReader([]byte(`{"u":0,"v":1,"w":2}`))
-	resp, err := http.Post(ts.URL+"/update", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
+// TestUpdateAnswersBySnapshot: /update reads the updater from the
+// snapshot it loaded — 503 while no snapshot is published (a -wal server
+// replaying its log at boot), 412 on a static snapshot, 200 on a living
+// one.
+func TestUpdateAnswersBySnapshot(t *testing.T) {
+	pending := httptest.NewServer(NewPending(nil))
+	t.Cleanup(pending.Close)
+	static, _ := testServer(t, false)
+	living, _, _, _ := liveServer(t, 0)
+	for _, c := range []struct {
+		name string
+		url  string
+		want int
+	}{
+		{"pending", pending.URL, http.StatusServiceUnavailable},
+		{"static", static.URL, http.StatusPreconditionFailed},
+		{"living", living.URL, http.StatusOK},
+	} {
+		if code, out := postUpdate(t, c.url, 0, 2, 1); code != c.want {
+			t.Errorf("%s: /update = %d (%v), want %d", c.name, code, out, c.want)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusPreconditionFailed {
-		t.Fatalf("/update without -wal = %d, want 412", resp.StatusCode)
+}
+
+// TestLiveReloadRefusesForeignFile: a living server reloads its own
+// checkpoint (what a compaction publishes, and SIGHUP) and refuses any
+// other file with 409, so /knn, explain and /stats never describe an
+// index of another graph beside the pipeline.
+func TestLiveReloadRefusesForeignFile(t *testing.T) {
+	ts, s, pipe, _ := liveServer(t, 0)
+	gen := s.Generation()
+	foreign := saveLineIndex(t, t.TempDir(), 3)
+	if _, err := s.Reload(foreign); !errors.Is(err, ErrLiveReload) {
+		t.Fatalf("Reload(%s) = %v, want ErrLiveReload", foreign, err)
+	}
+	if code, _ := postReload(t, ts.URL, foreign); code != http.StatusConflict {
+		t.Fatalf("POST /reload of a foreign file = %d, want 409", code)
+	}
+	for _, q := range []string{"/knn?s=4&k=2", "/debug/explain?s=4&t=1"} {
+		if code := getJSON(t, ts.URL+q, new(map[string]any)); code != http.StatusOK {
+			t.Fatalf("%s after the refused reload = %d", q, code)
+		}
+	}
+	var st statsResponse
+	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK || st.Vertices != 6 || st.Generation != gen || st.Source != pipe.IndexPath() {
+		t.Fatalf("/stats after the refused reload = %d %+v, want the checkpoint at generation %d", code, st, gen)
+	}
+	if got := s.ReloadFailures().Value(); got != 0 {
+		t.Fatalf("reload failures = %d after a refusal, want 0", got)
+	}
+	// Its own checkpoint reloads, by path and by an empty body, and the
+	// new generation is still living.
+	if code, out := postReload(t, ts.URL, pipe.IndexPath()); code != http.StatusOK || out.Generation != gen+1 {
+		t.Fatalf("reload of the checkpoint = %d %+v", code, out)
+	}
+	if code, out := postReload(t, ts.URL, ""); code != http.StatusOK || out.Generation != gen+2 {
+		t.Fatalf("empty reload = %d %+v", code, out)
+	}
+	if code, out := postUpdate(t, ts.URL, 0, 4, 1); code != http.StatusOK {
+		t.Fatalf("/update after the reloads = %d (%v)", code, out)
 	}
 }
 

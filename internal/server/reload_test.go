@@ -105,11 +105,7 @@ func TestReloadEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	big := saveLineIndex(t, dir, 9)
 
-	s := NewPending(nil)
-	s.SetLoader(func(path string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(path)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	s.Publish(pll.Build(lineGraph(4), pll.Options{}), nil, "")
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -174,11 +170,7 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 	a := saveLineIndex(t, dir, 6)
 	b := saveLineIndex(t, dir, 9)
 
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	first, err := fileio.LoadIndex(a)
 	if err != nil {
 		t.Fatal(err)
@@ -217,11 +209,7 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 func TestReloadBodyTooLarge(t *testing.T) {
 	dir := t.TempDir()
 	path := saveLineIndex(t, dir, 4)
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	s.Publish(pll.Build(lineGraph(4), pll.Options{}), nil, path)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -253,13 +241,11 @@ func TestReloadBusy(t *testing.T) {
 	path := saveLineIndex(t, dir, 4)
 	block := make(chan struct{})
 	entered := make(chan struct{})
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
+	s := NewPending(&Options{Loader: func(p string) (*label.Index, error) {
 		close(entered)
 		<-block
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+		return fileio.LoadIndex(p)
+	}})
 	s.Publish(pll.Build(lineGraph(4), pll.Options{}), nil, path)
 
 	done := make(chan error, 1)
@@ -284,11 +270,7 @@ func TestReloadRebuildsKNN(t *testing.T) {
 	small := saveLineIndex(t, dir, 3)
 	big := saveLineIndex(t, dir, 8)
 
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	first, err := fileio.LoadIndex(small)
 	if err != nil {
 		t.Fatal(err)
@@ -336,11 +318,7 @@ func TestHotReloadHammer(t *testing.T) {
 	if err := fileio.SaveIndex(paths[1], pll.Build(lineGraph(6), pll.Options{})); err != nil {
 		t.Fatal(err)
 	}
-	s := NewPending(nil)
-	s.SetLoader(func(p string) (*label.Index, *pathidx.Index, error) {
-		idx, err := fileio.LoadIndex(p)
-		return idx, nil, err
-	})
+	s := NewPending(&Options{Loader: fileio.LoadIndex})
 	s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)

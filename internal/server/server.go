@@ -14,11 +14,12 @@
 //	GET  /knn?s=A&k=N     → k closest vertices with exact distances
 //	GET  /stats           → index size statistics + generation/format
 //	POST /update          ← {"u":A,"v":B,"w":W}
-//	                      → durably inserts an edge when the server runs
-//	                        the living-graph pipeline (-wal); 412 otherwise
+//	                      → durably inserts an edge when the published
+//	                        snapshot is living (-wal); 412 otherwise
 //	POST /reload          ← optional {"path":"other.idx"}
 //	                      → swaps in a freshly loaded index (409 if a
-//	                        reload is already running; see Reload)
+//	                        reload is already running, or if a living
+//	                        server is asked for another file; see Reload)
 //	GET  /readyz          → 200 once an index is published, 503 while
 //	                        the initial load/build is still running and,
 //	                        with -wal, once the log has failed (reads are
@@ -51,15 +52,23 @@
 //
 // # Living-graph mode
 //
-// With SetUpdater installed (the -wal serving mode), the snapshot's
-// query surface is the updatable pipeline itself instead of the
-// immutable index: distances then mutate WITHIN a generation as edges
-// arrive, so the generation-keyed distance cache is deliberately
+// A snapshot published by PublishLive (the -wal serving mode) carries an
+// Updater, and its query surface is that updatable pipeline instead of
+// the immutable index: distances then mutate WITHIN a generation as
+// edges arrive, so the generation-keyed distance cache is deliberately
 // bypassed — a cached answer could overestimate a pair an insert just
-// shortened. Publish still swaps snapshots for the metadata surfaces
-// (/stats, /knn, /path), which is how a background compaction rolls
-// the checkpoint artifact in through the same /reload + generation
-// machinery a static server uses.
+// shortened. The index beside it is the checkpoint artifact behind
+// /stats, /knn and /debug/explain. A background compaction rolls the
+// next checkpoint in through Reload of the same file, which carries the
+// updater forward into the new generation; a reload of any other file
+// is refused (ErrLiveReload), since an index of another graph beside the
+// pipeline would answer /knn and explain from the wrong graph.
+// /update, /readyz, /stats and /metrics read the updater from the
+// snapshot they loaded, so before the first publish /update answers 503
+// like every other snapshot endpoint.
+//
+// Configuration is fixed at construction (Options); the only setter,
+// SetCacheEntries, must run before the first Publish.
 package server
 
 import (
@@ -98,6 +107,7 @@ type snapshot struct {
 	idx    *label.Index
 	ora    oracle.Oracle // the query surface handlers program against
 	pidx   *pathidx.Index
+	up     Updater // non-nil in living-graph mode; then ora == up
 	gen    uint64
 	source string // file the index was loaded from; "" if in-memory
 	loaded time.Time
@@ -113,14 +123,13 @@ func (sn *snapshot) knnIndex() *knn.Index {
 	return sn.knn
 }
 
-// Loader loads serving state from an index file for Reload. Returning a
-// nil path index means "keep the current snapshot's path index" (path
-// indexes are built from the graph, which a reload of the distance
-// artifact does not see) — but the old path index is only carried over
-// when the reload re-reads the same source file and the vertex counts
-// still match; reloading a different artifact drops it (404 on /path),
-// since a path index for another graph would answer with wrong paths.
-type Loader func(path string) (*label.Index, *pathidx.Index, error)
+// Loader loads an index file for Reload. The path index, which is built
+// from the graph and not part of the artifact, is the current
+// snapshot's: it is carried over only when the reload re-reads the same
+// source file and the vertex counts still match. Reloading a different
+// artifact drops it (404 on /path), since a path index for another graph
+// would answer with wrong paths.
+type Loader func(path string) (*label.Index, error)
 
 // Reload error sentinels, mapped to HTTP statuses by POST /reload.
 var (
@@ -129,6 +138,9 @@ var (
 	ErrNoLoader = errors.New("server: no loader configured")
 	// ErrReloadBusy means another reload is still in progress.
 	ErrReloadBusy = errors.New("server: reload already in progress")
+	// ErrLiveReload means a living-graph server was asked to load a file
+	// other than its own checkpoint.
+	ErrLiveReload = errors.New("server: a living graph reloads only its own checkpoint")
 )
 
 // Updater is the living-graph seam behind POST /update: an updatable
@@ -144,56 +156,62 @@ type Updater interface {
 // The production updater.
 var _ Updater = (*compact.Pipeline)(nil)
 
+// Options configures a Server. NewPending reads it once; nothing
+// changes it afterwards. Every field is optional.
+type Options struct {
+	// Registry records the server's metrics (nil: a registry of its
+	// own), so the embedding process can share one with what else it
+	// instruments.
+	Registry *metrics.Registry
+	// Loader loads index files for Reload (nil: Reload answers
+	// ErrNoLoader).
+	Loader Loader
+	// BatchThreads caps the fan-out of one /batch request, so a single
+	// large batch cannot monopolize every core against other requests
+	// (<= 0: min(4, GOMAXPROCS)).
+	BatchThreads int
+	// SlowThreshold is the wall time at or above which a request enters
+	// the /debug/slow log (0: 100 ms; negative: the log stays empty).
+	SlowThreshold time.Duration
+	// Tracer records a span for each sampled request and arms
+	// /debug/trace (nil: tracing off).
+	Tracer *trace.Tracer
+	// Flight is the recorder behind /debug/bundle, which also dumps a
+	// bundle when a handler panics (nil: /debug/bundle answers 412).
+	Flight *flight.Recorder
+	// Watchdog is the verdict source behind /debug/health; its owner
+	// starts and stops it (nil: /debug/health answers 412).
+	Watchdog *flight.Watchdog
+	// QueryWindow receives the latency in microseconds of every /query
+	// and /batch request. Pass the same histogram to the watchdog's
+	// latency rule: the server only observes, the watchdog rotates and
+	// judges.
+	QueryWindow *metrics.WindowedHistogram
+}
+
 // Server answers distance queries over HTTP from an atomically swappable
 // index snapshot.
 type Server struct {
+	opt      Options // as NewPending was given it, Registry and BatchThreads filled in
 	snap     atomic.Pointer[snapshot]
 	gen      atomic.Uint64
-	loader   atomic.Pointer[Loader] // atomic: SetLoader may race with SIGHUP/`/reload`
-	reloadMu sync.Mutex             // held for the duration of one reload
+	reloadMu sync.Mutex // held for the duration of one reload
 
 	mux        *http.ServeMux
-	reg        *metrics.Registry
 	inflight   *metrics.Gauge
 	generation *metrics.Gauge
 
-	// cache, when non-nil, fronts every snapshot published after
+	// cache, when non-nil, fronts every static snapshot published after
 	// SetCacheEntries with a generation-keyed distance cache; entries
 	// from a pre-reload generation can never answer post-reload queries.
 	cache *qcache.Cache
-	// batchThreads caps the fan-out of one /batch request so a single
-	// large batch cannot monopolize every core against other requests.
-	batchThreads atomic.Int32
 
-	// Request tracing: sampled request spans land in per-lane ring
-	// buffers (lane = round-robin over requestLanes tids) so concurrent
-	// requests never contend on one ring. nil tracer = tracing off; the
-	// per-request cost is then a single atomic load.
-	tracer    atomic.Pointer[trace.Tracer]
+	// Sampled request spans land in per-lane trace ring buffers (lane =
+	// round-robin over requestLanes tids) so concurrent requests never
+	// contend on one ring.
 	traceLane atomic.Uint64
 	captureMu sync.Mutex // serializes /debug/trace live captures
 	slow      *SlowLog
-
-	// updater, when set, switches the server into living-graph mode:
-	// POST /update accepts edges, every published snapshot queries
-	// through the updater, and the distance cache is bypassed (see the
-	// package doc). Gauges mirror the pipeline's Stats on demand.
-	updater      atomic.Pointer[Updater]
-	walRecords   *metrics.Gauge
-	walBytes     *metrics.Gauge
-	compactGen   *metrics.Gauge
-	lastCompact  *metrics.Gauge
-	deltaEntries *metrics.Gauge
-
-	// Diagnostics seams, installed by cmd/parapll-server: the flight
-	// recorder behind /debug/bundle (and the automatic dump when a
-	// handler panics), the watchdog behind /debug/health, and the
-	// windowed query-latency histogram the watchdog's p99 rule evaluates
-	// (fed by the /query and /batch middleware; the watchdog owns its
-	// rotation). All atomic so they can be armed after traffic starts.
-	flightRec   atomic.Pointer[flight.Recorder]
-	watchdog    atomic.Pointer[flight.Watchdog]
-	queryWindow atomic.Pointer[metrics.WindowedHistogram]
 
 	// reloadFailures counts failed reloads (HTTP and SIGHUP alike) — the
 	// watchdog's reload-failure rule watches its per-window delta.
@@ -205,39 +223,43 @@ type Server struct {
 // spread across, starting at trace.TIDRequestBase.
 const requestLanes = 32
 
-// Slow-log defaults; tune with Server.SlowQueries().SetThreshold.
+// Slow-log defaults.
 const (
 	defaultSlowCapacity  = 256
 	defaultSlowThreshold = 100 * time.Millisecond
 )
 
-// New builds the handler with its own metrics registry and the given
-// in-memory serving state. pidx may be nil to disable /path.
-func New(idx *label.Index, pidx *pathidx.Index) *Server {
-	return NewWithRegistry(idx, pidx, metrics.NewRegistry())
-}
-
-// NewWithRegistry builds the handler recording into reg, letting the
-// embedding process (cmd/parapll-server) share one registry between the
-// HTTP layer and anything else it instruments.
-func NewWithRegistry(idx *label.Index, pidx *pathidx.Index, reg *metrics.Registry) *Server {
-	s := NewPending(reg)
-	s.Publish(idx, pidx, "")
-	return s
-}
-
-// NewPending builds a handler with no index yet: /readyz (and every
-// query endpoint) answers 503 until Publish installs the first
-// snapshot. This lets the listener come up immediately while the index
-// loads or builds in the background, so orchestrators can probe
-// readiness instead of timing out on connect. reg may be nil.
-func NewPending(reg *metrics.Registry) *Server {
-	if reg == nil {
-		reg = metrics.NewRegistry()
+// NewPending builds a handler configured by o (nil: every default) with
+// no index yet: /readyz (and every snapshot endpoint) answers 503 until
+// Publish or PublishLive installs the first snapshot. This lets the
+// listener come up immediately while the index loads or builds in the
+// background, so orchestrators can probe readiness instead of timing
+// out on connect.
+func NewPending(o *Options) *Server {
+	s := &Server{mux: http.NewServeMux()}
+	if o != nil {
+		s.opt = *o
 	}
-	s := &Server{mux: http.NewServeMux(), reg: reg}
-	s.batchThreads.Store(int32(defaultBatchThreads()))
-	s.slow = NewSlowLog(defaultSlowCapacity, defaultSlowThreshold)
+	if s.opt.Registry == nil {
+		s.opt.Registry = metrics.NewRegistry()
+	}
+	if s.opt.BatchThreads <= 0 {
+		s.opt.BatchThreads = defaultBatchThreads()
+	}
+	if s.opt.SlowThreshold == 0 {
+		s.opt.SlowThreshold = defaultSlowThreshold
+	}
+	s.slow = NewSlowLog(defaultSlowCapacity, s.opt.SlowThreshold)
+	if tr := s.opt.Tracer; tr != nil {
+		tr.SetProcessName("parapll-server")
+		tr.SetThreadName(trace.TIDCache, "qcache")
+		tr.SetThreadName(trace.TIDWAL, "wal")
+		tr.SetThreadName(trace.TIDCompact, "compactor")
+		for i := 0; i < requestLanes; i++ {
+			tr.SetThreadName(trace.TIDRequestBase+i, fmt.Sprintf("http lane %d", i))
+		}
+	}
+	reg := s.opt.Registry
 	s.inflight = reg.Gauge("http.inflight")
 	s.generation = reg.Gauge("index.generation")
 	s.reloadFailures = reg.Counter("reload.failures_total")
@@ -247,7 +269,7 @@ func NewPending(reg *metrics.Registry) *Server {
 	s.handleSnap("/path", http.MethodGet, s.handlePath)
 	s.handleSnap("/knn", http.MethodGet, s.handleKNN)
 	s.handleSnap("/stats", http.MethodGet, s.handleStats)
-	s.handle("/update", http.MethodPost, s.handleUpdate)
+	s.handleSnap("/update", http.MethodPost, s.handleUpdate)
 	s.handle("/reload", http.MethodPost, s.handleReload)
 	s.handle("/readyz", http.MethodGet, s.handleReadyz)
 	s.handle("/healthz", http.MethodGet, s.handleHealthz)
@@ -260,50 +282,10 @@ func NewPending(reg *metrics.Registry) *Server {
 	return s
 }
 
-// SetFlight installs (or removes, with nil) the flight recorder behind
-// GET /debug/bundle; once set, a handler panic also dumps a bundle
-// before the 500 goes out. Safe to call concurrently with traffic.
-func (s *Server) SetFlight(rec *flight.Recorder) { s.flightRec.Store(rec) }
-
-// Flight returns the installed flight recorder (nil if none).
-func (s *Server) Flight() *flight.Recorder { return s.flightRec.Load() }
-
-// SetWatchdog installs the anomaly watchdog behind GET /debug/health.
-// The caller owns its lifecycle (Start/Stop); the server only reads
-// verdicts. Safe to call concurrently with traffic.
-func (s *Server) SetWatchdog(w *flight.Watchdog) { s.watchdog.Store(w) }
-
-// Watchdog returns the installed watchdog (nil if none).
-func (s *Server) Watchdog() *flight.Watchdog { return s.watchdog.Load() }
-
-// SetQueryLatencyWindow points the /query and /batch middleware at a
-// windowed histogram (microseconds). Pass the same histogram to the
-// watchdog's latency rule: the middleware only observes, the watchdog
-// rotates and judges.
-func (s *Server) SetQueryLatencyWindow(h *metrics.WindowedHistogram) {
-	s.queryWindow.Store(h)
-}
-
 // ReloadFailures returns the counter behind the watchdog's
 // reload-failure rule, so cmd/parapll-server can register the rule on
 // the exact counter the serve path increments.
 func (s *Server) ReloadFailures() *metrics.Counter { return s.reloadFailures }
-
-// SetTracer installs (or, with nil, removes) the tracer behind sampled
-// request spans and GET /debug/trace. Wired from the -trace-sample flag
-// by cmd/parapll-server; safe to call concurrently with traffic.
-func (s *Server) SetTracer(tr *trace.Tracer) {
-	if tr != nil {
-		tr.SetProcessName("parapll-server")
-		tr.SetThreadName(trace.TIDCache, "qcache")
-		tr.SetThreadName(trace.TIDWAL, "wal")
-		tr.SetThreadName(trace.TIDCompact, "compactor")
-		for i := 0; i < requestLanes; i++ {
-			tr.SetThreadName(trace.TIDRequestBase+i, fmt.Sprintf("http lane %d", i))
-		}
-	}
-	s.tracer.Store(tr)
-}
 
 // defaultBatchThreads is the /batch fan-out when no -batch-threads flag
 // overrides it: up to 4 goroutines, but never more than the machine
@@ -320,19 +302,6 @@ func defaultBatchThreads() int {
 	return n
 }
 
-// SetBatchThreads sets the per-/batch-request fan-out; n <= 0 restores
-// the default min(4, GOMAXPROCS). Safe to call concurrently with
-// traffic.
-func (s *Server) SetBatchThreads(n int) {
-	if n <= 0 {
-		n = defaultBatchThreads()
-	}
-	s.batchThreads.Store(int32(n))
-}
-
-// BatchThreads returns the current per-request /batch fan-out.
-func (s *Server) BatchThreads() int { return int(s.batchThreads.Load()) }
-
 // SetCacheEntries bounds the (s,t) distance cache fronting every
 // snapshot published afterwards; entries <= 0 disables caching. The
 // cache holds at most entries answers, fewer when qcache.New rounds
@@ -347,9 +316,9 @@ func (s *Server) SetCacheEntries(entries int) {
 	}
 	c := qcache.New(entries)
 	c.SetCounters(
-		s.reg.Counter("cache.hits"),
-		s.reg.Counter("cache.misses"),
-		s.reg.Counter("cache.evictions"),
+		s.opt.Registry.Counter("cache.hits"),
+		s.opt.Registry.Counter("cache.misses"),
+		s.opt.Registry.Counter("cache.evictions"),
 	)
 	s.cache = c
 }
@@ -357,57 +326,34 @@ func (s *Server) SetCacheEntries(entries int) {
 // Cache returns the configured distance cache (nil when disabled).
 func (s *Server) Cache() *qcache.Cache { return s.cache }
 
-// SetUpdater switches the server into living-graph mode: POST /update
-// routes edge inserts to u, snapshots published afterwards serve
-// queries through u (uncached — see the package doc), and the wal.* /
-// compact.* gauges mirror u's Stats at every scrape. Call before the
-// first Publish, as cmd/parapll-server does when started with -wal.
-func (s *Server) SetUpdater(u Updater) {
-	if s.walRecords == nil {
-		s.walRecords = s.reg.Gauge("wal.records")
-		s.walBytes = s.reg.Gauge("wal.bytes")
-		s.compactGen = s.reg.Gauge("compact.generation")
-		s.lastCompact = s.reg.Gauge("compact.last_unix_nano")
-		s.deltaEntries = s.reg.Gauge("compact.delta_entries")
-	}
-	s.updater.Store(&u)
-}
-
-// Updater returns the installed living-graph updater (nil if none).
+// Updater returns the current snapshot's living-graph updater (nil
+// before the first publish and on a static snapshot).
 func (s *Server) Updater() Updater {
-	if up := s.updater.Load(); up != nil {
-		return *up
+	if sn := s.snap.Load(); sn != nil {
+		return sn.up
 	}
 	return nil
 }
 
-// refreshUpdaterGauges mirrors the pipeline's stats into the registry.
-// Called at scrape/stat time rather than per update: gauges are
-// point-in-time reads anyway, and this keeps /update's hot path to the
-// pipeline's own work.
-func (s *Server) refreshUpdaterGauges() *compact.Stats {
-	up := s.Updater()
+// walStats reads up's stats and mirrors them into the wal.* / compact.*
+// gauges, or returns nil when up is nil. Called at scrape/stat time rather
+// than per update: gauges are point-in-time reads anyway, and this
+// keeps /update's hot path to the pipeline's own work.
+func (s *Server) walStats(up Updater) *compact.Stats {
 	if up == nil {
 		return nil
 	}
 	st := up.Stats()
-	s.walRecords.Set(int64(st.WALRecords))
-	s.walBytes.Set(st.WALBytes)
-	s.compactGen.Set(int64(st.Compactions))
-	s.lastCompact.Set(st.LastCompactUnixNano)
-	s.deltaEntries.Set(st.DeltaEntries)
+	s.opt.Registry.Gauge("wal.records").Set(int64(st.WALRecords))
+	s.opt.Registry.Gauge("wal.bytes").Set(st.WALBytes)
+	s.opt.Registry.Gauge("compact.generation").Set(int64(st.Compactions))
+	s.opt.Registry.Gauge("compact.last_unix_nano").Set(st.LastCompactUnixNano)
+	s.opt.Registry.Gauge("compact.delta_entries").Set(st.DeltaEntries)
 	return &st
 }
 
-// Tracer returns the installed tracer (nil if none).
-func (s *Server) Tracer() *trace.Tracer { return s.tracer.Load() }
-
-// SlowQueries returns the slow-request log exposed at /debug/slow, so
-// the embedding process can tune its threshold (-slow-ms).
-func (s *Server) SlowQueries() *SlowLog { return s.slow }
-
 // Registry returns the registry this server records into.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
+func (s *Server) Registry() *metrics.Registry { return s.opt.Registry }
 
 // Generation returns the current snapshot's generation (0 = none yet).
 func (s *Server) Generation() uint64 {
@@ -417,32 +363,32 @@ func (s *Server) Generation() uint64 {
 	return 0
 }
 
-// SetLoader configures how Reload loads index files. Typically wired to
-// fileio.LoadIndex by cmd/parapll-server when started with -index. Safe
-// to call concurrently with in-flight reloads; a reload already past
-// its loader lookup finishes with the loader it picked up.
-func (s *Server) SetLoader(l Loader) { s.loader.Store(&l) }
-
-// Publish atomically swaps in new serving state and returns its
+// Publish atomically swaps in new static serving state and returns its
 // generation. In-flight requests keep the snapshot they started with;
 // new requests see the new one. Safe to call concurrently with
 // traffic.
 func (s *Server) Publish(idx *label.Index, pidx *pathidx.Index, source string) uint64 {
-	return s.publish(idx, pidx, source).gen
+	return s.publish(nil, idx, pidx, source).gen
+}
+
+// PublishLive is Publish in living-graph mode: the snapshot serves
+// queries and POST /update through up (uncached — see the package doc),
+// with idx, loaded from source, as the checkpoint artifact beside it.
+func (s *Server) PublishLive(up Updater, idx *label.Index, source string) uint64 {
+	return s.publish(up, idx, nil, source).gen
 }
 
 // publish is Publish returning the stored snapshot itself, so callers
 // that need the published state (handleReload's response) read the
 // snapshot they created instead of re-loading the pointer — a second
 // load could observe a different, concurrent publish.
-func (s *Server) publish(idx *label.Index, pidx *pathidx.Index, source string) *snapshot {
+func (s *Server) publish(up Updater, idx *label.Index, pidx *pathidx.Index, source string) *snapshot {
 	gen := s.gen.Add(1)
 	ora := oracle.Oracle(idx)
-	if up := s.Updater(); up != nil {
-		// Living-graph mode: the pipeline is the query surface — idx is
-		// only the checkpoint artifact behind /stats, /knn and /path.
-		// No cache wrap: distances mutate within this generation, and a
-		// cached overestimate would survive the insert that shortened it.
+	if up != nil {
+		// Living-graph mode: the pipeline is the query surface. No cache
+		// wrap: distances mutate within this generation, and a cached
+		// overestimate would survive the insert that shortened it.
 		ora = up
 	} else if s.cache != nil {
 		// label.Index is undirected, so (s,t) and (t,s) share one cache
@@ -450,13 +396,14 @@ func (s *Server) publish(idx *label.Index, pidx *pathidx.Index, source string) *
 		// reload can never serve distances from the previous graph.
 		ora = qcache.Wrap(idx, s.cache, gen, qcache.Options{
 			Symmetric: true,
-			Tracer:    s.tracer.Load,
+			Tracer:    s.opt.Tracer,
 		})
 	}
 	sn := &snapshot{
 		idx:    idx,
 		ora:    ora,
 		pidx:   pidx,
+		up:     up,
 		gen:    gen,
 		source: source,
 		loaded: time.Now(),
@@ -469,12 +416,13 @@ func (s *Server) publish(idx *label.Index, pidx *pathidx.Index, source string) *
 // Reload loads an index file and publishes it. An empty path reloads
 // the current snapshot's source file. Only one reload runs at a time
 // (ErrReloadBusy otherwise); queries are never blocked — they serve the
-// old snapshot until the atomic swap. If the loader returns no path
-// index, the current snapshot's path index is carried over only when
-// the reload re-reads the same source file and the vertex counts still
-// match — a path index validated against a different artifact would
-// panic or answer paths from the wrong graph. Otherwise the new
-// snapshot has no path index and /path answers 404.
+// old snapshot until the atomic swap. The current snapshot's path index
+// is carried over only when the reload re-reads the same source file
+// and the vertex counts still match — a path index validated against a
+// different artifact would panic or answer paths from the wrong graph.
+// Otherwise the new snapshot has no path index and /path answers 404.
+// A living snapshot's updater is carried over too, and it reloads only
+// its own checkpoint (ErrLiveReload otherwise).
 func (s *Server) Reload(path string) (uint64, error) {
 	sn, err := s.reload(path)
 	if err != nil {
@@ -484,27 +432,27 @@ func (s *Server) Reload(path string) (uint64, error) {
 }
 
 // reload implements Reload and returns the snapshot it published. The
-// current snapshot is loaded exactly once, up front: both the empty-path
-// resolution and the pidx carry-over decision read that one value, so a
-// concurrent publish mid-reload cannot split the decisions across
-// generations (the original form of PR 3's stale-pidx bug).
+// current snapshot is loaded exactly once, up front: the empty-path
+// resolution, the living-graph check and the pidx carry-over decision
+// read that one value, so a concurrent publish mid-reload cannot split
+// the decisions across generations (the original form of PR 3's
+// stale-pidx bug).
 func (s *Server) reload(path string) (*snapshot, error) {
 	sn, err := s.reloadInner(path)
-	if err != nil && !errors.Is(err, ErrReloadBusy) {
-		// Busy is back-pressure, not a failure of the serving artifact;
-		// everything else feeds the watchdog's reload-failure rule and
-		// the flight recorder's error ring.
+	if err != nil && !errors.Is(err, ErrReloadBusy) && !errors.Is(err, ErrLiveReload) {
+		// Busy and a refused path are the 409s, not failures of the
+		// serving artifact; everything else feeds the watchdog's
+		// reload-failure rule and the flight recorder's error ring.
 		s.reloadFailures.Inc()
-		if rec := s.flightRec.Load(); rec != nil {
-			rec.RecordError("reload", err)
+		if s.opt.Flight != nil {
+			s.opt.Flight.RecordError("reload", err)
 		}
 	}
 	return sn, err
 }
 
 func (s *Server) reloadInner(path string) (*snapshot, error) {
-	lp := s.loader.Load()
-	if lp == nil || *lp == nil {
+	if s.opt.Loader == nil {
 		return nil, ErrNoLoader
 	}
 	if !s.reloadMu.TryLock() {
@@ -512,23 +460,27 @@ func (s *Server) reloadInner(path string) (*snapshot, error) {
 	}
 	defer s.reloadMu.Unlock()
 	cur := s.snap.Load()
-	if path == "" && cur != nil {
+	if cur == nil {
+		cur = &snapshot{} // nothing published: no source, path index or updater to carry
+	}
+	if path == "" {
 		path = cur.source
 	}
 	if path == "" {
 		return nil, fmt.Errorf("server: no index path to reload (served index was built in memory)")
 	}
-	idx, pidx, err := (*lp)(path)
+	if cur.up != nil && path != cur.source {
+		return nil, fmt.Errorf("%w: serving %s, asked for %s", ErrLiveReload, cur.source, path)
+	}
+	idx, err := s.opt.Loader(path)
 	if err != nil {
 		return nil, fmt.Errorf("server: reloading %s: %w", path, err)
 	}
-	if pidx == nil {
-		if cur != nil && cur.pidx != nil &&
-			path == cur.source && cur.pidx.NumVertices() == idx.NumVertices() {
-			pidx = cur.pidx
-		}
+	var pidx *pathidx.Index
+	if cur.pidx != nil && path == cur.source && cur.pidx.NumVertices() == idx.NumVertices() {
+		pidx = cur.pidx
 	}
-	return s.publish(idx, pidx, path), nil
+	return s.publish(cur.up, idx, pidx, path), nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -579,13 +531,16 @@ func (w *statusWriter) WriteHeader(code int) {
 // request is sampled, a per-request trace span.
 func (s *Server) handle(path, method string, h http.HandlerFunc) {
 	name := strings.TrimPrefix(path, "/")
-	requests := s.reg.Counter("http.requests." + name)
-	errorsC := s.reg.Counter("http.errors." + name)
-	latency := s.reg.Histogram("http.latency_us."+name, metrics.DefaultLatencyBuckets)
+	requests := s.opt.Registry.Counter("http.requests." + name)
+	errorsC := s.opt.Registry.Counter("http.errors." + name)
+	latency := s.opt.Registry.Histogram("http.latency_us."+name, metrics.DefaultLatencyBuckets)
 	spanName := "http " + name
 	// The watchdog's query-p99 rule judges the user-visible distance
 	// endpoints, not debug or admin traffic.
-	windowed := path == "/query" || path == "/batch"
+	var window *metrics.WindowedHistogram
+	if path == "/query" || path == "/batch" {
+		window = s.opt.QueryWindow
+	}
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		s.inflight.Inc()
@@ -600,10 +555,8 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 		elapsed := time.Since(start)
 		s.inflight.Dec() // not deferred: invoke lets no handler panic through
 		latency.Observe(elapsed.Microseconds())
-		if windowed {
-			if qw := s.queryWindow.Load(); qw != nil {
-				qw.Observe(elapsed.Microseconds())
-			}
+		if window != nil {
+			window.Observe(elapsed.Microseconds())
 		}
 		status, gen, cache := sw.status, sw.gen, sw.cache
 		sw.ResponseWriter = nil
@@ -615,7 +568,7 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 			status = http.StatusOK // handler wrote the body without WriteHeader
 		}
 		s.slow.Observe(r.Method, path, r.URL.RawQuery, status, gen, cache, start, elapsed)
-		if tr := s.tracer.Load(); tr.Sample() {
+		if tr := s.opt.Tracer; tr.Sample() {
 			lane := trace.TIDRequestBase + int(s.traceLane.Add(1)%requestLanes)
 			id := tr.Intern(spanName, "status")
 			t1 := tr.At(start)
@@ -637,8 +590,8 @@ func (s *Server) invoke(h http.HandlerFunc, sw *statusWriter, r *http.Request, s
 			return
 		}
 		s.panics.Inc()
-		if rec := s.flightRec.Load(); rec != nil {
-			rec.TriggerPanic(spanName, p)
+		if s.opt.Flight != nil {
+			s.opt.Flight.TriggerPanic(spanName, p)
 		}
 		writeErr(sw, http.StatusInternalServerError, fmt.Errorf("internal panic: %v", p))
 	}()
@@ -756,7 +709,7 @@ func (s *Server) handleBatch(sn *snapshot, w http.ResponseWriter, r *http.Reques
 			return
 		}
 	}
-	b.out = appendBatchReply(b.out[:0], sn.ora.QueryBatch(pairs, int(s.batchThreads.Load())))
+	b.out = appendBatchReply(b.out[:0], sn.ora.QueryBatch(pairs, s.opt.BatchThreads))
 	writeReply(w, b.out)
 }
 
@@ -862,7 +815,7 @@ func (s *Server) statsPayload(sn *snapshot) statsResponse {
 		st := s.cache.Stats()
 		resp.Cache = &st
 	}
-	resp.Wal = s.refreshUpdaterGauges()
+	resp.Wal = s.walStats(sn.up)
 	return resp
 }
 
@@ -902,10 +855,11 @@ type updateResponse struct {
 // handleUpdate serves POST /update: durably insert one undirected edge
 // through the living-graph pipeline. The pipeline acknowledges only
 // after the WAL fsync, so a 200 here means the edge survives kill -9.
-// Without -wal the endpoint answers 412; invalid edges 400; any insert
-// once a write or fsync of the log has failed 503, until a restart.
-func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	up := s.Updater()
+// On a static snapshot the endpoint answers 412; invalid edges 400; any
+// insert once a write or fsync of the log has failed 503, until a
+// restart.
+func (s *Server) handleUpdate(sn *snapshot, w http.ResponseWriter, r *http.Request) {
+	up := sn.up
 	if up == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("server was started without -wal (no living-graph pipeline)"))
@@ -948,7 +902,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, updateResponse{
 		Status:     "ok",
 		WalRecords: up.Stats().WALRecords,
-		Generation: s.Generation(),
+		Generation: sn.gen,
 	})
 }
 
@@ -994,7 +948,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	sn, err := s.reload(req.Path)
 	if err != nil {
 		switch {
-		case errors.Is(err, ErrReloadBusy):
+		case errors.Is(err, ErrReloadBusy), errors.Is(err, ErrLiveReload):
 			writeErr(w, http.StatusConflict, err)
 		case errors.Is(err, ErrNoLoader):
 			writeErr(w, http.StatusPreconditionFailed, err)
@@ -1025,8 +979,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	// A living graph whose log has failed still answers reads, but takes
 	// no update until it is restarted: not ready, and this is why.
-	if up := s.Updater(); up != nil {
-		if reason := up.Stats().WALFailed; reason != "" {
+	if sn.up != nil {
+		if reason := sn.up.Stats().WALFailed; reason != "" {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "wal failed", "reason": reason})
 			return
 		}
@@ -1039,17 +993,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.refreshUpdaterGauges() // wal.*/compact.* gauges are scrape-time reads
+	if sn := s.snap.Load(); sn != nil {
+		s.walStats(sn.up) // wal.*/compact.* gauges are scrape-time reads
+	}
 	// Content negotiation: Prometheus scrapers ask for text/plain (the
 	// exposition format); everything else keeps the JSON snapshot.
 	if accept := r.Header.Get("Accept"); strings.Contains(accept, "text/plain") &&
 		!strings.Contains(accept, "application/json") {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
-		metrics.WritePrometheus(w, s.reg.Snapshot())
+		metrics.WritePrometheus(w, s.opt.Registry.Snapshot())
 		return
 	}
-	writeJSON(w, http.StatusOK, s.reg.Snapshot())
+	writeJSON(w, http.StatusOK, s.opt.Registry.Snapshot())
 }
 
 // slowResponse is the /debug/slow reply.
@@ -1063,7 +1019,7 @@ type slowResponse struct {
 // requests slower than the threshold, newest first.
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, slowResponse{
-		ThresholdUS: s.slow.Threshold().Microseconds(),
+		ThresholdUS: s.slow.threshold.Microseconds(),
 		Total:       s.slow.Total(),
 		Entries:     s.slow.Entries(),
 	})
@@ -1078,7 +1034,7 @@ const maxCaptureSec = 60.0
 // JSON and restore the tracer's previous state. One capture at a time;
 // a concurrent request gets 409.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	tr := s.tracer.Load()
+	tr := s.opt.Tracer
 	if tr == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("no tracer configured (start the server with -trace-sample)"))
@@ -1168,7 +1124,7 @@ func (s *Server) handleDebugExplain(sn *snapshot, w http.ResponseWriter, r *http
 		}
 		resp.Cache = ec
 	}
-	if s.Updater() != nil {
+	if sn.up != nil {
 		resp.Note = "living-graph mode: explain reflects the checkpoint index; " +
 			"live queries go through the update pipeline and may differ"
 	}
@@ -1178,7 +1134,7 @@ func (s *Server) handleDebugExplain(sn *snapshot, w http.ResponseWriter, r *http
 // handleDebugHealth serves GET /debug/health: every SLO rule's current
 // verdict. 412 until cmd/parapll-server arms the watchdog (-slo-*).
 func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
-	wd := s.watchdog.Load()
+	wd := s.opt.Watchdog
 	if wd == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("no watchdog configured (start the server with -slo-window-ms)"))
@@ -1192,7 +1148,7 @@ func (s *Server) handleDebugHealth(w http.ResponseWriter, r *http.Request) {
 // bundle back; the same bytes also land in the on-disk spool. 412 until
 // cmd/parapll-server arms the recorder (-flight).
 func (s *Server) handleDebugBundle(w http.ResponseWriter, r *http.Request) {
-	rec := s.flightRec.Load()
+	rec := s.opt.Flight
 	if rec == nil {
 		writeErr(w, http.StatusPreconditionFailed,
 			errors.New("no flight recorder configured (start the server with -flight)"))

@@ -15,17 +15,24 @@ import (
 	"parapll/internal/sssp"
 )
 
+// testGraph is the path 0-1-2-3 with weights 3, 4, 5; vertex 4 is
+// isolated.
+func testGraph() *graph.Graph {
+	return graph.FromEdges(5, []graph.Edge{
+		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5},
+	})
+}
+
 func testServer(t *testing.T, withPath bool) (*httptest.Server, *graph.Graph) {
 	t.Helper()
-	g := graph.FromEdges(5, []graph.Edge{
-		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5},
-	}) // vertex 4 isolated
-	idx := pll.Build(g, pll.Options{})
+	g := testGraph()
 	var pidx *pathidx.Index
 	if withPath {
 		pidx = pathidx.Build(g, pathidx.Options{Threads: 1})
 	}
-	ts := httptest.NewServer(New(idx, pidx))
+	s := NewPending(nil)
+	s.Publish(pll.Build(g, pll.Options{}), pidx, "")
+	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return ts, g
 }

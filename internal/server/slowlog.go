@@ -10,11 +10,10 @@ import (
 // requests, fed by the serving middleware and exposed at
 // GET /debug/slow. A fixed ring under a mutex: observing is O(1), the
 // newest entries win, and memory is bounded no matter how bad a day the
-// service is having. The threshold is atomic so it can be tuned at
-// runtime without pausing traffic.
+// service is having.
 type SlowLog struct {
-	thresholdNs atomic.Int64
-	total       atomic.Uint64 // slow requests ever observed (incl. evicted)
+	threshold time.Duration // <= 0 disables
+	total     atomic.Uint64 // slow requests ever observed (incl. evicted)
 
 	mu   sync.Mutex
 	ring []SlowEntry
@@ -64,24 +63,13 @@ func cacheString(c int8) string {
 }
 
 // NewSlowLog returns a log holding the most recent `capacity` slow
-// requests; requests at or above `threshold` are recorded (0 disables).
+// requests; requests at or above `threshold` are recorded (<= 0
+// disables).
 func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	if capacity < 1 {
 		capacity = 1
 	}
-	l := &SlowLog{ring: make([]SlowEntry, capacity)}
-	l.thresholdNs.Store(threshold.Nanoseconds())
-	return l
-}
-
-// Threshold returns the current slow threshold (0 = disabled).
-func (l *SlowLog) Threshold() time.Duration {
-	return time.Duration(l.thresholdNs.Load())
-}
-
-// SetThreshold changes the slow threshold at runtime (0 disables).
-func (l *SlowLog) SetThreshold(d time.Duration) {
-	l.thresholdNs.Store(d.Nanoseconds())
+	return &SlowLog{threshold: threshold, ring: make([]SlowEntry, capacity)}
 }
 
 // Total returns how many slow requests were ever observed, including
@@ -89,12 +77,11 @@ func (l *SlowLog) SetThreshold(d time.Duration) {
 func (l *SlowLog) Total() uint64 { return l.total.Load() }
 
 // Observe records the request if it was slow enough. The threshold
-// check is one atomic load, so the fast path costs nothing measurable.
+// check is one comparison, so the fast path costs nothing measurable.
 // gen and cache are the handler's annotations (0 / cacheNone when the
 // endpoint has none).
 func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, cache int8, start time.Time, elapsed time.Duration) {
-	th := l.thresholdNs.Load()
-	if th <= 0 || elapsed.Nanoseconds() < th {
+	if l.threshold <= 0 || elapsed < l.threshold {
 		return
 	}
 	l.total.Add(1)

@@ -3,7 +3,6 @@ package server
 import (
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -43,17 +42,15 @@ func TestSlowLogBoundsAndOrdering(t *testing.T) {
 		t.Fatal("fast request was logged")
 	}
 	// Threshold 0 disables logging entirely.
-	l.SetThreshold(0)
-	l.Observe("GET", "/query", "", 200, 7, cacheMiss, base, time.Hour)
-	if l.Total() != 10 {
+	off := NewSlowLog(4, 0)
+	off.Observe("GET", "/query", "", 200, 7, cacheMiss, base, time.Hour)
+	if off.Total() != 0 {
 		t.Fatal("disabled log still recorded")
 	}
-	// Tightening the threshold at runtime takes effect immediately.
-	l.SetThreshold(time.Microsecond)
-	l.Observe("POST", "/batch", "", 200, 8, cacheNone, base, 2*time.Microsecond)
+	l.Observe("POST", "/batch", "", 200, 8, cacheNone, base, 2*time.Millisecond)
 	head := l.Entries()[0]
 	if l.Total() != 11 || head.Method != "POST" {
-		t.Fatalf("runtime threshold change not applied: total %d, head %+v", l.Total(), head)
+		t.Fatalf("slow request not logged: total %d, head %+v", l.Total(), head)
 	}
 	// Un-annotated endpoints serialize no cache field at all.
 	if head.Cache != "" || head.Generation != 8 {
@@ -64,16 +61,15 @@ func TestSlowLogBoundsAndOrdering(t *testing.T) {
 // TestDebugSlowEndpoint: slow requests surface at GET /debug/slow with
 // method, path, query, status, and duration.
 func TestDebugSlowEndpoint(t *testing.T) {
-	g := testGraphServer(t)
-	g.srv.SlowQueries().SetThreshold(time.Nanosecond) // everything is slow
+	_, ts, _ := testDiagServer(t, 0, &Options{SlowThreshold: time.Nanosecond}) // everything is slow
 	var q queryResponse
-	if code := getJSON(t, g.ts.URL+"/query?s=0&t=3", &q); code != 200 {
+	if code := getJSON(t, ts.URL+"/query?s=0&t=3", &q); code != 200 {
 		t.Fatalf("query status %d", code)
 	}
-	getJSON(t, g.ts.URL+"/query?s=0&t=99999", new(map[string]string)) // 400
+	getJSON(t, ts.URL+"/query?s=0&t=99999", new(map[string]string)) // 400
 
 	var resp slowResponse
-	if code := getJSON(t, g.ts.URL+"/debug/slow", &resp); code != 200 {
+	if code := getJSON(t, ts.URL+"/debug/slow", &resp); code != 200 {
 		t.Fatalf("debug/slow status %d", code)
 	}
 	if resp.Total < 2 || len(resp.Entries) < 2 {
@@ -108,31 +104,16 @@ func TestDebugSlowEndpoint(t *testing.T) {
 	}
 }
 
-type graphServer struct {
-	srv *Server
-	ts  *httptest.Server
-}
-
-func testGraphServer(t *testing.T) graphServer {
-	t.Helper()
-	ts, _ := testServer(t, false)
-	// testServer wraps the handler; recover the *Server through the
-	// handler it registered.
-	srv := ts.Config.Handler.(*Server)
-	return graphServer{srv: srv, ts: ts}
-}
-
 // TestRequestSpansSampled: with a tracer installed and sampling 1-in-1,
 // every request lands one span in a request lane with its status word.
 func TestRequestSpansSampled(t *testing.T) {
-	g := testGraphServer(t)
 	tr := trace.New(7, 1<<10)
 	tr.Enable()
-	g.srv.SetTracer(tr)
+	_, ts, _ := testDiagServer(t, 0, &Options{Tracer: tr})
 	const reqs = 20
 	for i := 0; i < reqs; i++ {
 		var q queryResponse
-		if code := getJSON(t, g.ts.URL+"/query?s=0&t=3", &q); code != 200 {
+		if code := getJSON(t, ts.URL+"/query?s=0&t=3", &q); code != 200 {
 			t.Fatalf("query status %d", code)
 		}
 	}
@@ -163,15 +144,14 @@ func TestRequestSpansSampled(t *testing.T) {
 // TestRequestSampling: 1-in-4 sampling records exactly a quarter of a
 // request stream (the sampler is a deterministic modulo counter).
 func TestRequestSampling(t *testing.T) {
-	g := testGraphServer(t)
 	tr := trace.New(0, 1<<10)
 	tr.Enable()
 	tr.SetSample(4)
-	g.srv.SetTracer(tr)
+	_, ts, _ := testDiagServer(t, 0, &Options{Tracer: tr})
 	const reqs = 40
 	for i := 0; i < reqs; i++ {
 		var q queryResponse
-		getJSON(t, g.ts.URL+"/query?s=0&t=1", &q)
+		getJSON(t, ts.URL+"/query?s=0&t=1", &q)
 	}
 	var spans int
 	for _, ev := range tr.Events() {
@@ -189,20 +169,19 @@ func TestRequestSampling(t *testing.T) {
 // the traffic that ran during the window, and restores the tracer's
 // previous enabled state.
 func TestDebugTraceEndpoint(t *testing.T) {
-	g := testGraphServer(t)
-
 	// No tracer configured: 412.
-	if code := getJSON(t, g.ts.URL+"/debug/trace", new(map[string]string)); code != http.StatusPreconditionFailed {
+	_, ts, _ := testDiagServer(t, 0, nil)
+	if code := getJSON(t, ts.URL+"/debug/trace", new(map[string]string)); code != http.StatusPreconditionFailed {
 		t.Fatalf("no-tracer status %d, want 412", code)
 	}
 
 	tr := trace.New(0, 1<<12) // disabled: /debug/trace must enable and restore
-	g.srv.SetTracer(tr)
+	_, ts, _ = testDiagServer(t, 0, &Options{Tracer: tr})
 
 	// "nan" is the trap case: ParseFloat accepts it and NaN slips past a
 	// naive `v <= 0` check into an unbounded capture sleep.
 	for _, bad := range []string{"0", "-1", "61", "x", "nan", "NaN", "-nan"} {
-		if code := getJSON(t, g.ts.URL+"/debug/trace?sec="+bad, new(map[string]string)); code != 400 {
+		if code := getJSON(t, ts.URL+"/debug/trace?sec="+bad, new(map[string]string)); code != 400 {
 			t.Fatalf("sec=%s status %d, want 400", bad, code)
 		}
 	}
@@ -219,11 +198,11 @@ func TestDebugTraceEndpoint(t *testing.T) {
 				return
 			default:
 				var q queryResponse
-				getJSON(t, g.ts.URL+"/query?s=0&t=3", &q)
+				getJSON(t, ts.URL+"/query?s=0&t=3", &q)
 			}
 		}
 	}()
-	resp, err := http.Get(g.ts.URL + "/debug/trace?sec=0.25")
+	resp, err := http.Get(ts.URL + "/debug/trace?sec=0.25")
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -254,7 +233,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(g.ts.URL + "/debug/trace?sec=0.3")
+			resp, err := http.Get(ts.URL + "/debug/trace?sec=0.3")
 			if err != nil {
 				codes <- -1
 				return
@@ -274,13 +253,13 @@ func TestDebugTraceEndpoint(t *testing.T) {
 // TestMetricsContentNegotiation: /metrics answers JSON by default and
 // the Prometheus text exposition when the scraper asks for text/plain.
 func TestMetricsContentNegotiation(t *testing.T) {
-	g := testGraphServer(t)
+	ts, _ := testServer(t, false)
 	var q queryResponse
-	getJSON(t, g.ts.URL+"/query?s=0&t=3", &q)
+	getJSON(t, ts.URL+"/query?s=0&t=3", &q)
 
 	// Default: JSON snapshot.
 	var snap map[string]interface{}
-	if code := getJSON(t, g.ts.URL+"/metrics", &snap); code != 200 {
+	if code := getJSON(t, ts.URL+"/metrics", &snap); code != 200 {
 		t.Fatalf("metrics status %d", code)
 	}
 	if _, ok := snap["histograms"]; !ok {
@@ -288,7 +267,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	}
 
 	// Prometheus scrape.
-	req, _ := http.NewRequest(http.MethodGet, g.ts.URL+"/metrics", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
 	req.Header.Set("Accept", "text/plain")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

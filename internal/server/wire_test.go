@@ -34,10 +34,7 @@ type batchResponse struct {
 // wireServer is testServer's graph (path 0-1-2-3 with weights 3, 4, 5;
 // vertex 4 isolated) without the socket, behind the binary's cache.
 func wireServer() *Server {
-	g := graph.FromEdges(5, []graph.Edge{
-		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5},
-	})
-	return serverLikeBinary(pll.Build(g, pll.Options{}))
+	return serverLikeBinary(pll.Build(testGraph(), pll.Options{}))
 }
 
 func postBatch(s *Server, body string) *httptest.ResponseRecorder {

@@ -80,10 +80,12 @@ go test -race -short ./...
 # Get/Put, and under readers that query while generations are swapped
 # across the slot tag's wrap point. So do the living graph's lock-free
 # reads: queries beside copy-on-write delta runs being published, and
-# beside compactions swapping the live index.
-echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries' \
-    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact
+# beside compactions swapping the live index. And so does the server
+# snapshot: requests beside hot reloads, which read the server's
+# configuration as plain fields written once before NewPending returns.
+echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer' \
+    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server
 
 echo "== go test ./... (tier-1)"
 go test ./...
