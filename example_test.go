@@ -54,19 +54,6 @@ func ExampleBuildDynamic() {
 	// 3
 }
 
-// Directed graphs answer one-directional distances.
-func ExampleBuildDirected() {
-	g := parapll.NewDigraph(3, []parapll.Arc{
-		{From: 0, To: 1, W: 2}, {From: 1, To: 2, W: 2},
-	})
-	x := parapll.BuildDirected(g)
-	fmt.Println(x.Query(0, 2))
-	fmt.Println(x.Query(2, 0) == parapll.Inf)
-	// Output:
-	// 4
-	// true
-}
-
 // k-nearest-neighbor queries over the inverted index.
 func ExampleNewKNN() {
 	g := parapll.NewGraph(4, []parapll.Edge{

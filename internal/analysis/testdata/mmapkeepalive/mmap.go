@@ -361,6 +361,40 @@ func midRunAfterPinBad(x *Index, s, t Vertex) Dist {
 	return 0
 }
 
+// --- An owner reached through a struct field: label.Probe keeps the
+// index it scattered a label from and reads the mapped tiers in place
+// at every later test. The pin names the field, whose root is the holder.
+
+type probe struct {
+	x   *Index
+	tmp []Dist
+}
+
+func (p *probe) fieldOwnerOK(v Vertex) bool {
+	defer runtime.KeepAlive(p.x)
+	th, td := tail(p.x, &p.x.a32, v)
+	for j, h := range th {
+		if p.tmp[h]+td[j] == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func (p *probe) fieldOwnerBad(v Vertex) bool {
+	th, td := tail(p.x, &p.x.a32, v)
+	for j, h := range th {
+		if p.tmp[h]+td[j] == 0 { // want `dereferences mmap-aliased td without runtime.KeepAlive\(p\)`
+			return true
+		}
+	}
+	return false
+}
+
+func (p *probe) fieldDirectBad(c int) Vertex {
+	return p.x.headHubs[c] // want `dereferences mmap-aliased p.x.headHubs without runtime.KeepAlive\(p\)`
+}
+
 func midHubsBad(x *Index, col int) Vertex {
 	return x.midHubs[col] // want `dereferences mmap-aliased x.midHubs without runtime.KeepAlive`
 }

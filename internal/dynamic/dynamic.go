@@ -78,9 +78,8 @@ type Index struct {
 	own   []*run
 	dirty []graph.Vertex // the vertices with an own run
 	ps    *pll.Searcher
-	ends  scratch        // L(endpoint), whose hubs resume reopens
-	hub   graph.Vertex   // the hub of the search running
-	one   [1]label.Entry // the label Run is handed, by hub and prune test
+	ends  scratch       // L(endpoint), whose hubs resume reopens
+	buf   []label.Entry // a run as the prune test reads it (entries)
 }
 
 // Build constructs the mutable index from an initial graph with the
@@ -174,8 +173,7 @@ func (x *Index) neighbors(v graph.Vertex) ([]graph.Vertex, []graph.Dist) {
 
 // Query returns the exact current distance between s and t.
 func (x *Index) Query(s, t graph.Vertex) graph.Dist {
-	d := x.base.Query(s, t)
-	d, _ = x.withDelta(s, t, x.delta[s].Load(), x.delta[t].Load(), d, -1)
+	d, _ := x.withDelta(s, t, x.base.Query(s, t), -1)
 	return d
 }
 
@@ -183,14 +181,15 @@ func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 // is -1 for disconnected pairs, and (0, s) is returned for s == t.
 func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	d, hub := x.base.QueryWithHub(s, t)
-	return x.withDelta(s, t, x.delta[s].Load(), x.delta[t].Load(), d, hub)
+	return x.withDelta(s, t, d, hub)
 }
 
-// withDelta meets the base kernel's (d, hub) with the merge of runs a
-// and b of s and t and each run against the other side's base label: one
-// merge of the union labels, as a shadowed base entry loses to its run
-// entry.
-func (x *Index) withDelta(s, t graph.Vertex, a, b *run, d graph.Dist, hub graph.Vertex) (graph.Dist, graph.Vertex) {
+// withDelta meets the base kernel's (d, hub) with the merge of the
+// published runs a and b of s and t and each run against the other
+// side's base label: one merge of the union labels, as a shadowed base
+// entry loses to its run entry.
+func (x *Index) withDelta(s, t graph.Vertex, d graph.Dist, hub graph.Vertex) (graph.Dist, graph.Vertex) {
+	a, b := x.delta[s].Load(), x.delta[t].Load()
 	if s == t || len(a.hubs)+len(b.hubs) == 0 {
 		return d, hub
 	}
@@ -261,20 +260,23 @@ func (x *Index) addHalfEdge(from, to graph.Vertex, w graph.Dist) {
 // resume continues, for every hub h of L(endpoint), h's pruned Dijkstra
 // across the new edge: the frontier reopens at seed (the edge's other
 // end) at d(h,endpoint)+w, a real path length, and the search installs
-// or tightens exactly the labels the insertion invalidated.
+// or tightens exactly the labels the insertion invalidated. Its prune
+// test is the build's, label.Probe over the writer's labels: L(h), base
+// and run, scattered once, then at each pop u's base tiers read in place
+// and u's run scanned.
 func (x *Index) resume(endpoint, seed graph.Vertex, w graph.Dist) {
 	for _, e := range x.ends.union(x.base, endpoint, x.run(endpoint)) {
 		d0 := graph.AddDist(e.D, w)
 		if d0 == graph.Inf {
 			continue
 		}
-		// Fast reject, for Run's first prune test: the seed's base entry
-		// for h already covers d0, and a run entry would be below it.
+		// Fast reject: the seed's base entry for h covers d0 (a run entry
+		// is below it), so Run would scatter L(h) to prune its first pop.
 		if d, _ := x.base.MergeRun(seed, []graph.Vertex{e.Hub}, []graph.Dist{0}); d <= d0 {
 			continue
 		}
-		x.hub, x.one[0] = e.Hub, label.Entry{Hub: e.Hub, D: 0}
-		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, label.Label{Rest: x.one[:]}, x.neighbors, x.cover, x.install)
+		hub := x.base.Union(e.Hub, x.entries(e.Hub))
+		x.ps.Run(pll.Seed{Hub: e.Hub, Start: seed, D0: d0}, hub, x.neighbors, x.entries, x.install)
 	}
 }
 
@@ -286,13 +288,15 @@ func (x *Index) run(v graph.Vertex) *run {
 	return x.delta[v].Load()
 }
 
-// cover is the prune test's view of L(u): the entry (hub, QUERY(hub, u))
-// over the writer's labels, whose sum with the hub's own (hub, 0) is
-// what a scan of L(u) against all of L(hub) would find.
-func (x *Index) cover(u graph.Vertex) []label.Entry {
-	d := x.base.Query(x.hub, u)
-	x.one[0].D, _ = x.withDelta(x.hub, u, x.run(x.hub), x.run(u), d, -1)
-	return x.one[:]
+// entries is v's run as the writer sees it, as the entries label.Probe
+// scans beside L(v)'s base tiers; valid until the next call.
+func (x *Index) entries(v graph.Vertex) []label.Entry {
+	r := x.run(v)
+	x.buf = x.buf[:0]
+	for i, h := range r.hubs {
+		x.buf = append(x.buf, label.Entry{Hub: h, D: r.dists[i]})
+	}
+	return x.buf
 }
 
 // install is the settle hook of a resumed search: add the label e at u,

@@ -209,10 +209,8 @@ func NewIndexFunc(n int, list func(v int) []Entry) *Index {
 
 // Flat returns an index over the same labels with every entry in the
 // tail and every distance at 4 bytes, so that Label returns the stored
-// runs — x itself when it is such an index. It is for callers that merge
-// a label of one index against a label of another (directed's L_out(s) ∩
-// L_in(t)), which two sets of columns or two widths cannot serve, and it
-// is the baseline the tiers are measured against.
+// runs — x itself when it is such an index. It is the baseline the tiers
+// are measured against (BenchmarkQueryKernel's -flat rows).
 func (x *Index) Flat() *Index { return x.relayout(tailOnly) }
 
 // HeadOnly returns an index over the same labels with a head and no

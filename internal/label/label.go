@@ -307,126 +307,3 @@ func (s *Store) BulkAppend(v graph.Vertex, entries []Entry) {
 	l.n.Store(int64(n + len(entries)))
 	l.mu.Unlock()
 }
-
-// Label is L(v) as a search reads its hub's side of the prune test: v's
-// row of the build-time head and Rest, the entries outside the head.
-// Label{Rest: list} is a label without a head, which is what the builders
-// over plain lists pass.
-type Label struct {
-	h    *head // the head when the label was taken; nil without one
-	v    int
-	Rest []Entry
-}
-
-// Probe is one search's side of the PLL prune test, for the hub it
-// searches from: the hub's head row, copied once, and its other entries
-// scattered by hub id (tmp[h] = d(hub, h), graph.Inf elsewhere), so that
-// each test is one pass over a vertex's head row and one scan of its
-// list. pll.Searcher owns one, core's batched engine one per batch slot.
-type Probe struct {
-	blocks [][]atomic.Uint32 // the head's blocks when the hub was read
-	row    []graph.Dist      // the hub's cells in them
-	tmp    []graph.Dist
-	hubs   []graph.Vertex // scattered into tmp, for the next Set
-}
-
-// NewProbe returns a probe for labels over vertices [0,n).
-func NewProbe(n int) *Probe {
-	p := &Probe{tmp: make([]graph.Dist, n)}
-	for i := range p.tmp {
-		p.tmp[i] = graph.Inf
-	}
-	return p
-}
-
-// Set makes hub the probe's side of every test until the next Set and
-// returns the number of entries and cells it read. The hub's label is
-// read now and not again, so later appends to it change no test.
-func (p *Probe) Set(hub Label) int {
-	for _, h := range p.hubs {
-		p.tmp[h] = graph.Inf
-	}
-	p.blocks, p.hubs, p.row = nil, p.hubs[:0], p.row[:0]
-	if hub.h != nil {
-		p.blocks = hub.h.blocks
-		for _, blk := range p.blocks {
-			cells := blk[hub.v*headBlock:][:headBlock]
-			for i := range cells {
-				p.row = append(p.row, ^cells[i].Load())
-			}
-		}
-	}
-	for _, e := range hub.Rest {
-		if e.D < p.tmp[e.Hub] {
-			p.tmp[e.Hub] = e.D
-		}
-		p.hubs = append(p.hubs, e.Hub)
-	}
-	return len(p.row) + len(hub.Rest)
-}
-
-// Width returns the number of head cells a test reads, at most.
-func (p *Probe) Width() int { return len(p.row) }
-
-// Covers is the PLL prune test: whether QUERY(hub, v) <= d over the
-// labels as read — the hub's at the last Set, and of L(v) its head row in
-// the blocks the hub's was read from and rest, its list (Store.Snapshot).
-// The head is one pass over two rows, block by block in column order —
-// the root order, so the early exit comes where a list scan would take
-// it — and the rest a scan against tmp. Each element costs one
-// predictable branch: for finite d the 64-bit sum decides exactly what
-// t != Inf && AddDist(t, d') <= d decides — an Inf operand alone makes
-// the sum at least 2³²-1 > d, and a sum AddDist would have saturated is
-// at least 2³²-1 as well.
-func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
-	if d == graph.Inf {
-		return p.coversAtInf(v, rest)
-	}
-	dd := uint64(d)
-	for b, blk := range p.blocks {
-		// Four cells a step, through array pointers: no bounds checks, and
-		// a quarter of the loop's own branches (0.55 against 0.68 ns a cell).
-		cells := (*[headBlock]atomic.Uint32)(blk[int(v)*headBlock:])
-		r := (*[headBlock]graph.Dist)(p.row[b*headBlock:])
-		for c := 0; c < headBlock; c += 4 {
-			if uint64(r[c])+uint64(^cells[c].Load()) <= dd {
-				return true
-			}
-			if uint64(r[c+1])+uint64(^cells[c+1].Load()) <= dd {
-				return true
-			}
-			if uint64(r[c+2])+uint64(^cells[c+2].Load()) <= dd {
-				return true
-			}
-			if uint64(r[c+3])+uint64(^cells[c+3].Load()) <= dd {
-				return true
-			}
-		}
-	}
-	for _, e := range rest {
-		if uint64(p.tmp[e.Hub])+uint64(e.D) <= dd {
-			return true
-		}
-	}
-	return false
-}
-
-// coversAtInf is Covers for d = graph.Inf, where saturated sums count as
-// <= Inf: any hub both sides hold covers.
-func (p *Probe) coversAtInf(v graph.Vertex, rest []Entry) bool {
-	for b, blk := range p.blocks {
-		cells := blk[int(v)*headBlock:][:headBlock]
-		r := p.row[b*headBlock:][:headBlock]
-		for c := range cells {
-			if r[c] != graph.Inf && cells[c].Load() != 0 {
-				return true
-			}
-		}
-	}
-	for _, e := range rest {
-		if p.tmp[e.Hub] != graph.Inf {
-			return true
-		}
-	}
-	return false
-}

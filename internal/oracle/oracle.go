@@ -1,16 +1,15 @@
 // Package oracle defines the one query surface every distance index in
-// this repository serves. Four index implementations answer the paper's
-// QUERY(s,t,L): the undirected 2-hop index (label.Index, including its
-// mmap-backed form), the directed in/out-label index (directed.Index),
-// the insert-maintained dynamic index (dynamic.Index), and the
-// path-augmented index (pathidx.Index). Server, bench and the CLIs
-// program against this interface instead of the four concrete types, so
-// a serving deployment can swap index kinds — or swap a heap-decoded
-// index for a zero-copy mmap one — without touching call sites.
+// this repository serves. Three index implementations answer the paper's
+// QUERY(s,t,L) over a weighted undirected graph: the 2-hop index
+// (label.Index, including its mmap-backed form), the insert-maintained
+// dynamic index (dynamic.Index), and the path-augmented index
+// (pathidx.Index). Server, bench and the CLIs program against this
+// interface instead of the three concrete types, so a serving deployment
+// can swap index kinds — or swap a heap-decoded index for a zero-copy
+// mmap one — without touching call sites.
 package oracle
 
 import (
-	"parapll/internal/directed"
 	"parapll/internal/dynamic"
 	"parapll/internal/graph"
 	"parapll/internal/label"
@@ -28,7 +27,7 @@ type Oracle interface {
 	// NumVertices returns the size of the indexed vertex set.
 	NumVertices() int
 	// Query returns the exact distance between s and t, graph.Inf when
-	// the pair is disconnected. For directed indexes this is d(s→t).
+	// the pair is disconnected.
 	Query(s, t graph.Vertex) graph.Dist
 	// QueryWithHub also reports the meeting hub achieving the minimum
 	// (-1 for disconnected pairs; (0, s) for s == t).
@@ -42,7 +41,6 @@ type Oracle interface {
 // drifted method is a compile error here, not a runtime surprise.
 var (
 	_ Oracle = (*label.Index)(nil)
-	_ Oracle = (*directed.Index)(nil)
 	_ Oracle = (*dynamic.Index)(nil)
 	_ Oracle = (*pathidx.Index)(nil)
 )

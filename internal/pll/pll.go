@@ -98,10 +98,10 @@ type Seed struct {
 // inner loop). It owns only the reusable per-search scratch: a
 // tentative-distance and predecessor array with a touched list (reset in
 // time proportional to the search, not n), the hub's side of the prune
-// test (label.Probe), and the priority queue. What is
-// searched arrives per Run as closures, so one scratch serves any
-// adjacency (undirected, forward/backward arcs, a growing overlay) and
-// any label representation; see DESIGN.md "Pruned search kernel".
+// test (label.Probe), and the priority queue. What is searched arrives
+// per Run as closures, so one scratch serves any adjacency (a CSR graph,
+// a growing overlay) over a store or an index with runs over it; see
+// DESIGN.md "Pruned search kernel".
 //
 // A Searcher is not safe for concurrent use; parallel indexers give each
 // worker its own Searcher over a shared label store.
@@ -140,10 +140,10 @@ func NewSearcher(n int) *Searcher {
 //     read once, before the first pop.
 //   - adj returns a vertex's neighbor and weight rows (not retained).
 //   - getLabel returns the vertex-side half of the prune query for a
-//     popped vertex: its entries outside the build-time head, whose row
-//     the probe reads itself (label.Probe.Covers). A stale snapshot is
-//     fine: seeing fewer labels only weakens pruning, never correctness
-//     (Proposition 1).
+//     popped vertex, what the probe does not read itself: a store's list
+//     outside the build-time head, or a run over an index (label.Probe).
+//     A stale snapshot is fine: seeing fewer labels only weakens pruning,
+//     never correctness (Proposition 1).
 //   - settle commits the label (seed.Hub, d) at a popped vertex u the
 //     cover does not already answer; pred is the vertex u was reached
 //     from (u itself at seed.Start). settle runs before u is expanded

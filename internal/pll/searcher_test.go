@@ -2,6 +2,8 @@ package pll
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -10,19 +12,45 @@ import (
 	"parapll/internal/label"
 )
 
+// mappedIndex writes x as a PIDM file and opens it, so that its labels
+// are read from a file mapping.
+func mappedIndex(t *testing.T, x *label.Index) *label.Index {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "base.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.WriteMmap(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	y, err := label.Open(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { y.Close() })
+	return y
+}
+
 // TestSearcherScratchFullyReset is the kernel's reuse contract: one
-// Searcher alternated across two adjacency views, and across rooted and
-// seeded (resumed) runs, settles exactly what a fresh Searcher per run
-// settles. Any distance, predecessor, scatter or heap state leaking from
-// one Run into the next changes a prune decision or a predecessor and
-// shows up in the settle log. (The seeded runs open at made-up distances,
-// so the labels are not a valid index; only reproducibility is asserted.)
+// Searcher alternated across two adjacency views, across rooted and
+// seeded (resumed) runs, and between store-backed labels and index-backed
+// ones — a mapped base with runs over it, as the living graph's searches
+// read them — settles exactly what a fresh Searcher per run settles. Any
+// distance, predecessor, scatter or heap state leaking from one Run into
+// the next changes a prune decision or a predecessor and shows up in the
+// settle log. (The seeded runs open at made-up distances and the base
+// indexes the other view, so the labels are not a valid index; only
+// reproducibility is asserted.)
 func TestSearcherScratchFullyReset(t *testing.T) {
 	r := rand.New(rand.NewSource(110))
 	const n = 60
 	views := [2]*graph.Graph{randomGraph(r, n, 80), randomGraph(r, n, 30)}
+	base := mappedIndex(t, Build(views[1], Options{}))
 	type step struct {
-		view int
+		view int // 2: view 0 against base and runs
 		seed Seed
 	}
 	var script []step
@@ -32,17 +60,21 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 			step{0, Seed{Hub: root, Start: root}},
 			step{1, Seed{Hub: root, Start: root}},
 			// Reopen the hub's search mid-graph, as dynamic does after an insert.
-			step{r.Intn(2), Seed{Hub: root, Start: graph.Vertex(r.Intn(n)), D0: graph.Dist(1 + r.Intn(5))}})
+			step{r.Intn(3), Seed{Hub: root, Start: graph.Vertex(r.Intn(n)), D0: graph.Dist(1 + r.Intn(5))}})
 	}
 
 	// replay runs the script, taking each step's Searcher from next, and
 	// returns every settle call and every Run's counters in order.
 	replay := func(next func() *Searcher) (log [][4]int64) {
-		labels := [2][][]label.Entry{make([][]label.Entry, n), make([][]label.Entry, n)}
+		labels := [3][][]label.Entry{make([][]label.Entry, n), make([][]label.Entry, n), make([][]label.Entry, n)}
 		for _, s := range script {
 			l := labels[s.view]
+			hub, adj := label.Label{Rest: l[s.seed.Hub]}, views[s.view%2].Neighbors
+			if s.view == 2 {
+				hub = base.Union(s.seed.Hub, l[s.seed.Hub])
+			}
 			ps := next()
-			added, pruned := ps.Run(s.seed, label.Label{Rest: l[s.seed.Hub]}, views[s.view].Neighbors,
+			added, pruned := ps.Run(s.seed, hub, adj,
 				func(u graph.Vertex) []label.Entry { return l[u] },
 				func(u, pred graph.Vertex, e label.Entry) {
 					l[u] = append(l[u], e)
@@ -63,7 +95,12 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 // TestSearcherRunZeroAllocs: with the hooks formed once outside the loop,
 // Run itself allocates nothing — neither on a fully labelled graph, where
 // every search is pruned at its root, nor on an unlabelled one, where it
-// is a full Dijkstra through the relax loop.
+// is a full Dijkstra through the relax loop, nor index-backed: searches
+// reopened at a neighbour of their hub, as the living graph's are, over
+// a mapped base holding the first half of the roots' labels and a run of
+// (u, 0) at every vertex u. There one reused Searcher settles what a
+// fresh one per search does, which a hub entry left in the probe's
+// scatter array would change: it prunes every later search at that hub.
 func TestSearcherRunZeroAllocs(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(111)), 200, 400)
 	n := g.NumVertices()
@@ -72,24 +109,55 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 	adj := g.Neighbors
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
 	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
+	var base *label.Index
 	for r := graph.Vertex(0); int(r) < n; r++ {
+		if int(r) == n/2 {
+			base = mappedIndex(t, label.NewIndexFromLists(labels))
+		}
 		ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: labels[r]}, adj, get, add)
+	}
+	runs := make([][]label.Entry, n)
+	seeds := make([]Seed, n)
+	for v := range runs {
+		runs[v] = []label.Entry{{Hub: graph.Vertex(v), D: 0}}
+		ns, ws := g.Neighbors(graph.Vertex(v))
+		seeds[v] = Seed{Hub: graph.Vertex(v), Start: ns[0], D0: ws[0]}
 	}
 
 	var settled int64
 	none := func(graph.Vertex) []label.Entry { return nil }
 	count := func(_, _ graph.Vertex, _ label.Entry) { settled++ }
+	rooted := func(view func(graph.Vertex) []label.Entry) func(*Searcher) {
+		return func(ps *Searcher) {
+			for r := graph.Vertex(0); int(r) < n; r++ {
+				ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: view(r)}, adj, view, count)
+			}
+		}
+	}
+	run := func(u graph.Vertex) []label.Entry { return runs[u] }
+	indexed := func(ps *Searcher) {
+		for r := graph.Vertex(0); int(r) < n; r++ {
+			ps.Run(seeds[r], base.Union(r, runs[r]), adj, run, count)
+		}
+	}
+	for r := graph.Vertex(0); int(r) < n; r++ {
+		NewSearcher(n).Run(seeds[r], base.Union(r, runs[r]), adj, run, count)
+	}
+	fresh := settled
+	if fresh == 0 || fresh >= int64(n)*int64(n) {
+		t.Fatalf("index-backed: fresh Searchers settle %d vertices in a sweep; want some pruned and some not", fresh)
+	}
 	for _, tc := range []struct {
 		name    string
-		view    func(graph.Vertex) []label.Entry
+		sweep   func(*Searcher)
 		settled int64 // per sweep: the graph is connected, so unpruned searches reach everything
-	}{{"labelled", get, 0}, {"unlabelled", none, int64(n) * int64(n)}} {
+	}{
+		{"labelled", rooted(get), 0},
+		{"unlabelled", rooted(none), int64(n) * int64(n)},
+		{"index-backed", indexed, fresh},
+	} {
 		settled = 0
-		allocs := testing.AllocsPerRun(10, func() {
-			for r := graph.Vertex(0); int(r) < n; r++ {
-				ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: tc.view(r)}, adj, tc.view, count)
-			}
-		})
+		allocs := testing.AllocsPerRun(10, func() { tc.sweep(ps) })
 		if allocs != 0 {
 			t.Errorf("%s: Run allocated %.1f times per sweep, want 0", tc.name, allocs)
 		}
@@ -118,10 +186,12 @@ func coveredByReference(labels []label.Entry, rootD []graph.Dist, d graph.Dist) 
 // that some hubs are head columns and the rest list entries, with
 // distances drawn from the values where 32-bit arithmetic goes wrong —
 // Inf on either side, Inf-1, halves whose sum wraps — and over every
-// boundary d, including Inf. A list entry may hold Inf on either side:
-// the living graph's prune test hands the kernel (hub, QUERY(hub, u)),
-// which is Inf when u is unreachable. A head cell holding Inf is an
-// empty cell, so what is appended to a head column is finite.
+// boundary d, including Inf. A list entry may hold Inf on either side.
+// No caller hands the kernel one any more — the living graph's searches
+// read their runs through the index-backed probe
+// (label.TestProbeIndexMatchesReference) — but the scan's 64-bit sums
+// must decide it as the saturating add would. A head cell holding Inf is
+// an empty cell, so what is appended to a head column is finite.
 func TestCoveredByMatchesReference(t *testing.T) {
 	const inf = graph.Inf
 	edge := []graph.Dist{0, 1, 2, 7, inf / 2, inf/2 + 1, inf - 2, inf - 1, inf}

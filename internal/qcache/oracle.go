@@ -10,9 +10,9 @@ import (
 
 // Options configures a cached oracle wrapper.
 type Options struct {
-	// Symmetric canonicalizes pairs (s,t) and (t,s) to one cache entry.
-	// Correct for undirected indexes (label.Index, dynamic.Index); must
-	// be false for directed ones, where d(s→t) != d(t→s).
+	// Symmetric canonicalizes pairs (s,t) and (t,s) to one cache entry,
+	// which every index here allows: they all answer undirected distances.
+	// Left false, (s,t) and (t,s) are cached apart.
 	Symmetric bool
 	// Tracer, when non-nil, is consulted per query; sampled queries emit
 	// a qcache.query span (arg hit=0/1) on the trace.TIDCache lane.

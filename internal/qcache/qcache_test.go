@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"parapll/internal/directed"
 	"parapll/internal/dynamic"
 	"parapll/internal/graph"
 	"parapll/internal/oracle"
@@ -202,17 +201,6 @@ func TestCachedEquivalenceAllOracles(t *testing.T) {
 	})
 	t.Run("pathidx", func(t *testing.T) {
 		checkEquivalence(t, "pathidx", pathidx.Build(g, pathidx.Options{}), true)
-	})
-	t.Run("directed", func(t *testing.T) {
-		arcs := make([]directed.Arc, 0, 200)
-		for i := 0; i < 200; i++ {
-			arcs = append(arcs, directed.Arc{
-				From: graph.Vertex(r.Intn(40)), To: graph.Vertex(r.Intn(40)), W: graph.Dist(1 + r.Intn(9)),
-			})
-		}
-		dg := directed.FromArcs(40, arcs)
-		// Directed distances are asymmetric: Symmetric must stay false.
-		checkEquivalence(t, "directed", directed.Build(dg, directed.Options{}), false)
 	})
 }
 

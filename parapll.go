@@ -27,7 +27,6 @@ import (
 
 	"parapll/internal/cluster"
 	"parapll/internal/core"
-	"parapll/internal/directed"
 	"parapll/internal/dynamic"
 	"parapll/internal/fileio"
 	"parapll/internal/gen"
@@ -247,25 +246,6 @@ func BuildPathIndex(g *Graph, opt Options) *PathIndex {
 	})
 }
 
-// Digraph is an immutable directed weighted graph; Arc is one directed
-// edge. See BuildDirected.
-type (
-	Digraph = directed.Digraph
-	Arc     = directed.Arc
-	// DirectedIndex answers exact directed distance queries d(s→t).
-	DirectedIndex = directed.Index
-)
-
-// NewDigraph builds a directed graph from an arc list (self-loops
-// dropped, duplicate arcs keep the smallest weight).
-func NewDigraph(n int, arcs []Arc) *Digraph { return directed.FromArcs(n, arcs) }
-
-// BuildDirected indexes a directed graph with forward/backward pruned
-// landmark labels. Queries are one-directional: Query(s,t) = d(s→t).
-func BuildDirected(g *Digraph) *DirectedIndex {
-	return directed.Build(g, directed.Options{})
-}
-
 // DynamicIndex is a mutable index that stays exact under edge
 // insertions (InsertEdge) without rebuilding; see BuildDynamic.
 type DynamicIndex = dynamic.Index
@@ -350,8 +330,7 @@ func SaveGraph(path string, g *Graph) error { return fileio.SaveGraph(path, g) }
 func LoadGraph(path string) (*Graph, error) { return fileio.LoadGraph(path) }
 
 // Oracle is the query surface every distance index in this repository
-// serves — Index, DirectedIndex, DynamicIndex and PathIndex all satisfy
-// it. Program against Oracle to swap index kinds (or a heap-decoded
+// serves — Index, DynamicIndex and PathIndex all satisfy it. Program against Oracle to swap index kinds (or a heap-decoded
 // index for a zero-copy mmap one) without touching call sites.
 type Oracle = oracle.Oracle
 

@@ -248,19 +248,6 @@ func TestBuildDynamic(t *testing.T) {
 	}
 }
 
-func TestBuildDirected(t *testing.T) {
-	g := parapll.NewDigraph(3, []parapll.Arc{
-		{From: 0, To: 1, W: 3}, {From: 1, To: 2, W: 4},
-	})
-	x := parapll.BuildDirected(g)
-	if d := x.Query(0, 2); d != 7 {
-		t.Fatalf("d(0->2) = %d, want 7", d)
-	}
-	if d := x.Query(2, 0); d != parapll.Inf {
-		t.Fatalf("d(2->0) = %d, want Inf", d)
-	}
-}
-
 func TestFacadeTracer(t *testing.T) {
 	g, err := parapll.GenerateDataset("Wiki-Vote", 0.02)
 	if err != nil {
