@@ -1,6 +1,6 @@
 // parapll-server serves a built index as an HTTP JSON API — distance
-// queries, batches, optional path reconstruction, stats, and the
-// observability endpoints /metrics and /healthz.
+// queries, batches, path reconstruction when the graph is given, stats,
+// and the observability endpoints /metrics and /healthz.
 //
 // The listener comes up immediately; the index loads (or builds) in the
 // background and is published atomically when ready. Until then /readyz
@@ -11,10 +11,10 @@
 //
 // Usage:
 //
-//	parapll-server -index g.idx -addr :8080            # maps it: O(1) open
-//	parapll-server -graph g.bin -addr :8080            # index on startup
-//	parapll-server -graph g.bin -paths -addr :8080     # also serve /path
-//	parapll-server -index g.idx -pprof -addr :8080     # + /debug/pprof/
+//	parapll-server -index g.idx -addr :8080              # maps it: O(1) open
+//	parapll-server -graph g.bin -addr :8080              # index on startup; /path too
+//	parapll-server -index g.idx -graph g.bin -addr :8080 # mapped index, /path over g.bin
+//	parapll-server -index g.idx -pprof -addr :8080       # + /debug/pprof/
 //
 // Endpoints: GET /query?s=&t=   POST /batch   GET /path?s=&t=
 // GET /knn?s=&k=   GET /stats   POST /update   POST /reload   GET /readyz
@@ -73,21 +73,18 @@ import (
 
 	"parapll"
 	"parapll/internal/compact"
-	"parapll/internal/core"
 	"parapll/internal/fileio"
 	"parapll/internal/flight"
 	"parapll/internal/metrics"
-	"parapll/internal/pathidx"
 	"parapll/internal/server"
 )
 
 func main() {
 	var (
 		indexPath  = flag.String("index", "", "pre-built index file (from parapll-index)")
-		graphPath  = flag.String("graph", "", "graph file; indexed at startup if -index is not given")
+		graphPath  = flag.String("graph", "", "graph file; indexed at startup if -index is not given, and walked by /path")
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
 		threads    = flag.Int("threads", 0, "indexing threads (0 = all cores)")
-		paths      = flag.Bool("paths", false, "also build a path index and serve /path (needs -graph)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		traceOut   = flag.String("trace", "", "on SIGINT/SIGTERM, write the recorded request timeline here as Chrome trace-event JSON")
 		traceRate  = flag.Int64("trace-sample", 0, "record request spans for 1 in N requests (0 = tracing off, 1 = every request); also arms GET /debug/trace")
@@ -111,9 +108,6 @@ func main() {
 	flag.Parse()
 	if *indexPath == "" && *graphPath == "" {
 		fatalf("need -index or -graph")
-	}
-	if *paths && *graphPath == "" {
-		fatalf("-paths needs -graph")
 	}
 	if *walDir != "" && *graphPath == "" {
 		fatalf("-wal needs -graph (the pipeline folds updates into the graph)")
@@ -290,11 +284,11 @@ func main() {
 			prepareLive(srv, opt, *indexPath, *graphPath)
 			return
 		}
-		idx, pidx, source := prepare(*indexPath, *graphPath, *paths, *threads)
-		gen := srv.Publish(idx, pidx, source)
+		idx, g, source := prepare(*indexPath, *graphPath, *threads)
+		gen := srv.Publish(idx, g, source)
 		fmt.Printf("ready: generation %d  (n=%d, entries=%d, LN=%.1f, format=%s, mmap=%v, paths=%v)\n",
 			gen, idx.NumVertices(), idx.NumEntries(), idx.AvgLabelSize(),
-			idx.Format(), idx.Mapped(), pidx != nil)
+			idx.Format(), idx.Mapped(), g != nil)
 	}()
 
 	// SIGHUP re-reads the current index file and swaps it in atomically —
@@ -401,46 +395,39 @@ func prepareLive(srv *server.Server, opt compact.Options, indexPath, graphPath s
 	}
 }
 
-// prepare loads or builds the serving artifacts. It runs off the main
-// goroutine; failures are fatal because the server cannot become ready
-// without an index.
-func prepare(indexPath, graphPath string, paths bool, threads int) (*parapll.Index, *pathidx.Index, string) {
-	var idx *parapll.Index
-	var err error
-	source := indexPath
-	if indexPath != "" {
-		t0 := time.Now()
-		idx, err = fileio.LoadIndex(indexPath)
-		if err != nil {
-			fatalf("loading index: %v", err)
-		}
-		fmt.Printf("opened %s in %.1fms (format=%s, mmap=%v)\n",
-			indexPath, float64(time.Since(t0).Microseconds())/1e3, idx.Format(), idx.Mapped())
-	} else {
-		g, err := parapll.LoadGraph(graphPath)
-		if err != nil {
+// prepare loads or builds the index, and loads the graph /path walks
+// when graphPath names one. It runs off the main goroutine; failures are
+// fatal: the server cannot become ready without an index, nor serve one
+// beside a graph of another size.
+func prepare(indexPath, graphPath string, threads int) (*parapll.Index, *parapll.Graph, string) {
+	var g *parapll.Graph
+	if graphPath != "" {
+		var err error
+		if g, err = parapll.LoadGraph(graphPath); err != nil {
 			fatalf("loading graph: %v", err)
 		}
+	}
+	if indexPath == "" {
 		t0 := time.Now()
 		prog := &parapll.BuildProgress{}
 		stopLog := logProgress(prog, t0)
-		idx = parapll.Build(g, parapll.Options{Threads: threads, Policy: parapll.Dynamic, Progress: prog})
+		idx := parapll.Build(g, parapll.Options{Threads: threads, Policy: parapll.Dynamic, Progress: prog})
 		stopLog()
 		fmt.Printf("indexed %d vertices in %.2fs\n", g.NumVertices(), time.Since(t0).Seconds())
-		source = graphPath
+		return idx, g, graphPath
 	}
-
-	var pidx *pathidx.Index
-	if paths {
-		g, err := parapll.LoadGraph(graphPath)
-		if err != nil {
-			fatalf("loading graph: %v", err)
-		}
-		t0 := time.Now()
-		pidx = pathidx.Build(g, pathidx.Options{Threads: threads, Policy: core.Dynamic})
-		fmt.Printf("path index built in %.2fs\n", time.Since(t0).Seconds())
+	t0 := time.Now()
+	idx, err := fileio.LoadIndex(indexPath)
+	if err != nil {
+		fatalf("loading index: %v", err)
 	}
-	return idx, pidx, source
+	fmt.Printf("opened %s in %.1fms (format=%s, mmap=%v)\n",
+		indexPath, float64(time.Since(t0).Microseconds())/1e3, idx.Format(), idx.Mapped())
+	if g != nil && g.NumVertices() != idx.NumVertices() {
+		fatalf("-index %s has %d vertices and -graph %s has %d: the index is not of this graph",
+			indexPath, idx.NumVertices(), graphPath, g.NumVertices())
+	}
+	return idx, g, indexPath
 }
 
 // logProgress samples prog every 2s and prints a one-line status —

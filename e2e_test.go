@@ -91,7 +91,7 @@ func TestEndToEndCLI(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin("parapll-server"), "./cmd/parapll-server").CombinedOutput(); err != nil {
 		t.Fatalf("building parapll-server: %v\n%s", err, out)
 	}
-	srv := exec.Command(bin("parapll-server"), "-index", idxPath, "-addr", "127.0.0.1:18941")
+	srv := exec.Command(bin("parapll-server"), "-index", idxPath, "-graph", graphPath, "-addr", "127.0.0.1:18941")
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +131,24 @@ func TestEndToEndCLI(t *testing.T) {
 		t.Fatalf("server response unexpected: %s", body)
 	}
 
+	// /path over the mapped index and the graph beside it, from vertex 0
+	// to the farthest vertex it reaches: a walk over edges of the graph
+	// whose weights sum to /query's answer.
+	g, err := fileio.LoadGraph(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, dist := graph.Vertex(0), sssp.Dijkstra(g, 0)
+	for v, d := range dist {
+		if d != graph.Inf && d > dist[far] {
+			far = graph.Vertex(v)
+		}
+	}
+	if far == 0 {
+		t.Fatal("vertex 0 reaches no other vertex")
+	}
+	checkServedPath(t, g, get, 0, far)
+
 	// Hot-swap to the second artifact without restarting, then confirm the
 	// new generation is serving it from its file.
 	resp, err := http.Post("http://127.0.0.1:18941/reload", "application/json",
@@ -161,6 +179,44 @@ func TestEndToEndCLI(t *testing.T) {
 	out = run("parapll-query", "-index", clusterIdx, "-graph", graphPath, "-verify", "5")
 	if !strings.Contains(out, "all exact") {
 		t.Fatalf("cluster index verify failed: %s", out)
+	}
+}
+
+// checkServedPath asks a running server for /path and /query of (s, u)
+// through get and fails unless the path runs from s to u over edges of g
+// whose weights sum to the /query distance.
+func checkServedPath(t *testing.T, g *graph.Graph, get func(string) string, s, u graph.Vertex) {
+	t.Helper()
+	var q struct {
+		Dist int64 `json:"dist"`
+	}
+	var p struct {
+		Path []graph.Vertex `json:"path"`
+		Dist int64          `json:"dist"`
+	}
+	pair := fmt.Sprintf("?s=%d&t=%d", s, u)
+	if err := json.Unmarshal([]byte(get("/query"+pair)), &q); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(get("/path"+pair)), &p); err != nil {
+		t.Fatal(err)
+	}
+	if q.Dist < 0 || p.Dist != q.Dist {
+		t.Fatalf("/path%s dist %d, /query %d", pair, p.Dist, q.Dist)
+	}
+	if len(p.Path) == 0 || p.Path[0] != s || p.Path[len(p.Path)-1] != u {
+		t.Fatalf("/path%s = %v: wrong endpoints", pair, p.Path)
+	}
+	var sum int64
+	for i := 1; i < len(p.Path); i++ {
+		w, ok := g.HasEdge(p.Path[i-1], p.Path[i])
+		if !ok {
+			t.Fatalf("/path%s = %v: {%d,%d} is no edge", pair, p.Path, p.Path[i-1], p.Path[i])
+		}
+		sum += int64(w)
+	}
+	if sum != q.Dist {
+		t.Fatalf("/path%s = %v: weights sum to %d, /query says %d", pair, p.Path, sum, q.Dist)
 	}
 }
 

@@ -30,13 +30,14 @@ func ExampleIndex_Query() {
 	// true
 }
 
-// Path reconstruction returns the route itself.
-func ExampleBuildPathIndex() {
+// Path reconstruction returns the route itself, walked over the graph by
+// the index's distances.
+func ExamplePath() {
 	g := parapll.NewGraph(4, []parapll.Edge{
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 1}, {U: 0, V: 3, W: 10},
 	})
-	pidx := parapll.BuildPathIndex(g, parapll.Options{Threads: 1})
-	path, dist := pidx.Path(0, 3)
+	idx := parapll.Build(g, parapll.Options{Threads: 1})
+	path, dist := parapll.Path(g, idx, 0, 3)
 	fmt.Println(path, dist)
 	// Output:
 	// [0 1 2 3] 3

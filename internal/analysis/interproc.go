@@ -173,10 +173,6 @@ type FuncInfo struct {
 	blocks map[ast.Node]string
 }
 
-// DirectLoads returns the atomic.Pointer Load sites lexically inside
-// this function body (not through callees), in source order.
-func (f *FuncInfo) DirectLoads() []ptrLoad { return f.loads }
-
 // Program is the interprocedural view of one RunAnalyzers invocation.
 type Program struct {
 	// Funcs lists every function and literal in deterministic order
@@ -190,25 +186,9 @@ type Program struct {
 	cache  map[string]interface{}
 }
 
-// InfoOf returns the FuncInfo for an *ast.FuncDecl or *ast.FuncLit, or
-// nil.
-func (p *Program) InfoOf(n ast.Node) *FuncInfo { return p.byNode[n] }
-
 // FuncOf returns the FuncInfo for a declared function, or nil for
 // literals, bodyless and out-of-module functions.
 func (p *Program) FuncOf(fn *types.Func) *FuncInfo { return p.byObj[fn] }
-
-// FuncsOf returns the functions (declarations and literals) of one
-// package, in source order.
-func (p *Program) FuncsOf(pkg *Package) []*FuncInfo {
-	var out []*FuncInfo
-	for _, f := range p.Funcs {
-		if f.Pkg == pkg {
-			out = append(out, f)
-		}
-	}
-	return out
-}
 
 // Cached memoizes a program-wide computation under key, so an analyzer
 // that builds whole-program state (the lock graph) computes it once and

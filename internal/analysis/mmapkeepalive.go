@@ -21,8 +21,8 @@ import (
 // pages under the running query (use-after-munmap).
 //
 // The owner type is recognized structurally: a struct with the six
-// shared array fields plus an mm mapping field (label.Index;
-// pathidx.Index lacks mm and is exempt — it is always heap-backed). The
+// shared array fields plus an mm mapping field (label.Index; a lookalike
+// without mm is exempt — it is always heap-backed). The
 // distances live at one of three widths in a struct of the three
 // distance arrays inside the owner (label.arrays[D]), recognized the
 // same way. A pointer to one is a pointer into the owner: a parameter of

@@ -51,8 +51,9 @@ func (rs *recordingStore) WorkerView(w, workers int) core.LabelStore {
 	return &workerRecorder{store: rs.Store, pl: pl}
 }
 
-// Append is the fallback path for callers that bypass RunWorkers (none
-// in the build today, but the LabelStore contract requires it).
+// Append is the fallback path for callers that bypass the per-root
+// engine's worker views (none in the build today, but the LabelStore
+// contract requires it).
 func (rs *recordingStore) Append(v, hub graph.Vertex, d graph.Dist) {
 	rs.Store.Append(v, hub, d)
 	rs.mu.Lock()
@@ -64,7 +65,7 @@ func (rs *recordingStore) Append(v, hub graph.Vertex, d graph.Dist) {
 // into dst[:0] and returns it. Callers pass a scratch slice reused
 // across rounds; the per-worker backing arrays are kept and reused too.
 // Must not run concurrently with workers appending — Build calls it
-// between segments, after RunWorkers has joined.
+// between segments, after the engine's workers have joined.
 func (rs *recordingStore) takePending(dst []update) []update {
 	out := dst[:0]
 	rs.mu.Lock()

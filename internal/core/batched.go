@@ -75,10 +75,6 @@ const maxBuckets = 1 << 16
 // Name implements Engine.
 func (Batched) Name() string { return EngineBatched }
 
-// EffectiveBatchSize returns the clamped roots-per-frontier Run will
-// use (reporting surface for benchmarks and CLIs).
-func (b Batched) EffectiveBatchSize() int { return b.batchSize() }
-
 // batchSize returns the clamped roots-per-frontier.
 func (b Batched) batchSize() int {
 	switch {

@@ -315,8 +315,8 @@ func newManager(ord []graph.Vertex, opt *Options) task.Manager {
 	}
 }
 
-// RunConfig bundles RunWorkers' optional instrumentation so call sites
-// name what they set. The zero value is a plain uninstrumented run.
+// RunConfig bundles an Engine run's optional instrumentation so call
+// sites name what they set. The zero value is a plain uninstrumented run.
 type RunConfig struct {
 	// Trace receives per-sequence-position label counts (Figure 6); its
 	// slices must be at least as long as the largest sequence position
@@ -333,18 +333,6 @@ type RunConfig struct {
 	// lanes ("build" when empty; the cluster path passes per-segment
 	// phases) so CPU profiles segment by build phase.
 	Phase string
-}
-
-// RunWorkers runs the per-root engine: mgr.Workers() goroutines, each
-// owning a pll.Searcher, until the task manager is exhausted, and
-// returns each worker's total work. Each worker runs under pprof labels
-// (phase, worker) so CPU profiles segment by phase and worker. If store
-// implements PerWorkerStore, each worker routes its accesses through
-// its private WorkerView. Kept as the named entry point for callers
-// pinned to per-root semantics (the cluster sync pipeline records
-// labels per completed root); new call sites should go through Engine.
-func RunWorkers(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig) []int64 {
-	return PerRoot{}.Run(g, mgr, store, cfg)
 }
 
 // RWLockedStore is the ablation store: one global RWMutex, snapshot

@@ -72,7 +72,11 @@ type PerRoot struct{}
 // Name implements Engine.
 func (PerRoot) Name() string { return EnginePerRoot }
 
-// Run implements Engine; see RunWorkers (which it backs).
+// Run implements Engine: mgr.Workers() goroutines, each owning a
+// pll.Searcher, until the task manager is exhausted; it returns each
+// worker's total work. If store implements PerWorkerStore, each worker
+// routes its accesses through its private WorkerView (the cluster sync
+// pipeline records labels per completed root this way).
 func (PerRoot) Run(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig) []int64 {
 	phase := cfg.Phase
 	if phase == "" {
@@ -108,30 +112,6 @@ func runPool(workers int, phase string, fn func(w int)) {
 	wg.Wait()
 }
 
-// RunRoots is the task-manager/worker scaffolding for per-root builds
-// whose labels do not fit the Engine seam (pathidx's parent table): it
-// drains the computing sequence ord through `threads` worker goroutines
-// (<= 0 means GOMAXPROCS) under policy.
-// newWorker runs once on each worker's goroutine and returns what that
-// worker does with every root it claims, so per-worker scratch lives in
-// the returned closure. Panics unless ord is a permutation of [0,n).
-func RunRoots(n int, ord []graph.Vertex, threads int, policy Policy, newWorker func(w int) func(r graph.Vertex)) {
-	if err := graph.CheckOrder(ord, n); err != nil {
-		panic("core: Order must be a permutation of the vertices: " + err.Error())
-	}
-	mgr := newManager(ord, &Options{Threads: threads, Policy: policy})
-	runPool(mgr.Workers(), "build", func(w int) {
-		visit := newWorker(w)
-		for {
-			r, _, ok := mgr.Next(w)
-			if !ok {
-				return
-			}
-			visit(r)
-		}
-	})
-}
-
 // runWorker is one per-root worker's loop. buf is nil unless tracing was
 // enabled when the run started, so the untraced path pays only nil checks.
 func runWorker(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig, w int, perWorker []int64, idAcquire, idDijkstra, idAppend trace.ID) {
@@ -143,9 +123,9 @@ func runWorker(g *graph.Graph, mgr task.Manager, store LabelStore, cfg RunConfig
 		tr.SetThreadName(w, "worker "+strconv.Itoa(w))
 	}
 	var appendNs int64
-	appendFn := func(u, _ graph.Vertex, e label.Entry) { view.Append(u, e.Hub, e.D) }
+	appendFn := func(u graph.Vertex, e label.Entry) { view.Append(u, e.Hub, e.D) }
 	if buf != nil {
-		appendFn = func(u, _ graph.Vertex, e label.Entry) {
+		appendFn = func(u graph.Vertex, e label.Entry) {
 			a0 := tr.Now()
 			view.Append(u, e.Hub, e.D)
 			appendNs += tr.Now() - a0

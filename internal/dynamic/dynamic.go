@@ -301,7 +301,7 @@ func (x *Index) entries(v graph.Vertex) []label.Entry {
 
 // install is the settle hook of a resumed search: add the label e at u,
 // or tighten u's entry for its hub, in this insert's copy of u's run.
-func (x *Index) install(u, _ graph.Vertex, e label.Entry) {
+func (x *Index) install(u graph.Vertex, e label.Entry) {
 	r := x.own[u]
 	if r == nil {
 		pub := x.delta[u].Load()

@@ -1,6 +1,10 @@
 package label
 
-import "parapll/internal/graph"
+import (
+	"slices"
+
+	"parapll/internal/graph"
+)
 
 // MidOnlyIndex is midOnlyIndex for the external test package.
 var MidOnlyIndex = midOnlyIndex
@@ -10,6 +14,9 @@ var RefMerge = refMerge
 
 // Entries is entries for the external test package.
 func (s *Store) Entries(v graph.Vertex, dst []Entry) []Entry { return s.entries(v, dst) }
+
+// SortDedupe is sortDedupe on a copy, for the external test package.
+func SortDedupe(l []Entry) []Entry { return sortDedupe(slices.Clone(l)) }
 
 // Runs splits a label list into the sorted, deduplicated hub and
 // distance runs refMerge and MergeRun take.

@@ -368,17 +368,9 @@ func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot [
 // midWords returns W, the 64-bit words in one bitmap row of k2 columns.
 func midWords(k2 int) int { return (k2 + 63) >> 6 }
 
-// SortDedupe returns a copy of one label list sorted by hub with
-// duplicate hubs collapsed to their minimum distance — the strictly
+// sortDedupe sorts one label list by hub in place and returns its prefix
+// with duplicate hubs collapsed to their minimum distance — the strictly
 // hub-increasing form every merge kernel requires.
-func SortDedupe(l []Entry) []Entry {
-	list := make([]Entry, len(l))
-	copy(list, l)
-	return sortDedupe(list)
-}
-
-// sortDedupe is SortDedupe in place: it reorders list and returns the
-// deduplicated prefix.
 func sortDedupe(list []Entry) []Entry {
 	slices.SortFunc(list, func(a, b Entry) int {
 		if c := cmp.Compare(a.Hub, b.Hub); c != 0 {

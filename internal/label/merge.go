@@ -15,8 +15,7 @@ import "parapll/internal/graph"
 //
 //   - an unrolled equal-hub fast path: high-ranked hubs appear in many
 //     label lists, so two runs often share a stretch of identical hub
-//     ids (always, for the whole labels pathidx passes to MergeRuns).
-//     The unrolled loop consumes such a stretch with one compare per
+//     ids. The unrolled loop consumes such a stretch with one compare per
 //     pair instead of re-entering the three-way dispatch each iteration.
 //
 //   - galloping probes for asymmetric runs: when one run is >=
@@ -211,7 +210,7 @@ func merge[M mode, D distance](ah []graph.Vertex, ad []D, bh []graph.Vertex, bd 
 }
 
 // MergeRuns is the kernel for callers that hold their own hub-sorted
-// struct-of-arrays runs (pathidx, dynamic): the minimum distance over
+// struct-of-arrays runs (dynamic): the minimum distance over
 // common hubs and the hub achieving it, (graph.Inf, -1) when the runs
 // share none. Runs that alias a mapped Index must be pinned by the
 // caller across the call.

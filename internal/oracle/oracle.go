@@ -1,19 +1,17 @@
 // Package oracle defines the one query surface every distance index in
-// this repository serves. Three index implementations answer the paper's
+// this repository serves. Two index implementations answer the paper's
 // QUERY(s,t,L) over a weighted undirected graph: the 2-hop index
-// (label.Index, including its mmap-backed form), the insert-maintained
-// dynamic index (dynamic.Index), and the path-augmented index
-// (pathidx.Index). Server, bench and the CLIs program against this
-// interface instead of the three concrete types, so a serving deployment
-// can swap index kinds — or swap a heap-decoded index for a zero-copy
-// mmap one — without touching call sites.
+// (label.Index, including its mmap-backed form) and the insert-maintained
+// dynamic index (dynamic.Index). Server, bench and the CLIs program
+// against this interface instead of the concrete types, so a serving
+// deployment can swap index kinds — or swap a heap-decoded index for a
+// zero-copy mmap one — without touching call sites.
 package oracle
 
 import (
 	"parapll/internal/dynamic"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/pathidx"
 )
 
 // Oracle answers exact point-to-point distance queries over a fixed
@@ -42,5 +40,4 @@ type Oracle interface {
 var (
 	_ Oracle = (*label.Index)(nil)
 	_ Oracle = (*dynamic.Index)(nil)
-	_ Oracle = (*pathidx.Index)(nil)
 )

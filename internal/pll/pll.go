@@ -73,7 +73,7 @@ func Build(g *graph.Graph, opt Options) *label.Index {
 	labels := make([][]label.Entry, n)
 	ps := NewSearcher(n)
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
-	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
+	add := func(u graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	for k, r := range ord {
 		added, pruned := ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: labels[r]}, g.Neighbors, get, add)
 		if opt.Trace != nil {
@@ -96,8 +96,8 @@ type Seed struct {
 
 // Searcher is the repository's one Pruned Dijkstra (paper Algorithm 1's
 // inner loop). It owns only the reusable per-search scratch: a
-// tentative-distance and predecessor array with a touched list (reset in
-// time proportional to the search, not n), the hub's side of the prune
+// tentative-distance array with a touched list (reset in time
+// proportional to the search, not n), the hub's side of the prune
 // test (label.Probe), and the priority queue. What is searched arrives
 // per Run as closures, so one scratch serves any adjacency (a CSR graph,
 // a growing overlay) over a store or an index with runs over it; see
@@ -107,8 +107,7 @@ type Seed struct {
 // worker its own Searcher over a shared label store.
 type Searcher struct {
 	dist    []graph.Dist
-	pred    []graph.Vertex // pred[v] = vertex whose relaxation set dist[v]
-	probe   *label.Probe   // the seed's hub's side of the prune test
+	probe   *label.Probe // the seed's hub's side of the prune test
 	touched []graph.Vertex
 	heap    *vheap.Indexed
 	work    int64 // ops in the most recent Run: pops + relaxations + label scans
@@ -123,7 +122,6 @@ func (ps *Searcher) LastWork() int64 { return ps.work }
 func NewSearcher(n int) *Searcher {
 	ps := &Searcher{
 		dist:  make([]graph.Dist, n),
-		pred:  make([]graph.Vertex, n),
 		probe: label.NewProbe(n),
 		heap:  vheap.NewIndexed(n),
 	}
@@ -145,21 +143,19 @@ func NewSearcher(n int) *Searcher {
 //     A stale snapshot is fine: seeing fewer labels only weakens pruning,
 //     never correctness (Proposition 1).
 //   - settle commits the label (seed.Hub, d) at a popped vertex u the
-//     cover does not already answer; pred is the vertex u was reached
-//     from (u itself at seed.Start). settle runs before u is expanded
-//     and may rewrite u's label list.
+//     cover does not already answer. It runs before u is expanded and
+//     may rewrite u's label list.
 func (ps *Searcher) Run(
 	seed Seed,
 	hub label.Label,
 	adj func(graph.Vertex) ([]graph.Vertex, []graph.Dist),
 	getLabel func(graph.Vertex) []label.Entry,
-	settle func(u, pred graph.Vertex, e label.Entry),
+	settle func(u graph.Vertex, e label.Entry),
 ) (added, pruned int64) {
 	ps.work = 0
 	ps.probe.Set(hub)
 
 	ps.dist[seed.Start] = seed.D0
-	ps.pred[seed.Start] = seed.Start
 	ps.touched = append(ps.touched, seed.Start)
 	ps.heap.Reset()
 	ps.heap.Push(seed.Start, seed.D0)
@@ -175,7 +171,7 @@ func (ps *Searcher) Run(
 			pruned++
 			continue
 		}
-		settle(u, ps.pred[u], label.Entry{Hub: seed.Hub, D: d})
+		settle(u, label.Entry{Hub: seed.Hub, D: d})
 		added++
 
 		ns, ws := adj(u)
@@ -187,7 +183,6 @@ func (ps *Searcher) Run(
 					ps.touched = append(ps.touched, v)
 				}
 				ps.dist[v] = nd
-				ps.pred[v] = u
 				ps.heap.Push(v, nd)
 			}
 		}

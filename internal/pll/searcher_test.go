@@ -39,9 +39,8 @@ func mappedIndex(t *testing.T, x *label.Index) *label.Index {
 // seeded (resumed) runs, and between store-backed labels and index-backed
 // ones — a mapped base with runs over it, as the living graph's searches
 // read them — settles exactly what a fresh Searcher per run settles. Any
-// distance, predecessor, scatter or heap state leaking from one Run into
-// the next changes a prune decision or a predecessor and shows up in the
-// settle log. (The seeded runs open at made-up distances and the base
+// distance, scatter or heap state leaking from one Run into the next
+// changes a prune decision or a distance and shows up in the settle log. (The seeded runs open at made-up distances and the base
 // indexes the other view, so the labels are not a valid index; only
 // reproducibility is asserted.)
 func TestSearcherScratchFullyReset(t *testing.T) {
@@ -65,7 +64,7 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 
 	// replay runs the script, taking each step's Searcher from next, and
 	// returns every settle call and every Run's counters in order.
-	replay := func(next func() *Searcher) (log [][4]int64) {
+	replay := func(next func() *Searcher) (log [][3]int64) {
 		labels := [3][][]label.Entry{make([][]label.Entry, n), make([][]label.Entry, n), make([][]label.Entry, n)}
 		for _, s := range script {
 			l := labels[s.view]
@@ -76,11 +75,11 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 			ps := next()
 			added, pruned := ps.Run(s.seed, hub, adj,
 				func(u graph.Vertex) []label.Entry { return l[u] },
-				func(u, pred graph.Vertex, e label.Entry) {
+				func(u graph.Vertex, e label.Entry) {
 					l[u] = append(l[u], e)
-					log = append(log, [4]int64{int64(u), int64(pred), int64(e.Hub), int64(e.D)})
+					log = append(log, [3]int64{int64(u), int64(e.Hub), int64(e.D)})
 				})
-			log = append(log, [4]int64{added, pruned, ps.LastWork(), -1})
+			log = append(log, [3]int64{added, pruned, ps.LastWork()})
 		}
 		return log
 	}
@@ -108,7 +107,7 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 	ps := NewSearcher(n)
 	adj := g.Neighbors
 	get := func(u graph.Vertex) []label.Entry { return labels[u] }
-	add := func(u, _ graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
+	add := func(u graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	var base *label.Index
 	for r := graph.Vertex(0); int(r) < n; r++ {
 		if int(r) == n/2 {
@@ -126,7 +125,7 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 
 	var settled int64
 	none := func(graph.Vertex) []label.Entry { return nil }
-	count := func(_, _ graph.Vertex, _ label.Entry) { settled++ }
+	count := func(graph.Vertex, label.Entry) { settled++ }
 	rooted := func(view func(graph.Vertex) []label.Entry) func(*Searcher) {
 		return func(ps *Searcher) {
 			for r := graph.Vertex(0); int(r) < n; r++ {

@@ -8,7 +8,6 @@ import (
 	"parapll/internal/dynamic"
 	"parapll/internal/graph"
 	"parapll/internal/oracle"
-	"parapll/internal/pathidx"
 	"parapll/internal/pll"
 )
 
@@ -198,9 +197,6 @@ func TestCachedEquivalenceAllOracles(t *testing.T) {
 	})
 	t.Run("dynamic", func(t *testing.T) {
 		checkEquivalence(t, "dynamic", dynamic.Build(g, pll.Options{}), true)
-	})
-	t.Run("pathidx", func(t *testing.T) {
-		checkEquivalence(t, "pathidx", pathidx.Build(g, pathidx.Options{}), true)
 	})
 }
 

@@ -206,7 +206,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Fatalf("flight.New: %v", err)
 	}
 	s, ts, _ := testDiagServer(t, 0, &Options{Registry: reg, Flight: rec})
-	s.handle("/boom", http.MethodGet, func(w http.ResponseWriter, r *http.Request) {
+	s.handle("/boom", http.MethodGet, 0, func(w http.ResponseWriter, r *http.Request) {
 		panic("kaboom")
 	})
 

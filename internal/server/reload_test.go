@@ -17,7 +17,6 @@ import (
 	"parapll/internal/fileio"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/pathidx"
 	"parapll/internal/pll"
 )
 
@@ -161,10 +160,10 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// The path index is graph-derived state the loader cannot rebuild, so a
-// reload carries it over only when re-reading the same artifact; after
-// switching to a different artifact /path must 404 rather than answer
-// (or panic) from a path index validated against another graph.
+// The graph /path walks is not part of the artifact and the loader
+// cannot rebuild it, so a reload carries it over only when re-reading the
+// same artifact; after switching to a different artifact /path must 404
+// rather than walk (or panic) by another graph's distances.
 func TestReloadPathIndexCarryOver(t *testing.T) {
 	dir := t.TempDir()
 	a := saveLineIndex(t, dir, 6)
@@ -175,11 +174,11 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Publish(first, pathidx.Build(lineGraph(6), pathidx.Options{Threads: 1}), a)
+	s.Publish(first, lineGraph(6), a)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
-	// Same artifact: the path index survives the swap.
+	// Same artifact: the graph survives the swap.
 	if code, _ := postReload(t, ts.URL, a); code != http.StatusOK {
 		t.Fatalf("same-path reload: status %d", code)
 	}
@@ -188,9 +187,8 @@ func TestReloadPathIndexCarryOver(t *testing.T) {
 		t.Fatalf("path after same-path reload: status %d, %+v", code, p)
 	}
 
-	// Different artifact (and vertex count): the stale path index is
-	// dropped — t=8 is valid in the new index but out of range for the
-	// old path index, which would panic if carried over.
+	// Different artifact (and vertex count): the stale graph is dropped —
+	// t=8 is valid in the new index but not a vertex of the old graph.
 	if code, _ := postReload(t, ts.URL, b); code != http.StatusOK {
 		t.Fatalf("cross-path reload: status %d", code)
 	}

@@ -10,7 +10,8 @@
 //	                        member, pairs of two non-negative integers,
 //	                        at most 100 000 of them in at most 8 MiB
 //	                      → {"dists":[...]} (-1 encodes unreachable)
-//	GET  /path?s=A&t=B    → {"path":[...],"dist":D} (404 if no path index)
+//	GET  /path?s=A&t=B    → {"path":[...],"dist":D} (404 without the
+//	                        graph beside the index)
 //	GET  /knn?s=A&k=N     → k closest vertices with exact distances
 //	GET  /stats           → index size statistics + generation/format
 //	POST /update          ← {"u":A,"v":B,"w":W}
@@ -39,8 +40,8 @@
 //
 // # Snapshot model
 //
-// The serving state — index, optional path index, lazily built KNN
-// index, generation counter, source path — lives in one immutable
+// The serving state — index, the optional graph it indexes, lazily built
+// KNN index, generation counter, source path — lives in one immutable
 // snapshot behind an atomic pointer. Queries load the pointer once and
 // run entirely against that snapshot; Reload builds the next snapshot
 // off the request path and publishes it with a single atomic store.
@@ -94,7 +95,6 @@ import (
 	"parapll/internal/label"
 	"parapll/internal/metrics"
 	"parapll/internal/oracle"
-	"parapll/internal/pathidx"
 	"parapll/internal/qcache"
 	"parapll/internal/trace"
 	"parapll/internal/wal"
@@ -106,8 +106,8 @@ import (
 type snapshot struct {
 	idx    *label.Index
 	ora    oracle.Oracle // the query surface handlers program against
-	pidx   *pathidx.Index
-	up     Updater // non-nil in living-graph mode; then ora == up
+	g      *graph.Graph  // the graph idx indexes, for /path; nil: 404
+	up     Updater       // non-nil in living-graph mode; then ora == up
 	gen    uint64
 	source string // file the index was loaded from; "" if in-memory
 	loaded time.Time
@@ -123,12 +123,8 @@ func (sn *snapshot) knnIndex() *knn.Index {
 	return sn.knn
 }
 
-// Loader loads an index file for Reload. The path index, which is built
-// from the graph and not part of the artifact, is the current
-// snapshot's: it is carried over only when the reload re-reads the same
-// source file and the vertex counts still match. Reloading a different
-// artifact drops it (404 on /path), since a path index for another graph
-// would answer with wrong paths.
+// Loader loads an index file for Reload (which decides whether the
+// graph /path walks carries over).
 type Loader func(path string) (*label.Index, error)
 
 // Reload error sentinels, mapped to HTTP statuses by POST /reload.
@@ -264,21 +260,21 @@ func NewPending(o *Options) *Server {
 	s.generation = reg.Gauge("index.generation")
 	s.reloadFailures = reg.Counter("reload.failures_total")
 	s.panics = reg.Counter("http.panics_total")
-	s.handleSnap("/query", http.MethodGet, s.handleQuery)
-	s.handleSnap("/batch", http.MethodPost, s.handleBatch)
-	s.handleSnap("/path", http.MethodGet, s.handlePath)
-	s.handleSnap("/knn", http.MethodGet, s.handleKNN)
-	s.handleSnap("/stats", http.MethodGet, s.handleStats)
-	s.handleSnap("/update", http.MethodPost, s.handleUpdate)
-	s.handle("/reload", http.MethodPost, s.handleReload)
-	s.handle("/readyz", http.MethodGet, s.handleReadyz)
-	s.handle("/healthz", http.MethodGet, s.handleHealthz)
-	s.handle("/metrics", http.MethodGet, s.handleMetrics)
-	s.handle("/debug/slow", http.MethodGet, s.handleDebugSlow)
-	s.handle("/debug/trace", http.MethodGet, s.handleDebugTrace)
-	s.handleSnap("/debug/explain", http.MethodGet, s.handleDebugExplain)
-	s.handle("/debug/health", http.MethodGet, s.handleDebugHealth)
-	s.handle("/debug/bundle", http.MethodGet, s.handleDebugBundle)
+	s.handleSnap("/query", http.MethodGet, 0, s.handleQuery)
+	s.handleSnap("/batch", http.MethodPost, maxBatchBytes, s.handleBatch)
+	s.handleSnap("/path", http.MethodGet, 0, s.handlePath)
+	s.handleSnap("/knn", http.MethodGet, 0, s.handleKNN)
+	s.handleSnap("/stats", http.MethodGet, 0, s.handleStats)
+	s.handleSnap("/update", http.MethodPost, maxUpdateBytes, s.handleUpdate)
+	s.handle("/reload", http.MethodPost, maxReloadBytes, s.handleReload)
+	s.handle("/readyz", http.MethodGet, 0, s.handleReadyz)
+	s.handle("/healthz", http.MethodGet, 0, s.handleHealthz)
+	s.handle("/metrics", http.MethodGet, 0, s.handleMetrics)
+	s.handle("/debug/slow", http.MethodGet, 0, s.handleDebugSlow)
+	s.handle("/debug/trace", http.MethodGet, 0, s.handleDebugTrace)
+	s.handleSnap("/debug/explain", http.MethodGet, 0, s.handleDebugExplain)
+	s.handle("/debug/health", http.MethodGet, 0, s.handleDebugHealth)
+	s.handle("/debug/bundle", http.MethodGet, 0, s.handleDebugBundle)
 	return s
 }
 
@@ -366,9 +362,11 @@ func (s *Server) Generation() uint64 {
 // Publish atomically swaps in new static serving state and returns its
 // generation. In-flight requests keep the snapshot they started with;
 // new requests see the new one. Safe to call concurrently with
-// traffic.
-func (s *Server) Publish(idx *label.Index, pidx *pathidx.Index, source string) uint64 {
-	return s.publish(nil, idx, pidx, source).gen
+// traffic. g, the graph idx indexes, is optional and kept only when its
+// vertex count is the index's: with it the snapshot answers /path,
+// without it /path answers 404.
+func (s *Server) Publish(idx *label.Index, g *graph.Graph, source string) uint64 {
+	return s.publish(nil, idx, g, source).gen
 }
 
 // PublishLive is Publish in living-graph mode: the snapshot serves
@@ -382,7 +380,10 @@ func (s *Server) PublishLive(up Updater, idx *label.Index, source string) uint64
 // that need the published state (handleReload's response) read the
 // snapshot they created instead of re-loading the pointer — a second
 // load could observe a different, concurrent publish.
-func (s *Server) publish(up Updater, idx *label.Index, pidx *pathidx.Index, source string) *snapshot {
+func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source string) *snapshot {
+	if g != nil && g.NumVertices() != idx.NumVertices() {
+		g = nil
+	}
 	gen := s.gen.Add(1)
 	ora := oracle.Oracle(idx)
 	if up != nil {
@@ -402,7 +403,7 @@ func (s *Server) publish(up Updater, idx *label.Index, pidx *pathidx.Index, sour
 	sn := &snapshot{
 		idx:    idx,
 		ora:    ora,
-		pidx:   pidx,
+		g:      g,
 		up:     up,
 		gen:    gen,
 		source: source,
@@ -416,12 +417,10 @@ func (s *Server) publish(up Updater, idx *label.Index, pidx *pathidx.Index, sour
 // Reload loads an index file and publishes it. An empty path reloads
 // the current snapshot's source file. Only one reload runs at a time
 // (ErrReloadBusy otherwise); queries are never blocked — they serve the
-// old snapshot until the atomic swap. The current snapshot's path index
-// is carried over only when the reload re-reads the same source file
-// and the vertex counts still match — a path index validated against a
-// different artifact would panic or answer paths from the wrong graph.
-// Otherwise the new snapshot has no path index and /path answers 404.
-// A living snapshot's updater is carried over too, and it reloads only
+// old snapshot until the atomic swap. The current snapshot's graph is
+// carried over only when the reload re-reads the same source file (and
+// Publish keeps it): a different artifact indexes another graph, so
+// /path answers 404 after it. A living snapshot's updater is carried over too, and it reloads only
 // its own checkpoint (ErrLiveReload otherwise).
 func (s *Server) Reload(path string) (uint64, error) {
 	sn, err := s.reload(path)
@@ -433,10 +432,9 @@ func (s *Server) Reload(path string) (uint64, error) {
 
 // reload implements Reload and returns the snapshot it published. The
 // current snapshot is loaded exactly once, up front: the empty-path
-// resolution, the living-graph check and the pidx carry-over decision
+// resolution, the living-graph check and the graph carry-over decision
 // read that one value, so a concurrent publish mid-reload cannot split
-// the decisions across generations (the original form of PR 3's
-// stale-pidx bug).
+// the decisions across generations.
 func (s *Server) reload(path string) (*snapshot, error) {
 	sn, err := s.reloadInner(path)
 	if err != nil && !errors.Is(err, ErrReloadBusy) && !errors.Is(err, ErrLiveReload) {
@@ -461,7 +459,7 @@ func (s *Server) reloadInner(path string) (*snapshot, error) {
 	defer s.reloadMu.Unlock()
 	cur := s.snap.Load()
 	if cur == nil {
-		cur = &snapshot{} // nothing published: no source, path index or updater to carry
+		cur = &snapshot{} // nothing published: no source, graph or updater to carry
 	}
 	if path == "" {
 		path = cur.source
@@ -476,11 +474,11 @@ func (s *Server) reloadInner(path string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: reloading %s: %w", path, err)
 	}
-	var pidx *pathidx.Index
-	if cur.pidx != nil && path == cur.source && cur.pidx.NumVertices() == idx.NumVertices() {
-		pidx = cur.pidx
+	var g *graph.Graph
+	if path == cur.source {
+		g = cur.g // publish drops it if the vertex count moved
 	}
-	return s.publish(cur.up, idx, pidx, path), nil
+	return s.publish(cur.up, idx, g, path), nil
 }
 
 // ServeHTTP implements http.Handler.
@@ -524,12 +522,14 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // handle registers h at path behind the shared middleware: a method
-// guard (the same 405 on every endpoint) plus per-endpoint request and
+// guard (the same 405 on every endpoint), a body limit of limit bytes
+// when limit > 0 (a handler reading past it gets an *http.MaxBytesError,
+// which writeBodyErr turns into the 413), plus per-endpoint request and
 // error counters and a latency histogram, all resolved once here so the
 // request path touches only atomics. The same wall-clock measurement
 // also feeds the slow-query log and, when a tracer is installed and the
 // request is sampled, a per-request trace span.
-func (s *Server) handle(path, method string, h http.HandlerFunc) {
+func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 	name := strings.TrimPrefix(path, "/")
 	requests := s.opt.Registry.Counter("http.requests." + name)
 	errorsC := s.opt.Registry.Counter("http.errors." + name)
@@ -550,6 +550,9 @@ func (s *Server) handle(path, method string, h http.HandlerFunc) {
 		if r.Method != method {
 			writeErr(sw, http.StatusMethodNotAllowed, fmt.Errorf("%s only", method))
 		} else {
+			if limit > 0 {
+				r.Body = http.MaxBytesReader(sw, r.Body, limit)
+			}
 			s.invoke(h, sw, r, spanName)
 		}
 		elapsed := time.Since(start)
@@ -603,8 +606,8 @@ func (s *Server) invoke(h http.HandlerFunc, sw *statusWriter, r *http.Request, s
 // throughout, so a concurrent reload can never shear a request across
 // two generations. While no snapshot is published yet, these answer
 // 503 (matching /readyz).
-func (s *Server) handleSnap(path, method string, h func(sn *snapshot, w http.ResponseWriter, r *http.Request)) {
-	s.handle(path, method, func(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSnap(path, method string, limit int64, h func(sn *snapshot, w http.ResponseWriter, r *http.Request)) {
+	s.handle(path, method, limit, func(w http.ResponseWriter, r *http.Request) {
 		sn := s.snap.Load()
 		if sn == nil {
 			writeErr(w, http.StatusServiceUnavailable, errors.New("index is still loading"))
@@ -632,6 +635,19 @@ func vertexParam(sn *snapshot, r *http.Request, name string) (graph.Vertex, erro
 	return graph.Vertex(v), nil
 }
 
+// pairParams reads a pair endpoint's s and t, answering 400 itself when
+// either is missing, malformed or out of range.
+func pairParams(sn *snapshot, w http.ResponseWriter, r *http.Request) (src, dst graph.Vertex, ok bool) {
+	src, err := vertexParam(sn, r, "s")
+	if err == nil {
+		dst, err = vertexParam(sn, r, "t")
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+	}
+	return src, dst, err == nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
@@ -640,6 +656,17 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
+}
+
+// writeBodyErr answers a request body that failed to read or decode:
+// 413 when it ran past the endpoint's limit (see handle), else 400.
+func writeBodyErr(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeErr(w, http.StatusBadRequest, err)
 }
 
 // encodeDist is a distance as the wire carries it: -1 when unreachable.
@@ -651,14 +678,8 @@ func encodeDist(d graph.Dist) int64 {
 }
 
 func (s *Server) handleQuery(sn *snapshot, w http.ResponseWriter, r *http.Request) {
-	src, err := vertexParam(sn, r, "s")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	dst, err := vertexParam(sn, r, "t")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	src, dst, ok := pairParams(sn, w, r)
+	if !ok {
 		return
 	}
 	var d graph.Dist
@@ -691,15 +712,9 @@ const (
 func (s *Server) handleBatch(sn *snapshot, w http.ResponseWriter, r *http.Request) {
 	b := getWireBuf()
 	defer putWireBuf(b)
-	pairs, err := b.decodePairs(http.MaxBytesReader(w, r.Body, maxBatchBytes), maxBatch)
+	pairs, err := b.decodePairs(r.Body, maxBatch)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxBatchBytes))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err)
+		writeBodyErr(w, err)
 		return
 	}
 	n := sn.ora.NumVertices()
@@ -719,27 +734,19 @@ type pathResponse struct {
 	Dist int64          `json:"dist"`
 }
 
+// handlePath serves GET /path?s=A&t=B: a shortest path walked over the
+// snapshot's graph by exact distances (graph.Path). The walk asks the
+// index, not the cached oracle, so its neighbour probes do not evict the
+// cache's hot pairs.
 func (s *Server) handlePath(sn *snapshot, w http.ResponseWriter, r *http.Request) {
-	if sn.pidx == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("server was started without a path index"))
+	if sn.g == nil {
+		writeErr(w, http.StatusNotFound, errors.New("no graph beside this index (start the server with -graph)"))
 		return
 	}
-	src, err := vertexParam(sn, r, "s")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	if src, dst, ok := pairParams(sn, w, r); ok {
+		path, d := graph.Path(sn.g, sn.idx, src, dst)
+		writeJSON(w, http.StatusOK, pathResponse{Path: path, Dist: encodeDist(d)})
 	}
-	dst, err := vertexParam(sn, r, "t")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	path, d := sn.pidx.Path(src, dst)
-	if d == graph.Inf {
-		writeJSON(w, http.StatusOK, pathResponse{Path: nil, Dist: -1})
-		return
-	}
-	writeJSON(w, http.StatusOK, pathResponse{Path: path, Dist: int64(d)})
 }
 
 // knnResponse is the /knn reply.
@@ -805,7 +812,7 @@ func (s *Server) statsPayload(sn *snapshot) statsResponse {
 		Mid:          k2,
 		MidDensity:   midDensity,
 		DistBytes:    sn.idx.DistBytes(),
-		HasPathIndex: sn.pidx != nil,
+		HasPathIndex: sn.g != nil,
 		Generation:   sn.gen,
 		Format:       sn.idx.Format(),
 		Mmap:         sn.idx.Mapped(),
@@ -865,16 +872,9 @@ func (s *Server) handleUpdate(sn *snapshot, w http.ResponseWriter, r *http.Reque
 			errors.New("server was started without -wal (no living-graph pipeline)"))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxUpdateBytes)
 	var req updateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxUpdateBytes))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %v", err))
+		writeBodyErr(w, fmt.Errorf("bad body: %w", err))
 		return
 	}
 	n := int64(up.NumVertices())
@@ -928,17 +928,9 @@ type reloadResponse struct {
 // request's goroutine; every other request keeps serving the old
 // snapshot until the swap.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	// A reload body is one path; anything near the cap is garbage.
-	r.Body = http.MaxBytesReader(w, r.Body, maxReloadBytes)
 	var req reloadRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", maxReloadBytes))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %v", err))
+		writeBodyErr(w, fmt.Errorf("bad body: %w", err))
 		return
 	}
 	// The response describes the snapshot this reload published, not
@@ -1101,14 +1093,8 @@ type explainResponse struct {
 // nanosecond cost, with the cache's
 // view of the pair alongside. The hot kernel is never involved.
 func (s *Server) handleDebugExplain(sn *snapshot, w http.ResponseWriter, r *http.Request) {
-	src, err := vertexParam(sn, r, "s")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	dst, err := vertexParam(sn, r, "t")
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	src, dst, ok := pairParams(sn, w, r)
+	if !ok {
 		return
 	}
 	resp := explainResponse{

@@ -10,7 +10,6 @@ import (
 
 	"parapll/internal/graph"
 	"parapll/internal/metrics"
-	"parapll/internal/pathidx"
 	"parapll/internal/pll"
 	"parapll/internal/sssp"
 )
@@ -26,12 +25,12 @@ func testGraph() *graph.Graph {
 func testServer(t *testing.T, withPath bool) (*httptest.Server, *graph.Graph) {
 	t.Helper()
 	g := testGraph()
-	var pidx *pathidx.Index
+	var beside *graph.Graph
 	if withPath {
-		pidx = pathidx.Build(g, pathidx.Options{Threads: 1})
+		beside = g
 	}
 	s := NewPending(nil)
-	s.Publish(pll.Build(g, pll.Options{}), pidx, "")
+	s.Publish(pll.Build(g, pll.Options{}), beside, "")
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return ts, g
@@ -167,6 +166,24 @@ func TestPathWithoutIndex(t *testing.T) {
 	var e map[string]string
 	if code := getJSON(t, ts.URL+"/path?s=0&t=3", &e); code != http.StatusNotFound {
 		t.Fatalf("status %d, want 404", code)
+	}
+}
+
+// A graph published beside an index of another size is not the graph
+// indexed: Publish drops it, and /path answers 404 — not a 500 from a
+// walk that asks for vertex 5 of a 4-vertex graph.
+func TestPathGraphOfAnotherSize(t *testing.T) {
+	s := NewPending(nil)
+	s.Publish(pll.Build(lineGraph(6), pll.Options{}), lineGraph(4), "")
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	var e map[string]string
+	if code := getJSON(t, ts.URL+"/path?s=0&t=5", &e); code != http.StatusNotFound {
+		t.Fatalf("/path with a 4-vertex graph beside a 6-vertex index: status %d (%v), want 404", code, e)
+	}
+	var st statsResponse
+	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK || st.HasPathIndex {
+		t.Fatalf("stats: status %d, %+v", code, st)
 	}
 }
 

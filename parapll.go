@@ -36,7 +36,6 @@ import (
 	"parapll/internal/mpi"
 	"parapll/internal/oracle"
 	"parapll/internal/order"
-	"parapll/internal/pathidx"
 	"parapll/internal/pll"
 	"parapll/internal/sssp"
 	"parapll/internal/trace"
@@ -59,9 +58,6 @@ type (
 	// Explain is the cost-attribution record Index.QueryExplain returns:
 	// the same answer as Query, plus where the merge's work went.
 	Explain = label.Explain
-	// PathIndex is a path-augmented index that also reconstructs the
-	// shortest path itself (see BuildPathIndex).
-	PathIndex = pathidx.Index
 	// Comm is an MPI-style communicator for cluster indexing.
 	Comm = mpi.Comm
 )
@@ -107,7 +103,7 @@ type Options struct {
 	// Dijkstra per root — the paper's ParaPLL, and the default when
 	// empty) or EngineBatched (vertex-centric: a batch of roots
 	// propagated as one shared frontier). Honored by Build; the serial,
-	// cluster, path and dynamic builders are pinned to per-root.
+	// cluster and dynamic builders are pinned to per-root.
 	Engine string
 	// BatchSize is EngineBatched's roots-per-frontier, clamped to
 	// [1, 64]; <= 0 picks the default (8). Ignored by EnginePerRoot.
@@ -234,17 +230,11 @@ func BuildUnweighted(g *Graph, opt Options) *Index {
 	return Build(NewGraph(g.NumVertices(), edges), opt)
 }
 
-// BuildPathIndex constructs a path-augmented index: like Build, but each
-// label also records a predecessor, so PathIndex.Path(s, t) returns the
-// actual shortest-path vertex sequence, not just its length. Costs ~50%
-// more label memory than Build.
-func BuildPathIndex(g *Graph, opt Options) *PathIndex {
-	return pathidx.Build(g, pathidx.Options{
-		Threads: opt.Threads,
-		Policy:  opt.Policy,
-		Order:   computeOrder(g, opt.Order, opt.Seed),
-	})
-}
+// Path returns the vertices of a shortest path from s to t and its
+// length, walked over g by idx's exact distances (idx must be an index
+// of g): one idx.Query per neighbour probed. It returns ([s], 0) for
+// s == t, and (nil, Inf) for a disconnected pair or an idx not of g.
+func Path(g *Graph, idx *Index, s, t Vertex) ([]Vertex, Dist) { return graph.Path(g, idx, s, t) }
 
 // DynamicIndex is a mutable index that stays exact under edge
 // insertions (InsertEdge) without rebuilding; see BuildDynamic.
@@ -330,8 +320,9 @@ func SaveGraph(path string, g *Graph) error { return fileio.SaveGraph(path, g) }
 func LoadGraph(path string) (*Graph, error) { return fileio.LoadGraph(path) }
 
 // Oracle is the query surface every distance index in this repository
-// serves — Index, DynamicIndex and PathIndex all satisfy it. Program against Oracle to swap index kinds (or a heap-decoded
-// index for a zero-copy mmap one) without touching call sites.
+// serves — Index and DynamicIndex both satisfy it. Program against
+// Oracle to swap index kinds (or a heap-decoded index for a zero-copy
+// mmap one) without touching call sites.
 type Oracle = oracle.Oracle
 
 // FormatMmap names the index file format, PIDM: LoadIndex opens it

@@ -106,36 +106,116 @@ func TestGraphAndIndexPersistence(t *testing.T) {
 	}
 }
 
-func TestBuildPathIndex(t *testing.T) {
-	g, err := parapll.GenerateDataset("DE-USA", 0.01)
-	if err != nil {
-		t.Fatal(err)
+// TestPath holds Path to Dijkstra on every pair of three random graphs,
+// each indexed at 1 and 2 threads. Weights 1-3 make equal-length paths
+// common, the third graph's 0-3 put zero-weight edges on them, and every
+// graph has two components plus an isolated vertex. An index of another
+// graph with the same n must give (nil, Inf): its distances are
+// multiples of 1000, which no step of weight 0-3 meets. So must one with
+// fewer vertices, which the walk would ask out of range, and an s == t
+// that is no vertex.
+func TestPath(t *testing.T) {
+	// Pinned paths across a zero-weight level: 0-1, 0-2 and 2-3 weigh 0,
+	// 3-4 weighs 2 and 0-4 5. From 0 or 1 to 4 no positive-weight step
+	// passes until 3, so the walk searches the level (past the dead end
+	// 1); 1 to 3 is all zero weights, and 4 to 1 ends on the level.
+	z := parapll.NewGraph(5, []parapll.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 2, V: 3}, {U: 3, V: 4, W: 2}, {U: 0, V: 4, W: 5}})
+	zi := parapll.Build(z, parapll.Options{Threads: 1})
+	for _, c := range []struct {
+		s, u parapll.Vertex
+		want []parapll.Vertex
+		d    parapll.Dist
+	}{
+		{0, 4, []parapll.Vertex{0, 2, 3, 4}, 2},
+		{1, 4, []parapll.Vertex{1, 0, 2, 3, 4}, 2},
+		{1, 3, []parapll.Vertex{1, 0, 2, 3}, 0},
+		{4, 1, []parapll.Vertex{4, 3, 2, 0, 1}, 2},
+	} {
+		if path, d := parapll.Path(z, zi, c.s, c.u); d != c.d || !reflect.DeepEqual(path, c.want) {
+			t.Fatalf("Path(%d,%d) = %v, %d; want %v, %d", c.s, c.u, path, d, c.want, c.d)
+		}
 	}
-	pidx := parapll.BuildPathIndex(g, parapll.Options{Threads: 2, Policy: parapll.Dynamic})
+
 	r := rand.New(rand.NewSource(2))
-	n := g.NumVertices()
-	for q := 0; q < 25; q++ {
-		s := parapll.Vertex(r.Intn(n))
-		u := parapll.Vertex(r.Intn(n))
-		want := parapll.QueryDirect(g, s, u)
-		path, d := pidx.Path(s, u)
-		if d != want {
-			t.Fatalf("Path dist (%d,%d) = %d, want %d", s, u, d, want)
-		}
-		if want == parapll.Inf {
-			continue
-		}
-		var sum parapll.Dist
-		for i := 1; i < len(path); i++ {
-			w, ok := g.HasEdge(path[i-1], path[i])
-			if !ok {
-				t.Fatalf("path uses non-edge {%d,%d}", path[i-1], path[i])
+	edge := func(lo, hi int, w parapll.Dist) parapll.Edge {
+		return parapll.Edge{U: parapll.Vertex(lo + r.Intn(hi-lo)), V: parapll.Vertex(lo + r.Intn(hi-lo)), W: w}
+	}
+	for trial := 0; trial < 3; trial++ {
+		n := 20 + r.Intn(20)
+		lo := 1 - trial/2 // the third graph's lightest edges weigh 0
+		weight := func() parapll.Dist { return parapll.Dist(lo + r.Intn(4-lo)) }
+		var edges []parapll.Edge
+		for _, c := range [][2]int{{0, n / 2}, {n / 2, n - 1}} { // n-1 stays isolated
+			for v := c[0] + 1; v < c[1]; v++ {
+				e := edge(c[0], v, weight())
+				e.V = parapll.Vertex(v)
+				edges = append(edges, e, edge(c[0], c[1], weight()))
 			}
-			sum += w
 		}
-		if sum != d {
-			t.Fatalf("path weight %d != dist %d", sum, d)
+		g := parapll.NewGraph(n, edges)
+		var foreign []parapll.Edge
+		for i := 0; i < 2*n; i++ {
+			foreign = append(foreign, edge(0, n, parapll.Dist(1000*(1+r.Intn(3)))))
 		}
+		other := parapll.Build(parapll.NewGraph(n, foreign), parapll.Options{Threads: 1})
+		smaller := parapll.Build(parapll.NewGraph(n-1, nil), parapll.Options{Threads: 1})
+		if p, d := parapll.Path(g, smaller, 0, parapll.Vertex(n-1)); p != nil || d != parapll.Inf {
+			t.Fatalf("Path over an index of %d vertices beside %d = %v, %d; want nil, Inf", n-1, n, p, d)
+		}
+		if p, d := parapll.Path(g, other, parapll.Vertex(n), parapll.Vertex(n)); p != nil || d != parapll.Inf {
+			t.Fatalf("Path(%d,%d) on %d vertices = %v, %d; want nil, Inf", n, n, n, p, d)
+		}
+		for _, threads := range []int{1, 2} {
+			idx := parapll.Build(g, parapll.Options{Threads: threads, Policy: parapll.Dynamic})
+			for s := parapll.Vertex(0); int(s) < n; s++ {
+				want := parapll.Dijkstra(g, s)
+				for u := parapll.Vertex(0); int(u) < n; u++ {
+					if q := idx.Query(s, u); q != want[u] {
+						t.Fatalf("trial %d, %d threads: Query(%d,%d) = %d, Dijkstra %d", trial, threads, s, u, q, want[u])
+					}
+					path, d := parapll.Path(g, idx, s, u)
+					switch {
+					case s == u:
+						if d != 0 || !reflect.DeepEqual(path, []parapll.Vertex{s}) {
+							t.Fatalf("Path(%d,%d) = %v, %d; want [%d], 0", s, u, path, d, s)
+						}
+						continue
+					case want[u] == parapll.Inf:
+						if path != nil || d != parapll.Inf {
+							t.Fatalf("disconnected Path(%d,%d) = %v, %d", s, u, path, d)
+						}
+					default:
+						checkPath(t, g, s, u, path, d, want[u])
+					}
+					if p, d := parapll.Path(g, other, s, u); p != nil || d != parapll.Inf {
+						t.Fatalf("Path(%d,%d) over another graph's index = %v, %d; want nil, Inf", s, u, p, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkPath fails unless path runs from s to u over edges of g whose
+// weights sum to d, and d is want.
+func checkPath(t *testing.T, g *parapll.Graph, s, u parapll.Vertex, path []parapll.Vertex, d, want parapll.Dist) {
+	t.Helper()
+	if d != want {
+		t.Fatalf("Path(%d,%d) length %d, Dijkstra %d", s, u, d, want)
+	}
+	if len(path) < 2 || path[0] != s || path[len(path)-1] != u {
+		t.Fatalf("Path(%d,%d) = %v: wrong endpoints", s, u, path)
+	}
+	var sum parapll.Dist
+	for i := 1; i < len(path); i++ {
+		w, ok := g.HasEdge(path[i-1], path[i])
+		if !ok {
+			t.Fatalf("Path(%d,%d) = %v: {%d,%d} is no edge", s, u, path, path[i-1], path[i])
+		}
+		sum += w
+	}
+	if sum != d {
+		t.Fatalf("Path(%d,%d) = %v: weights sum to %d, not %d", s, u, path, sum, d)
 	}
 }
 
