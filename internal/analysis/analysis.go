@@ -1,6 +1,6 @@
 // Package analysis is the repo's custom static-analysis suite: a small,
 // dependency-free framework in the mold of golang.org/x/tools/go/analysis
-// (which this module deliberately does not depend on) plus the seven
+// (which this module deliberately does not depend on) plus the six
 // analyzers that turn the repo's convention-documented invariants into
 // machine-checked ones.
 //
@@ -16,7 +16,7 @@
 //     graph.Inf before being stored into a label structure (the hostile
 //     wire-frame class).
 //
-// Four are interprocedural, built on the call-graph/summary layer in
+// Three are interprocedural, built on the call-graph/summary layer in
 // interproc.go:
 //
 //   - lockorder: persistent mutexes are acquired in one global order —
@@ -26,9 +26,6 @@
 //   - snapgen: atomic.Pointer snapshots load once per scope (even
 //     through helpers), and cache generation arguments are live and
 //     match the snapshot published in the same scope.
-//   - gorolife: goroutines in server/compact/mpi must reach a shutdown
-//     primitive (done channel, context, WaitGroup); fire-and-forget
-//     spawns are findings.
 //   - durability: WAL/checkpoint paths check Sync/Close/WriteAtomic
 //     errors and never apply in-memory state before the durable write.
 //
@@ -122,12 +119,12 @@ func (f Finding) String() string {
 }
 
 // All returns the full analyzer suite in a stable order: the three
-// AST-local analyzers, then the four interprocedural ones built on the
-// call-graph/summary layer (interproc.go).
+// AST-local analyzers, then the ones built on the call-graph/summary
+// layer (interproc.go).
 func All() []*Analyzer {
 	return []*Analyzer{
 		MmapKeepAlive, AtomicField, InfGuard,
-		LockOrder, SnapGen, GoroLife, Durability,
+		LockOrder, SnapGen, Durability,
 	}
 }
 

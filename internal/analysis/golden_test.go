@@ -80,10 +80,6 @@ func TestSnapGen(t *testing.T) {
 	analysistest.Run(t, "testdata/snapgen", analysis.SnapGen, "test/internal/server/snaptest")
 }
 
-func TestGoroLife(t *testing.T) {
-	analysistest.Run(t, "testdata/gorolife", analysis.GoroLife, "test/internal/compact/gorotest")
-}
-
 func TestDurability(t *testing.T) {
 	analysistest.Run(t, "testdata/durability", analysis.Durability, "test/internal/wal/durtest")
 }

@@ -1,5 +1,5 @@
 // interproc.go is the interprocedural layer under the lockorder,
-// snapgen, gorolife and durability analyzers: a lightweight call graph
+// snapgen and durability analyzers: a lightweight call graph
 // over every function declaration and function literal in the loaded
 // packages, plus a per-function fact summary propagated bottom-up to a
 // fixed point. It is computed once per RunAnalyzers call (one AST walk
@@ -12,8 +12,7 @@
 //     caller's goroutine, so its facts (blocking, lock acquisitions,
 //     fsyncs, snapshot loads) flow into the caller's summary.
 //   - EdgeGo: a `go` statement — the callee runs on a new goroutine;
-//     its facts do NOT flow into the spawner. gorolife inspects these
-//     edges directly.
+//     its facts do NOT flow into the spawner.
 //   - EdgeRef: a function or method value that escapes without being
 //     invoked here (stored, passed as a callback). Recorded for
 //     call-graph consumers, never propagated: a registered handler's
@@ -111,11 +110,6 @@ type FuncFacts struct {
 	// LoadsPtr maps atomic.Pointer fields (or package vars) whose Load
 	// is reached on this goroutine to the first position reaching it.
 	LoadsPtr map[types.Object]token.Pos
-	// Lifecycle reports whether a shutdown/completion primitive is
-	// touched: any channel operation (including close and select),
-	// context.Context Done/Err/Deadline, or a sync.WaitGroup method. A
-	// goroutine with no reachable lifecycle primitive is fire-and-forget.
-	Lifecycle bool
 }
 
 // applySite is one direct call to a method named InsertEdge, kept so
@@ -131,17 +125,6 @@ type applySite struct {
 type ptrLoad struct {
 	obj types.Object
 	pos token.Pos
-}
-
-// Spawn is one `go` statement with its resolved entry points.
-type Spawn struct {
-	Pos token.Pos
-	// Targets are the goroutine entry functions (a literal, a concrete
-	// function, or every implementation of an interface method).
-	Targets []*FuncInfo
-	// Unresolved marks spawns through plain function variables, whose
-	// entry cannot be determined statically.
-	Unresolved bool
 }
 
 // FuncInfo is one node of the call graph: a function declaration or a
@@ -160,8 +143,6 @@ type FuncInfo struct {
 	Name string
 	// Edges are the outgoing call/go/ref edges in source order.
 	Edges []CallEdge
-	// Spawns are the `go` statements launched from this body.
-	Spawns []Spawn
 	// Facts is the summary; transitive after Program resolution.
 	Facts FuncFacts
 
@@ -358,32 +339,25 @@ func (w *ipWalker) walk() {
 			}
 			if lit := w.prog.byNode[x]; lit != nil {
 				w.addEdge(lit, kind, x.Pos(), false)
-				if kind == EdgeGo {
-					w.info.Spawns = append(w.info.Spawns, Spawn{Pos: x.Pos(), Targets: []*FuncInfo{lit}})
-				}
 			}
 			return false
 		case *ast.UnaryExpr:
 			// A receive that is a select clause's comm op blocks (or not)
 			// as part of the select — selectStmt already accounted for it.
 			if x.Op == token.ARROW && !w.selectComm[x] {
-				w.info.Facts.Lifecycle = true
 				w.site(x, "channel receive", w.external(x.X))
 			}
 		case *ast.SendStmt:
 			if !w.selectComm[x] {
-				w.info.Facts.Lifecycle = true
 				w.site(x, "channel send", w.external(x.Chan))
 			}
 		case *ast.RangeStmt:
 			if tv, ok := w.pkg.Info.Types[x.X]; ok {
 				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.info.Facts.Lifecycle = true
 					w.site(x.X, "channel receive (range)", w.external(x.X))
 				}
 			}
 		case *ast.SelectStmt:
-			w.info.Facts.Lifecycle = true
 			w.selectStmt(x)
 		case *ast.SelectorExpr:
 			w.methodValue(x)
@@ -437,7 +411,7 @@ func (w *ipWalker) selectStmt(sel *ast.SelectStmt) {
 	}
 }
 
-// call classifies one call expression: mutex/atomic/file/lifecycle
+// call classifies one call expression: mutex/atomic/file/blocking
 // direct facts, plus callee edges.
 func (w *ipWalker) call(call *ast.CallExpr) {
 	w.calleeExpr[ast.Unparen(call.Fun)] = true
@@ -448,11 +422,6 @@ func (w *ipWalker) call(call *ast.CallExpr) {
 		} else {
 			w.invoked[lit] = EdgeCall
 		}
-		return
-	}
-
-	if isBuiltinCall(w.pkg.Info, call, "close") {
-		w.info.Facts.Lifecycle = true
 		return
 	}
 
@@ -484,13 +453,6 @@ func (w *ipWalker) call(call *ast.CallExpr) {
 	}
 	for _, t := range targets {
 		w.addEdge(t, kind, call.Pos(), iface)
-	}
-	if isGo {
-		w.info.Spawns = append(w.info.Spawns, Spawn{
-			Pos:        call.Pos(),
-			Targets:    targets,
-			Unresolved: fn == nil && len(targets) == 0,
-		})
 	}
 	if !isGo && fn != nil && fn.Name() == "InsertEdge" {
 		w.info.applySites = append(w.info.applySites, applySite{pos: call.Pos(), callees: targets})
@@ -545,17 +507,6 @@ func (w *ipWalker) callFacts(call *ast.CallExpr, fn *types.Func) {
 	if fn != nil && fn.Name() == "Sync" && fn.Pkg() != nil && fn.Pkg().Path() == "os" {
 		w.info.Facts.Syncs = true
 		return
-	}
-
-	// Lifecycle primitives.
-	if isSync(recvType, "WaitGroup") {
-		w.info.Facts.Lifecycle = true
-	}
-	if fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "context" {
-		switch name {
-		case "Done", "Err", "Deadline":
-			w.info.Facts.Lifecycle = true
-		}
 	}
 
 	// Blocking waits and mpi traffic. Cond.Wait releases its lock while
@@ -729,7 +680,7 @@ func isSync(t types.Type, names ...string) bool {
 }
 
 // resolve propagates facts bottom-up to a fixed point. Phase A handles
-// the monotone facts (blocking, acquires, syncs, loads, lifecycle);
+// the monotone facts (blocking, acquires, syncs, loads);
 // phase B decides Applies, which needs the final Syncs values (a call
 // that both applies and syncs is durable, not an apply).
 func (p *Program) resolve() {
@@ -748,10 +699,6 @@ func (p *Program) resolve() {
 				}
 				if cf.Syncs && !fn.Facts.Syncs {
 					fn.Facts.Syncs = true
-					changed = true
-				}
-				if cf.Lifecycle && !fn.Facts.Lifecycle {
-					fn.Facts.Lifecycle = true
 					changed = true
 				}
 				for obj := range cf.Acquires {
@@ -833,7 +780,7 @@ func (f *FuncInfo) SummaryString(fset *token.FileSet) string {
 			names = append(names, obj.Name())
 		}
 		sort.Strings(names)
-		parts = append(parts, "acquires["+joinComma(names)+"]")
+		parts = append(parts, "acquires["+strings.Join(names, ",")+"]")
 	}
 	if f.Facts.Syncs {
 		parts = append(parts, "syncs")
@@ -847,24 +794,10 @@ func (f *FuncInfo) SummaryString(fset *token.FileSet) string {
 			names = append(names, obj.Name())
 		}
 		sort.Strings(names)
-		parts = append(parts, "loads["+joinComma(names)+"]")
-	}
-	if f.Facts.Lifecycle {
-		parts = append(parts, "lifecycle")
+		parts = append(parts, "loads["+strings.Join(names, ",")+"]")
 	}
 	if len(parts) == 0 {
 		parts = append(parts, "-")
 	}
-	return f.Name + ": " + joinComma(parts)
-}
-
-func joinComma(ss []string) string {
-	out := ""
-	for i, s := range ss {
-		if i > 0 {
-			out += ","
-		}
-		out += s
-	}
-	return out
+	return f.Name + ": " + strings.Join(parts, ",")
 }

@@ -94,26 +94,22 @@ func TestInterprocMethodValueRef(t *testing.T) {
 }
 
 // TestInterprocLocalWaitGroup: draining a function-local WaitGroup is
-// lifecycle, not external blocking; the spawned literal is its own node
-// with its own lifecycle fact.
+// internal fan-in, not external blocking; the spawned literal is its own
+// node, reached by exactly one go edge.
 func TestInterprocLocalWaitGroup(t *testing.T) {
 	_, prog := loadInterproc(t)
 	fanOut := findFunc(t, prog, "fanOut")
 	if fanOut.Facts.Blocking.IsValid() {
 		t.Errorf("wg is declared in fanOut's body; its Wait is internal fan-in, not external blocking (got %q)", fanOut.Facts.BlockingDesc)
 	}
-	if !fanOut.Facts.Lifecycle {
-		t.Error("WaitGroup use is a lifecycle fact")
+	var spawned []string
+	for _, e := range fanOut.Edges {
+		if e.Kind == analysis.EdgeGo {
+			spawned = append(spawned, e.Callee.Name)
+		}
 	}
-	if len(fanOut.Spawns) != 1 {
-		t.Fatalf("fanOut spawns one goroutine, got %d", len(fanOut.Spawns))
-	}
-	sp := fanOut.Spawns[0]
-	if sp.Unresolved || len(sp.Targets) != 1 {
-		t.Fatalf("the literal spawn must resolve to exactly its FuncInfo, got %+v", sp)
-	}
-	if !sp.Targets[0].Facts.Lifecycle {
-		t.Error("the spawned literal touches wg.Done: lifecycle must be set on the literal's own summary")
+	if len(spawned) != 1 || spawned[0] != "fanOut·func1" {
+		t.Fatalf("fanOut's go edges = %v, want exactly its literal fanOut·func1", spawned)
 	}
 }
 
@@ -149,10 +145,10 @@ func TestSummaryStability(t *testing.T) {
 	// Pin a few load-bearing lines so the golden is a real contract, not
 	// just self-consistency.
 	for _, want := range []string{
-		"even: blocks[odd → channel receive],lifecycle",
+		"even: blocks[odd → channel receive]",
 		"drive: acquires[mu]",
 		"save: syncs",
-		"fanOut: lifecycle",
+		"fanOut: -",
 	} {
 		if !strings.Contains(first, want+"\n") {
 			t.Errorf("summary golden missing %q in:\n%s", want, first)

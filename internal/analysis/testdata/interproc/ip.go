@@ -61,8 +61,7 @@ func pick(s *slow) func(int) {
 	return s.Run
 }
 
-// fanOut drains a function-local WaitGroup: lifecycle yes, external
-// blocking no.
+// fanOut drains a function-local WaitGroup: not external blocking.
 func fanOut() {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {

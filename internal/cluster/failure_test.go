@@ -15,6 +15,7 @@ import (
 // must return an error from Build promptly — not hang in the sync
 // collective waiting for a peer that will never arrive.
 func TestNodeDeathFailsFast(t *testing.T) {
+	leakCheck(t)
 	g := randomGraph(rand.New(rand.NewSource(320)), 40, 80)
 	comms := mpi.World(3)
 	var wg sync.WaitGroup
@@ -48,6 +49,7 @@ func TestNodeDeathFailsFast(t *testing.T) {
 // TestTCPNodeDeathFailsFast is the same failure over real sockets: the
 // dying rank closes its TCP connections mid-run.
 func TestTCPNodeDeathFailsFast(t *testing.T) {
+	leakCheck(t)
 	g := randomGraph(rand.New(rand.NewSource(321)), 40, 80)
 	rootAddr := reserveAddr(t)
 	const nodes = 3

@@ -31,7 +31,7 @@
 // # Compaction
 //
 // When the WAL holds n records, Compact folds them into the graph and
-// makes a fresh exact index: for n <= FoldLimit it freezes the live
+// makes a fresh exact index: for n <= DefaultFoldLimit it freezes the live
 // labels under the writer mutex (dynamic.Freeze) and finalizes them
 // outside it, with zero search work; for larger n the build engine
 // rebuilds. The pair is saved (graph.bin first, then index.midx, each by
@@ -97,9 +97,6 @@ type Options struct {
 	// reaches this many records; <= 0 means compaction runs only when
 	// Compact is called explicitly.
 	CompactEvery int
-	// FoldLimit is the incremental-fold cutoff (0 means
-	// DefaultFoldLimit; negative disables folding entirely).
-	FoldLimit int
 	// Threads is the rebuild parallelism (as core.Options.Threads;
 	// <= 0 means GOMAXPROCS).
 	Threads int
@@ -107,8 +104,9 @@ type Options struct {
 	// each sampled update and a compact.run span on trace.TIDCompact for
 	// every compaction while it is enabled.
 	Tracer *trace.Tracer
-	// OnPublish, when non-nil, is called after every completed
-	// compaction, outside all pipeline locks — the server uses it to
+	// OnPublish, when non-nil, is called at the end of every completed
+	// compaction, outside the writer mutex but still inside compactMu
+	// (so it must not call Compact or Close) — the server uses it to
 	// bump its snapshot generation and metrics.
 	OnPublish func(Report)
 	// OnFsync, when non-nil, receives the duration of every WAL append
@@ -374,7 +372,7 @@ func (p *Pipeline) insertLocked(u, v graph.Vertex, w graph.Dist) error {
 }
 
 // Compact folds the WAL into a fresh checkpoint and rolls the serving
-// index onto it. Small backlogs (<= FoldLimit) finalize the live
+// index onto it. Small backlogs (<= DefaultFoldLimit) finalize the live
 // repaired labels; larger ones rebuild from scratch with the build
 // engine, off the serving path. Returns a zero-Mode Report when the
 // WAL is empty, and wal.ErrFailed, before it builds or writes anything,
@@ -407,7 +405,7 @@ func (p *Pipeline) Compact() (Report, error) {
 		return Report{}, nil
 	}
 	ups := p.log.Updates()[:n]
-	fold := n <= p.opt.FoldLimit || p.opt.FoldLimit == 0 && n <= DefaultFoldLimit
+	fold := n <= DefaultFoldLimit
 	var finalize func() *label.Index
 	if fold {
 		finalize = p.cur.Freeze()

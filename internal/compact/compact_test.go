@@ -167,12 +167,12 @@ func TestCompactRebuildMode(t *testing.T) {
 	r := rand.New(rand.NewSource(84))
 	base := randomGraph(r, 25, 30)
 	dir := t.TempDir()
-	p, err := Open(Options{Dir: dir, Graph: base, FoldLimit: -1}) // force rebuild
+	p, err := Open(Options{Dir: dir, Graph: base})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	ups := randomInserts(r, 25, 8)
+	ups := randomInserts(r, 25, DefaultFoldLimit+1) // past the fold limit: a rebuild
 	for _, up := range ups {
 		if err := p.Update(up.U, up.V, up.W); err != nil {
 			t.Fatal(err)

@@ -16,7 +16,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"parapll/internal/core"
 	"parapll/internal/fileio"
@@ -237,7 +239,9 @@ func TestOldBaseOutlivesItsFile(t *testing.T) {
 }
 
 // TestHammerCompactionUnderQueries runs concurrent readers against a
-// pipeline absorbing inserts and background compactions. Because edge
+// pipeline absorbing inserts and swapping its index in both modes: a
+// background compaction kicked past DefaultFoldLimit rebuilds, and an
+// explicit one over the smaller backlog after it folds. Because edge
 // inserts only shorten distances and every swap leaves the index exact,
 // each reader must observe, per pair, a monotone non-increasing distance
 // sequence sandwiched between the final and initial true distances —
@@ -245,9 +249,9 @@ func TestOldBaseOutlivesItsFile(t *testing.T) {
 // this also proves the lock-free read path sound.
 func TestHammerCompactionUnderQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(94))
-	const n = 60
+	const n, kick = 60, DefaultFoldLimit + 6
 	base := randomGraph(r, n, 80)
-	ups := randomInserts(r, n, 40)
+	ups := randomInserts(r, n, kick+30)
 	final := applied(base, ups)
 
 	type pair struct{ s, t graph.Vertex }
@@ -260,7 +264,12 @@ func TestHammerCompactionUnderQueries(t *testing.T) {
 		finalD[i] = sssp.Dijkstra(final, pairs[i].s)[pairs[i].t]
 	}
 
-	p, err := Open(Options{Dir: t.TempDir(), Graph: base, CompactEvery: 8, FoldLimit: 4})
+	var rebuilt atomic.Bool
+	p, err := Open(Options{Dir: t.TempDir(), Graph: base, CompactEvery: kick, OnPublish: func(rep Report) {
+		if rep.Mode == "rebuild" {
+			rebuilt.Store(true)
+		}
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +304,17 @@ func TestHammerCompactionUnderQueries(t *testing.T) {
 			}
 		}()
 	}
-	for _, up := range ups {
+	for i, up := range ups {
 		if err := p.Update(up.U, up.V, up.W); err != nil {
 			t.Fatal(err)
 		}
+		for i+1 == kick && p.Generation() == 0 {
+			time.Sleep(time.Millisecond) // the kicked compaction swaps
+		}
+	}
+	rep, err := p.Compact()
+	if err != nil {
+		t.Fatal(err)
 	}
 	close(done)
 	wg.Wait()
@@ -307,9 +323,8 @@ func TestHammerCompactionUnderQueries(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	// Quiesce: a final explicit compaction, then exactness end to end.
-	if _, err := p.Compact(); err != nil {
-		t.Fatal(err)
+	if !rebuilt.Load() || rep.Mode != "fold" {
+		t.Fatalf("background rebuild %v, explicit compaction %+v: want a rebuild, then a fold", rebuilt.Load(), rep)
 	}
 	if p.Stats().WALRecords != 0 {
 		t.Fatalf("WAL not drained after final compaction: %+v", p.Stats())

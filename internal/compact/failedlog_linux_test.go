@@ -59,7 +59,7 @@ func TestCompactOnFailedLog(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	g := randomGraph(r, 40, 30)
 	dir := t.TempDir()
-	p, err := Open(Options{Dir: dir, Graph: g, CompactEvery: 3, FoldLimit: -1})
+	p, err := Open(Options{Dir: dir, Graph: g, CompactEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -90,6 +91,8 @@ type chunkRun struct {
 // goroutine's panic would end the process before any recover up the
 // caller's stack — the server's per-request barrier — could see it.) The
 // worker's stack is gone by then; the value is what callers match on.
+// Workers take the caller's debug.SetPanicOnFault setting, so a memory
+// fault in one is a panic exactly when it would be on the caller.
 func (c Chunks) Run(run func(lo, hi int)) {
 	switch c.workers {
 	case 0:
@@ -99,8 +102,11 @@ func (c Chunks) Run(run func(lo, hi int)) {
 		return
 	}
 	st := new(chunkRun)
+	onFault := debug.SetPanicOnFault(false)
+	debug.SetPanicOnFault(onFault)
 	worker := func() {
 		defer st.wg.Done()
+		debug.SetPanicOnFault(onFault)
 		defer func() {
 			if p := recover(); p != nil && st.failed.CompareAndSwap(false, true) {
 				st.panic = p // published to Run by wg.Wait

@@ -407,8 +407,10 @@ func TestConnectTCPValidation(t *testing.T) {
 // TestRootFailureReleasesPeers: a root whose bootstrap fails — here on a
 // hello from a rank that does not exist — hangs up on the ranks it had
 // already accepted, so a legitimate rank waiting on it for the address
-// book gets an error at once instead of waiting for ever.
+// book gets an error at once instead of waiting for ever. Neither failed
+// rank leaves a goroutine behind.
 func TestRootFailureReleasesPeers(t *testing.T) {
+	leakCheck(t)
 	root, err := netListenProbe()
 	if err != nil {
 		t.Fatal(err)

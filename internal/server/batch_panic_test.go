@@ -187,3 +187,82 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		served(s, pairs, "the panic")
 	}
 }
+
+// TestTruncatedIndexAnswers500 serves a PIDM file and then cuts it to
+// its first page under the running server, as a crash or an operator
+// might. Every read that reaches the cut-off sections faults in the
+// mapping; the read handlers run with debug.SetPanicOnFault on, so the
+// fault is a panic the request's barrier answers with a 500 — on the
+// request's goroutine and on /batch's fan-out workers alike — and
+// http.panics_total counts it, instead of SIGBUS ending the process.
+// /healthz still answers after them.
+func TestTruncatedIndexAnswers500(t *testing.T) {
+	const n = 400
+	r := rand.New(rand.NewSource(43))
+	edges := make([]graph.Edge, 0, 3*n)
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(v)), V: graph.Vertex(v), W: graph.Dist(1 + r.Intn(9))})
+	}
+	for i := 0; i < 2*n; i++ {
+		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(n)), V: graph.Vertex(r.Intn(n)), W: graph.Dist(1 + r.Intn(9))})
+	}
+	g := graph.FromEdges(n, edges)
+	path := filepath.Join(t.TempDir(), "index.midx")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pll.Build(g, pll.Options{}).WriteMmap(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	x, err := label.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { x.Close() })
+	s := NewPending(&Options{BatchThreads: 2})
+	s.SetCacheEntries(65536)
+	s.Publish(x, g, path)
+
+	const page = 4096
+	if st, err := os.Stat(path); err != nil || st.Size() < 8*page {
+		t.Fatalf("index file of %v bytes (%v): too small for a cut at one page to reach its sections", st.Size(), err)
+	}
+	if err := os.Truncate(path, page); err != nil {
+		t.Fatal(err)
+	}
+
+	get := func(url string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		return rec
+	}
+	requests := []struct {
+		name string
+		do   func() *httptest.ResponseRecorder
+	}{
+		{"/query", func() *httptest.ResponseRecorder { return get(fmt.Sprintf("/query?s=%d&t=%d", n-1, n-2)) }},
+		{"/batch of 4", func() *httptest.ResponseRecorder { return postBatch(s, manyPairs(4)) }},     // on the request's goroutine
+		{"/batch of 900", func() *httptest.ResponseRecorder { return postBatch(s, manyPairs(900)) }}, // on two workers
+		{"/knn", func() *httptest.ResponseRecorder { return get(fmt.Sprintf("/knn?s=%d&k=3", n-1)) }},
+		{"/path", func() *httptest.ResponseRecorder { return get(fmt.Sprintf("/path?s=%d&t=%d", n-1, n-2)) }},
+		{"/debug/explain", func() *httptest.ResponseRecorder {
+			return get(fmt.Sprintf("/debug/explain?s=%d&t=%d", n-1, n-2))
+		}},
+	}
+	for i, req := range requests {
+		rec := req.do()
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "invalid memory address") {
+			t.Fatalf("%s over the truncated index: status %d body %q, want 500 naming the memory fault", req.name, rec.Code, rec.Body.String())
+		}
+		if got := s.Registry().Snapshot().Counters["http.panics_total"]; got != int64(i+1) {
+			t.Fatalf("http.panics_total = %d after %d faulting requests", got, i+1)
+		}
+	}
+	if rec := get("/healthz"); rec.Code != http.StatusOK {
+		t.Fatalf("/healthz after the faults: status %d", rec.Code)
+	}
+}

@@ -81,6 +81,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -260,10 +261,10 @@ func NewPending(o *Options) *Server {
 	s.generation = reg.Gauge("index.generation")
 	s.reloadFailures = reg.Counter("reload.failures_total")
 	s.panics = reg.Counter("http.panics_total")
-	s.handleSnap("/query", http.MethodGet, 0, s.handleQuery)
-	s.handleSnap("/batch", http.MethodPost, maxBatchBytes, s.handleBatch)
-	s.handleSnap("/path", http.MethodGet, 0, s.handlePath)
-	s.handleSnap("/knn", http.MethodGet, 0, s.handleKNN)
+	s.handleSnap("/query", http.MethodGet, 0, faultsPanic(s.handleQuery))
+	s.handleSnap("/batch", http.MethodPost, maxBatchBytes, faultsPanic(s.handleBatch))
+	s.handleSnap("/path", http.MethodGet, 0, faultsPanic(s.handlePath))
+	s.handleSnap("/knn", http.MethodGet, 0, faultsPanic(s.handleKNN))
 	s.handleSnap("/stats", http.MethodGet, 0, s.handleStats)
 	s.handleSnap("/update", http.MethodPost, maxUpdateBytes, s.handleUpdate)
 	s.handle("/reload", http.MethodPost, maxReloadBytes, s.handleReload)
@@ -272,7 +273,7 @@ func NewPending(o *Options) *Server {
 	s.handle("/metrics", http.MethodGet, 0, s.handleMetrics)
 	s.handle("/debug/slow", http.MethodGet, 0, s.handleDebugSlow)
 	s.handle("/debug/trace", http.MethodGet, 0, s.handleDebugTrace)
-	s.handleSnap("/debug/explain", http.MethodGet, 0, s.handleDebugExplain)
+	s.handleSnap("/debug/explain", http.MethodGet, 0, faultsPanic(s.handleDebugExplain))
 	s.handle("/debug/health", http.MethodGet, 0, s.handleDebugHealth)
 	s.handle("/debug/bundle", http.MethodGet, 0, s.handleDebugBundle)
 	return s
@@ -618,6 +619,16 @@ func (s *Server) handleSnap(path, method string, limit int64, h func(sn *snapsho
 		}
 		h(sn, w, r)
 	})
+}
+
+// faultsPanic runs a read handler with debug.SetPanicOnFault on: a fault
+// in the mapped index (a file truncated under the server) is a panic
+// invoke answers with a 500. /update would fault holding the writer mutex.
+func faultsPanic(h func(sn *snapshot, w http.ResponseWriter, r *http.Request)) func(sn *snapshot, w http.ResponseWriter, r *http.Request) {
+	return func(sn *snapshot, w http.ResponseWriter, r *http.Request) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		h(sn, w, r)
+	}
 }
 
 func vertexParam(sn *snapshot, r *http.Request, name string) (graph.Vertex, error) {

@@ -3,8 +3,9 @@
 # parapll-vet suite, the internal-importers check (every package under
 # internal/ is imported by some other package, tests included), the
 # short suite under the race detector, a
-# -count=20 race pass over the lock-free structures and the distance
-# cache, the tier-1 command (go test ./...), a fuzz smoke on the four
+# -count=20 race pass over the lock-free structures, the distance
+# cache, the lock-order hammers and the goroutine-lifetime tests, the
+# tier-1 command (go test ./...), a fuzz smoke on the four
 # wire decoders, the crash-recovery and flight-recorder e2e tests by
 # name, a cross-compile sweep, a trace smoke through parapll-index /
 # parapll-trace, and the repository benchmark's smoke (benchmark/run.sh
@@ -83,9 +84,18 @@ go test -race -short ./...
 # beside compactions swapping the live index. And so does the server
 # snapshot: requests beside hot reloads, which read the server's
 # configuration as plain fields written once before NewPending returns.
-echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer' \
-    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server
+# So do the lock order and the goroutine lifetimes: TestPipelineHammer
+# runs every pipeline entry point at once under a deadline (a lock-order
+# cycle, even one through a callback parapll-vet's lockorder cannot
+# follow, deadlocks it), TestHeldAllgatherKeepsWorkersRunning holds one
+# rank's sync round and wants every rank's workers to go on (a lock held
+# across the wait stalls them), and TestCloseLeavesNoGoroutine (compact,
+# mpi) plus the failure paths TestRootFailureReleasesPeers,
+# TestNodeDeathFailsFast and TestTCPNodeDeathFailsFast fail on any
+# goroutine of the module left behind.
+echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast' \
+    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster
 
 echo "== go test ./... (tier-1)"
 go test ./...
