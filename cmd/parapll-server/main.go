@@ -37,7 +37,7 @@
 // kill -9, and replayed on restart), -compact-every N folds the log
 // into a fresh checkpoint artifact in the background once it holds N
 // records (publishing it through the same generation machinery as
-// /reload), and -compact-threads bounds that rebuild's parallelism.
+// /reload); -threads sizes the first-boot build and every rebuild.
 // Living-graph mode needs -graph, and it disables the distance cache:
 // distances mutate within a generation, so a cached answer could
 // outlive the insert that shortened it.
@@ -81,19 +81,18 @@ import (
 
 func main() {
 	var (
-		indexPath  = flag.String("index", "", "pre-built index file (from parapll-index)")
-		graphPath  = flag.String("graph", "", "graph file; indexed at startup if -index is not given, and walked by /path")
-		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		threads    = flag.Int("threads", 0, "indexing threads (0 = all cores)")
-		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		traceOut   = flag.String("trace", "", "on SIGINT/SIGTERM, write the recorded request timeline here as Chrome trace-event JSON")
-		traceRate  = flag.Int64("trace-sample", 0, "record request spans for 1 in N requests (0 = tracing off, 1 = every request); also arms GET /debug/trace")
-		slowMS     = flag.Int64("slow-ms", 100, "log requests slower than this to GET /debug/slow (0 disables)")
-		cacheEnts  = flag.Int("cache-entries", 65536, "bound of the (s,t) distance cache, positive and negative answers, rounded down to a multiple of 4 (0 disables)")
-		batchThr   = flag.Int("batch-threads", 0, "goroutine fan-out per /batch request (0 = min(4, GOMAXPROCS))")
-		walDir     = flag.String("wal", "", "living-graph mode: directory for the edge-update WAL and compaction checkpoints (needs -graph; enables POST /update)")
-		compactN   = flag.Int("compact-every", 0, "living-graph mode: background-compact once the WAL holds this many records (0 = only on restart)")
-		compactThr = flag.Int("compact-threads", 0, "living-graph mode: threads for compaction rebuilds (0 = all cores)")
+		indexPath = flag.String("index", "", "pre-built index file (from parapll-index)")
+		graphPath = flag.String("graph", "", "graph file; indexed at startup if -index is not given, and walked by /path")
+		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
+		threads   = flag.Int("threads", 0, "indexing threads, also for living-graph builds and rebuilds (0 = all cores)")
+		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
+		traceOut  = flag.String("trace", "", "on SIGINT/SIGTERM, write the recorded request timeline here as Chrome trace-event JSON")
+		traceRate = flag.Int64("trace-sample", 0, "record request spans for 1 in N requests (0 = tracing off, 1 = every request); also arms GET /debug/trace")
+		slowMS    = flag.Int64("slow-ms", 100, "log requests slower than this to GET /debug/slow (0 disables)")
+		cacheEnts = flag.Int("cache-entries", 65536, "bound of the (s,t) distance cache, positive and negative answers, rounded down to a multiple of 4 (0 disables)")
+		batchThr  = flag.Int("batch-threads", 0, "goroutine fan-out per /batch request (0 = min(4, GOMAXPROCS))")
+		walDir    = flag.String("wal", "", "living-graph mode: directory for the edge-update WAL and compaction checkpoints (needs -graph; enables POST /update)")
+		compactN  = flag.Int("compact-every", 0, "living-graph mode: background-compact once the WAL holds this many records (0 = only on restart)")
 
 		flightDir      = flag.String("flight", "", "arm the flight recorder: spool incident bundles into this directory (enables GET /debug/bundle, panic/SIGQUIT dumps)")
 		flightKeep     = flag.Int("flight-keep", 8, "flight recorder: keep at most this many bundles on disk")
@@ -276,7 +275,7 @@ func main() {
 	// /metrics) is up from the first moment.
 	go func() {
 		if *walDir != "" {
-			opt := compact.Options{Dir: *walDir, CompactEvery: *compactN, Threads: *compactThr, Tracer: tr}
+			opt := compact.Options{Dir: *walDir, CompactEvery: *compactN, Threads: *threads, Tracer: tr}
 			if fsyncWin != nil {
 				win := fsyncWin // feeds the watchdog's wal_fsync_p99 window
 				opt.OnFsync = func(d time.Duration) { win.Observe(d.Microseconds()) }

@@ -1,6 +1,6 @@
 // Package analysis is the repo's custom static-analysis suite: a small,
 // dependency-free framework in the mold of golang.org/x/tools/go/analysis
-// (which this module deliberately does not depend on) plus the six
+// (which this module deliberately does not depend on) plus the five
 // analyzers that turn the repo's convention-documented invariants into
 // machine-checked ones.
 //
@@ -16,13 +16,9 @@
 //     graph.Inf before being stored into a label structure (the hostile
 //     wire-frame class).
 //
-// Three are interprocedural, built on the call-graph/summary layer in
+// Two are interprocedural, built on the call-graph/summary layer in
 // interproc.go:
 //
-//   - lockorder: persistent mutexes are acquired in one global order —
-//     no cycles, no re-acquisition, no transitively blocking call while
-//     a write lock is held — and no channel operation, mpi call or Wait
-//     runs while any mutex is held (the cluster deadlock class).
 //   - snapgen: atomic.Pointer snapshots load once per scope (even
 //     through helpers), and cache generation arguments are live and
 //     match the snapshot published in the same scope.
@@ -65,8 +61,7 @@ type Analyzer struct {
 }
 
 // Applies reports whether the analyzer checks the package at pkgPath:
-// the gate RunAnalyzers applies per pass, and the one program-wide
-// computations apply per function.
+// the gate RunAnalyzers applies per pass.
 func (a *Analyzer) Applies(pkgPath string) bool {
 	if len(a.Packages) == 0 {
 		return true
@@ -89,8 +84,7 @@ type Pass struct {
 	Info     *types.Info
 	// Prog is the interprocedural view (call graph + per-function
 	// summaries) over every package in the same RunAnalyzers call; see
-	// interproc.go. Program-wide analyzers report only the findings
-	// positioned in this pass's package.
+	// interproc.go.
 	Prog *Program
 
 	report func(Diagnostic)
@@ -124,7 +118,7 @@ func (f Finding) String() string {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MmapKeepAlive, AtomicField, InfGuard,
-		LockOrder, SnapGen, Durability,
+		SnapGen, Durability,
 	}
 }
 

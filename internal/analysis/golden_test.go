@@ -20,62 +20,6 @@ func TestInfGuard(t *testing.T) {
 	analysistest.Run(t, "testdata/infguard", analysis.InfGuard, "test/inftest")
 }
 
-func TestLockOrder(t *testing.T) {
-	// Both halves of the corpus: the lock graph and blocking calls under a
-	// write lock (locked.go), and direct blocking sites under any lock
-	// (blocking.go).
-	analysistest.Run(t, "testdata/lockorder", analysis.LockOrder, "test/internal/compact/lockordertest")
-}
-
-// TestLockedBlocking loads the lockorder corpus under the cluster tree,
-// where the cluster deadlock class lives: the direct blocking sites of
-// blocking.go must be reported there exactly as under compact.
-func TestLockedBlocking(t *testing.T) {
-	analysistest.Run(t, "testdata/lockorder", analysis.LockOrder, "test/internal/cluster/locktest")
-}
-
-// TestLockedBlockingApplies pins lockorder's gate: the cluster/mpi/task
-// tree plus the compact/wal/server pipeline and qcache, and nothing of
-// the lock-free label and graph packages.
-func TestLockedBlockingApplies(t *testing.T) {
-	for path, want := range map[string]bool{
-		"parapll/internal/cluster": true,
-		"parapll/internal/mpi":     true,
-		"parapll/internal/task":    true,
-		"parapll/internal/trace":   true,
-		"parapll/internal/label":   false,
-		"parapll/internal/server":  true,
-		"parapll/internal/compact": true,
-		"parapll/internal/wal":     true,
-		"parapll/internal/qcache":  true,
-		"parapll/internal/graph":   false,
-		"test/internal/mpi/fake":   true,
-	} {
-		if got := analysis.LockOrder.Applies(path); got != want {
-			t.Errorf("LockOrder.Applies(%q) = %v, want %v", path, got, want)
-		}
-	}
-}
-
-// TestLockedBlockingUngated loads the lockorder corpus under internal
-// packages outside the gate and expects silence although the code is
-// full of locked blocking operations.
-func TestLockedBlockingUngated(t *testing.T) {
-	for _, path := range []string{"test/internal/label/locktest", "test/internal/graph/locktest"} {
-		if findings := runOn(t, "testdata/lockorder", path, analysis.LockOrder); len(findings) > 0 {
-			t.Errorf("%s: %d findings outside the gated packages, first: %s", path, len(findings), findings[0])
-		}
-	}
-}
-
-// TestLockOrderUngated loads the lockorder corpus under a path outside
-// the gated trees and expects silence despite the seeded cycles.
-func TestLockOrderUngated(t *testing.T) {
-	for _, f := range runOn(t, "testdata/lockorder", "test/other/lockordertest", analysis.LockOrder) {
-		t.Errorf("finding outside the gated packages: %s", f)
-	}
-}
-
 func TestSnapGen(t *testing.T) {
 	analysistest.Run(t, "testdata/snapgen", analysis.SnapGen, "test/internal/server/snaptest")
 }

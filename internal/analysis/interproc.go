@@ -1,5 +1,5 @@
-// interproc.go is the interprocedural layer under the lockorder,
-// snapgen and durability analyzers: a lightweight call graph
+// interproc.go is the interprocedural layer under the snapgen and
+// durability analyzers: a lightweight call graph
 // over every function declaration and function literal in the loaded
 // packages, plus a per-function fact summary propagated bottom-up to a
 // fixed point. It is computed once per RunAnalyzers call (one AST walk
@@ -9,8 +9,8 @@
 // Edges distinguish how control reaches the callee:
 //
 //   - EdgeCall: a plain or deferred call — the callee runs on the
-//     caller's goroutine, so its facts (blocking, lock acquisitions,
-//     fsyncs, snapshot loads) flow into the caller's summary.
+//     caller's goroutine, so its facts (fsyncs, in-memory applies,
+//     snapshot loads) flow into the caller's summary.
 //   - EdgeGo: a `go` statement — the callee runs on a new goroutine;
 //     its facts do NOT flow into the spawner.
 //   - EdgeRef: a function or method value that escapes without being
@@ -24,16 +24,6 @@
 // through plain function variables stay unresolved — a deliberate,
 // documented hole (the repo invokes such values only for callbacks like
 // OnPublish).
-//
-// The blocking fact is *external* blocking only: a channel op or Wait
-// whose operand is declared inside the function body (a scratch errc or
-// a local WaitGroup the function itself drains) cannot couple the
-// caller to another component's critical section and is exempt. This is
-// what lets compact.Compact call the build engines — which fan out
-// workers and wg.Wait() on a local WaitGroup — while holding compactMu
-// without a lockorder false positive. Every blocking operation, local
-// operand or not, is also kept as a direct site of its function, which
-// lockorder checks against the locks held lexically around it.
 package analysis
 
 import (
@@ -86,17 +76,6 @@ type CallEdge struct {
 // Program.resolve it includes everything reachable through EdgeCall
 // edges; EdgeGo and EdgeRef edges contribute nothing.
 type FuncFacts struct {
-	// Blocking is the position of the first external blocking operation
-	// reachable on this function's goroutine (channel op, no-default
-	// select, Wait on a non-local object, mpi traffic), or NoPos.
-	Blocking token.Pos
-	// BlockingDesc names the operation, with the call chain prefixed
-	// when the op is reached through callees.
-	BlockingDesc string
-	// Acquires maps persistent mutexes (struct fields or package-level
-	// vars of type sync.Mutex/RWMutex) acquired on this goroutine to the
-	// position where the acquisition is first reached from here.
-	Acquires map[types.Object]token.Pos
 	// Syncs reports whether a durable write barrier — (*os.File).Sync,
 	// directly or transitively (e.g. through fileio.WriteAtomic) — is
 	// reached on this goroutine.
@@ -148,10 +127,6 @@ type FuncInfo struct {
 
 	applySites []applySite
 	loads      []ptrLoad
-	// blocks maps each blocking operation lexically in this body (channel
-	// send or receive, range over a channel, select without default,
-	// Wait, mpi call), whatever its operand, to its description.
-	blocks map[ast.Node]string
 }
 
 // Program is the interprocedural view of one RunAnalyzers invocation.
@@ -172,8 +147,8 @@ type Program struct {
 func (p *Program) FuncOf(fn *types.Func) *FuncInfo { return p.byObj[fn] }
 
 // Cached memoizes a program-wide computation under key, so an analyzer
-// that builds whole-program state (the lock graph) computes it once and
-// reports per-package slices of it.
+// that builds whole-program state (durability's fsyncing types) computes
+// it once for all its passes.
 func (p *Program) Cached(key string, compute func() interface{}) interface{} {
 	if v, ok := p.cache[key]; ok {
 		return v
@@ -316,14 +291,12 @@ type ipWalker struct {
 	goCalls    map[*ast.CallExpr]bool // calls that are GoStmt bodies
 	invoked    map[*ast.FuncLit]EdgeKind
 	calleeExpr map[ast.Expr]bool // the Fun expr of each visited call
-	selectComm map[ast.Node]bool // comm ops guarded by an enclosing select
 }
 
 func (w *ipWalker) walk() {
 	w.goCalls = make(map[*ast.CallExpr]bool)
 	w.invoked = make(map[*ast.FuncLit]EdgeKind)
 	w.calleeExpr = make(map[ast.Expr]bool)
-	w.selectComm = make(map[ast.Node]bool)
 	ast.Inspect(w.info.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.GoStmt:
@@ -341,24 +314,6 @@ func (w *ipWalker) walk() {
 				w.addEdge(lit, kind, x.Pos(), false)
 			}
 			return false
-		case *ast.UnaryExpr:
-			// A receive that is a select clause's comm op blocks (or not)
-			// as part of the select — selectStmt already accounted for it.
-			if x.Op == token.ARROW && !w.selectComm[x] {
-				w.site(x, "channel receive", w.external(x.X))
-			}
-		case *ast.SendStmt:
-			if !w.selectComm[x] {
-				w.site(x, "channel send", w.external(x.Chan))
-			}
-		case *ast.RangeStmt:
-			if tv, ok := w.pkg.Info.Types[x.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					w.site(x.X, "channel receive (range)", w.external(x.X))
-				}
-			}
-		case *ast.SelectStmt:
-			w.selectStmt(x)
 		case *ast.SelectorExpr:
 			w.methodValue(x)
 		case *ast.Ident:
@@ -368,51 +323,8 @@ func (w *ipWalker) walk() {
 	})
 }
 
-// selectStmt records a select with no default clause as a blocking
-// site, external unless its channels are all function-local. Every
-// clause's comm op is registered in selectComm so the generic
-// send/receive cases skip it: the select, not the op, decides whether
-// control blocks (pre-order traversal guarantees this runs before the
-// comm ops are visited).
-func (w *ipWalker) selectStmt(sel *ast.SelectStmt) {
-	hasDefault := false
-	external := false
-	for _, c := range sel.Body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
-		}
-		if cc.Comm == nil {
-			hasDefault = true
-			continue
-		}
-		switch comm := cc.Comm.(type) {
-		case *ast.SendStmt:
-			w.selectComm[comm] = true
-			if w.external(comm.Chan) {
-				external = true
-			}
-		default:
-			// Receive: find the arrow operand in the clause.
-			ast.Inspect(cc.Comm, func(n ast.Node) bool {
-				if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					w.selectComm[u] = true
-					if w.external(u.X) {
-						external = true
-					}
-					return false
-				}
-				return true
-			})
-		}
-	}
-	if !hasDefault {
-		w.site(sel, "select without default", external)
-	}
-}
-
-// call classifies one call expression: mutex/atomic/file/blocking
-// direct facts, plus callee edges.
+// call classifies one call expression: atomic/file direct facts, plus
+// callee edges.
 func (w *ipWalker) call(call *ast.CallExpr) {
 	w.calleeExpr[ast.Unparen(call.Fun)] = true
 	isGo := w.goCalls[call]
@@ -459,92 +371,32 @@ func (w *ipWalker) call(call *ast.CallExpr) {
 	}
 }
 
-// callFacts records the direct (non-edge) facts of one synchronous call.
+// callFacts records the direct (non-edge) facts of one synchronous call:
+// an atomic.Pointer Load on a persistent target, and the durable write
+// barrier (*os.File).Sync.
 func (w *ipWalker) callFacts(call *ast.CallExpr, fn *types.Func) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !ok || fn == nil || fn.Pkg() == nil {
 		return
 	}
-	name := sel.Sel.Name
-	var recvType types.Type
-	if tv, ok := w.pkg.Info.Types[sel.X]; ok {
-		recvType = tv.Type
-	}
-
-	// Mutex acquisitions on persistent (field / package-var) mutexes.
-	if isSync(recvType, "Mutex", "RWMutex") {
-		switch name {
-		case "Lock", "TryLock", "RLock", "TryRLock":
-			if obj := persistentTarget(w.pkg.Info, sel.X); obj != nil {
-				if _, seen := w.info.Facts.Acquires[obj]; !seen {
-					if w.info.Facts.Acquires == nil {
-						w.info.Facts.Acquires = make(map[types.Object]token.Pos)
-					}
-					w.info.Facts.Acquires[obj] = call.Pos()
-				}
-			}
+	switch {
+	case fn.Name() == "Load" && fn.Pkg().Path() == "sync/atomic":
+		named := receiverNamed(fn)
+		if named == nil || named.Obj().Name() != "Pointer" {
+			return
 		}
-		return
-	}
-
-	// atomic.Pointer Load on a persistent target.
-	if fn != nil && fn.Name() == "Load" && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
-		if named := receiverNamed(fn); named != nil && named.Obj().Name() == "Pointer" {
-			if obj := persistentTarget(w.pkg.Info, sel.X); obj != nil {
-				if w.info.Facts.LoadsPtr == nil {
-					w.info.Facts.LoadsPtr = make(map[types.Object]token.Pos)
-				}
-				if _, seen := w.info.Facts.LoadsPtr[obj]; !seen {
-					w.info.Facts.LoadsPtr[obj] = call.Pos()
-				}
-				w.info.loads = append(w.info.loads, ptrLoad{obj: obj, pos: call.Pos()})
+		if obj := persistentTarget(w.pkg.Info, sel.X); obj != nil {
+			if w.info.Facts.LoadsPtr == nil {
+				w.info.Facts.LoadsPtr = make(map[types.Object]token.Pos)
 			}
+			if _, seen := w.info.Facts.LoadsPtr[obj]; !seen {
+				w.info.Facts.LoadsPtr[obj] = call.Pos()
+			}
+			w.info.loads = append(w.info.loads, ptrLoad{obj: obj, pos: call.Pos()})
 		}
-		return
-	}
-
-	// Durable write barrier.
-	if fn != nil && fn.Name() == "Sync" && fn.Pkg() != nil && fn.Pkg().Path() == "os" {
+	case fn.Name() == "Sync" && fn.Pkg().Path() == "os":
 		w.info.Facts.Syncs = true
-		return
 	}
-
-	// Blocking waits and mpi traffic. Cond.Wait releases its lock while
-	// blocked: the sanctioned pattern, not a site.
-	if name == "Wait" && !isSync(recvType, "Cond") {
-		w.site(call, "Wait call "+types.ExprString(call.Fun), w.external(sel.X))
-		return
-	}
-	if mpiBlockingCalls[name] && isMpiCarrier(w.pkg.Info, sel) {
-		w.site(call, "mpi call "+types.ExprString(call.Fun), true)
-	}
-}
-
-// mpiBlockingCalls are the method names treated as synchronous MPI
-// traffic when invoked on an mpi-declared type.
-var mpiBlockingCalls = map[string]bool{
-	"Barrier": true, "Bcast": true, "Gather": true, "Allgather": true,
-	"AllreduceInt64": true, "IAllgather": true, "Send": true, "Recv": true,
-}
-
-// isMpiCarrier reports whether the method selection is on a type that
-// carries MPI traffic: declared in an mpi package, or one of the
-// conventional World/Comm/Request names.
-func isMpiCarrier(info *types.Info, sel *ast.SelectorExpr) bool {
-	fn, _ := info.ObjectOf(sel.Sel).(*types.Func)
-	if fn == nil {
-		return false
-	}
-	if fn.Pkg() != nil && strings.Contains(fn.Pkg().Path(), "mpi") {
-		return true
-	}
-	if named := receiverNamed(fn); named != nil {
-		switch named.Obj().Name() {
-		case "World", "Comm", "Request":
-			return true
-		}
-	}
-	return false
 }
 
 // methodValue records an EdgeRef for a method value that is not the
@@ -587,37 +439,6 @@ func (w *ipWalker) addEdge(callee *FuncInfo, kind EdgeKind, pos token.Pos, iface
 	w.info.Edges = append(w.info.Edges, CallEdge{Callee: callee, Kind: kind, Pos: pos, Iface: iface})
 }
 
-// site records a direct blocking operation at n. It becomes the
-// Blocking fact only when external: when its operand can couple this
-// function to another goroutine.
-func (w *ipWalker) site(n ast.Node, desc string, external bool) {
-	if w.info.blocks == nil {
-		w.info.blocks = make(map[ast.Node]string)
-	}
-	w.info.blocks[n] = desc
-	if external && !w.info.Facts.Blocking.IsValid() {
-		w.info.Facts.Blocking = n.Pos()
-		w.info.Facts.BlockingDesc = desc
-	}
-}
-
-// external reports whether an operand couples this function to another
-// goroutine: anything but a variable declared inside this very body. A
-// scratch channel or WaitGroup the function creates and drains itself
-// is internal plumbing, not external blocking.
-func (w *ipWalker) external(e ast.Expr) bool {
-	obj := rootObject(w.pkg.Info, e)
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return true // call results, fields through calls, literals
-	}
-	if v.IsField() {
-		return true
-	}
-	body := w.info.Body
-	return !(v.Pos() >= body.Pos() && v.Pos() < body.End())
-}
-
 // persistentTarget resolves the selector/ident an op acts on to a
 // struct field or package-level variable — objects with an identity
 // that outlives one function activation — or nil for locals.
@@ -654,33 +475,8 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return ok
 }
 
-// isSync reports whether t (through one pointer) is one of the named
-// types of package sync: isSync(t, "Mutex", "RWMutex") for a mutex.
-func isSync(t types.Type, names ...string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	for _, name := range names {
-		if obj.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // resolve propagates facts bottom-up to a fixed point. Phase A handles
-// the monotone facts (blocking, acquires, syncs, loads);
+// the monotone facts (syncs, loads);
 // phase B decides Applies, which needs the final Syncs values (a call
 // that both applies and syncs is durable, not an apply).
 func (p *Program) resolve() {
@@ -692,23 +488,9 @@ func (p *Program) resolve() {
 					continue
 				}
 				cf := &e.Callee.Facts
-				if cf.Blocking.IsValid() && !fn.Facts.Blocking.IsValid() {
-					fn.Facts.Blocking = e.Pos
-					fn.Facts.BlockingDesc = e.Callee.Name + " → " + cf.BlockingDesc
-					changed = true
-				}
 				if cf.Syncs && !fn.Facts.Syncs {
 					fn.Facts.Syncs = true
 					changed = true
-				}
-				for obj := range cf.Acquires {
-					if _, ok := fn.Facts.Acquires[obj]; !ok {
-						if fn.Facts.Acquires == nil {
-							fn.Facts.Acquires = make(map[types.Object]token.Pos)
-						}
-						fn.Facts.Acquires[obj] = e.Pos
-						changed = true
-					}
 				}
 				for obj := range cf.LoadsPtr {
 					if _, ok := fn.Facts.LoadsPtr[obj]; !ok {
@@ -771,17 +553,6 @@ func siteDurable(s applySite) bool {
 // annotated form, used by the summary-stability golden test.
 func (f *FuncInfo) SummaryString(fset *token.FileSet) string {
 	var parts []string
-	if f.Facts.Blocking.IsValid() {
-		parts = append(parts, fmt.Sprintf("blocks[%s]", f.Facts.BlockingDesc))
-	}
-	if len(f.Facts.Acquires) > 0 {
-		var names []string
-		for obj := range f.Facts.Acquires {
-			names = append(names, obj.Name())
-		}
-		sort.Strings(names)
-		parts = append(parts, "acquires["+strings.Join(names, ",")+"]")
-	}
 	if f.Facts.Syncs {
 		parts = append(parts, "syncs")
 	}

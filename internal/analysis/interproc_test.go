@@ -30,20 +30,23 @@ func findFunc(t *testing.T, prog *analysis.Program, name string) *analysis.FuncI
 	return nil
 }
 
+// loadNames lists the atomic.Pointer targets a summary says are loaded.
+func loadNames(f *analysis.FuncInfo) []string {
+	var names []string
+	for obj := range f.Facts.LoadsPtr {
+		names = append(names, obj.Name())
+	}
+	return names
+}
+
 // TestInterprocRecursion: the fixed point terminates on mutual
-// recursion, and odd's channel receive reaches both summaries.
+// recursion, and odd's snapshot load reaches both summaries.
 func TestInterprocRecursion(t *testing.T) {
 	_, prog := loadInterproc(t)
-	odd := findFunc(t, prog, "odd")
-	even := findFunc(t, prog, "even")
-	if !odd.Facts.Blocking.IsValid() {
-		t.Error("odd blocks directly on b.ch; summary says it does not block")
-	}
-	if !even.Facts.Blocking.IsValid() {
-		t.Error("even reaches odd's receive through the recursion; summary says it does not block")
-	}
-	if !strings.Contains(even.Facts.BlockingDesc, "odd") {
-		t.Errorf("even's blocking chain should name odd, got %q", even.Facts.BlockingDesc)
+	for _, name := range []string{"odd", "even"} {
+		if got := loadNames(findFunc(t, prog, name)); len(got) != 1 || got[0] != "snap" {
+			t.Errorf("%s loads %v, want [snap] (odd directly, even through the recursion)", name, got)
+		}
 	}
 }
 
@@ -66,8 +69,8 @@ func TestInterprocInterfaceDispatch(t *testing.T) {
 	if len(want) != 0 {
 		t.Errorf("interface call did not resolve to %v (resolved: %v)", want, callees)
 	}
-	if len(drive.Facts.Acquires) != 1 {
-		t.Errorf("drive should inherit slow's one acquisition through the interface edge, got %d", len(drive.Facts.Acquires))
+	if got := loadNames(drive); len(got) != 1 || got[0] != "cur" {
+		t.Errorf("drive should inherit slow's one load through the interface edge, got %v", got)
 	}
 }
 
@@ -88,19 +91,22 @@ func TestInterprocMethodValueRef(t *testing.T) {
 	if !ref {
 		t.Error("method value s.Run produced no edge")
 	}
-	if len(pick.Facts.Acquires) != 0 {
-		t.Error("EdgeRef must not propagate: pick inherited an acquisition from an uninvoked method value")
+	if len(pick.Facts.LoadsPtr) != 0 {
+		t.Error("EdgeRef must not propagate: pick inherited a load from an uninvoked method value")
 	}
 }
 
-// TestInterprocLocalWaitGroup: draining a function-local WaitGroup is
-// internal fan-in, not external blocking; the spawned literal is its own
-// node, reached by exactly one go edge.
+// TestInterprocLocalWaitGroup: the literal fanOut spawns under its
+// local WaitGroup is its own node, reached by exactly one go edge, and
+// its fsync stays in its own summary: a go edge does not propagate.
 func TestInterprocLocalWaitGroup(t *testing.T) {
 	_, prog := loadInterproc(t)
 	fanOut := findFunc(t, prog, "fanOut")
-	if fanOut.Facts.Blocking.IsValid() {
-		t.Errorf("wg is declared in fanOut's body; its Wait is internal fan-in, not external blocking (got %q)", fanOut.Facts.BlockingDesc)
+	if fanOut.Facts.Syncs {
+		t.Error("fanOut syncs only on the goroutines it spawns; the go edge propagated Syncs")
+	}
+	if !findFunc(t, prog, "fanOut·func1").Facts.Syncs {
+		t.Error("the spawned literal calls barrier; Syncs not set")
 	}
 	var spawned []string
 	for _, e := range fanOut.Edges {
@@ -145,10 +151,11 @@ func TestSummaryStability(t *testing.T) {
 	// Pin a few load-bearing lines so the golden is a real contract, not
 	// just self-consistency.
 	for _, want := range []string{
-		"even: blocks[odd → channel receive]",
-		"drive: acquires[mu]",
+		"even: loads[snap]",
+		"drive: loads[cur]",
 		"save: syncs",
 		"fanOut: -",
+		"fanOut·func1: syncs",
 	} {
 		if !strings.Contains(first, want+"\n") {
 			t.Errorf("summary golden missing %q in:\n%s", want, first)
@@ -157,9 +164,9 @@ func TestSummaryStability(t *testing.T) {
 }
 
 // TestInterprocRepoSeams loads the real module and asserts the two
-// seams the analyzers depend on: the compaction pipeline's Update both
-// locks and syncs, and core.Engine dispatch resolves to the concrete
-// engines.
+// seams the analyzers depend on: the compaction pipeline's Update syncs
+// before it applies (a durable call, not an apply), and core.Engine
+// dispatch resolves to the concrete engines.
 func TestInterprocRepoSeams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis skipped in -short")
@@ -179,15 +186,11 @@ func TestInterprocRepoSeams(t *testing.T) {
 	if update == nil {
 		t.Fatal("(*Pipeline).Update not found in internal/compact")
 	}
-	lockNames := make(map[string]bool)
-	for obj := range update.Facts.Acquires {
-		lockNames[obj.Name()] = true
-	}
-	if !lockNames["mu"] {
-		t.Errorf("Update must acquire the pipeline mutex; summary has %v", lockNames)
-	}
 	if !update.Facts.Syncs {
 		t.Error("Update appends to the WAL, which fsyncs; Syncs not set")
+	}
+	if update.Facts.Applies {
+		t.Error("Update's insert is logged first; its summary must not call it a non-durable apply")
 	}
 
 	var core *analysis.Package

@@ -1,20 +1,21 @@
 // Package iptest is the call-graph layer's unit-test corpus: mutual
-// recursion, interface dispatch, method values, local-WaitGroup fan-out
-// and transitive fsync — each shape one test in interproc_test.go pins.
+// recursion, interface dispatch, method values, a go edge under a local
+// WaitGroup and transitive fsync — each shape one test in
+// interproc_test.go pins.
 package iptest
 
 import (
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 type box struct {
-	mu sync.Mutex
-	ch chan int
+	snap atomic.Pointer[int]
 }
 
 // even/odd are mutually recursive: the fixed point must terminate and
-// carry odd's blocking fact around the cycle into both summaries.
+// carry odd's snapshot load around the cycle into both summaries.
 func even(b *box, n int) bool {
 	if n == 0 {
 		return true
@@ -24,8 +25,7 @@ func even(b *box, n int) bool {
 
 func odd(b *box, n int) bool {
 	if n == 0 {
-		<-b.ch
-		return false
+		return b.snap.Load() != nil
 	}
 	return even(b, n-1)
 }
@@ -41,16 +41,15 @@ type fast struct{}
 func (fast) Run(n int) {}
 
 type slow struct {
-	mu sync.Mutex
+	cur atomic.Pointer[int]
 }
 
 func (s *slow) Run(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	_ = s.cur.Load()
 }
 
 // drive dispatches through the interface: its summary must include
-// slow's acquisition even though no concrete type appears here.
+// slow's load even though no concrete type appears here.
 func drive(e Engine) {
 	e.Run(1)
 }
@@ -61,13 +60,15 @@ func pick(s *slow) func(int) {
 	return s.Run
 }
 
-// fanOut drains a function-local WaitGroup: not external blocking.
-func fanOut() {
+// fanOut drains a function-local WaitGroup over goroutines that sync:
+// the literal syncs, fanOut does not.
+func fanOut(f *os.File) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			barrier(f)
 		}()
 	}
 	wg.Wait()

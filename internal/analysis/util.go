@@ -84,19 +84,6 @@ func mentionsIdent(info *types.Info, e ast.Expr, name string) bool {
 	return found
 }
 
-// mentionsObject reports whether any identifier inside e resolves to one
-// of the given objects.
-func mentionsObject(info *types.Info, e ast.Expr, objs map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && objs[info.ObjectOf(id)] {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // funcExits returns the lexical exit positions of body: every return
 // statement (in the function itself, not nested function literals) plus
 // the closing brace.

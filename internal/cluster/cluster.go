@@ -290,6 +290,9 @@ func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 			return nil, nil, err
 		}
 		st.start(store)
+		if roundStarted != nil {
+			roundStarted()
+		}
 		if !opt.Overlap {
 			if err := st.wait(stats); err != nil {
 				return nil, nil, err
@@ -310,6 +313,13 @@ func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 	stats.FinalizeTime = time.Since(t2)
 	return idx, stats, nil
 }
+
+// roundStarted, when non-nil, runs on the build goroutine after each
+// round's exchange is launched and before the next segment's workers
+// take their views of the store. Only tests set it: holding the build
+// goroutine there lets the round's goroutine reach its wait first, so a
+// lock it wrongly holds across the wait is always in the workers' way.
+var roundStarted func()
 
 func newSegmentManager(roots []graph.Vertex, opt *Options) task.Manager {
 	switch opt.Policy {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,14 +36,40 @@ func (c *heldComm) Send(to int, tag mpi.Tag, data []byte) error {
 	return c.Comm.Send(to, tag, data)
 }
 
+// roundsParked reports whether every goroutine a sync round started is
+// parked (on a channel, a lock or a WaitGroup) or gone: none is
+// runnable, including one that has not run yet.
+func roundsParked() bool {
+	for _, g := range moduleGoroutines() {
+		head, _, _ := strings.Cut(g, "\n")
+		if strings.Contains(g, "created by parapll/internal/cluster.(*syncState).start") &&
+			(strings.Contains(head, "[runnable") || strings.Contains(head, "[running")) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestHeldAllgatherKeepsWorkersRunning holds rank 0's part of every sync
 // round but the last, which stalls that round on every rank of the ring.
 // In overlapped mode the wait belongs to the background exchange alone:
 // no lock a worker needs may be held across it, so while round k is
 // held every rank's workers go on to finish roots of segment k+1. Then
 // the round is released, and every rank ends with the same exact index.
+//
+// Each build goroutine is held after starting a round until every
+// round's goroutine has parked, so the next segment's workers always ask
+// for their views after the round took whatever it holds across its
+// wait: a lock held there is red on every run, not only when the
+// scheduler lets the round win the race.
 func TestHeldAllgatherKeepsWorkersRunning(t *testing.T) {
 	leakCheck(t)
+	roundStarted = func() {
+		for !roundsParked() {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	t.Cleanup(func() { roundStarted = nil })
 	const nodes, syncs = 3, 4
 	g := randomGraph(rand.New(rand.NewSource(330)), 90, 200)
 	comms := mpi.World(nodes)

@@ -97,8 +97,9 @@ type Options struct {
 	// reaches this many records; <= 0 means compaction runs only when
 	// Compact is called explicitly.
 	CompactEvery int
-	// Threads is the rebuild parallelism (as core.Options.Threads;
-	// <= 0 means GOMAXPROCS).
+	// Threads sizes the first-boot build (when Dir holds no checkpoint)
+	// and every compaction rebuild (as core.Options.Threads; <= 0 means
+	// GOMAXPROCS).
 	Threads int
 	// Tracer, when non-nil, records a wal.append span on trace.TIDWAL for
 	// each sampled update and a compact.run span on trace.TIDCompact for

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// TestCloseLeavesNoGoroutine runs point-to-point traffic, every
-// collective and an IAllgather on each transport, then closes every
-// rank: nothing either world or the collectives started may outlive
-// Close — not a TCP reader, not a collective's sender, not the
-// goroutine driving an IAllgather.
+// TestCloseLeavesNoGoroutine runs point-to-point traffic (concurrent
+// sends to one peer included), every collective and an IAllgather on
+// each transport, then closes every rank: nothing either world or the
+// collectives started may outlive Close — not a TCP reader, not a
+// collective's sender, not the goroutine driving an IAllgather.
 func TestCloseLeavesNoGoroutine(t *testing.T) {
 	for name, world := range map[string]func(*testing.T) []Comm{
 		"chan": func(*testing.T) []Comm { return World(3) },
@@ -21,12 +21,25 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 			runWorld(t, comms, func(c Comm) error {
 				size := c.Size()
 				right, left := (c.Rank()+1)%size, (c.Rank()+size-1)%size
-				errc := sendAsync(c, right, TagUser, []byte{byte(c.Rank())})
-				if data, err := c.Recv(left, TagUser); err != nil || len(data) != 1 || int(data[0]) != left {
-					return fmt.Errorf("recv from %d: %v %v", left, data, err)
+				// Concurrent sends to one peer contend its connection's
+				// (or mailbox's) mutex; every frame must arrive whole.
+				const sends = 8
+				errcs := make([]<-chan error, sends)
+				for k := range errcs {
+					errcs[k] = sendAsync(c, right, TagUser, []byte{byte(c.Rank()), byte(k)})
 				}
-				if err := <-errc; err != nil {
-					return err
+				seen := make(map[byte]bool)
+				for range errcs {
+					data, err := c.Recv(left, TagUser)
+					if err != nil || len(data) != 2 || int(data[0]) != left || seen[data[1]] {
+						return fmt.Errorf("recv from %d: %v %v", left, data, err)
+					}
+					seen[data[1]] = true
+				}
+				for _, errc := range errcs {
+					if err := <-errc; err != nil {
+						return err
+					}
 				}
 				if err := Barrier(c); err != nil {
 					return err

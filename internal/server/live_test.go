@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,37 @@ func TestUpdateValidation(t *testing.T) {
 		if code, out := postUpdate(t, ts.URL, c.u, c.v, c.w); code != c.code {
 			t.Errorf("update(%d,%d,%d) = %d (%v), want %d", c.u, c.v, c.w, code, out, c.code)
 		}
+	}
+	// A body that is not exactly one whole edge is refused before the
+	// log sees it: a member left out would be logged as 0, and a logged
+	// edge is never deleted.
+	for _, body := range []string{
+		`{"u":1,"to":3,"w":1}`,         // v missing, unknown member
+		`{"u":1,"v":3}`,                // w missing
+		`{"v":3,"w":1}`,                // u missing
+		`{"u":1,"v":3,"w":1,"x":0}`,    // unknown member
+		`{"u":1,"v":3,"w":1} trailing`, // bytes after the object
+		`{"u":1,"v":3,"w":1}{"u":1}`,   // a second value
+		`{"u":1,"v":3,"w":1}}`,         // a stray delimiter
+		`null`,                         // no object
+		`{"u":null,"v":3,"w":1}`,       // null member
+		`{"u":1,"v":3,"w":1.5}`,        // not an integer
+		``,                             // empty
+	} {
+		resp, err := http.Post(ts.URL+"/update", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/update %q = %d, want 400", body, resp.StatusCode)
+		}
+	}
+	var stats struct {
+		Wal *compact.Stats `json:"wal"`
+	}
+	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK || stats.Wal == nil || stats.Wal.WALRecords != 0 {
+		t.Fatalf("/stats after refused updates = %d, wal %+v; want 200 and no WAL records", code, stats.Wal)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,11 +14,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"parapll/internal/fileio"
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/pll"
+	"parapll/internal/trace"
 )
 
 // lineGraph builds a path graph 0-1-...-(n-1) with unit weights, so
@@ -309,14 +312,18 @@ func TestReloadRebuildsKNN(t *testing.T) {
 // or back and a dropped mapping's finalizer runs under live queries.
 // Every response must be a 200 answering consistently from whichever
 // snapshot it started on; run under -race this also proves the swap
-// itself is data-race-free.
+// itself is data-race-free. A second reload races each /reload, two
+// live trace captures race each other and every request is logged as
+// slow, so the reload, capture and slow-log mutexes are contended too.
 func TestHotReloadHammer(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{saveLineIndex(t, dir, 6), filepath.Join(dir, "copy.idx")}
 	if err := fileio.SaveIndex(paths[1], pll.Build(lineGraph(6), pll.Options{})); err != nil {
 		t.Fatal(err)
 	}
-	s := NewPending(&Options{Loader: fileio.LoadIndex})
+	// Every request is slow enough for the slow log, so the query
+	// workers contend its mutex; the tracer arms /debug/trace.
+	s := NewPending(&Options{Loader: fileio.LoadIndex, SlowThreshold: time.Nanosecond, Tracer: trace.New(0, 256)})
 	s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -329,6 +336,33 @@ func TestHotReloadHammer(t *testing.T) {
 	var bad atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+
+	// Two live trace captures contend their mutex (200, or 409 while the
+	// other runs) beside readers of the slow log.
+	for _, path := range []string{"/debug/trace?sec=0.001", "/debug/trace?sec=0.001", "/debug/slow"} {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Error(err)
+					bad.Add(1)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
+					t.Errorf("GET %s = %d", path, resp.StatusCode)
+				}
+			}
+		}(path)
+	}
 
 	for w := 0; w < queryWorkers; w++ {
 		wg.Add(1)
@@ -383,15 +417,29 @@ func TestHotReloadHammer(t *testing.T) {
 		}()
 	}
 
+	var extraReloads atomic.Int64
 	for i := 0; i < reloads; i++ {
 		if i%3 == 2 {
 			s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
 			runtime.GC() // let the dropped mapping's finalizer run while queries are in flight
 			continue
 		}
+		// A second reload races this one for the reload mutex; the loser
+		// is refused as busy (409), and this one then tries again.
+		raced := make(chan struct{})
+		go func() {
+			defer close(raced)
+			if _, err := s.Reload(paths[1]); err == nil {
+				extraReloads.Add(1)
+			} else if !errors.Is(err, ErrReloadBusy) {
+				t.Errorf("racing reload: %v", err)
+			}
+		}()
 		code, _ := postReload(t, ts.URL, paths[i%3])
-		// Reloads are serialized by postReload itself here, so 409 never
-		// fires; anything but 200 is a bug.
+		<-raced
+		if code == http.StatusConflict {
+			code, _ = postReload(t, ts.URL, paths[i%3])
+		}
 		if code != http.StatusOK {
 			t.Errorf("reload %d: status %d", i, code)
 		}
@@ -406,7 +454,7 @@ func TestHotReloadHammer(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
-	if st.Generation != uint64(1+reloads) {
-		t.Fatalf("final generation = %d, want %d", st.Generation, 1+reloads)
+	if want := uint64(1 + reloads + extraReloads.Load()); st.Generation != want {
+		t.Fatalf("final generation = %d, want %d", st.Generation, want)
 	}
 }

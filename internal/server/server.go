@@ -14,7 +14,8 @@
 //	                        graph beside the index)
 //	GET  /knn?s=A&k=N     → k closest vertices with exact distances
 //	GET  /stats           → index size statistics + generation/format
-//	POST /update          ← {"u":A,"v":B,"w":W}
+//	POST /update          ← {"u":A,"v":B,"w":W}, all three and nothing
+//	                        else
 //	                      → durably inserts an edge when the published
 //	                        snapshot is living (-wal); 412 otherwise
 //	POST /reload          ← optional {"path":"other.idx"}
@@ -858,11 +859,13 @@ const maxUpdateBytes = 1 << 16
 
 // updateRequest / updateResponse are the /update wire types. Fields are
 // int64 so range violations arrive as values we can reject explicitly
-// instead of silently truncating into a "valid" vertex or weight.
+// instead of silently truncating into a "valid" vertex or weight, and
+// pointers so a missing member is an error rather than a zero: a logged
+// edge is never deleted, so the body must name the whole edge.
 type updateRequest struct {
-	U int64 `json:"u"`
-	V int64 `json:"v"`
-	W int64 `json:"w"`
+	U *int64 `json:"u"`
+	V *int64 `json:"v"`
+	W *int64 `json:"w"`
 }
 type updateResponse struct {
 	Status     string `json:"status"`
@@ -883,23 +886,23 @@ func (s *Server) handleUpdate(sn *snapshot, w http.ResponseWriter, r *http.Reque
 			errors.New("server was started without -wal (no living-graph pipeline)"))
 		return
 	}
-	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	u, v, wt, err := decodeUpdate(r.Body)
+	if err != nil {
 		writeBodyErr(w, fmt.Errorf("bad body: %w", err))
 		return
 	}
 	n := int64(up.NumVertices())
-	if req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
+	if u < 0 || u >= n || v < 0 || v >= n {
 		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("edge {%d,%d} out of range [0,%d)", req.U, req.V, n))
+			fmt.Errorf("edge {%d,%d} out of range [0,%d)", u, v, n))
 		return
 	}
-	if req.W <= 0 || req.W >= int64(graph.Inf) {
+	if wt <= 0 || wt >= int64(graph.Inf) {
 		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("weight %d outside (0, %d)", req.W, graph.Inf))
+			fmt.Errorf("weight %d outside (0, %d)", wt, graph.Inf))
 		return
 	}
-	if err := up.Update(graph.Vertex(req.U), graph.Vertex(req.V), graph.Dist(req.W)); err != nil {
+	if err := up.Update(graph.Vertex(u), graph.Vertex(v), graph.Dist(wt)); err != nil {
 		switch {
 		case errors.Is(err, dynamic.ErrInvalid):
 			writeErr(w, http.StatusBadRequest, err)
@@ -915,6 +918,24 @@ func (s *Server) handleUpdate(sn *snapshot, w http.ResponseWriter, r *http.Reque
 		WalRecords: up.Stats().WALRecords,
 		Generation: sn.gen,
 	})
+}
+
+// decodeUpdate reads an /update body: one object with exactly the
+// members u, v and w, and nothing after it.
+func decodeUpdate(body io.Reader) (u, v, w int64, err error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req updateRequest
+	if err := dec.Decode(&req); err != nil {
+		return 0, 0, 0, err
+	}
+	if req.U == nil || req.V == nil || req.W == nil {
+		return 0, 0, 0, errors.New(`want the members "u", "v" and "w"`)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return 0, 0, 0, fmt.Errorf("data after the object at byte %d", dec.InputOffset())
+	}
+	return *req.U, *req.V, *req.W, nil
 }
 
 // maxReloadBytes bounds the /reload request body (a single file path)

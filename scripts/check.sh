@@ -4,7 +4,8 @@
 # internal/ is imported by some other package, tests included), the
 # short suite under the race detector, a
 # -count=20 race pass over the lock-free structures, the distance
-# cache, the lock-order hammers and the goroutine-lifetime tests, the
+# cache, the lock-order hammers and the goroutine-lifetime tests, a
+# -count=20 plain pass over the two lock-order tests, the
 # tier-1 command (go test ./...), a fuzz smoke on the four
 # wire decoders, the crash-recovery and flight-recorder e2e tests by
 # name, a cross-compile sweep, a trace smoke through parapll-index /
@@ -86,16 +87,29 @@ go test -race -short ./...
 # configuration as plain fields written once before NewPending returns.
 # So do the lock order and the goroutine lifetimes: TestPipelineHammer
 # runs every pipeline entry point at once under a deadline (a lock-order
-# cycle, even one through a callback parapll-vet's lockorder cannot
-# follow, deadlocks it), TestHeldAllgatherKeepsWorkersRunning holds one
-# rank's sync round and wants every rank's workers to go on (a lock held
-# across the wait stalls them), and TestCloseLeavesNoGoroutine (compact,
-# mpi) plus the failure paths TestRootFailureReleasesPeers,
-# TestNodeDeathFailsFast and TestTCPNodeDeathFailsFast fail on any
-# goroutine of the module left behind.
+# cycle, even one through a callback, deadlocks it),
+# TestHeldAllgatherKeepsWorkersRunning holds one rank's sync round and
+# wants every rank's workers to go on (a lock held across the wait, or
+# handed to the round's goroutine, stalls them), and
+# TestCloseLeavesNoGoroutine (compact, mpi) plus the failure paths
+# TestRootFailureReleasesPeers, TestNodeDeathFailsFast and
+# TestTCPNodeDeathFailsFast fail on any goroutine of the module left
+# behind. Between them these tests contend every persistent mutex of
+# the concurrent packages (EXPERIMENTS.md "Tests hold the lock order
+# alone" maps each mutex to its test); no analyzer checks the lock
+# order.
 echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes)"
 go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster
+
+# The two lock-order tests again without the race detector: a seeded
+# lock held across a sync round's wait, or a lock-order cycle in the
+# pipeline, must turn them red in plain runs too, where goroutines are
+# scheduled as in production. The cluster test holds the build
+# goroutine until the round's goroutine has parked, so the catch does
+# not rest on the race detector's timing.
+echo "== go test -count=20 (lock order, plain)"
+go test -count=20 -run 'TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning' ./internal/compact ./internal/cluster
 
 echo "== go test ./... (tier-1)"
 go test ./...
