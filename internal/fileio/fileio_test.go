@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/pll"
@@ -160,4 +161,38 @@ func TestSaveIntoMissingDirFails(t *testing.T) {
 	if err := SaveIndex("/nonexistent/dir/g.idx", x); err == nil {
 		t.Fatal("index save into missing dir succeeded")
 	}
+}
+
+// BenchmarkGraphIngest prices what every build, boot and compaction does
+// before any labelling: synthesize the benchmark's two graphs, rebuild
+// the p2p one from its edge list, and save and load both through the
+// PGPH codec (saves include the fsyncs).
+func BenchmarkGraphIngest(b *testing.B) {
+	p2pRec, _ := gen.FindRecipe("Gnutella")
+	roadRec, _ := gen.FindRecipe("RI-USA")
+	p2p, road := p2pRec.Generate(0.35), roadRec.Generate(0.07)
+	dir := b.TempDir()
+	p2pPath, roadPath := filepath.Join(dir, "p2p.bin"), filepath.Join(dir, "road.bin")
+	for path, g := range map[string]*graph.Graph{p2pPath: p2p, roadPath: road} {
+		if err := SaveGraph(path, g); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edges := p2p.Edges()
+	run := func(name string, f func() error) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := f(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("Generate/p2p", func() error { p2pRec.Generate(0.35); return nil })
+	run("Generate/road", func() error { roadRec.Generate(0.07); return nil })
+	run("FromEdges/p2p", func() error { graph.FromEdges(p2p.NumVertices(), edges); return nil })
+	run("LoadGraph/p2p", func() error { _, err := LoadGraph(p2pPath); return err })
+	run("LoadGraph/road", func() error { _, err := LoadGraph(roadPath); return err })
+	run("SaveGraph/p2p", func() error { return SaveGraph(p2pPath, p2p) })
 }

@@ -1,6 +1,10 @@
 package gen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -276,5 +280,85 @@ func TestDegreeCCDF(t *testing.T) {
 	}
 	if d, f := DegreeCCDF(graph.FromEdges(0, nil)); d != nil || f != nil {
 		t.Fatal("empty graph CCDF should be nil")
+	}
+}
+
+// TestDatasetBytesGolden pins the PGPH bytes of every Table-2 stand-in at
+// scale 0.05 and of the three graphs benchmark/ serves. A generator, a
+// FromEdges or a codec change that moves one byte of a dataset moves
+// every index built from it, so these hashes change only with the
+// datasets on purpose.
+func TestDatasetBytesGolden(t *testing.T) {
+	golden := []struct {
+		name  string
+		scale float64
+		hash  string
+	}{
+		{"Wiki-Vote", 0.05, "c09300bffe131e907d965feb6c3878981927e52aa67cd723c770045aec98415f"},
+		{"Gnutella", 0.05, "bc9c1e7fd90294b85f29078022857df91f9d7bff222f0b68f0d55a8792c39f90"},
+		{"CondMat", 0.05, "fa79e2cf72ca313d24a587f34dc33578da9c05b2e763f1745eb8b2ebbd7a0cef"},
+		{"DE-USA", 0.05, "e1c90ab16b982fa2df7ea63d731f6892acd0b5e39e3b51f458709b1c115a3c61"},
+		{"RI-USA", 0.05, "9319d9d268b913ff92eba7054b6cf63e3984c823d5867fda9db036df92a82600"},
+		{"AS-Relation", 0.05, "78a8f88afc9e52c9ca5eab40bd7fa70c30d8f4ab9af87253e6ee451ee4c1ba2e"},
+		{"HI-USA", 0.05, "cb60e1227a0663a01ec2e3d77c0b967fb5709eaa62f497d571e49566b1ae014d"},
+		{"Epinions", 0.05, "1344e1e39e8a12d0cc8d0a60d5920f98e1e337866b8fcca61a72e079ce96247b"},
+		{"AskUbuntu", 0.05, "e016bf19e24589711de70395b78a65b165fa9d34748087ae93ee1a3774424089"},
+		{"Skitter", 0.05, "f3c3254837e34cd50b24557c6ab68d441e918e00bc5e9cce8fd0e963bf114823"},
+		{"Euall", 0.05, "649c1af8947b38445b6527d7fad7dbd845a98ae5705b9ce85b893bf0d9a8a953"},
+		// The build workload's p2p and road graphs, and living_mixed's.
+		{"Gnutella", 0.35, "6acc291f18bf73301904a96a34b947fcfff18c0c42cc73c8acd6aa3c0f3ca3a3"},
+		{"RI-USA", 0.07, "fcadd27a954e66d56c38837e153db39f3c06592a5c8a1d5ffdc22623811f36a4"},
+		{"Gnutella", 0.15, "2d71d017873c049f399fe55e9812bf230f63dc0963b96c6d11f710fb8b19af44"},
+	}
+	for _, c := range golden {
+		c := c
+		t.Run(fmt.Sprintf("%s@%v", c.name, c.scale), func(t *testing.T) {
+			t.Parallel()
+			rec, err := FindRecipe(c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := graph.WriteBinary(&buf, rec.Generate(c.scale)); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.hash {
+				t.Errorf("sha256 = %s, want %s", got, c.hash)
+			}
+		})
+	}
+}
+
+// TestCodecAllocsFlatInM: the PGPH codec allocates as often for
+// Gnutella@0.35 as for Gnutella@0.05, seven times the edges, so it holds
+// no per-edge or per-block buffer.
+func TestCodecAllocsFlatInM(t *testing.T) {
+	rec, err := FindRecipe("Gnutella")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(scale float64) (write, read float64) {
+		g := rec.Generate(scale)
+		var buf bytes.Buffer
+		if err := graph.WriteBinary(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		write = testing.AllocsPerRun(100, func() {
+			if err := graph.WriteBinary(io.Discard, g); err != nil {
+				t.Fatal(err)
+			}
+		})
+		read = testing.AllocsPerRun(100, func() {
+			if _, err := graph.ReadBinary(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return write, read
+	}
+	w1, r1 := allocs(0.05)
+	w2, r2 := allocs(0.35)
+	if w1 != w2 || r1 != r2 {
+		t.Errorf("allocs: WriteBinary %v at 0.05, %v at 0.35; ReadBinary %v at 0.05, %v at 0.35", w1, w2, r1, r2)
 	}
 }

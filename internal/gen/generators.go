@@ -15,8 +15,9 @@ type edgeSet struct {
 	list []graph.Edge
 }
 
-func newEdgeSet(n int) *edgeSet {
-	return &edgeSet{n: n, seen: make(map[uint64]struct{})}
+// newEdgeSet sizes the set for the m edges its generator aims at.
+func newEdgeSet(n, m int) *edgeSet {
+	return &edgeSet{n: n, seen: make(map[uint64]struct{}, m), list: make([]graph.Edge, 0, m)}
 }
 
 func (s *edgeSet) add(u, v graph.Vertex, w graph.Dist) bool {
@@ -53,7 +54,7 @@ func ErdosRenyi(n, m int, seed uint64) *graph.Graph {
 		panic(fmt.Sprintf("gen: ErdosRenyi m=%d exceeds max %d", m, maxM))
 	}
 	r := NewRNG(seed)
-	s := newEdgeSet(n)
+	s := newEdgeSet(n, m)
 	for s.len() < m {
 		u := graph.Vertex(r.Intn(n))
 		v := graph.Vertex(r.Intn(n))
@@ -90,7 +91,7 @@ func ChungLu(n, m int, beta float64, seed uint64) *graph.Graph {
 		}
 		return graph.Vertex(idx)
 	}
-	s := newEdgeSet(n)
+	s := newEdgeSet(n, m)
 	attempts := 0
 	maxAttempts := 50 * m
 	for s.len() < m && attempts < maxAttempts {
@@ -114,7 +115,7 @@ func PreferentialAttachment(n, k int, seed uint64) *graph.Graph {
 		panic("gen: PreferentialAttachment needs n > k >= 1")
 	}
 	r := NewRNG(seed)
-	s := newEdgeSet(n)
+	s := newEdgeSet(n, k*n)
 	// endpoints holds each edge endpoint once; sampling a uniform element
 	// is sampling a vertex proportional to degree.
 	endpoints := make([]graph.Vertex, 0, 2*k*n)
@@ -155,7 +156,7 @@ func RoadGrid(rows, cols, m int, seed uint64) *graph.Graph {
 	n := rows * cols
 	r := NewRNG(seed)
 	id := func(i, j int) graph.Vertex { return graph.Vertex(i*cols + j) }
-	s := newEdgeSet(n)
+	s := newEdgeSet(n, m)
 	type gridEdge struct{ u, v graph.Vertex }
 	var base []gridEdge
 	for i := 0; i < rows; i++ {
@@ -198,7 +199,7 @@ func RoadGrid(rows, cols, m int, seed uint64) *graph.Graph {
 // edges exist. Degrees are moderately skewed, far short of power-law hubs.
 func Collaboration(n, m int, seed uint64) *graph.Graph {
 	r := NewRNG(seed)
-	s := newEdgeSet(n)
+	s := newEdgeSet(n, m)
 	guard := 0
 	for s.len() < m && guard < 100*m {
 		guard++

@@ -28,7 +28,7 @@ func RMAT(scale int, m int, a, b, c, d float64, seed uint64) *graph.Graph {
 		panic(fmt.Sprintf("gen: RMAT m=%d exceeds max %d", m, maxM))
 	}
 	r := NewRNG(seed)
-	s := newEdgeSet(n)
+	s := newEdgeSet(n, m)
 	attempts := 0
 	maxAttempts := 100 * m
 	for s.len() < m && attempts < maxAttempts {

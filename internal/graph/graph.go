@@ -9,8 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Vertex identifies a vertex. Graphs produced by this package always number
@@ -125,7 +126,8 @@ func (g *Graph) MaxDegree() int {
 // normalized first: self-loops are dropped, duplicate edges keep the
 // smallest weight, and both endpoint orders are accepted. It panics if an
 // endpoint is out of [0,n) or a weight is Inf — those are programming
-// errors in callers, not recoverable conditions.
+// errors in callers, not recoverable conditions. It runs in O(n+m) plus
+// the sort of each vertex's upper neighbours.
 func FromEdges(n int, edges []Edge) *Graph {
 	norm := NormalizeEdges(n, edges)
 	g := &Graph{
@@ -133,49 +135,32 @@ func FromEdges(n int, edges []Edge) *Graph {
 		adj: make([]Vertex, 2*len(norm)),
 		wt:  make([]Dist, 2*len(norm)),
 	}
-	deg := make([]int64, n)
 	for _, e := range norm {
-		deg[e.U]++
-		deg[e.V]++
+		g.off[e.U+1]++
+		g.off[e.V+1]++
 	}
 	for i := 0; i < n; i++ {
-		g.off[i+1] = g.off[i] + deg[i]
+		g.off[i+1] += g.off[i]
 	}
-	cursor := make([]int64, n)
-	copy(cursor, g.off[:n])
+	// norm is sorted by (U,V), so row x receives its lower neighbours (in
+	// buckets U < x) in increasing order before its upper ones (bucket x):
+	// every row comes out strictly increasing without a sort.
+	cursor := slices.Clone(g.off[:n])
 	for _, e := range norm {
 		g.adj[cursor[e.U]], g.wt[cursor[e.U]] = e.V, e.W
 		cursor[e.U]++
 		g.adj[cursor[e.V]], g.wt[cursor[e.V]] = e.U, e.W
 		cursor[e.V]++
 	}
-	// Sort each adjacency row by neighbor id for deterministic traversal
-	// and binary-searchable rows.
-	for v := 0; v < n; v++ {
-		lo, hi := g.off[v], g.off[v+1]
-		row := adjRow{adj: g.adj[lo:hi], wt: g.wt[lo:hi]}
-		sort.Sort(row)
-	}
 	return g
-}
-
-type adjRow struct {
-	adj []Vertex
-	wt  []Dist
-}
-
-func (r adjRow) Len() int           { return len(r.adj) }
-func (r adjRow) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
-func (r adjRow) Swap(i, j int) {
-	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
-	r.wt[i], r.wt[j] = r.wt[j], r.wt[i]
 }
 
 // NormalizeEdges canonicalizes an undirected edge list: endpoints ordered
 // U < V, self-loops removed, duplicates collapsed to their minimum weight.
 // The input is not modified; the result is sorted by (U,V).
 func NormalizeEdges(n int, edges []Edge) []Edge {
-	norm := make([]Edge, 0, len(edges))
+	// Counting sort by the smaller endpoint: start[u+1] counts bucket u.
+	start := make([]int, n+1)
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
@@ -186,20 +171,33 @@ func NormalizeEdges(n int, edges []Edge) []Edge {
 		if e.W == Inf {
 			panic(fmt.Sprintf("graph: edge {%d,%d} has infinite weight", e.U, e.V))
 		}
+		start[min(e.U, e.V)+1]++
+	}
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	norm := make([]Edge, start[n])
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
 		if e.U > e.V {
 			e.U, e.V = e.V, e.U
 		}
-		norm = append(norm, e)
+		norm[start[e.U]] = e
+		start[e.U]++
 	}
-	sort.Slice(norm, func(i, j int) bool {
-		if norm[i].U != norm[j].U {
-			return norm[i].U < norm[j].U
-		}
-		if norm[i].V != norm[j].V {
-			return norm[i].V < norm[j].V
-		}
-		return norm[i].W < norm[j].W
-	})
+	// Placing advanced start[u] to the end of bucket u.
+	lo := 0
+	for u := 0; u < n; u++ {
+		slices.SortFunc(norm[lo:start[u]], func(a, b Edge) int {
+			if a.V != b.V {
+				return cmp.Compare(a.V, b.V)
+			}
+			return cmp.Compare(a.W, b.W)
+		})
+		lo = start[u]
+	}
 	out := norm[:0]
 	for _, e := range norm {
 		if len(out) > 0 && out[len(out)-1].U == e.U && out[len(out)-1].V == e.V {

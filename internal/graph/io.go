@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -168,95 +170,131 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 const binMagic = "PGPH"
 const binVersion = 1
 
-// WriteBinary writes g in the checksummed binary cache format.
+// The codec moves at most blockSize bytes per Read or Write, and reserves
+// at most reserveAhead entries of an array before bytes back them.
+const blockSize, reserveAhead = 32 << 10, 1 << 20
+
+// WriteBinary writes g in the checksummed binary cache format: magic,
+// version, n, 2m, offsets, (neighbour, weight) pairs, and their CRC-32.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, crc)
-	if _, err := mw.Write([]byte(binMagic)); err != nil {
+	le := binary.LittleEndian
+	buf := make([]byte, 0, min(blockSize, 20+8*(len(g.off)+len(g.adj))))
+	buf = le.AppendUint32(append(buf, binMagic...), binVersion)
+	buf = le.AppendUint32(le.AppendUint32(buf, uint32(g.NumVertices())), uint32(len(g.adj)))
+	var crc uint32
+	flush := func() error {
+		crc = crc32.Update(crc, crc32.IEEETable, buf)
+		_, err := w.Write(buf)
+		buf = buf[:0]
 		return err
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], binVersion)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(g.NumVertices()))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(g.adj)))
-	if _, err := mw.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, o := range g.off {
-		binary.LittleEndian.PutUint64(buf, uint64(o))
-		if _, err := mw.Write(buf); err != nil {
-			return err
+	for i := range len(g.off) + len(g.adj) {
+		if len(buf)+8 > cap(buf) {
+			if err := flush(); err != nil {
+				return err
+			}
+		}
+		if j := i - len(g.off); j < 0 {
+			buf = le.AppendUint64(buf, uint64(g.off[i]))
+		} else {
+			buf = le.AppendUint32(le.AppendUint32(buf, uint32(g.adj[j])), g.wt[j])
 		}
 	}
-	for i := range g.adj {
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(g.adj[i]))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(g.wt[i]))
-		if _, err := mw.Write(buf); err != nil {
-			return err
-		}
-	}
-	binary.LittleEndian.PutUint32(buf[0:4], crc.Sum32())
-	if _, err := bw.Write(buf[0:4]); err != nil {
+	if err := flush(); err != nil {
 		return err
 	}
-	return bw.Flush()
+	_, err := w.Write(le.AppendUint32(buf, crc))
+	return err
 }
 
-// ReadBinary reads a graph written by WriteBinary, verifying the checksum.
+// ReadBinary reads a graph written by WriteBinary, and only its bytes. It
+// checks the checksum and the Graph invariant: offsets rise from 0 to 2m,
+// each row strictly increases over [0,n) without its own vertex, and each
+// edge is listed from both ends with one weight.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(br, crc)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(tr, magic); err != nil {
+	var hdr [16]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	if string(magic) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
+	if string(hdr[:4]) != binMagic {
+		return nil, fmt.Errorf("graph: bad magic %q", hdr[:4])
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(tr, hdr[:]); err != nil {
-		return nil, err
-	}
-	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != binVersion {
+	le := binary.LittleEndian
+	if v := le.Uint32(hdr[4:8]); v != binVersion {
 		return nil, fmt.Errorf("graph: unsupported binary version %d", v)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[4:8]))
-	deg2 := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	g := &Graph{
-		off: make([]int64, n+1),
-		adj: make([]Vertex, deg2),
-		wt:  make([]Dist, deg2),
+	n, deg2 := int(le.Uint32(hdr[8:12])), int(le.Uint32(hdr[12:16]))
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: %d vertices overflow int32 ids", n)
 	}
-	buf := make([]byte, 8)
-	for i := range g.off {
-		if _, err := io.ReadFull(tr, buf); err != nil {
+	crc := crc32.Update(0, crc32.IEEETable, hdr[:])
+	buf := make([]byte, min(blockSize, 8*(n+1+deg2)))
+	read := func(left int) ([]byte, error) { // the next min(left, block) records
+		b := buf[:8*min(left, len(buf)/8)]
+		_, err := io.ReadFull(r, b)
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		return b, err
+	}
+	off := make([]int64, 0, min(n+1, reserveAhead))
+	for len(off) <= n {
+		b, err := read(n + 1 - len(off))
+		if err != nil {
 			return nil, err
 		}
-		g.off[i] = int64(binary.LittleEndian.Uint64(buf))
+		for ; len(b) > 0; b = b[8:] {
+			o := int64(le.Uint64(b))
+			if o > int64(deg2) || len(off) > 0 && o < off[len(off)-1] {
+				return nil, fmt.Errorf("graph: corrupt offsets")
+			}
+			off = append(off, o)
+		}
 	}
-	for i := 0; i < deg2; i++ {
-		if _, err := io.ReadFull(tr, buf); err != nil {
+	adj, wt := make([]Vertex, 0, min(deg2, reserveAhead)), make([]Dist, 0, min(deg2, reserveAhead))
+	for len(adj) < deg2 {
+		b, err := read(deg2 - len(adj))
+		if err != nil {
 			return nil, err
 		}
-		g.adj[i] = Vertex(binary.LittleEndian.Uint32(buf[0:4]))
-		wv := binary.LittleEndian.Uint32(buf[4:8])
-		if wv >= uint32(Inf) {
-			return nil, fmt.Errorf("graph: edge %d: weight overflow", i)
+		for ; len(b) > 0; b = b[8:] {
+			v, w := le.Uint32(b), le.Uint32(b[4:])
+			if w >= uint32(Inf) {
+				return nil, fmt.Errorf("graph: edge %d: weight overflow", len(adj))
+			}
+			adj, wt = append(adj, Vertex(v)), append(wt, w)
 		}
-		g.wt[i] = Dist(wv)
 	}
-	want := crc.Sum32()
-	if _, err := io.ReadFull(br, buf[0:4]); err != nil {
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	if got := binary.LittleEndian.Uint32(buf[0:4]); got != want {
-		return nil, fmt.Errorf("graph: checksum mismatch: file %08x, computed %08x", got, want)
+	if got := le.Uint32(buf[:4]); got != crc {
+		return nil, fmt.Errorf("graph: checksum mismatch: file %08x, computed %08x", got, crc)
 	}
-	if g.off[0] != 0 || g.off[n] != int64(deg2) {
+	if off[0] != 0 || off[n] != int64(deg2) {
 		return nil, fmt.Errorf("graph: corrupt offsets")
 	}
-	return g, nil
+	// Rows are checked in order of u, and next[v] is the first entry of
+	// v's row no smaller vertex has claimed: entry (u,v) with u < v must
+	// find its mate (v,u) there, and each row must be claimed up to its
+	// first entry above its own vertex.
+	next := slices.Clone(off[:n])
+	for u := range Vertex(n) { // n <= MaxInt32
+		lo, hi, below := off[u], off[u+1], int64(0)
+		for i := lo; i < hi; i++ {
+			v := adj[i]
+			if v < 0 || int(v) >= n || v == u || i > lo && v <= adj[i-1] {
+				return nil, fmt.Errorf("graph: vertex %d: row not strictly increasing over [0,%d) without %d", u, n, u)
+			}
+			if v < u {
+				below++
+			} else if j := next[v]; j == off[v+1] || adj[j] != u || wt[j] != wt[i] {
+				return nil, fmt.Errorf("graph: edge {%d,%d}: not listed from both ends with one weight", u, v)
+			} else {
+				next[v]++
+			}
+		}
+		if next[u] != lo+below {
+			return nil, fmt.Errorf("graph: vertex %d: an edge below it is listed from one end only", u)
+		}
+	}
+	return &Graph{off: off, adj: adj, wt: wt}, nil
 }

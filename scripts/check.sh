@@ -6,8 +6,8 @@
 # -count=20 race pass over the lock-free structures, the distance
 # cache, the lock-order hammers and the goroutine-lifetime tests, a
 # -count=20 plain pass over the two lock-order tests, the
-# tier-1 command (go test ./...), a fuzz smoke on the four
-# wire decoders, the crash-recovery and flight-recorder e2e tests by
+# tier-1 command (go test ./...), a fuzz smoke on the five
+# wire and file decoders, the crash-recovery and flight-recorder e2e tests by
 # name, a cross-compile sweep, a trace smoke through parapll-index /
 # parapll-trace, and the repository benchmark's smoke (benchmark/run.sh
 # -smoke). FUZZTIME (per fuzz target, default 5s) is the only
@@ -123,6 +123,7 @@ go test -fuzz=FuzzDecodeFrame -fuzztime="$FUZZTIME" -run '^$' ./internal/cluster
 go test -fuzz=FuzzOpenPIDM -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
 go test -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" -run '^$' ./internal/wal/
 go test -fuzz=FuzzBatchDecode -fuzztime="$FUZZTIME" -run '^$' ./internal/server/
+go test -fuzz=FuzzReadBinary -fuzztime="$FUZZTIME" -run '^$' ./internal/graph/
 
 # Crash-recovery smoke: the living-graph durability contract end to
 # end through the real binary — serve with -wal, acknowledge updates,
