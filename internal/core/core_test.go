@@ -135,6 +135,39 @@ func TestSingleThreadMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestZeroWeightsAgreeWithDijkstra runs every search kind over a graph
+// with zero-weight edges, where pushes land at the key just popped: the
+// serial and one-thread builds and both point-to-point searches must
+// answer every pair as Dijkstra does.
+func TestZeroWeightsAgreeWithDijkstra(t *testing.T) {
+	const n = 150
+	r := rand.New(rand.NewSource(36))
+	edges := make([]graph.Edge, 0, 3*n)
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(v)), V: graph.Vertex(v), W: graph.Dist(r.Intn(3) * r.Intn(9))})
+	}
+	for i := 0; i < 2*n; i++ {
+		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(n)), V: graph.Vertex(r.Intn(n)), W: graph.Dist(r.Intn(3) * r.Intn(9))})
+	}
+	g := graph.FromEdges(n, edges)
+	serial, oneThread := pll.Build(g, pll.Options{}), Build(g, Options{Threads: 1})
+	for s := graph.Vertex(0); int(s) < n; s++ {
+		want := sssp.Dijkstra(g, s)
+		for u := graph.Vertex(0); int(u) < n; u++ {
+			for name, got := range map[string]graph.Dist{
+				"pll.Build":      serial.Query(s, u),
+				"Build/1 thread": oneThread.Query(s, u),
+				"sssp.Query":     sssp.Query(g, s, u),
+				"sssp.BiQuery":   sssp.BiQuery(g, s, u),
+			} {
+				if got != want[u] {
+					t.Fatalf("%s: d(%d,%d) = %d, want %d", name, s, u, got, want[u])
+				}
+			}
+		}
+	}
+}
+
 func TestCustomOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(203))
 	g := randomGraph(r, 40, 80)

@@ -51,6 +51,34 @@ func TestIndexBytesGolden(t *testing.T) {
 	}
 }
 
+// TestSerialTraceGolden pins the work accounting of the serial build
+// beside its bytes: the Trace totals of labels added, popped vertices
+// pruned and work units. Figure 6 and the projected speed-ups of
+// Tables 3-4 read these counts, and a kernel change (a stale heap pop
+// counted as a settle, say) could move them without moving a label.
+func TestSerialTraceGolden(t *testing.T) {
+	for dataset, want := range map[string][3]int64{
+		"Gnutella": {28838, 42854, 2675360},
+		"RI-USA":   {446117, 16770, 57021274},
+	} {
+		rec, err := gen.FindRecipe(dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr pll.Trace
+		pll.Build(rec.Generate(0.05), pll.Options{Trace: &tr})
+		var got [3]int64
+		for k := range tr.AddedPerRoot {
+			got[0] += tr.AddedPerRoot[k]
+			got[1] += tr.PrunedPerRoot[k]
+		}
+		got[2] = tr.TotalWork()
+		if got != want {
+			t.Errorf("%s: trace totals (added, pruned, work) = %v, want %v", dataset, got, want)
+		}
+	}
+}
+
 // labelsHash is the SHA-256 of x's labels laid out as the retired
 // fixed-width index format wrote them, so the hashes recorded from that
 // writer still pin them: its magic and version 1, n, the entry count,

@@ -1,10 +1,6 @@
 package label
 
-import (
-	"slices"
-
-	"parapll/internal/graph"
-)
+import "parapll/internal/graph"
 
 // MidOnlyIndex is midOnlyIndex for the external test package.
 var MidOnlyIndex = midOnlyIndex
@@ -15,8 +11,18 @@ var RefMerge = refMerge
 // Entries is entries for the external test package.
 func (s *Store) Entries(v graph.Vertex, dst []Entry) []Entry { return s.entries(v, dst) }
 
-// SortDedupe is sortDedupe on a copy, for the external test package.
-func SortDedupe(l []Entry) []Entry { return sortDedupe(slices.Clone(l)) }
+// SortDedupe is sortDedupe on l packed, for the external test package.
+func SortDedupe(l []Entry) []Entry {
+	keys := make([]uint64, len(l))
+	for i, e := range l {
+		keys[i] = pack(e)
+	}
+	var out []Entry
+	for _, k := range sortDedupe(keys) {
+		out = append(out, unpack(k))
+	}
+	return out
+}
 
 // Runs splits a label list into the sorted, deduplicated hub and
 // distance runs refMerge and MergeRun take.

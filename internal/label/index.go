@@ -1,7 +1,6 @@
 package label
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -324,19 +323,23 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 }
 
 // deal is finalize's second pass, at the width its first one chose: it
-// copies each list into one reused scratch buffer, sorts and
-// deduplicates it there and deals its entries to the head row, the
+// packs each list into one reused scratch buffer of keys, sorts and
+// deduplicates them there and deals its entries to the head row, the
 // bitmap row and its packed run, or the tail run, so beside the source
-// lists only the result is ever live.
+// lists only the result is ever live. The scratch is deal's own: ranks of
+// a cluster finalize at once.
 func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot []int32) {
 	n, k, w := idx.NumVertices(), len(idx.headHubs), midWords(len(idx.midHubs))
 	a.head = make([]D, n*k)
 	a.midDists = make([]D, idx.mids)
 	a.dists = make([]D, len(idx.hubs))
-	var scratch []Entry
+	var keys []uint64
 	pos, mpos := 0, 0
 	for v := 0; v < n; v++ {
-		scratch = append(scratch[:0], list(v)...)
+		keys = keys[:0]
+		for _, e := range list(v) {
+			keys = append(keys, pack(e))
+		}
 		row := a.head[v*k:][:k]
 		for c := range row {
 			row[c] = ^D(0)
@@ -344,7 +347,8 @@ func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot [
 		words := idx.midBits[v*w:][:w]
 		// Entries come in hub order and columns were numbered in hub
 		// order, so a vertex's mid distances land in column order.
-		for _, e := range sortDedupe(scratch) {
+		for _, k := range sortDedupe(keys) {
+			e := unpack(k)
 			switch c := slot[e.Hub]; {
 			case c >= 0:
 				row[c] = D(e.D)
@@ -368,25 +372,28 @@ func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot [
 // midWords returns W, the 64-bit words in one bitmap row of k2 columns.
 func midWords(k2 int) int { return (k2 + 63) >> 6 }
 
-// sortDedupe sorts one label list by hub in place and returns its prefix
-// with duplicate hubs collapsed to their minimum distance — the strictly
-// hub-increasing form every merge kernel requires.
-func sortDedupe(list []Entry) []Entry {
-	slices.SortFunc(list, func(a, b Entry) int {
-		if c := cmp.Compare(a.Hub, b.Hub); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.D, b.D)
-	})
-	out := list[:0]
-	for _, e := range list {
-		if len(out) > 0 && out[len(out)-1].Hub == e.Hub {
+// sortDedupe sorts one label list of packed entries in place and returns
+// its prefix with duplicate hubs collapsed to their minimum distance —
+// the strictly hub-increasing form every merge kernel requires. A packed
+// entry orders by hub, then distance, so the sort is of plain integers.
+func sortDedupe(keys []uint64) []uint64 {
+	slices.Sort(keys)
+	out := keys[:0]
+	for _, k := range keys {
+		if len(out) > 0 && out[len(out)-1]>>32 == k>>32 {
 			continue
 		}
-		out = append(out, e)
+		out = append(out, k)
 	}
 	return out
 }
+
+// pack is e as one key, uint64(hub)<<32 | d; finalize has checked that
+// the hub is a vertex, so non-negative.
+func pack(e Entry) uint64 { return uint64(e.Hub)<<32 | uint64(e.D) }
+
+// unpack is pack's inverse.
+func unpack(k uint64) Entry { return Entry{Hub: graph.Vertex(k >> 32), D: graph.Dist(k)} }
 
 // Equal reports whether two indexes hold identical labels — the same
 // (hub, distance) pairs for every vertex — regardless of storage backing

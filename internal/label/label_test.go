@@ -2,8 +2,10 @@ package label
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,6 +341,40 @@ func TestIndexSortsAndDedupes(t *testing.T) {
 	}
 	if x.AvgLabelSize() != 1.0 {
 		t.Fatalf("AvgLabelSize = %v, want 1", x.AvgLabelSize())
+	}
+}
+
+// TestSortDedupeMatchesReference holds the packed-key sort to a plain
+// one over random lists: entries sorted by hub then distance, the first
+// of each hub kept. The lists take duplicate hubs, hubs 0 and n-1,
+// distance graph.Inf-1, and lengths 0 and 1.
+func TestSortDedupeMatchesReference(t *testing.T) {
+	const n = 50
+	r := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 2000; trial++ {
+		list := make([]Entry, r.Intn(3)*r.Intn(40))
+		for i := range list {
+			list[i] = Entry{Hub: graph.Vertex(r.Intn(n)), D: graph.Dist(r.Intn(100))}
+			switch r.Intn(8) {
+			case 0:
+				list[i].Hub = 0
+			case 1:
+				list[i].Hub = n - 1
+			case 2:
+				list[i].D = graph.Inf - 1
+			}
+		}
+		want := slices.Clone(list)
+		slices.SortFunc(want, func(a, b Entry) int {
+			if c := cmp.Compare(a.Hub, b.Hub); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.D, b.D)
+		})
+		want = slices.CompactFunc(want, func(a, b Entry) bool { return a.Hub == b.Hub })
+		if got := SortDedupe(list); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: sortDedupe(%v) = %v, want %v", trial, list, got, want)
+		}
 	}
 }
 

@@ -33,7 +33,7 @@ func BetweennessScores(g *graph.Graph) []float64 {
 	delta := make([]float64, n) // dependency accumulator
 	preds := make([][]graph.Vertex, n)
 	settled := make([]graph.Vertex, 0, n)
-	h := vheap.NewIndexed(n)
+	var h vheap.Radix
 
 	for s := 0; s < n; s++ {
 		for i := 0; i < n; i++ {
@@ -49,6 +49,9 @@ func BetweennessScores(g *graph.Graph) []float64 {
 		h.Push(graph.Vertex(s), 0)
 		for h.Len() > 0 {
 			u, d := h.Pop()
+			if d != dist[u] {
+				continue
+			}
 			settled = append(settled, u)
 			ns, ws := g.Neighbors(u)
 			for i, v := range ns {

@@ -127,7 +127,7 @@ type psiScratch struct {
 	parent   []graph.Vertex
 	size     []uint64
 	orderBuf []graph.Vertex
-	h        *vheap.Indexed
+	h        vheap.Radix
 }
 
 func newPsiScratch(n int) *psiScratch {
@@ -136,7 +136,6 @@ func newPsiScratch(n int) *psiScratch {
 		parent:   make([]graph.Vertex, n),
 		size:     make([]uint64, n),
 		orderBuf: make([]graph.Vertex, 0, n),
-		h:        vheap.NewIndexed(n),
 	}
 	for i := 0; i < n; i++ {
 		sc.dist[i] = graph.Inf
@@ -154,6 +153,9 @@ func (sc *psiScratch) accumulate(g *graph.Graph, root graph.Vertex, psi []uint64
 	sc.h.Push(root, 0)
 	for sc.h.Len() > 0 {
 		u, d := sc.h.Pop()
+		if d != sc.dist[u] {
+			continue
+		}
 		sc.orderBuf = append(sc.orderBuf, u)
 		ns, ws := g.Neighbors(u)
 		for i, v := range ns {

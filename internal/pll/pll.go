@@ -6,8 +6,11 @@
 // Indexing runs one Pruned Dijkstra per vertex in a chosen order. The
 // search from root r is pruned at any vertex u whose distance is already
 // covered by the 2-hop labels built so far (QUERY(r,u) ≤ D[u]); surviving
-// vertices receive the label (r, D[u]). Complexity is
-// O(wm·log²n + w²n·log²n) for tree-width w (paper §4.1).
+// vertices receive the label (r, D[u]). The paper gives
+// O(wm·log²n + w²n·log²n) for tree-width w (§4.1) with a binary heap; on
+// the radix heap (vheap) one search's queue work is O(m + n·log C) for
+// largest distance C (O(m·log C) at worst, as a stale item moves down
+// the buckets too), beside its prune tests.
 package pll
 
 import (
@@ -109,7 +112,7 @@ type Searcher struct {
 	dist    []graph.Dist
 	probe   *label.Probe // the seed's hub's side of the prune test
 	touched []graph.Vertex
-	heap    *vheap.Indexed
+	heap    vheap.Radix
 	work    int64 // ops in the most recent Run: pops + relaxations + label scans
 }
 
@@ -123,7 +126,6 @@ func NewSearcher(n int) *Searcher {
 	ps := &Searcher{
 		dist:  make([]graph.Dist, n),
 		probe: label.NewProbe(n),
-		heap:  vheap.NewIndexed(n),
 	}
 	for i := 0; i < n; i++ {
 		ps.dist[i] = graph.Inf
@@ -162,6 +164,9 @@ func (ps *Searcher) Run(
 
 	for ps.heap.Len() > 0 {
 		u, d := ps.heap.Pop()
+		if d != ps.dist[u] {
+			continue // stale: u was queued again, closer
+		}
 		ps.work++ // settled pop
 
 		// Prune test: QUERY(hub, u) over existing labels ≤ D[u]?

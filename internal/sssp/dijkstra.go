@@ -12,8 +12,8 @@ import (
 	"parapll/internal/vheap"
 )
 
-// Dijkstra computes the distance from s to every vertex using an indexed
-// 4-ary heap with decrease-key. Unreachable vertices get graph.Inf.
+// Dijkstra computes the distance from s to every vertex using the radix
+// heap, skipping each stale pop. Unreachable vertices get graph.Inf.
 func Dijkstra(g *graph.Graph, s graph.Vertex) []graph.Dist {
 	n := g.NumVertices()
 	dist := make([]graph.Dist, n)
@@ -21,10 +21,13 @@ func Dijkstra(g *graph.Graph, s graph.Vertex) []graph.Dist {
 		dist[i] = graph.Inf
 	}
 	dist[s] = 0
-	h := vheap.NewIndexed(n)
+	var h vheap.Radix
 	h.Push(s, 0)
 	for h.Len() > 0 {
 		u, d := h.Pop()
+		if d != dist[u] {
+			continue
+		}
 		ns, ws := g.Neighbors(u)
 		for i, v := range ns {
 			nd := graph.AddDist(d, ws[i])
@@ -50,10 +53,13 @@ func Query(g *graph.Graph, s, t graph.Vertex) graph.Dist {
 		dist[i] = graph.Inf
 	}
 	dist[s] = 0
-	h := vheap.NewIndexed(n)
+	var h vheap.Radix
 	h.Push(s, 0)
 	for h.Len() > 0 {
 		u, d := h.Pop()
+		if d != dist[u] {
+			continue
+		}
 		if u == t {
 			return d
 		}
@@ -85,7 +91,7 @@ func BiQuery(g *graph.Graph, s, t graph.Vertex) graph.Dist {
 		distB[i] = graph.Inf
 	}
 	distF[s], distB[t] = 0, 0
-	hf, hb := vheap.NewIndexed(n), vheap.NewIndexed(n)
+	var hf, hb vheap.Radix
 	hf.Push(s, 0)
 	hb.Push(t, 0)
 	best := graph.Inf
@@ -93,7 +99,8 @@ func BiQuery(g *graph.Graph, s, t graph.Vertex) graph.Dist {
 	settledB := make([]bool, n)
 	for hf.Len() > 0 || hb.Len() > 0 {
 		// Expand the smaller frontier head; stop when the sum of both
-		// heads can no longer improve best.
+		// heads can no longer improve best. A stale head is a lower
+		// bound, so it can only delay the stop.
 		var topF, topB graph.Dist = graph.Inf, graph.Inf
 		if hf.Len() > 0 {
 			_, topF = hf.Peek()
@@ -110,15 +117,14 @@ func BiQuery(g *graph.Graph, s, t graph.Vertex) graph.Dist {
 		} else if hb.Len() == 0 {
 			forward = true
 		}
-		var h *vheap.Indexed
-		var dist, other []graph.Dist
-		var settled, otherSettled []bool
-		if forward {
-			h, dist, other, settled, otherSettled = hf, distF, distB, settledF, settledB
-		} else {
-			h, dist, other, settled, otherSettled = hb, distB, distF, settledB, settledF
+		h, dist, other, settled, otherSettled := &hf, distF, distB, settledF, settledB
+		if !forward {
+			h, dist, other, settled, otherSettled = &hb, distB, distF, settledB, settledF
 		}
 		u, d := h.Pop()
+		if d != dist[u] {
+			continue
+		}
 		settled[u] = true
 		if otherSettled[u] {
 			continue

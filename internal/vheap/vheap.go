@@ -3,145 +3,105 @@
 // priority queue; enqueue/dequeue cost the O(log n) factor in its complexity
 // analysis).
 //
-// Indexed is a 4-ary min-heap with DecreaseKey, one slot per vertex. 4-ary
-// beats binary for Dijkstra because sift-down dominates and a wider node
-// halves the tree height at the cost of three extra comparisons that stay
-// in one cache line. A lazy-deletion binary heap (duplicate pushes, stale
-// entries skipped on pop) was measured against it inside the pruned
-// Dijkstra and never won, so it is not kept (DESIGN.md, "Heap").
+// Radix is a monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+// 1990). Distances are integers and every search here pops in
+// non-decreasing order, so a push costs one append and a pop amortizes to
+// O(log C) for a largest distance C, with no per-vertex state and no
+// comparisons between queued items. It has no decrease-key: a caller pushes
+// a vertex again when its distance improves and skips the popped item
+// whose distance is no longer the vertex's. An indexed 4-ary heap and a
+// lazy binary heap were measured against it (DESIGN.md, "Heap").
 package vheap
 
-import "parapll/internal/graph"
+import (
+	"fmt"
+	"math/bits"
 
-// Indexed is a 4-ary min-heap keyed by distance with O(log n) DecreaseKey.
-// It holds at most one entry per vertex. The zero value is not usable; call
-// NewIndexed.
-type Indexed struct {
-	heap []graph.Vertex // heap[i] = vertex at heap position i
-	pos  []int32        // pos[v] = position of v in heap, or -1
-	key  []graph.Dist   // key[v] = current priority of v
+	"parapll/internal/graph"
+)
+
+// Radix is a monotone min-heap of (vertex, distance) items. Item (v, d)
+// sits in bucket bits.Len32(d ^ last), where last is the minimum most
+// recently returned by Pop or Peek: bucket 0 holds keys equal to last, and
+// bucket i keys that first differ from last at bit i-1, so every key in a
+// lower bucket is smaller than every key in a higher one. A push below last
+// panics. The zero value is an empty heap.
+type Radix struct {
+	b    [33][]item
+	last graph.Dist
+	n    int
 }
 
-// NewIndexed returns an empty indexed heap able to hold vertices in [0,n).
-func NewIndexed(n int) *Indexed {
-	h := &Indexed{
-		heap: make([]graph.Vertex, 0, 64),
-		pos:  make([]int32, n),
-		key:  make([]graph.Dist, n),
+type item struct {
+	d graph.Dist
+	v graph.Vertex
+}
+
+// Len returns the number of queued items.
+func (h *Radix) Len() int { return h.n }
+
+// Push queues v with priority d. A vertex may be queued more than once.
+func (h *Radix) Push(v graph.Vertex, d graph.Dist) {
+	if d < h.last {
+		panic(fmt.Sprintf("vheap: push of key %d below the last popped key %d", d, h.last))
 	}
-	for i := range h.pos {
-		h.pos[i] = -1
+	k := bits.Len32(d ^ h.last)
+	h.b[k] = append(h.b[k], item{d, v})
+	h.n++
+}
+
+// Peek returns an item of minimum priority without removing it, and raises
+// the floor for later pushes to that priority. It panics on an empty heap.
+func (h *Radix) Peek() (graph.Vertex, graph.Dist) {
+	if len(h.b[0]) == 0 {
+		h.refill()
 	}
-	return h
+	it := h.b[0][len(h.b[0])-1]
+	return it.v, it.d
 }
 
-// Len returns the number of queued vertices.
-func (h *Indexed) Len() int { return len(h.heap) }
-
-// Contains reports whether v is currently queued.
-func (h *Indexed) Contains(v graph.Vertex) bool { return h.pos[v] >= 0 }
-
-// Key returns the current priority of a queued vertex v. The result is
-// unspecified if v is not queued.
-func (h *Indexed) Key(v graph.Vertex) graph.Dist { return h.key[v] }
-
-// Push inserts v with priority d, or decreases v's priority to d if v is
-// already queued with a larger priority. Pushing a queued vertex with a
-// priority >= its current one is a no-op. It returns whether the heap
-// changed.
-func (h *Indexed) Push(v graph.Vertex, d graph.Dist) bool {
-	if p := h.pos[v]; p >= 0 {
-		if d >= h.key[v] {
-			return false
-		}
-		h.key[v] = d
-		h.siftUp(int(p))
-		return true
+// Pop removes and returns an item of minimum priority. It panics on an
+// empty heap.
+func (h *Radix) Pop() (graph.Vertex, graph.Dist) {
+	if len(h.b[0]) == 0 {
+		h.refill()
 	}
-	h.key[v] = d
-	h.pos[v] = int32(len(h.heap))
-	h.heap = append(h.heap, v)
-	h.siftUp(len(h.heap) - 1)
-	return true
+	b := h.b[0]
+	it := b[len(b)-1]
+	h.b[0] = b[:len(b)-1]
+	h.n--
+	return it.v, it.d
 }
 
-// Peek returns the vertex with the minimum priority without removing it.
-// It panics on an empty heap.
-func (h *Indexed) Peek() (graph.Vertex, graph.Dist) {
-	v := h.heap[0]
-	return v, h.key[v]
-}
-
-// Pop removes and returns the vertex with the minimum priority. It panics
-// on an empty heap.
-func (h *Indexed) Pop() (graph.Vertex, graph.Dist) {
-	v := h.heap[0]
-	d := h.key[v]
-	last := len(h.heap) - 1
-	h.pos[v] = -1
-	if last > 0 {
-		moved := h.heap[last]
-		h.heap[0] = moved
-		h.pos[moved] = 0
+// Reset empties the heap, keeping its buckets' storage, so it can take a
+// new search from any key.
+func (h *Radix) Reset() {
+	for i := range h.b {
+		h.b[i] = h.b[i][:0]
 	}
-	h.heap = h.heap[:last]
-	if last > 1 {
-		h.siftDown(0)
+	h.last, h.n = 0, 0
+}
+
+// refill makes the lowest non-empty bucket's minimum the new last and
+// redistributes that bucket, whose items all land lower, bucket 0 among
+// them.
+func (h *Radix) refill() {
+	if h.n == 0 {
+		panic("vheap: Pop or Peek on an empty heap")
 	}
-	return v, d
-}
-
-// Reset empties the heap so it can be reused without reallocating. It runs
-// in time proportional to the current size, not n.
-func (h *Indexed) Reset() {
-	for _, v := range h.heap {
-		h.pos[v] = -1
+	i := 1
+	for len(h.b[i]) == 0 {
+		i++
 	}
-	h.heap = h.heap[:0]
-}
-
-func (h *Indexed) less(i, j int) bool {
-	return h.key[h.heap[i]] < h.key[h.heap[j]]
-}
-
-func (h *Indexed) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
-}
-
-func (h *Indexed) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
+	src := h.b[i]
+	m := src[0].d
+	for _, it := range src[1:] {
+		m = min(m, it.d)
 	}
-}
-
-func (h *Indexed) siftDown(i int) {
-	n := len(h.heap)
-	for {
-		first := 4*i + 1
-		if first >= n {
-			return
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h.less(c, best) {
-				best = c
-			}
-		}
-		if !h.less(best, i) {
-			return
-		}
-		h.swap(i, best)
-		i = best
+	h.last = m
+	for _, it := range src {
+		k := bits.Len32(it.d ^ m)
+		h.b[k] = append(h.b[k], it)
 	}
+	h.b[i] = src[:0]
 }

@@ -6,7 +6,8 @@
 # -count=20 race pass over the lock-free structures, the distance
 # cache, the lock-order hammers and the goroutine-lifetime tests, a
 # -count=20 plain pass over the two lock-order tests, the
-# tier-1 command (go test ./...), a fuzz smoke on the five
+# tier-1 command (go test ./...), every in-package benchmark under
+# internal/ run once (-benchtime 1x), a fuzz smoke on the five
 # wire and file decoders, the crash-recovery and flight-recorder e2e tests by
 # name, a cross-compile sweep, a trace smoke through parapll-index /
 # parapll-trace, and the repository benchmark's smoke (benchmark/run.sh
@@ -113,6 +114,13 @@ go test -count=20 -run 'TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning'
 
 echo "== go test ./... (tier-1)"
 go test ./...
+
+# Tier-1 compiles the benchmarks' bodies but never runs them, so one
+# that panics or calls b.Fatal (a benchmark that feeds the radix heap a
+# falling key, say) would rot unseen. One iteration of each keeps them
+# honest; timing them stays manual.
+echo "== go test -bench . -benchtime 1x ./internal/... (every in-package benchmark once)"
+go test -run '^$' -bench . -benchtime 1x ./internal/...
 
 # Fuzz smoke: a few seconds on each wire decoder keeps the targets
 # compiling and catches shallow regressions; long runs stay manual
