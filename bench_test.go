@@ -180,7 +180,7 @@ func benchBuild(b *testing.B, dataset string, scale float64) {
 }
 
 // BenchmarkBuildP2P is the repository benchmark's p2p build (Gnutella
-// at scale 0.35: n ≈ 3.8 k, LN ≈ 245).
+// at scale 0.35: n ≈ 3.8 k, LN ≈ 229).
 func BenchmarkBuildP2P(b *testing.B) { benchBuild(b, "Gnutella", 0.35) }
 
 // BenchmarkBuildRoad is its road build (RI-USA at scale 0.07).

@@ -67,8 +67,8 @@ type Options struct {
 	Policy core.Policy
 	// Chunk is the dynamic policy's roots-per-fetch.
 	Chunk int
-	// Order is the global computing sequence; nil means degree
-	// descending. Every node must use the same order.
+	// Order is the global computing sequence; nil means
+	// graph.DegreeOrder. Every node must use the same order.
 	Order []graph.Vertex
 	// SyncCount is the paper's c: how many label synchronizations happen
 	// over the whole run (>= 1). c=1 means a single sync at the end —

@@ -21,7 +21,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6d6efde571c2833507183ac137374497d64b9dc6233a252985cd2998392eed35"
+	const want = "0aa378317af225fbab67d8da61e46e4cd21bffd0a590a1438a0b03d29804417d"
 	for r, x := range idxs {
 		h := sha256.New()
 		if err := x.WriteMmap(h); err != nil {

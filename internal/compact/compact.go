@@ -240,7 +240,8 @@ func Open(opt Options) (*Pipeline, error) {
 		idx := opt.Index
 		if idx == nil || g != opt.Graph {
 			opt.Logf("compact: no checkpoint index, building from %d vertices / %d edges", g.NumVertices(), g.NumEdges())
-			idx = core.Build(g, core.Options{Threads: opt.Threads})
+			// Dynamic: static round-robin lets a worker outrun the early roots that would prune it.
+			idx = core.Build(g, core.Options{Threads: opt.Threads, Policy: core.Dynamic})
 		}
 		if err := fileio.SaveIndex(ipath, idx); err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint index: %w", err)
@@ -426,7 +427,8 @@ func (p *Pipeline) Compact() (Report, error) {
 		idx = finalize()
 	} else {
 		mode = "rebuild"
-		idx = core.Build(g2, core.Options{Threads: p.opt.Threads})
+		// Dynamic: static round-robin lets a worker outrun the early roots that would prune it.
+		idx = core.Build(g2, core.Options{Threads: p.opt.Threads, Policy: core.Dynamic})
 	}
 	buildTime := time.Since(tBuild)
 

@@ -106,7 +106,7 @@ type Options struct {
 	Policy Policy
 	// Chunk is the dynamic policy's roots-per-fetch (<= 1 means 1).
 	Chunk int
-	// Order is the computing sequence; nil means degree descending.
+	// Order is the computing sequence; nil means graph.DegreeOrder.
 	Order []graph.Vertex
 	// Trace, when non-nil, receives per-sequence-position label counts
 	// (Figure 6). Safe because each position is claimed by exactly one

@@ -23,8 +23,8 @@ import (
 // got a width: where the finalize puts each entry, and in how many bytes.
 func TestIndexBytesGolden(t *testing.T) {
 	for dataset, want := range map[string]struct{ pidx, pidm string }{
-		"Gnutella": {"10b08a6878d39cea9f5506f75855445d2e892c6a18c453d864d9e3677dda1102", "2f2ad2ecbfdf3423f53c9b6c2c47a63018470abdcbf1c1b02761f90e8077f19e"},
-		"RI-USA":   {"36b58f3503fac56d8e913a566ec01a0daa7a02458212e6ab4f78537c613131e1", "e33f514858a72f6941962fe0d0ab54ff4f61a5795b718d06a71ac04764e28156"},
+		"Gnutella": {"0bb01996e156bb5d79b1ada12a46d752e33623664842effa444e55e236052451", "3496eed8854b1322f5f74e4b6532a257504c05f4dee65b5a6093410dac6fdf44"},
+		"RI-USA":   {"ba042b81e0b2f7379eb6ea206f49fad697488b7ba2b229a833095c653700ba14", "ee30e22f99414f4004a86e68b2076818a47bfbf19edbe695a8e07b7d8279ebe7"},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {
@@ -58,8 +58,8 @@ func TestIndexBytesGolden(t *testing.T) {
 // counted as a settle, say) could move them without moving a label.
 func TestSerialTraceGolden(t *testing.T) {
 	for dataset, want := range map[string][3]int64{
-		"Gnutella": {28838, 42854, 2675360},
-		"RI-USA":   {446117, 16770, 57021274},
+		"Gnutella": {26808, 41693, 2400891},
+		"RI-USA":   {132547, 18839, 4884291},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {

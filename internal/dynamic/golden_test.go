@@ -36,11 +36,11 @@ func TestIndexBytesGolden(t *testing.T) {
 	if err := x.ToIndex().WriteMmap(pidm); err != nil {
 		t.Fatal(err)
 	}
-	const wantLabels = "6b0db95f4b05529f67079ae5258dc8d5737b4b702102d1df68c40e8ce43d8752"
+	const wantLabels = "c3bebc604a1756386acbdd4ccd0574148421a83a0485f3a3ff030565fc8ef122"
 	if got := labelsHash(x.ToIndex()); got != wantLabels {
 		t.Fatalf("labels (%d entries) hash to %s, want %s", x.NumEntries(), got, wantLabels)
 	}
-	const wantPIDM = "9c01cd87595d8a708eacc713294fada169c9a18a094bb2ec7f2204cfdfe2de60"
+	const wantPIDM = "3fca1949bd7a27ad060caa903024b23f542d2c2b61060c99627c47091ba77824"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}

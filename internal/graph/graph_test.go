@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -377,15 +378,111 @@ func TestDegreeOrder(t *testing.T) {
 	if order[0] != 0 {
 		t.Fatalf("order[0] = %d, want 0 (max degree)", order[0])
 	}
-	for i := 1; i < len(order); i++ {
-		di, dj := g.Degree(order[i-1]), g.Degree(order[i])
-		if di < dj {
-			t.Fatalf("order not degree-descending at %d: %d < %d", i, di, dj)
+	checkDegreeOrder(t, g, order)
+
+	// A path 0-1-2-3-4 with its middle edges light: among the three
+	// degree-2 vertices, 2 (two light edges) goes first, then 1 and 3
+	// (one each) by id; the ends tie on one heavy edge, by id.
+	g = FromEdges(5, []Edge{{0, 1, 9}, {1, 2, 1}, {2, 3, 1}, {3, 4, 9}})
+	if got, want := DegreeOrder(g), []Vertex{2, 1, 3, 0, 4}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("DegreeOrder = %v, want %v", got, want)
+	}
+	// A zero-weight edge is the lightest there is, and the +1 keeps
+	// its strength finite.
+	g = FromEdges(4, []Edge{{0, 1, 5}, {2, 3, 0}})
+	if got, want := DegreeOrder(g), []Vertex{2, 3, 0, 1}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("DegreeOrder with a zero weight = %v, want %v", got, want)
+	}
+
+	r := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + r.Intn(60)
+		edges := make([]Edge, 0, 3*n)
+		for i := 0; i < 3*n; i++ {
+			edges = append(edges, Edge{Vertex(r.Intn(n)), Vertex(r.Intn(n)), Dist(r.Intn(6))})
 		}
-		if di == dj && order[i-1] > order[i] {
-			t.Fatalf("tie not broken by id at %d", i)
+		g := FromEdges(n, edges)
+		checkDegreeOrder(t, g, DegreeOrder(g))
+		// Where every weight is one constant c, strength is c's share
+		// times the degree, and the sequence is degree then id.
+		for _, c := range []Dist{0, 1, 7, Inf - 1} {
+			for i := range edges {
+				edges[i].W = c
+			}
+			g := FromEdges(n, edges)
+			if got, want := DegreeOrder(g), idTieBreakOrder(g); !reflect.DeepEqual(got, want) {
+				t.Fatalf("weights all %d: DegreeOrder = %v, want degree then id %v", c, got, want)
+			}
 		}
 	}
+}
+
+// FuzzDegreeOrder builds a small weighted graph from the bytes — the
+// first picks n, each following triple an edge (u, v, w), with the top
+// byte values standing for weights near Inf — and holds DegreeOrder to
+// its contract (checkDegreeOrder).
+func FuzzDegreeOrder(f *testing.F) {
+	f.Add([]byte{5, 0, 1, 9, 1, 2, 1, 2, 3, 1, 3, 4, 9})
+	f.Add([]byte{4, 0, 1, 5, 2, 3, 0})
+	f.Add([]byte{3, 0, 1, 255, 1, 2, 250, 0, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0]%64)
+		var edges []Edge
+		for b := data[1:]; len(b) >= 3; b = b[3:] {
+			w := Dist(b[2])
+			if b[2] >= 250 {
+				w = Inf - Dist(256-int(b[2]))
+			}
+			edges = append(edges, Edge{Vertex(int(b[0]) % n), Vertex(int(b[1]) % n), w})
+		}
+		g := FromEdges(n, edges)
+		checkDegreeOrder(t, g, DegreeOrder(g))
+	})
+}
+
+// checkDegreeOrder fails t unless ord is g's degree sequence: a
+// permutation of the vertices, degree non-increasing, and within one
+// degree the strength Σ ⌊2³²/(w+1)⌋ non-increasing, then ids ascending.
+func checkDegreeOrder(t testing.TB, g *Graph, ord []Vertex) {
+	t.Helper()
+	if err := CheckOrder(ord, g.NumVertices()); err != nil {
+		t.Fatalf("not a permutation: %v", err)
+	}
+	strength := func(v Vertex) uint64 {
+		_, ws := g.Neighbors(v)
+		var s uint64
+		for _, w := range ws {
+			s += (1 << 32) / (uint64(w) + 1)
+		}
+		return s
+	}
+	for i := 1; i < len(ord); i++ {
+		u, v := ord[i-1], ord[i]
+		du, dv := g.Degree(u), g.Degree(v)
+		su, sv := strength(u), strength(v)
+		switch {
+		case du < dv:
+			t.Fatalf("at %d: degree %d (vertex %d) before %d (vertex %d)", i, du, u, dv, v)
+		case du == dv && su < sv:
+			t.Fatalf("at %d: degree %d, strength %d (vertex %d) before %d (vertex %d)", i, du, su, u, sv, v)
+		case du == dv && su == sv && u > v:
+			t.Fatalf("at %d: degree %d and strength %d tie, but vertex %d before %d", i, du, su, u, v)
+		}
+	}
+}
+
+// idTieBreakOrder is degree descending, ties by id ascending: the
+// paper's sequence with no weights to break its ties.
+func idTieBreakOrder(g *Graph) []Vertex {
+	ord := make([]Vertex, g.NumVertices())
+	for i := range ord {
+		ord[i] = Vertex(i)
+	}
+	sort.SliceStable(ord, func(i, j int) bool { return g.Degree(ord[i]) > g.Degree(ord[j]) })
+	return ord
 }
 
 func TestTotalWeightAndMaxDegree(t *testing.T) {

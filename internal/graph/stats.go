@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // DegreeHistogram returns, for each degree value that occurs in g, the
 // number of vertices with that degree, as parallel sorted slices. This is
@@ -69,20 +73,41 @@ func Summarize(g *Graph) Summary {
 }
 
 // DegreeOrder returns the vertices of g sorted by degree descending,
-// ties broken by smaller vertex id first. This is the paper's canonical
-// computing sequence ("from higher degree to lower degree", §4.2).
+// the paper's computing sequence ("from higher degree to lower degree",
+// §4.2, degree standing in for ψ(v) of Proposition 2). Within one degree,
+// a vertex whose incident edges are lighter comes first: strength
+// s(v) = Σ ⌊2³²/(w+1)⌋ over v's edges, descending, since light edges
+// route more shortest paths through v. Remaining ties go to the smaller
+// vertex id. Where every weight is equal, s(v) is a fixed multiple of the
+// degree and the sequence is degree descending, ties by id.
 func DegreeOrder(g *Graph) []Vertex {
-	n := g.NumVertices()
-	order := make([]Vertex, n)
-	for i := range order {
-		order[i] = Vertex(i)
+	type key struct {
+		s   uint64
+		deg int32
+		v   Vertex
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
+	n := g.NumVertices()
+	keys := make([]key, n)
+	for v := range keys {
+		lo, hi := g.off[v], g.off[v+1]
+		var s uint64
+		for _, w := range g.wt[lo:hi] {
+			s += (1 << 32) / (uint64(w) + 1)
 		}
-		return order[i] < order[j]
+		keys[v] = key{s, int32(hi - lo), Vertex(v)}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if a.deg != b.deg {
+			return cmp.Compare(b.deg, a.deg)
+		}
+		if a.s != b.s {
+			return cmp.Compare(b.s, a.s)
+		}
+		return cmp.Compare(a.v, b.v)
 	})
+	order := make([]Vertex, n)
+	for i, k := range keys {
+		order[i] = k.v
+	}
 	return order
 }

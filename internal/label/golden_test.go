@@ -49,8 +49,8 @@ func TestExplainCountersGolden(t *testing.T) {
 	}
 	got := fmt.Sprintf("head=%d words=%d hits=%d probed=%d common=%d linear=%d gallop=%d binary=%d dist=%d hist=%v",
 		headSlots, midWords, midHits, hubsProbed, commonHubs, linearSteps, gallopProbes, binarySteps, distSum, hist)
-	const want = "head=13986 words=3996 hits=5195 probed=11292 common=75 linear=11214 gallop=231 binary=160 dist=17414 " +
-		"hist=map[empty:109 empty/swapped:99 gallop:52 gallop/swapped:44 linear:976 linear/swapped:718 self:2]"
+	const want = "head=13986 words=3996 hits=5201 probed=11250 common=76 linear=11178 gallop=226 binary=163 dist=17414 " +
+		"hist=map[empty:108 empty/swapped:98 gallop:48 gallop/swapped:45 linear:985 linear/swapped:714 self:2]"
 	if got != want {
 		t.Fatalf("counters over 2000 pairs:\n got %s\nwant %s", got, want)
 	}

@@ -1,6 +1,7 @@
 package order
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -183,5 +184,28 @@ func TestValidateMatchesCheckOrder(t *testing.T) {
 		if wantErr != c.ok {
 			t.Errorf("CheckOrder(%v) disagrees with expectation", c.ord)
 		}
+	}
+}
+
+// BenchmarkDegreeOrder prices the degree sequence on the benchmark's
+// build graphs: the p2p shape, where degree decides most of it, and the
+// road shape, where most vertices share a degree and the weight
+// tie-break decides it.
+func BenchmarkDegreeOrder(b *testing.B) {
+	for _, c := range []struct {
+		dataset string
+		scale   float64
+	}{{"Gnutella", 0.35}, {"RI-USA", 0.07}} {
+		rec, err := gen.FindRecipe(c.dataset)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := rec.Generate(c.scale)
+		b.Run(fmt.Sprintf("%s@%g", c.dataset, c.scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Degree(g)
+			}
+		})
 	}
 }

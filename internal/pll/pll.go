@@ -53,7 +53,7 @@ func (t *Trace) TotalWork() int64 {
 
 // Options configures a serial build.
 type Options struct {
-	// Order is the computing sequence; nil means degree descending (the
+	// Order is the computing sequence; nil means graph.DegreeOrder (the
 	// paper's policy). It must be a permutation of the vertices.
 	Order []graph.Vertex
 	// Trace, when non-nil, is filled with per-root instrumentation.

@@ -89,6 +89,27 @@ func TestDegreeOrderPrunesBetterThanRandom(t *testing.T) {
 	}
 }
 
+// TestDegreeOrderBeatsRandomOnRoads holds the degree sequence to the
+// same premise on road shapes, where most vertices share a degree and
+// the sequence rests on its tie-break. Broken by vertex id, which the
+// generator lays out row by row, the ties sweep the grid and lose to a
+// random order; broken by incident edge weight, they win.
+func TestDegreeOrderBeatsRandomOnRoads(t *testing.T) {
+	for _, dataset := range []string{"DE-USA", "RI-USA", "HI-USA"} {
+		rec, err := gen.FindRecipe(dataset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := rec.Generate(0.02)
+		deg := Build(g, Options{Order: order.Degree(g)})
+		rnd := Build(g, Options{Order: order.Random(g, 1)})
+		if deg.NumEntries() >= rnd.NumEntries() {
+			t.Errorf("%s@0.02 (n=%d): degree order (%d entries) should beat random order (%d entries)",
+				dataset, g.NumVertices(), deg.NumEntries(), rnd.NumEntries())
+		}
+	}
+}
+
 func TestBuildOrderValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

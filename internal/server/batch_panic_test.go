@@ -197,7 +197,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 // http.panics_total counts it, instead of SIGBUS ending the process.
 // /healthz still answers after them.
 func TestTruncatedIndexAnswers500(t *testing.T) {
-	const n = 400
+	const n = 500 // an index file of ~12 pages, well over the 8 the cut needs
 	r := rand.New(rand.NewSource(43))
 	edges := make([]graph.Edge, 0, 3*n)
 	for v := 1; v < n; v++ {

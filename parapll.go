@@ -80,10 +80,11 @@ type Ordering int
 
 // Available vertex orderings. OrderDegree is the paper's choice.
 const (
-	// OrderDegree indexes high-degree vertices first.
+	// OrderDegree indexes high-degree vertices first; within one degree,
+	// vertices with lighter incident edges first.
 	OrderDegree Ordering = iota
-	// OrderPsi estimates shortest-path centrality by sampling (better on
-	// road networks, costlier to compute).
+	// OrderPsi estimates shortest-path centrality by sampling (costlier
+	// to compute than OrderDegree).
 	OrderPsi
 	// OrderRandom is the ablation control.
 	OrderRandom

@@ -8,7 +8,8 @@
 # -count=20 plain pass over the two lock-order tests, the
 # tier-1 command (go test ./...), every in-package benchmark under
 # internal/ run once (-benchtime 1x), a fuzz smoke on the five
-# wire and file decoders, the crash-recovery and flight-recorder e2e tests by
+# wire and file decoders and on the degree sequence every build
+# defaults to (FuzzDegreeOrder), the crash-recovery and flight-recorder e2e tests by
 # name, a cross-compile sweep, a trace smoke through parapll-index /
 # parapll-trace, and the repository benchmark's smoke (benchmark/run.sh
 # -smoke). FUZZTIME (per fuzz target, default 5s) is the only
@@ -132,6 +133,7 @@ go test -fuzz=FuzzOpenPIDM -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
 go test -fuzz=FuzzWALReplay -fuzztime="$FUZZTIME" -run '^$' ./internal/wal/
 go test -fuzz=FuzzBatchDecode -fuzztime="$FUZZTIME" -run '^$' ./internal/server/
 go test -fuzz=FuzzReadBinary -fuzztime="$FUZZTIME" -run '^$' ./internal/graph/
+go test -fuzz=FuzzDegreeOrder -fuzztime="$FUZZTIME" -run '^$' ./internal/graph/
 
 # Crash-recovery smoke: the living-graph durability contract end to
 # end through the real binary — serve with -wal, acknowledge updates,
