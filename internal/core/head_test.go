@@ -34,19 +34,27 @@ func pidmBytes(t *testing.T, x *label.Index) []byte {
 }
 
 // TestSingleThreadPIDMMatchesSerialInEveryOrder: a one-thread build, whose
-// store keeps the first roots' labels as head columns and scans them in
+// store keeps the first roots' labels as head cells and scans them in
 // its prune test, prunes exactly where serial PLL over plain lists does —
 // so it writes the same PIDM bytes — in the degree, ψ and random orders,
-// on a p2p and a road graph. The heads these builds keep are one to three
-// blocks wide: under ψ the first block is less than half full, and the
-// head closes after it. Twelve one-thread builds: skipped under -short,
-// where the race pass would spend minutes on them and find nothing.
+// on a p2p graph, where nearly every head entry fits a cell; a road
+// graph, where nearly every one overflows into the lists; and the p2p
+// graph with its weights multiplied by 32, whose distances straddle the
+// cell's limit, so that one head hub holds cells for near vertices and
+// list entries for far ones. Eighteen one-thread builds: skipped under
+// -short, where the race pass would spend minutes on them and find
+// nothing.
 func TestSingleThreadPIDMMatchesSerialInEveryOrder(t *testing.T) {
 	if testing.Short() {
-		t.Skip("twelve one-thread builds")
+		t.Skip("eighteen one-thread builds")
 	}
-	for _, name := range []string{"Gnutella", "RI-USA"} {
-		g := recipe(t, name, 0.05)
+	for _, name := range []string{"Gnutella", "RI-USA", "Gnutella*32"} {
+		var g *graph.Graph
+		if name == "Gnutella*32" {
+			g = straddling(t, recipe(t, "Gnutella", 0.05))
+		} else {
+			g = recipe(t, name, 0.05)
+		}
 		for oname, ord := range map[string][]graph.Vertex{
 			"degree": order.Degree(g),
 			"psi":    order.PsiSample(g, 8, 3),
@@ -65,6 +73,32 @@ func TestSingleThreadPIDMMatchesSerialInEveryOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// straddling returns g with every weight multiplied by 32, after checking
+// that the top hub of its degree order then labels vertices both within
+// a head cell's reach (a distance of at most 254) and beyond it.
+func straddling(t *testing.T, g *graph.Graph) *graph.Graph {
+	t.Helper()
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].W *= 32
+	}
+	g = graph.FromEdges(g.NumVertices(), edges)
+	top := order.Degree(g)[0]
+	near, far := 0, 0
+	for _, d := range sssp.Dijkstra(g, top) {
+		switch {
+		case d <= 254:
+			near++
+		case d != graph.Inf:
+			far++
+		}
+	}
+	if near < 10 || far < 10 {
+		t.Fatalf("the top hub is within 254 of %d vertices and beyond it from %d: the graph does not straddle a cell", near, far)
+	}
+	return g
 }
 
 // TestHeadBuildsMatchDijkstra is Proposition 1 with the head: at 2 and 8

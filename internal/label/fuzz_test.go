@@ -145,3 +145,68 @@ func TestRegenFuzzCorpus(t *testing.T) {
 		}
 	}
 }
+
+// FuzzHeadCovers holds the store form's prune test — the lane test, the
+// per-cell test above maxLaneD, the test at Inf, and Set's merge of the
+// hub's list into its row and of its cells into tmp — to the scalar
+// predicate. The input is read three bytes at a time: the first names a
+// side (its top bit: the hub's label or v's) and a hub, the next two a
+// distance — below 0x8000 itself, above it one of edges — appended there.
+// Hubs [0, headBlock) own the head's one block; the rest live in the
+// lists, and so do the head hubs' distances above maxCell. The test runs
+// at the fuzzed d, at Inf, and at every sum of the two sides' entries
+// for a hub, one less and one more.
+func FuzzHeadCovers(f *testing.F) {
+	const n, root, v = headBlock + 16, 0, 1
+	edges := []graph.Dist{maxCell, maxCell + 1, maxLaneD, maxLaneD + 1, graph.Inf / 2, graph.Inf - 1, graph.Inf}
+	f.Add([]byte{0x05, 0x00, 0x03, 0x85, 0x00, 0xFE, 0x06, 0x80, 0x01, 0x86, 0x00, 0x01}, uint32(0x3FFF))
+	f.Add([]byte{0x05, 0x3F, 0x01, 0x85, 0x00, 0xFE, 0x46, 0x01, 0x00, 0xC6, 0x00, 0x02}, uint32(0x4000))
+	f.Add([]byte{0x07, 0x80, 0x06, 0x87, 0x00, 0x00, 0x88, 0x00, 0xFF, 0x08, 0x80, 0x05}, uint32(graph.Inf))
+	f.Fuzz(func(t *testing.T, data []byte, d uint32) {
+		ord := make([]graph.Vertex, n)
+		for i := range ord {
+			ord[i] = graph.Vertex(i)
+		}
+		s := NewStore(n)
+		s.UseHead(ord)
+		s.BeginRoot(0)
+		var sides [2][]Entry
+		for ; len(data) >= 3; data = data[3:] {
+			side, hub := data[0]>>7, graph.Vertex(data[0]&0x7F)%n
+			dist := graph.Dist(data[1])<<8 | graph.Dist(data[2])
+			if dist >= 0x8000 {
+				dist = edges[int(dist)%len(edges)]
+			}
+			sides[side] = append(sides[side], Entry{Hub: hub, D: dist})
+			s.Append([]graph.Vertex{root, v}[side], hub, dist)
+		}
+		rootD := make([]graph.Dist, n) // the hub side's smallest distance per hub
+		for h := range rootD {
+			rootD[h] = graph.Inf
+		}
+		for _, e := range sides[0] {
+			rootD[e.Hub] = min(rootD[e.Hub], e.D)
+		}
+		covered := func(d graph.Dist) bool {
+			for _, e := range sides[1] {
+				if t := rootD[e.Hub]; t != graph.Inf && graph.AddDist(t, e.D) <= d {
+					return true
+				}
+			}
+			return false
+		}
+		bounds := []graph.Dist{graph.Dist(d), graph.Inf}
+		for _, e := range sides[1] {
+			if sum := graph.AddDist(rootD[e.Hub], e.D); sum != graph.Inf {
+				bounds = append(bounds, sum-min(sum, 1), sum, sum+1)
+			}
+		}
+		p := NewProbe(n)
+		p.Set(s.Label(root))
+		for _, d := range bounds {
+			if got, want := p.Covers(v, s.Snapshot(v), d), covered(d); got != want {
+				t.Fatalf("Covers(d=%d) = %v, the predicate over hub side %v and v's side %v says %v", d, got, sides[0], sides[1], want)
+			}
+		}
+	})
+}

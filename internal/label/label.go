@@ -4,10 +4,11 @@
 //
 // The Store keeps L(v) in two parts. The first roots of the computing
 // sequence — PLL's top hubs, each in most labels — may own the columns of
-// a dense head, written by one atomic compare-and-swap per settle
-// (UseHead). Every other entry goes to v's list: lock-free reads,
-// per-vertex mutex-guarded appends — the "semaphore" of the paper's
-// Algorithm 2.
+// a dense head of one-byte cells, eight to an atomic word, each written
+// by a compare-and-swap on its word per settle (UseHead). Every other
+// entry — a head hub's too, when its distance exceeds a byte — goes to
+// v's list: lock-free reads, per-vertex mutex-guarded appends — the
+// "semaphore" of the paper's Algorithm 2.
 //
 // A label entry (h, d) in L(v) asserts dist(h, v) = d for hub vertex h
 // (subject to the parallel-construction caveat that redundant entries may
@@ -16,6 +17,7 @@
 package label
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -67,8 +69,31 @@ func (l *list) reserve(n, extra, newCap int) []Entry {
 }
 
 // headBlock is the number of columns a block of the build-time head
-// holds: 256 bytes, four cache lines, of a vertex's row.
+// holds: 64 one-byte cells, eight words, one cache line of a vertex's
+// row.
 const headBlock = 64
+
+// headWords is the number of words a vertex's row of a block takes.
+const headWords = headBlock / 8
+
+// maxCell is the largest distance a head cell holds: a cell is a byte,
+// and 0 marks it absent. A larger distance goes to the list.
+const maxCell = 254
+
+// Masks over a head word's eight cells: the low seven bits of each byte,
+// and the high bit of each.
+const (
+	low7 = 0x7F7F7F7F7F7F7F7F
+	high = 0x8080808080808080
+)
+
+// held returns a word with the high bit of each of w's nonzero bytes set
+// and every other bit clear: each byte's low seven bits plus 0x7F carry
+// into its high bit when nonzero, and no byte carries into the next.
+func held(w uint64) uint64 { return ((w & low7) + low7 | w) & high }
+
+// cellDist is the distance a nonzero cell byte holds.
+func cellDist(b uint64) graph.Dist { return graph.Dist(^uint8(b)) }
 
 // Store is the concurrent label set used during index construction.
 //
@@ -79,33 +104,49 @@ const headBlock = 64
 //
 // The build-time head (UseHead) gives the root at position c of the
 // computing sequence, while c is below the head's width K, column c of a
-// dense n × K matrix of distances, so its entries cost 4 bytes a vertex
-// where a list entry costs 8 and the slack of a grown array. The matrix
-// is a sequence of blocks, each an n × headBlock row-major array: cell
-// (v, c) is blocks[c/headBlock][v*headBlock + c%headBlock]. A cell holds
-// the complement of its distance, so the zeros a new block is made of
-// read as graph.Inf and opening a block writes nothing. A cell only ever
-// decreases, by compare-and-swap; one not yet written reads Inf, which is
-// delayed visibility and by Proposition 1 only weakens pruning. Blocks
-// are published copy-on-write (head), so a reader's blocks stay valid.
+// dense n × K matrix of one-byte cells, so its entries of distance up to
+// maxCell cost 1 byte a vertex where a list entry costs 8 and the slack
+// of a grown array; a larger distance goes to the list. The matrix is a
+// sequence of blocks, each n × headWords words of eight cells: cell
+// (v, c) is byte c%8 of word v*headWords + (c%headBlock)/8 of block
+// c/headBlock. A cell holds the complement of its distance, so the zeros
+// a new block is made of read as absent and opening a block writes
+// nothing. A cell only ever decreases, by compare-and-swap on its word;
+// one not yet written reads absent, which is delayed visibility and by
+// Proposition 1 only weakens pruning. Blocks are published copy-on-write
+// (head), so a reader's blocks stay valid.
 type Store struct {
 	lists []list
 
-	// order is the computing sequence the head follows and rank its
-	// inverse; both are nil in a store without a head. begun[b] counts the
-	// roots of block b's positions whose searches have begun.
-	order []graph.Vertex
-	rank  []int32
+	// begun[b] counts the roots of block b's positions whose searches have
+	// begun; nil in a store without a head.
 	begun []atomic.Int32
 	head  atomic.Pointer[head]
 
 	mu sync.Mutex // serializes opening blocks
 }
 
-// head is one published state of the build-time head.
+// head is one published state of the build-time head: the computing
+// sequence it follows, order, and its inverse, rank, shared by every
+// state, and the blocks opened so far.
 type head struct {
-	blocks [][]atomic.Uint32
+	order  []graph.Vertex
+	rank   []int32
+	blocks [][]atomic.Uint64
 	closed bool // a block was refused: no further one opens
+}
+
+// column returns hub's column, or -1 when hub has none.
+func (h *head) column(hub graph.Vertex) int {
+	if c := int(h.rank[hub]); c < len(h.blocks)*headBlock {
+		return c
+	}
+	return -1
+}
+
+// row returns v's words of block b.
+func (h *head) row(b, v int) *[headWords]atomic.Uint64 {
+	return (*[headWords]atomic.Uint64)(h.blocks[b][v*headWords:])
 }
 
 // NewStore returns an empty store for vertices [0,n), without a head.
@@ -118,30 +159,29 @@ func (s *Store) NumVertices() int { return len(s.lists) }
 // its roots in the order ord, a permutation of the vertices, and calls
 // BeginRoot before each search. Call it before the first Append.
 func (s *Store) UseHead(ord []graph.Vertex) {
-	s.order = ord
-	s.rank = make([]int32, len(ord))
+	rank := make([]int32, len(ord))
 	for i, r := range ord {
-		s.rank[r] = int32(i)
+		rank[r] = int32(i)
 	}
 	s.begun = make([]atomic.Int32, (len(ord)+headBlock-1)/headBlock)
-	s.head.Store(&head{})
+	s.head.Store(&head{order: ord, rank: rank})
 }
 
 // BeginRoot is called before the search from the root at position pos of
 // the order starts, so that the root's column, if it gets one, exists
 // before its first settle. Columns open in root order, a block at a time:
 // the first block on trust, each later one only while the columns of the
-// block before it hold more than half their cells. That is finalize's
-// head rule — a 4-byte cell against an 8-byte entry — so every block but
-// the last costs less than the entries it holds. The last, the first one
-// included when it opened on trust and is the only one, costs 256 bytes
-// a vertex whatever its fill: on a graph whose top roots are sparse, that
-// is what the head can cost beyond the lists it replaces. Once a block is
-// refused the head stays closed. In a parallel build the rule counts the
-// columns whose searches have begun — under the static policy a worker
-// can reach the next block well before another starts its share of this
-// one — and a column still being filled counts what it holds so far,
-// which can only close the head earlier.
+// block before it hold more than an eighth of their cells. That is a
+// 1-byte cell against an 8-byte list entry, so every block but the last
+// costs less than the entries it holds. The last, the first one included
+// when it opened on trust and is the only one, costs 64 bytes a vertex
+// whatever its fill: on a graph whose top roots are sparse, or whose
+// distances exceed a cell, that is what the head can cost beyond the
+// lists it replaces. Once a block is refused the head stays closed. In a
+// parallel build the rule counts the columns whose searches have begun —
+// under the static policy a worker can reach the next block well before
+// another starts its share of this one — and a column still being filled
+// counts what it holds so far, which can only close the head earlier.
 func (s *Store) BeginRoot(pos int) {
 	if s.begun == nil {
 		return
@@ -149,7 +189,7 @@ func (s *Store) BeginRoot(pos int) {
 	s.begun[pos/headBlock].Add(1)
 	for {
 		h := s.head.Load()
-		if h == nil || h.closed || pos < len(h.blocks)*headBlock {
+		if h.closed || pos < len(h.blocks)*headBlock {
 			return
 		}
 		s.openBlock(h)
@@ -165,25 +205,25 @@ func (s *Store) openBlock(h *head) {
 		return
 	}
 	n, k := len(s.lists), len(h.blocks)
-	next := &head{blocks: h.blocks}
+	next := *h
 	if k > 0 {
-		next.closed = 2*finite(h.blocks[k-1]) <= int64(n)*int64(s.begun[k-1].Load())
+		next.closed = 8*finite(h.blocks[k-1]) <= int64(n)*int64(s.begun[k-1].Load())
 	}
 	if !next.closed {
-		next.blocks = append(slices.Clip(h.blocks), make([]atomic.Uint32, n*headBlock))
+		next.blocks = append(slices.Clip(h.blocks), make([]atomic.Uint64, n*headWords))
 	}
-	s.head.Store(next)
+	s.head.Store(&next)
 }
 
-// finite counts the cells of a block that hold a distance.
-func finite(blk []atomic.Uint32) int64 {
-	var held int64
-	for i := range blk {
-		if blk[i].Load() != 0 {
-			held++
+// finite counts the cells of a run of head words that hold a distance.
+func finite(words []atomic.Uint64) int64 {
+	var n int
+	for i := range words {
+		if w := words[i].Load(); w != 0 {
+			n += bits.OnesCount64(held(w))
 		}
 	}
-	return held
+	return int64(n)
 }
 
 // Head returns the number of columns the build-time head opened and the
@@ -193,38 +233,31 @@ func (s *Store) Head() (k int, fill float64) {
 	if h == nil || len(h.blocks) == 0 {
 		return 0, 0
 	}
-	var held int64
+	var cells int64
 	for _, blk := range h.blocks {
-		held += finite(blk)
+		cells += finite(blk)
 	}
 	k = min(len(h.blocks)*headBlock, len(s.lists))
-	return k, float64(held) / (float64(k) * float64(len(s.lists)))
+	return k, float64(cells) / (float64(k) * float64(len(s.lists)))
 }
 
-// cell returns the head cell of hub's entry in L(v), nil when hub has no
-// column.
-func (s *Store) cell(v, hub graph.Vertex) *atomic.Uint32 {
-	if s.rank == nil {
-		return nil
-	}
-	c, h := int(s.rank[hub]), s.head.Load()
-	if c >= len(h.blocks)*headBlock {
-		return nil
-	}
-	return &h.blocks[c/headBlock][int(v)*headBlock+c%headBlock]
-}
-
-// Append adds entry (hub, d) to L(v): into hub's head cell if it has one,
-// where the smaller distance stays, else at the end of v's list, which is
-// neither sorted nor deduplicated (the final Index pass does both). It
-// allocates only when L(v)'s list is full.
+// Append adds entry (hub, d) to L(v): into hub's head cell if it has one
+// and d fits a cell, where the smaller distance stays, else at the end of
+// v's list, which is neither sorted nor deduplicated (the final Index
+// pass does both). It allocates only when L(v)'s list is full.
 func (s *Store) Append(v graph.Vertex, hub graph.Vertex, d graph.Dist) {
-	if c := s.cell(v, hub); c != nil {
-		// Until the cell holds at most d: a lost race means another writer
-		// stored a distance, which may already be the smaller one.
-		for old := c.Load(); ^old > d && !c.CompareAndSwap(old, ^d); old = c.Load() {
+	if h := s.head.Load(); h != nil && d <= maxCell {
+		if c := h.column(hub); c >= 0 {
+			w := &h.row(c/headBlock, int(v))[c%headBlock/8]
+			shift := 8 * uint(c%8)
+			b := uint64(^uint8(d)) << shift
+			// Until the cell holds at most d: a lost race means another
+			// writer stored a distance in this cell, which may already be
+			// the smaller one, or in another cell of the word.
+			for old := w.Load(); old&(0xFF<<shift) < b && !w.CompareAndSwap(old, old&^(0xFF<<shift)|b); old = w.Load() {
+			}
+			return
 		}
-		return
 	}
 	l := &s.lists[v]
 	l.mu.Lock()
@@ -253,11 +286,14 @@ func (s *Store) Label(v graph.Vertex) Label {
 // distance, in column order, then the list — and returns it.
 func (s *Store) entries(v graph.Vertex, dst []Entry) []Entry {
 	if h := s.head.Load(); h != nil {
-		for b, blk := range h.blocks {
-			cells := blk[int(v)*headBlock:][:headBlock]
-			for i := range cells {
-				if d := ^cells[i].Load(); d != graph.Inf {
-					dst = append(dst, Entry{Hub: s.order[b*headBlock+i], D: d})
+		for b := range h.blocks {
+			words := h.row(b, int(v))
+			for i := range words {
+				x := words[i].Load()
+				for m := held(x); m != 0; m &= m - 1 {
+					j := bits.TrailingZeros64(m) &^ 7
+					c := b*headBlock + i*8 + j/8
+					dst = append(dst, Entry{Hub: h.order[c], D: cellDist(x >> j)})
 				}
 			}
 		}
@@ -269,8 +305,8 @@ func (s *Store) entries(v graph.Vertex, dst []Entry) []Entry {
 func (s *Store) Len(v graph.Vertex) int {
 	n := int(s.lists[v].n.Load())
 	if h := s.head.Load(); h != nil {
-		for _, blk := range h.blocks {
-			n += int(finite(blk[int(v)*headBlock:][:headBlock]))
+		for b := range h.blocks {
+			n += int(finite(h.row(b, int(v))[:]))
 		}
 	}
 	return n

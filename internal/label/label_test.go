@@ -205,22 +205,31 @@ func TestStoreReaderHammer(t *testing.T) {
 // writers claim roots in order, open their columns (BeginRoot) and lower
 // each cell in steps, then append a larger distance once more, while
 // readers copy hub rows (Probe.Set) and run the prune test against other
-// vertices' rows (Probe.Covers). Every cell a reader is shown must be a
-// distance a writer stored there — never a torn value — and no larger
-// than what that reader saw there before. The roots of the fourth block
-// write a quarter of the vertices, so the head refuses a fifth and the
-// last roots' entries go to the lists. At the end every written (vertex,
-// hub) holds its smallest distance (scripts/check.sh repeats this 20
-// times).
+// vertices' rows (Probe.Covers). The first three blocks' distances fit a
+// cell; the fourth block's straddle maxCell, so its hubs' cells and list
+// entries race together, and those roots write an eighth of the
+// vertices, so the head refuses a fifth and the last roots' entries go
+// to the lists. Every value a reader's merged row shows must be a
+// distance a writer stored for that hub — never a torn value — no larger
+// than what that reader saw there before, and no larger than the
+// smallest distance written to the cell or the list before Set began.
+// At the end every written (vertex, hub) holds its smallest distance
+// (scripts/check.sh repeats this 20 times).
 func TestStoreHeadHammer(t *testing.T) {
-	const n, writers, readers, steps, step = 5 * headBlock, 4, 3, 3, 1 << 13
-	base := func(v, c int) graph.Dist { return graph.Dist(1 + (v*131+c*17)%4096) }
+	const n, writers, readers, steps, step = 5 * headBlock, 4, 3, 3, 40
+	base := func(v, c int) graph.Dist {
+		d := graph.Dist(1 + (v*131+c*17)%128) // at most 128 + steps*step: a cell
+		if c/headBlock == 3 {
+			d += 127 // 128 to 255: the first values land in the list, the last mostly in the cell
+		}
+		return d
+	}
 	writes := func(v, c int) bool { // which vertices the root at position c labels
 		switch c / headBlock {
 		case 3:
-			return v%4 == 0
-		case 4:
 			return v%8 == 0
+		case 4:
+			return v%16 == 0
 		}
 		return true
 	}
@@ -231,6 +240,12 @@ func TestStoreHeadHammer(t *testing.T) {
 	}
 	s := NewStore(n)
 	s.UseHead(ord)
+	// floor[v*n+c]: the smallest distance of the root at c that an Append
+	// to L(v) has returned from, graph.Inf before the first.
+	floor := make([]atomic.Uint32, n*n)
+	for i := range floor {
+		floor[i].Store(graph.Inf)
+	}
 
 	var next atomic.Int64
 	var writerWG, readerWG sync.WaitGroup
@@ -248,7 +263,11 @@ func TestStoreHeadHammer(t *testing.T) {
 					}
 					for v := 0; v < n; v++ {
 						if writes(v, c) {
-							s.Append(graph.Vertex(v), ord[c], base(v, c)+graph.Dist(extra))
+							d := base(v, c) + graph.Dist(extra)
+							s.Append(graph.Vertex(v), ord[c], d)
+							if f := &floor[v*n+c]; d < f.Load() {
+								f.Store(d)
+							}
 						}
 					}
 				}
@@ -261,10 +280,11 @@ func TestStoreHeadHammer(t *testing.T) {
 			defer readerWG.Done()
 			r := rand.New(rand.NewSource(seed))
 			p := NewProbe(n)
-			last := make([]graph.Dist, n*n) // last[v*n+c]: the smallest distance seen in cell (v, c)
+			last := make([]graph.Dist, n*n) // last[v*n+c]: the smallest distance seen in row (v, c)
 			for i := range last {
 				last[i] = graph.Inf
 			}
+			before := make([]graph.Dist, n)
 			for done := false; !done; {
 				select {
 				case <-stop:
@@ -272,22 +292,39 @@ func TestStoreHeadHammer(t *testing.T) {
 				default:
 				}
 				v := r.Intn(n)
+				for c := range before {
+					before[c] = floor[v*n+c].Load()
+				}
 				p.Set(s.Label(graph.Vertex(v)))
+				for c, want := range before {
+					if got := p.tmp[ord[c]]; got > want {
+						t.Errorf("L(%d)'s hub at %d is scattered at %d, above the %d written before Set", v, c, got, want)
+						return
+					}
+					if c < len(p.row) && p.row[c] > want {
+						t.Errorf("L(%d)'s row holds %d at column %d, above the %d written before Set", v, p.row[c], c, want)
+						return
+					}
+				}
 				for c, d := range p.row {
 					was := &last[v*n+c]
 					switch {
 					case d == graph.Inf && *was == graph.Inf:
 					case d == graph.Inf || d > *was:
-						t.Errorf("cell (%d, %d) rose from %d to %d", v, c, *was, d)
+						t.Errorf("row (%d, %d) rose from %d to %d", v, c, *was, d)
 						return
 					case d < base(v, c) || (d-base(v, c))%step != 0 || d > base(v, c)+steps*step || !writes(v, c):
-						t.Errorf("cell (%d, %d) holds %d, which no writer stored", v, c, d)
+						t.Errorf("row (%d, %d) holds %d, which no writer stored", v, c, d)
 						return
 					}
 					*was = d
 				}
 				u := graph.Vertex(r.Intn(n))
-				p.Covers(u, s.Snapshot(u), graph.Dist(r.Intn(2*step)))
+				d := graph.Dist(r.Intn(512))
+				if r.Intn(4) == 0 {
+					d += maxLaneD // the scalar path
+				}
+				p.Covers(u, s.Snapshot(u), d)
 			}
 		}(int64(rdr))
 	}
@@ -295,8 +332,20 @@ func TestStoreHeadHammer(t *testing.T) {
 	close(stop)
 	readerWG.Wait()
 
-	if k, _ := s.Head(); k != 4*headBlock {
+	k, fill := s.Head()
+	if k != 4*headBlock {
 		t.Logf("the head opened %d columns (%d when no writer lags a block behind)", k, 4*headBlock)
+	}
+	overflow := 0 // list entries of head hubs
+	for v := 0; v < n; v++ {
+		for _, e := range s.Snapshot(graph.Vertex(v)) {
+			if int(s.head.Load().rank[e.Hub]) < k {
+				overflow++
+			}
+		}
+	}
+	if fill == 0 || k == 4*headBlock && overflow == 0 {
+		t.Fatalf("head of %d columns at fill %.2f, %d list entries of head hubs: the writers no longer race cells against lists", k, fill, overflow)
 	}
 	var total int64
 	for v := 0; v < n; v++ {

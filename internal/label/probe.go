@@ -9,10 +9,11 @@ import (
 )
 
 // Label is L(v) as a search reads its hub's side of the prune test.
-// Store-backed (Store.Label): v's row of the build-time head and Rest,
-// its list; Label{Rest: list} is a label without a head, which the
-// builders over plain lists pass. Index-backed (Index.Union): v's label
-// in an immutable Index and Rest, v's run of later entries over it.
+// Store-backed (Store.Label): v's row of the build-time head's cells and
+// Rest, its list, which may hold entries of head hubs too;
+// Label{Rest: list} is a label without a head, which the builders over
+// plain lists pass. Index-backed (Index.Union): v's label in an
+// immutable Index and Rest, v's run of later entries over it.
 type Label struct {
 	h    *head  // store form: the head when the label was taken; nil without one
 	x    *Index // index form: the index holding v's base label
@@ -33,11 +34,14 @@ func (x *Index) Union(v graph.Vertex, run []Entry) Label {
 // elsewhere), so that each test is one pass over a vertex's head row and
 // one scan of the rest of its label. pll.Searcher owns one, core's
 // batched engine one per batch slot. Its two forms are those of Label:
-// store-backed, a vertex's side is its row in the head's blocks and the
-// list handed to Covers; index-backed, its head row, bitmap row and tail,
-// read in place, and the run handed to Covers.
+// store-backed, a vertex's side is its row of cells in the head's blocks
+// and the list handed to Covers, and the hub's row is also kept as
+// lanes, two words of four 16-bit bounds for each word of cells;
+// index-backed, its head row, bitmap row and tail, read in place, and
+// the run handed to Covers.
 type Probe struct {
-	blocks [][]atomic.Uint32 // store form: the head's blocks when the hub was read
+	blocks [][]atomic.Uint64 // store form: the head's blocks when the hub was read
+	lanes  [][2]uint64       // store form: per head word, the row's bounds (headCovers)
 	x      *Index            // index form: the index the hub's label was read from
 	row    []graph.Dist      // the hub's distances at the head's columns
 	tmp    []graph.Dist
@@ -54,29 +58,81 @@ func NewProbe(n int) *Probe {
 }
 
 // Set makes hub the probe's side of every test until the next Set and
-// returns the number of entries and cells it read. The hub's label is
-// read now and not again, so later appends to it change no test.
+// returns the number of entries and cells it read: store-backed, the
+// head's cells (one per column) and the list, each once; index-backed,
+// the head's columns and every entry scattered. The hub's label is read
+// now and not again, so later appends to it change no test.
 func (p *Probe) Set(hub Label) int {
 	for _, h := range p.hubs {
 		p.tmp[h] = graph.Inf
 	}
-	p.blocks, p.x, p.hubs, p.row = nil, hub.x, p.hubs[:0], p.row[:0]
+	p.blocks, p.x, p.hubs, p.row, p.lanes = nil, hub.x, p.hubs[:0], p.row[:0], p.lanes[:0]
 	for _, e := range hub.Rest {
 		p.put(e.Hub, e.D)
 	}
 	if hub.x != nil {
 		hub.x.scatter(p, graph.Vertex(hub.v))
-	} else if hub.h != nil {
-		p.blocks = hub.h.blocks
-		for _, blk := range p.blocks {
-			cells := blk[hub.v*headBlock:][:headBlock]
-			for i := range cells {
-				p.row = append(p.row, ^cells[i].Load())
+		return len(p.row) + len(p.hubs)
+	}
+	if hub.h != nil {
+		hub.h.scatter(p, hub.v, hub.Rest)
+	}
+	return len(p.row) + len(hub.Rest)
+}
+
+// scatter is Set's read of L(v) from the head h, after its list rest:
+// v's cells into p.row, each lowered by any entry of rest for its hub,
+// and into p.tmp. A head hub's entry can sit in either place — a
+// distance above maxCell is a list entry — so each side's cells must
+// meet the other's list entries: the hub's list through row, the
+// vertex's list through tmp.
+func (h *head) scatter(p *Probe, v int, rest []Entry) {
+	p.blocks = h.blocks
+	for b := range h.blocks {
+		words := h.row(b, v)
+		for i := range words {
+			x := words[i].Load()
+			for j := 0; j < 64; j += 8 {
+				d := graph.Inf
+				if x>>j&0xFF != 0 {
+					d = cellDist(x >> j)
+					p.put(h.order[b*headBlock+i*8+j/8], d)
+				}
+				p.row = append(p.row, d)
 			}
 		}
 	}
-	return len(p.row) + len(p.hubs)
+	for _, e := range rest {
+		if c := h.column(e.Hub); c >= 0 {
+			p.row[c] = min(p.row[c], e.D)
+		}
+	}
+	for c := 0; c < len(p.row); c += 8 {
+		var lo, hi uint64
+		for j := 6; j >= 0; j -= 2 {
+			lo = lo<<16 | bound(p.row[c+j])
+			hi = hi<<16 | bound(p.row[c+j+1])
+		}
+		p.lanes = append(p.lanes, [2]uint64{lo, hi})
+	}
 }
+
+// Lanes of the head test: a head word's cells 0, 2, 4, 6 (or, shifted
+// right by 8, 1, 3, 5, 7), each in the low byte of a 16-bit lane; the
+// lanes' top bits; one in each lane; and the largest d the lane test
+// takes.
+const (
+	lanes16  = 0x00FF00FF00FF00FF
+	top16    = 0x8000800080008000
+	ones16   = 0x0001000100010001
+	maxLaneD = 0x3FFF
+)
+
+// bound is a hub distance r as headCovers' lanes compare it: r + 255,
+// capped at 0x7FFF. A cell x (the complement of u's distance d') covers
+// d when x + d >= r + 255, that is r + d' <= d; a capped bound is never
+// reached, and it need not be, since then r > d.
+func bound(r graph.Dist) uint64 { return min(uint64(r)+255, 0x7FFF) }
 
 // put scatters the hub's entry (h, d), where the smaller distance stays.
 // The index into tmp stays bounds-checked: a hub id read from a damaged
@@ -94,13 +150,13 @@ func (p *Probe) Width() int { return len(p.row) }
 // Covers is the PLL prune test: whether QUERY(hub, v) <= d over the
 // labels as read — the hub's at the last Set, and of L(v) its head row
 // (and, index-backed, its bitmap row and tail) and rest, its list
-// (Store.Snapshot) or its run. The head is one pass over two rows, block
-// by block in column order — the root order, so the early exit comes
-// where a list scan would take it — and the rest a scan against tmp. Each
-// element costs one predictable branch: for finite d the 64-bit sum
-// decides exactly what t != Inf && AddDist(t, d') <= d decides — an Inf
-// operand alone makes the sum at least 2³²-1 > d, and a sum AddDist
-// would have saturated is at least 2³²-1 as well.
+// (Store.Snapshot) or its run. The head is one pass over v's cells,
+// block by block in column order — the root order, so the early exit
+// comes where a list scan would take it — and the rest a scan against
+// tmp. Each list entry costs one predictable branch: for finite d the
+// 64-bit sum decides exactly what t != Inf && AddDist(t, d') <= d
+// decides — an Inf operand alone makes the sum at least 2³²-1 > d, and a
+// sum AddDist would have saturated is at least 2³²-1 as well.
 func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
 	if p.x != nil && p.x.covers(p, v, d) {
 		return true
@@ -108,30 +164,62 @@ func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
 	if d == graph.Inf {
 		return p.coversAtInf(v, rest)
 	}
+	if p.blocks != nil && p.headCovers(int(v), d) {
+		return true
+	}
 	dd := uint64(d)
+	for _, e := range rest {
+		if uint64(p.tmp[e.Hub])+uint64(e.D) <= dd {
+			return true
+		}
+	}
+	return false
+}
+
+// headCovers is the store form's head share of Covers for finite d: a
+// word of v's cells at a time, skipped when it holds none. Up to
+// maxLaneD, each half of the word is four 16-bit lanes, tested at once
+// against the hub's bounds: with x a cell and R its bound, lane
+// ((x + d) | 0x8000) - R has its top bit set iff x + d >= R, and
+// x + 0x7FFF iff the cell is not absent. No lane carries or borrows into
+// its neighbour: x + d <= 255 + 0x3FFF < 0x8000 and R <= 0x7FFF. Above
+// maxLaneD the cells are tested one by one.
+func (p *Probe) headCovers(v int, d graph.Dist) bool {
+	if d > maxLaneD {
+		return p.headCoversScalar(v, uint64(d))
+	}
+	dd := uint64(d) * ones16
 	for b, blk := range p.blocks {
-		// Four cells a step, through array pointers: no bounds checks, and
-		// a quarter of the loop's own branches (0.55 against 0.68 ns a cell).
-		cells := (*[headBlock]atomic.Uint32)(blk[int(v)*headBlock:])
-		r := (*[headBlock]graph.Dist)(p.row[b*headBlock:])
-		for c := 0; c < headBlock; c += 4 {
-			if uint64(r[c])+uint64(^cells[c].Load()) <= dd {
-				return true
+		words := (*[headWords]atomic.Uint64)(blk[v*headWords:])
+		for i, k := range (*[headWords][2]uint64)(p.lanes[b*headWords:]) {
+			w := words[i].Load()
+			if w == 0 {
+				continue
 			}
-			if uint64(r[c+1])+uint64(^cells[c+1].Load()) <= dd {
-				return true
-			}
-			if uint64(r[c+2])+uint64(^cells[c+2].Load()) <= dd {
-				return true
-			}
-			if uint64(r[c+3])+uint64(^cells[c+3].Load()) <= dd {
+			lo, hi := w&lanes16, w>>8&lanes16
+			lo = (((lo + dd) | top16) - k[0]) & (lo + 0x7FFF*ones16)
+			hi = (((hi + dd) | top16) - k[1]) & (hi + 0x7FFF*ones16)
+			if (lo|hi)&top16 != 0 {
 				return true
 			}
 		}
 	}
-	for _, e := range rest {
-		if uint64(p.tmp[e.Hub])+uint64(e.D) <= dd {
-			return true
+	return false
+}
+
+// headCoversScalar is headCovers above maxLaneD, a held cell at a time.
+func (p *Probe) headCoversScalar(v int, dd uint64) bool {
+	for b, blk := range p.blocks {
+		words := (*[headWords]atomic.Uint64)(blk[v*headWords:])
+		row := (*[headBlock]graph.Dist)(p.row[b*headBlock:])
+		for i := range words {
+			w := words[i].Load()
+			for m := held(w); m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m) &^ 7
+				if uint64(row[i*8+j/8])+uint64(cellDist(w>>j)) <= dd {
+					return true
+				}
+			}
 		}
 	}
 	return false
@@ -141,11 +229,13 @@ func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
 // <= Inf: any hub both sides hold covers.
 func (p *Probe) coversAtInf(v graph.Vertex, rest []Entry) bool {
 	for b, blk := range p.blocks {
-		cells := blk[int(v)*headBlock:][:headBlock]
-		r := p.row[b*headBlock:][:headBlock]
-		for c := range cells {
-			if r[c] != graph.Inf && cells[c].Load() != 0 {
-				return true
+		words := (*[headWords]atomic.Uint64)(blk[int(v)*headWords:])
+		row := (*[headBlock]graph.Dist)(p.row[b*headBlock:])
+		for i := range words {
+			for m := held(words[i].Load()); m != 0; m &= m - 1 {
+				if row[i*8+bits.TrailingZeros64(m)/8] != graph.Inf {
+					return true
+				}
 			}
 		}
 	}

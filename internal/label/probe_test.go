@@ -141,3 +141,82 @@ func TestProbeIndexMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSetCountsEachEntryOnce holds the store form's Set to its count: one
+// for each head column and one for each list entry, whether or not the
+// column holds a cell. Its held cells also go into tmp, and must not
+// count a second time.
+func TestSetCountsEachEntryOnce(t *testing.T) {
+	const n = 2 * headBlock
+	ord := make([]graph.Vertex, n)
+	for i := range ord {
+		ord[i] = graph.Vertex(i)
+	}
+	s := NewStore(n)
+	s.UseHead(ord)
+	s.BeginRoot(0)
+	const root = 5
+	for c := graph.Vertex(0); c < 20; c++ {
+		s.Append(root, c, graph.Dist(1+c)) // 20 cells
+	}
+	s.Append(root, 3, maxCell+1)       // a head hub's entry in the list
+	s.Append(root, headBlock+7, 2)     // a list hub
+	s.Append(root, headBlock+9, 1<<20) // a list hub, far
+	p := NewProbe(n)
+	if got, want := p.Set(s.Label(root)), p.Width()+3; got != want {
+		t.Fatalf("Set = %d over %d columns and 3 list entries, want %d", got, p.Width(), want)
+	}
+	if got := p.Set(Label{Rest: s.Snapshot(root)}); got != 3 {
+		t.Fatalf("Set over a list of 3 without a head = %d, want 3", got)
+	}
+}
+
+// BenchmarkHeadCovers times the store form's head test alone (no list)
+// on full scans — no column covers d — in two shapes: 576 columns at fill
+// 0.34, the head a one-thread build of the benchmark's p2p graph
+// (Gnutella@0.35) keeps, and one empty block, the road graph's, whose
+// distances exceed a cell. Each shape runs the lane test and the
+// per-cell loop that takes d above maxLaneD, on the same cells. ns/cell
+// is a test's time over the Width() cells it reads.
+func BenchmarkHeadCovers(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cols int
+		fill float64
+	}{{"p2p-576x0.34", 576, 0.34}, {"road-64x0", 64, 0}} {
+		const n = 2048
+		r := rand.New(rand.NewSource(38))
+		ord := make([]graph.Vertex, n)
+		for i := range ord {
+			ord[i] = graph.Vertex(i)
+		}
+		s := NewStore(n)
+		s.UseHead(ord)
+		for c := 0; c < bc.cols; c++ {
+			s.BeginRoot(c)
+			for v := 0; v < n; v++ {
+				if r.Float64() < bc.fill {
+					s.Append(graph.Vertex(v), ord[c], graph.Dist(2+r.Intn(10)))
+				}
+			}
+		}
+		p := NewProbe(n)
+		p.Set(s.Label(0))
+		for _, test := range []struct {
+			name   string
+			covers func(v int) bool
+		}{
+			{"lanes", func(v int) bool { return p.headCovers(v, 3) }}, // every sum is at least 4
+			{"per-cell", func(v int) bool { return p.headCoversScalar(v, 3) }},
+		} {
+			b.Run(bc.name+"/"+test.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if test.covers(i % n) {
+						b.Fatal("a column covers d")
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.Width()), "ns/cell")
+			})
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"testing"
 
 	"parapll/internal/graph"
@@ -183,23 +182,41 @@ func coveredByReference(labels []label.Entry, rootD []graph.Dist, d graph.Dist) 
 // TestCoveredByMatchesReference drives label.Probe's test and the
 // reference over random labels in a store with a build-time head, so
 // that some hubs are head columns and the rest list entries, with
-// distances drawn from the values where 32-bit arithmetic goes wrong —
-// Inf on either side, Inf-1, halves whose sum wraps — and over every
-// boundary d, including Inf. A list entry may hold Inf on either side.
+// distances drawn from the values where the arithmetic goes wrong: a
+// cell at 0, 1, 253 or 254, the largest it holds; 255 and 256, which
+// overflow a head hub's entry into the list, on either side; the lane
+// test's limit 0x3FFF and its neighbours; Inf on either side, Inf-1 and
+// halves whose sum wraps. The bound d is drawn from the same values and
+// from sums of two of them, off by one either way, so that it meets a
+// cell plus a row value exactly — below and above 0x3FFF, where the lane
+// test hands over to the per-cell one — and includes Inf. A list entry
+// may hold Inf on either side; an absent cell meets finite and Inf rows.
 // No caller hands the kernel one any more — the living graph's searches
 // read their runs through the index-backed probe
 // (label.TestProbeIndexMatchesReference) — but the scan's 64-bit sums
-// must decide it as the saturating add would. A head cell holding Inf is
-// an empty cell, so what is appended to a head column is finite.
+// must decide it as the saturating add would.
 func TestCoveredByMatchesReference(t *testing.T) {
 	const inf = graph.Inf
-	edge := []graph.Dist{0, 1, 2, 7, inf / 2, inf/2 + 1, inf - 2, inf - 1, inf}
+	edge := []graph.Dist{0, 1, 2, 7, 253, 254, 255, 256, 0x3FFE, 0x3FFF, 0x4000, inf / 2, inf/2 + 1, inf - 2, inf - 1, inf}
 	r := rand.New(rand.NewSource(17))
 	pick := func() graph.Dist {
 		if r.Intn(4) == 0 {
 			return graph.Dist(r.Uint32())
 		}
 		return edge[r.Intn(len(edge))]
+	}
+	bound := func() graph.Dist {
+		if r.Intn(2) == 0 {
+			return pick()
+		}
+		d := graph.AddDist(edge[r.Intn(len(edge))], edge[r.Intn(len(edge))])
+		switch r.Intn(3) { // the sum, one less or one more
+		case 1:
+			d -= min(d, 1)
+		case 2:
+			d += min(inf-d, 1)
+		}
+		return d
 	}
 	// Each store serves perStore trials, each with its own two vertices
 	// (L(root) and L(v) are the two sides); hubs are the first of the
@@ -208,15 +225,7 @@ func TestCoveredByMatchesReference(t *testing.T) {
 	probe := label.NewProbe(n)
 	var s *label.Store
 	var ord []graph.Vertex
-	headCols := 0
-	// draw is a distance for hub h's entry: finite in a head column.
-	draw := func(h graph.Vertex) graph.Dist {
-		if slices.Index(ord[:headCols], h) >= 0 {
-			return min(pick(), inf-1)
-		}
-		return pick()
-	}
-	covered, viaHead := 0, 0
+	covered, viaHead, viaLanes, viaList := 0, 0, 0, 0
 	for trial := 0; trial < 200000; trial++ {
 		if trial%perStore == 0 {
 			ord = make([]graph.Vertex, n)
@@ -226,7 +235,7 @@ func TestCoveredByMatchesReference(t *testing.T) {
 			s = label.NewStore(n)
 			s.UseHead(ord)
 			s.BeginRoot(0)
-			if headCols, _ = s.Head(); headCols >= hubs {
+			if headCols, _ := s.Head(); headCols >= hubs {
 				t.Fatalf("the head's first block has %d columns: every one of the %d hubs is in it", headCols, hubs)
 			}
 		}
@@ -237,17 +246,17 @@ func TestCoveredByMatchesReference(t *testing.T) {
 		}
 		for _, h := range ord[:hubs] {
 			if r.Intn(3) == 0 {
-				rootD[h] = draw(h)
+				rootD[h] = pick()
 				s.Append(root, h, rootD[h])
 			}
 		}
 		labels := make([]label.Entry, r.Intn(5))
 		for i := range labels {
 			h := ord[r.Intn(hubs)]
-			labels[i] = label.Entry{Hub: h, D: draw(h)}
+			labels[i] = label.Entry{Hub: h, D: pick()}
 			s.Append(v, h, labels[i].D)
 		}
-		d := pick()
+		d := bound()
 		probe.Set(s.Label(root))
 		rest := s.Snapshot(v)
 		got, want := probe.Covers(v, rest, d), coveredByReference(labels, rootD, d)
@@ -256,12 +265,19 @@ func TestCoveredByMatchesReference(t *testing.T) {
 		}
 		if got {
 			covered++
-			if !probe.Covers(v, nil, d) {
+			switch {
+			case !probe.Covers(v, nil, d):
+				viaList++
+			case d <= 0x3FFF:
+				viaLanes++
+				fallthrough
+			default:
 				viaHead++
 			}
 		}
 	}
-	if covered < 10000 || covered > 190000 || viaHead < 5000 {
-		t.Fatalf("%d of 200000 trials covered, %d only through the head: the generator no longer exercises every outcome", covered, viaHead)
+	if covered < 10000 || covered > 190000 || viaHead < 5000 || viaLanes < 1000 || viaList < 5000 {
+		t.Fatalf("%d of 200000 trials covered, %d by v's cells (%d of them in the lane test), %d only through v's list: the generator no longer exercises every outcome", covered, viaHead, viaLanes, viaList)
 	}
+	t.Logf("%d of 200000 trials covered, %d by v's cells (%d of them in the lane test), %d only through v's list", covered, viaHead, viaLanes, viaList)
 }
