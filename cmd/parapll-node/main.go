@@ -28,6 +28,7 @@ import (
 	"parapll/internal/cluster"
 	"parapll/internal/core"
 	"parapll/internal/mpi"
+	"parapll/internal/mpi/tcpnet"
 	"parapll/internal/order"
 )
 
@@ -72,7 +73,7 @@ func main() {
 	if err != nil {
 		fatalf("loading graph: %v", err)
 	}
-	comm, err := mpi.ConnectTCP(*rank, *size, *rootAddr, "")
+	comm, err := tcpnet.Connect(*rank, *size, *rootAddr, "")
 	if err != nil {
 		fatalf("joining cluster: %v", err)
 	}

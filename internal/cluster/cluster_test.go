@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/mpi"
+	"parapll/internal/mpi/tcpnet"
 	"parapll/internal/order"
 	"parapll/internal/pll"
 	"parapll/internal/sssp"
@@ -151,8 +153,41 @@ func TestSyncAccounting(t *testing.T) {
 func TestClusterOverTCP(t *testing.T) {
 	// End-to-end over real sockets: 3 ranks in-process via TCP loopback.
 	g := randomGraph(rand.New(rand.NewSource(302)), 40, 80)
-	rootAddr := reserveAddr(t)
-	const nodes = 3
+	idxs, err := runTCP(t, g, 3, Options{Threads: 2, Policy: core.Dynamic, SyncCount: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllPairs(t, g, idxs[0])
+	for r := 1; r < len(idxs); r++ {
+		if !reflect.DeepEqual(idxs[0], idxs[r]) {
+			t.Fatalf("rank %d TCP index differs", r)
+		}
+	}
+}
+
+// TestConnectTCPSingleRank: a TCP communicator of one rank opens no
+// socket, and a cluster build over it is the whole index.
+func TestConnectTCPSingleRank(t *testing.T) {
+	comm, err := tcpnet.Connect(0, 1, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comm.Close()
+	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5}})
+	idx, _, err := Build(g, Options{Comm: comm, SyncCount: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := idx.Query(0, 3); d != 12 {
+		t.Fatalf("cluster-of-one Query = %d", d)
+	}
+}
+
+// runTCP is RunLocal over TCP loopback: nodes ranks in this process, each
+// joining the mesh at a fresh rendezvous address.
+func runTCP(tb testing.TB, g *graph.Graph, nodes int, template Options) ([]*label.Index, error) {
+	tb.Helper()
+	rootAddr := reserveAddr(tb)
 	idxs := make([]*label.Index, nodes)
 	errs := make([]error, nodes)
 	var wg sync.WaitGroup
@@ -160,27 +195,24 @@ func TestClusterOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			comm, err := mpi.ConnectTCP(r, nodes, rootAddr, "")
+			comm, err := tcpnet.Connect(r, nodes, rootAddr, "")
 			if err != nil {
 				errs[r] = err
 				return
 			}
 			defer comm.Close()
-			idxs[r], _, errs[r] = Build(g, Options{Comm: comm, Threads: 2, Policy: core.Dynamic, SyncCount: 2})
+			opt := template
+			opt.Comm = comm
+			idxs[r], _, errs[r] = Build(g, opt)
 		}(r)
 	}
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
-	checkAllPairs(t, g, idxs[0])
-	for r := 1; r < nodes; r++ {
-		if !reflect.DeepEqual(idxs[0], idxs[r]) {
-			t.Fatalf("rank %d TCP index differs", r)
-		}
-	}
+	return idxs, nil
 }
 
 func TestOptionValidation(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"parapll/internal/label"
 	"parapll/internal/mpi"
+	"parapll/internal/mpi/tcpnet"
 )
 
 // TestNodeDeathFailsFast injects a node failure: rank 2 never joins the
@@ -59,7 +60,7 @@ func TestTCPNodeDeathFailsFast(t *testing.T) {
 		setup.Add(1)
 		go func(r int) {
 			defer setup.Done()
-			c, err := mpi.ConnectTCP(r, nodes, rootAddr, "")
+			c, err := tcpnet.Connect(r, nodes, rootAddr, "")
 			if err != nil {
 				t.Errorf("rank %d connect: %v", r, err)
 				return

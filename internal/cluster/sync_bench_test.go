@@ -10,7 +10,6 @@ import (
 	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
-	"parapll/internal/mpi"
 )
 
 // --- Recording: global mutex (the old design) vs per-worker lists ---
@@ -226,29 +225,8 @@ func BenchmarkClusterSyncTCP(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rootAddr := reserveAddr(b)
-				errs := make([]error, nodes)
-				var wg sync.WaitGroup
-				for r := 0; r < nodes; r++ {
-					wg.Add(1)
-					go func(r int) {
-						defer wg.Done()
-						comm, err := mpi.ConnectTCP(r, nodes, rootAddr, "")
-						if err != nil {
-							errs[r] = err
-							return
-						}
-						defer comm.Close()
-						_, _, errs[r] = Build(g, Options{
-							Comm: comm, Threads: 2, SyncCount: 4, Overlap: overlap,
-						})
-					}(r)
-				}
-				wg.Wait()
-				for r, err := range errs {
-					if err != nil {
-						b.Fatalf("rank %d: %v", r, err)
-					}
+				if _, err := runTCP(b, g, nodes, Options{Threads: 2, SyncCount: 4, Overlap: overlap}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

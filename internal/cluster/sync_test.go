@@ -367,34 +367,12 @@ func TestOverlapPipelineNoLoss(t *testing.T) {
 // the pipeline must behave identically on the TCP transport.
 func TestOverlappedClusterOverTCP(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(331)), 40, 80)
-	rootAddr := reserveAddr(t)
-	const nodes = 3
-	idxs := make([]*label.Index, nodes)
-	errs := make([]error, nodes)
-	var wg sync.WaitGroup
-	for r := 0; r < nodes; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			comm, err := mpi.ConnectTCP(r, nodes, rootAddr, "")
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			defer comm.Close()
-			idxs[r], _, errs[r] = Build(g, Options{
-				Comm: comm, Threads: 2, SyncCount: 4, Overlap: true,
-			})
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+	idxs, err := runTCP(t, g, 3, Options{Threads: 2, SyncCount: 4, Overlap: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	checkAllPairs(t, g, idxs[0])
-	for r := 1; r < nodes; r++ {
+	for r := 1; r < len(idxs); r++ {
 		if !reflect.DeepEqual(idxs[0], idxs[r]) {
 			t.Fatalf("rank %d TCP overlapped index differs", r)
 		}

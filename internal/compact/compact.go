@@ -292,8 +292,11 @@ func Open(opt Options) (*Pipeline, error) {
 }
 
 // loop is the background compactor: it waits for threshold kicks and
-// runs one compaction per kick. Errors are logged, not fatal — the WAL
-// keeps absorbing updates and the next kick retries.
+// runs one compaction per kick. A kick whose backlog a compaction has
+// since folded is dropped: every Update during a compaction refills the
+// kick, while the log still holds the records that compaction folds.
+// Errors are logged, not fatal — the WAL keeps absorbing updates and the
+// next kick retries.
 func (p *Pipeline) loop() {
 	defer close(p.doneC)
 	for {
@@ -301,6 +304,9 @@ func (p *Pipeline) loop() {
 		case <-p.stopC:
 			return
 		case <-p.kickC:
+			if p.log.Len() < p.opt.CompactEvery {
+				continue
+			}
 			if _, err := p.Compact(); err != nil {
 				p.opt.Logf("compact: background compaction failed: %v", err)
 			}

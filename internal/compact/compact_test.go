@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,6 +270,89 @@ func TestAutoCompactionTriggers(t *testing.T) {
 	}
 	if !published.Load() {
 		t.Fatal("OnPublish not called")
+	}
+	checkAllPairs(t, applied(base, ups), p)
+}
+
+// TestStaleKickRunsNoCompaction: an Update during a compaction refills
+// the kick while the log still holds the records that compaction folds.
+// Once it has folded them the kick is stale, and the loop must drop it
+// rather than fold the few records that arrived since.
+func TestStaleKickRunsNoCompaction(t *testing.T) {
+	r := rand.New(rand.NewSource(89))
+	base := randomGraph(r, 20, 20)
+	const every = 4
+	var mu sync.Mutex
+	var reports []Report
+	held, release := make(chan struct{}), make(chan struct{})
+	p, err := Open(Options{
+		Dir: t.TempDir(), Graph: base, CompactEvery: every,
+		OnPublish: func(rep Report) {
+			mu.Lock()
+			reports = append(reports, rep)
+			first := len(reports) == 1
+			mu.Unlock()
+			if first { // hold the first compaction past its swap
+				close(held)
+				<-release
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ups := randomInserts(r, 20, every+3)
+	insert := func(ups []wal.Update) {
+		for _, up := range ups {
+			if err := p.Update(up.U, up.V, up.W); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	taken := func() { // waits for the loop to take the queued kick
+		for deadline := time.Now().Add(5 * time.Second); len(p.kickC) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the loop never took its kick")
+			}
+		}
+	}
+
+	// On a failure below, let go of both holds before p.Close waits for
+	// the loop.
+	unlock := sync.OnceFunc(p.compactMu.Unlock)
+	unhold := sync.OnceFunc(func() { close(release) })
+	defer unhold()
+	defer unlock()
+
+	p.compactMu.Lock()
+	insert(ups[:every]) // kicks the loop, whose compaction waits for compactMu
+	taken()
+	insert(ups[every : every+1]) // refills the kick; the compaction will fold this record too
+	unlock()
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the kicked compaction never published")
+	}
+	insert(ups[every+1:]) // fewer than every records after the fold
+	unhold()
+	taken()
+	p.kickC <- struct{}{} // taken only once the loop is back at its select
+	taken()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reports) != 1 || reports[0].Folded != every+1 {
+		t.Errorf("background compactions %+v, want one of %d records", reports, every+1)
+	}
+	for _, rep := range reports {
+		if rep.Folded < every {
+			t.Errorf("a background compaction folded %d records, below CompactEvery %d", rep.Folded, every)
+		}
+	}
+	if got := p.Stats().WALRecords; got != 2 {
+		t.Errorf("WAL holds %d records after the compaction, want 2", got)
 	}
 	checkAllPairs(t, applied(base, ups), p)
 }

@@ -7,9 +7,9 @@
 //   - a channel transport (World) wiring q in-process ranks together,
 //     used to simulate a cluster inside one OS process (tests, benches,
 //     examples); and
-//   - a TCP transport (DialTCP/ListenTCP in tcp.go) connecting q OS
-//     processes in a full mesh, used by cmd/parapll-node for a real
-//     multi-process cluster.
+//   - a TCP transport (ConnectTCP in tcp.go) connecting q OS processes
+//     in a full mesh, used by cmd/parapll-node for a real multi-process
+//     cluster. It opens no socket itself (Network, in tcp.go).
 //
 // Collectives are implemented once, on top of the Comm interface, with
 // the textbook algorithms whose costs the paper's analysis assumes: a

@@ -1,4 +1,4 @@
-package mpi
+package mpi_test
 
 import (
 	"runtime"

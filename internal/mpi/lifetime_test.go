@@ -1,8 +1,10 @@
-package mpi
+package mpi_test
 
 import (
 	"fmt"
 	"testing"
+
+	. "parapll/internal/mpi"
 )
 
 // TestCloseLeavesNoGoroutine runs point-to-point traffic (concurrent
@@ -26,7 +28,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 				const sends = 8
 				errcs := make([]<-chan error, sends)
 				for k := range errcs {
-					errcs[k] = sendAsync(c, right, TagUser, []byte{byte(c.Rank()), byte(k)})
+					errcs[k] = SendAsync(c, right, TagUser, []byte{byte(c.Rank()), byte(k)})
 				}
 				seen := make(map[byte]bool)
 				for range errcs {

@@ -1,4 +1,4 @@
-package mpi
+package mpi_test
 
 import (
 	"bytes"
@@ -11,6 +11,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	. "parapll/internal/mpi"
+	"parapll/internal/mpi/tcpnet"
 )
 
 // netListenProbe reserves an ephemeral port for the rendezvous listener by
@@ -64,7 +67,7 @@ func tcpWorld(t *testing.T, size int) []Comm {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			c, err := ConnectTCP(r, size, rootAddr, "")
+			c, err := tcpnet.Connect(r, size, rootAddr, "")
 			comms[r], errs[r] = c, err
 		}(r)
 	}
@@ -390,11 +393,11 @@ func TestWorldValidation(t *testing.T) {
 }
 
 func TestConnectTCPValidation(t *testing.T) {
-	if _, err := ConnectTCP(5, 2, "127.0.0.1:1", ""); err == nil {
+	if _, err := tcpnet.Connect(5, 2, "127.0.0.1:1", ""); err == nil {
 		t.Fatal("bad rank accepted")
 	}
 	// Size-1 world needs no network at all.
-	c, err := ConnectTCP(0, 1, "", "")
+	c, err := ConnectTCP(nil, 0, 1, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +420,7 @@ func TestRootFailureReleasesPeers(t *testing.T) {
 	}
 	rootErr := make(chan error, 1)
 	go func() {
-		c, err := ConnectTCP(0, 3, root, "")
+		c, err := tcpnet.Connect(0, 3, root, "")
 		if err == nil {
 			c.Close()
 		}
@@ -433,7 +436,7 @@ func TestRootFailureReleasesPeers(t *testing.T) {
 	defer relay.Close()
 	peerErr := make(chan error, 1)
 	go func() {
-		c, err := ConnectTCP(1, 3, relay.Addr().String(), "")
+		c, err := tcpnet.Connect(1, 3, relay.Addr().String(), "")
 		if err == nil {
 			c.Close()
 		}
@@ -444,7 +447,7 @@ func TestRootFailureReleasesPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	out, err := dialRetry(root)
+	out, err := DialRetry(tcpnet.Network{}, root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +462,7 @@ func TestRootFailureReleasesPeers(t *testing.T) {
 	defer bad.Close()
 	var hello [4]byte
 	binary.LittleEndian.PutUint32(hello[:], 7)
-	if err := writeFrame(bad, tagHello, hello[:]); err != nil {
+	if err := WriteFrame(bad, TagHello, hello[:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -560,7 +563,7 @@ func TestCommStats(t *testing.T) {
 	for name, comms := range transports(t, 2) {
 		runWorld(t, comms, func(c Comm) error {
 			peer := 1 - c.Rank()
-			errc := sendAsync(c, peer, TagUser, []byte("hello"))
+			errc := SendAsync(c, peer, TagUser, []byte("hello"))
 			if _, err := c.Recv(peer, TagUser); err != nil {
 				return err
 			}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +23,10 @@ import (
 // deadline, and a rank whose bootstrap fails closes every connection it
 // made or accepted, so no rank waits on one that gave up. Messages are
 // length-prefixed frames: [u32 len][u32 tag][payload].
+//
+// The mesh asks its caller for the sockets (Network), so this package
+// links no network stack: package tcpnet supplies the operating system's,
+// and only the tools that run a cluster over TCP link it.
 
 const (
 	tcpMaxFrame      = 1 << 30
@@ -34,28 +37,51 @@ const (
 	tagMeshHello     = Tag(0xFFFFFFF2)
 )
 
+// Network is what the TCP mesh needs of a stream network: a listener on
+// a local address and a dial to a remote one.
+type Network interface {
+	Listen(addr string) (Listener, error)
+	Dial(addr string, timeout time.Duration) (Conn, error)
+}
+
+// Listener accepts the connections other ranks dial to this one.
+type Listener interface {
+	Accept() (Conn, error)
+	// SetDeadline bounds every Accept until the deadline is moved.
+	SetDeadline(t time.Time) error
+	// Addr is the address other ranks dial, as Network.Dial takes it.
+	Addr() string
+	Close() error
+}
+
+// Conn is one connection of the mesh; a net.Conn is one.
+type Conn interface {
+	io.ReadWriteCloser
+	SetDeadline(t time.Time) error
+}
+
 type tcpComm struct {
 	commCounters
 	rank, size int
 	peers      []*tcpPeer // peers[r] for r != rank, nil at own rank
 	boxes      []*mailbox
-	ln         net.Listener
+	ln         Listener
 	closed     atomic.Bool
 	readers    sync.WaitGroup
 }
 
 type tcpPeer struct {
 	mu   sync.Mutex
-	conn net.Conn
+	conn Conn
 }
 
 // dialRetry dials addr, retrying with backoff until the setup deadline —
 // ranks start in arbitrary order, so the target may not be listening yet.
-func dialRetry(addr string) (net.Conn, error) {
+func dialRetry(nw Network, addr string) (Conn, error) {
 	deadline := time.Now().Add(tcpSetupDeadline)
 	backoff := 5 * time.Millisecond
 	for {
-		conn, err := net.DialTimeout("tcp", addr, tcpDialTimeout)
+		conn, err := nw.Dial(addr, tcpDialTimeout)
 		if err == nil {
 			return conn, nil
 		}
@@ -105,12 +131,13 @@ func readFrame(r io.Reader) (Tag, []byte, error) {
 }
 
 // ConnectTCP joins a TCP communicator of the given size as the given
-// rank. rootAddr is the rendezvous address rank 0 listens on; every rank
-// must pass the same value. bindAddr is the local address non-root ranks
-// listen on for mesh connections ("" means "127.0.0.1:0"). The call
-// blocks until the full mesh is up, so all ranks must start within the
-// setup deadline.
-func ConnectTCP(rank, size int, rootAddr, bindAddr string) (Comm, error) {
+// rank, over the sockets nw makes (a size-1 communicator makes none, and
+// nw may be nil). rootAddr is the rendezvous address rank 0 listens on;
+// every rank must pass the same value. bindAddr is the local address
+// non-root ranks listen on for mesh connections ("" means
+// "127.0.0.1:0"). The call blocks until the full mesh is up, so all
+// ranks must start within the setup deadline.
+func ConnectTCP(nw Network, rank, size int, rootAddr, bindAddr string) (Comm, error) {
 	if size < 1 || rank < 0 || rank >= size {
 		return nil, fmt.Errorf("mpi: bad rank/size %d/%d", rank, size)
 	}
@@ -131,9 +158,9 @@ func ConnectTCP(rank, size int, rootAddr, bindAddr string) (Comm, error) {
 	}
 	var err error
 	if rank == 0 {
-		err = c.bootstrapRoot(rootAddr)
+		err = c.bootstrapRoot(nw, rootAddr)
 	} else {
-		err = c.bootstrapPeer(rootAddr, bindAddr)
+		err = c.bootstrapPeer(nw, rootAddr, bindAddr)
 	}
 	if err != nil {
 		c.Close()
@@ -152,8 +179,8 @@ func ConnectTCP(rank, size int, rootAddr, bindAddr string) (Comm, error) {
 	return c, nil
 }
 
-func (c *tcpComm) bootstrapRoot(rootAddr string) error {
-	ln, err := net.Listen("tcp", rootAddr)
+func (c *tcpComm) bootstrapRoot(nw Network, rootAddr string) error {
+	ln, err := nw.Listen(rootAddr)
 	if err != nil {
 		return fmt.Errorf("mpi: root listen: %w", err)
 	}
@@ -162,9 +189,7 @@ func (c *tcpComm) bootstrapRoot(rootAddr string) error {
 	book := make([]string, c.size)
 	book[0] = rootAddr
 	for got := 0; got < c.size-1; got++ {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline)
-		}
+		ln.SetDeadline(deadline)
 		conn, err := ln.Accept()
 		if err != nil {
 			return fmt.Errorf("mpi: root accept: %w", err)
@@ -194,21 +219,21 @@ func (c *tcpComm) bootstrapRoot(rootAddr string) error {
 	return nil
 }
 
-func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
-	ln, err := net.Listen("tcp", bindAddr)
+func (c *tcpComm) bootstrapPeer(nw Network, rootAddr, bindAddr string) error {
+	ln, err := nw.Listen(bindAddr)
 	if err != nil {
 		return fmt.Errorf("mpi: listen: %w", err)
 	}
 	c.ln = ln
-	conn0, err := dialRetry(rootAddr)
+	conn0, err := dialRetry(nw, rootAddr)
 	if err != nil {
 		return fmt.Errorf("mpi: dial root: %w", err)
 	}
 	c.peers[0] = &tcpPeer{conn: conn0}
 	conn0.SetDeadline(time.Now().Add(tcpSetupDeadline))
-	hello := make([]byte, 4+len(ln.Addr().String()))
+	hello := make([]byte, 4+len(ln.Addr()))
 	binary.LittleEndian.PutUint32(hello[0:4], uint32(c.rank))
-	copy(hello[4:], ln.Addr().String())
+	copy(hello[4:], ln.Addr())
 	if err := writeFrame(conn0, tagHello, hello); err != nil {
 		return fmt.Errorf("mpi: send hello: %w", err)
 	}
@@ -222,7 +247,7 @@ func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
 	}
 	// Dial every lower non-root rank.
 	for j := 1; j < c.rank; j++ {
-		conn, err := dialRetry(book[j])
+		conn, err := dialRetry(nw, book[j])
 		if err != nil {
 			return fmt.Errorf("mpi: dial rank %d at %s: %w", j, book[j], err)
 		}
@@ -236,9 +261,7 @@ func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
 	// Accept every higher rank.
 	deadline := time.Now().Add(tcpSetupDeadline)
 	for need := c.size - 1 - c.rank; need > 0; need-- {
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline)
-		}
+		ln.SetDeadline(deadline)
 		conn, err := ln.Accept()
 		if err != nil {
 			return fmt.Errorf("mpi: accept mesh: %w", err)
@@ -259,7 +282,7 @@ func (c *tcpComm) bootstrapPeer(rootAddr, bindAddr string) error {
 	return nil
 }
 
-func (c *tcpComm) readLoop(from int, conn net.Conn) {
+func (c *tcpComm) readLoop(from int, conn Conn) {
 	defer c.readers.Done()
 	for {
 		tag, data, err := readFrame(conn)

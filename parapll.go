@@ -299,13 +299,6 @@ func RunLocalCluster(g *Graph, nodes int, opt ClusterOptions) (*Index, error) {
 	return idxs[0], nil
 }
 
-// ConnectTCP joins a real multi-process cluster: rank 0 listens on
-// rootAddr, every rank calls ConnectTCP with the same rootAddr and its
-// own rank. See cmd/parapll-node for a ready-made launcher.
-func ConnectTCP(rank, size int, rootAddr string) (Comm, error) {
-	return mpi.ConnectTCP(rank, size, rootAddr, "")
-}
-
 // Dijkstra returns single-source distances — the index-free baseline and
 // the ground truth the index is validated against.
 func Dijkstra(g *Graph, s Vertex) []Dist { return sssp.Dijkstra(g, s) }

@@ -293,22 +293,6 @@ func TestInfUnreachable(t *testing.T) {
 	}
 }
 
-func TestConnectTCPSingleRank(t *testing.T) {
-	comm, err := parapll.ConnectTCP(0, 1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer comm.Close()
-	g := lineGraph()
-	idx, err := parapll.BuildCluster(g, comm, parapll.ClusterOptions{SyncCount: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := idx.Query(0, 3); d != 12 {
-		t.Fatalf("cluster-of-one Query = %d", d)
-	}
-}
-
 func TestBuildDynamic(t *testing.T) {
 	g := parapll.NewGraph(4, []parapll.Edge{
 		{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 5}, {U: 2, V: 3, W: 5},

@@ -6,7 +6,9 @@
 # -count=20 race pass over the lock-free structures, the distance
 # cache, the lock-order hammers and the goroutine-lifetime tests, a
 # -count=20 plain pass over the two lock-order tests, the
-# tier-1 command (go test ./...), every in-package benchmark under
+# tier-1 command (go test ./...; among what it gates,
+# TestOfflineToolsLinkNoNetwork fails if any command but parapll-server
+# and parapll-node depends on net or runtime/cgo), every in-package benchmark under
 # internal/ run once (-benchtime 1x), a fuzz smoke on the five
 # wire and file decoders, on the degree sequence every build
 # defaults to (FuzzDegreeOrder) and on the build-time head's prune
@@ -95,9 +97,11 @@ go test -race -short ./...
 # wants every rank's workers to go on (a lock held across the wait, or
 # handed to the round's goroutine, stalls them), and
 # TestCloseLeavesNoGoroutine (compact, mpi) plus the failure paths
-# TestRootFailureReleasesPeers, TestNodeDeathFailsFast and
-# TestTCPNodeDeathFailsFast fail on any goroutine of the module left
-# behind. Between them these tests contend every persistent mutex of
+# TestRootFailureReleasesPeers (mpi), TestNodeDeathFailsFast and
+# TestTCPNodeDeathFailsFast (cluster) fail on any goroutine of the module
+# left behind; the TCP ones run the mesh over internal/mpi/tcpnet's
+# sockets from their test files, so the packages below list where the
+# tests live, not the transport's glue. Between them these tests contend every persistent mutex of
 # the concurrent packages (EXPERIMENTS.md "Tests hold the lock order
 # alone" maps each mutex to its test); no analyzer checks the lock
 # order.
