@@ -57,6 +57,9 @@ func main() {
 		fatalf("need -dataset NAME, -all, or -list")
 	}
 
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fatalf("creating output directory %s: %v", *out, err)
+	}
 	for _, rec := range recs {
 		g := rec.Generate(*scale)
 		name := strings.ToLower(rec.Name) + ext

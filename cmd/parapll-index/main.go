@@ -93,17 +93,22 @@ func main() {
 		opt.Progress = prog
 		stopLog = logProgress(prog, t0)
 	}
-	var idx *parapll.Index
+	// The label store streams into the file: the index is never on the
+	// heap beside it, and what is printed below is the header written.
+	var idx parapll.IndexHeader
 	var stats *parapll.BuildStats
 	if *serial {
-		idx = parapll.BuildSerial(g, opt)
+		idx, err = parapll.BuildSerialFile(*out, g, opt)
 	} else {
-		idx, stats = parapll.BuildWithStats(g, opt)
+		idx, stats, err = parapll.BuildFile(*out, g, opt)
 	}
 	if stopLog != nil {
 		stopLog()
 	}
 	elapsed := time.Since(t0)
+	if err != nil {
+		fatalf("saving index: %v", err)
+	}
 
 	if tr != nil {
 		if err := writeTrace(*tracePath, tr); err != nil {
@@ -112,9 +117,6 @@ func main() {
 		fmt.Printf("trace: %d events (%d dropped) -> %s\n", len(tr.Events()), tr.Drops(), *tracePath)
 	}
 
-	if err := parapll.SaveIndex(*out, idx); err != nil {
-		fatalf("saving index: %v", err)
-	}
 	k, density := idx.Head()
 	k2, midDensity := idx.Mid()
 	built := ""

@@ -182,6 +182,31 @@ func TestEndToEndCLI(t *testing.T) {
 	}
 }
 
+// TestGenIntoMissingDir: parapll-gen -out names a directory that does
+// not exist yet, two levels deep, as the usage's "-out data/" does on a
+// fresh checkout; the tool creates it and writes the graph there.
+func TestGenIntoMissingDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "parapll-gen")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/parapll-gen").CombinedOutput(); err != nil {
+		t.Fatalf("building parapll-gen: %v\n%s", err, out)
+	}
+	outDir := filepath.Join(dir, "data", "nested")
+	if out, err := exec.Command(bin, "-dataset", "Gnutella", "-scale", "0.02", "-out", outDir).CombinedOutput(); err != nil {
+		t.Fatalf("parapll-gen -out %s: %v\n%s", outDir, err, out)
+	}
+	g, err := fileio.LoadGraph(filepath.Join(outDir, "gnutella.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() == 0 {
+		t.Fatal("parapll-gen wrote an empty graph")
+	}
+}
+
 // checkServedPath asks a running server for /path and /query of (s, u)
 // through get and fails unless the path runs from s to u over edges of g
 // whose weights sum to the /query distance.

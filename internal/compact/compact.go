@@ -32,10 +32,11 @@
 //
 // When the WAL holds n records, Compact folds them into the graph and
 // makes a fresh exact index: for n <= DefaultFoldLimit it freezes the live
-// labels under the writer mutex (dynamic.Freeze) and finalizes them
-// outside it, with zero search work; for larger n the build engine
-// rebuilds. The pair is saved (graph.bin first, then index.midx, each by
-// atomic temp+fsync+rename), index.midx is mapped as the next live
+// labels under the writer mutex (dynamic.Freeze), with zero search work;
+// for larger n the build engine rebuilds into a label store. The pair is
+// saved (graph.bin first, then index.midx, each by atomic
+// temp+fsync+rename; the frozen labels or the store finalize straight
+// into index.midx's temp file), index.midx is mapped as the next live
 // index's base, and a short swap replays the records that arrived
 // mid-compaction, publishes the new index and truncates the folded
 // prefix off the WAL. Every crash window in that sequence leaves a
@@ -126,10 +127,11 @@ type Report struct {
 	Folded int
 	// Tail is how many records arrived mid-compaction, replayed in the swap.
 	Tail int
-	// BuildTime covers producing the new exact index (fold or engine
-	// build, including the graph fold).
+	// BuildTime covers producing the new exact labels: the freeze or the
+	// engine's search, and the graph fold.
 	BuildTime time.Duration
-	// SaveTime covers writing graph.bin and index.midx and mapping it.
+	// SaveTime covers writing graph.bin, finalizing the labels into
+	// index.midx and mapping it.
 	SaveTime time.Duration
 	// SwapTime is the publish window under the writer mutex — tail
 	// replay, index swap and WAL truncation; the pipeline's
@@ -237,13 +239,13 @@ func Open(opt Options) (*Pipeline, error) {
 	}
 	ipath := filepath.Join(opt.Dir, IndexFile)
 	if _, err := os.Stat(ipath); err != nil {
-		idx := opt.Index
-		if idx == nil || g != opt.Graph {
+		if opt.Index != nil && g == opt.Graph {
+			err = fileio.SaveIndex(ipath, opt.Index)
+		} else {
 			opt.Logf("compact: no checkpoint index, building from %d vertices / %d edges", g.NumVertices(), g.NumEdges())
-			// Dynamic: static round-robin lets a worker outrun the early roots that would prune it.
-			idx = core.Build(g, core.Options{Threads: opt.Threads, Policy: core.Dynamic})
+			_, err = fileio.SaveLabels(ipath, g.NumVertices(), build(g, opt.Threads))
 		}
-		if err := fileio.SaveIndex(ipath, idx); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint index: %w", err)
 		}
 	}
@@ -414,38 +416,35 @@ func (p *Pipeline) Compact() (Report, error) {
 	}
 	ups := p.log.Updates()[:n]
 	fold := n <= DefaultFoldLimit
-	var finalize func() *label.Index
+	var labels func(v int) []label.Entry
 	if fold {
-		finalize = p.cur.Freeze()
+		labels = p.cur.Freeze()
 	}
 	p.mu.Unlock()
 
-	// Phase 2 (unlocked): fold the graph, and the labels or a rebuild.
+	// Phase 2 (unlocked): fold the graph, and for a rebuild search it.
 	// curGraph is only written under compactMu, which we hold.
 	edges := p.curGraph.Edges()
 	for _, up := range ups {
 		edges = append(edges, graph.Edge{U: up.U, V: up.V, W: up.W})
 	}
 	g2 := graph.FromEdges(p.curGraph.NumVertices(), edges)
-	var idx *label.Index
 	mode := "fold"
-	if fold {
-		idx = finalize()
-	} else {
+	if !fold {
 		mode = "rebuild"
-		// Dynamic: static round-robin lets a worker outrun the early roots that would prune it.
-		idx = core.Build(g2, core.Options{Threads: p.opt.Threads, Policy: core.Dynamic})
+		labels = build(g2, p.opt.Threads)
 	}
 	buildTime := time.Since(tBuild)
 
 	// Phase 3 (unlocked): persist the pair, graph first, each write atomic
-	// (see Open for why every crash interleaving is safe); map the index.
+	// (see Open for why every crash interleaving is safe), the labels
+	// finalizing into the index file; map the index.
 	tSave := time.Now()
 	ipath := filepath.Join(p.opt.Dir, IndexFile)
 	if err := fileio.SaveGraph(filepath.Join(p.opt.Dir, GraphFile), g2); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint graph: %w", err)
 	}
-	if err := fileio.SaveIndex(ipath, idx); err != nil {
+	if _, err := fileio.SaveLabels(ipath, g2.NumVertices(), labels); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint index: %w", err)
 	}
 	base, err := fileio.LoadIndex(ipath)
@@ -546,4 +545,13 @@ func (p *Pipeline) Close() error {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
 	return p.log.Close()
+}
+
+// build runs the engine over g into a label store and returns the store's
+// list function, for fileio.SaveLabels to finalize into the index file.
+func build(g *graph.Graph, threads int) func(v int) []label.Entry {
+	store := label.NewStore(g.NumVertices())
+	// Dynamic: static round-robin lets a worker outrun the early roots that would prune it.
+	core.BuildInto(g, store, core.Options{Threads: threads, Policy: core.Dynamic})
+	return store.List()
 }

@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"parapll/internal/fileio"
 	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
@@ -21,6 +24,9 @@ import (
 // build since the label store, prune scan and finalize rewrites has
 // produced. pidm is of the version 4 PIDM bytes, recorded when distances
 // got a width: where the finalize puts each entry, and in how many bytes.
+// The streamed legs finalize the serial lists and a one-thread build's
+// store straight into a file through fileio, as parapll-index does: the
+// file must hash to the same pin.
 func TestIndexBytesGolden(t *testing.T) {
 	for dataset, want := range map[string]struct{ pidx, pidm string }{
 		"Gnutella": {"0bb01996e156bb5d79b1ada12a46d752e33623664842effa444e55e236052451", "3496eed8854b1322f5f74e4b6532a257504c05f4dee65b5a6093410dac6fdf44"},
@@ -46,6 +52,26 @@ func TestIndexBytesGolden(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != want.pidm {
 				t.Errorf("%s %s: index of %d entries hashes to %s as PIDM, want %s", dataset, name, x.NumEntries(), got, want.pidm)
+			}
+		}
+		lists := pll.Labels(g, pll.Options{})
+		store := label.NewStore(g.NumVertices())
+		BuildInto(g, store, Options{Threads: 1})
+		for name, list := range map[string]func(v int) []label.Entry{
+			"pll.Labels":        func(v int) []label.Entry { return lists[v] },
+			"BuildInto/store/1": store.List(),
+		} {
+			path := filepath.Join(t.TempDir(), "streamed.midx")
+			h, err := fileio.SaveLabels(path, g.NumVertices(), list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want.pidm {
+				t.Errorf("%s %s streamed: file of %d entries hashes to %s, want %s", dataset, name, h.NumEntries(), got, want.pidm)
 			}
 		}
 	}

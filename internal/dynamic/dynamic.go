@@ -105,24 +105,21 @@ func FromIndex(g *graph.Graph, idx *label.Index) *Index {
 }
 
 // Freeze loads every run (under the exclusion that serializes inserts:
-// the labels of whole ones) and returns what finalizes them, the base
-// streamed through label.NewIndexFunc with the runs merged in, beside
-// later inserts. Stale overestimates stay, harmless per Proposition 1.
-func (x *Index) Freeze() func() *label.Index {
+// the labels of whole ones) and returns them as the list function that
+// label.NewIndexFunc and fileio.SaveLabels finalize over NumVertices()
+// lists: the base with the runs merged in, beside later inserts. Stale
+// overestimates stay, harmless per Proposition 1.
+func (x *Index) Freeze() func(v int) []label.Entry {
 	runs := make([]*run, len(x.delta))
 	for v := range runs {
 		runs[v] = x.delta[v].Load()
 	}
-	return func() *label.Index {
-		var s scratch
-		return label.NewIndexFunc(len(runs), func(v int) []label.Entry {
-			return s.union(x.base, graph.Vertex(v), runs[v])
-		})
-	}
+	var s scratch
+	return func(v int) []label.Entry { return s.union(x.base, graph.Vertex(v), runs[v]) }
 }
 
 // ToIndex finalizes the labels as they stand (see Freeze).
-func (x *Index) ToIndex() *label.Index { return x.Freeze()() }
+func (x *Index) ToIndex() *label.Index { return label.NewIndexFunc(len(x.delta), x.Freeze()) }
 
 // scratch holds the buffers one label union is built in.
 type scratch struct {

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"parapll/internal/fileio"
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/pll"
@@ -18,7 +21,8 @@ import (
 // the labels' hash (labelsHash), of whole labels in hub order, was
 // recorded (at the parent commit) before PIDM had a head — and ToIndex
 // must lay the lists out as it did when distances got a width, the
-// version 4 PIDM hash.
+// version 4 PIDM hash — and so must the frozen lists streamed into a file
+// through fileio, as a compaction's fold writes them.
 func TestIndexBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	const n = 300
@@ -43,6 +47,17 @@ func TestIndexBytesGolden(t *testing.T) {
 	const wantPIDM = "3fca1949bd7a27ad060caa903024b23f542d2c2b61060c99627c47091ba77824"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
+	}
+	path := filepath.Join(t.TempDir(), "streamed.midx")
+	if _, err := fileio.SaveLabels(path, n, x.Freeze()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != wantPIDM {
+		t.Fatalf("streamed file of %d entries hashes to %s, want %s", x.NumEntries(), got, wantPIDM)
 	}
 }
 

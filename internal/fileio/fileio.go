@@ -9,6 +9,7 @@ package fileio
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -104,9 +105,29 @@ func isTextGraph(path string) bool {
 }
 
 // SaveIndex writes a finalized 2-hop index to path as a PIDM file,
-// whatever the extension.
+// whatever the extension: one write of its image.
 func SaveIndex(path string, x *label.Index) error {
 	return WriteAtomic(path, func(f *os.File) error { return x.WriteMmap(f) })
+}
+
+// SaveLabels streams the index label.NewIndexFunc(n, list) would build
+// into a PIDM file at path, atomically and durably as every save here:
+// the bytes SaveIndex writes of that index, without the index, so a
+// caller holding a label store never holds a heap copy of the index
+// beside it. It returns the header it wrote.
+func SaveLabels(path string, n int, list func(v int) []label.Entry) (label.Header, error) {
+	return saveLabels(path, n, list, func(f *os.File) io.WriterAt { return f })
+}
+
+// saveLabels is SaveLabels writing through at(f), the seam the write
+// fault tests use.
+func saveLabels(path string, n int, list func(v int) []label.Entry, at func(*os.File) io.WriterAt) (label.Header, error) {
+	var h label.Header
+	err := WriteAtomic(path, func(f *os.File) (err error) {
+		h, err = label.WriteLabels(at(f), n, list)
+		return err
+	})
+	return h, err
 }
 
 // SaveIndexAs is SaveIndex for callers that name the format:

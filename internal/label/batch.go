@@ -109,7 +109,7 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 // again on return; if scan panics — a hub id outside [0,n), which only a
 // damaged index file can hold — it is not, and the caller must drop it.
 func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
-	switch x.w {
+	switch x.width {
 	case 1:
 		scan(x, &x.a8, pairs, keys, hub)
 	case 2:

@@ -1,12 +1,16 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"parapll/internal/graph"
 )
@@ -73,9 +77,11 @@ import (
 // distance or — a rank past the end of its run — the panic of a
 // bounds-checked index, never a read outside the run.
 //
-// The arrays either live on the heap (built or stream-decoded indexes)
-// or alias a read-only file mapping (Open); queries are identical
-// either way.
+// Every index is one PIDM image (mmap.go) and its arrays alias it: a
+// heap []byte finalize dealt the labels into, or a mapped file (Open).
+// A tool that only saves an index has finalize deal the same bytes into
+// the file (WriteLabels), and never holds its label store and a heap copy
+// of the index at once. Queries are identical either way.
 //
 // Memory model for mmap-backed indexes: the aliased slices point into
 // non-heap memory, so holding one does NOT keep the mapping alive —
@@ -86,6 +92,8 @@ import (
 // this package that retains the slices returned by Label must keep the
 // Index reachable the same way for as long as it reads them.
 type Index struct {
+	Header // of img: the counts, the distance width and the sections
+
 	off  []int64        // len n+1: tail run of v is [off[v], off[v+1])
 	hubs []graph.Vertex // tail, flat, sorted by hub within each vertex run
 
@@ -95,16 +103,13 @@ type Index struct {
 	midBits []uint64       // n × W row-major, W = ceil(K2/64): bit c of row v set iff midHubs[c] ∈ L(v)
 	midOff  []int64        // len n+1, nil when K2 = 0: mid run of v is midDists[midOff[v]:midOff[v+1]]
 
-	// The distances, in the one of the three whose width is w bytes.
-	w   int
+	// The distances, in the one of the three whose width is width bytes.
 	a8  arrays[uint8]
 	a16 arrays[uint16]
 	a32 arrays[graph.Dist]
 
-	total int64 // label entries: finite head slots + set mid bits + tail entries
-	mids  int64 // of them mid entries: len(midDists)
-
-	mm *mapping // non-nil when the index was read from a file (see Open)
+	img []byte   // the PIDM image every array above aliases: heap or mapped
+	mm  *mapping // non-nil when the index was read from a file (see Open)
 
 	cols     []int32 // MergeRun's hub-to-column map (columns)
 	colsOnce sync.Once
@@ -186,16 +191,10 @@ func (x *Index) Close() error {
 // hub id, duplicate hubs are collapsed to their minimum distance, and the
 // hubs common enough to pay for a column move to the head or the middle
 // tier. Each label streams to finalize as the store's head cells then its
-// list; finalize's tier rules are its own, whatever the store's head
-// held. The store is read, not consumed; it must be quiescent (no appends
-// racing the finalize).
-func NewIndex(s *Store) *Index {
-	var buf []Entry
-	return finalize(s.NumVertices(), func(v int) []Entry {
-		buf = s.entries(graph.Vertex(v), buf[:0])
-		return buf
-	}, allTiers)
-}
+// list (Store.List); finalize's tier rules are its own, whatever the
+// store's head held. The store is read, not consumed; it must be
+// quiescent (no appends racing the finalize).
+func NewIndex(s *Store) *Index { return NewIndexFunc(s.NumVertices(), s.List()) }
 
 // NewIndexFromLists finalizes per-vertex label lists (as built by the
 // serial PLL, which needs no concurrent Store) into an Index, exactly as
@@ -206,9 +205,38 @@ func NewIndexFromLists(lists [][]Entry) *Index {
 
 // NewIndexFunc is NewIndexFromLists over lists made on demand: each of two
 // passes calls list(v) for v in order, and list may reuse its storage.
-func NewIndexFunc(n int, list func(v int) []Entry) *Index {
-	return finalize(n, list, allTiers)
+func NewIndexFunc(n int, list func(v int) []Entry) *Index { return build(n, list, allTiers) }
+
+// WriteLabels writes to w the PIDM image NewIndexFunc(n, list) would
+// build — the bytes its WriteMmap writes — without building it: beside
+// list's storage it holds O(n) counters, one label's scratch and the
+// nine section blocks. It returns the header, which it writes last, at
+// offset 0; after an error w holds part of an image.
+func WriteLabels(w io.WriterAt, n int, list func(v int) []Entry) (Header, error) {
+	return finalize(n, list, allTiers, func(int64) (io.WriterAt, error) { return w, nil })
 }
+
+// build finalizes n lists into an index over its own heap image.
+func build(n int, list func(v int) []Entry, use tiers) *Index {
+	var img image
+	h, err := finalize(n, list, use, func(size int64) (io.WriterAt, error) {
+		img = make(image, size)
+		return img, nil
+	})
+	var x *Index
+	if err == nil {
+		x, err = slicePIDM(img, h)
+	}
+	if err != nil {
+		panic(err) // a heap image takes every write, and finalize deals what slicePIDM checks
+	}
+	return x
+}
+
+// image is a PIDM image on the heap, written as a file is.
+type image []byte
+
+func (b image) WriteAt(p []byte, off int64) (int, error) { return copy(b[off:], p), nil }
 
 // Flat returns an index over the same labels with every entry in the
 // tail and every distance at 4 bytes, so that Label returns the stored
@@ -228,13 +256,13 @@ func (x *Index) Wide() *Index { return x.relayout(allTiersWide) }
 
 // relayout finalizes x's labels again under another choice of tiers.
 func (x *Index) relayout(use tiers) *Index {
-	if use == tailOnly && len(x.headHubs) == 0 && len(x.midHubs) == 0 && x.w == 4 {
+	if use == tailOnly && x.k == 0 && x.k2 == 0 && x.width == 4 {
 		return x
 	}
 	var hubs []graph.Vertex
 	var dists []graph.Dist
 	var entries []Entry
-	y := finalize(x.NumVertices(), func(v int) []Entry {
+	y := build(x.NumVertices(), func(v int) []Entry {
 		hubs, dists = x.Label(graph.Vertex(v), hubs, dists)
 		entries = entries[:0]
 		for i, h := range hubs {
@@ -258,16 +286,18 @@ const (
 	allTiersWide // at 4 bytes
 )
 
-// finalize streams n label lists into the arrays in two passes. The
-// first counts the labels each hub appears in (a duplicate within one
-// list once) and takes the largest distance, which fixes the columns —
-// every hub in more than n/2 labels goes to the head, every other hub in
-// more than n/32 to the middle tier, as far as use allows — the exact
-// size of every array and the width of a distance (see Index). The
-// second is deal. A hub outside [0,n) or a distance of graph.Inf is a
-// builder's bug and panics (the Index invariant). list(v) may reuse its
-// result's storage between calls.
-func finalize(n int, list func(v int) []Entry, use tiers) *Index {
+// finalize streams n label lists into a PIDM image in two passes, and
+// returns its header. The first counts the labels each hub appears in (a
+// duplicate within one list once) and takes the largest distance, which
+// fixes the header — every hub in more than n/2 labels goes to the head,
+// every other hub in more than n/32 to the middle tier, as far as use
+// allows; the width of a distance (see Index); the exact size of every
+// section and so of the image, which open is given to return where it
+// goes. The second is deal, into the nine section streams, and the
+// header is written last. A hub outside [0,n) or a distance of graph.Inf
+// is a builder's bug and panics (the Index invariant). list(v) may reuse
+// its result's storage between calls.
+func finalize(n int, list func(v int) []Entry, use tiers, open func(size int64) (io.WriterAt, error)) (Header, error) {
 	count := make([]int32, n) // labels holding the hub
 	seen := make([]int32, n)  // seen[h] == v+1: h already counted for v
 	var total int64
@@ -289,66 +319,85 @@ func finalize(n int, list func(v int) []Entry, use tiers) *Index {
 			}
 		}
 	}
-	// slot[h] is where h's entries go: its head column c as c, its mid
+	// slot[hub] is where hub's entries go: its head column c as c, its mid
 	// column c as -2-c, -1 for the tail; it takes over seen.
-	idx := &Index{off: make([]int64, n+1), total: total}
-	slot, tail := seen, total
-	for h := range slot {
-		slot[h] = -1
-		switch c := int64(count[h]); {
+	h := Header{n: n, total: total, tail: total}
+	slot := seen
+	var headHubs, midHubs []graph.Vertex
+	for hub := range slot {
+		slot[hub] = -1
+		switch c := int64(count[hub]); {
 		case use >= headAndTail && 2*c > int64(n):
-			slot[h] = int32(len(idx.headHubs))
-			idx.headHubs = append(idx.headHubs, graph.Vertex(h))
-			tail -= c
+			slot[hub] = int32(len(headHubs))
+			headHubs = append(headHubs, graph.Vertex(hub))
+			h.tail -= c
 		case use >= allTiers && 32*c > int64(n):
-			slot[h] = int32(-2 - len(idx.midHubs))
-			idx.midHubs = append(idx.midHubs, graph.Vertex(h))
-			tail -= c
-			idx.mids += c
+			slot[hub] = int32(-2 - len(midHubs))
+			midHubs = append(midHubs, graph.Vertex(hub))
+			h.tail -= c
+			h.mid += c
 		}
 	}
-	idx.hubs = make([]graph.Vertex, tail)
-	if w := midWords(len(idx.midHubs)); w > 0 {
-		idx.midBits = make([]uint64, n*w)
-		idx.midOff = make([]int64, n+1)
-	}
+	h.k, h.k2 = len(headHubs), len(midHubs)
 	switch {
 	case use == tailOnly || use == allTiersWide || uint64(dmax) > maxDist[uint16]():
-		idx.w = 4
-		deal(idx, &idx.a32, list, slot)
+		h.width = 4
 	case uint64(dmax) > maxDist[uint8]():
-		idx.w = 2
-		deal(idx, &idx.a16, list, slot)
+		h.width = 2
 	default:
-		idx.w = 1
-		deal(idx, &idx.a8, list, slot)
+		h.width = 1
 	}
-	return idx
+	var size uint64
+	h.lo, h.size, size = mmapLayout(n, h.k, h.k2, h.mid, h.tail, h.width)
+	w, err := open(int64(size))
+	if err != nil {
+		return h, err
+	}
+	d := &dealer{w: w, h: &h}
+	for i := range d.sec {
+		d.sec[i] = section{d: d, at: int64(h.lo[i]), buf: make([]byte, min(pidmBlock, h.size[i]))}
+	}
+	put(&d.sec[secHeadHubs], headHubs)
+	put(&d.sec[secMidHubs], midHubs)
+	switch h.width {
+	case 1:
+		deal[uint8](d, list, slot)
+	case 2:
+		deal[uint16](d, list, slot)
+	default:
+		deal[graph.Dist](d, list, slot)
+	}
+	return h, d.close()
 }
 
 // deal is finalize's second pass, at the width its first one chose: it
 // packs each list into one reused scratch buffer of keys, sorts and
-// deduplicates them there and deals its entries to the head row, the
-// bitmap row and its packed run, or the tail run, so beside the source
-// lists only the result is ever live. The scratch is deal's own: ranks of
-// a cluster finalize at once.
-func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot []int32) {
-	n, k, w := idx.NumVertices(), len(idx.headHubs), midWords(len(idx.midHubs))
-	a.head = make([]D, n*k)
-	a.midDists = make([]D, idx.mids)
-	a.dists = make([]D, len(idx.hubs))
+// deduplicates them there and deals its entries to the vertex's head
+// row, bitmap row and packed mid run, or its tail run, then puts each to
+// its section beside the running offsets — so beside the source lists
+// only one label's scratch and the section blocks are ever live. The
+// scratch is deal's own: ranks of a cluster finalize at once.
+func deal[D distance](d *dealer, list func(v int) []Entry, slot []int32) {
+	row := make([]D, d.h.k)
+	words := make([]uint64, midWords(d.h.k2))
 	var keys []uint64
-	pos, mpos := 0, 0
-	for v := 0; v < n; v++ {
+	var hubs []graph.Vertex
+	var dists, mids []D
+	off, midOff := []int64{0}, []int64{0}
+	put(&d.sec[secOff], off)
+	if len(words) > 0 {
+		put(&d.sec[secMidOff], midOff)
+	}
+	for v := 0; v < d.h.n && d.err == nil; v++ {
 		keys = keys[:0]
 		for _, e := range list(v) {
 			keys = append(keys, pack(e))
 		}
-		row := a.head[v*k:][:k]
 		for c := range row {
 			row[c] = ^D(0)
 		}
-		words := idx.midBits[v*w:][:w]
+		clear(words)
+		hubs, dists, mids = hubs[:0], dists[:0], mids[:0]
 		// Entries come in hub order and columns were numbered in hub
 		// order, so a vertex's mid distances land in column order.
 		for _, k := range sortDedupe(keys) {
@@ -357,19 +406,98 @@ func deal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot [
 			case c >= 0:
 				row[c] = D(e.D)
 			case c == -1:
-				idx.hubs[pos], a.dists[pos] = e.Hub, D(e.D)
-				pos++
+				hubs, dists = append(hubs, e.Hub), append(dists, D(e.D))
 			default:
 				c = -2 - c
 				words[c>>6] |= 1 << uint(c&63)
-				a.midDists[mpos] = D(e.D)
-				mpos++
+				mids = append(mids, D(e.D))
 			}
 		}
-		idx.off[v+1] = int64(pos)
-		if w > 0 {
-			idx.midOff[v+1] = int64(mpos)
+		put(&d.sec[secHead], row)
+		put(&d.sec[secMidBits], words)
+		put(&d.sec[secMidDists], mids)
+		put(&d.sec[secHubs], hubs)
+		put(&d.sec[secDists], dists)
+		off[0] += int64(len(hubs))
+		put(&d.sec[secOff], off)
+		if len(words) > 0 {
+			midOff[0] += int64(len(mids))
+			put(&d.sec[secMidOff], midOff)
 		}
+	}
+}
+
+// dealer writes an image whose header it has: its nine sections as
+// streams in file order, and then the header with their checksums.
+type dealer struct {
+	w   io.WriterAt
+	h   *Header
+	sec [numSections]section
+	err error // the first failed write; later writes are skipped
+}
+
+// section is one section's stream: a block of at most pidmBlock bytes,
+// where in the image it goes next, and the checksum of what went before.
+type section struct {
+	d   *dealer
+	at  int64 // the block's offset
+	buf []byte
+	n   int // bytes in buf
+	crc uint32
+}
+
+func (d *dealer) writeAt(p []byte, at int64) {
+	if d.err == nil && len(p) > 0 {
+		if k, err := d.w.WriteAt(p, at); err != nil || k < len(p) {
+			d.err = cmp.Or(err, io.ErrShortWrite)
+		}
+	}
+}
+
+// close flushes every section, pads it with zeros up to the next and
+// writes the header over the image's first bytes.
+func (d *dealer) close() error {
+	var zero [mmapAlign]byte
+	for i := range d.sec {
+		s := &d.sec[i]
+		s.flush()
+		d.h.crc[i] = s.crc
+		if i+1 < numSections && d.err == nil {
+			d.writeAt(zero[:int64(d.h.lo[i+1])-s.at], s.at)
+		}
+	}
+	d.writeAt(d.h.encode(), 0)
+	return d.err
+}
+
+func (s *section) flush() {
+	s.crc = crc32.Update(s.crc, crc32.IEEETable, s.buf[:s.n])
+	s.d.writeAt(s.buf[:s.n], s.at)
+	s.at += int64(s.n)
+	s.n = 0
+}
+
+// put appends vals to the section, little-endian: on a little-endian
+// host a copy of their bytes.
+func put[T word](s *section, vals []T) {
+	size := int(unsafe.Sizeof(T(0)))
+	for len(vals) > 0 {
+		if s.n == len(s.buf) {
+			s.flush()
+		}
+		k := min(len(vals), (len(s.buf)-s.n)/size)
+		dst := s.buf[s.n:][:k*size]
+		if hostLittleEndian {
+			copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), k*size))
+		} else {
+			for i, v := range vals[:k] {
+				for b := range size {
+					dst[i*size+b] = byte(uint64(v) >> (8 * b))
+				}
+			}
+		}
+		s.n += k * size
+		vals = vals[k:]
 	}
 }
 
@@ -422,60 +550,58 @@ func (x *Index) Equal(y *Index) bool {
 }
 
 // NumVertices returns the number of labeled vertices.
-func (x *Index) NumVertices() int { return len(x.off) - 1 }
+func (h *Header) NumVertices() int { return h.n }
 
 // NumEntries returns the total number of label entries, wherever they
 // are stored: finite head slots, set mid bits and tail entries.
-func (x *Index) NumEntries() int64 { return x.total }
+func (h *Header) NumEntries() int64 { return h.total }
 
 // AvgLabelSize returns the mean entries per vertex — the paper's LN metric
 // reported in Tables 3–5.
-func (x *Index) AvgLabelSize() float64 {
-	n := x.NumVertices()
-	if n == 0 {
+func (h *Header) AvgLabelSize() float64 {
+	if h.n == 0 {
 		return 0
 	}
-	return float64(x.NumEntries()) / float64(n)
+	return float64(h.total) / float64(h.n)
 }
 
 // Head returns the number of head columns K and the share of the n × K
 // head slots that hold an entry (0 when K is 0).
-func (x *Index) Head() (k int, density float64) {
-	k = len(x.headHubs)
-	if slots := x.NumVertices() * k; slots != 0 {
-		density = float64(x.total-int64(len(x.hubs))-x.mids) / float64(slots)
+func (h *Header) Head() (k int, density float64) {
+	if slots := h.n * h.k; slots != 0 {
+		density = float64(h.total-h.tail-h.mid) / float64(slots)
 	}
-	return k, density
+	return h.k, density
 }
 
 // Mid returns the number of bitmap columns K2 and the share of the
 // n × K2 bits that are set (0 when K2 is 0).
-func (x *Index) Mid() (k2 int, density float64) {
-	k2 = len(x.midHubs)
-	if k2 == 0 || x.NumVertices() == 0 {
-		return k2, 0
+func (h *Header) Mid() (k2 int, density float64) {
+	if slots := h.n * h.k2; slots != 0 {
+		density = float64(h.mid) / float64(slots)
 	}
-	return k2, float64(x.mids) / (float64(x.NumVertices()) * float64(k2))
+	return h.k2, density
 }
 
 // DistBytes returns the width of a stored distance: 1, 2 or 4 bytes,
 // fixed by the largest distance in the labels (see Index).
-func (x *Index) DistBytes() int { return x.w }
+func (h *Header) DistBytes() int { return h.width }
 
-// MemoryBytes returns the in-memory footprint of the index's arrays
-// (offsets, tail hubs and distances, head, bitmap and packed mid
-// distances). The paper reports this linear-in-(n·LN) quantity peaking
-// at 2.2 GB in its evaluation.
-func (x *Index) MemoryBytes() int64 {
-	slots := int64(x.NumVertices()) * int64(len(x.headHubs))
-	return int64(len(x.off)+len(x.midOff)+len(x.midBits))*8 +
-		int64(len(x.hubs)+len(x.headHubs)+len(x.midHubs))*4 +
-		(slots+x.mids+int64(len(x.hubs)))*int64(x.w)
+// MemoryBytes returns the bytes of the index's arrays (offsets, tail hubs
+// and distances, head, bitmap and packed mid distances), its sections'
+// payload. The paper reports this linear-in-(n·LN) quantity peaking at
+// 2.2 GB in its evaluation.
+func (h *Header) MemoryBytes() int64 {
+	var sum uint64
+	for _, size := range h.size {
+		sum += size
+	}
+	return int64(sum)
 }
 
 // LabelSize returns |L(v)|.
 func (x *Index) LabelSize(v graph.Vertex) int {
-	switch x.w {
+	switch x.width {
 	case 1:
 		return labelSize(x, &x.a8, v)
 	case 2:
@@ -506,9 +632,9 @@ func labelSize[D distance](x *Index, a *arrays[D], v graph.Vertex) int {
 // Index memory-model comment.
 func (x *Index) Label(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
 	switch {
-	case x.w == 1:
+	case x.width == 1:
 		return label(x, &x.a8, v, hubs, dists)
-	case x.w == 2:
+	case x.width == 2:
 		return label(x, &x.a16, v, hubs, dists)
 	case len(x.headHubs) == 0 && len(x.midHubs) == 0:
 		return tail(x, &x.a32, v)
@@ -566,7 +692,7 @@ func label[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vert
 // put it — head column, bitmap bit ranked by popcounts, tail entry by
 // binary search — at a cost per hub of the run, whatever L(v)'s length.
 func (x *Index) MergeRun(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex) {
-	switch x.w {
+	switch x.width {
 	case 1:
 		return mergeRun(x, &x.a8, v, hubs, dists)
 	case 2:
@@ -764,7 +890,7 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 // query answers one pair of distinct vertices in mode M: the one place a
 // lone pair is dispatched on the index's distance width.
 func query[M mode](x *Index, s, t graph.Vertex, ex *Explain) (graph.Dist, graph.Vertex) {
-	switch x.w {
+	switch x.width {
 	case 1:
 		return pair[M](x, &x.a8, s, t, ex)
 	case 2:

@@ -1,6 +1,8 @@
 // Package label implements the 2-hop-cover distance labels at the heart of
-// PLL and ParaPLL: a concurrent Store used while indexing and an
-// immutable, query-optimized Index produced when indexing finishes.
+// PLL and ParaPLL: a concurrent Store used while indexing and the
+// immutable, query-optimized Index finalized from it — one PIDM image,
+// its arrays aliasing the heap or a mapped file, or streamed into a file
+// (WriteLabels) by a tool that only saves it.
 //
 // The Store keeps L(v) in two parts. The first roots of the computing
 // sequence — PLL's top hubs, each in most labels — may own the columns of
@@ -299,6 +301,17 @@ func (s *Store) entries(v graph.Vertex, dst []Entry) []Entry {
 		}
 	}
 	return append(dst, s.Snapshot(v)...)
+}
+
+// List returns the list function NewIndexFunc and WriteLabels take over
+// the store: L(v), its head cells then its list, in storage each call
+// reuses.
+func (s *Store) List() func(v int) []Entry {
+	var buf []Entry
+	return func(v int) []Entry {
+		buf = s.entries(graph.Vertex(v), buf[:0])
+		return buf
+	}
 }
 
 // Len returns the current number of entries in L(v).

@@ -155,9 +155,10 @@ func (m *mapping) close() error {
 	return nil
 }
 
-// pidmBlock is the size of the buffer WriteMmap encodes sections
-// through: large enough that the per-block checksum and write calls
-// vanish beside the encoding, small enough to stay in L2.
+// pidmBlock is the size of the buffer each of finalize's section
+// streams writes through: large enough that the per-block checksum and
+// write calls vanish beside the dealing, small enough that the nine stay
+// in L2.
 const pidmBlock = 64 << 10
 
 // word is what a section is an array of.
@@ -165,97 +166,21 @@ type word interface {
 	~uint8 | ~uint16 | ~int32 | ~uint32 | ~int64 | ~uint64
 }
 
-// writeLE writes vals to w as little-endian words of their own width,
-// one block at a time.
-func writeLE[T word](w io.Writer, block []byte, vals []T) error {
-	size := int(unsafe.Sizeof(T(0)))
-	for len(vals) > 0 {
-		k := min(len(vals), len(block)/size)
-		for i, v := range vals[:k] {
-			switch size {
-			case 8:
-				binary.LittleEndian.PutUint64(block[8*i:], uint64(v))
-			case 4:
-				binary.LittleEndian.PutUint32(block[4*i:], uint32(v))
-			case 2:
-				binary.LittleEndian.PutUint16(block[2*i:], uint16(v))
-			default:
-				block[i] = byte(v)
-			}
-		}
-		if _, err := w.Write(block[:size*k]); err != nil {
-			return err
-		}
-		vals = vals[k:]
-	}
-	return nil
-}
-
-// WriteMmap serializes the index in the mmap-native PIDM format. Two
-// passes over the sections, both through one reused block: one into the
-// checksums (the header precedes the sections in the file), one into w.
+// WriteMmap writes the index's PIDM image to w in one write: the bytes
+// finalize dealt, from the heap for a built index and from the mapping
+// for an opened one.
 func (x *Index) WriteMmap(w io.Writer) error {
-	switch x.w {
-	case 1:
-		return writePIDM(x, &x.a8, w)
-	case 2:
-		return writePIDM(x, &x.a16, w)
-	}
-	return writePIDM(x, &x.a32, w)
+	_, err := w.Write(x.img)
+	runtime.KeepAlive(x) // img may alias a finalizer-managed mapping
+	return err
 }
 
-func writePIDM[D distance](x *Index, a *arrays[D], w io.Writer) error {
-	defer runtime.KeepAlive(x) // the arrays may alias a finalizer-managed mapping
-	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
-	tail := int64(len(x.hubs))
-	lo, size, _ := mmapLayout(n, k, k2, x.mids, tail, x.w)
-
-	block := make([]byte, pidmBlock)
-	section := [numSections]func(w io.Writer) error{
-		secOff:      func(w io.Writer) error { return writeLE(w, block, x.off) },
-		secMidOff:   func(w io.Writer) error { return writeLE(w, block, x.midOff) },
-		secHeadHubs: func(w io.Writer) error { return writeLE(w, block, x.headHubs) },
-		secMidHubs:  func(w io.Writer) error { return writeLE(w, block, x.midHubs) },
-		secHead:     func(w io.Writer) error { return writeLE(w, block, a.head) },
-		secMidBits:  func(w io.Writer) error { return writeLE(w, block, x.midBits) },
-		secMidDists: func(w io.Writer) error { return writeLE(w, block, a.midDists) },
-		secHubs:     func(w io.Writer) error { return writeLE(w, block, x.hubs) },
-		secDists:    func(w io.Writer) error { return writeLE(w, block, a.dists) },
-	}
-
-	var hdr [mmapHeader]byte
-	copy(hdr[0:4], mmapMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
-	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), x.mids, int64(x.w)} {
-		binary.LittleEndian.PutUint64(hdr[hdrCounts+8*i:], uint64(c))
-	}
-	for i := 0; i < numSections; i++ {
-		crc := crc32.NewIEEE()
-		_ = section[i](crc) // a hash.Hash's Write never fails
-		binary.LittleEndian.PutUint64(hdr[hdrOffsets+8*i:], lo[i])
-		binary.LittleEndian.PutUint32(hdr[hdrCRCs+4*i:], crc.Sum32())
-	}
-	binary.LittleEndian.PutUint32(hdr[mmapHeader-4:], crc32.ChecksumIEEE(hdr[:mmapHeader-4]))
-
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	end := uint64(mmapHeader)
-	for i := 0; i < numSections; i++ {
-		var zero [mmapAlign]byte
-		if _, err := w.Write(zero[:lo[i]-end]); err != nil {
-			return err
-		}
-		if err := section[i](w); err != nil {
-			return err
-		}
-		end = lo[i] + size[i]
-	}
-	return nil
-}
-
-// pidmHeader is the parsed, validated PIDM header.
-type pidmHeader struct {
+// Header is a PIDM header, parsed or about to be written: what the file
+// says of its index — the counts behind NumEntries, AvgLabelSize, Head,
+// Mid and DistBytes — and where its sections are. Every Index carries
+// the header of its image; WriteLabels returns the one it wrote, so a
+// caller that streamed an index to a file can report it in O(1).
+type Header struct {
 	n, k, k2 int
 	width    int   // bytes a stored distance
 	total    int64 // label entries, head slots and mid bits included
@@ -265,11 +190,27 @@ type pidmHeader struct {
 	crc      [numSections]uint32
 }
 
+// encode lays the header out as parsePIDM reads it, its checksum last.
+func (h *Header) encode() []byte {
+	hdr := make([]byte, mmapHeader)
+	copy(hdr[0:4], mmapMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
+	for i, c := range []int64{int64(h.n), h.total, h.tail, int64(h.k), int64(h.k2), h.mid, int64(h.width)} {
+		binary.LittleEndian.PutUint64(hdr[hdrCounts+8*i:], uint64(c))
+	}
+	for i := range h.lo {
+		binary.LittleEndian.PutUint64(hdr[hdrOffsets+8*i:], h.lo[i])
+		binary.LittleEndian.PutUint32(hdr[hdrCRCs+4*i:], h.crc[i])
+	}
+	binary.LittleEndian.PutUint32(hdr[mmapHeader-4:], crc32.ChecksumIEEE(hdr[:mmapHeader-4]))
+	return hdr
+}
+
 // parsePIDM validates the container: magic, version, header checksum,
 // overflow-safe counts, distance width, section alignment and exact file
 // extent. It does not touch the section payloads.
-func parsePIDM(data []byte) (pidmHeader, error) {
-	var h pidmHeader
+func parsePIDM(data []byte) (Header, error) {
+	var h Header
 	if what := retired(data); what != "" {
 		return h, fmt.Errorf("label: %s, a format this build no longer reads: rebuild it with parapll-index", what)
 	}
@@ -350,7 +291,7 @@ func retired(data []byte) string {
 // checksumPIDM re-checksums the sections against the header — the
 // O(bytes) integrity check Open skips and Verify and readPIDMStream
 // perform.
-func checksumPIDM(data []byte, h pidmHeader) error {
+func checksumPIDM(data []byte, h Header) error {
 	for i, want := range h.crc {
 		if got := crc32.ChecksumIEEE(data[h.lo[i] : h.lo[i]+h.size[i]]); got != want {
 			return fmt.Errorf("label: pidm: %s section checksum mismatch: file %08x, computed %08x", sectionNames[i], want, got)
@@ -362,7 +303,7 @@ func checksumPIDM(data []byte, h pidmHeader) error {
 // sectionOf returns section i of the validated container as count
 // words: aliased in place when alias is set, decoded into fresh memory
 // otherwise.
-func sectionOf[T word](data []byte, h pidmHeader, i int, alias bool) []T {
+func sectionOf[T word](data []byte, h Header, i int, alias bool) []T {
 	size := uint64(unsafe.Sizeof(T(0)))
 	count := h.size[i] / size
 	if count == 0 {
@@ -383,7 +324,7 @@ func sectionOf[T word](data []byte, h pidmHeader, i int, alias bool) []T {
 }
 
 // arraysOf returns the three sections of distances at the width D.
-func arraysOf[D distance](data []byte, h pidmHeader, alias bool) arrays[D] {
+func arraysOf[D distance](data []byte, h Header, alias bool) arrays[D] {
 	return arrays[D]{
 		head:     sectionOf[D](data, h, secHead, alias),
 		midDists: sectionOf[D](data, h, secMidDists, alias),
@@ -391,7 +332,8 @@ func arraysOf[D distance](data []byte, h pidmHeader, alias bool) arrays[D] {
 	}
 }
 
-// slicePIDM builds an Index over the validated container. On
+// slicePIDM builds an Index over the validated container — a mapped
+// file, a stream read into memory or finalize's own heap image. On
 // little-endian hosts with a sufficiently aligned base it aliases the
 // sections in place (zero-copy); otherwise it decodes into fresh
 // slices. Either way the offset invariants of the tail and of the
@@ -399,7 +341,7 @@ func arraysOf[D distance](data []byte, h pidmHeader, alias bool) arrays[D] {
 // column ids of both tiers (O(K + K2)) are checked, so neither corrupt
 // offsets nor a corrupt column id can panic queries later or send one
 // outside its section.
-func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
+func slicePIDM(data []byte, h Header) (*Index, error) {
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
 	x := &Index{
 		off:      sectionOf[int64](data, h, secOff, alias),
@@ -408,11 +350,10 @@ func slicePIDM(data []byte, h pidmHeader) (*Index, error) {
 		midBits:  sectionOf[uint64](data, h, secMidBits, alias),
 		midOff:   sectionOf[int64](data, h, secMidOff, alias),
 		hubs:     sectionOf[graph.Vertex](data, h, secHubs, alias),
-		w:        h.width,
-		total:    h.total,
-		mids:     h.mid,
+		Header:   h,
+		img:      data,
 	}
-	switch x.w {
+	switch x.width {
 	case 1:
 		x.a8 = arraysOf[uint8](data, h, alias)
 	case 2:
@@ -574,7 +515,7 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 // names no vertex, and a distance above maxDist — 2·d would reach the
 // width's all-ones value, or in a tail or mid run is it.
 func (x *Index) checkEntries(strict bool) error {
-	switch x.w {
+	switch x.width {
 	case 1:
 		return checkEntries(x, &x.a8, strict)
 	case 2:
@@ -605,7 +546,7 @@ func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
 			return fmt.Errorf("label: pidm: entry %d: distance overflow", i)
 		}
 	}
-	held := int64(len(x.hubs)) + x.mids
+	held := int64(len(x.hubs)) + x.mid
 	if k2 := len(x.midHubs); k2 > 0 {
 		w := midWords(k2)
 		var spare uint64 // the bits of a row's last word that are no column

@@ -630,7 +630,7 @@ func BenchmarkOpenMmap(b *testing.B) {
 // encoder in WriteMmap must match byte for byte.
 func handBuiltPIDM(x *Index) []byte {
 	var head, mids, dists []uint32
-	switch x.w {
+	switch x.width {
 	case 1:
 		head, mids, dists = distWords(&x.a8)
 	case 2:
@@ -638,7 +638,7 @@ func handBuiltPIDM(x *Index) []byte {
 	default:
 		head, mids, dists = distWords(&x.a32)
 	}
-	n, k, k2, width := x.NumVertices(), len(x.headHubs), len(x.midHubs), x.w
+	n, k, k2, width := x.NumVertices(), len(x.headHubs), len(x.midHubs), x.width
 	mid, tail := int64(len(mids)), int64(len(x.hubs))
 	counts := []int64{int64(n), x.NumEntries(), tail, int64(k), int64(k2), mid, int64(width)}
 	lo, size, fileSize := mmapLayout(n, k, k2, mid, tail, width)

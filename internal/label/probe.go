@@ -250,7 +250,7 @@ func (p *Probe) coversAtInf(v graph.Vertex, rest []Entry) bool {
 // scatter is Set's read of L(v) from x: every entry into p.tmp, then the
 // hub's distances at x's head columns, run entries included, into p.row.
 func (x *Index) scatter(p *Probe, v graph.Vertex) {
-	switch x.w {
+	switch x.width {
 	case 1:
 		scatter(p, x, &x.a8, v)
 	case 2:
@@ -287,7 +287,7 @@ func scatter[D distance](p *Probe, x *Index, a *arrays[D], v graph.Vertex) {
 // covers is the index form's share of Covers: v's head row, bitmap row
 // and tail in x, read in place against the hub's side.
 func (x *Index) covers(p *Probe, v graph.Vertex, d graph.Dist) bool {
-	switch x.w {
+	switch x.width {
 	case 1:
 		return covers(p, x, &x.a8, v, d)
 	case 2:

@@ -62,6 +62,12 @@ type Options struct {
 
 // Build indexes g serially and returns the finalized 2-hop index.
 func Build(g *graph.Graph, opt Options) *label.Index {
+	return label.NewIndexFromLists(Labels(g, opt))
+}
+
+// Labels indexes g serially and returns the label lists Build finalizes,
+// one a vertex, each in the order its hubs were added.
+func Labels(g *graph.Graph, opt Options) [][]label.Entry {
 	n := g.NumVertices()
 	ord := opt.Order
 	if ord == nil {
@@ -85,7 +91,7 @@ func Build(g *graph.Graph, opt Options) *label.Index {
 			opt.Trace.WorkPerRoot[k] = ps.LastWork()
 		}
 	}
-	return label.NewIndexFromLists(labels)
+	return labels
 }
 
 // Seed says where one pruned search starts: the frontier opens at Start

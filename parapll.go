@@ -187,24 +187,52 @@ type BuildStats = core.BuildStats
 
 // BuildWithStats is Build plus its accounting.
 func BuildWithStats(g *Graph, opt Options) (*Index, *BuildStats) {
+	return core.BuildWithStats(g, coreOptions(g, opt))
+}
+
+func coreOptions(g *Graph, opt Options) core.Options {
 	eng, err := core.EngineByName(opt.Engine, opt.BatchSize)
 	if err != nil {
 		panic("parapll: " + err.Error())
 	}
-	return core.BuildWithStats(g, core.Options{
+	return core.Options{
 		Threads:  opt.Threads,
 		Policy:   opt.Policy,
 		Order:    computeOrder(g, opt.Order, opt.Seed),
 		Progress: opt.Progress,
 		Tracer:   opt.Tracer,
 		Engine:   eng,
-	})
+	}
+}
+
+// IndexHeader is what a PIDM file's header says of its index — vertex
+// and entry counts, LN, head and mid columns and distance width, through
+// the methods of the same names on Index — read without the sections.
+type IndexHeader = label.Header
+
+// BuildFile is BuildWithStats that streams the index into a PIDM file at
+// path, atomically and durably, instead of returning it: the label store
+// finalizes straight into the file, so it and a heap copy of the index
+// are never live together. The file holds the bytes SaveIndex would
+// write of Build's index; BuildFile returns its header.
+func BuildFile(path string, g *Graph, opt Options) (IndexHeader, *BuildStats, error) {
+	store := label.NewStore(g.NumVertices())
+	stats := core.BuildInto(g, store, coreOptions(g, opt))
+	h, err := fileio.SaveLabels(path, store.NumVertices(), store.List())
+	return h, stats, err
 }
 
 // BuildSerial constructs the index with the serial weighted PLL — the
 // baseline ParaPLL's speedups are measured against.
 func BuildSerial(g *Graph, opt Options) *Index {
 	return pll.Build(g, pll.Options{Order: computeOrder(g, opt.Order, opt.Seed)})
+}
+
+// BuildSerialFile is BuildSerial streamed into a PIDM file at path, as
+// BuildFile streams Build.
+func BuildSerialFile(path string, g *Graph, opt Options) (IndexHeader, error) {
+	lists := pll.Labels(g, pll.Options{Order: computeOrder(g, opt.Order, opt.Seed)})
+	return fileio.SaveLabels(path, len(lists), func(v int) []label.Entry { return lists[v] })
 }
 
 // KNNIndex answers k-nearest-neighbor queries ("the k closest vertices

@@ -106,6 +106,56 @@ func TestGraphAndIndexPersistence(t *testing.T) {
 	}
 }
 
+// TestBuildFileMatchesSaveIndex: BuildFile and BuildSerialFile, which
+// stream the labels into the file, write the bytes SaveIndex writes of
+// Build's and BuildSerial's index (one thread, so the builds are
+// deterministic), and return the header those indexes report.
+func TestBuildFileMatchesSaveIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	var edges []parapll.Edge
+	for i := 0; i < 600; i++ {
+		edges = append(edges, parapll.Edge{U: parapll.Vertex(r.Intn(200)), V: parapll.Vertex(r.Intn(200)), W: parapll.Dist(1 + r.Intn(9))})
+	}
+	g := parapll.NewGraph(200, edges)
+	opt := parapll.Options{Threads: 1}
+	dir := t.TempDir()
+	for name, c := range map[string]struct {
+		idx    *parapll.Index
+		stream func(path string) (parapll.IndexHeader, error)
+	}{
+		"BuildFile": {parapll.Build(g, opt), func(path string) (parapll.IndexHeader, error) {
+			h, _, err := parapll.BuildFile(path, g, opt)
+			return h, err
+		}},
+		"BuildSerialFile": {parapll.BuildSerial(g, opt), func(path string) (parapll.IndexHeader, error) {
+			return parapll.BuildSerialFile(path, g, opt)
+		}},
+	} {
+		saved, streamed := filepath.Join(dir, name+".saved"), filepath.Join(dir, name+".streamed")
+		if err := parapll.SaveIndex(saved, c.idx); err != nil {
+			t.Fatal(err)
+		}
+		h, err := c.stream(streamed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, errA := os.ReadFile(saved)
+		b, errB := os.ReadFile(streamed)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if string(a) != string(b) {
+			t.Errorf("%s wrote %d bytes unlike SaveIndex's %d", name, len(b), len(a))
+		}
+		hk, _ := h.Head()
+		xk, _ := c.idx.Head()
+		if h.NumEntries() != c.idx.NumEntries() || h.AvgLabelSize() != c.idx.AvgLabelSize() || hk != xk {
+			t.Errorf("%s header reports %d entries, LN %.2f, K %d; the index %d, %.2f, %d", name,
+				h.NumEntries(), h.AvgLabelSize(), hk, c.idx.NumEntries(), c.idx.AvgLabelSize(), xk)
+		}
+	}
+}
+
 // TestPath holds Path to Dijkstra on every pair of three random graphs,
 // each indexed at 1 and 2 threads. Weights 1-3 make equal-length paths
 // common, the third graph's 0-3 put zero-weight edges on them, and every

@@ -11,8 +11,9 @@
 # and parapll-node depends on net or runtime/cgo), every in-package benchmark under
 # internal/ run once (-benchtime 1x), a fuzz smoke on the five
 # wire and file decoders, on the degree sequence every build
-# defaults to (FuzzDegreeOrder) and on the build-time head's prune
-# test (FuzzHeadCovers), the crash-recovery and flight-recorder e2e tests by
+# defaults to (FuzzDegreeOrder), on the build-time head's prune
+# test (FuzzHeadCovers) and on the streamed index writer against the
+# heap image and the reference encoder (FuzzStreamedPIDM), the crash-recovery and flight-recorder e2e tests by
 # name, a cross-compile sweep, a trace smoke through parapll-index /
 # parapll-trace, and the repository benchmark's smoke (benchmark/run.sh
 # -smoke). FUZZTIME (per fuzz target, default 5s) is the only
@@ -140,6 +141,7 @@ go test -fuzz=FuzzBatchDecode -fuzztime="$FUZZTIME" -run '^$' ./internal/server/
 go test -fuzz=FuzzReadBinary -fuzztime="$FUZZTIME" -run '^$' ./internal/graph/
 go test -fuzz=FuzzDegreeOrder -fuzztime="$FUZZTIME" -run '^$' ./internal/graph/
 go test -fuzz=FuzzHeadCovers -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
+go test -fuzz=FuzzStreamedPIDM -fuzztime="$FUZZTIME" -run '^$' ./internal/label/
 
 # Crash-recovery smoke: the living-graph durability contract end to
 # end through the real binary — serve with -wal, acknowledge updates,
