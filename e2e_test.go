@@ -266,7 +266,7 @@ func TestCrashRecoveryE2E(t *testing.T) {
 	// A deterministic base graph, written the way parapll-gen would.
 	base := gen.ChungLu(120, 320, 2.2, 77)
 	graphPath := filepath.Join(dir, "graph.bin")
-	if err := fileio.SaveGraph(graphPath, base); err != nil {
+	if err := fileio.SaveGraph(fileio.OS, graphPath, base); err != nil {
 		t.Fatal(err)
 	}
 	walDir := filepath.Join(dir, "wal")
@@ -464,7 +464,7 @@ func TestFlightBreachE2E(t *testing.T) {
 
 	base := gen.ChungLu(120, 320, 2.2, 77)
 	graphPath := filepath.Join(dir, "graph.bin")
-	if err := fileio.SaveGraph(graphPath, base); err != nil {
+	if err := fileio.SaveGraph(fileio.OS, graphPath, base); err != nil {
 		t.Fatal(err)
 	}
 

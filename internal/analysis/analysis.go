@@ -1,6 +1,6 @@
 // Package analysis is the repo's custom static-analysis suite: a small,
 // dependency-free framework in the mold of golang.org/x/tools/go/analysis
-// (which this module deliberately does not depend on) plus the five
+// (which this module deliberately does not depend on) plus the four
 // analyzers that turn the repo's convention-documented invariants into
 // machine-checked ones.
 //
@@ -16,14 +16,12 @@
 //     graph.Inf before being stored into a label structure (the hostile
 //     wire-frame class).
 //
-// Two are interprocedural, built on the call-graph/summary layer in
+// One is interprocedural, built on the call-graph/summary layer in
 // interproc.go:
 //
 //   - snapgen: atomic.Pointer snapshots load once per scope (even
 //     through helpers), and cache generation arguments are live and
 //     match the snapshot published in the same scope.
-//   - durability: WAL/checkpoint paths check Sync/Close/WriteAtomic
-//     errors and never apply in-memory state before the durable write.
 //
 // cmd/parapll-vet is the multichecker driver; analysistest provides
 // golden-file testing for individual analyzers.
@@ -113,13 +111,10 @@ func (f Finding) String() string {
 }
 
 // All returns the full analyzer suite in a stable order: the three
-// AST-local analyzers, then the ones built on the call-graph/summary
+// AST-local analyzers, then the one built on the call-graph/summary
 // layer (interproc.go).
 func All() []*Analyzer {
-	return []*Analyzer{
-		MmapKeepAlive, AtomicField, InfGuard,
-		SnapGen, Durability,
-	}
+	return []*Analyzer{MmapKeepAlive, AtomicField, InfGuard, SnapGen}
 }
 
 // ignoreDirective is the comment prefix that suppresses a finding on its

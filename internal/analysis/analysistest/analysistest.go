@@ -39,7 +39,7 @@ type expectation struct {
 // Run loads dir as a single package named by pkgPath, applies the
 // analyzer, and compares findings against the package's want comments.
 // pkgPath matters: RunAnalyzers skips a package outside a gated
-// analyzer's Packages (snapgen, durability).
+// analyzer's Packages (snapgen).
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
 	pkg, err := analysis.LoadDir(dir, pkgPath)

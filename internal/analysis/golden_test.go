@@ -24,10 +24,6 @@ func TestSnapGen(t *testing.T) {
 	analysistest.Run(t, "testdata/snapgen", analysis.SnapGen, "test/internal/server/snaptest")
 }
 
-func TestDurability(t *testing.T) {
-	analysistest.Run(t, "testdata/durability", analysis.Durability, "test/internal/wal/durtest")
-}
-
 // TestAnalyzerGates loads each analyzer's own corpus under a path outside
 // every gate. A gated analyzer must skip the package and stay silent
 // although its corpus is full of findings; an ungated one must still

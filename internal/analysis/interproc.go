@@ -1,5 +1,5 @@
-// interproc.go is the interprocedural layer under the snapgen and
-// durability analyzers: a lightweight call graph
+// interproc.go is the interprocedural layer under the snapgen
+// analyzer: a lightweight call graph
 // over every function declaration and function literal in the loaded
 // packages, plus a per-function fact summary propagated bottom-up to a
 // fixed point. It is computed once per RunAnalyzers call (one AST walk
@@ -9,8 +9,8 @@
 // Edges distinguish how control reaches the callee:
 //
 //   - EdgeCall: a plain or deferred call — the callee runs on the
-//     caller's goroutine, so its facts (fsyncs, in-memory applies,
-//     snapshot loads) flow into the caller's summary.
+//     caller's goroutine, so its facts (snapshot loads) flow into the
+//     caller's summary.
 //   - EdgeGo: a `go` statement — the callee runs on a new goroutine;
 //     its facts do NOT flow into the spawner.
 //   - EdgeRef: a function or method value that escapes without being
@@ -76,28 +76,9 @@ type CallEdge struct {
 // Program.resolve it includes everything reachable through EdgeCall
 // edges; EdgeGo and EdgeRef edges contribute nothing.
 type FuncFacts struct {
-	// Syncs reports whether a durable write barrier — (*os.File).Sync,
-	// directly or transitively (e.g. through fileio.WriteAtomic) — is
-	// reached on this goroutine.
-	Syncs bool
-	// Applies reports whether a non-durable in-memory index mutation (a
-	// call to a method named InsertEdge that does not itself sync) is
-	// reached on this goroutine. Calls to functions that both apply and
-	// sync are treated as durable, not as applies: they established the
-	// log-before-apply order internally.
-	Applies bool
 	// LoadsPtr maps atomic.Pointer fields (or package vars) whose Load
 	// is reached on this goroutine to the first position reaching it.
 	LoadsPtr map[types.Object]token.Pos
-}
-
-// applySite is one direct call to a method named InsertEdge, kept so
-// the Applies fact can be decided after Syncs has converged.
-type applySite struct {
-	pos token.Pos
-	// callees are the resolved implementations (one for a concrete
-	// call, several through an interface, empty if unresolvable).
-	callees []*FuncInfo
 }
 
 // ptrLoad is one direct atomic.Pointer Load site.
@@ -125,8 +106,7 @@ type FuncInfo struct {
 	// Facts is the summary; transitive after Program resolution.
 	Facts FuncFacts
 
-	applySites []applySite
-	loads      []ptrLoad
+	loads []ptrLoad
 }
 
 // Program is the interprocedural view of one RunAnalyzers invocation.
@@ -139,23 +119,6 @@ type Program struct {
 	byNode map[ast.Node]*FuncInfo
 	named  []*types.Named
 	impls  map[*types.Func][]*FuncInfo
-	cache  map[string]interface{}
-}
-
-// FuncOf returns the FuncInfo for a declared function, or nil for
-// literals, bodyless and out-of-module functions.
-func (p *Program) FuncOf(fn *types.Func) *FuncInfo { return p.byObj[fn] }
-
-// Cached memoizes a program-wide computation under key, so an analyzer
-// that builds whole-program state (durability's fsyncing types) computes
-// it once for all its passes.
-func (p *Program) Cached(key string, compute func() interface{}) interface{} {
-	if v, ok := p.cache[key]; ok {
-		return v
-	}
-	v := compute()
-	p.cache[key] = v
-	return v
 }
 
 // Implementations resolves an interface method to the declared methods
@@ -209,7 +172,6 @@ func BuildProgram(pkgs []*Package) *Program {
 		byObj:  make(map[*types.Func]*FuncInfo),
 		byNode: make(map[ast.Node]*FuncInfo),
 		impls:  make(map[*types.Func][]*FuncInfo),
-		cache:  make(map[string]interface{}),
 	}
 
 	// Pass 1: index every function declaration, every function literal,
@@ -366,36 +328,27 @@ func (w *ipWalker) call(call *ast.CallExpr) {
 	for _, t := range targets {
 		w.addEdge(t, kind, call.Pos(), iface)
 	}
-	if !isGo && fn != nil && fn.Name() == "InsertEdge" {
-		w.info.applySites = append(w.info.applySites, applySite{pos: call.Pos(), callees: targets})
-	}
 }
 
-// callFacts records the direct (non-edge) facts of one synchronous call:
-// an atomic.Pointer Load on a persistent target, and the durable write
-// barrier (*os.File).Sync.
+// callFacts records the direct (non-edge) fact of one synchronous call:
+// an atomic.Pointer Load on a persistent target.
 func (w *ipWalker) callFacts(call *ast.CallExpr, fn *types.Func) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || fn == nil || fn.Pkg() == nil {
+	if !ok || fn == nil || fn.Pkg() == nil || fn.Name() != "Load" || fn.Pkg().Path() != "sync/atomic" {
 		return
 	}
-	switch {
-	case fn.Name() == "Load" && fn.Pkg().Path() == "sync/atomic":
-		named := receiverNamed(fn)
-		if named == nil || named.Obj().Name() != "Pointer" {
-			return
+	named := receiverNamed(fn)
+	if named == nil || named.Obj().Name() != "Pointer" {
+		return
+	}
+	if obj := persistentTarget(w.pkg.Info, sel.X); obj != nil {
+		if w.info.Facts.LoadsPtr == nil {
+			w.info.Facts.LoadsPtr = make(map[types.Object]token.Pos)
 		}
-		if obj := persistentTarget(w.pkg.Info, sel.X); obj != nil {
-			if w.info.Facts.LoadsPtr == nil {
-				w.info.Facts.LoadsPtr = make(map[types.Object]token.Pos)
-			}
-			if _, seen := w.info.Facts.LoadsPtr[obj]; !seen {
-				w.info.Facts.LoadsPtr[obj] = call.Pos()
-			}
-			w.info.loads = append(w.info.loads, ptrLoad{obj: obj, pos: call.Pos()})
+		if _, seen := w.info.Facts.LoadsPtr[obj]; !seen {
+			w.info.Facts.LoadsPtr[obj] = call.Pos()
 		}
-	case fn.Name() == "Sync" && fn.Pkg().Path() == "os":
-		w.info.Facts.Syncs = true
+		w.info.loads = append(w.info.loads, ptrLoad{obj: obj, pos: call.Pos()})
 	}
 }
 
@@ -475,10 +428,8 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return ok
 }
 
-// resolve propagates facts bottom-up to a fixed point. Phase A handles
-// the monotone facts (syncs, loads);
-// phase B decides Applies, which needs the final Syncs values (a call
-// that both applies and syncs is durable, not an apply).
+// resolve propagates the snapshot loads bottom-up, along EdgeCall
+// edges, to a fixed point.
 func (p *Program) resolve() {
 	for changed := true; changed; {
 		changed = false
@@ -487,12 +438,7 @@ func (p *Program) resolve() {
 				if e.Kind != EdgeCall {
 					continue
 				}
-				cf := &e.Callee.Facts
-				if cf.Syncs && !fn.Facts.Syncs {
-					fn.Facts.Syncs = true
-					changed = true
-				}
-				for obj := range cf.LoadsPtr {
+				for obj := range e.Callee.Facts.LoadsPtr {
 					if _, ok := fn.Facts.LoadsPtr[obj]; !ok {
 						if fn.Facts.LoadsPtr == nil {
 							fn.Facts.LoadsPtr = make(map[types.Object]token.Pos)
@@ -504,71 +450,18 @@ func (p *Program) resolve() {
 			}
 		}
 	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, fn := range p.Funcs {
-			if fn.Facts.Applies {
-				continue
-			}
-			apply := false
-			for _, s := range fn.applySites {
-				if !siteDurable(s) {
-					apply = true
-					break
-				}
-			}
-			if !apply {
-				for _, e := range fn.Edges {
-					if e.Kind == EdgeCall && e.Callee.Facts.Applies && !e.Callee.Facts.Syncs {
-						apply = true
-						break
-					}
-				}
-			}
-			if apply {
-				fn.Facts.Applies = true
-				changed = true
-			}
-		}
-	}
-}
-
-// siteDurable reports whether every resolved callee of an InsertEdge
-// site syncs internally (a durable apply). Unresolved sites are
-// conservatively non-durable.
-func siteDurable(s applySite) bool {
-	if len(s.callees) == 0 {
-		return false
-	}
-	for _, c := range s.callees {
-		if !c.Facts.Syncs {
-			return false
-		}
-	}
-	return true
 }
 
 // SummaryString renders one function's summary in a stable, position-
 // annotated form, used by the summary-stability golden test.
 func (f *FuncInfo) SummaryString(fset *token.FileSet) string {
-	var parts []string
-	if f.Facts.Syncs {
-		parts = append(parts, "syncs")
+	if len(f.Facts.LoadsPtr) == 0 {
+		return f.Name + ": -"
 	}
-	if f.Facts.Applies {
-		parts = append(parts, "applies")
+	var names []string
+	for obj := range f.Facts.LoadsPtr {
+		names = append(names, obj.Name())
 	}
-	if len(f.Facts.LoadsPtr) > 0 {
-		var names []string
-		for obj := range f.Facts.LoadsPtr {
-			names = append(names, obj.Name())
-		}
-		sort.Strings(names)
-		parts = append(parts, "loads["+strings.Join(names, ",")+"]")
-	}
-	if len(parts) == 0 {
-		parts = append(parts, "-")
-	}
-	return f.Name + ": " + strings.Join(parts, ",")
+	sort.Strings(names)
+	return f.Name + ": loads[" + strings.Join(names, ",") + "]"
 }

@@ -98,15 +98,15 @@ func TestInterprocMethodValueRef(t *testing.T) {
 
 // TestInterprocLocalWaitGroup: the literal fanOut spawns under its
 // local WaitGroup is its own node, reached by exactly one go edge, and
-// its fsync stays in its own summary: a go edge does not propagate.
+// its load stays in its own summary: a go edge does not propagate.
 func TestInterprocLocalWaitGroup(t *testing.T) {
 	_, prog := loadInterproc(t)
 	fanOut := findFunc(t, prog, "fanOut")
-	if fanOut.Facts.Syncs {
-		t.Error("fanOut syncs only on the goroutines it spawns; the go edge propagated Syncs")
+	if len(fanOut.Facts.LoadsPtr) != 0 {
+		t.Error("fanOut loads only on the goroutines it spawns; the go edge propagated the load")
 	}
-	if !findFunc(t, prog, "fanOut·func1").Facts.Syncs {
-		t.Error("the spawned literal calls barrier; Syncs not set")
+	if got := loadNames(findFunc(t, prog, "fanOut·func1")); len(got) != 1 || got[0] != "snap" {
+		t.Errorf("the spawned literal calls current; it loads %v, want [snap]", got)
 	}
 	var spawned []string
 	for _, e := range fanOut.Edges {
@@ -119,15 +119,14 @@ func TestInterprocLocalWaitGroup(t *testing.T) {
 	}
 }
 
-// TestInterprocSyncsTransitive: save reaches the fsync only through
-// barrier.
-func TestInterprocSyncsTransitive(t *testing.T) {
+// TestInterprocLoadsTransitive: peek reaches the snapshot load only
+// through current.
+func TestInterprocLoadsTransitive(t *testing.T) {
 	_, prog := loadInterproc(t)
-	if !findFunc(t, prog, "barrier").Facts.Syncs {
-		t.Error("barrier calls (*os.File).Sync directly; Syncs not set")
-	}
-	if !findFunc(t, prog, "save").Facts.Syncs {
-		t.Error("save reaches Sync through barrier; Syncs not propagated")
+	for _, name := range []string{"current", "peek"} {
+		if got := loadNames(findFunc(t, prog, name)); len(got) != 1 || got[0] != "snap" {
+			t.Errorf("%s loads %v, want [snap] (current directly, peek through it)", name, got)
+		}
 	}
 }
 
@@ -153,9 +152,9 @@ func TestSummaryStability(t *testing.T) {
 	for _, want := range []string{
 		"even: loads[snap]",
 		"drive: loads[cur]",
-		"save: syncs",
+		"peek: loads[snap]",
 		"fanOut: -",
-		"fanOut·func1: syncs",
+		"fanOut·func1: loads[snap]",
 	} {
 		if !strings.Contains(first, want+"\n") {
 			t.Errorf("summary golden missing %q in:\n%s", want, first)
@@ -164,9 +163,9 @@ func TestSummaryStability(t *testing.T) {
 }
 
 // TestInterprocRepoSeams loads the real module and asserts the two
-// seams the analyzers depend on: the compaction pipeline's Update syncs
-// before it applies (a durable call, not an apply), and core.Engine
-// dispatch resolves to the concrete engines.
+// seams the analyzers depend on: the compaction pipeline's Query loads
+// the live index, and core.Engine dispatch resolves to the concrete
+// engines.
 func TestInterprocRepoSeams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis skipped in -short")
@@ -177,20 +176,17 @@ func TestInterprocRepoSeams(t *testing.T) {
 	}
 	prog := analysis.BuildProgram(pkgs)
 
-	var update *analysis.FuncInfo
+	var query *analysis.FuncInfo
 	for _, f := range prog.Funcs {
-		if f.Name == "(*Pipeline).Update" && strings.HasSuffix(f.Pkg.Path, "internal/compact") {
-			update = f
+		if f.Name == "(*Pipeline).Query" && strings.HasSuffix(f.Pkg.Path, "internal/compact") {
+			query = f
 		}
 	}
-	if update == nil {
-		t.Fatal("(*Pipeline).Update not found in internal/compact")
+	if query == nil {
+		t.Fatal("(*Pipeline).Query not found in internal/compact")
 	}
-	if !update.Facts.Syncs {
-		t.Error("Update appends to the WAL, which fsyncs; Syncs not set")
-	}
-	if update.Facts.Applies {
-		t.Error("Update's insert is logged first; its summary must not call it a non-durable apply")
+	if got := loadNames(query); len(got) != 1 || got[0] != "live" {
+		t.Errorf("Query loads %v, want [live]", got)
 	}
 
 	var core *analysis.Package

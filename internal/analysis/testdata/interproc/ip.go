@@ -1,11 +1,10 @@
 // Package iptest is the call-graph layer's unit-test corpus: mutual
 // recursion, interface dispatch, method values, a go edge under a local
-// WaitGroup and transitive fsync — each shape one test in
+// WaitGroup and a load reached through a helper — each shape one test in
 // interproc_test.go pins.
 package iptest
 
 import (
-	"os"
 	"sync"
 	"sync/atomic"
 )
@@ -60,25 +59,25 @@ func pick(s *slow) func(int) {
 	return s.Run
 }
 
-// fanOut drains a function-local WaitGroup over goroutines that sync:
-// the literal syncs, fanOut does not.
-func fanOut(f *os.File) {
+// fanOut drains a function-local WaitGroup over goroutines that load:
+// the literal loads, fanOut does not.
+func fanOut(b *box) {
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			barrier(f)
+			current(b)
 		}()
 	}
 	wg.Wait()
 }
 
-// barrier syncs directly; save only through barrier.
-func barrier(f *os.File) error {
-	return f.Sync()
+// current loads directly; peek only through current.
+func current(b *box) *int {
+	return b.snap.Load()
 }
 
-func save(f *os.File) error {
-	return barrier(f)
+func peek(b *box) bool {
+	return current(b) != nil
 }

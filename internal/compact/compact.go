@@ -117,6 +117,9 @@ type Options struct {
 	OnFsync func(elapsed time.Duration)
 	// Logf, when non-nil, receives progress lines and failures.
 	Logf func(format string, args ...any)
+	// FS is the filesystem every write to Dir goes through: the WAL and
+	// the checkpoint saves. Nil means fileio.OS; tests inject faults here.
+	FS fileio.FS
 }
 
 // Report describes one completed compaction.
@@ -211,6 +214,9 @@ func Open(opt Options) (*Pipeline, error) {
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
+	if opt.FS == nil {
+		opt.FS = fileio.OS
+	}
 
 	// Checkpoint graph: the folded one on disk supersedes the boot graph
 	// (it is the boot graph plus every previously compacted insert).
@@ -233,17 +239,17 @@ func Open(opt Options) (*Pipeline, error) {
 	// serving layer can always publish Dir/index.midx as its snapshot
 	// source. Graph first — see the crash-window analysis above.
 	if _, err := os.Stat(gpath); err != nil {
-		if err := fileio.SaveGraph(gpath, g); err != nil {
+		if err := fileio.SaveGraph(opt.FS, gpath, g); err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint graph: %w", err)
 		}
 	}
 	ipath := filepath.Join(opt.Dir, IndexFile)
 	if _, err := os.Stat(ipath); err != nil {
 		if opt.Index != nil && g == opt.Graph {
-			err = fileio.SaveIndex(ipath, opt.Index)
+			err = fileio.SaveIndex(opt.FS, ipath, opt.Index)
 		} else {
 			opt.Logf("compact: no checkpoint index, building from %d vertices / %d edges", g.NumVertices(), g.NumEdges())
-			_, err = fileio.SaveLabels(ipath, g.NumVertices(), build(g, opt.Threads))
+			_, err = fileio.SaveLabels(opt.FS, ipath, g.NumVertices(), build(g, opt.Threads))
 		}
 		if err != nil {
 			return nil, fmt.Errorf("compact: saving initial checkpoint index: %w", err)
@@ -261,7 +267,7 @@ func Open(opt Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("compact: checkpoint index covers %d vertices, graph has %d", base.NumVertices(), g.NumVertices())
 	}
 
-	log, ups, err := wal.Open(filepath.Join(opt.Dir, WALFile))
+	log, ups, err := wal.OpenFS(opt.FS, filepath.Join(opt.Dir, WALFile))
 	if err != nil {
 		return nil, err
 	}
@@ -345,10 +351,7 @@ func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
 		tr = p.opt.Tracer
 		t0 = tr.Now()
 	}
-	p.mu.Lock()
-	err := p.insertLocked(u, v, w)
-	pending := p.log.Len()
-	p.mu.Unlock()
+	pending, err := p.insert(u, v, w)
 	if err != nil {
 		return err
 	}
@@ -366,19 +369,25 @@ func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
 	return nil
 }
 
-func (p *Pipeline) insertLocked(u, v graph.Vertex, w graph.Dist) error {
+// insert is Update's critical section; it returns the WAL's length
+// after it. The deferred unlock frees the writer mutex even when a fault
+// in the mapped base (a checkpoint file cut under the process) panics
+// through it.
+func (p *Pipeline) insert(u, v graph.Vertex, w graph.Dist) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err := p.cur.CheckInsert(u, v, w); err != nil {
-		return err
+		return 0, err
 	}
 	if err := p.log.Append(u, v, w); err != nil {
-		return fmt.Errorf("compact: durable append failed, insert not applied: %w", err)
+		return 0, fmt.Errorf("compact: durable append failed, insert not applied: %w", err)
 	}
 	if err := p.cur.InsertEdge(u, v, w); err != nil {
 		// CheckInsert passed, so this is unreachable; the logged record
 		// replays harmlessly.
-		return fmt.Errorf("compact: logged but failed to apply: %w", err)
+		return 0, fmt.Errorf("compact: logged but failed to apply: %w", err)
 	}
-	return nil
+	return p.log.Len(), nil
 }
 
 // Compact folds the WAL into a fresh checkpoint and rolls the serving
@@ -441,10 +450,10 @@ func (p *Pipeline) Compact() (Report, error) {
 	// finalizing into the index file; map the index.
 	tSave := time.Now()
 	ipath := filepath.Join(p.opt.Dir, IndexFile)
-	if err := fileio.SaveGraph(filepath.Join(p.opt.Dir, GraphFile), g2); err != nil {
+	if err := fileio.SaveGraph(p.opt.FS, filepath.Join(p.opt.Dir, GraphFile), g2); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint graph: %w", err)
 	}
-	if _, err := fileio.SaveLabels(ipath, g2.NumVertices(), labels); err != nil {
+	if _, err := fileio.SaveLabels(p.opt.FS, ipath, g2.NumVertices(), labels); err != nil {
 		return Report{}, fmt.Errorf("compact: saving checkpoint index: %w", err)
 	}
 	base, err := fileio.LoadIndex(ipath)
@@ -456,7 +465,9 @@ func (p *Pipeline) Compact() (Report, error) {
 
 	// Phase 4 (writer mutex): replay what arrived mid-compaction, swap,
 	// drop the folded prefix. A failed truncation leaves the swap: the
-	// longer WAL replays idempotently on the new checkpoint.
+	// folded records still in the WAL replay idempotently on the new
+	// checkpoint. If it failed after the WAL's rename, the log has failed
+	// too (wal.ErrFailed): inserts answer it until a restart.
 	tSwap := time.Now()
 	p.mu.Lock()
 	tail := p.log.Updates()[n:]
@@ -472,7 +483,7 @@ func (p *Pipeline) Compact() (Report, error) {
 	p.mu.Unlock()
 	swapTime := time.Since(tSwap)
 	if truncErr != nil {
-		p.opt.Logf("compact: WAL truncation failed (harmless, replay is idempotent): %v", truncErr)
+		p.opt.Logf("compact: WAL truncation failed, folded records stay in the log (a failed log takes no inserts until a restart): %v", truncErr)
 	}
 
 	gen := p.compactions.Add(1)

@@ -115,7 +115,7 @@ func TestCrashBetweenCheckpointSaves(t *testing.T) {
 
 	dir := t.TempDir()
 	// The crash left: new graph, old index, full WAL.
-	if err := fileio.SaveGraph(filepath.Join(dir, GraphFile), folded); err != nil {
+	if err := fileio.SaveGraph(fileio.OS, filepath.Join(dir, GraphFile), folded); err != nil {
 		t.Fatal(err)
 	}
 	oldIdx := core.Build(base, core.Options{Threads: 1})

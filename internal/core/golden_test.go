@@ -62,7 +62,7 @@ func TestIndexBytesGolden(t *testing.T) {
 			"BuildInto/store/1": store.List(),
 		} {
 			path := filepath.Join(t.TempDir(), "streamed.midx")
-			h, err := fileio.SaveLabels(path, g.NumVertices(), list)
+			h, err := fileio.SaveLabels(fileio.OS, path, g.NumVertices(), list)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,7 +24,7 @@ func TestDeltaReaderHammer(t *testing.T) {
 	const n = 120
 	g := randomGraph(r, n, 2*n)
 	path := filepath.Join(t.TempDir(), "base.idx")
-	if err := fileio.SaveIndex(path, pll.Build(g, pll.Options{})); err != nil {
+	if err := fileio.SaveIndex(fileio.OS, path, pll.Build(g, pll.Options{})); err != nil {
 		t.Fatal(err)
 	}
 	base, err := fileio.LoadIndex(path)

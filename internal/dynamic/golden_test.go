@@ -49,7 +49,7 @@ func TestIndexBytesGolden(t *testing.T) {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}
 	path := filepath.Join(t.TempDir(), "streamed.midx")
-	if _, err := fileio.SaveLabels(path, n, x.Freeze()); err != nil {
+	if _, err := fileio.SaveLabels(fileio.OS, path, n, x.Freeze()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

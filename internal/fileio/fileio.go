@@ -4,10 +4,12 @@
 // cmd/parapll-query and cmd/parapll-server map the index back. All
 // writes are atomic and durable (temp file + fsync + rename + directory
 // fsync) so a crash mid-save can never leave a truncated or missing
-// artifact behind.
+// artifact behind. Every save goes through the FS it is given: OS in
+// production, a fault injector in tests.
 package fileio
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -19,17 +21,58 @@ import (
 	"parapll/internal/label"
 )
 
+// FS is the filesystem under every durable write in the module: the
+// atomic saves here, and the WAL's appends, truncations and rewrites. A
+// directory fsync is an OpenFile of the directory, a Sync and a Close.
+// OS passes each call to package os and holds no logic of its own, so
+// every error path of a durable write is above the seam, where tests put
+// an injecting FS in its place to fail each operation in turn.
+type FS interface {
+	CreateTemp(dir, pattern string) (File, error)
+	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	Rename(oldpath, newpath string) error
+}
+
+// File is the part of *os.File a durable write uses.
+type File interface {
+	io.Writer
+	io.WriterAt
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+	Name() string
+}
+
+// OS is the operating system's filesystem.
+var OS FS = osFS{}
+
+type osFS struct{}
+
+func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	return os.OpenFile(name, flag, perm)
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+// ErrRenamed is wrapped by the error of a WriteAtomic whose rename took
+// place and whose directory fsync then failed: path names the new file,
+// a crash may still bring the old one back, and a handle open on the old
+// one writes to a file no longer at path.
+var ErrRenamed = errors.New("fileio: renamed, not durably")
+
 // WriteAtomic writes via a temp file in the same directory and renames
 // it into place on success. Durability, not just atomicity: the temp
 // file is fsynced before the rename (so the bytes precede the name) and
 // the parent directory is fsynced after it (so the rename itself
 // survives a crash). Without the directory sync a power cut can forget
 // the rename and leave the old file — or no file — behind. Exported for
-// the WAL's checkpoint/truncation rewrites, which need the same
+// the WAL's creation and truncation rewrites, which need the same
 // discipline for files this package has no format knowledge of.
-func WriteAtomic(path string, write func(*os.File) error) error {
+func WriteAtomic(fsys FS, path string, write func(File) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
+	tmp, err := fsys.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
@@ -45,26 +88,29 @@ func WriteAtomic(path string, write func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := fsys.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	if err := syncDir(fsys, dir); err != nil {
+		return fmt.Errorf("%w: fsync %s: %w", ErrRenamed, dir, err)
+	}
+	return nil
 }
 
 // syncDir fsyncs a directory, making a completed rename durable. On
 // windows directories cannot be opened for syncing; the rename is still
 // atomic there, so this degrades to a no-op rather than failing saves.
-func syncDir(dir string) error {
+func syncDir(fsys FS, dir string) error {
 	if runtime.GOOS == "windows" {
 		return nil
 	}
-	d, err := os.Open(dir)
+	d, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
 	if err := d.Sync(); err != nil {
 		_ = d.Close() // the sync error wins; the handle is read-only
-		return fmt.Errorf("fileio: fsync %s: %w", dir, err)
+		return err
 	}
 	return d.Close()
 }
@@ -72,8 +118,8 @@ func syncDir(dir string) error {
 // SaveGraph writes g to path. The format is chosen by extension:
 // ".txt"/".edges" for the text edge list, anything else for the binary
 // cache format.
-func SaveGraph(path string, g *graph.Graph) error {
-	return WriteAtomic(path, func(f *os.File) error {
+func SaveGraph(fsys FS, path string, g *graph.Graph) error {
+	return WriteAtomic(fsys, path, func(f File) error {
 		if isTextGraph(path) {
 			return graph.WriteEdgeList(f, g)
 		}
@@ -106,8 +152,8 @@ func isTextGraph(path string) bool {
 
 // SaveIndex writes a finalized 2-hop index to path as a PIDM file,
 // whatever the extension: one write of its image.
-func SaveIndex(path string, x *label.Index) error {
-	return WriteAtomic(path, func(f *os.File) error { return x.WriteMmap(f) })
+func SaveIndex(fsys FS, path string, x *label.Index) error {
+	return WriteAtomic(fsys, path, func(f File) error { return x.WriteMmap(f) })
 }
 
 // SaveLabels streams the index label.NewIndexFunc(n, list) would build
@@ -115,16 +161,10 @@ func SaveIndex(path string, x *label.Index) error {
 // the bytes SaveIndex writes of that index, without the index, so a
 // caller holding a label store never holds a heap copy of the index
 // beside it. It returns the header it wrote.
-func SaveLabels(path string, n int, list func(v int) []label.Entry) (label.Header, error) {
-	return saveLabels(path, n, list, func(f *os.File) io.WriterAt { return f })
-}
-
-// saveLabels is SaveLabels writing through at(f), the seam the write
-// fault tests use.
-func saveLabels(path string, n int, list func(v int) []label.Entry, at func(*os.File) io.WriterAt) (label.Header, error) {
+func SaveLabels(fsys FS, path string, n int, list func(v int) []label.Entry) (label.Header, error) {
 	var h label.Header
-	err := WriteAtomic(path, func(f *os.File) (err error) {
-		h, err = label.WriteLabels(at(f), n, list)
+	err := WriteAtomic(fsys, path, func(f File) (err error) {
+		h, err = label.WriteLabels(f, n, list)
 		return err
 	})
 	return h, err
@@ -136,7 +176,7 @@ func SaveIndexAs(path string, x *label.Index, format string) error {
 	if format != label.FormatMmap {
 		return fmt.Errorf("fileio: unknown index format %q (want %s)", format, label.FormatMmap)
 	}
-	return SaveIndex(path, x)
+	return SaveIndex(OS, path, x)
 }
 
 // LoadIndex opens an index written by SaveIndex zero-copy (label.Open):

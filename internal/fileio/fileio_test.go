@@ -25,7 +25,7 @@ func TestGraphRoundTripFormats(t *testing.T) {
 	g := testGraph()
 	for _, name := range []string{"g.txt", "g.edges", "g.bin"} {
 		path := filepath.Join(dir, name)
-		if err := SaveGraph(path, g); err != nil {
+		if err := SaveGraph(OS, path, g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		g2, err := LoadGraph(path)
@@ -59,7 +59,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	g := testGraph()
 	x := pll.Build(g, pll.Options{})
 	path := filepath.Join(dir, "g.idx")
-	if err := SaveIndex(path, x); err != nil {
+	if err := SaveIndex(OS, path, x); err != nil {
 		t.Fatal(err)
 	}
 	y, err := LoadIndex(path)
@@ -80,7 +80,7 @@ func TestCompactIndexExtension(t *testing.T) {
 	var files [][]byte
 	for _, name := range []string{"g.idx", "g.cidx", "g.midx"} {
 		path := filepath.Join(dir, name)
-		if err := SaveIndex(path, x); err != nil {
+		if err := SaveIndex(OS, path, x); err != nil {
 			t.Fatal(err)
 		}
 		y, err := LoadIndex(path)
@@ -137,7 +137,7 @@ func TestLoadCorruptIndex(t *testing.T) {
 
 func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	if err := SaveGraph(filepath.Join(dir, "g.bin"), testGraph()); err != nil {
+	if err := SaveGraph(OS, filepath.Join(dir, "g.bin"), testGraph()); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -154,11 +154,11 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 }
 
 func TestSaveIntoMissingDirFails(t *testing.T) {
-	if err := SaveGraph("/nonexistent/dir/g.bin", testGraph()); err == nil {
+	if err := SaveGraph(OS, "/nonexistent/dir/g.bin", testGraph()); err == nil {
 		t.Fatal("save into missing dir succeeded")
 	}
 	var x *label.Index = pll.Build(testGraph(), pll.Options{})
-	if err := SaveIndex("/nonexistent/dir/g.idx", x); err == nil {
+	if err := SaveIndex(OS, "/nonexistent/dir/g.idx", x); err == nil {
 		t.Fatal("index save into missing dir succeeded")
 	}
 }
@@ -174,7 +174,7 @@ func BenchmarkGraphIngest(b *testing.B) {
 	dir := b.TempDir()
 	p2pPath, roadPath := filepath.Join(dir, "p2p.bin"), filepath.Join(dir, "road.bin")
 	for path, g := range map[string]*graph.Graph{p2pPath: p2p, roadPath: road} {
-		if err := SaveGraph(path, g); err != nil {
+		if err := SaveGraph(OS, path, g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,5 +194,5 @@ func BenchmarkGraphIngest(b *testing.B) {
 	run("FromEdges/p2p", func() error { graph.FromEdges(p2p.NumVertices(), edges); return nil })
 	run("LoadGraph/p2p", func() error { _, err := LoadGraph(p2pPath); return err })
 	run("LoadGraph/road", func() error { _, err := LoadGraph(roadPath); return err })
-	run("SaveGraph/p2p", func() error { return SaveGraph(p2pPath, p2p) })
+	run("SaveGraph/p2p", func() error { return SaveGraph(OS, p2pPath, p2p) })
 }

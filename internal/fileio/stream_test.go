@@ -2,18 +2,14 @@ package fileio
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"parapll/internal/core"
 	"parapll/internal/gen"
 	"parapll/internal/label"
-	"parapll/internal/pll"
 )
 
 // p2pStore builds the benchmark's p2p graph (Gnutella at 0.35, n ≈ 3.8 k,
@@ -52,11 +48,11 @@ func TestSaveLabelsHoldsNoIndexCopy(t *testing.T) {
 	dir := t.TempDir()
 	streamed, copied := filepath.Join(dir, "streamed.midx"), filepath.Join(dir, "copied.midx")
 	var err error
-	streamAlloc := allocated(func() { _, err = SaveLabels(streamed, n, store.List()) })
+	streamAlloc := allocated(func() { _, err = SaveLabels(OS, streamed, n, store.List()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	copyAlloc := allocated(func() { err = SaveIndex(copied, label.NewIndex(store)) })
+	copyAlloc := allocated(func() { err = SaveIndex(OS, copied, label.NewIndex(store)) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,62 +77,5 @@ func TestSaveLabelsHoldsNoIndexCopy(t *testing.T) {
 	}
 	if copyAlloc < size {
 		t.Errorf("NewIndex and SaveIndex allocated %d B, under the %d-byte file: the measure cannot see a heap copy", copyAlloc, size)
-	}
-}
-
-var errInjected = errors.New("injected write fault")
-
-// failAt passes writes to the file until the fail-th, which fails with
-// errInjected or — short — writes one byte less and reports no error.
-type failAt struct {
-	f     *os.File
-	fail  int
-	short bool
-	calls *int
-}
-
-func (w failAt) WriteAt(p []byte, off int64) (int, error) {
-	if *w.calls++; *w.calls != w.fail {
-		return w.f.WriteAt(p, off)
-	}
-	if w.short {
-		return w.f.WriteAt(p[:len(p)-1], off)
-	}
-	return 0, errInjected
-}
-
-// TestSaveLabelsWriteFaultLeavesNothing fails each write of a streamed
-// save in turn, with an error and with a short write: SaveLabels must
-// return it, and leave neither a file at the path nor a temp file beside
-// it.
-func TestSaveLabelsWriteFaultLeavesNothing(t *testing.T) {
-	lists := pll.Labels(gen.Datasets[0].Generate(0.05), pll.Options{})
-	n, list := len(lists), func(v int) []label.Entry { return lists[v] }
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.midx")
-	calls := 0
-	if _, err := saveLabels(path, n, list, func(f *os.File) io.WriterAt { return failAt{f: f, calls: &calls} }); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	for _, short := range []bool{false, true} {
-		for k := 1; k <= calls; k++ {
-			seen := 0
-			_, err := saveLabels(path, n, list, func(f *os.File) io.WriterAt { return failAt{f: f, fail: k, short: short, calls: &seen} })
-			if err == nil {
-				t.Fatalf("short=%v: write %d of %d failed, SaveLabels returned nil", short, k, calls)
-			}
-			entries, rerr := os.ReadDir(dir)
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			for _, e := range entries {
-				if e.Name() == "g.midx" || strings.HasPrefix(e.Name(), ".tmp-") {
-					t.Fatalf("short=%v: write %d failed (%v) and left %s", short, k, err, e.Name())
-				}
-			}
-		}
 	}
 }

@@ -188,6 +188,21 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 	}
 }
 
+// cuttableGraph is a connected random graph on n vertices whose index
+// file, at n = 500, spans ~12 pages: a cut to its first page leaves most
+// labels beyond the end of the file.
+func cuttableGraph(n int) *graph.Graph {
+	r := rand.New(rand.NewSource(43))
+	edges := make([]graph.Edge, 0, 3*n)
+	for v := 1; v < n; v++ {
+		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(v)), V: graph.Vertex(v), W: graph.Dist(1 + r.Intn(9))})
+	}
+	for i := 0; i < 2*n; i++ {
+		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(n)), V: graph.Vertex(r.Intn(n)), W: graph.Dist(1 + r.Intn(9))})
+	}
+	return graph.FromEdges(n, edges)
+}
+
 // TestTruncatedIndexAnswers500 serves a PIDM file and then cuts it to
 // its first page under the running server, as a crash or an operator
 // might. Every read that reaches the cut-off sections faults in the
@@ -198,15 +213,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 // /healthz still answers after them.
 func TestTruncatedIndexAnswers500(t *testing.T) {
 	const n = 500 // an index file of ~12 pages, well over the 8 the cut needs
-	r := rand.New(rand.NewSource(43))
-	edges := make([]graph.Edge, 0, 3*n)
-	for v := 1; v < n; v++ {
-		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(v)), V: graph.Vertex(v), W: graph.Dist(1 + r.Intn(9))})
-	}
-	for i := 0; i < 2*n; i++ {
-		edges = append(edges, graph.Edge{U: graph.Vertex(r.Intn(n)), V: graph.Vertex(r.Intn(n)), W: graph.Dist(1 + r.Intn(9))})
-	}
-	g := graph.FromEdges(n, edges)
+	g := cuttableGraph(n)
 	path := filepath.Join(t.TempDir(), "index.midx")
 	f, err := os.Create(path)
 	if err != nil {

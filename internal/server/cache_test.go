@@ -116,7 +116,7 @@ func weightedLineIndex(n int, w graph.Dist) *label.Index {
 // -race this also hammers cache Put/Get against the swap.
 func TestCacheReloadNeverStale(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "line6-w2.idx")
-	if err := fileio.SaveIndex(path, weightedLineIndex(6, 2)); err != nil { // d(0,5) = 10
+	if err := fileio.SaveIndex(fileio.OS, path, weightedLineIndex(6, 2)); err != nil { // d(0,5) = 10
 		t.Fatal(err)
 	}
 

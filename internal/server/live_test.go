@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -370,5 +371,64 @@ func TestCompactionPublishesGeneration(t *testing.T) {
 				t.Fatalf("query(%d,%d) = %d, want %d", s0, u, q.Dist, wantD)
 			}
 		}
+	}
+}
+
+// TestTruncatedLiveIndexUpdateAnswers500 cuts a living server's
+// checkpoint index to its first page after the pipeline mapped it, as
+// TestTruncatedIndexAnswers500 cuts a static one. An insert's validation
+// reads the mapped base, so /update faults; the fault must be a 500 (not
+// SIGBUS ending the process), and it must not leave the writer mutex
+// held: a second /update answers 500 too, /stats answers, and the
+// pipeline's Close returns.
+func TestTruncatedLiveIndexUpdateAnswers500(t *testing.T) {
+	const n = 500
+	pipe, err := compact.Open(compact.Options{Dir: t.TempDir(), Graph: cuttableGraph(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := fileio.LoadIndex(pipe.IndexPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { idx.Close() })
+	s := NewPending(nil)
+	s.PublishLive(pipe, idx, pipe.IndexPath())
+	if err := os.Truncate(pipe.IndexPath(), 4096); err != nil {
+		t.Fatal(err)
+	}
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return within 10s", what)
+		}
+	}
+	serve := func(method, url, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
+		return rec
+	}
+	for i, body := range []string{
+		fmt.Sprintf(`{"u":%d,"v":%d,"w":1}`, n-1, n-2),
+		fmt.Sprintf(`{"u":%d,"v":%d,"w":1}`, n-3, n-4),
+	} {
+		var rec *httptest.ResponseRecorder
+		within(fmt.Sprintf("/update %d", i+1), func() { rec = serve("POST", "/update", body) })
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "invalid memory address") {
+			t.Fatalf("/update %d over the truncated index: status %d body %q, want 500 naming the memory fault", i+1, rec.Code, rec.Body.String())
+		}
+	}
+	var rec *httptest.ResponseRecorder
+	within("/stats", func() { rec = serve("GET", "/stats", "") })
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/stats after the faults: status %d", rec.Code)
+	}
+	within("Close", func() { err = pipe.Close() })
+	if err != nil {
+		t.Fatal(err)
 	}
 }

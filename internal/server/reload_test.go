@@ -39,7 +39,7 @@ func saveLineIndex(t *testing.T, dir string, n int) string {
 	t.Helper()
 	x := pll.Build(lineGraph(n), pll.Options{})
 	path := filepath.Join(dir, fmt.Sprintf("line%d.idx", n))
-	if err := fileio.SaveIndex(path, x); err != nil {
+	if err := fileio.SaveIndex(fileio.OS, path, x); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -318,7 +318,7 @@ func TestReloadRebuildsKNN(t *testing.T) {
 func TestHotReloadHammer(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{saveLineIndex(t, dir, 6), filepath.Join(dir, "copy.idx")}
-	if err := fileio.SaveIndex(paths[1], pll.Build(lineGraph(6), pll.Options{})); err != nil {
+	if err := fileio.SaveIndex(fileio.OS, paths[1], pll.Build(lineGraph(6), pll.Options{})); err != nil {
 		t.Fatal(err)
 	}
 	// Every request is slow enough for the slow log, so the query

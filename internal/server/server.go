@@ -267,7 +267,7 @@ func NewPending(o *Options) *Server {
 	s.handleSnap("/path", http.MethodGet, 0, faultsPanic(s.handlePath))
 	s.handleSnap("/knn", http.MethodGet, 0, faultsPanic(s.handleKNN))
 	s.handleSnap("/stats", http.MethodGet, 0, s.handleStats)
-	s.handleSnap("/update", http.MethodPost, maxUpdateBytes, s.handleUpdate)
+	s.handleSnap("/update", http.MethodPost, maxUpdateBytes, faultsPanic(s.handleUpdate))
 	s.handle("/reload", http.MethodPost, maxReloadBytes, s.handleReload)
 	s.handle("/readyz", http.MethodGet, 0, s.handleReadyz)
 	s.handle("/healthz", http.MethodGet, 0, s.handleHealthz)
@@ -622,9 +622,10 @@ func (s *Server) handleSnap(path, method string, limit int64, h func(sn *snapsho
 	})
 }
 
-// faultsPanic runs a read handler with debug.SetPanicOnFault on: a fault
-// in the mapped index (a file truncated under the server) is a panic
-// invoke answers with a 500. /update would fault holding the writer mutex.
+// faultsPanic runs a handler that reads the mapped index with
+// debug.SetPanicOnFault on: a fault in it (a file truncated under the
+// server) is a panic invoke answers with a 500. /update's insert unlocks
+// the writer mutex on the way out.
 func faultsPanic(h func(sn *snapshot, w http.ResponseWriter, r *http.Request)) func(sn *snapshot, w http.ResponseWriter, r *http.Request) {
 	return func(sn *snapshot, w http.ResponseWriter, r *http.Request) {
 		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))

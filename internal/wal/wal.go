@@ -129,7 +129,8 @@ func Replay(data []byte) (ups []Update, consumed int) {
 }
 
 // ErrFailed is wrapped by the Append whose write or fsync failed and by
-// every Append and TruncateFront after it. What reached the disk is then
+// every Append and TruncateFront after it, and by the TruncateFront that
+// failed after its rewrite took the log's name. What reached the disk is then
 // unknown — a record can sit in the file, or in the page cache, that the
 // in-memory mirror does not hold — so the log takes no record after it:
 // one appended behind a torn copy of it would be acknowledged and then
@@ -145,13 +146,14 @@ var ErrFailed = errors.New("wal: log failed, restart to recover")
 // the writer hands them.
 type Log struct {
 	mu    sync.Mutex
+	fs    fileio.FS
 	path  string
-	f     *os.File
+	f     fileio.File
 	ups   []Update
 	bytes int64
-	// failed is the first write or fsync error (wrapping ErrFailed);
-	// once set, Append and TruncateFront return it without touching the
-	// file.
+	// failed is the first write or fsync error, or the error of a
+	// TruncateFront past its rename (wrapping ErrFailed); once set, Append
+	// and TruncateFront return it without touching the file.
 	failed error
 
 	// syncObs, when set, is called with the duration of each successful
@@ -176,7 +178,11 @@ func (l *Log) SetSyncObserver(f func(elapsed time.Duration)) {
 // last durable record afterwards — and the surviving updates are
 // returned in append order. The returned slice is the caller's to keep;
 // it is not aliased by the Log's own state.
-func Open(path string) (*Log, []Update, error) {
+func Open(path string) (*Log, []Update, error) { return OpenFS(fileio.OS, path) }
+
+// OpenFS is Open with every write to the log — this one's and those of
+// the returned Log — going through fsys.
+func OpenFS(fsys fileio.FS, path string) (*Log, []Update, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		data = nil
@@ -196,7 +202,7 @@ func Open(path string) (*Log, []Update, error) {
 		// Missing, empty, or torn mid-header-write: (re)create with a
 		// clean header through the atomic-write discipline so a crash
 		// here cannot leave a half-written header behind either.
-		if err := fileio.WriteAtomic(path, func(f *os.File) error {
+		if err := fileio.WriteAtomic(fsys, path, func(f fileio.File) error {
 			_, werr := f.Write(header())
 			return werr
 		}); err != nil {
@@ -206,15 +212,15 @@ func Open(path string) (*Log, []Update, error) {
 	} else if consumed < len(data) {
 		// Torn or corrupt tail: drop it so the next append starts at a
 		// record boundary and a future replay sees only durable records.
-		if err := truncateTo(path, int64(consumed)); err != nil {
+		if err := truncateTo(fsys, path, int64(consumed)); err != nil {
 			return nil, nil, err
 		}
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: opening %s for append: %w", path, err)
 	}
-	l := &Log{path: path, f: f, bytes: int64(consumed)}
+	l := &Log{fs: fsys, path: path, f: f, bytes: int64(consumed)}
 	l.ups = append(l.ups, ups...)
 	out := make([]Update, len(ups))
 	copy(out, ups)
@@ -223,17 +229,20 @@ func Open(path string) (*Log, []Update, error) {
 
 // truncateTo shrinks the file to n bytes and fsyncs, making the
 // discarded tail durably gone before any new record lands after it.
-func truncateTo(path string, n int64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+func truncateTo(fsys fileio.FS, path string, n int64) error {
+	f, err := fsys.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: truncating %s: %w", path, err)
 	}
-	defer f.Close()
-	if err := f.Truncate(n); err != nil {
-		return fmt.Errorf("wal: truncating %s: %w", path, err)
+	err = f.Truncate(n)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync after truncate of %s: %w", path, err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: truncating %s to %d bytes: %w", path, n, err)
 	}
 	return nil
 }
@@ -254,11 +263,11 @@ func (l *Log) Append(u, v graph.Vertex, w graph.Dist) error {
 	encodeRecord(rec[:], Update{U: u, V: v, W: w})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return fmt.Errorf("wal: log is closed")
-	}
 	if l.failed != nil {
 		return l.failed
+	}
+	if l.f == nil {
+		return fmt.Errorf("wal: log is closed")
 	}
 	if _, err := l.f.Write(rec[:]); err != nil {
 		l.failed = fmt.Errorf("%w: appending to %s: %w", ErrFailed, l.path, err)
@@ -318,7 +327,10 @@ func (l *Log) Updates() []Update {
 // directory-fsync discipline as every other artifact in the repo, so a
 // crash mid-truncation leaves either the old log (records replay
 // idempotently on top of the new checkpoint) or the new one, never a
-// mangled hybrid. A failed log is left alone (ErrFailed).
+// mangled hybrid. A failed log is left alone (ErrFailed). A failure
+// before the rewrite's rename leaves the log as it was; one after it
+// fails the log, since the handle appends go through may then name the
+// renamed-over file, where an acknowledged record would be lost.
 func (l *Log) TruncateFront(n int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -335,7 +347,7 @@ func (l *Log) TruncateFront(n int) error {
 		return fmt.Errorf("wal: log is closed")
 	}
 	rest := l.ups[n:]
-	err := fileio.WriteAtomic(l.path, func(f *os.File) error {
+	err := fileio.WriteAtomic(l.fs, l.path, func(f fileio.File) error {
 		if _, werr := f.Write(header()); werr != nil {
 			return werr
 		}
@@ -348,18 +360,24 @@ func (l *Log) TruncateFront(n int) error {
 		}
 		return nil
 	})
+	if errors.Is(err, fileio.ErrRenamed) {
+		l.failed = fmt.Errorf("%w: rewriting %s: %w", ErrFailed, l.path, err)
+		return l.failed
+	}
 	if err != nil {
 		return fmt.Errorf("wal: rewriting %s: %w", l.path, err)
 	}
-	// The old handle points at the renamed-over inode; reopen the new
-	// file for subsequent appends.
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: closing old log file: %w", err)
+	// The old handle points at the renamed-over inode; appends go to the
+	// new file or, past the rename, to none.
+	err = l.f.Close()
+	l.f = nil
+	var f fileio.File
+	if err == nil {
+		f, err = l.fs.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		l.f = nil
-		return fmt.Errorf("wal: reopening %s: %w", l.path, err)
+		l.failed = fmt.Errorf("%w: reopening %s: %w", ErrFailed, l.path, err)
+		return l.failed
 	}
 	l.f = f
 	kept := make([]Update, len(rest))

@@ -218,7 +218,7 @@ type IndexHeader = label.Header
 func BuildFile(path string, g *Graph, opt Options) (IndexHeader, *BuildStats, error) {
 	store := label.NewStore(g.NumVertices())
 	stats := core.BuildInto(g, store, coreOptions(g, opt))
-	h, err := fileio.SaveLabels(path, store.NumVertices(), store.List())
+	h, err := fileio.SaveLabels(fileio.OS, path, store.NumVertices(), store.List())
 	return h, stats, err
 }
 
@@ -232,7 +232,7 @@ func BuildSerial(g *Graph, opt Options) *Index {
 // BuildFile streams Build.
 func BuildSerialFile(path string, g *Graph, opt Options) (IndexHeader, error) {
 	lists := pll.Labels(g, pll.Options{Order: computeOrder(g, opt.Order, opt.Seed)})
-	return fileio.SaveLabels(path, len(lists), func(v int) []label.Entry { return lists[v] })
+	return fileio.SaveLabels(fileio.OS, path, len(lists), func(v int) []label.Entry { return lists[v] })
 }
 
 // KNNIndex answers k-nearest-neighbor queries ("the k closest vertices
@@ -338,7 +338,7 @@ func QueryDirect(g *Graph, s, t Vertex) Dist { return sssp.Query(g, s, t) }
 
 // SaveGraph / LoadGraph persist graphs (text edge list for ".txt"/
 // ".edges", DIMACS for ".gr" on load, binary cache otherwise).
-func SaveGraph(path string, g *Graph) error { return fileio.SaveGraph(path, g) }
+func SaveGraph(path string, g *Graph) error { return fileio.SaveGraph(fileio.OS, path, g) }
 func LoadGraph(path string) (*Graph, error) { return fileio.LoadGraph(path) }
 
 // Oracle is the query surface every distance index in this repository
@@ -354,7 +354,7 @@ const FormatMmap = label.FormatMmap
 
 // SaveIndex / LoadIndex persist finalized indexes as PIDM files under
 // any extension; LoadIndex maps them zero-copy.
-func SaveIndex(path string, x *Index) error { return fileio.SaveIndex(path, x) }
+func SaveIndex(path string, x *Index) error { return fileio.SaveIndex(fileio.OS, path, x) }
 func LoadIndex(path string) (*Index, error) { return fileio.LoadIndex(path) }
 
 // GenerateDataset synthesizes one of the paper's Table-2 datasets by name

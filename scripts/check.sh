@@ -1,10 +1,14 @@
 #!/bin/sh
 # Repo-wide checks, in order: go build, gofmt, go vet, the custom
-# parapll-vet suite, the internal-importers check (every package under
-# internal/ is imported by some other package, tests included), the
-# short suite under the race detector, a
+# parapll-vet suite (four analyzers), the internal-importers check (every
+# package under internal/ is imported by some other package, tests
+# included), the short suite under the race detector, a
 # -count=20 race pass over the lock-free structures, the distance
-# cache, the lock-order hammers and the goroutine-lifetime tests, a
+# cache, the lock-order hammers, the goroutine-lifetime tests and the
+# fault-injection tests of the durability contract (TestSaveFaults,
+# TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
+# TestFailedSyncPoisonsLog, TestCompactFaults, TestUpdateLogsBeforeApply,
+# TestCompactOnFailedLog, TestTruncatedLiveIndexUpdateAnswers500), a
 # -count=20 plain pass over the two lock-order tests, the
 # tier-1 command (go test ./...; among what it gates,
 # TestOfflineToolsLinkNoNetwork fails if any command but parapll-server
@@ -43,7 +47,7 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== parapll-vet ./... (custom analyzers)"
+echo "== parapll-vet ./... (four custom analyzers: mmapkeepalive, atomicfield, infguard, snapgen)"
 if [ "${GITHUB_ACTIONS:-}" = "true" ]; then
     # On CI, emit findings both as plain log lines and as GitHub
     # annotations (::error), so they surface inline on the PR diff. The
@@ -105,10 +109,18 @@ go test -race -short ./...
 # tests live, not the transport's glue. Between them these tests contend every persistent mutex of
 # the concurrent packages (EXPERIMENTS.md "Tests hold the lock order
 # alone" maps each mutex to its test); no analyzer checks the lock
-# order.
-echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast' \
-    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster
+# order. Nor does one check the durability contract: the fault tests
+# fail every write, fsync, close, truncate, rename and directory fsync of
+# the atomic saves, the WAL and a compaction in turn through
+# internal/fileio/faultfs, and want the error surfaced, the log failed
+# where a record could be lost, and every acknowledged insert back after
+# a reopen; TestUpdateLogsBeforeApply wants no insert visible at its own
+# WAL fsync, and TestTruncatedLiveIndexUpdateAnswers500 a faulting
+# /update to release the writer mutex (DESIGN.md "The durability
+# contract is held by fault tests").
+echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500' \
+    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
 # The two lock-order tests again without the race detector: a seeded
 # lock held across a sync round's wait, or a lock-order cycle in the
