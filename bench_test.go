@@ -201,15 +201,15 @@ func BenchmarkBuildRoad(b *testing.B) { benchBuild(b, "RI-USA", 0.07) }
 // in random order — and one Batch4 op a 4-pair batch, the benchmark's
 // small /batch; their allocs/op are the result slice and the fan-out.
 // Batch1 is a lone pair through the batch kernel (pooled scratch, plus
-// the result slice Query does not have). Each -wide row is the row
-// above it on the same labels and tiers with every distance at 4 bytes
-// (Index.Wide; P2P picks 1 byte and Road 2), each -nomid row on the same
-// labels finalized with a head and no bitmap tier (Index.HeadOnly), each
-// -flat row with every entry in the tail, at 4 bytes (Index.Flat): what
-// the width and each tier buy, side by side in one run. On the synthetic
-// indexes no hub is in a 32nd of the 2^20 labels, both tiers are empty,
-// and the first two rows are one layout, a tie by construction; the
-// -flat row is that layout at 4 bytes a distance where they have 2.
+// the result slice Query does not have). Each -nomid row is the row
+// above it on the same labels finalized with a head and no bitmap tier
+// (Index.HeadOnly), each -flat row with every entry in the tail and
+// hubs and distances at 4 bytes (Index.Flat; P2P picks 1-byte distances
+// and Road 2, both 2-byte hubs): what the tiers and the widths buy, side
+// by side in one run. On the synthetic indexes no hub is in a 32nd of
+// the 2^20 labels, both tiers are empty, and the first two rows are one
+// layout, a tie by construction; the -flat row is that layout at 4 bytes
+// a hub and a distance where they have 4 and 2.
 func BenchmarkQueryKernel(b *testing.B) {
 	for _, ds := range []struct {
 		name, dataset string
@@ -225,7 +225,6 @@ func BenchmarkQueryKernel(b *testing.B) {
 			vs[v] = graph.Vertex(v)
 		}
 		kernelRows(b, ds.name, x, vs, true)
-		kernelRows(b, ds.name+"-wide", x.Wide(), vs, true)
 		kernelRows(b, ds.name+"-nomid", x.HeadOnly(), vs, true)
 		kernelRows(b, ds.name+"-flat", x.Flat(), vs, false)
 	}

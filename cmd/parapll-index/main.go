@@ -124,9 +124,9 @@ func main() {
 		bk, fill := stats.Head()
 		built = fmt.Sprintf("; build head=%d fill %.2f", bk, fill)
 	}
-	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB%s) -> %s\n",
+	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB, hub=%dB%s) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),
-		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, idx.DistBytes(), built, *out)
+		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, idx.DistBytes(), idx.HubBytes(), built, *out)
 }
 
 // logProgress samples prog every 2s and prints roots done, roots/sec

@@ -7,10 +7,11 @@ import (
 	"sort"
 )
 
-// MmapKeepAlive enforces the label.Index memory model from PR 3: the
-// off/hubs tail arrays, the headHubs column ids, the midHubs/midBits/
-// midOff bitmap tier and the head/midDists/dists distance arrays of a
-// finalizer-managed index may alias a file mapping, so holding one of
+// MmapKeepAlive enforces the label.Index memory model: the off tail
+// offsets, the headHubs column ids, the midHubs/midBits/midOff bitmap
+// tier and the hubs/head/midDists/dists arrays of tail hub ids and
+// distances of a finalizer-managed index may alias a file mapping, so
+// holding one of
 // the slices does NOT keep the mapping alive — only a reference to the
 // owning index does. Every function that dereferences the arrays
 // (directly, through a local alias, or through the slices returned by
@@ -20,14 +21,14 @@ import (
 // collect the index mid-read, run the mapping finalizer, and unmap the
 // pages under the running query (use-after-munmap).
 //
-// The owner type is recognized structurally: a struct with the six
+// The owner type is recognized structurally: a struct with the five
 // shared array fields plus an mm mapping field (label.Index; a lookalike
-// without mm is exempt — it is always heap-backed). The
-// distances live at one of three widths in a struct of the three
-// distance arrays inside the owner (label.arrays[D]), recognized the
-// same way. A pointer to one is a pointer into the owner: a parameter of
-// that type is an alias of the function's owner parameter, and where
-// there is none it is itself what a pin must name. Functions that
+// without mm is exempt — it is always heap-backed). The tail hub ids and
+// the distances live at the index's widths in a struct of four arrays
+// the owner reaches (label.arrays[H, D]), recognized the same way. A
+// pointer to one points into the owner's mapping: a parameter or method
+// receiver of that type is an alias of the function's owner parameter,
+// and where there is none it is itself what a pin must name. Functions that
 // allocate the owner themselves (composite literal) are exempt: a
 // just-built owner cannot have a registered finalizer while the
 // allocating function still runs. So are functions that store into an
@@ -39,15 +40,16 @@ var MmapKeepAlive = &Analyzer{
 }
 
 // mmapOwnerFields is the structural signature of the owner type: the
-// arrays that may alias the mapping, but for the distances.
+// arrays that may alias the mapping, but for the tail hubs and the
+// distances.
 var mmapOwnerFields = map[string]bool{
-	"off": true, "hubs": true, "headHubs": true,
+	"off": true, "headHubs": true,
 	"midHubs": true, "midBits": true, "midOff": true,
 }
 
-// mmapDistFields is the structural signature of the struct of distance
-// arrays the owner holds one of per width.
-var mmapDistFields = map[string]bool{"head": true, "midDists": true, "dists": true}
+// mmapDistFields is the structural signature of the struct of the tail
+// hub ids and the distances, at the widths of the owner.
+var mmapDistFields = map[string]bool{"hubs": true, "head": true, "midDists": true, "dists": true}
 
 // mmapAliasFuncs are the calls whose results alias the mapping: the
 // owner's exported Label method (the stored run itself when the index
@@ -75,7 +77,7 @@ func hasSliceFields(t types.Type, want map[string]bool) (s *types.Struct, ok boo
 }
 
 // isMmapOwner reports whether t (through one pointer) is a struct with
-// the six shared arrays and the mm mapping field.
+// the five shared arrays and the mm mapping field.
 func isMmapOwner(t types.Type) bool {
 	s, ok := hasSliceFields(t, mmapOwnerFields)
 	if !ok {
@@ -90,7 +92,7 @@ func isMmapOwner(t types.Type) bool {
 }
 
 // isDistArrays reports whether t (through one pointer) is the struct of
-// the three distance arrays.
+// the tail hub and distance arrays.
 func isDistArrays(t types.Type) bool {
 	_, ok := hasSliceFields(t, mmapDistFields)
 	return ok
@@ -144,12 +146,16 @@ func checkMmapFunc(pass *Pass, fd *ast.FuncDecl) {
 	deferred := make(map[types.Object]bool)
 	written := make(map[types.Object]bool) // owners whose arrays this function stores into
 
-	// A parameter that points at distance arrays points into the owner
-	// parameter beside it.
+	// A receiver or parameter that points at the hub and distance arrays
+	// points into the owner parameter beside it.
 	var owner types.Object
 	var arrays []types.Object
 	owners := 0
-	for _, field := range fd.Type.Params.List {
+	fields := fd.Type.Params.List
+	if fd.Recv != nil {
+		fields = append(fields[:len(fields):len(fields)], fd.Recv.List...)
+	}
+	for _, field := range fields {
 		for _, name := range field.Names {
 			switch obj := info.ObjectOf(name); {
 			case isMmapOwner(obj.Type()):
@@ -311,7 +317,11 @@ func checkMmapFunc(pass *Pass, fd *ast.FuncDecl) {
 				addEvent(root, x.Pos(), desc)
 			}
 		case *ast.RangeStmt:
-			if root, desc, ok := derefRoot(x.X); ok {
+			over := ast.Unparen(x.X) // a range over a slice of an array reads it too
+			if sl, ok := over.(*ast.SliceExpr); ok {
+				over = sl.X
+			}
+			if root, desc, ok := derefRoot(over); ok {
 				addEvent(root, x.X.Pos(), desc)
 			}
 		case *ast.DeferStmt:

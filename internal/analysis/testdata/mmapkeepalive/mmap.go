@@ -1,8 +1,8 @@
 // Package mmaptest is the mmapkeepalive golden-test corpus: a stand-in
-// for label.Index with the structural owner signature (the off/hubs tail
-// arrays, the headHubs column ids, the midHubs/midBits/midOff bitmap
-// tier, plus the mm mapping field) holding the head/midDists/dists
-// distance arrays at one of several widths.
+// for label.Index with the structural owner signature (the off tail
+// offsets, the headHubs column ids, the midHubs/midBits/midOff bitmap
+// tier, plus the mm mapping field) holding the hubs/head/midDists/dists
+// arrays of tail hub ids and distances at one of several widths.
 package mmaptest
 
 import "runtime"
@@ -14,22 +14,24 @@ type mapping struct{ data []byte }
 
 type distance interface{ ~uint8 | ~uint32 }
 
-type arrays[D distance] struct {
+type hubID interface{ ~uint16 | ~int32 }
+
+type arrays[H hubID, D distance] struct {
+	hubs     []H
 	head     []D
 	midDists []D
 	dists    []D
 }
 
 type Index struct {
-	off      []int64
-	hubs     []Vertex
+	off      []uint32
 	headHubs []Vertex
 	midHubs  []Vertex
 	midBits  []uint64
-	midOff   []int64
+	midOff   []uint32
 	w        int
-	a8       arrays[uint8]
-	a32      arrays[Dist]
+	a8       arrays[uint16, uint8]
+	a32      arrays[Vertex, Dist]
 	mm       *mapping
 }
 
@@ -37,22 +39,20 @@ type Index struct {
 func (x *Index) Label(v Vertex) ([]Vertex, []Dist) {
 	defer runtime.KeepAlive(x)
 	lo, hi := x.off[v], x.off[v+1]
-	return x.hubs[lo:hi], x.a32.dists[lo:hi]
+	return x.a32.hubs[lo:hi], x.a32.dists[lo:hi]
 }
 
 // heapIndex has the array fields but no mm: always heap-backed, exempt.
 type heapIndex struct {
-	off      []int64
-	hubs     []Vertex
+	off      []uint32
 	headHubs []Vertex
 	midHubs  []Vertex
 	midBits  []uint64
-	midOff   []int64
-	a32      arrays[Dist]
+	midOff   []uint32
 }
 
 func heapOK(h *heapIndex) Vertex {
-	return h.hubs[0]
+	return h.headHubs[h.off[0]]
 }
 
 func deferOK(x *Index) Dist {
@@ -60,27 +60,27 @@ func deferOK(x *Index) Dist {
 	return x.a32.dists[0]
 }
 
-// --- The distance arrays live in a struct inside the owner, one per
-// width. A pointer to it points into the owner: beside an owner
-// parameter it is an alias of that owner, and the pin names the owner;
-// alone it is what the pin names.
+// --- The tail hub and distance arrays live in a struct the owner
+// reaches, one per pair of widths. A pointer to it points into the
+// owner's mapping: beside an owner parameter it is an alias of that
+// owner, and the pin names the owner; alone it is what the pin names.
 
-func arraysParamOK[D distance](x *Index, a *arrays[D]) D {
+func arraysParamOK[H hubID, D distance](x *Index, a *arrays[H, D]) D {
 	d := a.dists[0]
 	runtime.KeepAlive(x)
 	return d
 }
 
-func arraysParamBad[D distance](x *Index, a *arrays[D]) D {
+func arraysParamBad[H hubID, D distance](x *Index, a *arrays[H, D]) D {
 	return a.head[0] // want `dereferences mmap-aliased a.head without runtime.KeepAlive\(x\)`
 }
 
-func arraysAloneOK[D distance](a *arrays[D]) D {
+func arraysAloneOK[H hubID, D distance](a *arrays[H, D]) D {
 	defer runtime.KeepAlive(a)
 	return a.midDists[0]
 }
 
-func arraysAloneBad[D distance](a *arrays[D]) D {
+func arraysAloneBad[H hubID, D distance](a *arrays[H, D]) D {
 	return a.midDists[0] // want `dereferences mmap-aliased a.midDists without runtime.KeepAlive\(a\)`
 }
 
@@ -91,14 +91,14 @@ func arraysLocalBad(x *Index) uint8 {
 
 // storeOK: a function that stores into an owner's arrays is building
 // it, and a mapping is read-only: that owner is on the heap.
-func storeOK[D distance](x *Index, a *arrays[D], d D) {
-	for i := range x.hubs {
-		x.hubs[i], a.dists[i] = Vertex(i), d
+func storeOK[H hubID, D distance](x *Index, a *arrays[H, D], d D) {
+	for i := range a.hubs {
+		a.hubs[i], a.dists[i] = H(i), d
 	}
 }
 
-func pinAfterOK(x *Index) int64 {
-	var s int64
+func pinAfterOK(x *Index) uint32 {
+	var s uint32
 	for i := 0; i < len(x.off); i++ {
 		s += x.off[i]
 	}
@@ -111,7 +111,7 @@ func lenOnlyOK(x *Index) int {
 }
 
 func freshOK() Dist {
-	x := &Index{off: []int64{0, 1}, hubs: []Vertex{0}, a32: arrays[Dist]{dists: []Dist{7}}}
+	x := &Index{off: []uint32{0, 1}, a32: arrays[Vertex, Dist]{hubs: []Vertex{0}, dists: []Dist{7}}}
 	return x.a32.dists[0] // just allocated: no finalizer can be registered yet
 }
 
@@ -120,7 +120,7 @@ func directBad(x *Index) Dist {
 }
 
 func aliasBad(x *Index) Vertex {
-	hubs := x.hubs
+	hubs := x.a32.hubs
 	return hubs[0] // want `dereferences mmap-aliased hubs without runtime.KeepAlive\(x\)`
 }
 
@@ -183,7 +183,7 @@ func kernel(ah []Vertex, ad []Dist, bh []Vertex, bd []Dist) Dist {
 func kernelCallOK(x *Index, s, t Vertex) Dist {
 	slo, shi := x.off[s], x.off[s+1]
 	tlo, thi := x.off[t], x.off[t+1]
-	d := kernel(x.hubs[slo:shi], x.a32.dists[slo:shi], x.hubs[tlo:thi], x.a32.dists[tlo:thi])
+	d := kernel(x.a32.hubs[slo:shi], x.a32.dists[slo:shi], x.a32.hubs[tlo:thi], x.a32.dists[tlo:thi])
 	runtime.KeepAlive(x)
 	return d
 }
@@ -192,17 +192,17 @@ func kernelCallOK(x *Index, s, t Vertex) Dist {
 // feeding the kernel must still be covered.
 func kernelCallBad(x *Index, s, t Vertex) Dist {
 	slo, shi := x.off[s], x.off[s+1] // want `dereferences mmap-aliased x.off without runtime.KeepAlive`
-	return kernel(x.hubs[slo:shi], x.a32.dists[slo:shi], x.hubs[:0], x.a32.dists[:0])
+	return kernel(x.a32.hubs[slo:shi], x.a32.dists[slo:shi], x.a32.hubs[:0], x.a32.dists[:0])
 }
 
 // gallopBad: a binary-probe loop over the owner's hub array — the
 // merge-kernel access pattern written directly against x — still needs
 // the pin.
 func gallopBad(x *Index, target Vertex) int {
-	lo, hi := 0, len(x.hubs)
+	lo, hi := 0, len(x.a32.hubs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if x.hubs[mid] < target { // want `dereferences mmap-aliased x.hubs without runtime.KeepAlive`
+		if x.a32.hubs[mid] < target { // want `dereferences mmap-aliased x.a32.hubs without runtime.KeepAlive`
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -217,7 +217,7 @@ func chunkPinOK(x *Index, pairs [][2]Vertex, out []Dist) {
 	for i, p := range pairs {
 		slo, shi := x.off[p[0]], x.off[p[0]+1]
 		tlo, thi := x.off[p[1]], x.off[p[1]+1]
-		out[i] = kernel(x.hubs[slo:shi], x.a32.dists[slo:shi], x.hubs[tlo:thi], x.a32.dists[tlo:thi])
+		out[i] = kernel(x.a32.hubs[slo:shi], x.a32.dists[slo:shi], x.a32.hubs[tlo:thi], x.a32.dists[tlo:thi])
 	}
 	runtime.KeepAlive(x)
 }
@@ -235,10 +235,10 @@ func merge[M ~[0]struct{} | ~[1]struct{}](ah []Vertex, ad []Dist, bh []Vertex, b
 	return kernel(ah, ad, bh, bd) + Dist(len(m))
 }
 
-func tail(x *Index, a *arrays[Dist], v Vertex) ([]Vertex, []Dist) {
+func tail(x *Index, a *arrays[Vertex, Dist], v Vertex) ([]Vertex, []Dist) {
 	lo, hi := x.off[v], x.off[v+1]
 	runtime.KeepAlive(x)
-	return x.hubs[lo:hi], a.dists[lo:hi]
+	return a.hubs[lo:hi], a.dists[lo:hi]
 }
 
 func genericKernelOK(x *Index, s, t Vertex) Dist {
@@ -249,7 +249,7 @@ func genericKernelOK(x *Index, s, t Vertex) Dist {
 	return d
 }
 
-func genericKernelBad(x *Index, a *arrays[Dist], s, t Vertex) Dist {
+func genericKernelBad(x *Index, a *arrays[Vertex, Dist], s, t Vertex) Dist {
 	ah, ad := tail(x, a, s)
 	bh, bd := tail(x, a, t)
 	return merge[distOnly](ah, ad, bh, bd) // want `dereferences mmap-aliased bd without runtime.KeepAlive\(x\)`
@@ -260,7 +260,7 @@ func genericKernelBad(x *Index, a *arrays[Dist], s, t Vertex) Dist {
 // nothing itself; whoever reads the row — the scan kernel's caller, or a
 // loop over it — must, exactly as for a tail run.
 
-func row(x *Index, a *arrays[Dist], v Vertex) []Dist {
+func row(x *Index, a *arrays[Vertex, Dist], v Vertex) []Dist {
 	k := len(x.headHubs)
 	return a.head[int(v)*k:][:k]
 }
@@ -311,7 +311,7 @@ func headDirectBad(x *Index) Dist {
 // the words and the run are read by the caller's kernel, which pins
 // after its last read of either.
 
-func mid(x *Index, a *arrays[Dist], v Vertex) ([]uint64, []Dist) {
+func mid(x *Index, a *arrays[Vertex, Dist], v Vertex) ([]uint64, []Dist) {
 	w := (len(x.midHubs) + 63) >> 6
 	lo, hi := x.midOff[v], x.midOff[v+1]
 	runtime.KeepAlive(x)
@@ -401,4 +401,32 @@ func midHubsBad(x *Index, col int) Vertex {
 
 func midBitsDirectBad(x *Index, v Vertex) uint64 {
 	return x.midBits[v] // want `dereferences mmap-aliased x.midBits without runtime.KeepAlive`
+}
+
+// --- The kernels are methods of the arrays, called through an interface
+// at the index's widths: the receiver points into the owner parameter
+// beside it, as an arrays parameter does. The 2-byte tail hub ids are
+// the array most queries read.
+
+func (a *arrays[H, D]) receiverOK(x *Index, i int) H {
+	defer runtime.KeepAlive(x)
+	return a.hubs[i]
+}
+
+func (a *arrays[H, D]) receiverHubsBad(x *Index, i int) H {
+	return a.hubs[i] // want `dereferences mmap-aliased a.hubs without runtime.KeepAlive\(x\)`
+}
+
+func narrowHubsBad(x *Index, i int) uint16 {
+	return x.a8.hubs[i] // want `dereferences mmap-aliased x.a8.hubs without runtime.KeepAlive\(x\)`
+}
+
+func narrowTailBad(x *Index, v Vertex) int {
+	lo, hi := x.off[v], x.off[v+1]
+	runtime.KeepAlive(x)
+	n := 0
+	for _, h := range x.a8.hubs[lo:hi] { // want `does not cover the exit`
+		n += int(h)
+	}
+	return n
 }

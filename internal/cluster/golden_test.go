@@ -22,7 +22,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	}
 	g := rec.Generate(0.05)
 	opt := Options{Threads: 1, SyncCount: 8}
-	const want = "0aa378317af225fbab67d8da61e46e4cd21bffd0a590a1438a0b03d29804417d"
+	const want = "0449f36944b59be0c39ac46988e57ca6adfc12b1f4b09735965095c4a071f32e"
 	check := func(t *testing.T, idxs []*label.Index, err error) {
 		if err != nil {
 			t.Fatal(err)

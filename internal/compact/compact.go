@@ -343,7 +343,10 @@ func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist
 // + fsync to the WAL, repair the live index — in that order, so every
 // acknowledged insert survives kill -9 and every logged record is
 // applicable on replay. Validation failures wrap dynamic.ErrInvalid; a
-// log that can no longer make a record durable, wal.ErrFailed.
+// log that can no longer make a record durable, wal.ErrFailed. A record
+// logged and then not applied fails the log (see insert): that update's
+// error says "logged; applied on restart", and every later one wraps
+// wal.ErrFailed.
 func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
 	var tr *trace.Tracer // non-nil when this update is sampled
 	var t0 int64
@@ -382,12 +385,32 @@ func (p *Pipeline) insert(u, v graph.Vertex, w graph.Dist) (int, error) {
 	if err := p.log.Append(u, v, w); err != nil {
 		return 0, fmt.Errorf("compact: durable append failed, insert not applied: %w", err)
 	}
+	// The record is durable. A fault applying it — an error, or the panic
+	// of a mapped base cut under the process, which goes on as a panic —
+	// can leave part of the insert in the live index, so it fails the
+	// log: no later update lands on that half, and a restart replays the
+	// record whole.
+	defer func() {
+		if r := recover(); r != nil {
+			cause, ok := r.(error)
+			if !ok {
+				cause = fmt.Errorf("%v", r)
+			}
+			panic(p.applyFailed(u, v, w, cause))
+		}
+	}()
 	if err := p.cur.InsertEdge(u, v, w); err != nil {
-		// CheckInsert passed, so this is unreachable; the logged record
-		// replays harmlessly.
-		return 0, fmt.Errorf("compact: logged but failed to apply: %w", err)
+		return 0, p.applyFailed(u, v, w, err)
 	}
 	return p.log.Len(), nil
+}
+
+// applyFailed fails the log after the durable record {u,v,w} failed to
+// apply, and returns the error that says what became of it.
+func (p *Pipeline) applyFailed(u, v graph.Vertex, w graph.Dist, cause error) error {
+	err := fmt.Errorf("compact: edge {%d,%d,%d} logged; applied on restart: %w", u, v, w, cause)
+	p.log.Fail(err)
+	return err
 }
 
 // Compact folds the WAL into a fresh checkpoint and rolls the serving

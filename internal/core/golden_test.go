@@ -22,15 +22,16 @@ import (
 // vertex's whole label in hub order (labelsHash), recorded (at the
 // parent commit) before PIDM had a head: the labels are the ones every
 // build since the label store, prune scan and finalize rewrites has
-// produced. pidm is of the version 4 PIDM bytes, recorded when distances
-// got a width: where the finalize puts each entry, and in how many bytes.
+// produced. pidm is of the version 5 PIDM bytes, recorded when tail hub
+// ids and offsets got their widths: where the finalize puts each entry,
+// and in how many bytes.
 // The streamed legs finalize the serial lists and a one-thread build's
 // store straight into a file through fileio, as parapll-index does: the
 // file must hash to the same pin.
 func TestIndexBytesGolden(t *testing.T) {
 	for dataset, want := range map[string]struct{ pidx, pidm string }{
-		"Gnutella": {"0bb01996e156bb5d79b1ada12a46d752e33623664842effa444e55e236052451", "3496eed8854b1322f5f74e4b6532a257504c05f4dee65b5a6093410dac6fdf44"},
-		"RI-USA":   {"ba042b81e0b2f7379eb6ea206f49fad697488b7ba2b229a833095c653700ba14", "ee30e22f99414f4004a86e68b2076818a47bfbf19edbe695a8e07b7d8279ebe7"},
+		"Gnutella": {"0bb01996e156bb5d79b1ada12a46d752e33623664842effa444e55e236052451", "01d268b38a669b3810017bb4658204c099f388fbcc1f7ce127e7496ed87c14be"},
+		"RI-USA":   {"ba042b81e0b2f7379eb6ea206f49fad697488b7ba2b229a833095c653700ba14", "9bd0a14354c32fde77fdc5160fadcdfbd84cb3ca1f3ff6377d4b4f5c725e3049"},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {

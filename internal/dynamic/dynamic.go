@@ -269,7 +269,7 @@ func (x *Index) resume(endpoint, seed graph.Vertex, w graph.Dist) {
 		}
 		// Fast reject: the seed's base entry for h covers d0 (a run entry
 		// is below it), so Run would scatter L(h) to prune its first pop.
-		if d, _ := x.base.MergeRun(seed, []graph.Vertex{e.Hub}, []graph.Dist{0}); d <= d0 {
+		if x.base.HubDist(seed, e.Hub) <= d0 {
 			continue
 		}
 		hub := x.base.Union(e.Hub, x.entries(e.Hub))
@@ -313,7 +313,7 @@ func (x *Index) install(u graph.Vertex, e label.Entry) {
 	}
 	r.hubs, r.dists = slices.Insert(r.hubs, i, e.Hub), slices.Insert(r.dists, i, e.D)
 	x.added.Add(1)
-	if d, _ := x.base.MergeRun(u, []graph.Vertex{e.Hub}, []graph.Dist{0}); d != graph.Inf {
+	if x.base.HubDist(u, e.Hub) != graph.Inf {
 		x.shadows.Add(1)
 	}
 }

@@ -20,8 +20,8 @@ import (
 // run of insertions: resumed searches must prune exactly as before —
 // the labels' hash (labelsHash), of whole labels in hub order, was
 // recorded (at the parent commit) before PIDM had a head — and ToIndex
-// must lay the lists out as it did when distances got a width, the
-// version 4 PIDM hash — and so must the frozen lists streamed into a file
+// must lay the lists out as it did when hub ids and offsets got widths, the
+// version 5 PIDM hash — and so must the frozen lists streamed into a file
 // through fileio, as a compaction's fold writes them.
 func TestIndexBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
@@ -44,7 +44,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	if got := labelsHash(x.ToIndex()); got != wantLabels {
 		t.Fatalf("labels (%d entries) hash to %s, want %s", x.NumEntries(), got, wantLabels)
 	}
-	const wantPIDM = "3fca1949bd7a27ad060caa903024b23f542d2c2b61060c99627c47091ba77824"
+	const wantPIDM = "57d8cc8aa046632c8e2a05867ae59ee5700f04a5ced8694a1ef778ea97e485e2"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}

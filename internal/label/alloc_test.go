@@ -36,6 +36,7 @@ func TestQueryAllocsZero(t *testing.T) {
 		{"QueryWithHub", func() { allocSinkDist, allocSinkHub = x.QueryWithHub(5, 41) }},
 		{"QueryExplain", func() { allocSinkDist = x.QueryExplain(5, 41).Dist }},
 		{"MergeRuns", func() { allocSinkDist, allocSinkHub = MergeRuns(ah, ad, bh, bd) }},
+		{"HubDist", func() { allocSinkDist = x.HubDist(5, bh[0]) }},
 	} {
 		if a := testing.AllocsPerRun(200, c.call); a != 0 {
 			t.Fatalf("%s allocates %.1f/op, want 0", c.shape, a)

@@ -84,11 +84,11 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 	}
 	slices.Sort(keys)
 	if plan := graph.PlanChunks(len(keys), threads); plan.Inline() {
-		x.scan(pairs, keys, sc.hubArray(n))
+		x.a.scan(x, pairs, keys, sc.hubArray(n))
 	} else {
 		plan.Run(func(lo, hi int) {
 			w := x.borrow()
-			x.scan(pairs, keys[lo:hi], w.hubArray(n))
+			x.a.scan(x, pairs, keys[lo:hi], w.hubArray(n))
 			x.scratch.Put(w)
 		})
 	}
@@ -108,23 +108,12 @@ func (x *Index) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
 // share nearly all of them. hub must be all-Inf on entry and is all-Inf
 // again on return; if scan panics — a hub id outside [0,n), which only a
 // damaged index file can hold — it is not, and the caller must drop it.
-func (x *Index) scan(pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
-	switch x.width {
-	case 1:
-		scan(x, &x.a8, pairs, keys, hub)
-	case 2:
-		scan(x, &x.a16, pairs, keys, hub)
-	default:
-		scan(x, &x.a32, pairs, keys, hub)
-	}
-}
-
-func scan[D distance](x *Index, a *arrays[D], pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
+func (a *arrays[H, D]) scan(x *Index, pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist) {
 	cur := graph.Vertex(-1)
-	var sh []graph.Vertex // hubs of tail(cur), the entries of hub now set
-	var srow []D          // head row of cur
-	var sbits []uint64    // bitmap row of cur
-	var smid []D          // and its packed distances
+	var sh []H         // hubs of tail(cur), the entries of hub now set
+	var srow []D       // head row of cur
+	var sbits []uint64 // bitmap row of cur
+	var smid []D       // and its packed distances
 	for ki, k := range keys {
 		i, s := uint64(uint32(k)), graph.Vertex(k>>32)
 		t := pairs[i][1]
@@ -166,7 +155,7 @@ func scan[D distance](x *Index, a *arrays[D], pairs [][2]graph.Vertex, keys []ui
 // accumulator bought nothing, in cache or out: the loop waits on its
 // loads.) The index into hub stays bounds-checked — that check is the
 // only thing between a damaged file's hub id and someone else's memory.
-func minOver[D distance](hub []graph.Dist, hubs []graph.Vertex, dists []D) graph.Dist {
+func minOver[H hubID, D distance](hub []graph.Dist, hubs []H, dists []D) graph.Dist {
 	dists = dists[:len(hubs)]
 	best := uint64(graph.Inf)
 	for j, h := range hubs {

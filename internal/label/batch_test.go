@@ -185,7 +185,7 @@ func TestScanRestoresScratch(t *testing.T) {
 			pairs[i] = [2]graph.Vertex{graph.Vertex(r.Intn(1 + r.Intn(n))), graph.Vertex(r.Intn(n))}
 			keys[i] = uint64(pairs[i][0])<<32 | uint64(i)
 		}
-		x.scan(pairs, keys, hub) // unsorted keys: grouping is an optimisation, not a precondition
+		x.a.scan(x, pairs, keys, hub) // unsorted keys: grouping is an optimisation, not a precondition
 		for i, k := range keys {
 			if int(k>>32) != i || graph.Dist(k) != x.Query(pairs[i][0], pairs[i][1]) {
 				t.Fatalf("trial %d: key %d came back as (%d, %d), want (%d, %d)",
@@ -263,7 +263,12 @@ func damagedPIDM(t *testing.T, x *Index, v graph.Vertex, bad uint32) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(data[h.lo[secHubs]+uint64(x.off[v])*4:], bad)
+	at := data[h.lo[secHubs]+uint64(x.off[v])*uint64(h.hubBytes):]
+	if h.hubBytes == 2 {
+		binary.LittleEndian.PutUint16(at, uint16(bad))
+	} else {
+		binary.LittleEndian.PutUint32(at, bad)
+	}
 	resealPIDM(t, data)
 	return data
 }

@@ -79,7 +79,7 @@ func (x *Index) QueryExplain(s, t graph.Vertex) Explain {
 	ex.SLabelLen, ex.TLabelLen = x.LabelSize(s), x.LabelSize(t)
 	ex.HeadSlots, ex.MidWords = len(x.headHubs), midWords(len(x.midHubs))
 	t0 := time.Now()
-	ex.Dist, ex.Hub = query[counting](x, s, t, &ex)
+	ex = x.a.explain(x, ex)
 	ex.MergeNanos = time.Since(t0).Nanoseconds()
 	ex.Reachable = ex.Dist != graph.Inf
 	return ex

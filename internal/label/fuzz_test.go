@@ -2,10 +2,13 @@ package label
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"parapll/internal/graph"
@@ -110,18 +113,42 @@ func FuzzOpenPIDM(f *testing.F) {
 }
 
 // TestFuzzSeedsCoverVersionsAndWidths: the seeds hold a sound file at
-// every distance width.
+// every distance width and both hub widths.
 func TestFuzzSeedsCoverVersionsAndWidths(t *testing.T) {
-	seen := map[int]bool{}
+	seen := map[string]bool{}
 	for _, data := range seedPIDMFiles(t) {
 		if h, err := parsePIDM(data); err == nil {
-			seen[h.width] = true
+			seen[fmt.Sprintf("%d-byte distances", h.width)] = true
+			seen[fmt.Sprintf("%d-byte hubs", h.hubBytes)] = true
 		}
 	}
-	for _, width := range []int{1, 2, 4} {
-		if !seen[width] {
-			t.Errorf("no sound seed with %d-byte distances", width)
+	for _, want := range []string{"1-byte distances", "2-byte distances", "4-byte distances", "2-byte hubs", "4-byte hubs"} {
+		if !seen[want] {
+			t.Errorf("no sound seed with %s", want)
 		}
+	}
+}
+
+// TestVersion4SeedRefusedByName: the corpus keeps one whole file the
+// version 4 writer wrote (seed-pidm-v4, which TestRegenFuzzCorpus does
+// not rewrite), and both readers refuse it by name.
+func TestVersion4SeedRefusedByName(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOpenPIDM", "seed-pidm-v4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, line, _ := strings.Cut(string(body), "\n")
+	quoted, ok := strings.CutSuffix(strings.TrimPrefix(strings.TrimSpace(line), "[]byte("), ")")
+	data, err := strconv.Unquote(quoted)
+	if !ok || err != nil || len(data) <= mmapHeader || binary.LittleEndian.Uint32([]byte(data[4:8])) != 4 {
+		t.Fatalf("seed-pidm-v4 is not a whole version 4 file: %q (%v)", body, err)
+	}
+	const want = "a PIDM version 4 index, a format this build no longer reads: rebuild it with parapll-index"
+	if x, err := readPIDMStream(strings.NewReader(data)); x != nil || err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("readPIDMStream: %v, want %q", err, want)
+	}
+	if x, err := Open(writeTemp(t, []byte(data))); x != nil || err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: %v, want %q", err, want)
 	}
 }
 

@@ -38,9 +38,12 @@ import (
 // in the head) becomes bit column c of an n × W matrix of 64-bit words,
 // W = ceil(K2/64), and the distances of a vertex's set bits are packed
 // behind it in column order. A column costs n/8 bytes of bitmap and
-// saves the 4-byte hub id of every entry it takes, which is where n/32
-// comes from. Its share of a query ANDs two bitmap rows and ranks each
-// common bit in both by a popcount of the bits below it (midMin, mid.go).
+// saves the tail hub id of every entry it takes: against a 4-byte id
+// that pays from n/32 labels up, which is the rule. Against the 2-byte
+// ids below it pays from n/16, but that rule cost the lone p2p query
+// 14 % (EXPERIMENTS.md), so the columns between keep their bytes. Its
+// share of a query ANDs two bitmap rows and ranks each common bit in
+// both by a popcount of the bits below it (midMin, mid.go).
 //
 // The tail is everything else, per vertex one flat, hub-sorted,
 // deduplicated run of (hub, distance) pairs, and its share of a query is
@@ -58,6 +61,11 @@ import (
 // is graph.Inf and this is saturating addition. One width per index, not
 // per tier or per vertex: a sum crosses two labels and needs one
 // sentinel on both sides.
+//
+// A tail hub id is 2 bytes when every vertex id fits (n <= 65 536), else
+// 4, and both offset arrays are 4 bytes, so finalize refuses 2³² tail or
+// mid entries. The arrays at the two widths are an *arrays[H, D] behind
+// the layout interface, whose methods are the kernels at those widths.
 //
 // Invariant: every hub id is a vertex of the index, 0 <= hub <
 // NumVertices(), and every stored distance is at most what its width
@@ -92,21 +100,19 @@ import (
 // this package that retains the slices returned by Label must keep the
 // Index reachable the same way for as long as it reads them.
 type Index struct {
-	Header // of img: the counts, the distance width and the sections
+	Header // of img: the counts, the two widths and the sections
 
-	off  []int64        // len n+1: tail run of v is [off[v], off[v+1])
-	hubs []graph.Vertex // tail, flat, sorted by hub within each vertex run
+	off []uint32 // len n+1: tail run of v is [off[v], off[v+1])
 
 	headHubs []graph.Vertex // the K head hubs, ascending
 
 	midHubs []graph.Vertex // the K2 mid hubs, ascending
 	midBits []uint64       // n × W row-major, W = ceil(K2/64): bit c of row v set iff midHubs[c] ∈ L(v)
-	midOff  []int64        // len n+1, nil when K2 = 0: mid run of v is midDists[midOff[v]:midOff[v+1]]
+	midOff  []uint32       // len n+1, nil when K2 = 0: mid run of v is midDists[midOff[v]:midOff[v+1]]
 
-	// The distances, in the one of the three whose width is width bytes.
-	a8  arrays[uint8]
-	a16 arrays[uint16]
-	a32 arrays[graph.Dist]
+	// The tail hub ids and the distances, an *arrays[H, D] at the index's
+	// two widths, whose methods are the kernels instantiated there.
+	a layout
 
 	img []byte   // the PIDM image every array above aliases: heap or mapped
 	mm  *mapping // non-nil when the index was read from a file (see Open)
@@ -123,11 +129,56 @@ type Index struct {
 // distance is the set of types a stored distance has.
 type distance interface{ ~uint8 | ~uint16 | ~uint32 }
 
-// arrays holds an index's distances at width D.
-type arrays[D distance] struct {
+// hubID is the set of types a tail hub id has: 2 bytes when every vertex
+// id fits (n <= 65 536), else 4.
+type hubID interface{ ~uint16 | ~int32 }
+
+// arrays holds an index's tail hub ids at width H and its distances at
+// width D.
+type arrays[H hubID, D distance] struct {
+	hubs     []H // tail, flat, sorted by hub within each vertex run
 	head     []D // n × K row-major: head[v*K+c] = d(headHubs[c], v), or ^D(0)
 	midDists []D // the distances of the set mid bits, row by row in column order
 	dists    []D // tail, beside hubs
+}
+
+// layout is an index's arrays as its entry points see them: each method
+// is a kernel at the index's H and D, so an entry point dispatches on the
+// two widths by one call. No per-query argument reaches the heap through
+// it: the explain record goes by value, HubDist's run stays in a frame.
+type layout interface {
+	query(x *Index, s, t graph.Vertex) graph.Dist
+	queryHub(x *Index, s, t graph.Vertex) (graph.Dist, graph.Vertex)
+	explain(x *Index, ex Explain) Explain
+	scan(x *Index, pairs [][2]graph.Vertex, keys []uint64, hub []graph.Dist)
+	label(x *Index, v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist)
+	labelSize(x *Index, v graph.Vertex) int
+	mergeRun(x *Index, v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex)
+	hubDist(x *Index, v, h graph.Vertex) graph.Dist
+	scatter(p *Probe, x *Index, v graph.Vertex)
+	covers(p *Probe, x *Index, v graph.Vertex, d graph.Dist) bool
+	checkEntries(x *Index, strict bool) error
+	deal(d *dealer, list func(v int) []Entry, slot []int32)
+	slice(data []byte, h Header, alias bool) layout
+}
+
+// layoutFor returns empty arrays at hubBytes-byte tail hubs and
+// width-byte distances.
+func layoutFor(hubBytes, width int) layout {
+	if hubBytes == 2 {
+		return withWidth[uint16](width)
+	}
+	return withWidth[graph.Vertex](width)
+}
+
+func withWidth[H hubID](width int) layout {
+	switch width {
+	case 1:
+		return &arrays[H, uint8]{}
+	case 2:
+		return &arrays[H, uint16]{}
+	}
+	return &arrays[H, graph.Dist]{}
 }
 
 // maxDist is the largest distance an index of width D stores: no sum of
@@ -239,9 +290,9 @@ type image []byte
 func (b image) WriteAt(p []byte, off int64) (int, error) { return copy(b[off:], p), nil }
 
 // Flat returns an index over the same labels with every entry in the
-// tail and every distance at 4 bytes, so that Label returns the stored
-// runs — x itself when it is such an index. It is the baseline the tiers
-// are measured against (BenchmarkQueryKernel's -flat rows).
+// tail and every hub and distance at 4 bytes, so that Label returns the
+// stored runs — x itself when it is such an index. It is the baseline
+// the tiers are measured against (BenchmarkQueryKernel's -flat rows).
 func (x *Index) Flat() *Index { return x.relayout(tailOnly) }
 
 // HeadOnly returns an index over the same labels with a head and no
@@ -249,14 +300,9 @@ func (x *Index) Flat() *Index { return x.relayout(tailOnly) }
 // (BenchmarkQueryKernel's -nomid rows).
 func (x *Index) HeadOnly() *Index { return x.relayout(headAndTail) }
 
-// Wide returns an index over the same labels in all three tiers with
-// 4-byte distances whatever they are: the baseline the narrow widths are
-// measured against (BenchmarkQueryKernel's -wide rows).
-func (x *Index) Wide() *Index { return x.relayout(allTiersWide) }
-
 // relayout finalizes x's labels again under another choice of tiers.
 func (x *Index) relayout(use tiers) *Index {
-	if use == tailOnly && x.k == 0 && x.k2 == 0 && x.width == 4 {
+	if use == tailOnly && x.k == 0 && x.k2 == 0 && x.width == 4 && x.hubBytes == 4 {
 		return x
 	}
 	var hubs []graph.Vertex
@@ -274,16 +320,15 @@ func (x *Index) relayout(use tiers) *Index {
 	return y
 }
 
-// tiers says which of the two column tiers finalize may fill, and
-// whether it may narrow the distances. Every index a build or a reader
-// produces has allTiers; the others exist for Flat, HeadOnly and Wide.
+// tiers says which column tiers finalize may fill. Every index a build
+// or a reader produces has allTiers; the others exist for Flat and
+// HeadOnly.
 type tiers int
 
 const (
-	tailOnly tiers = iota // at 4 bytes: Label aliases the runs
+	tailOnly tiers = iota // hubs and distances at 4 bytes: Label aliases the runs
 	headAndTail
 	allTiers
-	allTiersWide // at 4 bytes
 )
 
 // finalize streams n label lists into a PIDM image in two passes, and
@@ -291,9 +336,9 @@ const (
 // duplicate within one list once) and takes the largest distance, which
 // fixes the header — every hub in more than n/2 labels goes to the head,
 // every other hub in more than n/32 to the middle tier, as far as use
-// allows; the width of a distance (see Index); the exact size of every
-// section and so of the image, which open is given to return where it
-// goes. The second is deal, into the nine section streams, and the
+// allows; the widths of a distance and a tail hub id (see Index); the
+// exact size of every section and so of the image, which open is given
+// to return where it goes. The second is deal, into the nine section streams, and the
 // header is written last. A hub outside [0,n) or a distance of graph.Inf
 // is a builder's bug and panics (the Index invariant). list(v) may reuse
 // its result's storage between calls.
@@ -339,17 +384,23 @@ func finalize(n int, list func(v int) []Entry, use tiers, open func(size int64) 
 		}
 	}
 	h.k, h.k2 = len(headHubs), len(midHubs)
+	wide := use == tailOnly
 	switch {
-	case use == tailOnly || use == allTiersWide || uint64(dmax) > maxDist[uint16]():
+	case wide || uint64(dmax) > maxDist[uint16]():
 		h.width = 4
 	case uint64(dmax) > maxDist[uint8]():
 		h.width = 2
 	default:
 		h.width = 1
 	}
-	var size uint64
-	h.lo, h.size, size = mmapLayout(n, h.k, h.k2, h.mid, h.tail, h.width)
-	w, err := open(int64(size))
+	h.hubBytes = 2
+	if wide || n > 1<<16 {
+		h.hubBytes = 4
+	}
+	if h.tail >= 1<<32 || h.mid >= 1<<32 {
+		return h, fmt.Errorf("label: entry count overflows a 4-byte offset: %d tail and %d mid entries", h.tail, h.mid)
+	}
+	w, err := open(int64(h.layout()))
 	if err != nil {
 		return h, err
 	}
@@ -359,14 +410,7 @@ func finalize(n int, list func(v int) []Entry, use tiers, open func(size int64) 
 	}
 	put(&d.sec[secHeadHubs], headHubs)
 	put(&d.sec[secMidHubs], midHubs)
-	switch h.width {
-	case 1:
-		deal[uint8](d, list, slot)
-	case 2:
-		deal[uint16](d, list, slot)
-	default:
-		deal[graph.Dist](d, list, slot)
-	}
+	layoutFor(h.hubBytes, h.width).deal(d, list, slot)
 	return h, d.close()
 }
 
@@ -377,13 +421,13 @@ func finalize(n int, list func(v int) []Entry, use tiers, open func(size int64) 
 // its section beside the running offsets — so beside the source lists
 // only one label's scratch and the section blocks are ever live. The
 // scratch is deal's own: ranks of a cluster finalize at once.
-func deal[D distance](d *dealer, list func(v int) []Entry, slot []int32) {
+func (*arrays[H, D]) deal(d *dealer, list func(v int) []Entry, slot []int32) {
 	row := make([]D, d.h.k)
 	words := make([]uint64, midWords(d.h.k2))
 	var keys []uint64
-	var hubs []graph.Vertex
+	var hubs []H
 	var dists, mids []D
-	off, midOff := []int64{0}, []int64{0}
+	off, midOff := []uint32{0}, []uint32{0}
 	put(&d.sec[secOff], off)
 	if len(words) > 0 {
 		put(&d.sec[secMidOff], midOff)
@@ -406,7 +450,7 @@ func deal[D distance](d *dealer, list func(v int) []Entry, slot []int32) {
 			case c >= 0:
 				row[c] = D(e.D)
 			case c == -1:
-				hubs, dists = append(hubs, e.Hub), append(dists, D(e.D))
+				hubs, dists = append(hubs, H(e.Hub)), append(dists, D(e.D))
 			default:
 				c = -2 - c
 				words[c>>6] |= 1 << uint(c&63)
@@ -418,10 +462,10 @@ func deal[D distance](d *dealer, list func(v int) []Entry, slot []int32) {
 		put(&d.sec[secMidDists], mids)
 		put(&d.sec[secHubs], hubs)
 		put(&d.sec[secDists], dists)
-		off[0] += int64(len(hubs))
+		off[0] += uint32(len(hubs))
 		put(&d.sec[secOff], off)
 		if len(words) > 0 {
-			midOff[0] += int64(len(mids))
+			midOff[0] += uint32(len(mids))
 			put(&d.sec[secMidOff], midOff)
 		}
 	}
@@ -587,6 +631,10 @@ func (h *Header) Mid() (k2 int, density float64) {
 // fixed by the largest distance in the labels (see Index).
 func (h *Header) DistBytes() int { return h.width }
 
+// HubBytes returns the width of a tail hub id: 2 bytes when every vertex
+// id fits, else 4.
+func (h *Header) HubBytes() int { return h.hubBytes }
+
 // MemoryBytes returns the bytes of the index's arrays (offsets, tail hubs
 // and distances, head, bitmap and packed mid distances), its sections'
 // payload. The paper reports this linear-in-(n·LN) quantity peaking at
@@ -600,17 +648,9 @@ func (h *Header) MemoryBytes() int64 {
 }
 
 // LabelSize returns |L(v)|.
-func (x *Index) LabelSize(v graph.Vertex) int {
-	switch x.width {
-	case 1:
-		return labelSize(x, &x.a8, v)
-	case 2:
-		return labelSize(x, &x.a16, v)
-	}
-	return labelSize(x, &x.a32, v)
-}
+func (x *Index) LabelSize(v graph.Vertex) int { return x.a.labelSize(x, v) }
 
-func labelSize[D distance](x *Index, a *arrays[D], v graph.Vertex) int {
+func (a *arrays[H, D]) labelSize(x *Index, v graph.Vertex) int {
 	_, md := mid(x, a, v)
 	size := int(x.off[v+1]-x.off[v]) + len(md)
 	for _, d := range row(x, a, v) {
@@ -623,26 +663,21 @@ func labelSize[D distance](x *Index, a *arrays[D], v graph.Vertex) int {
 }
 
 // Label returns v's entries, hub-sorted. An index with every entry in
-// the tail at 4 bytes (Flat) returns its stored run; otherwise the bitmap
-// row's entries and the tail run are interleaved into hubs[:0] and
-// dists[:0], which a caller walking many labels passes back in to reuse,
-// and the head row's are merged in from the back. Either way the result
-// is read-only, and for a possibly mmap-backed index the caller must keep
-// x reachable (runtime.KeepAlive) for as long as it reads it — see the
-// Index memory-model comment.
+// the tail, hubs and distances at 4 bytes (Flat) returns its stored run;
+// otherwise the bitmap row's entries and the tail run are interleaved
+// into hubs[:0] and dists[:0], which a caller walking many labels passes
+// back in to reuse, and the head row's are merged in from the back.
+// Either way the result is read-only, and for a possibly mmap-backed
+// index the caller must keep x reachable (runtime.KeepAlive) for as long
+// as it reads it — see the Index memory-model comment.
 func (x *Index) Label(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
-	switch {
-	case x.width == 1:
-		return label(x, &x.a8, v, hubs, dists)
-	case x.width == 2:
-		return label(x, &x.a16, v, hubs, dists)
-	case len(x.headHubs) == 0 && len(x.midHubs) == 0:
-		return tail(x, &x.a32, v)
+	if a, ok := x.a.(*arrays[graph.Vertex, graph.Dist]); ok && x.k == 0 && x.k2 == 0 {
+		return tail(x, a, v)
 	}
-	return label(x, &x.a32, v, hubs, dists)
+	return x.a.label(x, v, hubs, dists)
 }
 
-func label[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
+func (a *arrays[H, D]) label(x *Index, v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
 	th, td := tail(x, a, v)
 	hubs, dists = hubs[:0], dists[:0]
 	words, md := mid(x, a, v)
@@ -650,16 +685,15 @@ func label[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vert
 	for w, word := range words {
 		for ; word != 0; word &= word - 1 {
 			h := x.midHubs[w<<6+bits.TrailingZeros64(word)]
-			for ; j < len(th) && th[j] < h; j++ {
-				hubs, dists = append(hubs, th[j]), append(dists, graph.Dist(td[j]))
+			for ; j < len(th) && graph.Vertex(th[j]) < h; j++ {
+				hubs, dists = append(hubs, graph.Vertex(th[j])), append(dists, graph.Dist(td[j]))
 			}
 			hubs, dists = append(hubs, h), append(dists, graph.Dist(md[rank]))
 			rank++
 		}
 	}
-	hubs = append(hubs, th[j:]...)
-	for _, d := range td[j:] {
-		dists = append(dists, graph.Dist(d))
+	for ; j < len(th); j++ {
+		hubs, dists = append(hubs, graph.Vertex(th[j])), append(dists, graph.Dist(td[j]))
 	}
 
 	hr := row(x, a, v)
@@ -692,16 +726,19 @@ func label[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vert
 // put it — head column, bitmap bit ranked by popcounts, tail entry by
 // binary search — at a cost per hub of the run, whatever L(v)'s length.
 func (x *Index) MergeRun(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex) {
-	switch x.width {
-	case 1:
-		return mergeRun(x, &x.a8, v, hubs, dists)
-	case 2:
-		return mergeRun(x, &x.a16, v, hubs, dists)
-	}
-	return mergeRun(x, &x.a32, v, hubs, dists)
+	return x.a.mergeRun(x, v, hubs, dists)
 }
 
-func mergeRun[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex) {
+// HubDist returns the distance L(v) holds for hub h, a vertex of the
+// index, or graph.Inf: MergeRun of the run (h, 0), minus its slices.
+func (x *Index) HubDist(v, h graph.Vertex) graph.Dist { return x.a.hubDist(x, v, h) }
+
+func (a *arrays[H, D]) hubDist(x *Index, v, h graph.Vertex) graph.Dist {
+	d, _ := a.mergeRun(x, v, []graph.Vertex{h}, []graph.Dist{0})
+	return d
+}
+
+func (a *arrays[H, D]) mergeRun(x *Index, v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) (graph.Dist, graph.Vertex) {
 	th, td := tail(x, a, v)
 	words, md := mid(x, a, v)
 	hr := row(x, a, v)
@@ -722,7 +759,7 @@ func mergeRun[D distance](x *Index, a *arrays[D], v graph.Vertex, hubs []graph.V
 				d = md[below+bits.OnesCount64(words[w0]&(bit-1))]
 			}
 		default:
-			if j, ok := slices.BinarySearch(th, h); ok {
+			if j, ok := slices.BinarySearch(th, H(h)); ok {
 				d = td[j]
 			}
 		}
@@ -780,16 +817,16 @@ func checkPairSlow(s, t graph.Vertex, n int) {
 // pin here covers the offset reads only: the returned slices alias x's
 // possibly-mmap'd arrays, so the caller pins x again after its last
 // read of them (the same contract as Label).
-func tail[D distance](x *Index, a *arrays[D], v graph.Vertex) ([]graph.Vertex, []D) {
+func tail[H hubID, D distance](x *Index, a *arrays[H, D], v graph.Vertex) ([]H, []D) {
 	lo, hi := x.off[v], x.off[v+1]
 	runtime.KeepAlive(x)
-	return x.hubs[lo:hi], a.dists[lo:hi]
+	return a.hubs[lo:hi], a.dists[lo:hi]
 }
 
 // row cuts v's head row: K distances, zero-length when the index has no
 // head. It reads no element, so it pins nothing; the caller pins x after
 // its last read of the row, as for tail.
-func row[D distance](x *Index, a *arrays[D], v graph.Vertex) []D {
+func row[H hubID, D distance](x *Index, a *arrays[H, D], v graph.Vertex) []D {
 	k := len(x.headHubs)
 	return a.head[int(v)*k:][:k]
 }
@@ -797,7 +834,7 @@ func row[D distance](x *Index, a *arrays[D], v graph.Vertex) []D {
 // mid cuts v's bitmap row — W words — and the packed distances of its
 // set bits, both zero-length when the index has no middle tier. As with
 // tail, the pin covers the offset reads only.
-func mid[D distance](x *Index, a *arrays[D], v graph.Vertex) ([]uint64, []D) {
+func mid[H hubID, D distance](x *Index, a *arrays[H, D], v graph.Vertex) ([]uint64, []D) {
 	w := midWords(len(x.midHubs))
 	if w == 0 {
 		return nil, nil
@@ -870,8 +907,7 @@ func (x *Index) Query(s, t graph.Vertex) graph.Dist {
 	if s == t {
 		return 0
 	}
-	d, _ := query[distOnly](x, s, t, nil)
-	return d
+	return x.a.query(x, s, t)
 }
 
 // QueryWithHub is Query but also reports the meeting hub achieving the
@@ -884,26 +920,29 @@ func (x *Index) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
 	if s == t {
 		return 0, s
 	}
-	return query[withHub](x, s, t, nil)
+	return x.a.queryHub(x, s, t)
 }
 
-// query answers one pair of distinct vertices in mode M: the one place a
-// lone pair is dispatched on the index's distance width.
-func query[M mode](x *Index, s, t graph.Vertex, ex *Explain) (graph.Dist, graph.Vertex) {
-	switch x.width {
-	case 1:
-		return pair[M](x, &x.a8, s, t, ex)
-	case 2:
-		return pair[M](x, &x.a16, s, t, ex)
-	}
-	return pair[M](x, &x.a32, s, t, ex)
+// query, queryHub and explain are pair in the three modes.
+func (a *arrays[H, D]) query(x *Index, s, t graph.Vertex) graph.Dist {
+	d, _ := pair[distOnly](x, a, s, t, nil)
+	return d
+}
+
+func (a *arrays[H, D]) queryHub(x *Index, s, t graph.Vertex) (graph.Dist, graph.Vertex) {
+	return pair[withHub](x, a, s, t, nil)
+}
+
+func (a *arrays[H, D]) explain(x *Index, ex Explain) Explain {
+	ex.Dist, ex.Hub = pair[counting](x, a, ex.S, ex.T, &ex)
+	return ex
 }
 
 // pair is QUERY(s,t,L) over the three tiers: the merge of the two tails,
 // the rank scan of the two bitmap rows and the scan of the two head
 // rows, and between equal distances the smaller hub id (meet). ex is
 // written only under counting and may be nil otherwise.
-func pair[M mode, D distance](x *Index, a *arrays[D], s, t graph.Vertex, ex *Explain) (graph.Dist, graph.Vertex) {
+func pair[M mode, H hubID, D distance](x *Index, a *arrays[H, D], s, t graph.Vertex, ex *Explain) (graph.Dist, graph.Vertex) {
 	var m M
 	ah, ad := tail(x, a, s)
 	bh, bd := tail(x, a, t)

@@ -58,7 +58,7 @@ type (
 // finalize and the readers. Sums are taken in 64 bits and clamped at the
 // end, like every kernel's (see Index). ex is written only under
 // counting and may be nil otherwise.
-func merge[M mode, D distance](ah []graph.Vertex, ad []D, bh []graph.Vertex, bd []D, ex *Explain) (graph.Dist, graph.Vertex) {
+func merge[M mode, H hubID, D distance](ah []H, ad []D, bh []H, bd []D, ex *Explain) (graph.Dist, graph.Vertex) {
 	var m M
 	// Intersection is symmetric: put the shorter run first so the
 	// gallop always iterates the short side.
@@ -129,7 +129,7 @@ func merge[M mode, D distance](ah []graph.Vertex, ad []D, bh []graph.Vertex, bd 
 				if d := uint64(ad[i]) + uint64(bd[j]); d < best {
 					best = d
 					if len(m) >= 1 {
-						hub = target
+						hub = graph.Vertex(target)
 					}
 				}
 				j++
@@ -188,7 +188,7 @@ func merge[M mode, D distance](ah []graph.Vertex, ad []D, bh []graph.Vertex, bd 
 				if d := uint64(ad[i]) + uint64(bd[j]); d < best {
 					best = d
 					if len(m) >= 1 {
-						hub = a
+						hub = graph.Vertex(a)
 					}
 				}
 				i++

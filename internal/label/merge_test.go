@@ -153,9 +153,9 @@ func TestMergeRunFindsEveryTier(t *testing.T) {
 		built := narrowTieredIndex(r, 300, tc.dmax)
 		for _, x := range []*Index{built, openCopy(t, built)} {
 			name := fmt.Sprintf("dmax=%d mapped=%v", tc.dmax, x.Mapped())
-			if x.DistBytes() != tc.width || len(x.headHubs) == 0 || len(x.midHubs) == 0 || len(x.hubs) == 0 {
+			if x.DistBytes() != tc.width || len(x.headHubs) == 0 || len(x.midHubs) == 0 || int(x.tail) == 0 {
 				t.Fatalf("%s: %d-byte distances, K=%d K2=%d, %d tail entries; want %d bytes and all three tiers",
-					name, x.DistBytes(), len(x.headHubs), len(x.midHubs), len(x.hubs), tc.width)
+					name, x.DistBytes(), len(x.headHubs), len(x.midHubs), int(x.tail), tc.width)
 			}
 			seen := map[string]int{}
 			for v := graph.Vertex(0); int(v) < x.NumVertices(); v += 7 {
@@ -179,6 +179,9 @@ func TestMergeRunFindsEveryTier(t *testing.T) {
 					}
 					seen[tier]++
 					check(tier, []graph.Vertex{h}, []graph.Dist{graph.Dist(r.Intn(1000))})
+					if want, _ := refMerge([]graph.Vertex{h}, []graph.Dist{0}, lh, ld); x.HubDist(v, h) != want {
+						t.Fatalf("%s: HubDist(%d, %s %d) = %d, want %d", name, v, tier, h, x.HubDist(v, h), want)
+					}
 				}
 				hubs, dists := randRun(r, 60, x.NumVertices())
 				for i := range dists {

@@ -7,8 +7,8 @@ import (
 )
 
 // mid.go is the middle tier's share of QUERY(s,t,L): the hubs too rare
-// for a head column and too common to be worth a 4-byte id in every
-// label they are in. Such a hub is one bit in every vertex's bitmap row,
+// for a head column and too common to be worth a hub id in every label
+// they are in. Such a hub is one bit in every vertex's bitmap row,
 // and a vertex's distances to the hubs whose bits are set are packed in
 // column order, so entry i of the run belongs to the i-th set bit.
 

@@ -23,10 +23,10 @@ import (
 // decode, no second copy of the index in memory. The label array IS the
 // product artifact; the file IS the serving state.
 //
-// Version 4 layout (all integers little-endian):
+// Version 5 layout (all integers little-endian):
 //
 //	[0:4)     magic "PIDM"
-//	[4:8)     version (4)
+//	[4:8)     version (5)
 //	[8:16)    n       — vertex count
 //	[16:24)   total   — label entries: held head slots + set mid bits + tail entries
 //	[24:32)   tail    — tail entries
@@ -35,14 +35,19 @@ import (
 //	[48:56)   mid     — mid entries: set bits, packed distances
 //	[56:64)   width   — bytes a stored distance: 1, 2 or 4 (see Index); an
 //	          empty head slot holds the width's all-ones value
-//	[64:136)  byte offsets of the nine sections, in file order:
-//	          off ((n+1) × int64), midOff ((n+1) × int64, empty when K2 = 0),
+//	[64:72)   hub width — bytes a tail hub id: 2 (uint16, only when
+//	          n <= 65 536) or 4 (int32)
+//	[72:144)  byte offsets of the nine sections, in file order:
+//	          off ((n+1) × uint32), midOff ((n+1) × uint32, empty when K2 = 0),
 //	          headHubs (K × int32), midHubs (K2 × int32),
 //	          head (n·K × width), midBits (n·W × uint64), midDists (mid × width),
-//	          hubs (tail × int32), dists (tail × width)
-//	[136:172) CRC32 (IEEE) of each section, same order
-//	[172:188) zero
+//	          hubs (tail × hub width), dists (tail × width)
+//	[144:180) CRC32 (IEEE) of each section, same order
+//	[180:188) zero
 //	[188:192) CRC32 of header bytes [0:188)
+//
+// The offsets are 4 bytes, so tail and mid are below 2³²: finalize
+// refuses a label set that has more and parsePIDM a header that says so.
 //
 // Sections follow in that order, each padded to a 64-byte boundary
 // (cache-line, and divides the page size, so section starts stay
@@ -59,20 +64,20 @@ import (
 
 const (
 	mmapMagic   = "PIDM"
-	mmapVersion = 4
+	mmapVersion = 5
 	mmapHeader  = 192 // the header's bytes: the least a PIDM file holds
 	mmapAlign   = 64
 
-	// Where the header keeps the seven counts (n, total, tail, K, K2,
-	// mid, width), the nine section offsets and their nine CRCs.
+	// Where the header keeps the eight counts (n, total, tail, K, K2,
+	// mid, width, hub width), the nine section offsets and their nine
+	// CRCs.
 	hdrCounts  = 8
-	hdrOffsets = hdrCounts + 8*7
+	hdrOffsets = hdrCounts + 8*8
 	hdrCRCs    = hdrOffsets + 8*numSections
 
-	// maxMmapEntries bounds the tail and mid entry counts, the head slot
-	// count and the bitmap word count so section arithmetic can never
-	// overflow uint64 (and a corrupt header cannot make us map absurd
-	// lengths).
+	// maxMmapEntries bounds the head slot count and the bitmap word
+	// count so section arithmetic can never overflow uint64 (and a
+	// corrupt header cannot make us map absurd lengths).
 	maxMmapEntries = int64(1) << 48
 )
 
@@ -102,30 +107,29 @@ var hostLittleEndian = func() bool {
 
 func alignUp(x uint64) uint64 { return (x + mmapAlign - 1) &^ (mmapAlign - 1) }
 
-// mmapLayout returns the byte offset and length of each section and the
-// total file size for an index with n vertices, k head columns, k2 mid
-// columns holding mid entries and tail tail entries, a distance width
-// bytes.
-func mmapLayout(n, k, k2 int, mid, tail int64, width int) (lo, size [numSections]uint64, fileSize uint64) {
-	size = [numSections]uint64{
-		secOff:      uint64(n+1) * 8,
-		secHeadHubs: uint64(k) * 4,
-		secHead:     uint64(n) * uint64(k) * uint64(width),
-		secMidHubs:  uint64(k2) * 4,
-		secMidBits:  uint64(n) * uint64(midWords(k2)) * 8,
-		secMidDists: uint64(mid) * uint64(width),
-		secHubs:     uint64(tail) * 4,
-		secDists:    uint64(tail) * uint64(width),
+// layout sets the byte offset and length of each section from the
+// header's counts and widths, and returns the size of the file.
+func (h *Header) layout() uint64 {
+	n, k, k2, w := uint64(h.n), uint64(h.k), uint64(h.k2), uint64(h.width)
+	h.size = [numSections]uint64{
+		secOff:      (n + 1) * 4,
+		secHeadHubs: k * 4,
+		secHead:     n * k * w,
+		secMidHubs:  k2 * 4,
+		secMidBits:  n * uint64(midWords(h.k2)) * 8,
+		secMidDists: uint64(h.mid) * w,
+		secHubs:     uint64(h.tail) * uint64(h.hubBytes),
+		secDists:    uint64(h.tail) * w,
 	}
 	if k2 > 0 {
-		size[secMidOff] = uint64(n+1) * 8
+		h.size[secMidOff] = (n + 1) * 4
 	}
 	end := uint64(mmapHeader)
-	for i := range lo {
-		lo[i] = alignUp(end)
-		end = lo[i] + size[i]
+	for i := range h.lo {
+		h.lo[i] = alignUp(end)
+		end = h.lo[i] + h.size[i]
 	}
-	return lo, size, end
+	return end
 }
 
 // mapping owns the backing bytes of an mmap-opened index: a real
@@ -183,6 +187,7 @@ func (x *Index) WriteMmap(w io.Writer) error {
 type Header struct {
 	n, k, k2 int
 	width    int   // bytes a stored distance
+	hubBytes int   // bytes a tail hub id
 	total    int64 // label entries, head slots and mid bits included
 	tail     int64 // tail entries
 	mid      int64 // mid entries
@@ -195,7 +200,7 @@ func (h *Header) encode() []byte {
 	hdr := make([]byte, mmapHeader)
 	copy(hdr[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
-	for i, c := range []int64{int64(h.n), h.total, h.tail, int64(h.k), int64(h.k2), h.mid, int64(h.width)} {
+	for i, c := range []int64{int64(h.n), h.total, h.tail, int64(h.k), int64(h.k2), h.mid, int64(h.width), int64(h.hubBytes)} {
 		binary.LittleEndian.PutUint64(hdr[hdrCounts+8*i:], uint64(c))
 	}
 	for i := range h.lo {
@@ -207,7 +212,7 @@ func (h *Header) encode() []byte {
 }
 
 // parsePIDM validates the container: magic, version, header checksum,
-// overflow-safe counts, distance width, section alignment and exact file
+// overflow-safe counts, the two widths, section alignment and exact file
 // extent. It does not touch the section payloads.
 func parsePIDM(data []byte) (Header, error) {
 	var h Header
@@ -226,19 +231,19 @@ func parsePIDM(data []byte) (Header, error) {
 	if got, want := binary.LittleEndian.Uint32(data[mmapHeader-4:mmapHeader]), crc32.ChecksumIEEE(data[0:mmapHeader-4]); got != want {
 		return h, fmt.Errorf("label: pidm: header checksum mismatch: file %08x, computed %08x", got, want)
 	}
-	var counts [7]uint64 // n, total, tail, K, K2, mid, width
+	var counts [8]uint64 // n, total, tail, K, K2, mid, width, hub width
 	for i := range counts {
 		counts[i] = binary.LittleEndian.Uint64(data[hdrCounts+8*i:])
 	}
-	n, total, tail, k, k2, mid, width := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5], counts[6]
+	n, total, tail, k, k2, mid, width, hubBytes := counts[0], counts[1], counts[2], counts[3], counts[4], counts[5], counts[6], counts[7]
 	if width != 1 && width != 2 && width != 4 {
 		return h, fmt.Errorf("label: pidm: distance width %d, want 1, 2 or 4", width)
 	}
 	if n > math.MaxInt32 {
 		return h, fmt.Errorf("label: pidm: vertex count %d overflows", n)
 	}
-	if tail > uint64(maxMmapEntries) {
-		return h, fmt.Errorf("label: pidm: entry count %d overflows", tail)
+	if tail >= 1<<32 || mid >= 1<<32 {
+		return h, fmt.Errorf("label: pidm: entry count overflows a 4-byte offset: %d tail and %d mid entries", tail, mid)
 	}
 	if k > n || n*k > uint64(maxMmapEntries) {
 		return h, fmt.Errorf("label: pidm: %d head columns for %d vertices", k, n)
@@ -249,9 +254,12 @@ func parsePIDM(data []byte) (Header, error) {
 	if total < tail+mid || total > tail+mid+n*k {
 		return h, fmt.Errorf("label: pidm: %d entries cannot be %d tail entries, %d mid entries and %d head slots", total, tail, mid, n*k)
 	}
-	h.n, h.k, h.k2, h.width, h.total, h.tail, h.mid = int(n), int(k), int(k2), int(width), int64(total), int64(tail), int64(mid)
-	var size uint64
-	h.lo, h.size, size = mmapLayout(h.n, h.k, h.k2, h.mid, h.tail, h.width)
+	if hubBytes != 4 && (hubBytes != 2 || n > 1<<16) {
+		return h, fmt.Errorf("label: pidm: %d-byte hub ids for %d vertices", hubBytes, n)
+	}
+	h.n, h.k, h.k2, h.width, h.hubBytes = int(n), int(k), int(k2), int(width), int(hubBytes)
+	h.total, h.tail, h.mid = int64(total), int64(tail), int64(mid)
+	size := h.layout()
 	for i := range h.lo {
 		lo := binary.LittleEndian.Uint64(data[hdrOffsets+8*i:])
 		if lo%mmapAlign != 0 {
@@ -269,7 +277,7 @@ func parsePIDM(data []byte) (Header, error) {
 }
 
 // retired says what data is when it is an index file of a format PIDM
-// version 4 replaced, by its magic and for PIDM its version: "" when it
+// version 5 replaced, by its magic and for PIDM its version: "" when it
 // is not one.
 func retired(data []byte) string {
 	if len(data) < 8 {
@@ -323,9 +331,10 @@ func sectionOf[T word](data []byte, h Header, i int, alias bool) []T {
 	return out
 }
 
-// arraysOf returns the three sections of distances at the width D.
-func arraysOf[D distance](data []byte, h Header, alias bool) arrays[D] {
-	return arrays[D]{
+// slice returns the sections of tail hubs and distances at H and D.
+func (*arrays[H, D]) slice(data []byte, h Header, alias bool) layout {
+	return &arrays[H, D]{
+		hubs:     sectionOf[H](data, h, secHubs, alias),
 		head:     sectionOf[D](data, h, secHead, alias),
 		midDists: sectionOf[D](data, h, secMidDists, alias),
 		dists:    sectionOf[D](data, h, secDists, alias),
@@ -344,22 +353,14 @@ func arraysOf[D distance](data []byte, h Header, alias bool) arrays[D] {
 func slicePIDM(data []byte, h Header) (*Index, error) {
 	alias := hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
 	x := &Index{
-		off:      sectionOf[int64](data, h, secOff, alias),
+		off:      sectionOf[uint32](data, h, secOff, alias),
 		headHubs: sectionOf[graph.Vertex](data, h, secHeadHubs, alias),
 		midHubs:  sectionOf[graph.Vertex](data, h, secMidHubs, alias),
 		midBits:  sectionOf[uint64](data, h, secMidBits, alias),
-		midOff:   sectionOf[int64](data, h, secMidOff, alias),
-		hubs:     sectionOf[graph.Vertex](data, h, secHubs, alias),
+		midOff:   sectionOf[uint32](data, h, secMidOff, alias),
+		a:        layoutFor(h.hubBytes, h.width).slice(data, h, alias),
 		Header:   h,
 		img:      data,
-	}
-	switch x.width {
-	case 1:
-		x.a8 = arraysOf[uint8](data, h, alias)
-	case 2:
-		x.a16 = arraysOf[uint16](data, h, alias)
-	default:
-		x.a32 = arraysOf[graph.Dist](data, h, alias)
 	}
 	if err := checkOffsets(x.off, x.midOff, h.tail, h.mid); err != nil {
 		return nil, err
@@ -385,19 +386,20 @@ func slicePIDM(data []byte, h Header) (*Index, error) {
 
 // checkOffsets checks that off tiles [0, end) with one run a vertex, and
 // midOff, which an index without a middle tier lacks, [0, midEnd) — in
-// one pass over both, which Open waits for less than for two.
-func checkOffsets(off, midOff []int64, end, midEnd int64) error {
+// one pass over both, which Open waits for less than for two. Both ends
+// are below 2³² (parsePIDM).
+func checkOffsets(off, midOff []uint32, end, midEnd int64) error {
 	if midOff == nil {
 		midOff, midEnd = off, end
 	}
 	midOff = midOff[:len(off)]
-	if off[0] != 0 || off[len(off)-1] != end {
+	if off[0] != 0 || off[len(off)-1] != uint32(end) {
 		return fmt.Errorf("label: pidm: corrupt offsets")
 	}
-	if midOff[0] != 0 || midOff[len(off)-1] != midEnd {
+	if midOff[0] != 0 || midOff[len(off)-1] != uint32(midEnd) {
 		return fmt.Errorf("label: pidm: corrupt mid offsets")
 	}
-	var prev, mprev int64
+	var prev, mprev uint32
 	for i, o := range off {
 		m := midOff[i]
 		if o < prev {
@@ -501,7 +503,7 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := x.checkEntries(true); err != nil {
+	if err := x.a.checkEntries(x, true); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -514,17 +516,7 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 // With strict set (the stream reader) it also rejects a tail hub id that
 // names no vertex, and a distance above maxDist — 2·d would reach the
 // width's all-ones value, or in a tail or mid run is it.
-func (x *Index) checkEntries(strict bool) error {
-	switch x.width {
-	case 1:
-		return checkEntries(x, &x.a8, strict)
-	case 2:
-		return checkEntries(x, &x.a16, strict)
-	}
-	return checkEntries(x, &x.a32, strict)
-}
-
-func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
+func (a *arrays[H, D]) checkEntries(x *Index, strict bool) error {
 	defer runtime.KeepAlive(x)
 	n, limit := x.NumVertices(), maxDist[D]()
 	tier := make([]uint8, n) // 1: the hub is a head column, 2: a mid column
@@ -534,7 +526,7 @@ func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
 	for _, hub := range x.midHubs {
 		tier[hub] = 2
 	}
-	for i, hub := range x.hubs {
+	for i, hub := range a.hubs {
 		if uint(hub) >= uint(n) {
 			if strict {
 				return fmt.Errorf("label: pidm: entry %d: hub %d out of range", i, hub)
@@ -546,7 +538,7 @@ func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
 			return fmt.Errorf("label: pidm: entry %d: distance overflow", i)
 		}
 	}
-	held := int64(len(x.hubs)) + x.mid
+	held := int64(len(a.hubs)) + x.mid
 	if k2 := len(x.midHubs); k2 > 0 {
 		w := midWords(k2)
 		var spare uint64 // the bits of a row's last word that are no column
@@ -559,7 +551,7 @@ func checkEntries[D distance](x *Index, a *arrays[D], strict bool) error {
 			for _, word := range row {
 				set += bits.OnesCount64(word)
 			}
-			if run := x.midOff[v+1] - x.midOff[v]; int64(set) != run {
+			if run := x.midOff[v+1] - x.midOff[v]; uint32(set) != run {
 				return fmt.Errorf("label: pidm: vertex %d: %d bits set in its bitmap row, %d packed distances", v, set, run)
 			}
 			if row[w-1]&spare != 0 {
@@ -610,5 +602,5 @@ func (x *Index) Verify() error {
 	if err := checksumPIDM(x.mm.data, h); err != nil {
 		return err
 	}
-	return x.checkEntries(false)
+	return x.a.checkEntries(x, false)
 }

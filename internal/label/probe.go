@@ -71,7 +71,7 @@ func (p *Probe) Set(hub Label) int {
 		p.put(e.Hub, e.D)
 	}
 	if hub.x != nil {
-		hub.x.scatter(p, graph.Vertex(hub.v))
+		hub.x.a.scatter(p, hub.x, graph.Vertex(hub.v))
 		return len(p.row) + len(p.hubs)
 	}
 	if hub.h != nil {
@@ -158,7 +158,7 @@ func (p *Probe) Width() int { return len(p.row) }
 // decides — an Inf operand alone makes the sum at least 2³²-1 > d, and a
 // sum AddDist would have saturated is at least 2³²-1 as well.
 func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
-	if p.x != nil && p.x.covers(p, v, d) {
+	if p.x != nil && p.x.a.covers(p, p.x, v, d) {
 		return true
 	}
 	if d == graph.Inf {
@@ -249,18 +249,7 @@ func (p *Probe) coversAtInf(v graph.Vertex, rest []Entry) bool {
 
 // scatter is Set's read of L(v) from x: every entry into p.tmp, then the
 // hub's distances at x's head columns, run entries included, into p.row.
-func (x *Index) scatter(p *Probe, v graph.Vertex) {
-	switch x.width {
-	case 1:
-		scatter(p, x, &x.a8, v)
-	case 2:
-		scatter(p, x, &x.a16, v)
-	default:
-		scatter(p, x, &x.a32, v)
-	}
-}
-
-func scatter[D distance](p *Probe, x *Index, a *arrays[D], v graph.Vertex) {
+func (a *arrays[H, D]) scatter(p *Probe, x *Index, v graph.Vertex) {
 	for c, d := range row(x, a, v) {
 		if d != ^D(0) {
 			p.put(x.headHubs[c], graph.Dist(d))
@@ -276,24 +265,12 @@ func scatter[D distance](p *Probe, x *Index, a *arrays[D], v graph.Vertex) {
 	}
 	th, td := tail(x, a, v)
 	for j, h := range th {
-		p.put(h, graph.Dist(td[j]))
+		p.put(graph.Vertex(h), graph.Dist(td[j]))
 	}
 	for _, h := range x.headHubs {
 		p.row = append(p.row, p.tmp[h])
 	}
 	runtime.KeepAlive(x)
-}
-
-// covers is the index form's share of Covers: v's head row, bitmap row
-// and tail in x, read in place against the hub's side.
-func (x *Index) covers(p *Probe, v graph.Vertex, d graph.Dist) bool {
-	switch x.width {
-	case 1:
-		return covers(p, x, &x.a8, v, d)
-	case 2:
-		return covers(p, x, &x.a16, v, d)
-	}
-	return covers(p, x, &x.a32, v, d)
 }
 
 // absent is what an entry one side lacks adds to a sum in covers: more
@@ -312,7 +289,9 @@ func addend[D distance](d D) uint64 {
 	return s
 }
 
-func covers[D distance](p *Probe, x *Index, a *arrays[D], v graph.Vertex, d graph.Dist) bool {
+// covers is the index form's share of Covers: v's head row, bitmap row
+// and tail in x, read in place against the hub's side.
+func (a *arrays[H, D]) covers(p *Probe, x *Index, v graph.Vertex, d graph.Dist) bool {
 	defer runtime.KeepAlive(x)
 	bound := uint64(d)
 	if d == graph.Inf {

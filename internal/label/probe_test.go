@@ -51,9 +51,9 @@ func TestProbeIndexMatchesReference(t *testing.T) {
 		built := narrowTieredIndex(r, 300, tc.dmax)
 		for _, x := range []*Index{built, openCopy(t, built)} {
 			name := fmt.Sprintf("dmax=%d mapped=%v", tc.dmax, x.Mapped())
-			if x.DistBytes() != tc.width || len(x.headHubs) == 0 || len(x.midHubs) == 0 || len(x.hubs) == 0 {
+			if x.DistBytes() != tc.width || len(x.headHubs) == 0 || len(x.midHubs) == 0 || int(x.tail) == 0 {
 				t.Fatalf("%s: %d-byte distances, K=%d K2=%d, %d tail entries; want %d bytes and all three tiers",
-					name, x.DistBytes(), len(x.headHubs), len(x.midHubs), len(x.hubs), tc.width)
+					name, x.DistBytes(), len(x.headHubs), len(x.midHubs), int(x.tail), tc.width)
 			}
 			ones := uint64(1)<<(8*tc.width) - 1
 			maxD := (ones - 1) / 2

@@ -99,19 +99,19 @@ func TestQuickCompactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickFixedRoundTrip: the same index held at the fixed 4-byte width
-// comes back from its PIDM bytes, through the mapped reader, the same
-// and still at 4 bytes.
+// TestQuickFixedRoundTrip: the same labels held flat at the fixed 4-byte
+// widths come back from their PIDM bytes, through the mapped reader, the
+// same and still at 4 bytes.
 func TestQuickFixedRoundTrip(t *testing.T) {
 	f := func(nRaw uint8, triples [][3]uint32) bool {
 		n := int(nRaw%40) + 1
-		x := arbitraryIndex(n, triples).Wide()
+		x := arbitraryIndex(n, triples).Flat()
 		var buf bytes.Buffer
 		if err := x.WriteMmap(&buf); err != nil {
 			return false
 		}
 		y, err := openMapping(&mapping{data: buf.Bytes()})
-		return err == nil && x.Equal(y) && y.DistBytes() == 4
+		return err == nil && x.Equal(y) && y.DistBytes() == 4 && y.HubBytes() == 4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

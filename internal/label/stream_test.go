@@ -37,7 +37,7 @@ func refFinalize(n int, list func(v int) []Entry, use tiers) *Index {
 			}
 		}
 	}
-	idx := &Index{off: make([]int64, n+1)}
+	idx := &Index{off: make([]uint32, n+1)}
 	idx.n, idx.total = n, total
 	slot, tail := seen, total
 	for h := range slot {
@@ -55,30 +55,41 @@ func refFinalize(n int, list func(v int) []Entry, use tiers) *Index {
 		}
 	}
 	idx.k, idx.k2, idx.tail = len(idx.headHubs), len(idx.midHubs), tail
-	idx.hubs = make([]graph.Vertex, tail)
 	if w := midWords(len(idx.midHubs)); w > 0 {
 		idx.midBits = make([]uint64, n*w)
-		idx.midOff = make([]int64, n+1)
+		idx.midOff = make([]uint32, n+1)
 	}
+	wide := use == tailOnly
 	switch {
-	case use == tailOnly || use == allTiersWide || uint64(dmax) > maxDist[uint16]():
+	case wide || uint64(dmax) > maxDist[uint16]():
 		idx.width = 4
-		refDeal(idx, &idx.a32, list, slot)
 	case uint64(dmax) > maxDist[uint8]():
 		idx.width = 2
-		refDeal(idx, &idx.a16, list, slot)
 	default:
 		idx.width = 1
-		refDeal(idx, &idx.a8, list, slot)
 	}
+	idx.hubBytes = 4
+	if !wide && n <= 65536 {
+		idx.hubBytes = 2
+	}
+	idx.a = layoutFor(idx.hubBytes, idx.width)
+	idx.a.(refArrays).refDeal(idx, list, slot)
 	return idx
 }
 
-func refDeal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slot []int32) {
+// refArrays is the reference finalize's and encoder's access to an
+// index's arrays at its widths.
+type refArrays interface {
+	refDeal(idx *Index, list func(v int) []Entry, slot []int32)
+	refEncode(x *Index) []byte
+}
+
+func (a *arrays[H, D]) refDeal(idx *Index, list func(v int) []Entry, slot []int32) {
 	n, k, w := idx.NumVertices(), len(idx.headHubs), midWords(len(idx.midHubs))
+	a.hubs = make([]H, idx.tail)
 	a.head = make([]D, n*k)
 	a.midDists = make([]D, idx.mid)
-	a.dists = make([]D, len(idx.hubs))
+	a.dists = make([]D, idx.tail)
 	var keys []uint64
 	pos, mpos := 0, 0
 	for v := 0; v < n; v++ {
@@ -97,7 +108,7 @@ func refDeal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slo
 			case c >= 0:
 				row[c] = D(e.D)
 			case c == -1:
-				idx.hubs[pos], a.dists[pos] = e.Hub, D(e.D)
+				a.hubs[pos], a.dists[pos] = H(e.Hub), D(e.D)
 				pos++
 			default:
 				c = -2 - c
@@ -106,9 +117,9 @@ func refDeal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slo
 				mpos++
 			}
 		}
-		idx.off[v+1] = int64(pos)
+		idx.off[v+1] = uint32(pos)
 		if w > 0 {
-			idx.midOff[v+1] = int64(mpos)
+			idx.midOff[v+1] = uint32(mpos)
 		}
 	}
 }
@@ -116,20 +127,14 @@ func refDeal[D distance](idx *Index, a *arrays[D], list func(v int) []Entry, slo
 // refPIDM is the per-array encoder WriteMmap was before the image:
 // every array of x encoded little-endian a block at a time, twice — once
 // into the section checksums, once into the file.
-func refPIDM(x *Index) []byte {
-	switch x.width {
-	case 1:
-		return refEncode(x, &x.a8)
-	case 2:
-		return refEncode(x, &x.a16)
-	}
-	return refEncode(x, &x.a32)
-}
+func refPIDM(x *Index) []byte { return x.a.(refArrays).refEncode(x) }
 
-func refEncode[D distance](x *Index, a *arrays[D]) []byte {
+func (a *arrays[H, D]) refEncode(x *Index) []byte {
 	n, k, k2 := x.NumVertices(), len(x.headHubs), len(x.midHubs)
-	tail := int64(len(x.hubs))
-	lo, size, _ := mmapLayout(n, k, k2, x.mid, tail, x.width)
+	tail := int64(len(a.hubs))
+	h := x.Header
+	h.layout()
+	lo, size := h.lo, h.size
 	block := make([]byte, pidmBlock)
 	section := [numSections]func(w io.Writer){
 		secOff:      func(w io.Writer) { refWriteLE(w, block, x.off) },
@@ -139,13 +144,13 @@ func refEncode[D distance](x *Index, a *arrays[D]) []byte {
 		secHead:     func(w io.Writer) { refWriteLE(w, block, a.head) },
 		secMidBits:  func(w io.Writer) { refWriteLE(w, block, x.midBits) },
 		secMidDists: func(w io.Writer) { refWriteLE(w, block, a.midDists) },
-		secHubs:     func(w io.Writer) { refWriteLE(w, block, x.hubs) },
+		secHubs:     func(w io.Writer) { refWriteLE(w, block, a.hubs) },
 		secDists:    func(w io.Writer) { refWriteLE(w, block, a.dists) },
 	}
 	var hdr [mmapHeader]byte
 	copy(hdr[0:4], mmapMagic)
 	binary.LittleEndian.PutUint32(hdr[4:8], mmapVersion)
-	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), x.mid, int64(x.width)} {
+	for i, c := range []int64{int64(n), x.total, tail, int64(k), int64(k2), x.mid, int64(x.width), int64(x.hubBytes)} {
 		binary.LittleEndian.PutUint64(hdr[hdrCounts+8*i:], uint64(c))
 	}
 	for i := 0; i < numSections; i++ {
@@ -354,7 +359,7 @@ func (f *faultyAt) WriteAt(p []byte, off int64) (int, error) {
 // and with a short write: every one must come back as its error.
 func TestStreamedWriteFaultsSurface(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	lists := tieredLists(r, 3000, func() graph.Dist { return graph.Dist(r.Intn(200)) })
+	lists := tieredLists(r, 6000, func() graph.Dist { return graph.Dist(r.Intn(200)) })
 	n, list := len(lists), func(v int) []Entry { return lists[v] }
 	count := &faultyAt{w: &memFile{}}
 	if _, err := WriteLabels(count, n, list); err != nil {

@@ -47,22 +47,22 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 	good := pll.Build(graph.FromEdges(n, edges), pll.Options{})
 	k, _ := good.Head()
 	k2, _ := good.Mid()
-	if k == 0 || k2 == 0 {
-		t.Fatalf("the index has %d head and %d mid columns: a tier with nothing to damage", k, k2)
+	if k == 0 || k2 == 0 || good.HubBytes() != 2 {
+		t.Fatalf("the index has %d head and %d mid columns and %d-byte tail hubs: want both tiers and 2-byte hubs", k, k2, good.HubBytes())
 	}
 
 	var file bytes.Buffer
 	if err := good.WriteMmap(&file); err != nil {
 		t.Fatal(err)
 	}
-	// PIDM version 4 header: the nine section offsets, in file order
+	// PIDM version 5 header: the nine section offsets, in file order
 	// (off, midOff, headHubs, midHubs, head, midBits, midDists, hubs,
-	// dists), start at byte 64.
-	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[64+8*i:]) }
+	// dists), start at byte 72; an offset is 4 bytes.
+	section := func(i int) uint64 { return binary.LittleEndian.Uint64(file.Bytes()[72+8*i:]) }
 	offSec, headSec, midBitsSec, hubsSec := section(0), section(4), section(5), section(7)
 	// The victim is the first vertex with a tail entry, which is entry 0.
 	victim := 0
-	for binary.LittleEndian.Uint64(file.Bytes()[offSec+8*uint64(victim+1):]) == 0 {
+	for binary.LittleEndian.Uint32(file.Bytes()[offSec+4*uint64(victim+1):]) == 0 {
 		victim++
 	}
 	open := func(name string, damage func(data []byte)) *label.Index {
@@ -171,7 +171,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 		t.Fatalf("http.panics_total = %d beside %d replies of 500", got, answered[http.StatusInternalServerError])
 	}
 
-	damaged := open("damaged.midx", func(data []byte) { binary.LittleEndian.PutUint32(data[hubsSec:], n+9) })
+	damaged := open("damaged.midx", func(data []byte) { binary.LittleEndian.PutUint16(data[hubsSec:], n+9) })
 	s := serverWithCache(damaged, 65536, &Options{BatchThreads: 2})
 	panics := func() int64 { return s.Registry().Snapshot().Counters["http.panics_total"] }
 	for i, pairs := range []int{4, 900} { // one chunk on the request's goroutine; many on two workers

@@ -376,14 +376,24 @@ func TestCompactionPublishesGeneration(t *testing.T) {
 
 // TestTruncatedLiveIndexUpdateAnswers500 cuts a living server's
 // checkpoint index to its first page after the pipeline mapped it, as
-// TestTruncatedIndexAnswers500 cuts a static one. An insert's validation
-// reads the mapped base, so /update faults; the fault must be a 500 (not
-// SIGBUS ending the process), and it must not leave the writer mutex
-// held: a second /update answers 500 too, /stats answers, and the
-// pipeline's Close returns.
+// TestTruncatedIndexAnswers500 cuts a static one. An insert's repair
+// reads the mapped base after its record is durable, so /update faults
+// there; the fault must be a 500 (not SIGBUS ending the process) that
+// says the edge is logged and applied on restart, and it must not leave
+// the writer mutex held. The live index may now hold half the insert, so
+// the log is failed: a second /update answers 503 and is not logged,
+// /readyz answers 503 and /stats names the failure, and the pipeline's
+// Close returns. A reopen over an intact copy of the checkpoint replays
+// the logged edge and answers exactly with it.
 func TestTruncatedLiveIndexUpdateAnswers500(t *testing.T) {
 	const n = 500
-	pipe, err := compact.Open(compact.Options{Dir: t.TempDir(), Graph: cuttableGraph(n)})
+	g := cuttableGraph(n)
+	dir := t.TempDir()
+	pipe, err := compact.Open(compact.Options{Dir: dir, Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact, err := os.ReadFile(pipe.IndexPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,23 +422,56 @@ func TestTruncatedLiveIndexUpdateAnswers500(t *testing.T) {
 		s.ServeHTTP(rec, httptest.NewRequest(method, url, strings.NewReader(body)))
 		return rec
 	}
-	for i, body := range []string{
-		fmt.Sprintf(`{"u":%d,"v":%d,"w":1}`, n-1, n-2),
-		fmt.Sprintf(`{"u":%d,"v":%d,"w":1}`, n-3, n-4),
-	} {
-		var rec *httptest.ResponseRecorder
-		within(fmt.Sprintf("/update %d", i+1), func() { rec = serve("POST", "/update", body) })
-		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "invalid memory address") {
-			t.Fatalf("/update %d over the truncated index: status %d body %q, want 500 naming the memory fault", i+1, rec.Code, rec.Body.String())
-		}
-	}
+	logged := graph.Edge{U: n - 1, V: n - 2, W: 1}
 	var rec *httptest.ResponseRecorder
+	within("/update 1", func() {
+		rec = serve("POST", "/update", fmt.Sprintf(`{"u":%d,"v":%d,"w":%d}`, logged.U, logged.V, logged.W))
+	})
+	if body := rec.Body.String(); rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(body, "invalid memory address") || !strings.Contains(body, "logged; applied on restart") {
+		t.Fatalf("/update 1 over the truncated index: status %d body %q, want 500 naming the memory fault and the logged edge", rec.Code, body)
+	}
+	within("/update 2", func() { rec = serve("POST", "/update", fmt.Sprintf(`{"u":%d,"v":%d,"w":1}`, n-3, n-4)) })
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "wal: log failed") {
+		t.Fatalf("/update 2 after a logged insert failed to apply: status %d body %q, want 503 naming the failed log", rec.Code, rec.Body.String())
+	}
+	if within("/readyz", func() { rec = serve("GET", "/readyz", "") }); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz on the failed log: status %d, want 503", rec.Code)
+	}
 	within("/stats", func() { rec = serve("GET", "/stats", "") })
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/stats after the faults: status %d", rec.Code)
+	var stats struct {
+		Wal *compact.Stats `json:"wal"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); rec.Code != http.StatusOK || err != nil || stats.Wal == nil ||
+		stats.Wal.WALRecords != 1 || !strings.Contains(stats.Wal.WALFailed, "applied on restart") {
+		t.Fatalf("/stats after the faults: status %d, wal %+v (%v); want 200, one record and the failure", rec.Code, stats.Wal, err)
 	}
 	within("Close", func() { err = pipe.Close() })
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// Restart over the checkpoint as it was before the cut: the one logged
+	// edge replays, and the index answers as Dijkstra does with it.
+	if err := os.WriteFile(pipe.IndexPath(), intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	again, err := compact.Open(compact.Options{Dir: dir, Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if st := again.Stats(); st.WALRecords != 1 {
+		t.Fatalf("reopened pipeline replays %d records, want 1", st.WALRecords)
+	}
+	edges := append(g.Edges(), logged)
+	want := graph.FromEdges(n, edges)
+	for _, s := range []graph.Vertex{logged.U, logged.V, 0, n / 2} {
+		dist := sssp.Dijkstra(want, s)
+		for t2 := graph.Vertex(0); t2 < n; t2++ {
+			if got := again.Query(s, t2); got != dist[t2] {
+				t.Fatalf("reopened: d(%d,%d) = %d, Dijkstra with the logged edge says %d", s, t2, got, dist[t2])
+			}
+		}
 	}
 }

@@ -802,6 +802,7 @@ type statsResponse struct {
 	Mid          int           `json:"mid"`          // bitmap columns K2 (label.Index.Mid)
 	MidDensity   float64       `json:"mid_density"`  // share of the n x K2 bits that are set
 	DistBytes    int           `json:"dist_bytes"`   // bytes a stored distance: 1, 2 or 4 (label.Index.DistBytes)
+	HubBytes     int           `json:"hub_bytes"`    // bytes a tail hub id: 2 or 4 (label.Index.HubBytes)
 	HasPathIndex bool          `json:"has_path_index"`
 	Generation   uint64        `json:"generation"`
 	Format       string        `json:"format"`
@@ -825,6 +826,7 @@ func (s *Server) statsPayload(sn *snapshot) statsResponse {
 		Mid:          k2,
 		MidDensity:   midDensity,
 		DistBytes:    sn.idx.DistBytes(),
+		HubBytes:     sn.idx.HubBytes(),
 		HasPathIndex: sn.g != nil,
 		Generation:   sn.gen,
 		Format:       sn.idx.Format(),

@@ -8,7 +8,8 @@
 # fault-injection tests of the durability contract (TestSaveFaults,
 # TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
 # TestFailedSyncPoisonsLog, TestCompactFaults, TestUpdateLogsBeforeApply,
-# TestCompactOnFailedLog, TestTruncatedLiveIndexUpdateAnswers500), a
+# TestCompactOnFailedLog, and the apply fault,
+# TestTruncatedLiveIndexUpdateAnswers500), a
 # -count=20 plain pass over the two lock-order tests, the
 # tier-1 command (go test ./...; among what it gates,
 # TestOfflineToolsLinkNoNetwork fails if any command but parapll-server
@@ -115,9 +116,10 @@ go test -race -short ./...
 # internal/fileio/faultfs, and want the error surfaced, the log failed
 # where a record could be lost, and every acknowledged insert back after
 # a reopen; TestUpdateLogsBeforeApply wants no insert visible at its own
-# WAL fsync, and TestTruncatedLiveIndexUpdateAnswers500 a faulting
-# /update to release the writer mutex (DESIGN.md "The durability
-# contract is held by fault tests").
+# WAL fsync, and TestTruncatedLiveIndexUpdateAnswers500 (the apply fault)
+# a /update that faults past its fsync to release the writer mutex, fail
+# the log so the next /update answers 503, and come back exactly on a
+# reopen (DESIGN.md "The durability contract is held by fault tests").
 echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
 go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
