@@ -419,14 +419,12 @@ func (p *Pipeline) applyFailed(u, v graph.Vertex, w graph.Dist, cause error) err
 // engine, off the serving path. Returns a zero-Mode Report when the
 // WAL is empty, and wal.ErrFailed, before it builds or writes anything,
 // when the WAL has failed: a log that can take no appends and cannot be
-// truncated would have every compaction fold the same records again.
+// truncated would have every compaction fold the same records again,
+// and after a failed apply the live labels may hold half an insert.
 // Safe to call concurrently; compactions serialize.
 func (p *Pipeline) Compact() (Report, error) {
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
-	if err := p.log.Err(); err != nil {
-		return Report{}, fmt.Errorf("compact: not compacting: %w", err)
-	}
 	p.compactSince.Store(time.Now().UnixNano())
 	defer p.compactSince.Store(0)
 
@@ -439,8 +437,14 @@ func (p *Pipeline) Compact() (Report, error) {
 
 	// Phase 1 (writer mutex): fix the fold point n and, to fold, freeze
 	// the live labels: exact for checkpoint+ups[:n], as inserts hold mu.
+	// Every way the log fails is under mu too, so the check here is the
+	// last word: no failed apply lands between it and the freeze.
 	tBuild := time.Now()
 	p.mu.Lock()
+	if err := p.log.Err(); err != nil {
+		p.mu.Unlock()
+		return Report{}, fmt.Errorf("compact: not compacting: %w", err)
+	}
 	n := p.log.Len()
 	if n == 0 {
 		p.mu.Unlock()

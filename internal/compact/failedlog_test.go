@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"parapll/internal/fileio/faultfs"
 	"parapll/internal/wal"
@@ -90,4 +91,78 @@ func TestCompactOnFailedLog(t *testing.T) {
 	if err := p.Update(lost[0].U, lost[0].V, lost[0].W); err != nil {
 		t.Fatalf("Update after the restart: %v", err)
 	}
+}
+
+// TestCompactWaitingOnAFailedApply: an insert whose apply fails after its
+// record is durable fails the log while it holds the writer mutex, so a
+// Compact already started and waiting on that mutex must see the failure
+// once it gets it: it folds nothing, writes no checkpoint and swaps
+// nothing in, and the record stays in the WAL for a restart to replay
+// whole.
+func TestCompactWaitingOnAFailedApply(t *testing.T) {
+	r := rand.New(rand.NewSource(67))
+	g := randomGraph(r, 40, 30)
+	dir := t.TempDir()
+	p, err := Open(Options{Dir: dir, Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := randomInserts(r, 40, 2)
+	if err := p.Update(ups[0].U, ups[0].V, ups[0].W); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, name := range []string{GraphFile, IndexFile} {
+		if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cur := p.cur
+	p.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Compact()
+		done <- err
+	}()
+	for p.compactSince.Load() == 0 { // Compact is past its start, on its way to mu
+		time.Sleep(time.Millisecond)
+	}
+	// What insert does when InsertEdge faults: the record is durable, the
+	// live labels do not hold it (whole), and the log fails.
+	up := ups[1]
+	if err := p.log.Append(up.U, up.V, up.W); err != nil {
+		t.Fatal(err)
+	}
+	_ = p.applyFailed(up.U, up.V, up.W, errors.New("injected apply fault"))
+	p.mu.Unlock()
+
+	if err := <-done; !errors.Is(err, wal.ErrFailed) {
+		t.Fatalf("Compact that waited on a failing apply = %v, want wal.ErrFailed", err)
+	}
+	if p.cur != cur || p.Stats().Compactions != 0 {
+		t.Fatalf("Compact swapped in another index (%d compactions) over a failed apply", p.Stats().Compactions)
+	}
+	for name, before := range files {
+		after, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s rewritten after a failed apply: %d -> %d bytes", name, len(before), len(after))
+		}
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, err = Open(Options{Dir: dir, Graph: g})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer p.Close()
+	if st := p.Stats(); st.WALFailed != "" || st.WALRecords != 2 {
+		t.Fatalf("stats after the restart: %+v; want a healthy log of 2 records", st)
+	}
+	checkAllPairs(t, applied(g, ups), p)
 }

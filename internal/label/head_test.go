@@ -599,8 +599,40 @@ func TestLabelCountsIncludeTheHead(t *testing.T) {
 	// The head pays for itself. The middle tier's n/32 rule was the byte
 	// optimum against 4-byte hub ids; at 2 bytes it is n/16, and this
 	// fixture's columns sit between the two, so here the tier costs bytes
-	// (its rule is kept for the query kernel: see Index).
+	// (its rule is kept for the query kernel: see Index). Where its
+	// columns are commoner it pays: TestMidTierPaysAboveASixteenth.
 	if !(headOnly.MemoryBytes() < flat.MemoryBytes()) {
 		t.Fatalf("%d bytes with a head alone, %d flat: the head rule picks only columns that pay", headOnly.MemoryBytes(), flat.MemoryBytes())
+	}
+}
+
+// TestMidTierPaysAboveASixteenth bounds what the middle tier costs. Each
+// of 64 hubs is in n/8 labels or one more, twice the n/16 at which a
+// column's n/8 bytes of bitmap and the 2-byte hub ids it drops break
+// even, and that margin must also cover the tier's n+1 4-byte offsets
+// and its column ids: the index is smaller with the tier than with a
+// head alone (by 2 396 bytes). A mid entry that kept its hub id, or
+// 8-byte mid offsets, would lose it.
+func TestMidTierPaysAboveASixteenth(t *testing.T) {
+	const n, cols = 640, 64
+	lists := make([][]label.Entry, n)
+	for v := range lists {
+		lists[v] = append(lists[v], label.Entry{Hub: graph.Vertex(v)})
+		for h := 0; h < cols; h++ {
+			if h != v && (v+h)%8 == 0 {
+				lists[v] = append(lists[v], label.Entry{Hub: graph.Vertex(h), D: graph.Dist(1 + h%3)})
+			}
+		}
+	}
+	x := label.NewIndexFromLists(lists)
+	headOnly, flat := x.HeadOnly(), x.Flat()
+	k, _ := x.Head()
+	k2, density := x.Mid()
+	if k != 0 || k2 != cols || density < 1.0/8 || x.HubBytes() != 2 || headOnly.HubBytes() != 2 {
+		t.Fatalf("head K=%d, mid K2=%d at density %g, hubs %d and %d bytes; want no head, %d columns each in at least an eighth of the labels, 2-byte hubs",
+			k, k2, density, x.HubBytes(), headOnly.HubBytes(), cols)
+	}
+	if !(x.MemoryBytes() < headOnly.MemoryBytes() && headOnly.MemoryBytes() < flat.MemoryBytes()) {
+		t.Fatalf("%d bytes tiered, %d with a head alone, %d flat: a tier of columns above n/16 pays", x.MemoryBytes(), headOnly.MemoryBytes(), flat.MemoryBytes())
 	}
 }

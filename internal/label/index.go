@@ -40,8 +40,8 @@ import (
 // behind it in column order. A column costs n/8 bytes of bitmap and
 // saves the tail hub id of every entry it takes: against a 4-byte id
 // that pays from n/32 labels up, which is the rule. Against the 2-byte
-// ids below it pays from n/16, but that rule cost the lone p2p query
-// 14 % (EXPERIMENTS.md), so the columns between keep their bytes. Its
+// ids below it pays from n/16, but that rule read the lone p2p query
+// 14 % slower (EXPERIMENTS.md), so those between keep their hub ids. Its
 // share of a query ANDs two bitmap rows and ranks each common bit in
 // both by a popcount of the bits below it (midMin, mid.go).
 //

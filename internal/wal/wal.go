@@ -286,17 +286,16 @@ func (l *Log) Append(u, v graph.Vertex, w graph.Dist) error {
 	return nil
 }
 
-// Fail fails the log with cause, unless it has failed already, and
-// returns the error that failed it (it wraps ErrFailed). It is the
-// writer's stop after a durable record it could not apply: the log
-// takes no record after it, and the next Open replays it.
-func (l *Log) Fail(cause error) error {
+// Fail fails the log with cause, wrapped in ErrFailed, unless it has
+// failed already. It is the writer's stop after a durable record it
+// could not apply: the log takes no record after it, and the next Open
+// replays it.
+func (l *Log) Fail(cause error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed == nil {
 		l.failed = fmt.Errorf("%w: %w", ErrFailed, cause)
 	}
-	return l.failed
 }
 
 // Err returns the error that failed the log (it wraps ErrFailed), nil

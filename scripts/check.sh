@@ -9,7 +9,8 @@
 # TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
 # TestFailedSyncPoisonsLog, TestCompactFaults, TestUpdateLogsBeforeApply,
 # TestCompactOnFailedLog, and the apply fault,
-# TestTruncatedLiveIndexUpdateAnswers500), a
+# TestTruncatedLiveIndexUpdateAnswers500 and
+# TestCompactWaitingOnAFailedApply), a
 # -count=20 plain pass over the two lock-order tests, the
 # tier-1 command (go test ./...; among what it gates,
 # TestOfflineToolsLinkNoNetwork fails if any command but parapll-server
@@ -119,9 +120,11 @@ go test -race -short ./...
 # WAL fsync, and TestTruncatedLiveIndexUpdateAnswers500 (the apply fault)
 # a /update that faults past its fsync to release the writer mutex, fail
 # the log so the next /update answers 503, and come back exactly on a
-# reopen (DESIGN.md "The durability contract is held by fault tests").
+# reopen; TestCompactWaitingOnAFailedApply wants a Compact that waited on
+# that mutex to fold nothing over the half-applied insert (DESIGN.md "The
+# durability contract is held by fault tests").
 echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500' \
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
 # The two lock-order tests again without the race detector: a seeded
