@@ -5,20 +5,12 @@
 //
 // Usage:
 //
-//	parapll-vet [-only mmapkeepalive,infguard] [-list] [-json] [-ignores] [packages...]
+//	parapll-vet [-only mmapkeepalive,atomicfield] [-list] [-json] [packages...]
 //
 // Packages default to ./... relative to the current directory. Findings
 // print one per line as file:line:col: analyzer: message; -json emits
 // them as NDJSON objects instead (one per line, for CI annotation
-// tooling). Suppress an individual finding with a comment on the
-// offending line or the line above it:
-//
-//	//parapll:vet-ignore <analyzer> <reason>
-//
-// When the full suite runs (no -only), a directive that suppresses
-// nothing is itself a finding: stale suppressions rot into lies about
-// the code. -ignores prints the whole directive inventory with use
-// counts and exits non-zero if any is stale.
+// tooling). There is no suppression directive: a finding is fixed.
 package main
 
 import (
@@ -26,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"parapll/internal/analysis"
@@ -36,10 +27,9 @@ func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as NDJSON (one object per line)")
-	ignores := flag.Bool("ignores", false, "print the vet-ignore inventory and exit non-zero on stale directives")
 	dir := flag.String("dir", ".", "module directory to analyze")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: parapll-vet [-only names] [-list] [-json] [-ignores] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: parapll-vet [-only names] [-list] [-json] [packages...]\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -77,50 +67,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "parapll-vet:", err)
 		os.Exit(2)
 	}
-	findings, uses, err := analysis.RunAnalyzersVerbose(pkgs, analyzers)
+	findings, err := analysis.RunAnalyzers(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "parapll-vet:", err)
 		os.Exit(2)
-	}
-	stale := analysis.StaleIgnores(uses, analyzers)
-
-	if *ignores {
-		staleAt := make(map[string]bool, len(stale))
-		for _, u := range stale {
-			staleAt[u.Pos.String()] = true
-		}
-		for _, u := range uses {
-			mark := ""
-			if staleAt[u.Pos.String()] {
-				mark = "  STALE"
-			}
-			fmt.Printf("%s: %s %q suppressed %d finding(s)%s\n", u.Pos, u.Analyzer, u.Reason, u.Uses, mark)
-		}
-		if len(stale) > 0 {
-			fmt.Fprintf(os.Stderr, "parapll-vet: %d stale vet-ignore directive(s)\n", len(stale))
-			os.Exit(1)
-		}
-		return
-	}
-
-	// With the full suite (no -only), a stale directive is a finding:
-	// partial runs cannot tell "nothing suppressed" from "its analyzer
-	// did not run", so only the full suite convicts.
-	if *only == "" {
-		for _, u := range stale {
-			findings = append(findings, analysis.Finding{
-				Analyzer: "vet-ignore",
-				Pos:      u.Pos,
-				Message:  fmt.Sprintf("stale directive: %s (%s) suppresses no finding; delete it", u.Analyzer, u.Reason),
-			})
-		}
-		sort.Slice(findings, func(i, j int) bool {
-			a, b := findings[i], findings[j]
-			if a.Pos.Filename != b.Pos.Filename {
-				return a.Pos.Filename < b.Pos.Filename
-			}
-			return a.Pos.Line < b.Pos.Line
-		})
 	}
 
 	if *jsonOut {

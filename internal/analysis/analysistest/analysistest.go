@@ -10,9 +10,7 @@
 //
 // Each quoted (or backquoted) regexp must match the message of exactly
 // one finding reported on that line; unmatched expectations and
-// unexpected findings both fail the test. Suppression directives
-// (//parapll:vet-ignore) are honored, so a golden test can also assert
-// that an ignored line reports nothing.
+// unexpected findings both fail the test.
 package analysistest
 
 import (
@@ -38,8 +36,6 @@ type expectation struct {
 
 // Run loads dir as a single package named by pkgPath, applies the
 // analyzer, and compares findings against the package's want comments.
-// pkgPath matters: RunAnalyzers skips a package outside a gated
-// analyzer's Packages (snapgen).
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	t.Helper()
 	pkg, err := analysis.LoadDir(dir, pkgPath)

@@ -22,8 +22,9 @@ import (
 //     original's guarantees do not transfer. (go vet's copylocks does
 //     not cover the sync/atomic types — they carry no sync.Locker.)
 //
-// Initialization before a value is shared is a legitimate plain access;
-// suppress those sites with //parapll:vet-ignore atomicfield <reason>.
+// Initialization before a value is shared is held to the same rule:
+// there is no suppression directive, so initialize through sync/atomic
+// too (or build the value in a variable nothing accesses atomically).
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc:  "fields accessed via sync/atomic must never be accessed non-atomically; atomic-bearing structs must not be copied",

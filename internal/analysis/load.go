@@ -21,8 +21,6 @@ import (
 // Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	Path  string
-	Name  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -32,12 +30,10 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Standard   bool
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	Error      *struct{ Err string }
 }
 
@@ -66,6 +62,18 @@ func goList(dir string, args ...string) ([]*listedPackage, error) {
 		pkgs = append(pkgs, &p)
 	}
 	return pkgs, nil
+}
+
+// exportsOf maps each listed package with compiler export data to its
+// export file.
+func exportsOf(listed []*listedPackage) map[string]string {
+	exports := make(map[string]string)
+	for _, p := range listed {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	return exports
 }
 
 // exportImporter resolves imports from compiler export data (stdlib and
@@ -100,7 +108,7 @@ func (ei *exportImporter) Import(path string) (*types.Package, error) {
 }
 
 // typeCheckDir parses the given files as one package and type-checks it
-// against imp. Comments are retained for vet-ignore and analysistest.
+// against imp. Comments are retained for analysistest.
 func typeCheckDir(fset *token.FileSet, pkgPath, dir string, fileNames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range fileNames {
@@ -115,18 +123,13 @@ func typeCheckDir(fset *token.FileSet, pkgPath, dir string, fileNames []string, 
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
 	}
 	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
 	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", pkgPath, err)
 	}
-	name := ""
-	if len(files) > 0 {
-		name = files[0].Name.Name
-	}
-	return &Package{Path: pkgPath, Name: name, Dir: dir, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
+	return &Package{Path: pkgPath, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
 }
 
 // Load lists the packages matching patterns under the module rooted at
@@ -143,14 +146,8 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]string)
-	for _, p := range listed {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
 	fset := token.NewFileSet()
-	imp := newExportImporter(fset, exports)
+	imp := newExportImporter(fset, exportsOf(listed))
 	var out []*Package
 	// `go list -deps` emits dependencies before dependents, so a single
 	// in-order sweep sees every import already checked.
@@ -208,22 +205,16 @@ func LoadDir(dir, pkgPath string) (*Package, error) {
 			}
 		}
 	}
-	exports := make(map[string]string)
+	var listed []*listedPackage
 	if len(importSet) > 0 {
 		paths := make([]string, 0, len(importSet))
 		for p := range importSet {
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
-		listed, err := goList(dir, append([]string{"list", "-e", "-deps", "-export", "-json"}, paths...)...)
-		if err != nil {
+		if listed, err = goList(dir, append([]string{"list", "-e", "-deps", "-export", "-json"}, paths...)...); err != nil {
 			return nil, err
 		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
 	}
-	return typeCheckDir(fset, pkgPath, dir, fileNames, newExportImporter(fset, exports))
+	return typeCheckDir(fset, pkgPath, dir, fileNames, newExportImporter(fset, exportsOf(listed)))
 }

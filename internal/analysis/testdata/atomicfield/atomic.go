@@ -40,8 +40,7 @@ func lockedFieldOK(c *counterSet) int64 {
 func run(n int) []uint32 {
 	dist := make([]uint32, n)
 	for i := range dist {
-		//parapll:vet-ignore atomicfield freshly allocated, not yet shared with workers
-		dist[i] = ^uint32(0)
+		atomic.StoreUint32(&dist[i], ^uint32(0)) // not yet shared, but atomic all the same
 	}
 	relax := func(v int, nd uint32) {
 		for {

@@ -149,11 +149,6 @@ func wrongOrderBad(x *Index) Dist {
 	return d + x.a32.dists[1] // want `does not cover the exit`
 }
 
-func ignoredOK(x *Index) Dist {
-	//parapll:vet-ignore mmapkeepalive caller pins the index for the full call
-	return x.a32.dists[0]
-}
-
 // --- Merge-kernel-shaped cases: the query hot path slices the owner's
 // arrays into plain-slice runs, hands them to an allocation-free kernel,
 // and pins once per call (or per chunk) rather than per deref.

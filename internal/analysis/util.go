@@ -71,19 +71,6 @@ func isKeepAlive(info *types.Info, call *ast.CallExpr) bool {
 	return fn != nil && fn.Name() == "KeepAlive" && fn.Pkg() != nil && fn.Pkg().Path() == "runtime"
 }
 
-// mentionsIdent reports whether the identifier named name (resolving to
-// a non-nil object) occurs anywhere inside e.
-func mentionsIdent(info *types.Info, e ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name && info.ObjectOf(id) != nil {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // funcExits returns the lexical exit positions of body: every return
 // statement (in the function itself, not nested function literals) plus
 // the closing brace.
@@ -112,19 +99,4 @@ func namedOrPtrStruct(t types.Type) *types.Struct {
 	}
 	s, _ := t.Underlying().(*types.Struct)
 	return s
-}
-
-// receiverNamed returns the receiver's named type (through one pointer)
-// of a method, or nil.
-func receiverNamed(fn *types.Func) *types.Named {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, _ := t.(*types.Named)
-	return named
 }

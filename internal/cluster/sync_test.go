@@ -177,30 +177,35 @@ func TestSyncFrameRejectsBadDeltas(t *testing.T) {
 }
 
 // TestSyncFrameRejectsInfDistance: a frame carrying d >= graph.Inf (the
-// unreachable sentinel, or a 64-bit overflow of it) must be rejected
-// before it can poison AddDist's saturating arithmetic.
+// unreachable sentinel, or a 64-bit value that would truncate to a small
+// one) must be rejected before it can poison AddDist's saturating
+// arithmetic, and the largest finite distance must arrive as it is: the
+// guard is on the distance, not the shape.
 func TestSyncFrameRejectsInfDistance(t *testing.T) {
-	for _, d := range []uint64{uint64(graph.Inf), uint64(graph.Inf) + 1, 1 << 40} {
+	for _, tc := range []struct {
+		d      uint64
+		accept bool
+	}{
+		{uint64(graph.Inf) - 1, true},
+		{uint64(graph.Inf), false},
+		{uint64(graph.Inf) + 1, false},
+		{1 << 40, false},
+	} {
 		frame := []byte{syncFormatVersion, 0, 0, 0} // zero trace words
 		frame = binary.AppendUvarint(frame, 1)      // one update
 		frame = binary.AppendUvarint(frame, 3)      // v = 3
 		frame = binary.AppendUvarint(frame, 1)      // one entry
 		frame = binary.AppendUvarint(frame, 2)      // hub = 2
-		frame = binary.AppendUvarint(frame, d)
-		if _, _, err := decodeFrame(frame, 10); err == nil {
-			t.Errorf("d=%d accepted", d)
+		frame = binary.AppendUvarint(frame, tc.d)
+		_, ups, err := decodeFrame(frame, 10)
+		switch {
+		case !tc.accept && err == nil:
+			t.Errorf("d=%d accepted as %v", tc.d, ups)
+		case tc.accept && err != nil:
+			t.Errorf("d=%d rejected: %v", tc.d, err)
+		case tc.accept && (len(ups) != 1 || uint64(ups[0].d) != tc.d):
+			t.Errorf("d=%d decoded as %v", tc.d, ups)
 		}
-	}
-	// The same frame with a finite distance is fine — the guard is on
-	// the distance, not the shape.
-	frame := []byte{syncFormatVersion, 0, 0, 0}
-	frame = binary.AppendUvarint(frame, 1)
-	frame = binary.AppendUvarint(frame, 3)
-	frame = binary.AppendUvarint(frame, 1)
-	frame = binary.AppendUvarint(frame, 2)
-	frame = binary.AppendUvarint(frame, uint64(graph.Inf)-1)
-	if _, _, err := decodeFrame(frame, 10); err != nil {
-		t.Errorf("max finite distance rejected: %v", err)
 	}
 }
 

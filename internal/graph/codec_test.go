@@ -133,6 +133,11 @@ func pgph(n, deg2 uint32, off []uint64, pairs [][2]uint32) []byte {
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
+// pgphWeight is a checksum-valid PGPH file of one edge {0,1} weighing w.
+func pgphWeight(w uint32) []byte {
+	return pgph(2, 2, []uint64{0, 1, 2}, [][2]uint32{{1, w}, {0, w}})
+}
+
 // craftedFiles are checksum-valid PGPH files that a malformed writer
 // could produce. Each breaks the Graph invariant in one way.
 var craftedFiles = map[string][]byte{
@@ -149,7 +154,7 @@ var craftedFiles = map[string][]byte{
 	"edge listed from below only": pgph(2, 1, []uint64{0, 0, 1}, [][2]uint32{{0, 1}}),
 	"mates differ in weight":      pgph(2, 2, []uint64{0, 1, 2}, [][2]uint32{{1, 5}, {0, 6}}),
 	"mate in the wrong row":       pgph(3, 4, []uint64{0, 1, 3, 4}, [][2]uint32{{1, 1}, {0, 1}, {2, 1}, {0, 1}}),
-	"infinite weight":             pgph(2, 2, []uint64{0, 1, 2}, [][2]uint32{{1, math.MaxUint32}, {0, math.MaxUint32}}),
+	"infinite weight":             pgphWeight(uint32(Inf)),
 }
 
 // shortClaims are files far shorter than their header's counts; reading
@@ -200,6 +205,9 @@ func FuzzReadBinary(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// The Inf boundary's accepted side; its refused side, weight Inf, is
+	// craftedFiles' "infinite weight".
+	f.Add(pgphWeight(uint32(Inf) - 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -258,6 +261,25 @@ func TestReadEdgeListSparseIDs(t *testing.T) {
 	}
 }
 
+// The compaction costs memory in the edges, not in the largest id: ids
+// {0, 2^24} once asked for a 16 MB seen array and a 64 MB remap.
+func TestReadEdgeListHugeIDsCostNoMemory(t *testing.T) {
+	in := fmt.Sprintf("0 %d 3\n%d 0 3\n", 1<<24, 1<<24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := ReadEdgeList(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("n=%d m=%d, want 2,1", g.NumVertices(), g.NumEdges())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes for a two-line file", got)
+	}
+}
+
 func TestReadEdgeListErrors(t *testing.T) {
 	for name, in := range map[string]string{
 		"one-field":   "5\n",
@@ -298,10 +320,61 @@ func TestReadDIMACSErrors(t *testing.T) {
 		"out-of-range": "p sp 2 1\na 1 5 1\n",
 		"unknown":      "p sp 2 1\nz 1 2\n",
 		"missing":      "c only comments\n",
+		"n past int32": "p sp 2147483648 0\n",
+		"n past int64": "p sp 99999999999999999999 0\n",
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ReadDIMACS(strings.NewReader(in)); err == nil {
 				t.Errorf("expected error for %q", name)
+			}
+		})
+	}
+}
+
+// TestReadersRefuseInfWeight holds each graph decoder to the Inf
+// boundary: a weight of Inf-1 is stored as it is, and Inf, or (where
+// the field is wider than 32 bits) anything that would truncate to a
+// small weight, is refused. Inf means unreachable and must never enter
+// a graph as a finite weight.
+func TestReadersRefuseInfWeight(t *testing.T) {
+	decoders := []struct {
+		name   string
+		wide   bool // the field holds values past 32 bits
+		encode func(w uint64) []byte
+		read   func(r io.Reader) (*Graph, error)
+	}{
+		{"edgelist", true, func(w uint64) []byte { return fmt.Appendf(nil, "0 1 %d\n", w) }, ReadEdgeList},
+		{"dimacs", true, func(w uint64) []byte { return fmt.Appendf(nil, "p sp 2 1\na 1 2 %d\n", w) }, ReadDIMACS},
+		{"pgph", false, func(w uint64) []byte { return pgphWeight(uint32(w)) }, ReadBinary},
+	}
+	// decode reports a panic as a failure and as an error, so one broken
+	// row does not end the table (FromEdges panics on an Inf weight).
+	decode := func(t *testing.T, read func(io.Reader) (*Graph, error), data []byte) (g *Graph, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("decoding %q panicked: %v", data, p)
+				g, err = nil, fmt.Errorf("panic: %v", p)
+			}
+		}()
+		return read(bytes.NewReader(data))
+	}
+	for _, d := range decoders {
+		t.Run(d.name, func(t *testing.T) {
+			g, err := decode(t, d.read, d.encode(uint64(Inf)-1))
+			if err != nil {
+				t.Fatalf("weight Inf-1 refused: %v", err)
+			}
+			if w, ok := g.HasEdge(0, 1); !ok || w != Inf-1 {
+				t.Fatalf("weight Inf-1 read as %d (edge %v)", w, ok)
+			}
+			refused := []uint64{uint64(Inf)}
+			if d.wide {
+				refused = append(refused, uint64(Inf)+1, 1<<40)
+			}
+			for _, w := range refused {
+				if g, err := decode(t, d.read, d.encode(w)); err == nil {
+					t.Errorf("weight %d accepted: %v", w, g.Edges())
+				}
 			}
 		})
 	}

@@ -35,12 +35,12 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 
 // ReadEdgeList parses a text edge list. Vertex ids may be sparse or
 // unordered; they are compacted to [0,n) preserving numeric order. A
-// missing third column means weight 1.
+// missing third column means weight 1. Memory is O(m) whatever the ids:
+// two lines naming vertex 2^31-2 cost what two lines naming vertex 1 do.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var edges []Edge
-	maxID := int64(-1)
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -70,44 +70,31 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if u < 0 || v < 0 {
 			return nil, fmt.Errorf("graph: line %d: negative vertex id", lineno)
 		}
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
-		}
 		edges = append(edges, Edge{U: Vertex(u), V: Vertex(v), W: Dist(w)})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return compactAndBuild(maxID, edges), nil
+	return compactAndBuild(edges), nil
 }
 
-// compactAndBuild renumbers possibly-sparse ids to a dense [0,n) range and
-// builds the graph.
-func compactAndBuild(maxID int64, edges []Edge) *Graph {
-	if maxID < 0 {
-		return FromEdges(0, nil)
-	}
-	seen := make([]bool, maxID+1)
+// compactAndBuild renumbers possibly-sparse ids to a dense [0,n) range,
+// in numeric order, and builds the graph. The distinct ids are found by
+// sorting the endpoints, so the work is O(m log m) and the memory O(m),
+// never O(largest id).
+func compactAndBuild(edges []Edge) *Graph {
+	ids := make([]Vertex, 0, 2*len(edges))
 	for _, e := range edges {
-		seen[e.U] = true
-		seen[e.V] = true
+		ids = append(ids, e.U, e.V)
 	}
-	remap := make([]Vertex, maxID+1)
-	n := 0
-	for i, s := range seen {
-		if s {
-			remap[i] = Vertex(n)
-			n++
-		}
-	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 	for i := range edges {
-		edges[i].U = remap[edges[i].U]
-		edges[i].V = remap[edges[i].V]
+		u, _ := slices.BinarySearch(ids, edges[i].U)
+		v, _ := slices.BinarySearch(ids, edges[i].V)
+		edges[i].U, edges[i].V = Vertex(u), Vertex(v)
 	}
-	return FromEdges(n, edges)
+	return FromEdges(len(ids), edges)
 }
 
 // ReadDIMACS parses the DIMACS shortest-path .gr format ("p sp n m" header,
@@ -115,7 +102,7 @@ func compactAndBuild(maxID int64, edges []Edge) *Graph {
 // FromEdges' normalization.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	n := -1
 	var edges []Edge
 	lineno := 0
@@ -133,7 +120,7 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 			}
 			var err error
 			n, err = strconv.Atoi(f[2])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > math.MaxInt32 {
 				return nil, fmt.Errorf("graph: line %d: bad vertex count %q", lineno, f[2])
 			}
 		case 'a':

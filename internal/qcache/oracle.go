@@ -85,7 +85,7 @@ func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
 		tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
 		return d, hit
 	}
-	return o.query(s, t) //parapll:vet-ignore snapgen the traced branch above returns: one of the two calls runs
+	return o.query(s, t)
 }
 
 // Peek reports the cached answer for (s,t) under this wrapper's

@@ -306,25 +306,76 @@ func TestReloadRebuildsKNN(t *testing.T) {
 	}
 }
 
-// TestHotReloadHammer swaps snapshots while queries and batches are in
-// flight, alternating mapped files (/reload) with indexes built in
-// process (Publish), so every swap trades a heap snapshot for a mapping
-// or back and a dropped mapping's finalizer runs under live queries.
-// Every response must be a 200 answering consistently from whichever
-// snapshot it started on; run under -race this also proves the swap
-// itself is data-race-free. A second reload races each /reload, two
-// live trace captures race each other and every request is logged as
-// slow, so the reload, capture and slow-log mutexes are contended too.
+// TestHotReloadHammer swaps snapshots while queries, batches and /stats
+// are in flight, alternating mapped files (/reload) with indexes built in
+// process (Publish), so swaps trade a heap snapshot for a mapping or back
+// and a dropped mapping's finalizer runs under live queries. The two
+// artifacts differ in vertex count and in edge weight, so a reply names
+// the one it came from. The server's test hooks publish the other
+// artifact right after each reload stores its snapshot and right after
+// each request loads one: a second load of s.snap anywhere in those
+// scopes then sees another generation on every run, not only when the
+// scheduler happens to interleave there. The test checks that
+//   - every query and batch answers from one of the two artifacts;
+//   - every 200 from /reload names its own generation, one no other
+//     publish returned, with the source it asked for and that source's
+//     vertex count;
+//   - every /stats reply's generation is the one its vertex count came
+//     from;
+//   - after a reload, no pair cached under the old index answers with
+//     its old distance.
+//
+// Run under -race it also proves the swap itself is data-race-free. A
+// second reload races each /reload, two live trace captures race each
+// other and every request is logged as slow, so the reload, capture and
+// slow-log mutexes are contended too.
 func TestHotReloadHammer(t *testing.T) {
 	dir := t.TempDir()
-	paths := []string{saveLineIndex(t, dir, 6), filepath.Join(dir, "copy.idx")}
-	if err := fileio.SaveIndex(fileio.OS, paths[1], pll.Build(lineGraph(6), pll.Options{})); err != nil {
-		t.Fatal(err)
+	a, b := weightedLineIndex(6, 1), weightedLineIndex(9, 2) // d(s,t) = |s-t| and 2|s-t|
+	paths := []string{filepath.Join(dir, "a.idx"), filepath.Join(dir, "b.idx")}
+	for i, x := range []*label.Index{a, b} {
+		if err := fileio.SaveIndex(fileio.OS, paths[i], x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	other := func(sn *snapshot) *label.Index {
+		if sn.idx.NumVertices() == a.NumVertices() {
+			return b
+		}
+		return a
 	}
 	// Every request is slow enough for the slow log, so the query
 	// workers contend its mutex; the tracer arms /debug/trace.
 	s := NewPending(&Options{Loader: fileio.LoadIndex, SlowThreshold: time.Nanosecond, Tracer: trace.New(0, 256)})
-	s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
+	s.SetCacheEntries(4096)
+
+	var (
+		mu       sync.Mutex
+		vertices = map[uint64]int{}  // every published generation's vertex count
+		returned = map[uint64]bool{} // generations Publish or Reload returned
+		racing   atomic.Bool
+	)
+	publish := func(x *label.Index) {
+		gen := s.Publish(x, nil, "")
+		mu.Lock()
+		returned[gen] = true
+		mu.Unlock()
+	}
+	s.afterStore = func(sn *snapshot) {
+		mu.Lock()
+		vertices[sn.gen] = sn.idx.NumVertices()
+		mu.Unlock()
+		if sn.source != "" && racing.Load() { // a reload's snapshot
+			publish(other(sn))
+		}
+	}
+	s.afterLoad = func(sn *snapshot) {
+		if racing.Load() {
+			publish(other(sn))
+		}
+	}
+	publish(a)
+	racing.Store(true)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
@@ -336,91 +387,101 @@ func TestHotReloadHammer(t *testing.T) {
 	var bad atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	loop := func(f func() bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f() {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
 
 	// Two live trace captures contend their mutex (200, or 409 while the
 	// other runs) beside readers of the slow log.
 	for _, path := range []string{"/debug/trace?sec=0.001", "/debug/trace?sec=0.001", "/debug/slow"} {
-		wg.Add(1)
-		go func(path string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(ts.URL + path)
-				if err != nil {
-					t.Error(err)
-					bad.Add(1)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
-					t.Errorf("GET %s = %d", path, resp.StatusCode)
-				}
+		loop(func() bool {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Error(err)
+				return false
 			}
-		}(path)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
+				t.Errorf("GET %s = %d", path, resp.StatusCode)
+			}
+			return true
+		})
 	}
 
 	for w := 0; w < queryWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(fmt.Sprintf("%s/query?s=0&t=%d", ts.URL, 1+i%5))
-				if err != nil {
-					t.Error(err)
-					bad.Add(1)
-					return
-				}
-				var q queryResponse
-				decErr := json.NewDecoder(resp.Body).Decode(&q)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || decErr != nil || q.Dist != int64(1+i%5) {
-					bad.Add(1)
-				}
+		i := 0
+		loop(func() bool {
+			i++
+			tt := int64(1 + i%5)
+			resp, err := http.Get(fmt.Sprintf("%s/query?s=0&t=%d", ts.URL, tt))
+			if err != nil {
+				t.Error(err)
+				return false
 			}
-		}()
+			var q queryResponse
+			decErr := json.NewDecoder(resp.Body).Decode(&q)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || decErr != nil || q.Dist != tt && q.Dist != 2*tt {
+				bad.Add(1)
+			}
+			return true
+		})
 	}
+	body, _ := json.Marshal(batchRequest{Pairs: [][2]graph.Vertex{{0, 5}, {5, 0}, {2, 2}}})
 	for w := 0; w < batchWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			body, _ := json.Marshal(batchRequest{Pairs: [][2]graph.Vertex{{0, 5}, {5, 0}, {2, 2}}})
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Error(err)
-					bad.Add(1)
-					return
-				}
-				var b batchResponse
-				decErr := json.NewDecoder(resp.Body).Decode(&b)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || decErr != nil ||
-					len(b.Dists) != 3 || b.Dists[0] != 5 || b.Dists[1] != 5 || b.Dists[2] != 0 {
-					bad.Add(1)
-				}
+		loop(func() bool {
+			resp, err := http.Post(ts.URL+"/batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return false
 			}
-		}()
+			var r batchResponse
+			decErr := json.NewDecoder(resp.Body).Decode(&r)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || decErr != nil || len(r.Dists) != 3 ||
+				r.Dists[0] != r.Dists[1] || r.Dists[0] != 5 && r.Dists[0] != 10 || r.Dists[2] != 0 {
+				bad.Add(1)
+			}
+			return true
+		})
 	}
+	var stats []statsResponse
+	loop(func() bool {
+		resp, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		var st statsResponse
+		decErr := json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || decErr != nil {
+			t.Errorf("GET /stats = %d (%v)", resp.StatusCode, decErr)
+			return false
+		}
+		stats = append(stats, st)
+		return true
+	})
 
-	var extraReloads atomic.Int64
+	type reply struct {
+		path string
+		out  reloadResponse
+	}
+	var replies []reply
 	for i := 0; i < reloads; i++ {
 		if i%3 == 2 {
-			s.Publish(pll.Build(lineGraph(6), pll.Options{}), nil, "")
+			publish([]*label.Index{a, b}[i/3%2])
 			runtime.GC() // let the dropped mapping's finalizer run while queries are in flight
 			continue
 		}
@@ -429,32 +490,87 @@ func TestHotReloadHammer(t *testing.T) {
 		raced := make(chan struct{})
 		go func() {
 			defer close(raced)
-			if _, err := s.Reload(paths[1]); err == nil {
-				extraReloads.Add(1)
+			if gen, err := s.Reload(paths[1]); err == nil {
+				mu.Lock()
+				returned[gen] = true
+				mu.Unlock()
 			} else if !errors.Is(err, ErrReloadBusy) {
 				t.Errorf("racing reload: %v", err)
 			}
 		}()
-		code, _ := postReload(t, ts.URL, paths[i%3])
+		path := paths[i%3]
+		code, out := postReload(t, ts.URL, path)
 		<-raced
 		if code == http.StatusConflict {
-			code, _ = postReload(t, ts.URL, paths[i%3])
+			code, out = postReload(t, ts.URL, path)
 		}
 		if code != http.StatusOK {
 			t.Errorf("reload %d: status %d", i, code)
+			continue
 		}
+		replies = append(replies, reply{path, out})
 	}
 	close(stop)
 	wg.Wait()
+	racing.Store(false)
 
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d bad responses during hot reload", n)
 	}
+	mu.Lock() // the hooks ran on handler goroutines
+	seen := map[uint64]bool{}
+	for _, r := range replies {
+		want := a.NumVertices()
+		if r.path == paths[1] {
+			want = b.NumVertices()
+		}
+		if g := r.out.Generation; returned[g] || seen[g] || r.out.Source != r.path || r.out.Vertices != want || vertices[g] != want {
+			t.Errorf("/reload of %s answered %+v: generation %d has %d vertices (returned by another publish: %v, by an earlier reload: %v)",
+				r.path, r.out, g, vertices[g], returned[g], seen[g])
+		}
+		seen[r.out.Generation] = true
+	}
+	if len(stats) == 0 {
+		t.Fatal("no /stats replies")
+	}
+	for _, st := range stats {
+		if vertices[st.Generation] != st.Vertices {
+			t.Errorf("/stats names generation %d (%d vertices) beside %d vertices", st.Generation, vertices[st.Generation], st.Vertices)
+			break
+		}
+	}
+	publishes := uint64(len(vertices))
+	mu.Unlock()
 	var st statsResponse
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats: status %d", code)
 	}
-	if want := uint64(1 + reloads + extraReloads.Load()); st.Generation != want {
-		t.Fatalf("final generation = %d, want %d", st.Generation, want)
+	if st.Generation != publishes {
+		t.Fatalf("final generation = %d, want %d (one per publish)", st.Generation, publishes)
+	}
+
+	// After a reload, no pair cached under the old index may answer with
+	// its old distance: warm every pair on a, reload b, read them again.
+	publish(a)
+	for _, step := range []struct {
+		reload string
+		w      int64
+	}{{"", 1}, {paths[1], 2}} {
+		if step.reload != "" {
+			if code, _ := postReload(t, ts.URL, step.reload); code != http.StatusOK {
+				t.Fatalf("reload of %s: status %d", step.reload, code)
+			}
+		}
+		for u := 0; u < a.NumVertices(); u++ {
+			for v := 0; v < a.NumVertices(); v++ {
+				var q queryResponse
+				if code := getJSON(t, fmt.Sprintf("%s/query?s=%d&t=%d", ts.URL, u, v), &q); code != http.StatusOK {
+					t.Fatalf("query (%d,%d): status %d", u, v, code)
+				}
+				if want := step.w * int64(max(u-v, v-u)); q.Dist != want {
+					t.Fatalf("STALE CACHE: d(%d,%d) = %d, want %d at weight %d", u, v, q.Dist, want, step.w)
+				}
+			}
+		}
 	}
 }

@@ -211,6 +211,12 @@ type Server struct {
 	captureMu sync.Mutex // serializes /debug/trace live captures
 	slow      *SlowLog
 
+	// Test hooks, nil in production: afterStore runs right after publish
+	// stores a snapshot, afterLoad right after handleSnap loads one. A
+	// test publishes from them, inside the window in which a second load
+	// of s.snap would see another generation.
+	afterStore, afterLoad func(sn *snapshot)
+
 	// reloadFailures counts failed reloads (HTTP and SIGHUP alike) — the
 	// watchdog's reload-failure rule watches its per-window delta.
 	reloadFailures *metrics.Counter
@@ -413,6 +419,9 @@ func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source st
 	}
 	s.snap.Store(sn)
 	s.generation.Set(int64(gen))
+	if s.afterStore != nil {
+		s.afterStore(sn)
+	}
 	return sn
 }
 
@@ -618,6 +627,9 @@ func (s *Server) handleSnap(path, method string, limit int64, h func(sn *snapsho
 		if sw, ok := w.(*statusWriter); ok {
 			sw.gen = sn.gen // slow-log entries name the generation they ran on
 		}
+		if s.afterLoad != nil {
+			s.afterLoad(sn)
+		}
 		h(sn, w, r)
 	})
 }
@@ -703,7 +715,7 @@ func (s *Server) handleQuery(sn *snapshot, w http.ResponseWriter, r *http.Reques
 		d, hit = c.QueryNote(src, dst)
 		noteCache(w, hit)
 	} else {
-		d = sn.ora.Query(src, dst) //parapll:vet-ignore snapgen the else of the QueryNote branch: one of the two runs
+		d = sn.ora.Query(src, dst)
 	}
 	b := getWireBuf()
 	b.out = appendQueryReply(b.out[:0], src, dst, d)

@@ -24,10 +24,11 @@
 // # Decoding invariants
 //
 // Replay is a wire decoder and is held to the same rules as the cluster
-// frame and PIDM parsers (the infguard analyzer's contract): a decoded
-// weight is bounds-checked against graph.Inf before it becomes a
+// frame and PIDM parsers: a decoded weight is bounds-checked against
+// graph.Inf (with >=, so Inf itself is refused) before it becomes a
 // graph.Dist, and decoded endpoints must be distinct, in-int32-range
-// vertex ids. A CRC-valid record violating either can only be
+// vertex ids (TestAppendRejectsInvalid holds Append's and Replay's
+// guards). A CRC-valid record violating either can only be
 // corruption that collided with the checksum; it ends the consistent
 // prefix rather than entering the index.
 package wal

@@ -60,6 +60,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsInvalid holds both guards of the log to one table:
+// Append refuses each invalid update, and a CRC-valid record of it ends
+// Replay's consistent prefix, so neither the writer nor a corrupt file
+// can put one into the index. Weight Inf-1 passes both.
 func TestAppendRejectsInvalid(t *testing.T) {
 	l, _ := openEmpty(t)
 	cases := []Update{
@@ -68,13 +72,26 @@ func TestAppendRejectsInvalid(t *testing.T) {
 		{U: 0, V: 1, W: graph.Inf}, // Inf sentinel
 		{U: -1, V: 1, W: 2},        // negative id
 	}
+	valid := Update{U: 2, V: 3, W: graph.Inf - 1}
 	for _, up := range cases {
 		if err := l.Append(up.U, up.V, up.W); err == nil {
 			t.Errorf("Append(%v) accepted", up)
 		}
+		data := header()
+		for _, rec := range []Update{valid, up, valid} {
+			var b [RecordSize]byte
+			encodeRecord(b[:], rec)
+			data = append(data, b[:]...)
+		}
+		if ups, consumed := Replay(data); len(ups) != 1 || ups[0] != valid || consumed != HeaderSize+RecordSize {
+			t.Errorf("Replay of a CRC-valid %v record: %v, %d bytes consumed; want only the record before it", up, ups, consumed)
+		}
 	}
 	if l.Len() != 0 {
 		t.Fatalf("invalid appends changed Len to %d", l.Len())
+	}
+	if err := l.Append(valid.U, valid.V, valid.W); err != nil {
+		t.Fatalf("Append(%v): %v", valid, err)
 	}
 }
 
