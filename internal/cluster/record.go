@@ -93,7 +93,7 @@ func (wr *workerRecorder) Label(v graph.Vertex) label.Label {
 }
 
 // Snapshot implements core.LabelStore.
-func (wr *workerRecorder) Snapshot(v graph.Vertex) []label.Entry {
+func (wr *workerRecorder) Snapshot(v graph.Vertex) label.List {
 	return wr.store.Snapshot(v)
 }
 

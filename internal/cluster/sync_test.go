@@ -354,7 +354,7 @@ func TestOverlapPipelineNoLoss(t *testing.T) {
 		for _, u := range recorded[owner] {
 			for rank, st := range stores {
 				found := false
-				for _, e := range st.Snapshot(u.v) {
+				for _, e := range st.Snapshot(u.v).AppendTo(nil) {
 					if e.Hub == u.hub && e.D == u.d {
 						found = true
 						break

@@ -338,7 +338,7 @@ func (bw *batchWorker) settleBucket(view LabelStore, items []bucketItem, d graph
 		var survivors uint64
 		for mm := m; mm != 0; mm &= mm - 1 {
 			i := bits.TrailingZeros64(mm)
-			bw.slotWork[i] += int64(bw.probes[i].Width()+len(lbl)) + 1
+			bw.slotWork[i] += int64(bw.probes[i].Width()+lbl.Len()) + 1
 			if bw.probes[i].Covers(u, lbl, d) {
 				continue
 			}

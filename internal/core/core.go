@@ -56,7 +56,7 @@ type LabelStore interface {
 	Label(v graph.Vertex) label.Label
 	// Snapshot is L(v) as a prune test reads it, beside the head row the
 	// search's label.Probe reads itself: the entries outside the head.
-	Snapshot(v graph.Vertex) []label.Entry
+	Snapshot(v graph.Vertex) label.List
 	Append(v, hub graph.Vertex, d graph.Dist)
 }
 
@@ -350,12 +350,12 @@ func NewRWLockedStore(n int) *RWLockedStore {
 }
 
 // Snapshot implements LabelStore by copying under a read lock.
-func (s *RWLockedStore) Snapshot(v graph.Vertex) []label.Entry {
+func (s *RWLockedStore) Snapshot(v graph.Vertex) label.List {
 	s.mu.RLock()
 	out := make([]label.Entry, len(s.lists[v]))
 	copy(out, s.lists[v])
 	s.mu.RUnlock()
-	return out
+	return label.ListOf(out)
 }
 
 // Label implements LabelStore: a copy of the list, and no head.

@@ -82,9 +82,8 @@ type hidingStore struct {
 	r *rand.Rand
 }
 
-func (h *hidingStore) Snapshot(v graph.Vertex) []label.Entry {
-	snap := h.Store.Snapshot(v)
-	return snap[:h.r.Intn(len(snap)+1)]
+func (h *hidingStore) Snapshot(v graph.Vertex) label.List {
+	return h.prefix(h.Store.Snapshot(v))
 }
 
 func (h *hidingStore) Label(v graph.Vertex) label.Label {
@@ -92,8 +91,13 @@ func (h *hidingStore) Label(v graph.Vertex) label.Label {
 	if h.r.Intn(2) == 0 {
 		l = label.Label{Rest: l.Rest}
 	}
-	l.Rest = l.Rest[:h.r.Intn(len(l.Rest)+1)]
+	l.Rest = h.prefix(l.Rest)
 	return l
+}
+
+// prefix returns a random prefix of l.
+func (h *hidingStore) prefix(l label.List) label.List {
+	return label.ListOf(l.AppendTo(nil)[:h.r.Intn(l.Len()+1)])
 }
 
 // TestDelayedVisibilityCorrect is the paper's Proposition 1 in its

@@ -286,14 +286,14 @@ func (x *Index) run(v graph.Vertex) *run {
 }
 
 // entries is v's run as the writer sees it, as the entries label.Probe
-// scans beside L(v)'s base tiers; valid until the next call.
-func (x *Index) entries(v graph.Vertex) []label.Entry {
+// scans beside L(v)'s base tiers, one segment; valid until the next call.
+func (x *Index) entries(v graph.Vertex) label.List {
 	r := x.run(v)
 	x.buf = x.buf[:0]
 	for i, h := range r.hubs {
 		x.buf = append(x.buf, label.Entry{Hub: h, D: r.dists[i]})
 	}
-	return x.buf
+	return label.ListOf(x.buf)
 }
 
 // install is the settle hook of a resumed search: add the label e at u,

@@ -9,8 +9,8 @@
 // a dense head of one-byte cells, eight to an atomic word, each written
 // by a compare-and-swap on its word per settle (UseHead). Every other
 // entry — a head hub's too, when its distance exceeds a byte — goes to
-// v's list: lock-free reads, per-vertex mutex-guarded appends — the
-// "semaphore" of the paper's Algorithm 2.
+// v's list of segments, each twice the last, linked and never copied:
+// lock-free reads, appends under the paper's Algorithm 2 "semaphore".
 //
 // A label entry (h, d) in L(v) asserts dist(h, v) = d for hub vertex h
 // (subject to the parallel-construction caveat that redundant entries may
@@ -35,39 +35,86 @@ type Entry struct {
 	D   graph.Dist
 }
 
-// list is one vertex's label list: the append mutex, the published
-// length and the backing array side by side, so a prune query's
-// Snapshot touches one cache line before the entries themselves.
-//
-// Publication order. A writer (holding mu) fills slots past n — slots no
-// reader can see yet — and only then stores the longer n; when the array
-// is full it first copies the entries into a larger one and stores arr,
-// then stores n. Arrays are only ever replaced by longer ones carrying
-// the same prefix, and entries below a published n never change. A
-// reader therefore loads n first and arr second: whichever array it
-// then sees was published no earlier than the one n was published
-// against, so it holds at least n final entries. (Loading arr first
-// could pair an outgrown array with a newer, longer n.)
-type list struct {
-	mu  sync.Mutex
-	n   atomic.Int64          // published length
-	arr atomic.Pointer[Entry] // first slot of the backing array
-	cap int                   // slots in the backing array; guarded by mu
+// List is a label list as one read saw it: its first Len entries, in
+// segments, 4·2^k entries in segment k of a store's list (Store.Snapshot)
+// and one segment in ListOf's. Walk it with Seg, as AppendTo does.
+type List struct {
+	s    *Store // store form: the store holding the list; nil for ListOf
+	flat *Entry // ListOf form: the first entry
+	v, n int32  // the vertex (store form) and the entries read
 }
 
-// reserve returns the backing array, first replaced by one of newCap
-// slots if it cannot take extra more entries after the n it holds. The
-// caller holds mu.
-func (l *list) reserve(n, extra, newCap int) []Entry {
-	old := unsafe.Slice(l.arr.Load(), l.cap)
-	if n+extra <= l.cap {
-		return old
+// ListOf returns es as a List of one segment.
+func ListOf(es []Entry) List { return List{flat: unsafe.SliceData(es), n: int32(len(es))} }
+
+// Len returns the number of entries in l.
+func (l List) Len() int { return int(l.n) }
+
+// Seg returns segment k of l, cut at Len: empty past the last.
+func (l List) Seg(k int) []Entry {
+	start, n := 4<<k-4, int(l.n)
+	if l.s == nil && k == 0 {
+		return unsafe.Slice(l.flat, n)
+	} else if l.s == nil || start >= n {
+		return nil
 	}
-	next := make([]Entry, newCap)
-	copy(next, old[:n])
-	l.arr.Store(unsafe.SliceData(next))
-	l.cap = len(next)
-	return next
+	return unsafe.Slice(l.s.seg(int(l.v), k).Load(), min(4<<k, n-start))
+}
+
+// AppendTo appends l's entries to dst and returns it.
+func (l List) AppendTo(dst []Entry) []Entry {
+	for k, seg := 0, l.Seg(0); len(seg) > 0; k, seg = k+1, l.Seg(k+1) {
+		dst = append(dst, seg...)
+	}
+	return dst
+}
+
+// record is one vertex's list but for its length n (Store.lens, sixteen
+// to a line, so a prune test the head decides touches no record): the
+// append mutex and the first inline segments, 508 entries, in one cache
+// line. The store's levels, n pointers each, hold the later segments.
+//
+// Publication order. A writer (holding mu) fills slots past n, which no
+// reader can see yet, and only then stores the longer n; a slot past the
+// last segment is in a new one of twice its size, which the writer links
+// (and its level) before it stores the n that reaches into it. Nothing
+// is copied or replaced, and entries below a published n never change.
+// A reader therefore loads n first, then each segment n covers.
+type record struct {
+	mu   sync.Mutex
+	segs [inline]atomic.Pointer[Entry]
+}
+
+const inline, maxSegs = 7, 30 // maxSegs hold any int32 length
+
+// seg returns where the pointer to segment k of v's list lives.
+func (s *Store) seg(v, k int) *atomic.Pointer[Entry] {
+	if k < inline {
+		return &s.lists[v].segs[k]
+	}
+	return &(*s.far[k-inline].Load())[v]
+}
+
+// write appends es to v's list under its mutex, linking a segment at each
+// boundary it reaches, and publishes the longer length.
+func (s *Store) write(v int, es []Entry) {
+	s.lists[v].mu.Lock()
+	n := int(s.lens[v].Load())
+	for len(es) > 0 {
+		k := bits.Len(uint(n/4+1)) - 1 // segment k holds slots 4·2^k-4 on
+		off := n + 4 - 4<<k
+		if off == 0 {
+			if k >= inline && s.far[k-inline].Load() == nil {
+				lv := make([]atomic.Pointer[Entry], len(s.lists))
+				s.far[k-inline].CompareAndSwap(nil, &lv) // a writer that loses the race drops its copy
+			}
+			s.seg(v, k).Store(unsafe.SliceData(make([]Entry, 4<<k)))
+		}
+		c := copy(unsafe.Slice(s.seg(v, k).Load(), 4<<k)[off:], es)
+		n, es = n+c, es[c:]
+	}
+	s.lens[v].Store(int32(n))
+	s.lists[v].mu.Unlock()
 }
 
 // headBlock is the number of columns a block of the build-time head
@@ -102,13 +149,15 @@ func cellDist(b uint64) graph.Dist { return graph.Dist(^uint8(b)) }
 // Concurrency contract: any number of goroutines may call Snapshot, Label
 // and Len concurrently with appends; Append on the *same* vertex
 // serializes on a per-vertex mutex, or on nothing for a head cell.
-// Readers never block writers and vice versa.
+// Readers never block writers and vice versa. A list grows by linking a
+// segment of twice the last one's size (record): no entry moves, and a
+// list of L entries holds fewer than 2L+4 slots, all of them live.
 //
 // The build-time head (UseHead) gives the root at position c of the
 // computing sequence, while c is below the head's width K, column c of a
 // dense n × K matrix of one-byte cells, so its entries of distance up to
 // maxCell cost 1 byte a vertex where a list entry costs 8 and the slack
-// of a grown array; a larger distance goes to the list. The matrix is a
+// of its segment; a larger distance goes to the list. The matrix is a
 // sequence of blocks, each n × headWords words of eight cells: cell
 // (v, c) is byte c%8 of word v*headWords + (c%headBlock)/8 of block
 // c/headBlock. A cell holds the complement of its distance, so the zeros
@@ -118,7 +167,9 @@ func cellDist(b uint64) graph.Dist { return graph.Dist(^uint8(b)) }
 // Proposition 1 only weakens pruning. Blocks are published copy-on-write
 // (head), so a reader's blocks stay valid.
 type Store struct {
-	lists []list
+	lens  []atomic.Int32 // published list lengths
+	lists []record
+	far   [maxSegs - inline]atomic.Pointer[[]atomic.Pointer[Entry]] // segment pointers past the records'
 
 	// begun[b] counts the roots of block b's positions whose searches have
 	// begun; nil in a store without a head.
@@ -152,7 +203,7 @@ func (h *head) row(b, v int) *[headWords]atomic.Uint64 {
 }
 
 // NewStore returns an empty store for vertices [0,n), without a head.
-func NewStore(n int) *Store { return &Store{lists: make([]list, n)} }
+func NewStore(n int) *Store { return &Store{lens: make([]atomic.Int32, n), lists: make([]record, n)} }
 
 // NumVertices returns the number of vertices the store covers.
 func (s *Store) NumVertices() int { return len(s.lists) }
@@ -246,7 +297,7 @@ func (s *Store) Head() (k int, fill float64) {
 // Append adds entry (hub, d) to L(v): into hub's head cell if it has one
 // and d fits a cell, where the smaller distance stays, else at the end of
 // v's list, which is neither sorted nor deduplicated (the final Index
-// pass does both). It allocates only when L(v)'s list is full.
+// pass does both). It allocates only when L(v)'s list is full: a segment.
 func (s *Store) Append(v graph.Vertex, hub graph.Vertex, d graph.Dist) {
 	if h := s.head.Load(); h != nil && d <= maxCell {
 		if c := h.column(hub); c >= 0 {
@@ -261,21 +312,14 @@ func (s *Store) Append(v graph.Vertex, hub graph.Vertex, d graph.Dist) {
 			return
 		}
 	}
-	l := &s.lists[v]
-	l.mu.Lock()
-	n := int(l.n.Load())
-	l.reserve(n, 1, 2*n+4)[n] = Entry{Hub: hub, D: d}
-	l.n.Store(int64(n + 1))
-	l.mu.Unlock()
+	s.write(int(v), []Entry{{Hub: hub, D: d}})
 }
 
 // Snapshot returns v's list: the entries of L(v) outside the head, in the
 // order they arrived. The result is immutable: concurrent appends publish
 // longer snapshots without disturbing this one.
-func (s *Store) Snapshot(v graph.Vertex) []Entry {
-	l := &s.lists[v]
-	n := l.n.Load() // before arr: see list
-	return unsafe.Slice(l.arr.Load(), n)
+func (s *Store) Snapshot(v graph.Vertex) List {
+	return List{s: s, v: v, n: s.lens[v].Load()} // n before the segments: see record
 }
 
 // Label returns L(v) as the hub side of a search reads it: v's head row
@@ -300,7 +344,7 @@ func (s *Store) entries(v graph.Vertex, dst []Entry) []Entry {
 			}
 		}
 	}
-	return append(dst, s.Snapshot(v)...)
+	return s.Snapshot(v).AppendTo(dst)
 }
 
 // List returns the list function NewIndexFunc and WriteLabels take over
@@ -316,7 +360,7 @@ func (s *Store) List() func(v int) []Entry {
 
 // Len returns the current number of entries in L(v).
 func (s *Store) Len(v graph.Vertex) int {
-	n := int(s.lists[v].n.Load())
+	n := int(s.lens[v].Load())
 	if h := s.head.Load(); h != nil {
 		for b := range h.blocks {
 			n += int(finite(h.row(b, int(v))[:]))
@@ -330,8 +374,8 @@ func (s *Store) Len(v graph.Vertex) int {
 // counter).
 func (s *Store) TotalEntries() int64 {
 	var total int64
-	for v := range s.lists {
-		total += s.lists[v].n.Load()
+	for v := range s.lens {
+		total += int64(s.lens[v].Load())
 	}
 	if h := s.head.Load(); h != nil {
 		for _, blk := range h.blocks {
@@ -349,10 +393,5 @@ func (s *Store) BulkAppend(v graph.Vertex, entries []Entry) {
 	if len(entries) == 0 {
 		return
 	}
-	l := &s.lists[v]
-	l.mu.Lock()
-	n := int(l.n.Load())
-	copy(l.reserve(n, len(entries), 2*(n+len(entries)))[n:], entries)
-	l.n.Store(int64(n + len(entries)))
-	l.mu.Unlock()
+	s.write(int(v), entries)
 }

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -23,7 +24,7 @@ func TestStoreBasic(t *testing.T) {
 	if s.Len(1) != 2 || s.Len(0) != 0 {
 		t.Fatalf("Len = %d,%d", s.Len(1), s.Len(0))
 	}
-	snap := s.Snapshot(1)
+	snap := s.Snapshot(1).AppendTo(nil)
 	want := []Entry{{Hub: 0, D: 5}, {Hub: 2, D: 7}}
 	if !reflect.DeepEqual(snap, want) {
 		t.Fatalf("snapshot = %v, want %v", snap, want)
@@ -40,8 +41,8 @@ func TestStoreSnapshotImmutable(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		s.Append(0, graph.Vertex(i+2), graph.Dist(i))
 	}
-	if len(snap1) != 1 || snap1[0] != (Entry{Hub: 1, D: 10}) {
-		t.Fatalf("old snapshot mutated: %v", snap1)
+	if got := snap1.AppendTo(nil); len(got) != 1 || got[0] != (Entry{Hub: 1, D: 10}) {
+		t.Fatalf("old snapshot mutated: %v", got)
 	}
 	if s.Len(0) != 101 {
 		t.Fatalf("Len = %d, want 101", s.Len(0))
@@ -54,7 +55,7 @@ func TestStoreBulkAppend(t *testing.T) {
 	s.BulkAppend(0, []Entry{{Hub: 6, D: 60}, {Hub: 7, D: 70}})
 	s.BulkAppend(0, nil) // no-op
 	want := []Entry{{Hub: 5, D: 50}, {Hub: 6, D: 60}, {Hub: 7, D: 70}}
-	if got := s.Snapshot(0); !reflect.DeepEqual(got, want) {
+	if got := s.Snapshot(0).AppendTo(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot = %v, want %v", got, want)
 	}
 	if s.TotalEntries() != 3 {
@@ -95,9 +96,8 @@ func TestStoreConcurrent(t *testing.T) {
 				default:
 				}
 				for v := graph.Vertex(0); v < n; v++ {
-					snap := s.Snapshot(v)
 					// Every visible entry must be fully written.
-					for _, e := range snap {
+					for _, e := range s.Snapshot(v).AppendTo(nil) {
 						if e.Hub < 0 || int(e.Hub) >= writers {
 							panic("torn read: bad hub")
 						}
@@ -122,16 +122,18 @@ func TestStoreConcurrent(t *testing.T) {
 }
 
 // TestStoreReaderHammer is the published-length contract under -race:
-// while one writer per vertex grows its list through every reallocation
-// (single appends and bulk appends of mixed sizes, so growth lands at
-// varied offsets), readers must see lengths that never shrink and, below
-// any length they were shown, exactly the entries written — never a
-// slot from an outgrown array, never one not yet filled. Many short
-// lists rather than a few long ones: the orderings at stake are the
-// first allocation and each regrowth, and a reader has to be caught
-// between its two loads to tell (scripts/check.sh repeats this 20 times).
+// while one writer per vertex grows its list across seven segment
+// boundaries, the last into a level of the store (single appends, and
+// bulk appends of mixed sizes, some of several segments, so boundaries
+// land at varied offsets inside them), readers must see lengths that
+// never shrink and, below any length they were shown, exactly the
+// entries written, segment k holding the next 4·2^k of them — never a
+// slot not yet filled, never one of a segment not yet linked. Many short
+// lists rather than a few long ones: the orderings at stake are each
+// segment's link and its level's, and a reader has to be caught between
+// its loads to tell (scripts/check.sh repeats this 20 times).
 func TestStoreReaderHammer(t *testing.T) {
-	const vertices, perVertex, readers = 512, 100, 3
+	const vertices, perVertex, readers = 192, 520, 3
 	entry := func(v graph.Vertex, i int) Entry {
 		return Entry{Hub: graph.Vertex(i), D: graph.Dist(int(v)*perVertex + i)}
 	}
@@ -151,16 +153,28 @@ func TestStoreReaderHammer(t *testing.T) {
 				}
 				for v := graph.Vertex(0); v < vertices; v++ {
 					snap := s.Snapshot(v)
-					if len(snap) < last[v] {
-						t.Errorf("L(%d) shrank from %d to %d", v, last[v], len(snap))
+					if snap.Len() < last[v] {
+						t.Errorf("L(%d) shrank from %d to %d", v, last[v], snap.Len())
 						return
 					}
-					last[v] = len(snap)
-					for i, e := range snap {
-						if e != entry(v, i) {
-							t.Errorf("L(%d)[%d] = %v at length %d, want %v", v, i, e, len(snap), entry(v, i))
+					last[v] = snap.Len()
+					i := 0
+					for k, seg := 0, snap.Seg(0); len(seg) > 0; k, seg = k+1, snap.Seg(k+1) {
+						if want := min(4<<k, snap.Len()-i); len(seg) != want {
+							t.Errorf("L(%d)'s segment %d holds %d entries at length %d, want %d", v, k, len(seg), snap.Len(), want)
 							return
 						}
+						for _, e := range seg {
+							if e != entry(v, i) {
+								t.Errorf("L(%d)[%d] = %v at length %d, want %v", v, i, e, snap.Len(), entry(v, i))
+								return
+							}
+							i++
+						}
+					}
+					if i != snap.Len() {
+						t.Errorf("L(%d)'s segments hold %d entries at length %d", v, i, snap.Len())
+						return
 					}
 				}
 			}
@@ -177,8 +191,11 @@ func TestStoreReaderHammer(t *testing.T) {
 			defer writers.Done()
 			r := rand.New(rand.NewSource(int64(v)))
 			for i := 0; i < perVertex; {
-				k := min(r.Intn(9), perVertex-i) // 0: a single Append
-				if k == 0 {
+				k := r.Intn(9) // 0: a single Append
+				if r.Intn(16) == 0 {
+					k = 20 + r.Intn(60) // up to three boundaries at once
+				}
+				if k = min(k, perVertex-i); k == 0 {
 					e := entry(v, i)
 					s.Append(v, e.Hub, e.D)
 					i++
@@ -198,6 +215,71 @@ func TestStoreReaderHammer(t *testing.T) {
 	readerWG.Wait()
 	if s.TotalEntries() != vertices*perVertex {
 		t.Fatalf("total = %d, want %d", s.TotalEntries(), vertices*perVertex)
+	}
+}
+
+// TestStoreBulkAppendSpansSegments: one BulkAppend that crosses several
+// segment boundaries, the inline segments' last included, lands each
+// entry at its slot, and the list reads back whole, segment by segment.
+func TestStoreBulkAppendSpansSegments(t *testing.T) {
+	s := NewStore(2)
+	var want []Entry
+	for i, k := range []int{3, 1, 300, 2, 700} { // boundaries at 4, 12, 28, 60, 124, 252, 508
+		bulk := make([]Entry, k)
+		for j := range bulk {
+			bulk[j] = Entry{Hub: graph.Vertex(len(want) + j), D: graph.Dist(i)}
+		}
+		s.BulkAppend(1, bulk)
+		want = append(want, bulk...)
+		if got := s.Snapshot(1).AppendTo(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %d bulks of %d: L(1) reads %d entries, want %d", i+1, k, len(got), len(want))
+		}
+	}
+	snap := s.Snapshot(1)
+	segs := 0
+	for k, seg := 0, snap.Seg(0); len(seg) > 0; k, seg = k+1, snap.Seg(k+1) {
+		if want := min(4<<k, snap.Len()-(4<<k-4)); len(seg) != want {
+			t.Fatalf("segment %d holds %d entries, want %d", k, len(seg), want)
+		}
+		segs++
+	}
+	if segs != 8 || s.Len(0) != 0 {
+		t.Fatalf("1006 entries read as %d segments (want 8); L(0) holds %d", segs, s.Len(0))
+	}
+}
+
+// TestStoreAllocatesEachSlotOnce: a list grown by single appends
+// allocates each of its slots once, as the segment holding it is linked
+// — its final capacity times 8 bytes — plus the levels of the store that
+// hold segment pointers past its record, nothing more: no slot is
+// copied into a larger array, and none is left behind. The heap's
+// counters are process-wide, so the fewest bytes of five fresh stores
+// count: another goroutine's allocations can only add.
+func TestStoreAllocatesEachSlotOnce(t *testing.T) {
+	const appends = 1000
+	got := ^uint64(0)
+	for trial := 0; trial < 5; trial++ {
+		s := NewStore(1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < appends; i++ {
+			s.Append(0, graph.Vertex(i), 1)
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	slots, levels := 0, 0
+	for k := 0; 4<<k-4 < appends; k++ {
+		slots += 4 << k
+		if k >= inline {
+			levels++
+		}
+	}
+	const level = 8 + 24 // one pointer a vertex and the slice header
+	bound := uint64(8*slots + levels*level)
+	t.Logf("%d appends: %d slots, %d levels; %d bytes allocated, bound %d", appends, slots, levels, got, bound)
+	if got > bound {
+		t.Fatalf("%d appends allocated %d bytes, above %d slots of 8 bytes and %d levels", appends, got, slots, levels)
 	}
 }
 
@@ -338,7 +420,7 @@ func TestStoreHeadHammer(t *testing.T) {
 	}
 	overflow := 0 // list entries of head hubs
 	for v := 0; v < n; v++ {
-		for _, e := range s.Snapshot(graph.Vertex(v)) {
+		for _, e := range s.Snapshot(graph.Vertex(v)).AppendTo(nil) {
 			if int(s.head.Load().rank[e.Hub]) < k {
 				overflow++
 			}

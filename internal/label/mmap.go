@@ -566,11 +566,7 @@ func (a *arrays[H, D]) checkEntries(x *Index, strict bool) error {
 			}
 		}
 	}
-	for _, d := range a.head { // branch-free: three slots in ten are empty, in no order
-		if d != ^D(0) {
-			held++
-		}
-	}
+	held += heldSlots(a.head)
 	if strict {
 		for i, d := range a.head {
 			if d != ^D(0) && uint64(d) > limit {
@@ -582,6 +578,27 @@ func (a *arrays[H, D]) checkEntries(x *Index, strict bool) error {
 		return fmt.Errorf("label: pidm: header counts %d entries, sections hold %d", x.total, held)
 	}
 	return nil
+}
+
+// heldSlots counts the slots of head that hold a distance, eight bytes at
+// a time: held over the complement marks each byte that is not 0xFF, and
+// folding a slot's marks into its first byte leaves a bit a held slot.
+func heldSlots[D distance](head []D) (n int64) {
+	size := int(unsafe.Sizeof(D(0)))
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(head))), len(head)*size)
+	for ; len(b) >= 8; b = b[8:] {
+		m := held(^binary.LittleEndian.Uint64(b))
+		for s := 8; s < 8*size; s *= 2 {
+			m |= m >> s
+		}
+		n += int64(bits.OnesCount64(m & (0x80 * (^uint64(0) / (1<<(8*size) - 1))))) // each slot's first byte
+	}
+	for _, d := range head[len(head)-len(b)/size:] {
+		if d != ^D(0) {
+			n++
+		}
+	}
+	return n
 }
 
 // Verify is the integrity check Open defers, for an mmap-backed index:

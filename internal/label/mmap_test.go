@@ -244,6 +244,43 @@ func TestVerifyChecksEntriesAgainstHead(t *testing.T) {
 			}
 		})
 	}
+	// The head count reads eight bytes at a time: at each width, rows of
+	// every length to 19 slots, each mix of held and empty slots over the
+	// first ten, held distances with 0xFF bytes among them.
+	t.Run("held slots at each width", func(t *testing.T) {
+		testHeldSlots(t, []uint8{0, 1, 0xFE})
+		testHeldSlots(t, []uint16{0, 0xFF, 0xFF00, 0xFFFE})
+		testHeldSlots(t, []uint32{0, 0xFF, 0xFFFFFF00, 0x00FFFFFF, 0xFF00FFFF, 0xFFFFFFFE})
+	})
+}
+
+// testHeldSlots holds heldSlots to a count a slot at a time, over rows
+// whose held slots take the distances dists in turn, each row also read
+// from one slot in, off the alignment of its start.
+func testHeldSlots[D distance](t *testing.T, dists []D) {
+	r := rand.New(rand.NewSource(int64(len(dists))))
+	for n := 0; n < 20; n++ {
+		masks := 1 << min(n, 10)
+		for m := 0; m < masks; m++ {
+			mask := m | r.Intn(1<<n)&^(masks-1) // past ten slots, a random mix
+			row := make([]D, n+1)
+			want := int64(0)
+			for i := range row[1:] {
+				row[1+i] = ^D(0)
+				if mask>>i&1 != 0 {
+					row[1+i] = dists[(m+i)%len(dists)]
+					want++
+				}
+			}
+			if got := heldSlots(row[1:]); got != want {
+				t.Fatalf("%T row %x holds %d slots, heldSlots counts %d", row, row[1:], want, got)
+			}
+			row[0] = dists[0]
+			if got := heldSlots(row); got != want+1 {
+				t.Fatalf("%T row %x holds %d slots, heldSlots counts %d", row, row, want+1, got)
+			}
+		}
+	}
 }
 
 // TestOpenDecodesWhereItCannotAlias: a container whose base address is

@@ -10,21 +10,21 @@ import (
 
 // Label is L(v) as a search reads its hub's side of the prune test.
 // Store-backed (Store.Label): v's row of the build-time head's cells and
-// Rest, its list, which may hold entries of head hubs too;
-// Label{Rest: list} is a label without a head, which the builders over
-// plain lists pass. Index-backed (Index.Union): v's label in an
-// immutable Index and Rest, v's run of later entries over it.
+// Rest, its list, which may hold entries of head hubs too; Label{Rest:
+// ListOf(list)} is a label without a head, which the builders over plain
+// lists pass. Index-backed (Index.Union): v's label in an immutable
+// Index and Rest, v's run of later entries over it.
 type Label struct {
 	h    *head  // store form: the head when the label was taken; nil without one
 	x    *Index // index form: the index holding v's base label
 	v    int
-	Rest []Entry
+	Rest List
 }
 
 // Union returns L(v) as the living graph's searches read it: v's label
 // in x with run over it, each run entry below any entry x holds for its
 // hub. Probe.Set reads the run and does not retain it.
-func (x *Index) Union(v graph.Vertex, run []Entry) Label {
+func (x *Index) Union(v graph.Vertex, run List) Label {
 	return Label{x: x, v: int(v), Rest: run}
 }
 
@@ -67,26 +67,28 @@ func (p *Probe) Set(hub Label) int {
 		p.tmp[h] = graph.Inf
 	}
 	p.blocks, p.x, p.hubs, p.row, p.lanes = nil, hub.x, p.hubs[:0], p.row[:0], p.lanes[:0]
-	for _, e := range hub.Rest {
-		p.put(e.Hub, e.D)
+	for k, seg := 0, hub.Rest.Seg(0); len(seg) > 0; k, seg = k+1, hub.Rest.Seg(k+1) {
+		for _, e := range seg {
+			p.put(e.Hub, e.D)
+		}
 	}
 	if hub.x != nil {
 		hub.x.a.scatter(p, hub.x, graph.Vertex(hub.v))
 		return len(p.row) + len(p.hubs)
 	}
 	if hub.h != nil {
-		hub.h.scatter(p, hub.v, hub.Rest)
+		hub.h.scatter(p, hub.v)
 	}
-	return len(p.row) + len(hub.Rest)
+	return len(p.row) + hub.Rest.Len()
 }
 
-// scatter is Set's read of L(v) from the head h, after its list rest:
-// v's cells into p.row, each lowered by any entry of rest for its hub,
-// and into p.tmp. A head hub's entry can sit in either place — a
-// distance above maxCell is a list entry — so each side's cells must
-// meet the other's list entries: the hub's list through row, the
-// vertex's list through tmp.
-func (h *head) scatter(p *Probe, v int, rest []Entry) {
+// scatter is Set's read of L(v) from the head h, after its list: v's
+// cells into p.tmp, and each column's distance there, the smaller of its
+// cell and any list entry for its hub, into p.row. A head hub's entry
+// can sit in either place — a distance above maxCell is a list entry —
+// so each side's cells must meet the other's list entries: the hub's
+// list through row, the vertex's list through tmp.
+func (h *head) scatter(p *Probe, v int) {
 	p.blocks = h.blocks
 	for b := range h.blocks {
 		words := h.row(b, v)
@@ -102,10 +104,8 @@ func (h *head) scatter(p *Probe, v int, rest []Entry) {
 			}
 		}
 	}
-	for _, e := range rest {
-		if c := h.column(e.Hub); c >= 0 {
-			p.row[c] = min(p.row[c], e.D)
-		}
+	for c := range p.row[:min(len(p.row), len(h.order))] {
+		p.row[c] = p.tmp[h.order[c]]
 	}
 	for c := 0; c < len(p.row); c += 8 {
 		var lo, hi uint64
@@ -157,7 +157,7 @@ func (p *Probe) Width() int { return len(p.row) }
 // 64-bit sum decides exactly what t != Inf && AddDist(t, d') <= d
 // decides — an Inf operand alone makes the sum at least 2³²-1 > d, and a
 // sum AddDist would have saturated is at least 2³²-1 as well.
-func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
+func (p *Probe) Covers(v graph.Vertex, rest List, d graph.Dist) bool {
 	if p.x != nil && p.x.a.covers(p, p.x, v, d) {
 		return true
 	}
@@ -168,9 +168,11 @@ func (p *Probe) Covers(v graph.Vertex, rest []Entry, d graph.Dist) bool {
 		return true
 	}
 	dd := uint64(d)
-	for _, e := range rest {
-		if uint64(p.tmp[e.Hub])+uint64(e.D) <= dd {
-			return true
+	for k, seg := 0, rest.Seg(0); len(seg) > 0; k, seg = k+1, rest.Seg(k+1) {
+		for _, e := range seg {
+			if uint64(p.tmp[e.Hub])+uint64(e.D) <= dd {
+				return true
+			}
 		}
 	}
 	return false
@@ -227,7 +229,7 @@ func (p *Probe) headCoversScalar(v int, dd uint64) bool {
 
 // coversAtInf is Covers for d = graph.Inf, where saturated sums count as
 // <= Inf: any hub both sides hold covers.
-func (p *Probe) coversAtInf(v graph.Vertex, rest []Entry) bool {
+func (p *Probe) coversAtInf(v graph.Vertex, rest List) bool {
 	for b, blk := range p.blocks {
 		words := (*[headWords]atomic.Uint64)(blk[int(v)*headWords:])
 		row := (*[headBlock]graph.Dist)(p.row[b*headBlock:])
@@ -239,9 +241,11 @@ func (p *Probe) coversAtInf(v graph.Vertex, rest []Entry) bool {
 			}
 		}
 	}
-	for _, e := range rest {
-		if p.tmp[e.Hub] != graph.Inf {
-			return true
+	for k, seg := 0, rest.Seg(0); len(seg) > 0; k, seg = k+1, rest.Seg(k+1) {
+		for _, e := range seg {
+			if p.tmp[e.Hub] != graph.Inf {
+				return true
+			}
 		}
 	}
 	return false

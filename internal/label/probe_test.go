@@ -102,7 +102,7 @@ func TestProbeIndexMatchesReference(t *testing.T) {
 					u = graph.Vertex(17*r.Intn(17) + 3) // an empty base label: every head slot empty
 				}
 				hr, ur := run(h), run(u)
-				p.Set(x.Union(h, hr))
+				p.Set(x.Union(h, ListOf(hr)))
 				hh, hd := unionOf(x, h, hr)
 				uh, ud := unionOf(x, u, ur)
 				q, _ := MergeRuns(hh, hd, uh, ud)
@@ -119,14 +119,14 @@ func TestProbeIndexMatchesReference(t *testing.T) {
 					if dd == graph.Inf {
 						want = shared
 					}
-					if got := p.Covers(u, ur, dd); got != want {
+					if got := p.Covers(u, ListOf(ur), dd); got != want {
 						t.Fatalf("%s: Covers(%d, run %v, d=%d) from hub %d with run %v = %v; union labels meet at %d, share a hub: %v",
 							name, u, ur, dd, h, hr, got, q, shared)
 					}
 					switch {
 					case !want:
 						outcomes["not covered"]++
-					case p.Covers(u, nil, dd):
+					case p.Covers(u, List{}, dd):
 						outcomes["covered by the base"]++
 					default:
 						outcomes["covered by the run"]++

@@ -81,10 +81,10 @@ func Labels(g *graph.Graph, opt Options) [][]label.Entry {
 
 	labels := make([][]label.Entry, n)
 	ps := NewSearcher(n)
-	get := func(u graph.Vertex) []label.Entry { return labels[u] }
+	get := func(u graph.Vertex) label.List { return label.ListOf(labels[u]) }
 	add := func(u graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	for k, r := range ord {
-		added, pruned := ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: labels[r]}, g.Neighbors, get, add)
+		added, pruned := ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: label.ListOf(labels[r])}, g.Neighbors, get, add)
 		if opt.Trace != nil {
 			opt.Trace.AddedPerRoot[k] = added
 			opt.Trace.PrunedPerRoot[k] = pruned
@@ -157,7 +157,7 @@ func (ps *Searcher) Run(
 	seed Seed,
 	hub label.Label,
 	adj func(graph.Vertex) ([]graph.Vertex, []graph.Dist),
-	getLabel func(graph.Vertex) []label.Entry,
+	getLabel func(graph.Vertex) label.List,
 	settle func(u graph.Vertex, e label.Entry),
 ) (added, pruned int64) {
 	ps.work = 0
@@ -177,7 +177,7 @@ func (ps *Searcher) Run(
 
 		// Prune test: QUERY(hub, u) over existing labels ≤ D[u]?
 		lbl := getLabel(u)
-		ps.work += int64(ps.probe.Width() + len(lbl))
+		ps.work += int64(ps.probe.Width() + lbl.Len())
 		if ps.probe.Covers(u, lbl, d) {
 			pruned++
 			continue

@@ -67,13 +67,13 @@ func TestSearcherScratchFullyReset(t *testing.T) {
 		labels := [3][][]label.Entry{make([][]label.Entry, n), make([][]label.Entry, n), make([][]label.Entry, n)}
 		for _, s := range script {
 			l := labels[s.view]
-			hub, adj := label.Label{Rest: l[s.seed.Hub]}, views[s.view%2].Neighbors
+			hub, adj := label.Label{Rest: label.ListOf(l[s.seed.Hub])}, views[s.view%2].Neighbors
 			if s.view == 2 {
-				hub = base.Union(s.seed.Hub, l[s.seed.Hub])
+				hub = base.Union(s.seed.Hub, label.ListOf(l[s.seed.Hub]))
 			}
 			ps := next()
 			added, pruned := ps.Run(s.seed, hub, adj,
-				func(u graph.Vertex) []label.Entry { return l[u] },
+				func(u graph.Vertex) label.List { return label.ListOf(l[u]) },
 				func(u graph.Vertex, e label.Entry) {
 					l[u] = append(l[u], e)
 					log = append(log, [3]int64{int64(u), int64(e.Hub), int64(e.D)})
@@ -105,14 +105,14 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 	labels := make([][]label.Entry, n)
 	ps := NewSearcher(n)
 	adj := g.Neighbors
-	get := func(u graph.Vertex) []label.Entry { return labels[u] }
+	get := func(u graph.Vertex) label.List { return label.ListOf(labels[u]) }
 	add := func(u graph.Vertex, e label.Entry) { labels[u] = append(labels[u], e) }
 	var base *label.Index
 	for r := graph.Vertex(0); int(r) < n; r++ {
 		if int(r) == n/2 {
 			base = mappedIndex(t, label.NewIndexFromLists(labels))
 		}
-		ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: labels[r]}, adj, get, add)
+		ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: label.ListOf(labels[r])}, adj, get, add)
 	}
 	runs := make([][]label.Entry, n)
 	seeds := make([]Seed, n)
@@ -123,23 +123,23 @@ func TestSearcherRunZeroAllocs(t *testing.T) {
 	}
 
 	var settled int64
-	none := func(graph.Vertex) []label.Entry { return nil }
+	none := func(graph.Vertex) label.List { return label.List{} }
 	count := func(graph.Vertex, label.Entry) { settled++ }
-	rooted := func(view func(graph.Vertex) []label.Entry) func(*Searcher) {
+	rooted := func(view func(graph.Vertex) label.List) func(*Searcher) {
 		return func(ps *Searcher) {
 			for r := graph.Vertex(0); int(r) < n; r++ {
 				ps.Run(Seed{Hub: r, Start: r}, label.Label{Rest: view(r)}, adj, view, count)
 			}
 		}
 	}
-	run := func(u graph.Vertex) []label.Entry { return runs[u] }
+	run := func(u graph.Vertex) label.List { return label.ListOf(runs[u]) }
 	indexed := func(ps *Searcher) {
 		for r := graph.Vertex(0); int(r) < n; r++ {
-			ps.Run(seeds[r], base.Union(r, runs[r]), adj, run, count)
+			ps.Run(seeds[r], base.Union(r, label.ListOf(runs[r])), adj, run, count)
 		}
 	}
 	for r := graph.Vertex(0); int(r) < n; r++ {
-		NewSearcher(n).Run(seeds[r], base.Union(r, runs[r]), adj, run, count)
+		NewSearcher(n).Run(seeds[r], base.Union(r, label.ListOf(runs[r])), adj, run, count)
 	}
 	fresh := settled
 	if fresh == 0 || fresh >= int64(n)*int64(n) {
@@ -261,12 +261,12 @@ func TestCoveredByMatchesReference(t *testing.T) {
 		rest := s.Snapshot(v)
 		got, want := probe.Covers(v, rest, d), coveredByReference(labels, rootD, d)
 		if got != want {
-			t.Fatalf("Covers(%v, d=%d) = %v, reference over %v says %v", rest, d, got, labels, want)
+			t.Fatalf("Covers(%v, d=%d) = %v, reference over %v says %v", rest.AppendTo(nil), d, got, labels, want)
 		}
 		if got {
 			covered++
 			switch {
-			case !probe.Covers(v, nil, d):
+			case !probe.Covers(v, label.List{}, d):
 				viaList++
 			case d <= 0x3FFF:
 				viaLanes++

@@ -3,7 +3,10 @@
 # parapll-vet suite (two analyzers), the internal-importers check (every
 # package under internal/ is imported by some other package, tests
 # included), the short suite under the race detector, a
-# -count=20 race pass over the lock-free structures, the distance
+# -count=20 race pass over the lock-free structures (the label store's
+# TestStore* tests: the reader hammer across seven segment boundaries,
+# TestStoreBulkAppendSpansSegments, TestStoreHeadHammer and the
+# allocation bound TestStoreAllocatesEachSlotOnce), the distance
 # cache, the lock-order hammers, the goroutine-lifetime tests and the
 # fault-injection tests of the durability contract (TestSaveFaults,
 # TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
@@ -126,7 +129,7 @@ go test -race -short ./...
 # reopen; TestCompactWaitingOnAFailedApply wants a Compact that waited on
 # that mutex to fold nothing over the half-applied insert (DESIGN.md "The
 # durability contract is held by fault tests").
-echo "== go test -race -count=20 (trace ring, label store, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
+echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
 go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
