@@ -284,10 +284,12 @@ func main() {
 			return
 		}
 		idx, g, source := prepare(*indexPath, *graphPath, *threads)
+		// Described before Publish: the server owns idx from there on,
+		// and a SIGHUP reload may close it.
+		desc := fmt.Sprintf("n=%d, entries=%d, LN=%.1f, format=%s, mmap=%v, paths=%v",
+			idx.NumVertices(), idx.NumEntries(), idx.AvgLabelSize(), idx.Format(), idx.Mapped(), g != nil)
 		gen := srv.Publish(idx, g, source)
-		fmt.Printf("ready: generation %d  (n=%d, entries=%d, LN=%.1f, format=%s, mmap=%v, paths=%v)\n",
-			gen, idx.NumVertices(), idx.NumEntries(), idx.AvgLabelSize(),
-			idx.Format(), idx.Mapped(), g != nil)
+		fmt.Printf("ready: generation %d  (%s)\n", gen, desc)
 	}()
 
 	// SIGHUP re-reads the current index file and swaps it in atomically —
@@ -375,6 +377,9 @@ func prepareLive(srv *server.Server, opt compact.Options, indexPath, graphPath s
 	if err != nil {
 		fatalf("opening living-graph pipeline: %v", err)
 	}
+	if opt.Index != nil {
+		opt.Index.Close() // saved as the first checkpoint, or superseded by one
+	}
 	idx, err := fileio.LoadIndex(pipe.IndexPath())
 	if err != nil {
 		fatalf("loading checkpoint index: %v", err)
@@ -382,7 +387,7 @@ func prepareLive(srv *server.Server, opt compact.Options, indexPath, graphPath s
 	gen := srv.PublishLive(pipe, idx, pipe.IndexPath())
 	st := pipe.Stats()
 	fmt.Printf("ready (living-graph): generation %d  (n=%d, wal=%d records, compact-every=%d) in %.2fs\n",
-		gen, idx.NumVertices(), st.WALRecords, opt.CompactEvery, time.Since(t0).Seconds())
+		gen, g.NumVertices(), st.WALRecords, opt.CompactEvery, time.Since(t0).Seconds())
 	// A WAL already past the threshold (accumulated while down) should
 	// not wait for the next insert to fold.
 	if opt.CompactEvery > 0 && st.WALRecords >= opt.CompactEvery {

@@ -46,9 +46,12 @@
 //
 // # Concurrency
 //
-// Queries take no lock: they load the live dynamic.Index, which serves
-// lock-free readers beside its one writer, from an atomic pointer. The
-// writer mutex serializes Update, the fold point and the swap;
+// Queries take no lock: they take a reference on the live dynamic.Index,
+// which serves lock-free readers beside its one writer, from an atomic
+// pointer (label.Acquire), and drop it when they return. The swap drops
+// the pipeline's own reference on the index it replaces, and Close on
+// the current one; the last reference closes that index's mapped base.
+// The writer mutex serializes Update, the fold point and the swap;
 // compactMu, taken first, serializes compactions, whose expensive work
 // (fold, rebuild, artifact writes) runs outside the writer mutex.
 package compact
@@ -326,17 +329,34 @@ func (p *Pipeline) loop() {
 // checkpoint keeps them.
 func (p *Pipeline) NumVertices() int { return p.opt.Graph.NumVertices() }
 
+// acquire takes a reference on the live index; the caller Releases it.
+func (p *Pipeline) acquire() *dynamic.Index {
+	x := label.Acquire(&p.live)
+	if x == nil {
+		panic("compact: query on a closed Pipeline")
+	}
+	return x
+}
+
 // Query implements oracle.Oracle.
-func (p *Pipeline) Query(s, t graph.Vertex) graph.Dist { return p.live.Load().Query(s, t) }
+func (p *Pipeline) Query(s, t graph.Vertex) graph.Dist {
+	x := p.acquire()
+	defer x.Release()
+	return x.Query(s, t)
+}
 
 // QueryWithHub implements oracle.Oracle.
 func (p *Pipeline) QueryWithHub(s, t graph.Vertex) (graph.Dist, graph.Vertex) {
-	return p.live.Load().QueryWithHub(s, t)
+	x := p.acquire()
+	defer x.Release()
+	return x.QueryWithHub(s, t)
 }
 
-// QueryBatch implements oracle.Oracle, all of it on the index it loads.
+// QueryBatch implements oracle.Oracle, all of it on the index it acquires.
 func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist {
-	return p.live.Load().QueryBatch(pairs, threads)
+	x := p.acquire()
+	defer x.Release()
+	return x.QueryBatch(pairs, threads)
 }
 
 // Update durably inserts the undirected edge {u,v,w}: validate, append
@@ -504,8 +524,10 @@ func (p *Pipeline) Compact() (Report, error) {
 			return Report{}, fmt.Errorf("compact: replaying mid-compaction record (%d,%d,%d): %w", up.U, up.V, up.W, err)
 		}
 	}
+	old := p.cur
 	p.cur, p.curGraph = next, g2
 	p.live.Store(next)
+	old.Release() // the last query on old closes its base
 	truncErr := p.log.TruncateFront(n)
 	p.mu.Unlock()
 	swapTime := time.Since(tSwap)
@@ -570,18 +592,25 @@ func (p *Pipeline) Generation() uint64 { return p.compactions.Load() }
 // the path a serving layer hands to its /reload machinery.
 func (p *Pipeline) IndexPath() string { return filepath.Join(p.opt.Dir, IndexFile) }
 
-// Close stops the background compactor and releases the WAL. It does
-// not run a final compaction — the WAL is the durable state.
+// Close stops the background compactor, releases the WAL and drops the
+// pipeline's reference on the live index, whose base the last query in
+// flight closes; a query after Close panics. It does not run a final
+// compaction — the WAL is the durable state.
 func (p *Pipeline) Close() error {
+	first := false
 	select {
 	case <-p.stopC:
 	default:
 		close(p.stopC)
+		first = true
 	}
 	<-p.doneC
 	// Wait out a compaction in flight: it may be truncating the WAL.
 	p.compactMu.Lock()
 	defer p.compactMu.Unlock()
+	if first {
+		p.live.Load().Release()
+	}
 	return p.log.Close()
 }
 

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,11 +198,12 @@ func TestCrashAfterCompactionBoundaries(t *testing.T) {
 	}
 }
 
-// TestOldBaseOutlivesItsFile: a live index taken before a compaction
-// keeps answering from the checkpoint file it mapped after two
-// compactions have each renamed a new index.midx over that file — the
-// mapping outlives the name, and the index pins it. Every answer lies
-// between the final and the initial distance, and none faults.
+// TestOldBaseOutlivesItsFile: a live index a reader took a reference on
+// before a compaction keeps answering from the checkpoint file it mapped
+// after two compactions have each renamed a new index.midx over that
+// file — the mapping outlives the name, and the reference holds it.
+// Every answer lies between the final and the initial distance, and none
+// faults.
 func TestOldBaseOutlivesItsFile(t *testing.T) {
 	r := rand.New(rand.NewSource(96))
 	const n = 40
@@ -215,7 +215,8 @@ func TestOldBaseOutlivesItsFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	old := p.live.Load()
+	old := p.acquire()
+	defer old.Release()
 	for _, batch := range [][]wal.Update{ups[:6], ups[6:]} {
 		for _, up := range batch {
 			if err := p.Update(up.U, up.V, up.W); err != nil {
@@ -225,7 +226,6 @@ func TestOldBaseOutlivesItsFile(t *testing.T) {
 		if _, err := p.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
 	}
 	for s := graph.Vertex(0); int(s) < n; s++ {
 		initD, finalD := sssp.Dijkstra(base, s), sssp.Dijkstra(final, s)
@@ -240,8 +240,10 @@ func TestOldBaseOutlivesItsFile(t *testing.T) {
 
 // TestHammerCompactionUnderQueries runs concurrent readers against a
 // pipeline absorbing inserts and swapping its index in both modes: a
-// background compaction kicked past DefaultFoldLimit rebuilds, and an
-// explicit one over the smaller backlog after it folds. Because edge
+// background compaction kicked past DefaultFoldLimit rebuilds, and
+// explicit ones over the smaller backlogs after it, every four inserts,
+// fold. Each swap leaves the old index's mapped base for its last reader
+// to close. Because edge
 // inserts only shorten distances and every swap leaves the index exact,
 // each reader must observe, per pair, a monotone non-increasing distance
 // sequence sandwiched between the final and initial true distances —
@@ -310,6 +312,11 @@ func TestHammerCompactionUnderQueries(t *testing.T) {
 		}
 		for i+1 == kick && p.Generation() == 0 {
 			time.Sleep(time.Millisecond) // the kicked compaction swaps
+		}
+		if i+1 > kick && (i+1-kick)%4 == 0 {
+			if _, err := p.Compact(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	rep, err := p.Compact()

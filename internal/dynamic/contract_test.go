@@ -1,13 +1,17 @@
 package dynamic
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"parapll/internal/fileio"
 	"parapll/internal/graph"
+	"parapll/internal/label"
 	"parapll/internal/pll"
 	"parapll/internal/sssp"
 )
@@ -19,19 +23,43 @@ import (
 // and on the initial one, and no reader sees a pair's answer go up. Under
 // -race it also shows that readers share nothing with the writer but the
 // runs it publishes.
-func TestDeltaReaderHammer(t *testing.T) {
+func TestDeltaReaderHammer(t *testing.T) { deltaReaderHammer(t, false) }
+
+// TestDeltaReaderHammerSwapsMappedBases is TestDeltaReaderHammer with
+// the index replaced before every other insert, as a compaction replaces
+// the living graph's: the next Index maps one of two files that index
+// the graph under different vertex orders, in turn, and replays the
+// inserts so far; the swap drops the reference the old one was created with, so
+// its last reader closes its base. Readers take a reference for each
+// pass over the pairs. A base closed under a reader faults, or, where
+// the next mapping reuses its address range, reads the other file's
+// bytes and answers wrong.
+func TestDeltaReaderHammerSwapsMappedBases(t *testing.T) { deltaReaderHammer(t, true) }
+
+func deltaReaderHammer(t *testing.T, swap bool) {
 	r := rand.New(rand.NewSource(95))
 	const n = 120
 	g := randomGraph(r, n, 2*n)
-	path := filepath.Join(t.TempDir(), "base.idx")
-	if err := fileio.SaveIndex(fileio.OS, path, pll.Build(g, pll.Options{})); err != nil {
-		t.Fatal(err)
+	reversed := graph.DegreeOrder(g)
+	slices.Reverse(reversed)
+	var paths []string
+	for i, order := range [][]graph.Vertex{nil, reversed} {
+		paths = append(paths, filepath.Join(t.TempDir(), fmt.Sprintf("base%d.idx", i)))
+		if err := fileio.SaveIndex(fileio.OS, paths[i], pll.Build(g, pll.Options{Order: order})); err != nil {
+			t.Fatal(err)
+		}
 	}
-	base, err := fileio.LoadIndex(path)
-	if err != nil {
-		t.Fatal(err)
+	opened := 0
+	mapped := func() *Index { // each call maps the other file
+		base, err := fileio.LoadIndex(paths[opened%2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opened++
+		return FromIndex(g, base)
 	}
-	x := FromIndex(g, base)
+	var cur atomic.Pointer[Index]
+	cur.Store(mapped())
 
 	final := g
 	var inserts []graph.Edge
@@ -52,22 +80,22 @@ func TestDeltaReaderHammer(t *testing.T) {
 		finalD[i] = sssp.Query(final, s, u)
 	}
 
-	readers := []func() []graph.Dist{
-		func() []graph.Dist {
+	readers := []func(x *Index) []graph.Dist{
+		func(x *Index) []graph.Dist {
 			out := make([]graph.Dist, len(pairs))
 			for i, p := range pairs {
 				out[i] = x.Query(p[0], p[1])
 			}
 			return out
 		},
-		func() []graph.Dist {
+		func(x *Index) []graph.Dist {
 			out := make([]graph.Dist, len(pairs))
 			for i, p := range pairs {
 				out[i], _ = x.QueryWithHub(p[0], p[1])
 			}
 			return out
 		},
-		func() []graph.Dist { return x.QueryBatch(pairs, 2) },
+		func(x *Index) []graph.Dist { return x.QueryBatch(pairs, 2) },
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -77,7 +105,10 @@ func TestDeltaReaderHammer(t *testing.T) {
 			defer wg.Done()
 			last := append([]graph.Dist(nil), initD...)
 			for rounds := 0; ; rounds++ {
-				for i, d := range read() {
+				x := label.Acquire(&cur)
+				got := read(x)
+				x.Release()
+				for i, d := range got {
 					if d < finalD[i] || d > last[i] {
 						t.Errorf("reader %d, round %d: d%v = %d, want within [%d, %d]", k, rounds, pairs[i], d, finalD[i], last[i])
 						return
@@ -92,7 +123,19 @@ func TestDeltaReaderHammer(t *testing.T) {
 			}
 		}()
 	}
-	for _, e := range inserts {
+	x := cur.Load()
+	for i, e := range inserts {
+		if swap && i%2 == 1 {
+			next := mapped()
+			for _, e := range inserts[:i] {
+				if err := next.InsertEdge(e.U, e.V, e.W); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cur.Store(next)
+			x.Release()
+			x = next
+		}
 		if err := x.InsertEdge(e.U, e.V, e.W); err != nil {
 			t.Error(err)
 			break
@@ -101,6 +144,7 @@ func TestDeltaReaderHammer(t *testing.T) {
 	close(done)
 	wg.Wait()
 	checkAllPairs(t, final, x)
+	x.Release()
 }
 
 // TestConcurrentQueryBatchHammer runs many overlapping batches and

@@ -26,7 +26,6 @@ package dynamic
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -65,7 +64,14 @@ var noRun run // the run of every vertex no insert has reached
 // real path length, a newer run no worse on any hub than the older one.
 // Its answer lies between the distances after and before the insert,
 // and no later query answers more.
+//
+// The Index owns its base: a holder that publishes it to lock-free
+// readers has each take a reference (label.Acquire) and drop it with
+// Release, and drops its own, taken at creation, when it stops
+// publishing the Index. The last Release closes the base.
 type Index struct {
+	label.Refs
+
 	g       *graph.Graph
 	base    *label.Index
 	delta   []atomic.Pointer[run] // published runs
@@ -88,9 +94,10 @@ func Build(g *graph.Graph, opt pll.Options) *Index {
 	return FromIndex(g, pll.Build(g, opt))
 }
 
-// FromIndex wraps a finalized index over g, which becomes the base and
-// may be mmap-backed. Panics if idx does not cover exactly g's vertices:
-// pairing an artifact with the wrong graph is a programming error.
+// FromIndex wraps a finalized index over g, which becomes the base,
+// owned by the returned Index, and may be mmap-backed. Panics if idx
+// does not cover exactly g's vertices: pairing an artifact with the
+// wrong graph is a programming error.
 func FromIndex(g *graph.Graph, idx *label.Index) *Index {
 	n := g.NumVertices()
 	if idx.NumVertices() != n {
@@ -146,7 +153,6 @@ func (s *scratch) union(base *label.Index, v graph.Vertex, r *run) []label.Entry
 	for i, h := range rh {
 		out = append(out, label.Entry{Hub: h, D: rd[i]})
 	}
-	runtime.KeepAlive(base)
 	s.hubs, s.dists, s.out = hubs, dists, out
 	return out
 }
@@ -156,6 +162,13 @@ func (x *Index) NumVertices() int { return x.base.NumVertices() }
 
 // NumEntries returns the current number of label entries.
 func (x *Index) NumEntries() int64 { return x.base.NumEntries() + x.added.Load() - x.shadows.Load() }
+
+// Release drops one reference to x; the last closes the base.
+func (x *Index) Release() {
+	if x.Refs.Release() {
+		x.base.Close()
+	}
+}
 
 // DeltaEntries returns the number of entries in the delta runs.
 func (x *Index) DeltaEntries() int64 { return x.added.Load() }

@@ -13,7 +13,6 @@
 package knn
 
 import (
-	"runtime"
 	"sort"
 
 	"parapll/internal/graph"
@@ -38,12 +37,8 @@ type Index struct {
 
 // New builds the inverted structure from a finalized index. Memory cost
 // equals the index itself (every label entry appears once, transposed).
-//
-// x may be mmap-backed: New and the query methods hold its Label slices
-// across loops, so each ends with runtime.KeepAlive to pin the mapping
-// (see the label.Index memory-model comment).
+// The queries read x's labels: it must not be closed while they run.
 func New(x *label.Index) *Index {
-	defer runtime.KeepAlive(x)
 	n := x.NumVertices()
 	counts := make([]int64, n+1)
 	var hubs []graph.Vertex
@@ -150,7 +145,6 @@ func (h *mergeHeap) pop() cursorItem {
 // itself), with exact distances, sorted by distance then id. It shares
 // the k-NN merge machinery but stops once the frontier passes radius.
 func (inv *Index) Within(s graph.Vertex, radius graph.Dist) []Result {
-	defer runtime.KeepAlive(inv) // pins inv.idx's mapping while sHubs/sDists are read
 	sHubs, sDists := inv.idx.Label(s, nil, nil)
 	var h mergeHeap
 	for i, hub := range sHubs {
@@ -202,7 +196,6 @@ func (inv *Index) Query(s graph.Vertex, k int) []Result {
 	if k <= 0 {
 		return nil
 	}
-	defer runtime.KeepAlive(inv) // pins inv.idx's mapping while sHubs/sDists are read
 	sHubs, sDists := inv.idx.Label(s, nil, nil)
 	var h mergeHeap
 	bases := make([]graph.Dist, len(sHubs))

@@ -57,16 +57,44 @@ func TestQueryBatchAllocsOne(t *testing.T) {
 	allocSinkDist = out[0]
 }
 
+// filled is how many entries segments 0..k-1 of a store's list hold.
+func filled(k int) int { return 4 * (1<<k - 1) }
+
 // TestStoreAppendZeroAllocs: an append into a list with a free slot
-// writes the slot and publishes the length, nothing else.
+// writes the slot and publishes the length, nothing else. The pre-fill
+// links segment 7 (512 slots) and takes one of them, so neither
+// AllocsPerRun's warm-up call nor any of the measured ones crosses a
+// segment boundary.
 func TestStoreAppendZeroAllocs(t *testing.T) {
+	const runs, k = 500, 7
 	s := NewStore(1)
-	const runs = 500
-	s.BulkAppend(0, make([]Entry, runs+2)) // leaves as many slots free
+	s.BulkAppend(0, make([]Entry, filled(k)+1))
 	if allocs := testing.AllocsPerRun(runs, func() { s.Append(0, 1, 1) }); allocs != 0 {
 		t.Fatalf("non-growing Append allocates %.2f times", allocs)
 	}
-	if s.Len(0) != 2*runs+3 {
-		t.Fatalf("Len = %d after %d appends", s.Len(0), runs+1)
+	if want := filled(k) + 1 + runs + 1; s.Len(0) != want || want > filled(k+1) {
+		t.Fatalf("Len = %d after %d appends, want %d within segment %d", s.Len(0), runs+1, want, k)
+	}
+}
+
+// TestStoreAppendAtABoundary: the append past a full list allocates its
+// new segment and nothing else, plus, the first time any list reaches
+// segment 7, the store's level of pointers to it: an array and the slice
+// header Store.far points at. The pre-fill leaves one slot free, which
+// AllocsPerRun's warm-up call takes; its one measured call crosses the
+// boundary.
+func TestStoreAppendAtABoundary(t *testing.T) {
+	for _, c := range []struct {
+		k    int
+		want float64
+	}{{6, 1}, {7, 3}} {
+		s := NewStore(1)
+		s.BulkAppend(0, make([]Entry, filled(c.k)-1))
+		if allocs := testing.AllocsPerRun(1, func() { s.Append(0, 1, 1) }); allocs != c.want {
+			t.Errorf("the append linking segment %d allocates %.0f times, want %.0f", c.k, allocs, c.want)
+		}
+		if s.Len(0) != filled(c.k)+1 {
+			t.Errorf("Len = %d, want %d", s.Len(0), filled(c.k)+1)
+		}
 	}
 }

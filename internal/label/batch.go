@@ -1,7 +1,6 @@
 package label
 
 import (
-	"runtime"
 	"slices"
 
 	"parapll/internal/graph"
@@ -141,8 +140,6 @@ func (a *arrays[H, D]) scan(x *Index, pairs [][2]graph.Vertex, keys []uint64, hu
 	for _, h := range sh {
 		hub[h] = graph.Inf
 	}
-	// One pin covers every label read above.
-	runtime.KeepAlive(x)
 }
 
 // minOver returns min over j of hub[hubs[j]] + dists[j], saturating at

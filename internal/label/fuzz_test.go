@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -86,7 +85,6 @@ func FuzzOpenPIDM(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer runtime.KeepAlive(x)
 		n := x.NumVertices()
 		if n < 0 {
 			t.Fatalf("accepted index with %d vertices", n)

@@ -6,10 +6,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"parapll/internal/graph"
@@ -91,14 +91,9 @@ import (
 // the file (WriteLabels), and never holds its label store and a heap copy
 // of the index at once. Queries are identical either way.
 //
-// Memory model for mmap-backed indexes: the aliased slices point into
-// non-heap memory, so holding one does NOT keep the mapping alive —
-// only a reference to the Index (which owns mm) does. A precise GC may
-// otherwise collect the Index after its last syntactic use, run the
-// mapping finalizer and unmap mid-read. Every method that dereferences
-// the arrays therefore ends with runtime.KeepAlive(x); code outside
-// this package that retains the slices returned by Label must keep the
-// Index reachable the same way for as long as it reads them.
+// A mapped index stays mapped until Close: whoever opened it closes it,
+// once nothing reads it (a server counts its readers with Refs). A heap
+// image needs nothing: the collector tracks the []byte its arrays alias.
 type Index struct {
 	Header // of img: the counts, the two widths and the sections
 
@@ -223,19 +218,60 @@ func (x *Index) Format() string {
 // stream reader are heap-backed).
 func (x *Index) Mapped() bool { return x.mm != nil && x.mm.mapped }
 
-// Close releases the file mapping backing an Open'd index. The index
-// must not be queried afterwards; callers that cannot prove quiescence
-// (e.g. a server hot-swapping snapshots) should instead drop all
-// references and let the mapping's finalizer unmap. Close on a
-// heap-backed index is a no-op.
+// Close unmaps an Open'd index. Nothing may read the index, or a slice
+// Label returned, afterwards: its owner closes it once every reader is
+// done (see Refs). Close on a heap-backed index, or a second Close, is a
+// no-op.
 func (x *Index) Close() error {
 	if x.mm == nil {
 		return nil
 	}
 	mm := x.mm
 	x.mm = nil
-	runtime.SetFinalizer(mm, nil)
 	return mm.close()
+}
+
+// Refs counts the references to a value its owner closes once nothing
+// reads it: the owner's own, held from creation until the owner
+// publishes the value's successor or shuts down, plus one per reader
+// between Acquire and Release. A type takes part by embedding Refs; the
+// zero Refs holds the owner's reference.
+type Refs struct {
+	n atomic.Int64 // references held, less the owner's; -1 once the last is gone
+}
+
+// Release drops one reference and reports whether it was the last: the
+// caller that sees true closes the value.
+func (r *Refs) Release() bool { return r.n.Add(-1) < 0 }
+
+// refs is what Acquire finds in a type embedding Refs.
+func (r *Refs) refs() *Refs { return r }
+
+// Acquire loads the value p holds and takes a reference on it. A value
+// whose count has already fallen to zero was replaced and closed, so
+// Acquire loads again: it increments only a non-zero count, since a
+// plain increment would revive a value its owner has closed. It returns
+// nil when p holds nil, or a value its owner closed for good (replacing
+// a value stores its successor before the owner's Release).
+func Acquire[T any, P interface {
+	*T
+	refs() *Refs
+}](p *atomic.Pointer[T]) P {
+	for {
+		v := P(p.Load())
+		if v == nil {
+			return nil
+		}
+		r := v.refs()
+		for n := r.n.Load(); n >= 0; n = r.n.Load() {
+			if r.n.CompareAndSwap(n, n+1) {
+				return v
+			}
+		}
+		if P(p.Load()) == v {
+			return nil
+		}
+	}
 }
 
 // NewIndex finalizes a Store into an Index: every label list is sorted by
@@ -316,7 +352,6 @@ func (x *Index) relayout(use tiers) *Index {
 		}
 		return entries
 	}, use)
-	runtime.KeepAlive(x)
 	return y
 }
 
@@ -576,8 +611,6 @@ func unpack(k uint64) Entry { return Entry{Hub: graph.Vertex(k >> 32), D: graph.
 // (heap or mmap), origin and where each keeps the split between the
 // tiers. This is the invariant the round-trip tests assert.
 func (x *Index) Equal(y *Index) bool {
-	defer runtime.KeepAlive(x)
-	defer runtime.KeepAlive(y)
 	if x.NumVertices() != y.NumVertices() || x.total != y.total {
 		return false
 	}
@@ -658,7 +691,6 @@ func (a *arrays[H, D]) labelSize(x *Index, v graph.Vertex) int {
 			size++
 		}
 	}
-	runtime.KeepAlive(x)
 	return size
 }
 
@@ -667,9 +699,8 @@ func (a *arrays[H, D]) labelSize(x *Index, v graph.Vertex) int {
 // otherwise the bitmap row's entries and the tail run are interleaved
 // into hubs[:0] and dists[:0], which a caller walking many labels passes
 // back in to reuse, and the head row's are merged in from the back.
-// Either way the result is read-only, and for a possibly mmap-backed
-// index the caller must keep x reachable (runtime.KeepAlive) for as long
-// as it reads it — see the Index memory-model comment.
+// Either way the result is read-only, and for a mapped index valid until
+// Close.
 func (x *Index) Label(v graph.Vertex, hubs []graph.Vertex, dists []graph.Dist) ([]graph.Vertex, []graph.Dist) {
 	if a, ok := x.a.(*arrays[graph.Vertex, graph.Dist]); ok && x.k == 0 && x.k2 == 0 {
 		return tail(x, a, v)
@@ -717,7 +748,6 @@ func (a *arrays[H, D]) label(x *Index, v graph.Vertex, hubs []graph.Vertex, dist
 		hubs[o], dists[o] = h, graph.Dist(hr[c])
 		o--
 	}
-	runtime.KeepAlive(x)
 	return hubs, dists
 }
 
@@ -767,7 +797,6 @@ func (a *arrays[H, D]) mergeRun(x *Index, v graph.Vertex, hubs []graph.Vertex, d
 			best, hub = sum, h
 		}
 	}
-	runtime.KeepAlive(x)
 	return graph.Dist(best), hub
 }
 
@@ -783,7 +812,6 @@ func (x *Index) columns() []int32 {
 			x.cols[h] = int32(-1 - c)
 		}
 	})
-	runtime.KeepAlive(x)
 	return x.cols
 }
 
@@ -819,7 +847,6 @@ func checkPairSlow(s, t graph.Vertex, n int) {
 // read of them (the same contract as Label).
 func tail[H hubID, D distance](x *Index, a *arrays[H, D], v graph.Vertex) ([]H, []D) {
 	lo, hi := x.off[v], x.off[v+1]
-	runtime.KeepAlive(x)
 	return a.hubs[lo:hi], a.dists[lo:hi]
 }
 
@@ -840,7 +867,6 @@ func mid[H hubID, D distance](x *Index, a *arrays[H, D], v graph.Vertex) ([]uint
 		return nil, nil
 	}
 	lo, hi := x.midOff[v], x.midOff[v+1]
-	runtime.KeepAlive(x)
 	return x.midBits[int(v)*w:][:w], a.midDists[lo:hi]
 }
 
@@ -957,7 +983,6 @@ func pair[M mode, H hubID, D distance](x *Index, a *arrays[H, D], s, t graph.Ver
 		hd, hc := rowArgMin(row(x, a, s), row(x, a, t))
 		d, hub = meet(x.headHubs, hd, hc, d, hub)
 	}
-	runtime.KeepAlive(x) // the three kernels read slices aliasing x's mapping
 	return d, hub
 }
 

@@ -655,3 +655,43 @@ func TestQueryBatch(t *testing.T) {
 		t.Fatal("empty batch returned results")
 	}
 }
+
+// TestAcquire: a reference Acquire took keeps a value open through the
+// publisher's release after a swap, and the last release reports it;
+// Acquire returns nil for nothing published, or for a value released
+// while still published (its owner shut down). The concurrent path, a
+// count that falls to zero between the load and the increment, is the
+// server, compaction and delta-reader hammers'.
+func TestAcquire(t *testing.T) {
+	type counted struct {
+		Refs
+		name string
+	}
+	var p atomic.Pointer[counted]
+	if Acquire(&p) != nil {
+		t.Fatal("Acquire of a nil pointer returned a value")
+	}
+	a := &counted{name: "a"}
+	p.Store(a)
+	if got := Acquire(&p); got != a {
+		t.Fatalf("Acquire = %v, want a", got)
+	}
+	b := &counted{name: "b"}
+	p.Swap(b)
+	if a.Release() { // the publisher's reference: the reader's is left
+		t.Fatal("a released while a reader holds it")
+	}
+	if !a.Release() { // the reader's
+		t.Fatal("the last release of a did not report it")
+	}
+	if got := Acquire(&p); got != b {
+		t.Fatalf("Acquire after the swap = %v, want b", got)
+	}
+	b.Release()
+	if !b.Release() { // the publisher shuts down and leaves b published
+		t.Fatal("the last release of b did not report it")
+	}
+	if got := Acquire(&p); got != nil {
+		t.Fatalf("Acquire of a value released for good = %v, want nil", got)
+	}
+}

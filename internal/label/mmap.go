@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"runtime"
 	"unsafe"
 
 	"parapll/internal/graph"
@@ -134,13 +133,7 @@ func (h *Header) layout() uint64 {
 
 // mapping owns the backing bytes of an mmap-opened index: a real
 // mapping on unix, a heap buffer on the fallback platforms and the
-// stream-read path. close is idempotent; a finalizer backstops leaked
-// mappings so hot-swapped snapshots release their pages once the last
-// query referencing them is gone. The finalizer is only safe because
-// every reader of the aliased arrays pins the owning Index with
-// runtime.KeepAlive until its last dereference (see the Index
-// memory-model comment) — the slices themselves point into non-heap
-// memory and do not keep the mapping reachable.
+// stream-read path. close is idempotent.
 type mapping struct {
 	data   []byte
 	mapped bool               // true = a real OS mapping (zero-copy)
@@ -175,7 +168,6 @@ type word interface {
 // for an opened one.
 func (x *Index) WriteMmap(w io.Writer) error {
 	_, err := w.Write(x.img)
-	runtime.KeepAlive(x) // img may alias a finalizer-managed mapping
 	return err
 }
 
@@ -433,12 +425,9 @@ func checkColumns(tier string, cols []graph.Vertex, n int) error {
 // checksums are NOT (that would read every byte) — call Verify for the
 // full integrity check.
 //
-// The returned Index must not be used after Close. If Close is never
-// called, a finalizer releases the mapping when the Index becomes
-// unreachable, which is what lets a server hot-swap indexes without
-// tracking when in-flight queries drain; in-flight reads are protected
-// because every Index method keeps the Index (and hence the mapping)
-// reachable via runtime.KeepAlive until its last array access.
+// The caller owns the mapping: Close unmaps it once nothing reads the
+// index (see Refs), and an index nobody closes stays mapped until the
+// process exits.
 func Open(path string) (*Index, error) {
 	mm, err := mapFile(path)
 	if err != nil {
@@ -478,7 +467,6 @@ func openMapping(mm *mapping) (*Index, error) {
 	// Keep the mapping even when slicePIDM decoded a copy (big-endian
 	// host): Verify still needs the raw bytes, and close stays uniform.
 	x.mm = mm
-	runtime.SetFinalizer(mm, (*mapping).close)
 	return x, nil
 }
 
@@ -517,7 +505,6 @@ func readPIDMStream(r io.Reader) (*Index, error) {
 // names no vertex, and a distance above maxDist — 2·d would reach the
 // width's all-ones value, or in a tail or mid run is it.
 func (a *arrays[H, D]) checkEntries(x *Index, strict bool) error {
-	defer runtime.KeepAlive(x)
 	n, limit := x.NumVertices(), maxDist[D]()
 	tier := make([]uint8, n) // 1: the hub is a head column, 2: a mid column
 	for _, hub := range x.headHubs {
@@ -608,7 +595,6 @@ func heldSlots[D distance](head []D) (n int64) {
 // invariant). It pages in the whole file. For a built index, which has
 // nothing on disk, it is a no-op.
 func (x *Index) Verify() error {
-	defer runtime.KeepAlive(x) // keep the mapping alive through the checksum scan
 	if x.mm == nil || x.mm.data == nil {
 		return nil
 	}

@@ -129,6 +129,54 @@ func TestMmapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenedIndexStaysMappedUntilClose: Open sets no finalizer. The
+// slices a flat index's Label returns are its stored runs, in the
+// mapping; with every reference to the Index dropped they still hold the
+// same entries after two collections. Close unmaps (Mapped is false
+// after it), and a second Close is a no-op.
+func TestOpenedIndexStaysMappedUntilClose(t *testing.T) {
+	x := mmapTestIndex().Flat()
+	path := writeTemp(t, pidmBytes(t, x))
+	n := x.NumVertices()
+	labels := func() ([][]graph.Vertex, [][]graph.Dist) { // the Index is unreachable once this returns
+		y, err := Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runtime.GOOS != "windows" && !y.Mapped() {
+			t.Fatal("Open did not map the file")
+		}
+		hubs, dists := make([][]graph.Vertex, n), make([][]graph.Dist, n)
+		for v := range hubs {
+			hubs[v], dists[v] = y.Label(graph.Vertex(v), nil, nil)
+		}
+		return hubs, dists
+	}
+	hubs, dists := labels()
+	runtime.GC()
+	runtime.GC()
+	for v := range hubs {
+		wh, wd := x.Label(graph.Vertex(v), nil, nil)
+		if !slices.Equal(hubs[v], wh) || !slices.Equal(dists[v], wd) {
+			t.Fatalf("L(%d) read %v %v after the collections, want %v %v", v, hubs[v], dists[v], wh, wd)
+		}
+	}
+
+	y, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := y.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if y.Mapped() {
+		t.Fatal("Mapped after Close")
+	}
+	if err := y.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
 func TestMmapEmptyIndex(t *testing.T) {
 	x := NewIndexFromLists(nil)
 	y, err := Open(writeTemp(t, pidmBytes(t, x)))

@@ -2,7 +2,6 @@ package label
 
 import (
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 
 	"parapll/internal/graph"
@@ -274,7 +273,6 @@ func (a *arrays[H, D]) scatter(p *Probe, x *Index, v graph.Vertex) {
 	for _, h := range x.headHubs {
 		p.row = append(p.row, p.tmp[h])
 	}
-	runtime.KeepAlive(x)
 }
 
 // absent is what an entry one side lacks adds to a sum in covers: more
@@ -296,7 +294,6 @@ func addend[D distance](d D) uint64 {
 // covers is the index form's share of Covers: v's head row, bitmap row
 // and tail in x, read in place against the hub's side.
 func (a *arrays[H, D]) covers(p *Probe, x *Index, v graph.Vertex, d graph.Dist) bool {
-	defer runtime.KeepAlive(x)
 	bound := uint64(d)
 	if d == graph.Inf {
 		bound = absent - 1 // any hub both sides hold

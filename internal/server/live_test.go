@@ -208,6 +208,11 @@ func TestUpdateOnFailedLog(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusOK {
 		t.Fatalf("/readyz on the healthy pipeline = %d (%v), want 200", code, ready)
 	}
+	// The server owns what it publishes and closes idx once this publish
+	// replaces its snapshot: the next one maps the checkpoint again.
+	if idx, err = fileio.LoadIndex(pipe.IndexPath()); err != nil {
+		t.Fatal(err)
+	}
 	s.PublishLive(failedLogUpdater{pipe}, idx, pipe.IndexPath())
 	if code, out := postUpdate(t, ts.URL, 0, 3, 1); code != http.StatusServiceUnavailable {
 		t.Fatalf("/update on a failed log = %d (%v), want 503", code, out)

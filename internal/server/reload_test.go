@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -307,15 +306,17 @@ func TestReloadRebuildsKNN(t *testing.T) {
 }
 
 // TestHotReloadHammer swaps snapshots while queries, batches and /stats
-// are in flight, alternating mapped files (/reload) with indexes built in
-// process (Publish), so swaps trade a heap snapshot for a mapping or back
-// and a dropped mapping's finalizer runs under live queries. The two
-// artifacts differ in vertex count and in edge weight, so a reply names
-// the one it came from. The server's test hooks publish the other
-// artifact right after each reload stores its snapshot and right after
-// each request loads one: a second load of s.snap anywhere in those
-// scopes then sees another generation on every run, not only when the
-// scheduler happens to interleave there. The test checks that
+// are in flight, each over its own mapping of one of two files, so every
+// swap leaves a mapping for its last request to close. The two artifacts
+// differ in vertex count and in edge weight, so a reply names the one it
+// came from, and a request reading a closed mapping faults (a 500) or
+// reads the other file's bytes (a wrong answer). The server's test hooks
+// publish a fresh mapping of the other artifact right after each reload
+// stores its snapshot and right after each request acquires one: a
+// second load of s.snap anywhere in those scopes then sees another
+// generation on every run, and a reference dropped before the request's
+// last read unmaps its index under it, not only when the scheduler
+// happens to interleave there. The test checks that
 //   - every query and batch answers from one of the two artifacts;
 //   - every 200 from /reload names its own generation, one no other
 //     publish returned, with the source it asked for and that source's
@@ -338,11 +339,19 @@ func TestHotReloadHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	mapped := func(i int) *label.Index {
+		x, err := label.Open(paths[i])
+		if err != nil {
+			t.Error(err)
+			return []*label.Index{a, b}[i]
+		}
+		return x
+	}
 	other := func(sn *snapshot) *label.Index {
 		if sn.idx.NumVertices() == a.NumVertices() {
-			return b
+			return mapped(1)
 		}
-		return a
+		return mapped(0)
 	}
 	// Every request is slow enough for the slow log, so the query
 	// workers contend its mutex; the tracer arms /debug/trace.
@@ -481,8 +490,7 @@ func TestHotReloadHammer(t *testing.T) {
 	var replies []reply
 	for i := 0; i < reloads; i++ {
 		if i%3 == 2 {
-			publish([]*label.Index{a, b}[i/3%2])
-			runtime.GC() // let the dropped mapping's finalizer run while queries are in flight
+			publish(mapped(i / 3 % 2))
 			continue
 		}
 		// A second reload races this one for the reload mutex; the loser

@@ -43,14 +43,14 @@
 //
 // The serving state — index, the optional graph it indexes, lazily built
 // KNN index, generation counter, source path — lives in one immutable
-// snapshot behind an atomic pointer. Queries load the pointer once and
-// run entirely against that snapshot; Reload builds the next snapshot
-// off the request path and publishes it with a single atomic store.
-// In-flight queries finish on the snapshot they started with, the KNN
-// cache is rebuilt per snapshot (never stale), and an mmap-backed old
-// index is unmapped by its finalizer once the last query referencing it
-// completes — safe because every label.Index (and knn.Index) reader
-// pins the mapping with runtime.KeepAlive until its last array access.
+// snapshot behind an atomic pointer. A request takes a reference on the
+// snapshot once (label.Acquire) and runs entirely against it; Reload
+// builds the next snapshot off the request path and publishes it with
+// a single atomic swap. In-flight queries finish on the snapshot they
+// started with, and the KNN cache is rebuilt per snapshot (never
+// stale). The server owns every index it publishes: a snapshot counts
+// its requests plus the server's own reference, which the next publish
+// drops, and the last to go closes the index, unmapping a mapped one.
 //
 // # Living-graph mode
 //
@@ -104,8 +104,11 @@ import (
 
 // snapshot is one immutable generation of serving state. All fields are
 // written before the snapshot is published and never after, except the
-// lazily built KNN index behind its own sync.Once.
+// reference count and the lazily built KNN index behind its own
+// sync.Once.
 type snapshot struct {
+	label.Refs // the requests reading it, plus the server's until the next publish
+
 	idx    *label.Index
 	ora    oracle.Oracle // the query surface handlers program against
 	g      *graph.Graph  // the graph idx indexes, for /path; nil: 404
@@ -116,6 +119,13 @@ type snapshot struct {
 
 	knnOnce sync.Once
 	knn     *knn.Index
+}
+
+// release drops a reference to sn; the last closes its index.
+func (sn *snapshot) release() {
+	if sn.Refs.Release() {
+		sn.idx.Close()
+	}
 }
 
 // knnIndex builds the inverted index on first use — per snapshot, so a
@@ -212,9 +222,10 @@ type Server struct {
 	slow      *SlowLog
 
 	// Test hooks, nil in production: afterStore runs right after publish
-	// stores a snapshot, afterLoad right after handleSnap loads one. A
+	// stores a snapshot, afterLoad right after handleSnap acquires one. A
 	// test publishes from them, inside the window in which a second load
-	// of s.snap would see another generation.
+	// of s.snap would see another generation, and in which a reference
+	// dropped early would let the swap close the request's index.
 	afterStore, afterLoad func(sn *snapshot)
 
 	// reloadFailures counts failed reloads (HTTP and SIGHUP alike) — the
@@ -333,7 +344,8 @@ func (s *Server) Cache() *qcache.Cache { return s.cache }
 // Updater returns the current snapshot's living-graph updater (nil
 // before the first publish and on a static snapshot).
 func (s *Server) Updater() Updater {
-	if sn := s.snap.Load(); sn != nil {
+	if sn := label.Acquire(&s.snap); sn != nil {
+		defer sn.release()
 		return sn.up
 	}
 	return nil
@@ -361,7 +373,8 @@ func (s *Server) Registry() *metrics.Registry { return s.opt.Registry }
 
 // Generation returns the current snapshot's generation (0 = none yet).
 func (s *Server) Generation() uint64 {
-	if sn := s.snap.Load(); sn != nil {
+	if sn := label.Acquire(&s.snap); sn != nil {
+		defer sn.release()
 		return sn.gen
 	}
 	return 0
@@ -370,25 +383,29 @@ func (s *Server) Generation() uint64 {
 // Publish atomically swaps in new static serving state and returns its
 // generation. In-flight requests keep the snapshot they started with;
 // new requests see the new one. Safe to call concurrently with
-// traffic. g, the graph idx indexes, is optional and kept only when its
-// vertex count is the index's: with it the snapshot answers /path,
-// without it /path answers 404.
+// traffic. The server owns idx from here: it closes it once a later
+// publish has replaced it and the last request reading it is done. g,
+// the graph idx indexes, is optional and kept only when its vertex
+// count is the index's: with it the snapshot answers /path, without it
+// /path answers 404.
 func (s *Server) Publish(idx *label.Index, g *graph.Graph, source string) uint64 {
-	return s.publish(nil, idx, g, source).gen
+	return s.publish(nil, idx, g, source).Generation
 }
 
 // PublishLive is Publish in living-graph mode: the snapshot serves
 // queries and POST /update through up (uncached — see the package doc),
-// with idx, loaded from source, as the checkpoint artifact beside it.
+// with idx, loaded from source, as the checkpoint artifact beside it;
+// the server owns idx as Publish does.
 func (s *Server) PublishLive(up Updater, idx *label.Index, source string) uint64 {
-	return s.publish(up, idx, nil, source).gen
+	return s.publish(up, idx, nil, source).Generation
 }
 
-// publish is Publish returning the stored snapshot itself, so callers
-// that need the published state (handleReload's response) read the
-// snapshot they created instead of re-loading the pointer — a second
-// load could observe a different, concurrent publish.
-func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source string) *snapshot {
+// publish is Publish returning what it published, read before the swap,
+// so handleReload's response describes the snapshot this call created:
+// a second load of the pointer could observe a different, concurrent
+// publish, and once swapped in, the snapshot may be replaced and its
+// index closed at any time.
+func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source string) reloadResponse {
 	if g != nil && g.NumVertices() != idx.NumVertices() {
 		g = nil
 	}
@@ -417,12 +434,16 @@ func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source st
 		source: source,
 		loaded: time.Now(),
 	}
-	s.snap.Store(sn)
+	out := reloadResponse{Status: "ok", Generation: gen, Source: source,
+		Vertices: idx.NumVertices(), Format: idx.Format(), Mmap: idx.Mapped()}
+	if old := s.snap.Swap(sn); old != nil {
+		old.release()
+	}
 	s.generation.Set(int64(gen))
 	if s.afterStore != nil {
 		s.afterStore(sn)
 	}
-	return sn
+	return out
 }
 
 // Reload loads an index file and publishes it. An empty path reloads
@@ -434,20 +455,17 @@ func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source st
 // /path answers 404 after it. A living snapshot's updater is carried over too, and it reloads only
 // its own checkpoint (ErrLiveReload otherwise).
 func (s *Server) Reload(path string) (uint64, error) {
-	sn, err := s.reload(path)
-	if err != nil {
-		return 0, err
-	}
-	return sn.gen, nil
+	out, err := s.reload(path)
+	return out.Generation, err
 }
 
-// reload implements Reload and returns the snapshot it published. The
+// reload implements Reload and returns what it published. The
 // current snapshot is loaded exactly once, up front: the empty-path
 // resolution, the living-graph check and the graph carry-over decision
 // read that one value, so a concurrent publish mid-reload cannot split
 // the decisions across generations.
-func (s *Server) reload(path string) (*snapshot, error) {
-	sn, err := s.reloadInner(path)
+func (s *Server) reload(path string) (reloadResponse, error) {
+	out, err := s.reloadInner(path)
 	if err != nil && !errors.Is(err, ErrReloadBusy) && !errors.Is(err, ErrLiveReload) {
 		// Busy and a refused path are the 409s, not failures of the
 		// serving artifact; everything else feeds the watchdog's
@@ -457,33 +475,35 @@ func (s *Server) reload(path string) (*snapshot, error) {
 			s.opt.Flight.RecordError("reload", err)
 		}
 	}
-	return sn, err
+	return out, err
 }
 
-func (s *Server) reloadInner(path string) (*snapshot, error) {
+func (s *Server) reloadInner(path string) (reloadResponse, error) {
 	if s.opt.Loader == nil {
-		return nil, ErrNoLoader
+		return reloadResponse{}, ErrNoLoader
 	}
 	if !s.reloadMu.TryLock() {
-		return nil, ErrReloadBusy
+		return reloadResponse{}, ErrReloadBusy
 	}
 	defer s.reloadMu.Unlock()
-	cur := s.snap.Load()
+	cur := label.Acquire(&s.snap)
 	if cur == nil {
 		cur = &snapshot{} // nothing published: no source, graph or updater to carry
+	} else {
+		defer cur.release()
 	}
 	if path == "" {
 		path = cur.source
 	}
 	if path == "" {
-		return nil, fmt.Errorf("server: no index path to reload (served index was built in memory)")
+		return reloadResponse{}, fmt.Errorf("server: no index path to reload (served index was built in memory)")
 	}
 	if cur.up != nil && path != cur.source {
-		return nil, fmt.Errorf("%w: serving %s, asked for %s", ErrLiveReload, cur.source, path)
+		return reloadResponse{}, fmt.Errorf("%w: serving %s, asked for %s", ErrLiveReload, cur.source, path)
 	}
 	idx, err := s.opt.Loader(path)
 	if err != nil {
-		return nil, fmt.Errorf("server: reloading %s: %w", path, err)
+		return reloadResponse{}, fmt.Errorf("server: reloading %s: %w", path, err)
 	}
 	var g *graph.Graph
 	if path == cur.source {
@@ -613,17 +633,19 @@ func (s *Server) invoke(h http.HandlerFunc, sw *statusWriter, r *http.Request, s
 }
 
 // handleSnap is handle for endpoints that need serving state: the
-// handler receives the snapshot current at request start and uses it
-// throughout, so a concurrent reload can never shear a request across
-// two generations. While no snapshot is published yet, these answer
-// 503 (matching /readyz).
+// handler receives the snapshot current at request start, with a
+// reference held until it returns, and uses it throughout, so a
+// concurrent reload can never shear a request across two generations
+// nor close the index under it. While no snapshot is published yet,
+// these answer 503 (matching /readyz).
 func (s *Server) handleSnap(path, method string, limit int64, h func(sn *snapshot, w http.ResponseWriter, r *http.Request)) {
 	s.handle(path, method, limit, func(w http.ResponseWriter, r *http.Request) {
-		sn := s.snap.Load()
+		sn := label.Acquire(&s.snap)
 		if sn == nil {
 			writeErr(w, http.StatusServiceUnavailable, errors.New("index is still loading"))
 			return
 		}
+		defer sn.release()
 		if sw, ok := w.(*statusWriter); ok {
 			sw.gen = sn.gen // slow-log entries name the generation they ran on
 		}
@@ -861,10 +883,11 @@ func (s *Server) handleStats(sn *snapshot, w http.ResponseWriter, r *http.Reques
 // before the first Publish) — the flight recorder's Stats source, so a
 // bundle embeds exactly what /stats would have answered at capture time.
 func (s *Server) StatsPayload() any {
-	sn := s.snap.Load()
+	sn := label.Acquire(&s.snap)
 	if sn == nil {
 		return nil
 	}
+	defer sn.release()
 	return s.statsPayload(sn)
 }
 
@@ -984,7 +1007,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	// whatever s.snap holds by response time — a concurrent publish
 	// between reload and a re-load of the pointer could attribute a
 	// different generation to this request.
-	sn, err := s.reload(req.Path)
+	out, err := s.reload(req.Path)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrReloadBusy), errors.Is(err, ErrLiveReload):
@@ -996,14 +1019,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, reloadResponse{
-		Status:     "ok",
-		Generation: sn.gen,
-		Source:     sn.source,
-		Vertices:   sn.idx.NumVertices(),
-		Format:     sn.idx.Format(),
-		Mmap:       sn.idx.Mapped(),
-	})
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handleReadyz distinguishes "process up" (/healthz) from "index
@@ -1011,11 +1027,12 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 // should gate traffic on, since the listener comes up before the index
 // finishes loading.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	sn := s.snap.Load()
+	sn := label.Acquire(&s.snap)
 	if sn == nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "loading"})
 		return
 	}
+	defer sn.release()
 	// A living graph whose log has failed still answers reads, but takes
 	// no update until it is restarted: not ready, and this is why.
 	if sn.up != nil {
@@ -1032,8 +1049,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if sn := s.snap.Load(); sn != nil {
+	if sn := label.Acquire(&s.snap); sn != nil {
 		s.walStats(sn.up) // wal.*/compact.* gauges are scrape-time reads
+		sn.release()
 	}
 	// Content negotiation: Prometheus scrapers ask for text/plain (the
 	// exposition format); everything else keeps the JSON snapshot.

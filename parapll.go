@@ -353,7 +353,9 @@ type Oracle = oracle.Oracle
 const FormatMmap = label.FormatMmap
 
 // SaveIndex / LoadIndex persist finalized indexes as PIDM files under
-// any extension; LoadIndex maps them zero-copy.
+// any extension; LoadIndex maps them zero-copy. The caller owns Close:
+// call it once nothing reads the index, and an index nobody closes stays
+// mapped until the process exits.
 func SaveIndex(path string, x *Index) error { return fileio.SaveIndex(fileio.OS, path, x) }
 func LoadIndex(path string) (*Index, error) { return fileio.LoadIndex(path) }
 

@@ -1,8 +1,7 @@
 #!/bin/sh
-# Repo-wide checks, in order: go build, gofmt, go vet, the custom
-# parapll-vet suite (two analyzers), the internal-importers check (every
-# package under internal/ is imported by some other package, tests
-# included), the short suite under the race detector, a
+# Repo-wide checks, in order: go build, gofmt, go vet, the
+# internal-importers check (every package under internal/ is imported by
+# some other package, tests included), the short suite under the race detector, a
 # -count=20 race pass over the lock-free structures (the label store's
 # TestStore* tests: the reader hammer across seven segment boundaries,
 # TestStoreBulkAppendSpansSegments, TestStoreHeadHammer and the
@@ -52,25 +51,6 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
-echo "== parapll-vet ./... (two custom analyzers: mmapkeepalive, atomicfield)"
-if [ "${GITHUB_ACTIONS:-}" = "true" ]; then
-    # On CI, emit findings both as plain log lines and as GitHub
-    # annotations (::error), so they surface inline on the PR diff. The
-    # NDJSON field order is fixed by cmd/parapll-vet, which lets sed do
-    # the rewrite without a JSON parser on the runner.
-    vet_status=0
-    vet_out=$(go run ./cmd/parapll-vet -json ./...) || vet_status=$?
-    if [ -n "$vet_out" ]; then
-        printf '%s\n' "$vet_out"
-        printf '%s\n' "$vet_out" | sed -E \
-            -e "s|\"file\":\"$(pwd)/|\"file\":\"|" \
-            -e 's/^\{"file":"([^"]*)","line":([0-9]+),"col":([0-9]+),"analyzer":"([^"]*)","message":"(.*)"\}$/::error file=\1,line=\2::[\4] \5/'
-    fi
-    [ "$vet_status" -eq 0 ]
-else
-    go run ./cmd/parapll-vet ./...
-fi
-
 # A package under internal/ that no other package imports - not even
 # from a test - is code nothing runs or checks. go list names every
 # package's Imports, TestImports and XTestImports; an external test
@@ -97,12 +77,19 @@ go test -race -short ./...
 # Get/Put, and under readers that query while generations are swapped
 # across the slot tag's wrap point. So do the living graph's lock-free
 # reads: queries beside copy-on-write delta runs being published, and
-# beside compactions swapping the live index. And so does the server
-# snapshot: requests beside hot reloads, which read the server's
-# configuration as plain fields written once before NewPending returns;
-# TestHotReloadHammer's hooks publish inside every reload's and every
-# request's scope, so a second load of the snapshot pointer there (no
-# analyzer checks for one) answers with another generation on every run.
+# beside compactions swapping the live index, and beside swaps between
+# indexes over two mapped files (TestDeltaReaderHammerSwapsMappedBases),
+# where a base closed before its last reader is done faults or answers
+# from the other file. And so does the server snapshot: requests beside
+# hot reloads, which read the server's configuration as plain fields
+# written once before NewPending returns; TestHotReloadHammer's hooks
+# publish a fresh mapping inside every reload's and every request's
+# scope, so a second load of the snapshot pointer there answers with
+# another generation, and a reference dropped before the request's last
+# read unmaps its index under it, on every run. A mapped index is
+# unmapped by its owner's last reference (label.Refs), so these hammers,
+# not an analyzer, hold the lifetimes; go vet's copylocks holds atomic
+# fields against copies and -race against plain access beside atomic.
 # So do the lock order and the goroutine lifetimes: TestPipelineHammer
 # runs every pipeline entry point at once under a deadline (a lock-order
 # cycle, even one through a callback, deadlocks it),
@@ -130,7 +117,7 @@ go test -race -short ./...
 # that mutex to fold nothing over the half-applied insert (DESIGN.md "The
 # durability contract is held by fault tests").
 echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
 # The two lock-order tests again without the race detector: a seeded
