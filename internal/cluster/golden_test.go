@@ -22,7 +22,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	}
 	g := rec.Generate(0.05)
 	opt := Options{Threads: 1, SyncCount: 8}
-	const want = "0449f36944b59be0c39ac46988e57ca6adfc12b1f4b09735965095c4a071f32e"
+	const want = "d2b872e9e4f05c589fe8000a4b2d035116c1b3181fc84f1391fdbb857a7a719f"
 	check := func(t *testing.T, idxs []*label.Index, err error) {
 		if err != nil {
 			t.Fatal(err)

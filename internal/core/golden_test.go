@@ -19,19 +19,18 @@ import (
 // TestIndexBytesGolden pins the deterministic builds — serial PLL and
 // both engines at one thread, which all emit the same index — on a p2p
 // and a road shape, to two hashes. pidx is of the labels alone, each
-// vertex's whole label in hub order (labelsHash), recorded (at the
-// parent commit) before PIDM had a head: the labels are the ones every
-// build since the label store, prune scan and finalize rewrites has
-// produced. pidm is of the version 5 PIDM bytes, recorded when tail hub
-// ids and offsets got their widths: where the finalize puts each entry,
-// and in how many bytes.
+// vertex's whole label in hub order (labelsHash), recorded when the
+// degree order took strength as its primary key: the labels that
+// sequence gives, which a kernel, store or finalize rewrite must not
+// move. pidm is of the version 5 PIDM bytes of the same labels: where
+// the finalize puts each entry, and in how many bytes.
 // The streamed legs finalize the serial lists and a one-thread build's
 // store straight into a file through fileio, as parapll-index does: the
 // file must hash to the same pin.
 func TestIndexBytesGolden(t *testing.T) {
 	for dataset, want := range map[string]struct{ pidx, pidm string }{
-		"Gnutella": {"0bb01996e156bb5d79b1ada12a46d752e33623664842effa444e55e236052451", "01d268b38a669b3810017bb4658204c099f388fbcc1f7ce127e7496ed87c14be"},
-		"RI-USA":   {"ba042b81e0b2f7379eb6ea206f49fad697488b7ba2b229a833095c653700ba14", "9bd0a14354c32fde77fdc5160fadcdfbd84cb3ca1f3ff6377d4b4f5c725e3049"},
+		"Gnutella": {"2e2caef33927fbc3444a63af001af0f4362b1dbe3180bf647df19ae630da2870", "49d64eb7569f1a75f15fa70b290f936f5a69a084df56e82370406fb8bd004719"},
+		"RI-USA":   {"abc72b87d8e2122712e28fe39ba13d7c40217e2d203706f376de9594e2ae0851", "4f6bdc5a5f38d2b607db8d736ec4f8f5a7414fb1aced05d51b48688d205b3bfe"},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {
@@ -85,8 +84,8 @@ func TestIndexBytesGolden(t *testing.T) {
 // counted as a settle, say) could move them without moving a label.
 func TestSerialTraceGolden(t *testing.T) {
 	for dataset, want := range map[string][3]int64{
-		"Gnutella": {26808, 41693, 2400891},
-		"RI-USA":   {132547, 18839, 4884291},
+		"Gnutella": {21220, 40645, 1770006},
+		"RI-USA":   {132610, 18927, 4892477},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {

@@ -19,9 +19,9 @@ import (
 // TestIndexBytesGolden pins the label lists after a serial build and a
 // run of insertions: resumed searches must prune exactly as before —
 // the labels' hash (labelsHash), of whole labels in hub order, was
-// recorded (at the parent commit) before PIDM had a head — and ToIndex
-// must lay the lists out as it did when hub ids and offsets got widths, the
-// version 5 PIDM hash — and so must the frozen lists streamed into a file
+// recorded when the degree order took strength as its primary key — and
+// ToIndex must lay the lists out as version 5 PIDM does, the PIDM hash of
+// the same labels — and so must the frozen lists streamed into a file
 // through fileio, as a compaction's fold writes them.
 func TestIndexBytesGolden(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
@@ -40,11 +40,11 @@ func TestIndexBytesGolden(t *testing.T) {
 	if err := x.ToIndex().WriteMmap(pidm); err != nil {
 		t.Fatal(err)
 	}
-	const wantLabels = "c3bebc604a1756386acbdd4ccd0574148421a83a0485f3a3ff030565fc8ef122"
+	const wantLabels = "560bb2e650c894704e3e4cb5228cff38a03f4234a576d84008a9cb24e34b52cb"
 	if got := labelsHash(x.ToIndex()); got != wantLabels {
 		t.Fatalf("labels (%d entries) hash to %s, want %s", x.NumEntries(), got, wantLabels)
 	}
-	const wantPIDM = "57d8cc8aa046632c8e2a05867ae59ee5700f04a5ced8694a1ef778ea97e485e2"
+	const wantPIDM = "568e147d6d5277a1edb68ca70df476809b92aff0ac7625e5e99b630da83d3cd5"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}

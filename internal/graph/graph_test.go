@@ -460,6 +460,13 @@ func TestDegreeOrder(t *testing.T) {
 	if got, want := DegreeOrder(g), []Vertex{2, 1, 3, 0, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("DegreeOrder = %v, want %v", got, want)
 	}
+	// Strength, not degree, leads: 0 has two weight-8 edges, 3 and 4 one
+	// weight-1 edge each, and 1/2 > 2/9, so the lower-degree pair goes
+	// first; the paper's degree order would put 0 first.
+	g = FromEdges(5, []Edge{{0, 1, 8}, {0, 2, 8}, {3, 4, 1}})
+	if got, want := DegreeOrder(g), []Vertex{3, 4, 0, 1, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("DegreeOrder = %v, want %v", got, want)
+	}
 	// A zero-weight edge is the lightest there is, and the +1 keeps
 	// its strength finite.
 	g = FromEdges(4, []Edge{{0, 1, 5}, {2, 3, 0}})
@@ -498,6 +505,9 @@ func FuzzDegreeOrder(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 9, 1, 2, 1, 2, 3, 1, 3, 4, 9})
 	f.Add([]byte{4, 0, 1, 5, 2, 3, 0})
 	f.Add([]byte{3, 0, 1, 255, 1, 2, 250, 0, 2, 0})
+	// The lighter-edged degree-1 pair goes before the degree-2 vertex:
+	// an unweighted degree sort would disagree.
+	f.Add([]byte{4, 0, 1, 8, 0, 2, 8, 3, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -516,9 +526,9 @@ func FuzzDegreeOrder(f *testing.F) {
 	})
 }
 
-// checkDegreeOrder fails t unless ord is g's degree sequence: a
-// permutation of the vertices, degree non-increasing, and within one
-// degree the strength Σ ⌊2³²/(w+1)⌋ non-increasing, then ids ascending.
+// checkDegreeOrder fails t unless ord is g's weighted degree sequence:
+// a permutation of the vertices, strength Σ ⌊2³²/(w+1)⌋ non-increasing,
+// then ids ascending.
 func checkDegreeOrder(t testing.TB, g *Graph, ord []Vertex) {
 	t.Helper()
 	if err := CheckOrder(ord, g.NumVertices()); err != nil {
@@ -534,15 +544,12 @@ func checkDegreeOrder(t testing.TB, g *Graph, ord []Vertex) {
 	}
 	for i := 1; i < len(ord); i++ {
 		u, v := ord[i-1], ord[i]
-		du, dv := g.Degree(u), g.Degree(v)
 		su, sv := strength(u), strength(v)
 		switch {
-		case du < dv:
-			t.Fatalf("at %d: degree %d (vertex %d) before %d (vertex %d)", i, du, u, dv, v)
-		case du == dv && su < sv:
-			t.Fatalf("at %d: degree %d, strength %d (vertex %d) before %d (vertex %d)", i, du, su, u, sv, v)
-		case du == dv && su == sv && u > v:
-			t.Fatalf("at %d: degree %d and strength %d tie, but vertex %d before %d", i, du, su, u, v)
+		case su < sv:
+			t.Fatalf("at %d: strength %d (vertex %d) before %d (vertex %d)", i, su, u, sv, v)
+		case su == sv && u > v:
+			t.Fatalf("at %d: strength %d ties, but vertex %d before %d", i, su, u, v)
 		}
 	}
 }

@@ -72,34 +72,29 @@ func Summarize(g *Graph) Summary {
 	return s
 }
 
-// DegreeOrder returns the vertices of g sorted by degree descending,
+// DegreeOrder returns the vertices of g by weighted degree descending,
 // the paper's computing sequence ("from higher degree to lower degree",
-// §4.2, degree standing in for ψ(v) of Proposition 2). Within one degree,
-// a vertex whose incident edges are lighter comes first: strength
-// s(v) = Σ ⌊2³²/(w+1)⌋ over v's edges, descending, since light edges
-// route more shortest paths through v. Remaining ties go to the smaller
-// vertex id. Where every weight is equal, s(v) is a fixed multiple of the
-// degree and the sequence is degree descending, ties by id.
+// §4.2, degree standing in for ψ(v) of Proposition 2) with each edge
+// counted by its weight: strength s(v) = Σ ⌊2³²/(w+1)⌋ over v's edges,
+// descending, since light edges route more shortest paths through v.
+// Ties go to the smaller vertex id. Where every weight is equal, s(v) is
+// a fixed multiple of the degree and the sequence is the paper's degree
+// order, ties by id.
 func DegreeOrder(g *Graph) []Vertex {
 	type key struct {
-		s   uint64
-		deg int32
-		v   Vertex
+		s uint64
+		v Vertex
 	}
 	n := g.NumVertices()
 	keys := make([]key, n)
 	for v := range keys {
-		lo, hi := g.off[v], g.off[v+1]
 		var s uint64
-		for _, w := range g.wt[lo:hi] {
+		for _, w := range g.wt[g.off[v]:g.off[v+1]] {
 			s += (1 << 32) / (uint64(w) + 1)
 		}
-		keys[v] = key{s, int32(hi - lo), Vertex(v)}
+		keys[v] = key{s, Vertex(v)}
 	}
 	slices.SortFunc(keys, func(a, b key) int {
-		if a.deg != b.deg {
-			return cmp.Compare(b.deg, a.deg)
-		}
 		if a.s != b.s {
 			return cmp.Compare(b.s, a.s)
 		}

@@ -13,9 +13,9 @@ import (
 // TestExplainCountersGolden pins what the kernel counts, not just what
 // it answers: the sums of every Explain counter and the Algo/Swapped
 // histogram over 2000 seeded pairs on a generated power-law graph,
-// recorded when the bitmap tier took the hubs in more than a 32nd of the
-// labels out of the merge (head is what it was when the dense head took
-// the commonest, dist the sum the merge alone gave before either). The
+// recorded when the degree order took strength as its primary key
+// (dist, the sum of the answers, is what the merge alone gave before the
+// head and bitmap tiers, and no order change moves it). The
 // benchmark's
 // label.hubs_probed_per_query and label.gallop_frac are derived from
 // these, so a kernel edit that moves where a counter is bumped fails
@@ -49,8 +49,8 @@ func TestExplainCountersGolden(t *testing.T) {
 	}
 	got := fmt.Sprintf("head=%d words=%d hits=%d probed=%d common=%d linear=%d gallop=%d binary=%d dist=%d hist=%v",
 		headSlots, midWords, midHits, hubsProbed, commonHubs, linearSteps, gallopProbes, binarySteps, distSum, hist)
-	const want = "head=13986 words=3996 hits=5201 probed=11250 common=76 linear=11178 gallop=226 binary=163 dist=17414 " +
-		"hist=map[empty:108 empty/swapped:98 gallop:48 gallop/swapped:45 linear:985 linear/swapped:714 self:2]"
+	const want = "head=11988 words=3996 hits=5394 probed=11102 common=67 linear=11035 gallop=204 binary=158 dist=17414 " +
+		"hist=map[empty:108 empty/swapped:94 gallop:42 gallop/swapped:43 linear:974 linear/swapped:737 self:2]"
 	if got != want {
 		t.Fatalf("counters over 2000 pairs:\n got %s\nwant %s", got, want)
 	}

@@ -92,7 +92,7 @@ func (s *Store) seg(v, k int) *atomic.Pointer[Entry] {
 	if k < inline {
 		return &s.lists[v].segs[k]
 	}
-	return &(*s.far[k-inline].Load())[v]
+	return &unsafe.Slice(s.far[k-inline].Load(), len(s.lists))[v]
 }
 
 // write appends es to v's list under its mutex, linking a segment at each
@@ -106,7 +106,7 @@ func (s *Store) write(v int, es []Entry) {
 		if off == 0 {
 			if k >= inline && s.far[k-inline].Load() == nil {
 				lv := make([]atomic.Pointer[Entry], len(s.lists))
-				s.far[k-inline].CompareAndSwap(nil, &lv) // a writer that loses the race drops its copy
+				s.far[k-inline].CompareAndSwap(nil, unsafe.SliceData(lv)) // a writer that loses the race drops its copy
 			}
 			s.seg(v, k).Store(unsafe.SliceData(make([]Entry, 4<<k)))
 		}
@@ -169,7 +169,7 @@ func cellDist(b uint64) graph.Dist { return graph.Dist(^uint8(b)) }
 type Store struct {
 	lens  []atomic.Int32 // published list lengths
 	lists []record
-	far   [maxSegs - inline]atomic.Pointer[[]atomic.Pointer[Entry]] // segment pointers past the records'
+	far   [maxSegs - inline]atomic.Pointer[atomic.Pointer[Entry]] // first of each level's n segment pointers past the records'
 
 	// begun[b] counts the roots of block b's positions whose searches have
 	// begun; nil in a store without a head.

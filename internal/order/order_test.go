@@ -187,10 +187,8 @@ func TestValidateMatchesCheckOrder(t *testing.T) {
 	}
 }
 
-// BenchmarkDegreeOrder prices the degree sequence on the benchmark's
-// build graphs: the p2p shape, where degree decides most of it, and the
-// road shape, where most vertices share a degree and the weight
-// tie-break decides it.
+// BenchmarkDegreeOrder prices the weighted degree sequence on the
+// benchmark's build graphs, a p2p and a road shape.
 func BenchmarkDegreeOrder(b *testing.B) {
 	for _, c := range []struct {
 		dataset string

@@ -1044,8 +1044,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ready", "generation": sn.gen})
 }
 
+// healthzReply is what encoding/json made of {"status":"ok"}.
+var healthzReply = []byte("{\"status\":\"ok\"}\n")
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	writeReply(w, healthzReply)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -234,6 +234,10 @@ func TestReplyBytesGolden(t *testing.T) {
 	s.ServeHTTP(rec, httptest.NewRequest("GET", "/query?x=9&t=3&s=0&s=1", nil))
 	check("reordered", rec, jsonLine(queryResponse{S: 0, T: 3, Dist: 12, Reachable: true}))
 
+	rec = httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	check("healthz", rec, jsonLine(map[string]string{"status": "ok"}))
+
 	check("batch", postBatch(s, `{"pairs":[[0,3],[3,0],[0,4],[2,2]]}`),
 		jsonLine(batchResponse{Dists: []int64{12, 12, -1, 0}}))
 	check("empty batch", postBatch(s, `{"pairs":[]}`), jsonLine(batchResponse{Dists: []int64{}}))
@@ -243,6 +247,8 @@ func TestReplyBytesGolden(t *testing.T) {
 // (the request and the writer are reused, so neither net/http's nor a
 // recorder's are counted). Before the codec: 11 for /query and 23 for a
 // 4-pair /batch measured this way; the bound is a third of that.
+// /healthz, the mux and middleware with no handler work, allocates once,
+// as /query does today: its Content-Length (5 through writeJSON and a map).
 func TestAllocsPerRequest(t *testing.T) {
 	s := wireServer()
 	w := newNullWriter()
@@ -256,6 +262,10 @@ func TestAllocsPerRequest(t *testing.T) {
 	get := httptest.NewRequest("GET", "/query?s=0&t=3", nil)
 	if n := testing.AllocsPerRun(200, func() { serve(get) }); n > 3 {
 		t.Errorf("/query: %v allocations per request, want at most 3", n)
+	}
+	health := httptest.NewRequest("GET", "/healthz", nil)
+	if n := testing.AllocsPerRun(200, func() { serve(health) }); n > 1 {
+		t.Errorf("/healthz: %v allocations per request, want at most 1, what /query takes", n)
 	}
 	post := httptest.NewRequest("POST", "/batch", nil)
 	body, four := &replayBody{}, []byte(`{"pairs":[[0,3],[3,0],[0,4],[2,2]]}`)

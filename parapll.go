@@ -80,8 +80,8 @@ type Ordering int
 
 // Available vertex orderings. OrderDegree is the paper's choice.
 const (
-	// OrderDegree indexes high-degree vertices first; within one degree,
-	// vertices with lighter incident edges first.
+	// OrderDegree indexes high weighted-degree vertices first, lighter
+	// edges counting more: the paper's degree order when weights are equal.
 	OrderDegree Ordering = iota
 	// OrderPsi estimates shortest-path centrality by sampling (costlier
 	// to compute than OrderDegree).
