@@ -122,7 +122,7 @@ func main() {
 	built := ""
 	if stats != nil {
 		bk, fill := stats.Head()
-		built = fmt.Sprintf("; build head=%d fill %.2f", bk, fill)
+		built = fmt.Sprintf("; build head=%d fill %.2f wide=%d", bk, fill, stats.Wide())
 	}
 	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB, hub=%dB%s) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),

@@ -62,11 +62,13 @@ type LabelStore interface {
 
 // headStore is a LabelStore that keeps the first roots' labels as dense
 // columns (label.Store.UseHead). BuildInto hands it the order, and tells
-// it where in the order each root is before a worker searches it.
+// it where in the order each root is before a worker searches it;
+// BuildStats reports its head and its entries kept whole.
 type headStore interface {
 	UseHead(ord []graph.Vertex)
 	BeginRoot(pos int)
 	Head() (k int, fill float64)
+	Wide() int64
 }
 
 // headManager is the task manager of a build into a headStore: it calls
@@ -233,6 +235,15 @@ func (s *BuildStats) Head() (k int, fill float64) {
 		return 0, 0
 	}
 	return s.head.Head()
+}
+
+// Wide returns the number of label entries the store kept whole, outside
+// a list word (label.Store.Wide): 0 for any store that keeps no head.
+func (s *BuildStats) Wide() int64 {
+	if s.head == nil {
+		return 0
+	}
+	return s.head.Wide()
 }
 
 // TotalWork sums the per-worker work.

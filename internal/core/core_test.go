@@ -267,6 +267,27 @@ func TestBuildStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestBuildStatsCountsWideEntries: a graph whose distances all fit a
+// list word reports no wide entries; the same graph with its weights
+// scaled past a word's distance bits (2^26 on 60 vertices) reports some,
+// and answers every pair as Dijkstra does.
+func TestBuildStatsCountsWideEntries(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(210)), 60, 120)
+	if _, bs := BuildWithStats(g, Options{Threads: 2}); bs.Wide() != 0 {
+		t.Fatalf("weights 1-40: %d wide entries, want 0", bs.Wide())
+	}
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].W <<= 22
+	}
+	wide := graph.FromEdges(g.NumVertices(), edges)
+	x, bs := BuildWithStats(wide, Options{Threads: 2})
+	if bs.Wide() == 0 {
+		t.Fatal("weights x2^22: no wide entries")
+	}
+	checkAllPairs(t, wide, x)
+}
+
 func TestEmptyBuildStats(t *testing.T) {
 	g := graph.FromEdges(0, nil)
 	_, bs := BuildWithStats(g, Options{Threads: 2})

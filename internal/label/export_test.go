@@ -34,3 +34,13 @@ func Runs(l []Entry) ([]graph.Vertex, []graph.Dist) {
 	}
 	return hubs, dists
 }
+
+// Seg returns the entries of segment k of a store's list, 4·2^k from
+// slot 4·2^k-4, cut at Len: empty past the last.
+func (l List) Seg(k int) []Entry {
+	all, start := l.AppendTo(nil), 4<<k-4
+	if start >= len(all) {
+		return nil
+	}
+	return all[start:min(len(all), start+4<<k)]
+}

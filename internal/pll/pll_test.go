@@ -119,11 +119,12 @@ func TestDegreeOrderBeatsRandomOnRoads(t *testing.T) {
 // degreeFirst, the sequence it replaced. Not larger on the four kinds
 // whose weights are uniform on [1, 8], where degree counts a weight-8
 // edge as a weight-1 one, and a tenth smaller on p2p and collaboration,
-// which gain 20-30 %; on road, where degree and strength nearly agree,
-// at most 0.5 % larger.
+// which gain 20-30 %. On road, where degree and strength nearly agree,
+// strength first costs +0.05 % (RI-USA@0.05) to +1.18 % (HI-USA@0.04)
+// in the measured rows, each held to its own bound a little above it.
 func TestWeightedDegreeLNShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ten serial builds; the shape, not a race, is what is checked")
+		t.Skip("fourteen serial builds; the shape, not a race, is what is checked")
 	}
 	for _, c := range []struct {
 		dataset  string
@@ -135,6 +136,8 @@ func TestWeightedDegreeLNShape(t *testing.T) {
 		{"AS-Relation", 0.05, 1}, // AS
 		{"CondMat", 0.1, 0.9},    // collaboration
 		{"RI-USA", 0.05, 1.005},  // road
+		{"RI-USA", 0.03, 1.005},  // road: +0.36 %
+		{"HI-USA", 0.04, 1.015},  // road: +1.18 %
 	} {
 		rec, err := gen.FindRecipe(c.dataset)
 		if err != nil {
