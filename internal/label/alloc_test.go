@@ -98,3 +98,54 @@ func TestStoreAppendAtABoundary(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreWideAppendAllocs: a non-growing append allocates nothing
+// whether its entry fits a word or is kept whole, but for the wide
+// tables: the store's first wide entry allocates the table pointers and
+// its vertex's table, which holds the table's first segment; a later
+// vertex's first one its table; and one past a full segment the next, a
+// link and an array. (TestStoreAppendZeroAllocs
+// appends hub 1 into NewStore(1), a wide entry each time; the narrow row
+// here is the word path.) The list has free slots throughout, so only
+// the wide table can grow.
+func TestStoreWideAppendAllocs(t *testing.T) {
+	const wide = graph.Dist(1)<<31 - 1 // the first distance a word of NewStore(2) cannot hold
+	for _, c := range []struct {
+		name  string
+		pre   int           // wide entries in L(0) before the two calls
+		other bool          // L(1) holds a wide entry before them
+		calls [2]graph.Dist // AllocsPerRun's warm-up call, then its measured one
+		want  float64
+	}{
+		{"narrow entry", 0, false, [2]graph.Dist{1, 1}, 0},
+		{"the store's first wide entry", 0, false, [2]graph.Dist{1, wide}, 2},
+		{"a vertex's first wide entry", 0, true, [2]graph.Dist{1, wide}, 1},
+		{"wide entry in a free table slot", 1, false, [2]graph.Dist{wide, wide}, 0},
+		{"wide entry linking table segment 1", 3, false, [2]graph.Dist{wide, wide}, 2},
+	} {
+		s := NewStore(2)
+		s.BulkAppend(0, make([]Entry, filled(7)+1))
+		for range c.pre {
+			s.Append(0, 1, wide)
+		}
+		if c.other {
+			s.Append(1, 1, wide)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(1, func() { s.Append(0, 1, c.calls[i]); i++ }); allocs != c.want {
+			t.Errorf("%s: the append allocates %.0f times, want %.0f", c.name, allocs, c.want)
+		}
+		want := c.pre
+		if c.other {
+			want++
+		}
+		for _, d := range c.calls {
+			if d == wide {
+				want++
+			}
+		}
+		if s.Wide() != int64(want) {
+			t.Errorf("%s: Wide = %d, want %d", c.name, s.Wide(), want)
+		}
+	}
+}
