@@ -89,16 +89,6 @@ func BenchmarkQueryComparison(b *testing.B) {
 	})
 }
 
-// BenchmarkSyncPipeline regenerates the sync-pipeline comparison
-// (blocking vs overlapped cluster builds at each sync count, with
-// compression accounting) on a 3-node simulated cluster.
-func BenchmarkSyncPipeline(b *testing.B) {
-	runTable(b, func(cfg bench.Config) (*bench.Table, error) {
-		table, _, err := bench.RunSync(cfg, 3, 2)
-		return table, err
-	})
-}
-
 // --- Microbenchmarks ---
 
 func epinions(b *testing.B, scale float64) *parapll.Graph {

@@ -1,10 +1,8 @@
 // parapll-bench regenerates the paper's evaluation: Tables 3–5, Figures
-// 5–7, the introduction's query-latency comparison, the design
-// ablations, and the sync-pipeline table that accompanies Figure 7 /
-// Table 5 (blocking vs overlapped synchronization per sync count), on
-// the synthetic stand-in datasets at a configurable scale. Timings of
-// the shipped binaries (build, serving, living graph) are benchmark/'s
-// job, not this tool's.
+// 5–7, the introduction's query-latency comparison and the design
+// ablations, on the synthetic stand-in datasets at a configurable
+// scale. Timings of the shipped binaries (build, serving, living graph)
+// are benchmark/'s job, not this tool's.
 //
 // Usage:
 //
@@ -25,7 +23,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3,table4,table5,fig5,fig6,fig7,query,ablations,sync,all")
+		exp      = flag.String("exp", "all", "experiment: table3,table4,table5,fig5,fig6,fig7,query,ablations,all")
 		scale    = flag.Float64("scale", 0.02, "dataset scale in (0,1]; 1.0 = paper-scale (slow!)")
 		datasets = flag.String("datasets", "", "comma-separated dataset filter (default: all)")
 		threads  = flag.String("threads", "1,2,4,6,8,10,12", "thread sweep for tables 3-4")
@@ -65,10 +63,6 @@ func main() {
 		{"fig7", func() (*bench.Table, error) { return bench.RunFig7(cfg, *fig7n, *perNode) }},
 		{"query", func() (*bench.Table, error) { return bench.RunQueryComparison(cfg, maxOf(cfg.Threads)) }},
 		{"ablations", func() (*bench.Table, error) { return bench.RunAblations(cfg, maxOf(cfg.Threads)) }},
-		{"sync", func() (*bench.Table, error) {
-			table, _, err := bench.RunSync(cfg, *fig7n, *perNode)
-			return table, err
-		}},
 	}
 	var selected []runner
 	if *exp == "all" {

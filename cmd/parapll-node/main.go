@@ -11,8 +11,10 @@
 //
 //	parapll-node -launch -size 4 -graph g.bin -out g.idx
 //
-// Every rank builds the identical cluster-wide index; only ranks given
-// -out write it to disk.
+// Each rank searches its roots in -syncs segments, and each sync between
+// them is one blocking allgather of the new labels (the paper's c,
+// Algorithm 3). Every rank builds the identical cluster-wide index; only
+// ranks given -out write it to disk.
 package main
 
 import (
@@ -42,7 +44,6 @@ func main() {
 		threads   = flag.Int("threads", 0, "worker threads per node (0 = all cores)")
 		policy    = flag.String("policy", "dynamic", "intra-node policy: static or dynamic")
 		syncCount = flag.Int("syncs", 1, "number of label synchronizations (paper's c)")
-		overlap   = flag.Bool("overlap", false, "overlap each sync's exchange+merge with the next segment's computation (must match on every rank)")
 		launch    = flag.Bool("launch", false, "spawn size-1 child ranks locally and run as rank 0")
 		verbose   = flag.Bool("v", false, "report per-round sync volume and transport totals")
 		tracePath = flag.String("trace", "", "record this rank's build timeline as Chrome trace-event JSON; rank r writes <path>.rank<r>.json (merge with parapll-trace)")
@@ -64,7 +65,7 @@ func main() {
 		if *rank != 0 {
 			fatalf("-launch implies rank 0")
 		}
-		if err := launchChildren(*size, *rootAddr, *graphPath, *threads, *policy, *syncCount, *overlap, *verbose, *tracePath); err != nil {
+		if err := launchChildren(*size, *rootAddr, *graphPath, *threads, *policy, *syncCount, *verbose, *tracePath); err != nil {
 			fatalf("launching children: %v", err)
 		}
 	}
@@ -93,7 +94,6 @@ func main() {
 		Policy:    pol,
 		Order:     order.Degree(g),
 		SyncCount: *syncCount,
-		Overlap:   *overlap,
 		Tracer:    tr,
 	})
 	if err != nil {
@@ -145,7 +145,7 @@ func main() {
 // launchChildren starts ranks 1..size-1 as child processes of this binary
 // and returns immediately; the caller continues as rank 0. Children
 // inherit stdout/stderr.
-func launchChildren(size int, rootAddr, graphPath string, threads int, policy string, syncs int, overlap, verbose bool, tracePath string) error {
+func launchChildren(size int, rootAddr, graphPath string, threads int, policy string, syncs int, verbose bool, tracePath string) error {
 	if size < 2 {
 		return nil
 	}
@@ -165,9 +165,6 @@ func launchChildren(size int, rootAddr, graphPath string, threads int, policy st
 			"-threads", fmt.Sprint(threads),
 			"-policy", policy,
 			"-syncs", fmt.Sprint(syncs),
-		}
-		if overlap {
-			args = append(args, "-overlap")
 		}
 		if verbose {
 			args = append(args, "-v")

@@ -178,37 +178,6 @@ func TestRunFig7(t *testing.T) {
 	}
 }
 
-func TestRunSync(t *testing.T) {
-	cfg := smokeConfig()
-	table, results, err := RunSync(cfg, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(cfg.Datasets) * len(cfg.SyncCounts) * 2 // blocking + overlapped
-	if len(table.Rows) != want || len(results) != want {
-		t.Fatalf("rows=%d results=%d, want %d", len(table.Rows), len(results), want)
-	}
-	overlapSeen := map[bool]bool{}
-	for i, r := range results {
-		overlapSeen[r.Overlap] = true
-		if r.WallSeconds <= 0 || r.Entries <= 0 || r.AvgLabel < 1 {
-			t.Fatalf("result %d implausible: %+v", i, r)
-		}
-		if r.UpdatesSent <= 0 || r.WireBytes <= 0 {
-			t.Fatalf("result %d has no sync volume: %+v", i, r)
-		}
-		if r.RawBytes != r.UpdatesSent*12 {
-			t.Fatalf("result %d raw bytes %d != 12 * %d updates", i, r.RawBytes, r.UpdatesSent)
-		}
-		if r.Compression <= 1 {
-			t.Fatalf("result %d compression %v not > 1", i, r.Compression)
-		}
-	}
-	if !overlapSeen[false] || !overlapSeen[true] {
-		t.Fatal("missing blocking or overlapped results")
-	}
-}
-
 func TestRunQueryComparison(t *testing.T) {
 	table, err := RunQueryComparison(smokeConfig(), 2)
 	if err != nil {

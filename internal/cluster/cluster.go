@@ -82,14 +82,6 @@ type Options struct {
 	// Progress, when non-nil, receives this node's live build counters
 	// (roots done, labels added, work) for concurrent sampling.
 	Progress *core.Progress
-	// Overlap enables overlapped synchronization: segment s+1's Pruned
-	// Dijkstras start while segment s's labels are still being exchanged
-	// and merged in the background. Late-arriving labels only weaken
-	// pruning (Proposition 1: every label is a real path length, so the
-	// QUERY minimum stays exact) — queries remain exact and all ranks
-	// still converge to identical indexes, at the cost of somewhat more
-	// redundant labels. Every rank must pass the same value.
-	Overlap bool
 	// Tracer, when non-nil and enabled, records this rank's timeline:
 	// per-root worker spans (via internal/core) plus per-round
 	// record/pack/exchange/merge spans and cross-rank comm flow events.
@@ -154,16 +146,13 @@ type RoundStats struct {
 	// RawBytesReceived is the uncompressed size of the merged payload.
 	RawBytesReceived int64
 	// PackTime is wall time spent draining, sorting and packing this
-	// node's pending labels into the wire frame — the blocking prefix
-	// of a round, on the build goroutine.
+	// node's pending labels into the wire frame.
 	PackTime time.Duration
 	// ExchangeTime is wall time from handing the frame to the allgather
-	// until every peer frame arrived. Unlike Stats.CommTime (the
-	// *exposed* cost), this is total transfer time: in overlapped mode
-	// it runs concurrently with the next segment's computation.
+	// until every peer frame arrived.
 	ExchangeTime time.Duration
 	// MergeTime is wall time decoding peer frames and merging them into
-	// the label store (background in overlapped mode).
+	// the label store.
 	MergeTime time.Duration
 }
 
@@ -171,12 +160,8 @@ type RoundStats struct {
 type Stats struct {
 	// CompTime is wall time spent in local Pruned Dijkstra segments.
 	CompTime time.Duration
-	// CommTime is wall time the build loop spent blocked on
-	// synchronization: packing pending updates plus waiting for the
-	// exchange and merge. In overlapped mode (Options.Overlap) the
-	// exchange and merge run concurrently with the next segment's
-	// computation, so CommTime is the *exposed* communication cost —
-	// the part overlap failed to hide — not total transfer time.
+	// CommTime is the whole wall time of the synchronizations: packing
+	// the pending updates, the exchange and the merge, every round.
 	CommTime time.Duration
 	// FinalizeTime is wall time spent converting the label store into
 	// the immutable query index after the last sync. It is neither
@@ -213,8 +198,8 @@ type Stats struct {
 // local label into per-worker pending lists, the lists are sorted and
 // *packed* into a varint-delta frame, frames are *exchanged* via
 // allgather, and remote frames are *merged* with vertices sharded
-// across goroutines. With Options.Overlap the exchange and merge of
-// segment s run in the background while segment s+1 computes.
+// across goroutines. Each round runs to completion on the build
+// goroutine before the next segment's searches start.
 func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 	if opt.Comm == nil {
 		return nil, nil, fmt.Errorf("cluster: Options.Comm is required")
@@ -282,44 +267,19 @@ func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 		stats.CompTime += time.Since(t0)
 
 		t1 := time.Now()
-		// Join the previous round before starting this one: collective
-		// tags must not interleave, and takePending must not race the
-		// in-flight merge. In blocking mode the previous round was
-		// already joined, so this is a no-op.
-		if err := st.wait(stats); err != nil {
+		round, err := st.run(store)
+		if err != nil {
 			return nil, nil, err
 		}
-		st.start(store)
-		if roundStarted != nil {
-			roundStarted()
-		}
-		if !opt.Overlap {
-			if err := st.wait(stats); err != nil {
-				return nil, nil, err
-			}
-		}
+		stats.addRound(round)
 		stats.CommTime += time.Since(t1)
 	}
-
-	// Overlapped mode leaves the final round in flight; join it.
-	t1 := time.Now()
-	if err := st.wait(stats); err != nil {
-		return nil, nil, err
-	}
-	stats.CommTime += time.Since(t1)
 
 	t2 := time.Now()
 	idx := label.NewIndex(store.Store)
 	stats.FinalizeTime = time.Since(t2)
 	return idx, stats, nil
 }
-
-// roundStarted, when non-nil, runs on the build goroutine after each
-// round's exchange is launched and before the next segment's workers
-// take their views of the store. Only tests set it: holding the build
-// goroutine there lets the round's goroutine reach its wait first, so a
-// lock it wrongly holds across the wait is always in the workers' way.
-var roundStarted func()
 
 func newSegmentManager(roots []graph.Vertex, opt *Options) task.Manager {
 	switch opt.Policy {

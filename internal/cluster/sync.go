@@ -291,23 +291,19 @@ func mergeFrame(store *label.Store, buf []byte, n, shards int) (int64, error) {
 }
 
 // syncState drives the sync pipeline for one node: record → pack →
-// exchange → merge. Scratch buffers persist across rounds, and at most
-// one round is ever in flight (collective tags must not interleave).
+// exchange → merge. Scratch buffers persist across rounds.
 type syncState struct {
 	comm   mpi.Comm
 	n      int      // vertex count, for frame validation
 	shards int      // merge parallelism (the node's worker count)
 	take   []update // drained pending updates, reused each round
 	pack   []byte   // varint encode scratch, reused each round
-	fly    *inflightSync
-	round  int // next sync round (0-based), stamped into frame headers
+	round  int      // next sync round (0-based), stamped into frame headers
 
-	// Tracing (nil lanes when the tracer is nil or disabled at Build
-	// start). The foreground lane holds the blocking record/pack spans,
-	// the background lane the exchange/merge spans — in overlapped mode
-	// those really do run concurrently with the next segment's workers.
+	// Tracing (a nil lane when the tracer is nil or disabled at Build
+	// start): every round's record, pack, exchange and merge spans.
 	tr         *trace.Tracer
-	fg, bg     *trace.Buf
+	lane       *trace.Buf
 	idRecord   trace.ID
 	idPack     trace.ID
 	idExchange trace.ID
@@ -315,14 +311,12 @@ type syncState struct {
 	idFrame    trace.ID
 }
 
-// initTrace attaches the tracer's sync lanes. Called once, before the
+// initTrace attaches the tracer's sync lane. Called once, before the
 // first round, and only when tr is enabled.
 func (st *syncState) initTrace(tr *trace.Tracer) {
 	st.tr = tr
-	st.fg = tr.Buf(trace.TIDSync)
-	st.bg = tr.Buf(trace.TIDSyncBG)
-	tr.SetThreadName(trace.TIDSync, "sync record/pack")
-	tr.SetThreadName(trace.TIDSyncBG, "sync exchange/merge")
+	st.lane = tr.Buf(trace.TIDSync)
+	tr.SetThreadName(trace.TIDSync, "sync")
 	st.idRecord = tr.Intern("sync record", "round", "updates")
 	st.idPack = tr.Intern("sync pack", "round", "bytes")
 	st.idExchange = tr.Intern("sync exchange", "round", "peers")
@@ -330,23 +324,21 @@ func (st *syncState) initTrace(tr *trace.Tracer) {
 	st.idFrame = tr.Intern("sync frame")
 }
 
-// inflightSync is one round in flight: the allgather plus the
-// background decode+merge. done closes when the merge has finished (or
-// failed); round and err must only be read after done.
-type inflightSync struct {
-	round RoundStats
-	err   error
-	done  chan struct{}
-}
-
-// start drains the pending lists, packs them, and launches the
-// exchange+merge for one round. The previous round must have been
-// joined (wait) first. Runs on the node's main build goroutine.
+// run performs one sync round on the build goroutine, between segments:
+// it drains the pending lists, packs them, allgathers the frames,
+// decodes every peer frame in parallel and merges them with vertex
+// sharding.
+//
+// Each peer's decoded header is verified against the allgather slot it
+// arrived in and the current round — a frame routed to the wrong rank
+// or surviving from a previous round is a transport bug worth failing
+// loudly on — and its flow id pairs this rank's merge with the
+// sender's pack span in merged timelines.
 //
 // Timing: the record span covers drain+sort, the pack span the varint
 // encode; RoundStats.PackTime is their sum, taken from the same
 // time.Time endpoints the spans use, so spans and Stats agree exactly.
-func (st *syncState) start(rs *recordingStore) {
+func (st *syncState) run(rs *recordingStore) (RoundStats, error) {
 	round := st.round
 	st.round++
 	t0 := time.Now()
@@ -354,62 +346,38 @@ func (st *syncState) start(rs *recordingStore) {
 	list := st.take
 	sortUpdates(list)
 	t1 := time.Now()
-	hdr := frameHeader{rank: st.comm.Rank(), round: round, clock: st.tr.Tick()}
-	st.pack = packUpdates(st.pack, list, hdr)
+	rank := st.comm.Rank()
+	st.pack = packUpdates(st.pack, list, frameHeader{rank: rank, round: round, clock: st.tr.Tick()})
 	// The transport owns sent buffers (the channel transport delivers
 	// zero-copy), so the reusable scratch must not escape: hand it an
 	// exact-size copy.
 	frame := make([]byte, len(st.pack))
 	copy(frame, st.pack)
 	t2 := time.Now()
-	if st.fg != nil {
-		st.fg.Span(st.idRecord, st.tr.At(t0), st.tr.At(t1), uint64(round), uint64(len(list)))
-		st.fg.Span(st.idPack, st.tr.At(t1), st.tr.At(t2), uint64(round), uint64(len(frame)))
-		st.fg.FlowStart(st.idFrame, st.tr.At(t2), flowID(hdr.rank, round))
+	if st.lane != nil {
+		st.lane.Span(st.idRecord, st.tr.At(t0), st.tr.At(t1), uint64(round), uint64(len(list)))
+		st.lane.Span(st.idPack, st.tr.At(t1), st.tr.At(t2), uint64(round), uint64(len(frame)))
+		st.lane.FlowStart(st.idFrame, st.tr.At(t2), flowID(rank, round))
+	}
+	out := RoundStats{
+		UpdatesSent:  int64(len(list)),
+		BytesSent:    int64(len(frame)),
+		RawBytesSent: int64(len(list)) * bytesPerUpdate,
+		PackTime:     t2.Sub(t0),
 	}
 
-	fly := &inflightSync{
-		round: RoundStats{
-			UpdatesSent:  int64(len(list)),
-			BytesSent:    int64(len(frame)),
-			RawBytesSent: int64(len(list)) * bytesPerUpdate,
-			PackTime:     t2.Sub(t0),
-		},
-		done: make(chan struct{}),
-	}
-	st.fly = fly
-	req := mpi.IAllgather(st.comm, frame)
-	go st.complete(fly, req, rs.Store, t2, round)
-}
-
-// complete joins the allgather, then decodes every peer frame in
-// parallel and merges them with vertex sharding. Runs on a background
-// goroutine; in overlapped mode the next segment's Pruned Dijkstras
-// execute concurrently, which is safe because label.Store appends are
-// per-vertex-locked and late labels only weaken pruning (Prop. 1).
-//
-// Each peer's decoded header is verified against the allgather slot it
-// arrived in and the current round — a frame routed to the wrong rank
-// or surviving from a previous round is a transport bug worth failing
-// loudly on — and its flow id pairs this rank's merge with the
-// sender's pack span in merged timelines.
-func (st *syncState) complete(fly *inflightSync, req *mpi.Request, store *label.Store, sent time.Time, round int) {
-	defer close(fly.done)
-	parts, err := req.Wait()
+	parts, err := mpi.Allgather(st.comm, frame)
 	tX := time.Now()
-	fly.round.ExchangeTime = tX.Sub(sent)
+	out.ExchangeTime = tX.Sub(t2)
 	if err != nil {
-		fly.err = fmt.Errorf("cluster: sync: %w", err)
-		return
+		return out, fmt.Errorf("cluster: sync: %w", err)
 	}
-	if st.bg != nil {
-		st.bg.Span(st.idExchange, st.tr.At(sent), st.tr.At(tX), uint64(round), uint64(len(parts)-1))
+	if st.lane != nil {
+		st.lane.Span(st.idExchange, st.tr.At(t2), st.tr.At(tX), uint64(round), uint64(len(parts)-1))
 	}
-	rank := st.comm.Rank()
 	decoded := make([][]update, len(parts))
 	hdrs := make([]frameHeader, len(parts))
 	errs := make([]error, len(parts))
-	tM0 := time.Now()
 	var wg sync.WaitGroup
 	for r, p := range parts {
 		if r == rank {
@@ -418,67 +386,51 @@ func (st *syncState) complete(fly *inflightSync, req *mpi.Request, store *label.
 		wg.Add(1)
 		go func(r int, p []byte) {
 			defer wg.Done()
-			hdr, upd, err := decodeFrame(p, st.n)
-			if err != nil {
-				errs[r] = fmt.Errorf("cluster: merging from rank %d: %w", r, err)
-				return
+			hdrs[r], decoded[r], errs[r] = decodeFrame(p, st.n)
+			if errs[r] != nil {
+				errs[r] = fmt.Errorf("cluster: merging from rank %d: %w", r, errs[r])
 			}
-			hdrs[r] = hdr
-			decoded[r] = upd
 		}(r, p)
 	}
 	wg.Wait()
 	lists := make([][]update, 0, len(parts)-1)
 	for r := range decoded {
 		if errs[r] != nil {
-			fly.err = errs[r]
-			return
+			return out, errs[r]
 		}
 		if r == rank {
 			continue
 		}
 		if hdrs[r].rank != r {
-			fly.err = fmt.Errorf("cluster: frame in allgather slot %d claims rank %d", r, hdrs[r].rank)
-			return
+			return out, fmt.Errorf("cluster: frame in allgather slot %d claims rank %d", r, hdrs[r].rank)
 		}
 		if hdrs[r].round != round {
-			fly.err = fmt.Errorf("cluster: rank %d sent a frame for round %d during round %d", r, hdrs[r].round, round)
-			return
+			return out, fmt.Errorf("cluster: rank %d sent a frame for round %d during round %d", r, hdrs[r].round, round)
 		}
 		st.tr.Observe(hdrs[r].clock)
-		if st.bg != nil {
-			st.bg.FlowEnd(st.idFrame, st.tr.At(tM0), flowID(r, round))
+		if st.lane != nil {
+			st.lane.FlowEnd(st.idFrame, st.tr.At(tX), flowID(r, round))
 		}
-		fly.round.UpdatesReceived += int64(len(decoded[r]))
-		fly.round.BytesReceived += int64(len(parts[r]))
-		fly.round.RawBytesReceived += int64(len(decoded[r])) * bytesPerUpdate
+		out.UpdatesReceived += int64(len(decoded[r]))
+		out.BytesReceived += int64(len(parts[r]))
+		out.RawBytesReceived += int64(len(decoded[r])) * bytesPerUpdate
 		lists = append(lists, decoded[r])
 	}
-	mergeShards(store, lists, st.shards)
-	tM1 := time.Now()
-	fly.round.MergeTime = tM1.Sub(tM0)
-	if st.bg != nil {
-		st.bg.Span(st.idMerge, st.tr.At(tM0), st.tr.At(tM1), uint64(round), uint64(fly.round.UpdatesReceived))
+	mergeShards(rs.Store, lists, st.shards)
+	tM := time.Now()
+	out.MergeTime = tM.Sub(tX)
+	if st.lane != nil {
+		st.lane.Span(st.idMerge, st.tr.At(tX), st.tr.At(tM), uint64(round), uint64(out.UpdatesReceived))
 	}
+	return out, nil
 }
 
-// wait joins the in-flight round, if any, folding its accounting into
-// stats. Returns the round's error. Runs on the main build goroutine.
-func (st *syncState) wait(stats *Stats) error {
-	fly := st.fly
-	if fly == nil {
-		return nil
-	}
-	st.fly = nil
-	<-fly.done
-	if fly.err != nil {
-		return fly.err
-	}
-	stats.Rounds = append(stats.Rounds, fly.round)
-	stats.Syncs++
-	stats.BytesSent += fly.round.BytesSent
-	stats.BytesReceived += fly.round.BytesReceived
-	stats.RawBytesSent += fly.round.RawBytesSent
-	stats.RawBytesReceived += fly.round.RawBytesReceived
-	return nil
+// addRound folds one finished round into the node's totals.
+func (s *Stats) addRound(r RoundStats) {
+	s.Rounds = append(s.Rounds, r)
+	s.Syncs++
+	s.BytesSent += r.BytesSent
+	s.BytesReceived += r.BytesReceived
+	s.RawBytesSent += r.RawBytesSent
+	s.RawBytesReceived += r.RawBytesReceived
 }

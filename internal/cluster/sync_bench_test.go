@@ -164,7 +164,7 @@ func BenchmarkMergeUpdates(b *testing.B) {
 	}
 }
 
-// --- End-to-end: blocking vs overlapped sync on both transports ---
+// --- End-to-end: the cluster build on both transports ---
 
 // benchGraph is the shared cluster-build workload: a power-law graph
 // big enough that each of the c=4 segments does real Dijkstra work.
@@ -173,62 +173,36 @@ func benchGraph() *graph.Graph {
 }
 
 // BenchmarkClusterSyncChan runs the full cluster build on the
-// in-process channel transport, blocking vs overlapped, at c=4. Wall
-// time is the headline; exposed-comm-ms (the max over nodes of
-// Stats.CommTime — the comm cost overlap failed to hide) and comp-ms
-// show where the time went. Note overlap trades comm hiding for extra
-// redundant labels (stale pruning), so it needs idle cores to win: on
-// a single-core host the extra compute is all cost and no hiding.
+// in-process channel transport at c=4. Wall time is the headline;
+// comm-ms (the max over nodes of Stats.CommTime, the whole sync time)
+// and comp-ms show where the time went.
 func BenchmarkClusterSyncChan(b *testing.B) {
 	g := benchGraph()
-	for _, overlap := range []bool{false, true} {
-		name := "blocking"
-		if overlap {
-			name = "overlapped"
+	var comm, comp float64
+	for i := 0; i < b.N; i++ {
+		_, sts, err := RunLocal(g, 4, Options{Threads: 2, SyncCount: 4})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			var comm, comp float64
-			for i := 0; i < b.N; i++ {
-				_, sts, err := RunLocal(g, 4, Options{
-					Threads: 2, SyncCount: 4, Overlap: overlap,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var iterComm, iterComp float64
-				for _, s := range sts {
-					if c := s.CommTime.Seconds(); c > iterComm {
-						iterComm = c
-					}
-					if c := s.CompTime.Seconds(); c > iterComp {
-						iterComp = c
-					}
-				}
-				comm += iterComm
-				comp += iterComp
-			}
-			b.ReportMetric(comm*1e3/float64(b.N), "exposed-comm-ms")
-			b.ReportMetric(comp*1e3/float64(b.N), "comp-ms")
-		})
+		var iterComm, iterComp float64
+		for _, s := range sts {
+			iterComm = max(iterComm, s.CommTime.Seconds())
+			iterComp = max(iterComp, s.CompTime.Seconds())
+		}
+		comm += iterComm
+		comp += iterComp
 	}
+	b.ReportMetric(comm*1e3/float64(b.N), "comm-ms")
+	b.ReportMetric(comp*1e3/float64(b.N), "comp-ms")
 }
 
-// BenchmarkClusterSyncTCP is the same comparison over real loopback
-// sockets, where the exchange has genuine latency to hide.
+// BenchmarkClusterSyncTCP is the same build over real loopback sockets,
+// where the exchange has genuine latency.
 func BenchmarkClusterSyncTCP(b *testing.B) {
 	g := benchGraph()
-	const nodes = 3
-	for _, overlap := range []bool{false, true} {
-		name := "blocking"
-		if overlap {
-			name = "overlapped"
+	for i := 0; i < b.N; i++ {
+		if _, err := runTCP(b, g, 3, Options{Threads: 2, SyncCount: 4}); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := runTCP(b, g, nodes, Options{Threads: 2, SyncCount: 4, Overlap: overlap}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

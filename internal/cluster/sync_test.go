@@ -234,9 +234,9 @@ func TestMergeShardsMatchesSerial(t *testing.T) {
 }
 
 // TestOverlappedSupersetInvariant is the correctness acceptance test
-// for overlapped synchronization against serial PLL, on seeded random
-// graphs. Proposition 1 says late label visibility only weakens pruning,
-// never correctness; concretely the overlapped build must satisfy:
+// for delayed synchronization against serial PLL, on seeded random
+// graphs. Proposition 1 says labels a node has not seen yet only weaken
+// pruning, never correctness; concretely the cluster build must satisfy:
 //
 //  1. every pair is answered exactly (checkAllPairs vs. Dijkstra);
 //  2. every rank finishes with the identical final index;
@@ -251,55 +251,50 @@ func TestMergeShardsMatchesSerial(t *testing.T) {
 // roots, so the cluster build can legitimately skip pairs serial PLL
 // records — the superset that Proposition 1 guarantees is over
 // *coverage* (checked by 1) and over each node's own contribution
-// (checked by TestOverlapPipelineNoLoss). Runs in short mode so
-// scripts/check.sh exercises it under -race, where the background merge
-// races real worker appends.
+// (checked by TestPipelineNoLoss). Runs in short mode so
+// scripts/check.sh exercises it under -race, where the sharded merge's
+// goroutines append to the store the next segment's workers read.
 func TestOverlappedSupersetInvariant(t *testing.T) {
 	r := rand.New(rand.NewSource(330))
 	for trial := 0; trial < 2; trial++ {
 		g := randomGraph(r, 45, 90)
 		ord := graph.DegreeOrder(g)
 		serial := pll.Build(g, pll.Options{Order: ord})
-		for _, overlap := range []bool{false, true} {
-			idxs, stats, err := RunLocal(g, 4, Options{
-				Threads: 2, SyncCount: 4, Order: ord, Overlap: overlap,
-			})
-			if err != nil {
-				t.Fatalf("trial %d overlap=%v: %v", trial, overlap, err)
+		idxs, stats, err := RunLocal(g, 4, Options{Threads: 2, SyncCount: 4, Order: ord})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		checkAllPairs(t, g, idxs[0])
+		for rk := 1; rk < len(idxs); rk++ {
+			if !reflect.DeepEqual(idxs[0], idxs[rk]) {
+				t.Fatalf("trial %d: rank %d index differs", trial, rk)
 			}
-			checkAllPairs(t, g, idxs[0])
-			for rk := 1; rk < len(idxs); rk++ {
-				if !reflect.DeepEqual(idxs[0], idxs[rk]) {
-					t.Fatalf("trial %d overlap=%v: rank %d index differs", trial, overlap, rk)
+		}
+		for v := 0; v < idxs[0].NumVertices(); v++ {
+			hubs, dists := idxs[0].Label(graph.Vertex(v), nil, nil)
+			for i, h := range hubs {
+				if truth := serial.Query(h, graph.Vertex(v)); dists[i] < truth {
+					t.Fatalf("trial %d: label (%d,%d)=%d underestimates true distance %d",
+						trial, v, h, dists[i], truth)
 				}
 			}
-			for v := 0; v < idxs[0].NumVertices(); v++ {
-				hubs, dists := idxs[0].Label(graph.Vertex(v), nil, nil)
-				for i, h := range hubs {
-					if truth := serial.Query(h, graph.Vertex(v)); dists[i] < truth {
-						t.Fatalf("trial %d overlap=%v: label (%d,%d)=%d underestimates true distance %d",
-							trial, overlap, v, h, dists[i], truth)
-					}
-				}
-			}
-			for node, s := range stats {
-				if s.Syncs != 4 || len(s.Rounds) != 4 {
-					t.Fatalf("trial %d overlap=%v node %d: %d syncs / %d rounds, want 4",
-						trial, overlap, node, s.Syncs, len(s.Rounds))
-				}
+		}
+		for node, s := range stats {
+			if s.Syncs != 4 || len(s.Rounds) != 4 {
+				t.Fatalf("trial %d node %d: %d syncs / %d rounds, want 4",
+					trial, node, s.Syncs, len(s.Rounds))
 			}
 		}
 	}
 }
 
-// TestOverlapPipelineNoLoss drives the overlapped sync pipeline
-// (record → pack → exchange → merge) directly with known label sets and
-// proves the literal superset invariant: every update any node records
-// ends up in EVERY node's store, even with rounds in flight while later
-// rounds are being recorded. A dropped or misrouted in-flight label
-// would break the "all ranks converge to the union" property Build
-// relies on.
-func TestOverlapPipelineNoLoss(t *testing.T) {
+// TestPipelineNoLoss drives the sync pipeline (record → pack → exchange
+// → merge) directly with known label sets and proves the literal
+// superset invariant: every update any node records ends up in EVERY
+// node's store, round after round. A dropped or misrouted label would
+// break the "all ranks converge to the union" property Build relies on.
+// The per-round accounting must add up to what was recorded.
+func TestPipelineNoLoss(t *testing.T) {
 	const nodes, n, rounds, perRound = 3, 64, 3, 21
 	comms := mpi.World(nodes)
 	stores := make([]*label.Store, nodes)
@@ -327,19 +322,34 @@ func TestOverlapPipelineNoLoss(t *testing.T) {
 			st := &syncState{comm: comms[rank], n: n, shards: 2}
 			stats := &Stats{}
 			for rd := 0; rd < rounds; rd++ {
-				view := rs.WorkerView(0, 1)
-				for _, u := range recorded[rank][rd*perRound : (rd+1)*perRound] {
-					view.Append(u.v, u.hub, u.d)
+				// Two workers record the round's labels side by side,
+				// as a segment's workers do.
+				var workers sync.WaitGroup
+				for w := 0; w < 2; w++ {
+					workers.Add(1)
+					go func(w int) {
+						defer workers.Done()
+						view := rs.WorkerView(w, 2)
+						for i := rd*perRound + w; i < (rd+1)*perRound; i += 2 {
+							u := recorded[rank][i]
+							view.Append(u.v, u.hub, u.d)
+						}
+					}(w)
 				}
-				// Overlapped pattern: join round rd-1, launch rd, keep going.
-				if err := st.wait(stats); err != nil {
+				workers.Wait()
+				round, err := st.run(rs)
+				if err != nil {
 					errs[rank] = err
 					return
 				}
-				st.start(rs)
+				if round.UpdatesSent != perRound || round.UpdatesReceived != (nodes-1)*perRound {
+					errs[rank] = fmt.Errorf("round %d sent %d / merged %d updates, want %d / %d",
+						rd, round.UpdatesSent, round.UpdatesReceived, perRound, (nodes-1)*perRound)
+					return
+				}
+				stats.addRound(round)
 			}
-			errs[rank] = st.wait(stats)
-			if errs[rank] == nil && stats.Syncs != rounds {
+			if stats.Syncs != rounds {
 				errs[rank] = fmt.Errorf("synced %d rounds, want %d", stats.Syncs, rounds)
 			}
 		}(rank)
@@ -364,22 +374,6 @@ func TestOverlapPipelineNoLoss(t *testing.T) {
 					t.Fatalf("update %+v recorded by node %d missing from node %d's store", u, owner, rank)
 				}
 			}
-		}
-	}
-}
-
-// TestOverlappedClusterOverTCP runs overlapped sync over real sockets:
-// the pipeline must behave identically on the TCP transport.
-func TestOverlappedClusterOverTCP(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(331)), 40, 80)
-	idxs, err := runTCP(t, g, 3, Options{Threads: 2, SyncCount: 4, Overlap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAllPairs(t, g, idxs[0])
-	for r := 1; r < len(idxs); r++ {
-		if !reflect.DeepEqual(idxs[0], idxs[r]) {
-			t.Fatalf("rank %d TCP overlapped index differs", r)
 		}
 	}
 }

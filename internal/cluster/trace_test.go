@@ -153,7 +153,7 @@ func TestTwoRankMergedTimeline(t *testing.T) {
 func TestThreeRankMergedTimeline(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(612)), 60, 150)
 	const nodes, syncs = 3, 2
-	tracers, stats := tracedRunLocal(t, g, nodes, Options{Threads: 2, SyncCount: syncs, Overlap: true})
+	tracers, stats := tracedRunLocal(t, g, nodes, Options{Threads: 2, SyncCount: syncs})
 
 	captures := make([][]byte, nodes)
 	for r, tr := range tracers {

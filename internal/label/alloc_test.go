@@ -67,13 +67,16 @@ func filled(k int) int { return 4 * (1<<k - 1) }
 // segment boundary.
 func TestStoreAppendZeroAllocs(t *testing.T) {
 	const runs, k = 500, 7
-	s := NewStore(1)
+	s := NewStore(2)
 	s.BulkAppend(0, make([]Entry, filled(k)+1))
 	if allocs := testing.AllocsPerRun(runs, func() { s.Append(0, 1, 1) }); allocs != 0 {
 		t.Fatalf("non-growing Append allocates %.2f times", allocs)
 	}
 	if want := filled(k) + 1 + runs + 1; s.Len(0) != want || want > filled(k+1) {
 		t.Fatalf("Len = %d after %d appends, want %d within segment %d", s.Len(0), runs+1, want, k)
+	}
+	if s.Wide() != 0 {
+		t.Fatalf("Wide = %d: the appends left the word path", s.Wide())
 	}
 }
 
@@ -88,13 +91,16 @@ func TestStoreAppendAtABoundary(t *testing.T) {
 		k    int
 		want float64
 	}{{6, 1}, {7, 2}} {
-		s := NewStore(1)
+		s := NewStore(2)
 		s.BulkAppend(0, make([]Entry, filled(c.k)-1))
 		if allocs := testing.AllocsPerRun(1, func() { s.Append(0, 1, 1) }); allocs != c.want {
 			t.Errorf("the append linking segment %d allocates %.0f times, want %.0f", c.k, allocs, c.want)
 		}
 		if s.Len(0) != filled(c.k)+1 {
 			t.Errorf("Len = %d, want %d", s.Len(0), filled(c.k)+1)
+		}
+		if s.Wide() != 0 {
+			t.Errorf("segment %d: Wide = %d: the appends left the word path", c.k, s.Wide())
 		}
 	}
 }
@@ -104,10 +110,9 @@ func TestStoreAppendAtABoundary(t *testing.T) {
 // tables: the store's first wide entry allocates the table pointers and
 // its vertex's table, which holds the table's first segment; a later
 // vertex's first one its table; and one past a full segment the next, a
-// link and an array. (TestStoreAppendZeroAllocs
-// appends hub 1 into NewStore(1), a wide entry each time; the narrow row
-// here is the word path.) The list has free slots throughout, so only
-// the wide table can grow.
+// link and an array. (TestStoreAppendZeroAllocs holds the word path
+// over 500 appends, with Wide at 0; the narrow row here is one of them.)
+// The list has free slots throughout, so only the wide table can grow.
 func TestStoreWideAppendAllocs(t *testing.T) {
 	const wide = graph.Dist(1)<<31 - 1 // the first distance a word of NewStore(2) cannot hold
 	for _, c := range []struct {

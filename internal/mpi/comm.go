@@ -1,7 +1,7 @@
 // Package mpi is a from-scratch, MPI-flavored message-passing substrate —
 // the layer the paper gets from OpenMPI. ParaPLL's cluster algorithm only
-// needs rank/size, tagged point-to-point send/receive, and a few
-// collectives (barrier, broadcast, gather, allgather); this package
+// needs rank/size, tagged point-to-point send/receive, and one
+// collective, the allgather each label synchronization is; this package
 // provides them over two interchangeable transports:
 //
 //   - a channel transport (World) wiring q in-process ranks together,
@@ -11,14 +11,12 @@
 //     in a full mesh, used by cmd/parapll-node for a real multi-process
 //     cluster. It opens no socket itself (Network, in tcp.go).
 //
-// Collectives are implemented once, on top of the Comm interface, with
-// the textbook algorithms whose costs the paper's analysis assumes: a
-// binomial-tree broadcast and a dissemination barrier (⌈log₂ q⌉ rounds),
-// and a ring allgather (q−1 rounds).
+// Allgather is implemented once, on top of the Comm interface, as the
+// textbook ring (q−1 rounds, each passing one block to the right
+// neighbor).
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 )
@@ -28,12 +26,9 @@ import (
 // collectives.
 type Tag uint32
 
-// Reserved collective tags.
 const (
-	tagBarrier Tag = iota
-	tagBcast
-	tagGather
-	tagAllgather
+	// tagAllgather carries Allgather's ring messages.
+	tagAllgather Tag = 0
 	// TagUser is the first tag available to applications.
 	TagUser Tag = 16
 )
@@ -103,99 +98,12 @@ func (c *commCounters) Stats() CommStats {
 }
 
 // sendAsync fires a Send on its own goroutine and returns a channel with
-// the result, letting collectives post a send and a receive concurrently
+// the result, letting Allgather post a send and a receive concurrently
 // (required to avoid deadlock on rendezvous-style transports).
 func sendAsync(c Comm, to int, tag Tag, data []byte) <-chan error {
 	errc := make(chan error, 1)
 	go func() { errc <- c.Send(to, tag, data) }()
 	return errc
-}
-
-// Barrier blocks until every rank has entered it, using the dissemination
-// algorithm: ⌈log₂ size⌉ rounds of pairwise signals.
-func Barrier(c Comm) error {
-	size := c.Size()
-	if size == 1 {
-		return nil
-	}
-	rank := c.Rank()
-	for k := 1; k < size; k <<= 1 {
-		to := (rank + k) % size
-		from := (rank - k + size) % size
-		errc := sendAsync(c, to, tagBarrier, nil)
-		if _, err := c.Recv(from, tagBarrier); err != nil {
-			return fmt.Errorf("mpi: barrier recv: %w", err)
-		}
-		if err := <-errc; err != nil {
-			return fmt.Errorf("mpi: barrier send: %w", err)
-		}
-	}
-	return nil
-}
-
-// Bcast distributes root's data to every rank along a binomial tree
-// (⌈log₂ size⌉ rounds — the log q factor in the paper's communication
-// cost model). Non-root callers pass nil and receive the payload; the
-// root's own buffer is returned as-is.
-func Bcast(c Comm, root int, data []byte) ([]byte, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: bcast root %d out of range", root)
-	}
-	if size == 1 {
-		return data, nil
-	}
-	rank := c.Rank()
-	rel := (rank - root + size) % size
-	mask := 1
-	for mask < size {
-		if rel&mask != 0 {
-			src := (rel - mask + root) % size
-			var err error
-			data, err = c.Recv(src, tagBcast)
-			if err != nil {
-				return nil, fmt.Errorf("mpi: bcast recv: %w", err)
-			}
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if rel+mask < size {
-			dst := (rel + mask + root) % size
-			if err := c.Send(dst, tagBcast, data); err != nil {
-				return nil, fmt.Errorf("mpi: bcast send: %w", err)
-			}
-		}
-		mask >>= 1
-	}
-	return data, nil
-}
-
-// Gather collects each rank's payload at root. At root the result has one
-// entry per rank (root's own at index Rank()); other ranks get nil.
-func Gather(c Comm, root int, mine []byte) ([][]byte, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: gather root %d out of range", root)
-	}
-	if c.Rank() != root {
-		return nil, c.Send(root, tagGather, mine)
-	}
-	parts := make([][]byte, size)
-	parts[root] = mine
-	for r := 0; r < size; r++ {
-		if r == root {
-			continue
-		}
-		data, err := c.Recv(r, tagGather)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: gather recv from %d: %w", r, err)
-		}
-		parts[r] = data
-	}
-	return parts, nil
 }
 
 // Allgather gives every rank every rank's payload, using the ring
@@ -225,63 +133,4 @@ func Allgather(c Comm, mine []byte) ([][]byte, error) {
 		cur = prev
 	}
 	return parts, nil
-}
-
-// Request is an in-flight asynchronous collective started by IAllgather.
-// Exactly one goroutine drives the collective; Wait (or Done + Result)
-// joins it. A Request must be waited on before the communicator starts
-// any other collective — the reserved collective tags carry no round
-// ids, so two interleaved collectives on one Comm would mix frames.
-type Request struct {
-	done  chan struct{}
-	parts [][]byte
-	err   error
-}
-
-// Wait blocks until the collective completes and returns its result.
-// Safe to call from a different goroutine than the one that started the
-// request, and safe to call more than once.
-func (r *Request) Wait() ([][]byte, error) {
-	<-r.done
-	return r.parts, r.err
-}
-
-// Done returns a channel closed when the collective has completed, for
-// select-based overlap. After Done is closed, Wait returns immediately.
-func (r *Request) Done() <-chan struct{} { return r.done }
-
-// IAllgather starts an allgather on a background goroutine and returns
-// immediately, letting the caller overlap computation with the
-// collective (the cluster package's overlapped label synchronization).
-// The caller must not start another collective on c, nor reuse `mine`,
-// until the request completes.
-func IAllgather(c Comm, mine []byte) *Request {
-	r := &Request{done: make(chan struct{})}
-	go func() {
-		defer close(r.done)
-		r.parts, r.err = Allgather(c, mine)
-	}()
-	return r
-}
-
-// AllreduceInt64 computes op over one int64 per rank and returns the
-// result on every rank. op must be associative and commutative.
-func AllreduceInt64(c Comm, mine int64, op func(a, b int64) int64) (int64, error) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(mine))
-	parts, err := Allgather(c, buf[:])
-	if err != nil {
-		return 0, err
-	}
-	acc := mine
-	for r, p := range parts {
-		if r == c.Rank() {
-			continue
-		}
-		if len(p) != 8 {
-			return 0, fmt.Errorf("mpi: allreduce: bad payload from rank %d", r)
-		}
-		acc = op(acc, int64(binary.LittleEndian.Uint64(p)))
-	}
-	return acc, nil
 }

@@ -8,7 +8,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -141,87 +140,6 @@ func TestSelfSend(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	for name, comms := range transports(t, 5) {
-		t.Run(name, func(t *testing.T) {
-			var entered atomic.Int32
-			runWorld(t, comms, func(c Comm) error {
-				if c.Rank() == 3 {
-					time.Sleep(30 * time.Millisecond) // straggler
-				}
-				entered.Add(1)
-				if err := Barrier(c); err != nil {
-					return err
-				}
-				if got := entered.Load(); got != int32(c.Size()) {
-					return fmt.Errorf("rank %d exited barrier with only %d/%d ranks entered",
-						c.Rank(), got, c.Size())
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestBcastAllSizesAndRoots(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 4, 6, 8} {
-		comms := World(size)
-		for root := 0; root < size; root++ {
-			payload := []byte(fmt.Sprintf("payload-from-%d", root))
-			runWorld(t, comms, func(c Comm) error {
-				var in []byte
-				if c.Rank() == root {
-					in = payload
-				}
-				out, err := Bcast(c, root, in)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(out, payload) {
-					return fmt.Errorf("rank %d got %q", c.Rank(), out)
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestBcastBadRoot(t *testing.T) {
-	comms := World(2)
-	runWorld(t, comms, func(c Comm) error {
-		if _, err := Bcast(c, 7, nil); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		return nil
-	})
-}
-
-func TestGather(t *testing.T) {
-	for name, comms := range transports(t, 4) {
-		t.Run(name, func(t *testing.T) {
-			runWorld(t, comms, func(c Comm) error {
-				mine := []byte{byte(c.Rank() * 10)}
-				parts, err := Gather(c, 2, mine)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != 2 {
-					if parts != nil {
-						return fmt.Errorf("non-root got parts")
-					}
-					return nil
-				}
-				for r, p := range parts {
-					if len(p) != 1 || p[0] != byte(r*10) {
-						return fmt.Errorf("part %d = %v", r, p)
-					}
-				}
-				return nil
-			})
-		})
-	}
-}
-
 func TestAllgather(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 5, 8} {
 		comms := World(size)
@@ -260,101 +178,20 @@ func TestAllgatherTCP(t *testing.T) {
 	})
 }
 
-// TestIAllgather checks the asynchronous allgather: ranks start the
-// collective, do local work while it is in flight, and join via Wait.
-// Back-to-back rounds verify that waiting fully drains the collective
-// tags, so sequential requests never mix frames.
-func TestIAllgather(t *testing.T) {
-	for _, size := range []int{1, 2, 4} {
-		comms := World(size)
-		runWorld(t, comms, func(c Comm) error {
-			for round := 0; round < 3; round++ {
-				mine := []byte(fmt.Sprintf("r%d-round%d", c.Rank(), round))
-				req := IAllgather(c, mine)
-				// Overlapped "computation": a local spin the collective
-				// must not disturb.
-				acc := 0
-				for i := 0; i < 1000; i++ {
-					acc += i
-				}
-				_ = acc
-				parts, err := req.Wait()
-				if err != nil {
-					return err
-				}
-				// Wait is idempotent.
-				if again, err2 := req.Wait(); err2 != nil || len(again) != len(parts) {
-					return fmt.Errorf("second Wait diverged: %v", err2)
-				}
-				select {
-				case <-req.Done():
-				default:
-					return fmt.Errorf("Done not closed after Wait")
-				}
-				for r, p := range parts {
-					if want := fmt.Sprintf("r%d-round%d", r, round); string(p) != want {
-						return fmt.Errorf("round %d part %d = %q, want %q", round, r, p, want)
-					}
-				}
-			}
-			return nil
-		})
-	}
-}
-
-func TestIAllgatherTCP(t *testing.T) {
-	comms := tcpWorld(t, 3)
-	runWorld(t, comms, func(c Comm) error {
-		req := IAllgather(c, []byte{byte(c.Rank() + 1)})
-		parts, err := req.Wait()
-		if err != nil {
-			return err
-		}
-		for r, p := range parts {
-			if len(p) != 1 || p[0] != byte(r+1) {
-				return fmt.Errorf("part %d = %v", r, p)
-			}
-		}
-		return nil
-	})
-}
-
-// TestIAllgatherErrorPropagates: closing the world mid-collective must
-// surface an error through Wait, not hang.
-func TestIAllgatherErrorPropagates(t *testing.T) {
+// TestAllgatherErrorPropagates: closing the world mid-collective must
+// surface an error from Allgather, not hang.
+func TestAllgatherErrorPropagates(t *testing.T) {
 	comms := World(3)
 	// Only rank 0 participates; the world closes underneath it.
-	req := IAllgather(comms[0], []byte("x"))
+	errc := make(chan error, 1)
+	go func() {
+		_, err := Allgather(comms[0], []byte("x"))
+		errc <- err
+	}()
 	comms[1].Close()
-	if _, err := req.Wait(); err == nil {
+	if err := <-errc; err == nil {
 		t.Fatal("no error from allgather on closed world")
 	}
-}
-
-func TestAllreduceInt64(t *testing.T) {
-	comms := World(6)
-	runWorld(t, comms, func(c Comm) error {
-		sum, err := AllreduceInt64(c, int64(c.Rank()+1), func(a, b int64) int64 { return a + b })
-		if err != nil {
-			return err
-		}
-		if sum != 21 { // 1+2+...+6
-			return fmt.Errorf("sum = %d, want 21", sum)
-		}
-		max, err := AllreduceInt64(c, int64(c.Rank()), func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		})
-		if err != nil {
-			return err
-		}
-		if max != 5 {
-			return fmt.Errorf("max = %d, want 5", max)
-		}
-		return nil
-	})
 }
 
 func TestTagMismatchFailsLoudly(t *testing.T) {
@@ -401,8 +238,15 @@ func TestConnectTCPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Barrier(c); err != nil {
+	parts, err := Allgather(c, []byte("solo"))
+	if err != nil || len(parts) != 1 || string(parts[0]) != "solo" {
+		t.Fatalf("size-1 allgather = %q, %v", parts, err)
+	}
+	if err := c.Send(0, TagUser, []byte("self")); err != nil {
 		t.Fatal(err)
+	}
+	if data, err := c.Recv(0, TagUser); err != nil || string(data) != "self" {
+		t.Fatalf("size-1 self-send = %q, %v", data, err)
 	}
 	c.Close()
 }
@@ -489,13 +333,16 @@ func TestSendRankRange(t *testing.T) {
 	}
 }
 
-// TestCollectiveComposition chains many rounds of mixed collectives on
-// both transports — the usage pattern the cluster sync loop produces.
-// Run with -race this stresses ordering and reuse of the tag streams.
+// TestCollectiveComposition chains many rounds of allgathers and
+// point-to-point ring passes on both transports — the usage pattern the
+// cluster sync loop produces, with user messages interleaved. Run with
+// -race this stresses ordering and reuse of the tag streams.
 func TestCollectiveComposition(t *testing.T) {
 	for name, comms := range transports(t, 4) {
 		t.Run(name, func(t *testing.T) {
 			runWorld(t, comms, func(c Comm) error {
+				size := c.Size()
+				right, left := (c.Rank()+1)%size, (c.Rank()+size-1)%size
 				for round := 0; round < 25; round++ {
 					payload := []byte{byte(c.Rank()), byte(round)}
 					parts, err := Allgather(c, payload)
@@ -507,27 +354,16 @@ func TestCollectiveComposition(t *testing.T) {
 							return fmt.Errorf("round %d: part %d = %v", round, r, p)
 						}
 					}
-					root := round % c.Size()
-					var in []byte
-					if c.Rank() == root {
-						in = []byte{byte(round * 3)}
-					}
-					out, err := Bcast(c, root, in)
+					errc := SendAsync(c, right, TagUser, []byte{byte(c.Rank()), byte(round * 3)})
+					data, err := c.Recv(left, TagUser)
 					if err != nil {
 						return err
 					}
-					if len(out) != 1 || out[0] != byte(round*3) {
-						return fmt.Errorf("round %d: bcast got %v", round, out)
-					}
-					if err := Barrier(c); err != nil {
+					if err := <-errc; err != nil {
 						return err
 					}
-					sum, err := AllreduceInt64(c, int64(c.Rank()), func(a, b int64) int64 { return a + b })
-					if err != nil {
-						return err
-					}
-					if sum != 6 { // 0+1+2+3
-						return fmt.Errorf("round %d: sum %d", round, sum)
+					if len(data) != 2 || data[0] != byte(left) || data[1] != byte(round*3) {
+						return fmt.Errorf("round %d: ring pass got %v", round, data)
 					}
 				}
 				return nil
@@ -583,18 +419,19 @@ func TestCommStats(t *testing.T) {
 }
 
 // TestCommStatsCollectives sanity-checks that collective traffic is
-// visible too and symmetric across a ring allgather.
+// visible too and symmetric across a ring allgather, on both transports.
 func TestCommStatsCollectives(t *testing.T) {
-	comms := World(4)
-	runWorld(t, comms, func(c Comm) error {
-		_, err := Allgather(c, bytes.Repeat([]byte{byte(c.Rank())}, 10))
-		return err
-	})
-	for r, c := range comms {
-		cs := c.(Instrumented).Stats()
-		// Ring allgather: size-1 sends and receives of 10-byte blocks.
-		if cs.MsgsSent != 3 || cs.BytesSent != 30 || cs.MsgsRecv != 3 || cs.BytesRecv != 30 {
-			t.Errorf("rank %d: stats = %+v", r, cs)
+	for name, comms := range transports(t, 4) {
+		runWorld(t, comms, func(c Comm) error {
+			_, err := Allgather(c, bytes.Repeat([]byte{byte(c.Rank())}, 10))
+			return err
+		})
+		for r, c := range comms {
+			cs := c.(Instrumented).Stats()
+			// Ring allgather: size-1 sends and receives of 10-byte blocks.
+			if cs.MsgsSent != 3 || cs.BytesSent != 30 || cs.MsgsRecv != 3 || cs.BytesRecv != 30 {
+				t.Errorf("%s rank %d: stats = %+v", name, r, cs)
+			}
 		}
 	}
 }

@@ -5,8 +5,8 @@
 // The aggregate metrics layer (internal/metrics) answers "how much";
 // this package answers "when, on which worker, overlapping what" — the
 // paper's Figure 7 computation/communication breakdown needs timelines,
-// not totals, and so does diagnosing a stalled overlapped sync round or
-// a slow query.
+// not totals, and so does diagnosing a stalled sync round or a slow
+// query.
 //
 // # Memory model
 //
@@ -77,10 +77,9 @@ const (
 	// TIDCompact is the background compactor's lane: one compact.run
 	// span per compaction (args folded, tail, mode 0=fold/1=rebuild).
 	TIDCompact = 981
-	// TIDSync is the cluster build's foreground sync lane (record+pack).
+	// TIDSync is the cluster build's sync lane: each round's record,
+	// pack, exchange and merge spans.
 	TIDSync = 900
-	// TIDSyncBG is the cluster build's background lane (exchange+merge).
-	TIDSyncBG = 901
 	// TIDRequestBase is the first of the server's request lanes.
 	TIDRequestBase = 1000
 )

@@ -283,11 +283,6 @@ type ClusterOptions struct {
 	// SyncCount is how many label synchronizations happen across the run
 	// (the paper's c; 1 — sync once at the end — is fastest).
 	SyncCount int
-	// Overlap overlaps each synchronization's exchange and merge with
-	// the next segment's computation. Queries stay exact (late labels
-	// only weaken pruning), at the cost of somewhat more redundant
-	// labels. Every rank must pass the same value.
-	Overlap bool
 }
 
 // BuildCluster runs this process's share of a distributed indexing job.
@@ -300,7 +295,6 @@ func BuildCluster(g *Graph, comm Comm, opt ClusterOptions) (*Index, error) {
 		Policy:    opt.Policy,
 		Order:     computeOrder(g, opt.Order, opt.Seed),
 		SyncCount: opt.SyncCount,
-		Overlap:   opt.Overlap,
 		Tracer:    opt.Tracer,
 	})
 	return idx, err
@@ -319,7 +313,6 @@ func RunLocalCluster(g *Graph, nodes int, opt ClusterOptions) (*Index, error) {
 		Policy:    opt.Policy,
 		Order:     computeOrder(g, opt.Order, opt.Seed),
 		SyncCount: opt.SyncCount,
-		Overlap:   opt.Overlap,
 	})
 	if err != nil {
 		return nil, err

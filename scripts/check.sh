@@ -14,7 +14,7 @@
 # TestCompactOnFailedLog, and the apply fault,
 # TestTruncatedLiveIndexUpdateAnswers500 and
 # TestCompactWaitingOnAFailedApply), a
-# -count=20 plain pass over the two lock-order tests, the
+# -count=20 plain pass over the pipeline's lock-order test, the
 # tier-1 command (go test ./...; among what it gates,
 # TestOfflineToolsLinkNoNetwork fails if any command but parapll-server
 # and parapll-node depends on net or runtime/cgo), every in-package benchmark under
@@ -97,9 +97,9 @@ go test -race -short ./...
 # So do the lock order and the goroutine lifetimes: TestPipelineHammer
 # runs every pipeline entry point at once under a deadline (a lock-order
 # cycle, even one through a callback, deadlocks it),
-# TestHeldAllgatherKeepsWorkersRunning holds one rank's sync round and
-# wants every rank's workers to go on (a lock held across the wait, or
-# handed to the round's goroutine, stalls them), and
+# TestPipelineNoLoss runs three ranks' sync rounds, whose per-peer
+# decode goroutines and sharded merge append to the store beside each
+# other, and wants every recorded label in every rank's store, and
 # TestCloseLeavesNoGoroutine (compact, mpi) plus the failure paths
 # TestRootFailureReleasesPeers (mpi), TestNodeDeathFailsFast and
 # TestTCPNodeDeathFailsFast (cluster) fail on any goroutine of the module
@@ -120,18 +120,15 @@ go test -race -short ./...
 # reopen; TestCompactWaitingOnAFailedApply wants a Compact that waited on
 # that mutex to fold nothing over the half-applied insert (DESIGN.md "The
 # durability contract is held by fault tests").
-echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, goroutine lifetimes, durability faults)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
+echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
     ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
-# The two lock-order tests again without the race detector: a seeded
-# lock held across a sync round's wait, or a lock-order cycle in the
-# pipeline, must turn them red in plain runs too, where goroutines are
-# scheduled as in production. The cluster test holds the build
-# goroutine until the round's goroutine has parked, so the catch does
-# not rest on the race detector's timing.
+# The pipeline's lock-order test again without the race detector: a
+# lock-order cycle in the pipeline must turn it red in plain runs too,
+# where goroutines are scheduled as in production.
 echo "== go test -count=20 (lock order, plain)"
-go test -count=20 -run 'TestPipelineHammer|TestHeldAllgatherKeepsWorkersRunning' ./internal/compact ./internal/cluster
+go test -count=20 -run 'TestPipelineHammer' ./internal/compact
 
 echo "== go test ./... (tier-1)"
 go test ./...

@@ -40,8 +40,4 @@ echo "Figure 7 (sync-frequency sweep) at scale $CSCALE..."
 "$B" -exp fig7 -scale "$CSCALE" -datasets Wiki-Vote,Gnutella,CondMat,DE-USA,Epinions \
     -csv "$OUT/fig7.csv" > "$OUT/fig7.txt"
 
-echo "sync pipeline (blocking vs overlapped, companion to Figure 7 / Table 5) at scale $CSCALE..."
-"$B" -exp sync -scale "$CSCALE" -datasets Wiki-Vote,Gnutella,Epinions -syncs 1,4,16 \
-    -fig7nodes 3 > "$OUT/sync.txt"
-
 echo "done; see $OUT/"
