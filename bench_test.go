@@ -13,7 +13,6 @@ import (
 
 	"parapll"
 	"parapll/internal/bench"
-	"parapll/internal/cluster"
 	"parapll/internal/core"
 	"parapll/internal/gen"
 	"parapll/internal/graph"
@@ -331,26 +330,6 @@ var kernelSink graph.Dist
 
 // --- Ablation benchmarks (design choices called out in DESIGN.md) ---
 
-// BenchmarkAblationStore compares the label store — lock-free lists with
-// a published length, and the build-time head — against the
-// global-RWMutex store of plain lists under parallel indexing.
-func BenchmarkAblationStore(b *testing.B) {
-	g := gen.ChungLu(2000, 8000, 2.2, 17)
-	opt := core.Options{Threads: 4, Policy: core.Dynamic}
-	b.Run("lockfree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.Build(g, opt)
-		}
-	})
-	b.Run("rwmutex", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store := core.NewRWLockedStore(g.NumVertices())
-			core.BuildInto(g, store, opt)
-			store.Finalize()
-		}
-	})
-}
-
 // BenchmarkAblationOrder compares computing-sequence policies by the
 // index size they produce (reported as entries/op) and their build time.
 func BenchmarkAblationOrder(b *testing.B) {
@@ -377,49 +356,6 @@ func BenchmarkAblationOrder(b *testing.B) {
 				b.ReportMetric(float64(entries), "entries")
 			})
 		}
-	}
-}
-
-// BenchmarkAblationChunk compares dynamic-policy fetch granularities.
-func BenchmarkAblationChunk(b *testing.B) {
-	g := gen.ChungLu(2000, 8000, 2.2, 20)
-	for _, chunk := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("chunk-%d", chunk), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.Build(g, core.Options{Threads: 4, Policy: core.Dynamic, Chunk: chunk})
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPartition compares inter-node partition strategies by
-// per-node work skew on a simulated 4-node cluster (the paper fixes
-// round-robin; blocks concentrate hub roots on node 0).
-func BenchmarkAblationPartition(b *testing.B) {
-	g := gen.ChungLu(1500, 6000, 2.2, 22)
-	for _, p := range []cluster.Partition{
-		cluster.PartitionRoundRobin, cluster.PartitionBlocks, cluster.PartitionRandom,
-	} {
-		b.Run(p.String(), func(b *testing.B) {
-			var skew float64
-			for i := 0; i < b.N; i++ {
-				_, sts, err := cluster.RunLocal(g, 4, cluster.Options{
-					Threads: 1, SyncCount: 1, Partition: p, Seed: 7,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var max, sum int64
-				for _, s := range sts {
-					sum += s.WorkOps
-					if s.WorkOps > max {
-						max = s.WorkOps
-					}
-				}
-				skew = float64(max) * 4 / float64(sum)
-			}
-			b.ReportMetric(skew, "work-skew") // 1.0 = perfectly balanced
-		})
 	}
 }
 

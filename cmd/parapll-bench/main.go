@@ -62,7 +62,7 @@ func main() {
 		{"fig6", func() (*bench.Table, error) { return bench.RunFig6(cfg, maxOf(cfg.Threads)) }},
 		{"fig7", func() (*bench.Table, error) { return bench.RunFig7(cfg, *fig7n, *perNode) }},
 		{"query", func() (*bench.Table, error) { return bench.RunQueryComparison(cfg, maxOf(cfg.Threads)) }},
-		{"ablations", func() (*bench.Table, error) { return bench.RunAblations(cfg, maxOf(cfg.Threads)) }},
+		{"ablations", func() (*bench.Table, error) { return bench.RunAblations(cfg) }},
 	}
 	var selected []runner
 	if *exp == "all" {

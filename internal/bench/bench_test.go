@@ -229,20 +229,20 @@ func TestSimulateMakespan(t *testing.T) {
 
 func TestRunAblations(t *testing.T) {
 	cfg := smokeConfig()
-	table, err := RunAblations(cfg, 2)
+	table, err := RunAblations(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every ablation family must appear for both graphs.
-	seen := map[string]int{}
-	for _, row := range table.Rows {
-		seen[row[1]]++
-		parseFloatCell(t, table, 0, 3) // seconds parse
+	// The ordering family is the only one: three policies on each graph.
+	if len(table.Rows) != 6 {
+		t.Fatalf("%d rows, want 6", len(table.Rows))
 	}
-	for _, want := range []string{"store", "order", "chunk", "partition"} {
-		if seen[want] < 2 {
-			t.Errorf("ablation %q appears %d times, want >= 2", want, seen[want])
+	for i, row := range table.Rows {
+		if row[1] != "order" {
+			t.Errorf("row %d is ablation %q, want order", i, row[1])
 		}
+		parseFloatCell(t, table, i, 3) // seconds parse
+		parseFloatCell(t, table, i, 5) // entries parse
 	}
 }
 

@@ -17,44 +17,12 @@ import (
 	"time"
 
 	"parapll/internal/core"
-	"parapll/internal/gen"
 	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/mpi"
 	"parapll/internal/task"
 	"parapll/internal/trace"
 )
-
-// Partition selects how the global computing sequence is divided among
-// cluster nodes. The paper fixes round-robin ("the task assignment among
-// different nodes is static", §5.3); the alternatives exist as ablations
-// showing why: with hub-first ordering, contiguous blocks give node 0
-// all the expensive early roots.
-type Partition int
-
-// Inter-node partition strategies.
-const (
-	// PartitionRoundRobin deals ord[i] to node i mod q (the paper's).
-	PartitionRoundRobin Partition = iota
-	// PartitionBlocks gives node i the i-th contiguous slice of the order.
-	PartitionBlocks
-	// PartitionRandom shuffles the order with Seed, then deals blocks.
-	PartitionRandom
-)
-
-// String names the partition strategy.
-func (p Partition) String() string {
-	switch p {
-	case PartitionRoundRobin:
-		return "round-robin"
-	case PartitionBlocks:
-		return "blocks"
-	case PartitionRandom:
-		return "random"
-	default:
-		return "unknown"
-	}
-}
 
 // Options configures a cluster build on one node.
 type Options struct {
@@ -65,8 +33,6 @@ type Options struct {
 	// Policy is the intra-node assignment policy (the inter-node
 	// partition is always static, as in the paper's evaluation).
 	Policy core.Policy
-	// Chunk is the dynamic policy's roots-per-fetch.
-	Chunk int
 	// Order is the global computing sequence; nil means
 	// graph.DegreeOrder. Every node must use the same order.
 	Order []graph.Vertex
@@ -74,11 +40,6 @@ type Options struct {
 	// over the whole run (>= 1). c=1 means a single sync at the end —
 	// the configuration the paper found fastest.
 	SyncCount int
-	// Partition selects the inter-node root split (default round-robin,
-	// the paper's choice).
-	Partition Partition
-	// Seed feeds PartitionRandom. Every node must pass the same seed.
-	Seed uint64
 	// Progress, when non-nil, receives this node's live build counters
 	// (roots done, labels added, work) for concurrent sampling.
 	Progress *core.Progress
@@ -94,31 +55,13 @@ type Options struct {
 	TracerFor func(rank int) *trace.Tracer
 }
 
-// partitionRoots returns the roots owned by `rank` out of `size` nodes
-// under the chosen strategy. Deterministic: every node computes the same
-// global split.
-func partitionRoots(ord []graph.Vertex, rank, size int, p Partition, seed uint64) []graph.Vertex {
+// partitionRoots returns the roots owned by `rank` out of `size` nodes:
+// ord dealt round-robin, ord[i] to node i mod size (the paper's static
+// inter-node split, §5.3). Every node computes the same global split.
+func partitionRoots(ord []graph.Vertex, rank, size int) []graph.Vertex {
 	var local []graph.Vertex
-	switch p {
-	case PartitionBlocks:
-		lo := rank * len(ord) / size
-		hi := (rank + 1) * len(ord) / size
-		local = append(local, ord[lo:hi]...)
-	case PartitionRandom:
-		shuffled := make([]graph.Vertex, len(ord))
-		copy(shuffled, ord)
-		r := gen.NewRNG(seed)
-		for i := len(shuffled) - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		}
-		lo := rank * len(shuffled) / size
-		hi := (rank + 1) * len(shuffled) / size
-		local = append(local, shuffled[lo:hi]...)
-	default: // PartitionRoundRobin
-		for i := rank; i < len(ord); i += size {
-			local = append(local, ord[i])
-		}
+	for i := rank; i < len(ord); i += size {
+		local = append(local, ord[i])
 	}
 	return local
 }
@@ -219,8 +162,8 @@ func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 	}
 
 	rank, size := opt.Comm.Rank(), opt.Comm.Size()
-	// Static inter-node partition (round-robin unless overridden).
-	local := partitionRoots(ord, rank, size, opt.Partition, opt.Seed)
+	// Static inter-node partition, round-robin.
+	local := partitionRoots(ord, rank, size)
 
 	store := &recordingStore{Store: label.NewStore(g.NumVertices())}
 	stats := &Stats{LocalRoots: len(local)}
@@ -284,7 +227,7 @@ func Build(g *graph.Graph, opt Options) (*label.Index, *Stats, error) {
 func newSegmentManager(roots []graph.Vertex, opt *Options) task.Manager {
 	switch opt.Policy {
 	case core.Dynamic:
-		return task.NewDynamic(roots, opt.Threads, opt.Chunk)
+		return task.NewDynamic(roots, opt.Threads)
 	default:
 		return task.NewStatic(roots, opt.Threads)
 	}

@@ -16,7 +16,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,8 +48,8 @@ func (p Policy) String() string {
 }
 
 // LabelStore abstracts the shared label set workers read and write. The
-// default is the lock-free-read label.Store; RWLockedStore exists as an
-// ablation to quantify that design choice.
+// build's own is the lock-free-read label.Store; the cluster's recording
+// store wraps one.
 type LabelStore interface {
 	// Label is L(v) as the hub side of a search reads it.
 	Label(v graph.Vertex) label.Label
@@ -106,8 +105,6 @@ type Options struct {
 	Threads int
 	// Policy is the assignment policy; Static is the zero value.
 	Policy Policy
-	// Chunk is the dynamic policy's roots-per-fetch (<= 1 means 1).
-	Chunk int
 	// Order is the computing sequence; nil means graph.DegreeOrder.
 	Order []graph.Vertex
 	// Trace, when non-nil, receives per-sequence-position label counts
@@ -320,7 +317,7 @@ func newManager(ord []graph.Vertex, opt *Options) task.Manager {
 	opt.Threads = threads
 	switch opt.Policy {
 	case Dynamic:
-		return task.NewDynamic(ord, threads, opt.Chunk)
+		return task.NewDynamic(ord, threads)
 	default:
 		return task.NewStatic(ord, threads)
 	}
@@ -345,49 +342,3 @@ type RunConfig struct {
 	// phases) so CPU profiles segment by build phase.
 	Phase string
 }
-
-// RWLockedStore is the ablation store: one global RWMutex, snapshot
-// copies under read lock. It answers "was the published-length lock-free
-// store worth the complexity?" in the ablation benches.
-type RWLockedStore struct {
-	mu    sync.RWMutex
-	lists [][]label.Entry
-	total atomic.Int64
-}
-
-// NewRWLockedStore returns an empty RW-locked store for n vertices.
-func NewRWLockedStore(n int) *RWLockedStore {
-	return &RWLockedStore{lists: make([][]label.Entry, n)}
-}
-
-// Snapshot implements LabelStore by copying under a read lock.
-func (s *RWLockedStore) Snapshot(v graph.Vertex) label.List {
-	s.mu.RLock()
-	out := make([]label.Entry, len(s.lists[v]))
-	copy(out, s.lists[v])
-	s.mu.RUnlock()
-	return label.ListOf(out)
-}
-
-// Label implements LabelStore: a copy of the list, and no head.
-func (s *RWLockedStore) Label(v graph.Vertex) label.Label {
-	return label.Label{Rest: s.Snapshot(v)}
-}
-
-// Append implements LabelStore under the write lock.
-func (s *RWLockedStore) Append(v, hub graph.Vertex, d graph.Dist) {
-	s.mu.Lock()
-	s.lists[v] = append(s.lists[v], label.Entry{Hub: hub, D: d})
-	s.mu.Unlock()
-	s.total.Add(1)
-}
-
-// Finalize converts the store's contents into an Index.
-func (s *RWLockedStore) Finalize() *label.Index {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return label.NewIndexFromLists(s.lists)
-}
-
-// TotalEntries returns the number of appended entries.
-func (s *RWLockedStore) TotalEntries() int64 { return s.total.Load() }

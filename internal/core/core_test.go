@@ -208,29 +208,10 @@ func TestTracePositions(t *testing.T) {
 	}
 }
 
-func TestChunkedDynamic(t *testing.T) {
-	r := rand.New(rand.NewSource(205))
-	g := randomGraph(r, 60, 120)
-	x := Build(g, Options{Threads: 4, Policy: Dynamic, Chunk: 8})
-	checkAllPairs(t, g, x)
-}
-
 func TestDefaultThreads(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(207)), 30, 60)
 	x := Build(g, Options{}) // Threads <= 0: GOMAXPROCS
 	checkAllPairs(t, g, x)
-}
-
-func TestRWLockedStoreAblation(t *testing.T) {
-	r := rand.New(rand.NewSource(208))
-	g := randomGraph(r, 50, 100)
-	store := NewRWLockedStore(g.NumVertices())
-	BuildInto(g, store, Options{Threads: 4, Policy: Dynamic})
-	x := store.Finalize()
-	checkAllPairs(t, g, x)
-	if store.TotalEntries() < x.NumEntries() {
-		t.Fatal("total entries accounting wrong")
-	}
 }
 
 func TestBuildStatsAccounting(t *testing.T) {

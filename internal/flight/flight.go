@@ -76,11 +76,14 @@ type Options struct {
 	// TraceWindow is how far back the embedded trace capture reaches.
 	// Default 30s.
 	TraceWindow time.Duration
-	// MaxErrors caps the recent-error ring. Default 64.
-	MaxErrors int
-	// MaxSamples caps the rolling metric-sample ring. Default 32.
-	MaxSamples int
 }
+
+// maxErrors caps the recent-error ring and maxSamples the rolling
+// metric-sample ring.
+const (
+	maxErrors  = 64
+	maxSamples = 32
+)
 
 func (o *Options) withDefaults() Options {
 	out := *o
@@ -92,12 +95,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.TraceWindow <= 0 {
 		out.TraceWindow = 30 * time.Second
-	}
-	if out.MaxErrors <= 0 {
-		out.MaxErrors = 64
-	}
-	if out.MaxSamples <= 0 {
-		out.MaxSamples = 32
 	}
 	return out
 }
@@ -213,7 +210,7 @@ func (r *Recorder) RecordError(source string, err error) {
 
 func (r *Recorder) recordErrorLocked(source, msg string) {
 	rec := ErrorRecord{UnixNano: time.Now().UnixNano(), Source: source, Error: msg}
-	if len(r.errs) < r.opt.MaxErrors {
+	if len(r.errs) < maxErrors {
 		r.errs = append(r.errs, rec)
 	} else {
 		r.errs[r.errNext] = rec
@@ -247,11 +244,11 @@ func (r *Recorder) SampleMetrics() {
 	s := MetricSample{UnixNano: time.Now().UnixNano(), Counters: snap.Counters, Gauges: snap.Gauges}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.samples) < r.opt.MaxSamples {
+	if len(r.samples) < maxSamples {
 		// Filling: append; once full, sampNext has wrapped to 0 — the
 		// oldest slot — which is exactly where the first overwrite goes.
 		r.samples = append(r.samples, s)
-		r.sampNext = (r.sampNext + 1) % r.opt.MaxSamples
+		r.sampNext = (r.sampNext + 1) % maxSamples
 	} else {
 		r.samples[r.sampNext] = s
 		r.sampNext = (r.sampNext + 1) % len(r.samples)
@@ -259,7 +256,7 @@ func (r *Recorder) SampleMetrics() {
 }
 
 func (r *Recorder) samplesLocked() []MetricSample {
-	if len(r.samples) < r.opt.MaxSamples {
+	if len(r.samples) < maxSamples {
 		return append([]MetricSample(nil), r.samples...)
 	}
 	out := make([]MetricSample, 0, len(r.samples))

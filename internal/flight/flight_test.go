@@ -152,50 +152,52 @@ func TestTriggerAutoRateLimit(t *testing.T) {
 	}
 }
 
-// TestErrorRingBounded: the error ring keeps only the newest MaxErrors
+// TestErrorRingBounded: the error ring keeps only the newest maxErrors
 // records, oldest first.
 func TestErrorRingBounded(t *testing.T) {
-	rec, err := New(Options{Dir: t.TempDir(), MaxErrors: 4}, Sources{})
+	rec, err := New(Options{Dir: t.TempDir()}, Sources{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	for i := 0; i < maxErrors+extra; i++ {
 		rec.RecordError("s", fmt.Errorf("e%d", i))
 	}
 	errs := rec.Errors()
-	if len(errs) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(errs))
+	if len(errs) != maxErrors {
+		t.Fatalf("ring holds %d, want %d", len(errs), maxErrors)
 	}
 	for i, e := range errs {
-		if want := fmt.Sprintf("e%d", 6+i); e.Error != want {
+		if want := fmt.Sprintf("e%d", extra+i); e.Error != want {
 			t.Fatalf("errs[%d] = %q, want %q", i, e.Error, want)
 		}
 	}
 	rec.RecordError("s", nil) // nil errors are ignored
-	if len(rec.Errors()) != 4 {
+	if len(rec.Errors()) != maxErrors {
 		t.Fatal("nil error entered the ring")
 	}
 }
 
 // TestMetricRingBounded: the rolling sample ring stays within
-// MaxSamples, oldest first.
+// maxSamples, oldest first.
 func TestMetricRingBounded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.Counter("x")
-	rec, err := New(Options{Dir: t.TempDir(), MaxSamples: 3}, Sources{Registry: reg})
+	rec, err := New(Options{Dir: t.TempDir()}, Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < 5; i++ {
+	const extra = 2
+	for i := 0; i < maxSamples+extra; i++ {
 		c.Inc()
 		rec.SampleMetrics()
 	}
 	b := rec.Build("probe")
-	if len(b.MetricRing) != 3 {
-		t.Fatalf("ring holds %d, want 3", len(b.MetricRing))
+	if len(b.MetricRing) != maxSamples {
+		t.Fatalf("ring holds %d, want %d", len(b.MetricRing), maxSamples)
 	}
 	for i, s := range b.MetricRing {
-		if want := int64(3 + i); s.Counters["x"] != want {
+		if want := int64(extra + 1 + i); s.Counters["x"] != want {
 			t.Fatalf("ring[%d] x = %d, want %d", i, s.Counters["x"], want)
 		}
 	}

@@ -33,48 +33,6 @@ func ConnectedComponents(g *Graph) (labels []int32, k int) {
 	return labels, k
 }
 
-// LargestComponent extracts the induced subgraph on the largest connected
-// component. It returns the subgraph and origID, mapping each new vertex id
-// to the vertex id it had in g. If g is empty it returns an empty graph.
-func LargestComponent(g *Graph) (sub *Graph, origID []Vertex) {
-	n := g.NumVertices()
-	labels, k := ConnectedComponents(g)
-	if k <= 1 {
-		orig := make([]Vertex, n)
-		for i := range orig {
-			orig[i] = Vertex(i)
-		}
-		return g, orig
-	}
-	sizes := make([]int, k)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := int32(0)
-	for i := 1; i < k; i++ {
-		if sizes[i] > sizes[best] {
-			best = int32(i)
-		}
-	}
-	newID := make([]Vertex, n)
-	origID = make([]Vertex, 0, sizes[best])
-	for v := 0; v < n; v++ {
-		if labels[v] == best {
-			newID[v] = Vertex(len(origID))
-			origID = append(origID, Vertex(v))
-		} else {
-			newID[v] = -1
-		}
-	}
-	var edges []Edge
-	for _, e := range g.Edges() {
-		if labels[e.U] == best && labels[e.V] == best {
-			edges = append(edges, Edge{U: newID[e.U], V: newID[e.V], W: e.W})
-		}
-	}
-	return FromEdges(len(origID), edges), origID
-}
-
 // IsConnected reports whether g has exactly one connected component (an
 // empty graph counts as connected).
 func IsConnected(g *Graph) bool {

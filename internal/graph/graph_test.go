@@ -205,33 +205,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	g := FromEdges(7, []Edge{
-		{0, 1, 2}, {1, 2, 3}, {0, 2, 4}, {2, 6, 9}, // size-4 component
-		{3, 4, 1}, // size-2 component
-	})
-	sub, orig := LargestComponent(g)
-	if sub.NumVertices() != 4 {
-		t.Fatalf("largest component has %d vertices, want 4", sub.NumVertices())
-	}
-	want := []Vertex{0, 1, 2, 6}
-	if !reflect.DeepEqual(orig, want) {
-		t.Fatalf("origID = %v, want %v", orig, want)
-	}
-	if w, ok := sub.HasEdge(2, 3); !ok || w != 9 { // old {2,6,9}
-		t.Errorf("edge {2,6} lost: w=%d ok=%v", w, ok)
-	}
-	// Already-connected graph returns itself.
-	tri := triangle()
-	sub2, orig2 := LargestComponent(tri)
-	if sub2 != tri {
-		t.Error("connected graph should be returned as-is")
-	}
-	if !reflect.DeepEqual(orig2, []Vertex{0, 1, 2}) {
-		t.Errorf("identity origID wrong: %v", orig2)
-	}
-}
-
 func TestEdgeListIO(t *testing.T) {
 	g := triangle()
 	var buf bytes.Buffer
@@ -414,21 +387,6 @@ func TestBinaryChecksumDetectsCorruption(t *testing.T) {
 func TestBinaryBadMagic(t *testing.T) {
 	if _, err := ReadBinary(strings.NewReader("NOPE....")); err == nil {
 		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(4, []Edge{{0, 1, 1}, {0, 2, 1}, {0, 3, 1}}) // star
-	degs, counts := DegreeHistogram(g)
-	if !reflect.DeepEqual(degs, []int{1, 3}) || !reflect.DeepEqual(counts, []int{3, 1}) {
-		t.Fatalf("histogram = %v %v, want [1 3] [3 1]", degs, counts)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != g.NumVertices() {
-		t.Errorf("histogram counts sum to %d, want %d", total, g.NumVertices())
 	}
 }
 

@@ -3,28 +3,7 @@ package graph
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
-
-// DegreeHistogram returns, for each degree value that occurs in g, the
-// number of vertices with that degree, as parallel sorted slices. This is
-// the data behind the paper's Figure 5 (vertex degree distribution).
-func DegreeHistogram(g *Graph) (degrees []int, counts []int) {
-	m := make(map[int]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		m[g.Degree(Vertex(v))]++
-	}
-	degrees = make([]int, 0, len(m))
-	for d := range m {
-		degrees = append(degrees, d)
-	}
-	sort.Ints(degrees)
-	counts = make([]int, len(degrees))
-	for i, d := range degrees {
-		counts[i] = m[d]
-	}
-	return degrees, counts
-}
 
 // Summary holds headline statistics of a graph.
 type Summary struct {

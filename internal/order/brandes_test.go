@@ -139,7 +139,7 @@ func TestBetweennessRejectsZeroWeights(t *testing.T) {
 func TestBetweennessOrderPermutation(t *testing.T) {
 	g := star(20)
 	ord := Betweenness(g)
-	if !Validate(g, ord) {
+	if graph.CheckOrder(ord, g.NumVertices()) != nil {
 		t.Fatal("betweenness order not a permutation")
 	}
 	if ord[0] != 0 {

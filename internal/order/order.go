@@ -189,12 +189,3 @@ func (sc *psiScratch) accumulate(g *graph.Graph, root graph.Vertex, psi []uint64
 		sc.size[v] = 0
 	}
 }
-
-// Validate checks that ord is a permutation of g's vertices, returning
-// false otherwise. Indexing with a non-permutation would silently skip
-// roots, so callers validate untrusted orders. It is graph.CheckOrder —
-// the validator Build's panic path uses — behind package order's
-// boolean convention.
-func Validate(g *graph.Graph, ord []graph.Vertex) bool {
-	return graph.CheckOrder(ord, g.NumVertices()) == nil
-}

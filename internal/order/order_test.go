@@ -24,7 +24,7 @@ func TestDegreeOrder(t *testing.T) {
 	if ord[0] != 0 {
 		t.Fatalf("hub not first: %v", ord)
 	}
-	if !Validate(g, ord) {
+	if graph.CheckOrder(ord, g.NumVertices()) != nil {
 		t.Fatal("degree order not a permutation")
 	}
 }
@@ -40,7 +40,7 @@ func TestRandomOrder(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds identical (vanishingly unlikely)")
 	}
-	if !Validate(g, a) || !Validate(g, c) {
+	if graph.CheckOrder(a, g.NumVertices()) != nil || graph.CheckOrder(c, g.NumVertices()) != nil {
 		t.Fatal("random order not a permutation")
 	}
 }
@@ -52,7 +52,7 @@ func TestPsiSampleStar(t *testing.T) {
 	if ord[0] != 0 {
 		t.Fatalf("ψ order should put the hub first, got %v", ord[:3])
 	}
-	if !Validate(g, ord) {
+	if graph.CheckOrder(ord, g.NumVertices()) != nil {
 		t.Fatal("psi order not a permutation")
 	}
 }
@@ -97,22 +97,6 @@ func TestPsiSamplePanics(t *testing.T) {
 	PsiSample(star(4), 0, 1)
 }
 
-func TestValidate(t *testing.T) {
-	g := star(4)
-	if Validate(g, []graph.Vertex{0, 1, 2}) {
-		t.Error("short order validated")
-	}
-	if Validate(g, []graph.Vertex{0, 1, 2, 2}) {
-		t.Error("duplicate order validated")
-	}
-	if Validate(g, []graph.Vertex{0, 1, 2, 9}) {
-		t.Error("out-of-range order validated")
-	}
-	if !Validate(g, []graph.Vertex{3, 2, 1, 0}) {
-		t.Error("valid order rejected")
-	}
-}
-
 func TestOrdersOnGeneratedGraphs(t *testing.T) {
 	for _, name := range []string{"Gnutella", "RI-USA"} {
 		rec, err := gen.FindRecipe(name)
@@ -125,7 +109,7 @@ func TestOrdersOnGeneratedGraphs(t *testing.T) {
 			"random": Random(g, 5),
 			"psi":    PsiSample(g, 4, 5),
 		} {
-			if !Validate(g, ord) {
+			if graph.CheckOrder(ord, g.NumVertices()) != nil {
 				t.Errorf("%s/%s: not a permutation", name, policy)
 			}
 		}
@@ -160,30 +144,8 @@ func TestPsiSampleScratchReuse(t *testing.T) {
 	if ord[0] != 0 {
 		t.Fatalf("star center ranked %v, want vertex 0 first", ord[0])
 	}
-	if !Validate(g, ord) {
+	if graph.CheckOrder(ord, g.NumVertices()) != nil {
 		t.Fatal("not a permutation")
-	}
-}
-
-func TestValidateMatchesCheckOrder(t *testing.T) {
-	g := star(5)
-	for _, c := range []struct {
-		ord []graph.Vertex
-		ok  bool
-	}{
-		{[]graph.Vertex{0, 1, 2, 3, 4}, true},
-		{[]graph.Vertex{4, 3, 2, 1, 0}, true},
-		{[]graph.Vertex{0, 1, 2, 3}, false},
-		{[]graph.Vertex{0, 1, 2, 3, 3}, false},
-		{[]graph.Vertex{0, 1, 2, 3, 5}, false},
-	} {
-		if got := Validate(g, c.ord); got != c.ok {
-			t.Errorf("Validate(%v) = %v, want %v", c.ord, got, c.ok)
-		}
-		wantErr := graph.CheckOrder(c.ord, 5) == nil
-		if wantErr != c.ok {
-			t.Errorf("CheckOrder(%v) disagrees with expectation", c.ord)
-		}
 	}
 }
 

@@ -11,8 +11,6 @@
 //     highest-degree unindexed vertex; a free worker fetches the next
 //     vertex from a shared queue (here a single atomic cursor — the
 //     queue's lock/unlock in Algorithm 2 collapses to one fetch-and-add).
-//     An optional chunk size lets a worker claim several consecutive
-//     roots per fetch (ablation for contention on huge graphs).
 package task
 
 import (
@@ -91,51 +89,23 @@ func (s *Static) Workers() int { return s.workers }
 type Dynamic struct {
 	order   []graph.Vertex
 	workers int
-	chunk   int64
 	next    atomic.Int64
-	local   []dynCursor
 }
 
-type dynCursor struct {
-	lo, hi int64
-	// Pad to a cache line so per-worker cursors don't false-share.
-	_ [48]byte
-}
-
-// NewDynamic builds a dynamic manager. chunk is how many consecutive roots
-// a worker claims per shared-counter fetch; chunk <= 1 means one at a time
-// (the paper's policy).
-func NewDynamic(order []graph.Vertex, workers, chunk int) *Dynamic {
+// NewDynamic builds a dynamic manager: each Next claims the next root.
+func NewDynamic(order []graph.Vertex, workers int) *Dynamic {
 	if workers < 1 {
 		panic("task: workers must be >= 1")
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &Dynamic{
-		order:   order,
-		workers: workers,
-		chunk:   int64(chunk),
-		local:   make([]dynCursor, workers),
-	}
+	return &Dynamic{order: order, workers: workers}
 }
 
 // Next implements Manager.
-func (d *Dynamic) Next(w int) (graph.Vertex, int, bool) {
-	cur := &d.local[w]
-	if cur.lo >= cur.hi {
-		lo := d.next.Add(d.chunk) - d.chunk
-		if lo >= int64(len(d.order)) {
-			return 0, 0, false
-		}
-		hi := lo + d.chunk
-		if hi > int64(len(d.order)) {
-			hi = int64(len(d.order))
-		}
-		cur.lo, cur.hi = lo, hi
+func (d *Dynamic) Next(int) (graph.Vertex, int, bool) {
+	pos := d.next.Add(1) - 1
+	if pos >= int64(len(d.order)) {
+		return 0, 0, false
 	}
-	pos := cur.lo
-	cur.lo++
 	return d.order[pos], int(pos), true
 }
 

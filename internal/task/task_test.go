@@ -77,41 +77,39 @@ func TestStaticPanicsOnZeroWorkers(t *testing.T) {
 
 func TestDynamicCoversAllExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, chunk := range []int{1, 3, 16} {
-			const n = 500
-			m := NewDynamic(seq(n), workers, chunk)
-			var mu sync.Mutex
-			var all []int
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					var local []int
-					for {
-						v, pos, ok := m.Next(w)
-						if !ok {
-							break
-						}
-						if int(v) != pos {
-							panic("identity order mismatch")
-						}
-						local = append(local, pos)
+		const n = 2000
+		m := NewDynamic(seq(n), workers)
+		var mu sync.Mutex
+		var all []int
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var local []int
+				for {
+					v, pos, ok := m.Next(w)
+					if !ok {
+						break
 					}
-					mu.Lock()
-					all = append(all, local...)
-					mu.Unlock()
-				}(w)
-			}
-			wg.Wait()
-			sort.Ints(all)
-			if len(all) != n {
-				t.Fatalf("workers=%d chunk=%d: %d tasks, want %d", workers, chunk, len(all), n)
-			}
-			for i, p := range all {
-				if p != i {
-					t.Fatalf("workers=%d chunk=%d: position %d duplicated or missing", workers, chunk, i)
+					if int(v) != pos {
+						panic("identity order mismatch")
+					}
+					local = append(local, pos)
 				}
+				mu.Lock()
+				all = append(all, local...)
+				mu.Unlock()
+			}(w)
+		}
+		wg.Wait()
+		sort.Ints(all)
+		if len(all) != n {
+			t.Fatalf("workers=%d: %d tasks, want %d", workers, len(all), n)
+		}
+		for i, p := range all {
+			if p != i {
+				t.Fatalf("workers=%d: position %d duplicated or missing", workers, i)
 			}
 		}
 	}
@@ -120,7 +118,7 @@ func TestDynamicCoversAllExactlyOnce(t *testing.T) {
 func TestDynamicInOrderSingleWorker(t *testing.T) {
 	// With one worker, dynamic must hand out the exact sequence order
 	// (equivalently: highest degree first — the paper's invariant).
-	m := NewDynamic(seq(20), 1, 1)
+	m := NewDynamic(seq(20), 1)
 	for i := 0; i < 20; i++ {
 		v, pos, ok := m.Next(0)
 		if !ok || pos != i || int(v) != i {
@@ -132,31 +130,16 @@ func TestDynamicInOrderSingleWorker(t *testing.T) {
 	}
 }
 
-func TestDynamicChunkNormalization(t *testing.T) {
-	m := NewDynamic(seq(5), 2, 0) // chunk <= 1 treated as 1
-	count := 0
-	for {
-		_, _, ok := m.Next(0)
-		if !ok {
-			break
-		}
-		count++
-	}
-	if count != 5 {
-		t.Fatalf("count = %d, want 5", count)
-	}
-}
-
 func TestDynamicPanicsOnZeroWorkers(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDynamic(seq(3), 0, 1)
+	NewDynamic(seq(3), 0)
 }
 
 func TestManagerInterfaceCompliance(t *testing.T) {
 	var _ Manager = NewStatic(seq(1), 1)
-	var _ Manager = NewDynamic(seq(1), 1, 1)
+	var _ Manager = NewDynamic(seq(1), 1)
 }

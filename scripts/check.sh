@@ -6,7 +6,8 @@
 # TestStore* tests: the reader hammer across seven segment boundaries,
 # TestStoreBulkAppendSpansSegments, TestStoreHeadHammer, the wide-entry
 # hammer TestStoreWideHammer and the allocation bound
-# TestStoreAllocatesEachSlotOnce), the distance
+# TestStoreAllocatesEachSlotOnce), the dynamic policy's shared root
+# claim (TestDynamicCoversAllExactlyOnce), the distance
 # cache, the lock-order hammers, the goroutine-lifetime tests and the
 # fault-injection tests of the durability contract (TestSaveFaults,
 # TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
@@ -76,7 +77,10 @@ go test -race -short ./...
 # list word kept in its vertex's wide table, which grows a segment at a time,
 # while readers scan the same list: TestStoreWideHammer), and the
 # batch kernel's pooled scratch under concurrent QueryBatch calls: one
-# pass rarely hits it, twenty do.
+# pass rarely hits it, twenty do. The dynamic task manager's claim is the
+# one every parallel build runs: one fetch-and-add on a shared cursor,
+# which TestDynamicCoversAllExactlyOnce holds to hand each root to
+# exactly one of up to eight workers.
 # The distance cache rides along: its striped table under concurrent
 # Get/Put, and under readers that query while generations are swapped
 # across the slot tag's wrap point. So do the living graph's lock-free
@@ -120,9 +124,9 @@ go test -race -short ./...
 # reopen; TestCompactWaitingOnAFailedApply wants a Compact that waited on
 # that mutex to fold nothing over the half-applied insert (DESIGN.md "The
 # durability contract is held by fault tests").
-echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply' \
-    ./internal/trace ./internal/label ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
+echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, dynamic root claim, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply|TestDynamicCoversAllExactlyOnce' \
+    ./internal/trace ./internal/label ./internal/task ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
 # The pipeline's lock-order test again without the race detector: a
 # lock-order cycle in the pipeline must turn it red in plain runs too,
