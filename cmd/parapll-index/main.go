@@ -26,7 +26,7 @@ func main() {
 		out       = flag.String("out", "", "output index file")
 		threads   = flag.Int("threads", 0, "worker threads (0 = all cores)")
 		policy    = flag.String("policy", "dynamic", "assignment policy: static or dynamic")
-		ordering  = flag.String("order", "degree", "computing sequence: degree (weighted degree, lighter edges counting more), psi or random")
+		ordering  = flag.String("order", "degree", "computing sequence: degree (residual weighted degree: lighter edges count more, each vertex taken discounts its neighbours), psi or random")
 		seed      = flag.Uint64("seed", 0, "seed for psi/random ordering")
 		engine    = flag.String("engine", "perroot", "build engine: perroot (one pruned Dijkstra per root) or batched (vertex-centric root batches)")
 		batch     = flag.Int("batch", 0, "batched engine's roots per frontier, 1-64 (0 = default 8)")

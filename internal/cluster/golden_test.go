@@ -22,7 +22,7 @@ func TestIndexBytesGolden(t *testing.T) {
 	}
 	g := rec.Generate(0.05)
 	opt := Options{Threads: 1, SyncCount: 8}
-	const want = "d2b872e9e4f05c589fe8000a4b2d035116c1b3181fc84f1391fdbb857a7a719f"
+	const want = "62db256766f0478ac97f819d341831ab3cdda9f575ce71a0e999c56db7a1e275"
 	check := func(t *testing.T, idxs []*label.Index, err error) {
 		if err != nil {
 			t.Fatal(err)

@@ -19,8 +19,8 @@ import (
 // TestIndexBytesGolden pins the deterministic builds — serial PLL and
 // both engines at one thread, which all emit the same index — on a p2p
 // and a road shape, to two hashes. pidx is of the labels alone, each
-// vertex's whole label in hub order (labelsHash), recorded when the
-// degree order took strength as its primary key: the labels that
+// vertex's whole label in hub order (labelsHash), recorded under the
+// residual weighted-degree sequence: the labels that
 // sequence gives, which a kernel, store or finalize rewrite must not
 // move. pidm is of the version 5 PIDM bytes of the same labels: where
 // the finalize puts each entry, and in how many bytes.
@@ -29,8 +29,8 @@ import (
 // file must hash to the same pin.
 func TestIndexBytesGolden(t *testing.T) {
 	for dataset, want := range map[string]struct{ pidx, pidm string }{
-		"Gnutella": {"2e2caef33927fbc3444a63af001af0f4362b1dbe3180bf647df19ae630da2870", "49d64eb7569f1a75f15fa70b290f936f5a69a084df56e82370406fb8bd004719"},
-		"RI-USA":   {"abc72b87d8e2122712e28fe39ba13d7c40217e2d203706f376de9594e2ae0851", "4f6bdc5a5f38d2b607db8d736ec4f8f5a7414fb1aced05d51b48688d205b3bfe"},
+		"Gnutella": {"ea84244904685a817dd5ffa5333003948b2f56684716ba393a52471b3c17b47e", "cf030c31b273f097eb38440ee0b830f7efd30c6c448c98cdd5697d06afcbbd54"},
+		"RI-USA":   {"0beff678ba0e178aa36c8f4143ee70d28ad26e26fd73d6bf3f62e6df368216b5", "4726ec6a837c2140d1226ce2623a171efa421a316cd52fcf55fd4504cd1d4495"},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {
@@ -84,8 +84,8 @@ func TestIndexBytesGolden(t *testing.T) {
 // counted as a settle, say) could move them without moving a label.
 func TestSerialTraceGolden(t *testing.T) {
 	for dataset, want := range map[string][3]int64{
-		"Gnutella": {21220, 40645, 1770006},
-		"RI-USA":   {132610, 18927, 4892477},
+		"Gnutella": {20501, 39561, 1673881},
+		"RI-USA":   {126731, 18217, 4488172},
 	} {
 		rec, err := gen.FindRecipe(dataset)
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 // TestIndexBytesGolden pins the label lists after a serial build and a
 // run of insertions: resumed searches must prune exactly as before —
 // the labels' hash (labelsHash), of whole labels in hub order, was
-// recorded when the degree order took strength as its primary key — and
+// recorded under the residual weighted-degree sequence — and
 // ToIndex must lay the lists out as version 5 PIDM does, the PIDM hash of
 // the same labels — and so must the frozen lists streamed into a file
 // through fileio, as a compaction's fold writes them.
@@ -40,11 +40,11 @@ func TestIndexBytesGolden(t *testing.T) {
 	if err := x.ToIndex().WriteMmap(pidm); err != nil {
 		t.Fatal(err)
 	}
-	const wantLabels = "560bb2e650c894704e3e4cb5228cff38a03f4234a576d84008a9cb24e34b52cb"
+	const wantLabels = "0f3b260174ad063ca82c1808640168b1172bb6fda1829ac268ed43dda329f5e0"
 	if got := labelsHash(x.ToIndex()); got != wantLabels {
 		t.Fatalf("labels (%d entries) hash to %s, want %s", x.NumEntries(), got, wantLabels)
 	}
-	const wantPIDM = "568e147d6d5277a1edb68ca70df476809b92aff0ac7625e5e99b630da83d3cd5"
+	const wantPIDM = "fbf1023a8333bca10c40f27b98977972644f95588b12b8d4a2b0f835c6966598"
 	if got := fmt.Sprintf("%x", pidm.Sum(nil)); got != wantPIDM {
 		t.Fatalf("index of %d entries hashes to %s as PIDM, want %s", x.NumEntries(), got, wantPIDM)
 	}

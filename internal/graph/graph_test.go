@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -411,25 +410,39 @@ func TestDegreeOrder(t *testing.T) {
 	}
 	checkDegreeOrder(t, g, order)
 
-	// A path 0-1-2-3-4 with its middle edges light: among the three
-	// degree-2 vertices, 2 (two light edges) goes first, then 1 and 3
-	// (one each) by id; the ends tie on one heavy edge, by id.
+	// A path 0-1-2-3-4 with its middle edges light: 2 (two light edges)
+	// goes first; 1 and 3 each keep one heavy edge and half a light one,
+	// and tie, by id; 0 and 4 each lost half their heavy edge, by id.
 	g = FromEdges(5, []Edge{{0, 1, 9}, {1, 2, 1}, {2, 3, 1}, {3, 4, 9}})
 	if got, want := DegreeOrder(g), []Vertex{2, 1, 3, 0, 4}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("DegreeOrder = %v, want %v", got, want)
 	}
 	// Strength, not degree, leads: 0 has two weight-8 edges, 3 and 4 one
-	// weight-1 edge each, and 1/2 > 2/9, so the lower-degree pair goes
+	// weight-1 edge each, and 1 > 2/8, so the lower-degree pair goes
 	// first; the paper's degree order would put 0 first.
 	g = FromEdges(5, []Edge{{0, 1, 8}, {0, 2, 8}, {3, 4, 1}})
 	if got, want := DegreeOrder(g), []Vertex{3, 4, 0, 1, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("DegreeOrder = %v, want %v", got, want)
 	}
-	// A zero-weight edge is the lightest there is, and the +1 keeps
-	// its strength finite.
+	// A zero-weight edge counts as a weight-1 one, so 2 (id) and then 3
+	// (half its edge left) go before the weight-5 pair.
 	g = FromEdges(4, []Edge{{0, 1, 5}, {2, 3, 0}})
 	if got, want := DegreeOrder(g), []Vertex{2, 3, 0, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("DegreeOrder with a zero weight = %v, want %v", got, want)
+	}
+	// Two adjacent hubs split. Hubs 0 and 1 share a weight-1 edge and
+	// each have three weight-2 leaves: score 2.5 (in units of 2³²).
+	// Hub 2 has four weight-2 leaves and a weight-4 one: 2.25. Plain
+	// strength takes 0, 1, 2; once 0 is taken, 1 keeps half the shared
+	// edge, 2.0, and 2 goes between them. Each hub then halves its
+	// leaves, to 0.25, so the leaves go by id, and 13 (0.125) last.
+	g = FromEdges(14, []Edge{
+		{0, 1, 1}, {0, 3, 2}, {0, 4, 2}, {0, 5, 2},
+		{1, 6, 2}, {1, 7, 2}, {1, 8, 2},
+		{2, 9, 2}, {2, 10, 2}, {2, 11, 2}, {2, 12, 2}, {2, 13, 4},
+	})
+	if got, want := DegreeOrder(g), []Vertex{0, 2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("DegreeOrder with adjacent hubs = %v, want %v", got, want)
 	}
 
 	r := rand.New(rand.NewSource(37))
@@ -441,15 +454,22 @@ func TestDegreeOrder(t *testing.T) {
 		}
 		g := FromEdges(n, edges)
 		checkDegreeOrder(t, g, DegreeOrder(g))
-		// Where every weight is one constant c, strength is c's share
-		// times the degree, and the sequence is degree then id.
+		// Where every weight is one constant c, each score is a count of
+		// halves of one conductance: the sequence is the residual greedy
+		// on degree, led by the largest degree, smallest id.
 		for _, c := range []Dist{0, 1, 7, Inf - 1} {
 			for i := range edges {
 				edges[i].W = c
 			}
 			g := FromEdges(n, edges)
-			if got, want := DegreeOrder(g), idTieBreakOrder(g); !reflect.DeepEqual(got, want) {
-				t.Fatalf("weights all %d: DegreeOrder = %v, want degree then id %v", c, got, want)
+			ord := DegreeOrder(g)
+			checkDegreeOrder(t, g, ord)
+			lead := Vertex(0)
+			for g.Degree(lead) != g.MaxDegree() {
+				lead++
+			}
+			if ord[0] != lead {
+				t.Fatalf("weights all %d: DegreeOrder leads with %d, want %d, the first of degree %d", c, ord[0], lead, g.MaxDegree())
 			}
 		}
 	}
@@ -466,6 +486,9 @@ func FuzzDegreeOrder(f *testing.F) {
 	// The lighter-edged degree-1 pair goes before the degree-2 vertex:
 	// an unweighted degree sort would disagree.
 	f.Add([]byte{4, 0, 1, 8, 0, 2, 8, 3, 4, 1})
+	// Two adjacent hubs, split by a third once the first is taken.
+	f.Add([]byte{14, 0, 1, 1, 0, 3, 2, 0, 4, 2, 0, 5, 2, 1, 6, 2, 1, 7, 2, 1, 8, 2,
+		2, 9, 2, 2, 10, 2, 2, 11, 2, 2, 12, 2, 2, 13, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -484,43 +507,43 @@ func FuzzDegreeOrder(f *testing.F) {
 	})
 }
 
-// checkDegreeOrder fails t unless ord is g's weighted degree sequence:
-// a permutation of the vertices, strength Σ ⌊2³²/(w+1)⌋ non-increasing,
-// then ids ascending.
+// checkDegreeOrder fails t unless ord is g's residual weighted-degree
+// sequence, found here by the rule stated directly, in quadratic time:
+// a vertex's score is the sum over its edges of the conductance
+// ⌊2³²/max(w,1)⌋, less half of it (rounded down) where the other end
+// is already picked, and each step picks the unpicked vertex of highest
+// score, ties to the smaller id.
 func checkDegreeOrder(t testing.TB, g *Graph, ord []Vertex) {
 	t.Helper()
 	if err := CheckOrder(ord, g.NumVertices()); err != nil {
 		t.Fatalf("not a permutation: %v", err)
 	}
-	strength := func(v Vertex) uint64 {
-		_, ws := g.Neighbors(v)
+	picked := make([]bool, g.NumVertices())
+	score := func(v Vertex) uint64 {
+		ns, ws := g.Neighbors(v)
 		var s uint64
-		for _, w := range ws {
-			s += (1 << 32) / (uint64(w) + 1)
+		for i, u := range ns {
+			c := (1 << 32) / uint64(max(ws[i], 1))
+			if picked[u] {
+				c -= c / 2
+			}
+			s += c
 		}
 		return s
 	}
-	for i := 1; i < len(ord); i++ {
-		u, v := ord[i-1], ord[i]
-		su, sv := strength(u), strength(v)
-		switch {
-		case su < sv:
-			t.Fatalf("at %d: strength %d (vertex %d) before %d (vertex %d)", i, su, u, sv, v)
-		case su == sv && u > v:
-			t.Fatalf("at %d: strength %d ties, but vertex %d before %d", i, su, u, v)
+	for i, got := range ord {
+		want := Vertex(-1)
+		for v := range Vertex(len(picked)) {
+			if !picked[v] && (want < 0 || score(v) > score(want)) {
+				want = v
+			}
 		}
+		if got != want {
+			t.Fatalf("at %d: vertex %d (score %d), want %d (score %d); order %v",
+				i, got, score(got), want, score(want), ord)
+		}
+		picked[got] = true
 	}
-}
-
-// idTieBreakOrder is degree descending, ties by id ascending: the
-// paper's sequence with no weights to break its ties.
-func idTieBreakOrder(g *Graph) []Vertex {
-	ord := make([]Vertex, g.NumVertices())
-	for i := range ord {
-		ord[i] = Vertex(i)
-	}
-	sort.SliceStable(ord, func(i, j int) bool { return g.Degree(ord[i]) > g.Degree(ord[j]) })
-	return ord
 }
 
 func TestTotalWeightAndMaxDegree(t *testing.T) {

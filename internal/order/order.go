@@ -6,11 +6,14 @@
 //
 // Three policies are provided:
 //
-//   - Degree: the paper's choice, weighted degree descending, then id
-//     (graph.DegreeOrder); with equal weights, the paper's degree order.
-//     Cheap and close to optimal on power-law graphs where hubs carry
-//     most shortest paths, and on road networks, where most vertices
-//     share a degree, the weights make it beat ψ-sampling too.
+//   - Degree: the paper's choice, weighted and residual
+//     (graph.DegreeOrder): highest remaining weighted degree first, ties
+//     by id, each vertex taken discounting half of its edges from its
+//     unpicked neighbours. With equal weights it starts where the
+//     paper's degree order does. Cheap and close to optimal on power-law
+//     graphs where hubs carry most shortest paths, and on road networks,
+//     where most vertices share a degree, the weights make it beat
+//     ψ-sampling too.
 //   - PsiSample: a sampled estimate of ψ(v) via shortest-path-tree subtree
 //     sizes from random roots (after Potamias et al., the paper's [18]).
 //     Costlier than Degree, and at 8 samples larger on both shapes.
@@ -31,9 +34,9 @@ import (
 	"parapll/internal/vheap"
 )
 
-// Degree returns vertices by weighted degree descending, then by id
-// ascending (graph.DegreeOrder): the paper's canonical sequence whenever
-// weights are equal.
+// Degree returns the residual weighted-degree sequence
+// (graph.DegreeOrder), the paper's degree order with weights and with
+// each picked hub discounting its neighbours.
 func Degree(g *graph.Graph) []graph.Vertex {
 	return graph.DegreeOrder(g)
 }

@@ -149,7 +149,7 @@ func TestPsiSampleScratchReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkDegreeOrder prices the weighted degree sequence on the
+// BenchmarkDegreeOrder prices the residual weighted-degree sequence on the
 // benchmark's build graphs, a p2p and a road shape.
 func BenchmarkDegreeOrder(b *testing.B) {
 	for _, c := range []struct {

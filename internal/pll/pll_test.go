@@ -113,43 +113,65 @@ func TestDegreeOrderBeatsRandomOnRoads(t *testing.T) {
 	}
 }
 
-// TestWeightedDegreeLNShape holds the default sequence, strength
-// first, to the labels it was chosen for: on one small graph of each
-// generator kind, serial LN under graph.DegreeOrder against LN under
-// degreeFirst, the sequence it replaced. Not larger on the four kinds
-// whose weights are uniform on [1, 8], where degree counts a weight-8
-// edge as a weight-1 one, and a tenth smaller on p2p and collaboration,
-// which gain 20-30 %. On road, where degree and strength nearly agree,
-// strength first costs +0.05 % (RI-USA@0.05) to +1.18 % (HI-USA@0.04)
-// in the measured rows, each held to its own bound a little above it.
+// TestWeightedDegreeLNShape holds the default sequence to the labels it
+// was chosen for, serial LN under graph.DegreeOrder against LN under
+// another sequence, on small graphs of each generator kind.
+//
+// Against degreeFirst, the paper's degree sort: not larger on the four
+// kinds whose weights are uniform on [1, 8], where degree counts a
+// weight-8 edge as a weight-1 one, and a tenth smaller on p2p and
+// collaboration, which gain 22-31 %. The road bounds were set for the
+// static strength sort, which cost +0.05 % (RI-USA@0.05) to +1.18 %
+// (HI-USA@0.04) there; the residual sequence reads -4.4 % to -6.9 %.
+//
+// Against strengthFirst, the static sort the residual sequence
+// replaced: each row a little above its measured ratio, Skitter the one
+// loss (+1.0 %). At unit weights on RI-USA, against the paper's plain
+// degree order (degreeFirst, whose strength ties there): -23 %.
 func TestWeightedDegreeLNShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fourteen serial builds; the shape, not a race, is what is checked")
+		t.Skip("28 serial builds; the shape, not a race, is what is checked")
 	}
 	for _, c := range []struct {
 		dataset  string
 		scale    float64
+		unit     bool // every weight 1
+		against  func(*graph.Graph) []graph.Vertex
 		maxRatio float64
 	}{
-		{"Gnutella", 0.2, 0.9},   // p2p
-		{"Wiki-Vote", 0.3, 1},    // social
-		{"AS-Relation", 0.05, 1}, // AS
-		{"CondMat", 0.1, 0.9},    // collaboration
-		{"RI-USA", 0.05, 1.005},  // road
-		{"RI-USA", 0.03, 1.005},  // road: +0.36 %
-		{"HI-USA", 0.04, 1.015},  // road: +1.18 %
+		{"Gnutella", 0.2, false, degreeFirst, 0.9},        // p2p
+		{"Wiki-Vote", 0.3, false, degreeFirst, 1},         // social
+		{"AS-Relation", 0.05, false, degreeFirst, 1},      // AS
+		{"CondMat", 0.1, false, degreeFirst, 0.9},         // collaboration
+		{"RI-USA", 0.05, false, degreeFirst, 1.005},       // road
+		{"RI-USA", 0.03, false, degreeFirst, 1.005},       // road
+		{"HI-USA", 0.04, false, degreeFirst, 1.015},       // road
+		{"Gnutella", 0.2, false, strengthFirst, 0.985},    // 0.976
+		{"CondMat", 0.1, false, strengthFirst, 0.99},      // 0.984
+		{"AS-Relation", 0.05, false, strengthFirst, 0.99}, // 0.981
+		{"RI-USA", 0.05, false, strengthFirst, 0.97},      // 0.956
+		{"HI-USA", 0.04, false, strengthFirst, 0.94},      // 0.920
+		{"Skitter", 0.02, false, strengthFirst, 1.015},    // 1.010
+		{"RI-USA", 0.07, true, degreeFirst, 0.8},          // 0.770
 	} {
 		rec, err := gen.FindRecipe(c.dataset)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := rec.Generate(c.scale)
-		weighted := numEntries(Labels(g, Options{}))
-		unweighted := numEntries(Labels(g, Options{Order: degreeFirst(g)}))
-		if ratio := float64(weighted) / float64(unweighted); ratio > c.maxRatio {
-			t.Errorf("%s@%g (n=%d): LN %.2f under strength first, %.2f under degree first: ratio %.4f, want at most %g",
-				c.dataset, c.scale, g.NumVertices(), float64(weighted)/float64(g.NumVertices()),
-				float64(unweighted)/float64(g.NumVertices()), ratio, c.maxRatio)
+		if c.unit {
+			edges := g.Edges()
+			for i := range edges {
+				edges[i].W = 1
+			}
+			g = graph.FromEdges(g.NumVertices(), edges)
+		}
+		def := numEntries(Labels(g, Options{}))
+		other := numEntries(Labels(g, Options{Order: c.against(g)}))
+		if ratio := float64(def) / float64(other); ratio > c.maxRatio {
+			t.Errorf("%s@%g (n=%d, unit weights %v): LN %.2f under the default sequence, %.2f under the other: ratio %.4f, want at most %g",
+				c.dataset, c.scale, g.NumVertices(), c.unit, float64(def)/float64(g.NumVertices()),
+				float64(other)/float64(g.NumVertices()), ratio, c.maxRatio)
 		}
 	}
 }
@@ -157,21 +179,41 @@ func TestWeightedDegreeLNShape(t *testing.T) {
 // degreeFirst is the unweighted degree sort: degree descending, the
 // strength Σ ⌊2³²/(w+1)⌋ breaking its ties, then id ascending.
 func degreeFirst(g *graph.Graph) []graph.Vertex {
-	n := g.NumVertices()
-	strength := make([]uint64, n)
-	ord := make([]graph.Vertex, n)
-	for v := range ord {
-		ord[v] = graph.Vertex(v)
-		_, ws := g.Neighbors(graph.Vertex(v))
-		for _, w := range ws {
-			strength[v] += (1 << 32) / (uint64(w) + 1)
-		}
-	}
-	slices.SortFunc(ord, func(a, b graph.Vertex) int {
+	s := strengths(g)
+	return sortedBy(g, func(a, b graph.Vertex) int {
 		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(strength[b], strength[a]); c != 0 {
+		return cmp.Compare(s[b], s[a])
+	})
+}
+
+// strengthFirst is the static weighted sort: strength Σ ⌊2³²/(w+1)⌋
+// descending, then id ascending.
+func strengthFirst(g *graph.Graph) []graph.Vertex {
+	s := strengths(g)
+	return sortedBy(g, func(a, b graph.Vertex) int { return cmp.Compare(s[b], s[a]) })
+}
+
+func strengths(g *graph.Graph) []uint64 {
+	s := make([]uint64, g.NumVertices())
+	for v := range s {
+		_, ws := g.Neighbors(graph.Vertex(v))
+		for _, w := range ws {
+			s[v] += (1 << 32) / (uint64(w) + 1)
+		}
+	}
+	return s
+}
+
+// sortedBy returns g's vertices sorted by key, ties by id ascending.
+func sortedBy(g *graph.Graph, key func(a, b graph.Vertex) int) []graph.Vertex {
+	ord := make([]graph.Vertex, g.NumVertices())
+	for v := range ord {
+		ord[v] = graph.Vertex(v)
+	}
+	slices.SortFunc(ord, func(a, b graph.Vertex) int {
+		if c := key(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)

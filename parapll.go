@@ -81,7 +81,9 @@ type Ordering int
 // Available vertex orderings. OrderDegree is the paper's choice.
 const (
 	// OrderDegree indexes high weighted-degree vertices first, lighter
-	// edges counting more: the paper's degree order when weights are equal.
+	// edges counting more, each vertex taken discounting half of its
+	// edges from its unpicked neighbours: the paper's degree order made
+	// weighted and residual.
 	OrderDegree Ordering = iota
 	// OrderPsi estimates shortest-path centrality by sampling (costlier
 	// to compute than OrderDegree).
