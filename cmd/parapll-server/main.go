@@ -17,7 +17,7 @@
 //	parapll-server -index g.idx -pprof -addr :8080       # + /debug/pprof/
 //
 // Endpoints: GET /query?s=&t=   POST /batch   GET /path?s=&t=
-// GET /knn?s=&k=   GET /stats   POST /update   POST /reload   GET /readyz
+// GET /stats   POST /update   POST /reload   GET /readyz
 // GET /metrics (JSON, or Prometheus text under Accept: text/plain)
 // GET /healthz   GET /debug/slow   GET /debug/trace?sec=N
 // GET /debug/explain?s=&t=   GET /debug/health   GET /debug/bundle

@@ -54,17 +54,3 @@ func ExampleBuildDynamic() {
 	// 10
 	// 3
 }
-
-// k-nearest-neighbor queries over the inverted index.
-func ExampleNewKNN() {
-	g := parapll.NewGraph(4, []parapll.Edge{
-		{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 5}, {U: 0, V: 3, W: 9},
-	})
-	knn := parapll.NewKNN(parapll.Build(g, parapll.Options{Threads: 1}))
-	for _, r := range knn.Query(0, 2) {
-		fmt.Println(r.V, r.D)
-	}
-	// Output:
-	// 1 1
-	// 2 5
-}

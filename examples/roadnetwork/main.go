@@ -22,11 +22,9 @@ func main() {
 	}
 	fmt.Printf("road network: %d intersections, %d segments\n", g.NumVertices(), g.NumEdges())
 
-	// One-time indexing stage. Road networks have no degree hubs, so the
-	// sampled shortest-path-centrality ordering prunes better than plain
-	// degree ordering here.
+	// One-time indexing stage, in the default computing sequence.
 	t0 := time.Now()
-	idx := parapll.Build(g, parapll.Options{Policy: parapll.Dynamic, Order: parapll.OrderPsi, Seed: 42})
+	idx := parapll.Build(g, parapll.Options{Policy: parapll.Dynamic})
 	fmt.Printf("indexed in %.2fs (avg label size %.1f)\n", time.Since(t0).Seconds(), idx.AvgLabelSize())
 
 	// Serve a burst of route queries.

@@ -65,17 +65,4 @@ func main() {
 			candidates[0].dist, want[candidates[0].user])
 	}
 	fmt.Println("verified against Dijkstra: exact")
-
-	// "People you may know": the k closest users overall, not just among
-	// a candidate list — answered by the inverted k-NN structure.
-	knn := parapll.NewKNN(idx)
-	t2 := time.Now()
-	nearest := knn.Query(me, 5)
-	fmt.Printf("\n5 nearest users to %d (k-NN in %v):\n", me, time.Since(t2))
-	for _, r := range nearest {
-		fmt.Printf("  user %-6d distance %d\n", r.V, r.D)
-		if want[r.V] != r.D {
-			log.Fatalf("k-NN distance mismatch for %d", r.V)
-		}
-	}
 }

@@ -108,18 +108,6 @@ func (rec Recipe) Generate(scale float64) *graph.Graph {
 	}
 }
 
-// SmallDatasets returns the recipes whose scaled size stays below maxN
-// vertices at the given scale — convenient for tests and quick benches.
-func SmallDatasets(scale float64, maxN int) []Recipe {
-	var out []Recipe
-	for _, rec := range Datasets {
-		if int(float64(rec.N)*scale) <= maxN {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // DegreeCCDF returns the complementary cumulative degree distribution of g:
 // for each distinct degree d (ascending), the fraction of vertices with
 // degree >= d. This is the quantity plotted in the paper's Figure 5.

@@ -251,18 +251,6 @@ func TestRecipeDegreeShapes(t *testing.T) {
 	}
 }
 
-func TestSmallDatasets(t *testing.T) {
-	small := SmallDatasets(0.01, 1000)
-	if len(small) == 0 {
-		t.Fatal("no small datasets at scale 0.01")
-	}
-	for _, rec := range small {
-		if int(float64(rec.N)*0.01) > 1000 {
-			t.Errorf("%s too big for filter", rec.Name)
-		}
-	}
-}
-
 func TestDegreeCCDF(t *testing.T) {
 	g := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}, {U: 0, V: 3, W: 1}})
 	degs, frac := DegreeCCDF(g)

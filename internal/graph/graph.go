@@ -98,19 +98,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// TotalWeight returns the sum of all edge weights as uint64 (it cannot
-// saturate).
-func (g *Graph) TotalWeight() uint64 {
-	var s uint64
-	for u := Vertex(0); int(u) < g.NumVertices(); u++ {
-		_, ws := g.Neighbors(u)
-		for _, w := range ws {
-			s += uint64(w)
-		}
-	}
-	return s / 2
-}
-
 // MaxDegree returns the largest vertex degree, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	best := 0

@@ -546,11 +546,8 @@ func checkDegreeOrder(t testing.TB, g *Graph, ord []Vertex) {
 	}
 }
 
-func TestTotalWeightAndMaxDegree(t *testing.T) {
+func TestMaxDegree(t *testing.T) {
 	g := triangle()
-	if tw := g.TotalWeight(); tw != 32 {
-		t.Errorf("TotalWeight = %d, want 32", tw)
-	}
 	if md := g.MaxDegree(); md != 2 {
 		t.Errorf("MaxDegree = %d, want 2", md)
 	}

@@ -18,10 +18,9 @@ import (
 // Observe racing a Rotate may land in the window being recycled; the
 // skew is bounded by the race window and SLO consumers tolerate it.
 type WindowedHistogram struct {
-	mu     sync.Mutex // serializes Rotate and Merged against each other
-	bounds []int64
-	wins   []*Histogram
-	rot    atomic.Int64 // total rotations; current window = rot % len(wins)
+	mu   sync.Mutex // serializes Rotate calls
+	wins []*Histogram
+	rot  atomic.Int64 // total rotations; current window = rot % len(wins)
 }
 
 // NewWindowed builds a ring of `windows` histograms over the given
@@ -31,10 +30,7 @@ func NewWindowed(bounds []int64, windows int) *WindowedHistogram {
 	if windows < 2 {
 		windows = 2
 	}
-	w := &WindowedHistogram{
-		bounds: append([]int64(nil), bounds...),
-		wins:   make([]*Histogram, windows),
-	}
+	w := &WindowedHistogram{wins: make([]*Histogram, windows)}
 	for i := range w.wins {
 		w.wins[i] = NewHistogram(bounds)
 	}
@@ -65,41 +61,6 @@ func (w *WindowedHistogram) Rotate() HistogramSnapshot {
 	w.wins[(cur+1)%len(w.wins)].Reset()
 	w.rot.Add(1)
 	return snap
-}
-
-// Merged returns the k most recently closed windows merged into one
-// snapshot. k is clamped to the ring size minus the open window and to
-// the number of rotations so far; k <= 0 yields an empty snapshot with
-// the histogram's bucket shape.
-func (w *WindowedHistogram) Merged(k int) HistogramSnapshot {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := len(w.wins)
-	rot := w.rot.Load()
-	if int64(k) > rot {
-		k = int(rot)
-	}
-	if k > n-1 {
-		k = n - 1
-	}
-	out := HistogramSnapshot{Buckets: make([]Bucket, len(w.bounds)+1)}
-	for i := range out.Buckets {
-		le := int64(math.MaxInt64)
-		if i < len(w.bounds) {
-			le = w.bounds[i]
-		}
-		out.Buckets[i].Le = le
-	}
-	for i := 1; i <= k; i++ {
-		idx := int(uint64(rot-int64(i)) % uint64(n))
-		s := w.wins[idx].Snapshot()
-		out.Count += s.Count
-		out.Sum += s.Sum
-		for j := range s.Buckets {
-			out.Buckets[j].Count += s.Buckets[j].Count
-		}
-	}
-	return out
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) from bucket counts:

@@ -40,40 +40,6 @@ func TestWindowedRotation(t *testing.T) {
 	}
 }
 
-// TestWindowedMerged: Merged(k) covers exactly the k most recently
-// closed windows, never the open one, clamped to what exists.
-func TestWindowedMerged(t *testing.T) {
-	w := NewWindowed([]int64{10, 100}, 4)
-
-	// Before any rotation there is nothing closed to merge.
-	if s := w.Merged(2); s.Count != 0 || len(s.Buckets) != 3 {
-		t.Fatalf("pre-rotation Merged = count %d buckets %d, want 0/3", s.Count, len(s.Buckets))
-	}
-
-	w.Observe(1) // window A
-	w.Rotate()
-	w.Observe(20) // window B
-	w.Observe(20)
-	w.Rotate()
-	w.Observe(500) // open window: must be excluded
-
-	if s := w.Merged(1); s.Count != 2 || s.Sum != 40 {
-		t.Fatalf("Merged(1) = count %d sum %d, want 2/40 (window B only)", s.Count, s.Sum)
-	}
-	s := w.Merged(2)
-	if s.Count != 3 || s.Sum != 41 {
-		t.Fatalf("Merged(2) = count %d sum %d, want 3/41 (A+B)", s.Count, s.Sum)
-	}
-	if got := s.Buckets[0].Count; got != 1 { // le=10 holds only the 1
-		t.Fatalf("Merged(2) le=10 bucket = %d, want 1", got)
-	}
-	// k beyond closed windows and ring size clamps instead of wrapping
-	// into the open window.
-	if s := w.Merged(99); s.Count != 3 {
-		t.Fatalf("Merged(99) = count %d, want 3", s.Count)
-	}
-}
-
 // TestSnapshotQuantile: quantile estimation returns the bucket upper
 // bound where the cumulative count crosses the target, MaxInt64 for
 // the overflow bucket, and 0 when empty.

@@ -100,7 +100,7 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 			t.Fatalf("/query?s=0&t=%d over the flipped head byte: status %d", v, code)
 		}
 	}
-	if got := fs.Registry().Snapshot().Counters["http.panics_total"]; got != 0 {
+	if got := fs.opt.Registry.Snapshot().Counters["http.panics_total"]; got != 0 {
 		t.Fatalf("http.panics_total = %d over the flipped head byte", got)
 	}
 
@@ -167,13 +167,13 @@ func TestBatchOnDamagedIndex(t *testing.T) {
 	if answered[http.StatusOK]+answered[http.StatusInternalServerError] != n+2 {
 		t.Fatalf("requests over the flipped bitmap bit were answered %v, want only 200s and 500s", answered)
 	}
-	if got := bs.Registry().Snapshot().Counters["http.panics_total"]; got != int64(answered[http.StatusInternalServerError]) {
+	if got := bs.opt.Registry.Snapshot().Counters["http.panics_total"]; got != int64(answered[http.StatusInternalServerError]) {
 		t.Fatalf("http.panics_total = %d beside %d replies of 500", got, answered[http.StatusInternalServerError])
 	}
 
 	damaged := open("damaged.midx", func(data []byte) { binary.LittleEndian.PutUint16(data[hubsSec:], n+9) })
 	s := serverWithCache(damaged, 65536, &Options{BatchThreads: 2})
-	panics := func() int64 { return s.Registry().Snapshot().Counters["http.panics_total"] }
+	panics := func() int64 { return s.opt.Registry.Snapshot().Counters["http.panics_total"] }
 	for i, pairs := range []int{4, 900} { // one chunk on the request's goroutine; many on two workers
 		rec := postBatch(s, body(pairs, false))
 		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "index out of range") {
@@ -254,7 +254,6 @@ func TestTruncatedIndexAnswers500(t *testing.T) {
 		{"/query", func() *httptest.ResponseRecorder { return get(fmt.Sprintf("/query?s=%d&t=%d", n-1, n-2)) }},
 		{"/batch of 4", func() *httptest.ResponseRecorder { return postBatch(s, manyPairs(4)) }},     // on the request's goroutine
 		{"/batch of 900", func() *httptest.ResponseRecorder { return postBatch(s, manyPairs(900)) }}, // on two workers
-		{"/knn", func() *httptest.ResponseRecorder { return get(fmt.Sprintf("/knn?s=%d&k=3", n-1)) }},
 		{"/path", func() *httptest.ResponseRecorder { return get(fmt.Sprintf("/path?s=%d&t=%d", n-1, n-2)) }},
 		{"/debug/explain", func() *httptest.ResponseRecorder {
 			return get(fmt.Sprintf("/debug/explain?s=%d&t=%d", n-1, n-2))
@@ -265,7 +264,7 @@ func TestTruncatedIndexAnswers500(t *testing.T) {
 		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "invalid memory address") {
 			t.Fatalf("%s over the truncated index: status %d body %q, want 500 naming the memory fault", req.name, rec.Code, rec.Body.String())
 		}
-		if got := s.Registry().Snapshot().Counters["http.panics_total"]; got != int64(i+1) {
+		if got := s.opt.Registry.Snapshot().Counters["http.panics_total"]; got != int64(i+1) {
 			t.Fatalf("http.panics_total = %d after %d faulting requests", got, i+1)
 		}
 	}

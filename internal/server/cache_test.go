@@ -54,7 +54,7 @@ func TestCacheServesAndCounts(t *testing.T) {
 			t.Fatalf("%s: status %d dist %d", q, code, resp.Dist)
 		}
 	}
-	st := s.Cache().Stats()
+	st := s.cache.Stats()
 	if st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("cache stats = %+v, want 1 miss then 2 hits", st)
 	}
@@ -91,8 +91,8 @@ func TestCacheDisabledByDefault(t *testing.T) {
 	if stats.Cache != nil {
 		t.Fatalf("cache stats present without SetCacheEntries: %+v", stats.Cache)
 	}
-	if s.Cache() != nil {
-		t.Fatal("Cache() non-nil without SetCacheEntries")
+	if s.cache != nil {
+		t.Fatal("cache non-nil without SetCacheEntries")
 	}
 }
 
@@ -187,7 +187,7 @@ func TestCacheReloadNeverStale(t *testing.T) {
 	if n := bad.Load(); n != 0 {
 		t.Fatalf("%d bad hammer responses", n)
 	}
-	if st := s.Cache().Stats(); st.Hits == 0 {
+	if st := s.cache.Stats(); st.Hits == 0 {
 		t.Fatalf("hammer produced no cache hits: %+v", st)
 	}
 }

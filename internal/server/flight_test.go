@@ -217,7 +217,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if e["error"] == "" {
 		t.Fatal("missing error body")
 	}
-	snap := s.Registry().Snapshot()
+	snap := s.opt.Registry.Snapshot()
 	if snap.Counters["http.panics_total"] != 1 {
 		t.Fatalf("http.panics_total = %d, want 1", snap.Counters["http.panics_total"])
 	}

@@ -259,7 +259,7 @@ func TestUpdateAnswersBySnapshot(t *testing.T) {
 
 // TestLiveReloadRefusesForeignFile: a living server reloads its own
 // checkpoint (what a compaction publishes, and SIGHUP) and refuses any
-// other file with 409, so /knn, explain and /stats never describe an
+// other file with 409, so explain and /stats never describe an
 // index of another graph beside the pipeline.
 func TestLiveReloadRefusesForeignFile(t *testing.T) {
 	ts, s, pipe, _ := liveServer(t, 0)
@@ -271,10 +271,8 @@ func TestLiveReloadRefusesForeignFile(t *testing.T) {
 	if code, _ := postReload(t, ts.URL, foreign); code != http.StatusConflict {
 		t.Fatalf("POST /reload of a foreign file = %d, want 409", code)
 	}
-	for _, q := range []string{"/knn?s=4&k=2", "/debug/explain?s=4&t=1"} {
-		if code := getJSON(t, ts.URL+q, new(map[string]any)); code != http.StatusOK {
-			t.Fatalf("%s after the refused reload = %d", q, code)
-		}
+	if code := getJSON(t, ts.URL+"/debug/explain?s=4&t=1", new(map[string]any)); code != http.StatusOK {
+		t.Fatalf("/debug/explain after the refused reload = %d", code)
 	}
 	var st statsResponse
 	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK || st.Vertices != 6 || st.Generation != gen || st.Source != pipe.IndexPath() {

@@ -263,48 +263,6 @@ func TestReloadBusy(t *testing.T) {
 	}
 }
 
-// The KNN index is derived per snapshot: after a reload it must answer
-// from the new index, not a stale pin of the old one.
-func TestReloadRebuildsKNN(t *testing.T) {
-	dir := t.TempDir()
-	small := saveLineIndex(t, dir, 3)
-	big := saveLineIndex(t, dir, 8)
-
-	s := NewPending(&Options{Loader: fileio.LoadIndex})
-	first, err := fileio.LoadIndex(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Publish(first, nil, small)
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-
-	var resp knnResponse
-	if code := getJSON(t, ts.URL+"/knn?s=0&k=2", &resp); code != http.StatusOK {
-		t.Fatalf("knn: status %d", code)
-	}
-	if len(resp.Results) != 2 {
-		t.Fatalf("knn on 3-vertex line: %d results", len(resp.Results))
-	}
-
-	if code, _ := postReload(t, ts.URL, big); code != http.StatusOK {
-		t.Fatalf("reload: status %d", code)
-	}
-	// k=6 only exists in the new 8-vertex index; a stale KNN pinned to
-	// the 3-vertex index could not produce it.
-	if code := getJSON(t, ts.URL+"/knn?s=0&k=6", &resp); code != http.StatusOK {
-		t.Fatalf("knn after reload: status %d", code)
-	}
-	if len(resp.Results) != 6 {
-		t.Fatalf("knn after reload: %d results, want 6", len(resp.Results))
-	}
-	for _, r := range resp.Results {
-		if graph.Dist(r.V) != r.D {
-			t.Fatalf("knn after reload: d(0,%d) = %d, want %d", r.V, r.D, r.V)
-		}
-	}
-}
-
 // TestHotReloadHammer swaps snapshots while queries, batches and /stats
 // are in flight, each over its own mapping of one of two files, so every
 // swap leaves a mapping for its last request to close. The two artifacts

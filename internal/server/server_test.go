@@ -187,37 +187,6 @@ func TestPathGraphOfAnotherSize(t *testing.T) {
 	}
 }
 
-func TestKNNEndpoint(t *testing.T) {
-	ts, g := testServer(t, false)
-	var resp knnResponse
-	if code := getJSON(t, ts.URL+"/knn?s=0&k=2", &resp); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if len(resp.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(resp.Results))
-	}
-	want := sssp.Dijkstra(g, 0)
-	for _, r := range resp.Results {
-		if want[r.V] != r.D {
-			t.Fatalf("knn d(0,%d) = %d, want %d", r.V, r.D, want[r.V])
-		}
-	}
-	// Isolated vertex: empty but valid JSON array.
-	if code := getJSON(t, ts.URL+"/knn?s=4&k=3", &resp); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if resp.Results == nil || len(resp.Results) != 0 {
-		t.Fatalf("isolated knn = %v, want empty array", resp.Results)
-	}
-	// Validation.
-	var e map[string]string
-	for _, q := range []string{"/knn?s=0", "/knn?s=0&k=0", "/knn?s=0&k=999999", "/knn?k=2"} {
-		if code := getJSON(t, ts.URL+q, &e); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", q, code)
-		}
-	}
-}
-
 func TestStatsEndpoint(t *testing.T) {
 	ts, _ := testServer(t, true)
 	var resp statsResponse
@@ -267,16 +236,23 @@ func do(t *testing.T, method, url string, body []byte) int {
 	return resp.StatusCode
 }
 
+// TestMethodNotAllowedEverywhere names every registered route, so a
+// route the server stops registering, or registers outside handle, fails
+// here; GET of a path no file registers (/knn) answers 404.
 func TestMethodNotAllowedEverywhere(t *testing.T) {
 	ts, _ := testServer(t, true)
 	cases := map[string]string{
 		"/query?s=0&t=1": http.MethodPost,
 		"/batch":         http.MethodGet,
 		"/path?s=0&t=1":  http.MethodDelete,
-		"/knn?s=0&k=1":   http.MethodPost,
 		"/stats":         http.MethodPut,
+		"/update":        http.MethodGet,
+		"/reload":        http.MethodGet,
+		"/readyz":        http.MethodPost,
 		"/metrics":       http.MethodPost,
 		"/healthz":       http.MethodPost,
+		"/debug/slow":    http.MethodPost,
+		"/debug/trace":   http.MethodPost,
 		"/debug/explain": http.MethodPost,
 		"/debug/health":  http.MethodPost,
 		"/debug/bundle":  http.MethodPost,
@@ -285,6 +261,9 @@ func TestMethodNotAllowedEverywhere(t *testing.T) {
 		if code := do(t, method, ts.URL+path, nil); code != http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: status %d, want 405", method, path, code)
 		}
+	}
+	if code := do(t, http.MethodGet, ts.URL+"/knn?s=0&k=1", nil); code != http.StatusNotFound {
+		t.Errorf("GET /knn: status %d, want 404", code)
 	}
 }
 

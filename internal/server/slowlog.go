@@ -44,23 +44,13 @@ type SlowEntry struct {
 	Cache string `json:"cache,omitempty"`
 }
 
-// Cache annotation states carried from handler to middleware.
+// Cache annotations carried from handler to middleware, as SlowEntry
+// spells them.
 const (
-	cacheNone int8 = iota // endpoint does not consult the distance cache
-	cacheMiss
-	cacheHit
+	cacheNone = "" // endpoint does not consult the distance cache
+	cacheMiss = "miss"
+	cacheHit  = "hit"
 )
-
-func cacheString(c int8) string {
-	switch c {
-	case cacheHit:
-		return "hit"
-	case cacheMiss:
-		return "miss"
-	default:
-		return ""
-	}
-}
 
 // NewSlowLog returns a log holding the most recent `capacity` slow
 // requests; requests at or above `threshold` are recorded (<= 0
@@ -80,7 +70,7 @@ func (l *SlowLog) Total() uint64 { return l.total.Load() }
 // check is one comparison, so the fast path costs nothing measurable.
 // gen and cache are the handler's annotations (0 / cacheNone when the
 // endpoint has none).
-func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, cache int8, start time.Time, elapsed time.Duration) {
+func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, cache string, start time.Time, elapsed time.Duration) {
 	if l.threshold <= 0 || elapsed < l.threshold {
 		return
 	}
@@ -93,7 +83,7 @@ func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, ca
 		Status:     status,
 		DurationUS: elapsed.Microseconds(),
 		Generation: gen,
-		Cache:      cacheString(cache),
+		Cache:      cache,
 	}
 	l.mu.Lock()
 	l.ring[l.next] = e

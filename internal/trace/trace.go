@@ -175,14 +175,6 @@ func (t *Tracer) Enable() { t.enabled.Store(true) }
 // Disable stops recording. In-flight emissions may still land.
 func (t *Tracer) Disable() { t.enabled.Store(false) }
 
-// Pid returns the process lane (0 on a nil tracer).
-func (t *Tracer) Pid() int {
-	if t == nil {
-		return 0
-	}
-	return t.pid
-}
-
 // SetSample sets the request-sampling rate for Sample: 0 or 1 records
 // every request, n > 1 records one in n.
 func (t *Tracer) SetSample(n uint64) { t.sampleN.Store(n) }

@@ -5,7 +5,8 @@
 // The workflow has two stages, as in the paper. The indexing stage builds
 // a 2-hop-cover label index — serially (BuildSerial), in parallel on one
 // machine (Build), or across a cluster of nodes connected by this
-// repository's MPI-style transport (BuildCluster / RunLocalCluster). The
+// repository's MPI-style transport (RunLocalCluster in one process,
+// cmd/parapll-node across processes). The
 // querying stage answers exact point-to-point distances from the index in
 // microseconds (Index.Query).
 //
@@ -31,9 +32,7 @@ import (
 	"parapll/internal/fileio"
 	"parapll/internal/gen"
 	"parapll/internal/graph"
-	"parapll/internal/knn"
 	"parapll/internal/label"
-	"parapll/internal/mpi"
 	"parapll/internal/oracle"
 	"parapll/internal/order"
 	"parapll/internal/pll"
@@ -58,8 +57,6 @@ type (
 	// Explain is the cost-attribution record Index.QueryExplain returns:
 	// the same answer as Query, plus where the merge's work went.
 	Explain = label.Explain
-	// Comm is an MPI-style communicator for cluster indexing.
-	Comm = mpi.Comm
 )
 
 // Inf is the distance of unreachable pairs.
@@ -116,8 +113,8 @@ type Options struct {
 	Progress *BuildProgress
 	// Tracer, when non-nil and enabled, records per-root build spans
 	// (task acquire, Pruned Dijkstra, label append) for the Chrome
-	// trace-event exporter; see NewTracer. Honored by Build and
-	// BuildCluster; ignored by the serial baseline.
+	// trace-event exporter; see NewTracer. Honored by Build alone: the
+	// serial, dynamic and cluster builders ignore it.
 	Tracer *Tracer
 }
 
@@ -237,19 +234,6 @@ func BuildSerialFile(path string, g *Graph, opt Options) (IndexHeader, error) {
 	return fileio.SaveLabels(fileio.OS, path, len(lists), func(v int) []label.Entry { return lists[v] })
 }
 
-// KNNIndex answers k-nearest-neighbor queries ("the k closest vertices
-// to s") from an inverted 2-hop index; see NewKNN.
-type KNNIndex = knn.Index
-
-// KNNResult is one k-NN answer entry.
-type KNNResult = knn.Result
-
-// NewKNN inverts a built index for k-nearest-neighbor queries. The
-// inverted structure costs as much memory as the index itself;
-// KNNIndex.Query(s, k) then returns the k closest vertices with exact
-// distances in output-sensitive time.
-func NewKNN(x *Index) *KNNIndex { return knn.New(x) }
-
 // BuildUnweighted constructs a hop-count index, ignoring edge weights: it
 // is Build over a copy of g whose every edge weighs 1, so queries return
 // the number of edges on a shortest path.
@@ -285,21 +269,6 @@ type ClusterOptions struct {
 	// SyncCount is how many label synchronizations happen across the run
 	// (the paper's c; 1 — sync once at the end — is fastest).
 	SyncCount int
-}
-
-// BuildCluster runs this process's share of a distributed indexing job.
-// Every rank of comm must call it with the same graph and options; every
-// rank returns the identical cluster-wide index.
-func BuildCluster(g *Graph, comm Comm, opt ClusterOptions) (*Index, error) {
-	idx, _, err := cluster.Build(g, cluster.Options{
-		Comm:      comm,
-		Threads:   opt.Threads,
-		Policy:    opt.Policy,
-		Order:     computeOrder(g, opt.Order, opt.Seed),
-		SyncCount: opt.SyncCount,
-		Tracer:    opt.Tracer,
-	})
-	return idx, err
 }
 
 // RunLocalCluster simulates a cluster of the given number of nodes inside

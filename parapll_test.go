@@ -279,35 +279,6 @@ func TestDatasetNames(t *testing.T) {
 	}
 }
 
-func TestNewKNN(t *testing.T) {
-	g, err := parapll.GenerateDataset("Wiki-Vote", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := parapll.Build(g, parapll.Options{Threads: 2, Policy: parapll.Dynamic})
-	knn := parapll.NewKNN(idx)
-	r := rand.New(rand.NewSource(4))
-	for probe := 0; probe < 5; probe++ {
-		s := parapll.Vertex(r.Intn(g.NumVertices()))
-		res := knn.Query(s, 3)
-		truth := parapll.Dijkstra(g, s)
-		for i, e := range res {
-			if truth[e.V] != e.D {
-				t.Fatalf("kNN result %d: d(%d,%d)=%d, true %d", i, s, e.V, e.D, truth[e.V])
-			}
-		}
-		// No non-result vertex may be strictly closer than the last result.
-		if len(res) == 3 {
-			inRes := map[parapll.Vertex]bool{res[0].V: true, res[1].V: true, res[2].V: true}
-			for v, d := range truth {
-				if parapll.Vertex(v) != s && !inRes[parapll.Vertex(v)] && d < res[2].D {
-					t.Fatalf("vertex %d at distance %d closer than 3rd result %d", v, d, res[2].D)
-				}
-			}
-		}
-	}
-}
-
 // TestBuildUnweighted holds the hop-count index to BFS on every pair of a
 // weighted graph, serially and in parallel; some pair must differ from its
 // weighted distance, or the weights were not ignored.
