@@ -91,7 +91,7 @@ func main() {
 	if *verbose && !*serial {
 		prog := &parapll.BuildProgress{}
 		opt.Progress = prog
-		stopLog = logProgress(prog, t0)
+		stopLog = prog.Log(t0)
 	}
 	// The label store streams into the file: the index is never on the
 	// heap beside it, and what is printed below is the header written.
@@ -111,7 +111,7 @@ func main() {
 	}
 
 	if tr != nil {
-		if err := writeTrace(*tracePath, tr); err != nil {
+		if err := tr.WriteFile(*tracePath); err != nil {
 			fatalf("writing trace: %v", err)
 		}
 		fmt.Printf("trace: %d events (%d dropped) -> %s\n", len(tr.Events()), tr.Drops(), *tracePath)
@@ -127,51 +127,6 @@ func main() {
 	fmt.Printf("indexed n=%d m=%d in %.2fs  (entries=%d, avg label size LN=%.1f, head=%d density %.2f, mid=%d density %.2f, dist=%dB, hub=%dB%s) -> %s\n",
 		g.NumVertices(), g.NumEdges(), elapsed.Seconds(),
 		idx.NumEntries(), idx.AvgLabelSize(), k, density, k2, midDensity, idx.DistBytes(), idx.HubBytes(), built, *out)
-}
-
-// logProgress samples prog every 2s and prints roots done, roots/sec
-// and an ETA until the returned stop function is called. Quiet for fast
-// builds: nothing prints before the first tick.
-func logProgress(prog *parapll.BuildProgress, start time.Time) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(2 * time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				s := prog.Snapshot()
-				elapsed := time.Since(start)
-				line := fmt.Sprintf("indexing: %d/%d roots, %d labels, %.0f roots/s",
-					s.RootsDone, s.TotalRoots, s.LabelsAdded, s.Rate(elapsed))
-				if eta, ok := s.ETA(elapsed); ok {
-					line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
-				}
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
-}
-
-// writeTrace dumps the recorded timeline as Chrome trace-event JSON.
-func writeTrace(path string, tr *parapll.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatalf(format string, args ...interface{}) {

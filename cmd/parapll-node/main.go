@@ -101,7 +101,7 @@ func main() {
 	}
 	if tr != nil {
 		rankPath := rankTracePath(*tracePath, *rank)
-		if err := writeTrace(rankPath, tr); err != nil {
+		if err := tr.WriteFile(rankPath); err != nil {
 			fatalf("writing trace: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "rank %d: trace (%d events, %d dropped) -> %s\n",
@@ -194,19 +194,6 @@ func rankTracePath(path string, r int) string {
 		return base + ".rank*.json"
 	}
 	return fmt.Sprintf("%s.rank%d.json", base, r)
-}
-
-// writeTrace dumps the recorded timeline as Chrome trace-event JSON.
-func writeTrace(path string, tr *parapll.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -51,11 +51,13 @@
 // a bounded spool of self-contained incident bundles (recent trace,
 // metrics, goroutine/heap profiles, /stats with its WAL section) written on
 // GET /debug/bundle, on any handler panic, on SIGQUIT, and on every SLO
-// breach; -flight-keep / -flight-gap-ms / -flight-trace-sec bound the
-// spool, the auto-capture rate, and the trace window. -slo-window-ms
-// arms the anomaly watchdog (GET /debug/health, slo.* gauges on
-// /metrics): -slo-query-p99-us watches the windowed /query+/batch p99,
-// -slo-fsync-p99-us the WAL fsync p99 (living-graph mode),
+// breach (at most one breach capture per flight.MinGap; the spool keeps
+// flight.MaxBundles bundles, each with flight.TraceWindow of trace).
+// -slo-window-ms arms the anomaly watchdog (GET /debug/health, slo.*
+// gauges on /metrics): -slo-query-p99-us watches the p99 of each
+// window's /query and /batch requests, read from the same
+// http.latency_us.* histograms /metrics shows, -slo-fsync-p99-us the
+// WAL fsync p99 (living-graph mode),
 // -slo-compact-ms flags a compaction running past its deadline, and a
 // reload-failure rule is always on.
 package main
@@ -94,10 +96,7 @@ func main() {
 		walDir    = flag.String("wal", "", "living-graph mode: directory for the edge-update WAL and compaction checkpoints (needs -graph; enables POST /update)")
 		compactN  = flag.Int("compact-every", 0, "living-graph mode: background-compact once the WAL holds this many records (0 = only on restart)")
 
-		flightDir      = flag.String("flight", "", "arm the flight recorder: spool incident bundles into this directory (enables GET /debug/bundle, panic/SIGQUIT dumps)")
-		flightKeep     = flag.Int("flight-keep", 8, "flight recorder: keep at most this many bundles on disk")
-		flightGapMS    = flag.Int64("flight-gap-ms", 30000, "flight recorder: minimum gap between automatic (breach-triggered) captures")
-		flightTraceSec = flag.Int64("flight-trace-sec", 30, "flight recorder: seconds of recent trace history embedded in each bundle")
+		flightDir = flag.String("flight", "", "arm the flight recorder: spool incident bundles into this directory (enables GET /debug/bundle, panic/SIGQUIT dumps)")
 
 		sloWindowMS   = flag.Int64("slo-window-ms", 0, "arm the anomaly watchdog with this evaluation window (0 = off; enables GET /debug/health)")
 		sloQueryP99US = flag.Int64("slo-query-p99-us", 0, "SLO: breach when the windowed /query+/batch p99 exceeds this many microseconds (0 = rule off)")
@@ -133,14 +132,7 @@ func main() {
 		signal.Notify(term, os.Interrupt, syscall.SIGTERM)
 		go func() {
 			<-term
-			f, err := os.Create(*traceOut)
-			if err == nil {
-				err = tr.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
+			if err := tr.WriteFile(*traceOut); err != nil {
 				fmt.Fprintf(os.Stderr, "parapll-server: writing trace: %v\n", err)
 				os.Exit(1)
 			}
@@ -166,12 +158,7 @@ func main() {
 			tr.Enable()
 		}
 		var err error
-		rec, err = flight.New(flight.Options{
-			Dir:         *flightDir,
-			MaxBundles:  *flightKeep,
-			MinGap:      time.Duration(*flightGapMS) * time.Millisecond,
-			TraceWindow: time.Duration(*flightTraceSec) * time.Second,
-		}, flight.Sources{
+		rec, err = flight.New(*flightDir, flight.Sources{
 			Tracer:   tr,
 			Registry: reg,
 			Stats:    func() any { return srv.StatsPayload() },
@@ -190,7 +177,7 @@ func main() {
 	// Anomaly watchdog: windowed SLO verdicts at /debug/health, slo.*
 	// gauges on /metrics, and (with -flight) a rate-limited capture on
 	// every breach.
-	var qwin, fsyncWin *metrics.WindowedHistogram
+	var fsyncHist *metrics.Histogram
 	var rules []string
 	if *sloWindowMS > 0 {
 		wd = flight.NewWatchdog(flight.WatchdogOptions{
@@ -202,13 +189,17 @@ func main() {
 			},
 		})
 		if *sloQueryP99US > 0 {
-			qwin = metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
-			wd.AddLatencyRule("query_p99", "us", qwin, 0.99, *sloQueryP99US, 1)
+			// The server observes every request into these as it
+			// registers its routes; the rule judges the user-visible
+			// distance endpoints, not debug or admin traffic.
+			wd.AddLatencyRule("query_p99", "us", 0.99, *sloQueryP99US, 1,
+				reg.Histogram("http.latency_us.query", metrics.DefaultLatencyBuckets),
+				reg.Histogram("http.latency_us.batch", metrics.DefaultLatencyBuckets))
 			rules = append(rules, fmt.Sprintf("query p99 > %dus", *sloQueryP99US))
 		}
 		if *sloFsyncP99US > 0 && *walDir != "" {
-			fsyncWin = metrics.NewWindowed(metrics.DefaultLatencyBuckets, 6)
-			wd.AddLatencyRule("wal_fsync_p99", "us", fsyncWin, 0.99, *sloFsyncP99US, 1)
+			fsyncHist = metrics.NewHistogram(metrics.DefaultLatencyBuckets)
+			wd.AddLatencyRule("wal_fsync_p99", "us", 0.99, *sloFsyncP99US, 1, fsyncHist)
 			rules = append(rules, fmt.Sprintf("wal fsync p99 > %dus", *sloFsyncP99US))
 		}
 		if *sloCompactMS > 0 && *walDir != "" {
@@ -241,7 +232,6 @@ func main() {
 		Tracer:        tr,
 		Flight:        rec,
 		Watchdog:      wd,
-		QueryWindow:   qwin,
 	})
 	srv.SetCacheEntries(*cacheEnts) // before the first Publish: snapshots wrap at publish time
 
@@ -261,7 +251,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "parapll-server: SIGQUIT: flight bundle -> %s\n", path)
 			os.Exit(2)
 		}()
-		fmt.Printf("flight recorder armed: spool %s (keep %d)\n", *flightDir, *flightKeep)
+		fmt.Printf("flight recorder armed: spool %s (keep %d)\n", *flightDir, flight.MaxBundles)
 	}
 	if wd != nil {
 		wd.AddCounterRule("reload_failures", srv.ReloadFailures(), 0)
@@ -276,9 +266,8 @@ func main() {
 	go func() {
 		if *walDir != "" {
 			opt := compact.Options{Dir: *walDir, CompactEvery: *compactN, Threads: *threads, Tracer: tr}
-			if fsyncWin != nil {
-				win := fsyncWin // feeds the watchdog's wal_fsync_p99 window
-				opt.OnFsync = func(d time.Duration) { win.Observe(d.Microseconds()) }
+			if fsyncHist != nil { // feeds the watchdog's wal_fsync_p99 rule
+				opt.OnFsync = func(d time.Duration) { fsyncHist.Observe(d.Microseconds()) }
 			}
 			prepareLive(srv, opt, *indexPath, *graphPath)
 			return
@@ -414,7 +403,7 @@ func prepare(indexPath, graphPath string, threads int) (*parapll.Index, *parapll
 	if indexPath == "" {
 		t0 := time.Now()
 		prog := &parapll.BuildProgress{}
-		stopLog := logProgress(prog, t0)
+		stopLog := prog.Log(t0)
 		idx := parapll.Build(g, parapll.Options{Threads: threads, Policy: parapll.Dynamic, Progress: prog})
 		stopLog()
 		fmt.Printf("indexed %d vertices in %.2fs\n", g.NumVertices(), time.Since(t0).Seconds())
@@ -432,39 +421,6 @@ func prepare(indexPath, graphPath string, threads int) (*parapll.Index, *parapll
 			indexPath, idx.NumVertices(), graphPath, g.NumVertices())
 	}
 	return idx, g, indexPath
-}
-
-// logProgress samples prog every 2s and prints a one-line status —
-// including the average root rate and an ETA — until the returned stop
-// function is called. Quiet for fast builds: nothing is printed before
-// the first tick.
-func logProgress(prog *parapll.BuildProgress, start time.Time) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(2 * time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				s := prog.Snapshot()
-				elapsed := time.Since(start)
-				line := fmt.Sprintf("indexing: %d/%d roots, %d labels, %.0f roots/s",
-					s.RootsDone, s.TotalRoots, s.LabelsAdded, s.Rate(elapsed))
-				if eta, ok := s.ETA(elapsed); ok {
-					line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
-				}
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
 }
 
 func fatalf(format string, args ...interface{}) {

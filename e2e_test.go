@@ -476,10 +476,10 @@ func TestFlightBreachE2E(t *testing.T) {
 	const addr = "127.0.0.1:18963"
 	url := func(path string) string { return "http://" + addr + path }
 	// -slo-query-p99-us 1: every real request breaches, so two 100ms
-	// windows of traffic trip the default hysteresis.
+	// windows of traffic trip the hysteresis (flight.BreachAfter).
 	srv := exec.Command(serverBin,
 		"-graph", graphPath, "-addr", addr,
-		"-flight", spool, "-flight-keep", "4", "-flight-gap-ms", "100", "-flight-trace-sec", "10",
+		"-flight", spool,
 		"-slo-window-ms", "100", "-slo-query-p99-us", "1")
 	srv.Stdout = os.Stderr
 	srv.Stderr = os.Stderr

@@ -15,6 +15,8 @@
 package core
 
 import (
+	"fmt"
+	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -188,6 +190,39 @@ func (s ProgressSnapshot) ETA(elapsed time.Duration) (eta time.Duration, ok bool
 	}
 	remaining := float64(s.TotalRoots-s.RootsDone) / rate
 	return time.Duration(remaining * float64(time.Second)), true
+}
+
+// Log samples p every 2s and prints a one-line status to standard
+// error — roots done, labels, the average root rate since start and an
+// ETA — until the returned stop function is called. Quiet for fast
+// builds: nothing prints before the first tick.
+func (p *Progress) Log(start time.Time) (stop func()) {
+	done := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		tick := time.NewTicker(2 * time.Second)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				s := p.Snapshot()
+				elapsed := time.Since(start)
+				line := fmt.Sprintf("indexing: %d/%d roots, %d labels, %.0f roots/s",
+					s.RootsDone, s.TotalRoots, s.LabelsAdded, s.Rate(elapsed))
+				if eta, ok := s.ETA(elapsed); ok {
+					line += fmt.Sprintf(", ETA %s", eta.Round(time.Second))
+				}
+				fmt.Fprintln(os.Stderr, line)
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		<-finished
+	}
 }
 
 // rootDone records one completed Pruned Dijkstra. p may be nil.

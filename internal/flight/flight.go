@@ -10,11 +10,13 @@
 // are transient: by the time an operator attaches, the slow window is
 // over and the evidence is gone. The recorder is therefore always on
 // and cheap (the tracer ring and metric instruments already exist;
-// the recorder only adds two bounded in-memory rings), and a capture
-// is a read-mostly snapshot: merge the trace ring's last N seconds,
-// snapshot the metrics registry, copy the error and metric-sample
-// rings, collect goroutine/heap profiles and the serving/WAL state the
-// sources expose, and write one JSON file to a bounded spool. Bundles
+// the recorder only adds two metrics.Ring values, of recent errors and
+// of metric samples), and a capture is a read-mostly snapshot: merge
+// the trace ring's last TraceWindow, snapshot the metrics registry,
+// copy the error and metric-sample rings, collect goroutine/heap
+// profiles and the serving/WAL state the sources expose, and write one
+// JSON file to a bounded spool (MaxBundles, at most one automatic
+// capture per MinGap). Bundles
 // are self-contained — `parapll-trace check` validates the embedded
 // trace without the process that wrote it.
 //
@@ -61,22 +63,19 @@ type Sources struct {
 	Health func() any
 }
 
-// Options bound the Recorder's memory and disk footprint.
-type Options struct {
-	// Dir is the on-disk spool directory. Required; created if missing.
-	Dir string
+// The bounds of the Recorder's memory and disk footprint.
+const (
 	// MaxBundles caps the spool; the oldest bundle is deleted when a new
-	// one would exceed it. Default 8.
-	MaxBundles int
+	// one would exceed it.
+	MaxBundles = 8
 	// MinGap rate-limits automatic captures (TriggerAuto): a trigger
 	// closer than MinGap to the previous *auto* capture is suppressed.
 	// Manual Trigger calls (an operator hitting /debug/bundle) are never
-	// suppressed. Default 30s.
-	MinGap time.Duration
+	// suppressed.
+	MinGap = 30 * time.Second
 	// TraceWindow is how far back the embedded trace capture reaches.
-	// Default 30s.
-	TraceWindow time.Duration
-}
+	TraceWindow = 30 * time.Second
+)
 
 // maxErrors caps the recent-error ring and maxSamples the rolling
 // metric-sample ring.
@@ -84,20 +83,6 @@ const (
 	maxErrors  = 64
 	maxSamples = 32
 )
-
-func (o *Options) withDefaults() Options {
-	out := *o
-	if out.MaxBundles <= 0 {
-		out.MaxBundles = 8
-	}
-	if out.MinGap <= 0 {
-		out.MinGap = 30 * time.Second
-	}
-	if out.TraceWindow <= 0 {
-		out.TraceWindow = 30 * time.Second
-	}
-	return out
-}
 
 // ErrorRecord is one recent error held in the recorder's ring.
 type ErrorRecord struct {
@@ -160,15 +145,12 @@ func ParseBundle(data []byte) (*Bundle, error) {
 // Recorder is the always-on evidence collector. All methods are safe
 // for concurrent use.
 type Recorder struct {
-	opt Options
+	dir string
 	src Sources
 
 	mu       sync.Mutex
-	errs     []ErrorRecord // ring, errNext is the next overwrite slot
-	errNext  int
-	errTotal uint64
-	samples  []MetricSample
-	sampNext int
+	errs     *metrics.Ring[ErrorRecord]
+	samples  *metrics.Ring[MetricSample]
 	seq      uint64
 	lastAuto time.Time
 
@@ -176,27 +158,28 @@ type Recorder struct {
 	suppressed *metrics.Counter // flight.suppressed_total
 }
 
-// New builds a Recorder spooling into opt.Dir, creating the directory
-// if needed. When src.Registry is non-nil the recorder also publishes
+// New builds a Recorder spooling into dir, creating the directory if
+// needed. When src.Registry is non-nil the recorder also publishes
 // flight.captures_total / flight.suppressed_total counters there.
-func New(opt Options, src Sources) (*Recorder, error) {
-	o := opt.withDefaults()
-	if o.Dir == "" {
-		return nil, fmt.Errorf("flight: Options.Dir is required")
+func New(dir string, src Sources) (*Recorder, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("flight: a spool directory is required")
 	}
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("flight: creating spool %s: %w", o.Dir, err)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("flight: creating spool %s: %w", dir, err)
 	}
-	r := &Recorder{opt: o, src: src}
+	r := &Recorder{
+		dir:     dir,
+		src:     src,
+		errs:    metrics.NewRing[ErrorRecord](maxErrors),
+		samples: metrics.NewRing[MetricSample](maxSamples),
+	}
 	if src.Registry != nil {
 		r.captures = src.Registry.Counter("flight.captures_total")
 		r.suppressed = src.Registry.Counter("flight.suppressed_total")
 	}
 	return r, nil
 }
-
-// Dir returns the spool directory.
-func (r *Recorder) Dir() string { return r.opt.Dir }
 
 // RecordError adds one error to the bounded recent-error ring.
 func (r *Recorder) RecordError(source string, err error) {
@@ -209,28 +192,7 @@ func (r *Recorder) RecordError(source string, err error) {
 }
 
 func (r *Recorder) recordErrorLocked(source, msg string) {
-	rec := ErrorRecord{UnixNano: time.Now().UnixNano(), Source: source, Error: msg}
-	if len(r.errs) < maxErrors {
-		r.errs = append(r.errs, rec)
-	} else {
-		r.errs[r.errNext] = rec
-		r.errNext = (r.errNext + 1) % len(r.errs)
-	}
-	r.errTotal++
-}
-
-// Errors returns the ring's contents, oldest first.
-func (r *Recorder) Errors() []ErrorRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.errorsLocked()
-}
-
-func (r *Recorder) errorsLocked() []ErrorRecord {
-	out := make([]ErrorRecord, 0, len(r.errs))
-	out = append(out, r.errs[r.errNext:]...)
-	out = append(out, r.errs[:r.errNext]...)
-	return out
+	r.errs.Add(ErrorRecord{UnixNano: time.Now().UnixNano(), Source: source, Error: msg})
 }
 
 // SampleMetrics appends one rolling counter/gauge sample to the ring
@@ -244,25 +206,7 @@ func (r *Recorder) SampleMetrics() {
 	s := MetricSample{UnixNano: time.Now().UnixNano(), Counters: snap.Counters, Gauges: snap.Gauges}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.samples) < maxSamples {
-		// Filling: append; once full, sampNext has wrapped to 0 — the
-		// oldest slot — which is exactly where the first overwrite goes.
-		r.samples = append(r.samples, s)
-		r.sampNext = (r.sampNext + 1) % maxSamples
-	} else {
-		r.samples[r.sampNext] = s
-		r.sampNext = (r.sampNext + 1) % len(r.samples)
-	}
-}
-
-func (r *Recorder) samplesLocked() []MetricSample {
-	if len(r.samples) < maxSamples {
-		return append([]MetricSample(nil), r.samples...)
-	}
-	out := make([]MetricSample, 0, len(r.samples))
-	out = append(out, r.samples[r.sampNext:]...)
-	out = append(out, r.samples[:r.sampNext]...)
-	return out
+	r.samples.Add(s)
 }
 
 // Trigger captures a bundle unconditionally (operator-initiated:
@@ -281,7 +225,7 @@ func (r *Recorder) TriggerAuto(reason string) (path string, ok bool, err error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now()
-	if !r.lastAuto.IsZero() && now.Sub(r.lastAuto) < r.opt.MinGap {
+	if !r.lastAuto.IsZero() && now.Sub(r.lastAuto) < MinGap {
 		if r.suppressed != nil {
 			r.suppressed.Inc()
 		}
@@ -303,15 +247,6 @@ func (r *Recorder) TriggerPanic(source string, p any) (string, error) {
 	return r.captureLocked("panic:" + source + ": " + fmt.Sprint(p))
 }
 
-// Build assembles a Bundle without writing it (also the body served by
-// /debug/bundle alongside the spool write).
-func (r *Recorder) Build(reason string) *Bundle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.seq++
-	return r.buildLocked(reason)
-}
-
 func (r *Recorder) buildLocked(reason string) *Bundle {
 	now := time.Now()
 	b := &Bundle{
@@ -322,13 +257,13 @@ func (r *Recorder) buildLocked(reason string) *Bundle {
 			Seq:              r.seq,
 			PID:              os.Getpid(),
 			GoVersion:        runtime.Version(),
-			TraceWindowNanos: r.opt.TraceWindow.Nanoseconds(),
+			TraceWindowNanos: TraceWindow.Nanoseconds(),
 		},
-		MetricRing: r.samplesLocked(),
-		Errors:     r.errorsLocked(),
+		MetricRing: r.samples.Oldest(),
+		Errors:     r.errs.Oldest(),
 	}
 	if tr := r.src.Tracer; tr.Enabled() {
-		since := tr.Now() - r.opt.TraceWindow.Nanoseconds()
+		since := tr.Now() - TraceWindow.Nanoseconds()
 		if data, err := tr.Capture(since); err == nil {
 			b.Trace = data
 		} else {
@@ -360,7 +295,7 @@ func (r *Recorder) captureLocked(reason string) (string, error) {
 	// Unix-nano prefix makes lexical order chronological across process
 	// restarts, so pruning can sort names instead of stat-ing.
 	name := fmt.Sprintf("bundle-%020d-%04d-%s.json", b.Meta.UnixNano, b.Meta.Seq, sanitizeReason(reason))
-	path := filepath.Join(r.opt.Dir, name)
+	path := filepath.Join(r.dir, name)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return "", fmt.Errorf("flight: writing bundle: %w", err)
 	}
@@ -375,9 +310,9 @@ func (r *Recorder) captureLocked(reason string) (string, error) {
 // errors are ignored: a capture must not fail because a concurrent
 // operator deleted a spool file first.
 func (r *Recorder) pruneLocked() {
-	names := spoolNames(r.opt.Dir)
-	for len(names) > r.opt.MaxBundles {
-		os.Remove(filepath.Join(r.opt.Dir, names[0]))
+	names := spoolNames(r.dir)
+	for len(names) > MaxBundles {
+		os.Remove(filepath.Join(r.dir, names[0]))
 		names = names[1:]
 	}
 }
@@ -401,10 +336,10 @@ func spoolNames(dir string) []string {
 
 // Spool returns the current bundle paths, oldest first.
 func (r *Recorder) Spool() []string {
-	names := spoolNames(r.opt.Dir)
+	names := spoolNames(r.dir)
 	out := make([]string, len(names))
 	for i, n := range names {
-		out[i] = filepath.Join(r.opt.Dir, n)
+		out[i] = filepath.Join(r.dir, n)
 	}
 	return out
 }

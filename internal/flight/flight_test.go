@@ -6,7 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"parapll/internal/metrics"
 	"parapll/internal/trace"
@@ -26,6 +25,24 @@ func testTracer(t *testing.T) *trace.Tracer {
 	return tr
 }
 
+// capture triggers a bundle and parses it back from the spool.
+func capture(t *testing.T, rec *Recorder) *Bundle {
+	t.Helper()
+	path, err := rec.Trigger("probe")
+	if err != nil {
+		t.Fatalf("Trigger: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading bundle: %v", err)
+	}
+	b, err := ParseBundle(data)
+	if err != nil {
+		t.Fatalf("ParseBundle: %v", err)
+	}
+	return b
+}
+
 // TestRecorderBundleRoundTrip: Trigger writes a self-contained bundle
 // whose embedded trace passes trace.CheckCapture and whose rings and
 // source payloads survive a parse round trip.
@@ -33,7 +50,7 @@ func TestRecorderBundleRoundTrip(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("http.requests.query").Add(3)
 	tr := testTracer(t)
-	rec, err := New(Options{Dir: t.TempDir()}, Sources{
+	rec, err := New(t.TempDir(), Sources{
 		Tracer:   tr,
 		Registry: reg,
 		Stats: func() any {
@@ -101,22 +118,22 @@ func TestRecorderBundleRoundTrip(t *testing.T) {
 // TestSpoolBounded: the spool never holds more than MaxBundles files,
 // and the survivors are the newest.
 func TestSpoolBounded(t *testing.T) {
-	dir := t.TempDir()
-	rec, err := New(Options{Dir: dir, MaxBundles: 3}, Sources{})
+	rec, err := New(t.TempDir(), Sources{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	for i := 0; i < 7; i++ {
+	const extra = 4
+	for i := 0; i < MaxBundles+extra; i++ {
 		if _, err := rec.Trigger(fmt.Sprintf("r%d", i)); err != nil {
 			t.Fatalf("Trigger %d: %v", i, err)
 		}
 	}
 	paths := rec.Spool()
-	if len(paths) != 3 {
-		t.Fatalf("spool holds %d bundles, want 3: %v", len(paths), paths)
+	if len(paths) != MaxBundles {
+		t.Fatalf("spool holds %d bundles, want %d: %v", len(paths), MaxBundles, paths)
 	}
 	for i, p := range paths {
-		want := fmt.Sprintf("r%d", 4+i) // r4, r5, r6 survive
+		want := fmt.Sprintf("-r%d.json", extra+i) // the newest MaxBundles survive
 		if !strings.Contains(p, want) {
 			t.Fatalf("spool[%d] = %s, want reason %s", i, p, want)
 		}
@@ -127,7 +144,7 @@ func TestSpoolBounded(t *testing.T) {
 // suppressed (and counted), manual ones never are.
 func TestTriggerAutoRateLimit(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec, err := New(Options{Dir: t.TempDir(), MinGap: time.Hour}, Sources{Registry: reg})
+	rec, err := New(t.TempDir(), Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -155,7 +172,7 @@ func TestTriggerAutoRateLimit(t *testing.T) {
 // TestErrorRingBounded: the error ring keeps only the newest maxErrors
 // records, oldest first.
 func TestErrorRingBounded(t *testing.T) {
-	rec, err := New(Options{Dir: t.TempDir()}, Sources{})
+	rec, err := New(t.TempDir(), Sources{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -163,7 +180,7 @@ func TestErrorRingBounded(t *testing.T) {
 	for i := 0; i < maxErrors+extra; i++ {
 		rec.RecordError("s", fmt.Errorf("e%d", i))
 	}
-	errs := rec.Errors()
+	errs := capture(t, rec).Errors
 	if len(errs) != maxErrors {
 		t.Fatalf("ring holds %d, want %d", len(errs), maxErrors)
 	}
@@ -173,7 +190,7 @@ func TestErrorRingBounded(t *testing.T) {
 		}
 	}
 	rec.RecordError("s", nil) // nil errors are ignored
-	if len(rec.Errors()) != maxErrors {
+	if len(capture(t, rec).Errors) != maxErrors {
 		t.Fatal("nil error entered the ring")
 	}
 }
@@ -183,7 +200,7 @@ func TestErrorRingBounded(t *testing.T) {
 func TestMetricRingBounded(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.Counter("x")
-	rec, err := New(Options{Dir: t.TempDir()}, Sources{Registry: reg})
+	rec, err := New(t.TempDir(), Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -192,7 +209,7 @@ func TestMetricRingBounded(t *testing.T) {
 		c.Inc()
 		rec.SampleMetrics()
 	}
-	b := rec.Build("probe")
+	b := capture(t, rec)
 	if len(b.MetricRing) != maxSamples {
 		t.Fatalf("ring holds %d, want %d", len(b.MetricRing), maxSamples)
 	}

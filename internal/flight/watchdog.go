@@ -9,8 +9,9 @@ import (
 
 // watchdog.go closes the observability loop: the metrics exist, the
 // recorder can capture — the watchdog decides *when*. Every Window it
-// ticks: windowed latency histograms rotate, each rule evaluates the
-// window that just closed, and verdicts move through a hysteresis
+// ticks: each rule evaluates what happened since the previous tick (a
+// latency rule the quantile of its histograms' bucket growth, a counter
+// rule its counter's growth), and verdicts move through a hysteresis
 // state machine (BreachAfter consecutive bad windows to alarm,
 // ClearAfter consecutive good ones to stand down) so a single noisy
 // window can neither fire an alarm nor silence one. Entering breach
@@ -20,14 +21,8 @@ import (
 
 // WatchdogOptions configures the evaluation loop.
 type WatchdogOptions struct {
-	// Window is the rotation/evaluation period. Default 10s.
+	// Window is the evaluation period. Default 10s.
 	Window time.Duration
-	// BreachAfter is how many consecutive bad windows enter a breach.
-	// Default 2.
-	BreachAfter int
-	// ClearAfter is how many consecutive good windows clear one.
-	// Default 3.
-	ClearAfter int
 	// Registry, when non-nil, receives per-rule verdict gauges:
 	// slo.breach.<rule> (0/1) and slo.value.<rule> (last evaluation).
 	Registry *metrics.Registry
@@ -43,23 +38,25 @@ func (o *WatchdogOptions) withDefaults() WatchdogOptions {
 	if out.Window <= 0 {
 		out.Window = 10 * time.Second
 	}
-	if out.BreachAfter <= 0 {
-		out.BreachAfter = 2
-	}
-	if out.ClearAfter <= 0 {
-		out.ClearAfter = 3
-	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
 	}
 	return out
 }
 
+// The hysteresis of every rule.
+const (
+	// BreachAfter is how many consecutive bad windows enter a breach.
+	BreachAfter = 2
+	// ClearAfter is how many consecutive good windows clear one.
+	ClearAfter = 3
+)
+
 // ruleKind is how a rule extracts its per-window value.
 type ruleKind int
 
 const (
-	ruleLatency ruleKind = iota // quantile of a windowed histogram
+	ruleLatency ruleKind = iota // quantile of histograms' per-window growth
 	ruleCounter                 // delta of a cumulative counter
 	ruleProbe                   // arbitrary callback
 )
@@ -70,7 +67,8 @@ type rule struct {
 	kind      ruleKind
 	threshold int64
 
-	hist     *metrics.WindowedHistogram // ruleLatency
+	hists    []*metrics.Histogram // ruleLatency
+	lastHist metrics.HistogramSnapshot
 	q        float64
 	minCount int64
 
@@ -140,9 +138,6 @@ func NewWatchdog(opt WatchdogOptions) *Watchdog {
 	}
 }
 
-// Window returns the evaluation period.
-func (w *Watchdog) Window() time.Duration { return w.opt.Window }
-
 func (w *Watchdog) addRule(r *rule) {
 	if w.opt.Registry != nil {
 		r.breachGauge = w.opt.Registry.Gauge("slo.breach." + r.name)
@@ -153,18 +148,31 @@ func (w *Watchdog) addRule(r *rule) {
 	w.rules = append(w.rules, r)
 }
 
-// AddLatencyRule watches quantile q of h's just-closed window: bad
-// when the window holds at least minCount observations and the
-// quantile exceeds threshold (in the histogram's own unit). The
-// watchdog owns h's rotation from now on — don't Rotate it elsewhere.
-func (w *Watchdog) AddLatencyRule(name, unit string, h *metrics.WindowedHistogram, q float64, threshold, minCount int64) {
+// AddLatencyRule watches quantile q of what the cumulative histograms
+// hs, summed bucket by bucket, gained in one window: bad when the
+// window added at least minCount observations and their quantile
+// exceeds threshold (in the histograms' own unit). hs must share their
+// bounds; the first window counts from this call.
+func (w *Watchdog) AddLatencyRule(name, unit string, q float64, threshold, minCount int64, hs ...*metrics.Histogram) {
 	if minCount < 1 {
 		minCount = 1
 	}
 	w.addRule(&rule{
 		name: name, unit: unit, kind: ruleLatency, threshold: threshold,
-		hist: h, q: q, minCount: minCount,
+		hists: hs, lastHist: sumHistograms(hs), q: q, minCount: minCount,
 	})
+}
+
+// sumHistograms snapshots hs and adds their buckets position by
+// position.
+func sumHistograms(hs []*metrics.Histogram) metrics.HistogramSnapshot {
+	sum := hs[0].Snapshot()
+	for _, h := range hs[1:] {
+		for i, b := range h.Snapshot().Buckets {
+			sum.Buckets[i].Count += b.Count
+		}
+	}
+	return sum
 }
 
 // AddCounterRule watches a cumulative counter's per-window delta: bad
@@ -206,7 +214,7 @@ func (w *Watchdog) Tick() []string {
 			r.badStreak = 0
 		}
 		switch {
-		case !r.breached && r.badStreak >= w.opt.BreachAfter:
+		case !r.breached && r.badStreak >= BreachAfter:
 			r.breached = true
 			r.breaches++
 			r.sinceNano = now
@@ -215,7 +223,7 @@ func (w *Watchdog) Tick() []string {
 			}
 			entered = append(entered, r.name)
 			w.opt.Logf("flight: SLO breach: %s = %d %s (threshold %d)", r.name, value, r.unit, r.threshold)
-		case r.breached && r.goodStreak >= w.opt.ClearAfter:
+		case r.breached && r.goodStreak >= ClearAfter:
 			r.breached = false
 			r.sinceNano = now
 			if r.breachGauge != nil {
@@ -245,14 +253,25 @@ func (w *Watchdog) Tick() []string {
 func (r *rule) evaluate() (int64, bool) {
 	switch r.kind {
 	case ruleLatency:
-		snap := r.hist.Rotate()
-		if snap.Count < r.minCount {
+		// Every bucket only grows, so each difference is what the
+		// window added; the buckets, not Count, make the total, since a
+		// snapshot may tear between the two.
+		cur := sumHistograms(r.hists)
+		win := metrics.HistogramSnapshot{Buckets: make([]metrics.Bucket, len(cur.Buckets))}
+		var n int64
+		for i, b := range cur.Buckets {
+			b.Count -= r.lastHist.Buckets[i].Count
+			win.Buckets[i] = b
+			n += b.Count
+		}
+		r.lastHist = cur
+		if n < r.minCount {
 			// Too little traffic to judge: counts as healthy — absence
 			// of load is not an SLO breach, and a breached rule drains
 			// its streak so an idle system stands down.
 			return 0, false
 		}
-		v := snap.Quantile(r.q)
+		v := win.Quantile(r.q)
 		return v, v > r.threshold
 	case ruleCounter:
 		cur := r.counter.Value()

@@ -87,25 +87,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns how many values have been observed.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Reset zeroes every bucket plus count and sum. Observes racing a
-// Reset may straddle the two epochs (e.g. land in a bucket but miss
-// the count); windowed consumers (WindowedHistogram) tolerate that
-// one-observation skew. Cumulative registry histograms are never
-// reset.
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
 // Bucket is one histogram bucket in a snapshot: the count of
 // observations at or below Le (and above the previous bound). The
 // overflow bucket reports Le = math.MaxInt64.
@@ -139,6 +120,40 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Buckets[i] = Bucket{Le: le, Count: h.buckets[i].Load()}
 	}
 	return s
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) from bucket counts:
+// the upper bound of the bucket where the cumulative count reaches
+// ceil(q * total) — a conservative "the quantile is at most X".
+// Observations beyond the last bound report math.MaxInt64 (any finite
+// threshold reads that as a breach, which is the safe direction for an
+// SLO). An empty snapshot returns 0.
+func (s HistogramSnapshot) Quantile(q float64) int64 {
+	var total int64
+	for _, b := range s.Buckets {
+		total += b.Count
+	}
+	if total <= 0 {
+		return 0
+	}
+	if q < 0 {
+		q = 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	target := int64(math.Ceil(q * float64(total)))
+	if target < 1 {
+		target = 1
+	}
+	var cum int64
+	for _, b := range s.Buckets {
+		cum += b.Count
+		if cum >= target {
+			return b.Le
+		}
+	}
+	return s.Buckets[len(s.Buckets)-1].Le
 }
 
 // DefaultLatencyBuckets covers request latencies in microseconds, from

@@ -127,10 +127,39 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h", DefaultLatencyBuckets).Count(); got != 8000 {
+	if got := r.Histogram("h", DefaultLatencyBuckets).Snapshot().Count; got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 	if got := r.Gauge("g").Value(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
+	}
+}
+
+// TestSnapshotQuantile: quantile estimation returns the bucket upper
+// bound where the cumulative count crosses the target, MaxInt64 for
+// the overflow bucket, and 0 when empty.
+func TestSnapshotQuantile(t *testing.T) {
+	h := NewHistogram([]int64{10, 100, 1000})
+	if q := h.Snapshot().Quantile(0.99); q != 0 {
+		t.Fatalf("empty quantile = %d, want 0", q)
+	}
+	for i := 0; i < 98; i++ {
+		h.Observe(5) // le=10
+	}
+	h.Observe(50)  // le=100
+	h.Observe(500) // le=1000
+	s := h.Snapshot()
+	if q := s.Quantile(0.50); q != 10 {
+		t.Fatalf("p50 = %d, want 10", q)
+	}
+	if q := s.Quantile(0.99); q != 100 {
+		t.Fatalf("p99 = %d, want 100", q)
+	}
+	if q := s.Quantile(1.0); q != 1000 {
+		t.Fatalf("p100 = %d, want 1000", q)
+	}
+	h.Observe(99999) // overflow bucket
+	if q := h.Snapshot().Quantile(1.0); q != math.MaxInt64 {
+		t.Fatalf("overflow p100 = %d, want MaxInt64", q)
 	}
 }

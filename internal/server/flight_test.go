@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -124,13 +125,15 @@ func TestDebugHealthEndpoint(t *testing.T) {
 	}
 
 	reg := metrics.NewRegistry()
-	wd := flight.NewWatchdog(flight.WatchdogOptions{BreachAfter: 1, ClearAfter: 1, Registry: reg})
-	h := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 4)
-	wd.AddLatencyRule("query_p99", "us", h, 0.99, 1000, 1)
+	wd := flight.NewWatchdog(flight.WatchdogOptions{Registry: reg})
+	h := metrics.NewHistogram(metrics.DefaultLatencyBuckets)
+	wd.AddLatencyRule("query_p99", "us", 0.99, 1000, 1, h)
 	_, ts, _ = testDiagServer(t, 0, &Options{Registry: reg, Watchdog: wd})
 
-	h.Observe(100_000)
-	wd.Tick()
+	for i := 0; i < flight.BreachAfter; i++ {
+		h.Observe(100_000)
+		wd.Tick()
+	}
 	var rep flight.HealthReport
 	if code := getJSON(t, ts.URL+"/debug/health", &rep); code != 200 {
 		t.Fatalf("health status %d", code)
@@ -153,7 +156,7 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	tr.Enable()
 	reg := metrics.NewRegistry()
 	var s *Server // the recorder's Stats source reads the server built after it
-	rec, err := flight.New(flight.Options{Dir: t.TempDir()}, flight.Sources{
+	rec, err := flight.New(t.TempDir(), flight.Sources{
 		Tracer:   tr,
 		Registry: reg,
 		Stats:    func() any { return s.StatsPayload() },
@@ -201,7 +204,7 @@ func TestDebugBundleEndpoint(t *testing.T) {
 // bundle tagged with the endpoint — bypassing the auto-capture gap.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec, err := flight.New(flight.Options{Dir: t.TempDir(), MinGap: time.Hour}, flight.Sources{Registry: reg})
+	rec, err := flight.New(t.TempDir(), flight.Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
 	}
@@ -286,18 +289,47 @@ func TestSlowLogAnnotations(t *testing.T) {
 	}
 }
 
-// TestQueryWindowMiddleware: /query and /batch latencies land in the
-// installed windowed histogram; admin endpoints do not.
-func TestQueryWindowMiddleware(t *testing.T) {
-	h := metrics.NewWindowed(metrics.DefaultLatencyBuckets, 4)
-	_, ts, _ := testDiagServer(t, 0, &Options{QueryWindow: h})
+// TestLatencyRuleSeesQueryAndBatch: a latency rule over the registry's
+// http.latency_us.query and http.latency_us.batch histograms, as
+// parapll-server wires query_p99, counts every /query and /batch
+// request and no admin or debug one.
+func TestLatencyRuleSeesQueryAndBatch(t *testing.T) {
+	reg := metrics.NewRegistry()
+	wd := flight.NewWatchdog(flight.WatchdogOptions{Registry: reg})
+	// Threshold 0: any window of at least two requests is bad, so the
+	// verdict tells whether both endpoints reached the rule.
+	wd.AddLatencyRule("query_p99", "us", 0.99, 0, 2,
+		reg.Histogram("http.latency_us.query", metrics.DefaultLatencyBuckets),
+		reg.Histogram("http.latency_us.batch", metrics.DefaultLatencyBuckets))
+	_, ts, _ := testDiagServer(t, 0, &Options{Registry: reg, Watchdog: wd})
+	value := func() int64 { return wd.Health().Verdicts[0].Value }
 
 	var q queryResponse
 	getJSON(t, ts.URL+"/query?s=0&t=3", &q)
 	getJSON(t, ts.URL+"/stats", new(map[string]any))
 	getJSON(t, ts.URL+"/healthz", new(map[string]string))
+	getJSON(t, ts.URL+"/debug/slow", new(map[string]any))
+	wd.Tick()
+	if v := value(); v != 0 {
+		t.Fatalf("window of one /query and three admin requests read %d, want 0 (under minCount 2)", v)
+	}
 
-	if snap := h.Rotate(); snap.Count != 1 {
-		t.Fatalf("window saw %d observations, want 1 (/query only)", snap.Count)
+	getJSON(t, ts.URL+"/query?s=0&t=3", &q)
+	resp, err := http.Post(ts.URL+"/batch", "application/json", strings.NewReader(`{"pairs":[[0,1]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/batch status %d", resp.StatusCode)
+	}
+	wd.Tick()
+	if v := value(); v <= 0 {
+		t.Fatalf("window of one /query and one /batch read %d, want their p99 (> 0)", v)
+	}
+	wd.Tick()
+	if v := value(); v != 0 {
+		t.Fatalf("idle window read %d, want 0", v)
 	}
 }

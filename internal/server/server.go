@@ -125,13 +125,10 @@ type Options struct {
 	// bundle when a handler panics (nil: /debug/bundle answers 412).
 	Flight *flight.Recorder
 	// Watchdog is the verdict source behind /debug/health; its owner
-	// starts and stops it (nil: /debug/health answers 412).
+	// starts and stops it (nil: /debug/health answers 412). Its latency
+	// rules can read the Registry's http.latency_us.<endpoint>
+	// histograms, which every request feeds.
 	Watchdog *flight.Watchdog
-	// QueryWindow receives the latency in microseconds of every /query
-	// and /batch request. Pass the same histogram to the watchdog's
-	// latency rule: the server only observes, the watchdog rotates and
-	// judges.
-	QueryWindow *metrics.WindowedHistogram
 }
 
 // Server answers distance queries over HTTP from an atomically swappable
@@ -152,9 +149,10 @@ type Server struct {
 	cache *qcache.Cache
 
 	// Sampled request spans land in per-lane trace ring buffers (lane =
-	// round-robin over requestLanes tids) so concurrent requests never
-	// contend on one ring.
+	// round-robin over requestLanes tids, resolved once in NewPending)
+	// so concurrent requests never contend on one ring.
 	traceLane atomic.Uint64
+	lanes     [requestLanes]*trace.Buf
 	captureMu sync.Mutex // serializes /debug/trace live captures
 	slow      *SlowLog
 
@@ -209,8 +207,9 @@ func NewPending(o *Options) *Server {
 		tr.SetThreadName(trace.TIDCache, "qcache")
 		tr.SetThreadName(trace.TIDWAL, "wal")
 		tr.SetThreadName(trace.TIDCompact, "compactor")
-		for i := 0; i < requestLanes; i++ {
+		for i := range s.lanes {
 			tr.SetThreadName(trace.TIDRequestBase+i, fmt.Sprintf("http lane %d", i))
+			s.lanes[i] = tr.Buf(trace.TIDRequestBase + i)
 		}
 	}
 	reg := s.opt.Registry
@@ -279,11 +278,9 @@ func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 	errorsC := s.opt.Registry.Counter("http.errors." + name)
 	latency := s.opt.Registry.Histogram("http.latency_us."+name, metrics.DefaultLatencyBuckets)
 	spanName := "http " + name
-	// The watchdog's query-p99 rule judges the user-visible distance
-	// endpoints, not debug or admin traffic.
-	var window *metrics.WindowedHistogram
-	if path == "/query" || path == "/batch" {
-		window = s.opt.QueryWindow
+	var span trace.ID
+	if tr := s.opt.Tracer; tr != nil {
+		span = tr.Intern(spanName, "status")
 	}
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
@@ -302,9 +299,6 @@ func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 		elapsed := time.Since(start)
 		s.inflight.Dec() // not deferred: invoke lets no handler panic through
 		latency.Observe(elapsed.Microseconds())
-		if window != nil {
-			window.Observe(elapsed.Microseconds())
-		}
 		status, gen, cache := sw.status, sw.gen, sw.cache
 		sw.ResponseWriter = nil
 		statusWriters.Put(sw)
@@ -316,10 +310,8 @@ func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 		}
 		s.slow.Observe(r.Method, path, r.URL.RawQuery, status, gen, cache, start, elapsed)
 		if tr := s.opt.Tracer; tr.Sample() {
-			lane := trace.TIDRequestBase + int(s.traceLane.Add(1)%requestLanes)
-			id := tr.Intern(spanName, "status")
 			t1 := tr.At(start)
-			tr.Buf(lane).Span(id, t1, t1+elapsed.Nanoseconds(), uint64(status))
+			s.lanes[s.traceLane.Add(1)%requestLanes].Span(span, t1, t1+elapsed.Nanoseconds(), uint64(status))
 		}
 	})
 }

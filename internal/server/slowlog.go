@@ -2,23 +2,21 @@ package server
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"parapll/internal/metrics"
 )
 
 // SlowLog is a bounded in-memory log of the slowest-than-threshold
 // requests, fed by the serving middleware and exposed at
-// GET /debug/slow. A fixed ring under a mutex: observing is O(1), the
-// newest entries win, and memory is bounded no matter how bad a day the
+// GET /debug/slow. A ring under a mutex: observing is O(1), the newest
+// entries win, and memory is bounded no matter how bad a day the
 // service is having.
 type SlowLog struct {
 	threshold time.Duration // <= 0 disables
-	total     atomic.Uint64 // slow requests ever observed (incl. evicted)
 
 	mu   sync.Mutex
-	ring []SlowEntry
-	next int // ring position of the next write
-	n    int // live entries (<= len(ring))
+	ring *metrics.Ring[SlowEntry]
 }
 
 // SlowEntry is one logged slow request.
@@ -56,15 +54,16 @@ const (
 // requests; requests at or above `threshold` are recorded (<= 0
 // disables).
 func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SlowLog{threshold: threshold, ring: make([]SlowEntry, capacity)}
+	return &SlowLog{threshold: threshold, ring: metrics.NewRing[SlowEntry](capacity)}
 }
 
 // Total returns how many slow requests were ever observed, including
 // those the ring has since evicted.
-func (l *SlowLog) Total() uint64 { return l.total.Load() }
+func (l *SlowLog) Total() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.ring.Total()
+}
 
 // Observe records the request if it was slow enough. The threshold
 // check is one comparison, so the fast path costs nothing measurable.
@@ -74,7 +73,6 @@ func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, ca
 	if l.threshold <= 0 || elapsed < l.threshold {
 		return
 	}
-	l.total.Add(1)
 	e := SlowEntry{
 		Time:       start,
 		Method:     method,
@@ -86,11 +84,7 @@ func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, ca
 		Cache:      cache,
 	}
 	l.mu.Lock()
-	l.ring[l.next] = e
-	l.next = (l.next + 1) % len(l.ring)
-	if l.n < len(l.ring) {
-		l.n++
-	}
+	l.ring.Add(e)
 	l.mu.Unlock()
 }
 
@@ -98,9 +92,5 @@ func (l *SlowLog) Observe(method, path, query string, status int, gen uint64, ca
 func (l *SlowLog) Entries() []SlowEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]SlowEntry, 0, l.n)
-	for i := 1; i <= l.n; i++ {
-		out = append(out, l.ring[(l.next-i+len(l.ring))%len(l.ring)])
-	}
-	return out
+	return l.ring.Newest()
 }

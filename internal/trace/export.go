@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 )
@@ -181,6 +182,20 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(buf)
 	return err
+}
+
+// WriteFile writes the full capture (see Capture) to a file at path,
+// created or truncated.
+func (t *Tracer) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // CaptureStats summarizes a parsed capture for validation (the

@@ -8,7 +8,9 @@
 # TestStoreBulkAppendSpansSegments, TestStoreHeadHammer, the wide-entry
 # hammer TestStoreWideHammer and the allocation bound
 # TestStoreAllocatesEachSlotOnce), the dynamic policy's shared root
-# claim (TestDynamicCoversAllExactlyOnce), the distance
+# claim (TestDynamicCoversAllExactlyOnce), the watchdog's latency
+# rule diffing histograms that requests observe into
+# (TestLatencyRuleConcurrentObserve), the distance
 # cache, the lock-order hammers, the goroutine-lifetime tests and the
 # fault-injection tests of the durability contract (TestSaveFaults,
 # TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
@@ -91,7 +93,10 @@ go test -race -short ./...
 # one every parallel build runs: one fetch-and-add on a shared cursor,
 # which TestDynamicCoversAllExactlyOnce holds to hand each root to
 # exactly one of up to eight workers.
-# The distance cache rides along: its striped table under concurrent
+# The watchdog's latency rule rides along: TestLatencyRuleConcurrentObserve
+# ticks it, snapshotting and diffing histogram buckets, while several
+# goroutines observe into those histograms as requests do.
+# The distance cache rides along too: its striped table under concurrent
 # Get/Put, and under readers that query while generations are swapped
 # across the slot tag's wrap point. So do the living graph's lock-free
 # reads: queries beside copy-on-write delta runs being published, and
@@ -134,9 +139,9 @@ go test -race -short ./...
 # reopen; TestCompactWaitingOnAFailedApply wants a Compact that waited on
 # that mutex to fold nothing over the half-applied insert (DESIGN.md "The
 # durability contract is held by fault tests").
-echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, dynamic root claim, batch scratch pool, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply|TestDynamicCoversAllExactlyOnce' \
-    ./internal/trace ./internal/label ./internal/task ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
+echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, dynamic root claim, batch scratch pool, watchdog latency rule, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply|TestDynamicCoversAllExactlyOnce|TestLatencyRuleConcurrentObserve' \
+    ./internal/trace ./internal/label ./internal/task ./internal/flight ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
 # The pipeline's lock-order test again without the race detector: a
 # lock-order cycle in the pipeline must turn it red in plain runs too,
