@@ -42,10 +42,14 @@
 // distances mutate within a generation, so a cached answer could
 // outlive the insert that shortened it.
 //
-// Observability flags: -slow-ms bounds the /debug/slow slow-query log;
-// -trace-sample N records a span for 1 in N requests; -trace FILE
-// writes the recorded timeline as Chrome trace-event JSON on
-// SIGINT/SIGTERM (and arms /debug/trace even with sampling off).
+// Observability flags: every request's record is its trace span. A
+// request taking -slow-ms or longer always writes it to the slow lane,
+// which GET /debug/slow lists; -trace-sample N writes one for 1 in N of
+// the others to the request lane. -trace FILE writes the recorded
+// timeline as Chrome trace-event JSON on SIGINT/SIGTERM, from a tracer
+// of 16Ki events a lane where the server's own holds 256.
+// GET /debug/trace?sec=N captures a live window with or without these
+// flags.
 //
 // Diagnostics flags: -flight DIR arms the always-on flight recorder —
 // a bounded spool of self-contained incident bundles (recent trace,
@@ -88,9 +92,9 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
 		threads   = flag.Int("threads", 0, "indexing threads, also for living-graph builds and rebuilds (0 = all cores)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		traceOut  = flag.String("trace", "", "on SIGINT/SIGTERM, write the recorded request timeline here as Chrome trace-event JSON")
-		traceRate = flag.Int64("trace-sample", 0, "record request spans for 1 in N requests (0 = tracing off, 1 = every request); also arms GET /debug/trace")
-		slowMS    = flag.Int64("slow-ms", 100, "log requests slower than this to GET /debug/slow (0 disables)")
+		traceOut  = flag.String("trace", "", "on SIGINT/SIGTERM, write the recorded request timeline here as Chrome trace-event JSON (lanes of 16Ki events, not 256)")
+		traceRate = flag.Int64("trace-sample", 0, "record request spans for 1 in N requests (0 = only slow requests and GET /debug/trace captures, 1 = every request)")
+		slowMS    = flag.Int64("slow-ms", 100, "a request taking this many milliseconds or more writes its span to the slow lane GET /debug/slow lists (0 disables)")
 		cacheEnts = flag.Int("cache-entries", 65536, "bound of the (s,t) distance cache, positive and negative answers, rounded down to a multiple of 4 (0 disables)")
 		batchThr  = flag.Int("batch-threads", 0, "goroutine fan-out per /batch request (0 = min(4, GOMAXPROCS))")
 		walDir    = flag.String("wal", "", "living-graph mode: directory for the edge-update WAL and compaction checkpoints (needs -graph; enables POST /update)")
@@ -124,8 +128,8 @@ func main() {
 			tr.SetSample(uint64(*traceRate))
 			tr.Enable()
 		}
-		// With only -trace, the tracer stays disabled until a
-		// GET /debug/trace capture turns it on for its window.
+		// With only -trace, the tracer records slow requests alone
+		// until a GET /debug/trace capture turns it on for its window.
 	}
 	if *traceOut != "" {
 		term := make(chan os.Signal, 1)
@@ -222,7 +226,7 @@ func main() {
 
 	slow := time.Duration(*slowMS) * time.Millisecond
 	if slow == 0 {
-		slow = -1 // -slow-ms 0 disables the log; a zero Options field means its default
+		slow = -1 // -slow-ms 0: no request is slow; a zero Options field means its default
 	}
 	srv = server.NewPending(&server.Options{
 		Registry:      reg,

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -121,7 +122,7 @@ func TestTwoRankMergedTimeline(t *testing.T) {
 
 	// Every round's frame flow must pair: rank r's flow start with the
 	// other rank's flow end, ids reconstructed from the frame headers.
-	pairs, err := trace.FlowPairs(merged)
+	pairs, err := flowPairs(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestThreeRankMergedTimeline(t *testing.T) {
 	if len(st.Pids) != nodes {
 		t.Fatalf("merged pids = %v, want 3 ranks", st.Pids)
 	}
-	pairs, err := trace.FlowPairs(merged)
+	pairs, err := flowPairs(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,4 +220,37 @@ func TestClusterUntracedUnaffected(t *testing.T) {
 			}
 		}
 	}
+}
+
+// flowPairs parses a capture and returns, per flow id, the pids seen on
+// its "s" (start) and "f" (end) events, so a test can assert that comm
+// edges pair across ranks.
+func flowPairs(data []byte) (map[string][2][]int, error) {
+	var capture struct {
+		TraceEvents []struct {
+			Ph  string `json:"ph"`
+			Pid int    `json:"pid"`
+			ID  string `json:"id"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &capture); err != nil {
+		return nil, err
+	}
+	pairs := map[string][2][]int{}
+	for _, ev := range capture.TraceEvents {
+		if ev.ID == "" {
+			continue
+		}
+		p := pairs[ev.ID]
+		switch ev.Ph {
+		case "s":
+			p[0] = append(p[0], ev.Pid)
+		case "f":
+			p[1] = append(p[1], ev.Pid)
+		default:
+			continue
+		}
+		pairs[ev.ID] = p
+	}
+	return pairs, nil
 }

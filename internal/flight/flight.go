@@ -334,16 +334,6 @@ func spoolNames(dir string) []string {
 	return names
 }
 
-// Spool returns the current bundle paths, oldest first.
-func (r *Recorder) Spool() []string {
-	names := spoolNames(r.dir)
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(r.dir, n)
-	}
-	return out
-}
-
 // sanitizeReason maps a free-form reason onto a safe filename chunk.
 func sanitizeReason(reason string) string {
 	const maxLen = 48

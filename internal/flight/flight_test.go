@@ -4,12 +4,23 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"parapll/internal/metrics"
 	"parapll/internal/trace"
 )
+
+// Spool returns the current bundle paths, oldest first.
+func (r *Recorder) Spool() []string {
+	names := spoolNames(r.dir)
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = filepath.Join(r.dir, n)
+	}
+	return out
+}
 
 // testTracer builds an enabled tracer with a few span events in the ring.
 func testTracer(t *testing.T) *trace.Tracer {

@@ -52,30 +52,15 @@ const (
 	ClearAfter = 3
 )
 
-// ruleKind is how a rule extracts its per-window value.
-type ruleKind int
-
-const (
-	ruleLatency ruleKind = iota // quantile of histograms' per-window growth
-	ruleCounter                 // delta of a cumulative counter
-	ruleProbe                   // arbitrary callback
-)
-
+// rule is one SLO rule: evaluate extracts the window's value and says
+// whether it is bad. AddLatencyRule and AddCounterRule build the
+// closure over what they diff between ticks; AddProbeRule takes it as
+// given. Every evaluate runs under Watchdog.mu, one tick at a time.
 type rule struct {
 	name      string
 	unit      string
-	kind      ruleKind
 	threshold int64
-
-	hists    []*metrics.Histogram // ruleLatency
-	lastHist metrics.HistogramSnapshot
-	q        float64
-	minCount int64
-
-	counter *metrics.Counter // ruleCounter
-	lastCnt int64
-
-	probe func() (value int64, bad bool) // ruleProbe
+	evaluate  func() (value int64, bad bool)
 
 	// state machine
 	breached   bool
@@ -157,10 +142,29 @@ func (w *Watchdog) AddLatencyRule(name, unit string, q float64, threshold, minCo
 	if minCount < 1 {
 		minCount = 1
 	}
-	w.addRule(&rule{
-		name: name, unit: unit, kind: ruleLatency, threshold: threshold,
-		hists: hs, lastHist: sumHistograms(hs), q: q, minCount: minCount,
-	})
+	last := sumHistograms(hs)
+	w.addRule(&rule{name: name, unit: unit, threshold: threshold, evaluate: func() (int64, bool) {
+		// Every bucket only grows, so each difference is what the window
+		// added; the buckets, not Count, make the total, since a snapshot
+		// may tear between the two.
+		cur := sumHistograms(hs)
+		win := metrics.HistogramSnapshot{Buckets: make([]metrics.Bucket, len(cur.Buckets))}
+		var n int64
+		for i, b := range cur.Buckets {
+			b.Count -= last.Buckets[i].Count
+			win.Buckets[i] = b
+			n += b.Count
+		}
+		last = cur
+		if n < minCount {
+			// Too little traffic to judge: counts as healthy — absence of
+			// load is not an SLO breach, and a breached rule drains its
+			// streak so an idle system stands down.
+			return 0, false
+		}
+		v := win.Quantile(q)
+		return v, v > threshold
+	}})
 }
 
 // sumHistograms snapshots hs and adds their buckets position by
@@ -179,17 +183,20 @@ func sumHistograms(hs []*metrics.Histogram) metrics.HistogramSnapshot {
 // when more than maxPerWindow increments land in one window (0 means
 // any increment breaches — the reload-failure shape).
 func (w *Watchdog) AddCounterRule(name string, c *metrics.Counter, maxPerWindow int64) {
-	w.addRule(&rule{
-		name: name, unit: "count", kind: ruleCounter, threshold: maxPerWindow,
-		counter: c, lastCnt: c.Value(),
-	})
+	last := c.Value()
+	w.addRule(&rule{name: name, unit: "count", threshold: maxPerWindow, evaluate: func() (int64, bool) {
+		cur := c.Value()
+		delta := cur - last
+		last = cur
+		return delta, delta > maxPerWindow
+	}})
 }
 
 // AddProbeRule evaluates an arbitrary callback each window — the shape
 // for conditions that are state, not a stream (a compaction running
 // past its deadline). threshold is informational for the verdict.
 func (w *Watchdog) AddProbeRule(name, unit string, threshold int64, probe func() (value int64, bad bool)) {
-	w.addRule(&rule{name: name, unit: unit, kind: ruleProbe, threshold: threshold, probe: probe})
+	w.addRule(&rule{name: name, unit: unit, threshold: threshold, evaluate: probe})
 }
 
 // Tick runs one evaluation round and returns the names of rules that
@@ -247,40 +254,6 @@ func (w *Watchdog) Tick() []string {
 		}
 	}
 	return entered
-}
-
-// evaluate extracts (value, bad) for one rule; called under w.mu.
-func (r *rule) evaluate() (int64, bool) {
-	switch r.kind {
-	case ruleLatency:
-		// Every bucket only grows, so each difference is what the
-		// window added; the buckets, not Count, make the total, since a
-		// snapshot may tear between the two.
-		cur := sumHistograms(r.hists)
-		win := metrics.HistogramSnapshot{Buckets: make([]metrics.Bucket, len(cur.Buckets))}
-		var n int64
-		for i, b := range cur.Buckets {
-			b.Count -= r.lastHist.Buckets[i].Count
-			win.Buckets[i] = b
-			n += b.Count
-		}
-		r.lastHist = cur
-		if n < r.minCount {
-			// Too little traffic to judge: counts as healthy — absence
-			// of load is not an SLO breach, and a breached rule drains
-			// its streak so an idle system stands down.
-			return 0, false
-		}
-		v := win.Quantile(r.q)
-		return v, v > r.threshold
-	case ruleCounter:
-		cur := r.counter.Value()
-		delta := cur - r.lastCnt
-		r.lastCnt = cur
-		return delta, delta > r.threshold
-	default:
-		return r.probe()
-	}
 }
 
 // Health snapshots every rule's verdict.

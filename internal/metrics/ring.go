@@ -4,8 +4,8 @@ import "slices"
 
 // Ring holds the newest values added to it, at most its capacity of
 // them, and counts every value it was ever given. It is not safe for
-// concurrent use: its owner holds its own lock around it (the slow log,
-// the flight recorder's error and metric-sample rings).
+// concurrent use: its owner holds its own lock around it (the flight
+// recorder's error and metric-sample rings).
 type Ring[T any] struct {
 	max   int
 	buf   []T // grows to max, then each add overwrites buf[next]

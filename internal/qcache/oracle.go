@@ -73,7 +73,7 @@ func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
 }
 
 // QueryNote is Query plus a hit report: whether the answer came from
-// the cache. The serving layer uses it to attribute slow-log entries.
+// the cache. The serving layer notes it in the request span.
 func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
 	if tr := o.opt.Tracer; tr.Sample() {
 		t0 := tr.Now()

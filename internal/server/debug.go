@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/metrics"
 	"parapll/internal/qcache"
@@ -52,19 +53,59 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // slowResponse is the /debug/slow reply.
 type slowResponse struct {
-	ThresholdUS int64       `json:"threshold_us"`
-	Total       uint64      `json:"total"`
-	Entries     []SlowEntry `json:"entries"` // newest first
+	ThresholdUS int64 `json:"threshold_us"`
+	// Total counts the slow requests the lane holds plus those it
+	// wrapped over.
+	Total   uint64      `json:"total"`
+	Entries []slowEntry `json:"entries"` // newest first, at most slowCapacity
 }
 
-// handleDebugSlow serves GET /debug/slow: the bounded in-memory log of
-// requests slower than the threshold, newest first.
+// slowEntry is one slow request's span, as /debug/slow lists it.
+type slowEntry struct {
+	Time       time.Time `json:"time"` // when the request started
+	Path       string    `json:"path"`
+	Status     int       `json:"status"`
+	DurationUS int64     `json:"duration_us"`
+	// Generation is the snapshot generation the request was served from
+	// (0 when the endpoint never touched a snapshot), so a slow entry can
+	// be correlated with the reload that published the index it ran on.
+	Generation uint64 `json:"generation,omitempty"`
+	// Cache is "hit" or "miss" for /query over the distance cache, ""
+	// for everything else: a slow *hit* means the time went to the HTTP
+	// layer, a slow miss to the merge kernel.
+	Cache string `json:"cache,omitempty"`
+	// S and T are the pair asked about on /query, /path and
+	// /debug/explain.
+	S *graph.Vertex `json:"s,omitempty"`
+	T *graph.Vertex `json:"t,omitempty"`
+}
+
+// handleDebugSlow serves GET /debug/slow: the slow lane's request
+// spans, newest first.
 func (s *Server) handleDebugSlow(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, slowResponse{
-		ThresholdUS: s.slow.threshold.Microseconds(),
-		Total:       s.slow.Total(),
-		Entries:     s.slow.Entries(),
-	})
+	evs := s.slowLane.Events()
+	resp := slowResponse{
+		ThresholdUS: s.opt.SlowThreshold.Microseconds(),
+		Total:       uint64(len(evs)) + s.slowLane.Drops(),
+		Entries:     make([]slowEntry, 0, min(len(evs), slowCapacity)),
+	}
+	for i := len(evs) - 1; i >= 0 && len(resp.Entries) < slowCapacity; i-- {
+		ev := evs[i]
+		e := slowEntry{
+			Time:       s.opt.Tracer.Time(ev.Ts),
+			Path:       "/" + strings.TrimPrefix(ev.Name, "http "),
+			Status:     int(ev.Args[0]),
+			DurationUS: ev.Dur / 1e3,
+			Generation: ev.Args[1],
+			Cache:      cacheNames[ev.Args[2]],
+		}
+		if ev.Args[3] != 0 {
+			src, dst := unpackPair(ev.Args[3])
+			e.S, e.T = &src, &dst
+		}
+		resp.Entries = append(resp.Entries, e)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // maxCaptureSec bounds one /debug/trace live capture.
@@ -77,11 +118,6 @@ const maxCaptureSec = 60.0
 // a concurrent request gets 409.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	tr := s.opt.Tracer
-	if tr == nil {
-		writeErr(w, http.StatusPreconditionFailed,
-			errors.New("no tracer configured (start the server with -trace-sample)"))
-		return
-	}
 	sec := 5.0
 	if raw := queryParam(r.URL.RawQuery, "sec"); raw != "" {
 		v, err := strconv.ParseFloat(raw, 64)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +18,16 @@ import (
 	"parapll/internal/pll"
 	"parapll/internal/trace"
 )
+
+// spoolBundles lists the flight bundles in spool dir, oldest first.
+func spoolBundles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "bundle-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
 
 // testDiagServer builds a server configured by o over the usual
 // 5-vertex test graph, optionally fronted by the distance cache,
@@ -156,7 +167,8 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	tr.Enable()
 	reg := metrics.NewRegistry()
 	var s *Server // the recorder's Stats source reads the server built after it
-	rec, err := flight.New(t.TempDir(), flight.Sources{
+	spool := t.TempDir()
+	rec, err := flight.New(spool, flight.Sources{
 		Tracer:   tr,
 		Registry: reg,
 		Stats:    func() any { return s.StatsPayload() },
@@ -194,7 +206,7 @@ func TestDebugBundleEndpoint(t *testing.T) {
 	if st, err := trace.CheckCapture(b.Trace); err != nil || st.Spans == 0 {
 		t.Fatalf("embedded trace: spans %d err %v", st.Spans, err)
 	}
-	if got := len(rec.Spool()); got != 1 {
+	if got := len(spoolBundles(t, spool)); got != 1 {
 		t.Fatalf("spool holds %d bundles, want 1", got)
 	}
 }
@@ -204,7 +216,8 @@ func TestDebugBundleEndpoint(t *testing.T) {
 // bundle tagged with the endpoint — bypassing the auto-capture gap.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	reg := metrics.NewRegistry()
-	rec, err := flight.New(t.TempDir(), flight.Sources{Registry: reg})
+	dir := t.TempDir()
+	rec, err := flight.New(dir, flight.Sources{Registry: reg})
 	if err != nil {
 		t.Fatalf("flight.New: %v", err)
 	}
@@ -227,7 +240,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if snap.Counters["http.errors.boom"] != 1 {
 		t.Fatal("panic did not count as an endpoint error")
 	}
-	spool := rec.Spool()
+	spool := spoolBundles(t, dir)
 	if len(spool) != 1 {
 		t.Fatalf("spool holds %d bundles after panic, want 1", len(spool))
 	}
@@ -250,8 +263,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 }
 
 // TestSlowLogAnnotations: over HTTP, slow /query entries carry the
-// snapshot generation and the cache hit/miss bit (miss first, then hit
-// on the repeat), and /stats entries carry generation only.
+// snapshot generation, the cache hit/miss bit (miss first, then hit on
+// the repeat) and the pair, and /stats entries carry generation only.
 func TestSlowLogAnnotations(t *testing.T) {
 	s, ts, _ := testDiagServer(t, 1<<10, &Options{SlowThreshold: time.Nanosecond}) // everything is slow
 
@@ -262,8 +275,8 @@ func TestSlowLogAnnotations(t *testing.T) {
 
 	var resp slowResponse
 	getJSON(t, ts.URL+"/debug/slow", &resp)
-	var queries []SlowEntry
-	var stats []SlowEntry
+	var queries []slowEntry
+	var stats []slowEntry
 	for _, e := range resp.Entries { // newest first
 		switch e.Path {
 		case "/query":
@@ -273,19 +286,19 @@ func TestSlowLogAnnotations(t *testing.T) {
 		}
 	}
 	if len(queries) != 2 || len(stats) != 1 {
-		t.Fatalf("slow log holds %d query + %d stats entries, want 2 + 1", len(queries), len(stats))
+		t.Fatalf("slow lane holds %d query + %d stats entries, want 2 + 1", len(queries), len(stats))
 	}
 	gen := s.Generation()
 	if queries[0].Cache != "hit" || queries[1].Cache != "miss" {
 		t.Fatalf("query cache bits = [%q %q], want [hit miss] (newest first)", queries[0].Cache, queries[1].Cache)
 	}
 	for _, e := range queries {
-		if e.Generation != gen {
-			t.Fatalf("query entry generation %d, want %d", e.Generation, gen)
+		if e.Generation != gen || e.S == nil || e.T == nil || *e.S != 0 || *e.T != 3 {
+			t.Fatalf("query entry = gen %d pair %v %v, want gen %d pair 0 3", e.Generation, e.S, e.T, gen)
 		}
 	}
-	if stats[0].Generation != gen || stats[0].Cache != "" {
-		t.Fatalf("stats entry = gen %d cache %q, want gen %d cache \"\"", stats[0].Generation, stats[0].Cache, gen)
+	if e := stats[0]; e.Generation != gen || e.Cache != "" || e.S != nil || e.T != nil {
+		t.Fatalf("stats entry = gen %d cache %q pair %v %v, want gen %d, no cache, no pair", e.Generation, e.Cache, e.S, e.T, gen)
 	}
 }
 

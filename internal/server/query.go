@@ -44,8 +44,10 @@ func pairParams(sn *snapshot, w http.ResponseWriter, r *http.Request) (src, dst 
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
+		return 0, 0, false
 	}
-	return src, dst, err == nil
+	note(w).pair = packPair(src, dst)
+	return src, dst, true
 }
 
 // encodeDist is a distance as the wire carries it: -1 when unreachable.
@@ -63,11 +65,16 @@ func (s *Server) handleQuery(sn *snapshot, w http.ResponseWriter, r *http.Reques
 	}
 	var d graph.Dist
 	if c, ok := sn.ora.(*qcache.Cached); ok {
-		// Same lookup as Query, plus the hit bit for the slow log: a slow
-		// cache *hit* indicts the HTTP layer, a slow miss the merge kernel.
+		// Same lookup as Query, plus the hit bit for the request span: a
+		// slow cache *hit* indicts the HTTP layer, a slow miss the merge
+		// kernel.
 		var hit bool
 		d, hit = c.QueryNote(src, dst)
-		noteCache(w, hit)
+		sw := note(w)
+		sw.cache = cacheMiss
+		if hit {
+			sw.cache = cacheHit
+		}
 	} else {
 		d = sn.ora.Query(src, dst)
 	}

@@ -286,8 +286,8 @@ func TestReloadBusy(t *testing.T) {
 //
 // Run under -race it also proves the swap itself is data-race-free. A
 // second reload races each /reload, two live trace captures race each
-// other and every request is logged as slow, so the reload, capture and
-// slow-log mutexes are contended too.
+// other and every request is slow, so the reload and capture mutexes
+// are contended too, and the slow lane is written beside its readers.
 func TestHotReloadHammer(t *testing.T) {
 	dir := t.TempDir()
 	a, b := weightedLineIndex(6, 1), weightedLineIndex(9, 2) // d(s,t) = |s-t| and 2|s-t|
@@ -311,8 +311,8 @@ func TestHotReloadHammer(t *testing.T) {
 		}
 		return mapped(0)
 	}
-	// Every request is slow enough for the slow log, so the query
-	// workers contend its mutex; the tracer arms /debug/trace.
+	// Every request is slow, so the query workers share the slow lane
+	// beside /debug/slow readers.
 	s := NewPending(&Options{Loader: fileio.LoadIndex, SlowThreshold: time.Nanosecond, Tracer: trace.New(0, 256)})
 	s.SetCacheEntries(4096)
 
@@ -369,7 +369,7 @@ func TestHotReloadHammer(t *testing.T) {
 	}
 
 	// Two live trace captures contend their mutex (200, or 409 while the
-	// other runs) beside readers of the slow log.
+	// other runs) beside readers of the slow lane.
 	for _, path := range []string{"/debug/trace?sec=0.001", "/debug/trace?sec=0.001", "/debug/slow"} {
 		loop(func() bool {
 			resp, err := http.Get(ts.URL + path)

@@ -29,8 +29,21 @@
 //	GET  /metrics         → metrics.Snapshot JSON: per-endpoint request
 //	                        and error counts, latency histograms, and an
 //	                        in-flight gauge
-//	GET  /debug/slow, /debug/trace, /debug/explain, /debug/health,
-//	     /debug/bundle    → diagnostics (debug.go)
+//	GET  /debug/slow      → the slow-request lane: requests at or over
+//	                        SlowThreshold, newest first
+//	GET  /debug/trace     → a live capture of every lane for ?sec=N
+//	GET  /debug/explain, /debug/health, /debug/bundle
+//	                      → diagnostics (debug.go)
+//
+// # One record per request
+//
+// The request span is the server's only per-request record. A request
+// at or over SlowThreshold writes its span to the slow lane
+// (trace.TIDSlow) whether or not the tracer is enabled, and /debug/slow
+// reads that lane; any other request writes one to the request lane
+// (trace.TIDRequest) when the tracer samples it. A span's four args
+// are the status, the snapshot generation, the distance-cache outcome
+// and the (s, t) pair on the pair routes.
 //
 // Every endpoint enforces its method (405 otherwise) and is wrapped in
 // the same instrumentation middleware, so /metrics always reflects the
@@ -78,8 +91,7 @@
 // goes through (handle); snapshot.go the snapshot lifecycle, /reload and
 // /readyz; query.go /query, /batch, /path and /stats, beside their codec
 // in wire.go; update.go the living graph's /update; debug.go /metrics,
-// /healthz and /debug/*, beside the slow log in slowlog.go. Each file
-// registers its own routes.
+// /healthz and /debug/*. Each file registers its own routes.
 package server
 
 import (
@@ -95,6 +107,7 @@ import (
 	"time"
 
 	"parapll/internal/flight"
+	"parapll/internal/graph"
 	"parapll/internal/label"
 	"parapll/internal/metrics"
 	"parapll/internal/qcache"
@@ -115,11 +128,13 @@ type Options struct {
 	// large batch cannot monopolize every core against other requests
 	// (<= 0: min(4, GOMAXPROCS)).
 	BatchThreads int
-	// SlowThreshold is the wall time at or above which a request enters
-	// the /debug/slow log (0: 100 ms; negative: the log stays empty).
+	// SlowThreshold is the wall time at or above which a request's span
+	// goes to the slow lane /debug/slow lists (0: 100 ms; negative: no
+	// request is slow).
 	SlowThreshold time.Duration
-	// Tracer records a span for each sampled request and arms
-	// /debug/trace (nil: tracing off).
+	// Tracer records the request spans and is what /debug/trace
+	// captures (nil: a disabled tracer of slowCapacity slots a lane,
+	// which holds the slow lane until a capture enables it).
 	Tracer *trace.Tracer
 	// Flight is the recorder behind /debug/bundle, which also dumps a
 	// bundle when a handler panics (nil: /debug/bundle answers 412).
@@ -134,7 +149,7 @@ type Options struct {
 // Server answers distance queries over HTTP from an atomically swappable
 // index snapshot.
 type Server struct {
-	opt      Options // as NewPending was given it, Registry and BatchThreads filled in
+	opt      Options // as NewPending was given it, Registry, BatchThreads and Tracer filled in
 	snap     atomic.Pointer[snapshot]
 	gen      atomic.Uint64
 	reloadMu sync.Mutex // held for the duration of one reload
@@ -148,13 +163,10 @@ type Server struct {
 	// from a pre-reload generation can never answer post-reload queries.
 	cache *qcache.Cache
 
-	// Sampled request spans land in per-lane trace ring buffers (lane =
-	// round-robin over requestLanes tids, resolved once in NewPending)
-	// so concurrent requests never contend on one ring.
-	traceLane atomic.Uint64
-	lanes     [requestLanes]*trace.Buf
-	captureMu sync.Mutex // serializes /debug/trace live captures
-	slow      *SlowLog
+	// The two lanes of request spans (see the package doc), resolved
+	// once in NewPending.
+	requestLane, slowLane *trace.Buf
+	captureMu             sync.Mutex // serializes /debug/trace live captures
 
 	// Test hooks, nil in production: afterStore runs right after publish
 	// stores a snapshot, afterLoad right after handleSnap acquires one. A
@@ -169,13 +181,10 @@ type Server struct {
 	panics         *metrics.Counter
 }
 
-// requestLanes is how many trace ring buffers sampled request spans are
-// spread across, starting at trace.TIDRequestBase.
-const requestLanes = 32
-
-// Slow-log defaults.
 const (
-	defaultSlowCapacity  = 256
+	// slowCapacity is the lane size of the tracer the server makes when
+	// Options has none, and the most entries /debug/slow lists.
+	slowCapacity         = 256
 	defaultSlowThreshold = 100 * time.Millisecond
 )
 
@@ -201,17 +210,17 @@ func NewPending(o *Options) *Server {
 	if s.opt.SlowThreshold == 0 {
 		s.opt.SlowThreshold = defaultSlowThreshold
 	}
-	s.slow = NewSlowLog(defaultSlowCapacity, s.opt.SlowThreshold)
-	if tr := s.opt.Tracer; tr != nil {
-		tr.SetProcessName("parapll-server")
-		tr.SetThreadName(trace.TIDCache, "qcache")
-		tr.SetThreadName(trace.TIDWAL, "wal")
-		tr.SetThreadName(trace.TIDCompact, "compactor")
-		for i := range s.lanes {
-			tr.SetThreadName(trace.TIDRequestBase+i, fmt.Sprintf("http lane %d", i))
-			s.lanes[i] = tr.Buf(trace.TIDRequestBase + i)
-		}
+	if s.opt.Tracer == nil {
+		s.opt.Tracer = trace.New(0, slowCapacity)
 	}
+	tr := s.opt.Tracer
+	tr.SetProcessName("parapll-server")
+	tr.SetThreadName(trace.TIDCache, "qcache")
+	tr.SetThreadName(trace.TIDWAL, "wal")
+	tr.SetThreadName(trace.TIDCompact, "compactor")
+	tr.SetThreadName(trace.TIDRequest, "http requests")
+	tr.SetThreadName(trace.TIDSlow, "http slow")
+	s.requestLane, s.slowLane = tr.Buf(trace.TIDRequest), tr.Buf(trace.TIDSlow)
 	reg := s.opt.Registry
 	s.inflight = reg.Gauge("http.inflight")
 	s.generation = reg.Gauge("index.generation")
@@ -229,13 +238,36 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // statusWriter remembers the first status code a handler wrote so the
 // middleware can count errors without re-deriving them per handler,
-// plus the handler's slow-log annotations: the snapshot generation the
-// request was served from and whether the distance cache answered.
+// plus the handler's notes for the request span: the snapshot
+// generation the request was served from, the distance-cache outcome
+// and the pair asked about.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	gen    uint64
-	cache  string // cacheNone / cacheMiss / cacheHit
+	cache  uint64 // cacheNone / cacheMiss / cacheHit
+	pair   uint64 // packPair(s, t); 0 off the pair routes
+}
+
+// Distance-cache outcomes, as the request span's cache arg holds them
+// and cacheNames spells them.
+const (
+	cacheNone = iota // the endpoint does not consult the distance cache
+	cacheMiss
+	cacheHit
+)
+
+var cacheNames = [...]string{cacheNone: "", cacheMiss: "miss", cacheHit: "hit"}
+
+// packPair is the request span's pair arg: s and t in the low 62 bits,
+// bit 63 set so that pair (0, 0) is told from no pair.
+func packPair(src, dst graph.Vertex) uint64 {
+	return 1<<63 | uint64(src)<<32 | uint64(dst)
+}
+
+// unpackPair inverts packPair.
+func unpackPair(p uint64) (src, dst graph.Vertex) {
+	return graph.Vertex(p >> 32 & 0x7fffffff), graph.Vertex(p & 0xffffffff)
 }
 
 // statusWriters recycles the middleware's wrapper: a handler is done
@@ -243,18 +275,14 @@ type statusWriter struct {
 // the same one.
 var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
-// noteCache annotates the in-flight request's slow-log entry with the
-// distance-cache outcome. w is the middleware's statusWriter on the
-// serving path; anything else (a bare ResponseWriter in a unit test) is
-// a silent no-op.
-func noteCache(w http.ResponseWriter, hit bool) {
+// note returns where a handler notes its request span's args: the
+// middleware's statusWriter behind w, or a scratch one when w is
+// anything else (a bare ResponseWriter in a unit test).
+func note(w http.ResponseWriter) *statusWriter {
 	if sw, ok := w.(*statusWriter); ok {
-		if hit {
-			sw.cache = cacheHit
-		} else {
-			sw.cache = cacheMiss
-		}
+		return sw
 	}
+	return new(statusWriter)
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -270,18 +298,17 @@ func (w *statusWriter) WriteHeader(code int) {
 // which writeBodyErr turns into the 413), plus per-endpoint request and
 // error counters and a latency histogram, all resolved once here so the
 // request path touches only atomics. The same wall-clock measurement
-// also feeds the slow-query log and, when a tracer is installed and the
-// request is sampled, a per-request trace span.
+// times the request span: on the slow lane when the request took
+// SlowThreshold or more, else on the request lane when the tracer
+// samples it.
 func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 	name := strings.TrimPrefix(path, "/")
 	requests := s.opt.Registry.Counter("http.requests." + name)
 	errorsC := s.opt.Registry.Counter("http.errors." + name)
 	latency := s.opt.Registry.Histogram("http.latency_us."+name, metrics.DefaultLatencyBuckets)
 	spanName := "http " + name
-	var span trace.ID
-	if tr := s.opt.Tracer; tr != nil {
-		span = tr.Intern(spanName, "status")
-	}
+	tr := s.opt.Tracer
+	span := tr.Intern(spanName, "status", "generation", "cache", "pair")
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		requests.Inc()
 		s.inflight.Inc()
@@ -299,7 +326,7 @@ func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 		elapsed := time.Since(start)
 		s.inflight.Dec() // not deferred: invoke lets no handler panic through
 		latency.Observe(elapsed.Microseconds())
-		status, gen, cache := sw.status, sw.gen, sw.cache
+		status, gen, cache, pair := sw.status, sw.gen, sw.cache, sw.pair
 		sw.ResponseWriter = nil
 		statusWriters.Put(sw)
 		if status >= 400 {
@@ -308,10 +335,11 @@ func (s *Server) handle(path, method string, limit int64, h http.HandlerFunc) {
 		if status == 0 {
 			status = http.StatusOK // handler wrote the body without WriteHeader
 		}
-		s.slow.Observe(r.Method, path, r.URL.RawQuery, status, gen, cache, start, elapsed)
-		if tr := s.opt.Tracer; tr.Sample() {
-			t1 := tr.At(start)
-			s.lanes[s.traceLane.Add(1)%requestLanes].Span(span, t1, t1+elapsed.Nanoseconds(), uint64(status))
+		t1 := tr.At(start)
+		if slow := s.opt.SlowThreshold; slow > 0 && elapsed >= slow {
+			s.slowLane.SpanAlways(span, t1, t1+elapsed.Nanoseconds(), uint64(status), gen, cache, pair)
+		} else if tr.Sample() {
+			s.requestLane.Span(span, t1, t1+elapsed.Nanoseconds(), uint64(status), gen, cache, pair)
 		}
 	})
 }
@@ -354,9 +382,7 @@ func (s *Server) handleSnap(path, method string, limit int64, h func(sn *snapsho
 			return
 		}
 		defer sn.release()
-		if sw, ok := w.(*statusWriter); ok {
-			sw.gen = sn.gen // slow-log entries name the generation they ran on
-		}
+		note(w).gen = sn.gen
 		if s.afterLoad != nil {
 			s.afterLoad(sn)
 		}

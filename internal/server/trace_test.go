@@ -1,65 +1,74 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"parapll/internal/graph"
 	"parapll/internal/trace"
 )
 
-// TestSlowLogBoundsAndOrdering: the ring keeps exactly the newest
-// `capacity` slow entries, newest first, and counts everything it ever
-// saw.
+// TestSlowLogBoundsAndOrdering: over HTTP, /debug/slow lists the newest
+// slow requests the slow lane holds (its ring is the tracer's lane
+// capacity), newest first, and counts everything the lane ever took;
+// fast requests stay off it, and a negative threshold keeps it empty.
 func TestSlowLogBoundsAndOrdering(t *testing.T) {
-	l := NewSlowLog(4, time.Millisecond)
-	base := time.Unix(1000, 0)
+	s, ts, _ := testDiagServer(t, 0, &Options{SlowThreshold: time.Nanosecond, Tracer: trace.New(0, 4)}) // everything is slow
 	for i := 0; i < 10; i++ {
-		l.Observe("GET", "/query", "", 200, 7, cacheHit, base.Add(time.Duration(i)*time.Second), 2*time.Millisecond)
+		var q queryResponse
+		getJSON(t, ts.URL+"/query?s=0&t="+strconv.Itoa(i%5), &q)
 	}
-	if l.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", l.Total())
+	var resp slowResponse
+	getJSON(t, ts.URL+"/debug/slow", &resp)
+	if resp.Total != 10 || len(resp.Entries) != 4 {
+		t.Fatalf("total %d, %d entries, want 10 and the lane's capacity 4", resp.Total, len(resp.Entries))
 	}
-	got := l.Entries()
-	if len(got) != 4 {
-		t.Fatalf("kept %d entries, want capacity 4", len(got))
-	}
-	for i, e := range got {
-		want := base.Add(time.Duration(9-i) * time.Second)
-		if !e.Time.Equal(want) {
-			t.Fatalf("entry %d time = %v, want %v (newest first)", i, e.Time, want)
+	gen := s.Generation()
+	for i, e := range resp.Entries {
+		if e.Path != "/query" || e.Status != 200 || e.Generation != gen || e.Cache != "" {
+			t.Fatalf("entry %d = %+v, want a 200 /query on generation %d without cache", i, e, gen)
 		}
-		if e.Generation != 7 || e.Cache != "hit" {
-			t.Fatalf("entry %d annotations = gen %d cache %q, want gen 7 cache hit", i, e.Generation, e.Cache)
+		if e.S == nil || e.T == nil || *e.S != 0 || *e.T != graph.Vertex(4-i) {
+			t.Fatalf("entry %d pair = %v %v, want (0, %d) (newest first)", i, e.S, e.T, 4-i)
+		}
+		if i > 0 && e.Time.After(resp.Entries[i-1].Time) {
+			t.Fatalf("entry %d started after entry %d (newest first)", i, i-1)
 		}
 	}
-	// Fast requests are ignored.
-	l.Observe("GET", "/query", "", 200, 7, cacheMiss, base, 500*time.Microsecond)
-	if l.Total() != 10 {
-		t.Fatal("fast request was logged")
+	// /debug/slow's own span lands after its reply: the next read has
+	// it on top, with no generation and no pair.
+	resp = slowResponse{}
+	getJSON(t, ts.URL+"/debug/slow", &resp)
+	if head := resp.Entries[0]; resp.Total != 11 || head.Path != "/debug/slow" || head.Generation != 0 || head.S != nil {
+		t.Fatalf("total %d, head %+v, want 11 and the previous /debug/slow", resp.Total, head)
 	}
-	// Threshold 0 disables logging entirely.
-	off := NewSlowLog(4, 0)
-	off.Observe("GET", "/query", "", 200, 7, cacheMiss, base, time.Hour)
-	if off.Total() != 0 {
-		t.Fatal("disabled log still recorded")
-	}
-	l.Observe("POST", "/batch", "", 200, 8, cacheNone, base, 2*time.Millisecond)
-	head := l.Entries()[0]
-	if l.Total() != 11 || head.Method != "POST" {
-		t.Fatalf("slow request not logged: total %d, head %+v", l.Total(), head)
-	}
-	// Un-annotated endpoints serialize no cache field at all.
-	if head.Cache != "" || head.Generation != 8 {
-		t.Fatalf("cacheNone entry = gen %d cache %q, want gen 8 cache \"\"", head.Generation, head.Cache)
+
+	// Fast requests are not listed, and neither is anything once the
+	// threshold is negative.
+	for _, threshold := range []time.Duration{time.Hour, -1} {
+		_, ts, _ := testDiagServer(t, 0, &Options{SlowThreshold: threshold})
+		var q queryResponse
+		getJSON(t, ts.URL+"/query?s=0&t=3", &q)
+		var resp slowResponse
+		getJSON(t, ts.URL+"/debug/slow", &resp)
+		if resp.Total != 0 || resp.Entries == nil || len(resp.Entries) != 0 {
+			t.Fatalf("threshold %v: total %d, entries %v, want 0 and []", threshold, resp.Total, resp.Entries)
+		}
 	}
 }
 
 // TestDebugSlowEndpoint: slow requests surface at GET /debug/slow with
-// method, path, query, status, and duration.
+// path, status, duration and, on a pair route, the pair asked about.
 func TestDebugSlowEndpoint(t *testing.T) {
 	_, ts, _ := testDiagServer(t, 0, &Options{SlowThreshold: time.Nanosecond}) // everything is slow
 	var q queryResponse
@@ -73,7 +82,7 @@ func TestDebugSlowEndpoint(t *testing.T) {
 		t.Fatalf("debug/slow status %d", code)
 	}
 	if resp.Total < 2 || len(resp.Entries) < 2 {
-		t.Fatalf("slow log: total %d entries %d, want >= 2", resp.Total, len(resp.Entries))
+		t.Fatalf("slow lane: total %d entries %d, want >= 2", resp.Total, len(resp.Entries))
 	}
 	// Newest first: the 400 landed after the 200.
 	var saw200, saw400 bool
@@ -85,16 +94,19 @@ func TestDebugSlowEndpoint(t *testing.T) {
 			switch e.Status {
 			case 200:
 				saw200 = true
-				if e.Query != "s=0&t=3" {
-					t.Fatalf("query string = %q", e.Query)
+				if e.S == nil || e.T == nil || *e.S != 0 || *e.T != 3 {
+					t.Fatalf("pair = %v %v, want 0 3", e.S, e.T)
 				}
 			case 400:
 				saw400 = true
 				if saw200 {
 					t.Fatal("400 entry should precede 200 entry (newest first)")
 				}
+				if e.S != nil || e.T != nil {
+					t.Fatalf("a rejected pair is listed: %v %v", e.S, e.T)
+				}
 			}
-			if e.Method != "GET" || e.DurationUS < 0 {
+			if e.DurationUS < 0 || e.Time.IsZero() {
 				t.Fatalf("bad entry %+v", e)
 			}
 		}
@@ -105,11 +117,12 @@ func TestDebugSlowEndpoint(t *testing.T) {
 }
 
 // TestRequestSpansSampled: with a tracer installed and sampling 1-in-1,
-// every request lands one span in a request lane with its status word.
+// every request lands one span on the request lane, carrying its
+// status, generation, cache outcome and pair.
 func TestRequestSpansSampled(t *testing.T) {
 	tr := trace.New(7, 1<<10)
 	tr.Enable()
-	_, ts, _ := testDiagServer(t, 0, &Options{Tracer: tr})
+	s, ts, _ := testDiagServer(t, 0, &Options{Tracer: tr})
 	const reqs = 20
 	for i := 0; i < reqs; i++ {
 		var q queryResponse
@@ -117,17 +130,18 @@ func TestRequestSpansSampled(t *testing.T) {
 			t.Fatalf("query status %d", code)
 		}
 	}
+	want := []uint64{200, s.Generation(), cacheNone, packPair(0, 3)}
 	var spans int
 	for _, ev := range tr.Events() {
 		if ev.Name != "http query" {
 			continue
 		}
 		spans++
-		if ev.Kind != trace.KindSpan || len(ev.Args) != 1 || ev.Args[0] != 200 {
-			t.Fatalf("bad request span %+v", ev)
+		if ev.Kind != trace.KindSpan || !slices.Equal(ev.Args, want) {
+			t.Fatalf("bad request span %+v, want args %v", ev, want)
 		}
-		if ev.TID < trace.TIDRequestBase || ev.TID >= trace.TIDRequestBase+requestLanes {
-			t.Fatalf("span tid %d outside request lanes", ev.TID)
+		if ev.TID != trace.TIDRequest {
+			t.Fatalf("span tid %d, want the request lane %d", ev.TID, trace.TIDRequest)
 		}
 		if ev.Dur < 0 {
 			t.Fatalf("negative span duration %d", ev.Dur)
@@ -139,6 +153,145 @@ func TestRequestSpansSampled(t *testing.T) {
 	if _, err := trace.CheckCapture(mustCapture(t, tr)); err != nil {
 		t.Fatalf("server capture invalid: %v", err)
 	}
+}
+
+// TestTwoRequestLanes: a server names exactly two request lanes, the
+// request lane and the slow lane, and its request spans land on them
+// however many requests it serves.
+func TestTwoRequestLanes(t *testing.T) {
+	tr := trace.New(0, 1<<14)
+	_, ts, _ := testDiagServer(t, 0, &Options{Tracer: tr})
+	httpLanes := func() map[int]string {
+		var capture struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Tid  int    `json:"tid"`
+				Args struct {
+					Name string `json:"name"`
+				} `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(mustCapture(t, tr), &capture); err != nil {
+			t.Fatal(err)
+		}
+		lanes := map[int]string{}
+		for _, ev := range capture.TraceEvents {
+			if ev.Name == "thread_name" && strings.HasPrefix(ev.Args.Name, "http") {
+				lanes[ev.Tid] = ev.Args.Name
+			}
+		}
+		return lanes
+	}
+	want := map[int]string{trace.TIDRequest: "http requests", trace.TIDSlow: "http slow"}
+	if got := httpLanes(); !maps.Equal(got, want) {
+		t.Fatalf("after NewPending the server names lanes %v, want %v", got, want)
+	}
+	tr.Enable()
+	for i := 0; i < 100; i++ {
+		var q queryResponse
+		getJSON(t, ts.URL+"/query?s=0&t="+strconv.Itoa(i%5), &q)
+	}
+	tids := map[int]int{}
+	for _, ev := range tr.Events() {
+		if strings.HasPrefix(ev.Name, "http ") {
+			tids[ev.TID]++
+		}
+	}
+	if got := httpLanes(); !maps.Equal(got, want) || len(tids) != 1 || tids[trace.TIDRequest] != 100 {
+		t.Fatalf("after 100 requests: lanes %v, spans by lane %v, want %v and 100 on %d", got, tids, want, trace.TIDRequest)
+	}
+}
+
+// TestSlowRequestOutlivesFastFlood: at 1-in-1 sampling, fast requests
+// wrap the request lane many times over, and a slow request before them
+// is still listed at /debug/slow: the lanes are separate rings.
+func TestSlowRequestOutlivesFastFlood(t *testing.T) {
+	const capacity = 8
+	tr := trace.New(0, capacity)
+	tr.Enable()
+	s, ts, _ := testDiagServer(t, 0, &Options{SlowThreshold: 50 * time.Millisecond, Tracer: tr})
+	s.handle("/sleep", http.MethodGet, 0, func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(60 * time.Millisecond)
+		writeReply(w, healthzReply)
+	})
+	getJSON(t, ts.URL+"/sleep", new(map[string]string))
+	for i := 0; i < 12*capacity; i++ {
+		getJSON(t, ts.URL+"/healthz", new(map[string]string))
+	}
+	var resp slowResponse
+	getJSON(t, ts.URL+"/debug/slow", &resp)
+	found := false
+	for _, e := range resp.Entries {
+		found = found || (e.Path == "/sleep" && e.DurationUS >= 60_000)
+	}
+	if !found {
+		t.Fatalf("the slow /sleep is gone from /debug/slow after %d fast requests: %+v", 12*capacity, resp.Entries)
+	}
+	if d := tr.Buf(trace.TIDRequest).Drops(); d == 0 {
+		t.Fatal("the fast requests never wrapped the request lane")
+	}
+}
+
+// TestSlowLaneHammer: writers whose every request is slow share the
+// slow lane beside /debug/slow readers. Under -race this holds the lane
+// lock-free and clean; each listed /query keeps t = s+1 mod 5, so an
+// entry mixing two requests' args would show, and a reply never lists
+// more than the lane holds.
+func TestSlowLaneHammer(t *testing.T) {
+	const capacity = 16
+	s, _, _ := testDiagServer(t, 0, &Options{SlowThreshold: time.Nanosecond, Tracer: trace.New(0, capacity)})
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 200; i++ {
+				src := (w + i) % 5
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/query?s=%d&t=%d", src, (src+1)%5), nil))
+				if rec.Code != 200 {
+					t.Errorf("query status %d", rec.Code)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slow", nil))
+				var resp slowResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Errorf("decoding /debug/slow: %v", err)
+					return
+				}
+				if len(resp.Entries) > capacity {
+					t.Errorf("%d entries from a lane of %d", len(resp.Entries), capacity)
+				}
+				for _, e := range resp.Entries {
+					if e.Path != "/query" {
+						continue
+					}
+					if e.Status != 200 || e.S == nil || e.T == nil || *e.T != (*e.S+1)%5 {
+						t.Errorf("torn entry %+v", e)
+						return
+					}
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
 }
 
 // TestRequestSampling: 1-in-4 sampling records exactly a quarter of a
@@ -169,10 +322,19 @@ func TestRequestSampling(t *testing.T) {
 // the traffic that ran during the window, and restores the tracer's
 // previous enabled state.
 func TestDebugTraceEndpoint(t *testing.T) {
-	// No tracer configured: 412.
+	// No tracer configured: the server's own answers the capture.
 	_, ts, _ := testDiagServer(t, 0, nil)
-	if code := getJSON(t, ts.URL+"/debug/trace", new(map[string]string)); code != http.StatusPreconditionFailed {
-		t.Fatalf("no-tracer status %d, want 412", code)
+	resp, err := http.Get(ts.URL + "/debug/trace?sec=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.CheckCapture(data); resp.StatusCode != 200 || err != nil {
+		t.Fatalf("no-tracer capture: status %d, %v: %s", resp.StatusCode, err, data)
 	}
 
 	tr := trace.New(0, 1<<12) // disabled: /debug/trace must enable and restore
@@ -202,13 +364,13 @@ func TestDebugTraceEndpoint(t *testing.T) {
 			}
 		}
 	}()
-	resp, err := http.Get(ts.URL + "/debug/trace?sec=0.25")
+	resp, err = http.Get(ts.URL + "/debug/trace?sec=0.25")
 	close(stop)
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)

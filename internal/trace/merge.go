@@ -110,30 +110,3 @@ func MergeFiles(outPath string, inPaths []string) error {
 	}
 	return os.WriteFile(outPath, merged, 0o644)
 }
-
-// FlowPairs inspects a parsed capture and returns, per flow id, the
-// set of pids seen on "s" (start) and "f" (end) events. Tests use it
-// to assert that cluster comm edges pair across ranks.
-func FlowPairs(data []byte) (map[string][2][]int, error) {
-	var cap jsonCapture
-	if err := json.Unmarshal(data, &cap); err != nil {
-		return nil, err
-	}
-	pairs := map[string][2][]int{}
-	for _, ev := range cap.TraceEvents {
-		if ev.ID == "" {
-			continue
-		}
-		p := pairs[ev.ID]
-		switch ev.Ph {
-		case "s":
-			p[0] = append(p[0], ev.Pid)
-		case "f":
-			p[1] = append(p[1], ev.Pid)
-		default:
-			continue
-		}
-		pairs[ev.ID] = p
-	}
-	return pairs, nil
-}

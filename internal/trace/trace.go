@@ -34,7 +34,8 @@
 // counter records the loss, so tracing never blocks or allocates on the
 // hot path. The disabled path is a single nil/flag check (see
 // BenchmarkEmitDisabled and the build-level overhead benchmark in
-// internal/bench).
+// internal/bench); Buf.SpanAlways is the one emission that skips the
+// flag, for a lane that is a log in its own right.
 package trace
 
 import (
@@ -80,8 +81,11 @@ const (
 	// TIDSync is the cluster build's sync lane: each round's record,
 	// pack, exchange and merge spans.
 	TIDSync = 900
-	// TIDRequestBase is the first of the server's request lanes.
-	TIDRequestBase = 1000
+	// TIDRequest is the server's lane of sampled request spans.
+	TIDRequest = 1000
+	// TIDSlow is the server's lane of slow-request spans, recorded
+	// whether or not the tracer is enabled (Buf.SpanAlways).
+	TIDSlow = 1001
 )
 
 // defaultCapacity is the per-lane ring size when New is given none.
@@ -212,6 +216,10 @@ func (t *Tracer) At(tm time.Time) int64 {
 	return tm.Sub(t.baseMono).Nanoseconds()
 }
 
+// Time maps a timestamp on the tracer's axis back to the instant it
+// stands for: the inverse of At.
+func (t *Tracer) Time(ts int64) time.Time { return t.baseMono.Add(time.Duration(ts)) }
+
 // Tick advances and returns the logical clock — the per-rank sequence
 // piggybacked on sync frame headers so cross-rank captures can be
 // causally related even without a shared wall clock. 0 on nil.
@@ -304,13 +312,18 @@ func (t *Tracer) Drops() uint64 {
 	return d
 }
 
-// emit claims a slot and publishes one event. The nil receiver and the
-// disabled flag both short-circuit, so call sites may hold a nil *Buf
-// when tracing is off and skip even the flag load.
+// emit publishes one event unless b is nil or its tracer disabled, so
+// call sites may hold a nil *Buf when tracing is off and skip even the
+// flag load.
 func (b *Buf) emit(kind Kind, name ID, ts, dur int64, args ...uint64) {
 	if b == nil || !b.tr.enabled.Load() {
 		return
 	}
+	b.put(kind, name, ts, dur, args...)
+}
+
+// put claims a slot and publishes one event.
+func (b *Buf) put(kind Kind, name ID, ts, dur int64, args ...uint64) {
 	i := b.pos.Add(1) - 1
 	if i >= uint64(len(b.slots)) {
 		b.drops.Add(1)
@@ -339,6 +352,13 @@ func (b *Buf) emit(kind Kind, name ID, ts, dur int64, args ...uint64) {
 // from Tracer.Now or Tracer.At) with up to 4 argument words.
 func (b *Buf) Span(name ID, start, end int64, args ...uint64) {
 	b.emit(KindSpan, name, start, end-start, args...)
+}
+
+// SpanAlways is Span whether or not the tracer is enabled: for a lane
+// that is a log in its own right, such as the server's slow requests
+// (TIDSlow), rather than a sample of the timeline.
+func (b *Buf) SpanAlways(name ID, start, end int64, args ...uint64) {
+	b.put(KindSpan, name, start, end-start, args...)
 }
 
 // Instant records a point event.
@@ -422,6 +442,17 @@ func (b *Buf) collect(names []nameDef, out []Event) []Event {
 		}
 	}
 	return out
+}
+
+// Events snapshots this lane's recorded events in emission order. Safe
+// to call while emitters are running, like Tracer.Events.
+func (b *Buf) Events() []Event {
+	b.tr.mu.Lock()
+	names := b.tr.names
+	b.tr.mu.Unlock()
+	evs := b.collect(names, nil)
+	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	return evs
 }
 
 // Events snapshots every recorded event across all lanes, ordered by

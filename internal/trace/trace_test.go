@@ -92,6 +92,32 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	}
 }
 
+// TestSpanAlwaysWhileDisabled: SpanAlways records on a disabled tracer
+// through the same ring, and Buf.Events reads one lane back in emission
+// order after it wrapped.
+func TestSpanAlwaysWhileDisabled(t *testing.T) {
+	tr := New(0, 4)
+	name := tr.Intern("slow", "i")
+	b := tr.Buf(TIDSlow)
+	tr.Buf(TIDRequest).Span(name, 0, 1, 99) // disabled: dropped
+	for i := 0; i < 6; i++ {
+		b.SpanAlways(name, int64(10*i), int64(10*i+5), uint64(i))
+	}
+	evs := b.Events()
+	if len(evs) != 4 || b.Drops() != 2 || len(tr.Events()) != 4 {
+		t.Fatalf("lane holds %d events with %d drops (tracer %d), want the newest 4 and 2", len(evs), b.Drops(), len(tr.Events()))
+	}
+	for k, ev := range evs {
+		if i := k + 2; ev.TID != TIDSlow || ev.Args[0] != uint64(i) || ev.Ts != int64(10*i) || ev.Dur != 5 {
+			t.Fatalf("event %d = %+v, want span %d (emission order)", k, ev, i)
+		}
+	}
+	now := time.Now()
+	if got := tr.Time(tr.At(now)); !got.Equal(now) {
+		t.Fatalf("Time(At(%v)) = %v", now, got)
+	}
+}
+
 func TestRingWraparoundAndDrops(t *testing.T) {
 	const cap = 16
 	tr := New(0, cap)
@@ -477,16 +503,20 @@ func TestMergeCaptures(t *testing.T) {
 		t.Fatalf("rank 1 shift = %fµs, want 5000", ts1-ts0)
 	}
 	// Flow ends pair with starts across pids.
-	pairs, err := FlowPairs(merged)
-	if err != nil {
-		t.Fatal(err)
+	var starts, ends []int
+	for _, ev := range cap.TraceEvents {
+		if ev.ID != "0xf00" {
+			continue
+		}
+		switch ev.Ph {
+		case "s":
+			starts = append(starts, ev.Pid)
+		case "f":
+			ends = append(ends, ev.Pid)
+		}
 	}
-	p, ok := pairs["0xf00"]
-	if !ok {
-		t.Fatalf("flow 0xf00 missing; pairs = %v", pairs)
-	}
-	if len(p[0]) != 1 || p[0][0] != 0 || len(p[1]) != 1 || p[1][0] != 1 {
-		t.Fatalf("flow endpoints = %v", p)
+	if len(starts) != 1 || starts[0] != 0 || len(ends) != 1 || ends[0] != 1 {
+		t.Fatalf("flow 0xf00 starts on pids %v and ends on %v, want [0] and [1]", starts, ends)
 	}
 }
 

@@ -10,7 +10,9 @@
 # TestStoreAllocatesEachSlotOnce), the dynamic policy's shared root
 # claim (TestDynamicCoversAllExactlyOnce), the watchdog's latency
 # rule diffing histograms that requests observe into
-# (TestLatencyRuleConcurrentObserve), the distance
+# (TestLatencyRuleConcurrentObserve), the server's slow lane under
+# concurrent slow requests and /debug/slow readers (TestSlowLaneHammer),
+# the distance
 # cache, the lock-order hammers, the goroutine-lifetime tests and the
 # fault-injection tests of the durability contract (TestSaveFaults,
 # TestSaveLabelsWriteFaultLeavesNothing, TestLogFaults,
@@ -96,6 +98,10 @@ go test -race -short ./...
 # The watchdog's latency rule rides along: TestLatencyRuleConcurrentObserve
 # ticks it, snapshotting and diffing histogram buckets, while several
 # goroutines observe into those histograms as requests do.
+# So does the server's slow lane: TestSlowLaneHammer's writers, every
+# request of theirs slow, share one 16-slot ring beside /debug/slow
+# readers; -race holds every access to the lane atomic, and each reader
+# wants every listed /query whole (t = s+1 mod 5).
 # The distance cache rides along too: its striped table under concurrent
 # Get/Put, and under readers that query while generations are swapped
 # across the slot tag's wrap point. So do the living graph's lock-free
@@ -139,8 +145,8 @@ go test -race -short ./...
 # reopen; TestCompactWaitingOnAFailedApply wants a Compact that waited on
 # that mutex to fold nothing over the half-applied insert (DESIGN.md "The
 # durability contract is held by fault tests").
-echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, dynamic root claim, batch scratch pool, watchdog latency rule, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
-go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply|TestDynamicCoversAllExactlyOnce|TestLatencyRuleConcurrentObserve' \
+echo "== go test -race -count=20 (trace ring, label store segments and allocation bound, label store head, label store wide entries, dynamic root claim, batch scratch pool, watchdog latency rule, server slow lane, distance cache, living-graph readers, server snapshot, lock order, cluster sync round, goroutine lifetimes, durability faults)"
+go test -race -count=20 -run 'TestConcurrentEmitters|TestStore|TestQueryBatchConcurrent|TestCacheConcurrent|TestCachedReloadWhileQuerying|TestDeltaReaderHammer|TestDeltaReaderHammerSwapsMappedBases|TestHammerCompactionUnderQueries|TestHotReloadHammer|TestPipelineHammer|TestPipelineNoLoss|TestCloseLeavesNoGoroutine|TestRootFailureReleasesPeers|TestNodeDeathFailsFast|TestTCPNodeDeathFailsFast|TestSaveFaults|TestSaveLabelsWriteFaultLeavesNothing|TestLogFaults|TestFailedSyncPoisonsLog|TestCompactFaults|TestUpdateLogsBeforeApply|TestCompactOnFailedLog|TestTruncatedLiveIndexUpdateAnswers500|TestCompactWaitingOnAFailedApply|TestDynamicCoversAllExactlyOnce|TestLatencyRuleConcurrentObserve|TestSlowLaneHammer' \
     ./internal/trace ./internal/label ./internal/task ./internal/flight ./internal/qcache ./internal/dynamic ./internal/compact ./internal/server ./internal/mpi ./internal/cluster ./internal/fileio ./internal/wal
 
 # The pipeline's lock-order test again without the race detector: a
