@@ -60,6 +60,15 @@ func main() {
 	default:
 		fatalf("unknown policy %q", *policy)
 	}
+	if *size > 1 {
+		// Ranks 1..size-1 dial -root as written, so port 0 (rank 0
+		// listening wherever the kernel puts it) is one they never reach.
+		if _, port, err := net.SplitHostPort(*rootAddr); err != nil {
+			fatalf("bad -root %q: %v", *rootAddr, err)
+		} else if port == "0" {
+			fatalf("-root %q: a cluster of %d ranks needs a fixed rendezvous port, not 0", *rootAddr, *size)
+		}
+	}
 
 	if *launch {
 		if *rank != 0 {
@@ -115,18 +124,14 @@ func main() {
 		*rank, time.Since(t0).Seconds(), st.CompTime.Seconds(), st.CommTime.Seconds(),
 		st.LocalRoots, st.BytesSent, idx.AvgLabelSize())
 	if *verbose {
+		var labels int64
 		for i, r := range st.Rounds {
-			fmt.Printf("rank %d: sync %d/%d: sent %d labels (%d wire / %d raw bytes), merged %d labels (%d wire / %d raw bytes)\n",
-				*rank, i+1, len(st.Rounds), r.UpdatesSent, r.BytesSent, r.RawBytesSent,
-				r.UpdatesReceived, r.BytesReceived, r.RawBytesReceived)
+			fmt.Printf("rank %d: sync %d/%d: sent %d labels (%d wire bytes), merged %d labels (%d wire bytes)\n",
+				*rank, i+1, len(st.Rounds), r.UpdatesSent, r.BytesSent, r.UpdatesReceived, r.BytesReceived)
+			labels += r.UpdatesSent + r.UpdatesReceived
 		}
-		ratio := 1.0
-		if st.BytesSent+st.BytesReceived > 0 {
-			ratio = float64(st.RawBytesSent+st.RawBytesReceived) / float64(st.BytesSent+st.BytesReceived)
-		}
-		fmt.Printf("rank %d: sync totals: %d wire / %d raw bytes (%.2fx compression), finalize %.3fs\n",
-			*rank, st.BytesSent+st.BytesReceived, st.RawBytesSent+st.RawBytesReceived, ratio,
-			st.FinalizeTime.Seconds())
+		fmt.Printf("rank %d: sync totals: %d labels in %d wire bytes, finalize %.3fs\n",
+			*rank, labels, st.BytesSent+st.BytesReceived, st.FinalizeTime.Seconds())
 		if ins, ok := comm.(mpi.Instrumented); ok {
 			cs := ins.Stats()
 			fmt.Printf("rank %d: transport: %d msgs / %d bytes sent, %d msgs / %d bytes received\n",
@@ -148,9 +153,6 @@ func main() {
 func launchChildren(size int, rootAddr, graphPath string, threads int, policy string, syncs int, verbose bool, tracePath string) error {
 	if size < 2 {
 		return nil
-	}
-	if _, _, err := net.SplitHostPort(rootAddr); err != nil {
-		return fmt.Errorf("bad -root %q: %v", rootAddr, err)
 	}
 	self, err := os.Executable()
 	if err != nil {

@@ -2,6 +2,7 @@ package parapll_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -31,7 +32,7 @@ func TestEndToEndCLI(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := func(name string) string { return filepath.Join(dir, name) }
-	for _, tool := range []string{"parapll-gen", "parapll-index", "parapll-query", "parapll-node"} {
+	for _, tool := range []string{"parapll-gen", "parapll-index", "parapll-query", "parapll-node", "parapll-trace"} {
 		out, err := exec.Command("go", "build", "-o", bin(tool), "./cmd/"+tool).CombinedOutput()
 		if err != nil {
 			t.Fatalf("building %s: %v\n%s", tool, err, out)
@@ -169,16 +170,43 @@ func TestEndToEndCLI(t *testing.T) {
 		t.Fatalf("post-reload response unexpected: %s", body)
 	}
 
-	// Bonus: a real 2-process TCP cluster via the self-launching node.
+	// Bonus: a real 2-process TCP cluster via the self-launching node,
+	// four sync rounds, each rank tracing its timeline. The child shares
+	// the parent's output pipe, so run returns once both ranks have
+	// exited and written their captures.
 	clusterIdx := filepath.Join(dir, "cluster.idx")
+	tracePath := filepath.Join(dir, "cluster.json")
 	out = run("parapll-node", "-launch", "-size", "2", "-root", "127.0.0.1:17799",
-		"-graph", graphPath, "-out", clusterIdx, "-threads", "1")
+		"-graph", graphPath, "-out", clusterIdx, "-threads", "1", "-syncs", "4", "-trace", tracePath)
 	if !strings.Contains(out, "indexed in") {
 		t.Fatalf("node output unexpected: %s", out)
 	}
 	out = run("parapll-query", "-index", clusterIdx, "-graph", graphPath, "-verify", "5")
 	if !strings.Contains(out, "all exact") {
 		t.Fatalf("cluster index verify failed: %s", out)
+	}
+	// Each round, each of the 2 ranks starts one flow and ends the other
+	// rank's: 2·2·4 flow events, every one paired across the captures.
+	merged := filepath.Join(dir, "cluster-merged.json")
+	run("parapll-trace", "merge", "-out", merged,
+		filepath.Join(dir, "cluster.rank0.json"), filepath.Join(dir, "cluster.rank1.json"))
+	out = run("parapll-trace", "check", merged)
+	if !strings.Contains(out, "16 flow edges") || !strings.Contains(out, "pids [0 1]") {
+		t.Fatalf("merged cluster trace check unexpected: %s", out)
+	}
+
+	// A cluster whose rendezvous port is 0 is refused up front: the
+	// children would dial port 0 and never reach rank 0.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, bin("parapll-node"), "-launch", "-size", "3", "-root", "127.0.0.1:0", "-graph", graphPath)
+	cmd.WaitDelay = time.Second // launched children would hold the output pipe
+	refused, err := cmd.CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatalf("parapll-node -root with port 0 still running after 20s: %s", refused)
+	}
+	if err == nil || !strings.Contains(string(refused), "rendezvous port") {
+		t.Fatalf("parapll-node -root with port 0: err %v: %s", err, refused)
 	}
 }
 

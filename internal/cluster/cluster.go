@@ -78,16 +78,10 @@ type RoundStats struct {
 	// BytesSent is the wire payload this node contributed this round
 	// (after varint-delta compression).
 	BytesSent int64
-	// RawBytesSent is what the same updates would cost uncompressed
-	// (12 bytes per update) — BytesSent/RawBytesSent is the observable
-	// compression ratio.
-	RawBytesSent int64
 	// UpdatesReceived is how many labels were merged from other nodes.
 	UpdatesReceived int64
 	// BytesReceived is the wire payload merged from other nodes.
 	BytesReceived int64
-	// RawBytesReceived is the uncompressed size of the merged payload.
-	RawBytesReceived int64
 	// PackTime is wall time spent draining, sorting and packing this
 	// node's pending labels into the wire frame.
 	PackTime time.Duration
@@ -117,10 +111,6 @@ type Stats struct {
 	BytesSent int64
 	// BytesReceived is the total wire payload merged from other nodes.
 	BytesReceived int64
-	// RawBytesSent / RawBytesReceived are the uncompressed equivalents
-	// (12 bytes per update), for observing the compression ratio.
-	RawBytesSent     int64
-	RawBytesReceived int64
 	// LocalRoots is how many Pruned Dijkstra roots this node indexed.
 	LocalRoots int
 	// WorkOps is this node's machine-independent work (heap pops +

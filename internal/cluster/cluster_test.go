@@ -140,9 +140,6 @@ func TestSyncAccounting(t *testing.T) {
 		}
 		sent += s.BytesSent
 		recv += s.BytesReceived
-		if s.RawBytesSent%bytesPerUpdate != 0 {
-			t.Fatalf("raw sent bytes %d not a multiple of update size", s.RawBytesSent)
-		}
 	}
 	// Every byte sent is received by nodes-1 peers.
 	if recv != 2*sent {
@@ -326,7 +323,7 @@ func TestPerRoundAccounting(t *testing.T) {
 		if len(s.Rounds) != s.Syncs || s.Syncs != 3 {
 			t.Fatalf("node %d: %d round entries for %d syncs", node, len(s.Rounds), s.Syncs)
 		}
-		var sent, recv, rawSent, rawRecv int64
+		var sent, recv int64
 		for i, r := range s.Rounds {
 			if r.BytesSent == 0 || r.UpdatesSent == 0 {
 				t.Errorf("node %d round %d: zero sent volume (%+v)", node, i, r)
@@ -334,28 +331,16 @@ func TestPerRoundAccounting(t *testing.T) {
 			if r.BytesReceived == 0 || r.UpdatesReceived == 0 {
 				t.Errorf("node %d round %d: zero received volume (%+v)", node, i, r)
 			}
-			if r.RawBytesSent != r.UpdatesSent*bytesPerUpdate {
-				t.Errorf("node %d round %d: %d raw bytes for %d updates", node, i, r.RawBytesSent, r.UpdatesSent)
-			}
-			if r.RawBytesReceived != r.UpdatesReceived*bytesPerUpdate {
-				t.Errorf("node %d round %d: %d raw recv bytes for %d updates", node, i, r.RawBytesReceived, r.UpdatesReceived)
-			}
-			if r.BytesSent > r.RawBytesSent {
-				t.Errorf("node %d round %d: compressed frame (%d B) larger than raw (%d B)",
-					node, i, r.BytesSent, r.RawBytesSent)
+			if raw := r.UpdatesSent * fixedUpdateBytes; r.BytesSent > raw {
+				t.Errorf("node %d round %d: compressed frame (%d B) larger than fixed-width (%d B)",
+					node, i, r.BytesSent, raw)
 			}
 			sent += r.BytesSent
 			recv += r.BytesReceived
-			rawSent += r.RawBytesSent
-			rawRecv += r.RawBytesReceived
 		}
 		if sent != s.BytesSent || recv != s.BytesReceived {
 			t.Errorf("node %d: rounds sum to %d/%d bytes, totals are %d/%d",
 				node, sent, recv, s.BytesSent, s.BytesReceived)
-		}
-		if rawSent != s.RawBytesSent || rawRecv != s.RawBytesReceived {
-			t.Errorf("node %d: rounds sum to %d/%d raw bytes, totals are %d/%d",
-				node, rawSent, rawRecv, s.RawBytesSent, s.RawBytesReceived)
 		}
 	}
 	// Every node's labels crossed the wire: the union of sent updates

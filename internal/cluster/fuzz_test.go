@@ -21,9 +21,9 @@ func seedFrames() [][]byte {
 	}
 	hdrs := []frameHeader{
 		{},
-		{rank: 1, round: 0, clock: 1},
-		{rank: 3, round: 7, clock: 1 << 40},
-		{rank: maxFrameWord, round: maxFrameWord, clock: ^uint64(0)},
+		{rank: 1, round: 0},
+		{rank: 3, round: 7},
+		{rank: maxFrameWord, round: maxFrameWord},
 	}
 	var frames [][]byte
 	for i, list := range lists {

@@ -13,15 +13,14 @@ import (
 	"parapll/internal/trace"
 )
 
-// Sync wire format (version 2). A frame carries one node's
+// Sync wire format (version 3). A frame carries one node's
 // pending-update list for one round, sorted by (vertex, hub) and
 // delta-encoded with uvarints: sorted hub ids are small gaps apart, and
 // most distances are small too:
 //
-//	byte    version (2)
+//	byte    version (3)
 //	uvarint rank   (sender's rank — trace word)
 //	uvarint round  (0-based sync round — trace word)
-//	uvarint clock  (sender's logical clock at pack time — trace word)
 //	uvarint total update count U
 //	then groups, vertices strictly ascending:
 //	  uvarint vGap   = v - prevV - 1        (prevV starts at -1)
@@ -30,12 +29,14 @@ import (
 //	    uvarint hubGap = hub - prevHub - 1  (prevHub resets to -1 per group)
 //	    uvarint dist                        (must be < graph.Inf)
 //
-// The three header uvarints are the trace-context word: they cost 3
-// bytes per frame when tracing is off (all small), and they let the
-// receiver (a) verify the frame really came from the allgather slot it
-// arrived in and belongs to the current round, and (b) reconstruct the
-// sender's flow id so per-rank trace captures merge into one cross-rank
-// timeline with comm edges (internal/trace).
+// The two header uvarints are the trace-context word: they cost 2
+// bytes per frame (both small), and they let the receiver (a) verify
+// the frame really came from the allgather slot it arrived in and
+// belongs to the current round, and (b) reconstruct the sender's flow
+// id so per-rank trace captures merge into one cross-rank timeline with
+// comm edges (internal/trace). No logical clock rides along: every
+// round is one collective, so the round number already orders every
+// frame, and the merge aligns captures on their wall-clock bases.
 //
 // Sorting makes consecutive updates share a vertex, so the gaps are
 // small (1–2 bytes each vs. the old fixed 12 bytes per update) and the
@@ -44,7 +45,7 @@ import (
 //
 // (v, hub) pairs are unique within a node's whole build — each root is
 // processed exactly once — so both delta chains are strictly increasing.
-const syncFormatVersion = 2
+const syncFormatVersion = 3
 
 // maxFrameWord bounds the decoded rank and round header words: both
 // are small integers in any real deployment, so anything larger is a
@@ -53,9 +54,8 @@ const maxFrameWord = 1 << 20
 
 // frameHeader is the decoded trace-context word of one sync frame.
 type frameHeader struct {
-	rank  int    // sender's rank
-	round int    // 0-based sync round
-	clock uint64 // sender's logical clock at pack time
+	rank  int // sender's rank
+	round int // 0-based sync round
 }
 
 // flowID is the globally-unique id of one rank's frame in one round.
@@ -65,11 +65,6 @@ type frameHeader struct {
 func flowID(rank, round int) uint64 {
 	return uint64(rank)<<32 | uint64(uint32(round))
 }
-
-// bytesPerUpdate is the pre-compression wire cost of one update (the
-// old fixed-width format: three uint32s). Raw-byte accounting in
-// RoundStats is reported in this unit so compression is observable.
-const bytesPerUpdate = 12
 
 // sortUpdates orders a pending list by (vertex, hub), the precondition
 // for packUpdates' delta encoding.
@@ -91,7 +86,6 @@ func packUpdates(dst []byte, list []update, hdr frameHeader) []byte {
 	buf := append(dst[:0], syncFormatVersion)
 	buf = binary.AppendUvarint(buf, uint64(hdr.rank))
 	buf = binary.AppendUvarint(buf, uint64(hdr.round))
-	buf = binary.AppendUvarint(buf, hdr.clock)
 	buf = binary.AppendUvarint(buf, uint64(len(list)))
 	prevV := int64(-1)
 	for i := 0; i < len(list); {
@@ -124,7 +118,7 @@ func packUpdates(dst []byte, list []update, hdr frameHeader) []byte {
 // construction.
 func decodeFrame(buf []byte, n int) (frameHeader, []update, error) {
 	var hdr frameHeader
-	if len(buf) < 5 {
+	if len(buf) < 4 {
 		return hdr, nil, fmt.Errorf("cluster: sync frame truncated (%d bytes)", len(buf))
 	}
 	if buf[0] != syncFormatVersion {
@@ -141,12 +135,7 @@ func decodeFrame(buf []byte, n int) (frameHeader, []update, error) {
 		return hdr, nil, fmt.Errorf("cluster: sync frame: bad round word")
 	}
 	o += k
-	clock, k := binary.Uvarint(buf[o:])
-	if k <= 0 {
-		return hdr, nil, fmt.Errorf("cluster: sync frame: bad clock word")
-	}
-	o += k
-	hdr = frameHeader{rank: int(rank), round: int(round), clock: clock}
+	hdr = frameHeader{rank: int(rank), round: int(round)}
 	total, k := binary.Uvarint(buf[o:])
 	if k <= 0 {
 		return hdr, nil, fmt.Errorf("cluster: sync frame: bad update count")
@@ -347,7 +336,7 @@ func (st *syncState) run(rs *recordingStore) (RoundStats, error) {
 	sortUpdates(list)
 	t1 := time.Now()
 	rank := st.comm.Rank()
-	st.pack = packUpdates(st.pack, list, frameHeader{rank: rank, round: round, clock: st.tr.Tick()})
+	st.pack = packUpdates(st.pack, list, frameHeader{rank: rank, round: round})
 	// The transport owns sent buffers (the channel transport delivers
 	// zero-copy), so the reusable scratch must not escape: hand it an
 	// exact-size copy.
@@ -360,10 +349,9 @@ func (st *syncState) run(rs *recordingStore) (RoundStats, error) {
 		st.lane.FlowStart(st.idFrame, st.tr.At(t2), flowID(rank, round))
 	}
 	out := RoundStats{
-		UpdatesSent:  int64(len(list)),
-		BytesSent:    int64(len(frame)),
-		RawBytesSent: int64(len(list)) * bytesPerUpdate,
-		PackTime:     t2.Sub(t0),
+		UpdatesSent: int64(len(list)),
+		BytesSent:   int64(len(frame)),
+		PackTime:    t2.Sub(t0),
 	}
 
 	parts, err := mpi.Allgather(st.comm, frame)
@@ -407,13 +395,11 @@ func (st *syncState) run(rs *recordingStore) (RoundStats, error) {
 		if hdrs[r].round != round {
 			return out, fmt.Errorf("cluster: rank %d sent a frame for round %d during round %d", r, hdrs[r].round, round)
 		}
-		st.tr.Observe(hdrs[r].clock)
 		if st.lane != nil {
 			st.lane.FlowEnd(st.idFrame, st.tr.At(tX), flowID(r, round))
 		}
 		out.UpdatesReceived += int64(len(decoded[r]))
 		out.BytesReceived += int64(len(parts[r]))
-		out.RawBytesReceived += int64(len(decoded[r])) * bytesPerUpdate
 		lists = append(lists, decoded[r])
 	}
 	mergeShards(rs.Store, lists, st.shards)
@@ -431,6 +417,4 @@ func (s *Stats) addRound(r RoundStats) {
 	s.Syncs++
 	s.BytesSent += r.BytesSent
 	s.BytesReceived += r.BytesReceived
-	s.RawBytesSent += r.RawBytesSent
-	s.RawBytesReceived += r.RawBytesReceived
 }

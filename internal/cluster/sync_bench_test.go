@@ -73,12 +73,15 @@ func BenchmarkRecordAppend(b *testing.B) {
 
 // --- Packing: fixed 12-byte records (old wire format) vs varint-delta ---
 
+// fixedUpdateBytes is one update's size in the fixed-width format.
+const fixedUpdateBytes = 12
+
 // packFixed12 is the pre-refactor wire format kept as the baseline:
 // three little-endian uint32s per update, no sorting required.
 func packFixed12(dst []byte, list []update) []byte {
 	buf := dst[:0]
 	for _, u := range list {
-		var rec [bytesPerUpdate]byte
+		var rec [fixedUpdateBytes]byte
 		binary.LittleEndian.PutUint32(rec[0:4], uint32(u.v))
 		binary.LittleEndian.PutUint32(rec[4:8], uint32(u.hub))
 		binary.LittleEndian.PutUint32(rec[8:12], uint32(u.d))
@@ -126,7 +129,7 @@ func BenchmarkPackUpdates(b *testing.B) {
 			buf = packUpdates(buf, sorted, frameHeader{})
 		}
 		b.ReportMetric(float64(len(buf))/count, "B/update")
-		b.ReportMetric(float64(count*bytesPerUpdate)/float64(len(buf)), "ratio")
+		b.ReportMetric(float64(count*fixedUpdateBytes)/float64(len(buf)), "ratio")
 	})
 	b.Run("sort+varint-delta", func(b *testing.B) {
 		// Including the sort, since the fixed format doesn't need one.

@@ -93,7 +93,7 @@ func TestSyncFrameCompression(t *testing.T) {
 	}
 	sortUpdates(list)
 	frame := packUpdates(nil, list, frameHeader{})
-	raw := len(list) * bytesPerUpdate
+	raw := len(list) * fixedUpdateBytes
 	if 2*len(frame) > raw {
 		t.Fatalf("frame %d bytes for %d raw: compression below 2x", len(frame), raw)
 	}
@@ -147,8 +147,8 @@ func TestSyncFrameCorruptMutations(t *testing.T) {
 // group count that disagrees with the total.
 func TestSyncFrameRejectsBadDeltas(t *testing.T) {
 	mk := func(fields ...uint64) []byte {
-		// version + zero rank/round/clock trace words, then the fields.
-		buf := []byte{syncFormatVersion, 0, 0, 0}
+		// version + zero rank/round trace words, then the fields.
+		buf := []byte{syncFormatVersion, 0, 0}
 		for _, f := range fields {
 			buf = binary.AppendUvarint(buf, f)
 		}
@@ -191,11 +191,11 @@ func TestSyncFrameRejectsInfDistance(t *testing.T) {
 		{uint64(graph.Inf) + 1, false},
 		{1 << 40, false},
 	} {
-		frame := []byte{syncFormatVersion, 0, 0, 0} // zero trace words
-		frame = binary.AppendUvarint(frame, 1)      // one update
-		frame = binary.AppendUvarint(frame, 3)      // v = 3
-		frame = binary.AppendUvarint(frame, 1)      // one entry
-		frame = binary.AppendUvarint(frame, 2)      // hub = 2
+		frame := []byte{syncFormatVersion, 0, 0} // zero trace words
+		frame = binary.AppendUvarint(frame, 1)   // one update
+		frame = binary.AppendUvarint(frame, 3)   // v = 3
+		frame = binary.AppendUvarint(frame, 1)   // one entry
+		frame = binary.AppendUvarint(frame, 2)   // hub = 2
 		frame = binary.AppendUvarint(frame, tc.d)
 		_, ups, err := decodeFrame(frame, 10)
 		switch {

@@ -194,13 +194,6 @@ func TestThreeRankMergedTimeline(t *testing.T) {
 			}
 		}
 	}
-	// The logical clocks ticked once per round and observed peers'
-	// clocks, so every rank's final clock is at least the round count.
-	for r, tr := range tracers {
-		if tr.Clock() < syncs {
-			t.Fatalf("rank %d clock = %d, want >= %d", r, tr.Clock(), syncs)
-		}
-	}
 }
 
 // TestClusterUntracedUnaffected: a nil tracer must leave the build

@@ -105,9 +105,10 @@ type Options struct {
 	// and every compaction rebuild (as core.Options.Threads; <= 0 means
 	// GOMAXPROCS).
 	Threads int
-	// Tracer, when non-nil, records a wal.append span on trace.TIDWAL for
-	// each sampled update and a compact.run span on trace.TIDCompact for
-	// every compaction while it is enabled.
+	// Tracer, when non-nil, records a compact.run span on
+	// trace.TIDCompact for every compaction while it is enabled. An
+	// update leaves no span of its own: the server's /update request
+	// span (its pair arg the edge) is its record.
 	Tracer *trace.Tracer
 	// OnPublish, when non-nil, is called at the end of every completed
 	// compaction, outside the writer mutex but still inside compactMu
@@ -368,19 +369,9 @@ func (p *Pipeline) QueryBatch(pairs [][2]graph.Vertex, threads int) []graph.Dist
 // error says "logged; applied on restart", and every later one wraps
 // wal.ErrFailed.
 func (p *Pipeline) Update(u, v graph.Vertex, w graph.Dist) error {
-	var tr *trace.Tracer // non-nil when this update is sampled
-	var t0 int64
-	if p.opt.Tracer.Sample() {
-		tr = p.opt.Tracer
-		t0 = tr.Now()
-	}
 	pending, err := p.insert(u, v, w)
 	if err != nil {
 		return err
-	}
-	if tr != nil {
-		tr.Buf(trace.TIDWAL).Span(tr.Intern("wal.append", "u", "v", "w"), t0, tr.Now(),
-			uint64(uint32(u)), uint64(uint32(v)), uint64(w))
 	}
 	p.updates.Add(1)
 	if p.opt.CompactEvery > 0 && pending >= p.opt.CompactEvery {

@@ -5,7 +5,6 @@ import (
 
 	"parapll/internal/graph"
 	"parapll/internal/oracle"
-	"parapll/internal/trace"
 )
 
 // Options configures a cached oracle wrapper.
@@ -14,9 +13,6 @@ type Options struct {
 	// which every index here allows: they all answer undirected distances.
 	// Left false, (s,t) and (t,s) are cached apart.
 	Symmetric bool
-	// Tracer, when non-nil, is consulted per query; sampled queries emit
-	// a qcache.query span (arg hit=0/1) on the trace.TIDCache lane.
-	Tracer *trace.Tracer
 }
 
 // Cached wraps an oracle with a generation-keyed distance cache. It
@@ -54,17 +50,6 @@ func (o *Cached) canon(s, t graph.Vertex) (graph.Vertex, graph.Vertex) {
 	return s, t
 }
 
-// query is the uninstrumented cached lookup.
-func (o *Cached) query(s, t graph.Vertex) (graph.Dist, bool) {
-	cs, ct := o.canon(s, t)
-	if d, ok := o.cache.Get(o.gen, cs, ct); ok {
-		return d, true
-	}
-	d := o.inner.Query(s, t)
-	o.cache.Put(o.gen, cs, ct, d)
-	return d, false
-}
-
 // Query returns the exact distance, from cache when possible. Both
 // reachable distances and graph.Inf are cached (negative caching).
 func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
@@ -75,17 +60,13 @@ func (o *Cached) Query(s, t graph.Vertex) graph.Dist {
 // QueryNote is Query plus a hit report: whether the answer came from
 // the cache. The serving layer notes it in the request span.
 func (o *Cached) QueryNote(s, t graph.Vertex) (graph.Dist, bool) {
-	if tr := o.opt.Tracer; tr.Sample() {
-		t0 := tr.Now()
-		d, hit := o.query(s, t)
-		var h uint64
-		if hit {
-			h = 1
-		}
-		tr.Buf(trace.TIDCache).Span(tr.Intern("qcache.query", "hit"), t0, tr.Now(), h)
-		return d, hit
+	cs, ct := o.canon(s, t)
+	if d, ok := o.cache.Get(o.gen, cs, ct); ok {
+		return d, true
 	}
-	return o.query(s, t)
+	d := o.inner.Query(s, t)
+	o.cache.Put(o.gen, cs, ct, d)
+	return d, false
 }
 
 // Peek reports the cached answer for (s,t) under this wrapper's

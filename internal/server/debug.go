@@ -75,7 +75,8 @@ type slowEntry struct {
 	// layer, a slow miss to the merge kernel.
 	Cache string `json:"cache,omitempty"`
 	// S and T are the pair asked about on /query, /path and
-	// /debug/explain.
+	// /debug/explain, or the edge's u and v on an /update whose
+	// vertices are in range.
 	S *graph.Vertex `json:"s,omitempty"`
 	T *graph.Vertex `json:"t,omitempty"`
 }

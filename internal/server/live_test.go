@@ -38,14 +38,22 @@ func waitFor(t *testing.T, cond func() bool) {
 // liveServer boots a server in living-graph mode over a small graph,
 // mirroring cmd/parapll-server's prepareLive wiring.
 func liveServer(t *testing.T, compactEvery int) (*httptest.Server, *Server, *compact.Pipeline, *graph.Graph) {
+	return liveServerWith(t, compactEvery, &Options{})
+}
+
+// liveServerWith is liveServer with the server built from o; its
+// Tracer, when set, is the pipeline's too, as cmd/parapll-server wires
+// them.
+func liveServerWith(t *testing.T, compactEvery int, o *Options) (*httptest.Server, *Server, *compact.Pipeline, *graph.Graph) {
 	t.Helper()
 	g := graph.FromEdges(6, []graph.Edge{
 		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 4}, {U: 2, V: 3, W: 5}, {U: 3, V: 4, W: 2},
 	}) // vertex 5 isolated
-	s := NewPending(&Options{Loader: fileio.LoadIndex})
+	o.Loader = fileio.LoadIndex
+	s := NewPending(o)
 	var pipe *compact.Pipeline
 	pipe, err := compact.Open(compact.Options{
-		Dir: t.TempDir(), Graph: g, CompactEvery: compactEvery,
+		Dir: t.TempDir(), Graph: g, CompactEvery: compactEvery, Tracer: o.Tracer,
 		OnPublish: func(compact.Report) {
 			if _, err := s.Reload(pipe.IndexPath()); err != nil {
 				t.Errorf("publishing compaction: %v", err)

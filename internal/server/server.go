@@ -41,9 +41,12 @@
 // at or over SlowThreshold writes its span to the slow lane
 // (trace.TIDSlow) whether or not the tracer is enabled, and /debug/slow
 // reads that lane; any other request writes one to the request lane
-// (trace.TIDRequest) when the tracer samples it. A span's four args
-// are the status, the snapshot generation, the distance-cache outcome
-// and the (s, t) pair on the pair routes.
+// (trace.TIDRequest) when the tracer samples it. handle is the one
+// caller of Tracer.Sample, so 1 in N requests leaves a span whatever
+// the route: the distance cache and the living-graph pipeline record no
+// per-request span of their own. A span's four args are the status,
+// the snapshot generation, the distance-cache outcome and the (s, t)
+// pair on the pair routes, or the edge (u, v) on /update.
 //
 // Every endpoint enforces its method (405 otherwise) and is wrapped in
 // the same instrumentation middleware, so /metrics always reflects the
@@ -215,8 +218,6 @@ func NewPending(o *Options) *Server {
 	}
 	tr := s.opt.Tracer
 	tr.SetProcessName("parapll-server")
-	tr.SetThreadName(trace.TIDCache, "qcache")
-	tr.SetThreadName(trace.TIDWAL, "wal")
 	tr.SetThreadName(trace.TIDCompact, "compactor")
 	tr.SetThreadName(trace.TIDRequest, "http requests")
 	tr.SetThreadName(trace.TIDSlow, "http slow")
@@ -246,7 +247,7 @@ type statusWriter struct {
 	status int
 	gen    uint64
 	cache  uint64 // cacheNone / cacheMiss / cacheHit
-	pair   uint64 // packPair(s, t); 0 off the pair routes
+	pair   uint64 // packPair(s, t), or the /update edge; 0 elsewhere
 }
 
 // Distance-cache outcomes, as the request span's cache arg holds them

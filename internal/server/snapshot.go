@@ -133,10 +133,7 @@ func (s *Server) publish(up Updater, idx *label.Index, g *graph.Graph, source st
 		// label.Index is undirected, so (s,t) and (t,s) share one cache
 		// entry. The wrapper carries this snapshot's generation: a
 		// reload can never serve distances from the previous graph.
-		ora = qcache.Wrap(idx, s.cache, gen, qcache.Options{
-			Symmetric: true,
-			Tracer:    s.opt.Tracer,
-		})
+		ora = qcache.Wrap(idx, s.cache, gen, qcache.Options{Symmetric: true})
 	}
 	sn := &snapshot{
 		idx:    idx,

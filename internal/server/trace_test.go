@@ -116,6 +116,43 @@ func TestDebugSlowEndpoint(t *testing.T) {
 	}
 }
 
+// TestDebugSlowNamesUpdateEdge: a slow /update lists its edge as the
+// pair, and one whose edge is out of range lists none.
+func TestDebugSlowNamesUpdateEdge(t *testing.T) {
+	ts, _, _, _ := liveServerWith(t, 0, &Options{SlowThreshold: time.Nanosecond}) // everything is slow
+	if code, out := postUpdate(t, ts.URL, 4, 1, 2); code != http.StatusOK {
+		t.Fatalf("/update = %d: %v", code, out)
+	}
+	if code, _ := postUpdate(t, ts.URL, 0, 99, 2); code != http.StatusBadRequest {
+		t.Fatalf("out-of-range /update = %d, want 400", code)
+	}
+	var resp slowResponse
+	if code := getJSON(t, ts.URL+"/debug/slow", &resp); code != 200 {
+		t.Fatalf("debug/slow status %d", code)
+	}
+	var saw200, saw400 bool
+	for _, e := range resp.Entries {
+		if e.Path != "/update" {
+			continue
+		}
+		switch e.Status {
+		case http.StatusOK:
+			saw200 = true
+			if e.S == nil || e.T == nil || *e.S != 4 || *e.T != 1 {
+				t.Fatalf("/update pair = %v %v, want 4 1", e.S, e.T)
+			}
+		case http.StatusBadRequest:
+			saw400 = true
+			if e.S != nil || e.T != nil {
+				t.Fatalf("a rejected edge is listed: %v %v", e.S, e.T)
+			}
+		}
+	}
+	if !saw200 || !saw400 {
+		t.Fatalf("missing /update entries: saw200=%v saw400=%v in %+v", saw200, saw400, resp.Entries)
+	}
+}
+
 // TestRequestSpansSampled: with a tracer installed and sampling 1-in-1,
 // every request lands one span on the request lane, carrying its
 // status, generation, cache outcome and pair.
@@ -294,26 +331,53 @@ func TestSlowLaneHammer(t *testing.T) {
 	readers.Wait()
 }
 
-// TestRequestSampling: 1-in-4 sampling records exactly a quarter of a
-// request stream (the sampler is a deterministic modulo counter).
+// TestRequestSampling: 1-in-N sampling records exactly an Nth of a
+// request stream (the sampler is a deterministic modulo counter) with
+// the distance cache off and on, and on /update through a pipeline
+// holding the same tracer: the request is the one thing sampled, so no
+// layer under the handler may draw from the counter (a second draw per
+// request leaves an even N no request span at all).
 func TestRequestSampling(t *testing.T) {
-	tr := trace.New(0, 1<<10)
-	tr.Enable()
-	tr.SetSample(4)
-	_, ts, _ := testDiagServer(t, 0, &Options{Tracer: tr})
 	const reqs = 40
-	for i := 0; i < reqs; i++ {
-		var q queryResponse
-		getJSON(t, ts.URL+"/query?s=0&t=1", &q)
-	}
-	var spans int
-	for _, ev := range tr.Events() {
-		if ev.Name == "http query" {
-			spans++
+	for _, tc := range []struct {
+		name  string
+		cache int  // distance-cache entries (0: none)
+		live  bool // /update on a living server instead of /query
+	}{
+		{name: "query", cache: 0},
+		{name: "query", cache: 1 << 10},
+		{name: "update", live: true},
+	} {
+		for _, n := range []uint64{2, 4} {
+			t.Run(fmt.Sprintf("%s/cache=%d/N=%d", tc.name, tc.cache, n), func(t *testing.T) {
+				tr := trace.New(0, 1<<10)
+				tr.Enable()
+				tr.SetSample(n)
+				if tc.live {
+					ts, _, _, _ := liveServerWith(t, 0, &Options{Tracer: tr})
+					for i := 0; i < reqs; i++ {
+						if code, out := postUpdate(t, ts.URL, 0, 5, int64(1+i)); code != http.StatusOK {
+							t.Fatalf("/update = %d: %v", code, out)
+						}
+					}
+				} else {
+					_, ts, _ := testDiagServer(t, tc.cache, &Options{Tracer: tr})
+					for i := 0; i < reqs; i++ {
+						var q queryResponse
+						getJSON(t, ts.URL+"/query?s=0&t=1", &q)
+					}
+				}
+				var spans int
+				for _, ev := range tr.Events() {
+					if ev.Name == "http "+tc.name {
+						spans++
+					}
+				}
+				if want := reqs / int(n); spans != want {
+					t.Fatalf("%d spans from %d requests at 1-in-%d, want %d", spans, reqs, n, want)
+				}
+			})
 		}
-	}
-	if spans != reqs/4 {
-		t.Fatalf("%d spans from %d requests at 1-in-4, want %d", spans, reqs, reqs/4)
 	}
 }
 

@@ -104,6 +104,7 @@ func (s *Server) handleUpdate(sn *snapshot, w http.ResponseWriter, r *http.Reque
 			fmt.Errorf("edge {%d,%d} out of range [0,%d)", u, v, n))
 		return
 	}
+	note(w).pair = packPair(graph.Vertex(u), graph.Vertex(v))
 	if wt <= 0 || wt >= int64(graph.Inf) {
 		writeErr(w, http.StatusBadRequest,
 			fmt.Errorf("weight %d outside (0, %d)", wt, graph.Inf))

@@ -27,7 +27,6 @@ type jsonEvent struct {
 	Tid  int            `json:"tid"`
 	ID   string         `json:"id,omitempty"`
 	BP   string         `json:"bp,omitempty"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -40,8 +39,6 @@ type captureMeta struct {
 	BaseWallNanos string `json:"base_wall_nanos"`
 	// Drops counts events lost to ring wraparound.
 	Drops uint64 `json:"drops"`
-	// Clock is the rank's final logical clock.
-	Clock uint64 `json:"clock"`
 }
 
 // jsonCapture is the top-level object.
@@ -89,10 +86,6 @@ func exportEvents(evs []Event, names []nameDef, nameIdx map[string]ID, pid int, 
 			je.Ph = "X"
 			d := micros(ev.Dur)
 			je.Dur = &d
-			je.Args = spanArgs(argNames, ev.Args)
-		case KindInstant:
-			je.Ph = "i"
-			je.S = "t"
 			je.Args = spanArgs(argNames, ev.Args)
 		case KindFlowStart:
 			je.Ph = "s"
@@ -168,7 +161,6 @@ func (t *Tracer) Capture(sinceNanos int64) ([]byte, error) {
 			Pid:           t.pid,
 			BaseWallNanos: strconv.FormatInt(t.baseWall, 10),
 			Drops:         t.Drops(),
-			Clock:         t.Clock(),
 		},
 	}
 	return json.MarshalIndent(cap, "", " ")

@@ -47,7 +47,7 @@ func MergeCaptures(captures [][]byte) ([]byte, error) {
 	}
 	var out jsonCapture
 	out.DisplayTimeUnit = "ms"
-	var drops, clock uint64
+	var drops uint64
 	for i := range parsed {
 		shift := 0.0
 		if bases[i] != 0 && minBase != 0 {
@@ -61,9 +61,6 @@ func MergeCaptures(captures [][]byte) ([]byte, error) {
 		}
 		if od := parsed[i].OtherData; od != nil {
 			drops += od.Drops
-			if od.Clock > clock {
-				clock = od.Clock
-			}
 		}
 	}
 	// Keep metadata first, then time order, so checkers see monotonic
@@ -88,7 +85,6 @@ func MergeCaptures(captures [][]byte) ([]byte, error) {
 	out.OtherData = &captureMeta{
 		BaseWallNanos: strconv.FormatInt(minBase, 10),
 		Drops:         drops,
-		Clock:         clock,
 	}
 	return json.MarshalIndent(out, "", " ")
 }

@@ -53,8 +53,6 @@ type Kind uint8
 const (
 	// KindSpan is a complete interval (phase "X"): Ts..Ts+Dur.
 	KindSpan Kind = iota + 1
-	// KindInstant is a point event (phase "i").
-	KindInstant
 	// KindFlowStart opens a flow arrow (phase "s"); Arg(0) is the flow id.
 	KindFlowStart
 	// KindFlowEnd terminates a flow arrow (phase "f"); Arg(0) is the
@@ -69,12 +67,6 @@ type ID uint32
 // merged timelines stay readable: build workers use their worker index
 // (0..p-1) directly.
 const (
-	// TIDCache is the serving distance cache's lane: sampled
-	// qcache.query spans (arg hit=0/1) land here.
-	TIDCache = 990
-	// TIDWAL is the living-graph pipeline's durable-log lane: sampled
-	// wal.append spans (args u, v, w) land here.
-	TIDWAL = 980
 	// TIDCompact is the background compactor's lane: one compact.run
 	// span per compaction (args folded, tail, mode 0=fold/1=rebuild).
 	TIDCompact = 981
@@ -124,14 +116,13 @@ type nameDef struct {
 	args []string
 }
 
-// Tracer owns the lanes, the clock and the name table for one process
+// Tracer owns the lanes, the time axis and the name table for one process
 // (one cluster rank). The zero Tracer is not usable; a nil *Tracer is a
 // valid always-disabled recorder for every hot-path method.
 type Tracer struct {
 	enabled atomic.Bool
 	sampleN atomic.Uint64 // 0/1 = every; N = 1 in N
 	sampleC atomic.Uint64
-	clock   atomic.Uint64 // logical clock for cross-rank frame words
 
 	pid      int
 	capacity int
@@ -219,39 +210,6 @@ func (t *Tracer) At(tm time.Time) int64 {
 // Time maps a timestamp on the tracer's axis back to the instant it
 // stands for: the inverse of At.
 func (t *Tracer) Time(ts int64) time.Time { return t.baseMono.Add(time.Duration(ts)) }
-
-// Tick advances and returns the logical clock — the per-rank sequence
-// piggybacked on sync frame headers so cross-rank captures can be
-// causally related even without a shared wall clock. 0 on nil.
-func (t *Tracer) Tick() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.clock.Add(1)
-}
-
-// Observe advances the logical clock to at least c — the Lamport
-// receive rule, applied to clock words decoded from peer sync frames.
-// No-op on a nil tracer or when c is behind.
-func (t *Tracer) Observe(c uint64) {
-	if t == nil {
-		return
-	}
-	for {
-		cur := t.clock.Load()
-		if c <= cur || t.clock.CompareAndSwap(cur, c) {
-			return
-		}
-	}
-}
-
-// Clock returns the logical clock without advancing it.
-func (t *Tracer) Clock() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.clock.Load()
-}
 
 // Intern registers an event name (idempotent) and returns its ID.
 // argNames label the event's Arg slots in exported JSON (up to 4).
@@ -359,11 +317,6 @@ func (b *Buf) Span(name ID, start, end int64, args ...uint64) {
 // (TIDSlow), rather than a sample of the timeline.
 func (b *Buf) SpanAlways(name ID, start, end int64, args ...uint64) {
 	b.put(KindSpan, name, start, end-start, args...)
-}
-
-// Instant records a point event.
-func (b *Buf) Instant(name ID, ts int64, args ...uint64) {
-	b.emit(KindInstant, name, ts, 0, args...)
 }
 
 // FlowStart opens flow arrow `flow` at ts; the arrow is drawn to every

@@ -20,9 +20,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if tr.Now() != 0 || tr.At(time.Now()) != 0 {
 		t.Fatal("nil tracer clock not zero")
 	}
-	if tr.Tick() != 0 || tr.Clock() != 0 {
-		t.Fatal("nil tracer logical clock not zero")
-	}
 	if tr.Drops() != 0 {
 		t.Fatal("nil tracer drops not zero")
 	}
@@ -31,7 +28,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	var b *Buf
 	b.Span(1, 0, 10) // must not panic
-	b.Instant(1, 0)
 	b.FlowStart(1, 0, 7)
 	b.FlowEnd(1, 0, 7)
 }
@@ -43,7 +39,7 @@ func TestSpanRoundTrip(t *testing.T) {
 	point := tr.Intern("point")
 	b := tr.Buf(5)
 	b.Span(work, 100, 350, 42, 7)
-	b.Instant(point, 400)
+	b.Span(point, 400, 400)
 	b.FlowStart(work, 500, 0xdead)
 	b.FlowEnd(work, 600, 0xdead)
 
@@ -61,8 +57,8 @@ func TestSpanRoundTrip(t *testing.T) {
 	if sp.TID != 5 {
 		t.Fatalf("span tid = %d", sp.TID)
 	}
-	if evs[1].Kind != KindInstant || evs[1].Ts != 400 {
-		t.Fatalf("instant = %+v", evs[1])
+	if evs[1].Kind != KindSpan || evs[1].Name != "point" || evs[1].Ts != 400 || evs[1].Dur != 0 {
+		t.Fatalf("zero-length span = %+v", evs[1])
 	}
 	if evs[2].Kind != KindFlowStart || evs[2].Args[0] != 0xdead {
 		t.Fatalf("flow start = %+v", evs[2])
@@ -156,12 +152,12 @@ func TestCapacityRounding(t *testing.T) {
 	name := tr.Intern("e")
 	b := tr.Buf(0)
 	for i := 0; i < 128; i++ {
-		b.Instant(name, int64(i))
+		b.Span(name, int64(i), int64(i))
 	}
 	if tr.Drops() != 0 {
 		t.Fatalf("drops = %d before exceeding rounded capacity", tr.Drops())
 	}
-	b.Instant(name, 128)
+	b.Span(name, 128, 128)
 	if tr.Drops() != 1 {
 		t.Fatalf("drops = %d, want 1", tr.Drops())
 	}
@@ -207,16 +203,6 @@ func TestInternIdempotentAndArgLimit(t *testing.T) {
 		}
 	}()
 	tr.Intern("too-many", "a", "b", "c", "d", "e")
-}
-
-func TestLogicalClock(t *testing.T) {
-	tr := New(0, 64)
-	if tr.Tick() != 1 || tr.Tick() != 2 {
-		t.Fatal("Tick not sequential")
-	}
-	if tr.Clock() != 2 {
-		t.Fatalf("Clock = %d, want 2", tr.Clock())
-	}
 }
 
 func TestAtMatchesWallDeltas(t *testing.T) {
@@ -305,7 +291,8 @@ func TestEventsOrdered(t *testing.T) {
 	for lane := 0; lane < 4; lane++ {
 		b := tr.Buf(lane)
 		for i := 0; i < 100; i++ {
-			b.Instant(name, int64((i*7+lane*13)%501))
+			ts := int64((i*7 + lane*13) % 501)
+			b.Span(name, ts, ts)
 		}
 	}
 	evs := tr.Events()
@@ -364,7 +351,7 @@ func TestCaptureJSONSchema(t *testing.T) {
 	b := tr.Buf(7)
 	b.Span(work, 1000, 2500, 99)
 	b.FlowStart(work, 3000, 0xabc)
-	b.Instant(work, 4000)
+	b.Span(work, 4000, 4000)
 
 	data, err := tr.Capture(0)
 	if err != nil {
@@ -374,7 +361,7 @@ func TestCaptureJSONSchema(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CheckCapture: %v\n%s", err, data)
 	}
-	if st.Spans != 1 || st.Flows != 1 {
+	if st.Spans != 2 || st.Flows != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if len(st.Pids) != 1 || st.Pids[0] != 2 {
@@ -416,9 +403,9 @@ func TestCaptureSince(t *testing.T) {
 	tr.Enable()
 	name := tr.Intern("e")
 	b := tr.Buf(0)
-	b.Instant(name, 100)
-	b.Instant(name, 200)
-	b.Instant(name, 300)
+	b.Span(name, 100, 100)
+	b.Span(name, 200, 200)
+	b.Span(name, 300, 300)
 	data, err := tr.Capture(150)
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +514,7 @@ func TestMergeFiles(t *testing.T) {
 		tr := New(pid, 64)
 		tr.Enable()
 		name := tr.Intern("e")
-		tr.Buf(0).Instant(name, int64(pid)*100)
+		tr.Buf(0).Span(name, int64(pid)*100, int64(pid)*100)
 		data, err := tr.Capture(0)
 		if err != nil {
 			t.Fatal(err)
